@@ -613,7 +613,7 @@ func AblationHandlerReuse() (reuseMS, forkMS float64, reuseForks, noReuseForks i
 			total += d
 		}
 		return float64(total) / float64(2*ops) / float64(time.Millisecond),
-			sess.Manager().Stats.HandlerForks, nil
+			int64(c.MetricsSnapshot().Counter("lpm.handler.forks")), nil
 	}
 	reuseMS, reuseForks, err = run(lpm.Config{})
 	if err != nil {
@@ -730,7 +730,7 @@ func AblationOnDemandVsFullMesh(hosts int) (onDemandConns, fullMeshConns int64, 
 		if _, cerr := sess.Snapshot(); cerr != nil {
 			return 0, cerr
 		}
-		return c.Network().Stats().ConnsOpened, nil
+		return int64(c.MetricsSnapshot().Counter("simnet.circuit.opened")), nil
 	}
 	onDemandConns, err = build(false)
 	if err != nil {
@@ -798,14 +798,9 @@ func AblationDedupWindow(windows []time.Duration) ([]DedupWindowPoint, error) {
 				dups++
 			}
 		}
-		var suppressed int64
-		for _, h := range []string{"a", "b", "c"} {
-			if m, ok := c.ManagerOn(h, "u"); ok {
-				suppressed += m.Stats.FloodDuplicates
-			}
-		}
 		points = append(points, DedupWindowPoint{
-			Window: wdw, DuplicateRecs: dups, Suppressed: suppressed,
+			Window: wdw, DuplicateRecs: dups,
+			Suppressed: int64(c.MetricsSnapshot().Counter("lpm.flood.dedup_hits")),
 		})
 	}
 	return points, nil

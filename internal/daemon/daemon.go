@@ -70,9 +70,6 @@ type Daemons struct {
 
 	lpms   map[string]simnet.Addr
 	stable map[string]simnet.Addr
-
-	// Queries counts pmd lookups, for tests and benchmarks.
-	Queries int64
 }
 
 // Start boots inetd and pmd on the host and begins accepting LPM
@@ -146,6 +143,18 @@ func (d *Daemons) accept(conn *simnet.Conn) {
 	})
 }
 
+// observe is the daemons' one observation point: it bumps the counter
+// journal.CounterName pairs with kind and appends the record on this
+// host under ctx. The detail is only formatted when a journal is wired.
+func (d *Daemons) observe(kind journal.Kind, ctx trace.Context, format string, args ...any) {
+	if name := journal.CounterName(kind, ""); name != "" {
+		d.net.Metrics().Counter(name).Inc()
+	}
+	if jr := d.net.Journal(); jr.Enabled() {
+		jr.AppendCtx(kind, d.hostName, fmt.Sprintf(format, args...), ctx.Trace, ctx.Span)
+	}
+}
+
 // handleQuery is the pmd: the trusted name server of Figure 2 steps 3-4.
 func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 	q wire.LPMQuery, ctx trace.Context, sp *trace.Span) {
@@ -153,22 +162,15 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: "pmd: not running"}, ctx, sp)
 		return
 	}
-	d.Queries++
-	d.net.Metrics().Counter("daemon.queries").Inc()
-	d.net.Journal().AppendCtx(journal.DaemonQuery, d.hostName,
-		fmt.Sprintf("user=%s from=%s", q.User, fromHost), ctx.Trace, ctx.Span)
+	d.observe(journal.DaemonQuery, ctx, "user=%s from=%s", q.User, fromHost)
 	if err := d.authenticate(fromHost, q); err != nil {
-		d.net.Metrics().Counter("daemon.auth_failures").Inc()
-		d.net.Journal().AppendCtx(journal.DaemonAuthFail, d.hostName,
-			fmt.Sprintf("user=%s from=%s", q.User, fromHost), ctx.Trace, ctx.Span)
+		d.observe(journal.DaemonAuthFail, ctx, "user=%s from=%s", q.User, fromHost)
 		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: err.Error()}, ctx, sp)
 		return
 	}
 	// An existing LPM's address is returned directly.
 	if addr, ok := d.lpms[q.User]; ok {
-		d.net.Metrics().Counter("daemon.lpm.found").Inc()
-		d.net.Journal().AppendCtx(journal.DaemonLPMFound, d.hostName,
-			"user="+q.User, ctx.Trace, ctx.Span)
+		d.observe(journal.DaemonLPMFound, ctx, "user=%s", q.User)
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port,
 		}, ctx, sp)
@@ -184,9 +186,7 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 			return
 		}
 		d.register(q.User, addr)
-		d.net.Metrics().Counter("daemon.lpm.created").Inc()
-		d.net.Journal().AppendCtx(journal.DaemonLPMCreated, d.hostName,
-			"user="+q.User, ctx.Trace, ctx.Span)
+		d.observe(journal.DaemonLPMCreated, ctx, "user=%s", q.User)
 		// Step 4: the accept address is returned.
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port, Created: true,

@@ -14,6 +14,7 @@ import (
 
 	"ppm/internal/detord"
 	"ppm/internal/proc"
+	"ppm/internal/ring"
 )
 
 // Store preserves process events for one user on one host. A bounded
@@ -21,14 +22,7 @@ import (
 // requested: when full, the oldest events are dropped (coarse summaries
 // are kept separately and never dropped).
 type Store struct {
-	capacity int
-	// ring is a circular buffer, allocated on first append: start
-	// indexes the oldest retained event and count is how many are
-	// retained. Eviction at capacity overwrites the oldest slot in
-	// O(1) instead of shifting the whole slice per append.
-	ring    []proc.Event
-	start   int
-	count   int
+	ring    *ring.Buffer[proc.Event]
 	dropped int64
 
 	// summaries of exited processes, preserved beyond event eviction.
@@ -49,27 +43,17 @@ func NewStore(capacity int) *Store {
 		capacity = DefaultCapacity
 	}
 	return &Store{
-		capacity: capacity,
-		exited:   make(map[proc.GPID]proc.Info),
-		watches:  make(map[int]*Watch),
+		ring:    ring.NewBuffer[proc.Event](capacity),
+		exited:  make(map[proc.GPID]proc.Info),
+		watches: make(map[int]*Watch),
 	}
 }
 
 // Append records an event, evicting the oldest if at capacity, then
 // fires any matching watches.
 func (s *Store) Append(ev proc.Event) {
-	if s.ring == nil {
-		s.ring = make([]proc.Event, s.capacity)
-	}
-	if s.count == s.capacity {
-		// Full: the slot holding the oldest event receives the newest
-		// and the window advances.
-		s.ring[s.start] = ev
-		s.start = (s.start + 1) % s.capacity
+	if s.ring.Push(ev) {
 		s.dropped++
-	} else {
-		s.ring[(s.start+s.count)%s.capacity] = ev
-		s.count++
 	}
 	for _, w := range s.watches {
 		if w.matches(ev) {
@@ -81,19 +65,8 @@ func (s *Store) Append(ev proc.Event) {
 	}
 }
 
-// at returns the i-th retained event, oldest first.
-func (s *Store) at(i int) proc.Event {
-	return s.ring[(s.start+i)%s.capacity]
-}
-
 // Events returns the retained events, oldest first.
-func (s *Store) Events() []proc.Event {
-	out := make([]proc.Event, s.count)
-	for i := range out {
-		out[i] = s.at(i)
-	}
-	return out
-}
+func (s *Store) Events() []proc.Event { return s.ring.Slice() }
 
 // RecordExit preserves the final resource-consumption record of an
 // exited process; these survive event eviction.
@@ -111,7 +84,7 @@ func (s *Store) ExitedInfo(id proc.GPID) (proc.Info, bool) {
 func (s *Store) Dropped() int64 { return s.dropped }
 
 // Len returns the number of retained events.
-func (s *Store) Len() int { return s.count }
+func (s *Store) Len() int { return s.ring.Len() }
 
 // Query selects retained events. Zero-valued fields match everything.
 type Query struct {
@@ -135,8 +108,8 @@ func (s *Store) Select(q Query) []proc.Event {
 		return false
 	}
 	var out []proc.Event
-	for i := 0; i < s.count; i++ {
-		ev := s.at(i)
+	for i := 0; i < s.ring.Len(); i++ {
+		ev := s.ring.At(i)
 		if !q.Proc.IsZero() && ev.Proc != q.Proc && ev.Child != q.Proc {
 			continue
 		}
@@ -209,8 +182,8 @@ func (s *Store) Reduce() Reduction {
 		Dropped:  s.dropped,
 		ExitRecs: len(s.exited),
 	}
-	for i := 0; i < s.count; i++ {
-		ev := s.at(i)
+	for i := 0; i < s.ring.Len(); i++ {
+		ev := s.ring.At(i)
 		r.Total++
 		r.ByKind[ev.Kind]++
 		r.ByProc[ev.Proc]++

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -251,5 +252,38 @@ func TestPropertyEvictionKeepsNewest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreGrowsOnDemand: the event ring is sized by what it holds, not
+// by its bound. A default-capacity store with ten events must cost
+// well under 8 KiB (committing all 4096 slots up front cost 512 KiB per
+// LPM), and at capacity the window still slides exactly as before.
+func TestStoreGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore(0)
+	for i := 0; i < 10; i++ {
+		s.Append(ev(time.Duration(i)*time.Second, proc.EvSyscall, 1))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+		t.Fatalf("a default-capacity store holding 10 events allocated %d bytes, want < 8 KiB", got)
+	}
+	if s.Len() != 10 || s.Dropped() != 0 {
+		t.Fatalf("len = %d dropped = %d", s.Len(), s.Dropped())
+	}
+
+	for i := 10; i < DefaultCapacity+5; i++ {
+		s.Append(ev(time.Duration(i)*time.Second, proc.EvSyscall, 1))
+	}
+	if s.Len() != DefaultCapacity || s.Dropped() != 5 {
+		t.Fatalf("at capacity: len = %d dropped = %d, want %d and 5", s.Len(), s.Dropped(), DefaultCapacity)
+	}
+	got := s.Select(Query{})
+	for i, e := range got {
+		if want := time.Duration(5+i) * time.Second; e.At != want {
+			t.Fatalf("Select()[%d].At = %v, want %v", i, e.At, want)
+		}
 	}
 }

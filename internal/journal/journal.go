@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"ppm/internal/ring"
 )
 
 // Kind identifies the type of a journal record. Kinds are dotted names
@@ -141,6 +143,66 @@ var kinds = []Kind{
 	StatusRequest, StatusReport,
 }
 
+// counters pairs a record kind with the metrics counter that counts the
+// same fact: each layer's observation function bumps the counter named
+// here at the moment it appends the record, so the two can never
+// disagree (TestJournalMetricsCrossCheck holds every row to that). A
+// "*" stands for the record's first detail token — the transport of a
+// net.send, the event kind of a kernel.event. Kinds without a row are
+// journaled only; wire.encode's per-type counters derive from the wire
+// manifest instead.
+var counters = map[Kind]string{
+	NetSend:         "simnet.*.sent",
+	NetDrop:         "simnet.*.dropped",
+	NetCircuitOpen:  "simnet.circuit.opened",
+	NetCircuitClose: "simnet.circuit.closed",
+	NetCircuitBreak: "simnet.circuit.broken",
+	NetHostCrash:    "simnet.host.crashes",
+	NetHostRestart:  "simnet.host.restarts",
+	NetPartition:    "simnet.partition.events",
+	NetHeal:         "simnet.partition.heals",
+	NetFlapDown:     "simnet.flap.downs",
+	NetFlapUp:       "simnet.flap.ups",
+
+	KernelSpawn: "kernel.spawns",
+	KernelFork:  "kernel.forks",
+	KernelExit:  "kernel.exits",
+	KernelEvent: "kernel.events.*",
+
+	DaemonQuery:      "daemon.queries",
+	DaemonAuthFail:   "daemon.auth_failures",
+	DaemonLPMFound:   "daemon.lpm.found",
+	DaemonLPMCreated: "daemon.lpm.created",
+
+	LPMAdopt:          "lpm.adoptions",
+	LPMSiblingOpen:    "lpm.siblings.opened",
+	LPMSiblingClose:   "lpm.siblings.closed",
+	LPMSiblingReject:  "lpm.siblings.rejected",
+	LPMFloodOrigin:    "lpm.flood.originated",
+	LPMFloodDup:       "lpm.flood.dedup_hits",
+	LPMRelayOrigin:    "lpm.relay.originated",
+	LPMRelayForward:   "lpm.relay.forwarded",
+	LPMRetry:          "lpm.request.retries",
+	LPMTimeout:        "lpm.request.timeouts",
+	LPMRedial:         "lpm.request.redials",
+	LPMOpReplay:       "lpm.dedup.replays",
+	CircuitTransition: "lpm.circuit.transitions",
+	LPMExitForward:    "lpm.exit.forwards",
+	StatusRequest:     "lpm.status.sweeps",
+}
+
+// CounterName returns the name of the metrics counter paired with
+// records of kind k whose detail leads with token, or "" when the kind
+// has no counter. token only matters for the kinds counted per first
+// detail token; passing "*" returns such a kind's pattern itself.
+func CounterName(k Kind, token string) string {
+	name := counters[k]
+	if i := strings.IndexByte(name, '*'); i >= 0 {
+		return name[:i] + token + name[i+1:]
+	}
+	return name
+}
+
 // Kinds returns the canonical list of record kinds.
 func Kinds() []Kind {
 	return append([]Kind(nil), kinds...)
@@ -207,23 +269,16 @@ const DefaultCapacity = 1 << 16
 // Journal is the bounded record stream. The zero of *Journal (nil) is a
 // disabled journal: every method no-ops, so instrumented code never
 // branches on whether the flight recorder is wired.
-//
-// The ring-buffer layout follows history.Store: start indexes the
-// oldest retained record, eviction at capacity overwrites that slot in
-// O(1).
 type Journal struct {
-	now      func() time.Duration
-	span     func() (trace, span uint64)
-	capacity int
-	ring     []Record
-	start    int
-	count    int
-	seq      uint64 // records ever appended; Seq of the newest record
+	now  func() time.Duration
+	span func() (trace, span uint64)
+	ring *ring.Buffer[Record]
+	seq  uint64 // records ever appended; Seq of the newest record
 }
 
 // New creates a journal reading virtual time from now.
 func New(now func() time.Duration) *Journal {
-	return &Journal{now: now, capacity: DefaultCapacity}
+	return &Journal{now: now, ring: ring.NewBuffer[Record](DefaultCapacity)}
 }
 
 // Enabled reports whether the flight recorder is wired at all. Hot
@@ -247,7 +302,7 @@ func (j *Journal) SetCapacity(n int) {
 	if j == nil || n <= 0 || j.seq != 0 {
 		return
 	}
-	j.capacity = n
+	j.ring = ring.NewBuffer[Record](n)
 }
 
 // Append records an event, stamping virtual time and the currently
@@ -280,31 +335,10 @@ func (j *Journal) AppendCtx(kind Kind, host, detail string, trace, span uint64) 
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (j *Journal) push(kind Kind, host, detail string, trace, span uint64) {
 	j.seq++
-	r := Record{
+	j.ring.Push(Record{
 		Seq: j.seq, At: j.now(), Kind: kind, Host: host,
 		Trace: trace, Span: span, Detail: detail,
-	}
-	if j.count == j.capacity {
-		j.ring[j.start] = r
-		j.start = (j.start + 1) % j.capacity
-		return
-	}
-	// Until the ring first fills, start stays 0 and the records occupy
-	// ring[0:count], so the backing array can grow amortized instead of
-	// committing capacity slots up front (short runs stay cheap even
-	// with a large bound).
-	idx := (j.start + j.count) % j.capacity
-	if idx < len(j.ring) {
-		j.ring[idx] = r
-	} else {
-		j.ring = append(j.ring, r)
-	}
-	j.count++
-}
-
-// at returns the i-th retained record, oldest first.
-func (j *Journal) at(i int) Record {
-	return j.ring[(j.start+i)%j.capacity]
+	})
 }
 
 // Len returns the number of retained records.
@@ -312,7 +346,7 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	return j.count
+	return j.ring.Len()
 }
 
 // Dropped returns how many records have been evicted from the ring.
@@ -320,7 +354,7 @@ func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.seq - uint64(j.count)
+	return j.seq - uint64(j.ring.Len())
 }
 
 // Records returns the retained records, oldest first.
@@ -328,11 +362,7 @@ func (j *Journal) Records() []Record {
 	if j == nil {
 		return nil
 	}
-	out := make([]Record, j.count)
-	for i := range out {
-		out[i] = j.at(i)
-	}
-	return out
+	return j.ring.Slice()
 }
 
 // Reset discards all retained records (the sequence counter keeps
@@ -341,7 +371,7 @@ func (j *Journal) Reset() {
 	if j == nil {
 		return
 	}
-	j.start, j.count = 0, 0
+	j.ring.Reset()
 }
 
 // Filter selects records for Select and Report. Zero-valued fields
@@ -385,8 +415,8 @@ func (j *Journal) Select(f Filter) []Record {
 		return nil
 	}
 	var out []Record
-	for i := 0; i < j.count; i++ {
-		if r := j.at(i); f.match(r) {
+	for i := 0; i < j.ring.Len(); i++ {
+		if r := j.ring.At(i); f.match(r) {
 			out = append(out, r)
 		}
 	}
@@ -398,7 +428,7 @@ func (j *Journal) Select(f Filter) []Record {
 func (j *Journal) Render() string {
 	var b strings.Builder
 	for i := 0; i < j.Len(); i++ {
-		b.WriteString(j.at(i).String())
+		b.WriteString(j.ring.At(i).String())
 		b.WriteByte('\n')
 	}
 	return b.String()

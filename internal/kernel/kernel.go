@@ -128,9 +128,9 @@ type Host struct {
 	// Per-user kernel->LPM event sinks (the LPM kernel socket).
 	sinks map[string]func(proc.Event)
 
-	// Counters for the overhead benchmarks.
+	// UntracedChecks counts syscalls that paid only the trace-flag check
+	// (the overhead benchmarks' subject; it has no journal kind or metric).
 	UntracedChecks int64
-	KernelMsgs     int64
 
 	// Installation-wide metrics registry (nil unless SetMetrics ran).
 	metrics *metrics.Registry
@@ -180,6 +180,20 @@ func (h *Host) SetTracer(t *trace.Tracer) { h.tracer = t }
 // (spawn/fork/exit) and delivered trace events land in it. A nil
 // journal disables recording.
 func (h *Host) SetJournal(j *journal.Journal) { h.journal = j }
+
+// observe is the kernel's one observation point: it bumps the counter
+// journal.CounterName pairs with kind (token selects it for the kinds
+// counted per first detail token) and appends the record on this host
+// under the ambient trace span. The detail is only formatted when a
+// journal is wired.
+func (h *Host) observe(kind journal.Kind, token, format string, args ...any) {
+	if name := journal.CounterName(kind, token); name != "" {
+		h.metrics.Counter(name).Inc()
+	}
+	if h.journal.Enabled() {
+		h.journal.Append(kind, h.name, fmt.Sprintf(format, args...))
+	}
+}
 
 // Model returns the host's CPU model.
 func (h *Host) Model() calib.CPUModel { return h.model }
@@ -240,14 +254,6 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 	})
 }
 
-// CPUIdleAt returns when the CPU will next be idle.
-func (h *Host) CPUIdleAt() sim.Time {
-	if h.busyUntil.After(h.sched.Now()) {
-		return h.busyUntil
-	}
-	return h.sched.Now()
-}
-
 // --- process lifecycle ---
 
 func (h *Host) get(pid proc.PID) (*Process, error) {
@@ -276,9 +282,7 @@ func (h *Host) Spawn(name, user string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[p.PID] = p
-	h.metrics.Counter("kernel.spawns").Inc()
-	h.journal.Append(journal.KernelSpawn, h.name,
-		fmt.Sprintf("pid=%d name=%s user=%s", p.PID, name, user))
+	h.observe(journal.KernelSpawn, "", "pid=%d name=%s user=%s", p.PID, name, user)
 	return p, nil
 }
 
@@ -316,9 +320,7 @@ func (h *Host) Fork(parentPID proc.PID, name string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[child.PID] = child
-	h.metrics.Counter("kernel.forks").Inc()
-	h.journal.Append(journal.KernelFork, h.name,
-		fmt.Sprintf("parent=%d child=%d name=%s", parent.PID, child.PID, name))
+	h.observe(journal.KernelFork, "", "parent=%d child=%d name=%s", parent.PID, child.PID, name)
 	parent.Rusage.Syscalls++
 	h.emit(parent, proc.Event{
 		Kind:  proc.EvFork,
@@ -342,8 +344,7 @@ func (h *Host) SetLogicalParent(pid proc.PID, parent proc.GPID) error {
 	if !parent.IsZero() {
 		ps = parent.String()
 	}
-	h.journal.Append(journal.KernelSetParent, h.name,
-		fmt.Sprintf("pid=%d parent=%s", pid, ps))
+	h.observe(journal.KernelSetParent, "", "pid=%d parent=%s", pid, ps)
 	return nil
 }
 
@@ -382,9 +383,7 @@ func (h *Host) Exit(pid proc.PID, code int) error {
 	p.State = proc.Exited
 	p.ExitCode = code
 	p.ExitedAt = h.sched.Now()
-	h.metrics.Counter("kernel.exits").Inc()
-	h.journal.Append(journal.KernelExit, h.name,
-		fmt.Sprintf("pid=%d code=%d", pid, code))
+	h.observe(journal.KernelExit, "", "pid=%d code=%d", pid, code)
 	h.setRunnable(p, false)
 	h.emit(p, proc.Event{
 		Kind:   proc.EvExit,
@@ -438,9 +437,7 @@ func (h *Host) Signal(pid proc.PID, sig proc.Signal) error {
 		p.State = proc.Exited
 		p.ExitCode = 128 + int(sig)
 		p.ExitedAt = h.sched.Now()
-		h.metrics.Counter("kernel.exits").Inc()
-		h.journal.Append(journal.KernelExit, h.name,
-			fmt.Sprintf("pid=%d code=%d sig=%v", pid, p.ExitCode, sig))
+		h.observe(journal.KernelExit, "", "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
 		h.setRunnable(p, false)
 		h.emit(p, proc.Event{
 			Kind: proc.EvExit, Proc: proc.GPID{Host: h.name, PID: pid},
@@ -680,10 +677,7 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 		return
 	}
 	ev.At = h.sched.Now().Duration()
-	h.KernelMsgs++
-	h.metrics.Counter("kernel.events." + ev.Kind.String()).Inc()
-	h.journal.Append(journal.KernelEvent, h.name,
-		fmt.Sprintf("%s proc=%s", ev.Kind, ev.Proc))
+	h.observe(journal.KernelEvent, ev.Kind.String(), "%s proc=%s", ev.Kind, ev.Proc)
 	delay := h.model.KernelMsgDelivery(h.LoadAvg())
 	h.metrics.Histogram("kernel.delivery").Observe(delay)
 	// Attribute the 112-byte message's delivery window to the operation

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ppm/internal/calib"
+	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/sim"
 )
@@ -253,6 +254,8 @@ func TestEventDeliveryLatencyAtZeroLoad(t *testing.T) {
 
 func TestUntracedSyscallCountsCheckOnly(t *testing.T) {
 	_, h := newHost(t)
+	reg := metrics.New(nil)
+	h.SetMetrics(reg)
 	p, _ := h.Spawn("job", "felipe")
 	for i := 0; i < 10; i++ {
 		_ = h.Syscall(p.PID, "read")
@@ -260,8 +263,8 @@ func TestUntracedSyscallCountsCheckOnly(t *testing.T) {
 	if h.UntracedChecks != 10 {
 		t.Fatalf("checks = %d, want 10", h.UntracedChecks)
 	}
-	if h.KernelMsgs != 0 {
-		t.Fatal("untraced syscalls sent kernel messages")
+	if n := reg.Snapshot().CounterSum("kernel.events."); n != 0 {
+		t.Fatalf("untraced syscalls sent %d kernel messages", n)
 	}
 }
 

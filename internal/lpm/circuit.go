@@ -53,12 +53,8 @@ func (l *LPM) circuitTransition(peer string, to circuitState, reason, chanKey st
 		return
 	}
 	l.circuits[peer] = to
-	l.metrics.Counter("lpm.circuit.transitions").Inc()
-	if l.journal.Enabled() {
-		l.journal.Append(journal.CircuitTransition, l.Host(),
-			fmt.Sprintf("user=%s peer=%s chan=%s from=%s to=%s reason=%s",
-				l.user.Name, peer, chanKey, from, to, reason))
-	}
+	l.observe(journal.CircuitTransition, l.tracer.Active(),
+		"user=%s peer=%s chan=%s from=%s to=%s reason=%s", l.user.Name, peer, chanKey, from, to, reason)
 }
 
 // circuitStateOf returns the lifecycle state tracked for a peer.

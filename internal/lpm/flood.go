@@ -8,7 +8,6 @@ import (
 	"ppm/internal/detord"
 	"ppm/internal/journal"
 	"ppm/internal/proc"
-	"ppm/internal/sim"
 	"ppm/internal/trace"
 	"ppm/internal/wire"
 )
@@ -31,54 +30,24 @@ type floodState struct {
 	finish    func(wire.FloodResult)
 }
 
-// seenEntry is one slot of the stamp-eviction queue.
-type seenEntry struct {
-	key string
-	exp sim.Time
-}
-
-// evictSeen drops expired stamps. The queue is ordered by insertion,
-// and the dedup window is a constant, so it is also ordered by expiry:
-// eviction inspects exactly the expired entries plus one, O(expired)
-// per call instead of a full-map scan per broadcast. A key can only
-// re-enter l.seen after its queue entry was popped, so a live map
-// entry is always the one its sole queue entry describes.
-func (l *LPM) evictSeen(now sim.Time) {
-	for l.seenHead < len(l.seenQ) {
-		e := l.seenQ[l.seenHead]
-		if !e.exp.Before(now) {
-			break
-		}
-		l.seenHead++
-		delete(l.seen, e.key)
-	}
-	// Reclaim the drained prefix once it dominates the slice.
-	if l.seenHead > len(l.seenQ)/2 {
-		l.seenQ = append([]seenEntry(nil), l.seenQ[l.seenHead:]...)
-		l.seenHead = 0
-	}
-}
-
 // markSeen records a stamp in the dedup window and reports whether it
 // was already present (a duplicate).
 func (l *LPM) markSeen(stamp wire.Stamp) bool {
-	now := l.sched.Now()
-	l.evictSeen(now)
+	now := l.sched.Now().Duration()
+	l.seen.Expire(now)
 	key := stamp.Key()
-	if _, ok := l.seen[key]; ok {
+	if _, ok := l.seen.Get(key); ok {
 		return true
 	}
-	exp := now.Add(l.cfg.DedupWindow)
-	l.seen[key] = exp
-	l.seenQ = append(l.seenQ, seenEntry{key: key, exp: exp})
+	l.seen.Put(key, struct{}{}, now)
 	return false
 }
 
 // SeenStamps returns the number of live (unexpired) broadcast stamps
 // (for the dedup-window ablation).
 func (l *LPM) SeenStamps() int {
-	l.evictSeen(l.sched.Now())
-	return len(l.seen)
+	l.seen.Expire(l.sched.Now().Duration())
+	return l.seen.Len()
 }
 
 // localFloodWork performs the inner operation locally and returns the
@@ -118,14 +87,10 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 // startFlood originates a broadcast from this LPM and calls cb with the
 // aggregated result.
 func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.FloodResult)) {
-	l.Stats.FloodsOriginated++
-	l.metrics.Counter("lpm.flood.originated").Inc()
 	l.floodSeq++
 	stamp := wire.NewStamp(l.user.Key(), l.Host(), l.sched.Now().Duration(), l.floodSeq)
 	l.markSeen(stamp)
-	l.journal.AppendCtx(journal.LPMFloodOrigin, l.Host(),
-		fmt.Sprintf("user=%s stamp=%s inner=%v", l.user.Name, stampID(stamp), inner.Type),
-		ctx.Trace, ctx.Span)
+	l.observe(journal.LPMFloodOrigin, ctx, "user=%s stamp=%s inner=%v", l.user.Name, stampID(stamp), inner.Type)
 	bc := wire.Broadcast{
 		Stamp: stamp,
 		Seq:   l.floodSeq,
@@ -134,14 +99,8 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.Fl
 	}
 	st := &floodState{key: stamp.Key(), finish: func(res wire.FloodResult) {
 		l.learnRoutes(res)
-		hosts := append([]string(nil), res.Hosts...)
-		detord.Sort(hosts)
-		partial := append([]string(nil), res.Partial...)
-		detord.Sort(partial)
-		l.journal.AppendCtx(journal.LPMFloodDone, l.Host(),
-			fmt.Sprintf("user=%s stamp=%s hosts=%s partial=%s", l.user.Name, stampID(stamp),
-				strings.Join(hosts, ","), strings.Join(partial, ",")),
-			ctx.Trace, ctx.Span)
+		l.observe(journal.LPMFloodDone, ctx, "user=%s stamp=%s hosts=%s partial=%s",
+			l.user.Name, stampID(stamp), sortedList(res.Hosts), sortedList(res.Partial))
 		cb(res)
 	}}
 	l.runFlood(ctx, st, bc, inner, "")
@@ -169,11 +128,7 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	}
 	if l.markSeen(bc.Stamp) {
 		// An old broadcast request: answer but do not retransmit.
-		l.Stats.FloodDuplicates++
-		l.metrics.Counter("lpm.flood.dedup_hits").Inc()
-		l.journal.AppendCtx(journal.LPMFloodDup, l.Host(),
-			fmt.Sprintf("user=%s stamp=%s", l.user.Name, stampID(bc.Stamp)),
-			ctx.Trace, ctx.Span)
+		l.observe(journal.LPMFloodDup, ctx, "user=%s stamp=%s", l.user.Name, stampID(bc.Stamp))
 		reply(wire.MsgBroadcastResp,
 			wire.BroadcastResp{
 				Seq: bc.Seq, From: l.Host(), Route: bc.Route,
@@ -181,7 +136,6 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 			}.Encode())
 		return
 	}
-	l.Stats.FloodsForwarded++
 	l.metrics.Counter("lpm.flood.forwarded").Inc()
 	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.journal, l.Host())
 	if err != nil {
@@ -265,9 +219,7 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 		})
 	}
 	l.execSpan(ctx, "exec.flood_work", cost, func() {
-		l.journal.AppendCtx(journal.LPMFloodApply, l.Host(),
-			fmt.Sprintf("user=%s stamp=%s", l.user.Name, stampID(bc.Stamp)),
-			ctx.Trace, ctx.Span)
+		l.observe(journal.LPMFloodApply, ctx, "user=%s stamp=%s", l.user.Name, stampID(bc.Stamp))
 		st.result.OK = true
 		st.result.Count += local.Count
 		st.result.Procs = append(st.result.Procs, local.Procs...)
@@ -305,21 +257,23 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 			done(func() {
 				snap := proc.Merge(l.sched.Now().Duration(), res.Procs)
 				snap.Partial = l.uncovered(res)
-				l.journal.AppendCtx(journal.SnapshotTaken, l.Host(),
-					snapshotDetail(l.user.Name, snap), ctx.Trace, ctx.Span)
+				l.observe(journal.SnapshotTaken, ctx, "user=%s procs=%s partial=%s",
+					l.user.Name, procList(snap.Procs), strings.Join(snap.Partial, ","))
 				cb(snap, nil)
 			})
 		})
 	})
 }
 
-// snapshotDetail encodes a merged snapshot for the journal in the
-// audit's "gpid|parent|state" form, ";"-joined (GPID strings contain
-// commas, so the entry separators avoid them).
-func snapshotDetail(user string, snap proc.Snapshot) string {
+// procList renders a merged snapshot's process table for the journal
+// in the audit's "gpid|parent|state" form, ";"-joined (GPID strings
+// contain commas, so the entry separators avoid them). It is a
+// fmt.Stringer so the rendering only happens when a journal is wired.
+type procList []proc.Info
+
+func (ps procList) String() string {
 	var sb strings.Builder
-	sb.WriteString("user=" + user + " procs=")
-	for i, p := range snap.Procs {
+	for i, p := range ps {
 		if i > 0 {
 			sb.WriteByte(';')
 		}
@@ -329,8 +283,17 @@ func snapshotDetail(user string, snap proc.Snapshot) string {
 		}
 		sb.WriteString(p.ID.String() + "|" + parent + "|" + p.State.String())
 	}
-	sb.WriteString(" partial=" + strings.Join(snap.Partial, ","))
 	return sb.String()
+}
+
+// sortedList renders host names sorted and comma-joined, likewise only
+// when formatted.
+type sortedList []string
+
+func (hs sortedList) String() string {
+	sorted := append([]string(nil), hs...)
+	detord.Sort(sorted)
+	return strings.Join(sorted, ",")
 }
 
 // ControlAll applies a control operation (typically a software
@@ -434,13 +397,4 @@ func (l *LPM) uncovered(res wire.FloodResult) []string {
 		return nil
 	}
 	return detord.Keys(missing)
-}
-
-// expireSeenAt is exposed for tests of the dedup window.
-func (l *LPM) expireSeenAt() map[string]sim.Time {
-	out := make(map[string]sim.Time, len(l.seen))
-	for k, v := range l.seen {
-		out[k] = v
-	}
-	return out
 }

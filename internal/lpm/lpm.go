@@ -31,6 +31,7 @@ import (
 	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/recovery"
+	"ppm/internal/ring"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/status"
@@ -193,24 +194,10 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	return d
 }
 
-// Stats counts LPM activity for tests, benchmarks and ablations.
-type Stats struct {
-	RequestsServed   int64
-	RemoteForwards   int64
-	HandlerForks     int64
-	HandlerReuses    int64
-	FloodsOriginated int64
-	FloodsForwarded  int64
-	FloodDuplicates  int64
-	KernelEvents     int64
-	RelaysForwarded  int64
-	RelaysOriginated int64
-}
-
 // sibling is one authenticated circuit to a peer LPM.
 type sibling struct {
 	host   string
-	conn   Conn
+	conn   *simnet.Conn
 	authed bool
 	// inc is the peer LPM's incarnation id, exchanged in the Hello;
 	// it scopes the peer's operation identities to that LPM instance.
@@ -268,9 +255,6 @@ type LPM struct {
 	// circuits is the explicit per-peer circuit lifecycle machine;
 	// every step is journaled under journal.CircuitTransition.
 	circuits map[string]circuitState
-	// transport is the connection seam the circuit layer runs over;
-	// simnet is the sole implementation today.
-	transport Transport
 	// knownHosts remembers every host this LPM has ever had a sibling
 	// on (or created a process on), so snapshots can report hosts that
 	// have become unreachable as partial.
@@ -297,23 +281,19 @@ type LPM struct {
 	// is answered from the cache instead of re-executing. Entries are
 	// retained for opWindow of virtual time.
 	replies *wire.ReplyCache
-	// inflightOps marks at-most-once operations currently executing
-	// (op key -> registration time), so a retransmit arriving before
-	// the first execution finishes is dropped (the sender's next retry
-	// finds the cached reply). inflightQ orders the keys by
-	// registration for O(expired) eviction of entries whose retransmit
-	// window has passed; inflightQ[inflightHead:] are live.
-	inflightOps  map[string]time.Duration
-	inflightQ    []inflightEntry
-	inflightHead int
+	// inflightOps marks at-most-once operations currently executing, so
+	// a retransmit arriving before the first execution finishes is
+	// dropped (the sender's next retry finds the cached reply). A
+	// marker whose execution never replies is dropped after opWindow,
+	// when the origin's retry loop has certainly given up: kept
+	// forever it would swallow every retransmission of that operation,
+	// dropped sooner it would let a duplicate of an execution still in
+	// progress through.
+	inflightOps *ring.Window[struct{}]
 	// peerIncs remembers the last incarnation seen from each peer host,
 	// so a Hello from a new incarnation (the peer LPM restarted) purges
 	// the dead incarnation's dedup state.
 	peerIncs map[string]uint64
-	// opWindow is how long at-most-once dedup state must be retained: a
-	// retransmission can only arrive while its sender's retry loop is
-	// alive (see Config.opWindow).
-	opWindow time.Duration
 
 	idleHandlers []proc.PID
 
@@ -333,12 +313,8 @@ type LPM struct {
 	statusScratch status.Report
 
 	floodSeq uint64
-	seen     map[string]sim.Time // stamp key -> expiry
-	// seenQ orders the stamp keys by expiry for O(expired) eviction: the
-	// dedup window is a constant, so insertion order is expiry order.
-	// seenQ[seenHead:] are the live entries.
-	seenQ    []seenEntry
-	seenHead int
+	// seen holds the broadcast stamps of the last DedupWindow.
+	seen *ring.Window[struct{}]
 
 	lastActivity sim.Time
 	ttlTimer     sim.Timer
@@ -354,9 +330,6 @@ type LPM struct {
 	// journal is the installation-wide flight recorder, also taken from
 	// the network (nil when journaling is off: appends no-op).
 	journal *journal.Journal
-
-	// Stats is exported for tests, benchmarks and ablations.
-	Stats Stats
 }
 
 // New creates and starts an LPM for user on the host, listening on
@@ -377,18 +350,16 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 		siblings:    make(map[string]*sibling),
 		dialing:     make(map[string]*dialState),
 		circuits:    make(map[string]circuitState),
-		transport:   simnetTransport{net: net},
 		knownHosts:  make(map[string]bool),
 		routes:      make(map[string][]string),
 		pending:     make(map[uint64]*pendingReq),
 		replies:     wire.NewReplyCache(cfg.opWindow()),
-		inflightOps: make(map[string]time.Duration),
+		inflightOps: ring.NewWindow[struct{}](cfg.opWindow()),
 		peerIncs:    make(map[string]uint64),
-		opWindow:    cfg.opWindow(),
 		rtts:        make(map[wire.MsgType]*metrics.Histogram),
 		records:     make(map[proc.PID]proc.Info),
 		store:       history.NewStore(cfg.HistoryCapacity),
-		seen:        make(map[string]sim.Time),
+		seen:        ring.NewWindow[struct{}](cfg.DedupWindow),
 		metrics:     net.Metrics(),
 		tracer:      net.Tracer(),
 		journal:     net.Journal(),
@@ -407,7 +378,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 		l.myPids[h.PID] = true
 		l.idleHandlers = append(l.idleHandlers, h.PID)
 	}
-	if err := l.transport.Listen(l.accept.Host, l.accept.Port, l.acceptConn); err != nil {
+	if err := net.Listen(l.accept.Host, l.accept.Port, l.acceptConn); err != nil {
 		return nil, fmt.Errorf("lpm listen: %w", err)
 	}
 	kern.SetEventSink(user.Name, l.onKernelEvent)
@@ -461,7 +432,7 @@ func (l *LPM) touch() { l.lastActivity = l.sched.Now() }
 // journal the same channel identity: the acceptor's end of the circuit
 // is its accept address, so whichever side this is, orienting the pair
 // away from the accept address yields the dialer-first form.
-func (l *LPM) chanKey(conn Conn) string {
+func (l *LPM) chanKey(conn *simnet.Conn) string {
 	local, remote := conn.LocalAddr(), conn.RemoteAddr()
 	if local == l.accept {
 		local, remote = remote, local
@@ -469,11 +440,29 @@ func (l *LPM) chanKey(conn Conn) string {
 	return fmt.Sprintf("%s:%d->%s:%d", local.Host, local.Port, remote.Host, remote.Port)
 }
 
-// stampID renders a broadcast stamp for journal details. The stamp's
-// binary Key() is unprintable; origin, mint time and sequence identify
-// it just as uniquely.
-func stampID(s wire.Stamp) string {
+// stampID renders a broadcast stamp for journal details, lazily (it is
+// only formatted into a wired journal). The stamp's binary Key() is
+// unprintable; origin, mint time and sequence identify it just as
+// uniquely.
+type stampID wire.Stamp
+
+func (s stampID) String() string {
 	return fmt.Sprintf("%s@%v#%d", s.Origin, s.At, s.Seq)
+}
+
+// observe is the LPM's one observation point: a fact the flight
+// recorder knows is stated once, here, and both records of it follow —
+// the counter journal.CounterName pairs with kind, and the journal
+// line on this host under ctx. The detail is only formatted when a
+// journal is wired. Sites that journal under the ambient operation
+// (the journal's span source) pass l.tracer.Active().
+func (l *LPM) observe(kind journal.Kind, ctx trace.Context, format string, args ...any) {
+	if name := journal.CounterName(kind, ""); name != "" {
+		l.metrics.Counter(name).Inc()
+	}
+	if l.journal.Enabled() {
+		l.journal.AppendCtx(kind, l.Host(), fmt.Sprintf(format, args...), ctx.Trace, ctx.Span)
+	}
 }
 
 // withTraceCtx runs fn with ctx installed as the tracer's active
@@ -540,7 +529,7 @@ func (l *LPM) Exit() {
 	l.ttlTimer.Cancel()
 	l.rec.Stop()
 	l.kern.SetEventSink(l.user.Name, nil)
-	l.transport.CloseListen(l.accept.Host, l.accept.Port)
+	l.net.CloseListen(l.accept.Host, l.accept.Port)
 	if l.dmns != nil {
 		l.dmns.Unregister(l.user.Name)
 	}
@@ -594,7 +583,6 @@ func (l *LPM) onKernelEvent(ev proc.Event) {
 	if l.exited {
 		return
 	}
-	l.Stats.KernelEvents++
 	l.metrics.Counter("lpm.kernel_events").Inc()
 	l.touch()
 	l.store.Append(ev)
@@ -629,11 +617,8 @@ func (l *LPM) forwardExit(ev proc.Event, info proc.Info) {
 	if home == "" || home == l.Host() {
 		return
 	}
-	l.metrics.Counter("lpm.exit.forwards").Inc()
-	if l.journal.Enabled() {
-		l.journal.Append(journal.LPMExitForward, l.Host(),
-			fmt.Sprintf("user=%s proc=%s/%d to=%s", l.user.Name, info.ID.Host, info.ID.PID, home))
-	}
+	l.observe(journal.LPMExitForward, l.tracer.Active(),
+		"user=%s proc=%s/%d to=%s", l.user.Name, info.ID.Host, info.ID.PID, home)
 	body := wire.ProcExit{User: l.user.Name, Event: ev, Info: info}.Encode()
 	l.remoteCall(trace.Context{}, home, wire.MsgProcExit, body, func(wire.Envelope, error) {})
 }
@@ -647,12 +632,10 @@ func (l *LPM) withHandler(fn func(proc.PID)) {
 	if !l.cfg.NoHandlerReuse && len(l.idleHandlers) > 0 {
 		h := l.idleHandlers[len(l.idleHandlers)-1]
 		l.idleHandlers = l.idleHandlers[:len(l.idleHandlers)-1]
-		l.Stats.HandlerReuses++
 		l.metrics.Counter("lpm.handler.reuses").Inc()
 		fn(h)
 		return
 	}
-	l.Stats.HandlerForks++
 	l.metrics.Counter("lpm.handler.forks").Inc()
 	l.kern.ExecCPU(calib.HandlerFork, func() {
 		h, err := l.kern.Fork(l.pid, "lpm-handler")
@@ -738,9 +721,7 @@ func (r *recEnv) RedialSibling(host string, cb func(bool)) {
 		cb(true)
 		return
 	}
-	l.metrics.Counter("lpm.request.redials").Inc()
-	l.journal.Append(journal.LPMRedial, l.Host(),
-		fmt.Sprintf("user=%s peer=%s reason=recovery", l.user.Name, host))
+	l.observe(journal.LPMRedial, l.tracer.Active(), "user=%s peer=%s reason=recovery", l.user.Name, host)
 	l.ensureSibling(trace.Context{}, host, func(sb *sibling, err error) {
 		cb(err == nil && sb != nil)
 	})

@@ -504,6 +504,7 @@ func TestFloodDedupOnCycle(t *testing.T) {
 	// Triangle circuits: a-b, b-c, a-c. The flood must visit each host
 	// exactly once and answer duplicates without retransmitting.
 	w := newWorld(t, Config{}, []string{"a", "b", "c"})
+	installMetrics(w)
 	u := w.user("felipe", "a", "b", "c")
 	la := w.attach("a", u)
 	w.create(la, "a", "pa", proc.GPID{})
@@ -524,8 +525,7 @@ func TestFloodDedupOnCycle(t *testing.T) {
 	if len(snap.Hosts()) != 3 {
 		t.Fatalf("hosts = %v", snap.Hosts())
 	}
-	lc := w.lpms["c/felipe"]
-	if lb.Stats.FloodDuplicates+lc.Stats.FloodDuplicates == 0 {
+	if w.counter("lpm.flood.dedup_hits") == 0 {
 		t.Fatal("cycle should have produced at least one deduplicated arrival")
 	}
 }
@@ -786,31 +786,35 @@ func TestRemoteFDs(t *testing.T) {
 
 func TestHandlerReuse(t *testing.T) {
 	w := newWorld(t, Config{}, []string{"vax1", "vax2"})
+	installMetrics(w)
 	u := w.user("felipe", "vax1", "vax2")
 	l := w.attach("vax1", u)
 	for i := 0; i < 5; i++ {
 		w.create(l, "vax2", "job", proc.GPID{})
 	}
-	if l.Stats.HandlerReuses == 0 {
-		t.Fatalf("handlers never reused: %+v", l.Stats)
+	// Only vax1's LPM sends requests here, so the installation-wide
+	// handler counters are its own.
+	if w.counter("lpm.handler.reuses") == 0 {
+		t.Fatal("handlers never reused")
 	}
-	if l.Stats.HandlerForks > 2 {
-		t.Fatalf("too many handler forks with a warm pool: %+v", l.Stats)
+	if got := w.counter("lpm.handler.forks"); got > 2 {
+		t.Fatalf("too many handler forks with a warm pool: %d", got)
 	}
 }
 
 func TestNoHandlerReuseForksEveryTime(t *testing.T) {
 	w := newWorld(t, Config{NoHandlerReuse: true}, []string{"vax1", "vax2"})
+	installMetrics(w)
 	u := w.user("felipe", "vax1", "vax2")
 	l := w.attach("vax1", u)
 	for i := 0; i < 3; i++ {
 		w.create(l, "vax2", "job", proc.GPID{})
 	}
-	if l.Stats.HandlerReuses != 0 {
+	if w.counter("lpm.handler.reuses") != 0 {
 		t.Fatal("reuse happened despite NoHandlerReuse")
 	}
-	if l.Stats.HandlerForks < 3 {
-		t.Fatalf("forks = %d, want one per request", l.Stats.HandlerForks)
+	if got := w.counter("lpm.handler.forks"); got < 3 {
+		t.Fatalf("forks = %d, want one per request", got)
 	}
 }
 

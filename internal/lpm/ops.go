@@ -27,7 +27,6 @@ import (
 // on untraced runs ctx is invalid and every downstream span call
 // no-ops.
 func (l *LPM) toolCall(name string, op func(ctx trace.Context, done func(func()))) {
-	l.Stats.RequestsServed++
 	l.metrics.Counter("lpm.requests_served").Inc()
 	l.touch()
 	root := l.tracer.StartTrace(l.Host(), "op."+name)
@@ -73,9 +72,7 @@ func (l *LPM) Adopt(pid proc.PID, cb func(error)) {
 			var err error
 			l.withTraceCtx(ctx, func() { err = l.kern.Adopt(pid, l.user.Name) })
 			if err == nil {
-				l.metrics.Counter("lpm.adoptions").Inc()
-				l.journal.AppendCtx(journal.LPMAdopt, l.Host(),
-					fmt.Sprintf("user=%s pid=%d", l.user.Name, pid), ctx.Trace, ctx.Span)
+				l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, pid)
 				if info, ierr := l.kern.Info(pid); ierr == nil {
 					l.records[pid] = info
 				}
@@ -136,9 +133,7 @@ func (l *LPM) createLocal(ctx trace.Context, req wire.CreateProc, cb func(wire.C
 						cb(wire.CreateAck{OK: false, Reason: err.Error()})
 						return
 					}
-					l.metrics.Counter("lpm.adoptions").Inc()
-					l.journal.AppendCtx(journal.LPMAdopt, l.Host(),
-						fmt.Sprintf("user=%s pid=%d", l.user.Name, p.PID), ctx.Trace, ctx.Span)
+					l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, p.PID)
 					if info, ierr := l.kern.Info(p.PID); ierr == nil {
 						l.records[p.PID] = info
 					}
@@ -173,9 +168,7 @@ func (l *LPM) createForRemote(ctx trace.Context, req wire.CreateProc, ack func(w
 				ack(wire.CreateAck{OK: false, Reason: err.Error()})
 				return
 			}
-			l.metrics.Counter("lpm.adoptions").Inc()
-			l.journal.AppendCtx(journal.LPMAdopt, l.Host(),
-				fmt.Sprintf("user=%s pid=%d", l.user.Name, p.PID), ctx.Trace, ctx.Span)
+			l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, p.PID)
 			if info, ierr := l.kern.Info(p.PID); ierr == nil {
 				l.records[p.PID] = info
 			}
@@ -255,13 +248,10 @@ func (l *LPM) applyControl(target proc.PID, op wire.ControlOp, sig proc.Signal) 
 	default:
 		err = fmt.Errorf("%w: op %v", ErrBadRequest, op)
 	}
+	l.observe(journal.LPMControl, l.tracer.Active(), "op=%v pid=%d ok=%t", op, target, err == nil)
 	if err != nil {
-		l.journal.Append(journal.LPMControl, l.Host(),
-			fmt.Sprintf("op=%v pid=%d ok=false", op, target))
 		return wire.ControlResp{OK: false, Reason: err.Error()}
 	}
-	l.journal.Append(journal.LPMControl, l.Host(),
-		fmt.Sprintf("op=%v pid=%d ok=true", op, target))
 	info, ierr := l.kern.Info(target)
 	if ierr == nil {
 		l.records[target] = info
@@ -499,7 +489,6 @@ func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, erro
 // still in flight is dropped (the sender's next retry finds the cached
 // reply).
 func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
-	l.Stats.RequestsServed++
 	l.metrics.Counter("lpm.requests_served").Inc()
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 
@@ -516,7 +505,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 	}
 	if env.OpID != 0 && dedupable(env.Type) {
 		now := l.sched.Now().Duration()
-		l.evictInflight(now)
+		l.inflightOps.Expire(now)
 		// The peer's incarnation scopes its op ids: a restarted origin
 		// renumbers from zero under a fresh incarnation, so its fresh
 		// operations can never hit a predecessor's cache entries.
@@ -524,25 +513,19 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		if r, ok := l.replies.Get(key); ok {
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
-			l.metrics.Counter("lpm.dedup.replays").Inc()
-			l.journal.AppendCtx(journal.LPMOpReplay, l.Host(),
-				fmt.Sprintf("user=%s op=%s type=%v", l.user.Name, key, r.Type),
-				ctx.Trace, ctx.Span)
+			l.observe(journal.LPMOpReplay, ctx, "user=%s op=%s type=%v", l.user.Name, key, r.Type)
 			reply(r.Type, r.Body)
 			return
 		}
-		if _, ok := l.inflightOps[key]; ok {
+		if _, ok := l.inflightOps.Get(key); ok {
 			l.metrics.Counter("lpm.dedup.inflight_drops").Inc()
 			return
 		}
-		l.inflightOps[key] = now
-		l.inflightQ = append(l.inflightQ, inflightEntry{key: key, at: now})
-		l.journal.AppendCtx(journal.LPMOpExec, l.Host(),
-			fmt.Sprintf("user=%s op=%s type=%v", l.user.Name, key, env.Type),
-			ctx.Trace, ctx.Span)
+		l.inflightOps.Put(key, struct{}{}, now)
+		l.observe(journal.LPMOpExec, ctx, "user=%s op=%s type=%v", l.user.Name, key, env.Type)
 		send := reply
 		reply = func(t wire.MsgType, body []byte) {
-			delete(l.inflightOps, key)
+			l.inflightOps.Delete(key)
 			l.replies.Put(key, t, body, l.sched.Now().Duration())
 			send(t, body)
 		}
@@ -557,42 +540,6 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 
 	default:
 		l.serveRequest(ctx, env, reply)
-	}
-}
-
-// inflightEntry is one slot of the in-flight-op eviction queue.
-type inflightEntry struct {
-	key string
-	at  time.Duration
-}
-
-// evictInflight drops in-flight markers whose retransmit window has
-// passed: an execution path that never produced a reply would
-// otherwise leak its key forever and permanently swallow every
-// retransmission of that operation. Entries are only dropped after
-// opWindow, when the origin's retry loop has certainly given up, so an
-// execution still genuinely in progress keeps its duplicate
-// protection for the whole span in which a retransmit can arrive. The
-// queue is insertion ordered (= virtual-time ordered), so eviction
-// inspects exactly the expired entries plus one.
-func (l *LPM) evictInflight(now time.Duration) {
-	for l.inflightHead < len(l.inflightQ) {
-		e := l.inflightQ[l.inflightHead]
-		if now-e.at <= l.opWindow {
-			break
-		}
-		l.inflightHead++
-		// The marker may have been removed (reply sent, or origin
-		// incarnation purge); only drop the registration this slot
-		// describes.
-		if at, ok := l.inflightOps[e.key]; ok && at == e.at {
-			delete(l.inflightOps, e.key)
-		}
-	}
-	// Reclaim the drained prefix once it dominates the slice.
-	if l.inflightHead > len(l.inflightQ)/2 {
-		l.inflightQ = append([]inflightEntry(nil), l.inflightQ[l.inflightHead:]...)
-		l.inflightHead = 0
 	}
 }
 
@@ -808,10 +755,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}
-	l.Stats.RelaysForwarded++
-	l.metrics.Counter("lpm.relay.forwarded").Inc()
-	l.journal.AppendCtx(journal.LPMRelayForward, l.Host(),
-		fmt.Sprintf("user=%s dest=%s next=%s", rel.User, rel.Dest, next), ctx.Trace, ctx.Span)
+	l.observe(journal.LPMRelayForward, ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
 	fwd := wire.Relay{User: rel.User, Dest: rel.Dest, Path: rel.Path[1:], Inner: rel.Inner}
 	l.sendRequest(ctx, nsb, wire.MsgRelay, fwd.Encode(), 0, func(resp wire.Envelope, err error) {
 		if err != nil {

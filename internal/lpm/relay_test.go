@@ -16,6 +16,7 @@ func chainWorld(t *testing.T, cfg Config) (*world, *LPM, *LPM, proc.GPID) {
 	t.Helper()
 	cfg.UseRelay = true
 	w := newWorld(t, cfg, []string{"a", "b", "c"})
+	installMetrics(w)
 	u := w.user("felipe", "a", "b", "c")
 	la := w.attach("a", u)
 	w.create(la, "a", "pa", proc.GPID{})
@@ -43,7 +44,7 @@ func TestRelayRouteLearnedFromBroadcast(t *testing.T) {
 }
 
 func TestRelayControlAvoidsNewCircuit(t *testing.T) {
-	w, la, lb, target := chainWorld(t, Config{})
+	w, la, _, target := chainWorld(t, Config{})
 	for _, h := range la.SiblingHosts() {
 		if h == "c" {
 			t.Fatal("setup: a must not have a circuit to c")
@@ -62,11 +63,12 @@ func TestRelayControlAvoidsNewCircuit(t *testing.T) {
 			t.Fatal("relay should not have opened a circuit to c")
 		}
 	}
-	if la.Stats.RelaysOriginated != 1 {
-		t.Fatalf("relays originated = %d", la.Stats.RelaysOriginated)
+	if got := w.counter("lpm.relay.originated"); got != 1 {
+		t.Fatalf("relays originated = %d", got)
 	}
-	if lb.Stats.RelaysForwarded != 1 {
-		t.Fatalf("relays forwarded at b = %d", lb.Stats.RelaysForwarded)
+	// b is the only hop between a and c, so the one forward is b's.
+	if got := w.counter("lpm.relay.forwarded"); got != 1 {
+		t.Fatalf("relays forwarded = %d", got)
 	}
 }
 
@@ -154,7 +156,7 @@ func TestRelayFallsBackToDirectCircuitWhenIntermediaryDies(t *testing.T) {
 	if !hasC {
 		t.Fatal("fallback should have opened a direct circuit to c")
 	}
-	if la.Stats.RelaysOriginated != 0 {
+	if w.counter("lpm.relay.originated") != 0 {
 		t.Fatal("no relay should have been attempted with the first hop down")
 	}
 }
@@ -202,7 +204,7 @@ func TestRelayedCreateWorks(t *testing.T) {
 	if !p.Traced || p.Name != "relayed-job" {
 		t.Fatalf("relayed create: %+v", p)
 	}
-	if la.Stats.RelaysOriginated == 0 {
+	if w.counter("lpm.relay.originated") == 0 {
 		t.Fatal("create did not use the relay")
 	}
 }

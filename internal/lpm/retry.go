@@ -73,11 +73,8 @@ func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body
 		}
 		next := attempt + 1
 		delay := l.cfg.Retry.backoff(next)
-		l.metrics.Counter("lpm.request.retries").Inc()
-		l.journal.AppendCtx(journal.LPMRetry, l.Host(),
-			fmt.Sprintf("user=%s op=%s type=%v attempt=%d backoff=%v",
-				l.user.Name, wire.OpKey(l.Host(), l.incarnation(), op), t, next, delay),
-			ctx.Trace, ctx.Span)
+		l.observe(journal.LPMRetry, ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
+			l.user.Name, wire.OpKey(l.Host(), l.incarnation(), op), t, next, delay)
 		bsp := l.tracer.StartSpan(l.Host(), fmt.Sprintf("lpm.retry.%s", host), ctx)
 		l.retryBackoffs++
 		l.metrics.Gauge("lpm.retry.backoff_pending").Add(1)
@@ -90,10 +87,7 @@ func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body
 				return
 			}
 			if sb, ok := l.siblings[host]; !ok || !sb.authed || !sb.conn.Open() {
-				l.metrics.Counter("lpm.request.redials").Inc()
-				l.journal.AppendCtx(journal.LPMRedial, l.Host(),
-					fmt.Sprintf("user=%s peer=%s reason=retry", l.user.Name, host),
-					ctx.Trace, ctx.Span)
+				l.observe(journal.LPMRedial, ctx, "user=%s peer=%s reason=retry", l.user.Name, host)
 			}
 			l.callWithRetry(ctx, host, t, body, op, next, cb)
 		})
@@ -122,11 +116,7 @@ func (l *LPM) directCall(ctx trace.Context, host string, t wire.MsgType, body []
 func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
 	path []string, cb func(wire.Envelope, error)) {
 	fsb := l.siblings[path[0]]
-	l.Stats.RelaysOriginated++
-	l.metrics.Counter("lpm.relay.originated").Inc()
-	l.journal.AppendCtx(journal.LPMRelayOrigin, l.Host(),
-		fmt.Sprintf("user=%s dest=%s via=%s", l.user.Name, host, path[0]),
-		ctx.Trace, ctx.Span)
+	l.observe(journal.LPMRelayOrigin, ctx, "user=%s dest=%s via=%s", l.user.Name, host, path[0])
 	inner := wire.Envelope{Type: t, Body: body}
 	inner.SetTrace(ctx.Trace, ctx.Span)
 	rel := wire.Relay{User: l.user.Name, Dest: host, Path: path[1:], Inner: inner.Encode()}

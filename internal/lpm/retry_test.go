@@ -33,6 +33,12 @@ func installMetrics(w *world) *metrics.Registry {
 	return reg
 }
 
+// counter reads one counter of the registry installMetrics wired (0 if
+// it never fired).
+func (w *world) counter(name string) uint64 {
+	return w.net.Metrics().Snapshot().Counter(name)
+}
+
 func countKind(j *journal.Journal, k journal.Kind) int {
 	return len(j.Select(journal.Filter{Kinds: []journal.Kind{k}}))
 }
@@ -337,19 +343,16 @@ func TestInflightMarkersExpireWithWindow(t *testing.T) {
 
 	now := w.sched.Now().Duration()
 	key := wire.OpKey("vax9", 1, 1)
-	l.inflightOps[key] = now
-	l.inflightQ = append(l.inflightQ, inflightEntry{key: key, at: now})
+	l.inflightOps.Put(key, struct{}{}, now)
 
-	l.evictInflight(now + l.opWindow) // at the window edge a retransmit can still arrive
-	if _, ok := l.inflightOps[key]; !ok {
+	window := l.cfg.opWindow()
+	l.inflightOps.Expire(now + window) // at the window edge a retransmit can still arrive
+	if _, ok := l.inflightOps.Get(key); !ok {
 		t.Fatal("marker evicted while a retransmit could still arrive")
 	}
-	l.evictInflight(now + l.opWindow + 1)
-	if _, ok := l.inflightOps[key]; ok {
+	l.inflightOps.Expire(now + window + 1)
+	if _, ok := l.inflightOps.Get(key); ok {
 		t.Fatal("orphaned in-flight marker survived its retransmit window")
-	}
-	if l.inflightHead != 0 || len(l.inflightQ) != 0 {
-		t.Fatalf("eviction queue not compacted: head=%d len=%d", l.inflightHead, len(l.inflightQ))
 	}
 }
 

@@ -2,7 +2,6 @@ package lpm
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"ppm/internal/auth"
@@ -27,7 +26,7 @@ var _ recovery.Env = (*recEnv)(nil)
 // acceptConn receives new circuits on the accept socket. The first
 // message must be a Hello: authentication happens once, at channel
 // creation, not on every request.
-func (l *LPM) acceptConn(conn Conn) {
+func (l *LPM) acceptConn(conn *simnet.Conn) {
 	if l.exited {
 		conn.Close()
 		return
@@ -36,7 +35,7 @@ func (l *LPM) acceptConn(conn Conn) {
 	conn.SetCloseHandler(func(error) {}) // unauthenticated: nothing to clean
 }
 
-func (l *LPM) onFirstMsg(conn Conn, b []byte) {
+func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 	env, err := wire.DecodeEnvelopeLogged(b, l.journal, l.Host())
 	if err != nil || env.Type != wire.MsgHello {
 		conn.Close()
@@ -55,11 +54,9 @@ func (l *LPM) onFirstMsg(conn Conn, b []byte) {
 	})
 }
 
-func (l *LPM) handleHello(conn Conn, reqID uint64, hello wire.Hello, ctx trace.Context) {
+func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx trace.Context) {
 	reject := func(reason string) {
-		l.metrics.Counter("lpm.siblings.rejected").Inc()
-		l.journal.AppendCtx(journal.LPMSiblingReject, l.Host(),
-			"from="+hello.FromHost+" reason="+reason, ctx.Trace, ctx.Span)
+		l.observe(journal.LPMSiblingReject, ctx, "from=%s reason=%s", hello.FromHost, reason)
 		body := wire.HelloResp{OK: false, Reason: reason}.Encode()
 		env := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 		env.SetTrace(ctx.Trace, ctx.Span)
@@ -118,9 +115,7 @@ func (l *LPM) handleHello(conn Conn, reqID uint64, hello wire.Hello, ctx trace.C
 	}
 	// Authentication happens exactly once, here, at channel creation;
 	// the audit invariant holds the journal to that.
-	l.journal.AppendCtx(journal.LPMSiblingAuth, l.Host(),
-		fmt.Sprintf("user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost),
-		ctx.Trace, ctx.Span)
+	l.observe(journal.LPMSiblingAuth, ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
 	body := wire.HelloResp{OK: true, Inc: l.incarnation()}.Encode()
 	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 	respEnv.SetTrace(ctx.Trace, ctx.Span)
@@ -149,15 +144,11 @@ func (l *LPM) handleHello(conn Conn, reqID uint64, hello wire.Hello, ctx trace.C
 // replies and in-flight markers — is purged. The predecessor's op
 // numbering can never be spoken again, so the entries could only ever
 // cause a fresh operation to be wrongly answered from a stale cache.
-func (l *LPM) registerSibling(host string, conn Conn, inc uint64) {
+func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	if old, ok := l.peerIncs[host]; ok && old != inc {
 		prefix := wire.OpPrefix(host, old)
 		l.replies.PurgePrefix(prefix)
-		for _, k := range detord.Keys(l.inflightOps) {
-			if strings.HasPrefix(k, prefix) {
-				delete(l.inflightOps, k)
-			}
-		}
+		l.inflightOps.PurgePrefix(prefix)
 	}
 	l.peerIncs[host] = inc
 	if old, ok := l.siblings[host]; ok && old.conn != conn && old.conn.Open() {
@@ -179,15 +170,14 @@ func (l *LPM) registerSibling(host string, conn Conn, inc uint64) {
 	sb.det = detect.New(l.cfg.Detector, l.sched.Now().Duration())
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
-	l.metrics.Counter("lpm.siblings.opened").Inc()
 	l.metrics.Gauge("lpm.siblings.open").Add(1)
 	role := "client"
 	if conn.LocalAddr() == l.accept {
 		role = "server"
 	}
 	l.circuitTransition(host, circuitEstablished, "auth-"+role, l.chanKey(conn))
-	l.journal.Append(journal.LPMSiblingOpen, l.Host(),
-		fmt.Sprintf("user=%s peer=%s chan=%s role=%s", l.user.Name, host, l.chanKey(conn), role))
+	l.observe(journal.LPMSiblingOpen, l.tracer.Active(),
+		"user=%s peer=%s chan=%s role=%s", l.user.Name, host, l.chanKey(conn), role)
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
 	if l.cfg.Linktest > 0 {
@@ -210,10 +200,9 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 			reason = "peer-lost"
 		}
 		l.circuitTransition(sb.host, circuitClosed, reason, l.chanKey(sb.conn))
-		l.metrics.Counter("lpm.siblings.closed").Inc()
 		l.metrics.Gauge("lpm.siblings.open").Add(-1)
-		l.journal.Append(journal.LPMSiblingClose, l.Host(),
-			fmt.Sprintf("user=%s peer=%s chan=%s", l.user.Name, sb.host, l.chanKey(sb.conn)))
+		l.observe(journal.LPMSiblingClose, l.tracer.Active(),
+			"user=%s peer=%s chan=%s", l.user.Name, sb.host, l.chanKey(sb.conn))
 	}
 	// Fail outstanding requests to that host, oldest first (map order
 	// would let error callbacks race each other across identical runs).
@@ -303,7 +292,7 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 			return
 		}
 		to := simnet.Addr{Host: resp.AcceptHost, Port: resp.AcceptPort}
-		l.transport.Dial(l.Host(), to, cctx, func(conn Conn, err error) {
+		l.net.DialCtx(l.Host(), to, cctx, func(conn *simnet.Conn, err error) {
 			if err != nil {
 				finish(nil, fmt.Errorf("%w: dial %s: %v", ErrNoSibling, host, err))
 				return
@@ -331,7 +320,7 @@ func (l *LPM) completeDial(host string, sb *sibling) {
 }
 
 // helloTo authenticates a freshly dialed circuit.
-func (l *LPM) helloTo(ctx trace.Context, host string, conn Conn, finish func(*sibling, error)) {
+func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish func(*sibling, error)) {
 	l.circuitTransition(host, circuitAuthenticating, "hello", l.chanKey(conn))
 	l.floodSeq++
 	hello := wire.Hello{
@@ -427,7 +416,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn Conn, finish func(*si
 // to the circuit. The network copies the frame into its own delivery
 // buffer synchronously, so the encoder is released as soon as SendCtx
 // returns — the sibling send path allocates no per-message frame.
-func (l *LPM) sendFramed(conn Conn, env wire.Envelope, ctx trace.Context) error {
+func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
 	enc := wire.GetEncoder()
 	err := conn.SendCtx(env.EncodeLoggedTo(enc, l.metrics, l.journal, l.Host()), ctx)
 	wire.PutEncoder(enc)
@@ -437,7 +426,7 @@ func (l *LPM) sendFramed(conn Conn, env wire.Envelope, ctx trace.Context) error 
 // sendFramedReply is sendFramed for the response direction: transit is
 // traced as "net.reply.*" spans, so the profiler's reply-transit phase
 // sees it (the circuit itself carries no direction information).
-func (l *LPM) sendFramedReply(conn Conn, env wire.Envelope, ctx trace.Context) error {
+func (l *LPM) sendFramedReply(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
 	enc := wire.GetEncoder()
 	err := conn.SendReplyCtx(env.EncodeLoggedTo(enc, l.metrics, l.journal, l.Host()), ctx)
 	wire.PutEncoder(enc)
@@ -533,7 +522,6 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 // logical operation across retransmissions so the receiver can dedup
 // re-executions (zero disables at-most-once semantics).
 func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body []byte, op uint64, cb func(wire.Envelope, error)) {
-	l.Stats.RemoteForwards++
 	l.withHandler(func(h proc.PID) {
 		if l.exited {
 			cb(wire.Envelope{}, ErrExited)
@@ -554,10 +542,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		pr.timer = l.sched.After(timeout, func() {
 			if cur, ok := l.pending[id]; ok && cur == pr {
 				delete(l.pending, id)
-				l.metrics.Counter("lpm.request.timeouts").Inc()
-				l.journal.AppendCtx(journal.LPMTimeout, l.Host(),
-					fmt.Sprintf("user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op),
-					rctx.Trace, rctx.Span)
+				l.observe(journal.LPMTimeout, rctx, "user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op)
 				l.releaseHandler(pr.handler)
 				pr.span.End()
 				pr.cb(wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, t, sb.host))

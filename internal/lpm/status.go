@@ -101,7 +101,7 @@ func (l *LPM) BuildStatus(r *status.Report) {
 	r.PendingReqs = len(l.pending)
 	r.RetryBackoffs = l.retryBackoffs
 	r.ReplyCache = l.replies.Len()
-	r.InflightOps = len(l.inflightOps)
+	r.InflightOps = l.inflightOps.Len()
 	r.JournalLen = l.journal.Len()
 	r.JournalDropped = l.journal.Dropped()
 	ops := r.OpLatencies
@@ -150,18 +150,12 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 		targets = append(targets, h)
 	}
 	detord.Sort(targets)
-	l.metrics.Counter("lpm.status.sweeps").Inc()
 	l.toolCall("status", func(ctx trace.Context, done func(func())) {
-		l.journal.AppendCtx(journal.StatusRequest, l.Host(),
-			fmt.Sprintf("user=%s sweep=%s hosts=%s",
-				l.user.Name, sweepID, strings.Join(targets, ",")),
-			ctx.Trace, ctx.Span)
+		l.observe(journal.StatusRequest, ctx, "user=%s sweep=%s hosts=%s",
+			l.user.Name, sweepID, strings.Join(targets, ","))
 		sw := &status.Sweep{Origin: l.Host(), User: l.user.Name}
 		record := func(host string, ok bool) {
-			l.journal.AppendCtx(journal.StatusReport, l.Host(),
-				fmt.Sprintf("user=%s sweep=%s host=%s ok=%t",
-					l.user.Name, sweepID, host, ok),
-				ctx.Trace, ctx.Span)
+			l.observe(journal.StatusReport, ctx, "user=%s sweep=%s host=%s ok=%t", l.user.Name, sweepID, host, ok)
 		}
 		issuing := true
 		outstanding := 0

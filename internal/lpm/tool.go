@@ -276,7 +276,7 @@ func (t *ToolClient) History(q history.Query, cb func([]proc.Event, error)) {
 // requests ride the same wire protocol as sibling requests, but a
 // snapshot from a tool triggers the distributed flood (the tool wants
 // the whole computation, not one host's fragment).
-func (l *LPM) onToolMsg(conn Conn, b []byte) {
+func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	if l.exited {
 		return
 	}
@@ -285,7 +285,6 @@ func (l *LPM) onToolMsg(conn Conn, b []byte) {
 		return
 	}
 	l.touch()
-	l.Stats.RequestsServed++
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 	reply := func(mt wire.MsgType, body []byte) {
 		l.kern.ExecCPU(toolSocketLeg, func() {

@@ -1,0 +1,174 @@
+// Package ring holds the two bounded containers the PPM's record
+// keepers share: Buffer, a ring that overwrites its oldest element (the
+// LPM's history store, the flight recorder), and Window, a map whose
+// entries expire a fixed span of virtual time after insertion (cached
+// replies, in-flight operation markers, broadcast-stamp dedup). Both
+// are single-goroutine, like the simulation they serve.
+package ring
+
+import (
+	"strings"
+	"time"
+)
+
+// Buffer is a bounded FIFO: once capacity elements are held, each Push
+// overwrites the oldest in O(1).
+type Buffer[T any] struct {
+	capacity int
+	buf      []T
+	start    int // index of the oldest element
+	count    int
+}
+
+// NewBuffer creates a buffer retaining at most capacity elements
+// (capacity must be positive).
+func NewBuffer[T any](capacity int) *Buffer[T] {
+	return &Buffer[T]{capacity: capacity}
+}
+
+// Push appends v and reports whether the oldest element was
+// overwritten to make room.
+//
+//ppmlint:hotpath pin=TestJournalAppendZeroAllocs
+func (b *Buffer[T]) Push(v T) (evicted bool) {
+	if b.count == b.capacity {
+		b.buf[b.start] = v
+		b.start = (b.start + 1) % b.capacity
+		return true
+	}
+	// Until the buffer first fills, start stays 0 and the elements
+	// occupy buf[0:count], so the backing array grows on demand instead
+	// of committing capacity slots up front.
+	if idx := (b.start + b.count) % b.capacity; idx < len(b.buf) {
+		b.buf[idx] = v
+	} else {
+		if len(b.buf) == cap(b.buf) {
+			b.grow()
+		}
+		b.buf = append(b.buf, v)
+	}
+	b.count++
+	return false
+}
+
+// grow doubles the backing array, never past the bound: a full buffer
+// holds exactly capacity slots, not whatever append would round up to.
+func (b *Buffer[T]) grow() {
+	grown := make([]T, len(b.buf), min(max(2*cap(b.buf), 8), b.capacity))
+	copy(grown, b.buf)
+	b.buf = grown
+}
+
+// Len returns the number of retained elements.
+func (b *Buffer[T]) Len() int { return b.count }
+
+// At returns the i-th retained element, oldest first.
+func (b *Buffer[T]) At(i int) T { return b.buf[(b.start+i)%b.capacity] }
+
+// Slice copies the retained elements out, oldest first.
+func (b *Buffer[T]) Slice() []T {
+	out := make([]T, b.count)
+	for i := range out {
+		out[i] = b.At(i)
+	}
+	return out
+}
+
+// Reset discards every retained element, keeping the backing array.
+func (b *Buffer[T]) Reset() { b.start, b.count = 0, 0 }
+
+// Window is a string-keyed map whose entries are dropped once they
+// have outlived a fixed span of virtual time. Insertion order is
+// virtual-time order under the single-threaded simulation, so expiry
+// inspects exactly the expired entries plus one.
+type Window[V any] struct {
+	span  time.Duration
+	live  map[string]aged[V]
+	order []slot // insertion order; order[head:] are not yet expired
+	head  int
+}
+
+type aged[V any] struct {
+	v  V
+	at time.Duration
+}
+
+// slot is one entry of the expiry queue, naming the insertion it
+// describes.
+type slot struct {
+	key string
+	at  time.Duration
+}
+
+// NewWindow creates a window retaining each entry for span of virtual
+// time after its insertion.
+func NewWindow[V any](span time.Duration) *Window[V] {
+	return &Window[V]{span: span, live: make(map[string]aged[V])}
+}
+
+// Get returns the value held under key. It expires nothing: callers
+// that need a fresh view Expire first.
+func (w *Window[V]) Get(key string) (V, bool) {
+	e, ok := w.live[key]
+	return e.v, ok
+}
+
+// Put stores v under key at virtual time now, after expiring what now
+// has outlived. Re-putting a held key replaces its value in place: the
+// entry keeps its original age.
+func (w *Window[V]) Put(key string, v V, now time.Duration) {
+	w.Expire(now)
+	if e, ok := w.live[key]; ok {
+		e.v = v
+		w.live[key] = e
+		return
+	}
+	w.live[key] = aged[V]{v: v, at: now}
+	w.order = append(w.order, slot{key: key, at: now})
+}
+
+// Delete drops key ahead of its expiry.
+func (w *Window[V]) Delete(key string) { delete(w.live, key) }
+
+// Expire drops every entry older than the span at virtual time now. An
+// entry exactly span old is still held.
+func (w *Window[V]) Expire(now time.Duration) {
+	for w.head < len(w.order) {
+		s := w.order[w.head]
+		if now-s.at <= w.span {
+			break
+		}
+		w.head++
+		// The key may have been deleted and stored afresh since; only
+		// drop the insertion this slot describes.
+		if e, ok := w.live[s.key]; ok && e.at == s.at {
+			delete(w.live, s.key)
+		}
+	}
+	// Reclaim the drained prefix once it dominates the queue, so the
+	// footprint stays proportional to the live entries.
+	if w.head > len(w.order)/2 {
+		w.order = append([]slot(nil), w.order[w.head:]...)
+		w.head = 0
+	}
+}
+
+// PurgePrefix drops every entry whose key begins with prefix and
+// reports how many were dropped. The survivors keep their order.
+func (w *Window[V]) PurgePrefix(prefix string) int {
+	kept := make([]slot, 0, len(w.order)-w.head)
+	n := 0
+	for _, s := range w.order[w.head:] {
+		if !strings.HasPrefix(s.key, prefix) {
+			kept = append(kept, s)
+		} else if e, ok := w.live[s.key]; ok && e.at == s.at {
+			delete(w.live, s.key)
+			n++
+		}
+	}
+	w.order, w.head = kept, 0
+	return n
+}
+
+// Len returns the number of held entries.
+func (w *Window[V]) Len() int { return len(w.live) }

@@ -1,0 +1,174 @@
+package ring
+
+import (
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestBuffer drives one buffer through a script of pushes and resets
+// and checks what it retains: FIFO order below capacity, overwrite of
+// the oldest at capacity, and reuse of the backing array after a reset.
+func TestBuffer(t *testing.T) {
+	cases := []struct {
+		name     string
+		capacity int
+		pushes   int // values 1..pushes, in order
+		resetAt  int // reset after this many pushes (0 = never)
+		want     []int
+		evicted  int
+	}{
+		{"empty", 4, 0, 0, []int{}, 0},
+		{"below capacity", 4, 3, 0, []int{1, 2, 3}, 0},
+		{"exactly full", 4, 4, 0, []int{1, 2, 3, 4}, 0},
+		{"wrapped once", 4, 6, 0, []int{3, 4, 5, 6}, 2},
+		{"wrapped many times", 3, 11, 0, []int{9, 10, 11}, 8},
+		{"capacity one", 1, 3, 0, []int{3}, 2},
+		{"reset below capacity", 4, 5, 2, []int{3, 4, 5}, 0},
+		{"reset after wrapping", 3, 9, 5, []int{7, 8, 9}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuffer[int](tc.capacity)
+			evicted := 0
+			for v := 1; v <= tc.pushes; v++ {
+				if b.Push(v) {
+					evicted++
+				}
+				if v == tc.resetAt {
+					b.Reset()
+					if b.Len() != 0 {
+						t.Fatalf("Len after Reset = %d", b.Len())
+					}
+				}
+			}
+			if got := b.Slice(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("retained %v, want %v", got, tc.want)
+			}
+			if b.Len() != len(tc.want) {
+				t.Fatalf("Len = %d, want %d", b.Len(), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if got := b.At(i); got != w {
+					t.Fatalf("At(%d) = %d, want %d", i, got, w)
+				}
+			}
+			if evicted != tc.evicted {
+				t.Fatalf("evicted %d, want %d", evicted, tc.evicted)
+			}
+			if cap(b.buf) > tc.capacity {
+				t.Fatalf("backing array grew to %d slots under a bound of %d", cap(b.buf), tc.capacity)
+			}
+		})
+	}
+}
+
+// TestBufferGrowsOnDemand: a large bound costs nothing until it is
+// used — the backing array tracks the retained count, not the bound.
+func TestBufferGrowsOnDemand(t *testing.T) {
+	b := NewBuffer[int](1 << 16)
+	for v := 0; v < 10; v++ {
+		b.Push(v)
+	}
+	if cap(b.buf) > 16 {
+		t.Fatalf("10 elements under a 64Ki bound hold %d slots", cap(b.buf))
+	}
+}
+
+// TestWindow drives one window through a script of operations at
+// explicit virtual times and checks which keys it still holds.
+func TestWindow(t *testing.T) {
+	const span = 10 * time.Second
+	type op struct {
+		do  string // put, delete, expire, purge
+		key string
+		val int
+		at  time.Duration
+	}
+	sec := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	cases := []struct {
+		name string
+		ops  []op
+		want map[string]int
+	}{
+		{"held inside the span", []op{
+			{"put", "a", 1, sec(0)}, {"expire", "", 0, sec(9)},
+		}, map[string]int{"a": 1}},
+		{"held exactly at the span edge", []op{
+			{"put", "a", 1, sec(0)}, {"expire", "", 0, sec(10)},
+		}, map[string]int{"a": 1}},
+		{"dropped past the span", []op{
+			{"put", "a", 1, sec(0)}, {"expire", "", 0, sec(10) + 1},
+		}, map[string]int{}},
+		{"put expires older entries first", []op{
+			{"put", "a", 1, sec(0)}, {"put", "b", 2, sec(6)}, {"put", "c", 3, sec(12)},
+		}, map[string]int{"b": 2, "c": 3}},
+		{"re-put replaces the value but keeps the age", []op{
+			{"put", "a", 1, sec(0)}, {"put", "a", 2, sec(8)}, {"expire", "", 0, sec(9)},
+		}, map[string]int{"a": 2}},
+		{"re-put does not extend retention", []op{
+			{"put", "a", 1, sec(0)}, {"put", "a", 2, sec(8)}, {"expire", "", 0, sec(11)},
+		}, map[string]int{}},
+		{"delete drops ahead of expiry", []op{
+			{"put", "a", 1, sec(0)}, {"put", "b", 2, sec(1)}, {"delete", "a", 0, 0},
+		}, map[string]int{"b": 2}},
+		{"a key stored afresh outlives its deleted predecessor's slot", []op{
+			{"put", "a", 1, sec(0)}, {"delete", "a", 0, 0}, {"put", "a", 2, sec(5)},
+			{"expire", "", 0, sec(12)},
+		}, map[string]int{"a": 2}},
+		{"purge by prefix keeps the rest in order", []op{
+			{"put", "x#1#1", 1, sec(0)}, {"put", "y#1#1", 2, sec(1)}, {"put", "x#1#2", 3, sec(2)},
+			{"put", "x#2#1", 4, sec(3)}, {"purge", "x#1#", 2, 0}, {"expire", "", 0, sec(12)},
+		}, map[string]int{"x#2#1": 4}},
+		{"purge of nothing", []op{
+			{"put", "a", 1, sec(0)}, {"purge", "z", 0, 0},
+		}, map[string]int{"a": 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWindow[int](span)
+			for _, o := range tc.ops {
+				switch o.do {
+				case "put":
+					w.Put(o.key, o.val, o.at)
+				case "delete":
+					w.Delete(o.key)
+				case "expire":
+					w.Expire(o.at)
+				case "purge":
+					if n := w.PurgePrefix(o.key); n != o.val {
+						t.Fatalf("PurgePrefix(%q) dropped %d, want %d", o.key, n, o.val)
+					}
+				}
+			}
+			if w.Len() != len(tc.want) {
+				t.Fatalf("Len = %d, want %d (%v)", w.Len(), len(tc.want), w.live)
+			}
+			for k, v := range tc.want {
+				if got, ok := w.Get(k); !ok || got != v {
+					t.Fatalf("Get(%q) = %d, %v; want %d", k, got, ok, v)
+				}
+			}
+		})
+	}
+}
+
+// TestWindowQueueStaysProportional: steady churn through the window
+// must not let the expiry queue outgrow the live entries (the drained
+// prefix is reclaimed), and a fully drained window holds no queue.
+func TestWindowQueueStaysProportional(t *testing.T) {
+	w := NewWindow[struct{}](10 * time.Second)
+	for i := 0; i < 1000; i++ {
+		w.Put(string(rune('a'+i%26))+time.Duration(i).String(), struct{}{}, time.Duration(i)*time.Second)
+		if live := len(w.order) - w.head; live != w.Len() {
+			t.Fatalf("step %d: %d queued, %d live", i, live, w.Len())
+		}
+		if len(w.order) > 2*w.Len()+1 {
+			t.Fatalf("step %d: queue of %d slots for %d live entries", i, len(w.order), w.Len())
+		}
+	}
+	w.Expire(time.Hour)
+	if w.Len() != 0 || w.head != 0 || len(w.order) != 0 {
+		t.Fatalf("drained window: len=%d head=%d queue=%d", w.Len(), w.head, len(w.order))
+	}
+}

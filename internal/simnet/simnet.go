@@ -28,15 +28,14 @@ import (
 
 // Network errors.
 var (
-	ErrUnknownHost    = errors.New("simnet: unknown host")
-	ErrHostDown       = errors.New("simnet: host down")
-	ErrUnreachable    = errors.New("simnet: unreachable")
-	ErrNoListener     = errors.New("simnet: connection refused")
-	ErrConnClosed     = errors.New("simnet: connection closed")
-	ErrPeerLost       = errors.New("simnet: peer lost")
-	ErrPortInUse      = errors.New("simnet: port in use")
-	ErrDuplicateHost  = errors.New("simnet: duplicate host")
-	ErrUnknownSegment = errors.New("simnet: unknown segment")
+	ErrUnknownHost   = errors.New("simnet: unknown host")
+	ErrHostDown      = errors.New("simnet: host down")
+	ErrUnreachable   = errors.New("simnet: unreachable")
+	ErrNoListener    = errors.New("simnet: connection refused")
+	ErrConnClosed    = errors.New("simnet: connection closed")
+	ErrPeerLost      = errors.New("simnet: peer lost")
+	ErrPortInUse     = errors.New("simnet: port in use")
+	ErrDuplicateHost = errors.New("simnet: duplicate host")
 )
 
 // Addr is a network endpoint: a host name and a port.
@@ -71,16 +70,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts network activity, used by the ablation benchmarks.
-type Stats struct {
-	MsgsSent     int64
-	BytesSent    int64
-	MsgsDropped  int64
-	ConnsOpened  int64
-	ConnsBroken  int64
-	DialAttempts int64
-}
-
 // node is one host's network presence.
 type node struct {
 	name      string
@@ -102,7 +91,6 @@ type Network struct {
 	hops     map[string]map[string]int
 	dirty    bool // routes need recompute
 	connSeq  uint64
-	stats    Stats
 	metrics  *metrics.Registry
 	tracer   *trace.Tracer
 	journal  *journal.Journal
@@ -128,9 +116,6 @@ func New(sched *sim.Scheduler, opts Options) *Network {
 
 // Scheduler returns the underlying event scheduler.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
-// Stats returns a copy of the activity counters.
-func (n *Network) Stats() Stats { return n.stats }
 
 // SetMetrics installs the installation-wide metrics registry. The
 // network both feeds it (the simnet family) and carries it for the
@@ -162,25 +147,6 @@ func (n *Network) SetJournal(j *journal.Journal) { n.journal = j }
 // Journal returns the journal installed with SetJournal (possibly nil;
 // all journal methods tolerate that).
 func (n *Network) Journal() *journal.Journal { return n.journal }
-
-// logMsg appends one message-motion record on host (the sender for
-// sends, the receiver for deliveries): kind is the record kind
-// (send/deliver/drop), transport "datagram" or "circuit", and note an
-// optional drop reason.
-func (n *Network) logMsg(kind journal.Kind, host, transport string, from, to Addr,
-	size int, note string, ctx trace.Context) {
-	if n.journal == nil {
-		return
-	}
-	detail := fmt.Sprintf("%s %s->%s %dB", transport, from, to, size)
-	if note != "" {
-		detail += " " + note
-	}
-	n.journal.AppendCtx(kind, host, detail, ctx.Trace, ctx.Span)
-}
-
-// ResetStats zeroes the activity counters.
-func (n *Network) ResetStats() { n.stats = Stats{} }
 
 // AddHost registers a host. Hosts start up.
 func (n *Network) AddHost(name string) error {
@@ -303,32 +269,6 @@ func pairKey(a, b string) [2]string {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-// sendCounters pairs the precomputed per-transport counter names, so
-// the per-message accounting path concatenates no strings.
-type sendCounters struct{ sent, bytes string }
-
-var (
-	datagramCounters = sendCounters{sent: "simnet.datagram.sent", bytes: "simnet.datagram.bytes"}
-	circuitCounters  = sendCounters{sent: "simnet.circuit.sent", bytes: "simnet.circuit.bytes"}
-)
-
-// countSend records one message of the given transport in the metrics
-// registry, including the segment hops it will cross: <kind>.sent /
-// <kind>.bytes count the message once, simnet.hop.crossings /
-// simnet.hop.bytes charge it once per physical segment traversed (a
-// 2-hop datagram loads two Ethernets).
-func (n *Network) countSend(names sendCounters, from, to string, size int) {
-	if n.metrics == nil {
-		return
-	}
-	n.metrics.Counter(names.sent).Inc()
-	n.metrics.Counter(names.bytes).Add(uint64(size))
-	if hops, ok := n.Hops(from, to); ok && hops > 0 {
-		n.metrics.Counter("simnet.hop.crossings").Add(uint64(hops))
-		n.metrics.Counter("simnet.hop.bytes").Add(uint64(hops * size))
-	}
 }
 
 // transit computes the one-way delay for size bytes between two hosts.
@@ -519,8 +459,7 @@ func (n *Network) flapDown(key [2]string) {
 		return
 	}
 	n.downPairs[key] = true
-	n.metrics.Counter("simnet.flap.downs").Inc()
-	n.journal.Append(journal.NetFlapDown, "", "link="+key[0]+"|"+key[1])
+	n.emit(TapEvent{Kind: tapFlapDown, Note: "link=" + key[0] + "|" + key[1]})
 	n.breakSeveredConns()
 }
 
@@ -529,8 +468,7 @@ func (n *Network) flapUp(key [2]string) {
 		return
 	}
 	delete(n.downPairs, key)
-	n.metrics.Counter("simnet.flap.ups").Inc()
-	n.journal.Append(journal.NetFlapUp, "", "link="+key[0]+"|"+key[1])
+	n.emit(TapEvent{Kind: tapFlapUp, Note: "link=" + key[0] + "|" + key[1]})
 }
 
 // --- host lifecycle and failures ---
@@ -564,8 +502,7 @@ func (n *Network) Crash(host string) error {
 	if !nd.up {
 		return nil
 	}
-	n.metrics.Counter("simnet.host.crashes").Inc()
-	n.journal.Append(journal.NetHostCrash, host, "")
+	n.emit(TapEvent{Kind: tapHostCrash, Host: host})
 	nd.up = false
 	nd.listeners = make(map[uint16]func(*Conn))
 	nd.dgram = make(map[uint16]func(Addr, []byte))
@@ -599,8 +536,7 @@ func (n *Network) Restart(host string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownHost, host)
 	}
 	if !nd.up {
-		n.metrics.Counter("simnet.host.restarts").Inc()
-		n.journal.Append(journal.NetHostRestart, host, "")
+		n.emit(TapEvent{Kind: tapHostRestart, Host: host})
 	}
 	nd.up = true
 	return nil
@@ -622,14 +558,11 @@ func (n *Network) Partition(groups ...[]string) error {
 			nd.group = i + 1
 		}
 	}
-	n.metrics.Counter("simnet.partition.events").Inc()
-	if n.journal != nil {
-		parts := make([]string, len(groups))
-		for i, g := range groups {
-			parts[i] = strings.Join(g, ",")
-		}
-		n.journal.Append(journal.NetPartition, "", "groups="+strings.Join(parts, "|"))
+	parts := make([]string, len(groups))
+	for i, g := range groups {
+		parts[i] = strings.Join(g, ",")
 	}
+	n.emit(TapEvent{Kind: tapPartition, Note: "groups=" + strings.Join(parts, "|")})
 	n.updatePartitionGauge()
 	n.breakSeveredConns()
 	return nil
@@ -640,8 +573,7 @@ func (n *Network) Heal() {
 	for _, nd := range n.hosts {
 		nd.group = 0
 	}
-	n.metrics.Counter("simnet.partition.heals").Inc()
-	n.journal.Append(journal.NetHeal, "", "")
+	n.emit(TapEvent{Kind: tapHeal})
 	n.updatePartitionGauge()
 }
 
@@ -680,10 +612,7 @@ func (n *Network) breakRemote(c *Conn) {
 	n.sched.After(n.opts.BreakDetect, func() {
 		c.closeWith(ErrPeerLost)
 	})
-	n.stats.ConnsBroken++
-	n.metrics.Counter("simnet.circuit.broken").Inc()
-	n.emitTap(TapEvent{Kind: TapConnBreak, From: c.local, To: c.remote, Circuit: true})
-	n.logMsg(journal.NetCircuitBreak, c.local.Host, "circuit", c.local, c.remote, 0, "", trace.Context{})
+	n.emit(c.event(0, trace.Context{}).as(TapConnBreak, c.local.Host, ""))
 }
 
 // copyBuf copies payload into a recycled delivery buffer. The
@@ -729,13 +658,6 @@ func (n *Network) HandleDatagram(host string, port uint16, fn func(from Addr, pa
 	return nil
 }
 
-// RemoveDatagramHandler uninstalls a datagram handler.
-func (n *Network) RemoveDatagramHandler(host string, port uint16) {
-	if nd, ok := n.hosts[host]; ok {
-		delete(nd.dgram, port)
-	}
-}
-
 // SendDatagram delivers a datagram with best-effort semantics: silently
 // dropped if the destination is unreachable or has no handler, like
 // UDP.
@@ -746,24 +668,14 @@ func (n *Network) SendDatagram(from, to Addr, payload []byte) {
 // SendDatagramCtx is SendDatagram under a trace context; when ctx is
 // valid the datagram's per-hop transit is recorded as spans.
 func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Context) {
-	n.stats.MsgsSent++
-	n.stats.BytesSent += int64(len(payload))
-	n.countSend(datagramCounters, from.Host, to.Host, len(payload))
-	n.emitTap(TapEvent{Kind: TapSend, From: from, To: to, Size: len(payload)})
-	n.logMsg(journal.NetSend, from.Host, "datagram", from, to, len(payload), "", ctx)
+	ev := TapEvent{From: from, To: to, Size: len(payload), Ctx: ctx}
+	n.emit(ev.as(TapSend, from.Host, ""))
 	if !n.Reachable(from.Host, to.Host) {
-		n.stats.MsgsDropped++
-		n.metrics.Counter("simnet.datagram.dropped").Inc()
-		n.emitTap(TapEvent{Kind: TapDrop, From: from, To: to, Size: len(payload)})
-		n.logMsg(journal.NetDrop, from.Host, "datagram", from, to, len(payload), "unreachable", ctx)
+		n.emit(ev.as(TapDrop, from.Host, "unreachable"))
 		return
 	}
 	if n.loseNow(from.Host, to.Host) {
-		n.stats.MsgsDropped++
-		n.metrics.Counter("simnet.datagram.dropped").Inc()
-		n.metrics.Counter("simnet.injected.losses").Inc()
-		n.emitTap(TapEvent{Kind: TapDrop, From: from, To: to, Size: len(payload)})
-		n.logMsg(journal.NetDrop, from.Host, "datagram", from, to, len(payload), "injected", ctx)
+		n.emit(ev.as(TapDrop, from.Host, "injected"))
 		return
 	}
 	n.traceTransit(ctx, from.Host, to.Host, len(payload), false)
@@ -772,24 +684,18 @@ func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Conte
 	body := n.copyBuf(payload)
 	n.sched.After(delay, func() {
 		defer n.putBuf(body)
+		ev := TapEvent{From: from, To: to, Size: len(body), Ctx: ctx}
 		nd, ok := n.hosts[to.Host]
 		if !ok || !nd.up || !n.Reachable(from.Host, to.Host) {
-			n.stats.MsgsDropped++
-			n.metrics.Counter("simnet.datagram.dropped").Inc()
-			n.emitTap(TapEvent{Kind: TapDrop, From: from, To: to, Size: len(body)})
-			n.logMsg(journal.NetDrop, to.Host, "datagram", from, to, len(body), "lost", ctx)
+			n.emit(ev.as(TapDrop, to.Host, "lost"))
 			return
 		}
 		h, ok := nd.dgram[to.Port]
 		if !ok {
-			n.stats.MsgsDropped++
-			n.metrics.Counter("simnet.datagram.dropped").Inc()
-			n.emitTap(TapEvent{Kind: TapDrop, From: from, To: to, Size: len(body)})
-			n.logMsg(journal.NetDrop, to.Host, "datagram", from, to, len(body), "no-handler", ctx)
+			n.emit(ev.as(TapDrop, to.Host, "no-handler"))
 			return
 		}
-		n.emitTap(TapEvent{Kind: TapDeliver, From: from, To: to, Size: len(body)})
-		n.logMsg(journal.NetDeliver, to.Host, "datagram", from, to, len(body), "", ctx)
+		n.emit(ev.as(TapDeliver, to.Host, ""))
 		h(from, body)
 	})
 }
@@ -858,29 +764,14 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 		return ErrConnClosed
 	}
 	n := c.net
-	n.stats.MsgsSent++
-	n.stats.BytesSent += int64(len(payload))
-	n.countSend(circuitCounters, c.local.Host, c.remote.Host, len(payload))
-	n.emitTap(TapEvent{Kind: TapSend, From: c.local, To: c.remote, Size: len(payload), Circuit: true})
-	n.logMsg(journal.NetSend, c.local.Host, "circuit", c.local, c.remote, len(payload), "", ctx)
+	ev := c.event(len(payload), ctx)
+	n.emit(ev.as(TapSend, c.local.Host, ""))
 	if !n.Reachable(c.local.Host, c.remote.Host) {
-		// TCP would retransmit and eventually time out; model that as
-		// an eventual break of both endpoints.
-		n.stats.MsgsDropped++
-		n.metrics.Counter("simnet.circuit.dropped").Inc()
-		n.logMsg(journal.NetDrop, c.local.Host, "circuit", c.local, c.remote, len(payload), "severed", ctx)
-		n.breakRemote(c)
-		n.breakRemote(c.peer)
+		c.sever(ev.as(TapDrop, c.local.Host, "severed"))
 		return nil
 	}
 	if n.loseNow(c.local.Host, c.remote.Host) {
-		n.stats.MsgsDropped++
-		n.metrics.Counter("simnet.circuit.dropped").Inc()
-		n.metrics.Counter("simnet.injected.losses").Inc()
-		n.emitTap(TapEvent{Kind: TapDrop, From: c.local, To: c.remote, Size: len(payload), Circuit: true})
-		n.logMsg(journal.NetDrop, c.local.Host, "circuit", c.local, c.remote, len(payload), "injected", ctx)
-		n.breakRemote(c)
-		n.breakRemote(c.peer)
+		c.sever(ev.as(TapDrop, c.local.Host, "injected"))
 		return nil
 	}
 	n.traceTransit(ctx, c.local.Host, c.remote.Host, len(payload), reply)
@@ -895,29 +786,36 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 	body := n.copyBuf(payload)
 	n.sched.At(at, func() {
 		defer n.putBuf(body)
+		ev := c.event(len(body), ctx)
 		if !peer.open {
-			n.stats.MsgsDropped++
-			n.metrics.Counter("simnet.circuit.dropped").Inc()
-			n.emitTap(TapEvent{Kind: TapDrop, From: c.local, To: c.remote, Size: len(body), Circuit: true})
-			n.logMsg(journal.NetDrop, c.remote.Host, "circuit", c.local, c.remote, len(body), "closed", ctx)
+			n.emit(ev.as(TapDrop, c.remote.Host, "closed"))
 			return
 		}
 		if !n.Reachable(c.local.Host, c.remote.Host) {
-			n.stats.MsgsDropped++
-			n.metrics.Counter("simnet.circuit.dropped").Inc()
-			n.emitTap(TapEvent{Kind: TapDrop, From: c.local, To: c.remote, Size: len(body), Circuit: true})
-			n.logMsg(journal.NetDrop, c.remote.Host, "circuit", c.local, c.remote, len(body), "severed", ctx)
-			n.breakRemote(c)
-			n.breakRemote(peer)
+			c.sever(ev.as(TapDrop, c.remote.Host, "severed"))
 			return
 		}
-		n.emitTap(TapEvent{Kind: TapDeliver, From: c.local, To: c.remote, Size: len(body), Circuit: true})
-		n.logMsg(journal.NetDeliver, c.remote.Host, "circuit", c.local, c.remote, len(body), "", ctx)
+		n.emit(ev.as(TapDeliver, c.remote.Host, ""))
 		if peer.onMsg != nil {
 			peer.onMsg(body)
 		}
 	})
 	return nil
+}
+
+// event describes size bytes crossing the circuit from this endpoint
+// (size 0: the circuit itself).
+func (c *Conn) event(size int, ctx trace.Context) TapEvent {
+	return TapEvent{From: c.local, To: c.remote, Size: size, Circuit: true, Ctx: ctx}
+}
+
+// sever records a message that could not cross and breaks both
+// endpoints: TCP would retransmit and eventually time out, modelled as
+// an eventual break of the whole circuit.
+func (c *Conn) sever(drop TapEvent) {
+	c.net.emit(drop)
+	c.net.breakRemote(c)
+	c.net.breakRemote(c.peer)
 }
 
 // Close shuts the circuit down cleanly; the peer's close handler runs
@@ -928,8 +826,7 @@ func (c *Conn) Close() {
 	if !c.open {
 		return
 	}
-	c.net.metrics.Counter("simnet.circuit.closed").Inc()
-	c.net.logMsg(journal.NetCircuitClose, c.local.Host, "circuit", c.local, c.remote, 0, "", trace.Context{})
+	c.net.emit(c.event(0, trace.Context{}).as(tapConnClose, c.local.Host, ""))
 	c.closeWith(nil)
 	peer := c.peer
 	if peer != nil && peer.open {
@@ -998,7 +895,6 @@ func (n *Network) Dial(fromHost string, to Addr, cb func(*Conn, error)) {
 // DialCtx is Dial under a trace context; when ctx is valid the SYN and
 // SYN-ACK legs of the handshake are recorded as per-hop spans.
 func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*Conn, error)) {
-	n.stats.DialAttempts++
 	n.metrics.Counter("simnet.dial.attempts").Inc()
 	src, ok := n.hosts[fromHost]
 	if !ok {
@@ -1041,10 +937,7 @@ func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*
 		server.peer = client
 		src.conns[client] = true
 		dst.conns[server] = true
-		n.stats.ConnsOpened++
-		n.metrics.Counter("simnet.circuit.opened").Inc()
-		n.emitTap(TapEvent{Kind: TapConnOpen, From: local, To: to, Circuit: true})
-		n.logMsg(journal.NetCircuitOpen, fromHost, "circuit", local, to, 0, "", ctx)
+		n.emit(client.event(0, ctx).as(TapConnOpen, fromHost, ""))
 		acceptFn(server)
 		n.traceTransit(ctx, to.Host, fromHost, 64, true) // SYN-ACK
 		n.sched.After(d, func() {                        // SYN-ACK back to the dialer

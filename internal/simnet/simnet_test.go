@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"ppm/internal/metrics"
 	"ppm/internal/sim"
 )
 
@@ -93,12 +95,13 @@ func TestDatagramDelivery(t *testing.T) {
 
 func TestDatagramDroppedNoHandler(t *testing.T) {
 	s, n := threeHostChain(t)
+	n.SetMetrics(metrics.New(nil))
 	n.SendDatagram(Addr{"a", 5}, Addr{"b", 999}, []byte("hi"))
 	if err := s.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}
-	if n.Stats().MsgsDropped != 1 {
-		t.Fatalf("dropped = %d, want 1", n.Stats().MsgsDropped)
+	if got := n.Metrics().Snapshot().Counter("simnet.datagram.dropped"); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
 	}
 }
 
@@ -394,21 +397,23 @@ func TestListenPortConflict(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s, n := threeHostChain(t)
+	n.SetMetrics(metrics.New(nil))
 	client, _ := dial(t, s, n, "a", Addr{"b", 2001})
 	_ = client.Send([]byte("12345"))
 	if err := s.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}
-	st := n.Stats()
-	if st.ConnsOpened != 1 || st.DialAttempts != 1 {
-		t.Fatalf("conn stats wrong: %+v", st)
+	st := n.Metrics().Snapshot()
+	if st.Counter("simnet.circuit.opened") != 1 || st.Counter("simnet.dial.attempts") != 1 {
+		t.Fatalf("conn counters wrong:\n%s", st.Report())
 	}
-	if st.MsgsSent < 1 || st.BytesSent < 5 {
-		t.Fatalf("msg stats wrong: %+v", st)
+	if st.Counter("simnet.circuit.sent") != 1 || st.Counter("simnet.circuit.bytes") != 5 {
+		t.Fatalf("msg counters wrong:\n%s", st.Report())
 	}
-	n.ResetStats()
-	if n.Stats().MsgsSent != 0 {
-		t.Fatal("reset did not zero stats")
+	// A counter materialises on its first increment: nothing was
+	// dropped, so no drop counter exists.
+	if strings.Contains(st.Report(), "dropped") {
+		t.Fatalf("a counter that never fired is reported:\n%s", st.Report())
 	}
 }
 

@@ -5,56 +5,143 @@ import (
 	"sort"
 	"strings"
 
+	"ppm/internal/journal"
 	"ppm/internal/sim"
+	"ppm/internal/trace"
 )
 
-// TapKind classifies network tap events.
+// TapKind classifies network events.
 type TapKind int
 
-// Tap event kinds.
+// Tap event kinds: the traffic, drops, circuit openings and breaks an
+// installed tap observes.
 const (
 	TapSend TapKind = iota + 1
 	TapDeliver
 	TapDrop
 	TapConnOpen
 	TapConnBreak
+
+	// Journal-only kinds: clean closes and injected topology faults are
+	// counted and journaled like every other network event but never
+	// reach the tap, whose stream stays §7's routing view.
+	tapConnClose
+	tapHostCrash
+	tapHostRestart
+	tapPartition
+	tapHeal
+	tapFlapDown
+	tapFlapUp
 )
 
 // String names the kind.
 func (k TapKind) String() string {
-	switch k {
-	case TapSend:
-		return "send"
-	case TapDeliver:
-		return "deliver"
-	case TapDrop:
-		return "drop"
-	case TapConnOpen:
-		return "open"
-	case TapConnBreak:
-		return "break"
-	default:
-		return "tap?"
+	if k >= TapSend && k <= TapConnBreak {
+		return [...]string{"send", "deliver", "drop", "open", "break"}[k-TapSend]
 	}
+	return "tap?"
 }
 
 // TapEvent is one observed network occurrence: the wire-level
-// visibility needed to assess message routing (paper §7).
+// visibility needed to assess message routing (paper §7), and the
+// network's only record of it — counters and net.* journal lines are
+// derived from the event (see emit).
 type TapEvent struct {
 	At      sim.Time
 	Kind    TapKind
+	Host    string // where it was observed: the sender for sends, the receiver for deliveries
 	From    Addr
 	To      Addr
 	Size    int
 	Circuit bool
+	Note    string        // why a message was dropped; the detail of a topology fault
+	Ctx     trace.Context // the causal trace the message travels under, if any
 }
+
+// as returns ev observed as kind at host, with a drop reason.
+func (ev TapEvent) as(kind TapKind, host, note string) TapEvent {
+	ev.Kind, ev.Host, ev.Note = kind, host, note
+	return ev
+}
+
+// transports names the two message transports, indexed by
+// TapEvent.Circuit: the first token of a net.* journal detail.
+var transports = [2]string{"datagram", "circuit"}
+
+// journalKinds maps each event kind to the journal kind recording it.
+var journalKinds = [...]journal.Kind{
+	TapSend:        journal.NetSend,
+	TapDeliver:     journal.NetDeliver,
+	TapDrop:        journal.NetDrop,
+	TapConnOpen:    journal.NetCircuitOpen,
+	TapConnBreak:   journal.NetCircuitBreak,
+	tapConnClose:   journal.NetCircuitClose,
+	tapHostCrash:   journal.NetHostCrash,
+	tapHostRestart: journal.NetHostRestart,
+	tapPartition:   journal.NetPartition,
+	tapHeal:        journal.NetHeal,
+	tapFlapDown:    journal.NetFlapDown,
+	tapFlapUp:      journal.NetFlapUp,
+}
+
+// pairedCounters precomputes, per event kind and transport, the counter
+// paired with the kind's journal records ("" for none), so emit
+// concatenates no strings per message.
+var pairedCounters = func() (t [len(journalKinds)][2]string) {
+	for k, jk := range journalKinds {
+		for i, tr := range transports {
+			t[k][i] = journal.CounterName(jk, tr)
+		}
+	}
+	return t
+}()
+
+var byteCounters = [2]string{"simnet.datagram.bytes", "simnet.circuit.bytes"}
 
 // SetTap installs a network observer; nil removes it. The tap sees
 // datagram and circuit traffic, drops, circuit openings and breaks.
 func (n *Network) SetTap(fn func(TapEvent)) { n.tap = fn }
 
-func (n *Network) emitTap(ev TapEvent) {
-	if n.tap != nil {
+// emit is the network's one observation point: every fact it records
+// is one TapEvent handed here once, from which the paired counter
+// (plus, for a send, the byte and per-hop load counters), the net.*
+// journal line on the observing host and the tap callback all derive.
+func (n *Network) emit(ev TapEvent) {
+	tr := 0
+	if ev.Circuit {
+		tr = 1
+	}
+	if n.metrics != nil {
+		if name := pairedCounters[ev.Kind][tr]; name != "" {
+			n.metrics.Counter(name).Inc()
+		}
+		switch {
+		case ev.Kind == TapSend:
+			// <transport>.bytes counts the message once; hop.crossings /
+			// hop.bytes charge it once per physical segment traversed (a
+			// 2-hop datagram loads two Ethernets).
+			n.metrics.Counter(byteCounters[tr]).Add(uint64(ev.Size))
+			if hops, ok := n.Hops(ev.From.Host, ev.To.Host); ok && hops > 0 {
+				n.metrics.Counter("simnet.hop.crossings").Add(uint64(hops))
+				n.metrics.Counter("simnet.hop.bytes").Add(uint64(hops * ev.Size))
+			}
+		case ev.Kind == TapDrop && ev.Note == "injected":
+			n.metrics.Counter("simnet.injected.losses").Inc()
+		}
+	}
+	if n.journal != nil {
+		// Kinds up to tapConnClose describe a message or a circuit; the
+		// topology faults after it carry their whole detail in Note.
+		detail := ev.Note
+		if ev.Kind <= tapConnClose {
+			detail = fmt.Sprintf("%s %s->%s %dB", transports[tr], ev.From, ev.To, ev.Size)
+			if ev.Note != "" {
+				detail += " " + ev.Note
+			}
+		}
+		n.journal.AppendCtx(journalKinds[ev.Kind], ev.Host, detail, ev.Ctx.Trace, ev.Ctx.Span)
+	}
+	if n.tap != nil && ev.Kind <= TapConnBreak {
 		ev.At = n.sched.Now()
 		n.tap(ev)
 	}

@@ -3,6 +3,10 @@ package simnet
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"ppm/internal/journal"
+	"ppm/internal/metrics"
 )
 
 func TestTapSeesDatagramLifecycle(t *testing.T) {
@@ -138,5 +142,77 @@ func TestTapKindStrings(t *testing.T) {
 		if k.String() != s {
 			t.Fatalf("%d: %q", k, k.String())
 		}
+	}
+}
+
+// TestEveryEventFeedsCounterJournalAndTap: one emit per fact, three
+// views of it. Over a run with deliveries, every kind of drop, a
+// circuit opened, closed and broken, the tap's per-kind event counts
+// must equal the journal's record counts for the kinds the tap sees,
+// and each paired counter must equal the journal — including the
+// send-time drop of a message on a severed circuit, which used to be
+// counted and journaled but never tapped.
+func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
+	s, n := threeHostChain(t)
+	reg := metrics.New(nil)
+	n.SetMetrics(reg)
+	jr := journal.New(func() time.Duration { return s.Now().Duration() })
+	n.SetJournal(jr)
+	tc := n.Trace(0)
+
+	_ = n.HandleDatagram("b", 1, func(Addr, []byte) {})
+	n.SendDatagram(Addr{"a", 9}, Addr{"b", 1}, []byte("delivered"))
+	n.SendDatagram(Addr{"a", 9}, Addr{"b", 99}, []byte("no handler"))
+	client, server := dial(t, s, n, "a", Addr{"b", 2001})
+	server.SetHandler(func([]byte) {})
+	_ = client.Send([]byte("delivered"))
+	other, _ := dial(t, s, n, "a", Addr{"c", 2002})
+	other.Close()
+	if err := s.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Partition([]string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	n.SendDatagram(Addr{"a", 9}, Addr{"b", 1}, []byte("unreachable"))
+	_ = client.Send([]byte("severed")) // dropped at send time; breaks both ends
+	n.Heal()
+	if err := s.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+
+	records := map[journal.Kind]uint64{}
+	severed := false
+	for _, r := range jr.Records() {
+		records[r.Kind]++
+		severed = severed || (r.Kind == journal.NetDrop && strings.HasSuffix(r.Detail, " severed"))
+	}
+	if !severed {
+		t.Fatalf("scenario journaled no severed drop:\n%s", jr.Render())
+	}
+	tapped := map[TapKind]uint64{}
+	for _, ev := range tc.Events {
+		tapped[ev.Kind]++
+	}
+	for k := TapSend; k <= TapConnBreak; k++ {
+		if tapped[k] == 0 || tapped[k] != records[journalKinds[k]] {
+			t.Errorf("tap saw %d %v events, journal recorded %d %s", tapped[k], k, records[journalKinds[k]], journalKinds[k])
+		}
+	}
+	snap := reg.Snapshot()
+	for k, jk := range journalKinds {
+		if jk == "" || pairedCounters[k][0] == "" {
+			continue
+		}
+		counted := snap.Counter(pairedCounters[k][0])
+		if pairedCounters[k][1] != pairedCounters[k][0] {
+			counted += snap.Counter(pairedCounters[k][1])
+		}
+		if counted != records[jk] {
+			t.Errorf("%s counted %d, journal recorded %d %s", pairedCounters[k][0], counted, records[jk], jk)
+		}
+	}
+	if records[journal.NetCircuitClose] == 0 || records[journal.NetPartition] != 1 || records[journal.NetHeal] != 1 {
+		t.Errorf("journal-only kinds missing:\n%s", jr.Render())
 	}
 }

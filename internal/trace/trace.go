@@ -167,14 +167,6 @@ func (t *Tracer) StartSpan(host, name string, parent Context) *Span {
 	return t.record(parent.Trace, parent.Span, host, name, t.now())
 }
 
-// StartSpanAt is StartSpan with an explicit start instant.
-func (t *Tracer) StartSpanAt(host, name string, parent Context, start time.Duration) *Span {
-	if t == nil || !parent.Valid() {
-		return nil
-	}
-	return t.record(parent.Trace, parent.Span, host, name, start)
-}
-
 // AddSpan records a fully-formed span whose start and end are both
 // already known (per-hop network transit, whose schedule is computed at
 // send time).
@@ -288,7 +280,11 @@ func (t *Tracer) Reset() {
 // rendering is deterministic. Spans whose parent was dropped (buffer
 // cap) render as extra roots rather than disappearing.
 func (t *Tracer) Report(traceID uint64) string {
-	spans := t.SpansOf(traceID)
+	return t.report(traceID, t.SpansOf(traceID))
+}
+
+// report renders the spans of one trace (in creation order).
+func (t *Tracer) report(traceID uint64, spans []SpanData) string {
 	if len(spans) == 0 {
 		return fmt.Sprintf("trace %d: no spans\n", traceID)
 	}
@@ -344,18 +340,15 @@ func (t *Tracer) ReportAll() string {
 	if t == nil || len(t.spans) == 0 {
 		return "no traces recorded\n"
 	}
-	seen := make(map[uint64]bool)
-	var ids []uint64
+	// One pass groups the buffer by trace; rescanning it per trace made
+	// the report quadratic in the number of traces.
+	byTrace := make(map[uint64][]SpanData)
 	for _, s := range t.spans {
-		if !seen[s.Trace] {
-			seen[s.Trace] = true
-			ids = append(ids, s.Trace)
-		}
+		byTrace[s.Trace] = append(byTrace[s.Trace], s)
 	}
-	detord.Sort(ids)
 	var b strings.Builder
-	for _, id := range ids {
-		b.WriteString(t.Report(id))
+	for _, id := range detord.Keys(byTrace) {
+		b.WriteString(t.report(id, byTrace[id]))
 	}
 	return b.String()
 }

@@ -18,11 +18,8 @@ import (
 	"time"
 )
 
-// Encoding errors.
-var (
-	ErrShortBuffer = errors.New("wire: short buffer")
-	ErrInvalid     = errors.New("wire: invalid encoding")
-)
+// ErrShortBuffer reports a frame that ends before its declared content.
+var ErrShortBuffer = errors.New("wire: short buffer")
 
 // Encoder builds a binary message. The zero value is ready to use.
 type Encoder struct {

@@ -176,7 +176,7 @@ func OpJournalKind(t MsgType) journal.Kind {
 }
 
 // msgCounterNames precomputes the per-type metric counter names so the
-// per-frame accounting in EncodeCounted performs no string
+// per-frame accounting in EncodeLoggedTo performs no string
 // concatenation.
 var msgCounterNames = func() (t [len(msgNames)]struct{ msgs, bytes string }) {
 	for i, n := range msgNames {
@@ -280,33 +280,6 @@ func (ev Envelope) Encode() []byte {
 	return ev.EncodeTo(&e)
 }
 
-// count records one encoded frame in reg's wire family — one message
-// and size bytes under the envelope's type name ("wire.msgs.Hello",
-// "wire.bytes.Hello", ...).
-func (ev Envelope) count(reg *metrics.Registry, size int) {
-	if reg == nil {
-		return
-	}
-	if i := int(ev.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
-		reg.Counter(msgCounterNames[i].msgs).Inc()
-		reg.Counter(msgCounterNames[i].bytes).Add(uint64(size))
-		return
-	}
-	name := ev.Type.String()
-	reg.Counter("wire.msgs." + name).Inc()
-	reg.Counter("wire.bytes." + name).Add(uint64(size))
-}
-
-// EncodeCounted serializes the envelope and records it in reg's wire
-// family. Protocol send paths use this so every encoded frame is
-// accounted for exactly once, at the moment it is produced; a nil
-// registry makes it equivalent to Encode.
-func (ev Envelope) EncodeCounted(reg *metrics.Registry) []byte {
-	b := ev.Encode()
-	ev.count(reg, len(b))
-	return b
-}
-
 // sizeDetail renders "<Type> <n>B" without fmt, for the per-frame
 // journal records.
 func sizeDetail(t MsgType, n int) string {
@@ -314,25 +287,27 @@ func sizeDetail(t MsgType, n int) string {
 	return t.String() + " " + string(strconv.AppendInt(sz[:0], int64(n), 10)) + "B"
 }
 
-// EncodeLogged is EncodeCounted plus a flight-recorder record: the
-// frame lands in the journal under wire.encode, tagged with the
-// envelope kind, frame size and the envelope's own trace context, on
-// the host producing it. A nil journal makes it EncodeCounted.
-func (ev Envelope) EncodeLogged(reg *metrics.Registry, jr *journal.Journal, host string) []byte {
-	b := ev.EncodeCounted(reg)
-	if jr.Enabled() {
-		jr.AppendCtx(journal.WireEncode, host, sizeDetail(ev.Type, len(b)), ev.TraceID, ev.SpanID)
-	}
-	return b
-}
-
-// EncodeLoggedTo is EncodeLogged into a caller-supplied encoder: the
-// metered, journaled framing path without the per-frame buffer
-// allocation. The returned frame is owned by e (see EncodeTo); with a
-// pooled encoder it is valid only until PutEncoder.
+// EncodeLoggedTo is the send side's one observation point: it
+// serializes the envelope into e (see EncodeTo; with a pooled encoder
+// the frame is valid only until PutEncoder) and records the frame
+// exactly once, at the moment it is produced — one message and its
+// size under the envelope's type name in reg's wire family
+// ("wire.msgs.Hello", "wire.bytes.Hello", ...) and a wire.encode
+// journal record tagged with the type, frame size and the envelope's
+// own trace context on the host producing it. A nil registry or
+// journal skips that half.
 func (ev Envelope) EncodeLoggedTo(e *Encoder, reg *metrics.Registry, jr *journal.Journal, host string) []byte {
 	b := ev.EncodeTo(e)
-	ev.count(reg, len(b))
+	if reg != nil {
+		if i := int(ev.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
+			reg.Counter(msgCounterNames[i].msgs).Inc()
+			reg.Counter(msgCounterNames[i].bytes).Add(uint64(len(b)))
+		} else {
+			name := ev.Type.String()
+			reg.Counter("wire.msgs." + name).Inc()
+			reg.Counter("wire.bytes." + name).Add(uint64(len(b)))
+		}
+	}
 	if jr.Enabled() {
 		jr.AppendCtx(journal.WireEncode, host, sizeDetail(ev.Type, len(b)), ev.TraceID, ev.SpanID)
 	}
@@ -386,10 +361,11 @@ trailers:
 	return ev, nil
 }
 
-// DecodeEnvelopeLogged is DecodeEnvelope plus a flight-recorder record
-// on the receiving host: successfully parsed frames land in the journal
-// under wire.decode with the envelope kind and the decoded trace
-// context. A nil journal makes it DecodeEnvelope.
+// DecodeEnvelopeLogged is the receive side's one observation point:
+// DecodeEnvelope plus a wire.decode journal record on the receiving
+// host for every successfully parsed frame, tagged with the envelope
+// type, frame size and the decoded trace context. A nil journal makes
+// it DecodeEnvelope.
 func DecodeEnvelopeLogged(b []byte, jr *journal.Journal, host string) (Envelope, error) {
 	ev, err := DecodeEnvelope(b)
 	if err == nil && jr.Enabled() {

@@ -2,8 +2,9 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 	"time"
+
+	"ppm/internal/ring"
 )
 
 // DefaultReplyCacheWindow bounds retention when the caller passes no
@@ -28,21 +29,9 @@ type CachedReply struct {
 // retransmission of its operation can still arrive. A count bound
 // would let a burst of concurrent operations evict an entry while its
 // sender could still retransmit, silently re-executing a
-// non-idempotent request. Under the single-threaded simulation
-// insertion order is virtual-time order, so eviction inspects exactly
-// the expired entries and the cache behaves identically on every
-// same-seed run.
+// non-idempotent request.
 type ReplyCache struct {
-	window  time.Duration
-	entries map[string]CachedReply
-	order   []replyEntry // insertion order; order[head:] are live
-	head    int
-}
-
-// replyEntry is one slot of the age-eviction queue.
-type replyEntry struct {
-	key string
-	at  time.Duration // virtual insertion time
+	entries *ring.Window[CachedReply]
 }
 
 // NewReplyCache creates a cache retaining entries for the given window
@@ -51,10 +40,7 @@ func NewReplyCache(window time.Duration) *ReplyCache {
 	if window <= 0 {
 		window = DefaultReplyCacheWindow
 	}
-	return &ReplyCache{
-		window:  window,
-		entries: make(map[string]CachedReply),
-	}
+	return &ReplyCache{entries: ring.NewWindow[CachedReply](window)}
 }
 
 // OpKey names one operation for caching and journaling: the origin
@@ -74,62 +60,19 @@ func OpPrefix(origin string, inc uint64) string {
 }
 
 // Get returns the cached reply for an operation key, if present.
-func (c *ReplyCache) Get(key string) (CachedReply, bool) {
-	r, ok := c.entries[key]
-	return r, ok
-}
+func (c *ReplyCache) Get(key string) (CachedReply, bool) { return c.entries.Get(key) }
 
 // Put stores a reply under an operation key at virtual time now,
 // evicting entries that have outlived the window. Re-putting an
-// existing key overwrites in place without extending the order queue.
+// existing key overwrites in place without extending its retention.
 func (c *ReplyCache) Put(key string, t MsgType, body []byte, now time.Duration) {
-	c.evict(now)
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = CachedReply{Type: t, Body: body}
-		return
-	}
-	c.entries[key] = CachedReply{Type: t, Body: body}
-	c.order = append(c.order, replyEntry{key: key, at: now})
-}
-
-// evict drops entries older than the window. The queue is insertion
-// ordered, which is also virtual-time order, so only expired entries
-// (plus one) are inspected.
-func (c *ReplyCache) evict(now time.Duration) {
-	for c.head < len(c.order) {
-		e := c.order[c.head]
-		if now-e.at <= c.window {
-			break
-		}
-		c.head++
-		delete(c.entries, e.key)
-	}
-	// Reclaim the drained prefix once it dominates the slice, so the
-	// queue's footprint stays proportional to the live entries.
-	if c.head > len(c.order)/2 {
-		c.order = append([]replyEntry(nil), c.order[c.head:]...)
-		c.head = 0
-	}
+	c.entries.Put(key, CachedReply{Type: t, Body: body}, now)
 }
 
 // PurgePrefix drops every entry whose key begins with prefix (all
 // operations of one dead LPM incarnation, per OpPrefix) and reports
-// how many were dropped. The surviving queue keeps its order.
-func (c *ReplyCache) PurgePrefix(prefix string) int {
-	live := c.order[c.head:]
-	kept := make([]replyEntry, 0, len(live))
-	n := 0
-	for _, e := range live {
-		if strings.HasPrefix(e.key, prefix) {
-			delete(c.entries, e.key)
-			n++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	c.order, c.head = kept, 0
-	return n
-}
+// how many were dropped.
+func (c *ReplyCache) PurgePrefix(prefix string) int { return c.entries.PurgePrefix(prefix) }
 
 // Len returns the number of cached replies.
-func (c *ReplyCache) Len() int { return len(c.entries) }
+func (c *ReplyCache) Len() int { return c.entries.Len() }

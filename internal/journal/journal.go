@@ -16,8 +16,10 @@ package journal
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"ppm/internal/ring"
 )
@@ -124,8 +126,9 @@ const (
 	StatusReport  Kind = "status.report"
 )
 
-// kinds is the canonical list, in layer order.
-var kinds = []Kind{
+// kinds is the canonical list, in layer order. A ring entry stores a
+// kind as its position here.
+var kinds = [...]Kind{
 	NetSend, NetDeliver, NetDrop,
 	NetCircuitOpen, NetCircuitClose, NetCircuitBreak,
 	NetHostCrash, NetHostRestart, NetPartition, NetHeal,
@@ -203,19 +206,164 @@ func CounterName(k Kind, token string) string {
 	return name
 }
 
+// Detail is a record's detail as data: a layout and the few values it
+// renders, copied in by the constructors below at the instant of the
+// append. Nothing is formatted until a reader asks for the record, so
+// only values — strings, which are immutable, and integers — may ride
+// in a Detail; a site whose detail reads mutable state (a process
+// table, a host list, a stamp still being forwarded) renders it at
+// append and hands over the text.
+type Detail struct {
+	text, s1, s2 string
+	n1, n2, n3   int32 // ports, pids and frame sizes all fit
+	layout       layout
+	flag         bool
+	kind         uint8 // set by push, not by constructors: it rides in the padding so a ring entry stays 104 bytes
+}
+
+// layout selects how appendTo renders a Detail's slots.
+type layout uint8
+
+const (
+	layoutText layout = iota
+	layoutNetMessage
+	layoutWireFrame
+	layoutEventMessage
+	layoutControl
+	layoutOp
+)
+
+// transport names a message's transport: the first token of a net.*
+// message detail.
+func transport(circuit bool) string {
+	if circuit {
+		return "circuit"
+	}
+	return "datagram"
+}
+
+// appendTo is the layout table: it renders each layout append-style to
+// exactly the text the fmt call it replaced produced (quoted on each
+// row), so the audits below, the profiler and every golden journal
+// parse what they always did. A switch rather than a table of funcs:
+// through an indirect call the entry and the buffer would escape to the
+// heap on every render.
+func (d *Detail) appendTo(b []byte) []byte {
+	switch d.layout {
+	case layoutNetMessage:
+		// "%s %s:%d->%s:%d %dB" transport, from, to, size; " "+note if any.
+		b = append(append(b, transport(d.flag)...), ' ')
+		b = appendHostInt(b, d.s1, ':', d.n1)
+		b = append(b, "->"...)
+		b = appendHostInt(b, d.s2, ':', d.n2)
+		b = append(strconv.AppendInt(append(b, ' '), int64(d.n3), 10), 'B')
+		if d.text != "" {
+			b = append(append(b, ' '), d.text...)
+		}
+		return b
+	case layoutWireFrame:
+		// "%s %dB" message type, frame size.
+		b = append(append(b, d.s1...), ' ')
+		return append(strconv.AppendInt(b, int64(d.n1), 10), 'B')
+	case layoutEventMessage:
+		// "%s proc=<%s,%d>" event kind, process host and pid.
+		b = append(append(b, d.s1...), " proc=<"...)
+		return append(appendHostInt(b, d.s2, ',', d.n1), '>')
+	case layoutControl:
+		// "op=%s pid=%d ok=%t"
+		b = append(append(b, "op="...), d.s1...)
+		b = strconv.AppendInt(append(b, " pid="...), int64(d.n1), 10)
+		return strconv.AppendBool(append(b, " ok="...), d.flag)
+	case layoutOp:
+		// "user=%s op=%s type=%s"
+		b = append(append(b, "user="...), d.text...)
+		b = append(append(b, " op="...), d.s1...)
+		return append(append(b, " type="...), d.s2...)
+	default:
+		// layoutText: the cold sites' ready string, verbatim.
+		return append(b, d.text...)
+	}
+}
+
+func appendHostInt(b []byte, host string, sep byte, n int32) []byte {
+	return strconv.AppendInt(append(append(b, host...), sep), int64(n), 10)
+}
+
+// Text is a detail already rendered by its site.
+func Text(s string) Detail { return Detail{text: s} }
+
+// NetMessage details one message or circuit event between two
+// endpoints: "circuit vax1:7->vax2:512 14B", then the drop reason if
+// note is not empty.
+func NetMessage(circuit bool, fromHost string, fromPort uint16, toHost string, toPort uint16, size int, note string) Detail {
+	return Detail{layout: layoutNetMessage, flag: circuit, text: note,
+		s1: fromHost, n1: int32(fromPort), s2: toHost, n2: int32(toPort), n3: int32(size)}
+}
+
+// WireFrame details one encoded or decoded frame: "Control 37B".
+func WireFrame(msgType string, size int) Detail {
+	return Detail{layout: layoutWireFrame, s1: msgType, n1: int32(size)}
+}
+
+// EventMessage details one kernel-to-LPM event message: "stop
+// proc=<vax1,6>".
+func EventMessage(event, procHost string, pid int32) Detail {
+	return Detail{layout: layoutEventMessage, s1: event, s2: procHost, n1: pid}
+}
+
+// Control details one applied control operation: "op=stop pid=6
+// ok=true".
+func Control(op string, pid int32, ok bool) Detail {
+	return Detail{layout: layoutControl, s1: op, n1: pid, flag: ok}
+}
+
+// Op details the execution or replay of an at-most-once operation:
+// "user=alice op=vax1#30#7 type=Control".
+func Op(user, key, msgType string) Detail {
+	return Detail{layout: layoutOp, text: user, s1: key, s2: msgType}
+}
+
+// String renders the detail.
+func (d Detail) String() string {
+	if d.layout == layoutText {
+		return d.text
+	}
+	var buf [64]byte
+	return string(d.appendTo(buf[:0]))
+}
+
+// NumKinds is len(Kinds()): the size of a table indexed by Index.
+const NumKinds = len(kinds)
+
+var kindIndex = func() map[Kind]uint8 {
+	m := make(map[Kind]uint8, NumKinds)
+	for i, k := range kinds {
+		m[k] = uint8(i)
+	}
+	return m
+}()
+
 // Kinds returns the canonical list of record kinds.
 func Kinds() []Kind {
-	return append([]Kind(nil), kinds...)
+	return append([]Kind(nil), kinds[:]...)
 }
 
 // ValidKind reports whether k names a known record kind.
 func ValidKind(k Kind) bool {
-	for _, known := range kinds {
-		if k == known {
-			return true
-		}
+	_, ok := kindIndex[k]
+	return ok
+}
+
+// Index returns k's position in Kinds(), which the layers' per-kind
+// counter handles are indexed by. Appending or indexing a kind the
+// vocabulary does not hold is a bug the journalkind analyzer exists to
+// catch, so it panics.
+func Index(k Kind) int {
+	i, ok := kindIndex[k]
+	if !ok {
+		panic("journal: unregistered record kind " + strconv.Quote(string(k)))
 	}
-	return false
+	return int(i)
 }
 
 // Record is one flight-recorder entry.
@@ -232,20 +380,46 @@ type Record struct {
 // String renders the record as one canonical line. Two journals are
 // byte-identical iff their rendered lines are.
 func (r Record) String() string {
-	s := fmt.Sprintf("#%06d %-12s %-8s %-18s %s",
-		r.Seq, "T+"+r.At.String(), hostOrDash(r.Host), string(r.Kind), r.Detail)
-	s = strings.TrimRight(s, " ")
-	if r.Trace != 0 {
-		s += fmt.Sprintf(" [t=%d s=%d]", r.Trace, r.Span)
-	}
-	return s
+	var buf [128]byte
+	d := Text(r.Detail)
+	return string(appendLine(buf[:0], r.Seq, r.At, r.Kind, r.Host, r.Trace, r.Span, &d))
 }
 
-func hostOrDash(h string) string {
-	if h == "" {
-		return "-"
+// appendLine renders one canonical line, append-style:
+// "#%06d %-12s %-8s %-18s %s" of seq, "T+"+at, host or "-", kind and
+// the detail, trailing spaces trimmed, then " [t=%d s=%d]" when traced.
+func appendLine(b []byte, seq uint64, at time.Duration, kind Kind, host string, trace, span uint64, d *Detail) []byte {
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], seq, 10)
+	b = append(b, '#')
+	for n := len(digits); n < 6; n++ {
+		b = append(b, '0')
 	}
-	return h
+	b = append(append(b, digits...), " T+"...)
+	b = append(appendPadded(b, at.String(), 10), ' ')
+	if host == "" {
+		host = "-"
+	}
+	b = append(appendPadded(b, host, 8), ' ')
+	b = append(appendPadded(b, string(kind), 18), ' ')
+	b = d.appendTo(b)
+	for b[len(b)-1] == ' ' {
+		b = b[:len(b)-1]
+	}
+	if trace != 0 {
+		b = strconv.AppendUint(append(b, " [t="...), trace, 10)
+		b = append(strconv.AppendUint(append(b, " s="...), span, 10), ']')
+	}
+	return b
+}
+
+// appendPadded appends s left-justified in width columns, as %-*s does.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Field extracts the value of a key=value token from a record detail
@@ -272,18 +446,28 @@ const DefaultCapacity = 1 << 16
 type Journal struct {
 	now  func() time.Duration
 	span func() (trace, span uint64)
-	ring *ring.Buffer[Record]
+	ring *ring.Buffer[entry]
 	seq  uint64 // records ever appended; Seq of the newest record
+}
+
+// entry is a record as the ring holds it: no Seq (the ring position
+// gives it), the kind inside d, the detail unrendered. Its size is the
+// journal's retained heap per record (TestEntrySize).
+type entry struct {
+	at          time.Duration
+	trace, span uint64
+	host        string
+	d           Detail
 }
 
 // New creates a journal reading virtual time from now.
 func New(now func() time.Duration) *Journal {
-	return &Journal{now: now, ring: ring.NewBuffer[Record](DefaultCapacity)}
+	return &Journal{now: now, ring: ring.NewBuffer[entry](DefaultCapacity)}
 }
 
-// Enabled reports whether the flight recorder is wired at all. Hot
-// paths use it to skip building a record's detail string when the
-// append would be a no-op anyway.
+// Enabled reports whether the flight recorder is wired at all. Cold
+// sites use it to skip formatting a detail string when the append
+// would be a no-op anyway.
 func (j *Journal) Enabled() bool { return j != nil }
 
 // SetSpanSource installs the tracer cross-link: fn returns the active
@@ -302,7 +486,7 @@ func (j *Journal) SetCapacity(n int) {
 	if j == nil || n <= 0 || j.seq != 0 {
 		return
 	}
-	j.ring = ring.NewBuffer[Record](n)
+	j.ring = ring.NewBuffer[entry](n)
 }
 
 // Append records an event, stamping virtual time and the currently
@@ -317,7 +501,7 @@ func (j *Journal) Append(kind Kind, host, detail string) {
 	if j.span != nil {
 		tr, sp = j.span()
 	}
-	j.push(kind, host, detail, tr, sp)
+	j.AppendDetail(kind, host, Text(detail), tr, sp)
 }
 
 // AppendCtx records an event under an explicit trace context (the
@@ -326,19 +510,32 @@ func (j *Journal) Append(kind Kind, host, detail string) {
 //
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (j *Journal) AppendCtx(kind Kind, host, detail string, trace, span uint64) {
+	j.AppendDetail(kind, host, Text(detail), trace, span)
+}
+
+// AppendDetail is AppendCtx for a detail handed over as data: the one
+// way into the ring, which the string forms reach through Text.
+//
+//ppmlint:hotpath pin=TestJournalAppendZeroAllocs
+func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uint64) {
 	if j == nil {
 		return
 	}
-	j.push(kind, host, detail, trace, span)
+	d.kind = uint8(Index(kind))
+	j.seq++
+	j.ring.Push(entry{at: j.now(), trace: trace, span: span, host: host, d: d})
 }
 
-//ppmlint:hotpath pin=TestJournalAppendZeroAllocs
-func (j *Journal) push(kind Kind, host, detail string, trace, span uint64) {
-	j.seq++
-	j.ring.Push(Record{
-		Seq: j.seq, At: j.now(), Kind: kind, Host: host,
-		Trace: trace, Span: span, Detail: detail,
-	})
+// seqAt returns the Seq of the i-th retained entry, oldest first: the
+// newest is seq and the ring holds no gaps.
+func (j *Journal) seqAt(i int) uint64 { return j.seq - uint64(j.ring.Len()-i) + 1 }
+
+// record renders e, the i-th retained entry, oldest first.
+func (j *Journal) record(i int, e *entry) Record {
+	return Record{
+		Seq: j.seqAt(i), At: e.at, Kind: kinds[e.d.kind], Host: e.host,
+		Trace: e.trace, Span: e.span, Detail: e.d.String(),
+	}
 }
 
 // Len returns the number of retained records.
@@ -362,7 +559,12 @@ func (j *Journal) Records() []Record {
 	if j == nil {
 		return nil
 	}
-	return j.ring.Slice()
+	out := make([]Record, j.ring.Len())
+	for i := range out {
+		e := j.ring.At(i)
+		out[i] = j.record(i, &e)
+	}
+	return out
 }
 
 // Reset discards all retained records (the sequence counter keeps
@@ -383,11 +585,13 @@ type Filter struct {
 	Until time.Duration // records at or before this instant (0 = unbounded)
 }
 
-func (f Filter) match(r Record) bool {
+// match runs on the ring entry, so a record the filter rejects is never
+// rendered.
+func (f Filter) match(e *entry) bool {
 	if len(f.Kinds) > 0 {
-		ok := false
+		kind, ok := kinds[e.d.kind], false
 		for _, k := range f.Kinds {
-			if r.Kind == k || strings.HasPrefix(string(r.Kind), string(k)+".") {
+			if kind == k || strings.HasPrefix(string(kind), string(k)+".") {
 				ok = true
 				break
 			}
@@ -396,13 +600,13 @@ func (f Filter) match(r Record) bool {
 			return false
 		}
 	}
-	if f.Host != "" && r.Host != f.Host {
+	if f.Host != "" && e.host != f.Host {
 		return false
 	}
-	if r.At < f.Since {
+	if e.at < f.Since {
 		return false
 	}
-	if f.Until != 0 && r.At > f.Until {
+	if f.Until != 0 && e.at > f.Until {
 		return false
 	}
 	return true
@@ -416,8 +620,8 @@ func (j *Journal) Select(f Filter) []Record {
 	}
 	var out []Record
 	for i := 0; i < j.ring.Len(); i++ {
-		if r := j.ring.At(i); f.match(r) {
-			out = append(out, r)
+		if e := j.ring.At(i); f.match(&e) {
+			out = append(out, j.record(i, &e))
 		}
 	}
 	return out
@@ -426,12 +630,21 @@ func (j *Journal) Select(f Filter) []Record {
 // Render returns the canonical full-journal text: one line per retained
 // record. Byte-identical across same-seed runs.
 func (j *Journal) Render() string {
-	var b strings.Builder
+	lines, _ := j.lines(Filter{})
+	return string(lines)
+}
+
+// lines renders the retained records matching f, one line each,
+// straight from the ring entries, and counts them.
+func (j *Journal) lines(f Filter) (b []byte, n int) {
 	for i := 0; i < j.Len(); i++ {
-		b.WriteString(j.ring.At(i).String())
-		b.WriteByte('\n')
+		if e := j.ring.At(i); f.match(&e) {
+			b = appendLine(b, j.seqAt(i), e.at, kinds[e.d.kind], e.host, e.trace, e.span, &e.d)
+			b = append(b, '\n')
+			n++
+		}
 	}
-	return b.String()
+	return b, n
 }
 
 // Report renders the records matching the filter under a summary
@@ -440,13 +653,7 @@ func (j *Journal) Report(f Filter) string {
 	if j == nil {
 		return "=== journal === (disabled)\n"
 	}
-	sel := j.Select(f)
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== journal === (%d shown / %d retained, %d dropped)\n",
-		len(sel), j.Len(), j.Dropped())
-	for _, r := range sel {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	lines, shown := j.lines(f)
+	return fmt.Sprintf("=== journal === (%d shown / %d retained, %d dropped)\n%s",
+		shown, j.Len(), j.Dropped(), lines)
 }

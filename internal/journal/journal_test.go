@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func testJournal(capacity int) (*Journal, *time.Duration) {
@@ -487,9 +489,20 @@ func TestAuditStatusSweepCrashedHostReachable(t *testing.T) {
 	}
 }
 
+// A retained record costs the ring entry and nothing else, so the
+// entry's size is the journal's share of heap_live_mb: 65,536 of them
+// at 104 bytes are 6.5 MiB. Growing it is a memory regression on every
+// workload (PERFORMANCE.md).
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 104 {
+		t.Fatalf("ring entry is %d bytes, budget 104", got)
+	}
+}
+
 // TestJournalAppendZeroAllocs: once the ring is full, appending evicts
 // in place — the flight recorder's steady state (the //ppmlint:hotpath
-// pin for Append/AppendCtx/push) must stay off the allocator.
+// pin for Append/AppendCtx/AppendDetail) must stay off the allocator,
+// whichever form the detail arrives in.
 func TestJournalAppendZeroAllocs(t *testing.T) {
 	j, now := testJournal(64)
 	for i := 0; i < 64; i++ {
@@ -502,7 +515,58 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() {
 		j.Append(NetDeliver, "a", "steady")
 		j.AppendCtx(WireEncode, "a", "steady", 7, 9)
+		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v times per run, want 0", allocs)
+	}
+}
+
+// The canonical line is built append-style; this is the fmt form it
+// replaced, kept as the reference every reader's output is held to.
+func referenceLine(r Record) string {
+	host := r.Host
+	if host == "" {
+		host = "-"
+	}
+	s := fmt.Sprintf("#%06d %-12s %-8s %-18s %s", r.Seq, "T+"+r.At.String(), host, string(r.Kind), r.Detail)
+	s = strings.TrimRight(s, " ")
+	if r.Trace != 0 {
+		s += fmt.Sprintf(" [t=%d s=%d]", r.Trace, r.Span)
+	}
+	return s
+}
+
+func TestLineMatchesTheFmtReference(t *testing.T) {
+	ats := []time.Duration{0, 12500 * time.Nanosecond, 371286400 * time.Nanosecond, 3*time.Hour + 25*time.Minute + 45678*time.Microsecond}
+	seqs := []uint64{0, 7, 99999, 100000, 123456789}
+	hosts := []string{"", "a", "vax1", "exactly8", "a-host-name-longer-than-its-column", "hôte"}
+	details := []string{"", "x", "user=u peer=vax2  ", "trailing spaces in the middle  kept"}
+	j, now := testJournal(1 << 12)
+	var want []string
+	for _, kind := range []Kind{SnapshotTaken, NetSend, LPMSiblingReject} {
+		for i, at := range ats {
+			for _, host := range hosts {
+				for k, detail := range details {
+					r := Record{Seq: seqs[(i+k)%len(seqs)], At: at, Kind: kind, Host: host, Detail: detail}
+					if k%2 == 1 {
+						r.Trace, r.Span = uint64(i)+1, seqs[k]
+					}
+					if got, want := r.String(), referenceLine(r); got != want {
+						t.Fatalf("String() = %q, the fmt form gives %q", got, want)
+					}
+					*now = at
+					j.AppendCtx(kind, host, detail, r.Trace, r.Span)
+					r.Seq = uint64(len(want) + 1)
+					want = append(want, referenceLine(r)+"\n")
+				}
+			}
+		}
+	}
+	if got := j.Render(); got != strings.Join(want, "") {
+		t.Fatalf("Render() departs from the fmt form:\n%s", got)
+	}
+	head := fmt.Sprintf("=== journal === (%d shown / %d retained, 0 dropped)\n", len(want), len(want))
+	if got := j.Report(Filter{}); got != head+strings.Join(want, "") {
+		t.Fatalf("Report() departs from the fmt form:\n%s", got)
 	}
 }

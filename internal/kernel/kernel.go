@@ -111,6 +111,7 @@ type Host struct {
 	sched *sim.Scheduler
 
 	up      bool
+	boots   uint64 // bumped by Crash: work queued by one boot never completes on the next
 	procs   map[proc.PID]*Process
 	nextPID proc.PID
 
@@ -132,8 +133,11 @@ type Host struct {
 	// (the overhead benchmarks' subject; it has no journal kind or metric).
 	UntracedChecks int64
 
-	// Installation-wide metrics registry (nil unless SetMetrics ran).
-	metrics *metrics.Registry
+	// Installation-wide metrics registry (nil unless SetMetrics ran),
+	// and record's handles on its counters: one per record kind, and one
+	// per event kind for kernel.events.*.
+	metrics  *metrics.Registry
+	counters counterHandles
 
 	// Cluster-wide causal tracer (nil unless SetTracer ran).
 	tracer *trace.Tracer
@@ -169,7 +173,15 @@ func (h *Host) Name() string { return h.name }
 // SetMetrics installs the installation-wide metrics registry (the
 // kernel family: process lifecycle counts and the event-message
 // delivery histogram). A nil registry disables metrics.
-func (h *Host) SetMetrics(reg *metrics.Registry) { h.metrics = reg }
+func (h *Host) SetMetrics(reg *metrics.Registry) {
+	h.metrics, h.counters = reg, counterHandles{}
+}
+
+// counterHandles are record's counters, each resolved on first fire.
+type counterHandles struct {
+	byKind  [journal.NumKinds]*metrics.Counter
+	byEvent [proc.EvClose + 1]*metrics.Counter
+}
 
 // SetTracer installs the cluster-wide causal tracer. Kernel event
 // emission attaches delivery spans to whatever operation context is
@@ -181,18 +193,46 @@ func (h *Host) SetTracer(t *trace.Tracer) { h.tracer = t }
 // journal disables recording.
 func (h *Host) SetJournal(j *journal.Journal) { h.journal = j }
 
-// observe is the kernel's one observation point: it bumps the counter
+// observe records a process-lifecycle fact, formatting its detail only
+// when a journal is wired.
+func (h *Host) observe(kind journal.Kind, format string, args ...any) {
+	var d journal.Detail
+	if h.journal.Enabled() {
+		d = journal.Text(fmt.Sprintf(format, args...))
+	}
+	h.record(kind, &h.counters.byKind[journal.Index(kind)], "", d)
+}
+
+// observeEvent records one kernel-to-LPM event message, the kind of
+// fact that fires per process event: its values go to the journal as
+// they are.
+//
+//ppmlint:hotpath pin=TestObserveEventZeroAllocs
+func (h *Host) observeEvent(ev proc.Event) {
+	var uncached *metrics.Counter // an event kind outside the table: resolved by name each time
+	slot, kind := &uncached, ev.Kind.String()
+	if uint(ev.Kind) < uint(len(h.counters.byEvent)) {
+		slot = &h.counters.byEvent[ev.Kind]
+	}
+	h.record(journal.KernelEvent, slot, kind, journal.EventMessage(kind, ev.Proc.Host, int32(ev.Proc.PID)))
+}
+
+// record is the kernel's one observation point: it bumps the counter
 // journal.CounterName pairs with kind (token selects it for the kinds
 // counted per first detail token) and appends the record on this host
-// under the ambient trace span. The detail is only formatted when a
-// journal is wired.
-func (h *Host) observe(kind journal.Kind, token, format string, args ...any) {
-	if name := journal.CounterName(kind, token); name != "" {
-		h.metrics.Counter(name).Inc()
+// under the ambient trace span. slot is the caller's handle for that
+// counter, resolved here on first fire.
+//
+//ppmlint:hotpath pin=TestObserveEventZeroAllocs
+func (h *Host) record(kind journal.Kind, slot **metrics.Counter, token string, d journal.Detail) {
+	if *slot == nil && h.metrics != nil {
+		if name := journal.CounterName(kind, token); name != "" {
+			*slot = h.metrics.Counter(name)
+		}
 	}
-	if h.journal.Enabled() {
-		h.journal.Append(kind, h.name, fmt.Sprintf(format, args...))
-	}
+	(*slot).Inc()
+	ctx := h.tracer.Active()
+	h.journal.AppendDetail(kind, h.name, d, ctx.Trace, ctx.Span)
 }
 
 // Model returns the host's CPU model.
@@ -247,8 +287,9 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 		start = h.busyUntil
 	}
 	h.busyUntil = start.Add(scaled)
+	boot := h.boots
 	h.sched.At(h.busyUntil, func() {
-		if h.up && fn != nil {
+		if h.boots == boot && fn != nil {
 			fn()
 		}
 	})
@@ -282,7 +323,7 @@ func (h *Host) Spawn(name, user string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[p.PID] = p
-	h.observe(journal.KernelSpawn, "", "pid=%d name=%s user=%s", p.PID, name, user)
+	h.observe(journal.KernelSpawn, "pid=%d name=%s user=%s", p.PID, name, user)
 	return p, nil
 }
 
@@ -320,7 +361,7 @@ func (h *Host) Fork(parentPID proc.PID, name string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[child.PID] = child
-	h.observe(journal.KernelFork, "", "parent=%d child=%d name=%s", parent.PID, child.PID, name)
+	h.observe(journal.KernelFork, "parent=%d child=%d name=%s", parent.PID, child.PID, name)
 	parent.Rusage.Syscalls++
 	h.emit(parent, proc.Event{
 		Kind:  proc.EvFork,
@@ -344,7 +385,7 @@ func (h *Host) SetLogicalParent(pid proc.PID, parent proc.GPID) error {
 	if !parent.IsZero() {
 		ps = parent.String()
 	}
-	h.observe(journal.KernelSetParent, "", "pid=%d parent=%s", pid, ps)
+	h.observe(journal.KernelSetParent, "pid=%d parent=%s", pid, ps)
 	return nil
 }
 
@@ -383,7 +424,7 @@ func (h *Host) Exit(pid proc.PID, code int) error {
 	p.State = proc.Exited
 	p.ExitCode = code
 	p.ExitedAt = h.sched.Now()
-	h.observe(journal.KernelExit, "", "pid=%d code=%d", pid, code)
+	h.observe(journal.KernelExit, "pid=%d code=%d", pid, code)
 	h.setRunnable(p, false)
 	h.emit(p, proc.Event{
 		Kind:   proc.EvExit,
@@ -437,7 +478,7 @@ func (h *Host) Signal(pid proc.PID, sig proc.Signal) error {
 		p.State = proc.Exited
 		p.ExitCode = 128 + int(sig)
 		p.ExitedAt = h.sched.Now()
-		h.observe(journal.KernelExit, "", "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
+		h.observe(journal.KernelExit, "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
 		h.setRunnable(p, false)
 		h.emit(p, proc.Event{
 			Kind: proc.EvExit, Proc: proc.GPID{Host: h.name, PID: pid},
@@ -677,7 +718,7 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 		return
 	}
 	ev.At = h.sched.Now().Duration()
-	h.observe(journal.KernelEvent, ev.Kind.String(), "%s proc=%s", ev.Kind, ev.Proc)
+	h.observeEvent(ev)
 	delay := h.model.KernelMsgDelivery(h.LoadAvg())
 	h.metrics.Histogram("kernel.delivery").Observe(delay)
 	// Attribute the 112-byte message's delivery window to the operation
@@ -798,6 +839,7 @@ func (h *Host) Crash() {
 		return
 	}
 	h.up = false
+	h.boots++
 	h.procs = make(map[proc.PID]*Process)
 	h.sinks = make(map[string]func(proc.Event))
 	h.runq = 0

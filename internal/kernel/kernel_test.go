@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ppm/internal/calib"
+	"ppm/internal/journal"
 	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/sim"
@@ -581,5 +582,55 @@ func TestRSSModelGrowsAndCaps(t *testing.T) {
 	}
 	if p.Rusage.MaxRSSKB != 1024 {
 		t.Fatalf("rss should cap at 1024, got %d", p.Rusage.MaxRSSKB)
+	}
+}
+
+// CPU work queued by one boot must not complete on the next: the
+// software that queued it died in the crash.
+func TestExecCPUDoesNotSurviveCrash(t *testing.T) {
+	s, h := newHost(t)
+	ran := false
+	h.ExecCPU(40*time.Millisecond, func() { ran = true })
+	s.After(time.Millisecond, h.Crash)
+	s.After(2*time.Millisecond, h.Restart)
+	if err := s.RunUntilIdle(10000); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Fatal("work queued before the crash ran on the restarted host")
+	}
+}
+
+// TestObserveEventZeroAllocs pins the per-event observation — counter
+// handle, typed journal entry — at zero allocations with the registry
+// and the journal both wired, for a tabled event kind and for one
+// outside the table once its counter exists.
+func TestObserveEventZeroAllocs(t *testing.T) {
+	s, h := newHost(t)
+	reg := metrics.New(func() time.Duration { return s.Now().Duration() })
+	j := journal.New(func() time.Duration { return s.Now().Duration() })
+	j.SetCapacity(64)
+	h.SetMetrics(reg)
+	h.SetJournal(j)
+	stop := proc.Event{Kind: proc.EvStop, Proc: proc.GPID{Host: "vax1", PID: 12345}}
+	odd := proc.Event{Kind: proc.EvClose + 7, Proc: stop.Proc}
+	for i := 0; i < 64; i++ {
+		h.observeEvent(stop)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { h.observeEvent(stop) }); allocs != 0 {
+		t.Fatalf("observeEvent allocates %v times per event, want 0", allocs)
+	}
+	recs := j.Records()
+	if got, want := recs[len(recs)-1].Detail, "stop proc=<vax1,12345>"; got != want {
+		t.Fatalf("detail %q, want %q", got, want)
+	}
+	h.observeEvent(odd)
+	h.observeEvent(odd)
+	snap := reg.Snapshot()
+	if got := snap.Counter("kernel.events.stop"); got != 64+201 {
+		t.Fatalf("kernel.events.stop = %d, want %d", got, 64+201)
+	}
+	if got := snap.Counter("kernel.events." + odd.Kind.String()); got != 2 {
+		t.Fatalf("kernel.events.%s = %d, want 2", odd.Kind, got)
 	}
 }

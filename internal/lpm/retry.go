@@ -39,7 +39,7 @@ func retryable(err error) bool {
 func (l *LPM) remoteCall(ctx trace.Context, host string, t wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
 	if _, ok := l.siblings[host]; !ok && l.cfg.UseRelay {
 		if path, ok := l.routes[host]; ok && len(path) > 1 {
-			if fsb, ok := l.siblings[path[0]]; ok && fsb.authed && fsb.conn.Open() {
+			if fsb, ok := l.siblings[path[0]]; ok && fsb.conn.Open() {
 				l.relayCall(ctx, host, t, body, path, cb)
 				return
 			}
@@ -86,7 +86,7 @@ func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body
 				cb(wire.Envelope{}, ErrExited)
 				return
 			}
-			if sb, ok := l.siblings[host]; !ok || !sb.authed || !sb.conn.Open() {
+			if sb, ok := l.siblings[host]; !ok || !sb.conn.Open() {
 				l.observe(journal.LPMRedial, ctx, "user=%s peer=%s reason=retry", l.user.Name, host)
 			}
 			l.callWithRetry(ctx, host, t, body, op, next, cb)
@@ -98,7 +98,7 @@ func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body
 // one on demand.
 func (l *LPM) directCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
 	op uint64, cb func(wire.Envelope, error)) {
-	if sb, ok := l.siblings[host]; ok && sb.authed && sb.conn.Open() {
+	if sb, ok := l.siblings[host]; ok && sb.conn.Open() {
 		l.sendRequest(ctx, sb, t, body, op, cb)
 		return
 	}

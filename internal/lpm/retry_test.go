@@ -375,3 +375,49 @@ func TestBackoffSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordZeroAllocs pins the LPM's observation point on the facts
+// that fire per remote operation — the applied control and the
+// at-most-once execution marker — at zero allocations with the registry
+// and the journal both wired; one kind with a paired counter rides
+// along to hold the handle path to the same.
+func TestRecordZeroAllocs(t *testing.T) {
+	w := newWorld(t, Config{}, []string{"vax1"})
+	reg := installMetrics(w)
+	j := installJournal(w)
+	j.SetCapacity(64)
+	l := w.attach("vax1", w.user("felipe", "vax1"))
+	ctx := trace.Context{Trace: 7, Span: 9}
+	key := wire.OpKey("vax2", 30, 7)
+	fire := func() {
+		l.record(journal.LPMControl, ctx, journal.Control(wire.OpStop.String(), 12345, true))
+		l.record(journal.LPMOpExec, ctx, journal.Op(l.user.Name, key, wire.MsgControl.String()))
+		l.record(journal.LPMOpReplay, ctx, journal.Op(l.user.Name, key, wire.MsgControlResp.String()))
+	}
+	for i := 0; i < 64; i++ {
+		fire()
+	}
+	before := w.counter("lpm.dedup.replays")
+	if allocs := testing.AllocsPerRun(200, fire); allocs != 0 {
+		t.Fatalf("record allocates %v times per three facts, want 0", allocs)
+	}
+	if got := w.counter("lpm.dedup.replays") - before; got != 201 {
+		t.Fatalf("lpm.dedup.replays moved by %d over 201 replays", got)
+	}
+	recs := j.Records()
+	want := []string{
+		"op=stop pid=12345 ok=true",
+		"user=felipe op=vax2#30#7 type=Control",
+		"user=felipe op=vax2#30#7 type=ControlResp",
+	}
+	for i, r := range recs[len(recs)-3:] {
+		if r.Detail != want[i] || r.Trace != 7 || r.Span != 9 {
+			t.Errorf("record %v, want detail %q under [t=7 s=9]", r, want[i])
+		}
+	}
+	// The kinds without a paired counter must not have registered one
+	// under their empty counter name.
+	if got := reg.Snapshot().Counter(""); got != 0 {
+		t.Fatalf("the unpaired kinds counted %d under the empty name:\n%s", got, reg.Report())
+	}
+}

@@ -166,7 +166,7 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	if l.circuits[host] != circuitAuthenticating {
 		l.circuitTransition(host, circuitAuthenticating, "hello-in", l.chanKey(conn))
 	}
-	sb := &sibling{host: host, conn: conn, authed: true, inc: inc, openedAt: l.sched.Now()}
+	sb := &sibling{host: host, conn: conn, inc: inc, openedAt: l.sched.Now()}
 	sb.det = detect.New(l.cfg.Detector, l.sched.Now().Duration())
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
@@ -243,7 +243,7 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 		cb(nil, fmt.Errorf("%w: self-connection", ErrBadRequest))
 		return
 	}
-	if sb, ok := l.siblings[host]; ok && sb.authed && sb.conn.Open() {
+	if sb, ok := l.siblings[host]; ok && sb.conn.Open() {
 		l.sched.Defer(func() { cb(sb, nil) })
 		return
 	}

@@ -50,6 +50,18 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Handle returns the counter registered under name through *h, a slot
+// the caller keeps, so a site that fires per message pays the name
+// lookup once. The slot is filled on first fire, not at construction: a
+// counter nothing bumped stays out of the report. The caller clears its
+// slots when it is handed another registry.
+func (r *Registry) Handle(h **Counter, name string) *Counter {
+	if *h == nil && r != nil {
+		*h = r.Counter(name)
+	}
+	return *h
+}
+
 // Gauge returns (creating on first use) the gauge registered under name.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

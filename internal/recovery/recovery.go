@@ -61,9 +61,6 @@ type Env interface {
 	// TerminateAll is the time-to-die action: kill all the user's local
 	// processes and exit the LPM.
 	TerminateAll()
-	// HaveSiblings reports whether any sibling circuit is up (the CCS
-	// time-to-live freeze condition).
-	HaveSiblings() bool
 	// RedialSibling re-establishes the sibling circuit to a previously
 	// lost host (after a partition heals), reporting whether a circuit
 	// is up afterwards.

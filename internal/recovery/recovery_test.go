@@ -13,7 +13,6 @@ type fakeEnv struct {
 	sched     *sim.Scheduler
 	host      string
 	reachable map[string]bool
-	siblings  bool
 
 	probes     []string
 	connects   []string
@@ -42,7 +41,6 @@ func (f *fakeEnv) ConnectCCS(host string, cb func(bool)) {
 
 func (f *fakeEnv) AnnounceCCS(host string) { f.announced = append(f.announced, host) }
 func (f *fakeEnv) TerminateAll()           { f.terminated = true }
-func (f *fakeEnv) HaveSiblings() bool      { return f.siblings }
 
 func (f *fakeEnv) RedialSibling(host string, cb func(bool)) {
 	f.redials = append(f.redials, host)

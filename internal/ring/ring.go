@@ -15,15 +15,35 @@ import (
 // overwrites the oldest in O(1).
 type Buffer[T any] struct {
 	capacity int
-	buf      []T
-	start    int // index of the oldest element
-	count    int
+	// chunks are blocks of chunkLen slots (the last one shorter when the
+	// bound is not a multiple), added as the buffer first fills: a large
+	// bound costs nothing until it is used, and growing neither copies
+	// what is held nor keeps more than one block of slack.
+	chunks [][]T
+	// flat replaces chunks the moment the buffer first fills: one array
+	// of exactly capacity slots, which wastes nothing on allocator size
+	// classes — what a ring that runs full for the rest of its life
+	// should cost.
+	flat  []T
+	start int // slot of the oldest element
+	count int
 }
+
+// chunkLen is the number of slots in a block: 4 KiB of kernel events,
+// 3.3 KiB of journal entries.
+const chunkLen = 32
 
 // NewBuffer creates a buffer retaining at most capacity elements
 // (capacity must be positive).
 func NewBuffer[T any](capacity int) *Buffer[T] {
 	return &Buffer[T]{capacity: capacity}
+}
+
+func (b *Buffer[T]) slot(i int) *T {
+	if b.flat != nil {
+		return &b.flat[i]
+	}
+	return &b.chunks[i/chunkLen][i%chunkLen]
 }
 
 // Push appends v and reports whether the oldest element was
@@ -32,38 +52,42 @@ func NewBuffer[T any](capacity int) *Buffer[T] {
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (b *Buffer[T]) Push(v T) (evicted bool) {
 	if b.count == b.capacity {
-		b.buf[b.start] = v
+		*b.slot(b.start) = v
 		b.start = (b.start + 1) % b.capacity
 		return true
 	}
-	// Until the buffer first fills, start stays 0 and the elements
-	// occupy buf[0:count], so the backing array grows on demand instead
-	// of committing capacity slots up front.
-	if idx := (b.start + b.count) % b.capacity; idx < len(b.buf) {
-		b.buf[idx] = v
-	} else {
-		if len(b.buf) == cap(b.buf) {
-			b.grow()
-		}
-		b.buf = append(b.buf, v)
+	// Below capacity start is 0 (only eviction moves it, Reset zeroes
+	// it) and the elements occupy slots [0, count).
+	if b.flat == nil && b.count == len(b.chunks)*chunkLen {
+		b.grow()
 	}
+	*b.slot(b.count) = v
 	b.count++
+	if b.count == b.capacity && b.flat == nil {
+		b.flatten()
+	}
 	return false
 }
 
-// grow doubles the backing array, never past the bound: a full buffer
-// holds exactly capacity slots, not whatever append would round up to.
+// grow adds the next block, never past the bound: a full buffer holds
+// exactly capacity slots.
 func (b *Buffer[T]) grow() {
-	grown := make([]T, len(b.buf), min(max(2*cap(b.buf), 8), b.capacity))
-	copy(grown, b.buf)
-	b.buf = grown
+	b.chunks = append(b.chunks, make([]T, min(chunkLen, b.capacity-len(b.chunks)*chunkLen)))
+}
+
+func (b *Buffer[T]) flatten() {
+	b.flat = make([]T, 0, b.capacity)
+	for _, c := range b.chunks {
+		b.flat = append(b.flat, c...)
+	}
+	b.chunks = nil
 }
 
 // Len returns the number of retained elements.
 func (b *Buffer[T]) Len() int { return b.count }
 
 // At returns the i-th retained element, oldest first.
-func (b *Buffer[T]) At(i int) T { return b.buf[(b.start+i)%b.capacity] }
+func (b *Buffer[T]) At(i int) T { return *b.slot((b.start + i) % b.capacity) }
 
 // Slice copies the retained elements out, oldest first.
 func (b *Buffer[T]) Slice() []T {
@@ -74,7 +98,7 @@ func (b *Buffer[T]) Slice() []T {
 	return out
 }
 
-// Reset discards every retained element, keeping the backing array.
+// Reset discards every retained element, keeping the slots.
 func (b *Buffer[T]) Reset() { b.start, b.count = 0, 0 }
 
 // Window is a string-keyed map whose entries are dropped once they

@@ -56,22 +56,53 @@ func TestBuffer(t *testing.T) {
 			if evicted != tc.evicted {
 				t.Fatalf("evicted %d, want %d", evicted, tc.evicted)
 			}
-			if cap(b.buf) > tc.capacity {
-				t.Fatalf("backing array grew to %d slots under a bound of %d", cap(b.buf), tc.capacity)
+			if n := slots(b); n > tc.capacity {
+				t.Fatalf("the buffer grew to %d slots under a bound of %d", n, tc.capacity)
 			}
 		})
 	}
 }
 
+// slots counts the slots b has allocated.
+func slots[T any](b *Buffer[T]) int {
+	n := cap(b.flat)
+	for _, c := range b.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
 // TestBufferGrowsOnDemand: a large bound costs nothing until it is
-// used — the backing array tracks the retained count, not the bound.
+// used — the slots track the retained count a block at a time, not the
+// bound, and a bound that is not a whole number of blocks is still met
+// exactly.
 func TestBufferGrowsOnDemand(t *testing.T) {
 	b := NewBuffer[int](1 << 16)
 	for v := 0; v < 10; v++ {
 		b.Push(v)
 	}
-	if cap(b.buf) > 16 {
-		t.Fatalf("10 elements under a 64Ki bound hold %d slots", cap(b.buf))
+	if n := slots(b); n > chunkLen {
+		t.Fatalf("10 elements under a 64Ki bound hold %d slots", n)
+	}
+	for v := 10; v < 3*chunkLen+1; v++ {
+		b.Push(v)
+	}
+	if n := slots(b); n != 4*chunkLen {
+		t.Fatalf("%d elements hold %d slots, want %d", 3*chunkLen+1, n, 4*chunkLen)
+	}
+
+	const bound = 2*chunkLen + 5
+	b = NewBuffer[int](bound)
+	for v := 0; v < 3*bound; v++ {
+		b.Push(v)
+	}
+	if n := slots(b); n != bound || b.chunks != nil {
+		t.Fatalf("a full buffer bounded at %d holds %d slots, %d of them in blocks", bound, n, n-cap(b.flat))
+	}
+	for i, want := 0, 2*bound; i < bound; i, want = i+1, want+1 {
+		if got := b.At(i); got != want {
+			t.Fatalf("At(%d) = %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,7 +46,10 @@ type Addr struct {
 }
 
 // String renders host:port.
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
+func (a Addr) String() string {
+	var buf [32]byte
+	return string(strconv.AppendUint(append(append(buf[:0], a.Host...), ':'), uint64(a.Port), 10))
+}
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
@@ -92,6 +96,7 @@ type Network struct {
 	dirty    bool // routes need recompute
 	connSeq  uint64
 	metrics  *metrics.Registry
+	counters counterHandles
 	tracer   *trace.Tracer
 	journal  *journal.Journal
 	tap      func(TapEvent)
@@ -122,7 +127,9 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 // layers above: daemons and LPMs reach the registry through their
 // *Network, so instrumenting them needs no constructor changes. A nil
 // registry (the default) disables metrics.
-func (n *Network) SetMetrics(reg *metrics.Registry) { n.metrics = reg }
+func (n *Network) SetMetrics(reg *metrics.Registry) {
+	n.metrics, n.counters = reg, counterHandles{}
+}
 
 // Metrics returns the registry installed with SetMetrics (possibly
 // nil; all registry methods tolerate that).

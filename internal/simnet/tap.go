@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ppm/internal/journal"
+	"ppm/internal/metrics"
 	"ppm/internal/sim"
 	"ppm/internal/trace"
 )
@@ -98,6 +99,13 @@ var pairedCounters = func() (t [len(journalKinds)][2]string) {
 
 var byteCounters = [2]string{"simnet.datagram.bytes", "simnet.circuit.bytes"}
 
+// counterHandles are emit's counters, each resolved on first fire.
+type counterHandles struct {
+	paired                 [len(journalKinds)][2]*metrics.Counter
+	bytes                  [2]*metrics.Counter
+	hopCrossings, hopBytes *metrics.Counter
+}
+
 // SetTap installs a network observer; nil removes it. The tap sees
 // datagram and circuit traffic, drops, circuit openings and breaks.
 func (n *Network) SetTap(fn func(TapEvent)) { n.tap = fn }
@@ -106,6 +114,11 @@ func (n *Network) SetTap(fn func(TapEvent)) { n.tap = fn }
 // is one TapEvent handed here once, from which the paired counter
 // (plus, for a send, the byte and per-hop load counters), the net.*
 // journal line on the observing host and the tap callback all derive.
+// The counters are reached through handles and the journal is handed
+// the event's values, so a wired registry and journal cost an event no
+// allocation.
+//
+//ppmlint:hotpath pin=TestEmitZeroAllocs
 func (n *Network) emit(ev TapEvent) {
 	tr := 0
 	if ev.Circuit {
@@ -113,34 +126,29 @@ func (n *Network) emit(ev TapEvent) {
 	}
 	if n.metrics != nil {
 		if name := pairedCounters[ev.Kind][tr]; name != "" {
-			n.metrics.Counter(name).Inc()
+			n.metrics.Handle(&n.counters.paired[ev.Kind][tr], name).Inc()
 		}
 		switch {
 		case ev.Kind == TapSend:
 			// <transport>.bytes counts the message once; hop.crossings /
 			// hop.bytes charge it once per physical segment traversed (a
 			// 2-hop datagram loads two Ethernets).
-			n.metrics.Counter(byteCounters[tr]).Add(uint64(ev.Size))
+			n.metrics.Handle(&n.counters.bytes[tr], byteCounters[tr]).Add(uint64(ev.Size))
 			if hops, ok := n.Hops(ev.From.Host, ev.To.Host); ok && hops > 0 {
-				n.metrics.Counter("simnet.hop.crossings").Add(uint64(hops))
-				n.metrics.Counter("simnet.hop.bytes").Add(uint64(hops * ev.Size))
+				n.metrics.Handle(&n.counters.hopCrossings, "simnet.hop.crossings").Add(uint64(hops))
+				n.metrics.Handle(&n.counters.hopBytes, "simnet.hop.bytes").Add(uint64(hops * ev.Size))
 			}
 		case ev.Kind == TapDrop && ev.Note == "injected":
 			n.metrics.Counter("simnet.injected.losses").Inc()
 		}
 	}
-	if n.journal != nil {
-		// Kinds up to tapConnClose describe a message or a circuit; the
-		// topology faults after it carry their whole detail in Note.
-		detail := ev.Note
-		if ev.Kind <= tapConnClose {
-			detail = fmt.Sprintf("%s %s->%s %dB", transports[tr], ev.From, ev.To, ev.Size)
-			if ev.Note != "" {
-				detail += " " + ev.Note
-			}
-		}
-		n.journal.AppendCtx(journalKinds[ev.Kind], ev.Host, detail, ev.Ctx.Trace, ev.Ctx.Span)
+	// Kinds up to tapConnClose describe a message or a circuit; the
+	// topology faults after it carry their whole detail in Note.
+	detail := journal.Text(ev.Note)
+	if ev.Kind <= tapConnClose {
+		detail = journal.NetMessage(ev.Circuit, ev.From.Host, ev.From.Port, ev.To.Host, ev.To.Port, ev.Size, ev.Note)
 	}
+	n.journal.AppendDetail(journalKinds[ev.Kind], ev.Host, detail, ev.Ctx.Trace, ev.Ctx.Span)
 	if n.tap != nil && ev.Kind <= TapConnBreak {
 		ev.At = n.sched.Now()
 		n.tap(ev)

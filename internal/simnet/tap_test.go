@@ -216,3 +216,65 @@ func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
 		t.Errorf("journal-only kinds missing:\n%s", jr.Render())
 	}
 }
+
+// TestEmitZeroAllocs pins the network's observation point at zero
+// allocations per event with the registry and the journal both wired:
+// counter handles instead of name lookups, values instead of text.
+func TestEmitZeroAllocs(t *testing.T) {
+	s, n := threeHostChain(t)
+	n.SetMetrics(metrics.New(nil))
+	jr := journal.New(func() time.Duration { return s.Now().Duration() })
+	jr.SetCapacity(64)
+	n.SetJournal(jr)
+	ev := TapEvent{From: Addr{"a", 9}, To: Addr{"c", 65535}, Size: 10000, Circuit: true}
+	events := []TapEvent{ev.as(TapSend, "a", ""), ev.as(TapDeliver, "c", ""), ev.as(TapDrop, "c", "lost")}
+	fire := func() {
+		for _, ev := range events {
+			n.emit(ev)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		fire()
+	}
+	if allocs := testing.AllocsPerRun(200, fire); allocs != 0 {
+		t.Fatalf("emit allocates %v times per three events, want 0", allocs)
+	}
+	recs := jr.Records()
+	if got, want := recs[len(recs)-1].Detail, "circuit a:9->c:65535 10000B lost"; got != want {
+		t.Fatalf("detail %q, want %q", got, want)
+	}
+}
+
+// Journal lines are rendered when read, from values copied at the
+// append: whatever happens afterwards to the things a record describes
+// — the circuit closed, the host crashed, the pooled delivery buffer
+// reused by later traffic — the lines already written stay as they were.
+func TestJournalLinesSurviveTheirSources(t *testing.T) {
+	s, n := threeHostChain(t)
+	jr := journal.New(func() time.Duration { return s.Now().Duration() })
+	n.SetJournal(jr)
+	_ = n.HandleDatagram("b", 1, func(Addr, []byte) {})
+	payload := []byte("first payload")
+	n.SendDatagram(Addr{"a", 9}, Addr{"b", 1}, payload)
+	client, server := dial(t, s, n, "a", Addr{"b", 2001})
+	server.SetHandler(func([]byte) {})
+	_ = client.Send(payload)
+	if err := s.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+	before := jr.Render()
+
+	copy(payload, "XXXXXXXXXXXXX")
+	client.Close()
+	n.Crash("b")
+	_ = n.Restart("b")
+	for i := 0; i < 8; i++ {
+		n.SendDatagram(Addr{"c", 7}, Addr{"a", 1}, []byte("later traffic reusing the buffers"))
+	}
+	if err := s.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+	if after := jr.Render(); !strings.HasPrefix(after, before) || after == before {
+		t.Fatalf("the lines written first changed (or nothing was added):\n--- before\n%s--- after\n%s", before, after)
+	}
+}

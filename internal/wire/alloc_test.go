@@ -2,7 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
+
+	"ppm/internal/journal"
+	"ppm/internal/metrics"
 )
 
 // opLessEnvelope is the frame shape of the overwhelming majority of
@@ -150,5 +155,53 @@ func TestMsgTypeStringTable(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MsgType.String: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestLoggedCodecZeroAllocs pins the two wire observation points with
+// the registry and the journal both wired: counting and journaling a
+// frame add no allocation to encoding or decoding it. A frame with a
+// body still pays DecodeEnvelope's one body copy, journal or no
+// journal.
+func TestLoggedCodecZeroAllocs(t *testing.T) {
+	reg := metrics.New(nil)
+	jr := journal.New(func() time.Duration { return 0 })
+	jr.SetCapacity(64)
+	ev := opLessEnvelope()
+	ev.TraceID, ev.SpanID = 7, 9
+	bodyless := Envelope{Type: MsgPing, ReqID: 1}.Encode()
+	enc := NewEncoder(ev.EncodedSize())
+	run := func() {
+		enc.Reset()
+		ev.EncodeLoggedTo(enc, reg, jr, "vax1")
+		if _, err := DecodeEnvelopeLogged(bodyless, jr, "vax2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("logged encode + decode: %.1f allocs/op, want 0", allocs)
+	}
+	recs := jr.Records()
+	want := fmt.Sprintf("Control %dB", len(ev.Encode()))
+	if got := recs[len(recs)-2]; got.Detail != want || got.Kind != journal.WireEncode || got.Trace != 7 || got.Span != 9 {
+		t.Fatalf("encode record %v", got)
+	}
+	if got, want := recs[len(recs)-1].Detail, fmt.Sprintf("Ping %dB", len(bodyless)); got != want {
+		t.Fatalf("decode record %q", got)
+	}
+
+	frame := ev.Encode()
+	decode := func(j *journal.Journal) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := DecodeEnvelopeLogged(frame, j, "vax2"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if with, without := decode(jr), decode(nil); with != without {
+		t.Fatalf("decoding a frame with a body: %.1f allocs/op journaled, %.1f not", with, without)
 	}
 }

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"ppm/internal/ring"
@@ -50,13 +50,19 @@ func NewReplyCache(window time.Duration) *ReplyCache {
 // predecessor's operations, so a stale cache entry can never answer a
 // fresh request.
 func OpKey(origin string, inc, op uint64) string {
-	return fmt.Sprintf("%s#%d#%d", origin, inc, op)
+	var buf [48]byte
+	return string(strconv.AppendUint(appendOpPrefix(buf[:0], origin, inc), op, 10))
 }
 
 // OpPrefix is the common prefix of every OpKey minted by one LPM
 // incarnation, for purging a dead incarnation's entries wholesale.
 func OpPrefix(origin string, inc uint64) string {
-	return fmt.Sprintf("%s#%d#", origin, inc)
+	var buf [32]byte
+	return string(appendOpPrefix(buf[:0], origin, inc))
+}
+
+func appendOpPrefix(b []byte, origin string, inc uint64) []byte {
+	return append(strconv.AppendUint(append(append(b, origin...), '#'), inc, 10), '#')
 }
 
 // Get returns the cached reply for an operation key, if present.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,62 @@ func TestParseArgsKindPrefixes(t *testing.T) {
 	for _, bad := range []string{"net.", "lpm.siblings", "kernelspawn", "net,,kernel.spawn"} {
 		if _, err := parseArgs([]string{"-journal", "-journal-kinds", bad}); err == nil {
 			t.Errorf("kind %q accepted, want rejection", bad)
+		}
+	}
+}
+
+// capture runs the CLI with args and returns what it printed.
+func capture(t *testing.T, args []string) string {
+	t.Helper()
+	o, err := parseArgs(args)
+	if err != nil {
+		t.Fatalf("ppmtrace %v: %v", args, err)
+	}
+	f, err := os.Create(t.TempDir() + "/stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(o)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("ppmtrace %v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCIJournalInvocations runs the golden-journal job's ppmtrace
+// command lines, read out of the workflow file, the way the job does:
+// each twice, the outputs compared, and the job's grep patterns looked
+// for. A command line that has rotted (the faulty step once used a loss
+// period under which the scripted set-up cannot finish) fails here, not
+// only in the workflow.
+func TestCIJournalInvocations(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := regexp.MustCompile(`/tmp/ppmtrace (.*--journal.*) > (/tmp/journals/\w+)1\.journal`).FindAllStringSubmatch(string(ci), -1)
+	if len(runs) != 3 {
+		t.Fatalf("found %d ppmtrace --journal invocations in ci.yml, want plain, faulty and flapping", len(runs))
+	}
+	for _, m := range runs {
+		args := strings.Fields(m[1])
+		first := capture(t, args)
+		if first != capture(t, args) {
+			t.Errorf("ppmtrace %s: two runs differ", m[1])
+		}
+		greps := regexp.MustCompile(`grep -q '([^']+)' `+regexp.QuoteMeta(m[2])+`1\.journal`).FindAllStringSubmatch(string(ci), -1)
+		for _, g := range greps {
+			if !strings.Contains(first, g[1]) {
+				t.Errorf("ppmtrace %s: output has no %q", m[1], g[1])
+			}
 		}
 	}
 }

@@ -357,7 +357,8 @@ func TestInetdRejectsUnexpectedMessageType(t *testing.T) {
 			if derr != nil {
 				t.Fatal(derr)
 			}
-			r, derr := wire.DecodeLPMQueryResp(env.Body)
+			var r wire.LPMQueryResp
+			derr = wire.Decode(env.Body, &r)
 			if derr != nil {
 				t.Fatal(derr)
 			}

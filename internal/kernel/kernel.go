@@ -728,8 +728,9 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 		h.tracer.AddSpan(h.name, "kernel.event."+ev.Kind.String(), ctx,
 			ev.At, ev.At+delay)
 	}
+	boot := h.boots // as in ExecCPU: a delivery queued by one boot never completes on the next
 	h.sched.After(delay, func() {
-		if h.up {
+		if h.up && h.boots == boot {
 			sink(ev)
 		}
 	})

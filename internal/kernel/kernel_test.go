@@ -601,6 +601,26 @@ func TestExecCPUDoesNotSurviveCrash(t *testing.T) {
 	}
 }
 
+// TestEventDoesNotSurviveCrash: an event whose ~6 ms delivery is still
+// in flight when the host crashes belongs to the dead boot; the restarted
+// host must not hand it to the sink captured before the crash (the dead
+// incarnation's LPM).
+func TestEventDoesNotSurviveCrash(t *testing.T) {
+	s, h := newHost(t)
+	evs := collectEvents(h, "felipe")
+	p, _ := h.Spawn("job", "felipe")
+	_ = h.Adopt(p.PID, "felipe")
+	_ = h.Signal(p.PID, proc.SIGSTOP)
+	s.After(time.Millisecond, h.Crash)
+	s.After(2*time.Millisecond, h.Restart)
+	if err := s.RunUntilIdle(10000); err != nil {
+		t.Fatal(err)
+	}
+	if len(*evs) != 0 {
+		t.Fatalf("events queued before the crash were delivered after the restart: %+v", *evs)
+	}
+}
+
 // TestObserveEventZeroAllocs pins the per-event observation — counter
 // handle, typed journal entry — at zero allocations with the registry
 // and the journal both wired, for a tabled event kind and for one

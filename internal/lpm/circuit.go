@@ -100,7 +100,7 @@ func (l *LPM) linktestTick(sb *sibling) {
 		l.circuitTransition(sb.host, circuitSuspect, fmt.Sprintf("suspicion-%d", sb.suspicion), l.chanKey(sb.conn))
 	}
 	sb.ltSeq++
-	body := wire.LinkTest{FromHost: l.Host(), Seq: sb.ltSeq}.Encode()
+	body := wire.Encode(&wire.LinkTest{FromHost: l.Host(), Seq: sb.ltSeq})
 	l.sendOneWay(sb, wire.MsgLinkTest, body)
 	l.scheduleLinktest(sb)
 }

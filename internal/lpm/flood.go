@@ -58,8 +58,8 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 		infos := l.localInfos()
 		return wire.FloodResult{OK: true, Procs: infos}, gatherCost(len(infos))
 	case wire.MsgControl:
-		req, err := wire.DecodeControl(inner.Body)
-		if err != nil || req.User != l.user.Name {
+		var req wire.Control
+		if wire.Decode(inner.Body, &req) != nil || req.User != l.user.Name {
 			return wire.FloodResult{OK: false}, 0
 		}
 		// A zero-target control applies to every live user process on
@@ -113,42 +113,39 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.Fl
 // subtree's data).
 func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgType, []byte)) {
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
-	bc, err := wire.DecodeBroadcast(env.Body)
-	if err != nil {
-		reply(wire.MsgBroadcastResp,
-			wire.BroadcastResp{Inner: wire.FloodResult{OK: false}.Encode()}.Encode())
-		return
+	refuse := func() {
+		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{Inner: wire.Encode(&wire.FloodResult{OK: false})}))
 	}
 	// Verify the signed stamp: the origin's name appears in it and the
 	// signature binds it to the user's key.
-	if !bc.Stamp.Verify(l.user.Key()) {
-		reply(wire.MsgBroadcastResp,
-			wire.BroadcastResp{Inner: wire.FloodResult{OK: false}.Encode()}.Encode())
+	var bc wire.Broadcast
+	if wire.Decode(env.Body, &bc) != nil || !bc.Stamp.Verify(l.user.Key()) {
+		refuse()
 		return
 	}
 	if l.markSeen(bc.Stamp) {
 		// An old broadcast request: answer but do not retransmit.
 		l.observe(journal.LPMFloodDup, ctx, "user=%s stamp=%s", l.user.Name, stampID(bc.Stamp))
-		reply(wire.MsgBroadcastResp,
-			wire.BroadcastResp{
-				Seq: bc.Seq, From: l.Host(), Route: bc.Route,
-				Inner: wire.FloodResult{OK: true, Dup: true}.Encode(),
-			}.Encode())
+		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
+			Seq: bc.Seq, From: l.Host(), Route: bc.Route,
+			Inner: wire.Encode(&wire.FloodResult{OK: true, Dup: true}),
+		}))
 		return
 	}
 	l.metrics.Counter("lpm.flood.forwarded").Inc()
 	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.journal, l.Host())
 	if err != nil {
-		reply(wire.MsgBroadcastResp,
-			wire.BroadcastResp{Inner: wire.FloodResult{OK: false}.Encode()}.Encode())
+		refuse()
 		return
 	}
-	fwd := bc
+	// The closure takes copies: capturing the decoded-into bc would move
+	// it to the heap.
+	fwd, seq := bc, bc.Seq
 	fwd.Route = append(append([]string(nil), bc.Route...), l.Host())
 	st := &floodState{key: bc.Stamp.Key(), finish: func(res wire.FloodResult) {
-		reply(wire.MsgBroadcastResp, wire.BroadcastResp{
-			Seq: bc.Seq, From: l.Host(), Route: fwd.Route, Inner: res.Encode(),
-		}.Encode())
+		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
+			Seq: seq, From: l.Host(), Route: fwd.Route, Inner: wire.Encode(&res),
+		}))
 	}}
 	l.runFlood(ctx, st, fwd, inner, sb.host)
 }
@@ -197,25 +194,16 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	// retry engine: a lost request or echo is retransmitted under a
 	// stable op id, and the child replays its full cached echo rather
 	// than answering Dup for an already-seen stamp.
+	out := bc // encoded from a copy: taking bc's address would move it, captured below, to the heap
 	for _, child := range children {
 		from := child.host
 		l.opSeq++
-		l.callWithRetry(ctx, from, wire.MsgBroadcast, bc.Encode(), l.opSeq, 1, func(env wire.Envelope, err error) {
-			if err != nil {
-				merge(wire.FloodResult{}, from, err)
-				return
-			}
-			resp, derr := wire.DecodeBroadcastResp(env.Body)
-			if derr != nil {
-				merge(wire.FloodResult{}, from, derr)
-				return
-			}
-			res, derr := wire.DecodeFloodResult(resp.Inner)
-			if derr != nil {
-				merge(wire.FloodResult{}, from, derr)
-				return
-			}
-			merge(res, from, nil)
+		l.callWithRetry(ctx, from, wire.MsgBroadcast, wire.Encode(&out), l.opSeq, 1, func(env wire.Envelope, err error) {
+			var resp wire.BroadcastResp
+			var res wire.FloodResult
+			err = firstErr(err, wire.Decode(env.Body, &resp))
+			err = firstErr(err, wire.Decode(resp.Inner, &res))
+			merge(res, from, err)
 		})
 	}
 	l.execSpan(ctx, "exec.flood_work", cost, func() {
@@ -251,7 +239,7 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 		return
 	}
 	inner := wire.Envelope{Type: wire.MsgSnapshotReq,
-		Body: wire.SnapshotReq{User: l.user.Name, Forward: true}.Encode()}
+		Body: wire.Encode(&wire.SnapshotReq{User: l.user.Name, Forward: true})}
 	l.toolCall("snapshot", func(ctx trace.Context, done func(func())) {
 		l.startFlood(ctx, inner, func(res wire.FloodResult) {
 			done(func() {
@@ -305,7 +293,7 @@ func (l *LPM) ControlAll(op wire.ControlOp, sig proc.Signal, cb func(int, error)
 		return
 	}
 	req := wire.Control{User: l.user.Name, Op: op, Signal: sig}
-	inner := wire.Envelope{Type: wire.MsgControl, Body: req.Encode()}
+	inner := wire.Envelope{Type: wire.MsgControl, Body: wire.Encode(&req)}
 	l.toolCall("control_all", func(ctx trace.Context, done func(func())) {
 		l.startFlood(ctx, inner, func(res wire.FloodResult) {
 			done(func() {
@@ -329,17 +317,14 @@ func (l *LPM) Ping(host string, cb func(wire.Pong, error)) {
 		l.sched.Defer(func() { cb(wire.Pong{}, ErrExited) })
 		return
 	}
-	body := wire.Ping{FromHost: l.Host(), User: l.user.Name}.Encode()
+	body := wire.Encode(&wire.Ping{FromHost: l.Host(), User: l.user.Name})
 	l.toolCall("ping", func(ctx trace.Context, done func(func())) {
 		l.opSeq++
 		l.callWithRetry(ctx, host, wire.MsgPing, body, l.opSeq, 1, func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(wire.Pong{}, err)
-					return
-				}
-				pong, derr := wire.DecodePong(env.Body)
-				cb(pong, derr)
+				var pong wire.Pong
+				err := firstErr(err, wire.Decode(env.Body, &pong))
+				cb(pong, err)
 			})
 		})
 	})

@@ -48,6 +48,20 @@ var (
 	ErrBadRequest = errors.New("lpm: bad request")
 )
 
+// firstErr is how a reply ladder chains on one error: the call's own
+// failure wins, else the reply's decode error (decoding the empty body
+// of a failed call is harmless, and its error is dropped here).
+func firstErr(err, next error) error {
+	if err != nil {
+		return err
+	}
+	return next
+}
+
+// refused is the error for a reply that decoded but says the peer would
+// not do it.
+func refused(reason string) error { return fmt.Errorf("%w: %s", ErrRemote, reason) }
+
 // Config tunes one LPM.
 type Config struct {
 	// TTL is the time-to-live: how long the LPM lingers on a host with
@@ -639,7 +653,7 @@ func (l *LPM) forwardExit(ev proc.Event, info proc.Info) {
 	}
 	l.observe(journal.LPMExitForward, l.tracer.Active(),
 		"user=%s proc=%s/%d to=%s", l.user.Name, info.ID.Host, info.ID.PID, home)
-	body := wire.ProcExit{User: l.user.Name, Event: ev, Info: info}.Encode()
+	body := wire.Encode(&wire.ProcExit{User: l.user.Name, Event: ev, Info: info})
 	l.remoteCall(trace.Context{}, home, wire.MsgProcExit, body, func(wire.Envelope, error) {})
 }
 
@@ -725,7 +739,7 @@ func (r *recEnv) ConnectCCS(host string, cb func(bool)) {
 func (r *recEnv) AnnounceCCS(host string) {
 	l := r.lpm()
 	l.metrics.Counter("lpm.recovery.ccs_announcements").Inc()
-	body := wire.CCSUpdate{CCSHost: host}.Encode()
+	body := wire.Encode(&wire.CCSUpdate{CCSHost: host})
 	for _, h := range l.SiblingHosts() {
 		l.sendOneWay(l.siblings[h], wire.MsgCCSUpdate, body)
 	}

@@ -594,7 +594,8 @@ func TestSiblingHelloBadTokenRejected(t *testing.T) {
 		}
 		conn.SetHandler(func(b []byte) {
 			env, _ := wire.DecodeEnvelope(b)
-			resp, _ := wire.DecodeHelloResp(env.Body)
+			var resp wire.HelloResp
+			_ = wire.Decode(env.Body, &resp)
 			if !resp.OK {
 				rejected = true
 			}
@@ -605,7 +606,7 @@ func TestSiblingHelloBadTokenRejected(t *testing.T) {
 			Token:    []byte("forged"),
 			Stamp:    wire.NewStamp([]byte("wrong-key"), "vax2", 0, 1),
 		}
-		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: hello.Encode()}.Encode())
+		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})
 	w.run(2 * time.Second)
 	if !rejected {
@@ -629,7 +630,8 @@ func TestSiblingHelloWrongUserRejected(t *testing.T) {
 		}
 		conn.SetHandler(func(b []byte) {
 			env, _ := wire.DecodeEnvelope(b)
-			resp, _ := wire.DecodeHelloResp(env.Body)
+			var resp wire.HelloResp
+			_ = wire.Decode(env.Body, &resp)
 			if !resp.OK {
 				rejected = true
 			}
@@ -641,7 +643,7 @@ func TestSiblingHelloWrongUserRejected(t *testing.T) {
 			Token:    auth.MintToken(mallory, "sibling"),
 			Stamp:    wire.NewStamp(mallory.Key(), "vax2", 0, 1),
 		}
-		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: hello.Encode()}.Encode())
+		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})
 	w.run(2 * time.Second)
 	if !rejected {

@@ -190,13 +190,13 @@ func (l *LPM) Create(host, name string, parent proc.GPID, cb func(proc.GPID, err
 		l.sched.Defer(func() { cb(proc.GPID{}, ErrExited) })
 		return
 	}
-	req := wire.CreateProc{User: l.user.Name, Name: name, Parent: parent}
 	l.toolCall("create", func(ctx trace.Context, done func(func())) {
+		req := wire.CreateProc{User: l.user.Name, Name: name, Parent: parent}
 		if host == l.Host() || host == "" {
 			l.createLocal(ctx, req, func(a wire.CreateAck) {
 				done(func() {
 					if !a.OK {
-						cb(proc.GPID{}, fmt.Errorf("%w: %s", ErrRemote, a.Reason))
+						cb(proc.GPID{}, refused(a.Reason))
 						return
 					}
 					cb(a.ID, nil)
@@ -204,22 +204,14 @@ func (l *LPM) Create(host, name string, parent proc.GPID, cb func(proc.GPID, err
 			})
 			return
 		}
-		l.remoteCall(ctx, host, wire.MsgCreateProc, req.Encode(), func(env wire.Envelope, err error) {
+		l.remoteCall(ctx, host, wire.MsgCreateProc, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(proc.GPID{}, err)
-					return
+				var a wire.CreateAck
+				err := firstErr(err, wire.Decode(env.Body, &a))
+				if err == nil && !a.OK {
+					err = refused(a.Reason)
 				}
-				a, derr := wire.DecodeCreateAck(env.Body)
-				if derr != nil {
-					cb(proc.GPID{}, derr)
-					return
-				}
-				if !a.OK {
-					cb(proc.GPID{}, fmt.Errorf("%w: %s", ErrRemote, a.Reason))
-					return
-				}
-				cb(a.ID, nil)
+				cb(a.ID, err)
 			})
 		})
 	})
@@ -279,18 +271,11 @@ func (l *LPM) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal, cb f
 			return
 		}
 		req := wire.Control{User: l.user.Name, Target: target, Op: op, Signal: sig}
-		l.remoteCall(ctx, target.Host, wire.MsgControl, req.Encode(), func(env wire.Envelope, err error) {
+		l.remoteCall(ctx, target.Host, wire.MsgControl, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(wire.ControlResp{}, err)
-					return
-				}
-				resp, derr := wire.DecodeControlResp(env.Body)
-				if derr != nil {
-					cb(wire.ControlResp{}, derr)
-					return
-				}
-				cb(resp, nil)
+				var resp wire.ControlResp
+				err := firstErr(err, wire.Decode(env.Body, &resp))
+				cb(resp, err)
 			})
 		})
 	})
@@ -347,22 +332,14 @@ func (l *LPM) StatsOf(target proc.GPID, cb func(proc.Info, error)) {
 			return
 		}
 		req := wire.StatsReq{User: l.user.Name, Target: target}
-		l.remoteCall(ctx, target.Host, wire.MsgStatsReq, req.Encode(), func(env wire.Envelope, err error) {
+		l.remoteCall(ctx, target.Host, wire.MsgStatsReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(proc.Info{}, err)
-					return
+				var resp wire.StatsResp
+				err := firstErr(err, wire.Decode(env.Body, &resp))
+				if err == nil && !resp.OK {
+					err = refused(resp.Reason)
 				}
-				resp, derr := wire.DecodeStatsResp(env.Body)
-				if derr != nil {
-					cb(proc.Info{}, derr)
-					return
-				}
-				if !resp.OK {
-					cb(proc.Info{}, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-					return
-				}
-				cb(resp.Info, nil)
+				cb(resp.Info, err)
 			})
 		})
 	})
@@ -395,22 +372,14 @@ func (l *LPM) FDs(target proc.GPID, cb func([]string, error)) {
 			return
 		}
 		req := wire.FDReq{User: l.user.Name, Target: target}
-		l.remoteCall(ctx, target.Host, wire.MsgFDReq, req.Encode(), func(env wire.Envelope, err error) {
+		l.remoteCall(ctx, target.Host, wire.MsgFDReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(nil, err)
-					return
+				var resp wire.FDResp
+				err := firstErr(err, wire.Decode(env.Body, &resp))
+				if err == nil && !resp.OK {
+					err = refused(resp.Reason)
 				}
-				resp, derr := wire.DecodeFDResp(env.Body)
-				if derr != nil {
-					cb(nil, derr)
-					return
-				}
-				if !resp.OK {
-					cb(nil, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-					return
-				}
-				cb(resp.Open, nil)
+				cb(resp.Open, err)
 			})
 		})
 	})
@@ -449,30 +418,22 @@ func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, erro
 		l.HistoryQuery(q, cb)
 		return
 	}
-	req := wire.HistoryReq{
-		User: l.user.Name, Proc: q.Proc,
-		Since: q.Since, Limit: uint16(q.Limit),
-	}
-	for _, k := range q.Kinds {
-		req.Kinds = append(req.Kinds, uint8(k))
-	}
 	l.toolCall("history", func(ctx trace.Context, done func(func())) {
-		l.remoteCall(ctx, host, wire.MsgHistoryReq, req.Encode(), func(env wire.Envelope, err error) {
+		req := wire.HistoryReq{
+			User: l.user.Name, Proc: q.Proc,
+			Since: q.Since, Limit: uint16(q.Limit),
+		}
+		for _, k := range q.Kinds {
+			req.Kinds = append(req.Kinds, uint8(k))
+		}
+		l.remoteCall(ctx, host, wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
-				if err != nil {
-					cb(nil, err)
-					return
+				var resp wire.HistoryResp
+				err := firstErr(err, wire.Decode(env.Body, &resp))
+				if err == nil && !resp.OK {
+					err = refused(resp.Reason)
 				}
-				resp, derr := wire.DecodeHistoryResp(env.Body)
-				if derr != nil {
-					cb(nil, derr)
-					return
-				}
-				if !resp.OK {
-					cb(nil, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-					return
-				}
-				cb(resp.Events, nil)
+				cb(resp.Events, err)
 			})
 		})
 	})
@@ -493,8 +454,8 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 
 	if env.Type == wire.MsgCCSUpdate {
-		upd, err := wire.DecodeCCSUpdate(env.Body)
-		if err == nil && upd.CCSHost != "" {
+		var upd wire.CCSUpdate
+		if wire.Decode(env.Body, &upd) == nil && upd.CCSHost != "" {
 			l.rec.SetCCS(upd.CCSHost)
 		}
 		return // One-way: no reply.
@@ -569,44 +530,47 @@ func dedupable(t wire.MsgType) bool {
 func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wire.MsgType, body []byte)) {
 	switch env.Type {
 	case wire.MsgCreateProc:
-		req, err := wire.DecodeCreateProc(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgCreateAck, wire.CreateAck{OK: false, Reason: "bad create request"}.Encode())
+		var req wire.CreateProc
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgCreateAck, wire.Encode(&wire.CreateAck{OK: false, Reason: "bad create request"}))
 			return
 		}
 		l.createForRemote(ctx, req, func(a wire.CreateAck) {
-			reply(wire.MsgCreateAck, a.Encode())
+			reply(wire.MsgCreateAck, wire.Encode(&a))
 		})
 
 	case wire.MsgControl:
-		req, err := wire.DecodeControl(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgControlResp, wire.ControlResp{OK: false, Reason: "bad control request"}.Encode())
+		var req wire.Control
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: false, Reason: "bad control request"}))
 			return
 		}
+		// Copied out: a closure capturing the decoded-into req would take
+		// it by reference and move it to the heap.
+		pid, op, sig := req.Target.PID, req.Op, req.Signal
 		csp := l.tracer.StartSpan(l.Host(), "dispatch.control", ctx)
 		l.kern.ExecCPU(calib.ControlAction, func() {
 			csp.End()
 			var resp wire.ControlResp
-			l.withTraceCtx(ctx, func() { resp = l.applyControl(req.Target.PID, req.Op, req.Signal) })
-			reply(wire.MsgControlResp, resp.Encode())
+			l.withTraceCtx(ctx, func() { resp = l.applyControl(pid, op, sig) })
+			reply(wire.MsgControlResp, wire.Encode(&resp))
 		})
 
 	case wire.MsgSnapshotReq:
-		req, err := wire.DecodeSnapshotReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgSnapshotResp, wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}.Encode())
+		var req wire.SnapshotReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
 			return
 		}
 		infos := l.localInfos()
 		l.execSpan(ctx, "exec.gather", gatherCost(len(infos)), func() {
-			reply(wire.MsgSnapshotResp, wire.SnapshotResp{OK: true, Procs: infos}.Encode())
+			reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: infos}))
 		})
 
 	case wire.MsgStatsReq:
-		req, err := wire.DecodeStatsReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgStatsResp, wire.StatsResp{OK: false, Reason: "bad stats request"}.Encode())
+		var req wire.StatsReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgStatsResp, wire.Encode(&wire.StatsResp{OK: false, Reason: "bad stats request"}))
 			return
 		}
 		info, serr := l.localStats(req.Target.PID)
@@ -614,12 +578,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		if serr != nil {
 			resp.Reason = serr.Error()
 		}
-		reply(wire.MsgStatsResp, resp.Encode())
+		reply(wire.MsgStatsResp, wire.Encode(&resp))
 
 	case wire.MsgFDReq:
-		req, err := wire.DecodeFDReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgFDResp, wire.FDResp{OK: false, Reason: "bad fd request"}.Encode())
+		var req wire.FDReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgFDResp, wire.Encode(&wire.FDResp{OK: false, Reason: "bad fd request"}))
 			return
 		}
 		open, ferr := l.localFDs(req.Target.PID)
@@ -627,12 +591,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		if ferr != nil {
 			resp.Reason = ferr.Error()
 		}
-		reply(wire.MsgFDResp, resp.Encode())
+		reply(wire.MsgFDResp, wire.Encode(&resp))
 
 	case wire.MsgHistoryReq:
-		req, err := wire.DecodeHistoryReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgHistoryResp, wire.HistoryResp{OK: false, Reason: "bad history request"}.Encode())
+		var req wire.HistoryReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: false, Reason: "bad history request"}))
 			return
 		}
 		q := history.Query{Proc: req.Proc, Since: req.Since, Limit: int(req.Limit)}
@@ -640,17 +604,17 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			q.Kinds = append(q.Kinds, proc.EventKind(k))
 		}
 		evs := l.store.Select(q)
-		reply(wire.MsgHistoryResp, wire.HistoryResp{OK: true, Events: evs}.Encode())
+		reply(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: true, Events: evs}))
 
 	case wire.MsgWatch:
-		req, err := wire.DecodeWatchReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgWatchResp, wire.WatchResp{OK: false, Reason: "bad watch request"}.Encode())
+		var req wire.WatchReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: false, Reason: "bad watch request"}))
 			return
 		}
 		if req.Remove {
 			l.store.RemoveWatch(int(req.ID))
-			reply(wire.MsgWatchResp, wire.WatchResp{OK: true, ID: req.ID}.Encode())
+			reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: req.ID}))
 			return
 		}
 		action := req // capture
@@ -661,12 +625,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			Action: func(proc.Event) { l.runWatchAction(action) },
 		}
 		id := l.store.AddWatch(w)
-		reply(wire.MsgWatchResp, wire.WatchResp{OK: true, ID: int32(id)}.Encode())
+		reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: int32(id)}))
 
 	case wire.MsgStatusReq:
-		req, err := wire.DecodeStatusReq(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgStatusResp, wire.StatusResp{OK: false, Reason: "bad status request"}.Encode())
+		var req wire.StatusReq
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: false, Reason: "bad status request"}))
 			return
 		}
 		// Read-only: the report is rebuilt on every (re)transmission, so
@@ -674,9 +638,9 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		// the gather cost — the scratch report may be reused by the time
 		// the CPU callback runs.
 		l.BuildStatus(&l.statusScratch)
-		report := l.statusScratch.Encode()
+		report := wire.Encode(&l.statusScratch)
 		l.execSpan(ctx, "exec.gather", gatherCost(l.statusScratch.ProcsTotal), func() {
-			reply(wire.MsgStatusResp, wire.StatusResp{OK: true, Report: report}.Encode())
+			reply(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: true, Report: report}))
 		})
 
 	case wire.MsgPing:
@@ -685,34 +649,34 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			CCSHost:  l.rec.CCS(),
 			IsCCS:    l.rec.IsCCS(),
 		}
-		reply(wire.MsgPong, pong.Encode())
+		reply(wire.MsgPong, wire.Encode(&pong))
 
 	case wire.MsgLinkTest:
 		// Heartbeat for the accrual failure detector. The frame's
 		// arrival was already observed by the circuit layer; the echo
 		// gives the sender's detector a sample in turn.
-		req, err := wire.DecodeLinkTest(env.Body)
-		if err != nil {
-			reply(wire.MsgError, wire.ErrorResp{Reason: "bad linktest"}.Encode())
+		var req wire.LinkTest
+		if wire.Decode(env.Body, &req) != nil {
+			reply(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: "bad linktest"}))
 			return
 		}
-		reply(wire.MsgLinkTestResp, wire.LinkTestResp{FromHost: l.Host(), Seq: req.Seq}.Encode())
+		reply(wire.MsgLinkTestResp, wire.Encode(&wire.LinkTestResp{FromHost: l.Host(), Seq: req.Seq}))
 
 	case wire.MsgProcExit:
 		// A remote kernel's LPM forwarding a watched process's exit
 		// home: append the exit event to the home history store (which
 		// fires home-declared watches) and index the final record.
-		req, err := wire.DecodeProcExit(env.Body)
-		if err != nil || req.User != l.user.Name {
-			reply(wire.MsgProcExitResp, wire.ProcExitResp{OK: false, Reason: "bad exit notification"}.Encode())
+		var req wire.ProcExit
+		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+			reply(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: false, Reason: "bad exit notification"}))
 			return
 		}
 		l.withTraceCtx(ctx, func() { l.store.Append(req.Event) })
 		l.store.RecordExit(req.Info)
-		reply(wire.MsgProcExitResp, wire.ProcExitResp{OK: true}.Encode())
+		reply(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: true}))
 
 	default:
-		reply(wire.MsgError, wire.ErrorResp{Reason: fmt.Sprintf("unhandled %v", env.Type)}.Encode())
+		reply(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: fmt.Sprintf("unhandled %v", env.Type)}))
 	}
 }
 
@@ -725,10 +689,10 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgType, []byte)) {
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 	fail := func(reason string) {
-		reply(wire.MsgRelayResp, wire.RelayResp{OK: false, Reason: reason}.Encode())
+		reply(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: false, Reason: reason}))
 	}
-	rel, err := wire.DecodeRelay(env.Body)
-	if err != nil || rel.User != l.user.Name {
+	var rel wire.Relay
+	if wire.Decode(env.Body, &rel) != nil || rel.User != l.user.Name {
 		fail("bad relay request")
 		return
 	}
@@ -740,7 +704,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 		}
 		l.serveRequest(ctx, inner, func(t wire.MsgType, body []byte) {
 			respEnv := wire.Envelope{Type: t, Body: body}
-			reply(wire.MsgRelayResp, wire.RelayResp{OK: true, Inner: respEnv.Encode()}.Encode())
+			reply(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: true, Inner: respEnv.Encode()}))
 		})
 		return
 	}
@@ -757,7 +721,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	}
 	l.observe(journal.LPMRelayForward, ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
 	fwd := wire.Relay{User: rel.User, Dest: rel.Dest, Path: rel.Path[1:], Inner: rel.Inner}
-	l.sendRequest(ctx, nsb, wire.MsgRelay, fwd.Encode(), 0, func(resp wire.Envelope, err error) {
+	l.sendRequest(ctx, nsb, wire.MsgRelay, wire.Encode(&fwd), 0, func(resp wire.Envelope, err error) {
 		if err != nil {
 			fail(fmt.Sprintf("relay via %s: %v", next, err))
 			return
@@ -780,9 +744,7 @@ func (l *LPM) runWatchAction(req wire.WatchReq) {
 		})
 		return
 	}
-	body := wire.Control{
-		User: l.user.Name, Target: req.Target, Op: req.Op, Signal: req.ActionSig,
-	}.Encode()
+	body := wire.Encode(&wire.Control{User: l.user.Name, Target: req.Target, Op: req.Op, Signal: req.ActionSig})
 	l.remoteCall(trace.Context{}, req.Target.Host, wire.MsgControl, body, func(wire.Envelope, error) {})
 }
 
@@ -795,36 +757,32 @@ func (l *LPM) WatchOn(host string, w *history.Watch, op wire.ControlOp,
 		l.sched.Defer(func() { cb(nil, ErrExited) })
 		return
 	}
-	req := wire.WatchReq{
-		User:      l.user.Name,
-		Kind:      uint8(w.Kind),
-		Signal:    w.Signal,
-		Proc:      w.Proc,
-		Op:        op,
-		ActionSig: sig,
-		Target:    target,
-	}
 	l.toolCall("watch", func(ctx trace.Context, done func(func())) {
-		l.remoteCall(ctx, host, wire.MsgWatch, req.Encode(), func(env wire.Envelope, err error) {
+		req := wire.WatchReq{
+			User:      l.user.Name,
+			Kind:      uint8(w.Kind),
+			Signal:    w.Signal,
+			Proc:      w.Proc,
+			Op:        op,
+			ActionSig: sig,
+			Target:    target,
+		}
+		l.remoteCall(ctx, host, wire.MsgWatch, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
+				var resp wire.WatchResp
+				err := firstErr(err, wire.Decode(env.Body, &resp))
+				if err == nil && !resp.OK {
+					err = refused(resp.Reason)
+				}
 				if err != nil {
 					cb(nil, err)
 					return
 				}
-				resp, derr := wire.DecodeWatchResp(env.Body)
-				if derr != nil {
-					cb(nil, derr)
-					return
-				}
-				if !resp.OK {
-					cb(nil, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-					return
-				}
-				remove := func() {
-					rm := wire.WatchReq{User: l.user.Name, Remove: true, ID: resp.ID}
-					l.remoteCall(trace.Context{}, host, wire.MsgWatch, rm.Encode(), func(wire.Envelope, error) {})
-				}
-				cb(remove, nil)
+				id := resp.ID
+				cb(func() {
+					rm := wire.WatchReq{User: l.user.Name, Remove: true, ID: id}
+					l.remoteCall(trace.Context{}, host, wire.MsgWatch, wire.Encode(&rm), func(wire.Envelope, error) {})
+				}, nil)
 			})
 		})
 	})

@@ -42,7 +42,7 @@ func rawSibling(t *testing.T, w *world, u *auth.User, fromHost string,
 			Token:    auth.MintToken(u, "sibling"),
 			Stamp:    wire.NewStamp(u.Key(), fromHost, w.sched.Now().Duration(), 99),
 		}
-		_ = c.Send(wire.Envelope{Type: wire.MsgHello, Body: hello.Encode()}.Encode())
+		_ = c.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})
 	w.until(func() bool { return authed })
 	return conn, replies
@@ -87,18 +87,40 @@ func TestProtocolWrongUserRequestRejected(t *testing.T) {
 
 	// The circuit is felipe's, but the request claims another user.
 	req := wire.Control{User: "mallory", Target: victim, Op: wire.OpKill}
-	_ = conn.Send(wire.Envelope{Type: wire.MsgControl, ReqID: 7, Body: req.Encode()}.Encode())
+	_ = conn.Send(wire.Envelope{Type: wire.MsgControl, ReqID: 7, Body: wire.Encode(&req)}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 1 {
 		t.Fatalf("replies = %d", len(*replies))
 	}
-	resp, err := wire.DecodeControlResp((*replies)[0].Body)
+	var resp wire.ControlResp
+	err := wire.Decode((*replies)[0].Body, &resp)
 	if err != nil || resp.OK {
 		t.Fatalf("wrong-user control accepted: %+v err=%v", resp, err)
 	}
 	p, _ := w.kerns["vax1"].Lookup(victim.PID)
 	if p.State != proc.Running {
 		t.Fatal("victim was harmed")
+	}
+}
+
+// TestProtocolStrayHandshakeResponsesDropped: response-role ops are
+// read off the wire manifest, so the two handshake replies no request
+// on an established circuit can be waiting for are dropped like any
+// unmatched response (the hand-kept list this replaced had missed them
+// and answered MsgError).
+func TestProtocolStrayHandshakeResponsesDropped(t *testing.T) {
+	w, u, l := protoWorld(t)
+	conn, replies := rawSibling(t, w, u, "vax2", l)
+	for _, mt := range []wire.MsgType{wire.MsgHelloResp, wire.MsgLPMQueryResp} {
+		if !mt.IsResponse() {
+			t.Fatalf("%v is not a response", mt)
+		}
+		_ = conn.Send(wire.Envelope{Type: mt, ReqID: 3}.Encode())
+	}
+	_ = conn.Send(wire.Envelope{Type: wire.MsgKernelEvent, ReqID: 4}.Encode())
+	w.run(2 * time.Second)
+	if len(*replies) != 1 || (*replies)[0].Type != wire.MsgError || (*replies)[0].ReqID != 4 {
+		t.Fatalf("replies = %+v, want only the event op answered as unhandled", *replies)
 	}
 }
 
@@ -122,7 +144,7 @@ func TestProtocolUndecodableFrameIgnored(t *testing.T) {
 	}
 	// Circuit still alive afterwards.
 	_ = conn.Send(wire.Envelope{Type: wire.MsgPing, ReqID: 9,
-		Body: wire.Ping{FromHost: "vax2", User: u.Name}.Encode()}.Encode())
+		Body: wire.Encode(&wire.Ping{FromHost: "vax2", User: u.Name})}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 1 || (*replies)[0].Type != wire.MsgPong {
 		t.Fatalf("ping after garbage failed: %+v", replies)
@@ -133,23 +155,25 @@ func TestProtocolForgedBroadcastStampRejected(t *testing.T) {
 	w, u, l := protoWorld(t)
 	conn, replies := rawSibling(t, w, u, "vax2", l)
 	inner := wire.Envelope{Type: wire.MsgSnapshotReq,
-		Body: wire.SnapshotReq{User: u.Name}.Encode()}
+		Body: wire.Encode(&wire.SnapshotReq{User: u.Name})}
 	bc := wire.Broadcast{
 		Stamp: wire.NewStamp([]byte("not-the-user-key"), "vax2", 0, 1),
 		Seq:   1,
 		Route: []string{"vax2"},
 		Inner: inner.Encode(),
 	}
-	_ = conn.Send(wire.Envelope{Type: wire.MsgBroadcast, ReqID: 5, Body: bc.Encode()}.Encode())
+	_ = conn.Send(wire.Envelope{Type: wire.MsgBroadcast, ReqID: 5, Body: wire.Encode(&bc)}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 1 {
 		t.Fatalf("replies = %d", len(*replies))
 	}
-	resp, err := wire.DecodeBroadcastResp((*replies)[0].Body)
+	var resp wire.BroadcastResp
+	err := wire.Decode((*replies)[0].Body, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wire.DecodeFloodResult(resp.Inner)
+	var res wire.FloodResult
+	err = wire.Decode(resp.Inner, &res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +186,15 @@ func TestProtocolRelayPathExhausted(t *testing.T) {
 	w, u, l := protoWorld(t)
 	conn, replies := rawSibling(t, w, u, "vax2", l)
 	inner := wire.Envelope{Type: wire.MsgPing,
-		Body: wire.Ping{FromHost: "vax2", User: u.Name}.Encode()}
+		Body: wire.Encode(&wire.Ping{FromHost: "vax2", User: u.Name})}
 	rel := wire.Relay{User: u.Name, Dest: "elsewhere", Path: nil, Inner: inner.Encode()}
-	_ = conn.Send(wire.Envelope{Type: wire.MsgRelay, ReqID: 4, Body: rel.Encode()}.Encode())
+	_ = conn.Send(wire.Envelope{Type: wire.MsgRelay, ReqID: 4, Body: wire.Encode(&rel)}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 1 {
 		t.Fatalf("replies = %d", len(*replies))
 	}
-	resp, err := wire.DecodeRelayResp((*replies)[0].Body)
+	var resp wire.RelayResp
+	err := wire.Decode((*replies)[0].Body, &resp)
 	if err != nil || resp.OK {
 		t.Fatalf("exhausted relay should fail: %+v err=%v", resp, err)
 	}
@@ -179,14 +204,15 @@ func TestProtocolRelayNestedRelayRefused(t *testing.T) {
 	w, u, l := protoWorld(t)
 	conn, replies := rawSibling(t, w, u, "vax2", l)
 	nested := wire.Relay{User: u.Name, Dest: "vax1", Inner: []byte("x")}
-	innerEnv := wire.Envelope{Type: wire.MsgRelay, Body: nested.Encode()}
+	innerEnv := wire.Envelope{Type: wire.MsgRelay, Body: wire.Encode(&nested)}
 	rel := wire.Relay{User: u.Name, Dest: "vax1", Inner: innerEnv.Encode()}
-	_ = conn.Send(wire.Envelope{Type: wire.MsgRelay, ReqID: 4, Body: rel.Encode()}.Encode())
+	_ = conn.Send(wire.Envelope{Type: wire.MsgRelay, ReqID: 4, Body: wire.Encode(&rel)}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 1 {
 		t.Fatalf("replies = %d", len(*replies))
 	}
-	resp, err := wire.DecodeRelayResp((*replies)[0].Body)
+	var resp wire.RelayResp
+	err := wire.Decode((*replies)[0].Body, &resp)
 	if err != nil || resp.OK {
 		t.Fatalf("nested relay should be refused: %+v err=%v", resp, err)
 	}
@@ -203,7 +229,7 @@ func TestProtocolDuplicateHelloReplacesCircuit(t *testing.T) {
 		t.Fatalf("siblings = %v", l.SiblingHosts())
 	}
 	_ = conn2.Send(wire.Envelope{Type: wire.MsgPing, ReqID: 1,
-		Body: wire.Ping{FromHost: "vax2", User: u.Name}.Encode()}.Encode())
+		Body: wire.Encode(&wire.Ping{FromHost: "vax2", User: u.Name})}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies2) != 1 {
 		t.Fatal("newest circuit not serving")
@@ -214,7 +240,7 @@ func TestProtocolCCSUpdateOneWay(t *testing.T) {
 	w, u, l := protoWorld(t)
 	conn, replies := rawSibling(t, w, u, "vax2", l)
 	upd := wire.CCSUpdate{CCSHost: "vax9"}
-	_ = conn.Send(wire.Envelope{Type: wire.MsgCCSUpdate, ReqID: 8, Body: upd.Encode()}.Encode())
+	_ = conn.Send(wire.Envelope{Type: wire.MsgCCSUpdate, ReqID: 8, Body: wire.Encode(&upd)}.Encode())
 	w.run(2 * time.Second)
 	if len(*replies) != 0 {
 		t.Fatalf("CCSUpdate should be one-way, got %+v", replies)

@@ -120,25 +120,16 @@ func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []b
 	inner := wire.Envelope{Type: t, Body: body}
 	inner.SetTrace(ctx.Trace, ctx.Span)
 	rel := wire.Relay{User: l.user.Name, Dest: host, Path: path[1:], Inner: inner.Encode()}
-	l.sendRequest(ctx, fsb, wire.MsgRelay, rel.Encode(), 0, func(env wire.Envelope, err error) {
-		if err != nil {
-			cb(wire.Envelope{}, err)
-			return
+	l.sendRequest(ctx, fsb, wire.MsgRelay, wire.Encode(&rel), 0, func(env wire.Envelope, err error) {
+		var resp wire.RelayResp
+		err = firstErr(err, wire.Decode(env.Body, &resp))
+		if err == nil && !resp.OK {
+			err = refused(resp.Reason)
 		}
-		resp, derr := wire.DecodeRelayResp(env.Body)
-		if derr != nil {
-			cb(wire.Envelope{}, derr)
-			return
+		var innerResp wire.Envelope
+		if err == nil {
+			innerResp, err = wire.DecodeEnvelopeLogged(resp.Inner, l.journal, l.Host())
 		}
-		if !resp.OK {
-			cb(wire.Envelope{}, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-			return
-		}
-		innerResp, derr := wire.DecodeEnvelopeLogged(resp.Inner, l.journal, l.Host())
-		if derr != nil {
-			cb(wire.Envelope{}, derr)
-			return
-		}
-		cb(innerResp, nil)
+		cb(innerResp, err)
 	})
 }

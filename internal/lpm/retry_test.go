@@ -67,7 +67,7 @@ func TestDeadCircuitFailsFast(t *testing.T) {
 	var gotErr error
 	done := false
 	start := w.sched.Now()
-	body := wire.Control{User: "felipe", Op: wire.OpStop}.Encode()
+	body := wire.Encode(&wire.Control{User: "felipe", Op: wire.OpStop})
 	l.sendRequest(trace.Context{}, sb, wire.MsgControl, body, 0,
 		func(_ wire.Envelope, err error) { gotErr, done = err, true })
 	w.until(func() bool { return done })
@@ -97,7 +97,7 @@ func TestDuplicateDeliveryRepliesFromCache(t *testing.T) {
 	w.run(time.Second)
 
 	sb := l.siblings["vax2"]
-	body := wire.CreateProc{User: "felipe", Name: "dup-job"}.Encode()
+	body := wire.Encode(&wire.CreateProc{User: "felipe", Name: "dup-job"})
 	var acks []wire.CreateAck
 	sendOnce := func() {
 		l.sendRequest(trace.Context{}, sb, wire.MsgCreateProc, body, 777,
@@ -105,7 +105,8 @@ func TestDuplicateDeliveryRepliesFromCache(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, derr := wire.DecodeCreateAck(env.Body)
+				var a wire.CreateAck
+				derr := wire.Decode(env.Body, &a)
 				if derr != nil {
 					t.Fatal(derr)
 				}

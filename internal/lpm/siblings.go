@@ -41,8 +41,8 @@ func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 		conn.Close()
 		return
 	}
-	hello, err := wire.DecodeHello(env.Body)
-	if err != nil {
+	var hello wire.Hello
+	if wire.Decode(env.Body, &hello) != nil {
 		conn.Close()
 		return
 	}
@@ -57,7 +57,7 @@ func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx trace.Context) {
 	reject := func(reason string) {
 		l.observe(journal.LPMSiblingReject, ctx, "from=%s reason=%s", hello.FromHost, reason)
-		body := wire.HelloResp{OK: false, Reason: reason}.Encode()
+		body := wire.Encode(&wire.HelloResp{OK: false, Reason: reason})
 		env := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 		env.SetTrace(ctx.Trace, ctx.Span)
 		//ppmlint:allow errdrop rejection notice is best-effort; the circuit closes right after either way
@@ -116,7 +116,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	// Authentication happens exactly once, here, at channel creation;
 	// the audit invariant holds the journal to that.
 	l.observe(journal.LPMSiblingAuth, ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
-	body := wire.HelloResp{OK: true, Inc: l.incarnation()}.Encode()
+	body := wire.Encode(&wire.HelloResp{OK: true, Inc: l.incarnation()})
 	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 	respEnv.SetTrace(ctx.Trace, ctx.Span)
 	if hello.FromHost == l.Host() {
@@ -348,8 +348,8 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 			finish(nil, fmt.Errorf("%w: bad hello reply from %s", ErrNoSibling, host))
 			return
 		}
-		resp, err := wire.DecodeHelloResp(env.Body)
-		if err != nil || !resp.OK {
+		var resp wire.HelloResp
+		if err := wire.Decode(env.Body, &resp); err != nil || !resp.OK {
 			conn.Close()
 			if err == nil && resp.Reason == "cross-dial" {
 				// The peer is the lower-named host and is dialing us
@@ -368,6 +368,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 			finish(nil, fmt.Errorf("%w: %s rejected hello: %s", ErrNoSibling, host, resp.Reason))
 			return
 		}
+		inc := resp.Inc // copied out: capturing the decoded-into resp would move it to the heap
 		rsp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
 		l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 			rsp.End()
@@ -379,7 +380,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				finish(nil, fmt.Errorf("%w: circuit to %s closed during hello", ErrNoSibling, host))
 				return
 			}
-			l.registerSibling(host, conn, resp.Inc)
+			l.registerSibling(host, conn, inc)
 			finish(l.siblings[host], nil)
 		})
 	})
@@ -405,7 +406,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
-		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: hello.Encode()}
+		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: wire.Encode(&hello)}
 		env.SetTrace(ctx.Trace, ctx.Span)
 		//ppmlint:allow errdrop a lost Hello is retried by the redial engine; failure surfaces on circuit close
 		_ = l.sendFramed(conn, env, ctx)
@@ -434,20 +435,6 @@ func (l *LPM) sendFramedReply(conn *simnet.Conn, env wire.Envelope, ctx trace.Co
 }
 
 // --- message plumbing ---
-
-// isResponse classifies envelope types that answer a pending request.
-func isResponse(t wire.MsgType) bool {
-	switch t {
-	case wire.MsgControlResp, wire.MsgCreateAck, wire.MsgSnapshotResp,
-		wire.MsgStatsResp, wire.MsgHistoryResp, wire.MsgFDResp,
-		wire.MsgBroadcastResp, wire.MsgPong, wire.MsgRelayResp,
-		wire.MsgWatchResp, wire.MsgStatusResp, wire.MsgLinkTestResp,
-		wire.MsgProcExitResp, wire.MsgError:
-		return true
-	default:
-		return false
-	}
-}
 
 // endpointCost returns the CPU demand of processing one circuit message
 // at one endpoint. Creation acks are lightweight: the dispatcher sends
@@ -486,7 +473,7 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 		if l.exited {
 			return
 		}
-		if isResponse(env.Type) {
+		if env.Type.IsResponse() {
 			l.handleResponse(env)
 		} else {
 			l.handleRequest(sb, env)

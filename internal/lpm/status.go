@@ -177,21 +177,19 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 			}
 			outstanding++
 			host := host
-			body := wire.StatusReq{User: l.user.Name, Sweep: sweepID}.Encode()
+			body := wire.Encode(&wire.StatusReq{User: l.user.Name, Sweep: sweepID})
 			l.remoteCall(ctx, host, wire.MsgStatusReq, body, func(env wire.Envelope, err error) {
 				outstanding--
-				if err == nil {
-					if resp, derr := wire.DecodeStatusResp(env.Body); derr != nil {
-						err = derr
-					} else if !resp.OK {
-						err = fmt.Errorf("%w: %s", ErrRemote, resp.Reason)
-					} else if rep, rerr := status.Decode(resp.Report); rerr != nil {
-						err = rerr
-					} else {
-						sw.Reports = append(sw.Reports, rep)
-					}
+				var resp wire.StatusResp
+				var rep status.Report
+				err = firstErr(err, wire.Decode(env.Body, &resp))
+				if err == nil && !resp.OK {
+					err = refused(resp.Reason)
 				}
-				if err != nil {
+				err = firstErr(err, wire.Decode(resp.Report, &rep))
+				if err == nil {
+					sw.Reports = append(sw.Reports, rep)
+				} else {
 					l.metrics.Counter("lpm.status.unreachable").Inc()
 					sw.Unreachable = append(sw.Unreachable, host)
 				}

@@ -93,8 +93,8 @@ func (t *ToolClient) hello(cb func(*ToolClient, error)) {
 			cb(nil, errors.New("lpm: tool hello: bad reply"))
 			return
 		}
-		resp, err := wire.DecodeHelloResp(env.Body)
-		if err != nil || !resp.OK {
+		var resp wire.HelloResp
+		if wire.Decode(env.Body, &resp) != nil || !resp.OK {
 			t.conn.Close()
 			cb(nil, fmt.Errorf("lpm: tool hello rejected: %s", resp.Reason))
 			return
@@ -110,7 +110,7 @@ func (t *ToolClient) hello(cb func(*ToolClient, error)) {
 		Stamp:    wire.NewStamp(t.user.Key(), t.host, t.sched.Now().Duration(), 1),
 	}
 	//ppmlint:allow errdrop a lost Hello surfaces as onClosed; the tool reports the dead socket there
-	_ = t.sendFramed(wire.Envelope{Type: wire.MsgHello, Body: hello.Encode()})
+	_ = t.sendFramed(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)})
 }
 
 func (t *ToolClient) onClosed(err error) {
@@ -175,34 +175,23 @@ func (t *ToolClient) call(mt wire.MsgType, body []byte, cb func(wire.Envelope, e
 func (t *ToolClient) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal,
 	cb func(wire.ControlResp, error)) {
 	req := wire.Control{User: t.user.Name, Target: target, Op: op, Signal: sig}
-	t.call(wire.MsgControl, req.Encode(), func(env wire.Envelope, err error) {
-		if err != nil {
-			cb(wire.ControlResp{}, err)
-			return
-		}
-		resp, derr := wire.DecodeControlResp(env.Body)
-		cb(resp, derr)
+	t.call(wire.MsgControl, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.ControlResp
+		err = firstErr(err, wire.Decode(env.Body, &resp))
+		cb(resp, err)
 	})
 }
 
 // Create starts an adopted process on the LPM's host.
 func (t *ToolClient) Create(name string, parent proc.GPID, cb func(proc.GPID, error)) {
 	req := wire.CreateProc{User: t.user.Name, Name: name, Parent: parent}
-	t.call(wire.MsgCreateProc, req.Encode(), func(env wire.Envelope, err error) {
-		if err != nil {
-			cb(proc.GPID{}, err)
-			return
+	t.call(wire.MsgCreateProc, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var a wire.CreateAck
+		err = firstErr(err, wire.Decode(env.Body, &a))
+		if err == nil && !a.OK {
+			err = refused(a.Reason)
 		}
-		a, derr := wire.DecodeCreateAck(env.Body)
-		if derr != nil {
-			cb(proc.GPID{}, derr)
-			return
-		}
-		if !a.OK {
-			cb(proc.GPID{}, fmt.Errorf("%w: %s", ErrRemote, a.Reason))
-			return
-		}
-		cb(a.ID, nil)
+		cb(a.ID, err)
 	})
 }
 
@@ -210,14 +199,11 @@ func (t *ToolClient) Create(name string, parent proc.GPID, cb func(proc.GPID, er
 // request over its circuit graph on the tool's behalf).
 func (t *ToolClient) Snapshot(cb func(proc.Snapshot, error)) {
 	req := wire.SnapshotReq{User: t.user.Name, Forward: true}
-	t.call(wire.MsgSnapshotReq, req.Encode(), func(env wire.Envelope, err error) {
+	t.call(wire.MsgSnapshotReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.SnapshotResp
+		err = firstErr(err, wire.Decode(env.Body, &resp))
 		if err != nil {
 			cb(proc.Snapshot{}, err)
-			return
-		}
-		resp, derr := wire.DecodeSnapshotResp(env.Body)
-		if derr != nil {
-			cb(proc.Snapshot{}, derr)
 			return
 		}
 		snap := proc.Merge(t.sched.Now().Duration(), resp.Procs)
@@ -229,21 +215,13 @@ func (t *ToolClient) Snapshot(cb func(proc.Snapshot, error)) {
 // Stats fetches a process's resource-consumption record.
 func (t *ToolClient) Stats(target proc.GPID, cb func(proc.Info, error)) {
 	req := wire.StatsReq{User: t.user.Name, Target: target}
-	t.call(wire.MsgStatsReq, req.Encode(), func(env wire.Envelope, err error) {
-		if err != nil {
-			cb(proc.Info{}, err)
-			return
+	t.call(wire.MsgStatsReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.StatsResp
+		err = firstErr(err, wire.Decode(env.Body, &resp))
+		if err == nil && !resp.OK {
+			err = refused(resp.Reason)
 		}
-		resp, derr := wire.DecodeStatsResp(env.Body)
-		if derr != nil {
-			cb(proc.Info{}, derr)
-			return
-		}
-		if !resp.OK {
-			cb(proc.Info{}, fmt.Errorf("%w: %s", ErrRemote, resp.Reason))
-			return
-		}
-		cb(resp.Info, nil)
+		cb(resp.Info, err)
 	})
 }
 
@@ -256,17 +234,10 @@ func (t *ToolClient) History(q history.Query, cb func([]proc.Event, error)) {
 	for _, k := range q.Kinds {
 		req.Kinds = append(req.Kinds, uint8(k))
 	}
-	t.call(wire.MsgHistoryReq, req.Encode(), func(env wire.Envelope, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		resp, derr := wire.DecodeHistoryResp(env.Body)
-		if derr != nil {
-			cb(nil, derr)
-			return
-		}
-		cb(resp.Events, nil)
+	t.call(wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.HistoryResp
+		err = firstErr(err, wire.Decode(env.Body, &resp))
+		cb(resp.Events, err)
 	})
 }
 
@@ -302,26 +273,25 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 		}
 		switch env.Type {
 		case wire.MsgSnapshotReq:
-			req, err := wire.DecodeSnapshotReq(env.Body)
-			if err != nil || req.User != l.user.Name {
-				reply(wire.MsgSnapshotResp,
-					wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}.Encode())
+			var req wire.SnapshotReq
+			if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
+				reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
 				return
 			}
 			inner := wire.Envelope{Type: wire.MsgSnapshotReq, Body: env.Body}
 			l.startFlood(ctx, inner, func(res wire.FloodResult) {
-				reply(wire.MsgSnapshotResp, wire.SnapshotResp{
+				reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{
 					OK: true, Procs: res.Procs, Partial: l.uncovered(res),
-				}.Encode())
+				}))
 			})
 		case wire.MsgControl:
 			// A zero-target control from a tool is a broadcast.
-			req, derr := wire.DecodeControl(env.Body)
+			var req wire.Control
+			derr := wire.Decode(env.Body, &req)
 			if derr == nil && req.Target.IsZero() && req.User == l.user.Name {
 				inner := wire.Envelope{Type: wire.MsgControl, Body: env.Body}
 				l.startFlood(ctx, inner, func(res wire.FloodResult) {
-					reply(wire.MsgControlResp,
-						wire.ControlResp{OK: true, State: proc.Running}.Encode())
+					reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: true, State: proc.Running}))
 				})
 				return
 			}
@@ -330,8 +300,7 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 				l.remoteCall(ctx, req.Target.Host, wire.MsgControl, env.Body,
 					func(renv wire.Envelope, rerr error) {
 						if rerr != nil {
-							reply(wire.MsgControlResp,
-								wire.ControlResp{OK: false, Reason: rerr.Error()}.Encode())
+							reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: false, Reason: rerr.Error()}))
 							return
 						}
 						reply(wire.MsgControlResp, renv.Body)

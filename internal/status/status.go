@@ -92,91 +92,41 @@ func (r *Report) Reset(host string, at time.Duration) {
 	r.OpLatencies = r.OpLatencies[:0]
 }
 
-// SortCircuits puts the circuit table in peer order (in place).
-func (r *Report) SortCircuits() {
-	detord.SortBy(r.Circuits, func(c CircuitStatus) string { return c.Peer })
-}
-
-// EncodeTo appends the report's wire form to enc.
-func (r *Report) EncodeTo(enc *wire.Encoder) {
-	enc.String(r.Host)
-	enc.Duration(r.At)
-	enc.I32(int32(r.ProcsLive))
-	enc.I32(int32(r.ProcsTotal))
-	enc.I64(r.Load100)
-	enc.I32(int32(r.TimersPending))
-	enc.Bool(r.DaemonUp)
-	enc.I32(int32(r.DaemonLPMs))
-	enc.Bool(r.NetUp)
-	enc.I32(int32(r.NetConns))
-	enc.U16(uint16(len(r.Circuits)))
-	for _, c := range r.Circuits {
-		enc.String(c.Peer)
-		enc.String(c.State)
-		enc.Duration(c.Age)
-		enc.I32(int32(c.Suspicion))
+// Fields walks the report in wire order (it is a wire.Message; the
+// status sweep carries it pre-encoded in wire.StatusResp.Report).
+func (r *Report) Fields(c *wire.Coder) {
+	c.Size(128 + 32*len(r.Circuits) + 48*len(r.OpLatencies))
+	c.Str(&r.Host)
+	c.Duration(&r.At)
+	c.Int(&r.ProcsLive)
+	c.Int(&r.ProcsTotal)
+	c.I64(&r.Load100)
+	c.Int(&r.TimersPending)
+	c.Bool(&r.DaemonUp)
+	c.Int(&r.DaemonLPMs)
+	c.Bool(&r.NetUp)
+	c.Int(&r.NetConns)
+	for i, n := 0, wire.Len(c, &r.Circuits); c.More(i, n); i++ {
+		cs := wire.Elem(c, &r.Circuits, i)
+		c.Str(&cs.Peer)
+		c.Str(&cs.State)
+		c.Duration(&cs.Age)
+		c.Int(&cs.Suspicion)
 	}
-	enc.I32(int32(r.PendingReqs))
-	enc.I32(int32(r.RetryBackoffs))
-	enc.I32(int32(r.ReplyCache))
-	enc.I32(int32(r.InflightOps))
-	enc.I32(int32(r.JournalLen))
-	enc.U64(r.JournalDropped)
-	enc.U16(uint16(len(r.OpLatencies)))
-	for _, o := range r.OpLatencies {
-		enc.String(o.Op)
-		enc.U64(o.Count)
-		enc.Duration(o.P50)
-		enc.Duration(o.P95)
-		enc.Duration(o.P99)
+	c.Int(&r.PendingReqs)
+	c.Int(&r.RetryBackoffs)
+	c.Int(&r.ReplyCache)
+	c.Int(&r.InflightOps)
+	c.Int(&r.JournalLen)
+	c.U64(&r.JournalDropped)
+	for i, n := 0, wire.Len(c, &r.OpLatencies); c.More(i, n); i++ {
+		o := wire.Elem(c, &r.OpLatencies, i)
+		c.Str(&o.Op)
+		c.U64(&o.Count)
+		c.Duration(&o.P50)
+		c.Duration(&o.P95)
+		c.Duration(&o.P99)
 	}
-}
-
-// Encode returns the report's wire form.
-func (r *Report) Encode() []byte {
-	enc := wire.NewEncoder(128 + 32*len(r.Circuits) + 48*len(r.OpLatencies))
-	r.EncodeTo(enc)
-	return enc.Bytes()
-}
-
-// Decode parses a wire-form report.
-func Decode(b []byte) (Report, error) {
-	d := wire.NewDecoder(b)
-	var r Report
-	r.Host = d.String()
-	r.At = d.Duration()
-	r.ProcsLive = int(d.I32())
-	r.ProcsTotal = int(d.I32())
-	r.Load100 = d.I64()
-	r.TimersPending = int(d.I32())
-	r.DaemonUp = d.Bool()
-	r.DaemonLPMs = int(d.I32())
-	r.NetUp = d.Bool()
-	r.NetConns = int(d.I32())
-	nc := int(d.U16())
-	for i := 0; i < nc && d.Err() == nil; i++ {
-		r.Circuits = append(r.Circuits, CircuitStatus{
-			Peer: d.String(), State: d.String(), Age: d.Duration(),
-			Suspicion: int(d.I32()),
-		})
-	}
-	r.PendingReqs = int(d.I32())
-	r.RetryBackoffs = int(d.I32())
-	r.ReplyCache = int(d.I32())
-	r.InflightOps = int(d.I32())
-	r.JournalLen = int(d.I32())
-	r.JournalDropped = d.U64()
-	no := int(d.U16())
-	for i := 0; i < no && d.Err() == nil; i++ {
-		r.OpLatencies = append(r.OpLatencies, OpLatency{
-			Op: d.String(), Count: d.U64(),
-			P50: d.Duration(), P95: d.Duration(), P99: d.Duration(),
-		})
-	}
-	if err := d.Finish(); err != nil {
-		return Report{}, err
-	}
-	return r, nil
 }
 
 // Sweep is one cluster-wide status gather: the origin's own report plus
@@ -203,13 +153,6 @@ func load(l100 int64) string {
 		l100 = 0
 	}
 	return fmt.Sprintf("%d.%02d", l100/100, l100%100)
-}
-
-// Row renders the report as one dashboard row (no trailing newline).
-func (r *Report) Row() string {
-	var b strings.Builder
-	r.writeRow(&b)
-	return b.String()
 }
 
 func (r *Report) writeRow(b *strings.Builder) {

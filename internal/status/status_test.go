@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ppm/internal/wire"
 )
 
 func sampleReport() Report {
@@ -29,8 +31,8 @@ func sampleReport() Report {
 
 func TestReportRoundTrip(t *testing.T) {
 	want := sampleReport()
-	got, err := Decode(want.Encode())
-	if err != nil {
+	var got Report
+	if err := wire.Decode(wire.Encode(&want), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Host != want.Host || got.At != want.At ||
@@ -54,8 +56,8 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsTruncated(t *testing.T) {
 	r := sampleReport()
-	b := r.Encode()
-	if _, err := Decode(b[:len(b)-3]); err == nil {
+	b := wire.Encode(&r)
+	if err := wire.Decode(b[:len(b)-3], &Report{}); err == nil {
 		t.Fatal("truncated report decoded without error")
 	}
 }

@@ -124,8 +124,8 @@ func TestDecodeBorrowMatchesDecode(t *testing.T) {
 func TestPooledEncoderReuse(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		enc := GetEncoder()
-		if enc.Len() != 0 {
-			t.Fatalf("pooled encoder arrived dirty: %d bytes", enc.Len())
+		if len(enc.Bytes()) != 0 {
+			t.Fatalf("pooled encoder arrived dirty: %d bytes", len(enc.Bytes()))
 		}
 		ev := Envelope{Type: MsgPing, ReqID: uint64(i), Body: []byte{byte(i)}}
 		frame := ev.EncodeTo(enc)

@@ -12,14 +12,14 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
-// ErrShortBuffer reports a frame that ends before its declared content.
-var ErrShortBuffer = errors.New("wire: short buffer")
+// errShortBuffer reports a frame that ends before its declared content.
+// The decoder stores it ready-made, so the entry points that hand it
+// to callers return a field and stay inlinable (see Decode).
+var errShortBuffer = errors.New("decode: wire: short buffer")
 
 // Encoder builds a binary message. The zero value is ready to use.
 type Encoder struct {
@@ -68,9 +68,6 @@ func PutEncoder(e *Encoder) {
 // continuing to use the encoder.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -88,27 +85,6 @@ func (e *Encoder) U32(v uint32) {
 func (e *Encoder) U64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }
-
-// I32 appends a big-endian signed 32-bit integer.
-func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
-
-// I64 appends a big-endian signed 64-bit integer.
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// Bool appends a boolean as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// F64 appends an IEEE-754 double.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Duration appends a time.Duration as a signed 64-bit nanosecond count.
-func (e *Encoder) Duration(d time.Duration) { e.I64(int64(d)) }
 
 // String appends a length-prefixed UTF-8 string (u16 length).
 func (e *Encoder) String(s string) {
@@ -138,37 +114,31 @@ func (e *Encoder) StringSlice(ss []string) {
 
 // Pad appends zero bytes until the buffer reaches size. It is used to
 // give kernel event messages their fixed 112-byte size. If the buffer
-// already exceeds size, Pad does nothing and PadOverflow reports it.
+// already exceeds size, Pad does nothing.
 func (e *Encoder) Pad(size int) {
 	for len(e.buf) < size {
 		e.buf = append(e.buf, 0)
 	}
 }
 
-// Decoder reads a binary message produced by Encoder. Errors are
-// sticky: after the first failure all reads return zero values and Err
-// reports the failure.
-type Decoder struct {
+// decoder reads a binary message produced by Encoder. Errors are
+// sticky: after the first failure all reads return zero values and err
+// holds the failure.
+type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-// NewDecoder returns a decoder over buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+// remaining returns the number of unread bytes.
+func (d *decoder) remaining() int { return len(d.buf) - d.off }
 
-// Err returns the first decoding error, if any.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-func (d *Decoder) take(n int) []byte {
+func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
 	if d.off+n > len(d.buf) {
-		d.err = ErrShortBuffer
+		d.err = errShortBuffer
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -177,7 +147,7 @@ func (d *Decoder) take(n int) []byte {
 }
 
 // U8 reads one byte.
-func (d *Decoder) U8() uint8 {
+func (d *decoder) U8() uint8 {
 	b := d.take(1)
 	if b == nil {
 		return 0
@@ -186,7 +156,7 @@ func (d *Decoder) U8() uint8 {
 }
 
 // U16 reads a big-endian 16-bit integer.
-func (d *Decoder) U16() uint16 {
+func (d *decoder) U16() uint16 {
 	b := d.take(2)
 	if b == nil {
 		return 0
@@ -195,7 +165,7 @@ func (d *Decoder) U16() uint16 {
 }
 
 // U32 reads a big-endian 32-bit integer.
-func (d *Decoder) U32() uint32 {
+func (d *decoder) U32() uint32 {
 	b := d.take(4)
 	if b == nil {
 		return 0
@@ -204,7 +174,7 @@ func (d *Decoder) U32() uint32 {
 }
 
 // U64 reads a big-endian 64-bit integer.
-func (d *Decoder) U64() uint64 {
+func (d *decoder) U64() uint64 {
 	b := d.take(8)
 	if b == nil {
 		return 0
@@ -212,23 +182,8 @@ func (d *Decoder) U64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// I32 reads a big-endian signed 32-bit integer.
-func (d *Decoder) I32() int32 { return int32(d.U32()) }
-
-// I64 reads a big-endian signed 64-bit integer.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Bool reads a boolean byte; any nonzero value is true.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// F64 reads an IEEE-754 double.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Duration reads a nanosecond duration.
-func (d *Decoder) Duration() time.Duration { return time.Duration(d.I64()) }
-
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
+func (d *decoder) String() string {
 	n := int(d.U16())
 	b := d.take(n)
 	if b == nil {
@@ -238,7 +193,7 @@ func (d *Decoder) String() string {
 }
 
 // Bytes32 reads a u32-length-prefixed byte slice (copied).
-func (d *Decoder) Bytes32() []byte {
+func (d *decoder) Bytes32() []byte {
 	b := d.Bytes32Borrow()
 	if b == nil {
 		return nil
@@ -252,23 +207,23 @@ func (d *Decoder) Bytes32() []byte {
 // copying: the result aliases the decoder's input buffer and is only
 // valid while that buffer is. Callers that hand the slice to deferred
 // work must use Bytes32 instead.
-func (d *Decoder) Bytes32Borrow() []byte {
+func (d *decoder) Bytes32Borrow() []byte {
 	n := int(d.U32())
-	if n > d.Remaining() {
-		d.err = ErrShortBuffer
+	if n > d.remaining() {
+		d.err = errShortBuffer
 		return nil
 	}
 	return d.take(n)
 }
 
 // StringSlice reads a u16-counted slice of strings.
-func (d *Decoder) StringSlice() []string {
+func (d *decoder) StringSlice() []string {
 	n := int(d.U16())
 	if n == 0 {
 		return nil
 	}
-	if n > d.Remaining() { // each string needs at least its 2-byte length
-		d.err = ErrShortBuffer
+	if n > d.remaining() { // each string needs at least its 2-byte length
+		d.err = errShortBuffer
 		return nil
 	}
 	out := make([]string, 0, n)
@@ -279,16 +234,4 @@ func (d *Decoder) StringSlice() []string {
 		return nil
 	}
 	return out
-}
-
-// Skip discards n bytes (used to skip padding).
-func (d *Decoder) Skip(n int) { d.take(n) }
-
-// Finish returns an error if decoding failed earlier. Trailing bytes
-// are permitted (padding).
-func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return fmt.Errorf("decode: %w", d.err)
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -13,31 +12,13 @@ func TestRoundTripScalars(t *testing.T) {
 	e.U16(300)
 	e.U32(70000)
 	e.U64(1 << 40)
-	e.I32(-5)
-	e.I64(-1 << 40)
-	e.Bool(true)
-	e.Bool(false)
-	e.F64(3.25)
-	e.Duration(42 * time.Millisecond)
 	e.String("hello")
 	e.Bytes32([]byte{1, 2, 3})
 	e.StringSlice([]string{"a", "bb"})
 
-	d := NewDecoder(e.Bytes())
+	d := &decoder{buf: e.Bytes()}
 	if d.U8() != 7 || d.U16() != 300 || d.U32() != 70000 || d.U64() != 1<<40 {
 		t.Fatal("unsigned round trip failed")
-	}
-	if d.I32() != -5 || d.I64() != -1<<40 {
-		t.Fatal("signed round trip failed")
-	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("bool round trip failed")
-	}
-	if d.F64() != 3.25 {
-		t.Fatal("float round trip failed")
-	}
-	if d.Duration() != 42*time.Millisecond {
-		t.Fatal("duration round trip failed")
 	}
 	if d.String() != "hello" {
 		t.Fatal("string round trip failed")
@@ -49,34 +30,34 @@ func TestRoundTripScalars(t *testing.T) {
 	if len(ss) != 2 || ss[0] != "a" || ss[1] != "bb" {
 		t.Fatal("string slice round trip failed")
 	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if d.remaining() != 0 {
+		t.Fatalf("remaining = %d", d.remaining())
 	}
 }
 
 func TestDecoderShortBufferSticky(t *testing.T) {
-	d := NewDecoder([]byte{0x01})
+	d := &decoder{buf: []byte{0x01}}
 	_ = d.U32() // needs 4 bytes
-	if d.Err() == nil {
+	if d.err == nil {
 		t.Fatal("expected short-buffer error")
 	}
 	// Sticky: further reads return zero values and keep the error.
 	if d.U8() != 0 || d.String() != "" || d.Bytes32() != nil {
 		t.Fatal("post-error reads should return zero values")
 	}
-	if err := d.Finish(); err == nil {
-		t.Fatal("Finish should report the error")
+	if d.err == nil || d.err.Error() != "decode: wire: short buffer" {
+		t.Fatalf("sticky error: %v", d.err)
 	}
 }
 
 func TestDecoderStringLengthBeyondBuffer(t *testing.T) {
 	e := NewEncoder(0)
 	e.U16(100) // claims 100 bytes follow
-	d := NewDecoder(e.Bytes())
-	if d.String() != "" || d.Err() == nil {
+	d := &decoder{buf: e.Bytes()}
+	if d.String() != "" || d.err == nil {
 		t.Fatal("oversized string length should fail")
 	}
 }
@@ -84,8 +65,8 @@ func TestDecoderStringLengthBeyondBuffer(t *testing.T) {
 func TestDecoderBytes32HugeLengthRejected(t *testing.T) {
 	e := NewEncoder(0)
 	e.U32(1 << 30)
-	d := NewDecoder(e.Bytes())
-	if d.Bytes32() != nil || d.Err() == nil {
+	d := &decoder{buf: e.Bytes()}
+	if d.Bytes32() != nil || d.err == nil {
 		t.Fatal("huge claimed length must not allocate or succeed")
 	}
 }
@@ -93,8 +74,8 @@ func TestDecoderBytes32HugeLengthRejected(t *testing.T) {
 func TestDecoderStringSliceHugeCountRejected(t *testing.T) {
 	e := NewEncoder(0)
 	e.U16(65535)
-	d := NewDecoder(e.Bytes())
-	if d.StringSlice() != nil || d.Err() == nil {
+	d := &decoder{buf: e.Bytes()}
+	if d.StringSlice() != nil || d.err == nil {
 		t.Fatal("huge claimed count must fail cleanly")
 	}
 }
@@ -103,30 +84,13 @@ func TestPadReachesFixedSize(t *testing.T) {
 	e := NewEncoder(0)
 	e.String("x")
 	e.Pad(112)
-	if e.Len() != 112 {
-		t.Fatalf("len = %d, want 112", e.Len())
+	if len(e.Bytes()) != 112 {
+		t.Fatalf("len = %d, want 112", len(e.Bytes()))
 	}
 	// Pad never truncates.
 	e.Pad(50)
-	if e.Len() != 112 {
+	if len(e.Bytes()) != 112 {
 		t.Fatal("Pad should not shrink the buffer")
-	}
-}
-
-func TestSkipPadding(t *testing.T) {
-	e := NewEncoder(0)
-	e.U8(9)
-	e.Pad(10)
-	d := NewDecoder(e.Bytes())
-	if d.U8() != 9 {
-		t.Fatal("value wrong")
-	}
-	d.Skip(9)
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatal("skip did not consume padding")
 	}
 }
 
@@ -134,7 +98,7 @@ func TestBytes32ReturnsCopy(t *testing.T) {
 	e := NewEncoder(0)
 	e.Bytes32([]byte{1, 2, 3})
 	raw := e.Bytes()
-	d := NewDecoder(raw)
+	d := &decoder{buf: raw}
 	got := d.Bytes32()
 	raw[4] = 99 // mutate the underlying buffer
 	if got[0] != 1 {
@@ -149,19 +113,19 @@ func TestStringTruncatedAtU16Max(t *testing.T) {
 	}
 	e := NewEncoder(0)
 	e.String(string(long))
-	d := NewDecoder(e.Bytes())
+	d := &decoder{buf: e.Bytes()}
 	s := d.String()
 	if len(s) != 65535 {
 		t.Fatalf("len = %d, want 65535", len(s))
 	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
 }
 
-// Property: any sequence of (string, u64, bool) triples round-trips.
+// Property: any sequence of (string, u64, u8) triples round-trips.
 func TestPropertyTripleRoundTrip(t *testing.T) {
-	f := func(ss []string, vs []uint64, bs []bool) bool {
+	f := func(ss []string, vs []uint64, bs []uint8) bool {
 		n := len(ss)
 		if len(vs) < n {
 			n = len(vs)
@@ -177,19 +141,19 @@ func TestPropertyTripleRoundTrip(t *testing.T) {
 			}
 			e.String(s)
 			e.U64(vs[i])
-			e.Bool(bs[i])
+			e.U8(bs[i])
 		}
-		d := NewDecoder(e.Bytes())
+		d := &decoder{buf: e.Bytes()}
 		for i := 0; i < n; i++ {
 			s := ss[i]
 			if len(s) > 1000 {
 				s = s[:1000]
 			}
-			if d.String() != s || d.U64() != vs[i] || d.Bool() != bs[i] {
+			if d.String() != s || d.U64() != vs[i] || d.U8() != bs[i] {
 				return false
 			}
 		}
-		return d.Finish() == nil
+		return d.err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -199,12 +163,12 @@ func TestPropertyTripleRoundTrip(t *testing.T) {
 // Property: the decoder never panics on arbitrary input.
 func TestPropertyDecoderRobustToGarbage(t *testing.T) {
 	f := func(garbage []byte) bool {
-		d := NewDecoder(garbage)
+		d := &decoder{buf: garbage}
 		_ = d.String()
 		_ = d.U64()
 		_ = d.Bytes32()
 		_ = d.StringSlice()
-		_ = d.Duration()
+		_ = d.U32()
 		return true // reaching here (no panic) is the property
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

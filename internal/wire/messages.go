@@ -174,6 +174,12 @@ func OpJournalKind(t MsgType) journal.Kind {
 	return journal.WireDecode
 }
 
+// IsResponse reports whether t answers a pending request: the manifest's
+// role column, so a new op needs no second list.
+func (t MsgType) IsResponse() bool {
+	return int(t) < len(opSpecs) && opSpecs[t].role == roleResponse
+}
+
 // msgCounterNames precomputes the per-type metric counter names so the
 // per-frame accounting in EncodeLoggedTo performs no string
 // concatenation.
@@ -229,7 +235,7 @@ func (ev *Envelope) SetTrace(traceID, spanID uint64) {
 // Trailer flags on an envelope frame. Trailers are optional typed
 // extensions after the body: a flag byte naming the trailer followed by
 // its fixed-size payload. Decoders that predate a trailer still parse
-// the frame because Finish permits trailing bytes.
+// the frame because decoding permits trailing bytes.
 const (
 	// traceFlag marks a trace-context trailer (two u64s).
 	traceFlag = 1
@@ -323,24 +329,24 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 // DecodeEnvelopeBorrow is DecodeEnvelope without the body copy: the
 // returned Body aliases b and is only valid while b is. It is the
 // zero-allocation parse for consumers that fully decode the body
-// before returning control (the typed Decode* functions copy every
-// field they extract); a handler that defers work referencing the body
+// before returning control (Decode copies every field it extracts); a
+// handler that defers work referencing the body
 // must use DecodeEnvelope.
 //
 //ppmlint:hotpath pin=TestDecodeOpLessFrameZeroAllocs
 func DecodeEnvelopeBorrow(b []byte) (Envelope, error) {
-	d := Decoder{buf: b}
+	d := decoder{buf: b}
 	var ev Envelope
 	ev.Type = MsgType(d.U16())
 	ev.ReqID = d.U64()
 	ev.Body = d.Bytes32Borrow()
 trailers:
-	for d.Remaining() >= 9 {
+	for d.remaining() >= 9 {
 		switch d.U8() {
 		case opFlag:
 			ev.OpID = d.U64()
 		case traceFlag:
-			if d.Remaining() < 16 {
+			if d.remaining() < 16 {
 				break trailers
 			}
 			ev.TraceID = d.U64()
@@ -349,8 +355,8 @@ trailers:
 			break trailers // padding, or a trailer from the future
 		}
 	}
-	if err := d.Finish(); err != nil {
-		return Envelope{}, err
+	if d.err != nil {
+		return Envelope{}, d.err
 	}
 	return ev, nil
 }
@@ -371,61 +377,6 @@ func DecodeEnvelopeLogged(b []byte, jr *journal.Journal, host string) (Envelope,
 	return ev, err
 }
 
-// --- shared field helpers ---
-
-func putGPID(e *Encoder, g proc.GPID) {
-	e.String(g.Host)
-	e.I32(int32(g.PID))
-}
-
-func getGPID(d *Decoder) proc.GPID {
-	return proc.GPID{Host: d.String(), PID: proc.PID(d.I32())}
-}
-
-func putRusage(e *Encoder, r proc.Rusage) {
-	e.Duration(r.CPUTime)
-	e.I64(r.Syscalls)
-	e.I64(r.MsgsSent)
-	e.I64(r.MsgsRecv)
-	e.I64(r.MaxRSSKB)
-}
-
-func getRusage(d *Decoder) proc.Rusage {
-	return proc.Rusage{
-		CPUTime:  d.Duration(),
-		Syscalls: d.I64(),
-		MsgsSent: d.I64(),
-		MsgsRecv: d.I64(),
-		MaxRSSKB: d.I64(),
-	}
-}
-
-func putInfo(e *Encoder, p proc.Info) {
-	putGPID(e, p.ID)
-	putGPID(e, p.Parent)
-	e.String(p.Name)
-	e.String(p.User)
-	e.U8(uint8(p.State))
-	putRusage(e, p.Rusage)
-	e.I32(int32(p.ExitCode))
-	e.Duration(p.StartedAt)
-	e.Duration(p.ExitedAt)
-}
-
-func getInfo(d *Decoder) proc.Info {
-	return proc.Info{
-		ID:        getGPID(d),
-		Parent:    getGPID(d),
-		Name:      d.String(),
-		User:      d.String(),
-		State:     proc.State(d.U8()),
-		Rusage:    getRusage(d),
-		ExitCode:  int(d.I32()),
-		StartedAt: d.Duration(),
-		ExitedAt:  d.Duration(),
-	}
-}
-
 // --- pmd protocol (Figure 2) ---
 
 // LPMQuery asks the pmd for the user's LPM accept address, creating the
@@ -436,19 +387,11 @@ type LPMQuery struct {
 	Token []byte
 }
 
-// Encode serializes the query.
-func (m LPMQuery) Encode() []byte {
-	e := NewEncoder(32)
-	e.String(m.User)
-	e.Bytes32(m.Token)
-	return e.Bytes()
-}
-
-// DecodeLPMQuery parses an LPMQuery body.
-func DecodeLPMQuery(b []byte) (LPMQuery, error) {
-	d := NewDecoder(b)
-	m := LPMQuery{User: d.String(), Token: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the query in wire order.
+func (m *LPMQuery) Fields(c *Coder) {
+	c.Size(32)
+	c.Str(&m.User)
+	c.Bytes(&m.Token)
 }
 
 // LPMQueryResp returns the accept address (step 4 of Figure 2).
@@ -460,28 +403,14 @@ type LPMQueryResp struct {
 	Created    bool // true if the LPM was created by this request
 }
 
-// Encode serializes the response.
-func (m LPMQueryResp) Encode() []byte {
-	e := NewEncoder(32)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.String(m.AcceptHost)
-	e.U16(m.AcceptPort)
-	e.Bool(m.Created)
-	return e.Bytes()
-}
-
-// DecodeLPMQueryResp parses an LPMQueryResp body.
-func DecodeLPMQueryResp(b []byte) (LPMQueryResp, error) {
-	d := NewDecoder(b)
-	m := LPMQueryResp{
-		OK:         d.Bool(),
-		Reason:     d.String(),
-		AcceptHost: d.String(),
-		AcceptPort: d.U16(),
-		Created:    d.Bool(),
-	}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *LPMQueryResp) Fields(c *Coder) {
+	c.Size(32)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Str(&m.AcceptHost)
+	c.U16(&m.AcceptPort)
+	c.Bool(&m.Created)
 }
 
 // --- sibling channel (Figure 3) ---
@@ -506,28 +435,16 @@ type Hello struct {
 	Inc uint64
 }
 
-// Encode serializes the hello.
-func (m Hello) Encode() []byte {
-	e := NewEncoder(64)
-	e.String(m.User)
-	e.String(m.FromHost)
-	e.Bytes32(m.Token)
-	m.Stamp.encode(e)
-	e.String(m.CCSHost)
-	e.U16(m.CCSPort)
-	e.U64(m.Inc)
-	return e.Bytes()
-}
-
-// DecodeHello parses a Hello body.
-func DecodeHello(b []byte) (Hello, error) {
-	d := NewDecoder(b)
-	m := Hello{User: d.String(), FromHost: d.String(), Token: d.Bytes32()}
-	m.Stamp = decodeStamp(d)
-	m.CCSHost = d.String()
-	m.CCSPort = d.U16()
-	m.Inc = d.U64()
-	return m, d.Finish()
+// Fields walks the hello in wire order.
+func (m *Hello) Fields(c *Coder) {
+	c.Size(64)
+	c.Str(&m.User)
+	c.Str(&m.FromHost)
+	c.Bytes(&m.Token)
+	m.Stamp.Fields(c)
+	c.Str(&m.CCSHost)
+	c.U16(&m.CCSPort)
+	c.U64(&m.Inc)
 }
 
 // HelloResp accepts or rejects the circuit.
@@ -540,21 +457,12 @@ type HelloResp struct {
 	Inc uint64
 }
 
-// Encode serializes the response.
-func (m HelloResp) Encode() []byte {
-	e := NewEncoder(16)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.U64(m.Inc)
-	return e.Bytes()
-}
-
-// DecodeHelloResp parses a HelloResp body.
-func DecodeHelloResp(b []byte) (HelloResp, error) {
-	d := NewDecoder(b)
-	m := HelloResp{OK: d.Bool(), Reason: d.String()}
-	m.Inc = d.U64()
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *HelloResp) Fields(c *Coder) {
+	c.Size(16)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.U64(&m.Inc)
 }
 
 // --- process creation ---
@@ -570,21 +478,13 @@ type CreateProc struct {
 	Foreground bool
 }
 
-// Encode serializes the request.
-func (m CreateProc) Encode() []byte {
-	e := NewEncoder(48)
-	e.String(m.User)
-	e.String(m.Name)
-	putGPID(e, m.Parent)
-	e.Bool(m.Foreground)
-	return e.Bytes()
-}
-
-// DecodeCreateProc parses a CreateProc body.
-func DecodeCreateProc(b []byte) (CreateProc, error) {
-	d := NewDecoder(b)
-	m := CreateProc{User: d.String(), Name: d.String(), Parent: getGPID(d), Foreground: d.Bool()}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *CreateProc) Fields(c *Coder) {
+	c.Size(48)
+	c.Str(&m.User)
+	c.Str(&m.Name)
+	c.GPID(&m.Parent)
+	c.Bool(&m.Foreground)
 }
 
 // CreateAck is the lightweight acknowledgement sent right after
@@ -596,20 +496,12 @@ type CreateAck struct {
 	ID     proc.GPID
 }
 
-// Encode serializes the ack.
-func (m CreateAck) Encode() []byte {
-	e := NewEncoder(32)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	putGPID(e, m.ID)
-	return e.Bytes()
-}
-
-// DecodeCreateAck parses a CreateAck body.
-func DecodeCreateAck(b []byte) (CreateAck, error) {
-	d := NewDecoder(b)
-	m := CreateAck{OK: d.Bool(), Reason: d.String(), ID: getGPID(d)}
-	return m, d.Finish()
+// Fields walks the ack in wire order.
+func (m *CreateAck) Fields(c *Coder) {
+	c.Size(32)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.GPID(&m.ID)
 }
 
 // --- process control ---
@@ -655,21 +547,13 @@ type Control struct {
 	Signal proc.Signal // for OpSignal
 }
 
-// Encode serializes the request.
-func (m Control) Encode() []byte {
-	e := NewEncoder(32)
-	e.String(m.User)
-	putGPID(e, m.Target)
-	e.U8(uint8(m.Op))
-	e.I32(int32(m.Signal))
-	return e.Bytes()
-}
-
-// DecodeControl parses a Control body.
-func DecodeControl(b []byte) (Control, error) {
-	d := NewDecoder(b)
-	m := Control{User: d.String(), Target: getGPID(d), Op: ControlOp(d.U8()), Signal: proc.Signal(d.I32())}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *Control) Fields(c *Coder) {
+	c.Size(32)
+	c.Str(&m.User)
+	c.GPID(&m.Target)
+	c.U8((*uint8)(&m.Op))
+	c.Int((*int)(&m.Signal))
 }
 
 // ControlResp reports the outcome and the process's new state.
@@ -679,20 +563,12 @@ type ControlResp struct {
 	State  proc.State
 }
 
-// Encode serializes the response.
-func (m ControlResp) Encode() []byte {
-	e := NewEncoder(16)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.U8(uint8(m.State))
-	return e.Bytes()
-}
-
-// DecodeControlResp parses a ControlResp body.
-func DecodeControlResp(b []byte) (ControlResp, error) {
-	d := NewDecoder(b)
-	m := ControlResp{OK: d.Bool(), Reason: d.String(), State: proc.State(d.U8())}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *ControlResp) Fields(c *Coder) {
+	c.Size(16)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Enum((*int)(&m.State))
 }
 
 // --- snapshot ---
@@ -706,19 +582,11 @@ type SnapshotReq struct {
 	Forward bool
 }
 
-// Encode serializes the request.
-func (m SnapshotReq) Encode() []byte {
-	e := NewEncoder(16)
-	e.String(m.User)
-	e.Bool(m.Forward)
-	return e.Bytes()
-}
-
-// DecodeSnapshotReq parses a SnapshotReq body.
-func DecodeSnapshotReq(b []byte) (SnapshotReq, error) {
-	d := NewDecoder(b)
-	m := SnapshotReq{User: d.String(), Forward: d.Bool()}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *SnapshotReq) Fields(c *Coder) {
+	c.Size(16)
+	c.Str(&m.User)
+	c.Bool(&m.Forward)
 }
 
 // SnapshotResp carries per-process information fragments.
@@ -729,29 +597,13 @@ type SnapshotResp struct {
 	Partial []string // hosts whose information is missing
 }
 
-// Encode serializes the response.
-func (m SnapshotResp) Encode() []byte {
-	e := NewEncoder(64 + 96*len(m.Procs))
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.U16(uint16(len(m.Procs)))
-	for _, p := range m.Procs {
-		putInfo(e, p)
-	}
-	e.StringSlice(m.Partial)
-	return e.Bytes()
-}
-
-// DecodeSnapshotResp parses a SnapshotResp body.
-func DecodeSnapshotResp(b []byte) (SnapshotResp, error) {
-	d := NewDecoder(b)
-	m := SnapshotResp{OK: d.Bool(), Reason: d.String()}
-	n := int(d.U16())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Procs = append(m.Procs, getInfo(d))
-	}
-	m.Partial = d.StringSlice()
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *SnapshotResp) Fields(c *Coder) {
+	c.Size(64 + 96*len(m.Procs))
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Infos(&m.Procs)
+	c.Strs(&m.Partial)
 }
 
 // --- exited-process statistics ---
@@ -763,19 +615,11 @@ type StatsReq struct {
 	Target proc.GPID
 }
 
-// Encode serializes the request.
-func (m StatsReq) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.User)
-	putGPID(e, m.Target)
-	return e.Bytes()
-}
-
-// DecodeStatsReq parses a StatsReq body.
-func DecodeStatsReq(b []byte) (StatsReq, error) {
-	d := NewDecoder(b)
-	m := StatsReq{User: d.String(), Target: getGPID(d)}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *StatsReq) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.User)
+	c.GPID(&m.Target)
 }
 
 // StatsResp returns the record.
@@ -785,20 +629,12 @@ type StatsResp struct {
 	Info   proc.Info
 }
 
-// Encode serializes the response.
-func (m StatsResp) Encode() []byte {
-	e := NewEncoder(128)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	putInfo(e, m.Info)
-	return e.Bytes()
-}
-
-// DecodeStatsResp parses a StatsResp body.
-func DecodeStatsResp(b []byte) (StatsResp, error) {
-	d := NewDecoder(b)
-	m := StatsResp{OK: d.Bool(), Reason: d.String(), Info: getInfo(d)}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *StatsResp) Fields(c *Coder) {
+	c.Size(128)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Info(&m.Info)
 }
 
 // --- history ---
@@ -812,31 +648,16 @@ type HistoryReq struct {
 	Limit uint16
 }
 
-// Encode serializes the request.
-func (m HistoryReq) Encode() []byte {
-	e := NewEncoder(48)
-	e.String(m.User)
-	putGPID(e, m.Proc)
-	e.U16(uint16(len(m.Kinds)))
-	for _, k := range m.Kinds {
-		e.U8(k)
+// Fields walks the request in wire order.
+func (m *HistoryReq) Fields(c *Coder) {
+	c.Size(48)
+	c.Str(&m.User)
+	c.GPID(&m.Proc)
+	for i, n := 0, Len(c, &m.Kinds); c.More(i, n); i++ {
+		c.U8(Elem(c, &m.Kinds, i))
 	}
-	e.Duration(m.Since)
-	e.U16(m.Limit)
-	return e.Bytes()
-}
-
-// DecodeHistoryReq parses a HistoryReq body.
-func DecodeHistoryReq(b []byte) (HistoryReq, error) {
-	d := NewDecoder(b)
-	m := HistoryReq{User: d.String(), Proc: getGPID(d)}
-	n := int(d.U16())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Kinds = append(m.Kinds, d.U8())
-	}
-	m.Since = d.Duration()
-	m.Limit = d.U16()
-	return m, d.Finish()
+	c.Duration(&m.Since)
+	c.U16(&m.Limit)
 }
 
 // HistoryResp returns matching events.
@@ -846,27 +667,12 @@ type HistoryResp struct {
 	Events []proc.Event
 }
 
-// Encode serializes the response.
-func (m HistoryResp) Encode() []byte {
-	e := NewEncoder(32 + 64*len(m.Events))
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.U16(uint16(len(m.Events)))
-	for _, ev := range m.Events {
-		putEvent(e, ev)
-	}
-	return e.Bytes()
-}
-
-// DecodeHistoryResp parses a HistoryResp body.
-func DecodeHistoryResp(b []byte) (HistoryResp, error) {
-	d := NewDecoder(b)
-	m := HistoryResp{OK: d.Bool(), Reason: d.String()}
-	n := int(d.U16())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Events = append(m.Events, getEvent(d))
-	}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *HistoryResp) Fields(c *Coder) {
+	c.Size(32 + 64*len(m.Events))
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Events(&m.Events)
 }
 
 // --- open-descriptor display (a §7 future-work tool, implemented) ---
@@ -877,19 +683,11 @@ type FDReq struct {
 	Target proc.GPID
 }
 
-// Encode serializes the request.
-func (m FDReq) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.User)
-	putGPID(e, m.Target)
-	return e.Bytes()
-}
-
-// DecodeFDReq parses an FDReq body.
-func DecodeFDReq(b []byte) (FDReq, error) {
-	d := NewDecoder(b)
-	m := FDReq{User: d.String(), Target: getGPID(d)}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *FDReq) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.User)
+	c.GPID(&m.Target)
 }
 
 // FDResp lists open descriptors as "fd:path" strings.
@@ -899,20 +697,12 @@ type FDResp struct {
 	Open   []string
 }
 
-// Encode serializes the response.
-func (m FDResp) Encode() []byte {
-	e := NewEncoder(32)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.StringSlice(m.Open)
-	return e.Bytes()
-}
-
-// DecodeFDResp parses an FDResp body.
-func DecodeFDResp(b []byte) (FDResp, error) {
-	d := NewDecoder(b)
-	m := FDResp{OK: d.Bool(), Reason: d.String(), Open: d.StringSlice()}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *FDResp) Fields(c *Coder) {
+	c.Size(32)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Strs(&m.Open)
 }
 
 // --- broadcast (graph covering, §4) ---
@@ -928,21 +718,13 @@ type Broadcast struct {
 	Inner []byte // the encoded inner envelope
 }
 
-// Encode serializes the broadcast envelope.
-func (m Broadcast) Encode() []byte {
-	e := NewEncoder(96 + len(m.Inner))
-	m.Stamp.encode(e)
-	e.U64(m.Seq)
-	e.StringSlice(m.Route)
-	e.Bytes32(m.Inner)
-	return e.Bytes()
-}
-
-// DecodeBroadcast parses a Broadcast body.
-func DecodeBroadcast(b []byte) (Broadcast, error) {
-	d := NewDecoder(b)
-	m := Broadcast{Stamp: decodeStamp(d), Seq: d.U64(), Route: d.StringSlice(), Inner: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the broadcast envelope in wire order.
+func (m *Broadcast) Fields(c *Coder) {
+	c.Size(96 + len(m.Inner))
+	m.Stamp.Fields(c)
+	c.U64(&m.Seq)
+	c.Strs(&m.Route)
+	c.Bytes(&m.Inner)
 }
 
 // BroadcastResp carries a reply back along the recorded route.
@@ -953,50 +735,20 @@ type BroadcastResp struct {
 	Inner []byte
 }
 
-// Encode serializes the broadcast reply.
-func (m BroadcastResp) Encode() []byte {
-	e := NewEncoder(64 + len(m.Inner))
-	e.U64(m.Seq)
-	e.String(m.From)
-	e.StringSlice(m.Route)
-	e.Bytes32(m.Inner)
-	return e.Bytes()
-}
-
-// DecodeBroadcastResp parses a BroadcastResp body.
-func DecodeBroadcastResp(b []byte) (BroadcastResp, error) {
-	d := NewDecoder(b)
-	m := BroadcastResp{Seq: d.U64(), From: d.String(), Route: d.StringSlice(), Inner: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the broadcast reply in wire order.
+func (m *BroadcastResp) Fields(c *Coder) {
+	c.Size(64 + len(m.Inner))
+	c.U64(&m.Seq)
+	c.Str(&m.From)
+	c.Strs(&m.Route)
+	c.Bytes(&m.Inner)
 }
 
 // --- kernel event message (112 bytes) ---
 
-func putEvent(e *Encoder, ev proc.Event) {
-	e.Duration(ev.At)
-	e.U8(uint8(ev.Kind))
-	putGPID(e, ev.Proc)
-	putGPID(e, ev.Child)
-	e.I32(int32(ev.Signal))
-	e.String(ev.Detail)
-	putRusage(e, ev.Rusage)
-}
-
-func getEvent(d *Decoder) proc.Event {
-	return proc.Event{
-		At:     d.Duration(),
-		Kind:   proc.EventKind(d.U8()),
-		Proc:   getGPID(d),
-		Child:  getGPID(d),
-		Signal: proc.Signal(d.I32()),
-		Detail: d.String(),
-		Rusage: getRusage(d),
-	}
-}
-
 // EncodeKernelEvent produces the fixed-size 112-byte kernel-to-LPM
-// event message of the paper's Table 1. Long host names or details are
-// truncated to keep the size fixed.
+// event message of the paper's Table 1: the event walk, zero-padded.
+// Long host names or details are truncated to keep the size fixed.
 func EncodeKernelEvent(ev proc.Event) []byte {
 	if len(ev.Detail) > 16 {
 		ev.Detail = ev.Detail[:16]
@@ -1007,10 +759,11 @@ func EncodeKernelEvent(ev proc.Event) []byte {
 	if len(ev.Child.Host) > 14 {
 		ev.Child.Host = ev.Child.Host[:14]
 	}
-	e := NewEncoder(calib.KernelMsgBytes)
-	putEvent(e, ev)
-	e.Pad(calib.KernelMsgBytes)
-	b := e.Bytes()
+	var c Coder
+	c.Size(calib.KernelMsgBytes)
+	c.Event(&ev)
+	c.e.Pad(calib.KernelMsgBytes)
+	b := c.e.buf
 	if len(b) > calib.KernelMsgBytes {
 		b = b[:calib.KernelMsgBytes]
 	}
@@ -1019,10 +772,11 @@ func EncodeKernelEvent(ev proc.Event) []byte {
 
 // DecodeKernelEvent parses a kernel event message.
 func DecodeKernelEvent(b []byte) (proc.Event, error) {
-	d := NewDecoder(b)
-	ev := getEvent(d)
-	if err := d.Finish(); err != nil {
-		return proc.Event{}, err
+	c := Coder{d: decoder{buf: b}, decoding: true}
+	var ev proc.Event
+	c.Event(&ev)
+	if c.d.err != nil {
+		return proc.Event{}, c.d.err
 	}
 	return ev, nil
 }
@@ -1035,19 +789,11 @@ type Ping struct {
 	User     string
 }
 
-// Encode serializes the ping.
-func (m Ping) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.FromHost)
-	e.String(m.User)
-	return e.Bytes()
-}
-
-// DecodePing parses a Ping body.
-func DecodePing(b []byte) (Ping, error) {
-	d := NewDecoder(b)
-	m := Ping{FromHost: d.String(), User: d.String()}
-	return m, d.Finish()
+// Fields walks the ping in wire order.
+func (m *Ping) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.FromHost)
+	c.Str(&m.User)
 }
 
 // Pong answers a ping, reporting the responder's current CCS.
@@ -1058,21 +804,13 @@ type Pong struct {
 	IsCCS    bool
 }
 
-// Encode serializes the pong.
-func (m Pong) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.FromHost)
-	e.String(m.CCSHost)
-	e.U16(m.CCSPort)
-	e.Bool(m.IsCCS)
-	return e.Bytes()
-}
-
-// DecodePong parses a Pong body.
-func DecodePong(b []byte) (Pong, error) {
-	d := NewDecoder(b)
-	m := Pong{FromHost: d.String(), CCSHost: d.String(), CCSPort: d.U16(), IsCCS: d.Bool()}
-	return m, d.Finish()
+// Fields walks the pong in wire order.
+func (m *Pong) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.FromHost)
+	c.Str(&m.CCSHost)
+	c.U16(&m.CCSPort)
+	c.Bool(&m.IsCCS)
 }
 
 // --- live introspection ---
@@ -1085,19 +823,11 @@ type StatusReq struct {
 	Sweep string
 }
 
-// Encode serializes the request.
-func (m StatusReq) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.User)
-	e.String(m.Sweep)
-	return e.Bytes()
-}
-
-// DecodeStatusReq parses a StatusReq body.
-func DecodeStatusReq(b []byte) (StatusReq, error) {
-	d := NewDecoder(b)
-	m := StatusReq{User: d.String(), Sweep: d.String()}
-	return m, d.Finish()
+// Fields walks the request in wire order.
+func (m *StatusReq) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.User)
+	c.Str(&m.Sweep)
 }
 
 // StatusResp carries one host's status report, pre-encoded by
@@ -1108,20 +838,12 @@ type StatusResp struct {
 	Report []byte
 }
 
-// Encode serializes the response.
-func (m StatusResp) Encode() []byte {
-	e := NewEncoder(16 + len(m.Report))
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.Bytes32(m.Report)
-	return e.Bytes()
-}
-
-// DecodeStatusResp parses a StatusResp body.
-func DecodeStatusResp(b []byte) (StatusResp, error) {
-	d := NewDecoder(b)
-	m := StatusResp{OK: d.Bool(), Reason: d.String(), Report: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *StatusResp) Fields(c *Coder) {
+	c.Size(16 + len(m.Report))
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Bytes(&m.Report)
 }
 
 // CCSUpdate announces a new crash coordinator site to a sibling.
@@ -1130,19 +852,11 @@ type CCSUpdate struct {
 	CCSPort uint16
 }
 
-// Encode serializes the update.
-func (m CCSUpdate) Encode() []byte {
-	e := NewEncoder(16)
-	e.String(m.CCSHost)
-	e.U16(m.CCSPort)
-	return e.Bytes()
-}
-
-// DecodeCCSUpdate parses a CCSUpdate body.
-func DecodeCCSUpdate(b []byte) (CCSUpdate, error) {
-	d := NewDecoder(b)
-	m := CCSUpdate{CCSHost: d.String(), CCSPort: d.U16()}
-	return m, d.Finish()
+// Fields walks the update in wire order.
+func (m *CCSUpdate) Fields(c *Coder) {
+	c.Size(16)
+	c.Str(&m.CCSHost)
+	c.U16(&m.CCSPort)
 }
 
 // --- error reply ---
@@ -1153,18 +867,10 @@ type ErrorResp struct {
 	Reason string
 }
 
-// Encode serializes the failure reply.
-func (m ErrorResp) Encode() []byte {
-	e := NewEncoder(16)
-	e.String(m.Reason)
-	return e.Bytes()
-}
-
-// DecodeErrorResp parses an ErrorResp body.
-func DecodeErrorResp(b []byte) (ErrorResp, error) {
-	d := NewDecoder(b)
-	m := ErrorResp{Reason: d.String()}
-	return m, d.Finish()
+// Fields walks the failure reply in wire order.
+func (m *ErrorResp) Fields(c *Coder) {
+	c.Size(16)
+	c.Str(&m.Reason)
 }
 
 // --- flood aggregation ---
@@ -1189,34 +895,16 @@ type FloodResult struct {
 	Routes []string
 }
 
-// Encode serializes the flood result.
-func (m FloodResult) Encode() []byte {
-	e := NewEncoder(32 + 96*len(m.Procs))
-	e.Bool(m.OK)
-	e.Bool(m.Dup)
-	e.I32(m.Count)
-	e.U16(uint16(len(m.Procs)))
-	for _, p := range m.Procs {
-		putInfo(e, p)
-	}
-	e.StringSlice(m.Partial)
-	e.StringSlice(m.Hosts)
-	e.StringSlice(m.Routes)
-	return e.Bytes()
-}
-
-// DecodeFloodResult parses a FloodResult body.
-func DecodeFloodResult(b []byte) (FloodResult, error) {
-	d := NewDecoder(b)
-	m := FloodResult{OK: d.Bool(), Dup: d.Bool(), Count: d.I32()}
-	n := int(d.U16())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Procs = append(m.Procs, getInfo(d))
-	}
-	m.Partial = d.StringSlice()
-	m.Hosts = d.StringSlice()
-	m.Routes = d.StringSlice()
-	return m, d.Finish()
+// Fields walks the flood result in wire order.
+func (m *FloodResult) Fields(c *Coder) {
+	c.Size(32 + 96*len(m.Procs))
+	c.Bool(&m.OK)
+	c.Bool(&m.Dup)
+	c.I32(&m.Count)
+	c.Infos(&m.Procs)
+	c.Strs(&m.Partial)
+	c.Strs(&m.Hosts)
+	c.Strs(&m.Routes)
 }
 
 // --- relay routing ---
@@ -1234,21 +922,13 @@ type Relay struct {
 	Inner []byte // encoded inner request envelope
 }
 
-// Encode serializes the relay request.
-func (m Relay) Encode() []byte {
-	e := NewEncoder(64 + len(m.Inner))
-	e.String(m.User)
-	e.String(m.Dest)
-	e.StringSlice(m.Path)
-	e.Bytes32(m.Inner)
-	return e.Bytes()
-}
-
-// DecodeRelay parses a Relay body.
-func DecodeRelay(b []byte) (Relay, error) {
-	d := NewDecoder(b)
-	m := Relay{User: d.String(), Dest: d.String(), Path: d.StringSlice(), Inner: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the relay request in wire order.
+func (m *Relay) Fields(c *Coder) {
+	c.Size(64 + len(m.Inner))
+	c.Str(&m.User)
+	c.Str(&m.Dest)
+	c.Strs(&m.Path)
+	c.Bytes(&m.Inner)
 }
 
 // RelayResp carries the destination's response back to the origin.
@@ -1258,20 +938,12 @@ type RelayResp struct {
 	Inner  []byte // encoded inner response envelope
 }
 
-// Encode serializes the relay response.
-func (m RelayResp) Encode() []byte {
-	e := NewEncoder(32 + len(m.Inner))
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.Bytes32(m.Inner)
-	return e.Bytes()
-}
-
-// DecodeRelayResp parses a RelayResp body.
-func DecodeRelayResp(b []byte) (RelayResp, error) {
-	d := NewDecoder(b)
-	m := RelayResp{OK: d.Bool(), Reason: d.String(), Inner: d.Bytes32()}
-	return m, d.Finish()
+// Fields walks the relay response in wire order.
+func (m *RelayResp) Fields(c *Coder) {
+	c.Size(32 + len(m.Inner))
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.Bytes(&m.Inner)
 }
 
 // --- remote history-dependent triggers ---
@@ -1297,36 +969,18 @@ type WatchReq struct {
 	Target    proc.GPID
 }
 
-// Encode serializes the watch request.
-func (m WatchReq) Encode() []byte {
-	e := NewEncoder(64)
-	e.String(m.User)
-	e.Bool(m.Remove)
-	e.I32(m.ID)
-	e.U8(m.Kind)
-	e.I32(int32(m.Signal))
-	putGPID(e, m.Proc)
-	e.U8(uint8(m.Op))
-	e.I32(int32(m.ActionSig))
-	putGPID(e, m.Target)
-	return e.Bytes()
-}
-
-// DecodeWatchReq parses a WatchReq body.
-func DecodeWatchReq(b []byte) (WatchReq, error) {
-	d := NewDecoder(b)
-	m := WatchReq{
-		User:   d.String(),
-		Remove: d.Bool(),
-		ID:     d.I32(),
-		Kind:   d.U8(),
-		Signal: proc.Signal(d.I32()),
-		Proc:   getGPID(d),
-		Op:     ControlOp(d.U8()),
-	}
-	m.ActionSig = proc.Signal(d.I32())
-	m.Target = getGPID(d)
-	return m, d.Finish()
+// Fields walks the watch request in wire order.
+func (m *WatchReq) Fields(c *Coder) {
+	c.Size(64)
+	c.Str(&m.User)
+	c.Bool(&m.Remove)
+	c.I32(&m.ID)
+	c.U8(&m.Kind)
+	c.Int((*int)(&m.Signal))
+	c.GPID(&m.Proc)
+	c.U8((*uint8)(&m.Op))
+	c.Int((*int)(&m.ActionSig))
+	c.GPID(&m.Target)
 }
 
 // WatchResp acknowledges a watch installation or removal.
@@ -1336,20 +990,12 @@ type WatchResp struct {
 	ID     int32
 }
 
-// Encode serializes the response.
-func (m WatchResp) Encode() []byte {
-	e := NewEncoder(16)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	e.I32(m.ID)
-	return e.Bytes()
-}
-
-// DecodeWatchResp parses a WatchResp body.
-func DecodeWatchResp(b []byte) (WatchResp, error) {
-	d := NewDecoder(b)
-	m := WatchResp{OK: d.Bool(), Reason: d.String(), ID: d.I32()}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *WatchResp) Fields(c *Coder) {
+	c.Size(16)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
+	c.I32(&m.ID)
 }
 
 // --- adaptive failure detection ---
@@ -1362,19 +1008,11 @@ type LinkTest struct {
 	Seq      uint64
 }
 
-// Encode serializes the linktest frame.
-func (m LinkTest) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.FromHost)
-	e.U64(m.Seq)
-	return e.Bytes()
-}
-
-// DecodeLinkTest parses a LinkTest body.
-func DecodeLinkTest(b []byte) (LinkTest, error) {
-	d := NewDecoder(b)
-	m := LinkTest{FromHost: d.String(), Seq: d.U64()}
-	return m, d.Finish()
+// Fields walks the linktest frame in wire order.
+func (m *LinkTest) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.FromHost)
+	c.U64(&m.Seq)
 }
 
 // LinkTestResp echoes a linktest; its arrival is itself a detector
@@ -1384,19 +1022,11 @@ type LinkTestResp struct {
 	Seq      uint64
 }
 
-// Encode serializes the linktest reply.
-func (m LinkTestResp) Encode() []byte {
-	e := NewEncoder(24)
-	e.String(m.FromHost)
-	e.U64(m.Seq)
-	return e.Bytes()
-}
-
-// DecodeLinkTestResp parses a LinkTestResp body.
-func DecodeLinkTestResp(b []byte) (LinkTestResp, error) {
-	d := NewDecoder(b)
-	m := LinkTestResp{FromHost: d.String(), Seq: d.U64()}
-	return m, d.Finish()
+// Fields walks the linktest reply in wire order.
+func (m *LinkTestResp) Fields(c *Coder) {
+	c.Size(24)
+	c.Str(&m.FromHost)
+	c.U64(&m.Seq)
 }
 
 // --- exit forwarding (remote watches) ---
@@ -1411,20 +1041,12 @@ type ProcExit struct {
 	Info  proc.Info
 }
 
-// Encode serializes the exit notification.
-func (m ProcExit) Encode() []byte {
-	e := NewEncoder(192)
-	e.String(m.User)
-	putEvent(e, m.Event)
-	putInfo(e, m.Info)
-	return e.Bytes()
-}
-
-// DecodeProcExit parses a ProcExit body.
-func DecodeProcExit(b []byte) (ProcExit, error) {
-	d := NewDecoder(b)
-	m := ProcExit{User: d.String(), Event: getEvent(d), Info: getInfo(d)}
-	return m, d.Finish()
+// Fields walks the exit notification in wire order.
+func (m *ProcExit) Fields(c *Coder) {
+	c.Size(192)
+	c.Str(&m.User)
+	c.Event(&m.Event)
+	c.Info(&m.Info)
 }
 
 // ProcExitResp acknowledges an exit notification.
@@ -1433,17 +1055,9 @@ type ProcExitResp struct {
 	Reason string
 }
 
-// Encode serializes the response.
-func (m ProcExitResp) Encode() []byte {
-	e := NewEncoder(16)
-	e.Bool(m.OK)
-	e.String(m.Reason)
-	return e.Bytes()
-}
-
-// DecodeProcExitResp parses a ProcExitResp body.
-func DecodeProcExitResp(b []byte) (ProcExitResp, error) {
-	d := NewDecoder(b)
-	m := ProcExitResp{OK: d.Bool(), Reason: d.String()}
-	return m, d.Finish()
+// Fields walks the response in wire order.
+func (m *ProcExitResp) Fields(c *Coder) {
+	c.Size(16)
+	c.Bool(&m.OK)
+	c.Str(&m.Reason)
 }

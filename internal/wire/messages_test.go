@@ -64,201 +64,6 @@ func sampleInfo() proc.Info {
 	}
 }
 
-func TestAllMessageRoundTrips(t *testing.T) {
-	stamp := NewStamp([]byte("k"), "vax1", time.Second, 9)
-	cases := []struct {
-		name   string
-		msg    any
-		decode func([]byte) (any, error)
-		encode func() []byte
-	}{
-		{
-			name: "LPMQuery",
-			msg:  LPMQuery{User: "felipe", Token: []byte{1, 2}},
-			encode: func() []byte {
-				return LPMQuery{User: "felipe", Token: []byte{1, 2}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeLPMQuery(b) },
-		},
-		{
-			name: "LPMQueryResp",
-			msg:  LPMQueryResp{OK: true, AcceptHost: "vax1", AcceptPort: 2001, Created: true},
-			encode: func() []byte {
-				return LPMQueryResp{OK: true, AcceptHost: "vax1", AcceptPort: 2001, Created: true}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeLPMQueryResp(b) },
-		},
-		{
-			name: "Hello",
-			msg:  Hello{User: "felipe", FromHost: "vax2", Token: []byte{9}, Stamp: stamp, CCSHost: "vax1", CCSPort: 2001},
-			encode: func() []byte {
-				return Hello{User: "felipe", FromHost: "vax2", Token: []byte{9}, Stamp: stamp, CCSHost: "vax1", CCSPort: 2001}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeHello(b) },
-		},
-		{
-			name:   "HelloResp",
-			msg:    HelloResp{OK: false, Reason: "bad token"},
-			encode: func() []byte { return HelloResp{OK: false, Reason: "bad token"}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeHelloResp(b) },
-		},
-		{
-			name: "CreateProc",
-			msg:  CreateProc{User: "felipe", Name: "worker", Parent: proc.GPID{Host: "vax1", PID: 4}, Foreground: true},
-			encode: func() []byte {
-				return CreateProc{User: "felipe", Name: "worker", Parent: proc.GPID{Host: "vax1", PID: 4}, Foreground: true}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeCreateProc(b) },
-		},
-		{
-			name: "CreateAck",
-			msg:  CreateAck{OK: true, ID: proc.GPID{Host: "vax2", PID: 31}},
-			encode: func() []byte {
-				return CreateAck{OK: true, ID: proc.GPID{Host: "vax2", PID: 31}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeCreateAck(b) },
-		},
-		{
-			name: "Control",
-			msg:  Control{User: "felipe", Target: proc.GPID{Host: "vax2", PID: 31}, Op: OpSignal, Signal: proc.SIGUSR1},
-			encode: func() []byte {
-				return Control{User: "felipe", Target: proc.GPID{Host: "vax2", PID: 31}, Op: OpSignal, Signal: proc.SIGUSR1}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeControl(b) },
-		},
-		{
-			name:   "ControlResp",
-			msg:    ControlResp{OK: true, State: proc.Stopped},
-			encode: func() []byte { return ControlResp{OK: true, State: proc.Stopped}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeControlResp(b) },
-		},
-		{
-			name:   "SnapshotReq",
-			msg:    SnapshotReq{User: "felipe", Forward: true},
-			encode: func() []byte { return SnapshotReq{User: "felipe", Forward: true}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeSnapshotReq(b) },
-		},
-		{
-			name: "SnapshotResp",
-			msg:  SnapshotResp{OK: true, Procs: []proc.Info{sampleInfo()}, Partial: []string{"sun3"}},
-			encode: func() []byte {
-				return SnapshotResp{OK: true, Procs: []proc.Info{sampleInfo()}, Partial: []string{"sun3"}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeSnapshotResp(b) },
-		},
-		{
-			name: "StatsReq",
-			msg:  StatsReq{User: "felipe", Target: proc.GPID{Host: "vax1", PID: 17}},
-			encode: func() []byte {
-				return StatsReq{User: "felipe", Target: proc.GPID{Host: "vax1", PID: 17}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeStatsReq(b) },
-		},
-		{
-			name:   "StatsResp",
-			msg:    StatsResp{OK: true, Info: sampleInfo()},
-			encode: func() []byte { return StatsResp{OK: true, Info: sampleInfo()}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeStatsResp(b) },
-		},
-		{
-			name: "HistoryReq",
-			msg:  HistoryReq{User: "felipe", Proc: proc.GPID{Host: "vax1", PID: 17}, Kinds: []uint8{1, 3}, Since: time.Second, Limit: 10},
-			encode: func() []byte {
-				return HistoryReq{User: "felipe", Proc: proc.GPID{Host: "vax1", PID: 17}, Kinds: []uint8{1, 3}, Since: time.Second, Limit: 10}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeHistoryReq(b) },
-		},
-		{
-			name: "HistoryResp",
-			msg: HistoryResp{OK: true, Events: []proc.Event{
-				{At: time.Second, Kind: proc.EvFork, Proc: proc.GPID{Host: "vax1", PID: 1}, Child: proc.GPID{Host: "vax1", PID: 2}},
-			}},
-			encode: func() []byte {
-				return HistoryResp{OK: true, Events: []proc.Event{
-					{At: time.Second, Kind: proc.EvFork, Proc: proc.GPID{Host: "vax1", PID: 1}, Child: proc.GPID{Host: "vax1", PID: 2}},
-				}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeHistoryResp(b) },
-		},
-		{
-			name: "FDReq",
-			msg:  FDReq{User: "felipe", Target: proc.GPID{Host: "vax1", PID: 17}},
-			encode: func() []byte {
-				return FDReq{User: "felipe", Target: proc.GPID{Host: "vax1", PID: 17}}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeFDReq(b) },
-		},
-		{
-			name:   "FDResp",
-			msg:    FDResp{OK: true, Open: []string{"0:/dev/tty", "3:/tmp/data"}},
-			encode: func() []byte { return FDResp{OK: true, Open: []string{"0:/dev/tty", "3:/tmp/data"}}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeFDResp(b) },
-		},
-		{
-			name: "Broadcast",
-			msg:  Broadcast{Stamp: stamp, Seq: 7, Route: []string{"vax1", "vax2"}, Inner: []byte("req")},
-			encode: func() []byte {
-				return Broadcast{Stamp: stamp, Seq: 7, Route: []string{"vax1", "vax2"}, Inner: []byte("req")}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeBroadcast(b) },
-		},
-		{
-			name: "BroadcastResp",
-			msg:  BroadcastResp{Seq: 7, From: "sun3", Route: []string{"vax2", "vax1"}, Inner: []byte("resp")},
-			encode: func() []byte {
-				return BroadcastResp{Seq: 7, From: "sun3", Route: []string{"vax2", "vax1"}, Inner: []byte("resp")}.Encode()
-			},
-			decode: func(b []byte) (any, error) { return DecodeBroadcastResp(b) },
-		},
-		{
-			name:   "Ping",
-			msg:    Ping{FromHost: "vax2", User: "felipe"},
-			encode: func() []byte { return Ping{FromHost: "vax2", User: "felipe"}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodePing(b) },
-		},
-		{
-			name:   "Pong",
-			msg:    Pong{FromHost: "vax1", CCSHost: "vax1", CCSPort: 2001, IsCCS: true},
-			encode: func() []byte { return Pong{FromHost: "vax1", CCSHost: "vax1", CCSPort: 2001, IsCCS: true}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodePong(b) },
-		},
-		{
-			name:   "CCSUpdate",
-			msg:    CCSUpdate{CCSHost: "vax9", CCSPort: 2100},
-			encode: func() []byte { return CCSUpdate{CCSHost: "vax9", CCSPort: 2100}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeCCSUpdate(b) },
-		},
-		{
-			name:   "ErrorResp",
-			msg:    ErrorResp{Reason: "no such process"},
-			encode: func() []byte { return ErrorResp{Reason: "no such process"}.Encode() },
-			decode: func(b []byte) (any, error) { return DecodeErrorResp(b) },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.decode(tc.encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tc.msg) {
-				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tc.msg)
-			}
-			// Every decoder must reject a truncated body.
-			enc := tc.encode()
-			if len(enc) > 0 {
-				if _, err := tc.decode(enc[:len(enc)/2]); err == nil {
-					// Some very small messages may decode a prefix validly
-					// (e.g. a lone bool); only flag clearly structured ones.
-					if len(enc) > 8 {
-						t.Fatalf("truncated decode should fail (len %d)", len(enc))
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestKernelEventIsExactly112Bytes(t *testing.T) {
 	evs := []proc.Event{
 		{},
@@ -339,12 +144,9 @@ func TestStampKeyUniqueAndStable(t *testing.T) {
 func TestStampEncodePreservesSignature(t *testing.T) {
 	key := []byte("k")
 	s := NewStamp(key, "vax1", 5*time.Second, 8)
-	e := NewEncoder(0)
-	s.encode(e)
-	d := NewDecoder(e.Bytes())
-	got := decodeStamp(d)
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	var got Stamp
+	if err := Decode(Encode(&s), &got); err != nil {
+		t.Fatal(err)
 	}
 	if !got.Verify(key) {
 		t.Fatal("decoded stamp failed verification")
@@ -356,16 +158,14 @@ func TestStampEncodePreservesSignature(t *testing.T) {
 
 func TestFloodResultRoundTrip(t *testing.T) {
 	m := FloodResult{OK: true, Count: 7, Procs: []proc.Info{sampleInfo()}, Partial: []string{"sun3"}}
-	got, err := DecodeFloodResult(m.Encode())
-	if err != nil {
+	var got, got2 FloodResult
+	if err := Decode(Encode(&m), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
-	dup := FloodResult{Dup: true}
-	got2, err := DecodeFloodResult(dup.Encode())
-	if err != nil {
+	if err := Decode(Encode(&FloodResult{Dup: true}), &got2); err != nil {
 		t.Fatal(err)
 	}
 	if !got2.Dup || got2.OK {
@@ -375,16 +175,16 @@ func TestFloodResultRoundTrip(t *testing.T) {
 
 func TestRelayRoundTrip(t *testing.T) {
 	m := Relay{User: "felipe", Dest: "sun3", Path: []string{"vax2", "sun3"}, Inner: []byte("req")}
-	got, err := DecodeRelay(m.Encode())
-	if err != nil {
+	var got Relay
+	if err := Decode(Encode(&m), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	r := RelayResp{OK: true, Inner: []byte("resp")}
-	got2, err := DecodeRelayResp(r.Encode())
-	if err != nil {
+	var got2 RelayResp
+	if err := Decode(Encode(&r), &got2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got2, r) {
@@ -394,8 +194,8 @@ func TestRelayRoundTrip(t *testing.T) {
 
 func TestFloodResultRoutesRoundTrip(t *testing.T) {
 	m := FloodResult{OK: true, Hosts: []string{"b", "c"}, Routes: []string{"a/b", "a/b/c"}}
-	got, err := DecodeFloodResult(m.Encode())
-	if err != nil {
+	var got FloodResult
+	if err := Decode(Encode(&m), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
@@ -410,21 +210,20 @@ func TestWatchReqRoundTrip(t *testing.T) {
 		Op:   OpKill, ActionSig: proc.SIGTERM,
 		Target: proc.GPID{Host: "a", PID: 4},
 	}
-	got, err := DecodeWatchReq(m.Encode())
-	if err != nil {
+	var got, got2 WatchReq
+	if err := Decode(Encode(&m), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	rm := WatchReq{User: "felipe", Remove: true, ID: 7}
-	got2, err := DecodeWatchReq(rm.Encode())
-	if err != nil || !got2.Remove || got2.ID != 7 {
+	if err := Decode(Encode(&rm), &got2); err != nil || !got2.Remove || got2.ID != 7 {
 		t.Fatalf("remove round trip: %+v err=%v", got2, err)
 	}
 	resp := WatchResp{OK: true, ID: 42}
-	got3, err := DecodeWatchResp(resp.Encode())
-	if err != nil || !reflect.DeepEqual(got3, resp) {
+	var got3 WatchResp
+	if err := Decode(Encode(&resp), &got3); err != nil || !reflect.DeepEqual(got3, resp) {
 		t.Fatalf("resp round trip: %+v err=%v", got3, err)
 	}
 }

@@ -27,8 +27,8 @@ func TestPropertyControlRoundTrip(t *testing.T) {
 			Op:     ControlOp(op),
 			Signal: proc.Signal(sig),
 		}
-		got, err := DecodeControl(m.Encode())
-		return err == nil && reflect.DeepEqual(got, m)
+		var got Control
+		return Decode(Encode(&m), &got) == nil && reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestPropertySnapshotRespRoundTrip(t *testing.T) {
 			}
 			m.Partial = append(m.Partial, clampStr(p))
 		}
-		got, err := DecodeSnapshotResp(m.Encode())
-		return err == nil && reflect.DeepEqual(got, m)
+		var got SnapshotResp
+		return Decode(Encode(&m), &got) == nil && reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestPropertyBroadcastRoundTrip(t *testing.T) {
 			rt = append(rt, clampStr(r))
 		}
 		m := Broadcast{Stamp: stamp, Seq: seq, Route: rt, Inner: inner}
-		got, err := DecodeBroadcast(m.Encode())
-		if err != nil {
+		var got Broadcast
+		if Decode(Encode(&m), &got) != nil {
 			return false
 		}
 		if !got.Stamp.Verify([]byte("k")) {
@@ -116,8 +116,8 @@ func TestPropertyHistoryRespRoundTrip(t *testing.T) {
 				Detail: clampStr(details[i]),
 			})
 		}
-		got, err := DecodeHistoryResp(m.Encode())
-		return err == nil && reflect.DeepEqual(got, m)
+		var got HistoryResp
+		return Decode(Encode(&m), &got) == nil && reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -129,14 +129,14 @@ func TestPropertyEnvelopeNeverPanicsOnMutation(t *testing.T) {
 	// must either fail or produce a structurally valid envelope.
 	f := func(idx uint16, val byte) bool {
 		env := Envelope{Type: MsgControl, ReqID: 7,
-			Body: Control{User: "u", Target: proc.GPID{Host: "h", PID: 1}}.Encode()}
+			Body: Encode(&Control{User: "u", Target: proc.GPID{Host: "h", PID: 1}})}
 		b := env.Encode()
 		b[int(idx)%len(b)] ^= val
 		got, err := DecodeEnvelope(b)
 		if err != nil {
 			return true
 		}
-		_, _ = DecodeControl(got.Body) // must not panic either
+		_ = Decode(got.Body, &Control{}) // must not panic either
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

@@ -22,7 +22,7 @@ type Stamp struct {
 func stampDigest(origin string, at time.Duration, seq uint64) []byte {
 	e := NewEncoder(32)
 	e.String(origin)
-	e.Duration(at)
+	e.U64(uint64(at))
 	e.U64(seq)
 	return e.Bytes()
 }
@@ -47,13 +47,11 @@ func (s Stamp) Key() string {
 	return string(stampDigest(s.Origin, s.At, s.Seq))
 }
 
-func (s Stamp) encode(e *Encoder) {
-	e.String(s.Origin)
-	e.Duration(s.At)
-	e.U64(s.Seq)
-	e.Bytes32(s.Sig)
-}
-
-func decodeStamp(d *Decoder) Stamp {
-	return Stamp{Origin: d.String(), At: d.Duration(), Seq: d.U64(), Sig: d.Bytes32()}
+// Fields walks the stamp in wire order, on its own or nested in the
+// message that carries it.
+func (s *Stamp) Fields(c *Coder) {
+	c.Str(&s.Origin)
+	c.Duration(&s.At)
+	c.U64(&s.Seq)
+	c.Bytes(&s.Sig)
 }

@@ -16,19 +16,18 @@
 //	maporder      no map iteration with order-sensitive effects unless
 //	              keys are sorted first
 //
-// and the four protocol-surface and hot-path invariants:
+// and the two hot-path and error-handling invariants:
 //
-//	wireop        every wire op constant has an opSpecs manifest row
-//	              (name, role, journal kind) and every request op a
-//	              dispatch site under the //ppmlint:protocolroot package
-//	journalkind   journal record kinds are registered constants, never
-//	              ad-hoc strings at append sites; registered kinds
-//	              nobody appends are dead
 //	hotalloc      //ppmlint:hotpath functions contain no known-
 //	              allocating constructs, and each names its
 //	              AllocsPerRun pin test (pin=<TestName>)
 //	errdrop       no discarded error returns (`_ =` or bare call)
 //	              outside tests and cmd/ flag parsing
+//
+// The protocol and journal vocabularies need no analyzer: wire.MsgType
+// and journal.Kind are dense enums closed by a sentinel, so the type
+// checker rejects an ad-hoc kind or op, and table-driven tests hold
+// every row to being named, dispatched and actually recorded.
 //
 // A finding can be silenced for one line by the comment
 // //ppmlint:allow <analyzer> <reason> on the line above; an allowance
@@ -48,24 +47,20 @@ import (
 
 	"ppm/internal/analysis/errdrop"
 	"ppm/internal/analysis/hotalloc"
-	"ppm/internal/analysis/journalkind"
 	"ppm/internal/analysis/maporder"
 	"ppm/internal/analysis/rawgoroutine"
 	"ppm/internal/analysis/unseededrand"
 	"ppm/internal/analysis/walltime"
-	"ppm/internal/analysis/wireop"
 )
 
-// suite lists the enforced invariants: the determinism four and the
-// protocol-surface/hot-path four.
+// suite lists the six enforced invariants: the determinism four,
+// hotalloc and errdrop.
 func suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		walltime.Analyzer,
 		rawgoroutine.Analyzer,
 		unseededrand.Analyzer,
 		maporder.Analyzer,
-		wireop.Analyzer,
-		journalkind.Analyzer,
 		hotalloc.Analyzer,
 		errdrop.Analyzer,
 	}

@@ -15,11 +15,11 @@ func TestSuiteIsValid(t *testing.T) {
 	}
 }
 
+// TestSuiteCoversAllInvariants: the suite is exactly the six analyzers.
 func TestSuiteCoversAllInvariants(t *testing.T) {
 	want := map[string]bool{
 		"walltime": true, "rawgoroutine": true,
 		"unseededrand": true, "maporder": true,
-		"wireop": true, "journalkind": true,
 		"hotalloc": true, "errdrop": true,
 	}
 	for _, a := range suite() {

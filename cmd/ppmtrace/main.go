@@ -42,15 +42,7 @@ import (
 func usage(w io.Writer) {
 	fmt.Fprintf(w, "usage: ppmtrace [-hosts N] [-drops N] [-flap N] [-spans] [-metrics] [-status] [-journal"+
 		" [-journal-kinds K,...] [-journal-host H] [-journal-since D] [-journal-until D]]\n")
-	fmt.Fprintf(w, "journal record kinds: %s\n", kindList())
-}
-
-func kindList() string {
-	var names []string
-	for _, k := range journal.Kinds() {
-		names = append(names, string(k))
-	}
-	return strings.Join(names, " ")
+	fmt.Fprintf(w, "journal record kinds: %s\n", strings.Trim(fmt.Sprint(journal.Kinds()), "[]"))
 }
 
 // options is the validated command line.
@@ -120,30 +112,12 @@ func parseArgs(args []string) (options, error) {
 		return o, errors.New("-journal-kinds, -journal-host, -journal-since and -journal-until require -journal")
 	}
 	if *kinds != "" {
-		for _, s := range strings.Split(*kinds, ",") {
-			k := journal.Kind(strings.TrimSpace(s))
-			if !validKindOrPrefix(k) {
-				return o, fmt.Errorf("unknown journal kind %q", k)
-			}
-			o.journalKinds = append(o.journalKinds, k)
+		var err error
+		if o.journalKinds, err = journal.ParseKinds(*kinds); err != nil {
+			return o, err
 		}
 	}
 	return o, nil
-}
-
-// validKindOrPrefix accepts exact record kinds and dotted prefixes that
-// select a whole family ("net", "lpm.sibling", ...), matching the
-// filter's prefix semantics.
-func validKindOrPrefix(k journal.Kind) bool {
-	if journal.ValidKind(k) {
-		return true
-	}
-	for _, known := range journal.Kinds() {
-		if strings.HasPrefix(string(known), string(k)+".") {
-			return true
-		}
-	}
-	return false
 }
 
 func main() {

@@ -30,7 +30,7 @@ func TestTraceDemoWithSpansAndMoreHosts(t *testing.T) {
 
 func TestTraceDemoWithJournal(t *testing.T) {
 	err := run(options{hosts: 2, showJournal: true,
-		journalKinds: []journal.Kind{"lpm.sibling", "net.circuit.open"},
+		journalKinds: []journal.Kind{journal.LPMSiblingOpen, journal.LPMSiblingClose, journal.NetCircuitOpen},
 		journalHost:  "vax1"})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,8 @@ func TestParseArgsJournalFlags(t *testing.T) {
 	if o.hosts != 3 || !o.showJournal {
 		t.Fatalf("parsed %+v", o)
 	}
-	if len(o.journalKinds) != 2 || o.journalKinds[0] != "net" || o.journalKinds[1] != "kernel.spawn" {
+	// The "net" family resolves to its twelve kinds here, once.
+	if n := len(o.journalKinds); n != 13 || o.journalKinds[0] != journal.NetSend || o.journalKinds[n-1] != journal.KernelSpawn {
 		t.Fatalf("kinds = %v", o.journalKinds)
 	}
 	if o.journalHost != "vax2" || o.journalSince != time.Second || o.journalUntil != 5*time.Second {

@@ -39,10 +39,3 @@
 //	fmt.Println(snap.Render())
 //	_ = sess.Stop(worker)
 package ppm
-
-// The root package transitively imports every wire, journal, lpm and
-// daemon package, so the whole-program halves of the wireop and
-// journalkind analyzers (undispatched request ops, dead journal kinds)
-// report here, where the accumulated package facts are complete.
-//
-//ppmlint:protocolroot

@@ -26,10 +26,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,14 +38,9 @@ import (
 // Run loads testdata/src/<importPath>, applies a, and compares the
 // diagnostics against the package's // want comments. deps are import
 // paths of other testdata packages the target imports; they are loaded
-// first, in order.
-//
-// For an analyzer with no FactTypes the deps are typechecked but not
-// analyzed, and do not contribute expectations. A facts-using analyzer
-// is instead run over every dep first (in the order given), chaining
-// exported facts into the later passes exactly as vet would, and each
-// dep's diagnostics are checked against that dep's own // want
-// comments.
+// first, in order: typechecked but not analyzed, so they contribute no
+// expectations. No fact callbacks are wired: no analyzer in the suite
+// uses facts.
 func Run(t *testing.T, a *analysis.Analyzer, importPath string, deps ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -56,47 +49,34 @@ func Run(t *testing.T, a *analysis.Analyzer, importPath string, deps ...string) 
 		local:  loaded,
 		source: importer.ForCompiler(fset, "source", nil),
 	}
-	useFacts := len(a.FactTypes) > 0
-	store := newFactStore()
-
-	var got []analysis.Diagnostic
-	var checked []*ast.File // files whose want comments are in play
-	analyze := func(pkg *types.Package, u *unit) {
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      u.files,
-			Pkg:        pkg,
-			TypesInfo:  u.info,
-			TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-			ResultOf:   make(map[*analysis.Analyzer]interface{}),
-			Report:     func(d analysis.Diagnostic) { got = append(got, d) },
-			ReadFile:   os.ReadFile,
-		}
-		store.wire(pass)
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, pkg.Path(), err)
-		}
-		checked = append(checked, u.files...)
-	}
-
 	for _, dep := range deps {
-		pkg, u, err := load(fset, imp, dep)
+		pkg, _, err := load(fset, imp, dep)
 		if err != nil {
 			t.Fatalf("loading dep %s: %v", dep, err)
 		}
 		loaded[dep] = pkg
-		if useFacts {
-			analyze(pkg, u)
-		}
 	}
 	pkg, u, err := load(fset, imp, importPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", importPath, err)
 	}
-	analyze(pkg, u)
+	var got []analysis.Diagnostic
+	pass := &analysis.Pass{
+		Analyzer:   a,
+		Fset:       fset,
+		Files:      u.files,
+		Pkg:        pkg,
+		TypesInfo:  u.info,
+		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
+		ResultOf:   make(map[*analysis.Analyzer]interface{}),
+		Report:     func(d analysis.Diagnostic) { got = append(got, d) },
+		ReadFile:   os.ReadFile,
+	}
+	if _, err := a.Run(pass); err != nil {
+		t.Fatalf("%s on %s: %v", a.Name, pkg.Path(), err)
+	}
 
-	wants := expectations(t, fset, checked)
+	wants := expectations(t, fset, u.files)
 	for _, d := range got {
 		p := fset.Position(d.Pos)
 		key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
@@ -124,86 +104,6 @@ func Run(t *testing.T, a *analysis.Analyzer, importPath string, deps ...string) 
 type unit struct {
 	files []*ast.File
 	info  *types.Info
-}
-
-// factStore is the in-memory fact channel between the per-package
-// passes of a facts-using analyzer. The real pipeline gob-encodes
-// facts between vet processes; here the same *analysis.Fact values
-// flow by reference, which preserves the semantics the analyzers
-// observe (import sees what an earlier export stored).
-type factStore struct {
-	obj map[types.Object][]analysis.Fact
-	pkg map[*types.Package][]analysis.Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{
-		obj: make(map[types.Object][]analysis.Fact),
-		pkg: make(map[*types.Package][]analysis.Fact),
-	}
-}
-
-// wire installs the store's fact callbacks on pass.
-func (s *factStore) wire(pass *analysis.Pass) {
-	pass.ImportObjectFact = func(obj types.Object, ptr analysis.Fact) bool {
-		return copyFact(s.obj[obj], ptr)
-	}
-	pass.ExportObjectFact = func(obj types.Object, f analysis.Fact) {
-		s.obj[obj] = putFact(s.obj[obj], f)
-	}
-	pass.ImportPackageFact = func(pkg *types.Package, ptr analysis.Fact) bool {
-		return copyFact(s.pkg[pkg], ptr)
-	}
-	pass.ExportPackageFact = func(f analysis.Fact) {
-		s.pkg[pass.Pkg] = putFact(s.pkg[pass.Pkg], f)
-	}
-	pass.AllObjectFacts = func() []analysis.ObjectFact {
-		var out []analysis.ObjectFact
-		for obj, fs := range s.obj {
-			for _, f := range fs {
-				out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			return out[i].Object.Pos() < out[j].Object.Pos()
-		})
-		return out
-	}
-	pass.AllPackageFacts = func() []analysis.PackageFact {
-		var out []analysis.PackageFact
-		for pkg, fs := range s.pkg {
-			for _, f := range fs {
-				out = append(out, analysis.PackageFact{Package: pkg, Fact: f})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			return out[i].Package.Path() < out[j].Package.Path()
-		})
-		return out
-	}
-}
-
-// copyFact finds a stored fact of ptr's concrete type and copies it
-// into ptr.
-func copyFact(facts []analysis.Fact, ptr analysis.Fact) bool {
-	for _, f := range facts {
-		if reflect.TypeOf(f) == reflect.TypeOf(ptr) {
-			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-// putFact stores f, replacing any earlier fact of the same type.
-func putFact(facts []analysis.Fact, f analysis.Fact) []analysis.Fact {
-	for i, old := range facts {
-		if reflect.TypeOf(old) == reflect.TypeOf(f) {
-			facts[i] = f
-			return facts
-		}
-	}
-	return append(facts, f)
 }
 
 // load parses and typechecks testdata/src/<importPath>.

@@ -88,7 +88,11 @@ func TestSelectRendersOnlyMatches(t *testing.T) {
 		j.AppendDetail(journal.NetSend, "a", journal.WireFrame("Control", i), 0, 0)
 	}
 	j.AppendDetail(journal.WireEncode, "b", journal.WireFrame("Control", 37), 0, 0)
-	f := journal.Filter{Kinds: []journal.Kind{"wire"}, Host: "b"}
+	wire, err := journal.ParseKinds("wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := journal.Filter{Kinds: wire, Host: "b"}
 	var got []journal.Record
 	allocs := testing.AllocsPerRun(10, func() { got = j.Select(f) })
 	if len(got) != 1 || got[0].Detail != "Control 37B" || got[0].Seq != 101 {

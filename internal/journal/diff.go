@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// DiffContext is how many records of surrounding context a Divergence
+// diffContext is how many records of surrounding context a Divergence
 // carries on each side of the first differing record.
-const DiffContext = 3
+const diffContext = 3
 
 // Divergence describes the earliest point at which two journals differ.
 type Divergence struct {
@@ -17,7 +17,7 @@ type Divergence struct {
 	// A and B are the differing records; one side is nil when that
 	// journal ended before the other.
 	A, B *Record
-	// ContextA and ContextB are the up-to-DiffContext records preceding
+	// ContextA and ContextB are the up-to-diffContext records preceding
 	// the divergence on each side (they agree unless the journals
 	// retained different windows).
 	ContextA, ContextB []Record
@@ -59,7 +59,7 @@ func divergenceAt(a, b []Record, i int) *Divergence {
 		r := b[i]
 		d.B = &r
 	}
-	lo := i - DiffContext
+	lo := i - diffContext
 	if lo < 0 {
 		lo = 0
 	}

@@ -16,6 +16,7 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -24,61 +25,63 @@ import (
 	"ppm/internal/ring"
 )
 
-// Kind identifies the type of a journal record. Kinds are dotted names
-// grouped by the layer that appends them.
-type Kind string
+// Kind identifies the type of a journal record: a dense index into
+// kindTable, which is also how a ring entry stores it.
+type Kind uint8
 
-// The record kinds, one per instrumentation point.
+// The record kinds, one per instrumentation point. Zero is not a kind,
+// so a forgotten one panics at the append instead of journaling as
+// net.send.
 const (
 	// simnet: message motion and failure injection.
-	NetSend         Kind = "net.send"
-	NetDeliver      Kind = "net.deliver"
-	NetDrop         Kind = "net.drop"
-	NetCircuitOpen  Kind = "net.circuit.open"
-	NetCircuitClose Kind = "net.circuit.close"
-	NetCircuitBreak Kind = "net.circuit.break"
-	NetHostCrash    Kind = "net.host.crash"
-	NetHostRestart  Kind = "net.host.restart"
-	NetPartition    Kind = "net.partition"
-	NetHeal         Kind = "net.heal"
+	NetSend Kind = iota + 1
+	NetDeliver
+	NetDrop
+	NetCircuitOpen
+	NetCircuitClose
+	NetCircuitBreak
+	NetHostCrash
+	NetHostRestart
+	NetPartition
+	NetHeal
 
 	// simnet link flapping: a deterministic injector taking one
 	// endpoint pair down and back up on a schedule. Flap boundaries
 	// reshape reachability like partitions do, so the audit treats
 	// them as epoch boundaries for flood-coverage purposes.
-	NetFlapDown Kind = "net.flap.down"
-	NetFlapUp   Kind = "net.flap.up"
+	NetFlapDown
+	NetFlapUp
 
 	// wire: envelope serialization, tagged with the envelope kind.
-	WireEncode Kind = "wire.encode"
-	WireDecode Kind = "wire.decode"
+	WireEncode
+	WireDecode
 
 	// kernel: process lifecycle and trace-event delivery.
-	KernelSpawn     Kind = "kernel.spawn"
-	KernelFork      Kind = "kernel.fork"
-	KernelExit      Kind = "kernel.exit"
-	KernelSetParent Kind = "kernel.setparent"
-	KernelEvent     Kind = "kernel.event"
+	KernelSpawn
+	KernelFork
+	KernelExit
+	KernelSetParent
+	KernelEvent
 
 	// daemon: pmd lookups and LPM creation.
-	DaemonQuery      Kind = "daemon.query"
-	DaemonAuthFail   Kind = "daemon.auth.fail"
-	DaemonLPMFound   Kind = "daemon.lpm.found"
-	DaemonLPMCreated Kind = "daemon.lpm.created"
+	DaemonQuery
+	DaemonAuthFail
+	DaemonLPMFound
+	DaemonLPMCreated
 
 	// lpm: adoption, sibling circuits, floods, relays, control ops.
-	LPMAdopt         Kind = "lpm.adopt"
-	LPMControl       Kind = "lpm.control"
-	LPMSiblingAuth   Kind = "lpm.sibling.auth"
-	LPMSiblingOpen   Kind = "lpm.sibling.open"
-	LPMSiblingClose  Kind = "lpm.sibling.close"
-	LPMSiblingReject Kind = "lpm.sibling.reject"
-	LPMFloodOrigin   Kind = "lpm.flood.origin"
-	LPMFloodApply    Kind = "lpm.flood.apply"
-	LPMFloodDup      Kind = "lpm.flood.dup"
-	LPMFloodDone     Kind = "lpm.flood.done"
-	LPMRelayOrigin   Kind = "lpm.relay.origin"
-	LPMRelayForward  Kind = "lpm.relay.forward"
+	LPMAdopt
+	LPMControl
+	LPMSiblingAuth
+	LPMSiblingOpen
+	LPMSiblingClose
+	LPMSiblingReject
+	LPMFloodOrigin
+	LPMFloodApply
+	LPMFloodDup
+	LPMFloodDone
+	LPMRelayOrigin
+	LPMRelayForward
 
 	// lpm reliability: the retry engine and at-most-once dedup.
 	// A retry names the operation being retransmitted and the attempt
@@ -90,12 +93,12 @@ const (
 	// request window — the cross-link that lets the profiler tie an
 	// attribution gap (dead air before a retry's backoff span) to the
 	// specific expired exchange.
-	LPMRetry   Kind = "lpm.request.retry"
-	LPMTimeout Kind = "lpm.request.timeout"
+	LPMRetry
+	LPMTimeout
 
-	LPMRedial   Kind = "lpm.sibling.redial"
-	LPMOpExec   Kind = "lpm.op.exec"
-	LPMOpReplay Kind = "lpm.op.replay"
+	LPMRedial
+	LPMOpExec
+	LPMOpReplay
 
 	// circuit lifecycle: every transition of a sibling circuit's
 	// explicit state machine (idle → dialing → authenticating →
@@ -103,17 +106,17 @@ const (
 	// machine stepped. The audit replays these against the legal
 	// transition table and holds each host pair to at most one
 	// Established circuit.
-	CircuitTransition Kind = "circuit.transition"
+	CircuitTransition
 
 	// lpm exit forwarding: a remote kernel's LPM forwarding a process
 	// exit event to the process's home LPM so home-declared watches
 	// fire (the remote-watch path).
-	LPMExitForward Kind = "lpm.exit.forward"
+	LPMExitForward
 
 	// snapshot: a completed distributed snapshot, with its merged
 	// process table encoded in the detail (audited against the
 	// genealogy reconstructed from the kernel records).
-	SnapshotTaken Kind = "snapshot"
+	SnapshotTaken
 
 	// status: a cluster-wide live-introspection sweep. The request
 	// record (at the origin) names the sweep id and its sorted target
@@ -122,76 +125,69 @@ const (
 	// re-executes freely) never double-journal. The audit holds each
 	// sweep to exactly one report per reachable target and ok=false for
 	// every unreachable one.
-	StatusRequest Kind = "status.request"
-	StatusReport  Kind = "status.report"
+	StatusRequest
+	StatusReport
+
+	// numKinds closes the vocabulary and sizes kindTable, so a constant
+	// added above without a row is an empty row (TestKindTableTotal).
+	numKinds
 )
 
-// kinds is the canonical list, in layer order. A ring entry stores a
-// kind as its position here.
-var kinds = [...]Kind{
-	NetSend, NetDeliver, NetDrop,
-	NetCircuitOpen, NetCircuitClose, NetCircuitBreak,
-	NetHostCrash, NetHostRestart, NetPartition, NetHeal,
-	NetFlapDown, NetFlapUp,
-	WireEncode, WireDecode,
-	KernelSpawn, KernelFork, KernelExit, KernelSetParent, KernelEvent,
-	DaemonQuery, DaemonAuthFail, DaemonLPMFound, DaemonLPMCreated,
-	LPMAdopt, LPMControl,
-	LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMSiblingReject,
-	LPMFloodOrigin, LPMFloodApply, LPMFloodDup, LPMFloodDone,
-	LPMRelayOrigin, LPMRelayForward,
-	LPMRetry, LPMTimeout, LPMRedial, LPMOpExec, LPMOpReplay,
-	CircuitTransition, LPMExitForward,
-	SnapshotTaken,
-	StatusRequest, StatusReport,
-}
-
-// counters pairs a record kind with the metrics counter that counts the
-// same fact: each layer's observation function bumps the counter named
-// here at the moment it appends the record, so the two can never
-// disagree (TestJournalMetricsCrossCheck holds every row to that). A
-// "*" stands for the record's first detail token — the transport of a
-// net.send, the event kind of a kernel.event. Kinds without a row are
-// journaled only; wire.encode's per-type counters derive from the wire
-// manifest instead.
-var counters = map[Kind]string{
-	NetSend:         "simnet.*.sent",
-	NetDrop:         "simnet.*.dropped",
-	NetCircuitOpen:  "simnet.circuit.opened",
-	NetCircuitClose: "simnet.circuit.closed",
-	NetCircuitBreak: "simnet.circuit.broken",
-	NetHostCrash:    "simnet.host.crashes",
-	NetHostRestart:  "simnet.host.restarts",
-	NetPartition:    "simnet.partition.events",
-	NetHeal:         "simnet.partition.heals",
-	NetFlapDown:     "simnet.flap.downs",
-	NetFlapUp:       "simnet.flap.ups",
-
-	KernelSpawn: "kernel.spawns",
-	KernelFork:  "kernel.forks",
-	KernelExit:  "kernel.exits",
-	KernelEvent: "kernel.events.*",
-
-	DaemonQuery:      "daemon.queries",
-	DaemonAuthFail:   "daemon.auth_failures",
-	DaemonLPMFound:   "daemon.lpm.found",
-	DaemonLPMCreated: "daemon.lpm.created",
-
-	LPMAdopt:          "lpm.adoptions",
-	LPMSiblingOpen:    "lpm.siblings.opened",
-	LPMSiblingClose:   "lpm.siblings.closed",
-	LPMSiblingReject:  "lpm.siblings.rejected",
-	LPMFloodOrigin:    "lpm.flood.originated",
-	LPMFloodDup:       "lpm.flood.dedup_hits",
-	LPMRelayOrigin:    "lpm.relay.originated",
-	LPMRelayForward:   "lpm.relay.forwarded",
-	LPMRetry:          "lpm.request.retries",
-	LPMTimeout:        "lpm.request.timeouts",
-	LPMRedial:         "lpm.request.redials",
-	LPMOpReplay:       "lpm.dedup.replays",
-	CircuitTransition: "lpm.circuit.transitions",
-	LPMExitForward:    "lpm.exit.forwards",
-	StatusRequest:     "lpm.status.sweeps",
+// kindTable is the vocabulary, indexed by kind: the dotted name a record
+// renders under (grouped by the layer that appends it) and the metrics
+// counter that counts the same fact. Each layer's observation function
+// bumps that counter at the moment it appends the record, so the two
+// can never disagree (TestJournalMetricsCrossCheck holds every row to
+// that). A "*" stands for the record's first detail token — the
+// transport of a net.send, the event kind of a kernel.event. Kinds
+// without a counter are journaled only; wire.encode's per-type counters
+// derive from the wire manifest instead.
+var kindTable = [numKinds]struct{ name, counter string }{
+	NetSend:           {"net.send", "simnet.*.sent"},
+	NetDeliver:        {"net.deliver", ""},
+	NetDrop:           {"net.drop", "simnet.*.dropped"},
+	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened"},
+	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed"},
+	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken"},
+	NetHostCrash:      {"net.host.crash", "simnet.host.crashes"},
+	NetHostRestart:    {"net.host.restart", "simnet.host.restarts"},
+	NetPartition:      {"net.partition", "simnet.partition.events"},
+	NetHeal:           {"net.heal", "simnet.partition.heals"},
+	NetFlapDown:       {"net.flap.down", "simnet.flap.downs"},
+	NetFlapUp:         {"net.flap.up", "simnet.flap.ups"},
+	WireEncode:        {"wire.encode", ""},
+	WireDecode:        {"wire.decode", ""},
+	KernelSpawn:       {"kernel.spawn", "kernel.spawns"},
+	KernelFork:        {"kernel.fork", "kernel.forks"},
+	KernelExit:        {"kernel.exit", "kernel.exits"},
+	KernelSetParent:   {"kernel.setparent", ""},
+	KernelEvent:       {"kernel.event", "kernel.events.*"},
+	DaemonQuery:       {"daemon.query", "daemon.queries"},
+	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures"},
+	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found"},
+	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created"},
+	LPMAdopt:          {"lpm.adopt", "lpm.adoptions"},
+	LPMControl:        {"lpm.control", ""},
+	LPMSiblingAuth:    {"lpm.sibling.auth", ""},
+	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened"},
+	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed"},
+	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected"},
+	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated"},
+	LPMFloodApply:     {"lpm.flood.apply", ""},
+	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits"},
+	LPMFloodDone:      {"lpm.flood.done", ""},
+	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated"},
+	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded"},
+	LPMRetry:          {"lpm.request.retry", "lpm.request.retries"},
+	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts"},
+	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials"},
+	LPMOpExec:         {"lpm.op.exec", ""},
+	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays"},
+	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions"},
+	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards"},
+	SnapshotTaken:     {"snapshot", ""},
+	StatusRequest:     {"status.request", "lpm.status.sweeps"},
+	StatusReport:      {"status.report", ""},
 }
 
 // CounterName returns the name of the metrics counter paired with
@@ -199,7 +195,7 @@ var counters = map[Kind]string{
 // has no counter. token only matters for the kinds counted per first
 // detail token; passing "*" returns such a kind's pattern itself.
 func CounterName(k Kind, token string) string {
-	name := counters[k]
+	name := kindTable[k].counter
 	if i := strings.IndexByte(name, '*'); i >= 0 {
 		return name[:i] + token + name[i+1:]
 	}
@@ -218,7 +214,7 @@ type Detail struct {
 	n1, n2, n3   int32 // ports, pids and frame sizes all fit
 	layout       layout
 	flag         bool
-	kind         uint8 // set by push, not by constructors: it rides in the padding so a ring entry stays 104 bytes
+	kind         Kind // set by AppendDetail, not by constructors: it rides in the padding so a ring entry stays 104 bytes
 }
 
 // layout selects how appendTo renders a Detail's slots.
@@ -332,38 +328,52 @@ func (d Detail) String() string {
 	return string(d.appendTo(buf[:0]))
 }
 
-// NumKinds is len(Kinds()): the size of a table indexed by Index.
-const NumKinds = len(kinds)
+// NumKinds sizes a table indexed by Kind. It counts the unused slot 0,
+// so the layers' per-kind counter handles index by the kind itself.
+const NumKinds = int(numKinds)
 
-var kindIndex = func() map[Kind]uint8 {
-	m := make(map[Kind]uint8, NumKinds)
-	for i, k := range kinds {
-		m[k] = uint8(i)
-	}
-	return m
-}()
-
-// Kinds returns the canonical list of record kinds.
+// Kinds returns the record kinds in table order.
 func Kinds() []Kind {
-	return append([]Kind(nil), kinds[:]...)
-}
-
-// ValidKind reports whether k names a known record kind.
-func ValidKind(k Kind) bool {
-	_, ok := kindIndex[k]
-	return ok
-}
-
-// Index returns k's position in Kinds(), which the layers' per-kind
-// counter handles are indexed by. Appending or indexing a kind the
-// vocabulary does not hold is a bug the journalkind analyzer exists to
-// catch, so it panics.
-func Index(k Kind) int {
-	i, ok := kindIndex[k]
-	if !ok {
-		panic("journal: unregistered record kind " + strconv.Quote(string(k)))
+	out := make([]Kind, 0, numKinds-1)
+	for k := Kind(1); k < numKinds; k++ {
+		out = append(out, k)
 	}
-	return int(i)
+	return out
+}
+
+// String returns the kind's dotted name.
+func (k Kind) String() string {
+	if k < numKinds && kindTable[k].name != "" {
+		return kindTable[k].name
+	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// ParseKinds resolves a comma-separated list of kind names to the kinds
+// they select, in table order per name. A name is a kind's own or a
+// dotted prefix standing for a whole family ("net", "lpm.sibling"); one
+// that selects nothing is an error.
+func ParseKinds(list string) ([]Kind, error) {
+	var out []Kind
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		n := len(out)
+		for k := Kind(1); k < numKinds; k++ {
+			if s := kindTable[k].name; s == name || strings.HasPrefix(s, name+".") {
+				out = append(out, k)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("unknown journal kind %q", name)
+		}
+	}
+	return out, nil
+}
+
+// badKind is AppendDetail's cold path: appending a kind the vocabulary
+// does not hold is a bug. Out of line so the hot path builds no message.
+func badKind(k Kind) {
+	panic("journal: unregistered record kind " + strconv.Itoa(int(k)))
 }
 
 // Record is one flight-recorder entry.
@@ -401,7 +411,7 @@ func appendLine(b []byte, seq uint64, at time.Duration, kind Kind, host string, 
 		host = "-"
 	}
 	b = append(appendPadded(b, host, 8), ' ')
-	b = append(appendPadded(b, string(kind), 18), ' ')
+	b = append(appendPadded(b, kind.String(), 18), ' ')
 	b = d.appendTo(b)
 	for b[len(b)-1] == ' ' {
 		b = b[:len(b)-1]
@@ -521,7 +531,10 @@ func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uin
 	if j == nil {
 		return
 	}
-	d.kind = uint8(Index(kind))
+	if kind-1 >= numKinds-1 { // one compare: kind 0 wraps to 255
+		badKind(kind)
+	}
+	d.kind = kind
 	j.seq++
 	j.ring.Push(entry{at: j.now(), trace: trace, span: span, host: host, d: d})
 }
@@ -533,7 +546,7 @@ func (j *Journal) seqAt(i int) uint64 { return j.seq - uint64(j.ring.Len()-i) + 
 // record renders e, the i-th retained entry, oldest first.
 func (j *Journal) record(i int, e *entry) Record {
 	return Record{
-		Seq: j.seqAt(i), At: e.at, Kind: kinds[e.d.kind], Host: e.host,
+		Seq: j.seqAt(i), At: e.at, Kind: e.d.kind, Host: e.host,
 		Trace: e.trace, Span: e.span, Detail: e.d.String(),
 	}
 }
@@ -577,7 +590,9 @@ func (j *Journal) Reset() {
 }
 
 // Filter selects records for Select and Report. Zero-valued fields
-// match everything; Until of 0 means no upper bound.
+// match everything; Until of 0 means no upper bound. Kinds are exact:
+// ParseKinds resolves names and family prefixes once, where the filter
+// is built, so nothing is matched by string per record.
 type Filter struct {
 	Kinds []Kind        // match any of these kinds (empty = all)
 	Host  string        // match this host ("" = all)
@@ -589,14 +604,7 @@ type Filter struct {
 // rendered.
 func (f Filter) match(e *entry) bool {
 	if len(f.Kinds) > 0 {
-		kind, ok := kinds[e.d.kind], false
-		for _, k := range f.Kinds {
-			if kind == k || strings.HasPrefix(string(kind), string(k)+".") {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(f.Kinds, e.d.kind) {
 			return false
 		}
 	}
@@ -639,7 +647,7 @@ func (j *Journal) Render() string {
 func (j *Journal) lines(f Filter) (b []byte, n int) {
 	for i := 0; i < j.Len(); i++ {
 		if e := j.ring.At(i); f.match(&e) {
-			b = appendLine(b, j.seqAt(i), e.at, kinds[e.d.kind], e.host, e.trace, e.span, &e.d)
+			b = appendLine(b, j.seqAt(i), e.at, e.d.kind, e.host, e.trace, e.span, &e.d)
 			b = append(b, '\n')
 			n++
 		}

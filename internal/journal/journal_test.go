@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +93,11 @@ func TestFilter(t *testing.T) {
 	*now = 2 * time.Second
 	j.Append(LPMSiblingClose, "b", "")
 	j.Append(SnapshotTaken, "b", "")
-	if got := len(j.Select(Filter{Kinds: []Kind{"lpm.sibling"}})); got != 2 {
+	family, err := ParseKinds("lpm.sibling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(j.Select(Filter{Kinds: family})); got != 2 {
 		t.Fatalf("prefix kind matched %d, want 2", got)
 	}
 	if got := len(j.Select(Filter{Kinds: []Kind{LPMSiblingOpen}})); got != 1 {
@@ -131,14 +136,66 @@ func TestField(t *testing.T) {
 	}
 }
 
-func TestValidKind(t *testing.T) {
-	for _, k := range Kinds() {
-		if !ValidKind(k) {
-			t.Errorf("canonical kind %q not valid", k)
+// The vocabulary is closed by the type; this holds the table to it.
+// Every kind up to the sentinel has a row with a unique dotted name that
+// parses back to exactly that kind (so no name is a dotted prefix of
+// another), a prefix selects its family in table order, and nothing
+// else parses.
+func TestKindTableTotal(t *testing.T) {
+	seen := make(map[string]Kind)
+	for k := Kind(1); k < numKinds; k++ {
+		name := kindTable[k].name
+		if name == "" {
+			t.Fatalf("kind %d (after %v) has no row in kindTable", k, k-1)
+		}
+		if name != k.String() || strings.ContainsAny(name, ", \t") || strings.HasPrefix(name, ".") || strings.HasSuffix(name, ".") {
+			t.Errorf("kind %d is named %q, String() = %q", k, name, k.String())
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", prev, k, name)
+		}
+		seen[name] = k
+		if got, err := ParseKinds(name); err != nil || len(got) != 1 || got[0] != k {
+			t.Errorf("ParseKinds(%q) = %v, %v; want exactly [%v]", name, got, err, k)
 		}
 	}
-	if ValidKind("net") || ValidKind("bogus") {
-		t.Fatal("prefixes and unknowns must not be exact kinds")
+	if got := Kinds(); len(got) != NumKinds-1 || got[0] != NetSend || got[len(got)-1] != numKinds-1 {
+		t.Errorf("Kinds() = %v, want kinds 1..%d", got, numKinds-1)
+	}
+	for _, k := range []Kind{0, numKinds, 200} {
+		if s := k.String(); seen[s] != 0 || s == "" {
+			t.Errorf("Kind(%d).String() = %q, a registered name", k, s)
+		}
+	}
+
+	got, err := ParseKinds(" lpm.sibling ,snapshot,net.flap")
+	want := []Kind{LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMSiblingReject, LPMRedial, SnapshotTaken, NetFlapDown, NetFlapUp}
+	if err != nil || !slices.Equal(got, want) {
+		t.Errorf("ParseKinds(families) = %v, %v; want %v", got, err, want)
+	}
+	for _, bad := range []string{"", "bogus", "net.", "net.sen", "ne", "net,", ",net", "net.send.", "Kind(0)"} {
+		if got, err := ParseKinds(bad); err == nil {
+			t.Errorf("ParseKinds(%q) = %v, want an error", bad, got)
+		}
+	}
+	if _, err := ParseKinds("net,bogus"); err == nil || err.Error() != `unknown journal kind "bogus"` {
+		t.Errorf("ParseKinds names the unknown kind as %v", err)
+	}
+}
+
+// A kind outside the vocabulary cannot be spelt as a constant; one
+// forged by conversion (or a forgotten zero) panics at the append.
+func TestAppendUnregisteredKindPanics(t *testing.T) {
+	for _, k := range []Kind{0, numKinds, 200} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "unregistered record kind") {
+					t.Errorf("appending Kind(%d) recovered %q, want the unregistered-kind panic", k, msg)
+				}
+			}()
+			j, _ := testJournal(8)
+			j.Append(k, "a", "")
+		}()
 	}
 }
 
@@ -167,8 +224,8 @@ func TestDiffIdenticalAndDivergent(t *testing.T) {
 	if d.A == nil || d.B == nil || d.A.Detail == d.B.Detail {
 		t.Fatalf("divergence records %v / %v", d.A, d.B)
 	}
-	if len(d.ContextA) != DiffContext {
-		t.Fatalf("context length %d, want %d", len(d.ContextA), DiffContext)
+	if len(d.ContextA) != diffContext {
+		t.Fatalf("context length %d, want %d", len(d.ContextA), diffContext)
 	}
 	out := d.Format()
 	if !strings.Contains(out, "first divergence at record index 5") ||
@@ -528,7 +585,7 @@ func referenceLine(r Record) string {
 	if host == "" {
 		host = "-"
 	}
-	s := fmt.Sprintf("#%06d %-12s %-8s %-18s %s", r.Seq, "T+"+r.At.String(), host, string(r.Kind), r.Detail)
+	s := fmt.Sprintf("#%06d %-12s %-8s %-18s %s", r.Seq, "T+"+r.At.String(), host, r.Kind.String(), r.Detail)
 	s = strings.TrimRight(s, " ")
 	if r.Trace != 0 {
 		s += fmt.Sprintf(" [t=%d s=%d]", r.Trace, r.Span)

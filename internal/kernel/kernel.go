@@ -200,7 +200,7 @@ func (h *Host) observe(kind journal.Kind, format string, args ...any) {
 	if h.journal.Enabled() {
 		d = journal.Text(fmt.Sprintf(format, args...))
 	}
-	h.record(kind, &h.counters.byKind[journal.Index(kind)], "", d)
+	h.record(kind, &h.counters.byKind[kind], "", d)
 }
 
 // observeEvent records one kernel-to-LPM event message, the kind of

@@ -320,7 +320,7 @@ type LPM struct {
 	statusSeq uint64
 	// rtts accumulates request round-trip latencies per op type for the
 	// status report's SLO percentiles.
-	rtts map[wire.MsgType]*metrics.Histogram
+	rtts [wire.NumOps]*metrics.Histogram
 	// statusScratch is the reusable report the LPM fills when serving a
 	// status request (local rebuilds allocate nothing at steady state).
 	statusScratch status.Report
@@ -373,7 +373,6 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 		replies:     wire.NewReplyCache(cfg.opWindow()),
 		inflightOps: ring.NewWindow[struct{}](cfg.opWindow()),
 		peerIncs:    make(map[string]uint64),
-		rtts:        make(map[wire.MsgType]*metrics.Histogram),
 		records:     make(map[proc.PID]proc.Info),
 		store:       history.NewStore(cfg.HistoryCapacity),
 		seen:        ring.NewWindow[struct{}](cfg.DedupWindow),
@@ -487,7 +486,7 @@ func (l *LPM) observe(kind journal.Kind, ctx trace.Context, format string, args 
 //ppmlint:hotpath pin=TestRecordZeroAllocs
 func (l *LPM) record(kind journal.Kind, ctx trace.Context, d journal.Detail) {
 	if l.metrics != nil {
-		slot := &l.counters[journal.Index(kind)]
+		slot := &l.counters[kind]
 		if *slot == nil {
 			*slot = &l.unpaired
 			if name := journal.CounterName(kind, ""); name != "" {

@@ -464,7 +464,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 	reply := func(t wire.MsgType, body []byte) {
 		l.sendReply(ctx, sb, env.ReqID, t, body)
 	}
-	if env.OpID != 0 && dedupable(env.Type) {
+	if env.OpID != 0 && env.Type.AtMostOnce() {
 		now := l.sched.Now().Duration()
 		l.inflightOps.Expire(now)
 		// The peer's incarnation scopes its op ids: a restarted origin
@@ -501,25 +501,6 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 
 	default:
 		l.serveRequest(ctx, env, reply)
-	}
-}
-
-// dedupable classifies the request types held to at-most-once
-// execution. Control operations, process creations, watch
-// installations and broadcast echoes are not idempotent: re-executing
-// a retransmit would signal twice, fork twice, install two watches, or
-// answer Dup for a subtree whose data the first echo already carried.
-// Snapshot, stats, FD, history and ping requests are read-only and may
-// re-execute freely.
-func dedupable(t wire.MsgType) bool {
-	switch t {
-	case wire.MsgControl, wire.MsgCreateProc, wire.MsgWatch, wire.MsgBroadcast,
-		wire.MsgProcExit:
-		// ProcExit appends to the home history store and fires watches
-		// there; a re-executed retransmit would fire them twice.
-		return true
-	default:
-		return false
 	}
 }
 

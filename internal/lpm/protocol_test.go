@@ -1,6 +1,7 @@
 package lpm
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -56,22 +57,54 @@ func protoWorld(t *testing.T) (*world, *auth.User, *LPM) {
 	return w, u, l
 }
 
+// servedElsewhere names the ops that are not responses and that the
+// sibling dispatcher nevertheless does not answer, each with where it
+// is served and the test that covers it there.
+var servedElsewhere = map[wire.MsgType]string{
+	wire.MsgLPMQuery:    "served by pmd, not by an LPM: daemon's TestFigure2CreateThenFind",
+	wire.MsgHello:       "served by the accept path, before a circuit exists: rawSibling's handshake, TestProtocolDuplicateHelloReplacesCircuit",
+	wire.MsgCCSUpdate:   "one-way, never answered: TestProtocolCCSUpdateOneWay",
+	wire.MsgKernelEvent: "an event pushed through the kernel's sink, not a request: TestProtocolStrayHandshakeResponsesDropped",
+}
+
+// Dispatch coverage, driven by the wire manifest: every op that is not
+// a response, sent with an undecodable body over an authenticated
+// circuit, is answered — and never by the dispatcher's "unhandled"
+// fallback, which is what a manifest row with no serveRequest case
+// gets. The dispatcher answers with a failure instead of dying.
 func TestProtocolGarbagePayloadsAnsweredNotCrashed(t *testing.T) {
 	w, u, l := protoWorld(t)
 	conn, replies := rawSibling(t, w, u, "vax2", l)
 
-	// Undecodable bodies for each request type: the dispatcher answers
-	// with a failure instead of dying.
-	for _, mt := range []wire.MsgType{
-		wire.MsgCreateProc, wire.MsgControl, wire.MsgSnapshotReq,
-		wire.MsgStatsReq, wire.MsgFDReq, wire.MsgHistoryReq,
-		wire.MsgBroadcast, wire.MsgRelay, wire.MsgWatch,
-	} {
-		_ = conn.Send(wire.Envelope{Type: mt, ReqID: uint64(mt), Body: []byte{0xff}}.Encode())
+	sent := 0
+	for op := wire.MsgType(1); int(op) < wire.NumOps; op++ {
+		if why, exempt := servedElsewhere[op]; exempt {
+			if op.IsResponse() || why == "" {
+				t.Errorf("%v: stale or unexplained exemption %q", op, why)
+			}
+			continue
+		}
+		if op.IsResponse() {
+			continue
+		}
+		_ = conn.Send(wire.Envelope{Type: op, ReqID: uint64(op), Body: []byte{0xff}}.Encode())
+		sent++
 	}
 	w.run(5 * time.Second)
-	if len(*replies) != 9 {
-		t.Fatalf("replies = %d, want one per garbage request", len(*replies))
+	if sent < 13 || len(*replies) != sent {
+		t.Fatalf("sent %d garbage requests, got %d replies, want one each", sent, len(*replies))
+	}
+	answered := make(map[uint64]bool)
+	for _, r := range *replies {
+		op := wire.MsgType(r.ReqID)
+		if answered[r.ReqID] {
+			t.Errorf("%v answered twice", op)
+		}
+		answered[r.ReqID] = true
+		var e wire.ErrorResp
+		if r.Type == wire.MsgError && wire.Decode(r.Body, &e) == nil && strings.HasPrefix(e.Reason, "unhandled") {
+			t.Errorf("%v is in the manifest but has no dispatch site: answered %q", op, e.Reason)
+		}
 	}
 	// And the LPM still works.
 	id := w.create(l, "vax1", "alive", proc.GPID{})

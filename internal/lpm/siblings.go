@@ -2,7 +2,6 @@ package lpm
 
 import (
 	"fmt"
-	"time"
 
 	"ppm/internal/auth"
 	"ppm/internal/calib"
@@ -436,19 +435,6 @@ func (l *LPM) sendFramedReply(conn *simnet.Conn, env wire.Envelope, ctx trace.Co
 
 // --- message plumbing ---
 
-// endpointCost returns the CPU demand of processing one circuit message
-// at one endpoint. Creation acks are lightweight: the dispatcher sends
-// them directly and the blocked handler consumes them.
-func endpointCost(t wire.MsgType) time.Duration {
-	switch t {
-	case wire.MsgCreateAck:
-		return calib.AckEndpoint
-	case wire.MsgLinkTest, wire.MsgLinkTestResp:
-		return calib.HeartbeatEndpoint
-	}
-	return calib.SiblingEndpoint
-}
-
 // onSiblingMsg routes a message arriving on an authenticated circuit.
 func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	if l.exited {
@@ -460,7 +446,7 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	}
 	l.touch()
 	l.observeArrival(sb)
-	cost := endpointCost(env.Type)
+	cost := env.Type.EndpointCost()
 	if l.cfg.PerMessageAuth {
 		// The datagram-style scheme authenticates every message instead
 		// of once per channel.
@@ -537,7 +523,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		})
 		l.pending[id] = pr
 		esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", rctx)
-		l.kern.ExecCPU(endpointCost(t), func() {
+		l.kern.ExecCPU(t.EndpointCost(), func() {
 			esp.End()
 			if !sb.conn.Open() {
 				// The circuit died before the request went out. When it
@@ -568,7 +554,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 // the request's trace context so the reply's transit is attributed.
 func (l *LPM) sendReply(ctx trace.Context, sb *sibling, reqID uint64, t wire.MsgType, body []byte) {
 	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
-	l.kern.ExecCPU(endpointCost(t), func() {
+	l.kern.ExecCPU(t.EndpointCost(), func() {
 		esp.End()
 		if sb.conn.Open() {
 			env := wire.Envelope{Type: t, ReqID: reqID, Body: body}
@@ -583,7 +569,7 @@ func (l *LPM) sendReply(ctx trace.Context, sb *sibling, reqID uint64, t wire.Msg
 // sendOneWay transmits a request that expects no response (CCS
 // updates).
 func (l *LPM) sendOneWay(sb *sibling, t wire.MsgType, body []byte) {
-	l.kern.ExecCPU(endpointCost(t), func() {
+	l.kern.ExecCPU(t.EndpointCost(), func() {
 		if sb.conn.Open() {
 			env := wire.Envelope{Type: t, ReqID: 0, Body: body}
 			//ppmlint:allow errdrop one-way CCS update by design: no response expected, loss is tolerated

@@ -20,34 +20,19 @@ import (
 // operation id because building a report is read-only — a
 // retransmission that re-executes just rebuilds the report.
 
-// opRTTTable orders the request types whose round-trip latencies are
-// tracked per op. The labels double as registry histogram names
-// (precomputed so the response hot path never concatenates strings).
-var opRTTTable = []struct {
-	t       wire.MsgType
-	label   string
-	regName string
-}{
-	{wire.MsgBroadcast, "Broadcast", "lpm.request_rtt.Broadcast"},
-	{wire.MsgControl, "Control", "lpm.request_rtt.Control"},
-	{wire.MsgCreateProc, "CreateProc", "lpm.request_rtt.CreateProc"},
-	{wire.MsgFDReq, "FDReq", "lpm.request_rtt.FDReq"},
-	{wire.MsgHistoryReq, "HistoryReq", "lpm.request_rtt.HistoryReq"},
-	{wire.MsgPing, "Ping", "lpm.request_rtt.Ping"},
-	{wire.MsgRelay, "Relay", "lpm.request_rtt.Relay"},
-	{wire.MsgSnapshotReq, "SnapshotReq", "lpm.request_rtt.SnapshotReq"},
-	{wire.MsgStatsReq, "StatsReq", "lpm.request_rtt.StatsReq"},
-	{wire.MsgStatusReq, "StatusReq", "lpm.request_rtt.StatusReq"},
-	{wire.MsgWatch, "Watch", "lpm.request_rtt.Watch"},
-}
-
-// opRTTRegName maps a request type to its registry histogram name.
-var opRTTRegName = func() map[wire.MsgType]string {
-	m := make(map[wire.MsgType]string, len(opRTTTable))
-	for _, e := range opRTTTable {
-		m[e.t] = e.regName
+// rttOps lists the ops whose round trips are tracked per op (the
+// manifest's column) in the order status reports render them: by name.
+// rttRegNames holds each one's registry histogram name, precomputed so
+// the response hot path never concatenates strings.
+var rttOps, rttRegNames = func() (ops []wire.MsgType, names [wire.NumOps]string) {
+	for t := wire.MsgType(1); int(t) < wire.NumOps; t++ {
+		if t.RTTTracked() {
+			ops = append(ops, t)
+			names[t] = "lpm.request_rtt." + t.String()
+		}
 	}
-	return m
+	detord.SortBy(ops, wire.MsgType.String)
+	return ops, names
 }()
 
 // observeOpRTT records one request round trip under its op type: in the
@@ -55,11 +40,10 @@ var opRTTRegName = func() map[wire.MsgType]string {
 // and in this LPM's own histogram (per-op percentiles in its status
 // report).
 func (l *LPM) observeOpRTT(t wire.MsgType, rtt time.Duration) {
-	name, ok := opRTTRegName[t]
-	if !ok {
+	if !t.RTTTracked() {
 		return
 	}
-	l.metrics.Histogram(name).Observe(rtt)
+	l.metrics.Histogram(rttRegNames[t]).Observe(rtt)
 	h := l.rtts[t]
 	if h == nil {
 		h = metrics.NewHistogram()
@@ -105,13 +89,13 @@ func (l *LPM) BuildStatus(r *status.Report) {
 	r.JournalLen = l.journal.Len()
 	r.JournalDropped = l.journal.Dropped()
 	ops := r.OpLatencies
-	for _, e := range opRTTTable {
-		h := l.rtts[e.t]
+	for _, t := range rttOps {
+		h := l.rtts[t]
 		if h == nil || h.Count() == 0 {
 			continue
 		}
 		ops = append(ops, status.OpLatency{
-			Op:    e.label,
+			Op:    t.String(),
 			Count: h.Count(),
 			P50:   h.Quantile(0.50),
 			P95:   h.Quantile(0.95),

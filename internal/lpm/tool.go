@@ -202,6 +202,9 @@ func (t *ToolClient) Snapshot(cb func(proc.Snapshot, error)) {
 	t.call(wire.MsgSnapshotReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 		var resp wire.SnapshotResp
 		err = firstErr(err, wire.Decode(env.Body, &resp))
+		if err == nil && !resp.OK {
+			err = refused(resp.Reason)
+		}
 		if err != nil {
 			cb(proc.Snapshot{}, err)
 			return
@@ -237,6 +240,9 @@ func (t *ToolClient) History(q history.Query, cb func([]proc.Event, error)) {
 	t.call(wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 		var resp wire.HistoryResp
 		err = firstErr(err, wire.Decode(env.Body, &resp))
+		if err == nil && !resp.OK {
+			err = refused(resp.Reason)
+		}
 		cb(resp.Events, err)
 	})
 }

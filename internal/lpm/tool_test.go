@@ -234,3 +234,28 @@ func TestToolWrongUserRejected(t *testing.T) {
 		}
 	}
 }
+
+// A request the LPM refuses — here one whose body names a user other
+// than the circuit's — must reach the tool as an error, not as an empty
+// successful snapshot or history.
+func TestToolRefusedSnapshotAndHistoryAreErrors(t *testing.T) {
+	w := newWorld(t, Config{}, []string{"vax1"})
+	u := w.user("felipe")
+	l := w.attach("vax1", u)
+	w.create(l, "vax1", "job", proc.GPID{})
+	tc := connectTool(t, w, u, "vax1")
+	defer tc.Close()
+	tc.user = w.user("mallory") // authenticated as felipe, asking as mallory
+
+	var snapErr, histErr error
+	answered := 0
+	tc.Snapshot(func(_ proc.Snapshot, err error) { snapErr = err; answered++ })
+	tc.History(history.Query{}, func(_ []proc.Event, err error) { histErr = err; answered++ })
+	w.until(func() bool { return answered == 2 })
+	if !errors.Is(snapErr, ErrRemote) || !strings.Contains(snapErr.Error(), "bad snapshot request") {
+		t.Errorf("refused snapshot reached the tool as %v", snapErr)
+	}
+	if !errors.Is(histErr, ErrRemote) || !strings.Contains(histErr.Error(), "bad history request") {
+		t.Errorf("refused history reached the tool as %v", histErr)
+	}
+}

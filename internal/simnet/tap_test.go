@@ -201,7 +201,7 @@ func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for k, jk := range journalKinds {
-		if jk == "" || pairedCounters[k][0] == "" {
+		if jk == 0 || pairedCounters[k][0] == "" {
 			continue
 		}
 		counted := snap.Counter(pairedCounters[k][0])

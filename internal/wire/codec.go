@@ -112,10 +112,10 @@ func (e *Encoder) StringSlice(ss []string) {
 	}
 }
 
-// Pad appends zero bytes until the buffer reaches size. It is used to
+// pad appends zero bytes until the buffer reaches size. It is used to
 // give kernel event messages their fixed 112-byte size. If the buffer
-// already exceeds size, Pad does nothing.
-func (e *Encoder) Pad(size int) {
+// already exceeds size, pad does nothing.
+func (e *Encoder) pad(size int) {
 	for len(e.buf) < size {
 		e.buf = append(e.buf, 0)
 	}

@@ -83,14 +83,14 @@ func TestDecoderStringSliceHugeCountRejected(t *testing.T) {
 func TestPadReachesFixedSize(t *testing.T) {
 	e := NewEncoder(0)
 	e.String("x")
-	e.Pad(112)
+	e.pad(112)
 	if len(e.Bytes()) != 112 {
 		t.Fatalf("len = %d, want 112", len(e.Bytes()))
 	}
-	// Pad never truncates.
-	e.Pad(50)
+	// pad never truncates.
+	e.pad(50)
 	if len(e.Bytes()) != 112 {
-		t.Fatal("Pad should not shrink the buffer")
+		t.Fatal("pad should not shrink the buffer")
 	}
 }
 

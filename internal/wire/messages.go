@@ -82,14 +82,16 @@ const (
 	// is at-most-once (it appends to the home history store).
 	MsgProcExit
 	MsgProcExitResp
+
+	// numOps closes the protocol and sizes opSpecs.
+	numOps
 )
 
-// opRole classifies a wire op for the protocol-surface analyzer
-// (internal/analysis/wireop). Requests must have a dispatch site
-// somewhere under the protocol root; responses must be referenced by a
-// requester; events are pushed through side channels (the kernel's
-// event sink) rather than dispatched, so they are exempt from the
-// dispatch check.
+// opRole classifies a wire op. A request is dispatched and answered
+// (lpm's TestProtocolGarbagePayloadsAnsweredNotCrashed sends every op
+// that is not a response and names the few served elsewhere); a response
+// answers a pending request; an event is pushed through a side channel
+// (the kernel's event sink) rather than dispatched.
 type opRole uint8
 
 const (
@@ -98,95 +100,97 @@ const (
 	roleEvent
 )
 
-// opSpec is one row of the protocol-surface manifest: the op's trace
-// name (which also derives its metrics counter pair), its dispatch
-// role, and the journal kind under which its effect is recorded.
+// opSpec is one row of the protocol-surface manifest: what the protocol
+// layers ask about an op, read through the MsgType methods below.
 type opSpec struct {
-	name string
-	role opRole
-	kind journal.Kind
+	name string        // trace name, which also derives the op's counter pair
+	role opRole        // see IsResponse
+	once bool          // at-most-once: see AtMostOnce
+	rtt  bool          // round trips tracked per op: see RTTTracked
+	cost time.Duration // endpoint cost where lighter than a full message: see EndpointCost
 }
 
-// opSpecs is the protocol-surface manifest, indexed by the op's
-// ordinal. msgNames and msgCounterNames are derived from it, so one
-// row per op is the single point a new message type must touch.
-// ppmlint's wireop analyzer machine-checks the manifest: every Msg*
-// constant needs a row, names must be unique (each derives a distinct
-// counter pair), kinds must be named journal constants, and every
-// request-role op must be dispatched somewhere under the protocol
-// root. Ops whose effect has no dedicated flight-recorder kind
-// (read-only queries, liveness probes) record under the generic
-// journal.WireDecode their frames already land in.
-var opSpecs = [...]opSpec{
-	MsgLPMQuery:      {"LPMQuery", roleRequest, journal.DaemonQuery},
-	MsgLPMQueryResp:  {"LPMQueryResp", roleResponse, journal.DaemonQuery},
-	MsgHello:         {"Hello", roleRequest, journal.LPMSiblingAuth},
-	MsgHelloResp:     {"HelloResp", roleResponse, journal.LPMSiblingOpen},
-	MsgCreateProc:    {"CreateProc", roleRequest, journal.LPMAdopt},
-	MsgCreateAck:     {"CreateAck", roleResponse, journal.LPMAdopt},
-	MsgControl:       {"Control", roleRequest, journal.LPMControl},
-	MsgControlResp:   {"ControlResp", roleResponse, journal.LPMControl},
-	MsgSnapshotReq:   {"SnapshotReq", roleRequest, journal.SnapshotTaken},
-	MsgSnapshotResp:  {"SnapshotResp", roleResponse, journal.SnapshotTaken},
-	MsgStatsReq:      {"StatsReq", roleRequest, journal.WireDecode},
-	MsgStatsResp:     {"StatsResp", roleResponse, journal.WireDecode},
-	MsgHistoryReq:    {"HistoryReq", roleRequest, journal.WireDecode},
-	MsgHistoryResp:   {"HistoryResp", roleResponse, journal.WireDecode},
-	MsgFDReq:         {"FDReq", roleRequest, journal.WireDecode},
-	MsgFDResp:        {"FDResp", roleResponse, journal.WireDecode},
-	MsgBroadcast:     {"Broadcast", roleRequest, journal.LPMFloodApply},
-	MsgBroadcastResp: {"BroadcastResp", roleResponse, journal.LPMFloodDone},
-	MsgKernelEvent:   {"KernelEvent", roleEvent, journal.KernelEvent},
-	MsgPing:          {"Ping", roleRequest, journal.WireDecode},
-	MsgPong:          {"Pong", roleResponse, journal.WireDecode},
-	MsgCCSUpdate:     {"CCSUpdate", roleRequest, journal.WireDecode},
-	MsgError:         {"Error", roleResponse, journal.WireDecode},
-	MsgRelay:         {"Relay", roleRequest, journal.LPMRelayForward},
-	MsgRelayResp:     {"RelayResp", roleResponse, journal.LPMRelayForward},
-	MsgWatch:         {"Watch", roleRequest, journal.WireDecode},
-	MsgWatchResp:     {"WatchResp", roleResponse, journal.WireDecode},
-	MsgStatusReq:     {"StatusReq", roleRequest, journal.StatusRequest},
-	MsgStatusResp:    {"StatusResp", roleResponse, journal.StatusReport},
-	MsgLinkTest:      {"LinkTest", roleRequest, journal.WireDecode},
-	MsgLinkTestResp:  {"LinkTestResp", roleResponse, journal.WireDecode},
-	MsgProcExit:      {"ProcExit", roleRequest, journal.LPMExitForward},
-	MsgProcExitResp:  {"ProcExitResp", roleResponse, journal.LPMExitForward},
+// opSpecs is the protocol-surface manifest, indexed by the op: one row
+// per op is the single point a new message type must touch. It is sized
+// by the sentinel, so a Msg* constant added without a row is an empty
+// row; TestOpSpecsManifestTotal holds every row to a unique name (each
+// derives a distinct counter pair) and a valid role.
+var opSpecs = [numOps]opSpec{
+	MsgLPMQuery:      {name: "LPMQuery", role: roleRequest},
+	MsgLPMQueryResp:  {name: "LPMQueryResp", role: roleResponse},
+	MsgHello:         {name: "Hello", role: roleRequest},
+	MsgHelloResp:     {name: "HelloResp", role: roleResponse},
+	MsgCreateProc:    {name: "CreateProc", role: roleRequest, once: true, rtt: true},
+	MsgCreateAck:     {name: "CreateAck", role: roleResponse, cost: calib.AckEndpoint},
+	MsgControl:       {name: "Control", role: roleRequest, once: true, rtt: true},
+	MsgControlResp:   {name: "ControlResp", role: roleResponse},
+	MsgSnapshotReq:   {name: "SnapshotReq", role: roleRequest, rtt: true},
+	MsgSnapshotResp:  {name: "SnapshotResp", role: roleResponse},
+	MsgStatsReq:      {name: "StatsReq", role: roleRequest, rtt: true},
+	MsgStatsResp:     {name: "StatsResp", role: roleResponse},
+	MsgHistoryReq:    {name: "HistoryReq", role: roleRequest, rtt: true},
+	MsgHistoryResp:   {name: "HistoryResp", role: roleResponse},
+	MsgFDReq:         {name: "FDReq", role: roleRequest, rtt: true},
+	MsgFDResp:        {name: "FDResp", role: roleResponse},
+	MsgBroadcast:     {name: "Broadcast", role: roleRequest, once: true, rtt: true},
+	MsgBroadcastResp: {name: "BroadcastResp", role: roleResponse},
+	MsgKernelEvent:   {name: "KernelEvent", role: roleEvent},
+	MsgPing:          {name: "Ping", role: roleRequest, rtt: true},
+	MsgPong:          {name: "Pong", role: roleResponse},
+	MsgCCSUpdate:     {name: "CCSUpdate", role: roleRequest},
+	MsgError:         {name: "Error", role: roleResponse},
+	MsgRelay:         {name: "Relay", role: roleRequest, rtt: true},
+	MsgRelayResp:     {name: "RelayResp", role: roleResponse},
+	MsgWatch:         {name: "Watch", role: roleRequest, once: true, rtt: true},
+	MsgWatchResp:     {name: "WatchResp", role: roleResponse},
+	MsgStatusReq:     {name: "StatusReq", role: roleRequest, rtt: true},
+	MsgStatusResp:    {name: "StatusResp", role: roleResponse},
+	MsgLinkTest:      {name: "LinkTest", role: roleRequest, cost: calib.HeartbeatEndpoint},
+	MsgLinkTestResp:  {name: "LinkTestResp", role: roleResponse, cost: calib.HeartbeatEndpoint},
+	MsgProcExit:      {name: "ProcExit", role: roleRequest, once: true},
+	MsgProcExitResp:  {name: "ProcExitResp", role: roleResponse},
 }
 
-// msgNames maps each message type to its trace name, derived from the
-// manifest. A fixed table instead of a map keeps String — called per
-// encoded frame by the metrics accounting — off the allocator.
-var msgNames = func() (t [len(opSpecs)]string) {
-	for i, s := range opSpecs {
-		t[i] = s.name
-	}
-	return t
-}()
+// NumOps sizes a table indexed by MsgType. It counts the unused slot 0:
+// the ops are 1..NumOps-1.
+const NumOps = int(numOps)
 
-// OpJournalKind returns the flight-recorder kind under which t's
-// effect is recorded — the manifest column that lets journal audits
-// correlate a wire op with the records it should have produced. Ops
-// outside the manifest map to the generic journal.WireDecode.
-func OpJournalKind(t MsgType) journal.Kind {
-	if int(t) < len(opSpecs) && opSpecs[t].kind != "" {
-		return opSpecs[t].kind
-	}
-	return journal.WireDecode
-}
-
-// IsResponse reports whether t answers a pending request: the manifest's
-// role column, so a new op needs no second list.
+// IsResponse reports whether t answers a pending request.
 func (t MsgType) IsResponse() bool {
-	return int(t) < len(opSpecs) && opSpecs[t].role == roleResponse
+	return t < numOps && opSpecs[t].role == roleResponse
+}
+
+// AtMostOnce reports whether t is held to at-most-once execution.
+// Control operations, process creations, watch installations, broadcast
+// echoes and forwarded exits are not idempotent: re-executing a
+// retransmit would signal twice, fork twice, install two watches,
+// answer Dup for a subtree whose data the first echo already carried,
+// or fire the home LPM's watches twice. Snapshot, stats, FD, history,
+// status and ping requests are read-only and may re-execute freely.
+func (t MsgType) AtMostOnce() bool { return t < numOps && opSpecs[t].once }
+
+// RTTTracked reports whether request round trips of type t are recorded
+// per op, in the registry and in each LPM's status report.
+func (t MsgType) RTTTracked() bool { return t < numOps && opSpecs[t].rtt }
+
+// EndpointCost returns the CPU demand of processing one circuit message
+// of type t at one endpoint. Creation acks are lightweight — the
+// dispatcher sends them directly and the blocked handler consumes them
+// — and so are linktest heartbeats.
+func (t MsgType) EndpointCost() time.Duration {
+	if t < numOps && opSpecs[t].cost != 0 {
+		return opSpecs[t].cost
+	}
+	return calib.SiblingEndpoint
 }
 
 // msgCounterNames precomputes the per-type metric counter names so the
 // per-frame accounting in EncodeLoggedTo performs no string
 // concatenation.
-var msgCounterNames = func() (t [len(msgNames)]struct{ msgs, bytes string }) {
-	for i, n := range msgNames {
-		if n != "" {
-			t[i] = struct{ msgs, bytes string }{"wire.msgs." + n, "wire.bytes." + n}
+var msgCounterNames = func() (t [numOps]struct{ msgs, bytes string }) {
+	for i, s := range opSpecs {
+		if s.name != "" {
+			t[i] = struct{ msgs, bytes string }{"wire.msgs." + s.name, "wire.bytes." + s.name}
 		}
 	}
 	return t
@@ -196,8 +200,8 @@ var msgCounterNames = func() (t [len(msgNames)]struct{ msgs, bytes string }) {
 //
 //ppmlint:hotpath pin=TestMsgTypeStringTable
 func (t MsgType) String() string {
-	if int(t) < len(msgNames) && msgNames[t] != "" {
-		return msgNames[t]
+	if t < numOps && opSpecs[t].name != "" {
+		return opSpecs[t].name
 	}
 	//ppmlint:allow hotalloc cold fallback: only ops outside the manifest reach the formatter
 	return fmt.Sprintf("MsgType(%d)", uint16(t))
@@ -762,7 +766,7 @@ func EncodeKernelEvent(ev proc.Event) []byte {
 	var c Coder
 	c.Size(calib.KernelMsgBytes)
 	c.Event(&ev)
-	c.e.Pad(calib.KernelMsgBytes)
+	c.e.pad(calib.KernelMsgBytes)
 	b := c.e.buf
 	if len(b) > calib.KernelMsgBytes {
 		b = b[:calib.KernelMsgBytes]

@@ -118,7 +118,7 @@ func TestReplyCacheWindowBoundsChurn(t *testing.T) {
 	for op := uint64(1); op <= 1000; op++ {
 		c.Put(OpKey("h", 1, op), MsgPong, nil, time.Duration(op)*step)
 	}
-	want := int(DefaultReplyCacheWindow/step) + 1 // entries within the window
+	want := int(defaultReplyCacheWindow/step) + 1 // entries within the window
 	if c.Len() != want {
 		t.Fatalf("len = %d, want %d (one window of traffic)", c.Len(), want)
 	}

@@ -7,12 +7,12 @@ import (
 	"ppm/internal/ring"
 )
 
-// DefaultReplyCacheWindow bounds retention when the caller passes no
+// defaultReplyCacheWindow bounds retention when the caller passes no
 // explicit window. A retransmission of an operation can only arrive
 // while its sender's retry loop is alive — at most MaxAttempts request
 // timeouts plus the capped backoffs between them — so a couple of
 // minutes of virtual time covers every plausible retry policy.
-const DefaultReplyCacheWindow = 2 * time.Minute
+const defaultReplyCacheWindow = 2 * time.Minute
 
 // CachedReply is one retained reply: the message type and encoded body
 // the first execution of an at-most-once operation produced.
@@ -35,10 +35,10 @@ type ReplyCache struct {
 }
 
 // NewReplyCache creates a cache retaining entries for the given window
-// of virtual time (<= 0 means DefaultReplyCacheWindow).
+// of virtual time (<= 0 means defaultReplyCacheWindow).
 func NewReplyCache(window time.Duration) *ReplyCache {
 	if window <= 0 {
-		window = DefaultReplyCacheWindow
+		window = defaultReplyCacheWindow
 	}
 	return &ReplyCache{entries: ring.NewWindow[CachedReply](window)}
 }

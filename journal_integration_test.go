@@ -91,7 +91,7 @@ func TestJournalMetricsCrossCheck(t *testing.T) {
 	tokCount := make(map[string]uint64) // "<kind>/<first detail token>"
 	for _, r := range j.Records() {
 		kindCount[r.Kind]++
-		tokCount[string(r.Kind)+"/"+firstToken(r.Detail)]++
+		tokCount[r.Kind.String()+"/"+firstToken(r.Detail)]++
 	}
 	snap := c.MetricsSnapshot()
 
@@ -124,7 +124,7 @@ func TestJournalMetricsCrossCheck(t *testing.T) {
 				}
 				total += cp.Value
 				tok := cp.Name[len(prefix) : len(cp.Name)-len(suffix)]
-				if got := tokCount[string(k)+"/"+tok]; got != cp.Value {
+				if got := tokCount[k.String()+"/"+tok]; got != cp.Value {
 					t.Errorf("%s = %d but journal recorded %d %s/%s", cp.Name, cp.Value, got, k, tok)
 				}
 			}

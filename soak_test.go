@@ -14,10 +14,11 @@ import (
 
 // A deterministic chaos soak: hours of virtual time of process
 // management interleaved with host crashes, restarts, partitions and
-// heals. The test asserts liveness (operations keep completing or fail
+// heals. soakRun asserts liveness (operations keep completing or fail
 // cleanly) and final consistency (after healing, a fresh session sees a
-// coherent world).
-func TestSoakChaos(t *testing.T) {
+// coherent world) and returns the cluster for its journal and metrics.
+func soakRun(t *testing.T) *ppm.Cluster {
+	t.Helper()
 	const nHosts = 6
 	var hosts []ppm.HostSpec
 	var names []string
@@ -188,7 +189,11 @@ func TestSoakChaos(t *testing.T) {
 	}
 	t.Logf("soak: %d ok, %d failed-clean, %d procs created, final snapshot %d procs (partial=%v)",
 		opsOK, opsFailed, len(procs), len(snap.Procs), snap.Partial)
+	return c
+}
 
+func TestSoakChaos(t *testing.T) {
+	c := soakRun(t)
 	// The flight recorder watched every one of those ~thousands of
 	// events; its invariant auditor must find nothing to complain about.
 	if vs := c.JournalAudit(); len(vs) != 0 {

@@ -1,254 +1,25 @@
-package ppm
+package ppm_test
 
 import (
 	"testing"
 	"time"
 
-	"ppm/internal/calib"
-	"ppm/internal/kernel"
-	"ppm/internal/sim"
+	"ppm"
+	"ppm/internal/experiments"
+	"ppm/internal/scenario"
 )
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// the ablations of DESIGN.md §6. Each bench runs the full simulated
-// experiment; b.N measures the real cost of simulating it, while the
-// reported custom metrics are the virtual-time results that correspond
-// to the paper's numbers.
-
-// BenchmarkTable1KernelMessageDelivery regenerates Table 1 (kernel->LPM
-// 112-byte message delivery vs load). The reported vms/delivery metrics
-// are the virtual milliseconds for the mid-load VAX 780 cell.
-func BenchmarkTable1KernelMessageDelivery(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		row, err := table1Cell(VAX780, 1) // the 1<la<=2 bucket
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = row.MeasuredMS
-	}
-	b.ReportMetric(last, "vms/delivery")
-	b.ReportMetric(9.8, "paper-vms")
-}
-
-// BenchmarkTable1FullSweep regenerates every Table 1 cell (3 host types
-// x 4 load buckets).
-func BenchmarkTable1FullSweep(b *testing.B) {
-	var rows []Table1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunTable1()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[len(rows)-1].MeasuredMS, "vms/sun-high-load")
-		b.ReportMetric(42.7, "paper-vms")
-	}
-}
-
-// BenchmarkTable2ProcessControl regenerates Table 2 (create, stop,
-// terminate at topological distances 0, 1, 2).
-func BenchmarkTable2ProcessControl(b *testing.B) {
-	var rows []Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunTable2()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Action == "stop" && r.Distance == 1 {
-			b.ReportMetric(r.MeasuredMS, "vms/one-hop-stop")
-		}
-	}
-	b.ReportMetric(199, "paper-vms")
-}
-
-// BenchmarkRemoteCreateWarm regenerates the Section 8 figure: 177 ms
-// remote creation over a warm circuit.
-func BenchmarkRemoteCreateWarm(b *testing.B) {
-	var measured float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		measured, _, err = RemoteCreateWarm()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(measured, "vms/create")
-	b.ReportMetric(177, "paper-vms")
-}
-
-// BenchmarkTable3SnapshotTopologies regenerates Table 3 / Figure 5:
-// snapshot gathering over the four PPM topologies.
-func BenchmarkTable3SnapshotTopologies(b *testing.B) {
-	var rows []Table3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = RunTable3()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Topology {
-		case 1:
-			b.ReportMetric(r.MeasuredMS, "vms/T1")
-		case 4:
-			b.ReportMetric(r.MeasuredMS, "vms/T4")
-		}
-	}
-}
-
-// BenchmarkFigure2LPMCreation regenerates the Figure 2 exchange: LPM
-// creation ab initio versus finding an existing LPM.
-func BenchmarkFigure2LPMCreation(b *testing.B) {
-	var res Figure2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = RunFigure2()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.CreateMS, "vms/create")
-	b.ReportMetric(res.FindMS, "vms/find")
-}
-
-// BenchmarkUntracedSyscallOverhead measures the real cost of the
-// untraced-process fast path: the paper's "comparing to zero the value
-// of a variable". This is a genuine microbenchmark of the simulated
-// kernel's syscall path.
-func BenchmarkUntracedSyscallOverhead(b *testing.B) {
-	s := sim.NewScheduler(1)
-	h := kernel.NewHost(s, "m", calib.ModelVAX780)
-	p, err := h.Spawn("job", "u")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Syscall(p.PID, "read"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(calib.UntracedSyscallCheck.Nanoseconds()), "modelled-ns")
-}
-
-// BenchmarkTracedSyscallOverhead measures the traced path with full
-// granularity, including event generation.
-func BenchmarkTracedSyscallOverhead(b *testing.B) {
-	s := sim.NewScheduler(1)
-	h := kernel.NewHost(s, "m", calib.ModelVAX780)
-	p, err := h.Spawn("job", "u")
-	if err != nil {
-		b.Fatal(err)
-	}
-	delivered := 0
-	h.SetEventSink("u", func(Event) { delivered++ })
-	if err := h.Adopt(p.PID, "u"); err != nil {
-		b.Fatal(err)
-	}
-	if err := h.SetTraceMask(p.PID, "u", kernel.TraceAll); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Syscall(p.PID, "read"); err != nil {
-			b.Fatal(err)
-		}
-		if i%1024 == 0 {
-			if err := s.RunUntilIdle(1 << 20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if err := s.RunUntilIdle(1 << 22); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(calib.ModelVAX780.KernelMsgDelivery(0).Microseconds())/1000, "modelled-vms/event")
-}
-
-// BenchmarkAblationHandlerReuse compares handler reuse against
-// fork-per-request (DESIGN.md ablation 3).
-func BenchmarkAblationHandlerReuse(b *testing.B) {
-	var reuseMS, forkMS float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		reuseMS, forkMS, _, _, err = AblationHandlerReuse()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(reuseMS, "vms/op-reuse")
-	b.ReportMetric(forkMS, "vms/op-fork")
-}
-
-// BenchmarkAblationCircuitVsDatagramAuth compares authenticate-once
-// circuits with per-message authentication (DESIGN.md ablation 2).
-func BenchmarkAblationCircuitVsDatagramAuth(b *testing.B) {
-	var circuitMS, datagramMS float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		circuitMS, datagramMS, err = AblationCircuitVsDatagramAuth()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(circuitMS, "vms/op-circuit")
-	b.ReportMetric(datagramMS, "vms/op-datagram")
-}
-
-// BenchmarkAblationOnDemandVsFullMesh compares circuit counts with
-// on-demand versus full-mesh interconnection (DESIGN.md ablation 1).
-func BenchmarkAblationOnDemandVsFullMesh(b *testing.B) {
-	var onDemand, fullMesh int64
-	for i := 0; i < b.N; i++ {
-		var err error
-		onDemand, fullMesh, err = AblationOnDemandVsFullMesh(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(onDemand), "conns-on-demand")
-	b.ReportMetric(float64(fullMesh), "conns-full-mesh")
-}
-
-// BenchmarkAblationDedupWindow sweeps the broadcast dedup window
-// (DESIGN.md ablation 4).
-func BenchmarkAblationDedupWindow(b *testing.B) {
-	var points []DedupWindowPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = AblationDedupWindow([]time.Duration{
-			time.Millisecond, time.Second, time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(points) == 3 {
-		b.ReportMetric(float64(points[0].DuplicateRecs), "dup-recs-1ms-window")
-		b.ReportMetric(float64(points[2].DuplicateRecs), "dup-recs-60s-window")
-	}
-}
+// The benchmarks that size the simulator itself — event throughput,
+// the tens-of-nodes scale claim, the flight recorder's overhead — and
+// the message budgets of the core operations. One benchmark per table,
+// figure and ablation of the paper's evaluation lives with the harness,
+// in internal/experiments.
 
 // BenchmarkSimulatorThroughput measures raw events/second of the
 // discrete-event core under a PPM workload, to size larger experiments.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := NewCluster(ClusterConfig{
-			Hosts: []HostSpec{{Name: "a"}, {Name: "b"}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "a")
+		_, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts("a", "b")}, "u", "a")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,107 +38,54 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRelayVsDirect assesses the §7 message-routing
-// policies: relayed requests versus dedicated circuits.
-func BenchmarkAblationRelayVsDirect(b *testing.B) {
-	var relayFirst, directFirst, relaySteady, directSteady float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		relayFirst, directFirst, relaySteady, directSteady, err = AblationRelayVsDirect()
-		if err != nil {
-			b.Fatal(err)
-		}
+// snapshotOverStar builds an n-host star (h00 the home; one worker "w"
+// per other host, under a coordinator when rooted) and measures one
+// snapshot flood over it.
+func snapshotOverStar(tb testing.TB, n int, rooted bool) scenario.Cost {
+	tb.Helper()
+	names := scenario.Numbered("h%02d", 0, n)
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u", "h00")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(relayFirst, "vms/first-relay")
-	b.ReportMetric(directFirst, "vms/first-direct")
-	b.ReportMetric(relaySteady, "vms/steady-relay")
-	b.ReportMetric(directSteady, "vms/steady-direct")
+	if rooted {
+		_, err = scenario.Star(sess, names, "root", scenario.Named("w"))
+	} else {
+		_, err = scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("w"))
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cost, err := scenario.Measure(c, func() error {
+		_, serr := sess.Snapshot()
+		return serr
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cost
 }
 
 // BenchmarkScaleTensOfNodes stress-tests the paper's scalability claim:
 // a 24-host snapshot plus broadcast control, reporting virtual-time
 // latency.
 func BenchmarkScaleTensOfNodes(b *testing.B) {
-	var snapMS, snapMsgs float64
+	var cost scenario.Cost
 	for i := 0; i < b.N; i++ {
-		var hosts []HostSpec
-		for j := 0; j < 24; j++ {
-			hosts = append(hosts, HostSpec{Name: fmtHost(j)})
-		}
-		c, err := NewCluster(ClusterConfig{Hosts: hosts})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "h00")
-		if err != nil {
-			b.Fatal(err)
-		}
-		root, err := sess.Run("h00", "root")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 1; j < 24; j++ {
-			if _, err := sess.RunChild(fmtHost(j), "w", root); err != nil {
-				b.Fatal(err)
-			}
-		}
-		beforeMsgs, _ := wireCounts(c)
-		d, err := sess.Elapsed(func() error {
-			_, serr := sess.Snapshot()
-			return serr
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		afterMsgs, _ := wireCounts(c)
-		snapMS = float64(d) / float64(time.Millisecond)
-		snapMsgs = float64(afterMsgs - beforeMsgs)
+		cost = snapshotOverStar(b, 24, true)
 	}
-	b.ReportMetric(snapMS, "vms/24-host-snapshot")
-	b.ReportMetric(snapMsgs, "msgs/24-host-snapshot")
-}
-
-func fmtHost(i int) string {
-	return "h" + string(rune('0'+i/10)) + string(rune('0'+i%10))
+	b.ReportMetric(cost.MS(), "vms/24-host-snapshot")
+	b.ReportMetric(float64(cost.Msgs), "msgs/24-host-snapshot")
 }
 
 // BenchmarkSnapshotFanout sweeps snapshot cost versus the number of
 // hosts on a star circuit graph, sizing the scalability claim.
 func BenchmarkSnapshotFanout(b *testing.B) {
-	measure := func(n int) float64 {
-		var hosts []HostSpec
-		for j := 0; j < n; j++ {
-			hosts = append(hosts, HostSpec{Name: fmtHost(j)})
-		}
-		c, err := NewCluster(ClusterConfig{Hosts: hosts})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "h00")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 1; j < n; j++ {
-			if _, err := sess.Run(fmtHost(j), "w"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		d, err := sess.Elapsed(func() error {
-			_, serr := sess.Snapshot()
-			return serr
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(d) / float64(time.Millisecond)
-	}
 	var v3, v6, v12 float64
 	for i := 0; i < b.N; i++ {
-		v3 = measure(3)
-		v6 = measure(6)
-		v12 = measure(12)
+		v3 = snapshotOverStar(b, 3, false).MS()
+		v6 = snapshotOverStar(b, 6, false).MS()
+		v12 = snapshotOverStar(b, 12, false).MS()
 	}
 	b.ReportMetric(v3, "vms/3-hosts")
 	b.ReportMetric(v6, "vms/6-hosts")
@@ -381,41 +99,15 @@ func BenchmarkSnapshotFanout(b *testing.B) {
 // multiplies traffic (re-floods, lost dedup, chatty recovery) fails
 // here even if latencies stay plausible.
 func TestMessageBudgets(t *testing.T) {
-	snapshotMsgs := func(n int) uint64 {
-		var hosts []HostSpec
-		for j := 0; j < n; j++ {
-			hosts = append(hosts, HostSpec{Name: fmtHost(j)})
-		}
-		c, err := NewCluster(ClusterConfig{Hosts: hosts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "h00")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 1; j < n; j++ {
-			if _, err := sess.Run(fmtHost(j), "w"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before, _ := wireCounts(c)
-		if _, err := sess.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		after, _ := wireCounts(c)
-		return after - before
-	}
 	for _, n := range []int{2, 4, 8} {
 		want := uint64(2 * (n - 1))
-		if got := snapshotMsgs(n); got != want {
+		if got := snapshotOverStar(t, n, false).Msgs; got != want {
 			t.Errorf("snapshot over %d-host star: %d wire messages, budget is exactly %d",
 				n, got, want)
 		}
 	}
 
-	rec, err := RunRecoveryCost()
+	rec, err := experiments.RunRecoveryCost()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,16 +129,11 @@ func TestMessageBudgets(t *testing.T) {
 // script run with the journal on (the default) and off (NoJournal), so
 // the delta between the sub-benchmarks is the append overhead.
 func BenchmarkJournalOverhead(b *testing.B) {
-	scenario := func(noJournal bool) error {
-		c, err := NewCluster(ClusterConfig{
-			Hosts:     []HostSpec{{Name: "a"}, {Name: "b"}},
+	scenarioRun := func(noJournal bool) error {
+		c, sess, err := scenario.Attach(ppm.ClusterConfig{
+			Hosts:     scenario.Hosts("a", "b"),
 			NoJournal: noJournal,
-		})
-		if err != nil {
-			return err
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "a")
+		}, "u", "a")
 		if err != nil {
 			return err
 		}
@@ -468,14 +155,14 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	}
 	b.Run("journal=on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := scenario(false); err != nil {
+			if err := scenarioRun(false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("journal=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := scenario(true); err != nil {
+			if err := scenarioRun(true); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -290,10 +290,6 @@ func (c *Cluster) Hosts() []string { return detord.Keys(c.kerns) }
 // Advance runs the simulation for a stretch of virtual time.
 func (c *Cluster) Advance(d time.Duration) error { return c.sched.RunFor(d) }
 
-// Settle runs until no events remain (careful: perpetual background
-// workloads never go idle; use Advance instead).
-func (c *Cluster) Settle() error { return c.sched.RunUntilIdle(c.cfg.MaxSteps) }
-
 // Scheduler exposes the discrete-event scheduler.
 func (c *Cluster) Scheduler() *sim.Scheduler { return c.sched }
 
@@ -420,13 +416,6 @@ func (c *Cluster) Trace(op func() error) (uint64, error) {
 // profiles to zero requests.
 func (c *Cluster) Profile() *profile.Profile {
 	return profile.Build(c.tr.Spans(), c.jr.Records())
-}
-
-// ProfileReport renders the aggregated virtual-time profile: the
-// per-op-type phase attribution table plus per-host busy/queue-depth
-// timelines. Byte-identical across same-seed runs.
-func (c *Cluster) ProfileReport(o profile.Options) string {
-	return c.Profile().Report(o)
 }
 
 // TraceReport renders one assembled trace tree as a virtual-time

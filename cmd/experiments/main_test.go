@@ -1,33 +1,68 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
+
+func TestParseArgsRejections(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"positional", []string{"x"}, "unexpected argument"},
+		{"stray after flags", []string{"-table", "2", "stray-arg"}, "unexpected argument"},
+		{"table high", []string{"-table", "7"}, "-table must be 1, 2 or 3"},
+		{"table negative", []string{"-table", "-1"}, "-table must be 1, 2 or 3"},
+		{"figure", []string{"-figure", "9"}, "-figure must be 2"},
+		{"breakdown alone", []string{"-breakdown"}, "-breakdown requires -table 2"},
+		{"breakdown wrong table", []string{"-table", "3", "-breakdown"}, "-breakdown requires -table 2"},
+		{"unknown flag", []string{"-frobnicate"}, "not defined"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := parseArgs(tc.args); err == nil {
+				t.Fatalf("parseArgs(%v) accepted, want error containing %q", tc.args, tc.want)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseArgs(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+	// Flags compose: what worked before still parses.
+	o, err := parseArgs([]string{"-table", "2", "-breakdown", "-metrics"})
+	if err != nil || o != (options{table: 2, breakdown: true, metrics: true}) {
+		t.Fatalf("parseArgs = %+v, %v", o, err)
+	}
+	if o, err := parseArgs(nil); err != nil || o != (options{}) {
+		t.Fatalf("parseArgs() = %+v, %v", o, err)
+	}
+}
 
 func TestRunSingleTables(t *testing.T) {
 	// Table 1 is the expensive one; cover tables 2-3 and figure 2 plus
 	// ablations here (the full Table 1 sweep is covered by the root
-	// package's tests and benchmarks).
-	if err := run(2, 0, false, false, true, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(3, 0, false, false, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(0, 2, false, false, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(0, 0, true, false, false, false); err != nil {
-		t.Fatal(err)
+	// package's tests and internal/experiments' benchmarks).
+	for _, o := range []options{
+		{table: 2, breakdown: true},
+		{table: 3},
+		{figure: 2},
+		{ablations: true},
+	} {
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestRunMetricsExperiments(t *testing.T) {
-	if err := run(0, 0, false, true, false, false); err != nil {
+	if err := run(options{metrics: true}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunLatencyAttributionExperiment(t *testing.T) {
-	if err := run(0, 0, false, false, false, true); err != nil {
+	if err := run(options{attribution: true}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"ppm/internal/detect"
 	"ppm/internal/journal"
 	"ppm/internal/profile"
+	"ppm/internal/scenario"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/wire"
@@ -164,21 +166,30 @@ func benchSimnetDatagram(b *testing.B) {
 
 // --- end-to-end PPM scenarios ---
 
-// wireMsgs totals the encoded wire messages the cluster has produced.
-func wireMsgs(c *ppm.Cluster) uint64 {
-	return c.MetricsSnapshot().CounterSum("wire.msgs.")
-}
-
-func benchLPMDispatch(b *testing.B) {
-	b.ReportAllocs()
-	c, err := ppm.NewCluster(ppm.ClusterConfig{
-		Hosts: []ppm.HostSpec{{Name: "a"}, {Name: "b"}},
+// timedLoop is the measured part of an end-to-end row: b.N runs of
+// iter on the clock, inside scenario.Measure so the row also reports
+// the wire messages each iteration cost. The measurement's own metric
+// snapshots fall outside the timed (and allocation-counted) region.
+func timedLoop(b *testing.B, c *ppm.Cluster, iter func() error) {
+	cost, err := scenario.Measure(c, func() error {
+		b.ResetTimer()
+		defer b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			if err := iter(); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "a")
+	b.ReportMetric(float64(cost.Msgs)/float64(b.N), "msgs/op")
+}
+
+func benchLPMDispatch(b *testing.B) {
+	b.ReportAllocs()
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts("a", "b")}, "u", "a")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,18 +197,12 @@ func benchLPMDispatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	before := wireMsgs(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timedLoop(b, c, func() error {
 		if err := sess.Stop(id); err != nil {
-			b.Fatal(err)
+			return err
 		}
-		if err := sess.Foreground(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wireMsgs(c)-before)/float64(b.N), "msgs/op")
+		return sess.Foreground(id)
+	})
 }
 
 func benchJournalAppend(b *testing.B) {
@@ -214,86 +219,45 @@ func benchJournalAppend(b *testing.B) {
 	}
 }
 
+// star8 builds the installation the snapshot and status rows share:
+// eight hosts, a root on h0 and one worker "w" on each of h1..h7.
+func star8(b *testing.B) (*ppm.Cluster, *ppm.Session) {
+	names := scenario.Numbered("h%d", 0, 8)
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u", "h0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := scenario.Star(sess, names, "root", scenario.Named("w")); err != nil {
+		b.Fatal(err)
+	}
+	return c, sess
+}
+
 func benchSnapshotFanout(b *testing.B) {
 	b.ReportAllocs()
-	hosts := make([]ppm.HostSpec, 8)
-	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	for i, n := range names {
-		hosts[i] = ppm.HostSpec{Name: n}
-	}
-	c, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: hosts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "h0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	root, err := sess.Run("h0", "root")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range names[1:] {
-		if _, err := sess.RunChild(n, "w", root); err != nil {
-			b.Fatal(err)
-		}
-	}
+	c, sess := star8(b)
 	if _, err := sess.Snapshot(); err != nil { // warm every circuit
 		b.Fatal(err)
 	}
-	before := wireMsgs(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wireMsgs(c)-before)/float64(b.N), "msgs/op")
+	timedLoop(b, c, func() error {
+		_, err := sess.Snapshot()
+		return err
+	})
 }
 
 func benchStatusGather(b *testing.B) {
 	b.ReportAllocs()
-	hosts := make([]ppm.HostSpec, 8)
-	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	for i, n := range names {
-		hosts[i] = ppm.HostSpec{Name: n}
-	}
-	c, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: hosts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "h0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	root, err := sess.Run("h0", "root")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range names[1:] {
-		if _, err := sess.RunChild(n, "w", root); err != nil {
-			b.Fatal(err)
-		}
-	}
+	c, sess := star8(b)
 	if _, err := sess.Status(); err != nil { // warm every circuit and report buffer
 		b.Fatal(err)
 	}
-	before := wireMsgs(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timedLoop(b, c, func() error {
 		sw, err := sess.Status()
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && (len(sw.Reports) != 8 || len(sw.Unreachable) != 0) {
+			err = fmt.Errorf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)
 		}
-		if len(sw.Reports) != 8 || len(sw.Unreachable) != 0 {
-			b.Fatalf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wireMsgs(c)-before)/float64(b.N), "msgs/op")
+		return err
+	})
 }
 
 // --- profile ---
@@ -306,33 +270,16 @@ func benchStatusGather(b *testing.B) {
 // test in internal/profile.
 func benchProfileBuild(b *testing.B) {
 	b.ReportAllocs()
-	hosts := make([]ppm.HostSpec, 8)
-	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	for i, n := range names {
-		hosts[i] = ppm.HostSpec{Name: n}
-	}
-	c, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: hosts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "h0")
+	names := scenario.Numbered("h%d", 0, 8)
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u", "h0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	c.Tracer().SetMaxSpans(1 << 16)
 	c.Tracer().Enable()
-	root, err := sess.Run("h0", "root")
+	workers, err := scenario.Star(sess, names, "root", scenario.Named("w"))
 	if err != nil {
 		b.Fatal(err)
-	}
-	workers := make([]ppm.GPID, 0, len(names)-1)
-	for _, n := range names[1:] {
-		w, err := sess.RunChild(n, "w", root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		workers = append(workers, w)
 	}
 	for _, w := range workers {
 		if err := sess.Stop(w); err != nil {

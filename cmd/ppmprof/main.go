@@ -28,6 +28,7 @@ import (
 	"ppm"
 	"ppm/internal/journal"
 	"ppm/internal/profile"
+	"ppm/internal/scenario"
 )
 
 func usage(w io.Writer) {
@@ -83,8 +84,8 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.host != "" {
 		found := false
-		for i := 1; i <= o.hosts; i++ {
-			if o.host == hostName(i) {
+		for _, h := range hostNames(o.hosts) {
+			if o.host == h {
 				found = true
 			}
 		}
@@ -95,7 +96,8 @@ func parseArgs(args []string) (options, error) {
 	return o, nil
 }
 
-func hostName(i int) string { return fmt.Sprintf("h%02d", i) }
+// hostNames are the scenario's hosts: h01, h02, ...
+func hostNames(n int) []string { return scenario.Numbered("h%02d", 1, n) }
 
 func main() {
 	o, err := parseArgs(os.Args[1:])
@@ -147,16 +149,8 @@ func run(o options, w io.Writer) error {
 // profile. The scenario is fixed — same flags, same virtual history —
 // so every analysis of it is byte-identical.
 func record(o options) (*profile.Profile, *ppm.Cluster, error) {
-	specs := make([]ppm.HostSpec, o.hosts)
-	for i := range specs {
-		specs[i] = ppm.HostSpec{Name: hostName(i + 1)}
-	}
-	cluster, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: specs})
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster.AddUser("user")
-	sess, err := cluster.Attach("user", "h01")
+	names := hostNames(o.hosts)
+	cluster, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "user", "h01")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,17 +163,9 @@ func record(o options) (*profile.Profile, *ppm.Cluster, error) {
 	// Phase 1: build the computation — one coordinator, one worker per
 	// remote host. Each remote create pays the cold path: pmd query,
 	// circuit establishment, fork/exec/adopt on the far kernel.
-	root, err := sess.Run("h01", "coordinator")
+	workers, err := scenario.Star(sess, names, "coordinator", scenario.Named("worker"))
 	if err != nil {
 		return nil, nil, err
-	}
-	workers := make([]ppm.GPID, 0, o.hosts-1)
-	for i := 2; i <= o.hosts; i++ {
-		wkr, err := sess.RunChild(hostName(i), "worker", root)
-		if err != nil {
-			return nil, nil, err
-		}
-		workers = append(workers, wkr)
 	}
 	if err := cluster.Advance(time.Second); err != nil {
 		return nil, nil, err

@@ -27,6 +27,7 @@ import (
 
 	"ppm"
 	"ppm/internal/journal"
+	"ppm/internal/scenario"
 )
 
 func usage(w io.Writer) {
@@ -75,7 +76,9 @@ func parseArgs(args []string) (options, error) {
 	if o.sweeps < 1 {
 		return o, fmt.Errorf("-sweeps must be >= 1, got %d", o.sweeps)
 	}
-	if o.sweeps != 3 && o.watch == 0 {
+	sweepsSet := false
+	fs.Visit(func(f *flag.Flag) { sweepsSet = sweepsSet || f.Name == "sweeps" })
+	if sweepsSet && o.watch == 0 {
 		return o, errors.New("-sweeps requires -watch")
 	}
 	if o.partition && o.watch != 0 {
@@ -113,26 +116,16 @@ func sweep(cluster *ppm.Cluster, origin string) error {
 }
 
 func run(o options) error {
-	names := make([]string, o.hosts)
-	specs := make([]ppm.HostSpec, o.hosts)
-	for i := range specs {
-		names[i] = fmt.Sprintf("h%02d", i+1)
-		specs[i] = ppm.HostSpec{Name: names[i]}
-	}
-	cc := ppm.ClusterConfig{Seed: o.seed, Hosts: specs}
+	names := scenario.Numbered("h%02d", 1, o.hosts)
+	cc := ppm.ClusterConfig{Seed: o.seed, Hosts: scenario.Hosts(names...)}
 	if o.partition {
 		// Partitioned gathers exhaust their retries before a host is
 		// declared unreachable; keep the retry budget small so the sweep
 		// settles quickly.
 		cc.LPM.Retry = ppm.RetryPolicy{MaxAttempts: 2}
 	}
-	cluster, err := ppm.NewCluster(cc)
-	if err != nil {
-		return err
-	}
-	cluster.AddUser("op")
 	origin := names[0]
-	sess, err := cluster.Attach("op", origin)
+	cluster, sess, err := scenario.Attach(cc, "op", origin)
 	if err != nil {
 		return err
 	}
@@ -140,17 +133,10 @@ func run(o options) error {
 	// The scripted computation: a coordinator on the origin host with
 	// one worker per other host. The remote creations open the circuit
 	// graph and seed the CreateProc latency histogram.
-	root, err := sess.Run(origin, "coordinator")
+	workers, err := scenario.Star(sess, names, "coordinator",
+		func(h string) string { return "worker-" + h })
 	if err != nil {
 		return err
-	}
-	workers := make([]ppm.GPID, 0, o.hosts-1)
-	for _, h := range names[1:] {
-		w, err := sess.RunChild(h, "worker-"+h, root)
-		if err != nil {
-			return err
-		}
-		workers = append(workers, w)
 	}
 	if err := cluster.Advance(time.Second); err != nil {
 		return err

@@ -20,6 +20,7 @@ func TestParseArgsRejections(t *testing.T) {
 		{"watch", []string{"-watch", "-1"}, "-watch must be >= 0"},
 		{"sweeps", []string{"-watch", "2", "-sweeps", "0"}, "-sweeps must be >= 1"},
 		{"sweeps without watch", []string{"-sweeps", "4"}, "-sweeps requires -watch"},
+		{"default-valued sweeps without watch", []string{"-sweeps", "3"}, "-sweeps requires -watch"},
 		{"partition vs watch", []string{"-partition", "-watch", "2"}, "mutually exclusive"},
 		{"unknown flag", []string{"-frobnicate"}, "not defined"},
 	}

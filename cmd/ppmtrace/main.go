@@ -36,6 +36,7 @@ import (
 
 	"ppm"
 	"ppm/internal/journal"
+	"ppm/internal/scenario"
 	"ppm/internal/tools"
 )
 
@@ -138,11 +139,8 @@ func main() {
 }
 
 func run(o options) error {
-	specs := make([]ppm.HostSpec, o.hosts)
-	for i := range specs {
-		specs[i] = ppm.HostSpec{Name: fmt.Sprintf("vax%d", i+1)}
-	}
-	cc := ppm.ClusterConfig{Hosts: specs}
+	names := scenario.Numbered("vax%d", 1, o.hosts)
+	cc := ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}
 	if o.drops > 0 {
 		// Losses sever circuits; give the retry engine headroom so the
 		// scenario's control traffic still lands exactly once.
@@ -155,12 +153,7 @@ func run(o options) error {
 		cc.LPM.Retry = ppm.RetryPolicy{MaxAttempts: 6}
 		cc.LPM.Linktest = 250 * time.Millisecond
 	}
-	cluster, err := ppm.NewCluster(cc)
-	if err != nil {
-		return err
-	}
-	cluster.AddUser("user")
-	sess, err := cluster.Attach("user", "vax1")
+	cluster, sess, err := scenario.Attach(cc, "user", "vax1")
 	if err != nil {
 		return err
 	}
@@ -173,16 +166,18 @@ func run(o options) error {
 	if err := sess.SetTraceMask(root.PID, ppm.TraceAll); err != nil {
 		return err
 	}
-	worker, err := sess.RunChild("vax2", "worker", root)
+	// One worker per other host: "worker" on vax2 (the one the rest of
+	// the scenario controls), "worker3", "worker4", ... beyond it.
+	workers, err := scenario.Workers(sess, names, root, func(h string) string {
+		if h == "vax2" {
+			return "worker"
+		}
+		return "worker" + h[3:]
+	})
 	if err != nil {
 		return err
 	}
-	for i := 3; i <= o.hosts; i++ {
-		h := fmt.Sprintf("vax%d", i)
-		if _, err := sess.RunChild(h, "worker"+h[3:], root); err != nil {
-			return err
-		}
-	}
+	worker := workers[0]
 	if err := cluster.Advance(time.Second); err != nil {
 		return err
 	}

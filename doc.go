@@ -6,7 +6,8 @@
 // Ethernet segments and gateways — that its evaluation was performed
 // on.
 //
-// The public API has two layers:
+// The public API is the library and nothing else — two layers plus a
+// few display helpers (FormatStats, FormatTimeline, ...):
 //
 //   - Cluster builds the networked installation: hosts (with their
 //     1986 CPU models), Ethernet segments, system daemons, user
@@ -24,8 +25,10 @@
 // Everything runs deterministically on a virtual clock: operations
 // advance simulated time by the calibrated costs of the paper's
 // hardware, so the elapsed times the paper reports in its Tables 1-3
-// can be regenerated exactly (see EXPERIMENTS.md and the benchmarks in
-// bench_test.go).
+// can be regenerated exactly. The harness that does so is not part of
+// this package: it is internal/experiments, a consumer of this API, run
+// by cmd/experiments and benchmarked by `go test -bench=.
+// ./internal/experiments` (see EXPERIMENTS.md).
 //
 // A minimal use:
 //

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/experiments"
 )
 
 func main() {
@@ -94,11 +95,11 @@ func figure1() error {
 // each (Table 3).
 func figure5() error {
 	fmt.Println("Figure 5 / Table 3 — snapshot time over four PPM topologies")
-	rows, err := ppm.RunTable3()
+	rows, err := experiments.RunTable3()
 	if err != nil {
 		return err
 	}
-	fmt.Print(ppm.FormatTable3(rows))
+	fmt.Print(experiments.FormatTable3(rows))
 	fmt.Println("\n(6 user processes on every remote host, as in the paper;")
 	fmt.Println(" absolute values are calibrated to 1986 hardware, the shape")
 	fmt.Println(" — star barely above a single link, chains far above — holds.)")

@@ -1,9 +1,12 @@
-package ppm
+package ppm_test
 
 import (
 	"math"
 	"testing"
 	"time"
+
+	"ppm"
+	"ppm/internal/experiments"
 )
 
 // The experiment harness must reproduce the *shape* of the paper's
@@ -11,7 +14,7 @@ import (
 // EXPERIMENTS.md records the exact measured values.
 
 func TestTable1ReproducesShape(t *testing.T) {
-	rows, err := RunTable1()
+	rows, err := experiments.RunTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +32,7 @@ func TestTable1ReproducesShape(t *testing.T) {
 		}
 	}
 	// Monotone in load per host, and the Sun II worst at high load.
-	byHost := map[HostType][]Table1Row{}
+	byHost := map[ppm.HostType][]experiments.Table1Row{}
 	for _, r := range rows {
 		byHost[r.Host] = append(byHost[r.Host], r)
 	}
@@ -40,8 +43,8 @@ func TestTable1ReproducesShape(t *testing.T) {
 			}
 		}
 	}
-	sun := byHost[SunII]
-	v750 := byHost[VAX750]
+	sun := byHost[ppm.SunII]
+	v750 := byHost[ppm.VAX750]
 	if sun[3].MeasuredMS <= v750[3].MeasuredMS*1.5 {
 		t.Errorf("Sun II at high load (%.1f) should be far worse than VAX 750 (%.1f)",
 			sun[3].MeasuredMS, v750[3].MeasuredMS)
@@ -49,20 +52,20 @@ func TestTable1ReproducesShape(t *testing.T) {
 }
 
 func TestTable2ReproducesShape(t *testing.T) {
-	rows, err := RunTable2()
+	rows, err := experiments.RunTable2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(action string, dist int) Table2Row {
+	get := func(action string, dist int) experiments.Table2Row {
 		for _, r := range rows {
 			if r.Action == action && r.Distance == dist {
 				return r
 			}
 		}
 		t.Fatalf("missing row %s/%d", action, dist)
-		return Table2Row{}
+		return experiments.Table2Row{}
 	}
-	within := func(r Table2Row, tol float64) {
+	within := func(r experiments.Table2Row, tol float64) {
 		if r.PaperMS == 0 {
 			return
 		}
@@ -95,11 +98,11 @@ func TestTable2ReproducesShape(t *testing.T) {
 // — tracing may add trailer bytes to the wire but must not reshape
 // the operation it measures.
 func TestTable2BreakdownSums(t *testing.T) {
-	brows, err := RunTable2Breakdown()
+	brows, err := experiments.RunTable2Breakdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunTable2()
+	rows, err := experiments.RunTable2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestTable2BreakdownSums(t *testing.T) {
 }
 
 func TestRemoteCreateWarmReproduces177(t *testing.T) {
-	measured, paper, err := RemoteCreateWarm()
+	measured, paper, err := experiments.RemoteCreateWarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestRemoteCreateWarmReproduces177(t *testing.T) {
 }
 
 func TestTable3ReproducesShape(t *testing.T) {
-	rows, err := RunTable3()
+	rows, err := experiments.RunTable3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestTable3ReproducesShape(t *testing.T) {
 }
 
 func TestFigure2CreateCostsMoreThanFind(t *testing.T) {
-	res, err := RunFigure2()
+	res, err := experiments.RunFigure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestFigure2CreateCostsMoreThanFind(t *testing.T) {
 }
 
 func TestOverheadNumbers(t *testing.T) {
-	o := RunOverhead()
+	o := experiments.RunOverhead()
 	if o.UntracedCheckNS > 10_000 {
 		t.Fatalf("untraced check %.0f ns is not negligible", o.UntracedCheckNS)
 	}
@@ -204,7 +207,7 @@ func TestOverheadNumbers(t *testing.T) {
 }
 
 func TestAblationHandlerReuse(t *testing.T) {
-	reuseMS, forkMS, reuseForks, noReuseForks, err := AblationHandlerReuse()
+	reuseMS, forkMS, reuseForks, noReuseForks, err := experiments.AblationHandlerReuse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestAblationHandlerReuse(t *testing.T) {
 }
 
 func TestAblationCircuitVsDatagramAuth(t *testing.T) {
-	circuitMS, datagramMS, err := AblationCircuitVsDatagramAuth()
+	circuitMS, datagramMS, err := experiments.AblationCircuitVsDatagramAuth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestAblationCircuitVsDatagramAuth(t *testing.T) {
 }
 
 func TestAblationOnDemandVsFullMesh(t *testing.T) {
-	onDemand, fullMesh, err := AblationOnDemandVsFullMesh(6)
+	onDemand, fullMesh, err := experiments.AblationOnDemandVsFullMesh(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +242,7 @@ func TestAblationOnDemandVsFullMesh(t *testing.T) {
 }
 
 func TestAblationDedupWindow(t *testing.T) {
-	points, err := AblationDedupWindow([]time.Duration{
+	points, err := experiments.AblationDedupWindow([]time.Duration{
 		time.Millisecond, time.Minute,
 	})
 	if err != nil {
@@ -259,7 +262,7 @@ func TestAblationDedupWindow(t *testing.T) {
 }
 
 func TestAblationRelayVsDirect(t *testing.T) {
-	relayFirst, directFirst, relaySteady, directSteady, err := AblationRelayVsDirect()
+	relayFirst, directFirst, relaySteady, directSteady, err := experiments.AblationRelayVsDirect()
 	if err != nil {
 		t.Fatal(err)
 	}

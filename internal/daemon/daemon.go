@@ -254,20 +254,6 @@ func (d *Daemons) Status() (running bool, lpms int) {
 	return d.running, len(d.lpms)
 }
 
-// CrashDaemon simulates a crash of the pmd alone (not the host, not the
-// LPMs). Without stable storage the table is lost and, as the paper
-// observes, "the process management mechanism does not operate
-// correctly": a subsequent query spawns a duplicate LPM. With stable
-// storage the table is reloaded.
-func (d *Daemons) CrashDaemon() {
-	d.lpms = make(map[string]simnet.Addr)
-	if d.opts.StableStorage {
-		for u, a := range d.stable {
-			d.lpms[u] = a
-		}
-	}
-}
-
 // Stop halts the daemons (host shutdown path).
 func (d *Daemons) Stop() {
 	if !d.running {

@@ -139,11 +139,3 @@ func (d *Detector) Suspicion(now time.Duration) int {
 	}
 	return level
 }
-
-// Samples returns how many inter-arrival samples the estimate rests
-// on.
-func (d *Detector) Samples() uint64 { return d.samples }
-
-// Estimate returns the current smoothed inter-arrival and deviation
-// estimates, for introspection and tests.
-func (d *Detector) Estimate() (srtt, rttvar time.Duration) { return d.srtt, d.rttvar }

@@ -1,22 +1,33 @@
-package ppm
+// Package experiments is the reproduction harness for the paper's
+// evaluation (Section 6): one function per table or figure, each
+// returning the measured rows next to the values the paper reports,
+// plus the ablations of DESIGN.md §6. The harness is something done
+// *to* the PPM: it consumes package ppm's public API and builds every
+// installation through internal/scenario. The functions are exercised
+// by cmd/experiments, examples/snapshot and the benchmarks in
+// bench_test.go; EXPERIMENTS.md records a full paper-vs-measured
+// comparison.
+package experiments
 
 import (
 	"fmt"
 	"strings"
 	"time"
 
+	"ppm"
 	"ppm/internal/calib"
 	"ppm/internal/lpm"
-	"ppm/internal/proc"
 	"ppm/internal/profile"
+	"ppm/internal/scenario"
 	"ppm/internal/wire"
 )
 
-// This file is the reproduction harness for the paper's evaluation
-// (Section 6): one function per table or figure, each returning the
-// measured rows next to the values the paper reports. The functions are
-// exercised by cmd/experiments and by the benchmarks in bench_test.go;
-// EXPERIMENTS.md records a full paper-vs-measured comparison.
+// lan builds hosts on one shared segment with every LPM tuned by cfg,
+// and attaches user "u" at the first of them — the installation most
+// experiments start from.
+func lan(cfg lpm.Config, hosts ...string) (*ppm.Cluster, *ppm.Session, error) {
+	return scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(hosts...), LPM: cfg}, "u", hosts[0])
+}
 
 // ---------------------------------------------------------------------
 // Table 1: 112-byte kernel-to-LPM message delivery time vs load.
@@ -24,7 +35,7 @@ import (
 
 // Table1Row is one cell of the paper's Table 1.
 type Table1Row struct {
-	Host       HostType
+	Host       ppm.HostType
 	LoadBucket string  // e.g. "0<la<=1"
 	LoadAvg    float64 // measured mean load average during the run
 	MeasuredMS float64 // mean delivery latency, virtual ms
@@ -32,10 +43,10 @@ type Table1Row struct {
 }
 
 // table1Paper holds the published cells (0 = N/A).
-var table1Paper = map[HostType][4]float64{
-	VAX780: {7.2, 9.8, 13.6, 0},
-	VAX750: {7.2, 9.6, 12.8, 18.9},
-	SunII:  {8.31, 14.13, 22.0, 42.7},
+var table1Paper = map[ppm.HostType][4]float64{
+	ppm.VAX780: {7.2, 9.8, 13.6, 0},
+	ppm.VAX750: {7.2, 9.6, 12.8, 18.9},
+	ppm.SunII:  {8.31, 14.13, 22.0, 42.7},
 }
 
 // table1Buckets names the load-average buckets.
@@ -47,10 +58,10 @@ var table1Buckets = [4]string{"0<la<=1", "1<la<=2", "2<la<=3", "3<la<=4"}
 // event messages to the LPM.
 func RunTable1() ([]Table1Row, error) {
 	var rows []Table1Row
-	for _, ht := range []HostType{VAX780, VAX750, SunII} {
+	for _, ht := range []ppm.HostType{ppm.VAX780, ppm.VAX750, ppm.SunII} {
 		for bucket := 0; bucket < 4; bucket++ {
 			paper := table1Paper[ht][bucket]
-			if paper == 0 && ht == VAX780 {
+			if paper == 0 && ht == ppm.VAX780 {
 				continue // the paper's VAX 780 column has no 3-4 cell
 			}
 			row, err := table1Cell(ht, bucket)
@@ -64,12 +75,13 @@ func RunTable1() ([]Table1Row, error) {
 	return rows, nil
 }
 
-func table1Cell(ht HostType, bucket int) (Table1Row, error) {
-	c, err := NewCluster(ClusterConfig{Hosts: []HostSpec{{Name: "m", Type: ht}}})
+func table1Cell(ht ppm.HostType, bucket int) (Table1Row, error) {
+	// The session is attached only once the load has built up, so the
+	// cell starts from New, not Attach.
+	c, err := scenario.New(ppm.ClusterConfig{Hosts: []ppm.HostSpec{{Name: "m", Type: ht}}}, "u")
 	if err != nil {
 		return Table1Row{}, err
 	}
-	c.AddUser("u")
 	// n half-duty CPU hogs put the load average near n/2: 1, 3, 5 and 7
 	// hogs land mid-bucket (0.5, 1.5, 2.5, 3.5).
 	hogs := bucket*2 + 1
@@ -90,7 +102,7 @@ func table1Cell(ht HostType, bucket int) (Table1Row, error) {
 	// Measure real kernel->LPM delivery: a watch timestamps arrival, the
 	// event carries its generation time.
 	var latencies []time.Duration
-	remove := sess.OnEvent(&Watch{Kind: proc.EvSignal, Action: func(ev Event) {
+	remove := sess.OnEvent(&ppm.Watch{Kind: ppm.EvSignal, Action: func(ev ppm.Event) {
 		latencies = append(latencies, c.Now().Duration()-ev.At)
 	}})
 	defer remove()
@@ -105,7 +117,7 @@ func table1Cell(ht HostType, bucket int) (Table1Row, error) {
 			return Table1Row{}, err
 		}
 		laSum += k.LoadAvg()
-		if err := k.Signal(target.PID, SIGUSR1); err != nil {
+		if err := k.Signal(target.PID, ppm.SIGUSR1); err != nil {
 			return Table1Row{}, err
 		}
 	}
@@ -142,99 +154,96 @@ type Table2Row struct {
 	Msgs       uint64  // wire messages the operation put on the network
 }
 
-// wireCounts totals the wire family's message and byte counters — the
-// protocol frames every layer encoded so far. Deltas of these around
-// an operation are the operation's message cost.
-func wireCounts(c *Cluster) (msgs, bytes uint64) {
-	snap := c.MetricsSnapshot()
-	return snap.CounterSum("wire.msgs."), snap.CounterSum("wire.bytes.")
-}
+// toolLegs is the tool round trip (two tool legs, virtual ms) that
+// creation times exclude, matching the paper's definition of process
+// creation time; control times are tool-to-tool, as measured by the
+// paper's snapshot tool.
+const toolLegs = 22.0
 
-// RunTable2 regenerates Table 2 on a three-host line: a --net1-- gw
-// --net2-- c, giving distances 0, 1 and 2. Creation times exclude the
-// tool round trip (two tool legs), matching the paper's definition of
-// process creation time; control times are tool-to-tool, as measured
-// by the paper's snapshot tool.
-func RunTable2() ([]Table2Row, error) {
-	c, err := NewCluster(ClusterConfig{
-		Hosts: []HostSpec{{Name: "a"}, {Name: "gw"}, {Name: "c"}},
+// table2Hosts are the hosts of the Table 2 line, indexed by their
+// distance from the session's home a.
+var table2Hosts = []string{"a", "gw", "c"}
+
+// table2Line builds the three-host line every Table 2 experiment runs
+// on: a --net1-- gw --net2-- c, giving distances 0, 1 and 2. The
+// circuits are warm (the paper's creation time explicitly excludes LPM
+// creation and connection establishment).
+func table2Line() (*ppm.Cluster, *ppm.Session, error) {
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{
+		Hosts: scenario.Hosts(table2Hosts...),
 		Segments: map[string][]string{
 			"net1": {"a", "gw"},
 			"net2": {"gw", "c"},
 		},
-	})
+	}, "u", "a")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "a")
-	if err != nil {
-		return nil, err
-	}
-	// Warm the circuits (the paper's creation time explicitly excludes
-	// LPM creation and connection establishment).
-	if _, err := sess.Run("gw", "warm"); err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run("c", "warm"); err != nil {
-		return nil, err
+	if _, err := scenario.Workers(sess, table2Hosts, ppm.GPID{}, scenario.Named("warm")); err != nil {
+		return nil, nil, err
 	}
 	if err := c.Advance(time.Second); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return c, sess, nil
+}
 
-	toolLegs := 22.0 // ms, subtracted from creation rows only
-	var rows []Table2Row
-	hostAt := map[int]string{0: "a", 1: "gw", 2: "c"}
-	paperStop := map[int]float64{0: 30, 1: 199, 2: 210}
-	paperCreate := map[int]float64{0: 77, 1: 0, 2: 0} // one/two hops N/A in Table 2
-
-	for dist := 0; dist <= 2; dist++ {
-		host := hostAt[dist]
-		var id GPID
-		before, _ := wireCounts(c)
-		d, err := sess.Elapsed(func() error {
+// table2Cells runs the Table 2 operations on the line — create, stop
+// and terminate one job at each of distances 0, 1 and 2 — handing every
+// operation to cell, which decides how it is observed: timed
+// (RunTable2) or traced (RunTable2Breakdown, RunLatencyAttribution).
+func table2Cells(c *ppm.Cluster, sess *ppm.Session, cell func(action string, dist int, op func() error) error) error {
+	for dist, host := range table2Hosts {
+		var id ppm.GPID
+		if err := cell("create", dist, func() error {
 			var rerr error
 			id, rerr = sess.Run(host, "job")
 			return rerr
-		})
-		if err != nil {
-			return nil, err
+		}); err != nil {
+			return err
 		}
-		after, _ := wireCounts(c)
-		rows = append(rows, Table2Row{
-			Action: "create", Distance: dist,
-			MeasuredMS: float64(d)/float64(time.Millisecond) - toolLegs,
-			PaperMS:    paperCreate[dist],
-			Msgs:       after - before,
-		})
 		if err := c.Advance(time.Second); err != nil { // let async exec settle
-			return nil, err
+			return err
 		}
-		before, _ = wireCounts(c)
-		d, err = sess.Elapsed(func() error { return sess.Stop(id) })
+		if err := cell("stop", dist, func() error { return sess.Stop(id) }); err != nil {
+			return err
+		}
+		if err := cell("terminate", dist, func() error { return sess.Kill(id) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunTable2 regenerates Table 2 on the warm three-host line.
+func RunTable2() ([]Table2Row, error) {
+	c, sess, err := table2Line()
+	if err != nil {
+		return nil, err
+	}
+	paperStop := map[int]float64{0: 30, 1: 199, 2: 210}
+	paperCreate := map[int]float64{0: 77, 1: 0, 2: 0} // one/two hops N/A in Table 2
+	var rows []Table2Row
+	err = table2Cells(c, sess, func(action string, dist int, op func() error) error {
+		cost, err := scenario.Measure(c, op)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		after, _ = wireCounts(c)
-		rows = append(rows, Table2Row{
-			Action: "stop", Distance: dist,
-			MeasuredMS: float64(d) / float64(time.Millisecond),
-			PaperMS:    paperStop[dist],
-			Msgs:       after - before,
-		})
-		before, _ = wireCounts(c)
-		d, err = sess.Elapsed(func() error { return sess.Kill(id) })
-		if err != nil {
-			return nil, err
+		row := Table2Row{
+			Action: action, Distance: dist,
+			MeasuredMS: cost.MS(),
+			PaperMS:    paperStop[dist], // paper: terminate is the same as stop
+			Msgs:       cost.Msgs,
 		}
-		after, _ = wireCounts(c)
-		rows = append(rows, Table2Row{
-			Action: "terminate", Distance: dist,
-			MeasuredMS: float64(d) / float64(time.Millisecond),
-			PaperMS:    paperStop[dist], // paper: same as stop
-			Msgs:       after - before,
-		})
+		if action == "create" {
+			row.MeasuredMS -= toolLegs
+			row.PaperMS = paperCreate[dist]
+		}
+		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -261,7 +270,7 @@ type Table2BreakdownRow struct {
 // Structural spans (lpm.request.*, circuit.establish.*, pmd.query.*)
 // are windows over other spans and are deliberately not counted — the
 // network time under a pmd query is already in its net.* children.
-func traceBreakdown(c *Cluster, id uint64) (total, network, dispatch, kernel float64) {
+func traceBreakdown(c *ppm.Cluster, id uint64) (total, network, dispatch, kernel float64) {
 	for _, sp := range c.Tracer().SpansOf(id) {
 		d := float64(sp.End-sp.Start) / float64(time.Millisecond)
 		switch {
@@ -283,67 +292,29 @@ func traceBreakdown(c *Cluster, id uint64) (total, network, dispatch, kernel flo
 // decomposes each cell from the assembled trace tree of that single
 // traced run.
 func RunTable2Breakdown() ([]Table2BreakdownRow, error) {
-	c, err := NewCluster(ClusterConfig{
-		Hosts: []HostSpec{{Name: "a"}, {Name: "gw"}, {Name: "c"}},
-		Segments: map[string][]string{
-			"net1": {"a", "gw"},
-			"net2": {"gw", "c"},
-		},
-	})
+	c, sess, err := table2Line()
 	if err != nil {
 		return nil, err
 	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "a")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run("gw", "warm"); err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run("c", "warm"); err != nil {
-		return nil, err
-	}
-	if err := c.Advance(time.Second); err != nil {
-		return nil, err
-	}
-
-	const toolLegs = 22.0 // ms, subtracted from creation rows only (as in Table 2)
-	hostAt := map[int]string{0: "a", 1: "gw", 2: "c"}
 	var rows []Table2BreakdownRow
-	cell := func(action string, dist int, deduct float64, op func() error) error {
+	err = table2Cells(c, sess, func(action string, dist int, op func() error) error {
 		id, err := c.Trace(op)
 		if err != nil {
 			return err
 		}
 		total, network, dispatch, kernel := traceBreakdown(c, id)
-		total -= deduct
+		if action == "create" {
+			total -= toolLegs
+		}
 		rows = append(rows, Table2BreakdownRow{
 			Action: action, Distance: dist,
 			TotalMS: total, NetworkMS: network, DispatchMS: dispatch, KernelMS: kernel,
 			OtherMS: total - network - dispatch - kernel,
 		})
 		return nil
-	}
-	for dist := 0; dist <= 2; dist++ {
-		host := hostAt[dist]
-		var id GPID
-		if err := cell("create", dist, toolLegs, func() error {
-			var rerr error
-			id, rerr = sess.Run(host, "job")
-			return rerr
-		}); err != nil {
-			return nil, err
-		}
-		if err := c.Advance(time.Second); err != nil { // let async exec settle
-			return nil, err
-		}
-		if err := cell("stop", dist, 0, func() error { return sess.Stop(id) }); err != nil {
-			return nil, err
-		}
-		if err := cell("terminate", dist, 0, func() error { return sess.Kill(id) }); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -352,31 +323,25 @@ func RunTable2Breakdown() ([]Table2BreakdownRow, error) {
 // creation once a connection between sibling managers exists (the paper
 // reports 177 ms under light load).
 func RemoteCreateWarm() (measuredMS, paperMS float64, err error) {
-	c, err := NewCluster(ClusterConfig{
-		Hosts: []HostSpec{{Name: "a"}, {Name: "b"}},
-	})
+	hosts := []string{"a", "b"}
+	c, sess, err := lan(lpm.Config{}, hosts...)
 	if err != nil {
 		return 0, 0, err
 	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "a")
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := sess.Run("b", "warm"); err != nil {
+	if _, err := scenario.Workers(sess, hosts, ppm.GPID{}, scenario.Named("warm")); err != nil {
 		return 0, 0, err
 	}
 	if err := c.Advance(time.Second); err != nil {
 		return 0, 0, err
 	}
-	d, err := sess.Elapsed(func() error {
+	cost, err := scenario.Measure(c, func() error {
 		_, rerr := sess.Run("b", "job")
 		return rerr
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	return float64(d)/float64(time.Millisecond) - 22, 177, nil
+	return cost.MS() - toolLegs, 177, nil
 }
 
 // ---------------------------------------------------------------------
@@ -409,80 +374,39 @@ func RunTable3() ([]Table3Row, error) {
 	specs := []struct {
 		desc  string
 		hosts []string
-		build func(c *Cluster, sess *Session) error
+		// circuits in creation order: the LPM on the first host runs six
+		// processes on the second, which opens the circuit between them.
+		circuits [][2]string
 	}{
-		{
-			desc:  "A->B",
-			hosts: []string{"A", "B"},
-			build: func(c *Cluster, sess *Session) error {
-				return spawnSix(sess, "B")
-			},
-		},
-		{
-			desc:  "A->B, A->C (star)",
-			hosts: []string{"A", "B", "C"},
-			build: func(c *Cluster, sess *Session) error {
-				if err := spawnSix(sess, "B"); err != nil {
-					return err
-				}
-				return spawnSix(sess, "C")
-			},
-		},
-		{
-			desc:  "A->B->C (chain)",
-			hosts: []string{"A", "B", "C"},
-			build: func(c *Cluster, sess *Session) error {
-				if err := spawnSix(sess, "B"); err != nil {
-					return err
-				}
-				sb, err := sess.AttachAt("B")
-				if err != nil {
-					return err
-				}
-				return spawnSix(sb, "C")
-			},
-		},
-		{
-			desc:  "A->B->{C,D} (chain+leaf)",
-			hosts: []string{"A", "B", "C", "D"},
-			build: func(c *Cluster, sess *Session) error {
-				if err := spawnSix(sess, "B"); err != nil {
-					return err
-				}
-				sb, err := sess.AttachAt("B")
-				if err != nil {
-					return err
-				}
-				if err := spawnSix(sb, "C"); err != nil {
-					return err
-				}
-				return spawnSix(sb, "D")
-			},
-		},
+		{"A->B", []string{"A", "B"}, [][2]string{{"A", "B"}}},
+		{"A->B, A->C (star)", []string{"A", "B", "C"}, [][2]string{{"A", "B"}, {"A", "C"}}},
+		{"A->B->C (chain)", []string{"A", "B", "C"}, [][2]string{{"A", "B"}, {"B", "C"}}},
+		{"A->B->{C,D} (chain+leaf)", []string{"A", "B", "C", "D"}, [][2]string{{"A", "B"}, {"B", "C"}, {"B", "D"}}},
 	}
 	var rows []Table3Row
 	for i, spec := range specs {
-		var hs []HostSpec
-		for _, h := range spec.hosts {
-			hs = append(hs, HostSpec{Name: h})
-		}
-		c, err := NewCluster(ClusterConfig{Hosts: hs})
+		c, sess, err := lan(lpm.Config{}, spec.hosts...)
 		if err != nil {
 			return nil, err
 		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "A")
-		if err != nil {
-			return nil, err
-		}
-		if err := spec.build(c, sess); err != nil {
-			return nil, err
+		at := map[string]*ppm.Session{"A": sess}
+		for _, circuit := range spec.circuits {
+			from, to := circuit[0], circuit[1]
+			if at[from] == nil {
+				if at[from], err = sess.AttachAt(from); err != nil {
+					return nil, err
+				}
+			}
+			for p := 0; p < 6; p++ {
+				if _, err := at[from].Run(to, fmt.Sprintf("p%d", p)); err != nil {
+					return nil, err
+				}
+			}
 		}
 		if err := c.Advance(2 * time.Second); err != nil {
 			return nil, err
 		}
-		beforeMsgs, beforeBytes := wireCounts(c)
-		d, err := sess.Elapsed(func() error {
+		cost, err := scenario.Measure(c, func() error {
 			snap, serr := sess.Snapshot()
 			if serr != nil {
 				return serr
@@ -497,26 +421,16 @@ func RunTable3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		afterMsgs, afterBytes := wireCounts(c)
 		rows = append(rows, Table3Row{
 			Topology:    i + 1,
 			Description: spec.desc,
-			MeasuredMS:  float64(d) / float64(time.Millisecond),
+			MeasuredMS:  cost.MS(),
 			PaperMS:     table3Paper[i],
-			Msgs:        afterMsgs - beforeMsgs,
-			Bytes:       afterBytes - beforeBytes,
+			Msgs:        cost.Msgs,
+			Bytes:       cost.Bytes,
 		})
 	}
 	return rows, nil
-}
-
-func spawnSix(sess *Session, host string) error {
-	for i := 0; i < 6; i++ {
-		if _, err := sess.Run(host, fmt.Sprintf("p%d", i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -529,27 +443,27 @@ type Figure2Result struct {
 	FindMS   float64 // second request: existing LPM's address returned
 }
 
-// RunFigure2 measures the LPM creation steps of Figure 2.
+// RunFigure2 measures the LPM creation steps of Figure 2: the Attach
+// itself is the thing timed, first against a host with no LPM, then
+// against the one the first call created.
 func RunFigure2() (Figure2Result, error) {
-	c, err := NewCluster(ClusterConfig{Hosts: []HostSpec{{Name: "m"}}})
+	c, err := scenario.New(ppm.ClusterConfig{Hosts: scenario.Hosts("m")}, "u")
 	if err != nil {
 		return Figure2Result{}, err
 	}
-	c.AddUser("u")
-	start := c.Now()
-	if _, err := c.Attach("u", "m"); err != nil {
+	attach := func() error {
+		_, aerr := c.Attach("u", "m")
+		return aerr
+	}
+	create, err := scenario.Measure(c, attach)
+	if err != nil {
 		return Figure2Result{}, err
 	}
-	create := c.Now().Sub(start)
-	start = c.Now()
-	if _, err := c.Attach("u", "m"); err != nil {
+	find, err := scenario.Measure(c, attach)
+	if err != nil {
 		return Figure2Result{}, err
 	}
-	find := c.Now().Sub(start)
-	return Figure2Result{
-		CreateMS: float64(create) / float64(time.Millisecond),
-		FindMS:   float64(find) / float64(time.Millisecond),
-	}, nil
+	return Figure2Result{CreateMS: create.MS(), FindMS: find.MS()}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -575,51 +489,50 @@ func RunOverhead() OverheadResult {
 // Ablations (design choices called out in DESIGN.md §6).
 // ---------------------------------------------------------------------
 
+// warmControl is the workload the handler-reuse and authentication
+// ablations share: a job on b, driven from a over a warm circuit
+// through ten stop/foreground pairs with every LPM tuned by cfg. It
+// returns the mean virtual ms per operation and the handler forks the
+// installation performed.
+func warmControl(cfg lpm.Config) (ms float64, forks int64, err error) {
+	c, sess, err := lan(cfg, "a", "b")
+	if err != nil {
+		return 0, 0, err
+	}
+	id, err := sess.Run("b", "job")
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := c.Advance(time.Second); err != nil {
+		return 0, 0, err
+	}
+	const ops = 10
+	cost, err := scenario.Measure(c, func() error {
+		for i := 0; i < ops; i++ {
+			if err := sess.Stop(id); err != nil {
+				return err
+			}
+			if err := sess.Foreground(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return float64(cost.Elapsed) / float64(2*ops) / float64(time.Millisecond),
+		int64(c.MetricsSnapshot().Counter("lpm.handler.forks")), nil
+}
+
 // AblationHandlerReuse compares remote-operation latency and fork
 // counts with the paper's handler reuse versus fork-per-request.
 func AblationHandlerReuse() (reuseMS, forkMS float64, reuseForks, noReuseForks int64, err error) {
-	run := func(cfg lpm.Config) (float64, int64, error) {
-		c, cerr := NewCluster(ClusterConfig{
-			Hosts: []HostSpec{{Name: "a"}, {Name: "b"}},
-			LPM:   cfg,
-		})
-		if cerr != nil {
-			return 0, 0, cerr
-		}
-		c.AddUser("u")
-		sess, cerr := c.Attach("u", "a")
-		if cerr != nil {
-			return 0, 0, cerr
-		}
-		id, cerr := sess.Run("b", "job")
-		if cerr != nil {
-			return 0, 0, cerr
-		}
-		if cerr := c.Advance(time.Second); cerr != nil {
-			return 0, 0, cerr
-		}
-		var total time.Duration
-		const ops = 10
-		for i := 0; i < ops; i++ {
-			d, derr := sess.Elapsed(func() error { return sess.Stop(id) })
-			if derr != nil {
-				return 0, 0, derr
-			}
-			total += d
-			d, derr = sess.Elapsed(func() error { return sess.Foreground(id) })
-			if derr != nil {
-				return 0, 0, derr
-			}
-			total += d
-		}
-		return float64(total) / float64(2*ops) / float64(time.Millisecond),
-			int64(c.MetricsSnapshot().Counter("lpm.handler.forks")), nil
-	}
-	reuseMS, reuseForks, err = run(lpm.Config{})
+	reuseMS, reuseForks, err = warmControl(lpm.Config{})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	forkMS, noReuseForks, err = run(lpm.Config{NoHandlerReuse: true})
+	forkMS, noReuseForks, err = warmControl(lpm.Config{NoHandlerReuse: true})
 	return reuseMS, forkMS, reuseForks, noReuseForks, err
 }
 
@@ -627,47 +540,11 @@ func AblationHandlerReuse() (reuseMS, forkMS float64, reuseForks, noReuseForks i
 // with a per-message authentication scheme (the datagram alternative
 // the paper weighs for scalability).
 func AblationCircuitVsDatagramAuth() (circuitMS, datagramMS float64, err error) {
-	run := func(cfg lpm.Config) (float64, error) {
-		c, cerr := NewCluster(ClusterConfig{
-			Hosts: []HostSpec{{Name: "a"}, {Name: "b"}},
-			LPM:   cfg,
-		})
-		if cerr != nil {
-			return 0, cerr
-		}
-		c.AddUser("u")
-		sess, cerr := c.Attach("u", "a")
-		if cerr != nil {
-			return 0, cerr
-		}
-		id, cerr := sess.Run("b", "job")
-		if cerr != nil {
-			return 0, cerr
-		}
-		if cerr := c.Advance(time.Second); cerr != nil {
-			return 0, cerr
-		}
-		var total time.Duration
-		const ops = 10
-		for i := 0; i < ops; i++ {
-			d, derr := sess.Elapsed(func() error { return sess.Stop(id) })
-			if derr != nil {
-				return 0, derr
-			}
-			total += d
-			d, derr = sess.Elapsed(func() error { return sess.Foreground(id) })
-			if derr != nil {
-				return 0, derr
-			}
-			total += d
-		}
-		return float64(total) / float64(2*ops) / float64(time.Millisecond), nil
-	}
-	circuitMS, err = run(lpm.Config{})
+	circuitMS, _, err = warmControl(lpm.Config{})
 	if err != nil {
 		return 0, 0, err
 	}
-	datagramMS, err = run(lpm.Config{PerMessageAuth: true})
+	datagramMS, _, err = warmControl(lpm.Config{PerMessageAuth: true})
 	return circuitMS, datagramMS, err
 }
 
@@ -679,48 +556,42 @@ func AblationOnDemandVsFullMesh(hosts int) (onDemandConns, fullMeshConns int64, 
 		hosts = 6
 	}
 	build := func(preconnect bool) (int64, error) {
-		var hs []HostSpec
-		for i := 0; i < hosts; i++ {
-			hs = append(hs, HostSpec{Name: fmt.Sprintf("h%d", i)})
-		}
-		c, cerr := NewCluster(ClusterConfig{Hosts: hs})
-		if cerr != nil {
-			return 0, cerr
-		}
-		c.AddUser("u")
-		sess, cerr := c.Attach("u", "h0")
+		names := scenario.Numbered("h%d", 0, hosts)
+		c, sess, cerr := lan(lpm.Config{}, names...)
 		if cerr != nil {
 			return 0, cerr
 		}
 		if preconnect {
 			// Pre-establish a full mesh: every LPM pings every host.
-			for i := 1; i < hosts; i++ {
-				if _, cerr := sess.Run(hs[i].Name, "noop"); cerr != nil {
-					return 0, cerr
-				}
+			if _, cerr := scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("noop")); cerr != nil {
+				return 0, cerr
 			}
-			for i := 1; i < hosts; i++ {
-				si, serr := sess.AttachAt(hs[i].Name)
+			for _, from := range names[1:] {
+				si, serr := sess.AttachAt(from)
 				if serr != nil {
 					return 0, serr
 				}
-				for j := 1; j < hosts; j++ {
-					if i == j {
+				for _, to := range names[1:] {
+					if from == to {
 						continue
 					}
 					done := false
-					si.Manager().Ping(hs[j].Name, func(_ wire.Pong, _ error) { done = true })
-					if aerr := c.await(func() bool { return done }); aerr != nil {
-						return 0, aerr
+					si.Manager().Ping(to, func(_ wire.Pong, _ error) { done = true })
+					// Ping is asynchronous and below the Session API:
+					// drive the clock until its callback has run.
+					for step := 0; !done && step < 1000; step++ {
+						if aerr := c.Advance(10 * time.Millisecond); aerr != nil {
+							return 0, aerr
+						}
+					}
+					if !done {
+						return 0, ppm.ErrStalled
 					}
 				}
 			}
 		} else {
 			// The actual workload only touches two hosts.
-			if _, cerr := sess.Run(hs[1].Name, "noop"); cerr != nil {
-				return 0, cerr
-			}
-			if _, cerr := sess.Run(hs[2].Name, "noop"); cerr != nil {
+			if _, cerr := scenario.Workers(sess, names[:3], ppm.GPID{}, scenario.Named("noop")); cerr != nil {
 				return 0, cerr
 			}
 		}
@@ -756,16 +627,7 @@ type DedupWindowPoint struct {
 func AblationDedupWindow(windows []time.Duration) ([]DedupWindowPoint, error) {
 	var points []DedupWindowPoint
 	for _, wdw := range windows {
-		cfg := lpm.Config{DedupWindow: wdw}
-		c, err := NewCluster(ClusterConfig{
-			Hosts: []HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
-			LPM:   cfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "a")
+		c, sess, err := lan(lpm.Config{DedupWindow: wdw}, "a", "b", "c")
 		if err != nil {
 			return nil, err
 		}
@@ -790,7 +652,7 @@ func AblationDedupWindow(windows []time.Duration) ([]DedupWindowPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		seen := map[GPID]int{}
+		seen := map[ppm.GPID]int{}
 		dups := 0
 		for _, p := range snap.Procs {
 			seen[p.ID]++
@@ -914,45 +776,31 @@ func RunBroadcastFanout(sizes []int) ([]FanoutRow, error) {
 		if n < 2 {
 			return nil, fmt.Errorf("fanout: need at least 2 hosts, got %d", n)
 		}
-		var hs []HostSpec
-		for i := 0; i < n; i++ {
-			hs = append(hs, HostSpec{Name: fmt.Sprintf("h%d", i)})
-		}
-		c, err := NewCluster(ClusterConfig{Hosts: hs})
+		names := scenario.Numbered("h%d", 0, n)
+		c, sess, err := lan(lpm.Config{}, names...)
 		if err != nil {
 			return nil, err
 		}
-		c.AddUser("u")
-		sess, err := c.Attach("u", "h0")
-		if err != nil {
+		if _, err := scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("job")); err != nil {
 			return nil, err
-		}
-		for i := 1; i < n; i++ {
-			if _, err := sess.Run(hs[i].Name, "job"); err != nil {
-				return nil, err
-			}
 		}
 		if err := c.Advance(2 * time.Second); err != nil {
 			return nil, err
 		}
-		beforeMsgs, beforeBytes := wireCounts(c)
-		before := c.MetricsSnapshot()
-		d, err := sess.Elapsed(func() error {
+		cost, err := scenario.Measure(c, func() error {
 			_, serr := sess.Snapshot()
 			return serr
 		})
 		if err != nil {
 			return nil, err
 		}
-		afterMsgs, afterBytes := wireCounts(c)
-		after := c.MetricsSnapshot()
 		rows = append(rows, FanoutRow{
 			Hosts:      n,
-			SnapshotMS: float64(d) / float64(time.Millisecond),
-			Msgs:       afterMsgs - beforeMsgs,
-			Bytes:      afterBytes - beforeBytes,
-			Forwards:   after.Counter("lpm.flood.forwarded") - before.Counter("lpm.flood.forwarded"),
-			DedupHits:  after.Counter("lpm.flood.dedup_hits") - before.Counter("lpm.flood.dedup_hits"),
+			SnapshotMS: cost.MS(),
+			Msgs:       cost.Msgs,
+			Bytes:      cost.Bytes,
+			Forwards:   cost.Delta("lpm.flood.forwarded"),
+			DedupHits:  cost.Delta("lpm.flood.dedup_hits"),
 		})
 	}
 	return rows, nil
@@ -986,31 +834,22 @@ type RecoveryCostResult struct {
 // RunRecoveryCost crashes the CCS of a three-host computation and
 // counts the messages the survivors spend recovering.
 func RunRecoveryCost() (RecoveryCostResult, error) {
-	c, err := NewCluster(ClusterConfig{
-		Hosts: []HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
-	})
+	hosts := []string{"a", "b", "c"}
+	// The .recovery list must be installed before the user's first LPM
+	// exists, so the session is attached by hand.
+	c, err := scenario.New(ppm.ClusterConfig{Hosts: scenario.Hosts(hosts...)}, "u")
 	if err != nil {
 		return RecoveryCostResult{}, err
 	}
-	c.AddUser("u")
-	c.SetRecoveryList("u", "a", "b", "c")
+	c.SetRecoveryList("u", hosts...)
 	sess, err := c.Attach("u", "a")
 	if err != nil {
 		return RecoveryCostResult{}, err
 	}
-	if _, err := sess.Run("b", "jb"); err != nil {
-		return RecoveryCostResult{}, err
-	}
-	if _, err := sess.Run("c", "jc"); err != nil {
+	if _, err := scenario.Workers(sess, hosts, ppm.GPID{}, func(h string) string { return "j" + h }); err != nil {
 		return RecoveryCostResult{}, err
 	}
 	if err := c.Advance(2 * time.Second); err != nil {
-		return RecoveryCostResult{}, err
-	}
-	beforeMsgs, beforeBytes := wireCounts(c)
-	before := c.MetricsSnapshot()
-	start := c.Now()
-	if err := c.Crash("a"); err != nil {
 		return RecoveryCostResult{}, err
 	}
 	// Run until both survivors have agreed on a CCS other than the
@@ -1027,28 +866,34 @@ func RunRecoveryCost() (RecoveryCostResult, error) {
 		}
 		return true
 	}
-	deadline := c.Now().Add(5 * time.Minute)
-	for !recovered() && c.Now().Before(deadline) {
-		if err := c.Advance(time.Second); err != nil {
-			return RecoveryCostResult{}, err
+	var agreed time.Duration // crash to agreement, without the quiet tail
+	cost, err := scenario.Measure(c, func() error {
+		start := c.Now()
+		if err := c.Crash("a"); err != nil {
+			return err
 		}
-	}
-	if !recovered() {
-		return RecoveryCostResult{}, fmt.Errorf("recovery cost: survivors never agreed on a new CCS")
-	}
-	elapsed := c.Now().Sub(start)
-	if err := c.Advance(30 * time.Second); err != nil {
+		deadline := start.Add(5 * time.Minute)
+		for !recovered() && c.Now().Before(deadline) {
+			if err := c.Advance(time.Second); err != nil {
+				return err
+			}
+		}
+		if !recovered() {
+			return fmt.Errorf("recovery cost: survivors never agreed on a new CCS")
+		}
+		agreed = c.Now().Sub(start)
+		return c.Advance(30 * time.Second)
+	})
+	if err != nil {
 		return RecoveryCostResult{}, err
 	}
-	afterMsgs, afterBytes := wireCounts(c)
-	after := c.MetricsSnapshot()
 	return RecoveryCostResult{
-		Msgs:          afterMsgs - beforeMsgs,
-		Bytes:         afterBytes - beforeBytes,
-		Probes:        after.Counter("lpm.recovery.probes") - before.Counter("lpm.recovery.probes"),
-		Announcements: after.Counter("lpm.recovery.ccs_announcements") - before.Counter("lpm.recovery.ccs_announcements"),
-		SiblingsLost:  after.Counter("lpm.recovery.siblings_lost") - before.Counter("lpm.recovery.siblings_lost"),
-		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
+		Msgs:          cost.Msgs,
+		Bytes:         cost.Bytes,
+		Probes:        cost.Delta("lpm.recovery.probes"),
+		Announcements: cost.Delta("lpm.recovery.ccs_announcements"),
+		SiblingsLost:  cost.Delta("lpm.recovery.siblings_lost"),
+		ElapsedMS:     float64(agreed) / float64(time.Millisecond),
 	}, nil
 }
 
@@ -1071,67 +916,53 @@ func FormatRecoveryCost(r RecoveryCostResult) string {
 // opening a dedicated circuit, including the circuit's establishment
 // cost, and report the steady-state per-op cost of each.
 func AblationRelayVsDirect() (relayFirstMS, directFirstMS, relaySteadyMS, directSteadyMS float64, err error) {
-	build := func(useRelay bool) (*Cluster, *Session, GPID, error) {
-		c, cerr := NewCluster(ClusterConfig{
-			Hosts: []HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
-			LPM:   lpm.Config{UseRelay: useRelay},
-		})
-		if cerr != nil {
-			return nil, nil, GPID{}, cerr
-		}
-		c.AddUser("u")
-		sess, cerr := c.Attach("u", "a")
-		if cerr != nil {
-			return nil, nil, GPID{}, cerr
+	measure := func(useRelay bool) (first, steady float64, err error) {
+		c, sess, err := lan(lpm.Config{UseRelay: useRelay}, "a", "b", "c")
+		if err != nil {
+			return 0, 0, err
 		}
 		// Chain circuits a-b, b-c; a learns the route to c by snapshot.
-		if _, cerr := sess.Run("b", "pb"); cerr != nil {
-			return nil, nil, GPID{}, cerr
+		if _, err := sess.Run("b", "pb"); err != nil {
+			return 0, 0, err
 		}
-		sb, cerr := sess.AttachAt("b")
-		if cerr != nil {
-			return nil, nil, GPID{}, cerr
-		}
-		target, cerr := sb.Run("c", "pc")
-		if cerr != nil {
-			return nil, nil, GPID{}, cerr
-		}
-		if cerr := c.Advance(time.Second); cerr != nil {
-			return nil, nil, GPID{}, cerr
-		}
-		if _, cerr := sess.Snapshot(); cerr != nil {
-			return nil, nil, GPID{}, cerr
-		}
-		return c, sess, target, nil
-	}
-	measure := func(useRelay bool) (first, steady float64, err error) {
-		c, sess, target, err := build(useRelay)
+		sb, err := sess.AttachAt("b")
 		if err != nil {
 			return 0, 0, err
 		}
-		d, err := sess.Elapsed(func() error { return sess.Stop(target) })
+		target, err := sb.Run("c", "pc")
 		if err != nil {
 			return 0, 0, err
 		}
-		first = float64(d) / float64(time.Millisecond)
 		if err := c.Advance(time.Second); err != nil {
 			return 0, 0, err
 		}
-		var total time.Duration
-		const ops = 6
-		for i := 0; i < ops; i++ {
-			d, err := sess.Elapsed(func() error { return sess.Foreground(target) })
-			if err != nil {
-				return 0, 0, err
-			}
-			total += d
-			d, err = sess.Elapsed(func() error { return sess.Stop(target) })
-			if err != nil {
-				return 0, 0, err
-			}
-			total += d
+		if _, err := sess.Snapshot(); err != nil {
+			return 0, 0, err
 		}
-		steady = float64(total) / float64(2*ops) / float64(time.Millisecond)
+		cost, err := scenario.Measure(c, func() error { return sess.Stop(target) })
+		if err != nil {
+			return 0, 0, err
+		}
+		first = cost.MS()
+		if err := c.Advance(time.Second); err != nil {
+			return 0, 0, err
+		}
+		const ops = 6
+		cost, err = scenario.Measure(c, func() error {
+			for i := 0; i < ops; i++ {
+				if err := sess.Foreground(target); err != nil {
+					return err
+				}
+				if err := sess.Stop(target); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		steady = float64(cost.Elapsed) / float64(2*ops) / float64(time.Millisecond)
 		return first, steady, nil
 	}
 	relayFirstMS, relaySteadyMS, err = measure(true)
@@ -1171,65 +1002,26 @@ type LatencyAttributionRow struct {
 // the paper's claim that the second hop is cheap: the formatter shows
 // which phases the extra milliseconds land in.
 func RunLatencyAttribution() ([]LatencyAttributionRow, error) {
-	c, err := NewCluster(ClusterConfig{
-		Hosts: []HostSpec{{Name: "a"}, {Name: "gw"}, {Name: "c"}},
-		Segments: map[string][]string{
-			"net1": {"a", "gw"},
-			"net2": {"gw", "c"},
-		},
-	})
+	c, sess, err := table2Line()
 	if err != nil {
 		return nil, err
 	}
-	c.AddUser("u")
-	sess, err := c.Attach("u", "a")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run("gw", "warm"); err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run("c", "warm"); err != nil {
-		return nil, err
-	}
-	if err := c.Advance(time.Second); err != nil {
-		return nil, err
-	}
-
-	hostAt := map[int]string{0: "a", 1: "gw", 2: "c"}
 	type cellID struct {
 		action   string
 		distance int
 		trace    uint64
 	}
 	var cells []cellID
-	cell := func(action string, dist int, op func() error) error {
+	err = table2Cells(c, sess, func(action string, dist int, op func() error) error {
 		id, err := c.Trace(op)
 		if err != nil {
 			return err
 		}
 		cells = append(cells, cellID{action, dist, id})
 		return nil
-	}
-	for dist := 0; dist <= 2; dist++ {
-		host := hostAt[dist]
-		var id GPID
-		if err := cell("create", dist, func() error {
-			var rerr error
-			id, rerr = sess.Run(host, "job")
-			return rerr
-		}); err != nil {
-			return nil, err
-		}
-		if err := c.Advance(time.Second); err != nil { // let async exec settle
-			return nil, err
-		}
-		if err := cell("stop", dist, func() error { return sess.Stop(id) }); err != nil {
-			return nil, err
-		}
-		if err := cell("terminate", dist, func() error { return sess.Kill(id) }); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	prof := c.Profile()

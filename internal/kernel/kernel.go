@@ -411,8 +411,7 @@ func (h *Host) Exec(pid proc.PID, name string) error {
 
 // Exit terminates a process voluntarily. The table entry is retained in
 // the Exited state (the LPM preserves exit information while children
-// are alive and marks the process exited in snapshots); Reap discards
-// it.
+// are alive and marks the process exited in snapshots).
 func (h *Host) Exit(pid proc.PID, code int) error {
 	p, err := h.get(pid)
 	if err != nil {
@@ -431,19 +430,6 @@ func (h *Host) Exit(pid proc.PID, code int) error {
 		Proc:   proc.GPID{Host: h.name, PID: pid},
 		Rusage: p.Rusage,
 	}, TraceLifecycle)
-	return nil
-}
-
-// Reap removes an exited process from the table.
-func (h *Host) Reap(pid proc.PID) error {
-	p, err := h.get(pid)
-	if err != nil {
-		return err
-	}
-	if p.State != proc.Exited {
-		return fmt.Errorf("%w: reap of live pid %d", ErrPermission, pid)
-	}
-	delete(h.procs, pid)
 	return nil
 }
 
@@ -736,12 +722,6 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 	})
 }
 
-// MeasureDelivery returns the modelled delivery latency at the current
-// load; the Table 1 harness reads this alongside real event streams.
-func (h *Host) MeasureDelivery() time.Duration {
-	return h.model.KernelMsgDelivery(h.LoadAvg())
-}
-
 // --- queries ---
 
 // Lookup returns the process table entry.
@@ -782,18 +762,6 @@ func (h *Host) Info(pid proc.PID) (proc.Info, error) {
 		return proc.Info{}, err
 	}
 	return h.infoOf(p), nil
-}
-
-// LiveCount returns the number of live (running or stopped) processes
-// of user — the quantity the LPM's time-to-live logic watches.
-func (h *Host) LiveCount(user string) int {
-	n := 0
-	for _, p := range h.procs {
-		if p.User == user && (p.State == proc.Running || p.State == proc.Stopped) {
-			n++
-		}
-	}
-	return n
 }
 
 // Status is the kernel's live-introspection hook: the user's live and

@@ -57,9 +57,6 @@ func (l *LPM) circuitTransition(peer string, to circuitState, reason, chanKey st
 		"user=%s peer=%s chan=%s from=%s to=%s reason=%s", l.user.Name, peer, chanKey, from, to, reason)
 }
 
-// circuitStateOf returns the lifecycle state tracked for a peer.
-func (l *LPM) circuitStateOf(peer string) circuitState { return l.circuits[peer] }
-
 // --- adaptive failure detection (linktest heartbeats) ---
 
 // scheduleLinktest arms the next detector tick for a circuit. The

@@ -43,13 +43,6 @@ func (l *LPM) markSeen(stamp wire.Stamp) bool {
 	return false
 }
 
-// SeenStamps returns the number of live (unexpired) broadcast stamps
-// (for the dedup-window ablation).
-func (l *LPM) SeenStamps() int {
-	l.seen.Expire(l.sched.Now().Duration())
-	return l.seen.Len()
-}
-
 // localFloodWork performs the inner operation locally and returns the
 // fragment plus the CPU demand it costs.
 func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Duration) {
@@ -348,15 +341,6 @@ func (l *LPM) learnRoutes(res wire.FloodResult) {
 		}
 		l.knownHosts[dest] = true
 	}
-}
-
-// KnownRoute returns the learned relay path to host, if any.
-func (l *LPM) KnownRoute(host string) ([]string, bool) {
-	p, ok := l.routes[host]
-	if !ok {
-		return nil, false
-	}
-	return append([]string(nil), p...), true
 }
 
 // uncovered merges the flood's explicit failures with known hosts that

@@ -101,11 +101,6 @@ type Request struct {
 // Total is the request's end-to-end virtual time.
 func (r Request) Total() time.Duration { return r.End - r.Start }
 
-// Attributed is the total minus the unattributed remainder.
-func (r Request) Attributed() time.Duration {
-	return r.Total() - r.Phases[PhaseUnattributed]
-}
-
 // Conserved checks the conservation invariant: the phase buckets
 // (unattributed included) sum exactly to the end-to-end total.
 func (r Request) Conserved() bool {

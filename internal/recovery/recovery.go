@@ -268,12 +268,6 @@ func (m *Manager) OnSiblingUp(host string) {
 	delete(m.lost, host)
 }
 
-// LostSiblings returns the hosts currently in the redial loop, in
-// deterministic order (for tests).
-func (m *Manager) LostSiblings() []string {
-	return detord.Keys(m.lost)
-}
-
 // scheduleRedial arms the redial timer if it is not already running.
 func (m *Manager) scheduleRedial() {
 	if !m.redialTmr.Fired() {

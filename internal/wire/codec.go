@@ -112,15 +112,6 @@ func (e *Encoder) StringSlice(ss []string) {
 	}
 }
 
-// pad appends zero bytes until the buffer reaches size. It is used to
-// give kernel event messages their fixed 112-byte size. If the buffer
-// already exceeds size, pad does nothing.
-func (e *Encoder) pad(size int) {
-	for len(e.buf) < size {
-		e.buf = append(e.buf, 0)
-	}
-}
-
 // decoder reads a binary message produced by Encoder. Errors are
 // sticky: after the first failure all reads return zero values and err
 // holds the failure.

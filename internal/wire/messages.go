@@ -748,43 +748,6 @@ func (m *BroadcastResp) Fields(c *Coder) {
 	c.Bytes(&m.Inner)
 }
 
-// --- kernel event message (112 bytes) ---
-
-// EncodeKernelEvent produces the fixed-size 112-byte kernel-to-LPM
-// event message of the paper's Table 1: the event walk, zero-padded.
-// Long host names or details are truncated to keep the size fixed.
-func EncodeKernelEvent(ev proc.Event) []byte {
-	if len(ev.Detail) > 16 {
-		ev.Detail = ev.Detail[:16]
-	}
-	if len(ev.Proc.Host) > 14 {
-		ev.Proc.Host = ev.Proc.Host[:14]
-	}
-	if len(ev.Child.Host) > 14 {
-		ev.Child.Host = ev.Child.Host[:14]
-	}
-	var c Coder
-	c.Size(calib.KernelMsgBytes)
-	c.Event(&ev)
-	c.e.pad(calib.KernelMsgBytes)
-	b := c.e.buf
-	if len(b) > calib.KernelMsgBytes {
-		b = b[:calib.KernelMsgBytes]
-	}
-	return b
-}
-
-// DecodeKernelEvent parses a kernel event message.
-func DecodeKernelEvent(b []byte) (proc.Event, error) {
-	c := Coder{d: decoder{buf: b}, decoding: true}
-	var ev proc.Event
-	c.Event(&ev)
-	if c.d.err != nil {
-		return proc.Event{}, c.d.err
-	}
-	return ev, nil
-}
-
 // --- liveness / recovery ---
 
 // Ping probes a sibling or a candidate CCS.

@@ -119,15 +119,15 @@ func TestMetricsCrossLayerConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := c.MetricsSnapshot()
-	wireMsgs := snap.CounterSum("wire.msgs.")
-	if wireMsgs == 0 {
+	encoded := snap.CounterSum("wire.msgs.")
+	if encoded == 0 {
 		t.Fatal("no wire messages counted")
 	}
 	carried := snap.Counter("simnet.circuit.sent") + snap.Counter("simnet.datagram.sent") +
 		snap.Counter("simnet.circuit.dropped") + snap.Counter("simnet.datagram.dropped")
-	if wireMsgs > carried {
+	if encoded > carried {
 		t.Errorf("wire counted %d encoded messages but simnet carried only %d frames",
-			wireMsgs, carried)
+			encoded, carried)
 	}
 	if got := snap.Counter("daemon.queries"); got == 0 {
 		t.Error("pmd served no queries despite remote creation")

@@ -5,15 +5,18 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"ppm"
 )
 
 // publicSurface lists package ppm's exported top-level identifiers and
-// the exported methods of its exported types, one per line, sorted —
-// read from the non-test source files, so it is what `go doc ppm`
-// shows a library user.
+// the exported methods of its exported types — read from the non-test
+// source files, so it is what `go doc ppm` shows a library user — and
+// every value settable through ClusterConfig, one per line, sorted.
 func publicSurface(t *testing.T) []string {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
@@ -61,14 +64,32 @@ func publicSurface(t *testing.T) []string {
 			}
 		}
 	}
+	lines = append(lines, settable("ClusterConfig", reflect.TypeOf(ppm.ClusterConfig{}))...)
 	sort.Strings(lines)
 	return lines
 }
 
-// TestPublicSurface holds package ppm's exported surface to
-// testdata/api.golden: the library's front page (ROADMAP tracks its
-// size) changes only together with an edited golden file, where a
-// reviewer sees exactly which names came or went.
+// settable lists the values a caller can set through a configuration
+// struct, one "field <path>" line per leaf: structs are recursed into;
+// scalars, slices, maps and interfaces are leaves.
+func settable(path string, t reflect.Type) []string {
+	if t.Kind() != reflect.Struct {
+		return []string{"field " + path}
+	}
+	var lines []string
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			lines = append(lines, settable(path+"."+f.Name, f.Type)...)
+		}
+	}
+	return lines
+}
+
+// TestPublicSurface holds package ppm's exported surface and its
+// configuration surface to testdata/api.golden: the library's front
+// page (ROADMAP tracks its size) changes only together with an edited
+// golden file, where a reviewer sees exactly which names and knobs came
+// or went.
 func TestPublicSurface(t *testing.T) {
 	raw, err := os.ReadFile("testdata/api.golden")
 	if err != nil {
@@ -81,12 +102,12 @@ func TestPublicSurface(t *testing.T) {
 	got := publicSurface(t)
 	for _, l := range got {
 		if !want[l] {
-			t.Errorf("exported but not in testdata/api.golden: %s", l)
+			t.Errorf("part of the surface but not in testdata/api.golden: %s", l)
 		}
 		delete(want, l)
 	}
 	for l := range want {
-		t.Errorf("in testdata/api.golden but no longer exported: %s", l)
+		t.Errorf("in testdata/api.golden but no longer part of the surface: %s", l)
 	}
 	if t.Failed() {
 		t.Logf("the exported surface is now:\n%s", strings.Join(got, "\n"))

@@ -1,6 +1,7 @@
 package ppm_test
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -167,4 +168,42 @@ func BenchmarkJournalOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// warmRemoteControlAllocs is the allocation budget of one warm remote
+// Session.Stop, journal and metrics wired, tracer off: the count
+// measured when wait took over the caller's half of every operation.
+// A helper that makes Control's request or response escape (an
+// interface-typed request, a response handed back through a type
+// parameter, a result captured as separate variables) lands here before
+// it lands in a ppmload run.
+const warmRemoteControlAllocs = 35
+
+func TestWarmRemoteControlAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation changes what the compiler inlines, and so what escapes")
+			}
+		}
+	}
+	_, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts("a", "b")}, "u", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := sess.Run("b", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := func() {
+		if err := sess.Stop(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		stop() // warm the circuit, the handler pool and the journal ring
+	}
+	if got := testing.AllocsPerRun(200, stop); got > warmRemoteControlAllocs {
+		t.Errorf("warm remote Session.Stop: %.1f allocs, budget %d", got, warmRemoteControlAllocs)
+	}
 }

@@ -63,9 +63,9 @@ type ClusterConfig struct {
 	// host on two segments is a gateway. When empty, all hosts share
 	// one segment.
 	Segments map[string][]string
-	// LPM tunes every LPM created in the cluster (TTL, handler pool,
-	// broadcast dedup window, timeouts). Per-user recovery lists are
-	// set with SetRecoveryList.
+	// LPM tunes every LPM created in the cluster (TTL, broadcast dedup
+	// window, timeouts). Per-user recovery lists are set with
+	// SetRecoveryList, not here.
 	LPM lpm.Config
 	// StableStorage enables the pmd's stable-storage table (a paper
 	// "not implemented" feature, implemented here).
@@ -134,6 +134,9 @@ func (n *nameServer) RegisterCCS(user, host string) {
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, errors.New("ppm: cluster needs at least one host")
+	}
+	if r := cfg.LPM.Recovery; len(r.List) > 0 || r.User != "" {
+		return nil, errors.New("ppm: LPM.Recovery.List and .User are set per user: call SetRecoveryList")
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -235,20 +238,14 @@ func (c *Cluster) startDaemons(host string) error {
 		// exists, else the top of the user's recovery list, else the
 		// host where the mechanism was first invoked.
 		if l.Recovery().CCS() == "" {
-			assigned := false
-			if c.ns != nil {
-				if h, ok := c.ns.ccs[user]; ok {
-					l.Recovery().SetCCS(h)
-					assigned = true
-				}
+			ccs := host
+			if list := c.rlist[user]; len(list) > 0 {
+				ccs = list[0]
 			}
-			if !assigned {
-				if list := c.rlist[user]; len(list) > 0 {
-					l.Recovery().SetCCS(list[0])
-				} else {
-					l.Recovery().SetCCS(host)
-				}
+			if c.ns != nil && c.ns.ccs[user] != "" {
+				ccs = c.ns.ccs[user]
 			}
+			l.Recovery().SetCCS(ccs)
 		}
 		return l.Accept(), nil
 	}
@@ -356,17 +353,7 @@ func (c *Cluster) StatusSweep(user, origin string) (ClusterStatus, error) {
 		}
 		l = s.mgr
 	}
-	hosts := c.Hosts()
-	var sw ClusterStatus
-	var serr error
-	done := false
-	l.StatusSweep(hosts, func(s status.Sweep, err error) {
-		sw, serr, done = s, err, true
-	})
-	if err := c.await(func() bool { return done }); err != nil {
-		return ClusterStatus{}, err
-	}
-	return sw, serr
+	return wait(c, func(cb func(ClusterStatus, error)) { l.StatusSweep(c.Hosts(), cb) })
 }
 
 // StatusReport renders a cluster-wide sweep as the operator-facing
@@ -434,16 +421,36 @@ func (c *Cluster) Kernel(host string) (*kernel.Host, error) {
 	return k, nil
 }
 
-// await drives the scheduler until done reports true.
-func (c *Cluster) await(done func() bool) error {
-	ok, err := c.sched.RunUntilDone(done, c.cfg.MaxSteps)
+// wait is the caller's half of every synchronous operation: it starts
+// an asynchronous call and drives the clock until the call's callback
+// has delivered. A call the scheduler goes idle (or over budget) on
+// yields the zero value and ErrStalled (or the scheduler's error). The
+// result, the call's error and the done flag are one struct so that the
+// delivering closure captures one heap cell, not three.
+func wait[T any](c *Cluster, start func(deliver func(T, error))) (T, error) {
+	var got struct {
+		v    T
+		err  error
+		done bool
+	}
+	start(func(v T, err error) { got.v, got.err, got.done = v, err, true })
+	ok, err := c.sched.RunUntilDone(func() bool { return got.done }, c.cfg.MaxSteps)
+	if err == nil && !ok {
+		err = ErrStalled
+	}
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
-	if !ok {
-		return ErrStalled
-	}
-	return nil
+	return got.v, got.err
+}
+
+// waitErr is wait for the calls that deliver an error alone.
+func waitErr(c *Cluster, start func(deliver func(error))) error {
+	_, err := wait(c, func(deliver func(struct{}, error)) {
+		start(func(err error) { deliver(struct{}{}, err) })
+	})
+	return err
 }
 
 // --- failure injection ---
@@ -451,9 +458,9 @@ func (c *Cluster) await(done func() bool) error {
 // Crash takes a host down: kernel, daemons, LPMs, processes and network
 // presence all vanish.
 func (c *Cluster) Crash(host string) error {
-	k, ok := c.kerns[host]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownHost, host)
+	k, err := c.Kernel(host)
+	if err != nil {
+		return err
 	}
 	if err := c.net.Crash(host); err != nil {
 		return err
@@ -473,9 +480,9 @@ func (c *Cluster) Crash(host string) error {
 
 // Restart boots a crashed host: fresh kernel state, daemons restarted.
 func (c *Cluster) Restart(host string) error {
-	k, ok := c.kerns[host]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownHost, host)
+	k, err := c.Kernel(host)
+	if err != nil {
+		return err
 	}
 	if err := c.net.Restart(host); err != nil {
 		return err
@@ -522,9 +529,9 @@ func (c *Cluster) FlapLink(a, b string, upFor, downFor time.Duration, cycles int
 // given duty cycle on a host, to drive its load average (the Table 1
 // experiment's knob).
 func (c *Cluster) SpawnBackgroundLoad(host, user string, n, dutyNum, dutyDen int) error {
-	k, ok := c.kerns[host]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownHost, host)
+	k, err := c.Kernel(host)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		if _, err := k.SpawnWorkload("hog", user, dutyNum, dutyDen); err != nil {
@@ -536,9 +543,9 @@ func (c *Cluster) SpawnBackgroundLoad(host, user string, n, dutyNum, dutyDen int
 
 // LoadAvg returns a host's current load average.
 func (c *Cluster) LoadAvg(host string) (float64, error) {
-	k, ok := c.kerns[host]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownHost, host)
+	k, err := c.Kernel(host)
+	if err != nil {
+		return 0, err
 	}
 	return k.LoadAvg(), nil
 }
@@ -564,17 +571,16 @@ func (c *Cluster) Attach(user, host string) (*Session, error) {
 	if _, ok := c.kerns[host]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, host)
 	}
-	var resp wire.LPMQueryResp
-	var qerr error
-	done := false
-	daemon.QueryLPM(c.net, host, host, u, func(r wire.LPMQueryResp, err error) {
-		resp, qerr, done = r, err, true
+	resp, err := wait(c, func(cb func(wire.LPMQueryResp, error)) {
+		daemon.QueryLPM(c.net, host, host, u, func(r wire.LPMQueryResp, err error) {
+			if err != nil {
+				err = fmt.Errorf("%w: %v", ErrAttach, err)
+			}
+			cb(r, err)
+		})
 	})
-	if err := c.await(func() bool { return done }); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if qerr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAttach, qerr)
 	}
 	if !resp.OK {
 		return nil, fmt.Errorf("%w: %s", ErrAttach, resp.Reason)
@@ -590,9 +596,9 @@ func (c *Cluster) Attach(user, host string) (*Session, error) {
 // table (a direct kernel view, bypassing the PPM; useful in tests and
 // examples).
 func (c *Cluster) Processes(host, user string) ([]proc.Info, error) {
-	k, ok := c.kerns[host]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, host)
+	k, err := c.Kernel(host)
+	if err != nil {
+		return nil, err
 	}
 	return k.ProcessesOf(user), nil
 }

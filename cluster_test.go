@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/lpm"
+	"ppm/internal/scenario"
 )
 
 func TestClusterErrorPaths(t *testing.T) {
@@ -158,5 +160,101 @@ func TestManagerOnExitedLPMNotReturned(t *testing.T) {
 	_ = sess
 	if _, ok := c.ManagerOn("vax1", "felipe"); ok {
 		t.Fatal("exited manager still returned")
+	}
+}
+
+// The recovery list is per user (SetRecoveryList): the factory fills
+// Recovery.List and .User for each LPM, so values set on the shared LPM
+// config could only be ignored, and are refused instead.
+func TestNewClusterRejectsSharedRecoveryList(t *testing.T) {
+	for _, rc := range []ppm.RecoveryConfig{{List: []string{"a"}}, {User: "felipe"}} {
+		cfg := ppm.ClusterConfig{Hosts: []ppm.HostSpec{{Name: "a"}}}
+		cfg.LPM.Recovery = rc
+		if _, err := ppm.NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "SetRecoveryList") {
+			t.Errorf("NewCluster with LPM.Recovery %+v: %v, want an error naming SetRecoveryList", rc, err)
+		}
+	}
+}
+
+// sessionCalls is every Session method that waits on one LPM call.
+func sessionCalls(s *ppm.Session, id ppm.GPID) map[string]func() (any, error) {
+	only := func(err error) (any, error) { return nil, err }
+	return map[string]func() (any, error){
+		"Run":          func() (any, error) { return s.Run("vax2", "x") },
+		"Stop":         func() (any, error) { return only(s.Stop(id)) },
+		"Signal":       func() (any, error) { return only(s.Signal(id, ppm.SIGUSR1)) },
+		"StopAll":      func() (any, error) { return s.StopAll() },
+		"Snapshot":     func() (any, error) { return s.Snapshot() },
+		"Status":       func() (any, error) { return s.Status() },
+		"Stats":        func() (any, error) { return s.Stats(id) },
+		"OpenFiles":    func() (any, error) { return s.OpenFiles(id) },
+		"HistoryOn":    func() (any, error) { return s.HistoryOn("vax2", ppm.HistoryQuery{}) },
+		"History":      func() (any, error) { return s.History(ppm.HistoryQuery{}) },
+		"Adopt":        func() (any, error) { return only(s.Adopt(id.PID)) },
+		"SetTraceMask": func() (any, error) { return only(s.SetTraceMask(id.PID, ppm.TraceAll)) },
+		"OnEventAt": func() (any, error) {
+			_, err := s.OnEventAt("vax2", &ppm.Watch{Kind: ppm.EvExit}, ppm.OpKill, 0, id)
+			return nil, err
+		},
+	}
+}
+
+// Every synchronous method hands back the LPM's own error unchanged:
+// an exited manager's ErrExited from all of them, and a timed-out
+// sibling request's ErrTimeout from the ones that cross the network.
+func TestSessionMethodsReturnTheLPMError(t *testing.T) {
+	cfg := ppm.ClusterConfig{Hosts: []ppm.HostSpec{{Name: "vax1"}, {Name: "vax2"}}}
+	cfg.LPM.RequestTimeout = 500 * time.Millisecond
+	cfg.LPM.Retry.MaxAttempts = -1
+	c, sess, err := scenario.Attach(cfg, "felipe", "vax1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := sess.Run("vax2", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := sessionCalls(sess, id)
+	for _, name := range []string{"Run", "Stop", "Signal", "Stats", "OpenFiles", "HistoryOn", "OnEventAt"} {
+		// Re-knit the circuit the last lost reply severed, then lose
+		// every reply again: requests still arrive on vax2.
+		c.InjectLossDir("vax2", "vax1", 0)
+		if err := c.Advance(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Stats(id); err != nil {
+			t.Fatalf("warming the circuit before %s: %v", name, err)
+		}
+		c.InjectLossDir("vax2", "vax1", 1)
+		if _, err := calls[name](); !errors.Is(err, lpm.ErrTimeout) {
+			t.Errorf("%s with replies lost: %v, want lpm.ErrTimeout", name, err)
+		}
+	}
+	sess.Manager().Exit()
+	for name, call := range calls {
+		if v, err := call(); !errors.Is(err, lpm.ErrExited) {
+			t.Errorf("%s on an exited manager: %v, %v, want lpm.ErrExited", name, v, err)
+		}
+	}
+}
+
+// A call whose callback never runs surfaces ErrStalled and a zero
+// value, through the same wait as every other outcome.
+func TestStalledOperationSurfacesErrStalled(t *testing.T) {
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: []ppm.HostSpec{{Name: "a"}}}, "felipe", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := sess.Run("a", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crashed kernel never runs the request; once the orphaned LPM
+	// has aged out nothing is left to schedule.
+	if err := c.Crash("a"); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := sess.Stats(id); !errors.Is(err, ppm.ErrStalled) || info.ID != (ppm.GPID{}) {
+		t.Fatalf("Stats through a crashed home host: %+v, %v, want the zero Info and ErrStalled", info, err)
 	}
 }

@@ -24,10 +24,6 @@ import "time"
 
 // Config bounds the detector's estimate.
 type Config struct {
-	// Floor is the minimum detection threshold; silence shorter than
-	// Floor never registers suspicion regardless of how short the
-	// estimated inter-arrival is. Zero means 100ms.
-	Floor time.Duration
 	// Bootstrap is the threshold used before the first inter-arrival
 	// sample exists. Zero means 2s.
 	Bootstrap time.Duration
@@ -36,10 +32,11 @@ type Config struct {
 	Cap int
 }
 
+// floor is the minimum detection threshold: silence shorter than it
+// never registers suspicion, however short the estimated inter-arrival.
+const floor = 100 * time.Millisecond
+
 func (c Config) withDefaults() Config {
-	if c.Floor == 0 {
-		c.Floor = 100 * time.Millisecond
-	}
 	if c.Bootstrap == 0 {
 		c.Bootstrap = 2 * time.Second
 	}
@@ -113,8 +110,8 @@ func (d *Detector) Threshold() time.Duration {
 		return d.cfg.Bootstrap
 	}
 	t := d.srtt + 4*d.rttvar
-	if t < d.cfg.Floor {
-		t = d.cfg.Floor
+	if t < floor {
+		t = floor
 	}
 	return t
 }

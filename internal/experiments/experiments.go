@@ -19,7 +19,6 @@ import (
 	"ppm/internal/lpm"
 	"ppm/internal/profile"
 	"ppm/internal/scenario"
-	"ppm/internal/wire"
 )
 
 // lan builds hosts on one shared segment with every LPM tuned by cfg,
@@ -562,7 +561,7 @@ func AblationOnDemandVsFullMesh(hosts int) (onDemandConns, fullMeshConns int64, 
 			return 0, cerr
 		}
 		if preconnect {
-			// Pre-establish a full mesh: every LPM pings every host.
+			// Pre-establish a full mesh: every LPM calls every host.
 			if _, cerr := scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("noop")); cerr != nil {
 				return 0, cerr
 			}
@@ -575,17 +574,9 @@ func AblationOnDemandVsFullMesh(hosts int) (onDemandConns, fullMeshConns int64, 
 					if from == to {
 						continue
 					}
-					done := false
-					si.Manager().Ping(to, func(_ wire.Pong, _ error) { done = true })
-					// Ping is asynchronous and below the Session API:
-					// drive the clock until its callback has run.
-					for step := 0; !done && step < 1000; step++ {
-						if aerr := c.Advance(10 * time.Millisecond); aerr != nil {
-							return 0, aerr
-						}
-					}
-					if !done {
-						return 0, ppm.ErrStalled
+					// Any point-to-point request opens the circuit.
+					if _, herr := si.HistoryOn(to, ppm.HistoryQuery{}); herr != nil {
+						return 0, herr
 					}
 				}
 			}

@@ -72,6 +72,10 @@ func (l *LPM) scheduleLinktest(sb *sibling) {
 // heartbeat frame. Runs only while this sibling is still the
 // registered circuit for its host.
 func (l *LPM) linktestTick(sb *sibling) {
+	// The suspicion levels at which an Established circuit steps to
+	// Suspect, and at which it is closed as presumed-dead.
+	const suspectAfter, closeAfter = 2, 6
+
 	if l.exited {
 		return
 	}
@@ -81,7 +85,7 @@ func (l *LPM) linktestTick(sb *sibling) {
 	now := l.sched.Now().Duration()
 	sb.suspicion = sb.det.Suspicion(now)
 	l.metrics.Gauge("lpm.detector.suspicion." + sb.host).Set(int64(sb.suspicion))
-	if sb.suspicion >= l.cfg.CloseAfter {
+	if sb.suspicion >= closeAfter {
 		// The silence has outrun the estimate far enough that the peer
 		// is presumed gone: close the circuit. The close handler runs
 		// the usual teardown (pending-request failure, recovery
@@ -92,7 +96,7 @@ func (l *LPM) linktestTick(sb *sibling) {
 		sb.conn.Close()
 		return
 	}
-	if sb.suspicion >= l.cfg.SuspectAfter && l.circuits[sb.host] == circuitEstablished {
+	if sb.suspicion >= suspectAfter && l.circuits[sb.host] == circuitEstablished {
 		l.metrics.Counter("lpm.detector.suspects").Inc()
 		l.circuitTransition(sb.host, circuitSuspect, fmt.Sprintf("suspicion-%d", sb.suspicion), l.chanKey(sb.conn))
 	}

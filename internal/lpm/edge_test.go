@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestOpsOnExitedLPMReturnErrExited(t *testing.T) {
 		func(_ wire.ControlResp, err error) { collect(err) })
 	l.StatsOf(proc.GPID{Host: "vax1", PID: 1}, func(_ proc.Info, err error) { collect(err) })
 	l.FDs(proc.GPID{Host: "vax1", PID: 1}, func(_ []string, err error) { collect(err) })
-	l.HistoryQuery(history.Query{}, func(_ []proc.Event, err error) { collect(err) })
+	l.HistoryOf("", history.Query{}, func(_ []proc.Event, err error) { collect(err) })
 	l.Snapshot(func(_ proc.Snapshot, err error) { collect(err) })
 	l.ControlAll(wire.OpStop, 0, func(_ int, err error) { collect(err) })
 	l.Ping("vax1", func(_ wire.Pong, err error) { collect(err) })
@@ -499,4 +500,43 @@ func TestWatchOnDirectAPI(t *testing.T) {
 	}
 	remove()
 	w.run(time.Second)
+}
+
+// answer's precedence: the call's own failure wins over an undecodable
+// body, which wins over the peer's refusal.
+func TestAnswerTransportThenDecodeThenRefusal(t *testing.T) {
+	transport := errors.New("circuit gone")
+	accepted := wire.Encode(&wire.StatsResp{OK: true, Info: proc.Info{Name: "job"}})
+	declined := wire.Encode(&wire.StatsResp{Reason: "no record of pid 9"})
+	for _, tc := range []struct {
+		name string
+		err  error
+		body []byte
+		want string // "" = nil, else a substring of the error
+		is   error
+	}{
+		{name: "accepted", body: accepted},
+		{name: "refused", body: declined, want: "no record of pid 9", is: ErrRemote},
+		{name: "truncated acceptance", body: accepted[:len(accepted)-3], want: "wire"},
+		{name: "truncated refusal is a decode error, not a refusal", body: declined[:4], want: "wire"},
+		{name: "empty body", body: nil, want: "wire"},
+		{name: "transport over refusal", err: transport, body: declined, want: "circuit gone", is: transport},
+		{name: "transport over truncation", err: transport, body: declined[:4], want: "circuit gone", is: transport},
+		{name: "transport over acceptance", err: transport, body: accepted, want: "circuit gone", is: transport},
+	} {
+		var resp wire.StatsResp
+		err := answer(tc.err, wire.Decode(tc.body, &resp), &resp.OK, &resp.Reason)
+		switch {
+		case tc.want == "":
+			if err != nil || resp.Info.Name != "job" {
+				t.Errorf("%s: %v, %+v", tc.name, err, resp)
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: %v, want an error mentioning %q", tc.name, err, tc.want)
+		case tc.is != nil && !errors.Is(err, tc.is):
+			t.Errorf("%s: %v is not %v", tc.name, err, tc.is)
+		case tc.is == nil && errors.Is(err, ErrRemote):
+			t.Errorf("%s: %v passed for a refusal", tc.name, err)
+		}
+	}
 }

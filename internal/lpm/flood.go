@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -148,18 +149,8 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inner wire.Envelope, parentHost string) {
 	children := make([]*sibling, 0, len(l.siblings))
 	for h, sb := range l.siblings {
-		if h == parentHost || !sb.conn.Open() {
-			continue
-		}
 		// Do not send the request back to hosts already on the route.
-		onRoute := false
-		for _, r := range bc.Route {
-			if r == h {
-				onRoute = true
-				break
-			}
-		}
-		if !onRoute {
+		if h != parentHost && sb.conn.Open() && !slices.Contains(bc.Route, h) {
 			children = append(children, sb)
 		}
 	}
@@ -347,20 +338,15 @@ func (l *LPM) learnRoutes(res wire.FloodResult) {
 // contributed nothing — hosts whose LPM (or whole machine) is gone, the
 // situation in which the genealogy snapshot becomes a forest.
 func (l *LPM) uncovered(res wire.FloodResult) []string {
-	covered := make(map[string]bool, len(res.Hosts))
-	for _, h := range res.Hosts {
-		covered[h] = true
-	}
 	missing := make(map[string]bool)
 	for _, h := range res.Partial {
-		if !covered[h] {
-			missing[h] = true
-		}
+		missing[h] = true
 	}
 	for h := range l.knownHosts {
-		if !covered[h] {
-			missing[h] = true
-		}
+		missing[h] = true
+	}
+	for _, h := range res.Hosts {
+		delete(missing, h)
 	}
 	if len(missing) == 0 {
 		return nil

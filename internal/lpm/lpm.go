@@ -62,6 +62,41 @@ func firstErr(err, next error) error {
 // not do it.
 func refused(reason string) error { return fmt.Errorf("%w: %s", ErrRemote, reason) }
 
+// answer folds a reply into the one error its caller acts on: the
+// call's own failure wins, else the decode error of the body, else the
+// peer's refusal — ok and reason point at the two fields every response
+// starts with. The caller decodes into its own resp in the argument
+// list: wire.Decode keeps a response off the heap only where it is
+// inlined against the concrete type, which no shared function can be.
+func answer(err, decodeErr error, ok *bool, reason *string) error {
+	err = firstErr(err, decodeErr)
+	if err == nil && !*ok {
+		err = refused(*reason)
+	}
+	return err
+}
+
+// route is where a request goes, decided by the process it names (for
+// create and history, a GPID of the host alone): the PPM's one routing
+// rule, asked by the subroutine library and the tool socket alike.
+type route uint8
+
+const (
+	everywhere route = iota // names nothing: every LPM, by flood
+	here                    // names this host: served by this LPM
+	there                   // names another host: forwarded to the sibling on it
+)
+
+func (l *LPM) routeOf(target proc.GPID) route {
+	switch {
+	case target.IsZero():
+		return everywhere
+	case target.Host == l.Host():
+		return here
+	}
+	return there
+}
+
 // Config tunes one LPM.
 type Config struct {
 	// TTL is the time-to-live: how long the LPM lingers on a host with
@@ -76,12 +111,9 @@ type Config struct {
 	// duplicates are not retransmitted (the paper's configuration
 	// parameter).
 	DedupWindow time.Duration
-	// HandlerPool is the number of handler processes pre-forked at
-	// creation. Zero disables reuse entirely (fork per request), the
-	// configuration the ablation benchmark compares against.
-	HandlerPool int
 	// NoHandlerReuse forces a fresh handler fork for every blocking
-	// request (ablation).
+	// request instead of reusing the handlerPool pre-forked at creation
+	// (ablation).
 	NoHandlerReuse bool
 	// PerMessageAuth charges an authentication check on every sibling
 	// message instead of once per channel, modelling the datagram-based
@@ -106,16 +138,10 @@ type Config struct {
 	// health is then inferred from request timeouts only, the
 	// pre-detector behavior).
 	Linktest time.Duration
-	// Detector tunes the per-circuit accrual estimator (zero fields
-	// take the detect package defaults).
-	Detector detect.Config
-	// SuspectAfter is the suspicion level at which an Established
-	// circuit steps to Suspect. Zero means 2.
-	SuspectAfter int
-	// CloseAfter is the suspicion level at which the detector closes
-	// the circuit as presumed-dead. Zero means 6.
-	CloseAfter int
 }
+
+// handlerPool is the number of handler processes pre-forked at creation.
+const handlerPool = 2
 
 func (c Config) withDefaults() Config {
 	if c.TTL == 0 {
@@ -129,15 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DedupWindow == 0 {
 		c.DedupWindow = time.Minute
-	}
-	if c.HandlerPool == 0 && !c.NoHandlerReuse {
-		c.HandlerPool = 2
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 2
-	}
-	if c.CloseAfter == 0 {
-		c.CloseAfter = 6
 	}
 	c.Retry = c.Retry.withDefaults()
 	return c
@@ -386,7 +403,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 	}
 	l.pid = p.PID
 	l.myPids[p.PID] = true
-	for i := 0; i < cfg.HandlerPool; i++ {
+	for i := 0; i < handlerPool && !cfg.NoHandlerReuse; i++ {
 		h, err := kern.Fork(l.pid, "lpm-handler")
 		if err != nil {
 			return nil, fmt.Errorf("prefork handler: %w", err)

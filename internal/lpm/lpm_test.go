@@ -712,7 +712,7 @@ func TestHistoryRecordsEvents(t *testing.T) {
 
 	var evs []proc.Event
 	done := false
-	l.HistoryQuery(history.Query{Proc: id}, func(e []proc.Event, err error) {
+	l.HistoryOf("", history.Query{Proc: id}, func(e []proc.Event, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}

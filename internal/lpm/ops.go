@@ -191,8 +191,8 @@ func (l *LPM) Create(host, name string, parent proc.GPID, cb func(proc.GPID, err
 		return
 	}
 	l.toolCall("create", func(ctx trace.Context, done func(func())) {
-		req := wire.CreateProc{User: l.user.Name, Name: name, Parent: parent}
-		if host == l.Host() || host == "" {
+		if l.routeOf(proc.GPID{Host: host}) != there {
+			req := wire.CreateProc{User: l.user.Name, Name: name, Parent: parent}
 			l.createLocal(ctx, req, func(a wire.CreateAck) {
 				done(func() {
 					if !a.OK {
@@ -204,16 +204,7 @@ func (l *LPM) Create(host, name string, parent proc.GPID, cb func(proc.GPID, err
 			})
 			return
 		}
-		l.remoteCall(ctx, host, wire.MsgCreateProc, wire.Encode(&req), func(env wire.Envelope, err error) {
-			done(func() {
-				var a wire.CreateAck
-				err := firstErr(err, wire.Decode(env.Body, &a))
-				if err == nil && !a.OK {
-					err = refused(a.Reason)
-				}
-				cb(a.ID, err)
-			})
-		})
+		l.via(ctx, host, done).create(l.user.Name, name, parent, cb)
 	})
 }
 
@@ -260,7 +251,7 @@ func (l *LPM) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal, cb f
 		return
 	}
 	l.toolCall("control", func(ctx trace.Context, done func(func())) {
-		if target.Host == l.Host() {
+		if l.routeOf(target) == here {
 			csp := l.tracer.StartSpan(l.Host(), "dispatch.control", ctx)
 			l.kern.ExecCPU(calib.ControlAction, func() {
 				csp.End()
@@ -326,22 +317,12 @@ func (l *LPM) StatsOf(target proc.GPID, cb func(proc.Info, error)) {
 		return
 	}
 	l.toolCall("stats", func(ctx trace.Context, done func(func())) {
-		if target.Host == l.Host() {
+		if l.routeOf(target) == here {
 			info, err := l.localStats(target.PID)
 			done(func() { cb(info, err) })
 			return
 		}
-		req := wire.StatsReq{User: l.user.Name, Target: target}
-		l.remoteCall(ctx, target.Host, wire.MsgStatsReq, wire.Encode(&req), func(env wire.Envelope, err error) {
-			done(func() {
-				var resp wire.StatsResp
-				err := firstErr(err, wire.Decode(env.Body, &resp))
-				if err == nil && !resp.OK {
-					err = refused(resp.Reason)
-				}
-				cb(resp.Info, err)
-			})
-		})
+		l.via(ctx, target.Host, done).stats(l.user.Name, target, cb)
 	})
 }
 
@@ -366,7 +347,7 @@ func (l *LPM) FDs(target proc.GPID, cb func([]string, error)) {
 		return
 	}
 	l.toolCall("fds", func(ctx trace.Context, done func(func())) {
-		if target.Host == l.Host() {
+		if l.routeOf(target) == here {
 			open, err := l.localFDs(target.PID)
 			done(func() { cb(open, err) })
 			return
@@ -375,10 +356,7 @@ func (l *LPM) FDs(target proc.GPID, cb func([]string, error)) {
 		l.remoteCall(ctx, target.Host, wire.MsgFDReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
 				var resp wire.FDResp
-				err := firstErr(err, wire.Decode(env.Body, &resp))
-				if err == nil && !resp.OK {
-					err = refused(resp.Reason)
-				}
+				err := answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
 				cb(resp.Open, err)
 			})
 		})
@@ -393,49 +371,23 @@ func (l *LPM) localFDs(pid proc.PID) ([]string, error) {
 	return p.OpenFDs(), nil
 }
 
-// HistoryQuery returns preserved events from this LPM's store.
-func (l *LPM) HistoryQuery(q history.Query, cb func([]proc.Event, error)) {
-	if l.exited {
-		l.sched.Defer(func() { cb(nil, ErrExited) })
-		return
-	}
-	l.toolCall("history", func(ctx trace.Context, done func(func())) {
-		evs := l.store.Select(q)
-		done(func() { cb(evs, nil) })
-	})
-}
-
-// HistoryOf queries the preserved event trace of the user's LPM on
-// another host: events are recorded by the LPM local to each process,
-// and remain accessible across the network even for activity that
-// happened while the user was logged off.
+// HistoryOf queries the preserved event trace of the user's LPM on host
+// (this one's own store when host is empty or its own): events are
+// recorded by the LPM local to each process, and remain accessible
+// across the network even for activity that happened while the user
+// was logged off.
 func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, error)) {
 	if l.exited {
 		l.sched.Defer(func() { cb(nil, ErrExited) })
 		return
 	}
-	if host == l.Host() || host == "" {
-		l.HistoryQuery(q, cb)
-		return
-	}
 	l.toolCall("history", func(ctx trace.Context, done func(func())) {
-		req := wire.HistoryReq{
-			User: l.user.Name, Proc: q.Proc,
-			Since: q.Since, Limit: uint16(q.Limit),
+		if l.routeOf(proc.GPID{Host: host}) != there {
+			evs := l.store.Select(q)
+			done(func() { cb(evs, nil) })
+			return
 		}
-		for _, k := range q.Kinds {
-			req.Kinds = append(req.Kinds, uint8(k))
-		}
-		l.remoteCall(ctx, host, wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
-			done(func() {
-				var resp wire.HistoryResp
-				err := firstErr(err, wire.Decode(env.Body, &resp))
-				if err == nil && !resp.OK {
-					err = refused(resp.Reason)
-				}
-				cb(resp.Events, err)
-			})
-		})
+		l.via(ctx, host, done).history(l.user.Name, q, cb)
 	})
 }
 
@@ -719,7 +671,7 @@ func (l *LPM) runWatchAction(req wire.WatchReq) {
 	if l.exited {
 		return
 	}
-	if req.Target.Host == l.Host() {
+	if l.routeOf(req.Target) == here {
 		l.kern.ExecCPU(calib.ControlAction, func() {
 			_ = l.applyControl(req.Target.PID, req.Op, req.ActionSig)
 		})
@@ -751,11 +703,7 @@ func (l *LPM) WatchOn(host string, w *history.Watch, op wire.ControlOp,
 		l.remoteCall(ctx, host, wire.MsgWatch, wire.Encode(&req), func(env wire.Envelope, err error) {
 			done(func() {
 				var resp wire.WatchResp
-				err := firstErr(err, wire.Decode(env.Body, &resp))
-				if err == nil && !resp.OK {
-					err = refused(resp.Reason)
-				}
-				if err != nil {
+				if err := answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason); err != nil {
 					cb(nil, err)
 					return
 				}

@@ -122,10 +122,7 @@ func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []b
 	rel := wire.Relay{User: l.user.Name, Dest: host, Path: path[1:], Inner: inner.Encode()}
 	l.sendRequest(ctx, fsb, wire.MsgRelay, wire.Encode(&rel), 0, func(env wire.Envelope, err error) {
 		var resp wire.RelayResp
-		err = firstErr(err, wire.Decode(env.Body, &resp))
-		if err == nil && !resp.OK {
-			err = refused(resp.Reason)
-		}
+		err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
 		var innerResp wire.Envelope
 		if err == nil {
 			innerResp, err = wire.DecodeEnvelopeLogged(resp.Inner, l.journal, l.Host())

@@ -123,15 +123,13 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		// sockets), not a sibling.
 		conn.SetHandler(func(b []byte) { l.onToolMsg(conn, b) })
 		conn.SetCloseHandler(func(error) {})
-		//ppmlint:allow errdrop send failure surfaces through the connection close handler, not this return
-		_ = l.sendFramedReply(conn, respEnv, ctx)
-		return
+	} else {
+		l.registerSibling(hello.FromHost, conn, hello.Inc)
+		if hello.CCSHost != "" {
+			l.rec.OnContact(hello.CCSHost)
+		}
 	}
-	l.registerSibling(hello.FromHost, conn, hello.Inc)
-	if hello.CCSHost != "" {
-		l.rec.OnContact(hello.CCSHost)
-	}
-	//ppmlint:allow errdrop send failure surfaces through the circuit close handler, not this return
+	//ppmlint:allow errdrop send failure surfaces through the circuit's close handler, not this return
 	_ = l.sendFramedReply(conn, respEnv, ctx)
 }
 
@@ -166,7 +164,7 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 		l.circuitTransition(host, circuitAuthenticating, "hello-in", l.chanKey(conn))
 	}
 	sb := &sibling{host: host, conn: conn, inc: inc, openedAt: l.sched.Now()}
-	sb.det = detect.New(l.cfg.Detector, l.sched.Now().Duration())
+	sb.det = detect.New(detect.Config{}, l.sched.Now().Duration())
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
 	l.metrics.Gauge("lpm.siblings.open").Add(1)
@@ -212,13 +210,7 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 		}
 	}
 	for _, id := range ids {
-		pr := l.pending[id]
-		pr.timer.Cancel()
-		cb := pr.cb
-		l.releaseHandler(pr.handler)
-		pr.span.End()
-		delete(l.pending, id)
-		cb(wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
+		l.retire(id, l.pending[id])(wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
 	}
 	if err != nil && !l.exited {
 		l.metrics.Counter("lpm.recovery.siblings_lost").Inc()
@@ -258,25 +250,7 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 	if !cctx.Valid() {
 		cctx = ctx
 	}
-	// finish settles the dial exactly once — through the error paths
-	// here or through completeDial when an inbound circuit (the
-	// cross-dial winner's Hello) lands first. Whichever runs first
-	// ends the establish span and drains the callback queue; the
-	// loser's call no-ops.
-	finish := func(sb *sibling, err error) {
-		if ds.done {
-			return
-		}
-		ds.done = true
-		ds.span.End()
-		delete(l.dialing, host)
-		if err != nil {
-			l.circuitTransition(host, circuitClosed, "dial-failed", "-")
-		}
-		for _, f := range ds.cbs {
-			f(sb, err)
-		}
-	}
+	finish := func(sb *sibling, err error) { l.settleDial(host, ds, sb, err) }
 	daemon.QueryLPMCtx(l.net, l.Host(), host, l.user, cctx, func(resp wire.LPMQueryResp, err error) {
 		if l.exited {
 			finish(nil, ErrExited)
@@ -301,20 +275,32 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 	})
 }
 
-// completeDial settles an in-flight dial to host with an already
-// registered circuit (the inbound leg of a cross-dial, or a redial
-// racing an inbound Hello): the establish span ends and every queued
-// callback receives sb.
-func (l *LPM) completeDial(host string, sb *sibling) {
-	ds, ok := l.dialing[host]
-	if !ok || ds.done {
+// settleDial settles one dial to host exactly once — through
+// ensureSibling's error paths, the dialed circuit's own Hello, or an
+// inbound circuit landing first (completeDial). Whichever runs first
+// ends the establish span and drains the callback queue; later calls
+// no-op.
+func (l *LPM) settleDial(host string, ds *dialState, sb *sibling, err error) {
+	if ds.done {
 		return
 	}
 	ds.done = true
 	ds.span.End()
 	delete(l.dialing, host)
+	if err != nil {
+		l.circuitTransition(host, circuitClosed, "dial-failed", "-")
+	}
 	for _, f := range ds.cbs {
-		f(sb, nil)
+		f(sb, err)
+	}
+}
+
+// completeDial settles an in-flight dial to host with an already
+// registered circuit (the inbound leg of a cross-dial, or a redial
+// racing an inbound Hello): every queued callback receives sb.
+func (l *LPM) completeDial(host string, sb *sibling) {
+	if ds, ok := l.dialing[host]; ok {
+		l.settleDial(host, ds, sb, nil)
 	}
 }
 
@@ -473,14 +459,20 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 	if !ok {
 		return // late response after timeout; drop
 	}
-	delete(l.pending, env.ReqID)
-	pr.timer.Cancel()
 	rtt := l.sched.Now().Sub(pr.sentAt)
 	l.metrics.Histogram("lpm.request_rtt").Observe(rtt)
 	l.observeOpRTT(pr.op, rtt)
+	l.retire(env.ReqID, pr)(env, nil)
+}
+
+// retire takes an outstanding request off the books — pending entry,
+// timer, handler, span — and returns its callback for the outcome.
+func (l *LPM) retire(id uint64, pr *pendingReq) func(wire.Envelope, error) {
+	delete(l.pending, id)
+	pr.timer.Cancel()
 	l.releaseHandler(pr.handler)
 	pr.span.End()
-	pr.cb(env, nil)
+	return pr.cb
 }
 
 // sendRequest transmits a request over the circuit and registers the
@@ -514,11 +506,8 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		}
 		pr.timer = l.sched.After(timeout, func() {
 			if cur, ok := l.pending[id]; ok && cur == pr {
-				delete(l.pending, id)
 				l.observe(journal.LPMTimeout, rctx, "user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op)
-				l.releaseHandler(pr.handler)
-				pr.span.End()
-				pr.cb(wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, t, sb.host))
+				l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, t, sb.host))
 			}
 		})
 		l.pending[id] = pr
@@ -532,12 +521,8 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 				// never see this entry — fail it now rather than parking
 				// the caller for the full timeout.
 				if cur, ok := l.pending[id]; ok && cur == pr {
-					delete(l.pending, id)
-					pr.timer.Cancel()
 					l.metrics.Counter("lpm.request.dead_circuit").Inc()
-					l.releaseHandler(pr.handler)
-					pr.span.End()
-					pr.cb(wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
+					l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
 				}
 				return
 			}

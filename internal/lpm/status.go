@@ -124,16 +124,12 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 	}
 	l.statusSeq++
 	sweepID := fmt.Sprintf("%s#%d", l.Host(), l.statusSeq)
-	targets := make([]string, 0, len(hosts))
-	dup := make(map[string]bool, len(hosts))
+	named := make(map[string]bool, len(hosts))
 	for _, h := range hosts {
-		if h == "" || dup[h] {
-			continue
-		}
-		dup[h] = true
-		targets = append(targets, h)
+		named[h] = true
 	}
-	detord.Sort(targets)
+	delete(named, "")
+	targets := detord.Keys(named)
 	l.toolCall("status", func(ctx trace.Context, done func(func())) {
 		l.observe(journal.StatusRequest, ctx, "user=%s sweep=%s hosts=%s",
 			l.user.Name, sweepID, strings.Join(targets, ","))
@@ -166,10 +162,7 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 				outstanding--
 				var resp wire.StatusResp
 				var rep status.Report
-				err = firstErr(err, wire.Decode(env.Body, &resp))
-				if err == nil && !resp.OK {
-					err = refused(resp.Reason)
-				}
+				err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
 				err = firstErr(err, wire.Decode(resp.Report, &rep))
 				if err == nil {
 					sw.Reports = append(sw.Reports, rep)

@@ -3,9 +3,9 @@ package lpm
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ppm/internal/auth"
+	"ppm/internal/calib"
 	"ppm/internal/daemon"
 	"ppm/internal/detord"
 	"ppm/internal/history"
@@ -51,12 +51,8 @@ type ToolClient struct {
 func ConnectTool(net *simnet.Network, user *auth.User, host string,
 	cb func(*ToolClient, error)) {
 	daemon.QueryLPM(net, host, host, user, func(resp wire.LPMQueryResp, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if !resp.OK {
-			cb(nil, fmt.Errorf("lpm: tool connect: %s", resp.Reason))
+		if err = answer(err, nil, &resp.OK, &resp.Reason); err != nil {
+			cb(nil, fmt.Errorf("lpm: tool connect: %w", err))
 			return
 		}
 		to := simnet.Addr{Host: resp.AcceptHost, Port: resp.AcceptPort}
@@ -79,38 +75,25 @@ func ConnectTool(net *simnet.Network, user *auth.User, host string,
 	})
 }
 
+// hello authenticates the fresh circuit: the first request on it.
 func (t *ToolClient) hello(cb func(*ToolClient, error)) {
-	answered := false
-	t.conn.SetHandler(func(b []byte) {
-		if answered {
-			t.onMsg(b)
-			return
-		}
-		answered = true
-		env, err := wire.DecodeEnvelopeLogged(b, t.journal, t.host)
-		if err != nil || env.Type != wire.MsgHelloResp {
-			t.conn.Close()
-			cb(nil, errors.New("lpm: tool hello: bad reply"))
-			return
-		}
-		var resp wire.HelloResp
-		if wire.Decode(env.Body, &resp) != nil || !resp.OK {
-			t.conn.Close()
-			cb(nil, fmt.Errorf("lpm: tool hello rejected: %s", resp.Reason))
-			return
-		}
-		t.conn.SetHandler(t.onMsg)
-		cb(t, nil)
-	})
-	t.conn.SetCloseHandler(func(err error) { t.onClosed(err) })
+	t.conn.SetHandler(t.onMsg)
+	t.conn.SetCloseHandler(t.onClosed)
 	hello := wire.Hello{
 		User:     t.user.Name,
 		FromHost: t.host,
 		Token:    auth.MintToken(t.user, "sibling"),
 		Stamp:    wire.NewStamp(t.user.Key(), t.host, t.sched.Now().Duration(), 1),
 	}
-	//ppmlint:allow errdrop a lost Hello surfaces as onClosed; the tool reports the dead socket there
-	_ = t.sendFramed(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)})
+	t.call(wire.MsgHello, wire.Encode(&hello), func(env wire.Envelope, err error) {
+		var resp wire.HelloResp
+		if err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason); err != nil {
+			t.Close()
+			cb(nil, fmt.Errorf("lpm: tool hello: %w", err))
+			return
+		}
+		cb(t, nil)
+	})
 }
 
 func (t *ToolClient) onClosed(err error) {
@@ -118,8 +101,7 @@ func (t *ToolClient) onClosed(err error) {
 	if err == nil {
 		err = ErrToolClosed
 	}
-	ids := detord.Keys(t.pending)
-	for _, id := range ids {
+	for _, id := range detord.Keys(t.pending) {
 		cb := t.pending[id]
 		delete(t.pending, id)
 		cb(wire.Envelope{}, err)
@@ -147,27 +129,21 @@ func (t *ToolClient) Close() {
 	}
 }
 
-// sendFramed encodes env through a pooled encoder and sends it; the
-// network copies the frame on send, so the encoder is released
-// immediately and the tool request path allocates no per-message frame.
-func (t *ToolClient) sendFramed(env wire.Envelope) error {
-	enc := wire.GetEncoder()
-	err := t.conn.Send(env.EncodeLoggedTo(enc, t.metrics, t.journal, t.host))
-	wire.PutEncoder(enc)
-	return err
-}
-
-// call sends one request envelope and routes the response to cb.
+// call sends one request envelope and routes the response to cb. The
+// network copies the frame on send, so the pooled encoder is released
+// at once and the request path allocates no per-message frame.
 func (t *ToolClient) call(mt wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
 	if t.closed {
 		t.sched.Defer(func() { cb(wire.Envelope{}, ErrToolClosed) })
 		return
 	}
 	t.reqSeq++
-	id := t.reqSeq
-	t.pending[id] = cb
+	t.pending[t.reqSeq] = cb
+	enc := wire.GetEncoder()
+	env := wire.Envelope{Type: mt, ReqID: t.reqSeq, Body: body}
 	//ppmlint:allow errdrop a lost request fails the pending callback via onClosed, not this return
-	_ = t.sendFramed(wire.Envelope{Type: mt, ReqID: id, Body: body})
+	_ = t.conn.Send(env.EncodeLoggedTo(enc, t.metrics, t.journal, t.host))
+	wire.PutEncoder(enc)
 }
 
 // Control performs a process-control operation through the wire
@@ -182,17 +158,56 @@ func (t *ToolClient) Control(target proc.GPID, op wire.ControlOp, sig proc.Signa
 	})
 }
 
-// Create starts an adopted process on the LPM's host.
-func (t *ToolClient) Create(name string, parent proc.GPID, cb func(proc.GPID, error)) {
-	req := wire.CreateProc{User: t.user.Name, Name: name, Parent: parent}
-	t.call(wire.MsgCreateProc, wire.Encode(&req), func(env wire.Envelope, err error) {
+// A caller delivers one request to the LPM that serves it and hands
+// back the reply: over a tool's socket (ToolClient.call) or a sibling
+// circuit (LPM.via). The client stubs are its methods, written once for
+// both doors: each builds the request, and turns the reply into a value
+// or the one error of answer.
+type caller func(t wire.MsgType, body []byte, cb func(wire.Envelope, error))
+
+// via is the caller that reaches the user's LPM on host from inside a
+// toolCall: the reply pays the tool leg (done) before the stub reads it.
+func (l *LPM) via(ctx trace.Context, host string, done func(func())) caller {
+	return func(t wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
+		l.remoteCall(ctx, host, t, body, func(env wire.Envelope, err error) {
+			done(func() { cb(env, err) })
+		})
+	}
+}
+
+func (call caller) create(user, name string, parent proc.GPID, cb func(proc.GPID, error)) {
+	req := wire.CreateProc{User: user, Name: name, Parent: parent}
+	call(wire.MsgCreateProc, wire.Encode(&req), func(env wire.Envelope, err error) {
 		var a wire.CreateAck
-		err = firstErr(err, wire.Decode(env.Body, &a))
-		if err == nil && !a.OK {
-			err = refused(a.Reason)
-		}
+		err = answer(err, wire.Decode(env.Body, &a), &a.OK, &a.Reason)
 		cb(a.ID, err)
 	})
+}
+
+func (call caller) stats(user string, target proc.GPID, cb func(proc.Info, error)) {
+	req := wire.StatsReq{User: user, Target: target}
+	call(wire.MsgStatsReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.StatsResp
+		err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
+		cb(resp.Info, err)
+	})
+}
+
+func (call caller) history(user string, q history.Query, cb func([]proc.Event, error)) {
+	req := wire.HistoryReq{User: user, Proc: q.Proc, Since: q.Since, Limit: uint16(q.Limit)}
+	for _, k := range q.Kinds {
+		req.Kinds = append(req.Kinds, uint8(k))
+	}
+	call(wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+		var resp wire.HistoryResp
+		err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
+		cb(resp.Events, err)
+	})
+}
+
+// Create starts an adopted process on the LPM's host.
+func (t *ToolClient) Create(name string, parent proc.GPID, cb func(proc.GPID, error)) {
+	caller(t.call).create(t.user.Name, name, parent, cb)
 }
 
 // Snapshot gathers the distributed snapshot (the LPM floods the
@@ -201,11 +216,7 @@ func (t *ToolClient) Snapshot(cb func(proc.Snapshot, error)) {
 	req := wire.SnapshotReq{User: t.user.Name, Forward: true}
 	t.call(wire.MsgSnapshotReq, wire.Encode(&req), func(env wire.Envelope, err error) {
 		var resp wire.SnapshotResp
-		err = firstErr(err, wire.Decode(env.Body, &resp))
-		if err == nil && !resp.OK {
-			err = refused(resp.Reason)
-		}
-		if err != nil {
+		if err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason); err != nil {
 			cb(proc.Snapshot{}, err)
 			return
 		}
@@ -217,42 +228,22 @@ func (t *ToolClient) Snapshot(cb func(proc.Snapshot, error)) {
 
 // Stats fetches a process's resource-consumption record.
 func (t *ToolClient) Stats(target proc.GPID, cb func(proc.Info, error)) {
-	req := wire.StatsReq{User: t.user.Name, Target: target}
-	t.call(wire.MsgStatsReq, wire.Encode(&req), func(env wire.Envelope, err error) {
-		var resp wire.StatsResp
-		err = firstErr(err, wire.Decode(env.Body, &resp))
-		if err == nil && !resp.OK {
-			err = refused(resp.Reason)
-		}
-		cb(resp.Info, err)
-	})
+	caller(t.call).stats(t.user.Name, target, cb)
 }
 
 // History queries the LPM's preserved event trace.
 func (t *ToolClient) History(q history.Query, cb func([]proc.Event, error)) {
-	req := wire.HistoryReq{
-		User: t.user.Name, Proc: q.Proc,
-		Since: q.Since, Limit: uint16(q.Limit),
-	}
-	for _, k := range q.Kinds {
-		req.Kinds = append(req.Kinds, uint8(k))
-	}
-	t.call(wire.MsgHistoryReq, wire.Encode(&req), func(env wire.Envelope, err error) {
-		var resp wire.HistoryResp
-		err = firstErr(err, wire.Decode(env.Body, &resp))
-		if err == nil && !resp.OK {
-			err = refused(resp.Reason)
-		}
-		cb(resp.Events, err)
-	})
+	caller(t.call).history(t.user.Name, q, cb)
 }
 
 // --- LPM-side tool socket handling ---
 
 // onToolMsg serves requests arriving on a registered tool socket. Tool
-// requests ride the same wire protocol as sibling requests, but a
-// snapshot from a tool triggers the distributed flood (the tool wants
-// the whole computation, not one host's fragment).
+// requests ride the same wire protocol as sibling requests and are
+// routed like the library's: one that names no process is for the whole
+// computation and floods (the tool wants every host's fragment, not
+// this one's), one that names a process elsewhere is forwarded to the
+// LPM there, and the rest are served here.
 func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	if l.exited {
 		return
@@ -264,7 +255,7 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	l.touch()
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 	reply := func(mt wire.MsgType, body []byte) {
-		l.kern.ExecCPU(toolSocketLeg, func() {
+		l.kern.ExecCPU(calib.ToolLeg, func() {
 			if conn.Open() {
 				renv := wire.Envelope{Type: mt, ReqID: env.ReqID, Body: body}
 				renv.SetTrace(ctx.Trace, ctx.Span)
@@ -273,53 +264,71 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 			}
 		})
 	}
-	l.kern.ExecCPU(toolSocketLeg, func() {
+	l.kern.ExecCPU(calib.ToolLeg, func() {
 		if l.exited {
 			return
 		}
-		switch env.Type {
-		case wire.MsgSnapshotReq:
-			var req wire.SnapshotReq
-			if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-				reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
-				return
-			}
-			inner := wire.Envelope{Type: wire.MsgSnapshotReq, Body: env.Body}
-			l.startFlood(ctx, inner, func(res wire.FloodResult) {
-				reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{
-					OK: true, Procs: res.Procs, Partial: l.uncovered(res),
-				}))
+		target, targeted := l.toolTarget(env)
+		switch where := l.routeOf(target); {
+		case targeted && where == everywhere:
+			l.startFlood(ctx, wire.Envelope{Type: env.Type, Body: env.Body}, func(res wire.FloodResult) {
+				if env.Type == wire.MsgSnapshotReq {
+					reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: res.Procs, Partial: l.uncovered(res)}))
+					return
+				}
+				reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: true, State: proc.Running}))
 			})
-		case wire.MsgControl:
-			// A zero-target control from a tool is a broadcast.
-			var req wire.Control
-			derr := wire.Decode(env.Body, &req)
-			if derr == nil && req.Target.IsZero() && req.User == l.user.Name {
-				inner := wire.Envelope{Type: wire.MsgControl, Body: env.Body}
-				l.startFlood(ctx, inner, func(res wire.FloodResult) {
-					reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: true, State: proc.Running}))
-				})
-				return
-			}
-			if derr == nil && req.Target.Host != l.Host() {
-				// Tools may target remote processes; the LPM forwards.
-				l.remoteCall(ctx, req.Target.Host, wire.MsgControl, env.Body,
-					func(renv wire.Envelope, rerr error) {
-						if rerr != nil {
-							reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: false, Reason: rerr.Error()}))
-							return
-						}
-						reply(wire.MsgControlResp, renv.Body)
-					})
-				return
-			}
-			l.serveRequest(ctx, env, reply)
+		case targeted && where == there:
+			l.remoteCall(ctx, target.Host, env.Type, env.Body, func(renv wire.Envelope, rerr error) {
+				if rerr != nil {
+					reply(refusal(env.Type, rerr.Error()))
+					return
+				}
+				reply(renv.Type, renv.Body)
+			})
 		default:
 			l.serveRequest(ctx, env, reply)
 		}
 	})
 }
 
-// toolSocketLeg is the per-leg cost of tool-socket traffic (local IPC,
-// same as the subroutine-library tool leg).
-const toolSocketLeg = 11 * time.Millisecond
+// toolTarget decodes the process a tool's request is about; a snapshot
+// is about all of them, the zero GPID, and so is a control that names
+// none. targeted is false for every other request serveRequest answers
+// whole: ops that name no process, a request that names none where one
+// is needed, and those it refuses (undecodable, or another user's).
+func (l *LPM) toolTarget(env wire.Envelope) (target proc.GPID, targeted bool) {
+	mine := func(req wire.Message, user *string) bool {
+		return wire.Decode(env.Body, req) == nil && *user == l.user.Name
+	}
+	switch env.Type {
+	case wire.MsgSnapshotReq:
+		var req wire.SnapshotReq
+		return target, mine(&req, &req.User)
+	case wire.MsgControl:
+		var req wire.Control
+		targeted = mine(&req, &req.User)
+		return req.Target, targeted
+	case wire.MsgStatsReq:
+		var req wire.StatsReq
+		targeted = mine(&req, &req.User)
+		return req.Target, targeted && !req.Target.IsZero()
+	case wire.MsgFDReq:
+		var req wire.FDReq
+		targeted = mine(&req, &req.User)
+		return req.Target, targeted && !req.Target.IsZero()
+	}
+	return target, false
+}
+
+// refusal is the reply that tells a tool its forwarded request could
+// not be delivered: the op's own response type, refusing with reason.
+func refusal(req wire.MsgType, reason string) (wire.MsgType, []byte) {
+	switch req {
+	case wire.MsgStatsReq:
+		return wire.MsgStatsResp, wire.Encode(&wire.StatsResp{Reason: reason})
+	case wire.MsgFDReq:
+		return wire.MsgFDResp, wire.Encode(&wire.FDResp{Reason: reason})
+	}
+	return wire.MsgControlResp, wire.Encode(&wire.ControlResp{Reason: reason})
+}

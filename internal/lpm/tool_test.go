@@ -259,3 +259,98 @@ func TestToolRefusedSnapshotAndHistoryAreErrors(t *testing.T) {
 		t.Errorf("refused history reached the tool as %v", histErr)
 	}
 }
+
+// A tool's request about a process goes where the process lives, by the
+// same rule the subroutine library follows — for every op that names a
+// target, not only Control. Two hosts with one process each, so the pids
+// collide: serving a vax2 target on vax1 is a silent wrong answer.
+func TestToolTargetsAreRoutedLikeTheLibrary(t *testing.T) {
+	w := newWorld(t, Config{RequestTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1}},
+		[]string{"vax1", "vax2"})
+	u := w.user("felipe", "vax1", "vax2")
+	l := w.attach("vax1", u)
+	here := w.create(l, "vax1", "localjob", proc.GPID{})
+	there := w.create(l, "vax2", "remotejob", proc.GPID{})
+	if here.PID != there.PID {
+		t.Fatalf("pids %v and %v do not collide; the fixture proves nothing", here, there)
+	}
+	w.run(time.Second)
+	if _, err := w.kerns["vax2"].OpenFD(there.PID, "/remote/only"); err != nil {
+		t.Fatal(err)
+	}
+	tc := connectTool(t, w, u, "vax1")
+	defer tc.Close()
+
+	stats := func(ask func(proc.GPID, func(proc.Info, error)), target proc.GPID) (proc.Info, error) {
+		var info proc.Info
+		var serr error
+		done := false
+		ask(target, func(i proc.Info, err error) { info, serr, done = i, err, true })
+		w.until(func() bool { return done })
+		return info, serr
+	}
+	fds := func(target proc.GPID) (wire.FDResp, error) {
+		var resp wire.FDResp
+		var ferr error
+		done := false
+		req := wire.FDReq{User: u.Name, Target: target}
+		tc.call(wire.MsgFDReq, wire.Encode(&req), func(env wire.Envelope, err error) {
+			ferr = firstErr(err, wire.Decode(env.Body, &resp))
+			done = true
+		})
+		w.until(func() bool { return done })
+		return resp, ferr
+	}
+
+	for _, target := range []proc.GPID{here, there} {
+		viaTool, terr := stats(tc.Stats, target)
+		viaLib, lerr := stats(l.StatsOf, target)
+		if terr != nil || lerr != nil {
+			t.Fatalf("stats of %v: tool err %v, library err %v", target, terr, lerr)
+		}
+		if viaTool.ID != target || viaTool.Name != viaLib.Name {
+			t.Errorf("tool Stats(%v) returned name=%q id=%v; the library returns name=%q id=%v",
+				target, viaTool.Name, viaTool.ID, viaLib.Name, viaLib.ID)
+		}
+	}
+	for target, want := range map[proc.GPID]bool{here: false, there: true} {
+		resp, err := fds(target)
+		if got := strings.Contains(strings.Join(resp.Open, " "), "/remote/only"); err != nil || !resp.OK || got != want {
+			t.Errorf("tool FDReq(%v) = %+v, %v; the vax2 process alone holds /remote/only", target, resp, err)
+		}
+	}
+
+	done := false
+	tc.Control(there, wire.OpStop, 0, func(r wire.ControlResp, err error) {
+		if err != nil || !r.OK || r.State != proc.Stopped {
+			t.Errorf("tool Control(%v) = %+v, %v", there, r, err)
+		}
+		done = true
+	})
+	w.until(func() bool { return done })
+	if p, _ := w.kerns["vax1"].Lookup(here.PID); p.State != proc.Running {
+		t.Errorf("stopping %v stopped %v", there, here)
+	}
+
+	// A dead target host is the op's own refusal carrying the transport
+	// error: not a hang, not a reply the tool cannot decode.
+	if err := w.net.Crash("vax2"); err != nil {
+		t.Fatal(err)
+	}
+	w.kerns["vax2"].Crash()
+	w.run(5 * time.Second)
+	if _, err := stats(tc.Stats, there); !errors.Is(err, ErrRemote) {
+		t.Errorf("tool Stats of a dead host's process: %v, want a refusal", err)
+	}
+	if resp, err := fds(there); err != nil || resp.OK || resp.Reason == "" {
+		t.Errorf("tool FDReq of a dead host's process: %+v, %v, want a refusal", resp, err)
+	}
+	done = false
+	tc.Control(there, wire.OpStop, 0, func(r wire.ControlResp, err error) {
+		if err != nil || r.OK || r.Reason == "" {
+			t.Errorf("tool Control of a dead host's process: %+v, %v, want a refusal", r, err)
+		}
+		done = true
+	})
+	w.until(func() bool { return done })
+}

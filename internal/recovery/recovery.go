@@ -99,11 +99,12 @@ type Config struct {
 	// RetryEvery is how often an isolated LPM retries the recovery
 	// list.
 	RetryEvery time.Duration
-	// RedialEvery is how often lost sibling circuits are redialed, so a
-	// healed partition re-knits the circuit graph instead of only
-	// reseeking the CCS.
-	RedialEvery time.Duration
 }
+
+// redialEvery is how often lost sibling circuits are redialed, so a
+// healed partition re-knits the circuit graph instead of only reseeking
+// the CCS.
+const redialEvery = 10 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.TimeToDie == 0 {
@@ -114,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryEvery == 0 {
 		c.RetryEvery = 15 * time.Second
-	}
-	if c.RedialEvery == 0 {
-		c.RedialEvery = 10 * time.Second
 	}
 	return c
 }
@@ -273,7 +271,7 @@ func (m *Manager) scheduleRedial() {
 	if !m.redialTmr.Fired() {
 		return
 	}
-	m.redialTmr = m.env.After(m.cfg.RedialEvery, m.redialTick)
+	m.redialTmr = m.env.After(redialEvery, m.redialTick)
 }
 
 func (m *Manager) redialTick() {
@@ -284,7 +282,7 @@ func (m *Manager) redialTick() {
 }
 
 // redialWalk tries each lost host in order, one at a time; hosts still
-// lost afterwards get another pass a RedialEvery later.
+// lost afterwards get another pass a redialEvery later.
 func (m *Manager) redialWalk(hosts []string, i int) {
 	if m.stopped {
 		return

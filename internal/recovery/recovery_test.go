@@ -485,7 +485,7 @@ func TestProbeHigherSkipsUnreachableThenRetries(t *testing.T) {
 
 func TestRedialLoopReknitsLostSibling(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{RedialEvery: 10 * time.Second})
+	m := New(f, Config{})
 	m.SetCCS("vax1") // self is CCS: the loss triggers no seek, only redial
 	m.OnSiblingLost("vax2")
 	if got := m.LostSiblings(); len(got) != 1 || got[0] != "vax2" {
@@ -514,7 +514,7 @@ func TestRedialLoopReknitsLostSibling(t *testing.T) {
 
 func TestRedialWalksAllLostHostsInOrder(t *testing.T) {
 	f := newFake("vax1", "vax3", "vax4")
-	m := New(f, Config{RedialEvery: 10 * time.Second})
+	m := New(f, Config{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax4")
 	m.OnSiblingLost("vax3")
@@ -530,7 +530,7 @@ func TestRedialWalksAllLostHostsInOrder(t *testing.T) {
 
 func TestRedialSkipsHostThatDialedBack(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{RedialEvery: 10 * time.Second})
+	m := New(f, Config{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax2")
 	m.OnSiblingUp("vax2") // the peer re-dialed us before the timer fired
@@ -545,7 +545,7 @@ func TestRedialRunsWhileSeeking(t *testing.T) {
 	// redial loop so the circuit re-knits after the heal, not only the
 	// CCS role.
 	f := newFake("vax2")
-	m := New(f, Config{List: []string{"vax1", "vax2"}, RedialEvery: 10 * time.Second})
+	m := New(f, Config{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -564,7 +564,7 @@ func TestRedialRunsWhileSeeking(t *testing.T) {
 
 func TestStopCancelsRedial(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{RedialEvery: 10 * time.Second})
+	m := New(f, Config{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax2")
 	m.Stop()

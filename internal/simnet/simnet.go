@@ -56,18 +56,12 @@ func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
 
 // Options configure a Network.
 type Options struct {
-	// HopTransit is the one-way per-hop latency. Zero means
-	// calib.HopTransit.
-	HopTransit time.Duration
 	// BreakDetect is how long a circuit endpoint takes to notice that
 	// its peer vanished (crash or partition). Zero means 1 second.
 	BreakDetect time.Duration
 }
 
 func (o Options) withDefaults() Options {
-	if o.HopTransit == 0 {
-		o.HopTransit = calib.HopTransit
-	}
 	if o.BreakDetect == 0 {
 		o.BreakDetect = time.Second
 	}
@@ -288,7 +282,7 @@ func (n *Network) transit(a, b string, size int) time.Duration {
 	if hops == 0 {
 		return 100 * time.Microsecond // loopback
 	}
-	return time.Duration(hops)*n.opts.HopTransit +
+	return time.Duration(hops)*calib.HopTransit +
 		time.Duration(hops)*calib.TransmissionTime(size)
 }
 
@@ -368,7 +362,7 @@ func (n *Network) traceTransit(ctx trace.Context, a, b string, size int, reply b
 	if reply {
 		prefix = "net.reply."
 	}
-	per := n.opts.HopTransit + calib.TransmissionTime(size)
+	per := calib.HopTransit + calib.TransmissionTime(size)
 	for i := 0; i+1 < len(path); i++ {
 		start := now + time.Duration(i)*per
 		n.tracer.AddSpan(path[i], prefix+path[i+1], ctx, start, start+per)

@@ -111,32 +111,16 @@ func (s *Session) Run(host, name string) (GPID, error) {
 // RunChild creates a process with an explicit logical parent, which may
 // live on any host: arbitrary genealogical structure is allowed.
 func (s *Session) RunChild(host, name string, parent GPID) (GPID, error) {
-	var id GPID
-	var rerr error
-	done := false
-	s.mgr.Create(host, name, parent, func(g GPID, err error) { id, rerr, done = g, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return GPID{}, err
-	}
-	return id, rerr
+	return wait(s.c, func(cb func(GPID, error)) { s.mgr.Create(host, name, parent, cb) })
 }
 
 // control performs one control operation synchronously.
-func (s *Session) control(target GPID, op wire.ControlOp, sig Signal) (wire.ControlResp, error) {
-	var resp wire.ControlResp
-	var rerr error
-	done := false
-	s.mgr.Control(target, op, sig, func(r wire.ControlResp, err error) { resp, rerr, done = r, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return wire.ControlResp{}, err
+func (s *Session) control(target GPID, op wire.ControlOp, sig Signal) error {
+	resp, err := wait(s.c, func(cb func(wire.ControlResp, error)) { s.mgr.Control(target, op, sig, cb) })
+	if err == nil && !resp.OK {
+		err = &ControlError{Target: target, Op: op.String(), Reason: resp.Reason}
 	}
-	if rerr != nil {
-		return resp, rerr
-	}
-	if !resp.OK {
-		return resp, &ControlError{Target: target, Op: op.String(), Reason: resp.Reason}
-	}
-	return resp, nil
+	return err
 }
 
 // ControlError reports a failed control operation.
@@ -153,46 +137,26 @@ func (e *ControlError) Error() string {
 
 // Stop stops a process anywhere in the network (SIGSTOP via the
 // adopted-process control block).
-func (s *Session) Stop(target GPID) error {
-	_, err := s.control(target, wire.OpStop, 0)
-	return err
-}
+func (s *Session) Stop(target GPID) error { return s.control(target, wire.OpStop, 0) }
 
 // Foreground resumes a process in the foreground.
-func (s *Session) Foreground(target GPID) error {
-	_, err := s.control(target, wire.OpForeground, 0)
-	return err
-}
+func (s *Session) Foreground(target GPID) error { return s.control(target, wire.OpForeground, 0) }
 
 // Background resumes a process in the background.
-func (s *Session) Background(target GPID) error {
-	_, err := s.control(target, wire.OpBackground, 0)
-	return err
-}
+func (s *Session) Background(target GPID) error { return s.control(target, wire.OpBackground, 0) }
 
 // Kill terminates a process anywhere in the network.
-func (s *Session) Kill(target GPID) error {
-	_, err := s.control(target, wire.OpKill, 0)
-	return err
-}
+func (s *Session) Kill(target GPID) error { return s.control(target, wire.OpKill, 0) }
 
 // Signal delivers a software interrupt to a process anywhere in the
 // network, with no constraints from creation dependencies.
 func (s *Session) Signal(target GPID, sig Signal) error {
-	_, err := s.control(target, wire.OpSignal, sig)
-	return err
+	return s.control(target, wire.OpSignal, sig)
 }
 
 // broadcastControl floods a control operation to every reachable LPM.
 func (s *Session) broadcastControl(op wire.ControlOp, sig Signal) (int, error) {
-	var count int
-	var rerr error
-	done := false
-	s.mgr.ControlAll(op, sig, func(n int, err error) { count, rerr, done = n, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return 0, err
-	}
-	return count, rerr
+	return wait(s.c, func(cb func(int, error)) { s.mgr.ControlAll(op, sig, cb) })
 }
 
 // StopAll broadcasts a stop to every live process of the user on every
@@ -222,69 +186,34 @@ func (s *Session) SignalAll(sig Signal) (int, error) {
 // cannot be reached are listed in Snapshot.Partial and the genealogy
 // may be a forest.
 func (s *Session) Snapshot() (Snapshot, error) {
-	var snap Snapshot
-	var rerr error
-	done := false
-	s.mgr.Snapshot(func(sn Snapshot, err error) { snap, rerr, done = sn, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return Snapshot{}, err
-	}
-	return snap, rerr
+	return wait(s.c, s.mgr.Snapshot)
 }
 
 // Status gathers a live status report from the user's LPM on every
 // host of the installation, originating at this session's LPM. Hosts
 // that cannot be reached are listed in ClusterStatus.Unreachable.
 func (s *Session) Status() (ClusterStatus, error) {
-	var sw ClusterStatus
-	var rerr error
-	done := false
-	s.mgr.StatusSweep(s.c.Hosts(), func(w ClusterStatus, err error) { sw, rerr, done = w, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return ClusterStatus{}, err
-	}
-	return sw, rerr
+	return wait(s.c, func(cb func(ClusterStatus, error)) { s.mgr.StatusSweep(s.c.Hosts(), cb) })
 }
 
 // Stats returns the resource-consumption record of a process anywhere
 // in the network; for exited processes the record is the one the LPM
 // preserved.
 func (s *Session) Stats(target GPID) (Info, error) {
-	var info Info
-	var rerr error
-	done := false
-	s.mgr.StatsOf(target, func(i Info, err error) { info, rerr, done = i, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return Info{}, err
-	}
-	return info, rerr
+	return wait(s.c, func(cb func(Info, error)) { s.mgr.StatsOf(target, cb) })
 }
 
 // OpenFiles lists the open descriptors of a process anywhere in the
 // network, as "fd:path" strings.
 func (s *Session) OpenFiles(target GPID) ([]string, error) {
-	var open []string
-	var rerr error
-	done := false
-	s.mgr.FDs(target, func(o []string, err error) { open, rerr, done = o, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return nil, err
-	}
-	return open, rerr
+	return wait(s.c, func(cb func([]string, error)) { s.mgr.FDs(target, cb) })
 }
 
 // HistoryOn queries the preserved event trace of the user's LPM on any
 // host: kernel events are recorded by the LPM local to each process, so
 // a remote worker's lifecycle lives in that host's trace.
 func (s *Session) HistoryOn(host string, q HistoryQuery) ([]Event, error) {
-	var evs []Event
-	var rerr error
-	done := false
-	s.mgr.HistoryOf(host, q, func(e []Event, err error) { evs, rerr, done = e, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return nil, err
-	}
-	return evs, rerr
+	return wait(s.c, func(cb func([]Event, error)) { s.mgr.HistoryOf(host, q, cb) })
 }
 
 // Computation returns the snapshot of one distributed computation: the
@@ -300,39 +229,20 @@ func (s *Session) Computation(root GPID) (Snapshot, error) {
 
 // History queries the home LPM's preserved event trace.
 func (s *Session) History(q HistoryQuery) ([]Event, error) {
-	var evs []Event
-	var rerr error
-	done := false
-	s.mgr.HistoryQuery(q, func(e []Event, err error) { evs, rerr, done = e, err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return nil, err
-	}
-	return evs, rerr
+	return s.HistoryOn(s.home, q)
 }
 
 // Adopt brings an existing local process (started outside the PPM)
 // under management; its descendants are tracked automatically.
 func (s *Session) Adopt(pid PID) error {
-	var rerr error
-	done := false
-	s.mgr.Adopt(pid, func(err error) { rerr, done = err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return err
-	}
-	return rerr
+	return waitErr(s.c, func(cb func(error)) { s.mgr.Adopt(pid, cb) })
 }
 
 // SetTraceMask adjusts the event-tracing granularity of an adopted
 // local process (the user-settable granularity that makes the PPM
 // usable by a debugger).
 func (s *Session) SetTraceMask(pid PID, mask TraceMask) error {
-	var rerr error
-	done := false
-	s.mgr.SetTraceMask(pid, mask, func(err error) { rerr, done = err, true })
-	if err := s.c.await(func() bool { return done }); err != nil {
-		return err
-	}
-	return rerr
+	return waitErr(s.c, func(cb func(error)) { s.mgr.SetTraceMask(pid, mask, cb) })
 }
 
 // OnEvent installs a history-dependent trigger on the home LPM: action
@@ -350,15 +260,7 @@ func (s *Session) OnEvent(w *Watch) (remove func()) {
 // users to trigger process state changes", across machine boundaries.
 func (s *Session) OnEventAt(host string, w *Watch, op ControlOp,
 	sig Signal, target GPID) (remove func(), err error) {
-	done := false
-	var rerr error
-	s.mgr.WatchOn(host, w, wire.ControlOp(op), sig, target, func(rm func(), werr error) {
-		remove, rerr, done = rm, werr, true
-	})
-	if aerr := s.c.await(func() bool { return done }); aerr != nil {
-		return nil, aerr
-	}
-	return remove, rerr
+	return wait(s.c, func(cb func(func(), error)) { s.mgr.WatchOn(host, w, op, sig, target, cb) })
 }
 
 // ControlOp names a process-control operation for remote watch actions.

@@ -26,15 +26,6 @@ const (
 	RestartAlways    = resilient.Always
 )
 
-// sessEnv adapts a Session's LPM to the supervisor environment.
-type sessEnv struct{ s *Session }
-
-func (e sessEnv) Snapshot(cb func(Snapshot, error)) { e.s.mgr.Snapshot(cb) }
-
-func (e sessEnv) Create(host, name string, parent GPID, cb func(GPID, error)) {
-	e.s.mgr.Create(host, name, parent, cb)
-}
-
 // schedClock adapts the simulation scheduler to the supervisor clock.
 type schedClock struct{ sched *sim.Scheduler }
 
@@ -42,8 +33,9 @@ func (c schedClock) After(d time.Duration, fn func()) resilient.CancelableTimer 
 	return c.sched.After(d, fn)
 }
 
-// NewSupervisor creates a supervisor over this session's PPM, polling
-// the distributed snapshot at the given virtual-time interval.
+// NewSupervisor creates a supervisor over this session's PPM (the LPM's
+// asynchronous interface is the supervisor's environment), polling the
+// distributed snapshot at the given virtual-time interval.
 func (s *Session) NewSupervisor(interval time.Duration) *Supervisor {
-	return resilient.New(sessEnv{s}, schedClock{s.c.sched}, interval)
+	return resilient.New(s.mgr, schedClock{s.c.sched}, interval)
 }

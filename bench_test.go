@@ -1,6 +1,7 @@
 package ppm_test
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -39,24 +40,31 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// snapshotOverStar builds an n-host star (h00 the home; one worker "w"
-// per other host, under a coordinator when rooted) and measures one
-// snapshot flood over it.
+// star builds a star over the named hosts: the first is the home, every
+// other host runs one worker "w", under a coordinator on the home when
+// rooted. Creating the workers opens every sibling circuit.
+func star(tb testing.TB, names []string, rooted bool) (*ppm.Cluster, *ppm.Session, []ppm.GPID) {
+	tb.Helper()
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u", names[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var workers []ppm.GPID
+	if rooted {
+		workers, err = scenario.Star(sess, names, "root", scenario.Named("w"))
+	} else {
+		workers, err = scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("w"))
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, sess, workers
+}
+
+// snapshotOverStar measures one snapshot flood over a fresh star.
 func snapshotOverStar(tb testing.TB, n int, rooted bool) scenario.Cost {
 	tb.Helper()
-	names := scenario.Numbered("h%02d", 0, n)
-	c, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u", "h00")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if rooted {
-		_, err = scenario.Star(sess, names, "root", scenario.Named("w"))
-	} else {
-		_, err = scenario.Workers(sess, names, ppm.GPID{}, scenario.Named("w"))
-	}
-	if err != nil {
-		tb.Fatal(err)
-	}
+	c, sess, _ := star(tb, scenario.Numbered("h%02d", 0, n), rooted)
 	cost, err := scenario.Measure(c, func() error {
 		_, serr := sess.Snapshot()
 		return serr
@@ -95,16 +103,32 @@ func BenchmarkSnapshotFanout(b *testing.B) {
 
 // TestMessageBudgets pins the message economy of the core operations.
 // A snapshot flood over an n-host star is one request and one reply per
-// sibling circuit — 2(n-1) wire messages, no more; recovery from a CCS
-// crash must stay within a small constant bill. A regression that
-// multiplies traffic (re-floods, lost dedup, chatty recovery) fails
+// sibling circuit — 2(n-1) wire messages, no more — and so is a status
+// sweep; a warm remote control is one request and one reply; recovery
+// from a CCS crash must stay within a small constant bill. A regression
+// that multiplies traffic (re-floods, lost dedup, chatty recovery) fails
 // here even if latencies stay plausible.
 func TestMessageBudgets(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		want := uint64(2 * (n - 1))
-		if got := snapshotOverStar(t, n, false).Msgs; got != want {
-			t.Errorf("snapshot over %d-host star: %d wire messages, budget is exactly %d",
-				n, got, want)
+		c, sess, workers := star(t, scenario.Numbered("h%02d", 0, n), false)
+		perCircuit := uint64(2 * (n - 1))
+		for _, row := range []struct {
+			name string
+			want uint64
+			op   func() error
+		}{
+			{"snapshot", perCircuit, func() error { _, err := sess.Snapshot(); return err }},
+			{"status sweep", perCircuit, func() error { _, err := sess.Status(); return err }},
+			{"warm remote stop", 2, func() error { return sess.Stop(workers[0]) }},
+		} {
+			cost, err := scenario.Measure(c, row.op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost.Msgs != row.want {
+				t.Errorf("%s over %d-host star: %d wire messages, budget is exactly %d",
+					row.name, n, cost.Msgs, row.want)
+			}
 		}
 	}
 
@@ -170,16 +194,15 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	})
 }
 
-// warmRemoteControlAllocs is the allocation budget of one warm remote
-// Session.Stop, journal and metrics wired, tracer off: the count
-// measured when wait took over the caller's half of every operation.
-// A helper that makes Control's request or response escape (an
-// interface-typed request, a response handed back through a type
-// parameter, a result captured as separate variables) lands here before
-// it lands in a ppmload run.
-const warmRemoteControlAllocs = 35
-
-func TestWarmRemoteControlAllocs(t *testing.T) {
+// TestWarmOperationAllocs holds the allocation count of the three warm
+// operations a run is made of, journal and metrics wired, tracer off,
+// each over the rooted star of its size. The budgets are the counts
+// measured on this tree. A helper that makes Control's request or
+// response escape (an interface-typed request, a response handed back
+// through a type parameter, a result captured as separate variables), or
+// a format call on the flood or sweep reply path, lands here before it
+// lands in a ppmload run.
+func TestWarmOperationAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -187,23 +210,39 @@ func TestWarmRemoteControlAllocs(t *testing.T) {
 			}
 		}
 	}
-	_, sess, err := scenario.Attach(ppm.ClusterConfig{Hosts: scenario.Hosts("a", "b")}, "u", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := sess.Run("b", "job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := func() {
-		if err := sess.Stop(id); err != nil {
-			t.Fatal(err)
+	h8 := scenario.Numbered("h%d", 0, 8)
+	for _, row := range []struct {
+		name   string
+		hosts  []string
+		budget float64
+		op     func(sess *ppm.Session, workers []ppm.GPID) error
+	}{
+		{"remote Session.Stop", []string{"a", "b"}, 35, func(sess *ppm.Session, workers []ppm.GPID) error {
+			return sess.Stop(workers[0])
+		}},
+		{"Session.Snapshot", h8, 640, func(sess *ppm.Session, _ []ppm.GPID) error {
+			_, err := sess.Snapshot()
+			return err
+		}},
+		{"Session.Status", h8, 277, func(sess *ppm.Session, _ []ppm.GPID) error {
+			sw, err := sess.Status()
+			if err == nil && (len(sw.Reports) != 8 || len(sw.Unreachable) != 0) {
+				err = fmt.Errorf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)
+			}
+			return err
+		}},
+	} {
+		_, sess, workers := star(t, row.hosts, true)
+		run := func() {
+			if err := row.op(sess, workers); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 100; i++ {
-		stop() // warm the circuit, the handler pool and the journal ring
-	}
-	if got := testing.AllocsPerRun(200, stop); got > warmRemoteControlAllocs {
-		t.Errorf("warm remote Session.Stop: %.1f allocs, budget %d", got, warmRemoteControlAllocs)
+		for i := 0; i < 1000; i++ {
+			run() // the counts drift by ±1 % until the journal ring has wrapped
+		}
+		if got := testing.AllocsPerRun(200, run); got > row.budget {
+			t.Errorf("warm %s over %d hosts: %.0f allocs, budget %.0f", row.name, len(row.hosts), got, row.budget)
+		}
 	}
 }

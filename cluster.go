@@ -15,6 +15,7 @@ import (
 	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/profile"
+	"ppm/internal/recovery"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/status"
@@ -135,9 +136,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, errors.New("ppm: cluster needs at least one host")
 	}
-	if r := cfg.LPM.Recovery; len(r.List) > 0 || r.User != "" {
-		return nil, errors.New("ppm: LPM.Recovery.List and .User are set per user: call SetRecoveryList")
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -223,13 +221,11 @@ func (c *Cluster) startDaemons(host string) error {
 			return simnet.Addr{}, err
 		}
 		c.port++
-		cfg := c.cfg.LPM
-		cfg.Recovery.List = append([]string(nil), c.rlist[user]...)
-		cfg.Recovery.User = user
+		sites := recovery.Sites{List: append([]string(nil), c.rlist[user]...)}
 		if c.ns != nil {
-			cfg.Recovery.Locator = c.ns
+			sites.Locator = c.ns
 		}
-		l, err := lpm.New(c.kerns[host], c.net, c.dir, c.dmns[host], u, c.port, cfg)
+		l, err := lpm.New(c.kerns[host], c.net, c.dir, c.dmns[host], u, c.port, c.cfg.LPM, sites)
 		if err != nil {
 			return simnet.Addr{}, err
 		}

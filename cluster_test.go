@@ -163,19 +163,6 @@ func TestManagerOnExitedLPMNotReturned(t *testing.T) {
 	}
 }
 
-// The recovery list is per user (SetRecoveryList): the factory fills
-// Recovery.List and .User for each LPM, so values set on the shared LPM
-// config could only be ignored, and are refused instead.
-func TestNewClusterRejectsSharedRecoveryList(t *testing.T) {
-	for _, rc := range []ppm.RecoveryConfig{{List: []string{"a"}}, {User: "felipe"}} {
-		cfg := ppm.ClusterConfig{Hosts: []ppm.HostSpec{{Name: "a"}}}
-		cfg.LPM.Recovery = rc
-		if _, err := ppm.NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "SetRecoveryList") {
-			t.Errorf("NewCluster with LPM.Recovery %+v: %v, want an error naming SetRecoveryList", rc, err)
-		}
-	}
-}
-
 // sessionCalls is every Session method that waits on one LPM call.
 func sessionCalls(s *ppm.Session, id ppm.GPID) map[string]func() (any, error) {
 	only := func(err error) (any, error) { return nil, err }

@@ -33,9 +33,8 @@ func exitCode(t *testing.T, err error) int {
 	return ee.ExitCode()
 }
 
-// TestExitCodePolicy: ppmlint mirrors internal/perf's compare policy —
-// findings exit 1, harness errors exit 2 — so a red lint job is
-// diagnosable from its exit status alone.
+// TestExitCodePolicy: findings exit 1, harness errors exit 2 — so a red
+// lint job is diagnosable from its exit status alone.
 func TestExitCodePolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the ppmlint binary")

@@ -34,11 +34,10 @@
 // that silences nothing is itself reported with the file:line it
 // covered. See DESIGN.md "Determinism invariants".
 //
-// Exit codes mirror internal/perf's compare policy: 0 clean, 1 at
-// least one finding (or unused allowance), 2 harness error (bad
-// invocation, unreadable config, typecheck or analyzer failure) — so a
-// red CI job is immediately diagnosable as lint debt versus a broken
-// lint run.
+// Exit codes: 0 clean, 1 at least one finding (or unused allowance), 2
+// harness error (bad invocation, unreadable config, typecheck or
+// analyzer failure) — so a red CI job is immediately diagnosable as lint
+// debt versus a broken lint run.
 package main
 
 import (

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,8 +64,10 @@ type options struct {
 
 // parseArgs parses and strictly validates the command line: positional
 // arguments are rejected, -journal excludes the other report flags, the
-// journal filter flags require -journal, and every requested kind must
-// name a known record kind (or a dotted prefix of one, e.g. "net").
+// journal filter flags require -journal, every requested kind must name
+// a known record kind (or a dotted prefix of one, e.g. "net"),
+// -journal-host a host the scenario builds, and the time window must not
+// be inverted.
 func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("ppmtrace", flag.ContinueOnError)
@@ -118,8 +121,17 @@ func parseArgs(args []string) (options, error) {
 			return o, err
 		}
 	}
+	if o.journalHost != "" && !slices.Contains(hostNames(o.hosts), o.journalHost) {
+		return o, fmt.Errorf("-journal-host %q is not in the scenario (vax1..vax%d)", o.journalHost, o.hosts)
+	}
+	if o.journalUntil != 0 && o.journalUntil < o.journalSince {
+		return o, fmt.Errorf("-journal-until %v is before -journal-since %v", o.journalUntil, o.journalSince)
+	}
 	return o, nil
 }
+
+// hostNames are the scenario's hosts: vax1, vax2, ...
+func hostNames(n int) []string { return scenario.Numbered("vax%d", 1, n) }
 
 func main() {
 	o, err := parseArgs(os.Args[1:])
@@ -139,7 +151,7 @@ func main() {
 }
 
 func run(o options) error {
-	names := scenario.Numbered("vax%d", 1, o.hosts)
+	names := hostNames(o.hosts)
 	cc := ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}
 	if o.drops > 0 {
 		// Losses sever circuits; give the retry engine headroom so the

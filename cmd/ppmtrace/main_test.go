@@ -70,6 +70,8 @@ func TestParseArgsRejections(t *testing.T) {
 		{"host without journal", []string{"-journal-host", "vax1"}, "require -journal"},
 		{"since without journal", []string{"-journal-since", "1s"}, "require -journal"},
 		{"unknown kind", []string{"-journal", "-journal-kinds", "bogus.kind"}, "unknown journal kind"},
+		{"host outside the scenario", []string{"-journal", "-journal-host", "nosuchhost"}, "not in the scenario (vax1..vax2)"},
+		{"inverted window", []string{"-journal", "-journal-since", "5s", "-journal-until", "1s"}, "is before -journal-since"},
 		{"unknown flag", []string{"-frobnicate"}, "not defined"},
 	}
 	for _, tc := range cases {

@@ -23,7 +23,7 @@ import (
 var goToolFlags = map[string]bool{
 	"bench":     true,
 	"benchmem":  true,
-	"benchtime": true, // also registered by ppmbench, but `go test -benchtime` is documented too
+	"benchtime": true,
 	"count":     true,
 	"race":      true,
 	"run":       true,
@@ -186,10 +186,6 @@ func TestKnownFlagsStayRegistered(t *testing.T) {
 		{"partition", "ppmtop"},
 		{"journal-kinds", "ppmtrace"},
 		{"journal-host", "ppmtrace"},
-		{"compare", "ppmbench"},
-		{"threshold", "ppmbench"},
-		{"informational", "ppmbench"},
-		{"benchtime", "ppmbench"},
 		{"supervise", "ppmrun"},
 		{"chaos", "ppmrun"},
 		{"folded", "ppmprof"},

@@ -367,9 +367,10 @@ type LPM struct {
 }
 
 // New creates and starts an LPM for user on the host, listening on
-// acceptPort. It is normally invoked by the pmd's LPM factory.
-func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
-	dmns *daemon.Daemons, user *auth.User, acceptPort uint16, cfg Config) (*LPM, error) {
+// acceptPort, with the user's CCS sites. It is normally invoked by the
+// pmd's LPM factory.
+func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daemon.Daemons,
+	user *auth.User, acceptPort uint16, cfg Config, sites recovery.Sites) (*LPM, error) {
 	cfg = cfg.withDefaults()
 	l := &LPM{
 		user:        user,
@@ -415,7 +416,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 		return nil, fmt.Errorf("lpm listen: %w", err)
 	}
 	kern.SetEventSink(user.Name, l.onKernelEvent)
-	l.rec = recovery.New((*recEnv)(l), cfg.Recovery)
+	l.rec = recovery.New((*recEnv)(l), cfg.Recovery, user.Name, sites)
 	l.lastActivity = l.sched.Now()
 	l.armTTL()
 	return l, nil

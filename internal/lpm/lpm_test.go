@@ -12,6 +12,7 @@ import (
 	"ppm/internal/history"
 	"ppm/internal/kernel"
 	"ppm/internal/proc"
+	"ppm/internal/recovery"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/wire"
@@ -29,6 +30,7 @@ type world struct {
 	dmns  map[string]*daemon.Daemons
 	lpms  map[string]*LPM // key: host + "/" + user
 	cfg   Config
+	rlist []string // every user's .recovery list
 	port  uint16
 }
 
@@ -84,7 +86,7 @@ func newWorldNet(t *testing.T, cfg Config, opts simnet.Options, hosts []string, 
 			if err != nil {
 				return simnet.Addr{}, err
 			}
-			l, err := New(w.kerns[h], w.net, w.dir, w.dmns[h], u, w.port, w.cfg)
+			l, err := New(w.kerns[h], w.net, w.dir, w.dmns[h], u, w.port, w.cfg, recovery.Sites{List: w.rlist})
 			if err != nil {
 				return simnet.Addr{}, err
 			}
@@ -823,9 +825,8 @@ func TestNoHandlerReuseForksEveryTime(t *testing.T) {
 // --- recovery ---
 
 func TestCrashOfCCSFailsOverToRecoveryList(t *testing.T) {
-	cfg := Config{}
-	cfg.Recovery.List = []string{"a", "b"}
-	w := newWorld(t, cfg, []string{"a", "b"})
+	w := newWorld(t, Config{}, []string{"a", "b"})
+	w.rlist = []string{"a", "b"}
 	u := w.user("felipe", "a", "b")
 	la := w.attach("a", u)
 	la.Recovery().SetCCS("a")
@@ -846,10 +847,10 @@ func TestCrashOfCCSFailsOverToRecoveryList(t *testing.T) {
 
 func TestIsolatedLPMTimeToDieKillsProcesses(t *testing.T) {
 	cfg := Config{}
-	cfg.Recovery.List = []string{"a"} // only the (about to die) home host
 	cfg.Recovery.TimeToDie = time.Minute
 	cfg.Recovery.RetryEvery = 20 * time.Second
 	w := newWorld(t, cfg, []string{"a", "b"})
+	w.rlist = []string{"a"} // only the (about to die) home host
 	u := w.user("felipe", "a", "b")
 	la := w.attach("a", u)
 	la.Recovery().SetCCS("a")
@@ -870,9 +871,9 @@ func TestIsolatedLPMTimeToDieKillsProcesses(t *testing.T) {
 
 func TestPartitionProducesTwoCCSsThenRejoins(t *testing.T) {
 	cfg := Config{}
-	cfg.Recovery.List = []string{"a", "b"}
 	cfg.Recovery.ProbeEvery = 20 * time.Second
 	w := newWorld(t, cfg, []string{"a", "b", "c"})
+	w.rlist = []string{"a", "b"}
 	u := w.user("felipe", "a", "b", "c")
 	la := w.attach("a", u)
 	la.Recovery().SetCCS("a")

@@ -80,16 +80,19 @@ type Locator interface {
 	RegisterCCS(user, host string)
 }
 
-// Config tunes the recovery machine.
-type Config struct {
+// Sites is where one user's CCS may reside: what every LPM of that user
+// is handed alongside the installation-wide Config.
+type Sites struct {
 	// List is the .recovery file: hosts in decreasing priority order on
 	// which the CCS should reside.
 	List []string
 	// Locator, when set, is consulted before the list: a name-server
 	// driven recovery strategy. CCS changes are registered back.
 	Locator Locator
-	// User identifies this PPM to the locator.
-	User string
+}
+
+// Config tunes the recovery machine.
+type Config struct {
 	// TimeToDie is how long an isolated LPM waits before terminating
 	// the user's local processes and exiting.
 	TimeToDie time.Duration
@@ -121,8 +124,10 @@ func (c Config) withDefaults() Config {
 
 // Manager is the per-LPM recovery state machine.
 type Manager struct {
-	env Env
-	cfg Config
+	env   Env
+	cfg   Config
+	user  string // identifies this PPM to the locator
+	sites Sites
 
 	state    State
 	ccs      string // current CCS host ("" = none known)
@@ -143,9 +148,10 @@ type Manager struct {
 	Transitions int
 }
 
-// New creates a recovery manager in the Normal state with no known CCS.
-func New(env Env, cfg Config) *Manager {
-	return &Manager{env: env, cfg: cfg.withDefaults(), state: Normal}
+// New creates user's recovery manager in the Normal state with no known
+// CCS.
+func New(env Env, cfg Config, user string, sites Sites) *Manager {
+	return &Manager{env: env, cfg: cfg.withDefaults(), user: user, sites: sites, state: Normal}
 }
 
 // State returns the current state.
@@ -189,8 +195,8 @@ func (m *Manager) SetCCS(host string) {
 	m.dieTimer.Cancel()
 	m.retryTmr.Cancel()
 	m.setState(Normal)
-	if m.cfg.Locator != nil && m.IsCCS() {
-		m.cfg.Locator.RegisterCCS(m.cfg.User, host)
+	if m.sites.Locator != nil && m.IsCCS() {
+		m.sites.Locator.RegisterCCS(m.user, host)
 	}
 	// A CCS that is not the top-priority host keeps probing the hosts
 	// higher on the list, at low frequency, to rejoin them.
@@ -202,7 +208,7 @@ func (m *Manager) SetCCS(host string) {
 }
 
 func (m *Manager) topOfList() bool {
-	return len(m.cfg.List) == 0 || m.cfg.List[0] == m.env.HostName()
+	return len(m.sites.List) == 0 || m.sites.List[0] == m.env.HostName()
 }
 
 // OnSiblingLost is called when a sibling circuit breaks. Per the paper,
@@ -314,11 +320,11 @@ func (m *Manager) redialWalk(hosts []string, i int) {
 func (m *Manager) startSeek() {
 	m.setState(Seeking)
 	m.seekPos = 0
-	if m.cfg.Locator == nil {
+	if m.sites.Locator == nil {
 		m.seekNext()
 		return
 	}
-	m.cfg.Locator.LocateCCS(m.cfg.User, func(host string, ok bool) {
+	m.sites.Locator.LocateCCS(m.user, func(host string, ok bool) {
 		if m.stopped || m.state != Seeking {
 			return
 		}
@@ -358,11 +364,11 @@ func (m *Manager) seekNext() {
 	if m.stopped || m.state != Seeking {
 		return
 	}
-	if m.seekPos >= len(m.cfg.List) {
+	if m.seekPos >= len(m.sites.List) {
 		m.becomeIsolated()
 		return
 	}
-	candidate := m.cfg.List[m.seekPos]
+	candidate := m.sites.List[m.seekPos]
 	m.seekPos++
 	if candidate == m.env.HostName() {
 		// The list says the CCS should reside here: take over.
@@ -426,7 +432,7 @@ func (m *Manager) probeHigher(i int) {
 	}
 	// Hosts strictly above us in the list.
 	var higher []string
-	for _, h := range m.cfg.List {
+	for _, h := range m.sites.List {
 		if h == m.env.HostName() {
 			break
 		}

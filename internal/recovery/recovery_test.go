@@ -69,7 +69,7 @@ func run(t *testing.T, f *fakeEnv, d time.Duration) {
 
 func TestInitialSetCCS(t *testing.T) {
 	f := newFake("vax2")
-	m := New(f, Config{List: []string{"vax1", "vax2"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	if m.CCS() != "vax1" || m.State() != Normal || m.IsCCS() {
 		t.Fatalf("ccs=%q state=%v isccs=%v", m.CCS(), m.State(), m.IsCCS())
@@ -78,7 +78,7 @@ func TestInitialSetCCS(t *testing.T) {
 
 func TestLostCCSFailsOverToNextOnList(t *testing.T) {
 	f := newFake("vax3", "vax2") // vax1 (old CCS) dead, vax2 alive
-	m := New(f, Config{List: []string{"vax1", "vax2", "vax3"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -96,7 +96,7 @@ func TestLostCCSFailsOverToNextOnList(t *testing.T) {
 
 func TestSelfOnListBecomesCCS(t *testing.T) {
 	f := newFake("vax2") // nothing reachable
-	m := New(f, Config{List: []string{"vax1", "vax2", "vax3"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -118,7 +118,7 @@ func TestSelfOnListBecomesCCS(t *testing.T) {
 
 func TestPartitionRejoinDemotesCCS(t *testing.T) {
 	f := newFake("vax2")
-	m := New(f, Config{List: []string{"vax1", "vax2"}, ProbeEvery: 10 * time.Second})
+	m := New(f, Config{ProbeEvery: 10 * time.Second}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1") // partition: vax1 unreachable
 	run(t, f, time.Second)
@@ -143,11 +143,7 @@ func TestPartitionRejoinDemotesCCS(t *testing.T) {
 
 func TestIsolationTimeToDie(t *testing.T) {
 	f := newFake("vax3") // nothing reachable, self not on list
-	m := New(f, Config{
-		List:       []string{"vax1", "vax2"},
-		TimeToDie:  time.Minute,
-		RetryEvery: 20 * time.Second,
-	})
+	m := New(f, Config{TimeToDie: time.Minute, RetryEvery: 20 * time.Second}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -162,11 +158,7 @@ func TestIsolationTimeToDie(t *testing.T) {
 
 func TestIsolationRescuedByRetry(t *testing.T) {
 	f := newFake("vax3")
-	m := New(f, Config{
-		List:       []string{"vax1", "vax2"},
-		TimeToDie:  5 * time.Minute,
-		RetryEvery: 10 * time.Second,
-	})
+	m := New(f, Config{TimeToDie: 5 * time.Minute, RetryEvery: 10 * time.Second}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -187,7 +179,7 @@ func TestIsolationRescuedByRetry(t *testing.T) {
 
 func TestIsolationRescuedByContact(t *testing.T) {
 	f := newFake("vax3")
-	m := New(f, Config{List: []string{"vax1"}, TimeToDie: time.Minute})
+	m := New(f, Config{TimeToDie: time.Minute}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -207,7 +199,7 @@ func TestIsolationRescuedByContact(t *testing.T) {
 
 func TestOnContactDoesNotOverrideNormal(t *testing.T) {
 	f := newFake("vax2")
-	m := New(f, Config{List: []string{"vax1"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.OnContact("vax9")
 	if m.CCS() != "vax1" {
@@ -217,7 +209,7 @@ func TestOnContactDoesNotOverrideNormal(t *testing.T) {
 
 func TestOnContactFillsUnknownCCS(t *testing.T) {
 	f := newFake("vax2")
-	m := New(f, Config{})
+	m := New(f, Config{}, "", Sites{})
 	m.OnContact("vax1")
 	if m.CCS() != "vax1" {
 		t.Fatal("contact should fill an unknown CCS")
@@ -226,7 +218,7 @@ func TestOnContactFillsUnknownCCS(t *testing.T) {
 
 func TestLossOfNonCCSSiblingChecksCCS(t *testing.T) {
 	f := newFake("vax2", "vax1")
-	m := New(f, Config{List: []string{"vax1"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax9") // some other sibling died
 	run(t, f, time.Second)
@@ -240,7 +232,7 @@ func TestLossOfNonCCSSiblingChecksCCS(t *testing.T) {
 
 func TestCCSIgnoresSiblingLoss(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{List: []string{"vax1"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1") // we are the CCS
 	m.OnSiblingLost("vax2")
 	run(t, f, time.Second)
@@ -254,7 +246,7 @@ func TestCCSIgnoresSiblingLoss(t *testing.T) {
 
 func TestStopHaltsEverything(t *testing.T) {
 	f := newFake("vax3")
-	m := New(f, Config{List: []string{"vax1"}, TimeToDie: time.Minute})
+	m := New(f, Config{TimeToDie: time.Minute}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -267,7 +259,7 @@ func TestStopHaltsEverything(t *testing.T) {
 
 func TestTopOfListCCSDoesNotProbe(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{List: []string{"vax1", "vax2"}, ProbeEvery: 5 * time.Second})
+	m := New(f, Config{ProbeEvery: 5 * time.Second}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	run(t, f, time.Minute)
 	if len(f.probes) != 0 {
@@ -284,7 +276,7 @@ func TestStateStrings(t *testing.T) {
 
 func TestEmptyListIsolatesImmediately(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{TimeToDie: time.Minute})
+	m := New(f, Config{TimeToDie: time.Minute}, "", Sites{})
 	// Empty list and we are "top of list" by definition, but with no
 	// CCS set a loss walks an empty list and isolates.
 	m.ccs = "vax9"
@@ -324,7 +316,7 @@ func (f *fakeLocator) RegisterCCS(user, host string) {
 func TestLocatorDrivesRecovery(t *testing.T) {
 	f := newFake("vax3", "vax7") // vax7 reachable but NOT on any list
 	loc := &fakeLocator{ccs: map[string]string{"felipe": "vax7"}}
-	m := New(f, Config{User: "felipe", Locator: loc, List: []string{"vax1"}})
+	m := New(f, Config{}, "felipe", Sites{List: []string{"vax1"}, Locator: loc})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -339,7 +331,7 @@ func TestLocatorDrivesRecovery(t *testing.T) {
 func TestLocatorDownFallsBackToList(t *testing.T) {
 	f := newFake("vax3", "vax2")
 	loc := &fakeLocator{down: true}
-	m := New(f, Config{User: "felipe", Locator: loc, List: []string{"vax1", "vax2"}})
+	m := New(f, Config{}, "felipe", Sites{List: []string{"vax1", "vax2"}, Locator: loc})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -351,7 +343,7 @@ func TestLocatorDownFallsBackToList(t *testing.T) {
 func TestLocatorAnswerUnreachableFallsBack(t *testing.T) {
 	f := newFake("vax3", "vax2") // vax7 (the stale registration) is down
 	loc := &fakeLocator{ccs: map[string]string{"felipe": "vax7"}}
-	m := New(f, Config{User: "felipe", Locator: loc, List: []string{"vax1", "vax2"}})
+	m := New(f, Config{}, "felipe", Sites{List: []string{"vax1", "vax2"}, Locator: loc})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -363,7 +355,7 @@ func TestLocatorAnswerUnreachableFallsBack(t *testing.T) {
 func TestLocatorAnswerIsSelf(t *testing.T) {
 	f := newFake("vax3")
 	loc := &fakeLocator{ccs: map[string]string{"felipe": "vax3"}}
-	m := New(f, Config{User: "felipe", Locator: loc})
+	m := New(f, Config{}, "felipe", Sites{Locator: loc})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -375,7 +367,7 @@ func TestLocatorAnswerIsSelf(t *testing.T) {
 func TestBecomingCCSRegistersWithLocator(t *testing.T) {
 	f := newFake("vax2")
 	loc := &fakeLocator{}
-	m := New(f, Config{User: "felipe", Locator: loc, List: []string{"vax1", "vax2"}})
+	m := New(f, Config{}, "felipe", Sites{List: []string{"vax1", "vax2"}, Locator: loc})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1") // vax1 dead, locator empty -> list -> self
 	run(t, f, time.Second)
@@ -389,7 +381,7 @@ func TestBecomingCCSRegistersWithLocator(t *testing.T) {
 
 func TestStoppedManagerIgnoresAllInputs(t *testing.T) {
 	f := newFake("vax2", "vax1")
-	m := New(f, Config{List: []string{"vax1"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.Stop()
 	m.SetCCS("vax9")
@@ -414,7 +406,7 @@ func TestSeekSkipsUnreachableLocatorAndConnectFailure(t *testing.T) {
 	// reachability between the two calls.
 	origConnect := f.connects
 	_ = origConnect
-	m := New(f, Config{List: []string{"vax1", "vax3"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax3"}})
 	m.SetCCS("vax1")
 	// Intercept: after the probe fires, drop reachability so the
 	// connect fails.
@@ -433,11 +425,7 @@ func TestSeekSkipsUnreachableLocatorAndConnectFailure(t *testing.T) {
 
 func TestIsolatedReseekWhileStillIsolatedReschedules(t *testing.T) {
 	f := newFake("vax3")
-	m := New(f, Config{
-		List:       []string{"vax1"},
-		TimeToDie:  time.Hour,
-		RetryEvery: 10 * time.Second,
-	})
+	m := New(f, Config{TimeToDie: time.Hour, RetryEvery: 10 * time.Second}, "", Sites{List: []string{"vax1"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -456,10 +444,7 @@ func TestIsolatedReseekWhileStillIsolatedReschedules(t *testing.T) {
 
 func TestProbeHigherSkipsUnreachableThenRetries(t *testing.T) {
 	f := newFake("vax3")
-	m := New(f, Config{
-		List:       []string{"vax1", "vax2", "vax3"},
-		ProbeEvery: 10 * time.Second,
-	})
+	m := New(f, Config{ProbeEvery: 10 * time.Second}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
 	m.SetCCS("vax3") // acting CCS, two higher-priority hosts both down
 	run(t, f, time.Minute)
 	// Both vax1 and vax2 probed repeatedly.
@@ -485,7 +470,7 @@ func TestProbeHigherSkipsUnreachableThenRetries(t *testing.T) {
 
 func TestRedialLoopReknitsLostSibling(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{})
+	m := New(f, Config{}, "", Sites{})
 	m.SetCCS("vax1") // self is CCS: the loss triggers no seek, only redial
 	m.OnSiblingLost("vax2")
 	if got := m.LostSiblings(); len(got) != 1 || got[0] != "vax2" {
@@ -514,7 +499,7 @@ func TestRedialLoopReknitsLostSibling(t *testing.T) {
 
 func TestRedialWalksAllLostHostsInOrder(t *testing.T) {
 	f := newFake("vax1", "vax3", "vax4")
-	m := New(f, Config{})
+	m := New(f, Config{}, "", Sites{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax4")
 	m.OnSiblingLost("vax3")
@@ -530,7 +515,7 @@ func TestRedialWalksAllLostHostsInOrder(t *testing.T) {
 
 func TestRedialSkipsHostThatDialedBack(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{})
+	m := New(f, Config{}, "", Sites{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax2")
 	m.OnSiblingUp("vax2") // the peer re-dialed us before the timer fired
@@ -545,7 +530,7 @@ func TestRedialRunsWhileSeeking(t *testing.T) {
 	// redial loop so the circuit re-knits after the heal, not only the
 	// CCS role.
 	f := newFake("vax2")
-	m := New(f, Config{List: []string{"vax1", "vax2"}})
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
 	run(t, f, time.Second)
@@ -564,7 +549,7 @@ func TestRedialRunsWhileSeeking(t *testing.T) {
 
 func TestStopCancelsRedial(t *testing.T) {
 	f := newFake("vax1")
-	m := New(f, Config{})
+	m := New(f, Config{}, "", Sites{})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax2")
 	m.Stop()

@@ -3,9 +3,9 @@
 // with its user and session, the coordinator-and-workers star the CLIs
 // and experiments script, and the measurement every experiment takes —
 // virtual time plus the wire traffic an operation caused. The
-// experiments, ppmbench, ppmtop, ppmprof and ppmtrace all build through
-// it; cmd/ppmrun, cmd/ppmsh and the examples call the public API
-// directly, because each builds one bespoke installation.
+// experiments, ppmtop, ppmprof and ppmtrace all build through it;
+// cmd/ppmrun, cmd/ppmsh and the examples call the public API directly,
+// because each builds one bespoke installation.
 package scenario
 
 import (
@@ -86,7 +86,7 @@ func Named(name string) func(host string) string {
 }
 
 // Star runs a coordinator on the session's home host and Workers under
-// it: the computation ppmtop, ppmprof and the 8-host benchmark rows
+// it: the computation ppmtop, ppmprof and the 8-host allocation budgets
 // script.
 func Star(sess *ppm.Session, hosts []string, coordinator string, name func(host string) string) ([]ppm.GPID, error) {
 	root, err := sess.Run(sess.Home(), coordinator)

@@ -245,6 +245,37 @@ func TestEmitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDatagramOneAlloc holds a one-hop datagram — send, transit event,
+// handler dispatch, pooled delivery buffer reclaim — to the one
+// allocation that is its delivery closure, registry and journal wired.
+func TestDatagramOneAlloc(t *testing.T) {
+	s, n := threeHostChain(t)
+	n.SetMetrics(metrics.New(nil))
+	jr := journal.New(func() time.Duration { return s.Now().Duration() })
+	jr.SetCapacity(64)
+	n.SetJournal(jr)
+	sent, delivered := 0, 0
+	if err := n.HandleDatagram("b", 100, func(Addr, []byte) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		sent++
+		n.SendDatagram(Addr{"a", 5}, Addr{"b", 100}, []byte("datagram"))
+		if err := s.RunUntilIdle(16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 1 {
+		t.Errorf("a one-hop datagram allocates %v times, want 1", allocs)
+	}
+	if delivered != sent {
+		t.Errorf("delivered %d of %d datagrams", delivered, sent)
+	}
+}
+
 // Journal lines are rendered when read, from values copied at the
 // append: whatever happens afterwards to the things a record describes
 // — the circuit closed, the host crashed, the pooled delivery buffer

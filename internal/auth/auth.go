@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"ppm/internal/detord"
+	"ppm/internal/wire"
 )
 
 // Authentication errors.
@@ -30,13 +31,13 @@ type User struct {
 	// key is the user's secret, shared across hosts via the consistent
 	// account database; it signs tokens and broadcast stamps.
 	key []byte
+	// Stamps signs and checks the user's stamps under key: one keyed MAC
+	// per user, which every LPM and tool of theirs shares as they do the key.
+	Stamps *wire.Signer
 	// rhosts lists hosts from which remote access is permitted without
 	// further proof, mirroring ~/.rhosts.
 	rhosts map[string]bool
 }
-
-// Key returns the user's signing secret.
-func (u *User) Key() []byte { return u.key }
 
 // Directory is the network-wide account database. It is shared by all
 // hosts in the administrative domain, as the paper assumes.
@@ -58,7 +59,8 @@ func (d *Directory) AddUser(name string) *User {
 	}
 	mac := hmac.New(sha256.New, []byte("ppm-domain-salt"))
 	mac.Write([]byte(name))
-	u := &User{Name: name, key: mac.Sum(nil), rhosts: make(map[string]bool)}
+	key := mac.Sum(nil)
+	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), rhosts: make(map[string]bool)}
 	d.users[name] = u
 	return u
 }

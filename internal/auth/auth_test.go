@@ -14,7 +14,7 @@ func TestAddUserIdempotent(t *testing.T) {
 	if a != b {
 		t.Fatal("AddUser should return the existing account")
 	}
-	if !bytes.Equal(a.Key(), b.Key()) {
+	if !bytes.Equal(a.key, b.key) {
 		t.Fatal("keys differ for same account")
 	}
 }
@@ -44,7 +44,7 @@ func TestKeysDifferAcrossUsers(t *testing.T) {
 	d := NewDirectory()
 	a := d.AddUser("a")
 	b := d.AddUser("b")
-	if bytes.Equal(a.Key(), b.Key()) {
+	if bytes.Equal(a.key, b.key) {
 		t.Fatal("different users share a key")
 	}
 }

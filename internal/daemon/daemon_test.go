@@ -147,7 +147,7 @@ type authUserShim struct {
 }
 
 func (s *authUserShim) user() *auth.User {
-	// The token will be minted with key.Key() but presented under
+	// The token will be minted with key's secret but presented under
 	// s.name; VerifyToken must reject it. We go through a throwaway
 	// directory so we can only use exported API.
 	d := auth.NewDirectory()

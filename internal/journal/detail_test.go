@@ -56,6 +56,14 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 		}
 	}
 
+	// The stamp of a flood hop, what lpm's stampID rendered through
+	// Sprintf; the last seq is past the slot and takes the Text fallback.
+	for _, at := range []time.Duration{0, 1500 * time.Microsecond, 2*time.Minute + 3*time.Second + 1, 3 * time.Hour} {
+		for _, seq := range []uint64{1, 1<<31 - 1, 1 << 31} {
+			check(journal.FloodStamp("felipe", "h23", at, seq), "user=%s stamp=%s@%v#%d", "felipe", "h23", at, seq)
+		}
+	}
+
 	for op := wire.ControlOp(0); op <= wire.OpSignal+1; op++ {
 		for _, pid := range []proc.PID{0, 6, 12345} {
 			for _, ok := range []bool{true, false} {
@@ -72,6 +80,7 @@ func TestDetailIsASnapshotOfItsValues(t *testing.T) {
 	from, to := []byte("vax1"), []byte("vax2")
 	j.AppendDetail(journal.NetDrop, "vax1",
 		journal.NetMessage(true, string(from), 7, string(to), 8, 14, "injected"), 0, 0)
+	j.AppendDetail(journal.LPMFloodApply, "vax2", journal.FloodStamp(string(from), string(to), time.Second, 9), 0, 0)
 	before := j.Render()
 	copy(from, "XXXX")
 	copy(to, "YYYY")

@@ -16,6 +16,7 @@ package journal
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -207,8 +208,7 @@ func CounterName(k Kind, token string) string {
 // append. Nothing is formatted until a reader asks for the record, so
 // only values — strings, which are immutable, and integers — may ride
 // in a Detail; a site whose detail reads mutable state (a process
-// table, a host list, a stamp still being forwarded) renders it at
-// append and hands over the text.
+// table, a host list) renders it at append and hands over the text.
 type Detail struct {
 	text, s1, s2 string
 	n1, n2, n3   int32 // ports, pids and frame sizes all fit
@@ -227,6 +227,7 @@ const (
 	layoutEventMessage
 	layoutControl
 	layoutOp
+	layoutFloodStamp
 )
 
 // transport names a message's transport: the first token of a net.*
@@ -275,6 +276,12 @@ func (d *Detail) appendTo(b []byte) []byte {
 		b = append(append(b, "user="...), d.text...)
 		b = append(append(b, " op="...), d.s1...)
 		return append(append(b, " type="...), d.s2...)
+	case layoutFloodStamp:
+		// "user=%s stamp=%s@%v#%d" user, origin, mint time (n1, n2), sequence.
+		b = append(append(b, "user="...), d.text...)
+		b = append(append(b, " stamp="...), d.s1...)
+		b = append(append(b, '@'), time.Duration(int64(d.n1)<<32|int64(uint32(d.n2))).String()...)
+		return strconv.AppendInt(append(b, '#'), int64(d.n3), 10)
 	default:
 		// layoutText: the cold sites' ready string, verbatim.
 		return append(b, d.text...)
@@ -317,6 +324,16 @@ func Control(op string, pid int32, ok bool) Detail {
 // "user=alice op=vax1#30#7 type=Control".
 func Op(user, key, msgType string) Detail {
 	return Detail{layout: layoutOp, text: user, s1: key, s2: msgType}
+}
+
+// FloodStamp details a flood by its stamp: "user=alice stamp=vax1@1.5s#7".
+// The mint time takes two slots; a sequence past the third renders here.
+func FloodStamp(user, origin string, at time.Duration, seq uint64) Detail {
+	if seq > math.MaxInt32 {
+		return Text(fmt.Sprintf("user=%s stamp=%s@%v#%d", user, origin, at, seq))
+	}
+	return Detail{layout: layoutFloodStamp, text: user, s1: origin,
+		n1: int32(at >> 32), n2: int32(at), n3: int32(seq)}
 }
 
 // String renders the detail.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ppm/internal/calib"
@@ -117,6 +118,7 @@ type Host struct {
 
 	// CPU executor: serializes modelled CPU demands.
 	busyUntil sim.Time
+	cpu       *cpuQueue // this boot's, built at its first demand
 
 	// Load average machinery: the estimator decays exponentially toward
 	// the instantaneous run-queue length. Instead of periodic sampling
@@ -277,6 +279,8 @@ func (h *Host) LoadAvg() float64 {
 // ExecCPU charges a CPU demand (expressed as reference-machine cost at
 // zero load) to the host's CPU and runs fn when it completes. Demands
 // are serialized: the host has one CPU.
+//
+//ppmlint:hotpath pin=TestExecCPUSteadyStateZeroAllocs
 func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 	if !h.up {
 		return
@@ -287,12 +291,39 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 		start = h.busyUntil
 	}
 	h.busyUntil = start.Add(scaled)
-	boot := h.boots
-	h.sched.At(h.busyUntil, func() {
-		if h.boots == boot && fn != nil {
-			fn()
-		}
-	})
+	q := h.cpu
+	if q == nil {
+		//ppmlint:allow hotalloc once per boot
+		q = &cpuQueue{host: h}
+		q.complete = q.pop
+		h.cpu = q
+	}
+	if len(q.fns) == cap(q.fns) && q.head >= len(q.fns)-q.head { // as many done as waiting: slide down, do not grow
+		q.fns, q.head = slices.Delete(q.fns, 0, q.head), 0
+	}
+	q.fns = append(q.fns, fn)
+	h.sched.At(h.busyUntil, q.complete)
+}
+
+// cpuQueue is the work one boot has charged to the CPU, oldest first.
+// Within a boot busyUntil never moves back and the scheduler is FIFO
+// within an instant, so each completion event runs the oldest entry. A
+// Crash leaves the queue to the dead boot's events, which pop and drop
+// only its entries; the next boot, busyUntil starting over, builds its own.
+type cpuQueue struct {
+	host     *Host
+	fns      []func()
+	head     int    // fns[head:] is still to complete
+	complete func() // pop as a method value, made once: scheduling it allocates nothing
+}
+
+func (q *cpuQueue) pop() {
+	fn := q.fns[q.head]
+	q.fns[q.head] = nil
+	q.head++
+	if q.host.cpu == q && fn != nil {
+		fn()
+	}
 }
 
 // --- process lifecycle ---
@@ -714,7 +745,7 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 		h.tracer.AddSpan(h.name, "kernel.event."+ev.Kind.String(), ctx,
 			ev.At, ev.At+delay)
 	}
-	boot := h.boots // as in ExecCPU: a delivery queued by one boot never completes on the next
+	boot := h.boots // a delivery queued by one boot never completes on the next
 	h.sched.After(delay, func() {
 		if h.up && h.boots == boot {
 			sink(ev)
@@ -815,6 +846,7 @@ func (h *Host) Crash() {
 	h.laBase = 0
 	h.laFrom = h.sched.Now()
 	h.busyUntil = 0
+	h.cpu = nil
 }
 
 // Restart boots the host with an empty process table.

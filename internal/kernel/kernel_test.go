@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -598,6 +599,65 @@ func TestExecCPUDoesNotSurviveCrash(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("work queued before the crash ran on the restarted host")
+	}
+
+	// The interleaving a queue shared across boots gets wrong: the dead
+	// boot's work completes late, the new boot's — its busyUntil starts
+	// over — completes earlier. The dead boot's events must drop their
+	// own entries, not run, drop or delay the new boot's.
+	s, h = newHost(t)
+	var order []string
+	queue := func(name string, cost time.Duration) {
+		h.ExecCPU(cost, func() { order = append(order, name+"@"+s.Now().Duration().String()) })
+	}
+	queue("old-1", 40*time.Millisecond)
+	queue("old-2", 40*time.Millisecond)
+	s.After(time.Millisecond, h.Crash)
+	s.After(2*time.Millisecond, func() {
+		h.Restart()
+		queue("new-1", time.Millisecond)
+		queue("new-2", time.Millisecond)
+		queue("new-3", 100*time.Millisecond) // completes after both of the dead boot's events
+	})
+	if err := s.RunUntilIdle(10000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "new-1@3ms new-2@4ms new-3@104ms"; got != want {
+		t.Fatalf("ran %q across a crash, want %q: each once, in order, on time, the dead boot's never", got, want)
+	}
+}
+
+// TestExecCPUSteadyStateZeroAllocs: once a boot's queue has grown to the
+// depth in use, charging the CPU allocates nothing — no closure per
+// charge, no event (the scheduler recycles them), no queue growth.
+func TestExecCPUSteadyStateZeroAllocs(t *testing.T) {
+	s, h := newHost(t)
+	n := 0
+	fn := func() { n++ }
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			h.ExecCPU(time.Millisecond, fn)
+		}
+		if err := s.RunUntilIdle(1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("ExecCPU allocates %v times per 8 charges, want 0", allocs)
+	}
+	if n != 8*102 {
+		t.Fatalf("%d of %d charges completed", n, 8*102)
+	}
+	// A queue that never drains slides down instead of growing for ever.
+	for i := 0; i < 4; i++ {
+		h.ExecCPU(time.Millisecond, fn)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.ExecCPU(time.Millisecond, fn)
+		s.Step()
+	}); allocs != 0 {
+		t.Fatalf("ExecCPU allocates %v times per charge on a queue that stays 4 deep, want 0", allocs)
 	}
 }
 

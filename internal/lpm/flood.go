@@ -23,12 +23,16 @@ import (
 
 // floodState tracks one in-progress flood at one node.
 type floodState struct {
-	key       string
 	awaiting  int
 	result    wire.FloodResult
 	finished  bool
 	localDone bool
 	finish    func(wire.FloodResult)
+}
+
+// stampDetail is a flood record's detail: whose flood, and which.
+func (l *LPM) stampDetail(s wire.Stamp) journal.Detail {
+	return journal.FloodStamp(l.user.Name, s.Origin, s.At, s.Seq)
 }
 
 // markSeen records a stamp in the dedup window and reports whether it
@@ -82,19 +86,20 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 // aggregated result.
 func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.FloodResult)) {
 	l.floodSeq++
-	stamp := wire.NewStamp(l.user.Key(), l.Host(), l.sched.Now().Duration(), l.floodSeq)
+	// The signature is the signer's buffer until runFlood has encoded it.
+	stamp := l.user.Stamps.Mint(l.Host(), l.sched.Now().Duration(), l.floodSeq)
 	l.markSeen(stamp)
-	l.observe(journal.LPMFloodOrigin, ctx, "user=%s stamp=%s inner=%v", l.user.Name, stampID(stamp), inner.Type)
+	l.observe(journal.LPMFloodOrigin, ctx, "%v inner=%v", l.stampDetail(stamp), inner.Type)
 	bc := wire.Broadcast{
 		Stamp: stamp,
 		Seq:   l.floodSeq,
 		Route: []string{l.Host()},
 		Inner: inner.Encode(),
 	}
-	st := &floodState{key: stamp.Key(), finish: func(res wire.FloodResult) {
+	st := &floodState{finish: func(res wire.FloodResult) {
 		l.learnRoutes(res)
-		l.observe(journal.LPMFloodDone, ctx, "user=%s stamp=%s hosts=%s partial=%s",
-			l.user.Name, stampID(stamp), sortedList(res.Hosts), sortedList(res.Partial))
+		l.observe(journal.LPMFloodDone, ctx, "%v hosts=%s partial=%s",
+			l.stampDetail(stamp), sortedList(res.Hosts), sortedList(res.Partial))
 		cb(res)
 	}}
 	l.runFlood(ctx, st, bc, inner, "")
@@ -113,20 +118,20 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	// Verify the signed stamp: the origin's name appears in it and the
 	// signature binds it to the user's key.
 	var bc wire.Broadcast
-	if wire.Decode(env.Body, &bc) != nil || !bc.Stamp.Verify(l.user.Key()) {
+	if wire.Decode(env.Body, &bc) != nil || !l.user.Stamps.Verify(&bc.Stamp) {
 		refuse()
 		return
 	}
 	if l.markSeen(bc.Stamp) {
 		// An old broadcast request: answer but do not retransmit.
-		l.observe(journal.LPMFloodDup, ctx, "user=%s stamp=%s", l.user.Name, stampID(bc.Stamp))
+		l.record(journal.LPMFloodDup, ctx, l.stampDetail(bc.Stamp))
 		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
 			Seq: bc.Seq, From: l.Host(), Route: bc.Route,
 			Inner: wire.Encode(&wire.FloodResult{OK: true, Dup: true}),
 		}))
 		return
 	}
-	l.metrics.Counter("lpm.flood.forwarded").Inc()
+	l.metrics.Handle(&l.floodForwarded, "lpm.flood.forwarded").Inc()
 	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.journal, l.Host())
 	if err != nil {
 		refuse()
@@ -135,8 +140,8 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	// The closure takes copies: capturing the decoded-into bc would move
 	// it to the heap.
 	fwd, seq := bc, bc.Seq
-	fwd.Route = append(append([]string(nil), bc.Route...), l.Host())
-	st := &floodState{key: bc.Stamp.Key(), finish: func(res wire.FloodResult) {
+	fwd.Route = append(append(make([]string, 0, len(bc.Route)+1), bc.Route...), l.Host())
+	st := &floodState{finish: func(res wire.FloodResult) {
 		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
 			Seq: seq, From: l.Host(), Route: fwd.Route, Inner: wire.Encode(&res),
 		}))
@@ -158,6 +163,10 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	// requests hit the circuits decides queueing delays downstream.
 	detord.SortBy(children, func(sb *sibling) string { return sb.host })
 	st.awaiting = len(children)
+	var body []byte // encoded once, the same bytes go to every child
+	if out := bc; len(children) > 0 {
+		body = wire.Encode(&out) // of a copy: taking bc's address would move it, captured below, to the heap
+	}
 	var local wire.FloodResult
 	var cost time.Duration
 	l.withTraceCtx(ctx, func() { local, cost = l.localFloodWork(inner) })
@@ -178,11 +187,10 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	// retry engine: a lost request or echo is retransmitted under a
 	// stable op id, and the child replays its full cached echo rather
 	// than answering Dup for an already-seen stamp.
-	out := bc // encoded from a copy: taking bc's address would move it, captured below, to the heap
 	for _, child := range children {
 		from := child.host
 		l.opSeq++
-		l.callWithRetry(ctx, from, wire.MsgBroadcast, wire.Encode(&out), l.opSeq, 1, func(env wire.Envelope, err error) {
+		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, l.opSeq, 1, func(env wire.Envelope, err error) {
 			var resp wire.BroadcastResp
 			var res wire.FloodResult
 			err = firstErr(err, wire.Decode(env.Body, &resp))
@@ -191,7 +199,7 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 		})
 	}
 	l.execSpan(ctx, "exec.flood_work", cost, func() {
-		l.observe(journal.LPMFloodApply, ctx, "user=%s stamp=%s", l.user.Name, stampID(bc.Stamp))
+		l.record(journal.LPMFloodApply, ctx, l.stampDetail(bc.Stamp))
 		st.result.OK = true
 		st.result.Count += local.Count
 		st.result.Procs = append(st.result.Procs, local.Procs...)

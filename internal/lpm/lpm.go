@@ -357,6 +357,9 @@ type LPM struct {
 	metrics  *metrics.Registry
 	counters [journal.NumKinds]*metrics.Counter
 	unpaired metrics.Counter
+	// Unpaired per-request and per-hop counters (and histogram), resolved on first fire.
+	floodForwarded, requestsServed, handlerReuses, kernelEvents *metrics.Counter
+	requestRTT                                                  *metrics.Histogram
 	// tracer is the installation-wide causal tracer, also taken from
 	// the network (nil or disabled on untraced runs: every span call
 	// below degrades to a no-op).
@@ -472,16 +475,6 @@ func (l *LPM) chanKey(conn *simnet.Conn) string {
 		local, remote = remote, local
 	}
 	return fmt.Sprintf("%s:%d->%s:%d", local.Host, local.Port, remote.Host, remote.Port)
-}
-
-// stampID renders a broadcast stamp for journal details, lazily (it is
-// only formatted into a wired journal). The stamp's binary Key() is
-// unprintable; origin, mint time and sequence identify it just as
-// uniquely.
-type stampID wire.Stamp
-
-func (s stampID) String() string {
-	return fmt.Sprintf("%s@%v#%d", s.Origin, s.At, s.Seq)
 }
 
 // observe records a fact whose detail is text, formatting it only when
@@ -634,7 +627,7 @@ func (l *LPM) onKernelEvent(ev proc.Event) {
 	if l.exited {
 		return
 	}
-	l.metrics.Counter("lpm.kernel_events").Inc()
+	l.metrics.Handle(&l.kernelEvents, "lpm.kernel_events").Inc()
 	l.touch()
 	l.store.Append(ev)
 	switch ev.Kind {
@@ -683,7 +676,7 @@ func (l *LPM) withHandler(fn func(proc.PID)) {
 	if !l.cfg.NoHandlerReuse && len(l.idleHandlers) > 0 {
 		h := l.idleHandlers[len(l.idleHandlers)-1]
 		l.idleHandlers = l.idleHandlers[:len(l.idleHandlers)-1]
-		l.metrics.Counter("lpm.handler.reuses").Inc()
+		l.metrics.Handle(&l.handlerReuses, "lpm.handler.reuses").Inc()
 		fn(h)
 		return
 	}

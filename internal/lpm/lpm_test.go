@@ -606,7 +606,7 @@ func TestSiblingHelloBadTokenRejected(t *testing.T) {
 			User:     "felipe",
 			FromHost: "vax2",
 			Token:    []byte("forged"),
-			Stamp:    wire.NewStamp([]byte("wrong-key"), "vax2", 0, 1),
+			Stamp:    wire.NewSigner([]byte("wrong-key")).Mint("vax2", 0, 1),
 		}
 		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})
@@ -643,7 +643,7 @@ func TestSiblingHelloWrongUserRejected(t *testing.T) {
 			User:     "mallory",
 			FromHost: "vax2",
 			Token:    auth.MintToken(mallory, "sibling"),
-			Stamp:    wire.NewStamp(mallory.Key(), "vax2", 0, 1),
+			Stamp:    mallory.Stamps.Mint("vax2", 0, 1),
 		}
 		_ = conn.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})

@@ -27,7 +27,7 @@ import (
 // on untraced runs ctx is invalid and every downstream span call
 // no-ops.
 func (l *LPM) toolCall(name string, op func(ctx trace.Context, done func(func()))) {
-	l.metrics.Counter("lpm.requests_served").Inc()
+	l.metrics.Handle(&l.requestsServed, "lpm.requests_served").Inc()
 	l.touch()
 	root := l.tracer.StartTrace(l.Host(), "op."+name)
 	ctx := root.Context()
@@ -402,7 +402,7 @@ func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, erro
 // still in flight is dropped (the sender's next retry finds the cached
 // reply).
 func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
-	l.metrics.Counter("lpm.requests_served").Inc()
+	l.metrics.Handle(&l.requestsServed, "lpm.requests_served").Inc()
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 
 	if env.Type == wire.MsgCCSUpdate {

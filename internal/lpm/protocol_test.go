@@ -41,7 +41,7 @@ func rawSibling(t *testing.T, w *world, u *auth.User, fromHost string,
 			User:     u.Name,
 			FromHost: fromHost,
 			Token:    auth.MintToken(u, "sibling"),
-			Stamp:    wire.NewStamp(u.Key(), fromHost, w.sched.Now().Duration(), 99),
+			Stamp:    u.Stamps.Mint(fromHost, w.sched.Now().Duration(), 99),
 		}
 		_ = c.Send(wire.Envelope{Type: wire.MsgHello, Body: wire.Encode(&hello)}.Encode())
 	})
@@ -190,7 +190,7 @@ func TestProtocolForgedBroadcastStampRejected(t *testing.T) {
 	inner := wire.Envelope{Type: wire.MsgSnapshotReq,
 		Body: wire.Encode(&wire.SnapshotReq{User: u.Name})}
 	bc := wire.Broadcast{
-		Stamp: wire.NewStamp([]byte("not-the-user-key"), "vax2", 0, 1),
+		Stamp: wire.NewSigner([]byte("not-the-user-key")).Mint("vax2", 0, 1),
 		Seq:   1,
 		Route: []string{"vax2"},
 		Inner: inner.Encode(),

@@ -390,17 +390,19 @@ func TestRecordZeroAllocs(t *testing.T) {
 	l := w.attach("vax1", w.user("felipe", "vax1"))
 	ctx := trace.Context{Trace: 7, Span: 9}
 	key := wire.OpKey("vax2", 30, 7)
+	stamp := wire.Stamp{Origin: "vax2", At: 1500 * time.Millisecond, Seq: 7}
 	fire := func() {
 		l.record(journal.LPMControl, ctx, journal.Control(wire.OpStop.String(), 12345, true))
 		l.record(journal.LPMOpExec, ctx, journal.Op(l.user.Name, key, wire.MsgControl.String()))
 		l.record(journal.LPMOpReplay, ctx, journal.Op(l.user.Name, key, wire.MsgControlResp.String()))
+		l.record(journal.LPMFloodApply, ctx, l.stampDetail(stamp))
 	}
 	for i := 0; i < 64; i++ {
 		fire()
 	}
 	before := w.counter("lpm.dedup.replays")
 	if allocs := testing.AllocsPerRun(200, fire); allocs != 0 {
-		t.Fatalf("record allocates %v times per three facts, want 0", allocs)
+		t.Fatalf("record allocates %v times per four facts, want 0", allocs)
 	}
 	if got := w.counter("lpm.dedup.replays") - before; got != 201 {
 		t.Fatalf("lpm.dedup.replays moved by %d over 201 replays", got)
@@ -410,8 +412,9 @@ func TestRecordZeroAllocs(t *testing.T) {
 		"op=stop pid=12345 ok=true",
 		"user=felipe op=vax2#30#7 type=Control",
 		"user=felipe op=vax2#30#7 type=ControlResp",
+		"user=felipe stamp=vax2@1.5s#7",
 	}
-	for i, r := range recs[len(recs)-3:] {
+	for i, r := range recs[len(recs)-4:] {
 		if r.Detail != want[i] || r.Trace != 7 || r.Span != 9 {
 			t.Errorf("record %v, want detail %q under [t=7 s=9]", r, want[i])
 		}

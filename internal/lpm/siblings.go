@@ -87,7 +87,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		return
 	}
 	// ... and a validly signed stamp naming its host.
-	if !hello.Stamp.Verify(l.user.Key()) || hello.Stamp.Origin != hello.FromHost {
+	if !l.user.Stamps.Verify(&hello.Stamp) || hello.Stamp.Origin != hello.FromHost {
 		reject("bad stamp")
 		return
 	}
@@ -308,14 +308,15 @@ func (l *LPM) completeDial(host string, sb *sibling) {
 func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish func(*sibling, error)) {
 	l.circuitTransition(host, circuitAuthenticating, "hello", l.chanKey(conn))
 	l.floodSeq++
-	hello := wire.Hello{
+	// Encoded now: the signature is the signer's buffer until its next Mint.
+	body := wire.Encode(&wire.Hello{
 		User:     l.user.Name,
 		FromHost: l.Host(),
 		Token:    auth.MintToken(l.user, "sibling"),
-		Stamp:    wire.NewStamp(l.user.Key(), l.Host(), l.sched.Now().Duration(), l.floodSeq),
+		Stamp:    l.user.Stamps.Mint(l.Host(), l.sched.Now().Duration(), l.floodSeq),
 		CCSHost:  l.rec.CCS(),
 		Inc:      l.incarnation(),
-	}
+	})
 	answered := false
 	var helloTmr sim.Timer
 	settle := func() {
@@ -391,7 +392,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
-		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: wire.Encode(&hello)}
+		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body}
 		env.SetTrace(ctx.Trace, ctx.Span)
 		//ppmlint:allow errdrop a lost Hello is retried by the redial engine; failure surfaces on circuit close
 		_ = l.sendFramed(conn, env, ctx)
@@ -460,7 +461,10 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 		return // late response after timeout; drop
 	}
 	rtt := l.sched.Now().Sub(pr.sentAt)
-	l.metrics.Histogram("lpm.request_rtt").Observe(rtt)
+	if l.requestRTT == nil {
+		l.requestRTT = l.metrics.Histogram("lpm.request_rtt")
+	}
+	l.requestRTT.Observe(rtt)
 	l.observeOpRTT(pr.op, rtt)
 	l.retire(env.ReqID, pr)(env, nil)
 }
@@ -495,7 +499,9 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		l.reqSeq++
 		id := l.reqSeq
 		pr := &pendingReq{host: sb.host, cb: cb, handler: h, sentAt: l.sched.Now(), op: t}
-		pr.span = l.tracer.StartSpan(l.Host(), "lpm.request."+sb.host, ctx)
+		if ctx.Valid() { // the name is built only for a span that will exist
+			pr.span = l.tracer.StartSpan(l.Host(), "lpm.request."+sb.host, ctx)
+		}
 		rctx := pr.span.Context()
 		if !rctx.Valid() {
 			rctx = ctx

@@ -83,7 +83,7 @@ func (t *ToolClient) hello(cb func(*ToolClient, error)) {
 		User:     t.user.Name,
 		FromHost: t.host,
 		Token:    auth.MintToken(t.user, "sibling"),
-		Stamp:    wire.NewStamp(t.user.Key(), t.host, t.sched.Now().Duration(), 1),
+		Stamp:    t.user.Stamps.Mint(t.host, t.sched.Now().Duration(), 1),
 	}
 	t.call(wire.MsgHello, wire.Encode(&hello), func(env wire.Envelope, err error) {
 		var resp wire.HelloResp

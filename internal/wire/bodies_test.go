@@ -48,7 +48,7 @@ func sampleEvent() proc.Event {
 	}
 }
 
-var sampleStamp = wire.NewStamp([]byte("k"), "vax1", time.Second, 9)
+var sampleStamp = wire.NewSigner([]byte("k")).Mint("vax1", time.Second, 9)
 
 // bodies is every body the protocol carries, populated: rows 0..n-1 are
 // the manifest's ops 1..n in order (TestBodiesCoverTheManifest), then

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,42 +115,122 @@ func TestKernelEventTruncatesLongFields(t *testing.T) {
 }
 
 func TestStampVerify(t *testing.T) {
-	key := []byte("user-secret")
-	s := NewStamp(key, "vax1", time.Second, 3)
-	if !s.Verify(key) {
+	sg := NewSigner([]byte("user-secret"))
+	s := sg.Mint("vax1", time.Second, 3)
+	if !sg.Verify(&s) {
 		t.Fatal("valid stamp rejected")
 	}
-	if s.Verify([]byte("other-key")) {
+	if NewSigner([]byte("other-key")).Verify(&s) {
 		t.Fatal("stamp verified under wrong key")
 	}
 	forged := s
 	forged.Origin = "evil"
-	if forged.Verify(key) {
+	if sg.Verify(&forged) {
 		t.Fatal("forged origin accepted")
 	}
 }
 
+// A warm signer mints and verifies in its own buffers; what it refuses
+// and what it signs are what the per-stamp HMAC it replaced did.
+func TestSignerVerifyZeroAllocs(t *testing.T) {
+	// Signatures captured from the free function NewStamp, which built a
+	// fresh hmac.New(sha256.New, key) per stamp, before Signer replaced it.
+	for _, row := range []struct {
+		key, origin string
+		at          time.Duration
+		seq         uint64
+		sig         string
+	}{
+		{"user-secret", "vax1", time.Second, 3,
+			"af30d138cbc0dff6503c957e6255798999753e1421348c0fb19ddbaee8d3dc76"},
+		{"k", "h23", 2*time.Minute + 3*time.Second + 1, 1 << 31,
+			"a72a0f250a6996d34e5f22ce53d547de1401ca1e2daccf66a332d3c0b532abf3"},
+		{"a-much-longer-key-than-one-sha256-block-of-sixty-four-bytes-takes-to-hold", "", 0, 0,
+			"cb6e0f8140575c341c339947e9275b6c878162592774d4ccce9038a1630a11ab"},
+	} {
+		sg := NewSigner([]byte(row.key))
+		for i := 0; i < 2; i++ { // the second mint runs on the reset MAC
+			if got := hex.EncodeToString(sg.Mint(row.origin, row.at, row.seq).Sig); got != row.sig {
+				t.Errorf("mint %d of %q@%v#%d signed %s, NewStamp signed %s", i, row.origin, row.at, row.seq, got, row.sig)
+			}
+		}
+	}
+
+	sg, other := NewSigner([]byte("user-secret")), NewSigner([]byte("other-key"))
+	minted := sg.Mint("vax1", time.Second, 3)
+	good := minted
+	good.Sig = bytes.Clone(minted.Sig) // as a decoded stamp holds it: its own bytes
+	foreign := other.Mint("vax1", time.Second, 3)
+	foreign.Sig = bytes.Clone(foreign.Sig)
+	flipped, truncated := good, good
+	flipped.Sig = bytes.Clone(good.Sig)
+	flipped.Sig[31] ^= 1
+	truncated.Sig = good.Sig[:31]
+	for name, s := range map[string]*Stamp{
+		"signed under another key": &foreign, "flipped signature byte": &flipped,
+		"truncated signature": &truncated, "no signature": {Origin: "vax1", At: time.Second, Seq: 3},
+	} {
+		if sg.Verify(s) {
+			t.Errorf("a stamp with %s was accepted", name)
+		}
+	}
+	if !sg.Verify(&good) || !other.Verify(&foreign) {
+		t.Error("a valid stamp was refused after the forgeries")
+	}
+	// The ownership rule: verifying leaves a minted signature alone, the
+	// next Mint takes the buffer back.
+	if !bytes.Equal(minted.Sig, good.Sig) {
+		t.Error("Verify overwrote the signature of the stamp minted before it")
+	}
+	if sg.Mint("vax9", 0, 1); bytes.Equal(minted.Sig, good.Sig) {
+		t.Error("a second Mint left the first stamp's signature in place: Mint no longer signs in the signer's buffer")
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		s := sg.Mint("vax1", time.Second, 3)
+		if !sg.Verify(&s) || !sg.Verify(&good) || sg.Verify(&flipped) {
+			t.Fatal("warm signer gave a wrong verdict")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("mint + verify on a warm signer: %v allocs, want 0", allocs)
+	}
+}
+
+var keySink string // keeps Stamp.Key's result alive, as the dedup window does
+
 func TestStampKeyUniqueAndStable(t *testing.T) {
-	key := []byte("k")
-	a := NewStamp(key, "vax1", time.Second, 1)
-	b := NewStamp(key, "vax1", time.Second, 2)
-	c := NewStamp(key, "vax2", time.Second, 1)
+	a := Stamp{Origin: "vax1", At: time.Second, Seq: 1}
+	b := Stamp{Origin: "vax1", At: time.Second, Seq: 2}
+	c := Stamp{Origin: "vax2", At: time.Second, Seq: 1}
 	if a.Key() == b.Key() || a.Key() == c.Key() {
 		t.Fatal("stamp keys should differ across seq and origin")
 	}
-	if a.Key() != NewStamp(key, "vax1", time.Second, 1).Key() {
-		t.Fatal("stamp key should be deterministic")
+	if a.Key() != NewSigner([]byte("k")).Mint("vax1", time.Second, 1).Key() {
+		t.Fatal("stamp key should be deterministic, and leave the signature out")
+	}
+	// The identity as the parent built it through a heap Encoder.
+	if want := "\x00\x04vax1\x00\x00\x00\x00\x3b\x9a\xca\x00\x00\x00\x00\x00\x00\x00\x00\x01"; a.Key() != want {
+		t.Fatalf("stamp key %q, want %q", a.Key(), want)
+	}
+	// Built in a stack buffer: the key string is the one allocation.
+	if allocs := testing.AllocsPerRun(100, func() { keySink = a.Key() }); allocs != 1 {
+		t.Fatalf("Stamp.Key: %v allocs, want 1", allocs)
+	}
+	long := Stamp{Origin: strings.Repeat("h", 100), Seq: 1}
+	if len(long.Key()) != 2+100+16 {
+		t.Fatalf("a key longer than the stack buffer came out %d bytes", len(long.Key()))
 	}
 }
 
 func TestStampEncodePreservesSignature(t *testing.T) {
-	key := []byte("k")
-	s := NewStamp(key, "vax1", 5*time.Second, 8)
+	sg := NewSigner([]byte("k"))
+	s := sg.Mint("vax1", 5*time.Second, 8)
 	var got Stamp
 	if err := Decode(Encode(&s), &got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Verify(key) {
+	if !sg.Verify(&got) {
 		t.Fatal("decoded stamp failed verification")
 	}
 	if !bytes.Equal(got.Sig, s.Sig) {

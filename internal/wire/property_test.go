@@ -71,7 +71,8 @@ func TestPropertySnapshotRespRoundTrip(t *testing.T) {
 
 func TestPropertyBroadcastRoundTrip(t *testing.T) {
 	f := func(origin string, at int64, seq uint64, route []string, inner []byte) bool {
-		stamp := NewStamp([]byte("k"), clampStr(origin), time.Duration(at), seq)
+		sg := NewSigner([]byte("k"))
+		stamp := sg.Mint(clampStr(origin), time.Duration(at), seq)
 		var rt []string
 		for i, r := range route {
 			if i >= 8 {
@@ -84,7 +85,7 @@ func TestPropertyBroadcastRoundTrip(t *testing.T) {
 		if Decode(Encode(&m), &got) != nil {
 			return false
 		}
-		if !got.Stamp.Verify([]byte("k")) {
+		if !sg.Verify(&got.Stamp) {
 			return false
 		}
 		return reflect.DeepEqual(got, m) ||

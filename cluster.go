@@ -154,30 +154,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		port:  2000,
 	}
 	c.net = simnet.New(c.sched, simnet.Options{BreakDetect: cfg.BreakDetect})
-	// One registry per cluster, stamped with this cluster's virtual
-	// clock: identical runs produce identical snapshots.
-	c.reg = metrics.New(func() time.Duration { return c.sched.Now().Duration() })
-	c.net.SetMetrics(c.reg)
-	// One causal tracer per cluster, on the same virtual clock. It
-	// starts disabled: untraced operations record nothing and carry no
-	// trace context on the wire.
-	c.tr = trace.New(func() time.Duration { return c.sched.Now().Duration() })
-	c.net.SetTracer(c.tr)
-	// One flight recorder per cluster, again on the virtual clock:
-	// append order is scheduler order, so identical seeds produce
-	// byte-identical journals. Records stamp themselves with the
-	// tracer's active span, cross-linking the journal to trace trees.
+	// One registry, one causal tracer and one flight recorder per
+	// cluster, all on this cluster's virtual clock: identical seeds
+	// produce identical snapshots and byte-identical journals (append
+	// order is scheduler order). The tracer starts disabled: untraced
+	// operations record nothing and carry no trace context on the wire.
+	now := func() time.Duration { return c.sched.Now().Duration() }
+	c.reg = metrics.New(now)
+	c.tr = trace.New(now)
 	if !cfg.NoJournal {
-		c.jr = journal.New(func() time.Duration { return c.sched.Now().Duration() })
+		c.jr = journal.New(now)
 		if cfg.JournalCapacity > 0 {
 			c.jr.SetCapacity(cfg.JournalCapacity)
 		}
-		c.jr.SetSpanSource(func() (uint64, uint64) {
-			a := c.tr.Active()
-			return a.Trace, a.Span
-		})
-		c.net.SetJournal(c.jr)
 	}
+	// Every layer states its facts to the one recorder holding the three.
+	rec := journal.NewRecorder(c.reg, c.tr, c.jr)
+	c.net.SetRecorder(rec)
 	if cfg.CCSNameServer {
 		c.ns = &nameServer{ccs: make(map[string]string)}
 	}
@@ -187,9 +180,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		k := kernel.NewHost(c.sched, hs.Name, calib.Model(hs.Type))
-		k.SetMetrics(c.reg)
-		k.SetTracer(c.tr)
-		k.SetJournal(c.jr)
+		k.SetRecorder(rec)
 		c.kerns[hs.Name] = k
 		names = append(names, hs.Name)
 	}
@@ -302,8 +293,8 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot { return c.reg.Snapshot() }
 func (c *Cluster) MetricsReport() string { return c.reg.Report() }
 
 // JournalFilter selects journal records for JournalReport: by kind
-// (prefix match, so e.g. "net" takes the whole family), host, and
-// virtual-time window.
+// (exact; journal.ParseKinds resolves a family prefix such as "net" to
+// its kinds), host, and virtual-time window.
 type JournalFilter = journal.Filter
 
 // JournalKind names one category of journal record.

@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ppm"
+	"ppm/internal/detord"
 	"ppm/internal/journal"
 	"ppm/internal/profile"
 	"ppm/internal/scenario"
@@ -48,7 +50,8 @@ type options struct {
 // parseArgs parses and strictly validates the command line: positional
 // arguments are rejected, -folded and -critical are mutually exclusive
 // output modes, -top must be positive and is meaningless for -folded,
-// and -host must name a host the scenario actually builds.
+// and -host must name a host the scenario actually builds (-op is held
+// to the op types the run recorded, in run).
 func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("ppmprof", flag.ContinueOnError)
@@ -122,6 +125,18 @@ func run(o options, w io.Writer) error {
 	prof, cluster, err := record(o)
 	if err != nil {
 		return err
+	}
+	// Like -host, -op must name something the run holds: a typo would
+	// otherwise read as an empty profile with a clean audit.
+	if o.op != "" {
+		recorded := make(map[string]bool)
+		for _, r := range prof.Requests {
+			recorded[r.Op] = true
+		}
+		if !recorded[o.op] && !recorded["op."+o.op] {
+			return fmt.Errorf("-op %q matches no recorded op type (the run recorded %s)",
+				o.op, strings.Join(detord.Keys(recorded), ", "))
+		}
 	}
 	opts := profile.Options{Op: o.op, Host: o.host, Top: o.top}
 	switch {

@@ -134,6 +134,12 @@ func TestRunFilters(t *testing.T) {
 	if strings.Contains(out, "op.control") {
 		t.Errorf("-op snapshot leaked op.control rows:\n%s", out)
 	}
+	// A typo must not read as an empty profile with a clean audit.
+	var buf bytes.Buffer
+	err := run(options{hosts: 3, op: "nosuch"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `-op "nosuch"`) || !strings.Contains(err.Error(), "op.control, op.control_all, op.create, op.snapshot, op.status") {
+		t.Errorf("-op nosuch: error %v, want one naming the recorded op types; output:\n%s", err, buf.String())
+	}
 	out = runOnce(t, options{hosts: 3, critical: true, top: 1})
 	if got := strings.Count(out, "critical path of slowest"); got != 1 {
 		t.Errorf("-critical -top 1 rendered %d paths, want 1:\n%s", got, out)

@@ -303,3 +303,45 @@ func TestInstantiateCreateFailure(t *testing.T) {
 		t.Fatal("expected create failure to propagate")
 	}
 }
+
+// FuzzParse throws arbitrary text at the description parser, seeded
+// with the sample and every rejected text of TestParseErrors. Parsing
+// never panics; a rejection wraps one of the package's three errors; a
+// plan that parses declares a process, and every name it refers to —
+// parents, watch targets, action targets — is one it declared earlier.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add("# header\n\nproc a on h # trailing\n")
+	for _, text := range []string{"", "frobnicate x", "proc a vax1", "proc a on h\nproc a on h",
+		"proc a on h parent ghost", "proc a on h parent b\nproc b on h", "proc a on h trace everything",
+		"proc a on h\nwatch exit of ghost do kill a", "proc a on h\nwatch exit of a do kill ghost",
+		"proc a on h\nwatch melt of a do kill a", "proc a on h\nwatch signal:SIGWHAT of a do kill a",
+		"proc a on h\nwatch exit of a do dance", "proc a on h\nwatch exit of a do signal a SIGWHAT",
+		"computation", "recovery", "proc a on h wibble", "proc a on h trace", "watch", "proc"} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Parse(text)
+		if err != nil {
+			if p != nil || !errors.Is(err, ErrSyntax) && !errors.Is(err, ErrUnknown) && !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("Parse(%q) = %v, %v: want no plan and one of the package's errors", text, p, err)
+			}
+			return
+		}
+		if len(p.Procs) == 0 {
+			t.Fatalf("Parse(%q) accepted a plan without processes", text)
+		}
+		declared := map[string]bool{}
+		for _, d := range p.Procs {
+			if d.Name == "" || d.Host == "" || declared[d.Name] || d.Parent != "" && !declared[d.Parent] {
+				t.Fatalf("Parse(%q) accepted proc %+v after %v", text, d, declared)
+			}
+			declared[d.Name] = true
+		}
+		for _, w := range p.Watches {
+			if w.Target != "*" && !declared[w.Target] || w.Action.Target != "" && !declared[w.Action.Target] {
+				t.Fatalf("Parse(%q) accepted watch %+v over %v", text, w, declared)
+			}
+		}
+	})
+}

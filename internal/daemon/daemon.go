@@ -59,6 +59,7 @@ type Daemons struct {
 	hostName string
 	kern     *kernel.Host
 	net      *simnet.Network
+	rec      *journal.Recorder // the network's, taken at Start
 	dir      *auth.Directory
 	trust    *auth.Trust
 	factory  LPMFactory
@@ -80,6 +81,7 @@ func Start(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 		hostName: kern.Name(),
 		kern:     kern,
 		net:      net,
+		rec:      net.Recorder(),
 		dir:      dir,
 		trust:    trust,
 		factory:  factory,
@@ -124,7 +126,7 @@ func (d *Daemons) accept(conn *simnet.Conn) {
 // inlined into its method-value wrapper, and in that copy of the
 // literal wire.Decode is a real call: the query and the coder escaped.
 func (d *Daemons) onQuery(conn *simnet.Conn, b []byte) {
-	env, err := wire.DecodeEnvelopeLogged(b, d.net.Journal(), d.hostName)
+	env, err := wire.DecodeEnvelopeLogged(b, d.rec, d.hostName)
 	if err != nil {
 		conn.Close()
 		return
@@ -141,25 +143,13 @@ func (d *Daemons) onQuery(conn *simnet.Conn, b []byte) {
 	}
 	q := decoded // the closures below capture a copy by value; the decoded-into variable would move to the heap
 	from := conn.RemoteAddr().Host
-	sp := d.net.Tracer().StartSpan(d.hostName, "dispatch.pmd", ctx)
+	sp := d.rec.Tracer().StartSpan(d.hostName, "dispatch.pmd", ctx)
 	// Step 2: inetd passes the request to pmd.
 	d.kern.ExecCPU(inetdForwardCost, func() {
 		d.kern.ExecCPU(pmdHandleCost, func() {
 			d.handleQuery(conn, env.ReqID, from, q, ctx, sp)
 		})
 	})
-}
-
-// observe is the daemons' one observation point: it bumps the counter
-// journal.CounterName pairs with kind and appends the record on this
-// host under ctx. The detail is only formatted when a journal is wired.
-func (d *Daemons) observe(kind journal.Kind, ctx trace.Context, format string, args ...any) {
-	if name := journal.CounterName(kind, ""); name != "" {
-		d.net.Metrics().Counter(name).Inc()
-	}
-	if jr := d.net.Journal(); jr.Enabled() {
-		jr.AppendCtx(kind, d.hostName, fmt.Sprintf(format, args...), ctx.Trace, ctx.Span)
-	}
 }
 
 // handleQuery is the pmd: the trusted name server of Figure 2 steps 3-4.
@@ -169,15 +159,15 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: "pmd: not running"}, ctx, sp)
 		return
 	}
-	d.observe(journal.DaemonQuery, ctx, "user=%s from=%s", q.User, fromHost)
+	d.rec.Notef(journal.DaemonQuery, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
 	if err := d.authenticate(fromHost, q); err != nil {
-		d.observe(journal.DaemonAuthFail, ctx, "user=%s from=%s", q.User, fromHost)
+		d.rec.Notef(journal.DaemonAuthFail, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
 		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: err.Error()}, ctx, sp)
 		return
 	}
 	// An existing LPM's address is returned directly.
 	if addr, ok := d.lpms[q.User]; ok {
-		d.observe(journal.DaemonLPMFound, ctx, "user=%s", q.User)
+		d.rec.Notef(journal.DaemonLPMFound, d.hostName, ctx, "user=%s", q.User)
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port,
 		}, ctx, sp)
@@ -193,7 +183,7 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 			return
 		}
 		d.register(q.User, addr)
-		d.observe(journal.DaemonLPMCreated, ctx, "user=%s", q.User)
+		d.rec.Notef(journal.DaemonLPMCreated, d.hostName, ctx, "user=%s", q.User)
 		// Step 4: the accept address is returned.
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port, Created: true,
@@ -223,7 +213,7 @@ func (d *Daemons) reply(conn *simnet.Conn, reqID uint64, resp wire.LPMQueryResp,
 	env.SetTrace(ctx.Trace, ctx.Span)
 	enc := wire.GetEncoder()
 	//ppmlint:allow errdrop response send is fire-and-forget; a dead client just times out its query
-	_ = conn.SendCtx(env.EncodeLoggedTo(enc, d.net.Metrics(), d.net.Journal(), d.hostName), ctx)
+	_ = conn.SendCtx(env.EncodeLoggedTo(enc, d.rec, d.hostName), ctx)
 	wire.PutEncoder(enc)
 }
 
@@ -285,7 +275,8 @@ func QueryLPM(net *simnet.Network, fromHost string, targetHost string,
 // "pmd.query" child of ctx.
 func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
 	user *auth.User, ctx trace.Context, cb func(wire.LPMQueryResp, error)) {
-	sp := net.Tracer().StartSpan(fromHost, "pmd.query."+targetHost, ctx)
+	rec := net.Recorder()
+	sp := rec.Tracer().StartSpan(fromHost, "pmd.query."+targetHost, ctx)
 	qctx := sp.Context()
 	if !qctx.Valid() {
 		qctx = ctx
@@ -301,7 +292,7 @@ func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
 			return
 		}
 		conn.SetHandler(func(b []byte) {
-			env, derr := wire.DecodeEnvelopeLogged(b, net.Journal(), fromHost)
+			env, derr := wire.DecodeEnvelopeLogged(b, rec, fromHost)
 			if derr != nil {
 				done(wire.LPMQueryResp{}, derr)
 				conn.Close()
@@ -322,7 +313,7 @@ func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
 		env.SetTrace(qctx.Trace, qctx.Span)
 		enc := wire.GetEncoder()
 		//ppmlint:allow errdrop query send is fire-and-forget; a lost frame surfaces as the caller's timeout
-		_ = conn.SendCtx(env.EncodeLoggedTo(enc, net.Metrics(), net.Journal(), fromHost), qctx)
+		_ = conn.SendCtx(env.EncodeLoggedTo(enc, rec, fromHost), qctx)
 		wire.PutEncoder(enc)
 	})
 }

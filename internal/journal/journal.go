@@ -136,13 +136,13 @@ const (
 
 // kindTable is the vocabulary, indexed by kind: the dotted name a record
 // renders under (grouped by the layer that appends it) and the metrics
-// counter that counts the same fact. Each layer's observation function
-// bumps that counter at the moment it appends the record, so the two
-// can never disagree (TestJournalMetricsCrossCheck holds every row to
-// that). A "*" stands for the record's first detail token — the
-// transport of a net.send, the event kind of a kernel.event. Kinds
-// without a counter are journaled only; wire.encode's per-type counters
-// derive from the wire manifest instead.
+// counter that counts the same fact. Recorder.Record bumps that counter
+// at the moment it appends the record, so the two can never disagree
+// (TestJournalMetricsCrossCheck holds every row to that). A "*" stands
+// for the record's first detail token — the transport of a net.send,
+// the event kind of a kernel.event. Kinds without a counter are
+// journaled only; wire.encode's per-type counters derive from the wire
+// manifest instead.
 var kindTable = [numKinds]struct{ name, counter string }{
 	NetSend:           {"net.send", "simnet.*.sent"},
 	NetDeliver:        {"net.deliver", ""},
@@ -346,7 +346,7 @@ func (d Detail) String() string {
 }
 
 // NumKinds sizes a table indexed by Kind. It counts the unused slot 0,
-// so the layers' per-kind counter handles index by the kind itself.
+// so such a table indexes by the kind itself.
 const NumKinds = int(numKinds)
 
 // Kinds returns the record kinds in table order.
@@ -472,7 +472,6 @@ const DefaultCapacity = 1 << 16
 // branches on whether the flight recorder is wired.
 type Journal struct {
 	now  func() time.Duration
-	span func() (trace, span uint64)
 	ring *ring.Buffer[entry]
 	seq  uint64 // records ever appended; Seq of the newest record
 }
@@ -492,21 +491,6 @@ func New(now func() time.Duration) *Journal {
 	return &Journal{now: now, ring: ring.NewBuffer[entry](DefaultCapacity)}
 }
 
-// Enabled reports whether the flight recorder is wired at all. Cold
-// sites use it to skip formatting a detail string when the append
-// would be a no-op anyway.
-func (j *Journal) Enabled() bool { return j != nil }
-
-// SetSpanSource installs the tracer cross-link: fn returns the active
-// (trace, span) pair, stamped onto records appended without an explicit
-// context so journal entries and trace trees reference each other.
-func (j *Journal) SetSpanSource(fn func() (trace, span uint64)) {
-	if j == nil {
-		return
-	}
-	j.span = fn
-}
-
 // SetCapacity resizes the ring bound (only before the first append; 0
 // keeps the current capacity).
 func (j *Journal) SetCapacity(n int) {
@@ -516,32 +500,17 @@ func (j *Journal) SetCapacity(n int) {
 	j.ring = ring.NewBuffer[entry](n)
 }
 
-// Append records an event, stamping virtual time and the currently
-// active trace span.
+// Append records a causally unattributed event whose detail is text.
 //
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (j *Journal) Append(kind Kind, host, detail string) {
-	if j == nil {
-		return
-	}
-	var tr, sp uint64
-	if j.span != nil {
-		tr, sp = j.span()
-	}
-	j.AppendDetail(kind, host, Text(detail), tr, sp)
+	j.AppendDetail(kind, host, Text(detail), 0, 0)
 }
 
-// AppendCtx records an event under an explicit trace context (the
-// envelope's own trailer IDs, or a dial/flood context); zero IDs mean
-// the event is causally unattributed.
-//
-//ppmlint:hotpath pin=TestJournalAppendZeroAllocs
-func (j *Journal) AppendCtx(kind Kind, host, detail string, trace, span uint64) {
-	j.AppendDetail(kind, host, Text(detail), trace, span)
-}
-
-// AppendDetail is AppendCtx for a detail handed over as data: the one
-// way into the ring, which the string forms reach through Text.
+// AppendDetail is the one way into the ring: it records an event whose
+// detail is handed over as data, under an explicit trace context (the
+// envelope's own trailer IDs, a dial or flood context, the tracer's
+// active span); zero IDs mean the event is causally unattributed.
 //
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uint64) {

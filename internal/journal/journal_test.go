@@ -50,8 +50,7 @@ func TestRingEviction(t *testing.T) {
 func TestNilJournalNoOps(t *testing.T) {
 	var j *Journal
 	j.Append(NetSend, "a", "x")
-	j.AppendCtx(NetSend, "a", "x", 1, 2)
-	j.SetSpanSource(func() (uint64, uint64) { return 0, 0 })
+	j.AppendDetail(NetSend, "a", Text("x"), 1, 2)
 	j.SetCapacity(10)
 	j.Reset()
 	if j.Len() != 0 || j.Dropped() != 0 || j.Records() != nil || j.Select(Filter{}) != nil {
@@ -68,19 +67,21 @@ func TestNilJournalNoOps(t *testing.T) {
 	}
 }
 
-func TestSpanSource(t *testing.T) {
+// TestAppendStampsItsContext: a record carries the trace context it was
+// appended under and no other — Append's is zero, there is no ambient
+// span source.
+func TestAppendStampsItsContext(t *testing.T) {
 	j, _ := testJournal(8)
-	j.SetSpanSource(func() (uint64, uint64) { return 7, 9 })
 	j.Append(KernelSpawn, "a", "pid=1")
-	j.AppendCtx(WireEncode, "a", "Hello 10B", 3, 4)
+	j.AppendDetail(WireEncode, "a", Text("Hello 10B"), 3, 4)
 	recs := j.Records()
-	if recs[0].Trace != 7 || recs[0].Span != 9 {
-		t.Fatalf("Append stamped %d/%d, want 7/9", recs[0].Trace, recs[0].Span)
+	if recs[0].Trace != 0 || recs[0].Span != 0 {
+		t.Fatalf("Append stamped %d/%d, want 0/0", recs[0].Trace, recs[0].Span)
 	}
 	if recs[1].Trace != 3 || recs[1].Span != 4 {
-		t.Fatalf("AppendCtx stamped %d/%d, want 3/4", recs[1].Trace, recs[1].Span)
+		t.Fatalf("AppendDetail stamped %d/%d, want 3/4", recs[1].Trace, recs[1].Span)
 	}
-	if s := recs[0].String(); !strings.Contains(s, "[t=7 s=9]") {
+	if s := recs[1].String(); !strings.Contains(s, "[t=3 s=4]") {
 		t.Fatalf("String() = %q, want trace suffix", s)
 	}
 }
@@ -433,11 +434,10 @@ func TestAuditTruncation(t *testing.T) {
 func TestRenderByteIdentity(t *testing.T) {
 	build := func() *Journal {
 		j, now := testJournal(8)
-		j.SetSpanSource(func() (uint64, uint64) { return 1, 2 })
 		*now = 5 * time.Millisecond
-		j.Append(NetSend, "a", "datagram a:1->b:2 10B")
+		j.AppendDetail(NetSend, "a", Text("datagram a:1->b:2 10B"), 1, 2)
 		*now = 6 * time.Millisecond
-		j.AppendCtx(WireDecode, "b", "Hello 10B", 0, 0)
+		j.Append(WireDecode, "b", "Hello 10B")
 		return j
 	}
 	a, b := build().Render(), build().Render()
@@ -558,7 +558,7 @@ func TestEntrySize(t *testing.T) {
 
 // TestJournalAppendZeroAllocs: once the ring is full, appending evicts
 // in place — the flight recorder's steady state (the //ppmlint:hotpath
-// pin for Append/AppendCtx/AppendDetail) must stay off the allocator,
+// pin for Append/AppendDetail) must stay off the allocator,
 // whichever form the detail arrives in.
 func TestJournalAppendZeroAllocs(t *testing.T) {
 	j, now := testJournal(64)
@@ -571,7 +571,7 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 	*now = time.Second
 	if allocs := testing.AllocsPerRun(200, func() {
 		j.Append(NetDeliver, "a", "steady")
-		j.AppendCtx(WireEncode, "a", "steady", 7, 9)
+		j.AppendDetail(WireEncode, "a", Text("steady"), 7, 9)
 		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v times per run, want 0", allocs)
@@ -612,7 +612,7 @@ func TestLineMatchesTheFmtReference(t *testing.T) {
 						t.Fatalf("String() = %q, the fmt form gives %q", got, want)
 					}
 					*now = at
-					j.AppendCtx(kind, host, detail, r.Trace, r.Span)
+					j.AppendDetail(kind, host, Text(detail), r.Trace, r.Span)
 					r.Seq = uint64(len(want) + 1)
 					want = append(want, referenceLine(r)+"\n")
 				}

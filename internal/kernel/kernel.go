@@ -20,10 +20,8 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/detord"
 	"ppm/internal/journal"
-	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/sim"
-	"ppm/internal/trace"
 )
 
 // Kernel errors.
@@ -135,17 +133,10 @@ type Host struct {
 	// (the overhead benchmarks' subject; it has no journal kind or metric).
 	UntracedChecks int64
 
-	// Installation-wide metrics registry (nil unless SetMetrics ran),
-	// and record's handles on its counters: one per record kind, and one
-	// per event kind for kernel.events.*.
-	metrics  *metrics.Registry
-	counters counterHandles
-
-	// Cluster-wide causal tracer (nil unless SetTracer ran).
-	tracer *trace.Tracer
-
-	// Cluster-wide flight recorder (nil unless SetJournal ran).
-	journal *journal.Journal
+	// The installation's recorder (nil unless SetRecorder ran): process
+	// lifecycle and delivered trace events are stated to it, each under
+	// the tracer's active span.
+	rec *journal.Recorder
 }
 
 // loadTau is the smoothing constant of the load-average estimator (the
@@ -172,69 +163,18 @@ func NewHost(sched *sim.Scheduler, name string, model calib.CPUModel) *Host {
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
 
-// SetMetrics installs the installation-wide metrics registry (the
-// kernel family: process lifecycle counts and the event-message
-// delivery histogram). A nil registry disables metrics.
-func (h *Host) SetMetrics(reg *metrics.Registry) {
-	h.metrics, h.counters = reg, counterHandles{}
-}
+// SetRecorder installs the installation's recorder. A nil recorder (the
+// default) records nothing.
+func (h *Host) SetRecorder(rec *journal.Recorder) { h.rec = rec }
 
-// counterHandles are record's counters, each resolved on first fire.
-type counterHandles struct {
-	byKind  [journal.NumKinds]*metrics.Counter
-	byEvent [proc.EvClose + 1]*metrics.Counter
-}
-
-// SetTracer installs the cluster-wide causal tracer. Kernel event
-// emission attaches delivery spans to whatever operation context is
-// active at emit time. A nil tracer disables tracing.
-func (h *Host) SetTracer(t *trace.Tracer) { h.tracer = t }
-
-// SetJournal installs the cluster's flight recorder: process lifecycle
-// (spawn/fork/exit) and delivered trace events land in it. A nil
-// journal disables recording.
-func (h *Host) SetJournal(j *journal.Journal) { h.journal = j }
-
-// observe records a process-lifecycle fact, formatting its detail only
-// when a journal is wired.
-func (h *Host) observe(kind journal.Kind, format string, args ...any) {
-	var d journal.Detail
-	if h.journal.Enabled() {
-		d = journal.Text(fmt.Sprintf(format, args...))
-	}
-	h.record(kind, &h.counters.byKind[kind], "", d)
-}
-
-// observeEvent records one kernel-to-LPM event message, the kind of
-// fact that fires per process event: its values go to the journal as
-// they are.
+// observeEvent states one kernel-to-LPM event message, the kind of fact
+// that fires per process event, under the tracer's active span: its
+// values go to the recorder as they are.
 //
 //ppmlint:hotpath pin=TestObserveEventZeroAllocs
 func (h *Host) observeEvent(ev proc.Event) {
-	var uncached *metrics.Counter // an event kind outside the table: resolved by name each time
-	slot, kind := &uncached, ev.Kind.String()
-	if uint(ev.Kind) < uint(len(h.counters.byEvent)) {
-		slot = &h.counters.byEvent[ev.Kind]
-	}
-	h.record(journal.KernelEvent, slot, kind, journal.EventMessage(kind, ev.Proc.Host, int32(ev.Proc.PID)))
-}
-
-// record is the kernel's one observation point: it bumps the counter
-// journal.CounterName pairs with kind (token selects it for the kinds
-// counted per first detail token) and appends the record on this host
-// under the ambient trace span. slot is the caller's handle for that
-// counter, resolved here on first fire.
-//
-//ppmlint:hotpath pin=TestObserveEventZeroAllocs
-func (h *Host) record(kind journal.Kind, slot **metrics.Counter, token string, d journal.Detail) {
-	if *slot == nil && h.metrics != nil {
-		if name := journal.CounterName(kind, token); name != "" {
-			*slot = h.metrics.Counter(name)
-		}
-	}
-	(*slot).Inc()
-	ctx := h.tracer.Active()
-	h.journal.AppendDetail(kind, h.name, d, ctx.Trace, ctx.Span)
+	h.rec.Record(journal.KernelEvent, h.name, h.rec.Tracer().Active(),
+		journal.EventMessage(ev.Kind.String(), ev.Proc.Host, int32(ev.Proc.PID)))
 }
 
 // Model returns the host's CPU model.
@@ -354,7 +294,7 @@ func (h *Host) Spawn(name, user string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[p.PID] = p
-	h.observe(journal.KernelSpawn, "pid=%d name=%s user=%s", p.PID, name, user)
+	h.rec.Notef(journal.KernelSpawn, h.name, h.rec.Tracer().Active(), "pid=%d name=%s user=%s", p.PID, name, user)
 	return p, nil
 }
 
@@ -392,7 +332,7 @@ func (h *Host) Fork(parentPID proc.PID, name string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[child.PID] = child
-	h.observe(journal.KernelFork, "parent=%d child=%d name=%s", parent.PID, child.PID, name)
+	h.rec.Notef(journal.KernelFork, h.name, h.rec.Tracer().Active(), "parent=%d child=%d name=%s", parent.PID, child.PID, name)
 	parent.Rusage.Syscalls++
 	h.emit(parent, proc.Event{
 		Kind:  proc.EvFork,
@@ -416,7 +356,7 @@ func (h *Host) SetLogicalParent(pid proc.PID, parent proc.GPID) error {
 	if !parent.IsZero() {
 		ps = parent.String()
 	}
-	h.observe(journal.KernelSetParent, "pid=%d parent=%s", pid, ps)
+	h.rec.Notef(journal.KernelSetParent, h.name, h.rec.Tracer().Active(), "pid=%d parent=%s", pid, ps)
 	return nil
 }
 
@@ -454,7 +394,7 @@ func (h *Host) Exit(pid proc.PID, code int) error {
 	p.State = proc.Exited
 	p.ExitCode = code
 	p.ExitedAt = h.sched.Now()
-	h.observe(journal.KernelExit, "pid=%d code=%d", pid, code)
+	h.rec.Notef(journal.KernelExit, h.name, h.rec.Tracer().Active(), "pid=%d code=%d", pid, code)
 	h.setRunnable(p, false)
 	h.emit(p, proc.Event{
 		Kind:   proc.EvExit,
@@ -495,7 +435,7 @@ func (h *Host) Signal(pid proc.PID, sig proc.Signal) error {
 		p.State = proc.Exited
 		p.ExitCode = 128 + int(sig)
 		p.ExitedAt = h.sched.Now()
-		h.observe(journal.KernelExit, "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
+		h.rec.Notef(journal.KernelExit, h.name, h.rec.Tracer().Active(), "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
 		h.setRunnable(p, false)
 		h.emit(p, proc.Event{
 			Kind: proc.EvExit, Proc: proc.GPID{Host: h.name, PID: pid},
@@ -737,12 +677,12 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 	ev.At = h.sched.Now().Duration()
 	h.observeEvent(ev)
 	delay := h.model.KernelMsgDelivery(h.LoadAvg())
-	h.metrics.Histogram("kernel.delivery").Observe(delay)
+	h.rec.Metrics().Histogram("kernel.delivery").Observe(delay)
 	// Attribute the 112-byte message's delivery window to the operation
 	// whose kernel action produced it (the caller wraps that region in
 	// Tracer.Exchange).
-	if ctx := h.tracer.Active(); ctx.Valid() {
-		h.tracer.AddSpan(h.name, "kernel.event."+ev.Kind.String(), ctx,
+	if ctx := h.rec.Tracer().Active(); ctx.Valid() {
+		h.rec.Tracer().AddSpan(h.name, "kernel.event."+ev.Kind.String(), ctx,
 			ev.At, ev.At+delay)
 	}
 	boot := h.boots // a delivery queued by one boot never completes on the next

@@ -257,7 +257,7 @@ func TestEventDeliveryLatencyAtZeroLoad(t *testing.T) {
 func TestUntracedSyscallCountsCheckOnly(t *testing.T) {
 	_, h := newHost(t)
 	reg := metrics.New(nil)
-	h.SetMetrics(reg)
+	h.SetRecorder(journal.NewRecorder(reg, nil, nil))
 	p, _ := h.Spawn("job", "felipe")
 	for i := 0; i < 10; i++ {
 		_ = h.Syscall(p.PID, "read")
@@ -681,17 +681,17 @@ func TestEventDoesNotSurviveCrash(t *testing.T) {
 	}
 }
 
-// TestObserveEventZeroAllocs pins the per-event observation — counter
-// handle, typed journal entry — at zero allocations with the registry
-// and the journal both wired, for a tabled event kind and for one
-// outside the table once its counter exists.
+// TestObserveEventZeroAllocs pins the per-event observation — the
+// recorder's Record reached through the kernel: counter handle, typed
+// journal entry — at zero allocations with the registry and the journal
+// both wired, and holds an event kind outside proc's table to its own
+// counter.
 func TestObserveEventZeroAllocs(t *testing.T) {
 	s, h := newHost(t)
 	reg := metrics.New(func() time.Duration { return s.Now().Duration() })
 	j := journal.New(func() time.Duration { return s.Now().Duration() })
 	j.SetCapacity(64)
-	h.SetMetrics(reg)
-	h.SetJournal(j)
+	h.SetRecorder(journal.NewRecorder(reg, nil, j))
 	stop := proc.Event{Kind: proc.EvStop, Proc: proc.GPID{Host: "vax1", PID: 12345}}
 	odd := proc.Event{Kind: proc.EvClose + 7, Proc: stop.Proc}
 	for i := 0; i < 64; i++ {

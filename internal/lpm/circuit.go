@@ -53,7 +53,7 @@ func (l *LPM) circuitTransition(peer string, to circuitState, reason, chanKey st
 		return
 	}
 	l.circuits[peer] = to
-	l.observe(journal.CircuitTransition, l.tracer.Active(),
+	l.obs.Notef(journal.CircuitTransition, l.Host(), l.obs.Tracer().Active(),
 		"user=%s peer=%s chan=%s from=%s to=%s reason=%s", l.user.Name, peer, chanKey, from, to, reason)
 }
 
@@ -84,20 +84,20 @@ func (l *LPM) linktestTick(sb *sibling) {
 	}
 	now := l.sched.Now().Duration()
 	sb.suspicion = sb.det.Suspicion(now)
-	l.metrics.Gauge("lpm.detector.suspicion." + sb.host).Set(int64(sb.suspicion))
+	l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host).Set(int64(sb.suspicion))
 	if sb.suspicion >= closeAfter {
 		// The silence has outrun the estimate far enough that the peer
 		// is presumed gone: close the circuit. The close handler runs
 		// the usual teardown (pending-request failure, recovery
 		// notification); the transition is journaled first so the
 		// audit sees detector-initiated closes as such.
-		l.metrics.Counter("lpm.detector.closes").Inc()
+		l.obs.Metrics().Counter("lpm.detector.closes").Inc()
 		l.circuitTransition(sb.host, circuitClosed, "detector", l.chanKey(sb.conn))
 		sb.conn.Close()
 		return
 	}
 	if sb.suspicion >= suspectAfter && l.circuits[sb.host] == circuitEstablished {
-		l.metrics.Counter("lpm.detector.suspects").Inc()
+		l.obs.Metrics().Counter("lpm.detector.suspects").Inc()
 		l.circuitTransition(sb.host, circuitSuspect, fmt.Sprintf("suspicion-%d", sb.suspicion), l.chanKey(sb.conn))
 	}
 	sb.ltSeq++
@@ -113,7 +113,7 @@ func (l *LPM) observeArrival(sb *sibling) {
 	sb.det.Observe(l.sched.Now().Duration())
 	if sb.suspicion != 0 {
 		sb.suspicion = 0
-		l.metrics.Gauge("lpm.detector.suspicion." + sb.host).Set(0)
+		l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host).Set(0)
 	}
 	if l.circuits[sb.host] == circuitSuspect {
 		l.circuitTransition(sb.host, circuitEstablished, "traffic", l.chanKey(sb.conn))

@@ -18,7 +18,7 @@ func circuitWorld(t *testing.T, cfg Config, breakDetect time.Duration) (*world, 
 	t.Helper()
 	w := newWorldNet(t, cfg, simnet.Options{BreakDetect: breakDetect}, []string{"vax1", "vax2"})
 	j := journal.New(func() time.Duration { return w.sched.Now().Duration() })
-	w.net.SetJournal(j)
+	w.net.SetRecorder(journal.NewRecorder(nil, nil, j))
 	return w, j
 }
 

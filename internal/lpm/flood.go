@@ -89,7 +89,7 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.Fl
 	// The signature is the signer's buffer until runFlood has encoded it.
 	stamp := l.user.Stamps.Mint(l.Host(), l.sched.Now().Duration(), l.floodSeq)
 	l.markSeen(stamp)
-	l.observe(journal.LPMFloodOrigin, ctx, "%v inner=%v", l.stampDetail(stamp), inner.Type)
+	l.obs.Notef(journal.LPMFloodOrigin, l.Host(), ctx, "%v inner=%v", l.stampDetail(stamp), inner.Type)
 	bc := wire.Broadcast{
 		Stamp: stamp,
 		Seq:   l.floodSeq,
@@ -98,7 +98,7 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.Fl
 	}
 	st := &floodState{finish: func(res wire.FloodResult) {
 		l.learnRoutes(res)
-		l.observe(journal.LPMFloodDone, ctx, "%v hosts=%s partial=%s",
+		l.obs.Notef(journal.LPMFloodDone, l.Host(), ctx, "%v hosts=%s partial=%s",
 			l.stampDetail(stamp), sortedList(res.Hosts), sortedList(res.Partial))
 		cb(res)
 	}}
@@ -124,15 +124,15 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	}
 	if l.markSeen(bc.Stamp) {
 		// An old broadcast request: answer but do not retransmit.
-		l.record(journal.LPMFloodDup, ctx, l.stampDetail(bc.Stamp))
+		l.obs.Record(journal.LPMFloodDup, l.Host(), ctx, l.stampDetail(bc.Stamp))
 		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
 			Seq: bc.Seq, From: l.Host(), Route: bc.Route,
 			Inner: wire.Encode(&wire.FloodResult{OK: true, Dup: true}),
 		}))
 		return
 	}
-	l.metrics.Handle(&l.floodForwarded, "lpm.flood.forwarded").Inc()
-	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.journal, l.Host())
+	l.obs.Metrics().Handle(&l.floodForwarded, "lpm.flood.forwarded").Inc()
+	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.obs, l.Host())
 	if err != nil {
 		refuse()
 		return
@@ -199,7 +199,7 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 		})
 	}
 	l.execSpan(ctx, "exec.flood_work", cost, func() {
-		l.record(journal.LPMFloodApply, ctx, l.stampDetail(bc.Stamp))
+		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, l.stampDetail(bc.Stamp))
 		st.result.OK = true
 		st.result.Count += local.Count
 		st.result.Procs = append(st.result.Procs, local.Procs...)
@@ -237,7 +237,7 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 			done(func() {
 				snap := proc.Merge(l.sched.Now().Duration(), res.Procs)
 				snap.Partial = l.uncovered(res)
-				l.observe(journal.SnapshotTaken, ctx, "user=%s procs=%s partial=%s",
+				l.obs.Notef(journal.SnapshotTaken, l.Host(), ctx, "user=%s procs=%s partial=%s",
 					l.user.Name, procList(snap.Procs), strings.Join(snap.Partial, ","))
 				cb(snap, nil)
 			})

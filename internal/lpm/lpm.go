@@ -350,23 +350,15 @@ type LPM struct {
 	ttlTimer     sim.Timer
 	exited       bool
 
-	// metrics is the installation-wide registry, taken from the
-	// network at construction (nil when the network carries none).
-	// counters holds record's handle on each kind's paired counter;
-	// kinds with none point at unpaired, which nothing reads.
-	metrics  *metrics.Registry
-	counters [journal.NumKinds]*metrics.Counter
-	unpaired metrics.Counter
-	// Unpaired per-request and per-hop counters (and histogram), resolved on first fire.
+	// obs is the installation's recorder, taken from the network at
+	// construction (nil when the network carries none: every fact
+	// stated, counter bumped and span started below is then a no-op).
+	// Sites that journal under the ambient operation pass
+	// l.obs.Tracer().Active() as their context.
+	obs *journal.Recorder
+	// The LPM's own per-request and per-hop counters (and histogram), resolved on first fire.
 	floodForwarded, requestsServed, handlerReuses, kernelEvents *metrics.Counter
 	requestRTT                                                  *metrics.Histogram
-	// tracer is the installation-wide causal tracer, also taken from
-	// the network (nil or disabled on untraced runs: every span call
-	// below degrades to a no-op).
-	tracer *trace.Tracer
-	// journal is the installation-wide flight recorder, also taken from
-	// the network (nil when journaling is off: appends no-op).
-	journal *journal.Journal
 }
 
 // New creates and starts an LPM for user on the host, listening on
@@ -397,9 +389,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		records:     make(map[proc.PID]proc.Info),
 		store:       history.NewStore(cfg.HistoryCapacity),
 		seen:        ring.NewWindow[struct{}](cfg.DedupWindow),
-		metrics:     net.Metrics(),
-		tracer:      net.Tracer(),
-		journal:     net.Journal(),
+		obs:         net.Recorder(),
 	}
 	p, err := kern.Spawn("lpm", user.Name)
 	if err != nil {
@@ -477,46 +467,18 @@ func (l *LPM) chanKey(conn *simnet.Conn) string {
 	return fmt.Sprintf("%s:%d->%s:%d", local.Host, local.Port, remote.Host, remote.Port)
 }
 
-// observe records a fact whose detail is text, formatting it only when
-// a journal is wired.
-func (l *LPM) observe(kind journal.Kind, ctx trace.Context, format string, args ...any) {
-	var d journal.Detail
-	if l.journal.Enabled() {
-		d = journal.Text(fmt.Sprintf(format, args...))
-	}
-	l.record(kind, ctx, d)
-}
-
-// record is the LPM's one observation point: a fact the flight
-// recorder knows is stated once, here, and both records of it follow —
-// the counter journal.CounterName pairs with kind (its handle resolved
-// on first fire), and the journal line on this host under ctx. Sites
-// that journal under the ambient operation (the journal's span source)
-// pass l.tracer.Active().
-//
-//ppmlint:hotpath pin=TestRecordZeroAllocs
-func (l *LPM) record(kind journal.Kind, ctx trace.Context, d journal.Detail) {
-	if l.metrics != nil {
-		slot := &l.counters[kind]
-		if *slot == nil {
-			*slot = &l.unpaired
-			if name := journal.CounterName(kind, ""); name != "" {
-				*slot = l.metrics.Counter(name)
-			}
-		}
-		(*slot).Inc()
-	}
-	l.journal.AppendDetail(kind, l.Host(), d, ctx.Trace, ctx.Span)
-}
-
 // withTraceCtx runs fn with ctx installed as the tracer's active
 // context, so kernel events emitted synchronously inside fn (signals,
 // forks, execs) attach to the trace. Safe under the single-goroutine
 // scheduler; a nil or disabled tracer makes this a plain call.
 func (l *LPM) withTraceCtx(ctx trace.Context, fn func()) {
-	old := l.tracer.Exchange(ctx)
+	// ctx is reused to hold the displaced context: with a variable more
+	// the function is past the inlining budget, and a caller whose fn
+	// assigns a captured result (runFlood's) pays a heap move for it.
+	tracer := l.obs.Tracer()
+	ctx = tracer.Exchange(ctx)
 	fn()
-	l.tracer.Exchange(old)
+	tracer.Exchange(ctx)
 }
 
 // --- time-to-live ---
@@ -569,7 +531,7 @@ func (l *LPM) Exit() {
 		return
 	}
 	l.exited = true
-	l.metrics.Counter("lpm.exits").Inc()
+	l.obs.Metrics().Counter("lpm.exits").Inc()
 	l.ttlTimer.Cancel()
 	l.rec.Stop()
 	l.kern.SetEventSink(l.user.Name, nil)
@@ -627,7 +589,7 @@ func (l *LPM) onKernelEvent(ev proc.Event) {
 	if l.exited {
 		return
 	}
-	l.metrics.Handle(&l.kernelEvents, "lpm.kernel_events").Inc()
+	l.obs.Metrics().Handle(&l.kernelEvents, "lpm.kernel_events").Inc()
 	l.touch()
 	l.store.Append(ev)
 	switch ev.Kind {
@@ -661,7 +623,7 @@ func (l *LPM) forwardExit(ev proc.Event, info proc.Info) {
 	if home == "" || home == l.Host() {
 		return
 	}
-	l.observe(journal.LPMExitForward, l.tracer.Active(),
+	l.obs.Notef(journal.LPMExitForward, l.Host(), l.obs.Tracer().Active(),
 		"user=%s proc=%s/%d to=%s", l.user.Name, info.ID.Host, info.ID.PID, home)
 	body := wire.Encode(&wire.ProcExit{User: l.user.Name, Event: ev, Info: info})
 	l.remoteCall(trace.Context{}, home, wire.MsgProcExit, body, func(wire.Envelope, error) {})
@@ -676,11 +638,11 @@ func (l *LPM) withHandler(fn func(proc.PID)) {
 	if !l.cfg.NoHandlerReuse && len(l.idleHandlers) > 0 {
 		h := l.idleHandlers[len(l.idleHandlers)-1]
 		l.idleHandlers = l.idleHandlers[:len(l.idleHandlers)-1]
-		l.metrics.Handle(&l.handlerReuses, "lpm.handler.reuses").Inc()
+		l.obs.Metrics().Handle(&l.handlerReuses, "lpm.handler.reuses").Inc()
 		fn(h)
 		return
 	}
-	l.metrics.Counter("lpm.handler.forks").Inc()
+	l.obs.Metrics().Counter("lpm.handler.forks").Inc()
 	l.kern.ExecCPU(calib.HandlerFork, func() {
 		h, err := l.kern.Fork(l.pid, "lpm-handler")
 		if err != nil {
@@ -729,7 +691,7 @@ func (r *recEnv) ProbeHost(host string, cb func(bool)) {
 		cb(false)
 		return
 	}
-	l.metrics.Counter("lpm.recovery.probes").Inc()
+	l.obs.Metrics().Counter("lpm.recovery.probes").Inc()
 	daemon.QueryLPM(l.net, l.Host(), host, l.user, func(resp wire.LPMQueryResp, err error) {
 		cb(err == nil && resp.OK)
 	})
@@ -748,7 +710,7 @@ func (r *recEnv) ConnectCCS(host string, cb func(bool)) {
 
 func (r *recEnv) AnnounceCCS(host string) {
 	l := r.lpm()
-	l.metrics.Counter("lpm.recovery.ccs_announcements").Inc()
+	l.obs.Metrics().Counter("lpm.recovery.ccs_announcements").Inc()
 	body := wire.Encode(&wire.CCSUpdate{CCSHost: host})
 	for _, h := range l.SiblingHosts() {
 		l.sendOneWay(l.siblings[h], wire.MsgCCSUpdate, body)
@@ -765,13 +727,13 @@ func (r *recEnv) RedialSibling(host string, cb func(bool)) {
 		cb(true)
 		return
 	}
-	l.observe(journal.LPMRedial, l.tracer.Active(), "user=%s peer=%s reason=recovery", l.user.Name, host)
+	l.obs.Notef(journal.LPMRedial, l.Host(), l.obs.Tracer().Active(), "user=%s peer=%s reason=recovery", l.user.Name, host)
 	l.ensureSibling(trace.Context{}, host, func(sb *sibling, err error) {
 		cb(err == nil && sb != nil)
 	})
 }
 
 func (r *recEnv) TerminateAll() {
-	r.lpm().metrics.Counter("lpm.recovery.terminations").Inc()
+	r.lpm().obs.Metrics().Counter("lpm.recovery.terminations").Inc()
 	r.lpm().terminateAll()
 }

@@ -27,9 +27,9 @@ import (
 // on untraced runs ctx is invalid and every downstream span call
 // no-ops.
 func (l *LPM) toolCall(name string, op func(ctx trace.Context, done func(func()))) {
-	l.metrics.Handle(&l.requestsServed, "lpm.requests_served").Inc()
+	l.obs.Metrics().Handle(&l.requestsServed, "lpm.requests_served").Inc()
 	l.touch()
-	root := l.tracer.StartTrace(l.Host(), "op."+name)
+	root := l.obs.Tracer().StartTrace(l.Host(), "op."+name)
 	ctx := root.Context()
 	l.execSpan(ctx, "exec.tool_leg", calib.ToolLeg, func() {
 		op(ctx, func(fin func()) {
@@ -48,11 +48,11 @@ func (l *LPM) toolCall(name string, op func(ctx trace.Context, done func(func())
 // the wrapping closure entirely: instrumentation must not tax hot
 // paths it is not observing.
 func (l *LPM) execSpan(ctx trace.Context, name string, cost time.Duration, fn func()) {
-	if !l.tracer.Enabled() {
+	if !l.obs.Tracer().Enabled() {
 		l.kern.ExecCPU(cost, fn)
 		return
 	}
-	sp := l.tracer.StartSpan(l.Host(), name, ctx)
+	sp := l.obs.Tracer().StartSpan(l.Host(), name, ctx)
 	l.kern.ExecCPU(cost, func() {
 		sp.End()
 		fn()
@@ -72,7 +72,7 @@ func (l *LPM) Adopt(pid proc.PID, cb func(error)) {
 			var err error
 			l.withTraceCtx(ctx, func() { err = l.kern.Adopt(pid, l.user.Name) })
 			if err == nil {
-				l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, pid)
+				l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, pid)
 				if info, ierr := l.kern.Info(pid); ierr == nil {
 					l.records[pid] = info
 				}
@@ -133,7 +133,7 @@ func (l *LPM) createLocal(ctx trace.Context, req wire.CreateProc, cb func(wire.C
 						cb(wire.CreateAck{OK: false, Reason: err.Error()})
 						return
 					}
-					l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, p.PID)
+					l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, p.PID)
 					if info, ierr := l.kern.Info(p.PID); ierr == nil {
 						l.records[p.PID] = info
 					}
@@ -168,7 +168,7 @@ func (l *LPM) createForRemote(ctx trace.Context, req wire.CreateProc, ack func(w
 				ack(wire.CreateAck{OK: false, Reason: err.Error()})
 				return
 			}
-			l.observe(journal.LPMAdopt, ctx, "user=%s pid=%d", l.user.Name, p.PID)
+			l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, p.PID)
 			if info, ierr := l.kern.Info(p.PID); ierr == nil {
 				l.records[p.PID] = info
 			}
@@ -231,7 +231,7 @@ func (l *LPM) applyControl(target proc.PID, op wire.ControlOp, sig proc.Signal) 
 	default:
 		err = fmt.Errorf("%w: op %v", ErrBadRequest, op)
 	}
-	l.record(journal.LPMControl, l.tracer.Active(), journal.Control(op.String(), int32(target), err == nil))
+	l.obs.Record(journal.LPMControl, l.Host(), l.obs.Tracer().Active(), journal.Control(op.String(), int32(target), err == nil))
 	if err != nil {
 		return wire.ControlResp{OK: false, Reason: err.Error()}
 	}
@@ -252,7 +252,7 @@ func (l *LPM) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal, cb f
 	}
 	l.toolCall("control", func(ctx trace.Context, done func(func())) {
 		if l.routeOf(target) == here {
-			csp := l.tracer.StartSpan(l.Host(), "dispatch.control", ctx)
+			csp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.control", ctx)
 			l.kern.ExecCPU(calib.ControlAction, func() {
 				csp.End()
 				var resp wire.ControlResp
@@ -402,7 +402,7 @@ func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, erro
 // still in flight is dropped (the sender's next retry finds the cached
 // reply).
 func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
-	l.metrics.Handle(&l.requestsServed, "lpm.requests_served").Inc()
+	l.obs.Metrics().Handle(&l.requestsServed, "lpm.requests_served").Inc()
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 
 	if env.Type == wire.MsgCCSUpdate {
@@ -426,16 +426,16 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		if r, ok := l.replies.Get(key); ok {
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
-			l.record(journal.LPMOpReplay, ctx, journal.Op(l.user.Name, key, r.Type.String()))
+			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, key, r.Type.String()))
 			reply(r.Type, r.Body)
 			return
 		}
 		if _, ok := l.inflightOps.Get(key); ok {
-			l.metrics.Counter("lpm.dedup.inflight_drops").Inc()
+			l.obs.Metrics().Counter("lpm.dedup.inflight_drops").Inc()
 			return
 		}
 		l.inflightOps.Put(key, struct{}{}, now)
-		l.record(journal.LPMOpExec, ctx, journal.Op(l.user.Name, key, env.Type.String()))
+		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, key, env.Type.String()))
 		send := reply
 		reply = func(t wire.MsgType, body []byte) {
 			l.inflightOps.Delete(key)
@@ -481,7 +481,7 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		// Copied out: a closure capturing the decoded-into req would take
 		// it by reference and move it to the heap.
 		pid, op, sig := req.Target.PID, req.Op, req.Signal
-		csp := l.tracer.StartSpan(l.Host(), "dispatch.control", ctx)
+		csp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.control", ctx)
 		l.kern.ExecCPU(calib.ControlAction, func() {
 			csp.End()
 			var resp wire.ControlResp
@@ -630,7 +630,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 		return
 	}
 	if rel.Dest == l.Host() {
-		inner, derr := wire.DecodeEnvelopeLogged(rel.Inner, l.journal, l.Host())
+		inner, derr := wire.DecodeEnvelopeLogged(rel.Inner, l.obs, l.Host())
 		if derr != nil || inner.Type == wire.MsgRelay || inner.Type == wire.MsgBroadcast {
 			fail("bad relayed payload")
 			return
@@ -652,7 +652,7 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}
-	l.observe(journal.LPMRelayForward, ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
+	l.obs.Notef(journal.LPMRelayForward, l.Host(), ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
 	fwd := wire.Relay{User: rel.User, Dest: rel.Dest, Path: rel.Path[1:], Inner: rel.Inner}
 	l.sendRequest(ctx, nsb, wire.MsgRelay, wire.Encode(&fwd), 0, func(resp wire.Envelope, err error) {
 		if err != nil {

@@ -73,21 +73,21 @@ func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body
 		}
 		next := attempt + 1
 		delay := l.cfg.Retry.backoff(next)
-		l.observe(journal.LPMRetry, ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
+		l.obs.Notef(journal.LPMRetry, l.Host(), ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
 			l.user.Name, wire.OpKey(l.Host(), l.incarnation(), op), t, next, delay)
-		bsp := l.tracer.StartSpan(l.Host(), fmt.Sprintf("lpm.retry.%s", host), ctx)
+		bsp := l.obs.Tracer().StartSpan(l.Host(), fmt.Sprintf("lpm.retry.%s", host), ctx)
 		l.retryBackoffs++
-		l.metrics.Gauge("lpm.retry.backoff_pending").Add(1)
+		l.obs.Metrics().Gauge("lpm.retry.backoff_pending").Add(1)
 		l.sched.After(delay, func() {
 			l.retryBackoffs--
-			l.metrics.Gauge("lpm.retry.backoff_pending").Add(-1)
+			l.obs.Metrics().Gauge("lpm.retry.backoff_pending").Add(-1)
 			bsp.End()
 			if l.exited {
 				cb(wire.Envelope{}, ErrExited)
 				return
 			}
 			if sb, ok := l.siblings[host]; !ok || !sb.conn.Open() {
-				l.observe(journal.LPMRedial, ctx, "user=%s peer=%s reason=retry", l.user.Name, host)
+				l.obs.Notef(journal.LPMRedial, l.Host(), ctx, "user=%s peer=%s reason=retry", l.user.Name, host)
 			}
 			l.callWithRetry(ctx, host, t, body, op, next, cb)
 		})
@@ -116,7 +116,7 @@ func (l *LPM) directCall(ctx trace.Context, host string, t wire.MsgType, body []
 func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
 	path []string, cb func(wire.Envelope, error)) {
 	fsb := l.siblings[path[0]]
-	l.observe(journal.LPMRelayOrigin, ctx, "user=%s dest=%s via=%s", l.user.Name, host, path[0])
+	l.obs.Notef(journal.LPMRelayOrigin, l.Host(), ctx, "user=%s dest=%s via=%s", l.user.Name, host, path[0])
 	inner := wire.Envelope{Type: t, Body: body}
 	inner.SetTrace(ctx.Trace, ctx.Span)
 	rel := wire.Relay{User: l.user.Name, Dest: host, Path: path[1:], Inner: inner.Encode()}
@@ -125,7 +125,7 @@ func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []b
 		err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
 		var innerResp wire.Envelope
 		if err == nil {
-			innerResp, err = wire.DecodeEnvelopeLogged(resp.Inner, l.journal, l.Host())
+			innerResp, err = wire.DecodeEnvelopeLogged(resp.Inner, l.obs, l.Host())
 		}
 		cb(innerResp, err)
 	})

@@ -21,7 +21,7 @@ import (
 // LPMs created afterwards journal into it.
 func installJournal(w *world) *journal.Journal {
 	j := journal.New(func() time.Duration { return w.sched.Now().Duration() })
-	w.net.SetJournal(j)
+	w.net.SetRecorder(journal.NewRecorder(w.net.Recorder().Metrics(), nil, j))
 	return j
 }
 
@@ -29,14 +29,14 @@ func installJournal(w *world) *journal.Journal {
 // leaves it nil (metrics off) like a bare simnet.
 func installMetrics(w *world) *metrics.Registry {
 	reg := metrics.New(func() time.Duration { return w.sched.Now().Duration() })
-	w.net.SetMetrics(reg)
+	w.net.SetRecorder(journal.NewRecorder(reg, nil, w.net.Recorder().Journal()))
 	return reg
 }
 
 // counter reads one counter of the registry installMetrics wired (0 if
 // it never fired).
 func (w *world) counter(name string) uint64 {
-	return w.net.Metrics().Snapshot().Counter(name)
+	return w.net.Recorder().Metrics().Snapshot().Counter(name)
 }
 
 func countKind(j *journal.Journal, k journal.Kind) int {
@@ -377,8 +377,8 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRecordZeroAllocs pins the LPM's observation point on the facts
-// that fire per remote operation — the applied control and the
+// TestRecordZeroAllocs pins the recorder's Record, reached the way the
+// LPM reaches it, on the facts that fire per remote operation — the applied control and the
 // at-most-once execution marker — at zero allocations with the registry
 // and the journal both wired; one kind with a paired counter rides
 // along to hold the handle path to the same.
@@ -392,10 +392,10 @@ func TestRecordZeroAllocs(t *testing.T) {
 	key := wire.OpKey("vax2", 30, 7)
 	stamp := wire.Stamp{Origin: "vax2", At: 1500 * time.Millisecond, Seq: 7}
 	fire := func() {
-		l.record(journal.LPMControl, ctx, journal.Control(wire.OpStop.String(), 12345, true))
-		l.record(journal.LPMOpExec, ctx, journal.Op(l.user.Name, key, wire.MsgControl.String()))
-		l.record(journal.LPMOpReplay, ctx, journal.Op(l.user.Name, key, wire.MsgControlResp.String()))
-		l.record(journal.LPMFloodApply, ctx, l.stampDetail(stamp))
+		l.obs.Record(journal.LPMControl, l.Host(), ctx, journal.Control(wire.OpStop.String(), 12345, true))
+		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, key, wire.MsgControl.String()))
+		l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, key, wire.MsgControlResp.String()))
+		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, l.stampDetail(stamp))
 	}
 	for i := 0; i < 64; i++ {
 		fire()

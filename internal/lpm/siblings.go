@@ -35,7 +35,7 @@ func (l *LPM) acceptConn(conn *simnet.Conn) {
 }
 
 func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
-	env, err := wire.DecodeEnvelopeLogged(b, l.journal, l.Host())
+	env, err := wire.DecodeEnvelopeLogged(b, l.obs, l.Host())
 	if err != nil || env.Type != wire.MsgHello {
 		conn.Close()
 		return
@@ -46,7 +46,7 @@ func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 		return
 	}
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
-	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
+	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
 		l.handleHello(conn, env.ReqID, hello, ctx)
@@ -55,7 +55,7 @@ func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 
 func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx trace.Context) {
 	reject := func(reason string) {
-		l.observe(journal.LPMSiblingReject, ctx, "from=%s reason=%s", hello.FromHost, reason)
+		l.obs.Notef(journal.LPMSiblingReject, l.Host(), ctx, "from=%s reason=%s", hello.FromHost, reason)
 		body := wire.Encode(&wire.HelloResp{OK: false, Reason: reason})
 		env := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 		env.SetTrace(ctx.Trace, ctx.Span)
@@ -69,7 +69,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		// against the pre-auth no-op handler. Registering the corpse
 		// would create a zombie circuit — established in the machine,
 		// but with a dead conn whose close handler can never fire.
-		l.metrics.Counter("lpm.hello.dead_conn").Inc()
+		l.obs.Metrics().Counter("lpm.hello.dead_conn").Inc()
 		return
 	}
 	if l.exited {
@@ -108,13 +108,13 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	// higher host sees the "cross-dial" reason, abandons its outbound
 	// attempt, and waits for the winner's Hello to land.
 	if ds, ok := l.dialing[hello.FromHost]; ok && !ds.done && l.Host() < hello.FromHost {
-		l.metrics.Counter("lpm.crossdial.rejects").Inc()
+		l.obs.Metrics().Counter("lpm.crossdial.rejects").Inc()
 		reject("cross-dial")
 		return
 	}
 	// Authentication happens exactly once, here, at channel creation;
 	// the audit invariant holds the journal to that.
-	l.observe(journal.LPMSiblingAuth, ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
+	l.obs.Notef(journal.LPMSiblingAuth, l.Host(), ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
 	body := wire.Encode(&wire.HelloResp{OK: true, Inc: l.incarnation()})
 	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
 	respEnv.SetTrace(ctx.Trace, ctx.Span)
@@ -167,13 +167,13 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	sb.det = detect.New(detect.Config{}, l.sched.Now().Duration())
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
-	l.metrics.Gauge("lpm.siblings.open").Add(1)
+	l.obs.Metrics().Gauge("lpm.siblings.open").Add(1)
 	role := "client"
 	if conn.LocalAddr() == l.accept {
 		role = "server"
 	}
 	l.circuitTransition(host, circuitEstablished, "auth-"+role, l.chanKey(conn))
-	l.observe(journal.LPMSiblingOpen, l.tracer.Active(),
+	l.obs.Notef(journal.LPMSiblingOpen, l.Host(), l.obs.Tracer().Active(),
 		"user=%s peer=%s chan=%s role=%s", l.user.Name, host, l.chanKey(conn), role)
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
@@ -197,8 +197,8 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 			reason = "peer-lost"
 		}
 		l.circuitTransition(sb.host, circuitClosed, reason, l.chanKey(sb.conn))
-		l.metrics.Gauge("lpm.siblings.open").Add(-1)
-		l.observe(journal.LPMSiblingClose, l.tracer.Active(),
+		l.obs.Metrics().Gauge("lpm.siblings.open").Add(-1)
+		l.obs.Notef(journal.LPMSiblingClose, l.Host(), l.obs.Tracer().Active(),
 			"user=%s peer=%s chan=%s", l.user.Name, sb.host, l.chanKey(sb.conn))
 	}
 	// Fail outstanding requests to that host, oldest first (map order
@@ -213,7 +213,7 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 		l.retire(id, l.pending[id])(wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
 	}
 	if err != nil && !l.exited {
-		l.metrics.Counter("lpm.recovery.siblings_lost").Inc()
+		l.obs.Metrics().Counter("lpm.recovery.siblings_lost").Inc()
 		l.rec.OnSiblingLost(sb.host)
 	}
 }
@@ -242,7 +242,7 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 		ds.cbs = append(ds.cbs, cb)
 		return
 	}
-	csp := l.tracer.StartSpan(l.Host(), "circuit.establish."+host, ctx)
+	csp := l.obs.Tracer().StartSpan(l.Host(), "circuit.establish."+host, ctx)
 	ds := &dialState{cbs: []func(*sibling, error){cb}, span: csp}
 	l.dialing[host] = ds
 	l.circuitTransition(host, circuitDialing, "dial", "-")
@@ -328,7 +328,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 			return
 		}
 		settle()
-		env, err := wire.DecodeEnvelopeLogged(b, l.journal, l.Host())
+		env, err := wire.DecodeEnvelopeLogged(b, l.obs, l.Host())
 		if err != nil || env.Type != wire.MsgHelloResp {
 			conn.Close()
 			finish(nil, fmt.Errorf("%w: bad hello reply from %s", ErrNoSibling, host))
@@ -345,7 +345,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				// completeDial. Keep the dial open for it, bounded by
 				// a safety timeout in case the winning circuit dies
 				// mid-handshake.
-				l.metrics.Counter("lpm.crossdial.yields").Inc()
+				l.obs.Metrics().Counter("lpm.crossdial.yields").Inc()
 				l.sched.After(l.cfg.RequestTimeout, func() {
 					finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
 				})
@@ -355,14 +355,14 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 			return
 		}
 		inc := resp.Inc // copied out: capturing the decoded-into resp would move it to the heap
-		rsp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
+		rsp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 		l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 			rsp.End()
 			if !conn.Open() {
 				// Closed while the registration sat in the CPU queue
 				// (the close handler already no-opped: answered is set).
 				// Registering it would park a dead conn in Established.
-				l.metrics.Counter("lpm.hello.dead_conn").Inc()
+				l.obs.Metrics().Counter("lpm.hello.dead_conn").Inc()
 				finish(nil, fmt.Errorf("%w: circuit to %s closed during hello", ErrNoSibling, host))
 				return
 			}
@@ -385,11 +385,11 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 			return
 		}
 		answered = true
-		l.metrics.Counter("lpm.hello.timeouts").Inc()
+		l.obs.Metrics().Counter("lpm.hello.timeouts").Inc()
 		conn.Close()
 		finish(nil, fmt.Errorf("%w: hello to %s timed out", ErrNoSibling, host))
 	})
-	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
+	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
 		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body}
@@ -405,7 +405,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 // returns — the sibling send path allocates no per-message frame.
 func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
 	enc := wire.GetEncoder()
-	err := conn.SendCtx(env.EncodeLoggedTo(enc, l.metrics, l.journal, l.Host()), ctx)
+	err := conn.SendCtx(env.EncodeLoggedTo(enc, l.obs, l.Host()), ctx)
 	wire.PutEncoder(enc)
 	return err
 }
@@ -415,7 +415,7 @@ func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, ctx trace.Context
 // sees it (the circuit itself carries no direction information).
 func (l *LPM) sendFramedReply(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
 	enc := wire.GetEncoder()
-	err := conn.SendReplyCtx(env.EncodeLoggedTo(enc, l.metrics, l.journal, l.Host()), ctx)
+	err := conn.SendReplyCtx(env.EncodeLoggedTo(enc, l.obs, l.Host()), ctx)
 	wire.PutEncoder(enc)
 	return err
 }
@@ -427,7 +427,7 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	if l.exited {
 		return
 	}
-	env, err := wire.DecodeEnvelopeLogged(b, l.journal, l.Host())
+	env, err := wire.DecodeEnvelopeLogged(b, l.obs, l.Host())
 	if err != nil {
 		return
 	}
@@ -440,7 +440,7 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 		cost += calib.AuthCheck
 	}
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
-	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
+	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(cost, func() {
 		esp.End()
 		if l.exited {
@@ -462,7 +462,7 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 	}
 	rtt := l.sched.Now().Sub(pr.sentAt)
 	if l.requestRTT == nil {
-		l.requestRTT = l.metrics.Histogram("lpm.request_rtt")
+		l.requestRTT = l.obs.Metrics().Histogram("lpm.request_rtt")
 	}
 	l.requestRTT.Observe(rtt)
 	l.observeOpRTT(pr.op, rtt)
@@ -500,7 +500,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		id := l.reqSeq
 		pr := &pendingReq{host: sb.host, cb: cb, handler: h, sentAt: l.sched.Now(), op: t}
 		if ctx.Valid() { // the name is built only for a span that will exist
-			pr.span = l.tracer.StartSpan(l.Host(), "lpm.request."+sb.host, ctx)
+			pr.span = l.obs.Tracer().StartSpan(l.Host(), "lpm.request."+sb.host, ctx)
 		}
 		rctx := pr.span.Context()
 		if !rctx.Valid() {
@@ -512,12 +512,12 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 		}
 		pr.timer = l.sched.After(timeout, func() {
 			if cur, ok := l.pending[id]; ok && cur == pr {
-				l.observe(journal.LPMTimeout, rctx, "user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op)
+				l.obs.Notef(journal.LPMTimeout, l.Host(), rctx, "user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op)
 				l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, t, sb.host))
 			}
 		})
 		l.pending[id] = pr
-		esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", rctx)
+		esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", rctx)
 		l.kern.ExecCPU(t.EndpointCost(), func() {
 			esp.End()
 			if !sb.conn.Open() {
@@ -527,7 +527,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 				// never see this entry — fail it now rather than parking
 				// the caller for the full timeout.
 				if cur, ok := l.pending[id]; ok && cur == pr {
-					l.metrics.Counter("lpm.request.dead_circuit").Inc()
+					l.obs.Metrics().Counter("lpm.request.dead_circuit").Inc()
 					l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
 				}
 				return
@@ -544,7 +544,7 @@ func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body [
 // sendReply answers a request on the circuit it arrived on, echoing
 // the request's trace context so the reply's transit is attributed.
 func (l *LPM) sendReply(ctx trace.Context, sb *sibling, reqID uint64, t wire.MsgType, body []byte) {
-	esp := l.tracer.StartSpan(l.Host(), "dispatch.endpoint", ctx)
+	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(t.EndpointCost(), func() {
 		esp.End()
 		if sb.conn.Open() {

@@ -43,7 +43,7 @@ func (l *LPM) observeOpRTT(t wire.MsgType, rtt time.Duration) {
 	if !t.RTTTracked() {
 		return
 	}
-	l.metrics.Histogram(rttRegNames[t]).Observe(rtt)
+	l.obs.Metrics().Histogram(rttRegNames[t]).Observe(rtt)
 	h := l.rtts[t]
 	if h == nil {
 		h = metrics.NewHistogram()
@@ -86,8 +86,8 @@ func (l *LPM) BuildStatus(r *status.Report) {
 	r.RetryBackoffs = l.retryBackoffs
 	r.ReplyCache = l.replies.Len()
 	r.InflightOps = l.inflightOps.Len()
-	r.JournalLen = l.journal.Len()
-	r.JournalDropped = l.journal.Dropped()
+	r.JournalLen = l.obs.Journal().Len()
+	r.JournalDropped = l.obs.Journal().Dropped()
 	ops := r.OpLatencies
 	for _, t := range rttOps {
 		h := l.rtts[t]
@@ -131,11 +131,11 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 	delete(named, "")
 	targets := detord.Keys(named)
 	l.toolCall("status", func(ctx trace.Context, done func(func())) {
-		l.observe(journal.StatusRequest, ctx, "user=%s sweep=%s hosts=%s",
+		l.obs.Notef(journal.StatusRequest, l.Host(), ctx, "user=%s sweep=%s hosts=%s",
 			l.user.Name, sweepID, strings.Join(targets, ","))
 		sw := &status.Sweep{Origin: l.Host(), User: l.user.Name}
 		record := func(host string, ok bool) {
-			l.observe(journal.StatusReport, ctx, "user=%s sweep=%s host=%s ok=%t", l.user.Name, sweepID, host, ok)
+			l.obs.Notef(journal.StatusReport, l.Host(), ctx, "user=%s sweep=%s host=%s ok=%t", l.user.Name, sweepID, host, ok)
 		}
 		issuing := true
 		outstanding := 0
@@ -167,7 +167,7 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 				if err == nil {
 					sw.Reports = append(sw.Reports, rep)
 				} else {
-					l.metrics.Counter("lpm.status.unreachable").Inc()
+					l.obs.Metrics().Counter("lpm.status.unreachable").Inc()
 					sw.Unreachable = append(sw.Unreachable, host)
 				}
 				record(host, err == nil)

@@ -10,7 +10,6 @@ import (
 	"ppm/internal/detord"
 	"ppm/internal/history"
 	"ppm/internal/journal"
-	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
@@ -35,8 +34,7 @@ type ToolClient struct {
 	user    *auth.User
 	host    string
 	sched   *sim.Scheduler
-	metrics *metrics.Registry
-	journal *journal.Journal
+	obs     *journal.Recorder
 	conn    *simnet.Conn
 	reqSeq  uint64
 	pending map[uint64]func(wire.Envelope, error)
@@ -65,8 +63,7 @@ func ConnectTool(net *simnet.Network, user *auth.User, host string,
 				user:    user,
 				host:    host,
 				sched:   net.Scheduler(),
-				metrics: net.Metrics(),
-				journal: net.Journal(),
+				obs:     net.Recorder(),
 				conn:    conn,
 				pending: make(map[uint64]func(wire.Envelope, error)),
 			}
@@ -109,7 +106,7 @@ func (t *ToolClient) onClosed(err error) {
 }
 
 func (t *ToolClient) onMsg(b []byte) {
-	env, err := wire.DecodeEnvelopeLogged(b, t.journal, t.host)
+	env, err := wire.DecodeEnvelopeLogged(b, t.obs, t.host)
 	if err != nil {
 		return
 	}
@@ -142,7 +139,7 @@ func (t *ToolClient) call(mt wire.MsgType, body []byte, cb func(wire.Envelope, e
 	enc := wire.GetEncoder()
 	env := wire.Envelope{Type: mt, ReqID: t.reqSeq, Body: body}
 	//ppmlint:allow errdrop a lost request fails the pending callback via onClosed, not this return
-	_ = t.conn.Send(env.EncodeLoggedTo(enc, t.metrics, t.journal, t.host))
+	_ = t.conn.Send(env.EncodeLoggedTo(enc, t.obs, t.host))
 	wire.PutEncoder(enc)
 }
 
@@ -248,7 +245,7 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	if l.exited {
 		return
 	}
-	env, err := wire.DecodeEnvelopeLogged(b, l.journal, l.Host())
+	env, err := wire.DecodeEnvelopeLogged(b, l.obs, l.Host())
 	if err != nil {
 		return
 	}

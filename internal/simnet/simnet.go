@@ -22,7 +22,6 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/detord"
 	"ppm/internal/journal"
-	"ppm/internal/metrics"
 	"ppm/internal/sim"
 	"ppm/internal/trace"
 )
@@ -89,10 +88,8 @@ type Network struct {
 	hops     map[string]map[string]int
 	dirty    bool // routes need recompute
 	connSeq  uint64
-	metrics  *metrics.Registry
+	rec      *journal.Recorder
 	counters counterHandles
-	tracer   *trace.Tracer
-	journal  *journal.Journal
 	tap      func(TapEvent)
 	loss     *lossPlan
 	dirLoss  map[[2]string]*lossPlan // per-direction loss schedules
@@ -116,38 +113,18 @@ func New(sched *sim.Scheduler, opts Options) *Network {
 // Scheduler returns the underlying event scheduler.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
-// SetMetrics installs the installation-wide metrics registry. The
-// network both feeds it (the simnet family) and carries it for the
-// layers above: daemons and LPMs reach the registry through their
-// *Network, so instrumenting them needs no constructor changes. A nil
-// registry (the default) disables metrics.
-func (n *Network) SetMetrics(reg *metrics.Registry) {
-	n.metrics, n.counters = reg, counterHandles{}
+// SetRecorder installs the installation's recorder: the network states
+// its own facts to it (message motion and failure injection) and
+// carries it for the layers above — daemons, LPMs and tool clients take
+// it from their *Network, so instrumenting them needs no constructor
+// changes. A nil recorder (the default) records nothing.
+func (n *Network) SetRecorder(rec *journal.Recorder) {
+	n.rec, n.counters = rec, counterHandles{}
 }
 
-// Metrics returns the registry installed with SetMetrics (possibly
-// nil; all registry methods tolerate that).
-func (n *Network) Metrics() *metrics.Registry { return n.metrics }
-
-// SetTracer installs the cluster-wide causal tracer. Like the metrics
-// registry, the network both feeds it (per-hop transit spans) and
-// carries it for the layers above, which reach it through their
-// *Network. A nil tracer (the default) disables tracing.
-func (n *Network) SetTracer(t *trace.Tracer) { n.tracer = t }
-
-// Tracer returns the tracer installed with SetTracer (possibly nil;
-// all tracer methods tolerate that).
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
-
-// SetJournal installs the cluster's flight recorder. Like the metrics
-// registry, the network both feeds it (message motion and failure
-// injection) and carries it for the layers above, which reach it
-// through their *Network. A nil journal (the default) disables it.
-func (n *Network) SetJournal(j *journal.Journal) { n.journal = j }
-
-// Journal returns the journal installed with SetJournal (possibly nil;
-// all journal methods tolerate that).
-func (n *Network) Journal() *journal.Journal { return n.journal }
+// Recorder returns the recorder installed with SetRecorder (possibly
+// nil; all recorder methods tolerate that).
+func (n *Network) Recorder() *journal.Recorder { return n.rec }
 
 // AddHost registers a host. Hosts start up.
 func (n *Network) AddHost(name string) error {
@@ -342,7 +319,8 @@ func (n *Network) Path(a, b string) ([]string, bool) {
 // split request transit from reply transit — both directions of a
 // circuit are otherwise indistinguishable at this layer.
 func (n *Network) traceTransit(ctx trace.Context, a, b string, size int, reply bool) {
-	if n.tracer == nil || !ctx.Valid() {
+	tracer := n.rec.Tracer()
+	if tracer == nil || !ctx.Valid() {
 		return
 	}
 	path, ok := n.Path(a, b)
@@ -355,7 +333,7 @@ func (n *Network) traceTransit(ctx trace.Context, a, b string, size int, reply b
 		if reply {
 			name = "net.loopback.reply"
 		}
-		n.tracer.AddSpan(a, name, ctx, now, now+100*time.Microsecond)
+		tracer.AddSpan(a, name, ctx, now, now+100*time.Microsecond)
 		return
 	}
 	prefix := "net.hop."
@@ -365,7 +343,7 @@ func (n *Network) traceTransit(ctx trace.Context, a, b string, size int, reply b
 	per := calib.HopTransit + calib.TransmissionTime(size)
 	for i := 0; i+1 < len(path); i++ {
 		start := now + time.Duration(i)*per
-		n.tracer.AddSpan(path[i], prefix+path[i+1], ctx, start, start+per)
+		tracer.AddSpan(path[i], prefix+path[i+1], ctx, start, start+per)
 	}
 }
 
@@ -587,7 +565,7 @@ func (n *Network) updatePartitionGauge() {
 			cut++
 		}
 	}
-	n.metrics.Gauge("simnet.partitioned_hosts").Set(cut)
+	n.rec.Metrics().Gauge("simnet.partitioned_hosts").Set(cut)
 }
 
 func (n *Network) breakSeveredConns() {
@@ -614,6 +592,15 @@ func (n *Network) breakRemote(c *Conn) {
 		c.closeWith(ErrPeerLost)
 	})
 	n.emit(c.event(0, trace.Context{}).as(TapConnBreak, c.local.Host, ""))
+}
+
+// observeTransit feeds the transit histogram, through a handle resolved
+// on the first message sent.
+func (n *Network) observeTransit(delay time.Duration) {
+	if n.counters.transit == nil {
+		n.counters.transit = n.rec.Metrics().Histogram("simnet.transit")
+	}
+	n.counters.transit.Observe(delay)
 }
 
 // copyBuf copies payload into a recycled delivery buffer. The
@@ -681,7 +668,7 @@ func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Conte
 	}
 	n.traceTransit(ctx, from.Host, to.Host, len(payload), false)
 	delay := n.transit(from.Host, to.Host, len(payload))
-	n.metrics.Histogram("simnet.transit").Observe(delay)
+	n.observeTransit(delay)
 	body := n.copyBuf(payload)
 	n.sched.After(delay, func() {
 		defer n.putBuf(body)
@@ -777,7 +764,7 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 	}
 	n.traceTransit(ctx, c.local.Host, c.remote.Host, len(payload), reply)
 	delay := n.transit(c.local.Host, c.remote.Host, len(payload))
-	n.metrics.Histogram("simnet.transit").Observe(delay)
+	n.observeTransit(delay)
 	at := n.sched.Now().Add(delay)
 	peer := c.peer
 	if at.Before(peer.lastRecv) {
@@ -896,7 +883,7 @@ func (n *Network) Dial(fromHost string, to Addr, cb func(*Conn, error)) {
 // DialCtx is Dial under a trace context; when ctx is valid the SYN and
 // SYN-ACK legs of the handshake are recorded as per-hop spans.
 func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*Conn, error)) {
-	n.metrics.Counter("simnet.dial.attempts").Inc()
+	n.rec.Metrics().Counter("simnet.dial.attempts").Inc()
 	src, ok := n.hosts[fromHost]
 	if !ok {
 		n.sched.Defer(func() { cb(nil, fmt.Errorf("%w: %s", ErrUnknownHost, fromHost)) })

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ppm/internal/journal"
 	"ppm/internal/metrics"
 	"ppm/internal/sim"
 )
@@ -95,12 +96,12 @@ func TestDatagramDelivery(t *testing.T) {
 
 func TestDatagramDroppedNoHandler(t *testing.T) {
 	s, n := threeHostChain(t)
-	n.SetMetrics(metrics.New(nil))
+	n.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, nil))
 	n.SendDatagram(Addr{"a", 5}, Addr{"b", 999}, []byte("hi"))
 	if err := s.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Metrics().Snapshot().Counter("simnet.datagram.dropped"); got != 1 {
+	if got := n.Recorder().Metrics().Snapshot().Counter("simnet.datagram.dropped"); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
 }
@@ -397,13 +398,13 @@ func TestListenPortConflict(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s, n := threeHostChain(t)
-	n.SetMetrics(metrics.New(nil))
+	n.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, nil))
 	client, _ := dial(t, s, n, "a", Addr{"b", 2001})
 	_ = client.Send([]byte("12345"))
 	if err := s.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}
-	st := n.Metrics().Snapshot()
+	st := n.Recorder().Metrics().Snapshot()
 	if st.Counter("simnet.circuit.opened") != 1 || st.Counter("simnet.dial.attempts") != 1 {
 		t.Fatalf("conn counters wrong:\n%s", st.Report())
 	}

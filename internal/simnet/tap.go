@@ -65,10 +65,6 @@ func (ev TapEvent) as(kind TapKind, host, note string) TapEvent {
 	return ev
 }
 
-// transports names the two message transports, indexed by
-// TapEvent.Circuit: the first token of a net.* journal detail.
-var transports = [2]string{"datagram", "circuit"}
-
 // journalKinds maps each event kind to the journal kind recording it.
 var journalKinds = [...]journal.Kind{
 	TapSend:        journal.NetSend,
@@ -85,61 +81,45 @@ var journalKinds = [...]journal.Kind{
 	tapFlapUp:      journal.NetFlapUp,
 }
 
-// pairedCounters precomputes, per event kind and transport, the counter
-// paired with the kind's journal records ("" for none), so emit
-// concatenates no strings per message.
-var pairedCounters = func() (t [len(journalKinds)][2]string) {
-	for k, jk := range journalKinds {
-		for i, tr := range transports {
-			t[k][i] = journal.CounterName(jk, tr)
-		}
-	}
-	return t
-}()
-
 var byteCounters = [2]string{"simnet.datagram.bytes", "simnet.circuit.bytes"}
 
-// counterHandles are emit's counters, each resolved on first fire.
+// counterHandles are the network's own counters (and histogram), each
+// resolved on first fire.
 type counterHandles struct {
-	paired                 [len(journalKinds)][2]*metrics.Counter
 	bytes                  [2]*metrics.Counter
 	hopCrossings, hopBytes *metrics.Counter
+	transit                *metrics.Histogram
 }
 
 // SetTap installs a network observer; nil removes it. The tap sees
 // datagram and circuit traffic, drops, circuit openings and breaks.
 func (n *Network) SetTap(fn func(TapEvent)) { n.tap = fn }
 
-// emit is the network's one observation point: every fact it records
-// is one TapEvent handed here once, from which the paired counter
-// (plus, for a send, the byte and per-hop load counters), the net.*
-// journal line on the observing host and the tap callback all derive.
-// The counters are reached through handles and the journal is handed
-// the event's values, so a wired registry and journal cost an event no
-// allocation.
+// emit is where the network observes: every fact it records is one
+// TapEvent handed here once. The recorder is stated the fact (the
+// paired counter and the net.* journal line on the observing host);
+// what stays here is the network's own — a send's byte and per-hop load
+// counters, the injected-loss count, and the tap callback.
 //
 //ppmlint:hotpath pin=TestEmitZeroAllocs
 func (n *Network) emit(ev TapEvent) {
-	tr := 0
-	if ev.Circuit {
-		tr = 1
-	}
-	if n.metrics != nil {
-		if name := pairedCounters[ev.Kind][tr]; name != "" {
-			n.metrics.Handle(&n.counters.paired[ev.Kind][tr], name).Inc()
-		}
+	if reg := n.rec.Metrics(); reg != nil {
 		switch {
 		case ev.Kind == TapSend:
 			// <transport>.bytes counts the message once; hop.crossings /
 			// hop.bytes charge it once per physical segment traversed (a
 			// 2-hop datagram loads two Ethernets).
-			n.metrics.Handle(&n.counters.bytes[tr], byteCounters[tr]).Add(uint64(ev.Size))
+			tr := 0
+			if ev.Circuit {
+				tr = 1
+			}
+			reg.Handle(&n.counters.bytes[tr], byteCounters[tr]).Add(uint64(ev.Size))
 			if hops, ok := n.Hops(ev.From.Host, ev.To.Host); ok && hops > 0 {
-				n.metrics.Handle(&n.counters.hopCrossings, "simnet.hop.crossings").Add(uint64(hops))
-				n.metrics.Handle(&n.counters.hopBytes, "simnet.hop.bytes").Add(uint64(hops * ev.Size))
+				reg.Handle(&n.counters.hopCrossings, "simnet.hop.crossings").Add(uint64(hops))
+				reg.Handle(&n.counters.hopBytes, "simnet.hop.bytes").Add(uint64(hops * ev.Size))
 			}
 		case ev.Kind == TapDrop && ev.Note == "injected":
-			n.metrics.Counter("simnet.injected.losses").Inc()
+			reg.Counter("simnet.injected.losses").Inc()
 		}
 	}
 	// Kinds up to tapConnClose describe a message or a circuit; the
@@ -148,7 +128,7 @@ func (n *Network) emit(ev TapEvent) {
 	if ev.Kind <= tapConnClose {
 		detail = journal.NetMessage(ev.Circuit, ev.From.Host, ev.From.Port, ev.To.Host, ev.To.Port, ev.Size, ev.Note)
 	}
-	n.journal.AppendDetail(journalKinds[ev.Kind], ev.Host, detail, ev.Ctx.Trace, ev.Ctx.Span)
+	n.rec.Record(journalKinds[ev.Kind], ev.Host, ev.Ctx, detail)
 	if n.tap != nil && ev.Kind <= TapConnBreak {
 		ev.At = n.sched.Now()
 		n.tap(ev)

@@ -155,9 +155,8 @@ func TestTapKindStrings(t *testing.T) {
 func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
 	s, n := threeHostChain(t)
 	reg := metrics.New(nil)
-	n.SetMetrics(reg)
 	jr := journal.New(func() time.Duration { return s.Now().Duration() })
-	n.SetJournal(jr)
+	n.SetRecorder(journal.NewRecorder(reg, nil, jr))
 	tc := n.Trace(0)
 
 	_ = n.HandleDatagram("b", 1, func(Addr, []byte) {})
@@ -200,16 +199,17 @@ func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	for k, jk := range journalKinds {
-		if jk == 0 || pairedCounters[k][0] == "" {
+	for _, jk := range journalKinds {
+		datagram, circuit := journal.CounterName(jk, "datagram"), journal.CounterName(jk, "circuit")
+		if jk == 0 || datagram == "" {
 			continue
 		}
-		counted := snap.Counter(pairedCounters[k][0])
-		if pairedCounters[k][1] != pairedCounters[k][0] {
-			counted += snap.Counter(pairedCounters[k][1])
+		counted := snap.Counter(datagram)
+		if circuit != datagram {
+			counted += snap.Counter(circuit)
 		}
 		if counted != records[jk] {
-			t.Errorf("%s counted %d, journal recorded %d %s", pairedCounters[k][0], counted, records[jk], jk)
+			t.Errorf("%s counted %d, journal recorded %d %s", datagram, counted, records[jk], jk)
 		}
 	}
 	if records[journal.NetCircuitClose] == 0 || records[journal.NetPartition] != 1 || records[journal.NetHeal] != 1 {
@@ -217,15 +217,15 @@ func TestEveryEventFeedsCounterJournalAndTap(t *testing.T) {
 	}
 }
 
-// TestEmitZeroAllocs pins the network's observation point at zero
+// TestEmitZeroAllocs pins emit — the recorder's Record reached through
+// the network, plus the network's own byte and hop counters — at zero
 // allocations per event with the registry and the journal both wired:
 // counter handles instead of name lookups, values instead of text.
 func TestEmitZeroAllocs(t *testing.T) {
 	s, n := threeHostChain(t)
-	n.SetMetrics(metrics.New(nil))
 	jr := journal.New(func() time.Duration { return s.Now().Duration() })
 	jr.SetCapacity(64)
-	n.SetJournal(jr)
+	n.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, jr))
 	ev := TapEvent{From: Addr{"a", 9}, To: Addr{"c", 65535}, Size: 10000, Circuit: true}
 	events := []TapEvent{ev.as(TapSend, "a", ""), ev.as(TapDeliver, "c", ""), ev.as(TapDrop, "c", "lost")}
 	fire := func() {
@@ -250,10 +250,9 @@ func TestEmitZeroAllocs(t *testing.T) {
 // allocation that is its delivery closure, registry and journal wired.
 func TestDatagramOneAlloc(t *testing.T) {
 	s, n := threeHostChain(t)
-	n.SetMetrics(metrics.New(nil))
 	jr := journal.New(func() time.Duration { return s.Now().Duration() })
 	jr.SetCapacity(64)
-	n.SetJournal(jr)
+	n.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, jr))
 	sent, delivered := 0, 0
 	if err := n.HandleDatagram("b", 100, func(Addr, []byte) { delivered++ }); err != nil {
 		t.Fatal(err)
@@ -283,7 +282,7 @@ func TestDatagramOneAlloc(t *testing.T) {
 func TestJournalLinesSurviveTheirSources(t *testing.T) {
 	s, n := threeHostChain(t)
 	jr := journal.New(func() time.Duration { return s.Now().Duration() })
-	n.SetJournal(jr)
+	n.SetRecorder(journal.NewRecorder(nil, nil, jr))
 	_ = n.HandleDatagram("b", 1, func(Addr, []byte) {})
 	payload := []byte("first payload")
 	n.SendDatagram(Addr{"a", 9}, Addr{"b", 1}, payload)

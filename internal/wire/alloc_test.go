@@ -158,8 +158,9 @@ func TestMsgTypeStringTable(t *testing.T) {
 	}
 }
 
-// TestLoggedCodecZeroAllocs pins the two wire observation points with
-// the registry and the journal both wired: counting and journaling a
+// TestLoggedCodecZeroAllocs pins the two wire observation points — the
+// recorder's Record and its per-type counter handles reached through
+// the codec — with the registry and the journal both wired: counting and journaling a
 // frame add no allocation to encoding or decoding it. A frame with a
 // body still pays DecodeEnvelope's one body copy, journal or no
 // journal.
@@ -167,14 +168,15 @@ func TestLoggedCodecZeroAllocs(t *testing.T) {
 	reg := metrics.New(nil)
 	jr := journal.New(func() time.Duration { return 0 })
 	jr.SetCapacity(64)
+	rec := journal.NewRecorder(reg, nil, jr)
 	ev := opLessEnvelope()
 	ev.TraceID, ev.SpanID = 7, 9
 	bodyless := Envelope{Type: MsgPing, ReqID: 1}.Encode()
 	enc := NewEncoder(ev.EncodedSize())
 	run := func() {
 		enc.Reset()
-		ev.EncodeLoggedTo(enc, reg, jr, "vax1")
-		if _, err := DecodeEnvelopeLogged(bodyless, jr, "vax2"); err != nil {
+		ev.EncodeLoggedTo(enc, rec, "vax1")
+		if _, err := DecodeEnvelopeLogged(bodyless, rec, "vax2"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,6 +185,9 @@ func TestLoggedCodecZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("logged encode + decode: %.1f allocs/op, want 0", allocs)
+	}
+	if got := reg.Snapshot().Counter("wire.msgs.Control"); got != 64+201 {
+		t.Fatalf("wire.msgs.Control = %d over %d frames", got, 64+201)
 	}
 	recs := jr.Records()
 	want := fmt.Sprintf("Control %dB", len(ev.Encode()))
@@ -194,14 +199,14 @@ func TestLoggedCodecZeroAllocs(t *testing.T) {
 	}
 
 	frame := ev.Encode()
-	decode := func(j *journal.Journal) float64 {
+	decode := func(rec *journal.Recorder) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := DecodeEnvelopeLogged(frame, j, "vax2"); err != nil {
+			if _, err := DecodeEnvelopeLogged(frame, rec, "vax2"); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if with, without := decode(jr), decode(nil); with != without {
+	if with, without := decode(rec), decode(nil); with != without {
 		t.Fatalf("decoding a frame with a body: %.1f allocs/op journaled, %.1f not", with, without)
 	}
 }

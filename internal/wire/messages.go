@@ -6,8 +6,8 @@ import (
 
 	"ppm/internal/calib"
 	"ppm/internal/journal"
-	"ppm/internal/metrics"
 	"ppm/internal/proc"
+	"ppm/internal/trace"
 )
 
 // MsgType identifies a protocol message.
@@ -230,8 +230,7 @@ type Envelope struct {
 	SpanID  uint64
 }
 
-// SetTrace stamps the envelope with a trace context given as raw IDs
-// (the caller holds a trace.Context; wire stays decoupled from it).
+// SetTrace stamps the envelope with a trace context given as raw IDs.
 func (ev *Envelope) SetTrace(traceID, spanID uint64) {
 	ev.TraceID, ev.SpanID = traceID, spanID
 }
@@ -293,28 +292,27 @@ func (ev Envelope) Encode() []byte {
 // serializes the envelope into e (see EncodeTo; with a pooled encoder
 // the frame is valid only until PutEncoder) and records the frame
 // exactly once, at the moment it is produced — one message and its
-// size under the envelope's type name in reg's wire family
-// ("wire.msgs.Hello", "wire.bytes.Hello", ...) and a wire.encode
-// journal record tagged with the type, frame size and the envelope's
-// own trace context on the host producing it. A nil registry or
-// journal skips that half.
+// size under the envelope's type name in the registry's wire family
+// ("wire.msgs.Hello", "wire.bytes.Hello", ..., through two handles per
+// type that rec keeps) and a wire.encode journal record tagged with the
+// type, frame size and the envelope's own trace context on the host
+// producing it. A recorder without a registry or journal skips that
+// half.
 //
 //ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
-func (ev Envelope) EncodeLoggedTo(e *Encoder, reg *metrics.Registry, jr *journal.Journal, host string) []byte {
+func (ev Envelope) EncodeLoggedTo(e *Encoder, rec *journal.Recorder, host string) []byte {
 	b := ev.EncodeTo(e)
-	if reg != nil {
-		if i := int(ev.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
-			reg.Counter(msgCounterNames[i].msgs).Inc()
-			reg.Counter(msgCounterNames[i].bytes).Add(uint64(len(b)))
-		} else {
-			name := ev.Type.String()
-			//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
-			reg.Counter("wire.msgs." + name).Inc()
-			//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
-			reg.Counter("wire.bytes." + name).Add(uint64(len(b)))
-		}
+	if i := int(ev.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
+		rec.Handle(2*i, msgCounterNames[i].msgs).Inc()
+		rec.Handle(2*i+1, msgCounterNames[i].bytes).Add(uint64(len(b)))
+	} else if reg := rec.Metrics(); reg != nil {
+		name := ev.Type.String()
+		//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
+		reg.Counter("wire.msgs." + name).Inc()
+		//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
+		reg.Counter("wire.bytes." + name).Add(uint64(len(b)))
 	}
-	jr.AppendDetail(journal.WireEncode, host, journal.WireFrame(ev.Type.String(), len(b)), ev.TraceID, ev.SpanID)
+	rec.Record(journal.WireEncode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))
 	return b
 }
 
@@ -368,15 +366,15 @@ trailers:
 // DecodeEnvelopeLogged is the receive side's one observation point:
 // DecodeEnvelope plus a wire.decode journal record on the receiving
 // host for every successfully parsed frame, tagged with the envelope
-// type, frame size and the decoded trace context. A nil journal makes
+// type, frame size and the decoded trace context. A nil recorder makes
 // it DecodeEnvelope: the record itself costs no allocation, the body
 // copy is DecodeEnvelope's.
 //
 //ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
-func DecodeEnvelopeLogged(b []byte, jr *journal.Journal, host string) (Envelope, error) {
+func DecodeEnvelopeLogged(b []byte, rec *journal.Recorder, host string) (Envelope, error) {
 	ev, err := DecodeEnvelope(b)
 	if err == nil {
-		jr.AppendDetail(journal.WireDecode, host, journal.WireFrame(ev.Type.String(), len(b)), ev.TraceID, ev.SpanID)
+		rec.Record(journal.WireDecode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))
 	}
 	return ev, err
 }

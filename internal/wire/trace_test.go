@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
 // TestEnvelopeTraceTrailerRoundTrip: envelopes with a trace context
 // carry it in the optional trailer and get it back on decode.
@@ -49,4 +53,56 @@ func TestEnvelopeZeroPaddingIsNotATrace(t *testing.T) {
 	if out.TraceID != 0 || out.SpanID != 0 {
 		t.Fatalf("zero padding decoded as a trace context: %+v", out)
 	}
+}
+
+// FuzzDecodeEnvelope throws arbitrary bytes at the envelope parser,
+// seeded with the frames the trailer tests build: op and trace trailers
+// alone and together, zero padding, truncations. Decoding never panics,
+// the copying and the borrowing parse agree, and the body never holds
+// more than the frame carried. A frame that decodes re-encodes to one
+// whose header and body are the input's own bytes — the trailers come
+// back in canonical order, an input may carry them in any — and which
+// decodes to the same envelope, less a span id under trace id 0: an
+// untraced envelope carries no trace trailer.
+func FuzzDecodeEnvelope(f *testing.F) {
+	plain := Envelope{Type: MsgPing, ReqID: 9, Body: []byte("xyz")}
+	op := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("body"), OpID: 99}
+	traced := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("body"), TraceID: 7, SpanID: 13}
+	both := op
+	both.SetTrace(7, 13)
+	for _, ev := range []Envelope{plain, op, traced, both, {Type: MsgPing, ReqID: 1}} {
+		frame := ev.Encode()
+		f.Add(frame)
+		f.Add(append(ev.Encode(), make([]byte, 32)...)) // fixed-size frames pad with zeros
+		f.Add(frame[:len(frame)-1])
+		f.Add(frame[:len(frame)/2])
+	}
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})                      // a body length the frame does not carry
+	f.Add(append(plain.Encode(), traceFlag, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5)) // a span id under trace id 0
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		ev, err := DecodeEnvelope(frame)
+		borrowed, berr := DecodeEnvelopeBorrow(frame)
+		if (err == nil) != (berr == nil) || !reflect.DeepEqual(ev, borrowed) && !(len(ev.Body) == 0 && len(borrowed.Body) == 0) {
+			t.Fatalf("DecodeEnvelope %+v, %v; DecodeEnvelopeBorrow %+v, %v", ev, err, borrowed, berr)
+		}
+		if err != nil {
+			if !reflect.DeepEqual(ev, Envelope{}) {
+				t.Fatalf("a rejected frame still decoded to %+v", ev)
+			}
+			return
+		}
+		if 14+len(ev.Body) > len(frame) {
+			t.Fatalf("a %d-byte frame decoded to a %d-byte body", len(frame), len(ev.Body))
+		}
+		again := ev.Encode()
+		if n := 14 + len(ev.Body); len(again) != ev.EncodedSize() || !bytes.Equal(again[:n], frame[:n]) {
+			t.Fatalf("frame % x re-encodes to % x: header and body differ", frame, again)
+		}
+		if ev.TraceID == 0 {
+			ev.SpanID = 0
+		}
+		if back, err := DecodeEnvelope(again); err != nil || !reflect.DeepEqual(back, ev) {
+			t.Fatalf("re-encoded frame decodes to %+v (%v), was %+v", back, err, ev)
+		}
+	})
 }

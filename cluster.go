@@ -357,13 +357,6 @@ func (c *Cluster) StatusReport(user, origin string) (string, error) {
 	return sw.Render(), nil
 }
 
-// TraceNetwork installs a bounded network trace collector (limit 0
-// means 4096 events) and returns it; use it to assess message routing,
-// as the paper's §7 plans.
-func (c *Cluster) TraceNetwork(limit int) *simnet.TraceCollector {
-	return c.net.Trace(limit)
-}
-
 // Tracer exposes the cluster-wide causal tracer (normally driven
 // through Trace and TraceReport).
 func (c *Cluster) Tracer() *trace.Tracer { return c.tr }

@@ -9,6 +9,7 @@ import (
 	"ppm"
 	"ppm/internal/lpm"
 	"ppm/internal/scenario"
+	"ppm/internal/tools"
 )
 
 func TestClusterErrorPaths(t *testing.T) {
@@ -110,18 +111,20 @@ func TestSessionSignalAllAndSignal(t *testing.T) {
 	}
 }
 
-func TestTraceNetworkViaFacade(t *testing.T) {
+// The §7 network trace is a reduction of the cluster's journal: the
+// flows of the records appended after a position.
+func TestNetworkFlowsFromTheJournal(t *testing.T) {
 	c := twoHostCluster(t)
-	tc := c.TraceNetwork(0)
+	from := c.Journal().Seq()
 	sess, _ := c.Attach("felipe", "vax1")
 	if _, err := sess.Run("vax2", "job"); err != nil {
 		t.Fatal(err)
 	}
-	flows := tc.Flows()
-	if len(flows) == 0 {
-		t.Fatal("no flows captured")
+	flows, evicted := c.Journal().Flows(from)
+	if len(flows) == 0 || evicted != 0 {
+		t.Fatalf("flows %+v, %d records evicted", flows, evicted)
 	}
-	out := tc.Format()
+	out := tools.FormatFlows(flows, evicted)
 	if !strings.Contains(out, "vax1") || !strings.Contains(out, "vax2") {
 		t.Fatalf("flow format:\n%s", out)
 	}

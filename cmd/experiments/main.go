@@ -7,9 +7,6 @@
 //	experiments               # everything
 //	experiments -table 1      # only Table 1
 //	experiments -table 2      # only Table 2 (+ the §8 remote create)
-//	experiments -table 2 -breakdown
-//	                          # Table 2 plus its traced decomposition
-//	                          # (network / dispatch / kernel columns)
 //	experiments -attribution  # profile-phase latency attribution of the
 //	                          # Table 2 line (second-hop delta per phase)
 //	experiments -table 3      # only Table 3 / Figure 5
@@ -30,7 +27,7 @@ import (
 )
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: experiments [-table 1|2|3 [-breakdown]] [-figure 2] [-ablations] [-metrics] [-attribution]\n")
+	fmt.Fprintf(w, "usage: experiments [-table 1|2|3] [-figure 2] [-ablations] [-metrics] [-attribution]\n")
 }
 
 // options is the validated command line.
@@ -39,14 +36,13 @@ type options struct {
 	figure      int
 	ablations   bool
 	metrics     bool
-	breakdown   bool
 	attribution bool
 }
 
 // parseArgs parses and strictly validates the command line: positional
 // arguments are rejected, -table and -figure must name a table or
-// figure the paper has, and -breakdown requires -table 2. A typo exits
-// 2 instead of printing nothing and passing.
+// figure the paper has. A typo exits 2 instead of printing nothing and
+// passing.
 func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -55,8 +51,6 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&o.figure, "figure", 0, "run only this figure (2)")
 	fs.BoolVar(&o.ablations, "ablations", false, "run only the ablations")
 	fs.BoolVar(&o.metrics, "metrics", false, "run only the message-count experiments")
-	fs.BoolVar(&o.breakdown, "breakdown", false,
-		"with -table 2: decompose each cell into network/dispatch/kernel from a traced run")
 	fs.BoolVar(&o.attribution, "attribution", false,
 		"run only the profiler's latency attribution of the Table 2 line")
 	if err := fs.Parse(args); err != nil {
@@ -70,9 +64,6 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.figure != 0 && o.figure != 2 {
 		return o, fmt.Errorf("-figure must be 2, got %d", o.figure)
-	}
-	if o.breakdown && o.table != 2 {
-		return o, errors.New("-breakdown requires -table 2")
 	}
 	return o, nil
 }
@@ -111,14 +102,6 @@ func run(o options) error {
 			return fmt.Errorf("table 2: %w", err)
 		}
 		fmt.Print(experiments.FormatTable2(rows))
-		if o.breakdown {
-			brows, err := experiments.RunTable2Breakdown()
-			if err != nil {
-				return fmt.Errorf("table 2 breakdown: %w", err)
-			}
-			fmt.Println()
-			fmt.Print(experiments.FormatTable2Breakdown(brows))
-		}
 		measured, paper, err := experiments.RemoteCreateWarm()
 		if err != nil {
 			return fmt.Errorf("remote create: %w", err)

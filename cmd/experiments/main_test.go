@@ -16,8 +16,6 @@ func TestParseArgsRejections(t *testing.T) {
 		{"table high", []string{"-table", "7"}, "-table must be 1, 2 or 3"},
 		{"table negative", []string{"-table", "-1"}, "-table must be 1, 2 or 3"},
 		{"figure", []string{"-figure", "9"}, "-figure must be 2"},
-		{"breakdown alone", []string{"-breakdown"}, "-breakdown requires -table 2"},
-		{"breakdown wrong table", []string{"-table", "3", "-breakdown"}, "-breakdown requires -table 2"},
 		{"unknown flag", []string{"-frobnicate"}, "not defined"},
 	}
 	for _, tc := range cases {
@@ -30,8 +28,8 @@ func TestParseArgsRejections(t *testing.T) {
 		})
 	}
 	// Flags compose: what worked before still parses.
-	o, err := parseArgs([]string{"-table", "2", "-breakdown", "-metrics"})
-	if err != nil || o != (options{table: 2, breakdown: true, metrics: true}) {
+	o, err := parseArgs([]string{"-table", "2", "-metrics"})
+	if err != nil || o != (options{table: 2, metrics: true}) {
 		t.Fatalf("parseArgs = %+v, %v", o, err)
 	}
 	if o, err := parseArgs(nil); err != nil || o != (options{}) {
@@ -44,7 +42,7 @@ func TestRunSingleTables(t *testing.T) {
 	// ablations here (the full Table 1 sweep is covered by the root
 	// package's tests and internal/experiments' benchmarks).
 	for _, o := range []options{
-		{table: 2, breakdown: true},
+		{table: 2},
 		{table: 3},
 		{figure: 2},
 		{ablations: true},

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"ppm"
-	"ppm/internal/simnet"
 	"ppm/internal/tools"
 )
 
@@ -103,7 +102,10 @@ var errQuit = fmt.Errorf("quit")
 
 // shellState carries mutable shell session state across commands.
 type shellState struct {
-	netTrace *simnet.TraceCollector
+	// traceArmed says "trace on" ran; traceFrom is the journal position
+	// it ran at, so "trace show" reduces the records appended since.
+	traceArmed bool
+	traceFrom  uint64
 }
 
 func dispatch(cluster *ppm.Cluster, sess *ppm.Session, st *shellState, out io.Writer, fields []string) error {
@@ -311,16 +313,15 @@ func dispatch(cluster *ppm.Cluster, sess *ppm.Session, st *shellState, out io.Wr
 		}
 		switch args[0] {
 		case "on":
-			st.netTrace = cluster.TraceNetwork(0)
+			st.traceArmed, st.traceFrom = true, cluster.Journal().Seq()
 			fmt.Fprintln(out, "network trace armed")
 		case "show":
-			if st.netTrace == nil {
+			if !st.traceArmed {
 				return fmt.Errorf("trace: not armed (use 'trace on')")
 			}
-			fmt.Fprint(out, st.netTrace.Format())
+			fmt.Fprint(out, tools.FormatFlows(cluster.Journal().Flows(st.traceFrom)))
 		case "off":
-			cluster.Network().SetTap(nil)
-			st.netTrace = nil
+			st.traceArmed = false
 			fmt.Fprintln(out, "network trace off")
 		default:
 			return fmt.Errorf("trace: on|show|off")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -188,5 +189,34 @@ quit
 	}
 	if !strings.Contains(out, `no process named "ghost"`) {
 		t.Fatalf("ghost case:\n%s", out)
+	}
+}
+
+// TestShellTraceSession: the network trace counts exactly the journal
+// records appended after "trace on" — remote creations, a snapshot, a
+// crash whose traffic drops and a restart, shown twice. The golden is
+// the output of the network tap this reduction replaced, byte for byte.
+func TestShellTraceSession(t *testing.T) {
+	out := shell(t, `trace on
+run vax2 job
+run sun1 job
+snap
+trace show
+crash vax2
+snap
+sleep 5s
+restart vax2
+run vax2 again
+trace show
+trace off
+trace show
+quit
+`)
+	want, err := os.ReadFile("testdata/trace_session.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Fatalf("trace session departs from testdata/trace_session.golden:\n%s", out)
 	}
 }

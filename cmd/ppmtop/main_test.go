@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,37 +67,48 @@ func capture(t *testing.T, args []string) string {
 	return string(out)
 }
 
-// TestCIStatusInvocations runs the golden-status job's ppmtop command
-// lines, read out of the workflow file, the way the job does: each
-// twice, the outputs compared, and the job's grep patterns matched. A
-// command line that has rotted fails here, not only in the workflow.
+// firstDiff names the first line at which two differing outputs part.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	i := 0
+	for i < len(al) && i < len(bl) && al[i] == bl[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return strconv.Quote(ls[i])
+		}
+		return "(end of output)"
+	}
+	return fmt.Sprintf("line %d: %s vs %s", i+1, line(al), line(bl))
+}
+
+// TestCIStatusInvocations holds seeded dashboards to the determinism
+// contract outside the library: each command line — plain, the
+// partition/heal scenario whose sweeps complete partially, and watch
+// mode — runs twice, the two outputs must match byte for byte, end in a
+// clean journal audit, and have a line matching each of its patterns.
 func TestCIStatusInvocations(t *testing.T) {
-	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := regexp.MustCompile(`/tmp/ppmtop (.*) > (/tmp/status/\w+)1\.out`).FindAllStringSubmatch(string(ci), -1)
-	if len(runs) != 3 {
-		t.Fatalf("found %d ppmtop invocations in ci.yml, want plain, partitioned and watch", len(runs))
-	}
-	greps := 0
-	for _, m := range runs {
-		args := strings.Fields(m[1])
-		first := capture(t, args)
-		if first != capture(t, args) {
-			t.Errorf("ppmtop %s: two runs differ", m[1])
+	for _, tc := range []struct {
+		args  string
+		lines []string
+	}{
+		{"-hosts 24", nil},
+		{"-hosts 8 -partition", []string{`^unreachable: h05,h06,h07,h08$`}},
+		{"-hosts 6 -watch 2 -sweeps 4", nil},
+	} {
+		args := strings.Fields(tc.args)
+		first, second := capture(t, args), capture(t, args)
+		if first != second {
+			t.Errorf("ppmtop %s: two runs differ at %s", tc.args, firstDiff(first, second))
 		}
 		if !strings.HasSuffix(first, "journal audit: clean\n") {
-			t.Errorf("ppmtop %s: output does not end in a clean audit", m[1])
+			t.Errorf("ppmtop %s: output does not end in a clean audit", tc.args)
 		}
-		for _, g := range regexp.MustCompile(`grep -q '([^']+)' `+regexp.QuoteMeta(m[2])+`1\.out`).FindAllStringSubmatch(string(ci), -1) {
-			greps++
-			if !regexp.MustCompile("(?m)" + g[1]).MatchString(first) {
-				t.Errorf("ppmtop %s: no line of the output matches %q", m[1], g[1])
+		for _, pat := range tc.lines {
+			if !regexp.MustCompile("(?m)" + pat).MatchString(first) {
+				t.Errorf("ppmtop %s: no line of the output matches %q", tc.args, pat)
 			}
 		}
-	}
-	if greps == 0 {
-		t.Error("found none of the job's grep patterns; the partitioned step has one")
 	}
 }

@@ -49,17 +49,14 @@ func usage(w io.Writer) {
 
 // options is the validated command line.
 type options struct {
-	hosts        int
-	drops        int
-	flap         int
-	showSpans    bool
-	showMetrics  bool
-	showStatus   bool
-	showJournal  bool
-	journalKinds []journal.Kind
-	journalHost  string
-	journalSince time.Duration
-	journalUntil time.Duration
+	hosts       int
+	drops       int
+	flap        int
+	showSpans   bool
+	showMetrics bool
+	showStatus  bool
+	showJournal bool
+	filter      ppm.JournalFilter // what -journal shows
 }
 
 // parseArgs parses and strictly validates the command line: positional
@@ -87,11 +84,11 @@ func parseArgs(args []string) (options, error) {
 		"print the flight-recorder journal after the trace output")
 	kinds := fs.String("journal-kinds", "",
 		"comma-separated record kinds (or kind prefixes) to show")
-	fs.StringVar(&o.journalHost, "journal-host", "",
+	fs.StringVar(&o.filter.Host, "journal-host", "",
 		"only journal records attributed to this host")
-	fs.DurationVar(&o.journalSince, "journal-since", 0,
+	fs.DurationVar(&o.filter.Since, "journal-since", 0,
 		"only journal records at or after this virtual time")
-	fs.DurationVar(&o.journalUntil, "journal-until", 0,
+	fs.DurationVar(&o.filter.Until, "journal-until", 0,
 		"only journal records at or before this virtual time")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -111,21 +108,21 @@ func parseArgs(args []string) (options, error) {
 	if o.showJournal && (o.showSpans || o.showMetrics || o.showStatus) {
 		return o, errors.New("-journal is mutually exclusive with -spans, -metrics and -status")
 	}
-	if !o.showJournal && (*kinds != "" || o.journalHost != "" ||
-		o.journalSince != 0 || o.journalUntil != 0) {
+	if !o.showJournal && (*kinds != "" || o.filter.Host != "" ||
+		o.filter.Since != 0 || o.filter.Until != 0) {
 		return o, errors.New("-journal-kinds, -journal-host, -journal-since and -journal-until require -journal")
 	}
 	if *kinds != "" {
 		var err error
-		if o.journalKinds, err = journal.ParseKinds(*kinds); err != nil {
+		if o.filter.Kinds, err = journal.ParseKinds(*kinds); err != nil {
 			return o, err
 		}
 	}
-	if o.journalHost != "" && !slices.Contains(hostNames(o.hosts), o.journalHost) {
-		return o, fmt.Errorf("-journal-host %q is not in the scenario (vax1..vax%d)", o.journalHost, o.hosts)
+	if o.filter.Host != "" && !slices.Contains(hostNames(o.hosts), o.filter.Host) {
+		return o, fmt.Errorf("-journal-host %q is not in the scenario (vax1..vax%d)", o.filter.Host, o.hosts)
 	}
-	if o.journalUntil != 0 && o.journalUntil < o.journalSince {
-		return o, fmt.Errorf("-journal-until %v is before -journal-since %v", o.journalUntil, o.journalSince)
+	if o.filter.Until != 0 && o.filter.Until < o.filter.Since {
+		return o, fmt.Errorf("-journal-until %v is before -journal-since %v", o.filter.Until, o.filter.Since)
 	}
 	return o, nil
 }
@@ -293,12 +290,7 @@ func run(o options) error {
 	}
 	if o.showJournal {
 		fmt.Println()
-		fmt.Print(cluster.JournalReport(ppm.JournalFilter{
-			Kinds: o.journalKinds,
-			Host:  o.journalHost,
-			Since: o.journalSince,
-			Until: o.journalUntil,
-		}))
+		fmt.Print(cluster.JournalReport(o.filter))
 	}
 	return nil
 }

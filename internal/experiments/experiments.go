@@ -190,7 +190,7 @@ func table2Line() (*ppm.Cluster, *ppm.Session, error) {
 // table2Cells runs the Table 2 operations on the line — create, stop
 // and terminate one job at each of distances 0, 1 and 2 — handing every
 // operation to cell, which decides how it is observed: timed
-// (RunTable2) or traced (RunTable2Breakdown, RunLatencyAttribution).
+// (RunTable2) or traced (RunLatencyAttribution).
 func table2Cells(c *ppm.Cluster, sess *ppm.Session, cell func(action string, dist int, op func() error) error) error {
 	for dist, host := range table2Hosts {
 		var id ppm.GPID
@@ -239,77 +239,6 @@ func RunTable2() ([]Table2Row, error) {
 			row.PaperMS = paperCreate[dist]
 		}
 		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// Table2BreakdownRow decomposes one Table 2 cell using the causal
-// tracer: the same traced operation yields the unbroken total (the
-// root span, tool to tool) and the share of it spent in per-hop
-// network transit, endpoint/control dispatch, and kernel->LPM event
-// delivery. OtherMS is the residual — the tool legs, minus whatever
-// kernel delivery overlapped with the reply path — so the four
-// columns sum to the total by construction.
-type Table2BreakdownRow struct {
-	Action     string
-	Distance   int
-	TotalMS    float64 // root span duration (for create: minus the tool legs, as in Table 2)
-	NetworkMS  float64 // net.* spans: per-hop wire transit
-	DispatchMS float64 // dispatch.* spans: endpoint, control and pmd handling
-	KernelMS   float64 // kernel.event.* spans: kernel->LPM delivery
-	OtherMS    float64 // residual (tool legs less overlapped kernel delivery)
-}
-
-// traceBreakdown classifies the spans of one assembled trace by name
-// prefix and returns the per-category totals in virtual milliseconds.
-// Structural spans (lpm.request.*, circuit.establish.*, pmd.query.*)
-// are windows over other spans and are deliberately not counted — the
-// network time under a pmd query is already in its net.* children.
-func traceBreakdown(c *ppm.Cluster, id uint64) (total, network, dispatch, kernel float64) {
-	for _, sp := range c.Tracer().SpansOf(id) {
-		d := float64(sp.End-sp.Start) / float64(time.Millisecond)
-		switch {
-		case strings.HasPrefix(sp.Name, "op."):
-			total += d
-		case strings.HasPrefix(sp.Name, "net."):
-			network += d
-		case strings.HasPrefix(sp.Name, "dispatch."):
-			dispatch += d
-		case strings.HasPrefix(sp.Name, "kernel."):
-			kernel += d
-		}
-	}
-	return total, network, dispatch, kernel
-}
-
-// RunTable2Breakdown regenerates Table 2 on the same warm three-host
-// line as RunTable2, but runs every operation under tracing and
-// decomposes each cell from the assembled trace tree of that single
-// traced run.
-func RunTable2Breakdown() ([]Table2BreakdownRow, error) {
-	c, sess, err := table2Line()
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table2BreakdownRow
-	err = table2Cells(c, sess, func(action string, dist int, op func() error) error {
-		id, err := c.Trace(op)
-		if err != nil {
-			return err
-		}
-		total, network, dispatch, kernel := traceBreakdown(c, id)
-		if action == "create" {
-			total -= toolLegs
-		}
-		rows = append(rows, Table2BreakdownRow{
-			Action: action, Distance: dist,
-			TotalMS: total, NetworkMS: network, DispatchMS: dispatch, KernelMS: kernel,
-			OtherMS: total - network - dispatch - kernel,
-		})
 		return nil
 	})
 	if err != nil {
@@ -695,36 +624,6 @@ func FormatTable2(rows []Table2Row) string {
 	return b.String()
 }
 
-// FormatTable2Breakdown renders the traced decomposition of Table 2,
-// closing with the measured cost of the second hop — the paper's
-// "adds only ~5%" observation, attributed to its source.
-func FormatTable2Breakdown(rows []Table2BreakdownRow) string {
-	var b strings.Builder
-	b.WriteString("Table 2 breakdown: traced decomposition of each cell (virtual ms)\n")
-	fmt.Fprintf(&b, "%-10s %8s %8s %8s %9s %7s %7s\n",
-		"action", "distance", "total", "network", "dispatch", "kernel", "other")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %8d %8.1f %8.1f %9.1f %7.1f %7.1f\n",
-			r.Action, r.Distance, r.TotalMS, r.NetworkMS, r.DispatchMS, r.KernelMS, r.OtherMS)
-	}
-	var stop1, stop2 *Table2BreakdownRow
-	for i := range rows {
-		if rows[i].Action == "stop" && rows[i].Distance == 1 {
-			stop1 = &rows[i]
-		}
-		if rows[i].Action == "stop" && rows[i].Distance == 2 {
-			stop2 = &rows[i]
-		}
-	}
-	if stop1 != nil && stop2 != nil && stop1.TotalMS > 0 {
-		extra := stop2.TotalMS - stop1.TotalMS
-		netExtra := stop2.NetworkMS - stop1.NetworkMS
-		fmt.Fprintf(&b, "second hop: +%.1f ms (+%.1f%%), of which %.1f ms is extra network transit\n",
-			extra, extra/stop1.TotalMS*100, netExtra)
-	}
-	return b.String()
-}
-
 // FormatTable3 renders Table 3 rows.
 func FormatTable3(rows []Table3Row) string {
 	var b strings.Builder
@@ -969,11 +868,10 @@ func AblationRelayVsDirect() (relayFirstMS, directFirstMS, relaySteadyMS, direct
 // ---------------------------------------------------------------------
 
 // LatencyAttributionRow is one operation at one gateway distance with
-// its full profile-phase decomposition. Unlike the Table 2 breakdown's
-// prefix sums, these phases come from internal/profile's conservation
-// sweep: they sum exactly to the end-to-end time, with overlap resolved
-// instant by instant, so the second-hop delta can be read off per phase
-// with nothing double-counted.
+// its full profile-phase decomposition. The phases come from
+// internal/profile's conservation sweep: they sum exactly to the
+// end-to-end time, with overlap resolved instant by instant, so the
+// second-hop delta can be read off per phase with nothing double-counted.
 type LatencyAttributionRow struct {
 	Action         string
 	Distance       int

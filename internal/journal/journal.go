@@ -15,6 +15,7 @@
 package journal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -303,6 +304,56 @@ func NetMessage(circuit bool, fromHost string, fromPort uint16, toHost string, t
 		s1: fromHost, n1: int32(fromPort), s2: toHost, n2: int32(toPort), n3: int32(size)}
 }
 
+// Flow is one directed host pair's traffic over a stretch of the
+// journal: the messages sent from From to To, their bytes, and the
+// messages between the two that were dropped.
+type Flow struct {
+	From, To           string
+	Msgs, Bytes, Drops int
+}
+
+// Flows reduces the net.send and net.drop records appended after record
+// number after to per-host-pair flows, by descending bytes and then by
+// pair — §7's view for assessing message routing. It reads the host and
+// size slots of each NetMessage detail in the ring and renders no
+// record. evicted counts the records of that stretch the ring no longer
+// holds (0 when the reduction is whole).
+func (j *Journal) Flows(after uint64) (flows []Flow, evicted uint64) {
+	if j == nil {
+		return nil, 0
+	}
+	first := 0
+	if oldest := j.Dropped(); after < oldest {
+		evicted = oldest - after
+	} else {
+		first = int(after - oldest)
+	}
+	index := map[[2]string]int{}
+	for i := first; i < j.ring.Len(); i++ {
+		d := j.ring.At(i).d
+		if d.layout != layoutNetMessage || (d.kind != NetSend && d.kind != NetDrop) {
+			continue
+		}
+		pair := [2]string{d.s1, d.s2}
+		k, ok := index[pair]
+		if !ok {
+			k = len(flows)
+			index[pair] = k
+			flows = append(flows, Flow{From: d.s1, To: d.s2})
+		}
+		if d.kind == NetDrop {
+			flows[k].Drops++
+		} else {
+			flows[k].Msgs++
+			flows[k].Bytes += int(d.n3)
+		}
+	}
+	slices.SortFunc(flows, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(b.Bytes, a.Bytes), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	return flows, evicted
+}
+
 // WireFrame details one encoded or decoded frame: "Control 37B".
 func WireFrame(msgType string, size int) Detail {
 	return Detail{layout: layoutWireFrame, s1: msgType, n1: int32(size)}
@@ -551,6 +602,15 @@ func (j *Journal) Dropped() uint64 {
 		return 0
 	}
 	return j.seq - uint64(j.ring.Len())
+}
+
+// Seq returns the number of the newest record appended (0 before the
+// first): the position a later Flows reduces from.
+func (j *Journal) Seq() uint64 {
+	if j == nil {
+		return 0
+	}
+	return j.seq
 }
 
 // Records returns the retained records, oldest first.

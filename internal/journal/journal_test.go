@@ -546,6 +546,69 @@ func TestAuditStatusSweepCrashedHostReachable(t *testing.T) {
 	}
 }
 
+// TestAuditRedCases: one minimal stream per violation message no other
+// test provokes. Each must yield exactly its check and message, blamed
+// on the offending record — and the same stream without that record
+// must audit clean, so nothing else in the row is what fails.
+func TestAuditRedCases(t *testing.T) {
+	flood := []Record{ // a clean flood to stand beside the broken one
+		rec(LPMFloodOrigin, "a", "user=u stamp=s0"),
+		rec(LPMFloodApply, "a", "user=u stamp=s0"),
+		rec(LPMFloodDone, "a", "user=u stamp=s0 hosts=a partial="),
+	}
+	channel := []Record{ // a channel authenticated and opened at both ends
+		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
+		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
+		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
+	}
+	exec := rec(LPMOpExec, "a", "user=u op=a#1#1 type=Control")
+	cases := []struct {
+		name, check, msg string
+		stream           []Record
+		bad              int // index of the offending record
+	}{
+		{"exit without creation", "genealogy", "exit of <a,2> which was never created",
+			[]Record{rec(KernelSpawn, "a", "pid=1 name=lpm user=u"), rec(KernelExit, "a", "pid=2 code=0")}, 1},
+		{"apply without origin", "flood", "apply of flood s1 with no origin record",
+			append(slices.Clone(flood), rec(LPMFloodApply, "b", "user=u stamp=s1")), 3},
+		{"double execution", "dedup", "op u/a#1#1 executed twice (first on a, again on b)",
+			[]Record{exec, rec(LPMOpExec, "b", "user=u op=a#1#1 type=Control")}, 1},
+		{"replay without execution", "dedup", "replay of op u/a#1#2 which was never executed",
+			[]Record{exec, rec(LPMOpReplay, "a", "user=u op=a#1#2 type=Control")}, 1},
+		{"sweep requested twice", "status", "sweep u/a#1 requested twice",
+			[]Record{
+				rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a"),
+				rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
+				rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a"),
+			}, 2},
+		{"channel opened twice", "circuit", "channel c1 opened twice by a",
+			append(slices.Clone(channel), rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client")), 3},
+		{"close without open", "circuit", "channel c1 closed by a without an open record",
+			append(slices.Clone(channel[:2]), rec(LPMSiblingClose, "a", "user=u peer=b chan=c1")), 2},
+		{"closed twice", "circuit", "channel c1 closed twice by a",
+			append(slices.Clone(channel), rec(LPMSiblingClose, "a", "user=u peer=b chan=c1"),
+				rec(LPMSiblingClose, "a", "user=u peer=b chan=c1")), 4},
+		{"flood originated twice", "flood", "flood s0 originated twice",
+			slices.Insert(slices.Clone(flood), 1, rec(LPMFloodOrigin, "a", "user=u stamp=s0")), 1},
+		{"done without origin", "flood", "flood s1 completed with no origin record",
+			append(slices.Clone(flood), rec(LPMFloodDone, "a", "user=u stamp=s1 hosts= partial=")), 3},
+		{"covered host without apply", "flood", "flood s0 reports host b but no apply record",
+			append(slices.Clone(flood[:2]), rec(LPMFloodDone, "a", "user=u stamp=s0 hosts=a,b partial=")), 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := AuditRecords(seqed(slices.Clone(tc.stream)), true)
+			if len(vs) != 1 || vs[0].Check != tc.check || vs[0].Msg != tc.msg || vs[0].Seq != uint64(tc.bad+1) {
+				t.Fatalf("want [%s] record #%d: %s; got:\n%s", tc.check, tc.bad+1, tc.msg, AuditReport(vs))
+			}
+			rest := seqed(slices.Delete(slices.Clone(tc.stream), tc.bad, tc.bad+1))
+			if vs := AuditRecords(rest, true); len(vs) != 0 {
+				t.Fatalf("the stream without its offending record is flagged:\n%s", AuditReport(vs))
+			}
+		})
+	}
+}
+
 // A retained record costs the ring entry and nothing else, so the
 // entry's size is the journal's share of heap_live_mb: 65,536 of them
 // at 104 bytes are 6.5 MiB. Growing it is a memory regression on every

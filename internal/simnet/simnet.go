@@ -90,7 +90,6 @@ type Network struct {
 	connSeq  uint64
 	rec      *journal.Recorder
 	counters counterHandles
-	tap      func(TapEvent)
 	loss     *lossPlan
 	dirLoss  map[[2]string]*lossPlan // per-direction loss schedules
 	// downPairs are endpoint pairs (normalized lower-name-first)
@@ -438,7 +437,7 @@ func (n *Network) flapDown(key [2]string) {
 		return
 	}
 	n.downPairs[key] = true
-	n.emit(TapEvent{Kind: tapFlapDown, Note: "link=" + key[0] + "|" + key[1]})
+	n.emit(journal.NetFlapDown, event{note: "link=" + key[0] + "|" + key[1]})
 	n.breakSeveredConns()
 }
 
@@ -447,7 +446,7 @@ func (n *Network) flapUp(key [2]string) {
 		return
 	}
 	delete(n.downPairs, key)
-	n.emit(TapEvent{Kind: tapFlapUp, Note: "link=" + key[0] + "|" + key[1]})
+	n.emit(journal.NetFlapUp, event{note: "link=" + key[0] + "|" + key[1]})
 }
 
 // --- host lifecycle and failures ---
@@ -481,7 +480,7 @@ func (n *Network) Crash(host string) error {
 	if !nd.up {
 		return nil
 	}
-	n.emit(TapEvent{Kind: tapHostCrash, Host: host})
+	n.emit(journal.NetHostCrash, event{host: host})
 	nd.up = false
 	nd.listeners = make(map[uint16]func(*Conn))
 	nd.dgram = make(map[uint16]func(Addr, []byte))
@@ -515,7 +514,7 @@ func (n *Network) Restart(host string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownHost, host)
 	}
 	if !nd.up {
-		n.emit(TapEvent{Kind: tapHostRestart, Host: host})
+		n.emit(journal.NetHostRestart, event{host: host})
 	}
 	nd.up = true
 	return nil
@@ -523,25 +522,29 @@ func (n *Network) Restart(host string) error {
 
 // Partition splits the network: hosts in groups[i] land in partition
 // group i+1; hosts not mentioned stay in group 0. Circuits crossing a
-// group boundary break after the detection delay.
+// group boundary break after the detection delay. An unknown host name
+// is refused before any group changes.
 func (n *Network) Partition(groups ...[]string) error {
+	for _, g := range groups {
+		for _, h := range g {
+			if _, ok := n.hosts[h]; !ok {
+				return fmt.Errorf("%w: %s", ErrUnknownHost, h)
+			}
+		}
+	}
 	for _, nd := range n.hosts {
 		nd.group = 0
 	}
 	for i, g := range groups {
 		for _, h := range g {
-			nd, ok := n.hosts[h]
-			if !ok {
-				return fmt.Errorf("%w: %s", ErrUnknownHost, h)
-			}
-			nd.group = i + 1
+			n.hosts[h].group = i + 1
 		}
 	}
 	parts := make([]string, len(groups))
 	for i, g := range groups {
 		parts[i] = strings.Join(g, ",")
 	}
-	n.emit(TapEvent{Kind: tapPartition, Note: "groups=" + strings.Join(parts, "|")})
+	n.emit(journal.NetPartition, event{note: "groups=" + strings.Join(parts, "|")})
 	n.updatePartitionGauge()
 	n.breakSeveredConns()
 	return nil
@@ -552,7 +555,7 @@ func (n *Network) Heal() {
 	for _, nd := range n.hosts {
 		nd.group = 0
 	}
-	n.emit(TapEvent{Kind: tapHeal})
+	n.emit(journal.NetHeal, event{})
 	n.updatePartitionGauge()
 }
 
@@ -591,7 +594,7 @@ func (n *Network) breakRemote(c *Conn) {
 	n.sched.After(n.opts.BreakDetect, func() {
 		c.closeWith(ErrPeerLost)
 	})
-	n.emit(c.event(0, trace.Context{}).as(TapConnBreak, c.local.Host, ""))
+	n.emit(journal.NetCircuitBreak, c.event(0, trace.Context{}).as(c.local.Host, ""))
 }
 
 // observeTransit feeds the transit histogram, through a handle resolved
@@ -656,14 +659,14 @@ func (n *Network) SendDatagram(from, to Addr, payload []byte) {
 // SendDatagramCtx is SendDatagram under a trace context; when ctx is
 // valid the datagram's per-hop transit is recorded as spans.
 func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Context) {
-	ev := TapEvent{From: from, To: to, Size: len(payload), Ctx: ctx}
-	n.emit(ev.as(TapSend, from.Host, ""))
+	ev := event{from: from, to: to, size: len(payload), ctx: ctx}
+	n.emit(journal.NetSend, ev.as(from.Host, ""))
 	if !n.Reachable(from.Host, to.Host) {
-		n.emit(ev.as(TapDrop, from.Host, "unreachable"))
+		n.emit(journal.NetDrop, ev.as(from.Host, "unreachable"))
 		return
 	}
 	if n.loseNow(from.Host, to.Host) {
-		n.emit(ev.as(TapDrop, from.Host, "injected"))
+		n.emit(journal.NetDrop, ev.as(from.Host, "injected"))
 		return
 	}
 	n.traceTransit(ctx, from.Host, to.Host, len(payload), false)
@@ -672,18 +675,18 @@ func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Conte
 	body := n.copyBuf(payload)
 	n.sched.After(delay, func() {
 		defer n.putBuf(body)
-		ev := TapEvent{From: from, To: to, Size: len(body), Ctx: ctx}
+		ev := event{from: from, to: to, size: len(body), ctx: ctx}
 		nd, ok := n.hosts[to.Host]
 		if !ok || !nd.up || !n.Reachable(from.Host, to.Host) {
-			n.emit(ev.as(TapDrop, to.Host, "lost"))
+			n.emit(journal.NetDrop, ev.as(to.Host, "lost"))
 			return
 		}
 		h, ok := nd.dgram[to.Port]
 		if !ok {
-			n.emit(ev.as(TapDrop, to.Host, "no-handler"))
+			n.emit(journal.NetDrop, ev.as(to.Host, "no-handler"))
 			return
 		}
-		n.emit(ev.as(TapDeliver, to.Host, ""))
+		n.emit(journal.NetDeliver, ev.as(to.Host, ""))
 		h(from, body)
 	})
 }
@@ -753,13 +756,13 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 	}
 	n := c.net
 	ev := c.event(len(payload), ctx)
-	n.emit(ev.as(TapSend, c.local.Host, ""))
+	n.emit(journal.NetSend, ev.as(c.local.Host, ""))
 	if !n.Reachable(c.local.Host, c.remote.Host) {
-		c.sever(ev.as(TapDrop, c.local.Host, "severed"))
+		c.sever(ev.as(c.local.Host, "severed"))
 		return nil
 	}
 	if n.loseNow(c.local.Host, c.remote.Host) {
-		c.sever(ev.as(TapDrop, c.local.Host, "injected"))
+		c.sever(ev.as(c.local.Host, "injected"))
 		return nil
 	}
 	n.traceTransit(ctx, c.local.Host, c.remote.Host, len(payload), reply)
@@ -776,14 +779,14 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 		defer n.putBuf(body)
 		ev := c.event(len(body), ctx)
 		if !peer.open {
-			n.emit(ev.as(TapDrop, c.remote.Host, "closed"))
+			n.emit(journal.NetDrop, ev.as(c.remote.Host, "closed"))
 			return
 		}
 		if !n.Reachable(c.local.Host, c.remote.Host) {
-			c.sever(ev.as(TapDrop, c.remote.Host, "severed"))
+			c.sever(ev.as(c.remote.Host, "severed"))
 			return
 		}
-		n.emit(ev.as(TapDeliver, c.remote.Host, ""))
+		n.emit(journal.NetDeliver, ev.as(c.remote.Host, ""))
 		if peer.onMsg != nil {
 			peer.onMsg(body)
 		}
@@ -793,15 +796,15 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 
 // event describes size bytes crossing the circuit from this endpoint
 // (size 0: the circuit itself).
-func (c *Conn) event(size int, ctx trace.Context) TapEvent {
-	return TapEvent{From: c.local, To: c.remote, Size: size, Circuit: true, Ctx: ctx}
+func (c *Conn) event(size int, ctx trace.Context) event {
+	return event{from: c.local, to: c.remote, size: size, circuit: true, ctx: ctx}
 }
 
 // sever records a message that could not cross and breaks both
 // endpoints: TCP would retransmit and eventually time out, modelled as
 // an eventual break of the whole circuit.
-func (c *Conn) sever(drop TapEvent) {
-	c.net.emit(drop)
+func (c *Conn) sever(drop event) {
+	c.net.emit(journal.NetDrop, drop)
 	c.net.breakRemote(c)
 	c.net.breakRemote(c.peer)
 }
@@ -814,7 +817,7 @@ func (c *Conn) Close() {
 	if !c.open {
 		return
 	}
-	c.net.emit(c.event(0, trace.Context{}).as(tapConnClose, c.local.Host, ""))
+	c.net.emit(journal.NetCircuitClose, c.event(0, trace.Context{}).as(c.local.Host, ""))
 	c.closeWith(nil)
 	peer := c.peer
 	if peer != nil && peer.open {
@@ -925,7 +928,7 @@ func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*
 		server.peer = client
 		src.conns[client] = true
 		dst.conns[server] = true
-		n.emit(client.event(0, ctx).as(TapConnOpen, fromHost, ""))
+		n.emit(journal.NetCircuitOpen, client.event(0, ctx).as(fromHost, ""))
 		acceptFn(server)
 		n.traceTransit(ctx, to.Host, fromHost, 64, true) // SYN-ACK
 		n.sched.After(d, func() {                        // SYN-ACK back to the dialer

@@ -335,6 +335,26 @@ func TestPartitionSameGroupStillWorks(t *testing.T) {
 	}
 }
 
+// A partition naming an unknown host is refused whole: no group moves,
+// so no pair is cut off without the net.partition record, the gauge
+// update and the circuit breaks that announce a cut.
+func TestPartitionUnknownHostChangesNothing(t *testing.T) {
+	s, n := threeHostChain(t)
+	jr := journal.New(func() time.Duration { return s.Now().Duration() })
+	n.SetRecorder(journal.NewRecorder(nil, nil, jr))
+	if err := n.Partition([]string{"a"}, []string{"nosuch"}); !errors.Is(err, ErrUnknownHost) {
+		t.Fatalf("Partition with an unknown host = %v, want ErrUnknownHost", err)
+	}
+	for _, pair := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "c"}} {
+		if !n.Reachable(pair[0], pair[1]) {
+			t.Errorf("%s cannot reach %s after a refused partition", pair[0], pair[1])
+		}
+	}
+	if jr.Len() != 0 {
+		t.Errorf("a refused partition journaled:\n%s", jr.Render())
+	}
+}
+
 func TestSendAcrossPartitionEventuallyBreaksCircuit(t *testing.T) {
 	s, n := threeHostChain(t)
 	client, server := dial(t, s, n, "a", Addr{"b", 2001})

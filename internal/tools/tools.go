@@ -4,8 +4,8 @@
 // packages; here are the textual reports the paper lists as built-in or
 // planned — exited-process resource-consumption statistics (pstat), the
 // open/closed-files display (fdstat), IPC activity tracing and
-// analysis (ipctrace), and an event timeline for the historical data
-// gathering tool.
+// analysis (ipctrace), the per-host-pair flows for assessing message
+// routing, and an event timeline for the historical data gathering tool.
 package tools
 
 import (
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ppm/internal/detord"
+	"ppm/internal/journal"
 	"ppm/internal/proc"
 )
 
@@ -125,6 +126,21 @@ func FormatIPC(stats []IPCStat) string {
 			rate = float64(s.Events-1) / span
 		}
 		fmt.Fprintf(&b, "%-20s %8d %14v %14v %10.2f\n", s.Proc, s.Events, s.First, s.Last, rate)
+	}
+	return b.String()
+}
+
+// FormatFlows renders the per-host-pair network flows of a trace
+// (journal.Flows), noting the records the journal ring evicted from
+// the traced stretch.
+func FormatFlows(flows []journal.Flow, evicted uint64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %-10s %8s %10s %6s\n", "from", "to", "msgs", "bytes", "drops")
+	for _, f := range flows {
+		fmt.Fprintf(&b, "%-10s %-10s %8d %10d %6d\n", f.From, f.To, f.Msgs, f.Bytes, f.Drops)
+	}
+	if evicted > 0 {
+		fmt.Fprintf(&b, "(trace truncated: the journal ring evicted %d records of it)\n", evicted)
 	}
 	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ppm/internal/journal"
 	"ppm/internal/proc"
 )
 
@@ -156,5 +157,17 @@ func TestFormatSnapshotTable(t *testing.T) {
 	// Child indented under parent.
 	if strings.Index(out, "<a,1>") > strings.Index(out, "<b,2>") {
 		t.Fatalf("order wrong:\n%s", out)
+	}
+}
+
+func TestFormatFlows(t *testing.T) {
+	flows := []journal.Flow{{From: "vax1", To: "vax2", Msgs: 8, Bytes: 712, Drops: 1}}
+	want := "from       to             msgs      bytes  drops\n" +
+		"vax1       vax2              8        712      1\n"
+	if got := FormatFlows(flows, 0); got != want {
+		t.Fatalf("FormatFlows:\n%s\nwant:\n%s", got, want)
+	}
+	if got := FormatFlows(flows, 17); !strings.HasSuffix(got, "evicted 17 records of it)\n") {
+		t.Fatalf("eviction not reported:\n%s", got)
 	}
 }

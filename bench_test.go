@@ -8,6 +8,7 @@ import (
 
 	"ppm"
 	"ppm/internal/experiments"
+	"ppm/internal/journal"
 	"ppm/internal/scenario"
 )
 
@@ -244,5 +245,51 @@ func TestWarmOperationAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, run); got > row.budget {
 			t.Errorf("warm %s over %d hosts: %.0f allocs, budget %.0f", row.name, len(row.hosts), got, row.budget)
 		}
+	}
+}
+
+// TestAuditAllocs holds Cluster.JournalAudit on one fixed installation —
+// an 8-host rooted star that snapshots, sweeps, stops a worker, loses a
+// host and gets it back — to the count measured once the audit read the
+// ring's entries instead of rendered copies of every record. A check
+// that renders a detail, tokenizes one, or keys a map by concatenation
+// lands here first.
+func TestAuditAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation changes what the compiler inlines, and so what escapes")
+			}
+		}
+	}
+	c, sess, workers := star(t, scenario.Numbered("h%d", 0, 8), true)
+	if _, err := sess.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Status(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Stop(workers[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash("h3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("h3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if vs := c.JournalAudit(); len(vs) != 0 {
+		t.Fatalf("the installation audits dirty:\n%s", journal.AuditReport(vs))
+	}
+	const budget = 320 // 309 measured on go1.24, 1,678 while it rendered every record; the rest is headroom for map growth
+	records := c.Journal().Len()
+	if got := testing.AllocsPerRun(20, func() { c.JournalAudit() }); got > budget {
+		t.Errorf("auditing %d records: %.0f allocs, budget %d", records, got, budget)
 	}
 }

@@ -378,11 +378,11 @@ func (c *Cluster) Trace(op func() error) (uint64, error) {
 // Profile analyzes every trace recorded so far — phase attribution
 // with the conservation invariant, critical paths, aggregation — and
 // returns the analyzed run (see internal/profile). Journal records
-// contribute the retry/timeout cross-links. Trace the traffic you care
-// about (Trace, or Tracer().Enable) before profiling; an untraced run
-// profiles to zero requests.
+// contribute the retry/timeout cross-links; only those are rendered.
+// Trace the traffic you care about (Trace, or Tracer().Enable) before
+// profiling; an untraced run profiles to zero requests.
 func (c *Cluster) Profile() *profile.Profile {
-	return profile.Build(c.tr.Spans(), c.jr.Records())
+	return profile.Build(c.tr.Spans(), c.jr.Select(journal.Filter{Kinds: []journal.Kind{journal.LPMRetry, journal.LPMTimeout}}))
 }
 
 // TraceReport renders one assembled trace tree as a virtual-time

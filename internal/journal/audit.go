@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ppm/internal/detord"
+	"ppm/internal/trace"
 )
 
 // Violation is one invariant breach found by Audit.
@@ -59,38 +60,10 @@ const maxViolations = 64
 // snapshot, open before close) are skipped when the ring has evicted
 // records; the always-sound checks (double auth, double apply) run
 // regardless.
+// It is one pass over the ring that renders nothing: the step switches
+// on the entry's kind and reads details from their slots.
 func Audit(j *Journal) []Violation {
-	return AuditRecords(j.Records(), j.Dropped() == 0)
-}
-
-// AuditRecords is Audit over an extracted record slice; complete says
-// the slice is the full stream (no ring eviction).
-func AuditRecords(records []Record, complete bool) []Violation {
-	a := &auditor{
-		complete: complete,
-		procs:    make(map[string]*auditProc),
-		chans:    make(map[string]*auditChan),
-		circuits: make(map[string]*auditCircuit),
-		estab:    make(map[string]map[string]bool),
-		edges:    make(map[string]map[string]*auditEdge),
-		floods:   make(map[string]*auditFlood),
-		execs:    make(map[string]string),
-		sweeps:   make(map[string]*auditSweep),
-		down:     make(map[string]bool),
-	}
-	for _, r := range records {
-		if len(a.out) >= maxViolations {
-			a.out = append(a.out, Violation{Seq: r.Seq, Check: "audit",
-				Msg: "too many violations; audit truncated"})
-			break
-		}
-		a.step(r)
-	}
-	if a.complete && len(a.out) < maxViolations {
-		a.finishSweeps()
-		a.finishCircuits()
-	}
-	return a.out
+	return newAuditor(j.Dropped() == 0).pass(j)
 }
 
 // AuditReport renders violations one per line ("" when clean).
@@ -144,16 +117,25 @@ type auditSweep struct {
 // auditCircuit is the replayed state machine of one directed circuit
 // (observer host -> peer), advanced by circuit.transition records.
 type auditCircuit struct {
-	state string
+	state CircuitState
 	seq   uint64 // the record that put it in this state
 }
+
+// circuitAny is the post-crash wildcard state (see circuitStep).
+const circuitAny = numCircuitStates
+
+// userPair names two hosts of one user, "user/a|b": a circuit machine
+// (observer, peer), or an unordered pair with the lower name first.
+type userPair struct{ user, a, b string }
+
+func (k userPair) String() string { return k.user + "/" + k.a + "|" + k.b }
 
 type auditor struct {
 	complete bool
 	procs    map[string]*auditProc
 	chans    map[string]*auditChan
-	circuits map[string]*auditCircuit         // host|peer -> machine state
-	estab    map[string]map[string]bool       // user/pair -> established chan keys
+	circuits map[userPair]*auditCircuit       // machine state per (host, peer)
+	estab    map[userPair]map[string]bool     // established chan keys per unordered pair
 	edges    map[string]map[string]*auditEdge // user -> chan -> edge
 	floods   map[string]*auditFlood           // stamp -> flood
 	execs    map[string]string                // op key -> executing host
@@ -161,113 +143,153 @@ type auditor struct {
 	down     map[string]bool                  // hosts crashed and not restarted
 	epoch    int                              // bumped by any event that changes reachability
 	out      []Violation
+
+	// The trace audit: the span table when both streams are complete
+	// (nil: no cross-links), and its violations, the table's own first.
+	spans map[uint64]trace.SpanData
+	links []Violation
 }
 
-func (a *auditor) fail(r Record, check, format string, args ...any) {
-	a.out = append(a.out, Violation{Seq: r.Seq, Check: check,
+func newAuditor(complete bool) *auditor {
+	return &auditor{
+		complete: complete,
+		procs:    make(map[string]*auditProc),
+		chans:    make(map[string]*auditChan),
+		circuits: make(map[userPair]*auditCircuit),
+		estab:    make(map[userPair]map[string]bool),
+		edges:    make(map[string]map[string]*auditEdge),
+		floods:   make(map[string]*auditFlood),
+		execs:    make(map[string]string),
+		sweeps:   make(map[string]*auditSweep),
+		down:     make(map[string]bool),
+	}
+}
+
+// pass feeds the retained entries of j to the step, oldest first,
+// straight from the ring, then runs the end-of-stream checks.
+func (a *auditor) pass(j *Journal) []Violation {
+	for i := 0; i < j.Len(); i++ {
+		e, seq := j.ring.At(i), j.seqAt(i)
+		if len(a.out) >= maxViolations {
+			a.out = append(a.out, Violation{Seq: seq, Check: "audit",
+				Msg: "too many violations; audit truncated"})
+			return a.out
+		}
+		a.crossLink(seq, e.trace, e.span)
+		a.step(seq, &e)
+	}
+	if a.complete && len(a.out) < maxViolations {
+		a.finishSweeps()
+		a.finishCircuits()
+	}
+	return a.out
+}
+
+func (a *auditor) fail(seq uint64, check, format string, args ...any) {
+	a.out = append(a.out, Violation{Seq: seq, Check: check,
 		Msg: fmt.Sprintf(format, args...)})
 }
 
-func (a *auditor) step(r Record) {
-	switch r.Kind {
+func (a *auditor) step(seq uint64, e *entry) {
+	switch e.d.kind {
 	case KernelSpawn:
 		// PIDs are never reused per host (the counter survives crashes),
 		// so a spawn always introduces a new identity.
-		a.procs[gpid(r.Host, Field(r.Detail, "pid"))] = &auditProc{parent: "-"}
+		a.procs[gpid(e.host, e.d.field("pid"))] = &auditProc{parent: "-"}
 	case KernelFork:
-		a.procs[gpid(r.Host, Field(r.Detail, "child"))] =
-			&auditProc{parent: gpid(r.Host, Field(r.Detail, "parent"))}
+		a.procs[gpid(e.host, e.d.field("child"))] =
+			&auditProc{parent: gpid(e.host, e.d.field("parent"))}
 	case KernelSetParent:
-		if p, ok := a.procs[gpid(r.Host, Field(r.Detail, "pid"))]; ok {
-			p.parent = Field(r.Detail, "parent")
+		if p, ok := a.procs[gpid(e.host, e.d.field("pid"))]; ok {
+			p.parent = e.d.field("parent")
 		}
 	case KernelExit:
-		key := gpid(r.Host, Field(r.Detail, "pid"))
+		key := gpid(e.host, e.d.field("pid"))
 		if p, ok := a.procs[key]; ok {
 			p.exited = true
 		} else if a.complete {
-			a.fail(r, "genealogy", "exit of %s which was never created", key)
+			a.fail(seq, "genealogy", "exit of %s which was never created", key)
 		}
 	case NetHostCrash:
-		a.hostDown(r.Host)
+		a.hostDown(e.host)
 	case NetHostRestart:
 		a.epoch++
-		delete(a.down, r.Host)
+		delete(a.down, e.host)
 		for _, sw := range a.sweeps {
-			delete(sw.downAtReq, r.Host)
+			delete(sw.downAtReq, e.host)
 		}
 	case NetPartition, NetHeal, NetCircuitBreak, NetFlapDown, NetFlapUp:
 		a.epoch++
 	case SnapshotTaken:
-		a.checkSnapshot(r)
+		a.checkSnapshot(seq, e)
 	case CircuitTransition:
-		a.circuitStep(r)
+		a.circuitStep(seq, e)
 	case LPMSiblingAuth:
-		ch := a.chanState(Field(r.Detail, "chan"))
+		key := e.d.field("chan")
+		ch := a.chanState(key)
 		ch.auths++
 		if ch.auths > 1 {
-			a.fail(r, "circuit", "channel %s authenticated %d times (want exactly once)",
-				Field(r.Detail, "chan"), ch.auths)
+			a.fail(seq, "circuit", "channel %s authenticated %d times (want exactly once)", key, ch.auths)
 		}
 	case LPMSiblingOpen:
-		a.siblingOpen(r)
+		a.siblingOpen(seq, e)
 	case LPMSiblingClose:
-		a.siblingClose(r)
+		a.siblingClose(seq, e)
 	case LPMFloodOrigin:
-		a.floodOrigin(r)
+		a.floodOrigin(seq, e)
 	case LPMFloodApply:
-		fl := a.floodState(Field(r.Detail, "stamp"))
-		fl.applies[r.Host]++
-		if fl.applies[r.Host] > 1 {
-			a.fail(r, "flood", "flood %s applied %d times on %s (dedup failed)",
-				Field(r.Detail, "stamp"), fl.applies[r.Host], r.Host)
+		stamp := e.d.field("stamp")
+		fl := a.floodState(stamp)
+		fl.applies[e.host]++
+		if fl.applies[e.host] > 1 {
+			a.fail(seq, "flood", "flood %s applied %d times on %s (dedup failed)",
+				stamp, fl.applies[e.host], e.host)
 		}
 		if a.complete && !fl.origind {
-			a.fail(r, "flood", "apply of flood %s with no origin record",
-				Field(r.Detail, "stamp"))
+			a.fail(seq, "flood", "apply of flood %s with no origin record", stamp)
 		}
 	case LPMFloodDup:
-		a.floodState(Field(r.Detail, "stamp")).dups[r.Host] = true
+		a.floodState(e.d.field("stamp")).dups[e.host] = true
 	case LPMFloodDone:
-		a.floodDone(r)
+		a.floodDone(seq, e)
 	case LPMOpExec:
-		op := opIdentity(r)
+		op := opIdentity(e)
 		if prev, ok := a.execs[op]; ok {
-			a.fail(r, "dedup", "op %s executed twice (first on %s, again on %s)",
-				op, prev, r.Host)
+			a.fail(seq, "dedup", "op %s executed twice (first on %s, again on %s)",
+				op, prev, e.host)
 		}
-		a.execs[op] = r.Host
+		a.execs[op] = e.host
 	case LPMOpReplay:
-		op := opIdentity(r)
+		op := opIdentity(e)
 		if _, ok := a.execs[op]; !ok && a.complete {
-			a.fail(r, "dedup", "replay of op %s which was never executed", op)
+			a.fail(seq, "dedup", "replay of op %s which was never executed", op)
 		}
 	case StatusRequest:
-		a.statusRequest(r)
+		a.statusRequest(seq, e)
 	case StatusReport:
-		a.statusReport(r)
+		a.statusReport(seq, e)
 	}
 }
 
 // sweepKey qualifies a sweep id by its user: per-user LPMs number their
 // sweeps independently.
-func sweepKey(r Record) string {
-	return Field(r.Detail, "user") + "/" + Field(r.Detail, "sweep")
+func sweepKey(e *entry) string {
+	return e.d.field("user") + "/" + e.d.field("sweep")
 }
 
-func (a *auditor) statusRequest(r Record) {
-	key := sweepKey(r)
+func (a *auditor) statusRequest(seq uint64, e *entry) {
+	key := sweepKey(e)
 	if _, ok := a.sweeps[key]; ok {
-		a.fail(r, "status", "sweep %s requested twice", key)
+		a.fail(seq, "status", "sweep %s requested twice", key)
 		return
 	}
 	sw := &auditSweep{
-		seq:       r.Seq,
+		seq:       seq,
 		targets:   make(map[string]bool),
 		reports:   make(map[string]int),
 		downAtReq: make(map[string]bool),
 	}
-	if hosts := Field(r.Detail, "hosts"); hosts != "" {
+	if hosts := e.d.field("hosts"); hosts != "" {
 		for _, h := range strings.Split(hosts, ",") {
 			sw.targets[h] = true
 			if a.down[h] {
@@ -278,30 +300,30 @@ func (a *auditor) statusRequest(r Record) {
 	a.sweeps[key] = sw
 }
 
-func (a *auditor) statusReport(r Record) {
-	key := sweepKey(r)
+func (a *auditor) statusReport(seq uint64, e *entry) {
+	key := sweepKey(e)
 	sw, ok := a.sweeps[key]
 	if !ok {
 		if a.complete {
-			a.fail(r, "status", "report for sweep %s with no request record", key)
+			a.fail(seq, "status", "report for sweep %s with no request record", key)
 		}
 		return
 	}
-	host := Field(r.Detail, "host")
+	host := e.d.field("host")
 	if !sw.targets[host] {
-		a.fail(r, "status", "sweep %s collected a report from %s, which it never targeted",
+		a.fail(seq, "status", "sweep %s collected a report from %s, which it never targeted",
 			key, host)
 		return
 	}
 	sw.reports[host]++
 	if sw.reports[host] > 1 {
-		a.fail(r, "status", "sweep %s resolved %s %d times (want exactly once)",
+		a.fail(seq, "status", "sweep %s resolved %s %d times (want exactly once)",
 			key, host, sw.reports[host])
 	}
 	// A host that was already crashed when the sweep started, and never
 	// restarted since, cannot have produced a report.
-	if Field(r.Detail, "ok") == "true" && sw.downAtReq[host] {
-		a.fail(r, "status", "sweep %s reports crashed host %s reachable", key, host)
+	if e.d.field("ok") == "true" && sw.downAtReq[host] {
+		a.fail(seq, "status", "sweep %s reports crashed host %s reachable", key, host)
 	}
 }
 
@@ -326,8 +348,8 @@ func (a *auditor) finishSweeps() {
 // a host numbers its own operations independently, so the executing
 // user qualifies the key (user A's op host#inc#1 and user B's op
 // host#inc'#1 must not collide into a false double-execution).
-func opIdentity(r Record) string {
-	return Field(r.Detail, "user") + "/" + Field(r.Detail, "op")
+func opIdentity(e *entry) string {
+	return e.d.field("user") + "/" + e.d.field("op")
 }
 
 func gpid(host, pid string) string { return "<" + host + "," + pid + ">" }
@@ -351,31 +373,15 @@ func (a *auditor) floodState(stamp string) *auditFlood {
 }
 
 // legalCircuitSteps is the lifecycle's legal-edge table (DESIGN.md
-// §13); the auditor replays journaled transitions against it.
-var legalCircuitSteps = map[string][]string{
-	"idle":           {"dialing", "authenticating"},
-	"dialing":        {"authenticating", "closed"},
-	"authenticating": {"established", "closed"},
-	"established":    {"suspect", "closed"},
-	"suspect":        {"established", "closed"},
-	"closed":         {"dialing", "authenticating"},
-}
-
-func legalCircuitStep(from, to string) bool {
-	for _, t := range legalCircuitSteps[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
-}
-
-// pairName names an unordered host pair, lower name first.
-func pairName(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
+// §13): the set of states each state may step to, one bit per state.
+// The auditor replays journaled transitions against it.
+var legalCircuitSteps = [numCircuitStates]uint8{
+	CircuitIdle:           1<<CircuitDialing | 1<<CircuitAuthenticating,
+	CircuitDialing:        1<<CircuitAuthenticating | 1<<CircuitClosed,
+	CircuitAuthenticating: 1<<CircuitEstablished | 1<<CircuitClosed,
+	CircuitEstablished:    1<<CircuitSuspect | 1<<CircuitClosed,
+	CircuitSuspect:        1<<CircuitEstablished | 1<<CircuitClosed,
+	CircuitClosed:         1<<CircuitDialing | 1<<CircuitAuthenticating,
 }
 
 // circuitStep replays one circuit.transition record: the edge must be
@@ -384,37 +390,38 @@ func pairName(a, b string) string {
 // pair's circuit to Established while another established channel
 // between the same pair is still up is the cross-dial double-circuit
 // bug the tie-break exists to prevent.
-func (a *auditor) circuitStep(r Record) {
-	user, peer := Field(r.Detail, "user"), Field(r.Detail, "peer")
-	from, to := Field(r.Detail, "from"), Field(r.Detail, "to")
-	key := user + "/" + r.Host + "|" + peer
+func (a *auditor) circuitStep(seq uint64, e *entry) {
+	user, peer, ck, from, to := e.d.circuit()
+	key := userPair{user, e.host, peer}
 	c, ok := a.circuits[key]
 	if !ok {
-		c = &auditCircuit{state: "idle"}
+		c = &auditCircuit{state: CircuitIdle}
 		a.circuits[key] = c
 	}
 	// Continuity: the record's declared origin must be where the
-	// machine actually is. Two sanctioned exceptions: "*" is the
+	// machine actually is. Two sanctioned exceptions: circuitAny is the
 	// post-crash wildcard (the crashed host's LPM may have survived
 	// with its old state, or restarted fresh — the first transition
 	// after the crash re-synchronizes), and a fresh LPM instance
 	// starts from Idle where its predecessor's machine parked in
 	// Closed.
-	if a.complete && c.state != from && c.state != "*" &&
-		!(c.state == "closed" && from == "idle") {
-		a.fail(r, "lifecycle", "circuit %s->%s declares from=%s but machine was in %s",
-			r.Host, peer, from, c.state)
+	if a.complete && c.state != from && c.state != circuitAny &&
+		!(c.state == CircuitClosed && from == CircuitIdle) {
+		a.fail(seq, "lifecycle", "circuit %s->%s declares from=%s but machine was in %s",
+			e.host, peer, from, c.state)
 	}
-	if !legalCircuitStep(from, to) {
-		a.fail(r, "lifecycle", "circuit %s->%s illegal transition %s -> %s",
-			r.Host, peer, from, to)
+	if from >= numCircuitStates || to >= numCircuitStates || legalCircuitSteps[from]&(1<<to) == 0 {
+		a.fail(seq, "lifecycle", "circuit %s->%s illegal transition %s -> %s",
+			e.host, peer, from, to)
 	}
-	c.state, c.seq = to, r.Seq
+	c.state, c.seq = to, seq
 
-	ck := Field(r.Detail, "chan")
-	pk := user + "/" + pairName(r.Host, peer)
+	pk := userPair{user, e.host, peer}
+	if pk.a > pk.b {
+		pk.a, pk.b = pk.b, pk.a
+	}
 	switch to {
-	case "established":
+	case CircuitEstablished:
 		set := a.estab[pk]
 		if set == nil {
 			set = make(map[string]bool)
@@ -422,10 +429,10 @@ func (a *auditor) circuitStep(r Record) {
 		}
 		set[ck] = true
 		if len(set) > 1 {
-			a.fail(r, "lifecycle", "pair %s holds %d established circuits at once: %s",
+			a.fail(seq, "lifecycle", "pair %s holds %d established circuits at once: %s",
 				pk, len(set), strings.Join(detord.Keys(set), ","))
 		}
-	case "closed":
+	case CircuitClosed:
 		if ck != "-" {
 			delete(a.estab[pk], ck)
 		}
@@ -437,12 +444,16 @@ func (a *auditor) circuitStep(r Record) {
 // traffic, or to Closed by the detector. A machine parked in Suspect
 // means a detector that raises suspicion but never acts on it.
 func (a *auditor) finishCircuits() {
-	for _, key := range detord.Keys(a.circuits) {
-		c := a.circuits[key]
-		if c.state == "suspect" {
-			a.out = append(a.out, Violation{Seq: c.seq, Check: "lifecycle",
-				Msg: fmt.Sprintf("circuit %s left in Suspect: suspicion never resolved", key)})
+	var parked []userPair
+	for key, c := range a.circuits {
+		if c.state == CircuitSuspect {
+			parked = append(parked, key)
 		}
+	}
+	detord.SortBy(parked, userPair.String)
+	for _, key := range parked {
+		a.out = append(a.out, Violation{Seq: a.circuits[key].seq, Check: "lifecycle",
+			Msg: fmt.Sprintf("circuit %s left in Suspect: suspicion never resolved", key)})
 	}
 }
 
@@ -451,91 +462,85 @@ func (a *auditor) finishCircuits() {
 func (a *auditor) hostDown(host string) {
 	a.epoch++
 	a.down[host] = true
-	for _, k := range detord.Keys(a.circuits) {
-		if _, rest, ok := strings.Cut(k, "/"); ok {
-			if h, _, ok := strings.Cut(rest, "|"); ok && h == host {
-				// Crash leaves the host's machines in an unknown state:
-				// its LPM may survive the reboot (old state) or be
-				// recreated (idle). The wildcard suspends continuity
-				// for exactly one transition per circuit.
-				a.circuits[k].state = "*"
-			}
+	for key, c := range a.circuits {
+		if key.a == host {
+			// Crash leaves the host's machines in an unknown state: its
+			// LPM may survive the reboot (old state) or be recreated
+			// (idle). The wildcard suspends continuity for exactly one
+			// transition per circuit.
+			c.state = circuitAny
 		}
 	}
-	for _, pk := range detord.Keys(a.estab) {
-		pair := pk[strings.LastIndex(pk, "/")+1:]
-		x, y, _ := strings.Cut(pair, "|")
-		if x == host || y == host {
+	for pk := range a.estab {
+		if pk.a == host || pk.b == host {
 			delete(a.estab, pk)
 		}
 	}
-	for _, user := range detord.Keys(a.edges) {
-		for _, ck := range detord.Keys(a.edges[user]) {
-			e := a.edges[user][ck]
+	for _, edges := range a.edges {
+		for ck, e := range edges {
 			if e.a == host || e.b == host {
-				delete(a.edges[user], ck)
+				delete(edges, ck)
 			}
 		}
 	}
-	for _, ck := range detord.Keys(a.chans) {
-		ch := a.chans[ck]
+	for _, ch := range a.chans {
 		if ch.opened[host] {
 			ch.closed[host] = true // crash closes implicitly
 		}
 	}
 }
 
-func (a *auditor) siblingOpen(r Record) {
+func (a *auditor) siblingOpen(seq uint64, e *entry) {
 	a.epoch++
-	key, user, peer := Field(r.Detail, "chan"), Field(r.Detail, "user"), Field(r.Detail, "peer")
+	key, user, peer := e.d.field("chan"), e.d.field("user"), e.d.field("peer")
 	ch := a.chanState(key)
-	if ch.opened[r.Host] {
-		a.fail(r, "circuit", "channel %s opened twice by %s", key, r.Host)
+	if ch.opened[e.host] {
+		a.fail(seq, "circuit", "channel %s opened twice by %s", key, e.host)
 	}
-	ch.opened[r.Host] = true
-	if a.complete && Field(r.Detail, "role") == "server" && ch.auths == 0 {
-		a.fail(r, "circuit", "channel %s opened by %s before authentication", key, r.Host)
+	ch.opened[e.host] = true
+	if a.complete && e.d.field("role") == "server" && ch.auths == 0 {
+		a.fail(seq, "circuit", "channel %s opened by %s before authentication", key, e.host)
 	}
 	if a.edges[user] == nil {
 		a.edges[user] = make(map[string]*auditEdge)
 	}
-	e, ok := a.edges[user][key]
+	edge, ok := a.edges[user][key]
 	if !ok {
-		e = &auditEdge{a: r.Host, b: peer}
-		a.edges[user][key] = e
+		edge = &auditEdge{a: e.host, b: peer}
+		a.edges[user][key] = edge
 	}
-	e.live++
+	edge.live++
 }
 
-func (a *auditor) siblingClose(r Record) {
+func (a *auditor) siblingClose(seq uint64, e *entry) {
 	a.epoch++
-	key, user := Field(r.Detail, "chan"), Field(r.Detail, "user")
+	key, user := e.d.field("chan"), e.d.field("user")
 	ch := a.chanState(key)
-	if a.complete && !ch.opened[r.Host] {
-		a.fail(r, "circuit", "channel %s closed by %s without an open record", key, r.Host)
+	if a.complete && !ch.opened[e.host] {
+		a.fail(seq, "circuit", "channel %s closed by %s without an open record", key, e.host)
 	}
-	if ch.closed[r.Host] {
-		a.fail(r, "circuit", "channel %s closed twice by %s", key, r.Host)
+	if ch.closed[e.host] {
+		a.fail(seq, "circuit", "channel %s closed twice by %s", key, e.host)
 	}
-	ch.closed[r.Host] = true
-	if e, ok := a.edges[user][key]; ok {
-		e.live--
-		if e.live <= 0 {
+	ch.closed[e.host] = true
+	if edge, ok := a.edges[user][key]; ok {
+		edge.live--
+		if edge.live <= 0 {
 			delete(a.edges[user], key)
 		}
 	}
 }
 
-func (a *auditor) floodOrigin(r Record) {
-	stamp, user := Field(r.Detail, "stamp"), Field(r.Detail, "user")
+func (a *auditor) floodOrigin(seq uint64, e *entry) {
+	stamp, user := e.d.field("stamp"), e.d.field("user")
 	fl := a.floodState(stamp)
 	if fl.origind {
-		a.fail(r, "flood", "flood %s originated twice", stamp)
+		a.fail(seq, "flood", "flood %s originated twice", stamp)
 	}
 	fl.origind = true
-	fl.origin = r.Host
+	fl.origin = e.host
 	fl.epoch = a.epoch
-	fl.reach = a.reachable(user, r.Host)
+	fl.reach = a.reachable(user, e.host)
 }
 
 // reachable computes the hosts transitively connected to origin over
@@ -555,21 +560,21 @@ func (a *auditor) reachable(user, origin string) []string {
 	return detord.Keys(seen)
 }
 
-func (a *auditor) floodDone(r Record) {
-	stamp := Field(r.Detail, "stamp")
+func (a *auditor) floodDone(seq uint64, e *entry) {
+	stamp := e.d.field("stamp")
 	fl, ok := a.floods[stamp]
 	if !ok || !fl.origind {
 		if a.complete {
-			a.fail(r, "flood", "flood %s completed with no origin record", stamp)
+			a.fail(seq, "flood", "flood %s completed with no origin record", stamp)
 		}
 		return
 	}
 	if a.complete {
 		// Every host the flood reports covering must have applied it.
-		if hosts := Field(r.Detail, "hosts"); hosts != "" {
+		if hosts := e.d.field("hosts"); hosts != "" {
 			for _, h := range strings.Split(hosts, ",") {
 				if fl.applies[h] == 0 {
-					a.fail(r, "flood", "flood %s reports host %s but no apply record", stamp, h)
+					a.fail(seq, "flood", "flood %s reports host %s but no apply record", stamp, h)
 				}
 			}
 		}
@@ -579,7 +584,7 @@ func (a *auditor) floodDone(r Record) {
 		if fl.epoch == a.epoch {
 			for _, h := range fl.reach {
 				if fl.applies[h] == 0 && !fl.dups[h] {
-					a.fail(r, "flood", "flood %s never reached live sibling %s", stamp, h)
+					a.fail(seq, "flood", "flood %s never reached live sibling %s", stamp, h)
 				}
 			}
 		}
@@ -590,11 +595,11 @@ func (a *auditor) floodDone(r Record) {
 // reconstructed from the kernel records so far. Entries are encoded as
 // "gpid|parent|state" joined by ";" ("-" for root parents; GPIDs
 // contain commas, so the list separators avoid them).
-func (a *auditor) checkSnapshot(r Record) {
+func (a *auditor) checkSnapshot(seq uint64, e *entry) {
 	if !a.complete {
 		return // creation records may have been evicted
 	}
-	procs := Field(r.Detail, "procs")
+	procs := e.d.field("procs")
 	if procs == "" {
 		return
 	}
@@ -606,15 +611,15 @@ func (a *auditor) checkSnapshot(r Record) {
 		parent, state, _ := strings.Cut(rest, "|")
 		p, known := a.procs[id]
 		if !known {
-			a.fail(r, "genealogy", "snapshot lists %s which was never created", id)
+			a.fail(seq, "genealogy", "snapshot lists %s which was never created", id)
 			continue
 		}
 		if p.parent != parent {
-			a.fail(r, "genealogy", "snapshot parent of %s is %s, journal says %s",
+			a.fail(seq, "genealogy", "snapshot parent of %s is %s, journal says %s",
 				id, parent, p.parent)
 		}
 		if state == "exited" && !p.exited {
-			a.fail(r, "genealogy", "snapshot reports %s exited but journal has no exit record", id)
+			a.fail(seq, "genealogy", "snapshot reports %s exited but journal has no exit record", id)
 		}
 	}
 }

@@ -64,6 +64,25 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 		}
 	}
 
+	// Every edge and reason of a circuit step, what lpm's circuitTransition
+	// formatted; past the last state is the "invalid" name, and a
+	// suspicion step carries the detector's level.
+	reasons := []string{"dial", "dial-failed", "hello", "hello-in", "auth-client", "auth-server",
+		"suspicion", "traffic", "detector", "close", "peer-lost", "superseded", "exit"}
+	const format = "user=%s peer=%s chan=%s from=%s to=%s reason=%s"
+	for from := journal.CircuitIdle; from <= journal.CircuitClosed+1; from++ {
+		for to := journal.CircuitIdle; to <= journal.CircuitClosed+1; to++ {
+			for _, reason := range reasons {
+				check(journal.CircuitStep("felipe", "vax2", "vax1:701->vax2:700", from, to, reason, 0),
+					format, "felipe", "vax2", "vax1:701->vax2:700", from, to, reason)
+			}
+		}
+	}
+	check(journal.CircuitStep("felipe", "h23", "h01:10003->h23:2002", journal.CircuitEstablished, journal.CircuitSuspect, "suspicion", 3),
+		format, "felipe", "h23", "h01:10003->h23:2002", "established", "suspect", "suspicion-3")
+	check(journal.CircuitStep("felipe", "h23", "-", journal.CircuitIdle, journal.CircuitDialing, "dial", 0),
+		format, "felipe", "h23", "-", "idle", "dialing", "dial")
+
 	for op := wire.ControlOp(0); op <= wire.OpSignal+1; op++ {
 		for _, pid := range []proc.PID{0, 6, 12345} {
 			for _, ok := range []bool{true, false} {
@@ -111,4 +130,15 @@ func TestSelectRendersOnlyMatches(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("selecting 1 of 101 records allocated %v times: rejected records were rendered", allocs)
 	}
+}
+
+// A circuit reason outside the vocabulary has no slot to ride in: like
+// an unregistered kind, it panics at the site.
+func TestCircuitStepUnknownReasonPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); msg != "journal: unregistered circuit reason bogus" {
+			t.Fatalf("recovered %q, want the unregistered-reason panic", msg)
+		}
+	}()
+	journal.CircuitStep("u", "b", "-", journal.CircuitIdle, journal.CircuitDialing, "bogus", 0)
 }

@@ -28,16 +28,9 @@ type Divergence struct {
 // same-seed runs must produce a nil diff; on a determinism failure the
 // divergence names the causal event rather than leaving a byte-level
 // output diff to stare at.
-func Diff(a, b *Journal) *Divergence {
-	return DiffRecords(a.Records(), b.Records())
-}
-
-// DiffRecords is Diff over already-extracted record slices.
-func DiffRecords(a, b []Record) *Divergence {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+func Diff(ja, jb *Journal) *Divergence {
+	a, b := ja.Records(), jb.Records()
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return divergenceAt(a, b, i)
@@ -52,27 +45,15 @@ func DiffRecords(a, b []Record) *Divergence {
 func divergenceAt(a, b []Record, i int) *Divergence {
 	d := &Divergence{Index: i}
 	if i < len(a) {
-		r := a[i]
-		d.A = &r
+		d.A = &a[i]
 	}
 	if i < len(b) {
-		r := b[i]
-		d.B = &r
+		d.B = &b[i]
 	}
-	lo := i - diffContext
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(i-diffContext, 0)
 	d.ContextA = append([]Record(nil), a[lo:min(i, len(a))]...)
 	d.ContextB = append([]Record(nil), b[lo:min(i, len(b))]...)
 	return d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Format renders the divergence for a test failure or report: the first

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 	"unicode/utf8"
 
 	"ppm/internal/ring"
@@ -229,6 +230,7 @@ const (
 	layoutControl
 	layoutOp
 	layoutFloodStamp
+	layoutCircuit
 )
 
 // transport names a message's transport: the first token of a net.*
@@ -242,10 +244,10 @@ func transport(circuit bool) string {
 
 // appendTo is the layout table: it renders each layout append-style to
 // exactly the text the fmt call it replaced produced (quoted on each
-// row), so the audits below, the profiler and every golden journal
-// parse what they always did. A switch rather than a table of funcs:
-// through an indirect call the entry and the buffer would escape to the
-// heap on every render.
+// row), so every golden journal reads as it always did; the audit reads
+// the slots instead (field, circuit). A switch rather than a table of
+// funcs: through an indirect call the entry and the buffer would escape
+// to the heap on every render.
 func (d *Detail) appendTo(b []byte) []byte {
 	switch d.layout {
 	case layoutNetMessage:
@@ -280,9 +282,19 @@ func (d *Detail) appendTo(b []byte) []byte {
 	case layoutFloodStamp:
 		// "user=%s stamp=%s@%v#%d" user, origin, mint time (n1, n2), sequence.
 		b = append(append(b, "user="...), d.text...)
-		b = append(append(b, " stamp="...), d.s1...)
-		b = append(append(b, '@'), time.Duration(int64(d.n1)<<32|int64(uint32(d.n2))).String()...)
-		return strconv.AppendInt(append(b, '#'), int64(d.n3), 10)
+		return d.appendStamp(append(b, " stamp="...))
+	case layoutCircuit:
+		// "user=%s peer=%s chan=%s from=%s to=%s reason=%s", n1 from<<8|to, n2 reason, n3 level.
+		b = append(append(b, "user="...), d.text...)
+		b = append(append(b, " peer="...), d.s1...)
+		b = append(append(b, " chan="...), d.s2...)
+		b = append(append(b, " from="...), CircuitState(d.n1>>8).String()...)
+		b = append(append(b, " to="...), CircuitState(d.n1).String()...)
+		b = append(append(b, " reason="...), circuitReasons[d.n2]...)
+		if d.n3 != 0 {
+			b = strconv.AppendInt(append(b, '-'), int64(d.n3), 10)
+		}
+		return b
 	default:
 		// layoutText: the cold sites' ready string, verbatim.
 		return append(b, d.text...)
@@ -291,6 +303,13 @@ func (d *Detail) appendTo(b []byte) []byte {
 
 func appendHostInt(b []byte, host string, sep byte, n int32) []byte {
 	return strconv.AppendInt(append(append(b, host...), sep), int64(n), 10)
+}
+
+// appendStamp renders a FloodStamp's stamp: origin@mint time#sequence.
+func (d *Detail) appendStamp(b []byte) []byte {
+	b = append(append(b, d.s1...), '@')
+	b = append(b, time.Duration(int64(d.n1)<<32|int64(uint32(d.n2))).String()...)
+	return strconv.AppendInt(append(b, '#'), int64(d.n3), 10)
 }
 
 // Text is a detail already rendered by its site.
@@ -385,6 +404,46 @@ func FloodStamp(user, origin string, at time.Duration, seq uint64) Detail {
 	}
 	return Detail{layout: layoutFloodStamp, text: user, s1: origin,
 		n1: int32(at >> 32), n2: int32(at), n3: int32(seq)}
+}
+
+// CircuitState is one state of a sibling circuit's lifecycle (DESIGN.md
+// §13); the audit replays each LPM's per-peer machine from its steps.
+type CircuitState uint8
+
+const (
+	CircuitIdle CircuitState = iota
+	CircuitDialing
+	CircuitAuthenticating
+	CircuitEstablished
+	CircuitSuspect
+	CircuitClosed
+	numCircuitStates
+)
+
+var circuitStateNames = [numCircuitStates]string{"idle", "dialing", "authenticating", "established", "suspect", "closed"}
+
+func (s CircuitState) String() string {
+	if s < numCircuitStates {
+		return circuitStateNames[s]
+	}
+	return "invalid"
+}
+
+// circuitReasons is the vocabulary of why a circuit steps; a step's
+// reason rides in its Detail as an index into it.
+var circuitReasons = [...]string{"dial", "dial-failed", "hello", "hello-in", "auth-client", "auth-server",
+	"suspicion", "traffic", "detector", "close", "peer-lost", "superseded", "exit"}
+
+// CircuitStep details one circuit.transition: "user=u peer=vax2
+// chan=vax1:701->vax2:700 from=established to=suspect reason=suspicion-2".
+// A nonzero level suffixes the reason; one outside the vocabulary panics.
+func CircuitStep(user, peer, chanKey string, from, to CircuitState, reason string, level int) Detail {
+	r := slices.Index(circuitReasons[:], reason)
+	if r < 0 {
+		panic("journal: unregistered circuit reason " + reason)
+	}
+	return Detail{layout: layoutCircuit, text: user, s1: peer, s2: chanKey,
+		n1: int32(from)<<8 | int32(to), n2: int32(r), n3: int32(level)}
 }
 
 // String renders the detail.
@@ -502,14 +561,49 @@ func appendPadded(b []byte, s string, width int) []byte {
 
 // Field extracts the value of a key=value token from a record detail
 // string ("" if absent). Details are written by the instrumentation
-// sites in a fixed token order, so extraction is deterministic.
+// sites in a fixed token order, so extraction is deterministic. It
+// scans strings.Fields' tokens in place and returns a substring.
 func Field(detail, key string) string {
-	for _, tok := range strings.Fields(detail) {
-		if v, ok := strings.CutPrefix(tok, key+"="); ok {
-			return v
+	for detail != "" {
+		tok := strings.TrimLeftFunc(detail, unicode.IsSpace)
+		detail = ""
+		if i := strings.IndexFunc(tok, unicode.IsSpace); i >= 0 {
+			tok, detail = tok[:i], tok[i:]
+		}
+		if v, ok := strings.CutPrefix(tok, key); ok && strings.HasPrefix(v, "=") {
+			return v[1:]
 		}
 	}
 	return ""
+}
+
+// field reads one key=value field of d as Field reads its rendered
+// text: Op and FloodStamp from their slots (a stamp is the one value
+// rendered), a Text detail in place, any other layout rendered first.
+func (d *Detail) field(key string) string {
+	switch {
+	case key == "user" && (d.layout == layoutOp || d.layout == layoutFloodStamp):
+		return d.text
+	case key == "op" && d.layout == layoutOp:
+		return d.s1
+	case key == "stamp" && d.layout == layoutFloodStamp:
+		var buf [48]byte
+		return string(d.appendStamp(buf[:0]))
+	}
+	return Field(d.String(), key)
+}
+
+// circuit reads a circuit.transition: from the slots of its layout, or
+// through Field from a Text detail.
+func (d *Detail) circuit() (user, peer, chanKey string, from, to CircuitState) {
+	if d.layout == layoutCircuit {
+		return d.text, d.s1, d.s2, CircuitState(d.n1 >> 8), CircuitState(d.n1)
+	}
+	s := d.String()
+	state := func(key string) CircuitState { // an unknown name's -1 wraps to an invalid state
+		return CircuitState(slices.Index(circuitStateNames[:], Field(s, key)))
+	}
+	return Field(s, "user"), Field(s, "peer"), Field(s, "chan"), state("from"), state("to")
 }
 
 // DefaultCapacity bounds the number of retained records. The ring keeps

@@ -137,6 +137,66 @@ func TestField(t *testing.T) {
 	}
 }
 
+// fieldReference is Field as it was written before it scanned in place:
+// the semantics the scanner keeps, over every detail and key.
+func fieldReference(detail, key string) string {
+	for _, tok := range strings.Fields(detail) {
+		if v, ok := strings.CutPrefix(tok, key+"="); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+func FuzzField(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"user=alice chan=a:10->b:111 from=a note", "chan"},
+		{"xuser=bob user=eve", "user"},
+		{"\tpid=7\n  code=0 ", "code"},
+		{"a=1\u00a0b=2\u2003c=3\u0085d=4", "b"},
+		{"k==v =x", ""},
+		{"k=v", "k="},
+		{"bad\xffutf8=1 \xff=2", "\xff"},
+		{"user=u procs=<a,2>|<a,1>|exited partial=", "partial"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, detail, key string) {
+		if got, want := Field(detail, key), fieldReference(detail, key); got != want {
+			t.Fatalf("Field(%q, %q) = %q, the strings.Fields reference gives %q", detail, key, got, want)
+		}
+	})
+}
+
+// TestFieldZeroAllocs: a lookup scans the detail in place and hands back
+// a substring of it, found or not.
+func TestFieldZeroAllocs(t *testing.T) {
+	d := "user=alice peer=vax2 chan=vax1:701->vax2:700 from=established to=suspect reason=suspicion-2"
+	var got string
+	if allocs := testing.AllocsPerRun(100, func() {
+		got = Field(d, "reason")
+		_ = Field(d, "missing")
+	}); allocs != 0 || got != "suspicion-2" {
+		t.Fatalf("Field found %q in %v allocs, want suspicion-2 in 0", got, allocs)
+	}
+}
+
+// TestAuditRendersNothingUnaudited: a record no check reads costs the
+// audit nothing — over 10,000 net.send and wire.encode records it
+// allocates exactly what it allocates over an empty journal.
+func TestAuditRendersNothingUnaudited(t *testing.T) {
+	empty, _ := testJournal(1 << 14)
+	full, _ := testJournal(1 << 14)
+	for i := 0; i < 5000; i++ { // details past 32 bytes: a rendered one cannot live on the stack
+		full.AppendDetail(NetSend, "a", NetMessage(true, "vax1.cs.purdue", 7, "sun2.cs.purdue", 512, i, "injected"), 1, 2)
+		full.AppendDetail(WireEncode, "a", WireFrame("SnapshotResp.ControlResp.StatusResp", i), 1, 2)
+	}
+	base := testing.AllocsPerRun(20, func() { Audit(empty) })
+	if got := testing.AllocsPerRun(20, func() { Audit(full) }); got != base {
+		t.Fatalf("auditing 10,000 unaudited records allocated %v times, an empty journal %v", got, base)
+	}
+}
+
 // The vocabulary is closed by the type; this holds the table to it.
 // Every kind up to the sentinel has a row with a unique dotted name that
 // parses back to exactly that kind (so no name is a dotted prefix of

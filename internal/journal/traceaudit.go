@@ -35,42 +35,42 @@ func asyncOverrun(name string) bool {
 	return strings.HasPrefix(name, "kernel.event.") || name == "exec.exec"
 }
 
-// AuditTraceRecords checks the trace-consistency invariants over an
-// extracted record slice and span table; complete says both streams
-// are full (no ring eviction, no spans dropped at the tracer's cap).
-// Violations found in the span table alone carry Seq 0 — they have no
-// offending journal record.
-func AuditTraceRecords(records []Record, spans []trace.SpanData, complete bool) []Violation {
-	var out []Violation
-	fail := func(seq uint64, format string, args ...any) {
-		out = append(out, Violation{Seq: seq, Check: "trace",
-			Msg: fmt.Sprintf(format, args...)})
+// auditSpans checks the span table alone — lifecycle and nesting — into
+// the trace violations, which carry Seq 0: they have no offending
+// journal record. When both streams are complete it keeps the table,
+// indexed by span ID, for crossLink.
+func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
+	fail := func(format string, args ...any) {
+		a.links = append(a.links, Violation{Check: "trace", Msg: fmt.Sprintf(format, args...)})
 	}
 	byID := make(map[uint64]trace.SpanData, len(spans))
+	if complete {
+		a.spans = byID
+	}
 	for _, s := range spans {
-		if len(out) >= maxViolations {
-			return out
+		if len(a.links) >= maxViolations {
+			return
 		}
 		if _, dup := byID[s.ID]; dup {
-			fail(0, "span %d (%s on %s) recorded twice", s.ID, s.Name, s.Host)
+			fail("span %d (%s on %s) recorded twice", s.ID, s.Name, s.Host)
 			continue
 		}
 		byID[s.ID] = s
 		switch {
 		case s.Ends == 0:
-			fail(0, "span %d (%s on %s) opened at %v but never closed",
+			fail("span %d (%s on %s) opened at %v but never closed",
 				s.ID, s.Name, s.Host, s.Start)
 		case s.Ends > 1:
-			fail(0, "span %d (%s on %s) closed %d times", s.ID, s.Name, s.Host, s.Ends)
+			fail("span %d (%s on %s) closed %d times", s.ID, s.Name, s.Host, s.Ends)
 		}
 		if s.End < s.Start {
-			fail(0, "span %d (%s on %s) ends at %v before its start %v",
+			fail("span %d (%s on %s) ends at %v before its start %v",
 				s.ID, s.Name, s.Host, s.End, s.Start)
 		}
 	}
 	for _, s := range spans {
-		if len(out) >= maxViolations {
-			return out
+		if len(a.links) >= maxViolations {
+			return
 		}
 		if s.Parent == 0 {
 			continue
@@ -78,62 +78,57 @@ func AuditTraceRecords(records []Record, spans []trace.SpanData, complete bool) 
 		p, ok := byID[s.Parent]
 		if !ok {
 			if complete {
-				fail(0, "span %d (%s on %s) names missing parent span %d",
+				fail("span %d (%s on %s) names missing parent span %d",
 					s.ID, s.Name, s.Host, s.Parent)
 			}
 			continue
 		}
 		if s.Trace != p.Trace {
-			fail(0, "span %d (%s) belongs to trace %d but its parent %d belongs to trace %d",
+			fail("span %d (%s) belongs to trace %d but its parent %d belongs to trace %d",
 				s.ID, s.Name, s.Trace, p.ID, p.Trace)
 		}
 		if s.Start < p.Start {
-			fail(0, "span %d (%s on %s) starts at %v before its parent %d (%s) at %v",
+			fail("span %d (%s on %s) starts at %v before its parent %d (%s) at %v",
 				s.ID, s.Name, s.Host, s.Start, p.ID, p.Name, p.Start)
 		}
 		if p.Closed() && s.Start > p.End {
-			fail(0, "span %d (%s on %s) starts at %v after its parent %d (%s) closed at %v",
+			fail("span %d (%s on %s) starts at %v after its parent %d (%s) closed at %v",
 				s.ID, s.Name, s.Host, s.Start, p.ID, p.Name, p.End)
 		}
 		if p.Closed() && s.End > p.End && !asyncOverrun(s.Name) {
-			fail(0, "span %d (%s on %s) ends at %v after its parent %d (%s) closed at %v",
+			fail("span %d (%s on %s) ends at %v after its parent %d (%s) closed at %v",
 				s.ID, s.Name, s.Host, s.End, p.ID, p.Name, p.End)
 		}
 	}
-	if complete {
-		for _, r := range records {
-			if len(out) >= maxViolations {
-				return out
-			}
-			if r.Trace == 0 || r.Span == 0 {
-				continue
-			}
-			s, ok := byID[r.Span]
-			if !ok {
-				fail(r.Seq, "record references span %d which was never recorded", r.Span)
-				continue
-			}
-			if s.Trace != r.Trace {
-				fail(r.Seq, "record references span %d under trace %d, but the span belongs to trace %d",
-					r.Span, r.Trace, s.Trace)
-			}
-		}
+}
+
+// crossLink checks one record's trace context against the span table,
+// when the audit has one: a (trace, span) pair it carries must name a
+// recorded span of that trace.
+func (a *auditor) crossLink(seq, traceID, spanID uint64) {
+	if a.spans == nil || len(a.links) >= maxViolations || traceID == 0 || spanID == 0 {
+		return
 	}
-	return out
+	msg := ""
+	if s, ok := a.spans[spanID]; !ok {
+		msg = fmt.Sprintf("record references span %d which was never recorded", spanID)
+	} else if s.Trace != traceID {
+		msg = fmt.Sprintf("record references span %d under trace %d, but the span belongs to trace %d", spanID, traceID, s.Trace)
+	}
+	if msg != "" {
+		a.links = append(a.links, Violation{Seq: seq, Check: "trace", Msg: msg})
+	}
 }
 
 // AuditWithSpans is Audit extended with the trace-consistency
 // invariants, for runs that recorded both streams. spansComplete says
 // the span table is full (Tracer.Dropped() == 0); the journal's own
-// completeness is read from its ring as in Audit.
+// completeness is read from its ring as in Audit. The cross-links are
+// checked in Audit's one pass, reading each entry's trace context only.
 func AuditWithSpans(j *Journal, spans []trace.SpanData, spansComplete bool) []Violation {
-	out := Audit(j)
-	if len(out) >= maxViolations {
-		return out
-	}
-	tv := AuditTraceRecords(j.Records(), spans, j.Dropped() == 0 && spansComplete)
-	if room := maxViolations - len(out); len(tv) > room {
-		tv = tv[:room]
-	}
-	return append(out, tv...)
+	a := newAuditor(j.Dropped() == 0)
+	a.auditSpans(spans, a.complete && spansComplete)
+	out := a.pass(j)
+	room := max(maxViolations-len(out), 0)
+	return append(out, a.links[:min(room, len(a.links))]...)
 }

@@ -1,60 +1,23 @@
 package lpm
 
 import (
-	"fmt"
-
 	"ppm/internal/journal"
 	"ppm/internal/wire"
 )
 
-// circuitState is one state of the explicit sibling-circuit lifecycle
-// (modeled on the HSMS connection state machine): every circuit a
-// host's LPM tracks to a peer is, at any instant, in exactly one of
-// these states, and every step is journaled under
-// journal.CircuitTransition so the audit can replay the machine
-// against the legal-transition table.
-type circuitState uint8
-
-const (
-	circuitIdle circuitState = iota
-	circuitDialing
-	circuitAuthenticating
-	circuitEstablished
-	circuitSuspect
-	circuitClosed
-)
-
-// circuitStateNames renders states without allocating; the names are
-// the journal vocabulary the audit parses back.
-var circuitStateNames = [...]string{
-	circuitIdle:           "idle",
-	circuitDialing:        "dialing",
-	circuitAuthenticating: "authenticating",
-	circuitEstablished:    "established",
-	circuitSuspect:        "suspect",
-	circuitClosed:         "closed",
-}
-
-func (s circuitState) String() string {
-	if int(s) < len(circuitStateNames) {
-		return circuitStateNames[s]
-	}
-	return "invalid"
-}
-
 // circuitTransition steps the per-peer circuit machine to state `to`,
-// journaling the edge. A self-transition is a no-op, so call sites
-// can drive the machine from every signal (detector ticks, close
-// handlers, supersede paths) without guarding against repeats; reason
-// and chan tokens must contain no spaces (journal.Field contract).
-func (l *LPM) circuitTransition(peer string, to circuitState, reason, chanKey string) {
+// journaling the edge as data (journal.CircuitStep). A self-transition
+// is a no-op, so call sites can drive the machine from every signal
+// (detector ticks, close handlers, supersede paths) without guarding
+// against repeats. level is the detector's, for reason "suspicion".
+func (l *LPM) circuitTransition(peer, chanKey string, to journal.CircuitState, reason string, level int) {
 	from := l.circuits[peer]
 	if from == to {
 		return
 	}
 	l.circuits[peer] = to
-	l.obs.Notef(journal.CircuitTransition, l.Host(), l.obs.Tracer().Active(),
-		"user=%s peer=%s chan=%s from=%s to=%s reason=%s", l.user.Name, peer, chanKey, from, to, reason)
+	l.obs.Record(journal.CircuitTransition, l.Host(), l.obs.Tracer().Active(),
+		journal.CircuitStep(l.user.Name, peer, chanKey, from, to, reason, level))
 }
 
 // --- adaptive failure detection (linktest heartbeats) ---
@@ -84,7 +47,10 @@ func (l *LPM) linktestTick(sb *sibling) {
 	}
 	now := l.sched.Now().Duration()
 	sb.suspicion = sb.det.Suspicion(now)
-	l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host).Set(int64(sb.suspicion))
+	if sb.suspicionGauge == nil {
+		sb.suspicionGauge = l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host)
+	}
+	sb.suspicionGauge.Set(int64(sb.suspicion))
 	if sb.suspicion >= closeAfter {
 		// The silence has outrun the estimate far enough that the peer
 		// is presumed gone: close the circuit. The close handler runs
@@ -92,13 +58,13 @@ func (l *LPM) linktestTick(sb *sibling) {
 		// notification); the transition is journaled first so the
 		// audit sees detector-initiated closes as such.
 		l.obs.Metrics().Counter("lpm.detector.closes").Inc()
-		l.circuitTransition(sb.host, circuitClosed, "detector", l.chanKey(sb.conn))
+		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitClosed, "detector", 0)
 		sb.conn.Close()
 		return
 	}
-	if sb.suspicion >= suspectAfter && l.circuits[sb.host] == circuitEstablished {
+	if sb.suspicion >= suspectAfter && l.circuits[sb.host] == journal.CircuitEstablished {
 		l.obs.Metrics().Counter("lpm.detector.suspects").Inc()
-		l.circuitTransition(sb.host, circuitSuspect, fmt.Sprintf("suspicion-%d", sb.suspicion), l.chanKey(sb.conn))
+		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitSuspect, "suspicion", sb.suspicion)
 	}
 	sb.ltSeq++
 	body := wire.Encode(&wire.LinkTest{FromHost: l.Host(), Seq: sb.ltSeq})
@@ -113,9 +79,9 @@ func (l *LPM) observeArrival(sb *sibling) {
 	sb.det.Observe(l.sched.Now().Duration())
 	if sb.suspicion != 0 {
 		sb.suspicion = 0
-		l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host).Set(0)
+		sb.suspicionGauge.Set(0) // resolved: only a tick sets a level
 	}
-	if l.circuits[sb.host] == circuitSuspect {
-		l.circuitTransition(sb.host, circuitEstablished, "traffic", l.chanKey(sb.conn))
+	if l.circuits[sb.host] == journal.CircuitSuspect {
+		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitEstablished, "traffic", 0)
 	}
 }

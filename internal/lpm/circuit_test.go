@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ppm/internal/journal"
+	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
@@ -85,11 +86,11 @@ func TestCrossDialTieBreakSingleCircuit(t *testing.T) {
 	}
 	// Both ends must have converged on the same single circuit: the
 	// chan identity renders identically from either side.
-	if k1, k2 := l1.chanKey(sb1.conn), l2.chanKey(sb2.conn); k1 != k2 {
+	if k1, k2 := sb1.chanKey, sb2.chanKey; k1 != k2 || k1 != l1.chanKey(sb1.conn) {
 		t.Fatalf("split brain: vax1 uses %s, vax2 uses %s", k1, k2)
 	}
-	if l1.circuitStateOf("vax2") != circuitEstablished ||
-		l2.circuitStateOf("vax1") != circuitEstablished {
+	if l1.circuitStateOf("vax2") != journal.CircuitEstablished ||
+		l2.circuitStateOf("vax1") != journal.CircuitEstablished {
 		t.Fatalf("states: vax1=%v vax2=%v",
 			l1.circuitStateOf("vax2"), l2.circuitStateOf("vax1"))
 	}
@@ -109,7 +110,7 @@ func TestCrossDialTieBreakSingleCircuit(t *testing.T) {
 	// Nothing later (the loser's safety timer, stray closes) may
 	// disturb the settled circuit.
 	w.run(30 * time.Second)
-	if l1.circuitStateOf("vax2") != circuitEstablished {
+	if l1.circuitStateOf("vax2") != journal.CircuitEstablished {
 		t.Fatalf("circuit decayed to %v", l1.circuitStateOf("vax2"))
 	}
 	auditClean(t, j)
@@ -125,7 +126,7 @@ func TestDetectorSuspectsThenClosesOnSilence(t *testing.T) {
 	w.ensure(l1, "vax2")
 	// Warm the estimator: steady heartbeat echoes for a while.
 	w.run(3 * time.Second)
-	if l1.circuitStateOf("vax2") != circuitEstablished {
+	if l1.circuitStateOf("vax2") != journal.CircuitEstablished {
 		t.Fatalf("warmup state = %v", l1.circuitStateOf("vax2"))
 	}
 	// Sever the network. The conns survive (BreakDetect = 10 min), so
@@ -134,7 +135,7 @@ func TestDetectorSuspectsThenClosesOnSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.run(10 * time.Second)
-	if got := l1.circuitStateOf("vax2"); got != circuitClosed {
+	if got := l1.circuitStateOf("vax2"); got != journal.CircuitClosed {
 		t.Fatalf("state after 10s of silence = %v, want closed", got)
 	}
 	// Both detectors race; whichever fires first closes with reason
@@ -169,13 +170,13 @@ func TestDetectorSuspectRecoversOnTraffic(t *testing.T) {
 	// Half-broken gateway: everything vax2 -> vax1 vanishes.
 	w.net.InjectLossDir("vax2", "vax1", 1)
 	w.run(700 * time.Millisecond)
-	if got := l1.circuitStateOf("vax2"); got != circuitSuspect {
+	if got := l1.circuitStateOf("vax2"); got != journal.CircuitSuspect {
 		t.Fatalf("state under one-way loss = %v, want suspect", got)
 	}
 	// Heal the direction: the next echo is proof of life.
 	w.net.InjectLossDir("vax2", "vax1", 0)
 	w.run(2 * time.Second)
-	if got := l1.circuitStateOf("vax2"); got != circuitEstablished {
+	if got := l1.circuitStateOf("vax2"); got != journal.CircuitEstablished {
 		t.Fatalf("state after heal = %v, want established", got)
 	}
 	trs := transitions(j, "vax1")
@@ -206,13 +207,37 @@ func TestDetectorCloseThenRedialOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.run(10 * time.Second)
-	if l1.circuitStateOf("vax2") != circuitClosed {
+	if l1.circuitStateOf("vax2") != journal.CircuitClosed {
 		t.Fatalf("setup: state = %v, want closed", l1.circuitStateOf("vax2"))
 	}
 	w.net.Heal()
 	w.ensure(l1, "vax2")
-	if l1.circuitStateOf("vax2") != circuitEstablished {
+	if l1.circuitStateOf("vax2") != journal.CircuitEstablished {
 		t.Fatalf("redial state = %v", l1.circuitStateOf("vax2"))
 	}
 	auditClean(t, j)
+}
+
+// TestCircuitTransitionZeroAllocs: a step of the circuit machine states
+// its edge as data — a constant reason, or the detector's level in its
+// slot — and costs a wired recorder no allocation.
+func TestCircuitTransitionZeroAllocs(t *testing.T) {
+	w := newWorldNet(t, Config{}, simnet.Options{}, []string{"vax1", "vax2"})
+	j := journal.New(func() time.Duration { return w.sched.Now().Duration() })
+	j.SetCapacity(64)
+	w.net.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, j))
+	l := w.attach("vax1", w.user("felipe", "vax1", "vax2"))
+	step := func() {
+		l.circuitTransition("vax2", "vax1:701->vax2:700", journal.CircuitSuspect, "suspicion", 3)
+		l.circuitTransition("vax2", "vax1:701->vax2:700", journal.CircuitEstablished, "traffic", 0)
+	}
+	for i := 0; i < 64; i++ {
+		step() // until the map holds the peer and the ring has wrapped
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("two circuit steps allocated %v times, want 0", allocs)
+	}
+	if got := transitions(j, "vax1"); len(got) < 2 || got[len(got)-2] != "suspect/suspicion-3" || got[len(got)-1] != "established/traffic" {
+		t.Fatalf("the steps read back as %v", got)
+	}
 }

@@ -3,6 +3,8 @@ package lpm
 // Product-type methods only this package's tests call. They live in a
 // _test.go file so the shipped API is what non-test code uses.
 
+import "ppm/internal/journal"
+
 // SeenStamps returns the number of live (unexpired) broadcast stamps
 // (for the dedup-window ablation).
 func (l *LPM) SeenStamps() int {
@@ -20,4 +22,4 @@ func (l *LPM) KnownRoute(host string) ([]string, bool) {
 }
 
 // circuitStateOf returns the lifecycle state tracked for a peer.
-func (l *LPM) circuitStateOf(peer string) circuitState { return l.circuits[peer] }
+func (l *LPM) circuitStateOf(peer string) journal.CircuitState { return l.circuits[peer] }

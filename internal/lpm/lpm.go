@@ -18,6 +18,7 @@ package lpm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ppm/internal/auth"
@@ -227,8 +228,9 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 
 // sibling is one authenticated circuit to a peer LPM.
 type sibling struct {
-	host string
-	conn *simnet.Conn
+	host    string
+	conn    *simnet.Conn
+	chanKey string // the circuit's journal name (LPM.chanKey), built at registration
 	// inc is the peer LPM's incarnation id, exchanged in the Hello;
 	// it scopes the peer's operation identities to that LPM instance.
 	inc uint64
@@ -237,8 +239,9 @@ type sibling struct {
 	openedAt sim.Time
 	// det is the circuit's accrual failure detector; suspicion is the
 	// level computed at the last linktest tick (cleared by traffic).
-	det       detect.Detector
-	suspicion int
+	det            detect.Detector
+	suspicion      int
+	suspicionGauge *metrics.Gauge // resolved by name on the first tick
 	// ltTimer drives the periodic linktest tick; ltSeq numbers the
 	// heartbeat frames.
 	ltTimer sim.Timer
@@ -284,7 +287,7 @@ type LPM struct {
 	dialing  map[string]*dialState
 	// circuits is the explicit per-peer circuit lifecycle machine;
 	// every step is journaled under journal.CircuitTransition.
-	circuits map[string]circuitState
+	circuits map[string]journal.CircuitState
 	// knownHosts remembers every host this LPM has ever had a sibling
 	// on (or created a process on), so snapshots can report hosts that
 	// have become unreachable as partial.
@@ -379,7 +382,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		myPids:      make(map[proc.PID]bool),
 		siblings:    make(map[string]*sibling),
 		dialing:     make(map[string]*dialState),
-		circuits:    make(map[string]circuitState),
+		circuits:    make(map[string]journal.CircuitState),
 		knownHosts:  make(map[string]bool),
 		routes:      make(map[string][]string),
 		pending:     make(map[uint64]*pendingReq),
@@ -464,7 +467,10 @@ func (l *LPM) chanKey(conn *simnet.Conn) string {
 	if local == l.accept {
 		local, remote = remote, local
 	}
-	return fmt.Sprintf("%s:%d->%s:%d", local.Host, local.Port, remote.Host, remote.Port)
+	// "%s:%d->%s:%d", built in one buffer.
+	b := strconv.AppendUint(append(append(make([]byte, 0, 48), local.Host...), ':'), uint64(local.Port), 10)
+	b = strconv.AppendUint(append(append(append(b, "->"...), remote.Host...), ':'), uint64(remote.Port), 10)
+	return string(b)
 }
 
 // withTraceCtx runs fn with ctx installed as the tracer's active
@@ -545,7 +551,7 @@ func (l *LPM) Exit() {
 	for _, h := range hosts {
 		sb := l.siblings[h]
 		sb.ltTimer.Cancel()
-		l.circuitTransition(h, circuitClosed, "exit", l.chanKey(sb.conn))
+		l.circuitTransition(h, sb.chanKey, journal.CircuitClosed, "exit", 0)
 		sb.conn.Close()
 	}
 	l.siblings = make(map[string]*sibling)

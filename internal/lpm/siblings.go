@@ -153,28 +153,29 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 		// machine through Closed first so the pair never shows two
 		// Established circuits, then close (the close handler's own
 		// transition no-ops).
-		l.circuitTransition(host, circuitClosed, "superseded", l.chanKey(old.conn))
+		l.circuitTransition(host, old.chanKey, journal.CircuitClosed, "superseded", 0)
 		old.conn.Close()
 	}
+	key := l.chanKey(conn)
 	// An inbound Hello reaches here without passing through the
 	// Dialing leg; normalize onto Authenticating before stepping to
 	// Established so the journaled walk follows the legal table from
 	// whichever state the machine was in.
-	if l.circuits[host] != circuitAuthenticating {
-		l.circuitTransition(host, circuitAuthenticating, "hello-in", l.chanKey(conn))
+	if l.circuits[host] != journal.CircuitAuthenticating {
+		l.circuitTransition(host, key, journal.CircuitAuthenticating, "hello-in", 0)
 	}
-	sb := &sibling{host: host, conn: conn, inc: inc, openedAt: l.sched.Now()}
+	sb := &sibling{host: host, conn: conn, chanKey: key, inc: inc, openedAt: l.sched.Now()}
 	sb.det = detect.New(detect.Config{}, l.sched.Now().Duration())
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
 	l.obs.Metrics().Gauge("lpm.siblings.open").Add(1)
-	role := "client"
+	role, reason := "client", "auth-client"
 	if conn.LocalAddr() == l.accept {
-		role = "server"
+		role, reason = "server", "auth-server"
 	}
-	l.circuitTransition(host, circuitEstablished, "auth-"+role, l.chanKey(conn))
+	l.circuitTransition(host, key, journal.CircuitEstablished, reason, 0)
 	l.obs.Notef(journal.LPMSiblingOpen, l.Host(), l.obs.Tracer().Active(),
-		"user=%s peer=%s chan=%s role=%s", l.user.Name, host, l.chanKey(conn), role)
+		"user=%s peer=%s chan=%s role=%s", l.user.Name, host, key, role)
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
 	if l.cfg.Linktest > 0 {
@@ -196,10 +197,10 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 		if err != nil {
 			reason = "peer-lost"
 		}
-		l.circuitTransition(sb.host, circuitClosed, reason, l.chanKey(sb.conn))
+		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitClosed, reason, 0)
 		l.obs.Metrics().Gauge("lpm.siblings.open").Add(-1)
 		l.obs.Notef(journal.LPMSiblingClose, l.Host(), l.obs.Tracer().Active(),
-			"user=%s peer=%s chan=%s", l.user.Name, sb.host, l.chanKey(sb.conn))
+			"user=%s peer=%s chan=%s", l.user.Name, sb.host, sb.chanKey)
 	}
 	// Fail outstanding requests to that host, oldest first (map order
 	// would let error callbacks race each other across identical runs).
@@ -245,7 +246,7 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 	csp := l.obs.Tracer().StartSpan(l.Host(), "circuit.establish."+host, ctx)
 	ds := &dialState{cbs: []func(*sibling, error){cb}, span: csp}
 	l.dialing[host] = ds
-	l.circuitTransition(host, circuitDialing, "dial", "-")
+	l.circuitTransition(host, "-", journal.CircuitDialing, "dial", 0)
 	cctx := csp.Context()
 	if !cctx.Valid() {
 		cctx = ctx
@@ -288,7 +289,7 @@ func (l *LPM) settleDial(host string, ds *dialState, sb *sibling, err error) {
 	ds.span.End()
 	delete(l.dialing, host)
 	if err != nil {
-		l.circuitTransition(host, circuitClosed, "dial-failed", "-")
+		l.circuitTransition(host, "-", journal.CircuitClosed, "dial-failed", 0)
 	}
 	for _, f := range ds.cbs {
 		f(sb, err)
@@ -306,7 +307,7 @@ func (l *LPM) completeDial(host string, sb *sibling) {
 
 // helloTo authenticates a freshly dialed circuit.
 func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish func(*sibling, error)) {
-	l.circuitTransition(host, circuitAuthenticating, "hello", l.chanKey(conn))
+	l.circuitTransition(host, l.chanKey(conn), journal.CircuitAuthenticating, "hello", 0)
 	l.floodSeq++
 	// Encoded now: the signature is the signer's buffer until its next Mint.
 	body := wire.Encode(&wire.Hello{

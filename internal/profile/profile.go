@@ -133,66 +133,41 @@ type Hop struct {
 type Profile struct {
 	Requests []Request
 
-	spans    []trace.SpanData
-	byID     map[uint64]int   // span ID -> index into spans
-	children map[uint64][]int // span ID -> child indices, ordered (Start, ID)
-	byTrace  map[uint64][]int // trace ID -> span indices, creation order
+	x *trace.Index // the span table's trees, shared with the tracer's renderer
 }
 
 // Build analyzes a run. Both inputs are optional views of the same
 // run: spans drive the attribution, records contribute the
 // retry/timeout cross-links (a nil records slice just zeroes those).
 func Build(spans []trace.SpanData, records []journal.Record) *Profile {
-	p := &Profile{
-		spans:    spans,
-		byID:     make(map[uint64]int, len(spans)),
-		children: make(map[uint64][]int),
-		byTrace:  make(map[uint64][]int),
-	}
-	for i, s := range spans {
-		p.byID[s.ID] = i
-		p.byTrace[s.Trace] = append(p.byTrace[s.Trace], i)
-	}
-	for i, s := range spans {
-		if s.Parent == 0 {
-			continue
-		}
-		if _, ok := p.byID[s.Parent]; ok {
-			p.children[s.Parent] = append(p.children[s.Parent], i)
-		}
-	}
-	for _, idxs := range p.children {
-		detord.SortBy2(idxs,
-			func(i int) time.Duration { return p.spans[i].Start },
-			func(i int) uint64 { return p.spans[i].ID })
-	}
-	retries := make(map[uint64]int)
-	timeouts := make(map[uint64]int)
+	x := trace.NewIndex(spans)
+	p := &Profile{x: x}
+	links := make([]struct{ retries, timeouts int }, len(x.Traces())) // by trace k
 	for _, r := range records {
-		if r.Trace == 0 {
-			continue
-		}
-		switch r.Kind {
-		case journal.LPMRetry:
-			retries[r.Trace]++
-		case journal.LPMTimeout:
-			timeouts[r.Trace]++
+		if k, ok := x.Find(r.Trace); ok && r.Trace != 0 {
+			switch r.Kind {
+			case journal.LPMRetry:
+				links[k].retries++
+			case journal.LPMTimeout:
+				links[k].timeouts++
+			}
 		}
 	}
+	p.Requests = make([]Request, 0, len(x.Traces())) // one op root per trace
 	var sw sweeper
 	for i, s := range spans {
 		if s.Parent != 0 || !strings.HasPrefix(s.Name, "op.") {
 			continue
 		}
-		req := Request{
+		k, _ := x.Find(s.Trace)
+		p.Requests = append(p.Requests, Request{
 			Trace: s.Trace, Op: s.Name, Host: s.Host,
 			Start: s.Start, End: s.End,
-			Spans:    len(p.byTrace[s.Trace]),
-			Retries:  retries[s.Trace],
-			Timeouts: timeouts[s.Trace],
-		}
-		req.Phases = sw.attribute(p, i)
-		p.Requests = append(p.Requests, req)
+			Phases:   sw.attribute(x, int32(i)),
+			Spans:    len(x.SpansOf(k)),
+			Retries:  links[k].retries,
+			Timeouts: links[k].timeouts,
+		})
 	}
 	return p
 }
@@ -203,6 +178,7 @@ func Build(spans []trace.SpanData, records []journal.Record) *Profile {
 type sweeper struct {
 	cand   []candidate
 	bounds []time.Duration
+	stack  []int32
 }
 
 // candidate is a classified span clipped to the request window.
@@ -218,42 +194,30 @@ type candidate struct {
 // covering classified span wins (ties: lower phase, then lower span
 // ID); instants covered only by structural spans — or by nothing — are
 // unattributed. The buckets sum exactly to the window by construction.
-func (sw *sweeper) attribute(p *Profile, rootIdx int) [numPhases]time.Duration {
+func (sw *sweeper) attribute(x *trace.Index, root int32) [numPhases]time.Duration {
 	var out [numPhases]time.Duration
-	root := p.spans[rootIdx]
-	lo, hi := root.Start, root.End
+	lo, hi := x.Spans[root].Start, x.Spans[root].End
 	if hi <= lo {
 		return out
 	}
 	sw.cand = sw.cand[:0]
-	sw.bounds = sw.bounds[:0]
-	sw.bounds = append(sw.bounds, lo, hi)
-	// Depth-first walk of the root's subtree, collecting classified
-	// spans clipped to the window.
-	var walk func(idx, depth int)
-	walk = func(idx, depth int) {
-		s := p.spans[idx]
-		if idx != rootIdx {
-			if ph, ok := classify(s.Name); ok {
-				cs, ce := s.Start, s.End
-				if cs < lo {
-					cs = lo
-				}
-				if ce > hi {
-					ce = hi
-				}
-				if ce > cs {
-					sw.cand = append(sw.cand,
-						candidate{start: cs, end: ce, depth: depth, phase: ph, id: s.ID})
-					sw.bounds = append(sw.bounds, cs, ce)
-				}
+	sw.bounds = append(sw.bounds[:0], lo, hi)
+	// Collect the subtree's classified spans, clipped to the window (an
+	// op root is an index root, so index depths are depths under it).
+	sw.stack = append(sw.stack[:0], x.Children(root)...)
+	for len(sw.stack) > 0 {
+		i := sw.stack[len(sw.stack)-1]
+		sw.stack = append(sw.stack[:len(sw.stack)-1], x.Children(i)...)
+		s := &x.Spans[i]
+		if ph, ok := classify(s.Name); ok {
+			cs, ce := max(s.Start, lo), min(s.End, hi)
+			if ce > cs {
+				sw.cand = append(sw.cand,
+					candidate{start: cs, end: ce, depth: x.Depth(i), phase: ph, id: s.ID})
+				sw.bounds = append(sw.bounds, cs, ce)
 			}
 		}
-		for _, c := range p.children[s.ID] {
-			walk(c, depth+1)
-		}
 	}
-	walk(rootIdx, 0)
 	detord.Sort(sw.bounds)
 	prev := sw.bounds[0]
 	for _, b := range sw.bounds[1:] {
@@ -305,22 +269,23 @@ func deeper(a, b candidate) bool {
 // and is skipped. Hops come out in time order, depth-annotated.
 // Returns nil for an unknown trace or one without an op root.
 func (p *Profile) CriticalPath(traceID uint64) []Hop {
-	rootIdx := -1
-	for _, i := range p.byTrace[traceID] {
-		s := p.spans[i]
-		if s.Parent == 0 && strings.HasPrefix(s.Name, "op.") {
-			rootIdx = i
-			break
+	rootIdx := int32(-1)
+	if k, ok := p.x.Find(traceID); ok {
+		for _, i := range p.x.SpansOf(k) {
+			if s := p.x.Spans[i]; s.Parent == 0 && strings.HasPrefix(s.Name, "op.") {
+				rootIdx = i
+				break
+			}
 		}
 	}
 	if rootIdx < 0 {
 		return nil
 	}
 	var path []Hop
-	var picks []int // scratch, reused via slicing inside expand
-	var expand func(idx, depth int, slack time.Duration)
-	expand = func(idx, depth int, slack time.Duration) {
-		s := p.spans[idx]
+	var picks []int32 // scratch, reused via slicing inside expand
+	var expand func(idx int32, depth int, slack time.Duration)
+	expand = func(idx int32, depth int, slack time.Duration) {
+		s := p.x.Spans[idx]
 		path = append(path, Hop{
 			Span: s.ID, Host: s.Host, Name: s.Name, Depth: depth,
 			Start: s.Start, End: s.End, Slack: slack,
@@ -328,14 +293,14 @@ func (p *Profile) CriticalPath(traceID uint64) []Hop {
 		mark := len(picks)
 		cursor := s.End
 		for {
-			best := -1
-			for _, c := range p.children[s.ID] {
-				cs := p.spans[c]
+			best := int32(-1)
+			for _, c := range p.x.Children(idx) {
+				cs := p.x.Spans[c]
 				if cs.End > cursor || cs.End <= s.Start {
 					continue
 				}
-				if best < 0 || cs.End > p.spans[best].End ||
-					(cs.End == p.spans[best].End && cs.ID < p.spans[best].ID) {
+				if best < 0 || cs.End > p.x.Spans[best].End ||
+					(cs.End == p.x.Spans[best].End && cs.ID < p.x.Spans[best].ID) {
 					best = c
 				}
 			}
@@ -343,7 +308,7 @@ func (p *Profile) CriticalPath(traceID uint64) []Hop {
 				break
 			}
 			picks = append(picks, best)
-			cursor = p.spans[best].Start
+			cursor = p.x.Spans[best].Start
 			if cursor <= s.Start {
 				break
 			}
@@ -355,9 +320,9 @@ func (p *Profile) CriticalPath(traceID uint64) []Hop {
 			c := picks[i]
 			next := s.End
 			if i > mark {
-				next = p.spans[picks[i-1]].Start
+				next = p.x.Spans[picks[i-1]].Start
 			}
-			expand(c, depth+1, next-p.spans[c].End)
+			expand(c, depth+1, next-p.x.Spans[c].End)
 		}
 		picks = picks[:mark]
 	}
@@ -368,19 +333,19 @@ func (p *Profile) CriticalPath(traceID uint64) []Hop {
 // selfTime is the span's own interval minus the union of its
 // children's intervals (clipped to the span) — the folded-stacks
 // weight. scratch is reused for the child-interval merge.
-func (p *Profile) selfTime(idx int, scratch *[]candidate) time.Duration {
-	s := p.spans[idx]
+func (p *Profile) selfTime(idx int32, scratch *[]candidate) time.Duration {
+	s := p.x.Spans[idx]
 	total := s.End - s.Start
 	if total <= 0 {
 		return 0
 	}
-	kids := p.children[s.ID]
+	kids := p.x.Children(idx)
 	if len(kids) == 0 {
 		return total
 	}
 	ivs := (*scratch)[:0]
 	for _, c := range kids {
-		cs, ce := p.spans[c].Start, p.spans[c].End
+		cs, ce := p.x.Spans[c].Start, p.x.Spans[c].End
 		if cs < s.Start {
 			cs = s.Start
 		}

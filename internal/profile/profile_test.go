@@ -184,32 +184,29 @@ func TestOptionsFilter(t *testing.T) {
 	}
 }
 
-// TestBuildAllocsPerSpan pins the analyzer's per-span cost: building a
-// profile over a large synthetic trace must stay under a small, fixed
-// allocation budget per span (the steady state reuses the sweep
-// scratch; what remains is the index maps and the request slice).
+// TestBuildAllocsPerSpan pins the analyzer's cost per Build: the span
+// index, the request table and the sweep's scratch are a fixed number of
+// allocations however many spans and requests the table holds — no map
+// and no slice per span or per trace.
 func TestBuildAllocsPerSpan(t *testing.T) {
-	const n = 64 // requests
-	var spans []trace.SpanData
-	id := uint64(0)
-	for i := 0; i < n; i++ {
-		base := time.Duration(i) * 100 * msec
-		root := id + 1
-		spans = append(spans,
-			span(root, uint64(i+1), 0, "a", "op.stop", base, base+50*msec),
-			span(root+1, uint64(i+1), root, "a", "net.hop.b", base, base+10*msec),
-			span(root+2, uint64(i+1), root, "b", "exec.adopt", base+10*msec, base+30*msec),
-			span(root+3, uint64(i+1), root, "b", "net.reply.a", base+30*msec, base+40*msec),
-		)
-		id += 4
+	allocs := func(n int) float64 { // n requests of 4 spans
+		var spans []trace.SpanData
+		for i := 0; i < n; i++ {
+			base := time.Duration(i) * 100 * msec
+			root, tr := uint64(4*i+1), uint64(i+1)
+			spans = append(spans,
+				span(root, tr, 0, "a", "op.stop", base, base+50*msec),
+				span(root+1, tr, root, "a", "net.hop.b", base, base+10*msec),
+				span(root+2, tr, root, "b", "exec.adopt", base+10*msec, base+30*msec),
+				span(root+3, tr, root, "b", "net.reply.a", base+30*msec, base+40*msec),
+			)
+		}
+		recs := []journal.Record{{Kind: journal.LPMRetry, Trace: 1}, {Kind: journal.LPMTimeout, Trace: uint64(n)}}
+		return testing.AllocsPerRun(10, func() { Build(spans, recs) })
 	}
-	perSpan := testing.AllocsPerRun(10, func() {
-		Build(spans, nil)
-	}) / float64(len(spans))
-	// The pin: index maps, child slices and the request table amortize
-	// to ~2 allocations per span; fail loudly if the analyzer regresses
-	// past 4.
-	if perSpan > 4 {
-		t.Errorf("Build allocates %.2f allocs/span, pin is 4", perSpan)
+	small, large := allocs(64), allocs(640)
+	t.Logf("%v allocs per Build", large)
+	if large != small || large > 24 {
+		t.Errorf("Build allocates %v times over 640 requests and %v over 64; want the same few (pin 24)", large, small)
 	}
 }

@@ -135,12 +135,13 @@ var busyRamp = []byte(" .:=#")
 // lpm.request.* spans — originated by the host in the bucket).
 func (p *Profile) timelines(o Options) string {
 	lo, hi := time.Duration(-1), time.Duration(0)
-	keep := make(map[uint64]bool, len(p.Requests))
+	keep := make([]bool, len(p.x.Traces())) // by trace k
 	for _, r := range p.Requests {
 		if !o.matches(r) {
 			continue
 		}
-		keep[r.Trace] = true
+		k, _ := p.x.Find(r.Trace)
+		keep[k] = true
 		if lo < 0 || r.Start < lo {
 			lo = r.Start
 		}
@@ -188,8 +189,8 @@ func (p *Profile) timelines(o Options) string {
 			}
 		}
 	}
-	for _, s := range p.spans {
-		if !keep[s.Trace] || s.End <= s.Start {
+	for _, s := range p.x.Spans {
+		if k, _ := p.x.Find(s.Trace); !keep[k] || s.End <= s.Start {
 			continue
 		}
 		if _, ok := classify(s.Name); ok {
@@ -248,14 +249,13 @@ func (p *Profile) FoldedStacks(o Options) string {
 	weights := make(map[string]time.Duration)
 	var scratch []candidate
 	var stack []string
-	var walk func(idx int)
-	walk = func(idx int) {
-		s := p.spans[idx]
-		stack = append(stack, s.Name)
+	var walk func(idx int32)
+	walk = func(idx int32) {
+		stack = append(stack, p.x.Spans[idx].Name)
 		if self := p.selfTime(idx, &scratch); self > 0 {
 			weights[strings.Join(stack, ";")] += self
 		}
-		for _, c := range p.children[s.ID] {
+		for _, c := range p.x.Children(idx) {
 			walk(c)
 		}
 		stack = stack[:len(stack)-1]
@@ -264,8 +264,9 @@ func (p *Profile) FoldedStacks(o Options) string {
 		if !o.matches(r) {
 			continue
 		}
-		for _, i := range p.byTrace[r.Trace] {
-			if p.spans[i].Parent == 0 {
+		k, _ := p.x.Find(r.Trace)
+		for _, i := range p.x.SpansOf(k) {
+			if p.x.Spans[i].Parent == 0 {
 				walk(i)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"ppm/internal/journal"
 	"ppm/internal/metrics"
 	"ppm/internal/sim"
+	"ppm/internal/trace"
 )
 
 // The network's tap is its net.* journal records: emit states every
@@ -308,5 +309,35 @@ func TestJournalLinesSurviveTheirSources(t *testing.T) {
 	}
 	if after := jr.Render(); !strings.HasPrefix(after, before) || after == before {
 		t.Fatalf("the lines written first changed (or nothing was added):\n--- before\n%s--- after\n%s", before, after)
+	}
+}
+
+// TestTracedTransitZeroAllocs: once a pair has been seen in a
+// direction, a traced two-hop send records its hop spans without
+// allocating: hops and span names come from the cache, span handles
+// from the tracer's slab.
+func TestTracedTransitZeroAllocs(t *testing.T) {
+	s, n := threeHostChain(t)
+	tr := trace.New(func() time.Duration { return s.Now().Duration() })
+	tr.Enable()
+	tr.SetMaxSpans(1 << 20)
+	n.SetRecorder(journal.NewRecorder(nil, tr, nil))
+	ctx := tr.StartTrace("a", "op").Context()
+	send := func() { n.traceTransit(ctx, "a", "c", 100, false) }
+	if allocs := testing.AllocsPerRun(5000, send); allocs != 0 {
+		t.Fatalf("a traced two-hop send allocates %v times, want 0", allocs)
+	}
+	spans := tr.SpansOf(ctx.Trace)
+	if hops := spans[len(spans)-2:]; hops[0].Host != "a" || hops[0].Name != "net.hop.b" ||
+		hops[1].Host != "b" || hops[1].Name != "net.hop.c" || hops[1].Start != hops[0].End {
+		t.Fatalf("hop spans %+v", hops)
+	}
+	n.traceTransit(ctx, "c", "a", 100, true)
+	n.traceTransit(ctx, "b", "b", 100, true)
+	spans = tr.SpansOf(ctx.Trace)
+	for i, want := range []string{"c net.reply.b", "b net.reply.a", "b net.loopback.reply"} {
+		if s := spans[len(spans)-3+i]; s.Host+" "+s.Name != want {
+			t.Errorf("span %d is %s %s, want %s", i, s.Host, s.Name, want)
+		}
 	}
 }

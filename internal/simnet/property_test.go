@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +159,89 @@ func TestPropertyReachabilityRespectsPartitionGroups(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// referencePath is the per-call BFS Path ran before it walked the
+// predecessors computeRoutes records, kept as the reference the shared
+// BFS must reproduce path for path.
+func referencePath(n *Network, a, b string) ([]string, bool) {
+	if _, ok := n.hosts[a]; !ok {
+		return nil, false
+	}
+	if a == b {
+		return []string{a}, true
+	}
+	prev := map[string]string{a: a}
+	frontier := []string{a}
+	for len(frontier) > 0 {
+		var next []string
+		for _, h := range frontier {
+			for _, seg := range n.hosts[h].segments {
+				for _, peer := range n.segments[seg] {
+					if _, seen := prev[peer]; seen {
+						continue
+					}
+					prev[peer] = h
+					if peer == b {
+						var rev []string
+						for cur := b; cur != a; cur = prev[cur] {
+							rev = append(rev, cur)
+						}
+						rev = append(rev, a)
+						slices.Reverse(rev)
+						return rev, true
+					}
+					next = append(next, peer)
+				}
+			}
+		}
+		frontier = next
+	}
+	return nil, false
+}
+
+// TestPropertyPathMatchesReference: on random multi-homed topologies —
+// host i joins segment k when bit k of spec[i] is set, so gateways and
+// equal-length alternatives abound — Path returns exactly the path the
+// per-call BFS did, ties broken the same way.
+func TestPropertyPathMatchesReference(t *testing.T) {
+	f := func(spec []byte) bool {
+		if len(spec) == 0 || len(spec) > 12 {
+			return true
+		}
+		n := New(sim.NewScheduler(1), Options{})
+		var hosts []string
+		for i := range spec {
+			hosts = append(hosts, fmt.Sprintf("h%d", i))
+			if err := n.AddHost(hosts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 7; k >= 0; k-- {
+			for i, b := range spec {
+				if b&(1<<k) != 0 {
+					if err := n.AddSegment(fmt.Sprintf("s%d", k), hosts[(i+k)%len(hosts)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		names := append(slices.Clone(hosts), "nowhere")
+		for _, a := range names {
+			for _, b := range names {
+				got, ok := n.Path(a, b)
+				want, wantOK := referencePath(n, a, b)
+				if ok != wantOK || !slices.Equal(got, want) {
+					t.Logf("Path(%s, %s) = %v %v, reference %v %v", a, b, got, ok, want, wantOK)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

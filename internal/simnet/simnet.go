@@ -85,7 +85,7 @@ type Network struct {
 	opts     Options
 	hosts    map[string]*node
 	segments map[string][]string // segment -> member hosts
-	hops     map[string]map[string]int
+	routes   map[string]map[string]route
 	dirty    bool // routes need recompute
 	connSeq  uint64
 	rec      *journal.Recorder
@@ -96,6 +96,8 @@ type Network struct {
 	// currently blacked out by a link flap.
 	downPairs map[[2]string]bool
 	bufFree   [][]byte // recycled delivery buffers (single-goroutine sim)
+	// transitHops caches traceTransit's hops per (from, to, direction).
+	transitHops map[[3]string][]transitHop
 }
 
 // New creates an empty network on the given scheduler.
@@ -138,7 +140,7 @@ func (n *Network) AddHost(name string) error {
 		nextPort:  10000,
 		conns:     make(map[*Conn]bool),
 	}
-	n.dirty = true
+	n.dirty, n.transitHops = true, nil
 	return nil
 }
 
@@ -161,7 +163,7 @@ func (n *Network) AddSegment(segment string, hostNames ...string) error {
 			n.segments[segment] = append(n.segments[segment], h)
 		}
 	}
-	n.dirty = true
+	n.dirty, n.transitHops = true, nil
 	return nil
 }
 
@@ -170,22 +172,26 @@ func (n *Network) Hosts() []string {
 	return detord.Keys(n.hosts)
 }
 
-// computeRoutes runs BFS over the host/segment bipartite graph and
-// records the hop count (number of segments traversed) between every
-// host pair. Partition groups are not considered here; they gate
-// delivery dynamically.
+// route is how a BFS from one source reached a host: the hop count
+// (segments traversed) and the order it was reached in (see Path).
+type route struct{ hops, seq int32 }
+
+// computeRoutes runs BFS over the host/segment bipartite graph from
+// every host, expanding hosts and segment members in registration order
+// (so paths are the same on every run). Partition groups are not
+// considered here; they gate delivery dynamically.
 func (n *Network) computeRoutes() {
-	n.hops = make(map[string]map[string]int, len(n.hosts))
+	n.routes = make(map[string]map[string]route, len(n.hosts))
 	for src := range n.hosts {
-		dist := map[string]int{src: 0}
+		rt := map[string]route{src: {}}
 		frontier := []string{src}
 		for len(frontier) > 0 {
 			var next []string
 			for _, h := range frontier {
 				for _, seg := range n.hosts[h].segments {
 					for _, peer := range n.segments[seg] {
-						if _, seen := dist[peer]; !seen {
-							dist[peer] = dist[h] + 1
+						if _, seen := rt[peer]; !seen {
+							rt[peer] = route{hops: rt[h].hops + 1, seq: int32(len(rt))}
 							next = append(next, peer)
 						}
 					}
@@ -193,7 +199,7 @@ func (n *Network) computeRoutes() {
 			}
 			frontier = next
 		}
-		n.hops[src] = dist
+		n.routes[src] = rt
 	}
 	n.dirty = false
 }
@@ -210,12 +216,8 @@ func (n *Network) Hops(a, b string) (int, bool) {
 		}
 		return 0, false
 	}
-	m, ok := n.hops[a]
-	if !ok {
-		return 0, false
-	}
-	h, ok := m[b]
-	return h, ok
+	r, ok := n.routes[a][b]
+	return int(r.hops), ok
 }
 
 // Reachable reports whether a message from a can currently be delivered
@@ -263,50 +265,32 @@ func (n *Network) transit(a, b string, size int) time.Duration {
 }
 
 // Path returns the shortest host path from a to b (both endpoints
-// included), ignoring partitions and host state. The BFS expands hosts
-// and segment members in their registration order, so the path is the
-// same on every run — trace reports that attribute hop spans to the
-// hosts along it stay byte-identical.
+// included), ignoring partitions and host state: computeRoutes's BFS
+// from a walked back from b, each host's predecessor being the first
+// reached of its neighbours one hop nearer a, as the BFS chose it.
 func (n *Network) Path(a, b string) ([]string, bool) {
-	if n.dirty {
-		n.computeRoutes()
-	}
-	if _, ok := n.hosts[a]; !ok {
+	hops, ok := n.Hops(a, b)
+	if !ok {
 		return nil, false
 	}
-	if a == b {
-		return []string{a}, true
-	}
-	prev := map[string]string{a: a}
-	frontier := []string{a}
-	for len(frontier) > 0 {
-		var next []string
-		for _, h := range frontier {
-			for _, seg := range n.hosts[h].segments {
-				for _, peer := range n.segments[seg] {
-					if _, seen := prev[peer]; seen {
-						continue
-					}
-					prev[peer] = h
-					if peer == b {
-						var rev []string
-						for cur := b; cur != a; cur = prev[cur] {
-							rev = append(rev, cur)
-						}
-						rev = append(rev, a)
-						for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-							rev[i], rev[j] = rev[j], rev[i]
-						}
-						return rev, true
-					}
-					next = append(next, peer)
+	rt, path := n.routes[a], make([]string, hops+1)
+	path[hops] = b
+	for i := hops; i > 0; i-- {
+		var first route
+		for _, seg := range n.hosts[path[i]].segments {
+			for _, h := range n.segments[seg] {
+				if r := rt[h]; r.hops == int32(i-1) && (path[i-1] == "" || r.seq < first.seq) {
+					path[i-1], first = h, r
 				}
 			}
 		}
-		frontier = next
 	}
-	return nil, false
+	return path, true
 }
+
+// transitHop is one span of a traced transit: the forwarding host and
+// the span's name.
+type transitHop struct{ host, name string }
 
 // traceTransit records the per-hop transit schedule of a payload sent
 // now from a to b as spans under ctx: one span per segment crossing,
@@ -322,27 +306,33 @@ func (n *Network) traceTransit(ctx trace.Context, a, b string, size int, reply b
 	if tracer == nil || !ctx.Valid() {
 		return
 	}
-	path, ok := n.Path(a, b)
-	if !ok {
-		return
+	prefix, loopback := "net.hop.", "net.loopback"
+	if reply {
+		prefix, loopback = "net.reply.", "net.loopback.reply"
+	}
+	key := [3]string{a, b, prefix}
+	hops, seen := n.transitHops[key]
+	if !seen {
+		path, _ := n.Path(a, b)
+		if len(path) == 1 {
+			hops = []transitHop{{a, loopback}}
+		}
+		for i := 0; i+1 < len(path); i++ {
+			hops = append(hops, transitHop{path[i], prefix + path[i+1]})
+		}
+		if n.transitHops == nil {
+			n.transitHops = make(map[[3]string][]transitHop)
+		}
+		n.transitHops[key] = hops
 	}
 	now := n.sched.Now().Duration()
-	if len(path) == 1 {
-		name := "net.loopback"
-		if reply {
-			name = "net.loopback.reply"
-		}
-		tracer.AddSpan(a, name, ctx, now, now+100*time.Microsecond)
-		return
-	}
-	prefix := "net.hop."
-	if reply {
-		prefix = "net.reply."
-	}
 	per := calib.HopTransit + calib.TransmissionTime(size)
-	for i := 0; i+1 < len(path); i++ {
+	if a == b {
+		per = 100 * time.Microsecond
+	}
+	for i, h := range hops {
 		start := now + time.Duration(i)*per
-		tracer.AddSpan(path[i], prefix+path[i+1], ctx, start, start+per)
+		tracer.AddSpan(h.host, h.name, ctx, start, start+per)
 	}
 }
 

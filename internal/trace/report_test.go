@@ -1,0 +1,239 @@
+package trace
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"ppm/internal/detord"
+)
+
+// referenceReport is the map-and-fmt renderer the index replaced, kept
+// as the reference Report and ReportAll are compared against. It agrees
+// with them on every table whose parents are earlier spans or absent.
+func referenceReport(traceID uint64, spans []SpanData, dropped uint64) string {
+	if len(spans) == 0 {
+		return fmt.Sprintf("trace %d: no spans\n", traceID)
+	}
+	present := make(map[uint64]bool, len(spans))
+	for _, s := range spans {
+		present[s.ID] = true
+	}
+	children := make(map[uint64][]SpanData)
+	var roots []SpanData
+	hosts := make(map[string]bool)
+	for _, s := range spans {
+		hosts[s.Host] = true
+		if s.Parent == 0 || !present[s.Parent] {
+			roots = append(roots, s)
+		} else {
+			children[s.Parent] = append(children[s.Parent], s)
+		}
+	}
+	byStartID := func(ss []SpanData) {
+		detord.SortBy2(ss,
+			func(s SpanData) time.Duration { return s.Start },
+			func(s SpanData) uint64 { return s.ID })
+	}
+	byStartID(roots)
+	for _, ss := range children {
+		byStartID(ss)
+	}
+	base := roots[0].Start
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== trace %d: %s (%d spans, %d hosts) ===\n",
+		traceID, roots[0].Name, len(spans), len(hosts))
+	fmt.Fprintf(&b, "%10s %10s  %-8s %s\n", "start ms", "end ms", "host", "span")
+	ms := func(d time.Duration) float64 { return float64(d-base) / float64(time.Millisecond) }
+	var walk func(s SpanData, depth int)
+	walk = func(s SpanData, depth int) {
+		fmt.Fprintf(&b, "%10.3f %10.3f  %-8s %s%s\n",
+			ms(s.Start), ms(s.End), s.Host, strings.Repeat("  ", depth), s.Name)
+		for _, c := range children[s.ID] {
+			walk(c, depth+1)
+		}
+	}
+	for _, r := range roots {
+		walk(r, 0)
+	}
+	if dropped > 0 {
+		fmt.Fprintf(&b, "(%d spans dropped at buffer cap)\n", dropped)
+	}
+	return b.String()
+}
+
+func referenceReportAll(spans []SpanData, dropped uint64) string {
+	if len(spans) == 0 {
+		return "no traces recorded\n"
+	}
+	byTrace := make(map[uint64][]SpanData)
+	for _, s := range spans {
+		byTrace[s.Trace] = append(byTrace[s.Trace], s)
+	}
+	var b strings.Builder
+	for _, id := range detord.Keys(byTrace) {
+		b.WriteString(referenceReport(id, byTrace[id], dropped))
+	}
+	return b.String()
+}
+
+var (
+	// Hosts the renderer must pad by runes: empty, non-ASCII, invalid
+	// UTF-8, and longer than the 8-column field.
+	testHosts = []string{"a", "h12", "", "ünïcødé", "gateway-long-name", "日本語ホスト名です", "\xff\xfe", "exactly8"}
+	testNames = []string{"op.stop", "net.hop.b", "dispatch.endpoint", "exec.adopt", "kernel.event.stop", "lpm.request.ü", ""}
+)
+
+// randomTable builds a span table the way a tracer records one —
+// traces interleaved, IDs increasing with gaps where spans were dropped
+// — whose parents are earlier spans of the trace or were dropped.
+func randomTable(rng *rand.Rand) []SpanData {
+	nTraces := 1 + rng.Intn(6)
+	traceIDs := make([]uint64, nTraces)
+	for i := range traceIDs {
+		traceIDs[i] = uint64(1 + rng.Intn(1000))
+	}
+	var spans []SpanData
+	byTrace := map[uint64][]uint64{}
+	id := uint64(0)
+	for n := 1 + rng.Intn(40); n > 0; n-- {
+		id += uint64(1 + rng.Intn(2)) // a skipped ID is a span dropped at the cap
+		tr := traceIDs[rng.Intn(nTraces)]
+		var parent uint64
+		switch earlier := byTrace[tr]; {
+		case len(earlier) > 0 && rng.Intn(4) != 0:
+			parent = earlier[rng.Intn(len(earlier))]
+		case rng.Intn(3) == 0:
+			parent = id - 1 // an orphan when the previous ID was dropped or is another trace's
+			for _, e := range earlier {
+				if e == parent {
+					parent = 0
+				}
+			}
+		}
+		start := time.Duration(rng.Int63n(int64(10*time.Second))) - time.Second
+		if rng.Intn(10) == 0 {
+			start = time.Duration(rng.Int63n(int64(1000 * time.Hour)))
+		}
+		spans = append(spans, SpanData{
+			ID: id, Trace: tr, Parent: parent,
+			Host:  testHosts[rng.Intn(len(testHosts))],
+			Name:  testNames[rng.Intn(len(testNames))],
+			Start: start, End: start + time.Duration(rng.Int63n(int64(time.Second))),
+			Ends: 1,
+		})
+		byTrace[tr] = append(byTrace[tr], id)
+	}
+	return spans
+}
+
+// TestReportMatchesReference: over seeded random tables, Report and
+// ReportAll render byte for byte what the map-and-fmt renderer did.
+func TestReportMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		spans := randomTable(rng)
+		var dropped uint64
+		if rng.Intn(5) == 0 {
+			dropped = uint64(1 + rng.Intn(50))
+		}
+		tr := &Tracer{spans: spans, dropped: dropped}
+		if got, want := tr.ReportAll(), referenceReportAll(spans, dropped); got != want {
+			t.Fatalf("table %d: ReportAll\n%s\nreference\n%s", i, got, want)
+		}
+		for _, id := range []uint64{spans[0].Trace, spans[len(spans)-1].Trace, 1001} {
+			if got, want := tr.Report(id), referenceReport(id, tr.SpansOf(id), dropped); got != want {
+				t.Fatalf("table %d: Report(%d)\n%s\nreference\n%s", i, id, got, want)
+			}
+		}
+	}
+}
+
+// FuzzReportAll: over arbitrary span tables — self- and forward-parented
+// spans, duplicate IDs, traces without a span whose parent is 0 — the
+// renderer never panics and renders every span exactly once, under a
+// parent that is an earlier span of its trace.
+func FuzzReportAll(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 0, 0, 5})
+	f.Add([]byte{1, 1, 1, 0, 0, 5})                   // self-parented: the trace's only span
+	f.Add([]byte{1, 1, 2, 0, 0, 5, 1, 2, 1, 0, 0, 5}) // forward-parented first span
+	f.Add([]byte{7, 3, 3, 1, 9, 2, 7, 3, 3, 2, 8, 1, 2, 3, 0, 3, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spans []SpanData
+		for i := 0; i+6 <= len(data) && len(spans) < 256; i += 6 {
+			d := data[i : i+6]
+			start := time.Duration(int8(d[4])) * time.Millisecond
+			spans = append(spans, SpanData{
+				Trace: uint64(d[0] % 4), ID: uint64(d[1]), Parent: uint64(d[2]),
+				Host: testHosts[int(d[3])%len(testHosts)], Name: fmt.Sprintf("s%d", len(spans)),
+				Start: start, End: start + time.Duration(d[5])*time.Microsecond,
+			})
+		}
+		tr := &Tracer{spans: spans}
+		out := tr.ReportAll()
+		lines := strings.Split(out, "\n")
+		for i := range spans {
+			n := 0
+			for _, l := range lines {
+				if strings.HasSuffix(l, " "+spans[i].Name) {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("span %d rendered %d times:\n%s", i, n, out)
+			}
+		}
+		x := NewIndex(spans)
+		for i, s := range spans {
+			for _, c := range x.Children(int32(i)) {
+				if c <= int32(i) || spans[c].Trace != s.Trace || spans[c].Parent != s.ID {
+					t.Fatalf("span %d is a child of span %d", c, i)
+				}
+			}
+			tr.Report(s.Trace)
+		}
+	})
+}
+
+// TestReportAllAllocs: ReportAll allocates a fixed number of times —
+// the index's slices and one buffer — not a number that grows with the
+// traces or spans it renders.
+func TestReportAllAllocs(t *testing.T) {
+	allocs := func(traces int) float64 {
+		clk := &fakeClock{}
+		tr := New(clk.now)
+		tr.Enable()
+		tr.SetMaxSpans(traces * 10)
+		for i := 0; i < traces; i++ {
+			root := tr.StartTrace(testHosts[i%len(testHosts)], "op.stop")
+			for j := 1; j < 10; j++ {
+				clk.at += time.Millisecond
+				tr.AddSpan(testHosts[j%len(testHosts)], testNames[j%len(testNames)], root.Context(), clk.at, clk.at+time.Millisecond)
+			}
+			root.End()
+		}
+		return testing.AllocsPerRun(50, func() { tr.ReportAll() })
+	}
+	small, large := allocs(50), allocs(500)
+	t.Logf("%v allocs per ReportAll", large)
+	if large != small || large > 20 {
+		t.Fatalf("ReportAll allocates %v times over 500 traces of 10 spans and %v over 50; want the same few", large, small)
+	}
+}
+
+// TestStartSpanZeroAllocs: opening and closing a span on an enabled
+// tracer allocates nothing once amortized — handles come from a slab.
+func TestStartSpanZeroAllocs(t *testing.T) {
+	tr := New(func() time.Duration { return 0 })
+	tr.Enable()
+	tr.SetMaxSpans(1 << 20)
+	ctx := tr.StartTrace("a", "op").Context()
+	if allocs := testing.AllocsPerRun(10000, func() { tr.StartSpan("a", "x", ctx).End() }); allocs != 0 {
+		t.Fatalf("StartSpan+End allocates %v times per span, want 0", allocs)
+	}
+	if spans := tr.Spans(); len(spans) != 10002 || !spans[10001].Closed() {
+		t.Fatalf("recorded %d spans, want 10002, all closed", len(spans))
+	}
+}

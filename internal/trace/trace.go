@@ -25,10 +25,10 @@ package trace
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
-
-	"ppm/internal/detord"
+	"unicode/utf8"
 )
 
 // Context names a position in a trace: the trace it belongs to and the
@@ -78,6 +78,7 @@ type Tracer struct {
 	active    Context
 	maxSpans  int
 	dropped   uint64
+	handles   []Span // the slab chunk record carves span handles from
 }
 
 // New returns a Tracer that reads virtual time from now. The tracer
@@ -115,6 +116,8 @@ func (t *Tracer) SetMaxSpans(n int) {
 // Span is a handle to an open span. A nil *Span is a valid no-op
 // handle: End does nothing and Context returns the invalid Context, so
 // instrumentation downstream of a disabled tracer no-ops transitively.
+// A handle opened before a Reset stays valid but inert: ending it
+// changes nothing.
 type Span struct {
 	t   *Tracer
 	idx int
@@ -140,8 +143,8 @@ func (s *Span) End() {
 // EndAt closes the span at an explicit instant (used when the closing
 // time is computed rather than observed, e.g. per-hop transit spans).
 func (s *Span) EndAt(at time.Duration) {
-	if s == nil {
-		return
+	if s == nil || s.idx >= len(s.t.spans) || s.t.spans[s.idx].ID != s.ctx.Span {
+		return // the span went with a Reset; its slot is empty or another span's
 	}
 	s.t.spans[s.idx].End = at
 	s.t.spans[s.idx].Ends++
@@ -190,7 +193,11 @@ func (t *Tracer) record(traceID, parent uint64, host, name string, start time.Du
 		ID: id, Trace: traceID, Parent: parent,
 		Host: host, Name: name, Start: start, End: start,
 	})
-	return &Span{t: t, idx: len(t.spans) - 1, ctx: Context{Trace: traceID, Span: id}}
+	if len(t.handles) == cap(t.handles) { // a full chunk is left to the handles in it
+		t.handles = make([]Span, 0, 256)
+	}
+	t.handles = append(t.handles, Span{t: t, idx: len(t.spans) - 1, ctx: Context{Trace: traceID, Span: id}})
+	return &t.handles[len(t.handles)-1]
 }
 
 // Exchange installs ctx as the active context and returns the previous
@@ -277,62 +284,15 @@ func (t *Tracer) Reset() {
 // Report renders one trace as a waterfall: each line is a span with its
 // start and end in virtual milliseconds relative to the trace root,
 // indented by tree depth. Children are ordered by (Start, ID), so the
-// rendering is deterministic. Spans whose parent was dropped (buffer
-// cap) render as extra roots rather than disappearing.
+// rendering is deterministic. A span whose parent is not an earlier span
+// of its trace (dropped at the cap, or named by a decoded context but not
+// yet issued) renders as an extra root rather than disappearing.
 func (t *Tracer) Report(traceID uint64) string {
-	return t.report(traceID, t.SpansOf(traceID))
-}
-
-// report renders the spans of one trace (in creation order).
-func (t *Tracer) report(traceID uint64, spans []SpanData) string {
-	if len(spans) == 0 {
+	x := NewIndex(t.SpansOf(traceID))
+	if len(x.Traces()) == 0 {
 		return fmt.Sprintf("trace %d: no spans\n", traceID)
 	}
-	present := make(map[uint64]bool, len(spans))
-	for _, s := range spans {
-		present[s.ID] = true
-	}
-	children := make(map[uint64][]SpanData)
-	var roots []SpanData
-	hosts := make(map[string]bool)
-	for _, s := range spans {
-		hosts[s.Host] = true
-		if s.Parent == 0 || !present[s.Parent] {
-			roots = append(roots, s)
-		} else {
-			children[s.Parent] = append(children[s.Parent], s)
-		}
-	}
-	byStartID := func(ss []SpanData) {
-		detord.SortBy2(ss,
-			func(s SpanData) time.Duration { return s.Start },
-			func(s SpanData) uint64 { return s.ID })
-	}
-	byStartID(roots)
-	for _, ss := range children {
-		byStartID(ss)
-	}
-	base := roots[0].Start
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== trace %d: %s (%d spans, %d hosts) ===\n",
-		traceID, roots[0].Name, len(spans), len(hosts))
-	fmt.Fprintf(&b, "%10s %10s  %-8s %s\n", "start ms", "end ms", "host", "span")
-	ms := func(d time.Duration) float64 { return float64(d-base) / float64(time.Millisecond) }
-	var walk func(s SpanData, depth int)
-	walk = func(s SpanData, depth int) {
-		fmt.Fprintf(&b, "%10.3f %10.3f  %-8s %s%s\n",
-			ms(s.Start), ms(s.End), s.Host, strings.Repeat("  ", depth), s.Name)
-		for _, c := range children[s.ID] {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	if t != nil && t.dropped > 0 {
-		fmt.Fprintf(&b, "(%d spans dropped at buffer cap)\n", t.dropped)
-	}
-	return b.String()
+	return string(t.render(x))
 }
 
 // ReportAll renders every recorded trace in ID order.
@@ -340,15 +300,61 @@ func (t *Tracer) ReportAll() string {
 	if t == nil || len(t.spans) == 0 {
 		return "no traces recorded\n"
 	}
-	// One pass groups the buffer by trace; rescanning it per trace made
-	// the report quadratic in the number of traces.
-	byTrace := make(map[uint64][]SpanData)
-	for _, s := range t.spans {
-		byTrace[s.Trace] = append(byTrace[s.Trace], s)
+	return string(t.render(NewIndex(t.spans)))
+}
+
+// render renders every trace of x into one buffer, sized from an upper
+// bound on each line (a formatted instant is at most 18 bytes).
+func (t *Tracer) render(x *Index) []byte {
+	size := 192 * len(x.Traces())
+	for i, s := range x.Spans {
+		size += 57 + len(s.Host) + 2*len(s.Name) + 2*x.Depth(int32(i))
 	}
-	var b strings.Builder
-	for _, id := range detord.Keys(byTrace) {
-		b.WriteString(t.report(id, byTrace[id]))
+	b := make([]byte, 0, size)
+	var hosts []string
+	for k, id := range x.Traces() {
+		hosts = hosts[:0]
+		for _, p := range x.SpansOf(k) {
+			hosts = append(hosts, x.Spans[p].Host)
+		}
+		slices.Sort(hosts)
+		roots := x.Roots(k)
+		root := &x.Spans[roots[0]]
+		b = strconv.AppendUint(append(b, "=== trace "...), id, 10)
+		b = append(append(append(b, ": "...), root.Name...), " ("...)
+		b = strconv.AppendInt(b, int64(len(x.SpansOf(k))), 10)
+		b = strconv.AppendInt(append(b, " spans, "...), int64(len(slices.Compact(hosts))), 10)
+		b = append(b, " hosts) ===\n  start ms     end ms  host     span\n"...)
+		for _, r := range roots {
+			b = appendSpan(b, x, r, root.Start)
+		}
+		if t.dropped > 0 {
+			b = append(strconv.AppendUint(append(b, '('), t.dropped, 10), " spans dropped at buffer cap)\n"...)
+		}
 	}
-	return b.String()
+	return b
+}
+
+// appendSpan appends span p's line, then its subtree's: what fmt's
+// "%10.3f %10.3f  %-8s %s%s\n" made of its window relative to base, its
+// host (padded by runes, as %-8s pads), its indent and its name.
+func appendSpan(b []byte, x *Index, p int32, base time.Duration) []byte {
+	s := &x.Spans[p]
+	b = append(appendMs(append(appendMs(b, s.Start-base), ' '), s.End-base), "  "...)
+	b = append(append(b, s.Host...), "         "[min(8, utf8.RuneCountInString(s.Host)):]...)
+	for d := x.Depth(p); d > 0; d-- {
+		b = append(b, "  "...)
+	}
+	b = append(append(b, s.Name...), '\n')
+	for _, c := range x.Children(p) {
+		b = appendSpan(b, x, c, base)
+	}
+	return b
+}
+
+// appendMs appends d in milliseconds as fmt's %10.3f does.
+func appendMs(b []byte, d time.Duration) []byte {
+	var buf [24]byte
+	num := strconv.AppendFloat(buf[:0], float64(d)/float64(time.Millisecond), 'f', 3, 64)
+	return append(append(b, "          "[min(10, len(num)):]...), num...)
 }

@@ -153,6 +153,27 @@ func TestMaxSpansDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestSpanEndAfterResetIsInert: a handle opened before a Reset ends
+// nothing afterwards — not whichever new span took its slot, and not a
+// slot past the end of the new table.
+func TestSpanEndAfterResetIsInert(t *testing.T) {
+	tr := New(func() time.Duration { return time.Millisecond })
+	tr.Enable()
+	old := tr.StartTrace("a", "old")
+	tr.StartSpan("a", "x", old.Context())
+	beyond := tr.StartSpan("a", "y", old.Context())
+	tr.Reset()
+	root := tr.StartTrace("a", "new")
+	tr.StartSpan("a", "child", root.Context())
+	old.End()
+	beyond.End()
+	for _, s := range tr.Spans() {
+		if s.Ends != 0 {
+			t.Fatalf("a handle from before Reset ended %s: %+v", s.Name, s)
+		}
+	}
+}
+
 func TestExchangeActiveContext(t *testing.T) {
 	tr := New(func() time.Duration { return 0 })
 	tr.Enable()

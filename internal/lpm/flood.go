@@ -110,10 +110,9 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(wire.Fl
 // per-hop echo retryable: a retransmitted leg replays this node's full
 // cached echo instead of being answered Dup (which would lose the
 // subtree's data).
-func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgType, []byte)) {
-	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
+func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 	refuse := func() {
-		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{Inner: wire.Encode(&wire.FloodResult{OK: false})}))
+		reply.send(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{Inner: wire.Encode(&wire.FloodResult{OK: false})}))
 	}
 	// Verify the signed stamp: the origin's name appears in it and the
 	// signature binds it to the user's key.
@@ -124,8 +123,8 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	}
 	if l.markSeen(bc.Stamp) {
 		// An old broadcast request: answer but do not retransmit.
-		l.obs.Record(journal.LPMFloodDup, l.Host(), ctx, l.stampDetail(bc.Stamp))
-		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
+		l.obs.Record(journal.LPMFloodDup, l.Host(), reply.ctx, l.stampDetail(bc.Stamp))
+		reply.send(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
 			Seq: bc.Seq, From: l.Host(), Route: bc.Route,
 			Inner: wire.Encode(&wire.FloodResult{OK: true, Dup: true}),
 		}))
@@ -142,11 +141,11 @@ func (l *LPM) handleFlood(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 	fwd, seq := bc, bc.Seq
 	fwd.Route = append(append(make([]string, 0, len(bc.Route)+1), bc.Route...), l.Host())
 	st := &floodState{finish: func(res wire.FloodResult) {
-		reply(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
+		reply.send(wire.MsgBroadcastResp, wire.Encode(&wire.BroadcastResp{
 			Seq: seq, From: l.Host(), Route: fwd.Route, Inner: wire.Encode(&res),
 		}))
 	}}
-	l.runFlood(ctx, st, fwd, inner, sb.host)
+	l.runFlood(reply.ctx, st, fwd, inner, reply.sb.host)
 }
 
 // runFlood performs the local work and forwards to all siblings except
@@ -190,7 +189,7 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	for _, child := range children {
 		from := child.host
 		l.opSeq++
-		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, l.opSeq, 1, func(env wire.Envelope, err error) {
+		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, l.opSeq, func(env wire.Envelope, err error) {
 			var resp wire.BroadcastResp
 			var res wire.FloodResult
 			err = firstErr(err, wire.Decode(env.Body, &resp))
@@ -312,7 +311,7 @@ func (l *LPM) Ping(host string, cb func(wire.Pong, error)) {
 	body := wire.Encode(&wire.Ping{FromHost: l.Host(), User: l.user.Name})
 	l.toolCall("ping", func(ctx trace.Context, done func(func())) {
 		l.opSeq++
-		l.callWithRetry(ctx, host, wire.MsgPing, body, l.opSeq, 1, func(env wire.Envelope, err error) {
+		l.callWithRetry(ctx, host, wire.MsgPing, body, l.opSeq, func(env wire.Envelope, err error) {
 			done(func() {
 				var pong wire.Pong
 				err := firstErr(err, wire.Decode(env.Body, &pong))

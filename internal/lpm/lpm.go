@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"ppm/internal/auth"
@@ -258,16 +259,29 @@ type dialState struct {
 	span *trace.Span
 }
 
-// pendingReq tracks an outstanding request to a sibling.
+// pendingReq is one sibling call and its only record across retries;
+// expire, its timer, is bound when the record is first used.
 type pendingReq struct {
-	host    string
-	cb      func(wire.Envelope, error)
-	timer   sim.Timer
-	handler proc.PID     // handler process assigned to block on this request
-	sentAt  sim.Time     // registration time, for the request RTT histogram
-	op      wire.MsgType // request type, for the per-op RTT histograms
-	span    *trace.Span  // handler occupancy, from assignment to response
+	l         *LPM
+	ctx, rctx trace.Context // the caller's; the attempt's (span's, else ctx)
+	host      string
+	sb        *sibling
+	t         wire.MsgType
+	body      []byte
+	op, id    uint64 // operation id (0: not at-most-once); the attempt's request id
+	cb        func(wire.Envelope, error)
+	retry     bool // through the retry engine, else one attempt
+	attempt   int
+	handler   proc.PID // handler process assigned to block on this request
+	timer     sim.Timer
+	sentAt    sim.Time    // registration time, for the request RTT histogram
+	span      *trace.Span // handler occupancy, from assignment to response
+	expire    func()
 }
+
+// The records a sibling exchange rides (DESIGN.md §10), pooled per
+// process: an LPM reaches no installation-wide object of its package.
+var reqFree, hopFree = sync.Pool{New: func() any { return new(pendingReq) }}, sync.Pool{New: func() any { return new(hop) }}
 
 // LPM is one Local Process Manager.
 type LPM struct {
@@ -359,8 +373,9 @@ type LPM struct {
 	// Sites that journal under the ambient operation pass
 	// l.obs.Tracer().Active() as their context.
 	obs *journal.Recorder
-	// The LPM's own per-request and per-hop counters (and histogram), resolved on first fire.
+	// The LPM's own per-request and per-hop counters (gauge, histogram), resolved on first fire.
 	floodForwarded, requestsServed, handlerReuses, kernelEvents *metrics.Counter
+	backoffPending                                              *metrics.Gauge
 	requestRTT                                                  *metrics.Histogram
 }
 
@@ -556,13 +571,12 @@ func (l *LPM) Exit() {
 	}
 	l.siblings = make(map[string]*sibling)
 	ids := detord.Keys(l.pending)
-	for _, id := range ids {
+	for _, id := range ids { // dropped, not recycled
 		pr := l.pending[id]
 		pr.timer.Cancel()
-		cb := pr.cb
 		pr.span.End()
 		delete(l.pending, id)
-		cb(wire.Envelope{}, ErrExited)
+		pr.cb(wire.Envelope{}, ErrExited)
 	}
 	pids := detord.Keys(l.myPids)
 	for _, pid := range pids {
@@ -638,25 +652,26 @@ func (l *LPM) forwardExit(ev proc.Event, info proc.Info) {
 // --- handler pool ---
 
 // withHandler assigns a handler process to a blocking request, forking
-// one if the pool is empty (or reuse is disabled), then calls fn with
-// the handler pid.
-func (l *LPM) withHandler(fn func(proc.PID)) {
+// one if the pool is empty (or reuse is disabled), then issues pr to sb
+// under it: at once for an idle handler, after the fork otherwise.
+func (l *LPM) withHandler(pr *pendingReq, sb *sibling) {
+	pr.sb = sb
 	if !l.cfg.NoHandlerReuse && len(l.idleHandlers) > 0 {
 		h := l.idleHandlers[len(l.idleHandlers)-1]
 		l.idleHandlers = l.idleHandlers[:len(l.idleHandlers)-1]
 		l.obs.Metrics().Handle(&l.handlerReuses, "lpm.handler.reuses").Inc()
-		fn(h)
+		l.issue(pr, h)
 		return
 	}
 	l.obs.Metrics().Counter("lpm.handler.forks").Inc()
 	l.kern.ExecCPU(calib.HandlerFork, func() {
 		h, err := l.kern.Fork(l.pid, "lpm-handler")
 		if err != nil {
-			fn(0)
+			l.issue(pr, 0)
 			return
 		}
 		l.myPids[h.PID] = true
-		fn(h.PID)
+		l.issue(pr, h.PID)
 	})
 }
 
@@ -719,7 +734,7 @@ func (r *recEnv) AnnounceCCS(host string) {
 	l.obs.Metrics().Counter("lpm.recovery.ccs_announcements").Inc()
 	body := wire.Encode(&wire.CCSUpdate{CCSHost: host})
 	for _, h := range l.SiblingHosts() {
-		l.sendOneWay(l.siblings[h], wire.MsgCCSUpdate, body)
+		l.sendOut(l.siblings[h], wire.Envelope{Type: wire.MsgCCSUpdate, Body: body}, false)
 	}
 }
 

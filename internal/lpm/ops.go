@@ -413,9 +413,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		return // One-way: no reply.
 	}
 
-	reply := func(t wire.MsgType, body []byte) {
-		l.sendReply(ctx, sb, env.ReqID, t, body)
-	}
+	reply := replyTo{l: l, sb: sb, reqID: env.ReqID, ctx: ctx}
 	if env.OpID != 0 && env.Type.AtMostOnce() {
 		now := l.sched.Now().Duration()
 		l.inflightOps.Expire(now)
@@ -427,7 +425,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
 			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, key, r.Type.String()))
-			reply(r.Type, r.Body)
+			reply.send(r.Type, r.Body)
 			return
 		}
 		if _, ok := l.inflightOps.Get(key); ok {
@@ -436,74 +434,94 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		}
 		l.inflightOps.Put(key, struct{}{}, now)
 		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, key, env.Type.String()))
-		send := reply
-		reply = func(t wire.MsgType, body []byte) {
-			l.inflightOps.Delete(key)
-			l.replies.Put(key, t, body, l.sched.Now().Duration())
-			send(t, body)
-		}
+		reply.key = key
 	}
 
 	switch env.Type {
 	case wire.MsgBroadcast:
-		l.handleFlood(sb, env, reply)
+		l.handleFlood(env, reply)
 
 	case wire.MsgRelay:
-		l.handleRelay(sb, env, reply)
+		l.handleRelay(env, reply)
 
 	default:
-		l.serveRequest(ctx, env, reply)
+		l.serveRequest(env, reply)
 	}
 }
 
-// serveRequest executes one point-to-point request and produces its
-// reply through the given function; the transport (direct circuit or
-// relay) is the caller's concern. ctx is the request's trace context,
-// under which the serving-side kernel work records spans.
-func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wire.MsgType, body []byte)) {
+// replyTo is where a served request's answer goes, as a value: its
+// circuit, id and trace context, and the reply-cache key of an
+// at-most-once operation. fn, when set, takes the answer instead.
+type replyTo struct {
+	l     *LPM
+	sb    *sibling
+	reqID uint64
+	ctx   trace.Context
+	key   string
+	fn    func(wire.MsgType, []byte)
+}
+
+// send answers the request with a body of type t.
+func (r replyTo) send(t wire.MsgType, body []byte) {
+	if r.fn != nil {
+		r.fn(t, body)
+		return
+	}
+	if r.key != "" {
+		r.l.inflightOps.Delete(r.key)
+		r.l.replies.Put(r.key, t, body, r.l.sched.Now().Duration())
+	}
+	r.l.sendOut(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span}, true)
+}
+
+// serveRequest executes one point-to-point request and answers it
+// through reply; the transport (direct circuit, relay or tool socket)
+// is reply's concern. Its trace context is the request's, under which
+// the serving-side kernel work records spans.
+func (l *LPM) serveRequest(env wire.Envelope, reply replyTo) {
 	switch env.Type {
 	case wire.MsgCreateProc:
 		var req wire.CreateProc
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgCreateAck, wire.Encode(&wire.CreateAck{OK: false, Reason: "bad create request"}))
+			reply.send(wire.MsgCreateAck, wire.Encode(&wire.CreateAck{OK: false, Reason: "bad create request"}))
 			return
 		}
-		l.createForRemote(ctx, req, func(a wire.CreateAck) {
-			reply(wire.MsgCreateAck, wire.Encode(&a))
+		l.createForRemote(reply.ctx, req, func(a wire.CreateAck) {
+			reply.send(wire.MsgCreateAck, wire.Encode(&a))
 		})
 
 	case wire.MsgControl:
 		var req wire.Control
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: false, Reason: "bad control request"}))
+			reply.send(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: false, Reason: "bad control request"}))
 			return
 		}
 		// Copied out: a closure capturing the decoded-into req would take
 		// it by reference and move it to the heap.
 		pid, op, sig := req.Target.PID, req.Op, req.Signal
-		csp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.control", ctx)
+		csp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.control", reply.ctx)
 		l.kern.ExecCPU(calib.ControlAction, func() {
 			csp.End()
 			var resp wire.ControlResp
-			l.withTraceCtx(ctx, func() { resp = l.applyControl(pid, op, sig) })
-			reply(wire.MsgControlResp, wire.Encode(&resp))
+			l.withTraceCtx(reply.ctx, func() { resp = l.applyControl(pid, op, sig) })
+			reply.send(wire.MsgControlResp, wire.Encode(&resp))
 		})
 
 	case wire.MsgSnapshotReq:
 		var req wire.SnapshotReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
+			reply.send(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
 			return
 		}
 		infos := l.localInfos()
-		l.execSpan(ctx, "exec.gather", gatherCost(len(infos)), func() {
-			reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: infos}))
+		l.execSpan(reply.ctx, "exec.gather", gatherCost(len(infos)), func() {
+			reply.send(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: infos}))
 		})
 
 	case wire.MsgStatsReq:
 		var req wire.StatsReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgStatsResp, wire.Encode(&wire.StatsResp{OK: false, Reason: "bad stats request"}))
+			reply.send(wire.MsgStatsResp, wire.Encode(&wire.StatsResp{OK: false, Reason: "bad stats request"}))
 			return
 		}
 		info, serr := l.localStats(req.Target.PID)
@@ -511,12 +529,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		if serr != nil {
 			resp.Reason = serr.Error()
 		}
-		reply(wire.MsgStatsResp, wire.Encode(&resp))
+		reply.send(wire.MsgStatsResp, wire.Encode(&resp))
 
 	case wire.MsgFDReq:
 		var req wire.FDReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgFDResp, wire.Encode(&wire.FDResp{OK: false, Reason: "bad fd request"}))
+			reply.send(wire.MsgFDResp, wire.Encode(&wire.FDResp{OK: false, Reason: "bad fd request"}))
 			return
 		}
 		open, ferr := l.localFDs(req.Target.PID)
@@ -524,12 +542,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		if ferr != nil {
 			resp.Reason = ferr.Error()
 		}
-		reply(wire.MsgFDResp, wire.Encode(&resp))
+		reply.send(wire.MsgFDResp, wire.Encode(&resp))
 
 	case wire.MsgHistoryReq:
 		var req wire.HistoryReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: false, Reason: "bad history request"}))
+			reply.send(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: false, Reason: "bad history request"}))
 			return
 		}
 		q := history.Query{Proc: req.Proc, Since: req.Since, Limit: int(req.Limit)}
@@ -537,17 +555,17 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			q.Kinds = append(q.Kinds, proc.EventKind(k))
 		}
 		evs := l.store.Select(q)
-		reply(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: true, Events: evs}))
+		reply.send(wire.MsgHistoryResp, wire.Encode(&wire.HistoryResp{OK: true, Events: evs}))
 
 	case wire.MsgWatch:
 		var req wire.WatchReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: false, Reason: "bad watch request"}))
+			reply.send(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: false, Reason: "bad watch request"}))
 			return
 		}
 		if req.Remove {
 			l.store.RemoveWatch(int(req.ID))
-			reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: req.ID}))
+			reply.send(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: req.ID}))
 			return
 		}
 		action := req // capture
@@ -558,12 +576,12 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			Action: func(proc.Event) { l.runWatchAction(action) },
 		}
 		id := l.store.AddWatch(w)
-		reply(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: int32(id)}))
+		reply.send(wire.MsgWatchResp, wire.Encode(&wire.WatchResp{OK: true, ID: int32(id)}))
 
 	case wire.MsgStatusReq:
 		var req wire.StatusReq
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: false, Reason: "bad status request"}))
+			reply.send(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: false, Reason: "bad status request"}))
 			return
 		}
 		// Read-only: the report is rebuilt on every (re)transmission, so
@@ -572,8 +590,8 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		// the CPU callback runs.
 		l.BuildStatus(&l.statusScratch)
 		report := wire.Encode(&l.statusScratch)
-		l.execSpan(ctx, "exec.gather", gatherCost(l.statusScratch.ProcsTotal), func() {
-			reply(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: true, Report: report}))
+		l.execSpan(reply.ctx, "exec.gather", gatherCost(l.statusScratch.ProcsTotal), func() {
+			reply.send(wire.MsgStatusResp, wire.Encode(&wire.StatusResp{OK: true, Report: report}))
 		})
 
 	case wire.MsgPing:
@@ -582,7 +600,7 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 			CCSHost:  l.rec.CCS(),
 			IsCCS:    l.rec.IsCCS(),
 		}
-		reply(wire.MsgPong, wire.Encode(&pong))
+		reply.send(wire.MsgPong, wire.Encode(&pong))
 
 	case wire.MsgLinkTest:
 		// Heartbeat for the accrual failure detector. The frame's
@@ -590,10 +608,10 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		// gives the sender's detector a sample in turn.
 		var req wire.LinkTest
 		if wire.Decode(env.Body, &req) != nil {
-			reply(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: "bad linktest"}))
+			reply.send(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: "bad linktest"}))
 			return
 		}
-		reply(wire.MsgLinkTestResp, wire.Encode(&wire.LinkTestResp{FromHost: l.Host(), Seq: req.Seq}))
+		reply.send(wire.MsgLinkTestResp, wire.Encode(&wire.LinkTestResp{FromHost: l.Host(), Seq: req.Seq}))
 
 	case wire.MsgProcExit:
 		// A remote kernel's LPM forwarding a watched process's exit
@@ -601,15 +619,15 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 		// fires home-declared watches) and index the final record.
 		var req wire.ProcExit
 		if wire.Decode(env.Body, &req) != nil || req.User != l.user.Name {
-			reply(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: false, Reason: "bad exit notification"}))
+			reply.send(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: false, Reason: "bad exit notification"}))
 			return
 		}
-		l.withTraceCtx(ctx, func() { l.store.Append(req.Event) })
+		l.withTraceCtx(reply.ctx, func() { l.store.Append(req.Event) })
 		l.store.RecordExit(req.Info)
-		reply(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: true}))
+		reply.send(wire.MsgProcExitResp, wire.Encode(&wire.ProcExitResp{OK: true}))
 
 	default:
-		reply(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: fmt.Sprintf("unhandled %v", env.Type)}))
+		reply.send(wire.MsgError, wire.Encode(&wire.ErrorResp{Reason: fmt.Sprintf("unhandled %v", env.Type)}))
 	}
 }
 
@@ -619,10 +637,9 @@ func (l *LPM) serveRequest(ctx trace.Context, env wire.Envelope, reply func(t wi
 // attempt: relayed operations carry no op id, so a hop cannot prove a
 // lost echo did not execute and must surface the error instead of
 // risking a duplicate (see DESIGN.md).
-func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgType, []byte)) {
-	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
+func (l *LPM) handleRelay(env wire.Envelope, reply replyTo) {
 	fail := func(reason string) {
-		reply(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: false, Reason: reason}))
+		reply.send(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: false, Reason: reason}))
 	}
 	var rel wire.Relay
 	if wire.Decode(env.Body, &rel) != nil || rel.User != l.user.Name {
@@ -635,10 +652,10 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 			fail("bad relayed payload")
 			return
 		}
-		l.serveRequest(ctx, inner, func(t wire.MsgType, body []byte) {
+		l.serveRequest(inner, replyTo{l: l, ctx: reply.ctx, fn: func(t wire.MsgType, body []byte) {
 			respEnv := wire.Envelope{Type: t, Body: body}
-			reply(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: true, Inner: respEnv.Encode()}))
-		})
+			reply.send(wire.MsgRelayResp, wire.Encode(&wire.RelayResp{OK: true, Inner: respEnv.Encode()}))
+		}})
 		return
 	}
 	// Forward along the path.
@@ -652,14 +669,14 @@ func (l *LPM) handleRelay(sb *sibling, env wire.Envelope, reply func(wire.MsgTyp
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}
-	l.obs.Notef(journal.LPMRelayForward, l.Host(), ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
+	l.obs.Notef(journal.LPMRelayForward, l.Host(), reply.ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
 	fwd := wire.Relay{User: rel.User, Dest: rel.Dest, Path: rel.Path[1:], Inner: rel.Inner}
-	l.sendRequest(ctx, nsb, wire.MsgRelay, wire.Encode(&fwd), 0, func(resp wire.Envelope, err error) {
+	l.sendRequest(reply.ctx, nsb, wire.MsgRelay, wire.Encode(&fwd), 0, func(resp wire.Envelope, err error) {
 		if err != nil {
 			fail(fmt.Sprintf("relay via %s: %v", next, err))
 			return
 		}
-		reply(wire.MsgRelayResp, resp.Body)
+		reply.send(wire.MsgRelayResp, resp.Body)
 	})
 }
 

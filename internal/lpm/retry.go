@@ -2,7 +2,6 @@ package lpm
 
 import (
 	"errors"
-	"fmt"
 
 	"ppm/internal/journal"
 	"ppm/internal/trace"
@@ -46,68 +45,81 @@ func (l *LPM) remoteCall(ctx trace.Context, host string, t wire.MsgType, body []
 		}
 	}
 	l.opSeq++
-	l.callWithRetry(ctx, host, t, body, l.opSeq, 1, cb)
+	l.callWithRetry(ctx, host, t, body, l.opSeq, cb)
 }
 
-// callWithRetry runs transmission number attempt of one logical
-// operation and schedules the next attempt on retryable failure.
-func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body []byte,
-	op uint64, attempt int, cb func(wire.Envelope, error)) {
-	l.directCall(ctx, host, t, body, op, func(env wire.Envelope, err error) {
-		if err == nil || !retryable(err) || attempt >= l.cfg.Retry.MaxAttempts || l.exited {
-			cb(env, err)
+// callWithRetry runs one logical operation through the retry engine;
+// its record carries the attempt count from one attempt to the next.
+func (l *LPM) callWithRetry(ctx trace.Context, host string, t wire.MsgType, body []byte, op uint64, cb func(wire.Envelope, error)) {
+	pr := l.newRequest(ctx, host, t, body, op, cb)
+	pr.retry = true
+	l.directCall(pr)
+}
+
+// settle ends an attempt: a retryable failure of a retried call backs
+// off and goes again, anything else is the call's outcome.
+func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
+	if !pr.retry || !retryable(err) || pr.attempt >= l.cfg.Retry.MaxAttempts || l.exited {
+		cb := pr.cb
+		*pr = pendingReq{expire: pr.expire} // nothing scheduled holds the record now: back to the pool
+		reqFree.Put(pr)
+		cb(env, err)
+		return
+	}
+	// Tear down the circuit only when the transport is implicated.
+	// On ErrNoSibling it is already gone (the retry will re-resolve
+	// via pmd and dial afresh). A first timeout may be nothing more
+	// than a lost or slow reply on a healthy circuit shared with
+	// other pending requests — Pings, relay forward hops — and
+	// closing it would fail every one of them for one slow exchange.
+	// Repeated timeouts of the same operation do implicate the
+	// circuit; then it is closed so the next attempt redials.
+	if errors.Is(err, ErrTimeout) && pr.attempt >= 2 {
+		if sb, ok := l.siblings[pr.host]; ok && sb.conn.Open() {
+			sb.conn.Close()
+		}
+	}
+	pr.attempt++
+	delay := l.cfg.Retry.backoff(pr.attempt)
+	l.obs.Notef(journal.LPMRetry, l.Host(), pr.ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
+		l.user.Name, wire.OpKey(l.Host(), l.incarnation(), pr.op), pr.t, pr.attempt, delay)
+	var bsp *trace.Span
+	if pr.ctx.Valid() { // the name is built only for a span that will exist
+		bsp = l.obs.Tracer().StartSpan(l.Host(), "lpm.retry."+pr.host, pr.ctx)
+	}
+	if l.backoffPending == nil {
+		l.backoffPending = l.obs.Metrics().Gauge("lpm.retry.backoff_pending")
+	}
+	l.retryBackoffs++
+	l.backoffPending.Add(1)
+	l.sched.After(delay, func() {
+		l.retryBackoffs--
+		l.backoffPending.Add(-1)
+		bsp.End()
+		if l.exited {
+			l.settle(pr, wire.Envelope{}, ErrExited)
 			return
 		}
-		// Tear down the circuit only when the transport is implicated.
-		// On ErrNoSibling it is already gone (the retry will re-resolve
-		// via pmd and dial afresh). A first timeout may be nothing more
-		// than a lost or slow reply on a healthy circuit shared with
-		// other pending requests — Pings, relay forward hops — and
-		// closing it would fail every one of them for one slow exchange.
-		// Repeated timeouts of the same operation do implicate the
-		// circuit; then it is closed so the next attempt redials.
-		if errors.Is(err, ErrTimeout) && attempt >= 2 {
-			if sb, ok := l.siblings[host]; ok && sb.conn.Open() {
-				sb.conn.Close()
-			}
+		if sb, ok := l.siblings[pr.host]; !ok || !sb.conn.Open() {
+			l.obs.Notef(journal.LPMRedial, l.Host(), pr.ctx, "user=%s peer=%s reason=retry", l.user.Name, pr.host)
 		}
-		next := attempt + 1
-		delay := l.cfg.Retry.backoff(next)
-		l.obs.Notef(journal.LPMRetry, l.Host(), ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
-			l.user.Name, wire.OpKey(l.Host(), l.incarnation(), op), t, next, delay)
-		bsp := l.obs.Tracer().StartSpan(l.Host(), fmt.Sprintf("lpm.retry.%s", host), ctx)
-		l.retryBackoffs++
-		l.obs.Metrics().Gauge("lpm.retry.backoff_pending").Add(1)
-		l.sched.After(delay, func() {
-			l.retryBackoffs--
-			l.obs.Metrics().Gauge("lpm.retry.backoff_pending").Add(-1)
-			bsp.End()
-			if l.exited {
-				cb(wire.Envelope{}, ErrExited)
-				return
-			}
-			if sb, ok := l.siblings[host]; !ok || !sb.conn.Open() {
-				l.obs.Notef(journal.LPMRedial, l.Host(), ctx, "user=%s peer=%s reason=retry", l.user.Name, host)
-			}
-			l.callWithRetry(ctx, host, t, body, op, next, cb)
-		})
+		l.directCall(pr)
 	})
 }
 
-// directCall performs one transmission over a direct circuit, dialing
-// one on demand.
-func (l *LPM) directCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
-	op uint64, cb func(wire.Envelope, error)) {
-	if sb, ok := l.siblings[host]; ok && sb.conn.Open() {
-		l.sendRequest(ctx, sb, t, body, op, cb)
+// directCall performs one attempt over a direct circuit, dialing one
+// on demand.
+func (l *LPM) directCall(pr *pendingReq) {
+	if sb, ok := l.siblings[pr.host]; ok && sb.conn.Open() {
+		l.withHandler(pr, sb)
 		return
 	}
-	l.ensureSibling(ctx, host, func(sb *sibling, err error) {
+	l.ensureSibling(pr.ctx, pr.host, func(sb *sibling, err error) {
 		if err != nil {
-			cb(wire.Envelope{}, err)
+			l.settle(pr, wire.Envelope{}, err)
 			return
 		}
-		l.sendRequest(ctx, sb, t, body, op, cb)
+		l.withHandler(pr, sb)
 	})
 }
 

@@ -57,10 +57,8 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	reject := func(reason string) {
 		l.obs.Notef(journal.LPMSiblingReject, l.Host(), ctx, "from=%s reason=%s", hello.FromHost, reason)
 		body := wire.Encode(&wire.HelloResp{OK: false, Reason: reason})
-		env := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
-		env.SetTrace(ctx.Trace, ctx.Span)
 		//ppmlint:allow errdrop rejection notice is best-effort; the circuit closes right after either way
-		_ = l.sendFramed(conn, env, ctx)
+		_ = l.sendFramed(conn, wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, false)
 		l.sched.After(0, conn.Close)
 	}
 	if !conn.Open() {
@@ -116,8 +114,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	// the audit invariant holds the journal to that.
 	l.obs.Notef(journal.LPMSiblingAuth, l.Host(), ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
 	body := wire.Encode(&wire.HelloResp{OK: true, Inc: l.incarnation()})
-	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body}
-	respEnv.SetTrace(ctx.Trace, ctx.Span)
+	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}
 	if hello.FromHost == l.Host() {
 		// A local tool connecting to the accept socket (Figure 4's tool
 		// sockets), not a sibling.
@@ -130,7 +127,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		}
 	}
 	//ppmlint:allow errdrop send failure surfaces through the circuit's close handler, not this return
-	_ = l.sendFramedReply(conn, respEnv, ctx)
+	_ = l.sendFramed(conn, respEnv, true)
 }
 
 // registerSibling installs an authenticated circuit. inc is the peer
@@ -204,14 +201,10 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 	}
 	// Fail outstanding requests to that host, oldest first (map order
 	// would let error callbacks race each other across identical runs).
-	var ids []uint64
 	for _, id := range detord.Keys(l.pending) {
-		if l.pending[id].host == sb.host {
-			ids = append(ids, id)
+		if pr := l.pending[id]; pr != nil && pr.host == sb.host {
+			l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
 		}
-	}
-	for _, id := range ids {
-		l.retire(id, l.pending[id])(wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
 	}
 	if err != nil && !l.exited {
 		l.obs.Metrics().Counter("lpm.recovery.siblings_lost").Inc()
@@ -393,30 +386,24 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
-		env := wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body}
-		env.SetTrace(ctx.Trace, ctx.Span)
 		//ppmlint:allow errdrop a lost Hello is retried by the redial engine; failure surfaces on circuit close
-		_ = l.sendFramed(conn, env, ctx)
+		_ = l.sendFramed(conn, wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, false)
 	})
 }
 
 // sendFramed encodes env through a pooled encoder and hands the frame
-// to the circuit. The network copies the frame into its own delivery
-// buffer synchronously, so the encoder is released as soon as SendCtx
-// returns — the sibling send path allocates no per-message frame.
-func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
-	enc := wire.GetEncoder()
-	err := conn.SendCtx(env.EncodeLoggedTo(enc, l.obs, l.Host()), ctx)
-	wire.PutEncoder(enc)
-	return err
-}
-
-// sendFramedReply is sendFramed for the response direction: transit is
-// traced as "net.reply.*" spans, so the profiler's reply-transit phase
-// sees it (the circuit itself carries no direction information).
-func (l *LPM) sendFramedReply(conn *simnet.Conn, env wire.Envelope, ctx trace.Context) error {
-	enc := wire.GetEncoder()
-	err := conn.SendReplyCtx(env.EncodeLoggedTo(enc, l.obs, l.Host()), ctx)
+// to the circuit under env's trace context. A reply's transit is traced
+// as "net.reply.*" spans, for the profiler's reply-transit phase (the
+// circuit carries no direction). The network copies the frame
+// synchronously, so the encoder is released as soon as the send returns.
+func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, reply bool) error {
+	enc, ctx := wire.GetEncoder(), trace.Context{Trace: env.TraceID, Span: env.SpanID}
+	var err error
+	if frame := env.EncodeLoggedTo(enc, l.obs, l.Host()); reply {
+		err = conn.SendReplyCtx(frame, ctx)
+	} else {
+		err = conn.SendCtx(frame, ctx)
+	}
 	wire.PutEncoder(enc)
 	return err
 }
@@ -440,19 +427,67 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 		// of once per channel.
 		cost += calib.AuthCheck
 	}
-	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
-	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
-	l.kern.ExecCPU(cost, func() {
-		esp.End()
-		if l.exited {
-			return
+	l.kern.ExecCPU(cost, l.newHop(sb, env, false, false).run)
+}
+
+// sendOut queues env for sb's circuit behind its endpoint cost: a reply,
+// a request attempt, or (not a reply, ReqID 0) a one-way message.
+func (l *LPM) sendOut(sb *sibling, env wire.Envelope, reply bool) {
+	l.kern.ExecCPU(env.Type.EndpointCost(), l.newHop(sb, env, true, reply).run)
+}
+
+// hop is one sibling message waiting for its endpoint CPU slot under a
+// "dispatch.endpoint" span: an arrival, or (out) a message to send. A
+// request's hop holds only its id, so the request's record may be
+// reused while the hop queues; a hop queued on a crashed boot is dropped.
+type hop struct {
+	l          *LPM
+	sb         *sibling
+	env        wire.Envelope
+	out, reply bool // reply: traced as one
+	esp        *trace.Span
+	run        func() // fire, bound when the record is first used
+}
+
+func (l *LPM) newHop(sb *sibling, env wire.Envelope, out, reply bool) *hop {
+	h := hopFree.Get().(*hop)
+	if h.run == nil {
+		h.run = h.fire
+	}
+	h.l, h.sb, h.env, h.out, h.reply = l, sb, env, out, reply
+	h.esp = l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", trace.Context{Trace: env.TraceID, Span: env.SpanID})
+	return h
+}
+
+// fire does the hop's work once its endpoint cost is paid, the record
+// back in the pool first (that work may take another).
+//
+//ppmlint:hotpath pin=TestSiblingExchangeAllocs
+func (h *hop) fire() {
+	l, sb, env, out, reply := h.l, h.sb, h.env, h.out, h.reply
+	h.esp.End()
+	*h = hop{run: h.run}
+	hopFree.Put(h)
+	request := out && !reply && env.ReqID != 0
+	switch {
+	case request && l.pending[env.ReqID] == nil: // retired (timeout, circuit close) while it queued
+	case request && !sb.conn.Open():
+		// The circuit closed before it went out (maybe before it was registered): fail it now.
+		l.obs.Metrics().Counter("lpm.request.dead_circuit").Inc()
+		//ppmlint:allow hotalloc cold path: the circuit died under the request
+		l.complete(l.pending[env.ReqID], wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
+	case out && sb.conn.Open():
+		//ppmlint:allow errdrop a lost request is the retry engine's, a lost reply the requester's timeout, a lost one-way tolerated
+		_ = l.sendFramed(sb.conn, env, reply)
+		if request || reply { // a one-way message is not accounted
+			l.kern.AccountIPC(l.pid, 1, 0, env.Type.String())
 		}
-		if env.Type.IsResponse() {
-			l.handleResponse(env)
-		} else {
-			l.handleRequest(sb, env)
-		}
-	})
+	case out || l.exited: // a send on a dead circuit, an arrival at an exited LPM: dropped
+	case env.Type.IsResponse():
+		l.handleResponse(env)
+	default:
+		l.handleRequest(sb, env)
+	}
 }
 
 // handleResponse completes a pending request.
@@ -466,106 +501,65 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 		l.requestRTT = l.obs.Metrics().Histogram("lpm.request_rtt")
 	}
 	l.requestRTT.Observe(rtt)
-	l.observeOpRTT(pr.op, rtt)
-	l.retire(env.ReqID, pr)(env, nil)
+	l.observeOpRTT(pr.t, rtt)
+	l.complete(pr, env, nil)
 }
 
-// retire takes an outstanding request off the books — pending entry,
-// timer, handler, span — and returns its callback for the outcome.
-func (l *LPM) retire(id uint64, pr *pendingReq) func(wire.Envelope, error) {
-	delete(l.pending, id)
+// complete takes an outstanding attempt off the books — pending entry,
+// timer, handler, span — and settles the call on its outcome.
+func (l *LPM) complete(pr *pendingReq, env wire.Envelope, err error) {
+	delete(l.pending, pr.id)
 	pr.timer.Cancel()
 	l.releaseHandler(pr.handler)
 	pr.span.End()
-	return pr.cb
+	l.settle(pr, env, err)
 }
 
-// sendRequest transmits a request over the circuit and registers the
-// response callback. A handler process is assigned to block on the
-// response (the paper's dispatcher/handler split); sending pays the
-// per-endpoint protocol cost on this host's CPU. Under a valid ctx
-// the whole exchange is covered by an "lpm.request" span (handler
-// occupancy), the trace context rides inside the envelope, and the
-// send-side protocol cost records a "dispatch.endpoint" span.
-//
-// A non-zero op rides in the envelope's OpID trailer: it names the
-// logical operation across retransmissions so the receiver can dedup
-// re-executions (zero disables at-most-once semantics).
+func (l *LPM) newRequest(ctx trace.Context, host string, t wire.MsgType, body []byte, op uint64, cb func(wire.Envelope, error)) *pendingReq {
+	pr := reqFree.Get().(*pendingReq)
+	if pr.expire == nil {
+		pr.expire = pr.onTimeout
+	}
+	pr.l, pr.ctx, pr.host, pr.t, pr.body, pr.op, pr.cb, pr.attempt = l, ctx, host, t, body, op, cb, 1
+	return pr
+}
+
+// sendRequest makes one attempt of a request over sb's circuit. A
+// handler process blocks on the response (the paper's dispatcher/handler
+// split) and sending pays the endpoint protocol cost on this host's CPU.
+// Under a valid ctx an "lpm.request" span covers the exchange (handler
+// occupancy) and the context rides in the envelope. A non-zero op rides
+// as its OpID trailer, naming the logical operation across retransmissions
+// so the receiver can dedup re-executions (zero: not at-most-once).
 func (l *LPM) sendRequest(ctx trace.Context, sb *sibling, t wire.MsgType, body []byte, op uint64, cb func(wire.Envelope, error)) {
-	l.withHandler(func(h proc.PID) {
-		if l.exited {
-			cb(wire.Envelope{}, ErrExited)
-			return
-		}
-		l.reqSeq++
-		id := l.reqSeq
-		pr := &pendingReq{host: sb.host, cb: cb, handler: h, sentAt: l.sched.Now(), op: t}
-		if ctx.Valid() { // the name is built only for a span that will exist
-			pr.span = l.obs.Tracer().StartSpan(l.Host(), "lpm.request."+sb.host, ctx)
-		}
-		rctx := pr.span.Context()
-		if !rctx.Valid() {
-			rctx = ctx
-		}
-		timeout := l.cfg.RequestTimeout
-		if t == wire.MsgBroadcast {
-			timeout = l.cfg.FloodTimeout
-		}
-		pr.timer = l.sched.After(timeout, func() {
-			if cur, ok := l.pending[id]; ok && cur == pr {
-				l.obs.Notef(journal.LPMTimeout, l.Host(), rctx, "user=%s peer=%s type=%v op=%d", l.user.Name, sb.host, t, op)
-				l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, t, sb.host))
-			}
-		})
-		l.pending[id] = pr
-		esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", rctx)
-		l.kern.ExecCPU(t.EndpointCost(), func() {
-			esp.End()
-			if !sb.conn.Open() {
-				// The circuit died before the request went out. When it
-				// closed before the pending entry was registered, the
-				// close handler has already drained l.pending and will
-				// never see this entry — fail it now rather than parking
-				// the caller for the full timeout.
-				if cur, ok := l.pending[id]; ok && cur == pr {
-					l.obs.Metrics().Counter("lpm.request.dead_circuit").Inc()
-					l.retire(id, pr)(wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
-				}
-				return
-			}
-			env := wire.Envelope{Type: t, ReqID: id, Body: body, OpID: op}
-			env.SetTrace(rctx.Trace, rctx.Span)
-			//ppmlint:allow errdrop request send is at-most-once; a lost frame is the retry engine's job
-			_ = l.sendFramed(sb.conn, env, rctx)
-			l.kern.AccountIPC(l.pid, 1, 0, t.String())
-		})
-	})
+	l.withHandler(l.newRequest(ctx, sb.host, t, body, op, cb), sb)
 }
 
-// sendReply answers a request on the circuit it arrived on, echoing
-// the request's trace context so the reply's transit is attributed.
-func (l *LPM) sendReply(ctx trace.Context, sb *sibling, reqID uint64, t wire.MsgType, body []byte) {
-	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
-	l.kern.ExecCPU(t.EndpointCost(), func() {
-		esp.End()
-		if sb.conn.Open() {
-			env := wire.Envelope{Type: t, ReqID: reqID, Body: body}
-			env.SetTrace(ctx.Trace, ctx.Span)
-			//ppmlint:allow errdrop reply send is fire-and-forget; the requester's timeout covers a lost frame
-			_ = l.sendFramedReply(sb.conn, env, ctx)
-			l.kern.AccountIPC(l.pid, 1, 0, t.String())
-		}
-	})
+// issue registers one attempt of pr under handler h — timer, pending
+// entry, span — and queues its transmit behind the endpoint cost.
+func (l *LPM) issue(pr *pendingReq, h proc.PID) {
+	if l.exited {
+		l.settle(pr, wire.Envelope{}, ErrExited)
+		return
+	}
+	l.reqSeq++
+	pr.id, pr.handler, pr.sentAt = l.reqSeq, h, l.sched.Now()
+	if pr.ctx.Valid() { // the name is built only for a span that will exist
+		pr.span = l.obs.Tracer().StartSpan(l.Host(), "lpm.request."+pr.sb.host, pr.ctx)
+	}
+	if pr.rctx = pr.span.Context(); !pr.rctx.Valid() {
+		pr.rctx = pr.ctx
+	}
+	timeout := l.cfg.RequestTimeout
+	if pr.t == wire.MsgBroadcast {
+		timeout = l.cfg.FloodTimeout
+	}
+	pr.timer = l.sched.After(timeout, pr.expire)
+	l.pending[pr.id] = pr
+	l.sendOut(pr.sb, wire.Envelope{Type: pr.t, ReqID: pr.id, Body: pr.body, OpID: pr.op, TraceID: pr.rctx.Trace, SpanID: pr.rctx.Span}, false)
 }
 
-// sendOneWay transmits a request that expects no response (CCS
-// updates).
-func (l *LPM) sendOneWay(sb *sibling, t wire.MsgType, body []byte) {
-	l.kern.ExecCPU(t.EndpointCost(), func() {
-		if sb.conn.Open() {
-			env := wire.Envelope{Type: t, ReqID: 0, Body: body}
-			//ppmlint:allow errdrop one-way CCS update by design: no response expected, loss is tolerated
-			_ = l.sendFramed(sb.conn, env, trace.Context{})
-		}
-	})
+func (pr *pendingReq) onTimeout() {
+	pr.l.obs.Notef(journal.LPMTimeout, pr.l.Host(), pr.rctx, "user=%s peer=%s type=%v op=%d", pr.l.user.Name, pr.sb.host, pr.t, pr.op)
+	pr.l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, pr.t, pr.sb.host))
 }

@@ -254,10 +254,8 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	reply := func(mt wire.MsgType, body []byte) {
 		l.kern.ExecCPU(calib.ToolLeg, func() {
 			if conn.Open() {
-				renv := wire.Envelope{Type: mt, ReqID: env.ReqID, Body: body}
-				renv.SetTrace(ctx.Trace, ctx.Span)
 				//ppmlint:allow errdrop tool-socket reply is fire-and-forget; the tool's timeout covers a lost frame
-				_ = l.sendFramedReply(conn, renv, ctx)
+				_ = l.sendFramed(conn, wire.Envelope{Type: mt, ReqID: env.ReqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, true)
 			}
 		})
 	}
@@ -284,7 +282,7 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 				reply(renv.Type, renv.Body)
 			})
 		default:
-			l.serveRequest(ctx, env, reply)
+			l.serveRequest(env, replyTo{l: l, ctx: ctx, fn: reply})
 		}
 	})
 }

@@ -95,7 +95,8 @@ type Network struct {
 	// downPairs are endpoint pairs (normalized lower-name-first)
 	// currently blacked out by a link flap.
 	downPairs map[[2]string]bool
-	bufFree   [][]byte // recycled delivery buffers (single-goroutine sim)
+	bufFree   [][]byte    // recycled delivery buffers (single-goroutine sim)
+	delivFree []*delivery // recycled circuit deliveries, likewise
 	// transitHops caches traceTransit's hops per (from, to, direction).
 	transitHops map[[3]string][]transitHop
 }
@@ -764,24 +765,48 @@ func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {
 		at = peer.lastRecv // FIFO per circuit
 	}
 	peer.lastRecv = at
-	body := n.copyBuf(payload)
-	n.sched.At(at, func() {
-		defer n.putBuf(body)
-		ev := c.event(len(body), ctx)
-		if !peer.open {
-			n.emit(journal.NetDrop, ev.as(c.remote.Host, "closed"))
-			return
-		}
-		if !n.Reachable(c.local.Host, c.remote.Host) {
-			c.sever(ev.as(c.remote.Host, "severed"))
-			return
-		}
-		n.emit(journal.NetDeliver, ev.as(c.remote.Host, ""))
-		if peer.onMsg != nil {
-			peer.onMsg(body)
-		}
-	})
+	var d *delivery
+	if ln := len(n.delivFree); ln > 0 {
+		d, n.delivFree = n.delivFree[ln-1], n.delivFree[:ln-1]
+	} else {
+		d = &delivery{}
+		d.run = d.deliver
+	}
+	d.c, d.body, d.ctx = c, n.copyBuf(payload), ctx
+	n.sched.At(at, d.run)
 	return nil
+}
+
+// delivery is one circuit message in flight; run is deliver, bound once.
+type delivery struct {
+	c    *Conn
+	body []byte
+	ctx  trace.Context
+	run  func()
+}
+
+// deliver hands the message to the peer's handler: the record back on
+// the free list first (a handler may send), the buffer once it returns.
+//
+//ppmlint:hotpath pin=TestSiblingExchangeAllocs
+func (d *delivery) deliver() {
+	c, body, ctx, n, peer := d.c, d.body, d.ctx, d.c.net, d.c.peer
+	*d = delivery{run: d.run}
+	n.delivFree = append(n.delivFree, d)
+	defer n.putBuf(body)
+	ev := c.event(len(body), ctx)
+	if !peer.open {
+		n.emit(journal.NetDrop, ev.as(c.remote.Host, "closed"))
+		return
+	}
+	if !n.Reachable(c.local.Host, c.remote.Host) {
+		c.sever(ev.as(c.remote.Host, "severed"))
+		return
+	}
+	n.emit(journal.NetDeliver, ev.as(c.remote.Host, ""))
+	if peer.onMsg != nil {
+		peer.onMsg(body)
+	}
 }
 
 // event describes size bytes crossing the circuit from this endpoint

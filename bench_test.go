@@ -221,7 +221,7 @@ func TestWarmOperationAllocs(t *testing.T) {
 		{"remote Session.Stop", []string{"a", "b"}, 15, func(sess *ppm.Session, workers []ppm.GPID) error {
 			return sess.Stop(workers[0])
 		}},
-		{"Session.Snapshot", h8, 344, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Snapshot", h8, 169, func(sess *ppm.Session, _ []ppm.GPID) error {
 			_, err := sess.Snapshot()
 			return err
 		}},

@@ -34,6 +34,9 @@ type User struct {
 	// Stamps signs and checks the user's stamps under key: one keyed MAC
 	// per user, which every LPM and tool of theirs shares as they do the key.
 	Stamps *wire.Signer
+	// Names interns the host names the user's LPMs read off the wire
+	// (wire.DecodeHop): one table per user, shared as Stamps is.
+	Names wire.Names
 	// rhosts lists hosts from which remote access is permitted without
 	// further proof, mirroring ~/.rhosts.
 	rhosts map[string]bool
@@ -60,7 +63,7 @@ func (d *Directory) AddUser(name string) *User {
 	mac := hmac.New(sha256.New, []byte("ppm-domain-salt"))
 	mac.Write([]byte(name))
 	key := mac.Sum(nil)
-	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), rhosts: make(map[string]bool)}
+	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), Names: make(wire.Names), rhosts: make(map[string]bool)}
 	d.users[name] = u
 	return u
 }

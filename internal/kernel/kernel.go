@@ -700,16 +700,19 @@ func (h *Host) Lookup(pid proc.PID) (*Process, error) { return h.get(pid) }
 
 // ProcessesOf returns snapshot records for every table entry belonging
 // to user, sorted by pid.
-func (h *Host) ProcessesOf(user string) []proc.Info {
-	var out []proc.Info
+func (h *Host) ProcessesOf(user string) []proc.Info { return h.AppendProcessesOf(nil, user) }
+
+// AppendProcessesOf is ProcessesOf appending to dst.
+func (h *Host) AppendProcessesOf(dst []proc.Info, user string) []proc.Info {
+	start := len(dst)
+	//ppmlint:allow maporder what is appended is sorted below, as dst[start:]
 	for _, p := range h.procs {
-		if p.User != user {
-			continue
+		if p.User == user {
+			dst = append(dst, h.infoOf(p))
 		}
-		out = append(out, h.infoOf(p))
 	}
-	detord.SortBy(out, func(i proc.Info) proc.PID { return i.ID.PID })
-	return out
+	detord.SortBy(dst[start:], func(i proc.Info) proc.PID { return i.ID.PID })
+	return dst
 }
 
 func (h *Host) infoOf(p *Process) proc.Info {

@@ -336,7 +336,7 @@ type LPM struct {
 	// forever it would swallow every retransmission of that operation,
 	// dropped sooner it would let a duplicate of an execution still in
 	// progress through.
-	inflightOps *ring.Window[struct{}]
+	inflightOps *ring.Window[string, struct{}]
 	// peerIncs remembers the last incarnation seen from each peer host,
 	// so a Hello from a new incarnation (the peer LPM restarted) purges
 	// the dead incarnation's dedup state.
@@ -361,7 +361,7 @@ type LPM struct {
 
 	floodSeq uint64
 	// seen holds the broadcast stamps of the last DedupWindow.
-	seen *ring.Window[struct{}]
+	seen *ring.Window[stampID, struct{}]
 
 	lastActivity sim.Time
 	ttlTimer     sim.Timer
@@ -402,11 +402,11 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		routes:      make(map[string][]string),
 		pending:     make(map[uint64]*pendingReq),
 		replies:     wire.NewReplyCache(cfg.opWindow()),
-		inflightOps: ring.NewWindow[struct{}](cfg.opWindow()),
+		inflightOps: ring.NewWindow[string, struct{}](cfg.opWindow()),
 		peerIncs:    make(map[string]uint64),
 		records:     make(map[proc.PID]proc.Info),
 		store:       history.NewStore(cfg.HistoryCapacity),
-		seen:        ring.NewWindow[struct{}](cfg.DedupWindow),
+		seen:        ring.NewWindow[stampID, struct{}](cfg.DedupWindow),
 		obs:         net.Recorder(),
 	}
 	p, err := kern.Spawn("lpm", user.Name)

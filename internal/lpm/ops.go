@@ -274,33 +274,34 @@ func (l *LPM) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal, cb f
 
 // --- local information gathering ---
 
-// localInfos returns snapshot records for the user's processes on this
-// host, excluding the LPM's own dispatcher and handlers, merged with
-// preserved exit records.
-func (l *LPM) localInfos() []proc.Info {
-	var out []proc.Info
-	seen := make(map[proc.PID]bool)
-	for _, p := range l.kern.ProcessesOf(l.user.Name) {
-		if l.myPids[p.ID.PID] {
-			continue
+// localInfos appends to dst snapshot records for the user's processes
+// on this host, excluding the LPM's own dispatcher and handlers, merged
+// with preserved exit records.
+func (l *LPM) localInfos(dst []proc.Info) []proc.Info {
+	start := len(dst)
+	all := l.kern.AppendProcessesOf(dst, l.user.Name)
+	dst = all[:start]
+	for _, p := range all[start:] {
+		if !l.myPids[p.ID.PID] {
+			dst = append(dst, p)
 		}
-		out = append(out, p)
-		seen[p.ID.PID] = true
 	}
 	// Records the kernel no longer holds (reaped) but the LPM retained,
-	// in pid order so the encoded fragment is byte-stable.
-	var reaped []proc.PID
+	// in pid order so the encoded fragment is byte-stable: a walk beside
+	// the pid-sorted kernel list skips those it still holds.
+	live, i := dst[start:], 0
 	for _, pid := range detord.Keys(l.records) {
-		if !seen[pid] && !l.myPids[pid] {
-			if _, err := l.kern.Lookup(pid); err != nil {
-				reaped = append(reaped, pid)
-			}
+		for i < len(live) && live[i].ID.PID < pid {
+			i++
+		}
+		if i < len(live) && live[i].ID.PID == pid || l.myPids[pid] {
+			continue
+		}
+		if _, err := l.kern.Lookup(pid); err != nil {
+			dst = append(dst, l.records[pid])
 		}
 	}
-	for _, pid := range reaped {
-		out = append(out, l.records[pid])
-	}
-	return out
+	return dst
 }
 
 // gatherCost is the CPU demand of collecting and encoding snapshot
@@ -513,7 +514,7 @@ func (l *LPM) serveRequest(env wire.Envelope, reply replyTo) {
 			reply.send(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: false, Reason: "bad snapshot request"}))
 			return
 		}
-		infos := l.localInfos()
+		infos := l.localInfos(nil)
 		l.execSpan(reply.ctx, "exec.gather", gatherCost(len(infos)), func() {
 			reply.send(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: infos}))
 		})

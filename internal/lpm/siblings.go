@@ -11,6 +11,7 @@ import (
 	"ppm/internal/journal"
 	"ppm/internal/proc"
 	"ppm/internal/recovery"
+	"ppm/internal/ring"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
@@ -142,7 +143,7 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	if old, ok := l.peerIncs[host]; ok && old != inc {
 		prefix := wire.OpPrefix(host, old)
 		l.replies.PurgePrefix(prefix)
-		l.inflightOps.PurgePrefix(prefix)
+		ring.PurgePrefix(l.inflightOps, prefix)
 	}
 	l.peerIncs[host] = inc
 	if old, ok := l.siblings[host]; ok && old.conn != conn && old.conn.Open() {

@@ -266,9 +266,9 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 		target, targeted := l.toolTarget(env)
 		switch where := l.routeOf(target); {
 		case targeted && where == everywhere:
-			l.startFlood(ctx, wire.Envelope{Type: env.Type, Body: env.Body}, func(res wire.FloodResult) {
+			l.startFlood(ctx, wire.Envelope{Type: env.Type, Body: env.Body}, func(f flooded) {
 				if env.Type == wire.MsgSnapshotReq {
-					reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: res.Procs, Partial: l.uncovered(res)}))
+					reply(wire.MsgSnapshotResp, wire.Encode(&wire.SnapshotResp{OK: true, Procs: f.procs, Partial: l.uncovered(f)}))
 					return
 				}
 				reply(wire.MsgControlResp, wire.Encode(&wire.ControlResp{OK: true, State: proc.Running}))

@@ -101,14 +101,14 @@ func (b *Buffer[T]) Slice() []T {
 // Reset discards every retained element, keeping the slots.
 func (b *Buffer[T]) Reset() { b.start, b.count = 0, 0 }
 
-// Window is a string-keyed map whose entries are dropped once they
-// have outlived a fixed span of virtual time. Insertion order is
-// virtual-time order under the single-threaded simulation, so expiry
-// inspects exactly the expired entries plus one.
-type Window[V any] struct {
+// Window is a map whose entries are dropped once they have outlived a
+// fixed span of virtual time. Insertion order is virtual-time order
+// under the single-threaded simulation, so expiry inspects exactly the
+// expired entries plus one.
+type Window[K comparable, V any] struct {
 	span  time.Duration
-	live  map[string]aged[V]
-	order []slot // insertion order; order[head:] are not yet expired
+	live  map[K]aged[V]
+	order []slot[K] // insertion order; order[head:] are not yet expired
 	head  int
 }
 
@@ -119,20 +119,20 @@ type aged[V any] struct {
 
 // slot is one entry of the expiry queue, naming the insertion it
 // describes.
-type slot struct {
-	key string
+type slot[K comparable] struct {
+	key K
 	at  time.Duration
 }
 
 // NewWindow creates a window retaining each entry for span of virtual
 // time after its insertion.
-func NewWindow[V any](span time.Duration) *Window[V] {
-	return &Window[V]{span: span, live: make(map[string]aged[V])}
+func NewWindow[K comparable, V any](span time.Duration) *Window[K, V] {
+	return &Window[K, V]{span: span, live: make(map[K]aged[V])}
 }
 
 // Get returns the value held under key. It expires nothing: callers
 // that need a fresh view Expire first.
-func (w *Window[V]) Get(key string) (V, bool) {
+func (w *Window[K, V]) Get(key K) (V, bool) {
 	e, ok := w.live[key]
 	return e.v, ok
 }
@@ -140,7 +140,7 @@ func (w *Window[V]) Get(key string) (V, bool) {
 // Put stores v under key at virtual time now, after expiring what now
 // has outlived. Re-putting a held key replaces its value in place: the
 // entry keeps its original age.
-func (w *Window[V]) Put(key string, v V, now time.Duration) {
+func (w *Window[K, V]) Put(key K, v V, now time.Duration) {
 	w.Expire(now)
 	if e, ok := w.live[key]; ok {
 		e.v = v
@@ -148,15 +148,15 @@ func (w *Window[V]) Put(key string, v V, now time.Duration) {
 		return
 	}
 	w.live[key] = aged[V]{v: v, at: now}
-	w.order = append(w.order, slot{key: key, at: now})
+	w.order = append(w.order, slot[K]{key: key, at: now})
 }
 
 // Delete drops key ahead of its expiry.
-func (w *Window[V]) Delete(key string) { delete(w.live, key) }
+func (w *Window[K, V]) Delete(key K) { delete(w.live, key) }
 
 // Expire drops every entry older than the span at virtual time now. An
 // entry exactly span old is still held.
-func (w *Window[V]) Expire(now time.Duration) {
+func (w *Window[K, V]) Expire(now time.Duration) {
 	for w.head < len(w.order) {
 		s := w.order[w.head]
 		if now-s.at <= w.span {
@@ -172,15 +172,16 @@ func (w *Window[V]) Expire(now time.Duration) {
 	// Reclaim the drained prefix once it dominates the queue, so the
 	// footprint stays proportional to the live entries.
 	if w.head > len(w.order)/2 {
-		w.order = append([]slot(nil), w.order[w.head:]...)
+		w.order = append([]slot[K](nil), w.order[w.head:]...)
 		w.head = 0
 	}
 }
 
-// PurgePrefix drops every entry whose key begins with prefix and
-// reports how many were dropped. The survivors keep their order.
-func (w *Window[V]) PurgePrefix(prefix string) int {
-	kept := make([]slot, 0, len(w.order)-w.head)
+// PurgePrefix drops every entry of a string-keyed window whose key
+// begins with prefix and reports how many were dropped. The survivors
+// keep their order.
+func PurgePrefix[V any](w *Window[string, V], prefix string) int {
+	kept := make([]slot[string], 0, len(w.order)-w.head)
 	n := 0
 	for _, s := range w.order[w.head:] {
 		if !strings.HasPrefix(s.key, prefix) {
@@ -195,4 +196,4 @@ func (w *Window[V]) PurgePrefix(prefix string) int {
 }
 
 // Len returns the number of held entries.
-func (w *Window[V]) Len() int { return len(w.live) }
+func (w *Window[K, V]) Len() int { return len(w.live) }

@@ -157,7 +157,7 @@ func TestWindow(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWindow[int](span)
+			w := NewWindow[string, int](span)
 			for _, o := range tc.ops {
 				switch o.do {
 				case "put":
@@ -167,7 +167,7 @@ func TestWindow(t *testing.T) {
 				case "expire":
 					w.Expire(o.at)
 				case "purge":
-					if n := w.PurgePrefix(o.key); n != o.val {
+					if n := PurgePrefix(w, o.key); n != o.val {
 						t.Fatalf("PurgePrefix(%q) dropped %d, want %d", o.key, n, o.val)
 					}
 				}
@@ -188,7 +188,7 @@ func TestWindow(t *testing.T) {
 // must not let the expiry queue outgrow the live entries (the drained
 // prefix is reclaimed), and a fully drained window holds no queue.
 func TestWindowQueueStaysProportional(t *testing.T) {
-	w := NewWindow[struct{}](10 * time.Second)
+	w := NewWindow[string, struct{}](10 * time.Second)
 	for i := 0; i < 1000; i++ {
 		w.Put(string(rune('a'+i%26))+time.Duration(i).String(), struct{}{}, time.Duration(i)*time.Second)
 		if live := len(w.order) - w.head; live != w.Len() {

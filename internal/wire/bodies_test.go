@@ -78,8 +78,8 @@ var bodies = []struct {
 	}}},
 	{wire.MsgFDReq, &wire.FDReq{User: "felipe", Target: proc.GPID{Host: "vax1", PID: 17}}},
 	{wire.MsgFDResp, &wire.FDResp{OK: true, Open: []string{"0:/dev/tty", "3:/tmp/data"}}},
-	{wire.MsgBroadcast, &wire.Broadcast{Stamp: sampleStamp, Seq: 7, Route: []string{"vax1", "vax2"}, Inner: []byte("req")}},
-	{wire.MsgBroadcastResp, &wire.BroadcastResp{Seq: 7, From: "sun3", Route: []string{"vax2", "vax1"}, Inner: []byte("resp")}},
+	{wire.MsgBroadcast, &wire.Broadcast{Stamp: sampleStamp, Seq: 7, Route: wire.ListOf("vax1", "vax2"), Inner: []byte("req")}},
+	{wire.MsgBroadcastResp, &wire.BroadcastResp{Seq: 7, From: "sun3", Route: wire.ListOf("vax2", "vax1"), Inner: []byte("resp")}},
 	{wire.MsgKernelEvent, &kernelEvent{sampleEvent()}},
 	{wire.MsgPing, &wire.Ping{FromHost: "vax2", User: "felipe"}},
 	{wire.MsgPong, &wire.Pong{FromHost: "vax1", CCSHost: "vax1", CCSPort: 2001, IsCCS: true}},
@@ -100,8 +100,8 @@ var bodies = []struct {
 	{wire.MsgProcExitResp, &wire.ProcExitResp{OK: false, Reason: "bad exit notification"}},
 
 	{0, &wire.FloodResult{
-		OK: true, Count: 7, Procs: []proc.Info{sampleInfo()}, Partial: []string{"sun3"},
-		Hosts: []string{"b", "c"}, Routes: []string{"a/b", "a/b/c"},
+		OK: true, Count: 7, Procs: wire.ListOf(sampleInfo()), Partial: wire.ListOf("sun3"),
+		Hosts: wire.ListOf("b", "c"), Routes: wire.ListOf("a/b", "a/b/c"),
 	}},
 	{0, &sampleStamp},
 	{0, &status.Report{

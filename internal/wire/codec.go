@@ -174,14 +174,11 @@ func (d *decoder) U64() uint64 {
 }
 
 // String reads a length-prefixed string.
-func (d *decoder) String() string {
-	n := int(d.U16())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (d *decoder) String() string { return string(d.raw()) }
+
+// raw reads a length-prefixed string in place: the bytes alias the
+// input.
+func (d *decoder) raw() []byte { return d.take(int(d.U16())) }
 
 // Bytes32 reads a u32-length-prefixed byte slice (copied).
 func (d *decoder) Bytes32() []byte {

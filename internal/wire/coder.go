@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"time"
 
 	"ppm/internal/proc"
@@ -40,6 +41,16 @@ func Decode(b []byte, m Message) error {
 	return c.d.err
 }
 
+// DecodeHop is Decode over a hop-owned body — one that nothing else
+// writes and that stays alive as long as m is in use — without copying
+// it: byte fields and wire-form lists alias b, and each string is read
+// through names, so a host name seen before costs no allocation.
+func DecodeHop(b []byte, m Message, names Names) error {
+	c := Coder{d: decoder{buf: b}, decoding: true, names: names}
+	m.Fields(&c)
+	return c.d.err
+}
+
 // Coder carries one walk over a message's fields: each field method
 // takes a pointer and writes the field to the encoder or reads it from
 // the decoder, according to the walk's direction.
@@ -47,6 +58,24 @@ type Coder struct {
 	e        Encoder
 	d        decoder
 	decoding bool
+	// skipping reads past strings without materializing them: the walk
+	// a List runs over its elements to find where they end.
+	skipping bool
+	names    Names // DecodeHop's walk
+}
+
+// Names interns the host names hops read off the wire. It keeps at most
+// 1,024, which bounds what a peer naming ever-new hosts can pin.
+type Names map[string]string
+
+func (n Names) intern(b []byte) string {
+	s, ok := n[string(b)]
+	if !ok {
+		if s = string(b); len(n) < 1024 {
+			n[s] = s
+		}
+	}
+	return s
 }
 
 // Size preallocates the encode buffer for a body of about n bytes; the
@@ -138,20 +167,28 @@ func (c *Coder) Duration(p *time.Duration) { c.I64((*int64)(p)) }
 
 // Str walks a u16-length-prefixed string.
 func (c *Coder) Str(p *string) {
-	if c.decoding {
-		*p = c.d.String()
-	} else {
+	switch {
+	case !c.decoding:
 		c.e.String(*p)
+	case c.skipping:
+		c.d.raw()
+	case c.names != nil:
+		*p = c.names.intern(c.d.raw())
+	default:
+		*p = c.d.String()
 	}
 }
 
 // Bytes walks a u32-length-prefixed byte slice; the decoded slice is a
-// copy.
+// copy, except under DecodeHop.
 func (c *Coder) Bytes(p *[]byte) {
-	if c.decoding {
-		*p = c.d.Bytes32()
-	} else {
+	switch {
+	case !c.decoding:
 		c.e.Bytes32(*p)
+	case c.names != nil:
+		*p = c.d.Bytes32Borrow()
+	default:
+		*p = c.d.Bytes32()
 	}
 }
 
@@ -166,14 +203,17 @@ func (c *Coder) Strs(p *[]string) {
 
 // Len walks the u16 element count that starts a counted list and
 // returns how many elements follow. Decoding empties *p first, so a
-// reused message does not keep stale elements.
+// reused message does not keep stale elements. Encoding cuts a longer
+// list to the first math.MaxUint16, the most the count can say, as
+// Encoder.StringSlice does.
 func Len[T any](c *Coder, p *[]T) int {
 	if c.decoding {
 		*p = (*p)[:0]
 		return int(c.d.U16())
 	}
-	c.e.U16(uint16(len(*p)))
-	return len(*p)
+	n := min(len(*p), math.MaxUint16)
+	c.e.U16(uint16(n))
+	return n
 }
 
 // Elem returns element i of a counted list for the walk to visit,

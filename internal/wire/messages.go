@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -372,7 +373,19 @@ trailers:
 //
 //ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
 func DecodeEnvelopeLogged(b []byte, rec *journal.Recorder, host string) (Envelope, error) {
-	ev, err := DecodeEnvelope(b)
+	ev, err := DecodeEnvelopeBorrowLogged(b, rec, host)
+	if err == nil && ev.Body != nil {
+		ev.Body = append([]byte(nil), ev.Body...)
+	}
+	return ev, err
+}
+
+// DecodeEnvelopeBorrowLogged is DecodeEnvelopeLogged without the body
+// copy, as DecodeEnvelopeBorrow is DecodeEnvelope without it.
+//
+//ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
+func DecodeEnvelopeBorrowLogged(b []byte, rec *journal.Recorder, host string) (Envelope, error) {
+	ev, err := DecodeEnvelopeBorrow(b)
 	if err == nil {
 		rec.Record(journal.WireDecode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))
 	}
@@ -716,16 +729,16 @@ func (m *FDResp) Fields(c *Coder) {
 type Broadcast struct {
 	Stamp Stamp
 	Seq   uint64
-	Route []string
+	Route List[string]
 	Inner []byte // the encoded inner envelope
 }
 
 // Fields walks the broadcast envelope in wire order.
 func (m *Broadcast) Fields(c *Coder) {
-	c.Size(96 + len(m.Inner))
+	c.Size(96 + len(m.Route.b) + len(m.Inner))
 	m.Stamp.Fields(c)
 	c.U64(&m.Seq)
-	c.Strs(&m.Route)
+	Listed(c, &m.Route)
 	c.Bytes(&m.Inner)
 }
 
@@ -733,17 +746,32 @@ func (m *Broadcast) Fields(c *Coder) {
 type BroadcastResp struct {
 	Seq   uint64
 	From  string
-	Route []string // remaining route back to the originator
+	Route List[string] // remaining route back to the originator
 	Inner []byte
 }
 
 // Fields walks the broadcast reply in wire order.
 func (m *BroadcastResp) Fields(c *Coder) {
-	c.Size(64 + len(m.Inner))
+	c.Size(64 + len(m.Route.b) + len(m.Inner))
 	c.U64(&m.Seq)
 	c.Str(&m.From)
-	c.Strs(&m.Route)
+	Listed(c, &m.Route)
 	c.Bytes(&m.Inner)
+}
+
+// EncodeEcho returns the wire form of m with res as its Inner (m's own
+// is ignored), in one buffer: res is walked straight in behind Inner's
+// length, which is back-patched, where Encode would need res encoded on
+// its own first.
+func EncodeEcho(m BroadcastResp, res *FloodResult) []byte {
+	var c Coder
+	c.Size(64 + len(m.From) + len(m.Route.b) + res.size())
+	m.Inner = nil
+	m.Fields(&c)
+	at := len(c.e.buf) // Inner is the last field: its empty length ends the buffer
+	res.Fields(&c)
+	binary.BigEndian.PutUint32(c.e.buf[at-4:at], uint32(len(c.e.buf)-at))
+	return c.e.buf
 }
 
 // --- liveness / recovery ---
@@ -844,32 +872,60 @@ func (m *ErrorResp) Fields(c *Coder) {
 // in the graph-covering echo: snapshot fragments and/or control counts
 // collected from the subtree it covered, plus the hosts it failed to
 // reach. A duplicate arrival (cycle in the circuit graph) is answered
-// with Dup set and no data.
+// with Dup set and no data. Its lists stay in wire form from hop to
+// hop; the originator decodes them.
 type FloodResult struct {
 	OK      bool
 	Dup     bool
 	Count   int32 // processes affected by a control-all flood
-	Procs   []proc.Info
-	Partial []string
+	Procs   List[proc.Info]
+	Partial List[string]
 	// Hosts lists every host whose LPM contributed to this aggregate,
 	// so the originator can tell covered hosts from silent ones.
-	Hosts []string
+	Hosts List[string]
 	// Routes[i] is the circuit path from the originator to Hosts[i],
 	// hosts separated by '/'. The originator learns relay routes to
 	// topologically distant hosts from these.
-	Routes []string
+	Routes List[string]
+}
+
+// size is about the length of the result's wire form.
+func (m *FloodResult) size() int {
+	return 16 + len(m.Procs.b) + len(m.Partial.b) + len(m.Hosts.b) + len(m.Routes.b)
 }
 
 // Fields walks the flood result in wire order.
 func (m *FloodResult) Fields(c *Coder) {
-	c.Size(32 + 96*len(m.Procs))
+	c.Size(m.size())
 	c.Bool(&m.OK)
 	c.Bool(&m.Dup)
 	c.I32(&m.Count)
-	c.Infos(&m.Procs)
-	c.Strs(&m.Partial)
-	c.Strs(&m.Hosts)
-	c.Strs(&m.Routes)
+	Listed(c, &m.Procs)
+	Listed(c, &m.Partial)
+	Listed(c, &m.Hosts)
+	Listed(c, &m.Routes)
+}
+
+// Splice adds a child's echo to the aggregate m: its count, and its
+// four lists appended byte for byte. echo is a BroadcastResp body, read
+// in place (see DecodeHop); a duplicate's echo adds nothing. An echo
+// Decode would reject is rejected, and m left as it was.
+func (m *FloodResult) Splice(echo []byte, names Names) error {
+	var resp BroadcastResp
+	var res FloodResult
+	err := DecodeHop(echo, &resp, names)
+	if err == nil {
+		err = DecodeHop(resp.Inner, &res, names)
+	}
+	if err != nil || res.Dup {
+		return err
+	}
+	m.Count += res.Count
+	m.Procs.Splice(res.Procs)
+	m.Partial.Splice(res.Partial)
+	m.Hosts.Splice(res.Hosts)
+	m.Routes.Splice(res.Routes)
+	return nil
 }
 
 // --- relay routing ---

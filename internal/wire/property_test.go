@@ -80,7 +80,7 @@ func TestPropertyBroadcastRoundTrip(t *testing.T) {
 			}
 			rt = append(rt, clampStr(r))
 		}
-		m := Broadcast{Stamp: stamp, Seq: seq, Route: rt, Inner: inner}
+		m := Broadcast{Stamp: stamp, Seq: seq, Route: ListOf(rt...), Inner: inner}
 		var got Broadcast
 		if Decode(Encode(&m), &got) != nil {
 			return false

@@ -31,7 +31,7 @@ type CachedReply struct {
 // sender could still retransmit, silently re-executing a
 // non-idempotent request.
 type ReplyCache struct {
-	entries *ring.Window[CachedReply]
+	entries *ring.Window[string, CachedReply]
 }
 
 // NewReplyCache creates a cache retaining entries for the given window
@@ -40,7 +40,7 @@ func NewReplyCache(window time.Duration) *ReplyCache {
 	if window <= 0 {
 		window = defaultReplyCacheWindow
 	}
-	return &ReplyCache{entries: ring.NewWindow[CachedReply](window)}
+	return &ReplyCache{entries: ring.NewWindow[string, CachedReply](window)}
 }
 
 // OpKey names one operation for caching and journaling: the origin
@@ -78,7 +78,7 @@ func (c *ReplyCache) Put(key string, t MsgType, body []byte, now time.Duration) 
 // PurgePrefix drops every entry whose key begins with prefix (all
 // operations of one dead LPM incarnation, per OpPrefix) and reports
 // how many were dropped.
-func (c *ReplyCache) PurgePrefix(prefix string) int { return c.entries.PurgePrefix(prefix) }
+func (c *ReplyCache) PurgePrefix(prefix string) int { return ring.PurgePrefix(c.entries, prefix) }
 
 // Len returns the number of cached replies.
 func (c *ReplyCache) Len() int { return c.entries.Len() }

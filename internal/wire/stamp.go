@@ -30,12 +30,6 @@ func (s *Stamp) appendIdentity(b []byte) []byte {
 	return binary.BigEndian.AppendUint64(b, s.Seq)
 }
 
-// Key returns the dedup identity of the stamp (all but the signature).
-func (s Stamp) Key() string {
-	var buf [64]byte // a longer host name spills to the heap
-	return string(s.appendIdentity(buf[:0]))
-}
-
 // Signer mints and verifies stamps under one user's key with one keyed
 // HMAC, reset per stamp, in buffers it owns: a user has one, not one per
 // stamp. A minted signature is its buffer, valid until its next Mint.

@@ -9,7 +9,7 @@
 // iteration must go through a single recognizable helper rather than
 // ad-hoc collect-and-sort snippets scattered per package.
 //
-// The maporder analyzer (internal/analysis/maporder) knows this package:
+// The maporder check (internal/lint) knows this package:
 // ranging over detord.Keys(m) is ordered by construction, and a
 // collect-append loop whose slice is later passed to detord.Sort or
 // detord.SortBy is treated as the sorted-before-use idiom.

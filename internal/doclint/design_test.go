@@ -13,10 +13,10 @@ import (
 )
 
 // trackedLines counts what ROADMAP tracks as the size of the system:
-// the lines of every non-test .go file outside vendor/, testdata/ and
+// the lines of every non-test .go file outside testdata/ and
 // cmd/ppmload/ — the same set as
 //
-//	find . -name '*.go' -not -path './vendor/*' -not -path '*/testdata/*' \
+//	find . -name '*.go' -not -path '*/testdata/*' \
 //	  -not -path './cmd/ppmload/*' -not -name '*_test.go' | xargs cat | wc -l
 func trackedLines(t *testing.T, root string) int {
 	t.Helper()
@@ -27,7 +27,7 @@ func trackedLines(t *testing.T, root string) int {
 		}
 		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
 		if d.IsDir() {
-			if rel == "vendor" || rel == "cmd/ppmload" || d.Name() == "testdata" ||
+			if rel == "cmd/ppmload" || d.Name() == "testdata" ||
 				(strings.HasPrefix(d.Name(), ".") && path != root) {
 				return filepath.SkipDir
 			}
@@ -174,7 +174,7 @@ func TestCitedBenchmarksExist(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (d.Name() == "vendor" || d.Name() == "testdata" ||
+		if d.IsDir() && (d.Name() == "testdata" ||
 			(strings.HasPrefix(d.Name(), ".") && path != root)) {
 			return filepath.SkipDir
 		}

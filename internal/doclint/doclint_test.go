@@ -28,7 +28,6 @@ var goToolFlags = map[string]bool{
 	"race":      true,
 	"run":       true,
 	"v":         true,
-	"vettool":   true,
 }
 
 // docFlagRe matches a flag documented as its own backtick span: `-drops`,

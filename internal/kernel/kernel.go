@@ -233,7 +233,6 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 	h.busyUntil = start.Add(scaled)
 	q := h.cpu
 	if q == nil {
-		//ppmlint:allow hotalloc once per boot
 		q = &cpuQueue{host: h}
 		q.complete = q.pop
 		h.cpu = q

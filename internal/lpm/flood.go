@@ -156,8 +156,6 @@ func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 	route, seq := bc.Route.With(l.Host()), bc.Seq // copies: capturing bc would move it to the heap
 	fwd := bc
 	fwd.Route = route
-	//ppmlint:allow hotalloc one state record per flood request
-	//ppmlint:allow hotalloc and the completion it echoes through
 	st := &floodState{finish: func(res wire.FloodResult) {
 		l.echo(reply, wire.BroadcastResp{Seq: seq, From: l.Host(), Route: route}, res)
 	}}

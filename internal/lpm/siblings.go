@@ -475,7 +475,6 @@ func (h *hop) fire() {
 	case request && !sb.conn.Open():
 		// The circuit closed before it went out (maybe before it was registered): fail it now.
 		l.obs.Metrics().Counter("lpm.request.dead_circuit").Inc()
-		//ppmlint:allow hotalloc cold path: the circuit died under the request
 		l.complete(l.pending[env.ReqID], wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
 	case out && sb.conn.Open():
 		//ppmlint:allow errdrop a lost request is the retry engine's, a lost reply the requester's timeout, a lost one-way tolerated

@@ -206,7 +206,6 @@ func (s *Scheduler) At(at Time, fn func()) Timer {
 		s.free = s.free[:n-1]
 		ev.at, ev.seq, ev.fn = at, s.seq, fn
 	} else {
-		//ppmlint:allow hotalloc cold path: free list empty, steady state recycles
 		ev = &event{at: at, seq: s.seq, fn: fn}
 	}
 	heap.Push(&s.events, ev)

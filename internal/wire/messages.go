@@ -204,7 +204,6 @@ func (t MsgType) String() string {
 	if t < numOps && opSpecs[t].name != "" {
 		return opSpecs[t].name
 	}
-	//ppmlint:allow hotalloc cold fallback: only ops outside the manifest reach the formatter
 	return fmt.Sprintf("MsgType(%d)", uint16(t))
 }
 
@@ -308,9 +307,7 @@ func (ev Envelope) EncodeLoggedTo(e *Encoder, rec *journal.Recorder, host string
 		rec.Handle(2*i+1, msgCounterNames[i].bytes).Add(uint64(len(b)))
 	} else if reg := rec.Metrics(); reg != nil {
 		name := ev.Type.String()
-		//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
 		reg.Counter("wire.msgs." + name).Inc()
-		//ppmlint:allow hotalloc cold fallback: only ops outside the manifest build their counter names
 		reg.Counter("wire.bytes." + name).Add(uint64(len(b)))
 	}
 	rec.Record(journal.WireEncode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))

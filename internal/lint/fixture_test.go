@@ -111,10 +111,13 @@ func expectations(t *testing.T, p *pass) []*want {
 
 func TestFlagsClockReads(t *testing.T) { fixture(t, "walltime", "a") }
 
-// TestAllowsSimPackage: internal/sim owns virtual time and the seeded
-// source, so it may read the clock and the global math/rand.
-func TestAllowsSimPackage(t *testing.T) {
-	fixture(t, "walltime,unseededrand", "ppm/internal/sim")
+// TestWalltimeAllowsSimPackage and TestUnseededrandAllowsSimPackage:
+// internal/sim owns virtual time and the seeded source, so it may read
+// the clock and the global math/rand.
+func TestWalltimeAllowsSimPackage(t *testing.T) { fixture(t, "walltime", "ppm/internal/sim") }
+
+func TestUnseededrandAllowsSimPackage(t *testing.T) {
+	fixture(t, "unseededrand", "ppm/internal/sim")
 }
 
 // TestAllowsCommands: the CLIs may time their own execution.

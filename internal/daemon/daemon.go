@@ -211,10 +211,8 @@ func (d *Daemons) reply(conn *simnet.Conn, reqID uint64, resp wire.LPMQueryResp,
 	sp.End()
 	env := wire.Envelope{Type: wire.MsgLPMQueryResp, ReqID: reqID, Body: wire.Encode(&resp)}
 	env.SetTrace(ctx.Trace, ctx.Span)
-	enc := wire.GetEncoder()
 	//ppmlint:allow errdrop response send is fire-and-forget; a dead client just times out its query
-	_ = conn.SendCtx(env.EncodeLoggedTo(enc, d.rec, d.hostName), ctx)
-	wire.PutEncoder(enc)
+	_ = wire.Send(conn, env, d.rec, d.hostName)
 }
 
 // register records an LPM, mirroring to stable storage when enabled.
@@ -311,9 +309,7 @@ func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
 		q := wire.LPMQuery{User: user.Name, Token: auth.MintToken(user, "pmd")}
 		env := wire.Envelope{Type: wire.MsgLPMQuery, ReqID: 1, Body: wire.Encode(&q)}
 		env.SetTrace(qctx.Trace, qctx.Span)
-		enc := wire.GetEncoder()
 		//ppmlint:allow errdrop query send is fire-and-forget; a lost frame surfaces as the caller's timeout
-		_ = conn.SendCtx(env.EncodeLoggedTo(enc, rec, fromHost), qctx)
-		wire.PutEncoder(enc)
+		_ = wire.Send(conn, env, rec, fromHost)
 	})
 }

@@ -353,7 +353,7 @@ func TestInetdRejectsUnexpectedMessageType(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetHandler(func(b []byte) {
-			env, derr := wire.DecodeEnvelope(b)
+			env, derr := wire.DecodeEnvelopeBorrow(b)
 			if derr != nil {
 				t.Fatal(derr)
 			}

@@ -1,11 +1,11 @@
 package history
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"ppm/internal/proc"
 )
@@ -256,19 +256,18 @@ func TestPropertyEvictionKeepsNewest(t *testing.T) {
 }
 
 // TestStoreGrowsOnDemand: the event ring is sized by what it holds, not
-// by its bound. A default-capacity store with ten events must cost
-// well under 8 KiB (committing all 4096 slots up front cost 512 KiB per
-// LPM), and at capacity the window still slides exactly as before.
+// by its bound. A default-capacity store with ten events must hold well
+// under 8 KiB of event slots (committing all 4096 slots up front cost
+// 512 KiB per LPM), and at capacity the window still slides exactly as
+// before. The bytes are counted on the store, not as the process's
+// allocation total, which other tests' goroutines move.
 func TestStoreGrowsOnDemand(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	s := NewStore(0)
 	for i := 0; i < 10; i++ {
 		s.Append(ev(time.Duration(i)*time.Second, proc.EvSyscall, 1))
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
-		t.Fatalf("a default-capacity store holding 10 events allocated %d bytes, want < 8 KiB", got)
+	if held := s.ring.Slots() * int(unsafe.Sizeof(proc.Event{})); held >= 8<<10 {
+		t.Fatalf("a default-capacity store holding 10 events holds %d bytes of slots, want < 8 KiB", held)
 	}
 	if s.Len() != 10 || s.Dropped() != 0 {
 		t.Fatalf("len = %d dropped = %d", s.Len(), s.Dropped())

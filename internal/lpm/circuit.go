@@ -68,7 +68,7 @@ func (l *LPM) linktestTick(sb *sibling) {
 	}
 	sb.ltSeq++
 	body := wire.Encode(&wire.LinkTest{FromHost: l.Host(), Seq: sb.ltSeq})
-	l.sendOut(sb, wire.Envelope{Type: wire.MsgLinkTest, Body: body}, false)
+	l.sendOut(sb, wire.Envelope{Type: wire.MsgLinkTest, Body: body})
 	l.scheduleLinktest(sb)
 }
 

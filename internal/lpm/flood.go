@@ -147,7 +147,7 @@ func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 		return
 	}
 	l.obs.Metrics().Handle(&l.floodForwarded, "lpm.flood.forwarded").Inc()
-	inner, err := wire.DecodeEnvelopeBorrowLogged(bc.Inner, l.obs, l.Host())
+	inner, err := wire.DecodeEnvelopeLogged(bc.Inner, l.obs, l.Host())
 	if err != nil {
 		l.echo(reply, wire.BroadcastResp{}, wire.FloodResult{OK: false})
 		return

@@ -734,7 +734,7 @@ func (r *recEnv) AnnounceCCS(host string) {
 	l.obs.Metrics().Counter("lpm.recovery.ccs_announcements").Inc()
 	body := wire.Encode(&wire.CCSUpdate{CCSHost: host})
 	for _, h := range l.SiblingHosts() {
-		l.sendOut(l.siblings[h], wire.Envelope{Type: wire.MsgCCSUpdate, Body: body}, false)
+		l.sendOut(l.siblings[h], wire.Envelope{Type: wire.MsgCCSUpdate, Body: body})
 	}
 }
 

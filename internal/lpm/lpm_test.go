@@ -595,7 +595,7 @@ func TestSiblingHelloBadTokenRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetHandler(func(b []byte) {
-			env, _ := wire.DecodeEnvelope(b)
+			env, _ := wire.DecodeEnvelopeBorrow(b)
 			var resp wire.HelloResp
 			_ = wire.Decode(env.Body, &resp)
 			if !resp.OK {
@@ -631,7 +631,7 @@ func TestSiblingHelloWrongUserRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetHandler(func(b []byte) {
-			env, _ := wire.DecodeEnvelope(b)
+			env, _ := wire.DecodeEnvelopeBorrow(b)
 			var resp wire.HelloResp
 			_ = wire.Decode(env.Body, &resp)
 			if !resp.OK {

@@ -472,7 +472,7 @@ func (r replyTo) send(t wire.MsgType, body []byte) {
 		r.l.inflightOps.Delete(r.key)
 		r.l.replies.Put(r.key, t, body, r.l.sched.Now().Duration())
 	}
-	r.l.sendOut(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span}, true)
+	r.l.sendOut(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span})
 }
 
 // serveRequest executes one point-to-point request and answers it

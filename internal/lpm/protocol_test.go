@@ -27,7 +27,7 @@ func rawSibling(t *testing.T, w *world, u *auth.User, fromHost string,
 		}
 		conn = c
 		c.SetHandler(func(b []byte) {
-			env, derr := wire.DecodeEnvelope(b)
+			env, derr := wire.DecodeEnvelopeBorrow(b)
 			if derr != nil {
 				return
 			}
@@ -35,6 +35,7 @@ func rawSibling(t *testing.T, w *world, u *auth.User, fromHost string,
 				authed = true
 				return
 			}
+			env.Body = append([]byte(nil), env.Body...) // kept past the delivery buffer
 			*replies = append(*replies, env)
 		})
 		hello := wire.Hello{

@@ -138,8 +138,9 @@ func TestInboundRecordDroppedWithCrashedBoot(t *testing.T) {
 // TestSiblingExchangeAllocs pins a warm request/reply between two LPMs —
 // journal and metrics wired, tracer off — at a constant count. The
 // request, its deliveries, its dispatches and its reply each ride a
-// recycled record, so what is left is the codec's: each envelope
-// decode's body copy and the Pong's encode.
+// recycled record, so what is left is the codec's: the body copy
+// onSiblingMsg makes for each arrival's queued hop, and the Pong's
+// encode.
 func TestSiblingExchangeAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {

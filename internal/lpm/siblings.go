@@ -59,7 +59,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		l.obs.Notef(journal.LPMSiblingReject, l.Host(), ctx, "from=%s reason=%s", hello.FromHost, reason)
 		body := wire.Encode(&wire.HelloResp{OK: false, Reason: reason})
 		//ppmlint:allow errdrop rejection notice is best-effort; the circuit closes right after either way
-		_ = l.sendFramed(conn, wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, false)
+		_ = wire.Send(conn, wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, l.obs, l.Host())
 		l.sched.After(0, conn.Close)
 	}
 	if !conn.Open() {
@@ -128,7 +128,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 		}
 	}
 	//ppmlint:allow errdrop send failure surfaces through the circuit's close handler, not this return
-	_ = l.sendFramed(conn, respEnv, true)
+	_ = wire.Send(conn, respEnv, l.obs, l.Host())
 }
 
 // registerSibling installs an authenticated circuit. inc is the peer
@@ -388,25 +388,8 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
 		esp.End()
 		//ppmlint:allow errdrop a lost Hello is retried by the redial engine; failure surfaces on circuit close
-		_ = l.sendFramed(conn, wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, false)
+		_ = wire.Send(conn, wire.Envelope{Type: wire.MsgHello, ReqID: 0, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, l.obs, l.Host())
 	})
-}
-
-// sendFramed encodes env through a pooled encoder and hands the frame
-// to the circuit under env's trace context. A reply's transit is traced
-// as "net.reply.*" spans, for the profiler's reply-transit phase (the
-// circuit carries no direction). The network copies the frame
-// synchronously, so the encoder is released as soon as the send returns.
-func (l *LPM) sendFramed(conn *simnet.Conn, env wire.Envelope, reply bool) error {
-	enc, ctx := wire.GetEncoder(), trace.Context{Trace: env.TraceID, Span: env.SpanID}
-	var err error
-	if frame := env.EncodeLoggedTo(enc, l.obs, l.Host()); reply {
-		err = conn.SendReplyCtx(frame, ctx)
-	} else {
-		err = conn.SendCtx(frame, ctx)
-	}
-	wire.PutEncoder(enc)
-	return err
 }
 
 // --- message plumbing ---
@@ -420,6 +403,7 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	if err != nil {
 		return
 	}
+	env.Body = append([]byte(nil), env.Body...) // the queued hop outlives the delivery buffer
 	l.touch()
 	l.observeArrival(sb)
 	cost := env.Type.EndpointCost()
@@ -428,13 +412,13 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 		// of once per channel.
 		cost += calib.AuthCheck
 	}
-	l.kern.ExecCPU(cost, l.newHop(sb, env, false, false).run)
+	l.kern.ExecCPU(cost, l.newHop(sb, env, false).run)
 }
 
-// sendOut queues env for sb's circuit behind its endpoint cost: a reply,
-// a request attempt, or (not a reply, ReqID 0) a one-way message.
-func (l *LPM) sendOut(sb *sibling, env wire.Envelope, reply bool) {
-	l.kern.ExecCPU(env.Type.EndpointCost(), l.newHop(sb, env, true, reply).run)
+// sendOut queues env for sb's circuit behind its endpoint cost: a reply
+// (a response type), a request attempt, or (ReqID 0) a one-way message.
+func (l *LPM) sendOut(sb *sibling, env wire.Envelope) {
+	l.kern.ExecCPU(env.Type.EndpointCost(), l.newHop(sb, env, true).run)
 }
 
 // hop is one sibling message waiting for its endpoint CPU slot under a
@@ -442,20 +426,20 @@ func (l *LPM) sendOut(sb *sibling, env wire.Envelope, reply bool) {
 // request's hop holds only its id, so the request's record may be
 // reused while the hop queues; a hop queued on a crashed boot is dropped.
 type hop struct {
-	l          *LPM
-	sb         *sibling
-	env        wire.Envelope
-	out, reply bool // reply: traced as one
-	esp        *trace.Span
-	run        func() // fire, bound when the record is first used
+	l   *LPM
+	sb  *sibling
+	env wire.Envelope
+	out bool
+	esp *trace.Span
+	run func() // fire, bound when the record is first used
 }
 
-func (l *LPM) newHop(sb *sibling, env wire.Envelope, out, reply bool) *hop {
+func (l *LPM) newHop(sb *sibling, env wire.Envelope, out bool) *hop {
 	h := hopFree.Get().(*hop)
 	if h.run == nil {
 		h.run = h.fire
 	}
-	h.l, h.sb, h.env, h.out, h.reply = l, sb, env, out, reply
+	h.l, h.sb, h.env, h.out = l, sb, env, out
 	h.esp = l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", trace.Context{Trace: env.TraceID, Span: env.SpanID})
 	return h
 }
@@ -465,10 +449,11 @@ func (l *LPM) newHop(sb *sibling, env wire.Envelope, out, reply bool) *hop {
 //
 //ppmlint:hotpath pin=TestSiblingExchangeAllocs
 func (h *hop) fire() {
-	l, sb, env, out, reply := h.l, h.sb, h.env, h.out, h.reply
+	l, sb, env, out := h.l, h.sb, h.env, h.out
 	h.esp.End()
 	*h = hop{run: h.run}
 	hopFree.Put(h)
+	reply := out && env.Type.IsResponse()
 	request := out && !reply && env.ReqID != 0
 	switch {
 	case request && l.pending[env.ReqID] == nil: // retired (timeout, circuit close) while it queued
@@ -478,7 +463,7 @@ func (h *hop) fire() {
 		l.complete(l.pending[env.ReqID], wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
 	case out && sb.conn.Open():
 		//ppmlint:allow errdrop a lost request is the retry engine's, a lost reply the requester's timeout, a lost one-way tolerated
-		_ = l.sendFramed(sb.conn, env, reply)
+		_ = wire.Send(sb.conn, env, l.obs, l.Host())
 		if request || reply { // a one-way message is not accounted
 			l.kern.AccountIPC(l.pid, 1, 0, env.Type.String())
 		}
@@ -556,7 +541,7 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 	}
 	pr.timer = l.sched.After(timeout, pr.expire)
 	l.pending[pr.id] = pr
-	l.sendOut(pr.sb, wire.Envelope{Type: pr.t, ReqID: pr.id, Body: pr.body, OpID: pr.op, TraceID: pr.rctx.Trace, SpanID: pr.rctx.Span}, false)
+	l.sendOut(pr.sb, wire.Envelope{Type: pr.t, ReqID: pr.id, Body: pr.body, OpID: pr.op, TraceID: pr.rctx.Trace, SpanID: pr.rctx.Span})
 }
 
 func (pr *pendingReq) onTimeout() {

@@ -126,9 +126,7 @@ func (t *ToolClient) Close() {
 	}
 }
 
-// call sends one request envelope and routes the response to cb. The
-// network copies the frame on send, so the pooled encoder is released
-// at once and the request path allocates no per-message frame.
+// call sends one request envelope and routes the response to cb.
 func (t *ToolClient) call(mt wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
 	if t.closed {
 		t.sched.Defer(func() { cb(wire.Envelope{}, ErrToolClosed) })
@@ -136,11 +134,8 @@ func (t *ToolClient) call(mt wire.MsgType, body []byte, cb func(wire.Envelope, e
 	}
 	t.reqSeq++
 	t.pending[t.reqSeq] = cb
-	enc := wire.GetEncoder()
-	env := wire.Envelope{Type: mt, ReqID: t.reqSeq, Body: body}
 	//ppmlint:allow errdrop a lost request fails the pending callback via onClosed, not this return
-	_ = t.conn.Send(env.EncodeLoggedTo(enc, t.obs, t.host))
-	wire.PutEncoder(enc)
+	_ = wire.Send(t.conn, wire.Envelope{Type: mt, ReqID: t.reqSeq, Body: body}, t.obs, t.host)
 }
 
 // Control performs a process-control operation through the wire
@@ -249,13 +244,14 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 	if err != nil {
 		return
 	}
+	env.Body = append([]byte(nil), env.Body...) // the ExecCPU closures below outlive the delivery buffer
 	l.touch()
 	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
 	reply := func(mt wire.MsgType, body []byte) {
 		l.kern.ExecCPU(calib.ToolLeg, func() {
 			if conn.Open() {
 				//ppmlint:allow errdrop tool-socket reply is fire-and-forget; the tool's timeout covers a lost frame
-				_ = l.sendFramed(conn, wire.Envelope{Type: mt, ReqID: env.ReqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, true)
+				_ = wire.Send(conn, wire.Envelope{Type: mt, ReqID: env.ReqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, l.obs, l.Host())
 			}
 		})
 	}

@@ -86,6 +86,15 @@ func (b *Buffer[T]) flatten() {
 // Len returns the number of retained elements.
 func (b *Buffer[T]) Len() int { return b.count }
 
+// Slots returns the number of slots b has allocated, retained or not.
+func (b *Buffer[T]) Slots() int {
+	n := cap(b.flat)
+	for _, c := range b.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
 // At returns the i-th retained element, oldest first.
 func (b *Buffer[T]) At(i int) T { return *b.slot((b.start + i) % b.capacity) }
 

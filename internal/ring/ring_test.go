@@ -56,20 +56,11 @@ func TestBuffer(t *testing.T) {
 			if evicted != tc.evicted {
 				t.Fatalf("evicted %d, want %d", evicted, tc.evicted)
 			}
-			if n := slots(b); n > tc.capacity {
+			if n := b.Slots(); n > tc.capacity {
 				t.Fatalf("the buffer grew to %d slots under a bound of %d", n, tc.capacity)
 			}
 		})
 	}
-}
-
-// slots counts the slots b has allocated.
-func slots[T any](b *Buffer[T]) int {
-	n := cap(b.flat)
-	for _, c := range b.chunks {
-		n += cap(c)
-	}
-	return n
 }
 
 // TestBufferGrowsOnDemand: a large bound costs nothing until it is
@@ -81,13 +72,13 @@ func TestBufferGrowsOnDemand(t *testing.T) {
 	for v := 0; v < 10; v++ {
 		b.Push(v)
 	}
-	if n := slots(b); n > chunkLen {
+	if n := b.Slots(); n > chunkLen {
 		t.Fatalf("10 elements under a 64Ki bound hold %d slots", n)
 	}
 	for v := 10; v < 3*chunkLen+1; v++ {
 		b.Push(v)
 	}
-	if n := slots(b); n != 4*chunkLen {
+	if n := b.Slots(); n != 4*chunkLen {
 		t.Fatalf("%d elements hold %d slots, want %d", 3*chunkLen+1, n, 4*chunkLen)
 	}
 
@@ -96,7 +87,7 @@ func TestBufferGrowsOnDemand(t *testing.T) {
 	for v := 0; v < 3*bound; v++ {
 		b.Push(v)
 	}
-	if n := slots(b); n != bound || b.chunks != nil {
+	if n := b.Slots(); n != bound || b.chunks != nil {
 		t.Fatalf("a full buffer bounded at %d holds %d slots, %d of them in blocks", bound, n, n-cap(b.flat))
 	}
 	for i, want := 0, 2*bound; i < bound; i, want = i+1, want+1 {

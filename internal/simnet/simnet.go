@@ -602,8 +602,7 @@ func (n *Network) observeTransit(delay time.Duration) {
 // buffer is returned to the pool by putBuf once the receiving handler
 // has run. Ownership rule (DESIGN.md "Hot paths & allocation
 // discipline"): a delivery payload is valid only for the duration of
-// the handler call — handlers that defer work must copy first, which
-// the copying envelope decode already does.
+// the handler call — a handler that keeps any of it must copy it first.
 func (n *Network) copyBuf(payload []byte) []byte {
 	var b []byte
 	if ln := len(n.bufFree); ln > 0 {
@@ -739,6 +738,16 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Context) error {
 // transit. Delivery semantics are identical to SendCtx.
 func (c *Conn) SendReplyCtx(payload []byte, ctx trace.Context) error {
 	return c.sendCtx(payload, ctx, true)
+}
+
+// DeliverNow hands payload to the peer's message handler at once, as a
+// delivery would but with no transit and no delivery buffer: payload
+// stays the caller's, during the call and after it. It lets a test
+// check that a handler keeps nothing of a frame past its call.
+func (c *Conn) DeliverNow(payload []byte) {
+	if h := c.peer.onMsg; h != nil {
+		h(payload)
+	}
 }
 
 func (c *Conn) sendCtx(payload []byte, ctx trace.Context, reply bool) error {

@@ -8,6 +8,8 @@ import (
 
 	"ppm/internal/journal"
 	"ppm/internal/metrics"
+	"ppm/internal/sim"
+	"ppm/internal/simnet"
 )
 
 // opLessEnvelope is the frame shape of the overwhelming majority of
@@ -92,52 +94,6 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestDecodeBorrowMatchesDecode proves the borrowing parse agrees with
-// the copying parse and that the borrowed body aliases the input.
-func TestDecodeBorrowMatchesDecode(t *testing.T) {
-	ev := Envelope{Type: MsgControl, ReqID: 11, Body: []byte("payload"), OpID: 3, TraceID: 1, SpanID: 2}
-	frame := ev.Encode()
-	copied, err := DecodeEnvelope(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	borrowed, err := DecodeEnvelopeBorrow(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if copied.Type != borrowed.Type || copied.ReqID != borrowed.ReqID ||
-		copied.OpID != borrowed.OpID || copied.TraceID != borrowed.TraceID ||
-		copied.SpanID != borrowed.SpanID || !bytes.Equal(copied.Body, borrowed.Body) {
-		t.Fatalf("borrow decode %+v != copy decode %+v", borrowed, copied)
-	}
-	// Mutating the frame must show through the borrowed body (alias)
-	// but not the copied one.
-	frame[15]++
-	if bytes.Equal(copied.Body, borrowed.Body) {
-		t.Fatal("borrowed body does not alias the input frame")
-	}
-}
-
-// TestPooledEncoderReuse exercises the Get/Put cycle: frames produced
-// across reuses are correct and the pool never hands out an encoder
-// with stale bytes.
-func TestPooledEncoderReuse(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		enc := GetEncoder()
-		if len(enc.Bytes()) != 0 {
-			t.Fatalf("pooled encoder arrived dirty: %d bytes", len(enc.Bytes()))
-		}
-		ev := Envelope{Type: MsgPing, ReqID: uint64(i), Body: []byte{byte(i)}}
-		frame := ev.EncodeTo(enc)
-		got, err := DecodeEnvelopeBorrow(frame)
-		if err != nil || got.ReqID != uint64(i) || got.Body[0] != byte(i) {
-			t.Fatalf("reuse %d: decode mismatch (%v, %v)", i, got, err)
-		}
-		PutEncoder(enc)
-	}
-	PutEncoder(nil) // must not panic
-}
-
 // TestMsgTypeStringTable pins the table-based String against every
 // known type plus the out-of-range fallback.
 func TestMsgTypeStringTable(t *testing.T) {
@@ -158,55 +114,69 @@ func TestMsgTypeStringTable(t *testing.T) {
 	}
 }
 
-// TestLoggedCodecZeroAllocs pins the two wire observation points — the
-// recorder's Record and its per-type counter handles reached through
-// the codec — with the registry and the journal both wired: counting and journaling a
-// frame add no allocation to encoding or decoding it. A frame with a
-// body still pays DecodeEnvelope's one body copy, journal or no
-// journal.
+// TestLoggedCodecZeroAllocs pins the two framing paths — Send and the
+// logged decode, each counting and journaling its frame — with the
+// registry and the journal both wired: a traced frame with a body goes
+// out through Send, crosses a circuit and is decoded by the receiving
+// handler without one allocation once the pools are warm.
 func TestLoggedCodecZeroAllocs(t *testing.T) {
 	reg := metrics.New(nil)
 	jr := journal.New(func() time.Duration { return 0 })
 	jr.SetCapacity(64)
 	rec := journal.NewRecorder(reg, nil, jr)
+	sched := sim.NewScheduler(1)
+	net := simnet.New(sched, simnet.Options{})
+	for _, h := range []string{"vax1", "vax2"} {
+		if err := net.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := net.AddSegment("lan", "vax1", "vax2"); err != nil {
+		t.Fatal(err)
+	}
+	decoded := 0
+	if err := net.Listen("vax2", 7, func(c *simnet.Conn) {
+		c.SetHandler(func(b []byte) {
+			if _, err := DecodeEnvelopeLogged(b, rec, "vax2"); err != nil {
+				t.Fatal(err)
+			}
+			decoded++
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var conn *simnet.Conn
+	net.Dial("vax1", simnet.Addr{Host: "vax2", Port: 7}, func(c *simnet.Conn, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn = c
+	})
+	for sched.Step() {
+	}
 	ev := opLessEnvelope()
 	ev.TraceID, ev.SpanID = 7, 9
-	bodyless := Envelope{Type: MsgPing, ReqID: 1}.Encode()
-	enc := NewEncoder(ev.EncodedSize())
 	run := func() {
-		enc.Reset()
-		ev.EncodeLoggedTo(enc, rec, "vax1")
-		if _, err := DecodeEnvelopeLogged(bodyless, rec, "vax2"); err != nil {
+		if err := Send(conn, ev, rec, "vax1"); err != nil {
 			t.Fatal(err)
+		}
+		for sched.Step() {
 		}
 	}
 	for i := 0; i < 64; i++ {
 		run()
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("logged encode + decode: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("send + logged decode: %.1f allocs/op, want 0", allocs)
 	}
-	if got := reg.Snapshot().Counter("wire.msgs.Control"); got != 64+201 {
-		t.Fatalf("wire.msgs.Control = %d over %d frames", got, 64+201)
+	if got := reg.Snapshot().Counter("wire.msgs.Control"); got != 64+201 || decoded != 64+201 {
+		t.Fatalf("wire.msgs.Control = %d, %d decoded, over %d frames", got, decoded, 64+201)
 	}
 	recs := jr.Records()
 	want := fmt.Sprintf("Control %dB", len(ev.Encode()))
-	if got := recs[len(recs)-2]; got.Detail != want || got.Kind != journal.WireEncode || got.Trace != 7 || got.Span != 9 {
-		t.Fatalf("encode record %v", got)
-	}
-	if got, want := recs[len(recs)-1].Detail, fmt.Sprintf("Ping %dB", len(bodyless)); got != want {
-		t.Fatalf("decode record %q", got)
-	}
-
-	frame := ev.Encode()
-	decode := func(rec *journal.Recorder) float64 {
-		return testing.AllocsPerRun(200, func() {
-			if _, err := DecodeEnvelopeLogged(frame, rec, "vax2"); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if with, without := decode(rec), decode(nil); with != without {
-		t.Fatalf("decoding a frame with a body: %.1f allocs/op journaled, %.1f not", with, without)
+	for i, kind := range []journal.Kind{journal.WireEncode, journal.WireDecode} {
+		if got := recs[len(recs)-2+i]; got.Detail != want || got.Kind != kind || got.Trace != 7 || got.Span != 9 {
+			t.Fatalf("%v record %v", kind, got)
+		}
 	}
 }

@@ -36,32 +36,11 @@ func NewEncoder(capacity int) *Encoder {
 // nothing. Bytes returned before the Reset are invalidated by it.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
-// encPool recycles encoders for the framing hot path. The ownership
-// rule (see DESIGN.md "Hot paths & allocation discipline"): a frame
-// produced by a pooled encoder is valid only until PutEncoder; callers
-// must finish handing it to the network — which copies on send —
-// before releasing the encoder.
+// encPool recycles the encoders Send frames into. A pooled encoder's
+// frame is valid only until the encoder goes back, so Send returns it
+// only once the network has copied the frame.
 var encPool = sync.Pool{
 	New: func() any { return NewEncoder(256) },
-}
-
-// GetEncoder returns a reset encoder from the pool.
-func GetEncoder() *Encoder {
-	e, ok := encPool.Get().(*Encoder)
-	if !ok {
-		return NewEncoder(256)
-	}
-	e.Reset()
-	return e
-}
-
-// PutEncoder returns an encoder to the pool, invalidating every byte
-// slice previously returned by its Bytes.
-func PutEncoder(e *Encoder) {
-	if e == nil {
-		return
-	}
-	encPool.Put(e)
 }
 
 // Bytes returns the encoded buffer. The caller must not modify it while

@@ -8,6 +8,7 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/journal"
 	"ppm/internal/proc"
+	"ppm/internal/simnet"
 	"ppm/internal/trace"
 )
 
@@ -186,7 +187,7 @@ func (t MsgType) EndpointCost() time.Duration {
 }
 
 // msgCounterNames precomputes the per-type metric counter names so the
-// per-frame accounting in EncodeLoggedTo performs no string
+// per-frame accounting in Send performs no string
 // concatenation.
 var msgCounterNames = func() (t [numOps]struct{ msgs, bytes string }) {
 	for i, s := range opSpecs {
@@ -288,50 +289,47 @@ func (ev Envelope) Encode() []byte {
 	return ev.EncodeTo(&e)
 }
 
-// EncodeLoggedTo is the send side's one observation point: it
-// serializes the envelope into e (see EncodeTo; with a pooled encoder
-// the frame is valid only until PutEncoder) and records the frame
-// exactly once, at the moment it is produced — one message and its
-// size under the envelope's type name in the registry's wire family
+// Send is the send side's one framing path: it serializes env into a
+// pooled encoder, records the frame exactly once — one message and its
+// size under the type's name in the registry's wire family
 // ("wire.msgs.Hello", "wire.bytes.Hello", ..., through two handles per
 // type that rec keeps) and a wire.encode journal record tagged with the
-// type, frame size and the envelope's own trace context on the host
-// producing it. A recorder without a registry or journal skips that
-// half.
+// type, frame size and env's trace context on host — and hands it to
+// conn under that context. A response's transit is traced in the reply
+// direction ("net.reply.*", Conn.SendReplyCtx), every other frame's in
+// the request direction. The network copies the frame before returning,
+// so the encoder goes back to the pool at once.
 //
 //ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
-func (ev Envelope) EncodeLoggedTo(e *Encoder, rec *journal.Recorder, host string) []byte {
-	b := ev.EncodeTo(e)
-	if i := int(ev.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
+func Send(conn *simnet.Conn, env Envelope, rec *journal.Recorder, host string) error {
+	e := encPool.Get().(*Encoder)
+	e.Reset()
+	b := env.EncodeTo(e)
+	if i := int(env.Type); i < len(msgCounterNames) && msgCounterNames[i].msgs != "" {
 		rec.Handle(2*i, msgCounterNames[i].msgs).Inc()
 		rec.Handle(2*i+1, msgCounterNames[i].bytes).Add(uint64(len(b)))
 	} else if reg := rec.Metrics(); reg != nil {
-		name := ev.Type.String()
+		name := env.Type.String()
 		reg.Counter("wire.msgs." + name).Inc()
 		reg.Counter("wire.bytes." + name).Add(uint64(len(b)))
 	}
-	rec.Record(journal.WireEncode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))
-	return b
-}
-
-// DecodeEnvelope parses a framed message. Trailers (operation identity,
-// trace context) are read when present; zero padding after the body
-// (fixed-size frames) stops the trailer scan and decodes as "none".
-// The returned Body is a copy the caller owns.
-func DecodeEnvelope(b []byte) (Envelope, error) {
-	ev, err := DecodeEnvelopeBorrow(b)
-	if err == nil && ev.Body != nil {
-		ev.Body = append([]byte(nil), ev.Body...)
+	ctx := trace.Context{Trace: env.TraceID, Span: env.SpanID}
+	rec.Record(journal.WireEncode, host, ctx, journal.WireFrame(env.Type.String(), len(b)))
+	var err error
+	if env.Type.IsResponse() {
+		err = conn.SendReplyCtx(b, ctx)
+	} else {
+		err = conn.SendCtx(b, ctx)
 	}
-	return ev, err
+	encPool.Put(e)
+	return err
 }
 
-// DecodeEnvelopeBorrow is DecodeEnvelope without the body copy: the
-// returned Body aliases b and is only valid while b is. It is the
-// zero-allocation parse for consumers that fully decode the body
-// before returning control (Decode copies every field it extracts); a
-// handler that defers work referencing the body
-// must use DecodeEnvelope.
+// DecodeEnvelopeBorrow parses a framed message without recording it.
+// Trailers (operation identity, trace context) are read when present;
+// zero padding after the body (fixed-size frames) stops the trailer
+// scan and decodes as "none". The returned Body aliases b and is only
+// valid while b is.
 //
 //ppmlint:hotpath pin=TestDecodeOpLessFrameZeroAllocs
 func DecodeEnvelopeBorrow(b []byte) (Envelope, error) {
@@ -361,27 +359,15 @@ trailers:
 	return ev, nil
 }
 
-// DecodeEnvelopeLogged is the receive side's one observation point:
-// DecodeEnvelope plus a wire.decode journal record on the receiving
-// host for every successfully parsed frame, tagged with the envelope
-// type, frame size and the decoded trace context. A nil recorder makes
-// it DecodeEnvelope: the record itself costs no allocation, the body
-// copy is DecodeEnvelope's.
+// DecodeEnvelopeLogged is the receive side's one framing path:
+// DecodeEnvelopeBorrow plus a wire.decode journal record on host for
+// every frame it accepts, tagged with the envelope type, frame size and
+// the decoded trace context. A nil recorder records nothing. The Body
+// aliases b, so a handler that keeps the envelope past its delivery
+// copies the body itself.
 //
 //ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
 func DecodeEnvelopeLogged(b []byte, rec *journal.Recorder, host string) (Envelope, error) {
-	ev, err := DecodeEnvelopeBorrowLogged(b, rec, host)
-	if err == nil && ev.Body != nil {
-		ev.Body = append([]byte(nil), ev.Body...)
-	}
-	return ev, err
-}
-
-// DecodeEnvelopeBorrowLogged is DecodeEnvelopeLogged without the body
-// copy, as DecodeEnvelopeBorrow is DecodeEnvelope without it.
-//
-//ppmlint:hotpath pin=TestLoggedCodecZeroAllocs
-func DecodeEnvelopeBorrowLogged(b []byte, rec *journal.Recorder, host string) (Envelope, error) {
 	ev, err := DecodeEnvelopeBorrow(b)
 	if err == nil {
 		rec.Record(journal.WireDecode, host, trace.Context{Trace: ev.TraceID, Span: ev.SpanID}, journal.WireFrame(ev.Type.String(), len(b)))

@@ -13,7 +13,7 @@ import (
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	ev := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("payload")}
-	got, err := DecodeEnvelope(ev.Encode())
+	got, err := DecodeEnvelopeBorrow(ev.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeGarbage(t *testing.T) {
-	if _, err := DecodeEnvelope([]byte{1, 2}); err == nil {
+	if _, err := DecodeEnvelopeBorrow([]byte{1, 2}); err == nil {
 		t.Fatal("expected error on truncated envelope")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // context when both are present.
 func TestEnvelopeOpIDTrailerRoundTrip(t *testing.T) {
 	ev := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("body"), OpID: 99}
-	out, err := DecodeEnvelope(ev.Encode())
+	out, err := DecodeEnvelopeBorrow(ev.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestEnvelopeOpIDTrailerRoundTrip(t *testing.T) {
 	}
 
 	ev.SetTrace(7, 13)
-	out, err = DecodeEnvelope(ev.Encode())
+	out, err = DecodeEnvelopeBorrow(ev.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEnvelopeWithoutOpIDUnchanged(t *testing.T) {
 	if want := 14 + len(ev.Body); len(b) != want {
 		t.Fatalf("op-less envelope is %d bytes, want %d", len(b), want)
 	}
-	out, err := DecodeEnvelope(b)
+	out, err := DecodeEnvelopeBorrow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestEnvelopeWithoutOpIDUnchanged(t *testing.T) {
 func TestEnvelopeZeroPaddingIsNotAnOp(t *testing.T) {
 	ev := Envelope{Type: MsgPing, ReqID: 1, Body: []byte("p")}
 	b := append(ev.Encode(), make([]byte, 32)...)
-	out, err := DecodeEnvelope(b)
+	out, err := DecodeEnvelopeBorrow(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestPropertyEnvelopeNeverPanicsOnMutation(t *testing.T) {
 			Body: Encode(&Control{User: "u", Target: proc.GPID{Host: "h", PID: 1}})}
 		b := env.Encode()
 		b[int(idx)%len(b)] ^= val
-		got, err := DecodeEnvelope(b)
+		got, err := DecodeEnvelopeBorrow(b)
 		if err != nil {
 			return true
 		}

@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"ppm/internal/journal"
 )
 
 // TestEnvelopeTraceTrailerRoundTrip: envelopes with a trace context
@@ -11,7 +16,7 @@ import (
 func TestEnvelopeTraceTrailerRoundTrip(t *testing.T) {
 	ev := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("body")}
 	ev.SetTrace(7, 13)
-	out, err := DecodeEnvelope(ev.Encode())
+	out, err := DecodeEnvelopeBorrow(ev.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +37,7 @@ func TestEnvelopeUntracedUnchanged(t *testing.T) {
 	if want := 14 + len(ev.Body); len(b) != want {
 		t.Fatalf("untraced envelope is %d bytes, want %d", len(b), want)
 	}
-	out, err := DecodeEnvelope(b)
+	out, err := DecodeEnvelopeBorrow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +51,7 @@ func TestEnvelopeUntracedUnchanged(t *testing.T) {
 func TestEnvelopeZeroPaddingIsNotATrace(t *testing.T) {
 	ev := Envelope{Type: MsgPing, ReqID: 1, Body: []byte("p")}
 	b := append(ev.Encode(), make([]byte, 32)...)
-	out, err := DecodeEnvelope(b)
+	out, err := DecodeEnvelopeBorrow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +62,14 @@ func TestEnvelopeZeroPaddingIsNotATrace(t *testing.T) {
 
 // FuzzDecodeEnvelope throws arbitrary bytes at the envelope parser,
 // seeded with the frames the trailer tests build: op and trace trailers
-// alone and together, zero padding, truncations. Decoding never panics,
-// the copying and the borrowing parse agree, and the body never holds
-// more than the frame carried. A frame that decodes re-encodes to one
-// whose header and body are the input's own bytes — the trailers come
-// back in canonical order, an input may carry them in any — and which
-// decodes to the same envelope, less a span id under trace id 0: an
-// untraced envelope carries no trace trailer.
+// alone and together, zero padding, truncations. Decoding never panics;
+// the logged decode agrees with the bare one and journals exactly the
+// frames it accepts, one wire.decode record each of the frame's size;
+// and the body never holds more than the frame carried. A frame that
+// decodes re-encodes to one whose header and body are the input's own
+// bytes — the trailers come back in canonical order, an input may carry
+// them in any — and which decodes to the same envelope, less a span id
+// under trace id 0: an untraced envelope carries no trace trailer.
 func FuzzDecodeEnvelope(f *testing.F) {
 	plain := Envelope{Type: MsgPing, ReqID: 9, Body: []byte("xyz")}
 	op := Envelope{Type: MsgControl, ReqID: 42, Body: []byte("body"), OpID: 99}
@@ -80,16 +86,22 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})                      // a body length the frame does not carry
 	f.Add(append(plain.Encode(), traceFlag, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5)) // a span id under trace id 0
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		ev, err := DecodeEnvelope(frame)
-		borrowed, berr := DecodeEnvelopeBorrow(frame)
-		if (err == nil) != (berr == nil) || !reflect.DeepEqual(ev, borrowed) && !(len(ev.Body) == 0 && len(borrowed.Body) == 0) {
-			t.Fatalf("DecodeEnvelope %+v, %v; DecodeEnvelopeBorrow %+v, %v", ev, err, borrowed, berr)
+		jr := journal.New(func() time.Duration { return 0 })
+		ev, err := DecodeEnvelopeLogged(frame, journal.NewRecorder(nil, nil, jr), "vax2")
+		bare, berr := DecodeEnvelopeBorrow(frame)
+		if (err == nil) != (berr == nil) || !reflect.DeepEqual(ev, bare) {
+			t.Fatalf("DecodeEnvelopeLogged %+v, %v; DecodeEnvelopeBorrow %+v, %v", ev, err, bare, berr)
 		}
+		recs := jr.Records()
 		if err != nil {
-			if !reflect.DeepEqual(ev, Envelope{}) {
-				t.Fatalf("a rejected frame still decoded to %+v", ev)
+			if len(recs) != 0 || !reflect.DeepEqual(ev, Envelope{}) {
+				t.Fatalf("a rejected frame decoded to %+v and left %d records", ev, len(recs))
 			}
 			return
+		}
+		if len(recs) != 1 || recs[0].Kind != journal.WireDecode || !strings.HasSuffix(recs[0].Detail, fmt.Sprintf(" %dB", len(frame))) ||
+			recs[0].Trace != ev.TraceID || recs[0].Span != ev.SpanID {
+			t.Fatalf("a %d-byte frame decoding to %+v recorded %v", len(frame), ev, recs)
 		}
 		if 14+len(ev.Body) > len(frame) {
 			t.Fatalf("a %d-byte frame decoded to a %d-byte body", len(frame), len(ev.Body))
@@ -101,7 +113,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if ev.TraceID == 0 {
 			ev.SpanID = 0
 		}
-		if back, err := DecodeEnvelope(again); err != nil || !reflect.DeepEqual(back, ev) {
+		if back, err := DecodeEnvelopeBorrow(again); err != nil || !reflect.DeepEqual(back, ev) {
 			t.Fatalf("re-encoded frame decodes to %+v (%v), was %+v", back, err, ev)
 		}
 	})

@@ -12,7 +12,8 @@
 //	experiments -table 3      # only Table 3 / Figure 5
 //	experiments -figure 2     # only the Figure 2 LPM-creation exchange
 //	experiments -ablations    # only the ablations
-//	experiments -metrics      # only the message-count experiments
+//	experiments -metrics      # only the message-count experiments (fan-out,
+//	                          # scaling vs host count, recovery cost)
 package main
 
 import (
@@ -181,6 +182,12 @@ func run(o options) error {
 			return fmt.Errorf("fanout: %w", err)
 		}
 		fmt.Print(experiments.FormatFanout(rows))
+		fmt.Println()
+		scaling, err := experiments.RunScaling(nil)
+		if err != nil {
+			return fmt.Errorf("scaling: %w", err)
+		}
+		fmt.Print(experiments.FormatScaling(scaling))
 		fmt.Println()
 		rec, err := experiments.RunRecoveryCost()
 		if err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"ppm/internal/experiments"
 )
 
 func TestParseArgsRejections(t *testing.T) {
@@ -62,5 +64,26 @@ func TestRunMetricsExperiments(t *testing.T) {
 func TestRunLatencyAttributionExperiment(t *testing.T) {
 	if err := run(options{attribution: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScalingRowIsTwoPerCircuit: the scaling row's smoke test. Over a
+// tree every cluster-wide operation floods, one request and one echo per
+// circuit, so each count is 2(n-1) at every size; a sweep that dialled
+// every host, or a flood that crossed a circuit twice, breaks it.
+func TestScalingRowIsTwoPerCircuit(t *testing.T) {
+	rows, err := experiments.RunScaling([]int{8, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		for i, op := range []string{"snapshot", "sweep", "StopAll"} {
+			if c := r.Ops[i]; c.Msgs != uint64(2*(r.Hosts-1)) || c.Elapsed <= 0 {
+				t.Errorf("%d hosts: %s cost %d messages in %v, want %d in some time", r.Hosts, op, c.Msgs, c.Elapsed, 2*(r.Hosts-1))
+			}
+		}
+	}
+	if out := experiments.FormatScaling(rows); !strings.Contains(out, "status sweep") {
+		t.Errorf("scaling table lacks its sweep column:\n%s", out)
 	}
 }

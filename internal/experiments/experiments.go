@@ -709,6 +709,71 @@ func FormatFanout(rows []FanoutRow) string {
 	return b.String()
 }
 
+// ScalingRow is one host count of the scaling experiment: what a
+// snapshot, a status sweep and a StopAll (in that order) each cost over
+// a warm 3-ary tree of circuits.
+type ScalingRow struct {
+	Hosts int
+	Ops   [3]scenario.Cost
+}
+
+// RunScaling measures message count against host count, the primary
+// artefact of the Scalable Unix Commands paper (PAPERS.md), for the
+// three cluster-wide operations over the sparse graph the PPM builds on
+// demand: a 3-ary tree of circuits (scenario.Tree, no cross edge),
+// warmed by one round of each. Each operation floods the tree, one
+// request and one echo per circuit, so every count is 2(n-1).
+func RunScaling(sizes []int) ([]ScalingRow, error) {
+	if len(sizes) == 0 {
+		sizes = []int{8, 24, 96}
+	}
+	var rows []ScalingRow
+	for _, n := range sizes {
+		names := scenario.Numbered("h%02d", 0, n)
+		c, err := scenario.New(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "u")
+		if err != nil {
+			return nil, err
+		}
+		sess, _, err := scenario.Tree(c, "u", names, nil)
+		if err != nil {
+			return nil, err
+		}
+		ops := [3]func() error{
+			func() error { _, err := sess.Snapshot(); return err },
+			func() error { _, err := sess.Status(); return err },
+			func() error { _, err := sess.StopAll(); return err },
+		}
+		row := ScalingRow{Hosts: n}
+		for round := 0; round < 2; round++ { // the first round warms
+			for i, op := range ops {
+				if row.Ops[i], err = scenario.Measure(c, op); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := sess.ContinueAll(); err != nil {
+				return nil, err
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// FormatScaling renders the scaling table.
+func FormatScaling(rows []ScalingRow) string {
+	var b strings.Builder
+	b.WriteString("Scaling: wire messages (virtual ms) per operation over a warm 3-ary tree of circuits\n")
+	fmt.Fprintf(&b, "%-6s %18s %18s %18s\n", "hosts", "snapshot", "status sweep", "StopAll")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-6d", r.Hosts)
+		for _, c := range r.Ops {
+			fmt.Fprintf(&b, " %6d (%9.1f)", c.Msgs, c.MS())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // RecoveryCostResult is the message bill of one crash recovery: a CCS
 // host crash, detection by the survivors, probing, and the election
 // plus announcement of a new CCS (the paper's Section 5 machinery).

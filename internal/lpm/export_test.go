@@ -23,3 +23,7 @@ func (l *LPM) KnownRoute(host string) ([]string, bool) {
 
 // circuitStateOf returns the lifecycle state tracked for a peer.
 func (l *LPM) circuitStateOf(peer string) journal.CircuitState { return l.circuits[peer] }
+
+// SkipStatusDedup turns the status-flood dedup mutation on or off (see
+// skipStatusDedup).
+func SkipStatusDedup(on bool) { skipStatusDedup = on }

@@ -32,11 +32,13 @@ type floodState struct {
 }
 
 // flooded is a finished broadcast as its origin reads it: the
-// aggregate's lists, decoded once.
+// aggregate's lists, decoded once, its status reports each still
+// encoded, aliasing the echoes.
 type flooded struct {
 	count          int32
 	procs          []proc.Info
 	partial, hosts []string
+	reports        [][]byte
 }
 
 // stampID is a broadcast's dedup identity: its stamp less the
@@ -95,6 +97,14 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 		}
 		return wire.FloodResult{OK: true, Count: count},
 			time.Duration(count) * 2 * time.Millisecond
+	case wire.MsgStatusReq:
+		var req wire.StatusReq
+		if wire.DecodeHop(inner.Body, &req, l.user.Names) != nil || req.User != l.user.Name {
+			return wire.FloodResult{OK: false}, 0
+		}
+		l.BuildStatus(&l.statusScratch)
+		return wire.FloodResult{OK: true, Reports: wire.ElementOf(&l.statusScratch)},
+			gatherCost(l.statusScratch.ProcsTotal)
 	default:
 		return wire.FloodResult{OK: false}, 0
 	}
@@ -116,6 +126,13 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(flooded
 	}
 	st := &floodState{finish: func(res wire.FloodResult) {
 		f := flooded{count: res.Count, procs: res.Procs.Values(), partial: res.Partial.Values(), hosts: res.Hosts.Values()}
+		for r := wire.StringsOf(res.Reports); ; {
+			b, ok := r.Next()
+			if !ok {
+				break
+			}
+			f.reports = append(f.reports, b)
+		}
 		l.learnRoutes(res.Routes)
 		l.obs.Notef(journal.LPMFloodDone, l.Host(), ctx, "%v hosts=%s partial=%s",
 			l.stampDetail(stamp), sortedList(f.hosts), sortedList(f.partial))
@@ -140,7 +157,7 @@ func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 		l.echo(reply, wire.BroadcastResp{}, wire.FloodResult{OK: false})
 		return
 	}
-	if l.markSeen(bc.Stamp) {
+	if l.markSeen(bc.Stamp) && !(skipStatusDedup && innerType(bc.Inner) == wire.MsgStatusReq) {
 		// An old broadcast request: answer but do not retransmit.
 		l.obs.Record(journal.LPMFloodDup, l.Host(), reply.ctx, l.stampDetail(bc.Stamp))
 		l.echo(reply, wire.BroadcastResp{Seq: bc.Seq, From: l.Host(), Route: bc.Route}, wire.FloodResult{OK: true, Dup: true})
@@ -160,6 +177,20 @@ func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 		l.echo(reply, wire.BroadcastResp{Seq: seq, From: l.Host(), Route: route}, res)
 	}}
 	l.runFlood(reply.ctx, st, fwd, inner, reply.sb.host)
+}
+
+// skipStatusDedup, set only by tests, makes a hop serve a status flood
+// it has already seen as if it were new: the product mutation the sweep
+// audit has to catch, as a host resolved more than once.
+var skipStatusDedup bool
+
+// innerType is the type of a broadcast's inner request, 0 if unreadable.
+func innerType(inner []byte) wire.MsgType {
+	env, err := wire.DecodeEnvelopeBorrow(inner)
+	if err != nil {
+		return 0
+	}
+	return env.Type
 }
 
 // echo answers a flood request: the reply head m, res inside it.
@@ -188,16 +219,24 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	var local wire.FloodResult
 	var cost time.Duration
 	l.withTraceCtx(ctx, func() { local, cost = l.localFloodWork(inner) })
-	count, procs := local.Count, local.Procs // copies: local, assigned in a closure, would move to the heap
+	count, procs, reports := local.Count, local.Procs, local.Reports // copies: local, assigned in a closure, would move to the heap
+	stamp, path := l.stampDetail(bc.Stamp), bc.Route                 // and bc, too big to capture by value
 	// Each per-hop echo is its own at-most-once operation through the
 	// retry engine: a lost request or echo is retransmitted under a
 	// stable op id, and the child replays its full cached echo rather
-	// than answering Dup for an already-seen stamp. The echo's body is
-	// the hop's own, so the aggregate takes its lists as they are.
+	// than answering Dup for an already-seen stamp. A status flood's
+	// legs carry no op id, so no hop holds its echo: a report is
+	// read-only, and a subtree a retransmission finds answered Dup is
+	// left to the sweep's direct asks. The echo's body is the hop's
+	// own, so the aggregate takes its lists as they are.
 	for _, child := range children {
 		from := child.host
-		l.opSeq++
-		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, l.opSeq, func(env wire.Envelope, err error) {
+		op := uint64(0)
+		if inner.Type != wire.MsgStatusReq {
+			l.opSeq++
+			op = l.opSeq
+		}
+		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, op, func(env wire.Envelope, err error) {
 			if err != nil || st.result.Splice(env.Body, l.user.Names) != nil {
 				st.result.Partial.Add(from)
 			}
@@ -206,13 +245,14 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 		})
 	}
 	l.execSpan(ctx, "exec.flood_work", cost, func() {
-		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, l.stampDetail(bc.Stamp))
+		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, stamp)
 		st.result.OK = true
 		st.result.Count += count
 		st.result.Procs.Splice(procs)
+		st.result.Reports.Splice(reports)
 		st.result.Hosts.Add(l.Host())
 		var route [64]byte
-		st.result.Routes.Add(string(appendRoute(route[:0], bc.Route)))
+		st.result.Routes.Add(string(appendRoute(route[:0], path)))
 		st.localDone = true
 		l.maybeFinishFlood(st)
 	})

@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -15,9 +16,10 @@ import (
 
 // The live-introspection layer: every LPM can render a structured
 // status.Report of its own host (BuildStatus) and gather one from every
-// host in the installation (StatusSweep). The gather is an ordinary
-// point-to-point sibling RPC riding the retry engine; it carries no
-// operation id because building a report is read-only — a
+// host in the installation (StatusSweep). The gather floods the sibling
+// graph, each hop adding its encoded report to the echo; hosts the
+// flood missed are asked by a point-to-point StatusReq, which carries
+// no operation id because building a report is read-only — a
 // retransmission that re-executes just rebuilds the report.
 
 // rttOps lists the ops whose round trips are tracked per op (the
@@ -106,17 +108,23 @@ func (l *LPM) BuildStatus(r *status.Report) {
 }
 
 // StatusSweep gathers live status reports from the user's LPMs on the
-// given hosts (this host included, served locally) and delivers the
-// completed sweep: one report per reachable host plus the sorted list
-// of hosts that could not be reached. Remote gathers ride the retry
-// engine, so a transient loss is retransmitted before a host is
-// declared unreachable; under a partition the sweep still completes
-// with the reachable subset.
+// given hosts and delivers the completed sweep: one report per
+// reachable host plus the sorted list of hosts that could not be
+// reached.
+//
+// The gather is a flood over the sibling graph (MsgStatusReq as its
+// inner request), so it opens no circuit and its origin pays for its
+// own children only. A target the flood could not reach through a
+// circuit it holds (the flood's Partial list) is unreachable: the
+// flood leg to it already went through the retry engine. A target the
+// flood neither covered nor named — a host with no LPM of the user yet,
+// or one no circuit leads to — is asked directly, as one retried
+// point-to-point StatusReq, which the pmd there answers by creating
+// the LPM.
 //
 // The sweep is journaled at the origin only — one status.request naming
 // the targets, then one status.report per target as it resolves — so
-// retransmitted status RPCs never double-journal, and the audit can
-// hold every sweep to exactly one report per target.
+// the audit can hold every sweep to exactly one report per target.
 func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 	if l.exited {
 		l.sched.Defer(func() { cb(status.Sweep{}, ErrExited) })
@@ -133,48 +141,65 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 	l.toolCall("status", func(ctx trace.Context, done func(func())) {
 		l.obs.Notef(journal.StatusRequest, l.Host(), ctx, "user=%s sweep=%s hosts=%s",
 			l.user.Name, sweepID, strings.Join(targets, ","))
-		sw := &status.Sweep{Origin: l.Host(), User: l.user.Name}
+		sw := &status.Sweep{Origin: l.Host(), User: l.user.Name, Reports: make([]status.Report, 0, len(targets))}
+		detail := "user=" + l.user.Name + " sweep=" + sweepID + " host="
 		record := func(host string, ok bool) {
-			l.obs.Notef(journal.StatusReport, l.Host(), ctx, "user=%s sweep=%s host=%s ok=%t", l.user.Name, sweepID, host, ok)
-		}
-		issuing := true
-		outstanding := 0
-		finish := func() {
-			if issuing || outstanding != 0 {
-				return
+			if !ok {
+				l.obs.Metrics().Counter("lpm.status.unreachable").Inc()
+				sw.Unreachable = append(sw.Unreachable, host)
 			}
-			sw.At = l.sched.Now().Duration()
-			sw.Sort()
-			done(func() { cb(*sw, nil) })
+			l.obs.Record(journal.StatusReport, l.Host(), ctx, journal.Text(detail+host+" ok="+strconv.FormatBool(ok)))
 		}
-		for _, host := range targets {
-			if host == l.Host() {
-				var r status.Report
-				l.BuildStatus(&r)
-				sw.Reports = append(sw.Reports, r)
-				record(host, true)
-				continue
-			}
-			outstanding++
-			host := host
-			body := wire.Encode(&wire.StatusReq{User: l.user.Name, Sweep: sweepID})
-			l.remoteCall(ctx, host, wire.MsgStatusReq, body, func(env wire.Envelope, err error) {
-				outstanding--
-				var resp wire.StatusResp
-				var rep status.Report
-				err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
-				err = firstErr(err, wire.Decode(resp.Report, &rep))
-				if err == nil {
-					sw.Reports = append(sw.Reports, rep)
-				} else {
-					l.obs.Metrics().Counter("lpm.status.unreachable").Inc()
-					sw.Unreachable = append(sw.Unreachable, host)
+		// The flood's stamp names it on the wire: the sweep id is for the
+		// origin's journal, and every hop would intern a new one.
+		inner := wire.Envelope{Type: wire.MsgStatusReq, Body: wire.Encode(&wire.StatusReq{User: l.user.Name})}
+		l.startFlood(ctx, inner, func(f flooded) {
+			resolved := make(map[string]bool, len(targets))
+			for _, b := range f.reports {
+				sw.Reports = append(sw.Reports, status.Report{})
+				rep := &sw.Reports[len(sw.Reports)-1]
+				if wire.DecodeHop(b, rep, l.user.Names) != nil || !named[rep.Host] {
+					sw.Reports = sw.Reports[:len(sw.Reports)-1]
+					continue
 				}
-				record(host, err == nil)
-				finish()
-			})
-		}
-		issuing = false
-		finish()
+				resolved[rep.Host] = true
+				record(rep.Host, true)
+			}
+			for _, host := range f.partial {
+				if named[host] && !resolved[host] {
+					resolved[host] = true
+					record(host, false)
+				}
+			}
+			outstanding := 1 // held until every direct ask is issued
+			finish := func() {
+				if outstanding--; outstanding == 0 {
+					sw.At = l.sched.Now().Duration()
+					sw.Sort()
+					done(func() { cb(*sw, nil) })
+				}
+			}
+			var body []byte
+			for _, host := range targets {
+				if resolved[host] {
+					continue
+				}
+				if body == nil {
+					body = wire.Encode(&wire.StatusReq{User: l.user.Name, Sweep: sweepID})
+				}
+				outstanding++
+				l.remoteCall(ctx, host, wire.MsgStatusReq, body, func(env wire.Envelope, err error) {
+					var resp wire.StatusResp
+					var rep status.Report
+					err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
+					if err = firstErr(err, wire.Decode(resp.Report, &rep)); err == nil {
+						sw.Reports = append(sw.Reports, rep)
+					}
+					record(host, err == nil)
+					finish()
+				})
+			}
+			finish()
+		})
 	})
 }

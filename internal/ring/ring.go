@@ -119,6 +119,12 @@ type Window[K comparable, V any] struct {
 	live  map[K]aged[V]
 	order []slot[K] // insertion order; order[head:] are not yet expired
 	head  int
+	// puts counts insertions since live was built. A Go map that takes
+	// an insertion for every deletion keeps growing although what it
+	// holds does not, so live is rebuilt to size once the insertions
+	// outnumber its entries several times over (a map of a few dozen
+	// entries has too few to grow that way).
+	puts int
 }
 
 type aged[V any] struct {
@@ -158,6 +164,21 @@ func (w *Window[K, V]) Put(key K, v V, now time.Duration) {
 	}
 	w.live[key] = aged[V]{v: v, at: now}
 	w.order = append(w.order, slot[K]{key: key, at: now})
+	if w.puts++; len(w.live) >= 64 && w.puts > 4*len(w.live) {
+		w.rebuild()
+	}
+}
+
+// rebuild moves the held entries into a map sized for them, in
+// insertion order.
+func (w *Window[K, V]) rebuild() {
+	live := make(map[K]aged[V], len(w.live))
+	for _, s := range w.order[w.head:] {
+		if e, ok := w.live[s.key]; ok && e.at == s.at {
+			live[s.key] = e
+		}
+	}
+	w.live, w.puts = live, 0
 }
 
 // Delete drops key ahead of its expiry.
@@ -178,11 +199,16 @@ func (w *Window[K, V]) Expire(now time.Duration) {
 			delete(w.live, s.key)
 		}
 	}
-	// Reclaim the drained prefix once it dominates the queue, so the
-	// footprint stays proportional to the live entries.
-	if w.head > len(w.order)/2 {
-		w.order = append([]slot[K](nil), w.order[w.head:]...)
-		w.head = 0
+	// Reclaim the drained prefix in place once it is a quarter of the
+	// queue: the footprint stays close to the live entries, and a steady
+	// stream of entries allocates nothing for the queue.
+	if w.head > len(w.order)/4 {
+		n := copy(w.order, w.order[w.head:])
+		clear(w.order[n:])
+		w.order, w.head = w.order[:n], 0
+		if cap(w.order) > 4*n+16 { // drained after a burst: give the peak back
+			w.order = append([]slot[K](nil), w.order...)
+		}
 	}
 }
 

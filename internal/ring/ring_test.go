@@ -2,6 +2,7 @@ package ring
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -192,5 +193,44 @@ func TestWindowQueueStaysProportional(t *testing.T) {
 	w.Expire(time.Hour)
 	if w.Len() != 0 || w.head != 0 || len(w.order) != 0 {
 		t.Fatalf("drained window: len=%d head=%d queue=%d", w.Len(), w.head, len(w.order))
+	}
+}
+
+// TestWindowChurnAllocatesLittle: a window that takes one entry for each
+// one it expires compacts its queue in place and, every few windows'
+// worth of entries, moves its entries to a map sized for them — a Go map
+// taking an insertion per deletion grows although its contents do not.
+// Warm, that is a few hundredths of an allocation per entry, and the
+// rebuilt map still holds exactly the live entries.
+func TestWindowChurnAllocatesLittle(t *testing.T) {
+	const live = 200
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	w := NewWindow[string, int](live - 1)
+	i := 0
+	put := func() {
+		w.Put(keys[i%len(keys)], i, time.Duration(i))
+		i++
+	}
+	for j := 0; j < 20*live; j++ {
+		put()
+	}
+	queue := &w.order[:1][0]
+	if allocs := testing.AllocsPerRun(16*live, put); allocs > 0.05 {
+		t.Errorf("a warm window allocates %.3f times per entry, want at most 0.05", allocs)
+	}
+	if &w.order[:1][0] != queue {
+		t.Error("steady churn reallocated the expiry queue; it should be compacted in place")
+	}
+	if w.Len() != live {
+		t.Fatalf("%d entries held, want the last %d", w.Len(), live)
+	}
+	for j := i - 2*live; j < i; j++ {
+		v, ok := w.Get(keys[j%len(keys)])
+		if want := j >= i-live; ok != want || ok && v != j {
+			t.Fatalf("entry %d: %d, %v; held %v", j, v, ok, want)
+		}
 	}
 }

@@ -96,6 +96,52 @@ func Star(sess *ppm.Session, hosts []string, coordinator string, name func(host 
 	return Workers(sess, hosts, root, name)
 }
 
+// Tree runs a 3-ary genealogy over hosts: the process on hosts[n] is
+// the child of the one on hosts[(n-1)/3], created by a session attached
+// at that parent's host, so the sibling circuits form the same tree.
+// Each cross pair of positions then opens one more circuit — a session
+// at the first asks after the process at the second — and closes a
+// cycle: the sparse, on-demand graph of the paper's §4. It returns the
+// session on hosts[0] and the processes by position.
+func Tree(c *ppm.Cluster, user string, hosts []string, cross [][2]int) (*ppm.Session, []ppm.GPID, error) {
+	sessions := make([]*ppm.Session, len(hosts))
+	at := func(pos int) (*ppm.Session, error) {
+		if sessions[pos] == nil {
+			s, err := c.Attach(user, hosts[pos])
+			if err != nil {
+				return nil, err
+			}
+			sessions[pos] = s
+		}
+		return sessions[pos], nil
+	}
+	procs := make([]ppm.GPID, len(hosts))
+	for pos, h := range hosts {
+		parent, under := 0, ppm.GPID{}
+		if pos > 0 {
+			parent = (pos - 1) / 3
+			under = procs[parent]
+		}
+		s, err := at(parent)
+		if err != nil {
+			return nil, nil, err
+		}
+		if procs[pos], err = s.RunChild(h, fmt.Sprintf("node%02d", pos), under); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, e := range cross {
+		s, err := at(e[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := s.Stats(procs[e[1]]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sessions[0], procs, nil
+}
+
 // Cost is what one measured operation consumed.
 type Cost struct {
 	Elapsed time.Duration // virtual time

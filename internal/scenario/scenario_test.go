@@ -123,3 +123,55 @@ func TestMeasureMatchesCounters(t *testing.T) {
 		t.Errorf("local stop cost %d msgs / %d bytes, want none", local.Msgs, local.Bytes)
 	}
 }
+
+// TestTreeShape: a tree's circuits are exactly its parent-child edges
+// plus the cross edges, and every process is its parent's child.
+func TestTreeShape(t *testing.T) {
+	names := Numbered("h%d", 0, 8)
+	c, err := New(ppm.ClusterConfig{Seed: 7, Hosts: Hosts(names...)}, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, procs, err := Tree(c, "u", names, [][2]int{{3, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[string]bool, len(names))
+	for i := range want {
+		want[i] = map[string]bool{}
+	}
+	link := func(a, b int) { want[a][names[b]], want[b][names[a]] = true, true }
+	for pos := 1; pos < len(names); pos++ {
+		link(pos, (pos-1)/3)
+	}
+	link(3, 5)
+	for pos, h := range names {
+		l, ok := c.ManagerOn(h, "u")
+		if !ok {
+			t.Fatalf("no LPM on %s", h)
+		}
+		var r ppm.HostStatus
+		l.BuildStatus(&r)
+		got := map[string]bool{}
+		for _, cs := range r.Circuits {
+			got[cs.Peer] = true
+		}
+		if len(got) != len(want[pos]) {
+			t.Errorf("%s has circuits to %v, want %v", h, got, want[pos])
+		}
+		for p := range want[pos] {
+			if !got[p] {
+				t.Errorf("%s has circuits to %v, want %v", h, got, want[pos])
+			}
+		}
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 1; pos < len(procs); pos++ {
+		if info, ok := snap.Find(procs[pos]); !ok || info.Parent != procs[(pos-1)/3] {
+			t.Errorf("process %d: %+v, want the child of %v", pos, info, procs[(pos-1)/3])
+		}
+	}
+}

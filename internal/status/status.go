@@ -6,7 +6,7 @@
 // retry-backoff occupancy, the flight-recorder ring occupancy, and
 // per-op latency percentiles. Reports are built by small Status() hooks
 // on each layer, gathered cluster-wide by the LPM's status sweep (a
-// read-only sibling RPC riding the retry engine), and rendered as a
+// read-only flood over the sibling circuits), and rendered as a
 // dashboard: one sorted row per host, virtual-time-stamped, with an
 // explicit unreachable-host list when the cluster is partitioned.
 //
@@ -93,7 +93,8 @@ func (r *Report) Reset(host string, at time.Duration) {
 }
 
 // Fields walks the report in wire order (it is a wire.Message; the
-// status sweep carries it pre-encoded in wire.StatusResp.Report).
+// status sweep carries it pre-encoded, in a flood echo's Reports or in
+// wire.StatusResp.Report).
 func (r *Report) Fields(c *wire.Coder) {
 	c.Size(128 + 32*len(r.Circuits) + 48*len(r.OpLatencies))
 	c.Str(&r.Host)

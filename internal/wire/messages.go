@@ -66,10 +66,11 @@ const (
 	MsgWatch
 	MsgWatchResp
 
-	// Live introspection: a status sweep collects one per-host report
-	// from every reachable sibling. The op is read-only, so it rides
-	// the retry engine without an at-most-once op id — re-execution is
-	// free.
+	// Live introspection: a status sweep floods StatusReq as a
+	// broadcast's inner request, each hop adding its report to the
+	// echo, and asks a host the flood missed directly. The op is
+	// read-only, so it carries no at-most-once op id either way —
+	// re-execution is free.
 	MsgStatusReq
 	MsgStatusResp
 
@@ -718,7 +719,7 @@ type Broadcast struct {
 
 // Fields walks the broadcast envelope in wire order.
 func (m *Broadcast) Fields(c *Coder) {
-	c.Size(96 + len(m.Route.b) + len(m.Inner))
+	c.Size(96 + m.Route.size() + len(m.Inner))
 	m.Stamp.Fields(c)
 	c.U64(&m.Seq)
 	Listed(c, &m.Route)
@@ -735,7 +736,7 @@ type BroadcastResp struct {
 
 // Fields walks the broadcast reply in wire order.
 func (m *BroadcastResp) Fields(c *Coder) {
-	c.Size(64 + len(m.Route.b) + len(m.Inner))
+	c.Size(64 + m.Route.size() + len(m.Inner))
 	c.U64(&m.Seq)
 	c.Str(&m.From)
 	Listed(c, &m.Route)
@@ -745,10 +746,10 @@ func (m *BroadcastResp) Fields(c *Coder) {
 // EncodeEcho returns the wire form of m with res as its Inner (m's own
 // is ignored), in one buffer: res is walked straight in behind Inner's
 // length, which is back-patched, where Encode would need res encoded on
-// its own first.
+// its own first. The buffer is sized to fit: a hop's reply cache keeps it.
 func EncodeEcho(m BroadcastResp, res *FloodResult) []byte {
 	var c Coder
-	c.Size(64 + len(m.From) + len(m.Route.b) + res.size())
+	c.Size(16 + len(m.From) + m.Route.size() + res.size())
 	m.Inner = nil
 	m.Fields(&c)
 	at := len(c.e.buf) // Inner is the last field: its empty length ends the buffer
@@ -791,9 +792,11 @@ func (m *Pong) Fields(c *Coder) {
 
 // --- live introspection ---
 
-// StatusReq asks a sibling LPM for its host's live status report. The
-// sweep id names the origin's gather for journal correlation; the op is
-// read-only and carries no at-most-once identity.
+// StatusReq asks a sibling LPM for its host's live status report: as a
+// status flood's inner request, or directly. The sweep id names the
+// origin's gather for journal correlation (a flood's inner request
+// leaves it empty: the stamp names the flood); the op is read-only and
+// carries no at-most-once identity.
 type StatusReq struct {
 	User  string
 	Sweep string
@@ -852,11 +855,11 @@ func (m *ErrorResp) Fields(c *Coder) {
 // --- flood aggregation ---
 
 // FloodResult is the aggregate a node returns to its broadcast parent
-// in the graph-covering echo: snapshot fragments and/or control counts
-// collected from the subtree it covered, plus the hosts it failed to
-// reach. A duplicate arrival (cycle in the circuit graph) is answered
-// with Dup set and no data. Its lists stay in wire form from hop to
-// hop; the originator decodes them.
+// in the graph-covering echo: snapshot fragments, control counts or
+// status reports collected from the subtree it covered, plus the hosts
+// it failed to reach. A duplicate arrival (cycle in the circuit graph)
+// is answered with Dup set and no data. Its lists stay in wire form
+// from hop to hop; the originator decodes them.
 type FloodResult struct {
 	OK      bool
 	Dup     bool
@@ -870,11 +873,16 @@ type FloodResult struct {
 	// hosts separated by '/'. The originator learns relay routes to
 	// topologically distant hosts from these.
 	Routes List[string]
+	// Reports holds a status flood's host reports, each one encoded
+	// status report (ElementOf). It is the last field and is written
+	// only when it has elements, so a snapshot's or a control's echo is
+	// the same bytes it was before status floods existed.
+	Reports List[string]
 }
 
 // size is about the length of the result's wire form.
 func (m *FloodResult) size() int {
-	return 16 + len(m.Procs.b) + len(m.Partial.b) + len(m.Hosts.b) + len(m.Routes.b)
+	return 16 + m.Procs.size() + m.Partial.size() + m.Hosts.size() + m.Routes.size() + m.Reports.size()
 }
 
 // Fields walks the flood result in wire order.
@@ -887,10 +895,16 @@ func (m *FloodResult) Fields(c *Coder) {
 	Listed(c, &m.Partial)
 	Listed(c, &m.Hosts)
 	Listed(c, &m.Routes)
+	switch {
+	case c.decoding && c.d.remaining() == 0:
+		m.Reports = List[string]{}
+	case c.decoding || m.Reports.n > 0:
+		Listed(c, &m.Reports)
+	}
 }
 
 // Splice adds a child's echo to the aggregate m: its count, and its
-// four lists appended byte for byte. echo is a BroadcastResp body, read
+// five lists appended byte for byte. echo is a BroadcastResp body, read
 // in place (see DecodeHop); a duplicate's echo adds nothing. An echo
 // Decode would reject is rejected, and m left as it was.
 func (m *FloodResult) Splice(echo []byte, names Names) error {
@@ -908,6 +922,7 @@ func (m *FloodResult) Splice(echo []byte, names Names) error {
 	m.Partial.Splice(res.Partial)
 	m.Hosts.Splice(res.Hosts)
 	m.Routes.Splice(res.Routes)
+	m.Reports.Splice(res.Reports)
 	return nil
 }
 

@@ -16,10 +16,10 @@ import (
 // stayed in wire form: decoded into Go values, appended, re-encoded.
 // The splice is held to it byte for byte.
 type floodRef struct {
-	OK, Dup                bool
-	Count                  int32
-	Procs                  []proc.Info
-	Partial, Hosts, Routes []string
+	OK, Dup                         bool
+	Count                           int32
+	Procs                           []proc.Info
+	Partial, Hosts, Routes, Reports []string
 }
 
 func (m *floodRef) Fields(c *Coder) {
@@ -30,6 +30,9 @@ func (m *floodRef) Fields(c *Coder) {
 	c.Strs(&m.Partial)
 	c.Strs(&m.Hosts)
 	c.Strs(&m.Routes)
+	if c.decoding && c.d.remaining() > 0 || !c.decoding && len(m.Reports) > 0 {
+		c.Strs(&m.Reports)
+	}
 }
 
 // echoRef is BroadcastResp as it was decoded: every field materialized.
@@ -64,6 +67,7 @@ func spliceRef(agg *floodRef, echo []byte) error {
 	agg.Partial = append(agg.Partial, res.Partial...)
 	agg.Hosts = append(agg.Hosts, res.Hosts...)
 	agg.Routes = append(agg.Routes, res.Routes...)
+	agg.Reports = append(agg.Reports, res.Reports...)
 	return nil
 }
 
@@ -108,7 +112,19 @@ func randFlood(rng *rand.Rand) floodRef {
 		})
 	}
 	m.Partial, m.Hosts, m.Routes = randNames(rng), randNames(rng), randNames(rng)
+	for i := rng.Intn(4) - 1; i > 0; i-- { // a status flood's echoes carry reports
+		m.Reports = append(m.Reports, randReport(rng))
+	}
 	return m
+}
+
+// randReport is an encoded status report: a few to a few hundred
+// arbitrary bytes, or a run of them long enough that a hop points at it
+// instead of copying it.
+func randReport(rng *rand.Rand) string {
+	b := make([]byte, []int{0, 3, 120, 300, 700}[rng.Intn(5)])
+	rng.Read(b)
+	return string(b)
 }
 
 // randEcho is one child's answer: a result inside a reply head, perhaps
@@ -154,9 +170,10 @@ func spliced(t *testing.T, echoes [][]byte) (got, want []byte) {
 
 // TestFloodSpliceMatchesDecode: over seeded random child echoes —
 // duplicates', failed and truncated ones, empty lists, non-ASCII names,
-// strings of the longest length — the echo a hop builds by splicing
-// wire-form lists is byte-identical to decoding every echo, appending
-// and encoding.
+// strings of the longest length, status reports short enough to be
+// copied and long enough to be pointed at — the echo a hop builds by
+// splicing wire-form lists is byte-identical to decoding every echo,
+// appending and encoding.
 func TestFloodSpliceMatchesDecode(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -226,5 +243,44 @@ func TestListsSaturateLikeTheirCount(t *testing.T) {
 	m.Kinds = kinds[:math.MaxUint16]
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("65,536 kinds came back as %d, since %v, limit %d", len(got.Kinds), got.Since, got.Limit)
+	}
+}
+
+// TestSplicedListsReadAsOne: a list spliced together from others —
+// short runs copied, long ones pointed at, elements added after either —
+// reads, walks and encodes as the list of all its values.
+func TestSplicedListsReadAsOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var got List[string]
+		var want []string
+		for i := rng.Intn(6); i > 0; i-- {
+			if rng.Intn(3) == 0 {
+				v := randName(rng)
+				got.Add(v)
+				want = append(want, v)
+			}
+			part := make([]string, rng.Intn(4))
+			for j := range part {
+				part[j] = randReport(rng)
+			}
+			got.Splice(ListOf(part...))
+			want = append(want, part...)
+		}
+		var walked []string
+		for r := StringsOf(got); ; {
+			b, ok := r.Next()
+			if !ok {
+				break
+			}
+			walked = append(walked, string(b))
+		}
+		values := got.Values()
+		if len(values) != len(want) || len(walked) != len(want) || len(want) > 0 && (!reflect.DeepEqual(values, want) || !reflect.DeepEqual(walked, want)) {
+			t.Fatalf("round %d: spliced list reads %d values and walks %d, want %d", round, len(values), len(walked), len(want))
+		}
+		if enc, ref := Encode(&FloodResult{Reports: got}), Encode(&floodRef{Reports: want}); !bytes.Equal(enc, ref) {
+			t.Fatalf("round %d: spliced list encodes to %d bytes, its values to %d", round, len(enc), len(ref))
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/scenario"
 	"ppm/internal/status"
 )
 
@@ -162,8 +163,9 @@ func TestStatusSweepPartition(t *testing.T) {
 }
 
 // TestStatusSweepCrash: a crashed host shows up in the unreachable list
-// — never as a fabricated report — and the journal audit's status
-// invariant stays clean across the crash.
+// — never as a fabricated report — after one retry of the one request
+// the sweep sends it (not a flood leg's retry and then a direct ask's),
+// and the journal audit's status invariant stays clean across the crash.
 func TestStatusSweepCrash(t *testing.T) {
 	c, sess := statusCluster(t, 9, "a", "b", "c")
 	if err := c.Crash("c"); err != nil {
@@ -172,15 +174,99 @@ func TestStatusSweepCrash(t *testing.T) {
 	if err := c.Advance(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	retries := c.MetricsSnapshot().Counter("lpm.request.retries")
 	sw, err := sess.Status()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := c.MetricsSnapshot().Counter("lpm.request.retries") - retries; got != 1 {
+		t.Errorf("the sweep retried %d requests, want the one to c, once", got)
 	}
 	if got := strings.Join(sw.Unreachable, ","); got != "c" {
 		t.Fatalf("unreachable = %q, want %q", got, "c")
 	}
 	if len(sw.Reports) != 2 {
 		t.Fatalf("want 2 reports, got %d", len(sw.Reports))
+	}
+	if vs := c.JournalAudit(); len(vs) > 0 {
+		t.Fatalf("journal audit: %v", vs)
+	}
+}
+
+// circuitTables reads every host's circuit table: peer and state of
+// each circuit, in peer order.
+func circuitTables(t *testing.T, c *ppm.Cluster, hosts []string) map[string]string {
+	t.Helper()
+	tables := map[string]string{}
+	for _, h := range hosts {
+		l, ok := c.ManagerOn(h, "u")
+		if !ok {
+			t.Fatalf("no LPM on %s", h)
+		}
+		var r status.Report
+		l.BuildStatus(&r)
+		var row []string
+		for _, cs := range r.Circuits {
+			row = append(row, cs.Peer+":"+cs.State)
+		}
+		tables[h] = strings.Join(row, " ")
+	}
+	return tables
+}
+
+// TestStatusSweepOpensNoCircuit: a sweep over a warm sparse graph — a
+// 3-ary tree of eight hosts with one cross edge — floods it and leaves
+// every host's circuit table as it was. A sweep that asked each host
+// directly made its origin a hub with a circuit to every host.
+func TestStatusSweepOpensNoCircuit(t *testing.T) {
+	hosts := scenario.Numbered("h%d", 0, 8)
+	c, err := scenario.New(ppm.ClusterConfig{Seed: 4, Hosts: scenario.Hosts(hosts...)}, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := scenario.Tree(c, "u", hosts, [][2]int{{3, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := circuitTables(t, c, hosts)
+	for i := 0; i < 3; i++ {
+		sw, err := sess.Status()
+		if err != nil || len(sw.Reports) != len(hosts) || len(sw.Unreachable) != 0 {
+			t.Fatalf("sweep %d: %d reports, unreachable %v, %v", i, len(sw.Reports), sw.Unreachable, err)
+		}
+	}
+	after := circuitTables(t, c, hosts)
+	for _, h := range hosts {
+		if before[h] != after[h] {
+			t.Errorf("%s's circuits went from [%s] to [%s]", h, before[h], after[h])
+		}
+	}
+	if vs := c.JournalAudit(); len(vs) > 0 {
+		t.Fatalf("journal audit: %v", vs)
+	}
+}
+
+// TestStatusSweepAsksHostsWithoutLPM: a host the user has no LPM on is
+// in no flood, so the sweep asks it directly — its pmd creates the LPM
+// — and still reports every host of the installation.
+func TestStatusSweepAsksHostsWithoutLPM(t *testing.T) {
+	c, sess, err := scenario.Attach(ppm.ClusterConfig{Seed: 2, Hosts: scenario.Hosts("a", "b", "c", "d")}, "u", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run("b", "w"); err != nil {
+		t.Fatal(err)
+	}
+	asked := c.MetricsSnapshot().Counter("wire.msgs.StatusReq")
+	sw, err := sess.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Reports) != 4 || len(sw.Unreachable) != 0 {
+		t.Fatalf("sweep: %d reports, unreachable %v; want all four hosts", len(sw.Reports), sw.Unreachable)
+	}
+	if got := c.MetricsSnapshot().Counter("wire.msgs.StatusReq") - asked; got != 2 {
+		t.Errorf("%d direct status requests, want one each to c and d", got)
 	}
 	if vs := c.JournalAudit(); len(vs) > 0 {
 		t.Fatalf("journal audit: %v", vs)

@@ -14,7 +14,8 @@ import (
 )
 
 // errandsRun is the scenario for what the fault scenarios never ask
-// for: the read-only queries, a remote watch, a status sweep, a relayed
+// for: the read-only queries, a remote watch, a status sweep that asks
+// a host with no LPM yet directly (d), a relayed
 // control over a learned route, a flood over a cyclic circuit graph, a
 // reply lost after its operation executed, a tool socket, a pmd query
 // the account database refuses, and a host restart.
@@ -27,7 +28,7 @@ func errandsRun(t *testing.T) *ppm.Cluster {
 		}
 	}
 	c, err := ppm.NewCluster(ppm.ClusterConfig{
-		Hosts:           []ppm.HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
+		Hosts:           []ppm.HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}},
 		JournalCapacity: 1 << 18,
 		LPM:             lpm.Config{UseRelay: true, Retry: ppm.RetryPolicy{MaxAttempts: 5}},
 	})

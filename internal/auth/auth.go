@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ppm/internal/detord"
 	"ppm/internal/wire"
@@ -40,6 +41,9 @@ type User struct {
 	// rhosts lists hosts from which remote access is permitted without
 	// further proof, mirroring ~/.rhosts.
 	rhosts map[string]bool
+	// tokens holds the user's token for each purpose, computed on first
+	// use: it depends on nothing else.
+	tokens map[string][]byte
 }
 
 // Directory is the network-wide account database. It is shared by all
@@ -63,7 +67,8 @@ func (d *Directory) AddUser(name string) *User {
 	mac := hmac.New(sha256.New, []byte("ppm-domain-salt"))
 	mac.Write([]byte(name))
 	key := mac.Sum(nil)
-	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), Names: make(wire.Names), rhosts: make(map[string]bool)}
+	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), Names: make(wire.Names),
+		rhosts: make(map[string]bool), tokens: make(map[string][]byte)}
 	d.users[name] = u
 	return u
 }
@@ -103,13 +108,24 @@ func (d *Directory) RHostAllowed(user, host string) bool {
 // sibling LPM: an HMAC over (user, purpose) with the user's secret.
 // Because the secret is shared across the trusting hosts, any host can
 // verify it — this is what lets the pmd act as a trusted name server
-// without system-wide unforgeable tickets.
+// without system-wide unforgeable tickets. The caller owns the copy it
+// gets.
 func MintToken(u *User, purpose string) []byte {
+	return slices.Clone(u.token(purpose))
+}
+
+// token returns the user's private copy of the token for purpose.
+func (u *User) token(purpose string) []byte {
+	if tok, ok := u.tokens[purpose]; ok {
+		return tok
+	}
 	mac := hmac.New(sha256.New, u.key)
 	mac.Write([]byte(u.Name))
 	mac.Write([]byte{0})
 	mac.Write([]byte(purpose))
-	return mac.Sum(nil)
+	tok := mac.Sum(nil)
+	u.tokens[purpose] = tok
+	return tok
 }
 
 // VerifyToken checks a presented token against the account database.
@@ -118,7 +134,7 @@ func (d *Directory) VerifyToken(user, purpose string, token []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownUser, user)
 	}
-	if !hmac.Equal(token, MintToken(u, purpose)) {
+	if !hmac.Equal(token, u.token(purpose)) {
 		return fmt.Errorf("%w: user %s purpose %s", ErrBadToken, user, purpose)
 	}
 	return nil

@@ -2,6 +2,8 @@ package auth
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -75,6 +77,30 @@ func TestTokenTamperRejected(t *testing.T) {
 	tok[0] ^= 0xff
 	if err := d.VerifyToken("ramon", "pmd", tok); !errors.Is(err, ErrBadToken) {
 		t.Fatal("tampered token accepted")
+	}
+}
+
+// TestTokenComputedOnce: a token is computed once per user and purpose,
+// and every MintToken hands out its own copy of the same HMAC bytes, so
+// what one caller does to its copy reaches neither the next caller nor
+// VerifyToken.
+func TestTokenComputedOnce(t *testing.T) {
+	d := NewDirectory()
+	u := d.AddUser("ramon")
+	mac := hmac.New(sha256.New, u.key)
+	mac.Write([]byte("ramon\x00pmd"))
+	want := mac.Sum(nil)
+	a := MintToken(u, "pmd")
+	a[0] ^= 0xff
+	b := MintToken(u, "pmd")
+	if !bytes.Equal(b, want) {
+		t.Fatalf("token = %x, want HMAC %x", b, want)
+	}
+	if err := d.VerifyToken("ramon", "pmd", b); err != nil {
+		t.Fatal(err)
+	}
+	if len(u.tokens) != 1 {
+		t.Fatalf("%d tokens computed for one purpose", len(u.tokens))
 	}
 }
 

@@ -9,6 +9,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,8 +23,21 @@ import (
 // requested: when full, the oldest events are dropped (coarse summaries
 // are kept separately and never dropped).
 type Store struct {
-	ring    *ring.Buffer[proc.Event]
-	dropped int64
+	ring     *ring.Buffer[slot]
+	capacity int
+	dropped  int64
+
+	// hosts names every host an appended event has mentioned: hosts[0]
+	// is the zero GPID's empty host, then the store's own host and the
+	// home hosts of forwarded exits, in order of first sight. index
+	// inverts it; last is the index matched most recently, the store's
+	// own host almost always.
+	hosts []string
+	index map[string]uint32
+	last  uint32
+
+	// wide holds what each retained wide slot leaves out, oldest first.
+	wide fifo
 
 	// summaries of exited processes, preserved beyond event eviction.
 	exited map[proc.GPID]proc.Info
@@ -32,6 +46,53 @@ type Store struct {
 	watches map[int]*Watch
 	nextID  int
 }
+
+// slot is one retained event, 48 bytes where a proc.Event is 128: the
+// two hosts are indices into the store's table, and the kind and signal
+// are 16-bit. An event whose kind or signal does not fit, or whose
+// Rusage is not zero (an exit), is wide: its kind, signal and Rusage
+// are the next entry of Store.wide.
+type slot struct {
+	at           time.Duration
+	detail       string
+	pid, child   proc.PID
+	host, chost  uint32
+	kind, signal int16
+	wide         bool
+}
+
+// wideFields are the fields of a wide event that its slot leaves out.
+type wideFields struct {
+	kind   proc.EventKind
+	signal proc.Signal
+	rusage proc.Rusage
+}
+
+// fifo is a circular queue of wideFields, grown by doubling: a store
+// whose mix of events is steady stops allocating once the queue holds
+// the most wide slots the ring retains at once.
+type fifo struct {
+	buf     []wideFields
+	head, n int
+}
+
+func (q *fifo) push(w wideFields) {
+	if q.n == len(q.buf) {
+		buf := make([]wideFields, max(8, 2*q.n))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = w
+	q.n++
+}
+
+func (q *fifo) pop() {
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+}
+
+// at returns the i-th queued entry, oldest first.
+func (q *fifo) at(i int) wideFields { return q.buf[(q.head+i)%len(q.buf)] }
 
 // DefaultCapacity bounds the number of retained events.
 const DefaultCapacity = 4096
@@ -43,16 +104,24 @@ func NewStore(capacity int) *Store {
 		capacity = DefaultCapacity
 	}
 	return &Store{
-		ring:    ring.NewBuffer[proc.Event](capacity),
-		exited:  make(map[proc.GPID]proc.Info),
-		watches: make(map[int]*Watch),
+		ring:     ring.NewBuffer[slot](capacity),
+		capacity: capacity,
+		hosts:    []string{""},
+		index:    make(map[string]uint32),
+		exited:   make(map[proc.GPID]proc.Info),
+		watches:  make(map[int]*Watch),
 	}
 }
 
 // Append records an event, evicting the oldest if at capacity, then
 // fires any matching watches.
+//
+//ppmlint:hotpath pin=TestHistoryAppendZeroAllocs
 func (s *Store) Append(ev proc.Event) {
-	if s.ring.Push(ev) {
+	if s.ring.Len() == s.capacity && s.ring.At(0).wide {
+		s.wide.pop()
+	}
+	if s.ring.Push(s.pack(ev)) {
 		s.dropped++
 	}
 	for _, w := range s.watches {
@@ -65,8 +134,70 @@ func (s *Store) Append(ev proc.Event) {
 	}
 }
 
+// pack builds ev's slot, queueing what does not fit.
+func (s *Store) pack(ev proc.Event) slot {
+	sl := slot{
+		at: ev.At, detail: ev.Detail,
+		pid: ev.Proc.PID, child: ev.Child.PID,
+		host: s.hostIndex(ev.Proc.Host), chost: s.hostIndex(ev.Child.Host),
+		kind: int16(ev.Kind), signal: int16(ev.Signal),
+	}
+	if proc.EventKind(sl.kind) != ev.Kind || proc.Signal(sl.signal) != ev.Signal || ev.Rusage != (proc.Rusage{}) {
+		sl.wide = true
+		s.wide.push(wideFields{kind: ev.Kind, signal: ev.Signal, rusage: ev.Rusage})
+	}
+	return sl
+}
+
+// hostIndex returns h's index in the host table, adding it on first
+// sight.
+func (s *Store) hostIndex(h string) uint32 {
+	if h == "" {
+		return 0
+	}
+	if s.hosts[s.last] == h {
+		return s.last
+	}
+	i, ok := s.index[h]
+	if !ok {
+		i = uint32(len(s.hosts))
+		s.hosts = append(s.hosts, h)
+		s.index[h] = i
+	}
+	s.last = i
+	return i
+}
+
+// each unpacks the retained events oldest first, pairing each wide
+// slot with its entry of Store.wide, until f returns false.
+func (s *Store) each(f func(proc.Event) bool) {
+	for i, w := 0, 0; i < s.ring.Len(); i++ {
+		sl := s.ring.At(i)
+		ev := proc.Event{
+			At: sl.at, Kind: proc.EventKind(sl.kind), Signal: proc.Signal(sl.signal), Detail: sl.detail,
+			Proc:  proc.GPID{Host: s.hosts[sl.host], PID: sl.pid},
+			Child: proc.GPID{Host: s.hosts[sl.chost], PID: sl.child},
+		}
+		if sl.wide {
+			x := s.wide.at(w)
+			w++
+			ev.Kind, ev.Signal, ev.Rusage = x.kind, x.signal, x.rusage
+		}
+		if !f(ev) {
+			return
+		}
+	}
+}
+
 // Events returns the retained events, oldest first.
-func (s *Store) Events() []proc.Event { return s.ring.Slice() }
+func (s *Store) Events() []proc.Event {
+	out := make([]proc.Event, 0, s.ring.Len())
+	s.each(func(ev proc.Event) bool {
+		out = append(out, ev)
+		return true
+	})
+	return out
+}
 
 // RecordExit preserves the final resource-consumption record of an
 // exited process; these survive event eviction.
@@ -96,31 +227,14 @@ type Query struct {
 
 // Select returns the matching events in time order.
 func (s *Store) Select(q Query) []proc.Event {
-	kindOK := func(k proc.EventKind) bool {
-		if len(q.Kinds) == 0 {
-			return true
-		}
-		for _, want := range q.Kinds {
-			if k == want {
-				return true
-			}
-		}
-		return false
-	}
 	var out []proc.Event
-	for i := 0; i < s.ring.Len(); i++ {
-		ev := s.ring.At(i)
-		if !q.Proc.IsZero() && ev.Proc != q.Proc && ev.Child != q.Proc {
-			continue
+	s.each(func(ev proc.Event) bool {
+		if (q.Proc.IsZero() || ev.Proc == q.Proc || ev.Child == q.Proc) && ev.At >= q.Since &&
+			(len(q.Kinds) == 0 || slices.Contains(q.Kinds, ev.Kind)) {
+			out = append(out, ev)
 		}
-		if ev.At < q.Since || !kindOK(ev.Kind) {
-			continue
-		}
-		out = append(out, ev)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
+		return q.Limit <= 0 || len(out) < q.Limit
+	})
 	return out
 }
 
@@ -182,16 +296,16 @@ func (s *Store) Reduce() Reduction {
 		Dropped:  s.dropped,
 		ExitRecs: len(s.exited),
 	}
-	for i := 0; i < s.ring.Len(); i++ {
-		ev := s.ring.At(i)
+	s.each(func(ev proc.Event) bool {
 		r.Total++
 		r.ByKind[ev.Kind]++
 		r.ByProc[ev.Proc]++
-		if i == 0 {
+		if r.Total == 1 {
 			r.FirstAt = ev.At
 		}
 		r.LastAt = ev.At
-	}
+		return true
+	})
 	return r
 }
 

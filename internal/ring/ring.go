@@ -29,7 +29,7 @@ type Buffer[T any] struct {
 	count int
 }
 
-// chunkLen is the number of slots in a block: 4 KiB of kernel events,
+// chunkLen is the number of slots in a block: 1.5 KiB of history slots,
 // 3.3 KiB of journal entries.
 const chunkLen = 32
 
@@ -97,15 +97,6 @@ func (b *Buffer[T]) Slots() int {
 
 // At returns the i-th retained element, oldest first.
 func (b *Buffer[T]) At(i int) T { return *b.slot((b.start + i) % b.capacity) }
-
-// Slice copies the retained elements out, oldest first.
-func (b *Buffer[T]) Slice() []T {
-	out := make([]T, b.count)
-	for i := range out {
-		out[i] = b.At(i)
-	}
-	return out
-}
 
 // Reset discards every retained element, keeping the slots.
 func (b *Buffer[T]) Reset() { b.start, b.count = 0, 0 }

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -42,9 +41,6 @@ func TestBuffer(t *testing.T) {
 						t.Fatalf("Len after Reset = %d", b.Len())
 					}
 				}
-			}
-			if got := b.Slice(); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("retained %v, want %v", got, tc.want)
 			}
 			if b.Len() != len(tc.want) {
 				t.Fatalf("Len = %d, want %d", b.Len(), len(tc.want))

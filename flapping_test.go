@@ -94,8 +94,8 @@ func TestFlappingLinkAtMostOnce(t *testing.T) {
 		switch r.Kind {
 		case journal.NetFlapDown:
 			downs++
-			if journal.Field(r.Detail, "link") != "a|b" {
-				t.Fatalf("flap record names link %q", journal.Field(r.Detail, "link"))
+			if r.Detail != "link=a|b" {
+				t.Fatalf("flap record details %q, want link=a|b", r.Detail)
 			}
 		case journal.NetFlapUp:
 			ups++

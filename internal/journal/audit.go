@@ -2,9 +2,11 @@ package journal
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ppm/internal/detord"
+	"ppm/internal/proc"
 	"ppm/internal/trace"
 )
 
@@ -77,7 +79,7 @@ func AuditReport(vs []Violation) string {
 }
 
 type auditProc struct {
-	parent string // GPID string of the logical parent, "-" for roots
+	parent proc.GPID // the logical parent, zero for roots
 	exited bool
 }
 
@@ -130,18 +132,43 @@ type userPair struct{ user, a, b string }
 
 func (k userPair) String() string { return k.user + "/" + k.a + "|" + k.b }
 
+// The audit keys records by their slot values, so keying one builds no
+// string: a process is a proc.GPID; ops and sweeps are qualified by
+// their user, as every per-user LPM numbers its own ("u/vax1#30#7").
+type (
+	stamp    Detail // a flood: a FloodStamp's origin (moved to the first slot), time and sequence
+	sweepKey struct {
+		user, origin string
+		seq          int32
+	}
+)
+
+func stampOf(d *Detail) stamp { return stamp{s: [3]string{d.s[1]}, n: d.n, flag: d.flag} }
+
+func (s stamp) String() string { return string((*Detail)(&s).appendFormat(nil, "%s@%v#%d|%s")) }
+
+func (k sweepKey) String() string { return k.user + "/" + k.origin + "#" + strconv.Itoa(int(k.seq)) }
+
+// parseGPID reads a snapshot's GPID back from its String form, "-" as
+// a root's zero parent.
+func parseGPID(s string) (proc.GPID, bool) {
+	i := strings.LastIndexByte(s, ',')
+	pid, err := strconv.ParseInt(strings.TrimSuffix(s[i+1:], ">"), 10, 32)
+	return proc.GPID{Host: strings.TrimPrefix(s[:max(i, 0)], "<"), PID: proc.PID(pid)}, s == "-" || i >= 0 && err == nil
+}
+
 type auditor struct {
 	complete bool
-	procs    map[string]*auditProc
+	procs    map[proc.GPID]*auditProc
 	chans    map[string]*auditChan
 	circuits map[userPair]*auditCircuit       // machine state per (host, peer)
 	estab    map[userPair]map[string]bool     // established chan keys per unordered pair
 	edges    map[string]map[string]*auditEdge // user -> chan -> edge
-	floods   map[string]*auditFlood           // stamp -> flood
-	execs    map[string]string                // op key -> executing host
-	sweeps   map[string]*auditSweep           // user/sweep -> coverage
-	down     map[string]bool                  // hosts crashed and not restarted
-	epoch    int                              // bumped by any event that changes reachability
+	floods   map[stamp]*auditFlood
+	execs    map[string]map[string]string // user -> op -> executing host
+	sweeps   map[sweepKey]*auditSweep
+	down     map[string]bool // hosts crashed and not restarted
+	epoch    int             // bumped by any event that changes reachability
 	out      []Violation
 
 	// The trace audit: the span table when both streams are complete
@@ -153,14 +180,14 @@ type auditor struct {
 func newAuditor(complete bool) *auditor {
 	return &auditor{
 		complete: complete,
-		procs:    make(map[string]*auditProc),
+		procs:    make(map[proc.GPID]*auditProc),
 		chans:    make(map[string]*auditChan),
 		circuits: make(map[userPair]*auditCircuit),
 		estab:    make(map[userPair]map[string]bool),
 		edges:    make(map[string]map[string]*auditEdge),
-		floods:   make(map[string]*auditFlood),
-		execs:    make(map[string]string),
-		sweeps:   make(map[string]*auditSweep),
+		floods:   make(map[stamp]*auditFlood),
+		execs:    make(map[string]map[string]string),
+		sweeps:   make(map[sweepKey]*auditSweep),
 		down:     make(map[string]bool),
 	}
 }
@@ -190,21 +217,23 @@ func (a *auditor) fail(seq uint64, check, format string, args ...any) {
 		Msg: fmt.Sprintf(format, args...)})
 }
 
+// step reads each audited record's slots in its kind's format's order.
 func (a *auditor) step(seq uint64, e *entry) {
-	switch e.d.kind {
+	d := &e.d
+	switch d.kind {
 	case KernelSpawn:
 		// PIDs are never reused per host (the counter survives crashes),
 		// so a spawn always introduces a new identity.
-		a.procs[gpid(e.host, e.d.field("pid"))] = &auditProc{parent: "-"}
+		a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}] = &auditProc{}
 	case KernelFork:
-		a.procs[gpid(e.host, e.d.field("child"))] =
-			&auditProc{parent: gpid(e.host, e.d.field("parent"))}
+		a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[1])}] =
+			&auditProc{parent: proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}}
 	case KernelSetParent:
-		if p, ok := a.procs[gpid(e.host, e.d.field("pid"))]; ok {
-			p.parent = e.d.field("parent")
+		if p, ok := a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}]; ok {
+			p.parent = proc.GPID{Host: d.s[0], PID: proc.PID(d.n[1])}
 		}
 	case KernelExit:
-		key := gpid(e.host, e.d.field("pid"))
+		key := proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}
 		if p, ok := a.procs[key]; ok {
 			p.exited = true
 		} else if a.complete {
@@ -225,7 +254,7 @@ func (a *auditor) step(seq uint64, e *entry) {
 	case CircuitTransition:
 		a.circuitStep(seq, e)
 	case LPMSiblingAuth:
-		key := e.d.field("chan")
+		key := d.s[1]
 		ch := a.chanState(key)
 		ch.auths++
 		if ch.auths > 1 {
@@ -238,7 +267,7 @@ func (a *auditor) step(seq uint64, e *entry) {
 	case LPMFloodOrigin:
 		a.floodOrigin(seq, e)
 	case LPMFloodApply:
-		stamp := e.d.field("stamp")
+		stamp := stampOf(d)
 		fl := a.floodState(stamp)
 		fl.applies[e.host]++
 		if fl.applies[e.host] > 1 {
@@ -249,20 +278,21 @@ func (a *auditor) step(seq uint64, e *entry) {
 			a.fail(seq, "flood", "apply of flood %s with no origin record", stamp)
 		}
 	case LPMFloodDup:
-		a.floodState(e.d.field("stamp")).dups[e.host] = true
+		a.floodState(stampOf(d)).dups[e.host] = true
 	case LPMFloodDone:
 		a.floodDone(seq, e)
 	case LPMOpExec:
-		op := opIdentity(e)
-		if prev, ok := a.execs[op]; ok {
-			a.fail(seq, "dedup", "op %s executed twice (first on %s, again on %s)",
-				op, prev, e.host)
+		user, op := d.s[0], d.s[1]
+		if a.execs[user] == nil {
+			a.execs[user] = make(map[string]string)
 		}
-		a.execs[op] = e.host
+		if prev, ok := a.execs[user][op]; ok {
+			a.fail(seq, "dedup", "op %s/%s executed twice (first on %s, again on %s)", user, op, prev, e.host)
+		}
+		a.execs[user][op] = e.host
 	case LPMOpReplay:
-		op := opIdentity(e)
-		if _, ok := a.execs[op]; !ok && a.complete {
-			a.fail(seq, "dedup", "replay of op %s which was never executed", op)
+		if _, ok := a.execs[d.s[0]][d.s[1]]; !ok && a.complete {
+			a.fail(seq, "dedup", "replay of op %s/%s which was never executed", d.s[0], d.s[1])
 		}
 	case StatusRequest:
 		a.statusRequest(seq, e)
@@ -271,14 +301,8 @@ func (a *auditor) step(seq uint64, e *entry) {
 	}
 }
 
-// sweepKey qualifies a sweep id by its user: per-user LPMs number their
-// sweeps independently.
-func sweepKey(e *entry) string {
-	return e.d.field("user") + "/" + e.d.field("sweep")
-}
-
 func (a *auditor) statusRequest(seq uint64, e *entry) {
-	key := sweepKey(e)
+	key := sweepKey{e.d.s[0], e.d.s[1], e.d.n[0]}
 	if _, ok := a.sweeps[key]; ok {
 		a.fail(seq, "status", "sweep %s requested twice", key)
 		return
@@ -289,7 +313,7 @@ func (a *auditor) statusRequest(seq uint64, e *entry) {
 		reports:   make(map[string]int),
 		downAtReq: make(map[string]bool),
 	}
-	if hosts := e.d.field("hosts"); hosts != "" {
+	if hosts := e.d.s[2]; hosts != "" {
 		for _, h := range strings.Split(hosts, ",") {
 			sw.targets[h] = true
 			if a.down[h] {
@@ -301,7 +325,7 @@ func (a *auditor) statusRequest(seq uint64, e *entry) {
 }
 
 func (a *auditor) statusReport(seq uint64, e *entry) {
-	key := sweepKey(e)
+	key := sweepKey{e.d.s[0], e.d.s[1], e.d.n[0]}
 	sw, ok := a.sweeps[key]
 	if !ok {
 		if a.complete {
@@ -309,7 +333,7 @@ func (a *auditor) statusReport(seq uint64, e *entry) {
 		}
 		return
 	}
-	host := e.d.field("host")
+	host := e.d.s[2]
 	if !sw.targets[host] {
 		a.fail(seq, "status", "sweep %s collected a report from %s, which it never targeted",
 			key, host)
@@ -322,7 +346,7 @@ func (a *auditor) statusReport(seq uint64, e *entry) {
 	}
 	// A host that was already crashed when the sweep started, and never
 	// restarted since, cannot have produced a report.
-	if e.d.field("ok") == "true" && sw.downAtReq[host] {
+	if e.d.flag && sw.downAtReq[host] {
 		a.fail(seq, "status", "sweep %s reports crashed host %s reachable", key, host)
 	}
 }
@@ -331,7 +355,12 @@ func (a *auditor) statusReport(seq uint64, e *entry) {
 // a request record must have resolved each target exactly once. Only
 // meaningful on a complete, quiescent stream.
 func (a *auditor) finishSweeps() {
-	for _, key := range detord.Keys(a.sweeps) {
+	keys := make([]sweepKey, 0, len(a.sweeps))
+	for key := range a.sweeps {
+		keys = append(keys, key)
+	}
+	detord.SortBy(keys, sweepKey.String)
+	for _, key := range keys {
 		sw := a.sweeps[key]
 		for _, h := range detord.Keys(sw.targets) {
 			if sw.reports[h] == 0 {
@@ -343,17 +372,6 @@ func (a *auditor) finishSweeps() {
 	}
 }
 
-// opIdentity keys an at-most-once operation for the dedup invariant.
-// The op field alone is not unique across users: every per-user LPM on
-// a host numbers its own operations independently, so the executing
-// user qualifies the key (user A's op host#inc#1 and user B's op
-// host#inc'#1 must not collide into a false double-execution).
-func opIdentity(e *entry) string {
-	return e.d.field("user") + "/" + e.d.field("op")
-}
-
-func gpid(host, pid string) string { return "<" + host + "," + pid + ">" }
-
 func (a *auditor) chanState(key string) *auditChan {
 	ch, ok := a.chans[key]
 	if !ok {
@@ -363,11 +381,11 @@ func (a *auditor) chanState(key string) *auditChan {
 	return ch
 }
 
-func (a *auditor) floodState(stamp string) *auditFlood {
-	fl, ok := a.floods[stamp]
+func (a *auditor) floodState(st stamp) *auditFlood {
+	fl, ok := a.floods[st]
 	if !ok {
 		fl = &auditFlood{applies: make(map[string]int), dups: make(map[string]bool)}
-		a.floods[stamp] = fl
+		a.floods[st] = fl
 	}
 	return fl
 }
@@ -391,7 +409,8 @@ var legalCircuitSteps = [numCircuitStates]uint8{
 // between the same pair is still up is the cross-dial double-circuit
 // bug the tie-break exists to prevent.
 func (a *auditor) circuitStep(seq uint64, e *entry) {
-	user, peer, ck, from, to := e.d.circuit()
+	user, peer, ck := e.d.s[0], e.d.s[1], e.d.s[2]
+	from, to := CircuitState(e.d.n[0]>>8), CircuitState(e.d.n[0])
 	key := userPair{user, e.host, peer}
 	c, ok := a.circuits[key]
 	if !ok {
@@ -492,13 +511,13 @@ func (a *auditor) hostDown(host string) {
 
 func (a *auditor) siblingOpen(seq uint64, e *entry) {
 	a.epoch++
-	key, user, peer := e.d.field("chan"), e.d.field("user"), e.d.field("peer")
+	user, peer, key := e.d.s[0], e.d.s[1], e.d.s[2]
 	ch := a.chanState(key)
 	if ch.opened[e.host] {
 		a.fail(seq, "circuit", "channel %s opened twice by %s", key, e.host)
 	}
 	ch.opened[e.host] = true
-	if a.complete && e.d.field("role") == "server" && ch.auths == 0 {
+	if a.complete && e.d.flag && ch.auths == 0 { // the server end
 		a.fail(seq, "circuit", "channel %s opened by %s before authentication", key, e.host)
 	}
 	if a.edges[user] == nil {
@@ -514,7 +533,7 @@ func (a *auditor) siblingOpen(seq uint64, e *entry) {
 
 func (a *auditor) siblingClose(seq uint64, e *entry) {
 	a.epoch++
-	key, user := e.d.field("chan"), e.d.field("user")
+	user, key := e.d.s[0], e.d.s[2]
 	ch := a.chanState(key)
 	if a.complete && !ch.opened[e.host] {
 		a.fail(seq, "circuit", "channel %s closed by %s without an open record", key, e.host)
@@ -532,7 +551,7 @@ func (a *auditor) siblingClose(seq uint64, e *entry) {
 }
 
 func (a *auditor) floodOrigin(seq uint64, e *entry) {
-	stamp, user := e.d.field("stamp"), e.d.field("user")
+	stamp, user := stampOf(&e.d), e.d.s[0]
 	fl := a.floodState(stamp)
 	if fl.origind {
 		a.fail(seq, "flood", "flood %s originated twice", stamp)
@@ -561,7 +580,7 @@ func (a *auditor) reachable(user, origin string) []string {
 }
 
 func (a *auditor) floodDone(seq uint64, e *entry) {
-	stamp := e.d.field("stamp")
+	stamp := stampOf(&e.d)
 	fl, ok := a.floods[stamp]
 	if !ok || !fl.origind {
 		if a.complete {
@@ -571,7 +590,8 @@ func (a *auditor) floodDone(seq uint64, e *entry) {
 	}
 	if a.complete {
 		// Every host the flood reports covering must have applied it.
-		if hosts := e.d.field("hosts"); hosts != "" {
+		// Both of the record's lists ride in one slot (FloodDone).
+		if hosts, _, _ := strings.Cut(e.d.s[2], " partial="); hosts != "" {
 			for _, h := range strings.Split(hosts, ",") {
 				if fl.applies[h] == 0 {
 					a.fail(seq, "flood", "flood %s reports host %s but no apply record", stamp, h)
@@ -599,7 +619,7 @@ func (a *auditor) checkSnapshot(seq uint64, e *entry) {
 	if !a.complete {
 		return // creation records may have been evicted
 	}
-	procs := e.d.field("procs")
+	procs := e.d.s[1]
 	if procs == "" {
 		return
 	}
@@ -609,14 +629,18 @@ func (a *auditor) checkSnapshot(seq uint64, e *entry) {
 			continue
 		}
 		parent, state, _ := strings.Cut(rest, "|")
-		p, known := a.procs[id]
-		if !known {
+		key, ok := parseGPID(id)
+		p, known := a.procs[key]
+		if !ok || !known {
 			a.fail(seq, "genealogy", "snapshot lists %s which was never created", id)
 			continue
 		}
-		if p.parent != parent {
-			a.fail(seq, "genealogy", "snapshot parent of %s is %s, journal says %s",
-				id, parent, p.parent)
+		if pp, ok := parseGPID(parent); !ok || p.parent != pp {
+			journal := "-"
+			if !p.parent.IsZero() {
+				journal = p.parent.String()
+			}
+			a.fail(seq, "genealogy", "snapshot parent of %s is %s, journal says %s", id, parent, journal)
 		}
 		if state == "exited" && !p.exited {
 			a.fail(seq, "genealogy", "snapshot reports %s exited but journal has no exit record", id)

@@ -1,19 +1,28 @@
 package journal
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// ctRec builds one circuit.transition record in the wire format the
-// LPM journals (see lpm.circuitTransition).
-func ctRec(seq uint64, host, peer, chanKey, from, to, reason string) Record {
-	return Record{Seq: seq, Kind: CircuitTransition, Host: host,
-		Detail: "user=u peer=" + peer + " chan=" + chanKey +
-			" from=" + from + " to=" + to + " reason=" + reason}
+// ctRec builds one circuit.transition record as the LPM journals it
+// (see lpm.circuitTransition): states by name, a suspicion's level
+// suffixed to its reason.
+func ctRec(seq uint64, host, peer, chanKey, from, to, reason string) testRecord {
+	state := func(name string) CircuitState { return CircuitState(slices.Index(circuitStateNames[:], name)) }
+	level := 0
+	if i := strings.LastIndexByte(reason, '-'); i >= 0 {
+		if n, err := strconv.Atoi(reason[i+1:]); err == nil {
+			reason, level = reason[:i], n
+		}
+	}
+	return testRecord{Seq: seq, Kind: CircuitTransition, Host: host,
+		Detail: CircuitStep("u", peer, chanKey, state(from), state(to), reason, level)}
 }
 
-func lifecycleViolations(t *testing.T, recs []Record) []Violation {
+func lifecycleViolations(t *testing.T, recs []testRecord) []Violation {
 	t.Helper()
 	var out []Violation
 	for _, v := range AuditRecords(recs, true) {
@@ -28,7 +37,7 @@ func lifecycleViolations(t *testing.T, recs []Record) []Violation {
 // recover, close — audits clean from both endpoints' perspectives.
 func TestAuditCircuitLegalLifecycleClean(t *testing.T) {
 	ch := "vax1:701->vax2:700"
-	recs := []Record{
+	recs := []testRecord{
 		ctRec(1, "vax1", "vax2", "-", "idle", "dialing", "dial"),
 		ctRec(2, "vax1", "vax2", ch, "dialing", "authenticating", "hello"),
 		ctRec(3, "vax2", "vax1", ch, "idle", "authenticating", "hello-in"),
@@ -47,8 +56,8 @@ func TestAuditCircuitLegalLifecycleClean(t *testing.T) {
 // An edge outside the legal table — Idle jumping straight to
 // Established without dialing or authenticating — must be flagged.
 func TestAuditCircuitIllegalEdge(t *testing.T) {
-	recs := []Record{
-		ctRec(1, "vax1", "vax2", "vax1:701->vax2:700", "idle", "established", "magic"),
+	recs := []testRecord{
+		ctRec(1, "vax1", "vax2", "vax1:701->vax2:700", "idle", "established", "auth-client"),
 	}
 	vs := lifecycleViolations(t, recs)
 	if len(vs) == 0 {
@@ -62,7 +71,7 @@ func TestAuditCircuitIllegalEdge(t *testing.T) {
 // A record whose declared from-state disagrees with the machine's
 // replayed state means a transition was skipped or fabricated.
 func TestAuditCircuitContinuityBreak(t *testing.T) {
-	recs := []Record{
+	recs := []testRecord{
 		ctRec(1, "vax1", "vax2", "-", "idle", "dialing", "dial"),
 		// Machine is in dialing, but the record claims established.
 		ctRec(2, "vax1", "vax2", "x", "established", "closed", "close"),
@@ -80,7 +89,7 @@ func TestAuditCircuitContinuityBreak(t *testing.T) {
 // same time is the cross-dial double-circuit bug.
 func TestAuditCircuitDoubleEstablished(t *testing.T) {
 	chA, chB := "vax1:701->vax2:700", "vax2:702->vax1:700"
-	recs := []Record{
+	recs := []testRecord{
 		ctRec(1, "vax1", "vax2", chA, "idle", "authenticating", "hello"),
 		ctRec(2, "vax1", "vax2", chA, "authenticating", "established", "auth-client"),
 		ctRec(3, "vax2", "vax1", chB, "idle", "authenticating", "hello"),
@@ -96,7 +105,7 @@ func TestAuditCircuitDoubleEstablished(t *testing.T) {
 
 	// Same two channels, but the first closes before the second
 	// establishes (a supersede) — legal, must stay clean.
-	recs = []Record{
+	recs = []testRecord{
 		ctRec(1, "vax1", "vax2", chA, "idle", "authenticating", "hello"),
 		ctRec(2, "vax1", "vax2", chA, "authenticating", "established", "auth-client"),
 		ctRec(3, "vax1", "vax2", chA, "established", "closed", "superseded"),
@@ -113,7 +122,7 @@ func TestAuditCircuitDoubleEstablished(t *testing.T) {
 // raised suspicion and then never resolved it either way.
 func TestAuditCircuitUnresolvedSuspect(t *testing.T) {
 	ch := "vax1:701->vax2:700"
-	recs := []Record{
+	recs := []testRecord{
 		ctRec(1, "vax1", "vax2", ch, "idle", "authenticating", "hello"),
 		ctRec(2, "vax1", "vax2", ch, "authenticating", "established", "auth-client"),
 		ctRec(3, "vax1", "vax2", ch, "established", "suspect", "suspicion-2"),
@@ -141,12 +150,12 @@ func TestAuditCircuitUnresolvedSuspect(t *testing.T) {
 // close records, and the post-restart lifecycle starts over from Idle.
 func TestAuditCircuitCrashResets(t *testing.T) {
 	ch := "vax1:701->vax2:700"
-	recs := []Record{
+	recs := []testRecord{
 		ctRec(1, "vax1", "vax2", ch, "idle", "authenticating", "hello"),
 		ctRec(2, "vax1", "vax2", ch, "authenticating", "established", "auth-client"),
 		ctRec(3, "vax2", "vax1", ch, "idle", "authenticating", "hello-in"),
 		ctRec(4, "vax2", "vax1", ch, "authenticating", "established", "auth-server"),
-		{Seq: 5, Kind: NetHostCrash, Host: "vax1", Detail: ""},
+		{Seq: 5, Kind: NetHostCrash, Host: "vax1"},
 		// vax2 sees the break and closes; vax1 restarts from idle
 		// without ever journaling a close for the dead circuit.
 		ctRec(6, "vax2", "vax1", ch, "established", "closed", "peer-lost"),

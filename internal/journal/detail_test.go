@@ -2,6 +2,7 @@ package journal_test
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,20 +11,22 @@ import (
 	"ppm/internal/wire"
 )
 
-// rendered appends d and reads its detail back the way every reader
-// does.
-func rendered(d journal.Detail) string {
+// rendered appends d under kind and reads its detail back the way
+// every reader does.
+func rendered(kind journal.Kind, d journal.Detail) string {
 	j := journal.New(func() time.Duration { return 0 })
-	j.AppendDetail(journal.NetSend, "h", d, 0, 0)
+	j.AppendDetail(kind, "h", d, 0, 0)
 	return j.Records()[0].Detail
 }
 
-// Every layout renders exactly what the fmt call it replaced produced.
+// Every constructor renders exactly what the fmt call it replaced
+// produced at its sites.
 func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
+	kind := journal.NetSend
 	check := func(d journal.Detail, format string, args ...any) {
 		t.Helper()
-		if got, want := rendered(d), fmt.Sprintf(format, args...); got != want {
-			t.Errorf("rendered %q, the format gave %q", got, want)
+		if got, want := rendered(kind, d), fmt.Sprintf(format, args...); got != want {
+			t.Errorf("%v rendered %q, the format gave %q", kind, got, want)
 		}
 	}
 	check(journal.Text("groups=a,b|c"), "%s", "groups=a,b|c")
@@ -43,24 +46,88 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 
 	// Every manifest name, and the fallback on both sides of it.
 	for mt := wire.MsgType(0); mt < 48; mt++ {
-		for _, size := range []int{0, 37, 10000, 123456} {
-			check(journal.WireFrame(mt.String(), size), "%s %dB", mt, size)
+		for _, kind = range []journal.Kind{journal.WireEncode, journal.WireDecode} {
+			for _, size := range []int{0, 37, 10000, 123456} {
+				check(journal.WireFrame(mt.String(), size), "%s %dB", mt, size)
+			}
 		}
-		check(journal.Op("felipe", wire.OpKey("vax1", 30, 7), mt.String()),
-			"user=%s op=%s type=%v", "felipe", wire.OpKey("vax1", 30, 7), mt)
+		for _, kind = range []journal.Kind{journal.LPMOpExec, journal.LPMOpReplay} {
+			check(journal.Op("felipe", wire.OpKey("vax1", 30, 7), mt.String()),
+				"user=%s op=%s type=%v", "felipe", wire.OpKey("vax1", 30, 7), mt)
+		}
 	}
 
-	for kind := proc.EventKind(0); kind <= proc.EvClose+1; kind++ {
+	kind = journal.KernelEvent
+	for ev := proc.EventKind(0); ev <= proc.EvClose+1; ev++ {
 		for _, id := range []proc.GPID{{Host: "vax1", PID: 6}, {Host: "h24", PID: 12345}} {
-			check(journal.EventMessage(kind.String(), id.Host, int32(id.PID)), "%s proc=%s", kind, id)
+			check(journal.EventMessage(ev.String(), id.Host, int32(id.PID)), "%s proc=%s", ev, id)
+		}
+	}
+
+	// The process lifecycle, what the kernel's sites formatted.
+	for _, pid := range []proc.PID{1, 6, 1<<31 - 1} {
+		kind = journal.KernelSpawn
+		check(journal.Spawn(int32(pid), "worker", "felipe"), "pid=%d name=%s user=%s", pid, "worker", "felipe")
+		kind = journal.KernelFork
+		check(journal.Fork(int32(pid), int32(pid)+1, "sh"), "parent=%d child=%d name=%s", pid, pid+1, "sh")
+		kind = journal.KernelSetParent
+		check(journal.SetParent(int32(pid), "", 0), "pid=%d parent=%s", pid, "-")
+		check(journal.SetParent(int32(pid), "vax2", 5), "pid=%d parent=%s", pid, proc.GPID{Host: "vax2", PID: 5})
+		kind = journal.KernelExit
+		for _, code := range []int{0, 1, 137} {
+			check(journal.Exit(int32(pid), int32(code), ""), "pid=%d code=%d", pid, code)
+			for _, sig := range []proc.Signal{proc.SIGKILL, proc.SIGTERM, proc.SIGINT} {
+				check(journal.Exit(int32(pid), int32(code), sig.String()), "pid=%d code=%d sig=%v", pid, code, sig)
+			}
+		}
+	}
+
+	// The sibling circuits and sweeps, what lpm's sites formatted.
+	const chanKey = "vax2:10003->vax1:2002"
+	kind = journal.LPMSiblingAuth
+	check(journal.SiblingAuth("felipe", chanKey, "vax2"), "user=%s chan=%s from=%s", "felipe", chanKey, "vax2")
+	kind = journal.LPMSiblingOpen
+	for _, role := range []string{"client", "server"} {
+		check(journal.SiblingOpen("felipe", "vax2", chanKey, role == "server"),
+			"user=%s peer=%s chan=%s role=%s", "felipe", "vax2", chanKey, role)
+	}
+	kind = journal.LPMSiblingClose
+	check(journal.SiblingClose("felipe", "vax2", chanKey), "user=%s peer=%s chan=%s", "felipe", "vax2", chanKey)
+	kind = journal.SnapshotTaken
+	for _, partial := range []string{"", "vax3,vax4"} {
+		const procs = "<vax1,7>|<vax1,6>|running;<vax1,6>|-|exited"
+		check(journal.Snapshot("felipe", procs, partial), "user=%s procs=%s partial=%s", "felipe", procs, partial)
+	}
+	for _, seq := range []uint64{1, 12, 1<<31 - 1} {
+		sweep := fmt.Sprintf("%s#%d", "vax1", seq)
+		kind = journal.StatusRequest
+		for _, hosts := range []string{"", "vax1,vax2,vax3"} {
+			check(journal.SweepRequest("felipe", "vax1", int32(seq), hosts), "user=%s sweep=%s hosts=%s", "felipe", sweep, hosts)
+		}
+		kind = journal.StatusReport
+		for _, ok := range []bool{true, false} {
+			check(journal.SweepReport("felipe", "vax1", int32(seq), "vax2", ok),
+				"user=%s sweep=%s host=%s ok=%s", "felipe", sweep, "vax2", strconv.FormatBool(ok))
 		}
 	}
 
 	// The stamp of a flood hop, what lpm's stampID rendered through
-	// Sprintf; the last seq is past the slot and takes the Text fallback.
+	// Sprintf, and the origin and done records that extend it; the last
+	// seq is past the slot and rides whole in the origin's.
 	for _, at := range []time.Duration{0, 1500 * time.Microsecond, 2*time.Minute + 3*time.Second + 1, 3 * time.Hour} {
 		for _, seq := range []uint64{1, 1<<31 - 1, 1 << 31} {
-			check(journal.FloodStamp("felipe", "h23", at, seq), "user=%s stamp=%s@%v#%d", "felipe", "h23", at, seq)
+			stamp := journal.FloodStamp("felipe", "h23", at, seq)
+			for _, kind = range []journal.Kind{journal.LPMFloodApply, journal.LPMFloodDup} {
+				check(stamp, "user=%s stamp=%s@%v#%d", "felipe", "h23", at, seq)
+			}
+			kind = journal.LPMFloodOrigin
+			check(journal.FloodOrigin(stamp, wire.MsgSnapshotReq.String()),
+				"user=%s stamp=%s@%v#%d inner=%v", "felipe", "h23", at, seq, wire.MsgSnapshotReq)
+			kind = journal.LPMFloodDone
+			for _, lists := range [][2]string{{"", ""}, {"h01,h23", ""}, {"h23", "h02,h05"}} {
+				check(journal.FloodDone(stamp, lists[0], lists[1]),
+					"user=%s stamp=%s@%v#%d hosts=%s partial=%s", "felipe", "h23", at, seq, lists[0], lists[1])
+			}
 		}
 	}
 
@@ -70,6 +137,7 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 	reasons := []string{"dial", "dial-failed", "hello", "hello-in", "auth-client", "auth-server",
 		"suspicion", "traffic", "detector", "close", "peer-lost", "superseded", "exit"}
 	const format = "user=%s peer=%s chan=%s from=%s to=%s reason=%s"
+	kind = journal.CircuitTransition
 	for from := journal.CircuitIdle; from <= journal.CircuitClosed+1; from++ {
 		for to := journal.CircuitIdle; to <= journal.CircuitClosed+1; to++ {
 			for _, reason := range reasons {
@@ -83,6 +151,7 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 	check(journal.CircuitStep("felipe", "h23", "-", journal.CircuitIdle, journal.CircuitDialing, "dial", 0),
 		format, "felipe", "h23", "-", "idle", "dialing", "dial")
 
+	kind = journal.LPMControl
 	for op := wire.ControlOp(0); op <= wire.OpSignal+1; op++ {
 		for _, pid := range []proc.PID{0, 6, 12345} {
 			for _, ok := range []bool{true, false} {
@@ -113,7 +182,7 @@ func TestDetailIsASnapshotOfItsValues(t *testing.T) {
 func TestSelectRendersOnlyMatches(t *testing.T) {
 	j := journal.New(func() time.Duration { return 0 })
 	for i := 0; i < 100; i++ {
-		j.AppendDetail(journal.NetSend, "a", journal.WireFrame("Control", i), 0, 0)
+		j.AppendDetail(journal.WireEncode, "a", journal.WireFrame("Control", i), 0, 0)
 	}
 	j.AppendDetail(journal.WireEncode, "b", journal.WireFrame("Control", 37), 0, 0)
 	wire, err := journal.ParseKinds("wire")

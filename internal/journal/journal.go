@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
 	"unicode/utf8"
 
 	"ppm/internal/ring"
@@ -137,60 +136,61 @@ const (
 )
 
 // kindTable is the vocabulary, indexed by kind: the dotted name a record
-// renders under (grouped by the layer that appends it) and the metrics
-// counter that counts the same fact. Recorder.Record bumps that counter
-// at the moment it appends the record, so the two can never disagree
-// (TestJournalMetricsCrossCheck holds every row to that). A "*" stands
-// for the record's first detail token — the transport of a net.send,
-// the event kind of a kernel.event. Kinds without a counter are
-// journaled only; wire.encode's per-type counters derive from the wire
-// manifest instead.
-var kindTable = [numKinds]struct{ name, counter string }{
-	NetSend:           {"net.send", "simnet.*.sent"},
-	NetDeliver:        {"net.deliver", ""},
-	NetDrop:           {"net.drop", "simnet.*.dropped"},
-	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened"},
-	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed"},
-	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken"},
-	NetHostCrash:      {"net.host.crash", "simnet.host.crashes"},
-	NetHostRestart:    {"net.host.restart", "simnet.host.restarts"},
-	NetPartition:      {"net.partition", "simnet.partition.events"},
-	NetHeal:           {"net.heal", "simnet.partition.heals"},
-	NetFlapDown:       {"net.flap.down", "simnet.flap.downs"},
-	NetFlapUp:         {"net.flap.up", "simnet.flap.ups"},
-	WireEncode:        {"wire.encode", ""},
-	WireDecode:        {"wire.decode", ""},
-	KernelSpawn:       {"kernel.spawn", "kernel.spawns"},
-	KernelFork:        {"kernel.fork", "kernel.forks"},
-	KernelExit:        {"kernel.exit", "kernel.exits"},
-	KernelSetParent:   {"kernel.setparent", ""},
-	KernelEvent:       {"kernel.event", "kernel.events.*"},
-	DaemonQuery:       {"daemon.query", "daemon.queries"},
-	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures"},
-	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found"},
-	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created"},
-	LPMAdopt:          {"lpm.adopt", "lpm.adoptions"},
-	LPMControl:        {"lpm.control", ""},
-	LPMSiblingAuth:    {"lpm.sibling.auth", ""},
-	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened"},
-	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed"},
-	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected"},
-	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated"},
-	LPMFloodApply:     {"lpm.flood.apply", ""},
-	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits"},
-	LPMFloodDone:      {"lpm.flood.done", ""},
-	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated"},
-	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded"},
-	LPMRetry:          {"lpm.request.retry", "lpm.request.retries"},
-	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts"},
-	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials"},
-	LPMOpExec:         {"lpm.op.exec", ""},
-	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays"},
-	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions"},
-	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards"},
-	SnapshotTaken:     {"snapshot", ""},
-	StatusRequest:     {"status.request", "lpm.status.sweeps"},
-	StatusReport:      {"status.report", ""},
+// renders under (grouped by the layer that appends it), the metrics
+// counter that counts the same fact, and the format of a detail of fixed
+// fields, which is written in slots, never as text, and which the audit
+// reads. Recorder.Record bumps that counter at the moment it appends the
+// record, so the two can never disagree (TestJournalMetricsCrossCheck).
+// A "*" stands for the record's first detail token — the transport of a
+// net.send, the event kind of a kernel.event. Kinds without a counter
+// are journaled only; wire.encode's per-type counters derive from the
+// wire manifest instead.
+var kindTable = [numKinds]struct{ name, counter, format string }{
+	NetSend:           {"net.send", "simnet.*.sent", ""},
+	NetDeliver:        {"net.deliver", "", ""},
+	NetDrop:           {"net.drop", "simnet.*.dropped", ""},
+	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened", ""},
+	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed", ""},
+	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken", ""},
+	NetHostCrash:      {"net.host.crash", "simnet.host.crashes", ""},
+	NetHostRestart:    {"net.host.restart", "simnet.host.restarts", ""},
+	NetPartition:      {"net.partition", "simnet.partition.events", ""},
+	NetHeal:           {"net.heal", "simnet.partition.heals", ""},
+	NetFlapDown:       {"net.flap.down", "simnet.flap.downs", ""},
+	NetFlapUp:         {"net.flap.up", "simnet.flap.ups", ""},
+	WireEncode:        {"wire.encode", "", "%s %dB"},
+	WireDecode:        {"wire.decode", "", "%s %dB"},
+	KernelSpawn:       {"kernel.spawn", "kernel.spawns", "pid=%d name=%s user=%s"},
+	KernelFork:        {"kernel.fork", "kernel.forks", "parent=%d child=%d name=%s"},
+	KernelExit:        {"kernel.exit", "kernel.exits", "pid=%d code=%d|pid=%d code=%d sig=%s"},
+	KernelSetParent:   {"kernel.setparent", "", "pid=%d parent=-|pid=%d parent=<%s,%d>"},
+	KernelEvent:       {"kernel.event", "kernel.events.*", "%s proc=<%s,%d>"},
+	DaemonQuery:       {"daemon.query", "daemon.queries", ""},
+	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures", ""},
+	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found", ""},
+	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created", ""},
+	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", ""},
+	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t"},
+	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s"},
+	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client|user=%s peer=%s chan=%s role=server"},
+	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s"},
+	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", ""},
+	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s|user=%s stamp=%s inner=%s"},
+	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d|user=%s stamp=%s"},
+	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits", "user=%s stamp=%s@%v#%d|user=%s stamp=%s"},
+	LPMFloodDone:      {"lpm.flood.done", "", "user=%s stamp=%s@%v#%d hosts=%s|user=%s stamp=%s hosts=%s"},
+	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated", ""},
+	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded", ""},
+	LPMRetry:          {"lpm.request.retry", "lpm.request.retries", ""},
+	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts", ""},
+	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials", ""},
+	LPMOpExec:         {"lpm.op.exec", "", "user=%s op=%s type=%s"},
+	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays", "user=%s op=%s type=%s"},
+	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions", "user=%s peer=%s chan=%s from=%s to=%s reason=%s"},
+	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards", ""},
+	SnapshotTaken:     {"snapshot", "", "user=%s procs=%s partial=%s"},
+	StatusRequest:     {"status.request", "lpm.status.sweeps", "user=%s sweep=%s#%d hosts=%s"},
+	StatusReport:      {"status.report", "", "user=%s sweep=%s#%d host=%s ok=%t"},
 }
 
 // CounterName returns the name of the metrics counter paired with
@@ -208,15 +208,15 @@ func CounterName(k Kind, token string) string {
 // Detail is a record's detail as data: a layout and the few values it
 // renders, copied in by the constructors below at the instant of the
 // append. Nothing is formatted until a reader asks for the record, so
-// only values — strings, which are immutable, and integers — may ride
-// in a Detail; a site whose detail reads mutable state (a process
-// table, a host list) renders it at append and hands over the text.
+// only values may ride in a Detail; a site whose detail reads mutable
+// state (a process table, a host list) renders it at the append, and
+// only when the recorder has a journal (Recorder.Journal() != nil).
 type Detail struct {
-	text, s1, s2 string
-	n1, n2, n3   int32 // ports, pids and frame sizes all fit
-	layout       layout
-	flag         bool
-	kind         Kind // set by AppendDetail, not by constructors: it rides in the padding so a ring entry stays 104 bytes
+	s      [3]string
+	n      [3]int32 // ports, pids, frame sizes and sequences all fit
+	layout layout
+	flag   bool
+	kind   Kind // set by AppendDetail, not by constructors: it rides in the padding so a ring entry stays 104 bytes
 }
 
 // layout selects how appendTo renders a Detail's slots.
@@ -224,12 +224,8 @@ type layout uint8
 
 const (
 	layoutText layout = iota
+	layoutFormat
 	layoutNetMessage
-	layoutWireFrame
-	layoutEventMessage
-	layoutControl
-	layoutOp
-	layoutFloodStamp
 	layoutCircuit
 )
 
@@ -242,85 +238,88 @@ func transport(circuit bool) string {
 	return "datagram"
 }
 
-// appendTo is the layout table: it renders each layout append-style to
-// exactly the text the fmt call it replaced produced (quoted on each
-// row), so every golden journal reads as it always did; the audit reads
-// the slots instead (field, circuit). A switch rather than a table of
-// funcs: through an indirect call the entry and the buffer would escape
-// to the heap on every render.
+// appendTo renders d append-style to exactly the text the fmt call it
+// replaced produced, so every golden journal reads as it always did; the
+// audit reads the slots instead. A detail of fixed fields renders its
+// kind's format; two layouts render theirs by hand: a message's optional
+// note, a circuit step's vocabulary indices. A switch rather than a
+// table of funcs: through an indirect call the entry and the buffer
+// would escape to the heap on every render.
 func (d *Detail) appendTo(b []byte) []byte {
 	switch d.layout {
+	case layoutFormat:
+		return d.appendFormat(b, kindTable[d.kind].format)
 	case layoutNetMessage:
 		// "%s %s:%d->%s:%d %dB" transport, from, to, size; " "+note if any.
 		b = append(append(b, transport(d.flag)...), ' ')
-		b = appendHostInt(b, d.s1, ':', d.n1)
-		b = append(b, "->"...)
-		b = appendHostInt(b, d.s2, ':', d.n2)
-		b = append(strconv.AppendInt(append(b, ' '), int64(d.n3), 10), 'B')
-		if d.text != "" {
-			b = append(append(b, ' '), d.text...)
+		b = strconv.AppendInt(append(append(b, d.s[1]...), ':'), int64(d.n[0]), 10)
+		b = strconv.AppendInt(append(append(append(b, "->"...), d.s[2]...), ':'), int64(d.n[1]), 10)
+		b = append(strconv.AppendInt(append(b, ' '), int64(d.n[2]), 10), 'B')
+		if d.s[0] != "" {
+			b = append(append(b, ' '), d.s[0]...)
 		}
 		return b
-	case layoutWireFrame:
-		// "%s %dB" message type, frame size.
-		b = append(append(b, d.s1...), ' ')
-		return append(strconv.AppendInt(b, int64(d.n1), 10), 'B')
-	case layoutEventMessage:
-		// "%s proc=<%s,%d>" event kind, process host and pid.
-		b = append(append(b, d.s1...), " proc=<"...)
-		return append(appendHostInt(b, d.s2, ',', d.n1), '>')
-	case layoutControl:
-		// "op=%s pid=%d ok=%t"
-		b = append(append(b, "op="...), d.s1...)
-		b = strconv.AppendInt(append(b, " pid="...), int64(d.n1), 10)
-		return strconv.AppendBool(append(b, " ok="...), d.flag)
-	case layoutOp:
-		// "user=%s op=%s type=%s"
-		b = append(append(b, "user="...), d.text...)
-		b = append(append(b, " op="...), d.s1...)
-		return append(append(b, " type="...), d.s2...)
-	case layoutFloodStamp:
-		// "user=%s stamp=%s@%v#%d" user, origin, mint time (n1, n2), sequence.
-		b = append(append(b, "user="...), d.text...)
-		return d.appendStamp(append(b, " stamp="...))
 	case layoutCircuit:
-		// "user=%s peer=%s chan=%s from=%s to=%s reason=%s", n1 from<<8|to, n2 reason, n3 level.
-		b = append(append(b, "user="...), d.text...)
-		b = append(append(b, " peer="...), d.s1...)
-		b = append(append(b, " chan="...), d.s2...)
-		b = append(append(b, " from="...), CircuitState(d.n1>>8).String()...)
-		b = append(append(b, " to="...), CircuitState(d.n1).String()...)
-		b = append(append(b, " reason="...), circuitReasons[d.n2]...)
-		if d.n3 != 0 {
-			b = strconv.AppendInt(append(b, '-'), int64(d.n3), 10)
+		// n0 from<<8|to, n1 reason, n2 level: a nonzero level suffixes the reason.
+		b = append(append(b, "user="...), d.s[0]...)
+		b = append(append(b, " peer="...), d.s[1]...)
+		b = append(append(b, " chan="...), d.s[2]...)
+		b = append(append(b, " from="...), CircuitState(d.n[0]>>8).String()...)
+		b = append(append(b, " to="...), CircuitState(d.n[0]).String()...)
+		b = append(append(b, " reason="...), circuitReasons[d.n[1]]...)
+		if d.n[2] != 0 {
+			b = strconv.AppendInt(append(b, '-'), int64(d.n[2]), 10)
 		}
 		return b
 	default:
 		// layoutText: the cold sites' ready string, verbatim.
-		return append(b, d.text...)
+		return append(b, d.s[0]...)
 	}
 }
 
-func appendHostInt(b []byte, host string, sep byte, n int32) []byte {
-	return strconv.AppendInt(append(append(b, host...), sep), int64(n), 10)
+// appendFormat renders f, a kindTable format, over d's slots: %s takes
+// the next string slot, %d the next int32 slot, %v the next two as a
+// time.Duration, %t the flag. Of a format "a|b" the flag picks b, its
+// absence a.
+func (d *Detail) appendFormat(b []byte, f string) []byte {
+	f, set, alt := strings.Cut(f, "|")
+	if alt && d.flag {
+		f = set
+	}
+	si, ni := 0, 0
+	for {
+		i := strings.IndexByte(f, '%')
+		if i < 0 || i+1 == len(f) {
+			return append(b, f...)
+		}
+		b = append(b, f[:i]...)
+		switch f[i+1] {
+		case 's':
+			b = append(b, d.s[si]...)
+			si++
+		case 'd':
+			b = strconv.AppendInt(b, int64(d.n[ni]), 10)
+			ni++
+		case 'v':
+			b = append(b, time.Duration(int64(d.n[ni])<<32|int64(uint32(d.n[ni+1]))).String()...)
+			ni += 2
+		case 't':
+			b = strconv.AppendBool(b, d.flag)
+		}
+		f = f[i+2:]
+	}
 }
 
-// appendStamp renders a FloodStamp's stamp: origin@mint time#sequence.
-func (d *Detail) appendStamp(b []byte) []byte {
-	b = append(append(b, d.s1...), '@')
-	b = append(b, time.Duration(int64(d.n1)<<32|int64(uint32(d.n2))).String()...)
-	return strconv.AppendInt(append(b, '#'), int64(d.n3), 10)
-}
-
-// Text is a detail already rendered by its site.
-func Text(s string) Detail { return Detail{text: s} }
+// Text is a detail already rendered by its site, for a kind without a
+// format.
+func Text(s string) Detail { return Detail{s: [3]string{s}} }
 
 // NetMessage details one message or circuit event between two
 // endpoints: "circuit vax1:7->vax2:512 14B", then the drop reason if
 // note is not empty.
 func NetMessage(circuit bool, fromHost string, fromPort uint16, toHost string, toPort uint16, size int, note string) Detail {
-	return Detail{layout: layoutNetMessage, flag: circuit, text: note,
-		s1: fromHost, n1: int32(fromPort), s2: toHost, n2: int32(toPort), n3: int32(size)}
+	return Detail{layout: layoutNetMessage, flag: circuit, s: [3]string{note, fromHost, toHost},
+		n: [3]int32{int32(fromPort), int32(toPort), int32(size)}}
 }
 
 // Flow is one directed host pair's traffic over a stretch of the
@@ -353,18 +352,18 @@ func (j *Journal) Flows(after uint64) (flows []Flow, evicted uint64) {
 		if d.layout != layoutNetMessage || (d.kind != NetSend && d.kind != NetDrop) {
 			continue
 		}
-		pair := [2]string{d.s1, d.s2}
+		pair := [2]string{d.s[1], d.s[2]}
 		k, ok := index[pair]
 		if !ok {
 			k = len(flows)
 			index[pair] = k
-			flows = append(flows, Flow{From: d.s1, To: d.s2})
+			flows = append(flows, Flow{From: d.s[1], To: d.s[2]})
 		}
 		if d.kind == NetDrop {
 			flows[k].Drops++
 		} else {
 			flows[k].Msgs++
-			flows[k].Bytes += int(d.n3)
+			flows[k].Bytes += int(d.n[2])
 		}
 	}
 	slices.SortFunc(flows, func(a, b Flow) int {
@@ -373,37 +372,61 @@ func (j *Journal) Flows(after uint64) (flows []Flow, evicted uint64) {
 	return flows, evicted
 }
 
-// WireFrame details one encoded or decoded frame: "Control 37B".
-func WireFrame(msgType string, size int) Detail {
-	return Detail{layout: layoutWireFrame, s1: msgType, n1: int32(size)}
+// The constructors of the kinds with a format fill the slots in the
+// order the kind's format reads them (kindTable). A zero parent is a
+// root's ("-"); server says which end of a circuit the record's host
+// holds; a sweep is named by its origin and its number there.
+func fixed(s0, s1, s2 string, n0, n1 int32, flag bool) Detail {
+	return Detail{layout: layoutFormat, s: [3]string{s0, s1, s2}, n: [3]int32{n0, n1}, flag: flag}
 }
 
-// EventMessage details one kernel-to-LPM event message: "stop
-// proc=<vax1,6>".
+func WireFrame(msgType string, size int) Detail { return fixed(msgType, "", "", int32(size), 0, false) }
 func EventMessage(event, procHost string, pid int32) Detail {
-	return Detail{layout: layoutEventMessage, s1: event, s2: procHost, n1: pid}
+	return fixed(event, procHost, "", pid, 0, false)
+}
+func Spawn(pid int32, name, user string) Detail      { return fixed(name, user, "", pid, 0, false) }
+func Fork(parent, child int32, name string) Detail   { return fixed(name, "", "", parent, child, false) }
+func Exit(pid, code int32, sig string) Detail        { return fixed(sig, "", "", pid, code, sig != "") }
+func Control(op string, pid int32, ok bool) Detail   { return fixed(op, "", "", pid, 0, ok) }
+func Op(user, key, msgType string) Detail            { return fixed(user, key, msgType, 0, 0, false) }
+func SiblingAuth(user, chanKey, from string) Detail  { return fixed(user, chanKey, from, 0, 0, false) }
+func SiblingClose(user, peer, chanKey string) Detail { return fixed(user, peer, chanKey, 0, 0, false) }
+func Snapshot(user, procs, partial string) Detail    { return fixed(user, procs, partial, 0, 0, false) }
+
+func SetParent(pid int32, parentHost string, parentPID int32) Detail {
+	return fixed(parentHost, "", "", pid, parentPID, parentHost != "" || parentPID != 0)
 }
 
-// Control details one applied control operation: "op=stop pid=6
-// ok=true".
-func Control(op string, pid int32, ok bool) Detail {
-	return Detail{layout: layoutControl, s1: op, n1: pid, flag: ok}
+func SiblingOpen(user, peer, chanKey string, server bool) Detail {
+	return fixed(user, peer, chanKey, 0, 0, server)
 }
 
-// Op details the execution or replay of an at-most-once operation:
-// "user=alice op=vax1#30#7 type=Control".
-func Op(user, key, msgType string) Detail {
-	return Detail{layout: layoutOp, text: user, s1: key, s2: msgType}
+func SweepRequest(user, origin string, seq int32, hosts string) Detail {
+	return fixed(user, origin, hosts, seq, 0, false)
 }
 
-// FloodStamp details a flood by its stamp: "user=alice stamp=vax1@1.5s#7".
-// The mint time takes two slots; a sequence past the third renders here.
+func SweepReport(user, origin string, seq int32, host string, ok bool) Detail {
+	return fixed(user, origin, host, seq, 0, ok)
+}
+
+// FloodStamp details a flood by its stamp, as lpm.flood.apply and .dup
+// do. The mint time takes two slots; a sequence past the third renders
+// here, whole, into the origin's slot, and the flag says so.
 func FloodStamp(user, origin string, at time.Duration, seq uint64) Detail {
 	if seq > math.MaxInt32 {
-		return Text(fmt.Sprintf("user=%s stamp=%s@%v#%d", user, origin, at, seq))
+		return Detail{layout: layoutFormat, s: [3]string{user, fmt.Sprintf("%s@%v#%d", origin, at, seq)}, flag: true}
 	}
-	return Detail{layout: layoutFloodStamp, text: user, s1: origin,
-		n1: int32(at >> 32), n2: int32(at), n3: int32(seq)}
+	return Detail{layout: layoutFormat, s: [3]string{user, origin}, n: [3]int32{int32(at >> 32), int32(at), int32(seq)}}
+}
+
+// FloodOrigin extends a FloodStamp by the flooded message's type.
+func FloodOrigin(stamp Detail, inner string) Detail { stamp.s[2] = inner; return stamp }
+
+// FloodDone extends a FloodStamp by the hosts it covered and, in the
+// same slot, those it did not: "a,b partial=c".
+func FloodDone(stamp Detail, hosts, partial string) Detail {
+	stamp.s[2] = hosts + " partial=" + partial
+	return stamp
 }
 
 // CircuitState is one state of a sibling circuit's lifecycle (DESIGN.md
@@ -442,14 +465,14 @@ func CircuitStep(user, peer, chanKey string, from, to CircuitState, reason strin
 	if r < 0 {
 		panic("journal: unregistered circuit reason " + reason)
 	}
-	return Detail{layout: layoutCircuit, text: user, s1: peer, s2: chanKey,
-		n1: int32(from)<<8 | int32(to), n2: int32(r), n3: int32(level)}
+	return Detail{layout: layoutCircuit, s: [3]string{user, peer, chanKey},
+		n: [3]int32{int32(from)<<8 | int32(to), int32(r), int32(level)}}
 }
 
-// String renders the detail.
-func (d Detail) String() string {
+// text renders the detail.
+func (d *Detail) text() string {
 	if d.layout == layoutText {
-		return d.text
+		return d.s[0]
 	}
 	var buf [64]byte
 	return string(d.appendTo(buf[:0]))
@@ -497,10 +520,11 @@ func ParseKinds(list string) ([]Kind, error) {
 	return out, nil
 }
 
-// badKind is AppendDetail's cold path: appending a kind the vocabulary
-// does not hold is a bug. Out of line so the hot path builds no message.
-func badKind(k Kind) {
-	panic("journal: unregistered record kind " + strconv.Itoa(int(k)))
+// badKind is the cold path of AppendDetail and Recorder.Notef: a kind the
+// vocabulary does not hold, or free text under a kind that declares a
+// format, is a bug. Out of line so the hot path builds no message.
+func badKind(k Kind, why string) {
+	panic("journal: " + why + " " + k.String())
 }
 
 // Record is one flight-recorder entry.
@@ -557,53 +581,6 @@ func appendPadded(b []byte, s string, width int) []byte {
 		b = append(b, ' ')
 	}
 	return b
-}
-
-// Field extracts the value of a key=value token from a record detail
-// string ("" if absent). Details are written by the instrumentation
-// sites in a fixed token order, so extraction is deterministic. It
-// scans strings.Fields' tokens in place and returns a substring.
-func Field(detail, key string) string {
-	for detail != "" {
-		tok := strings.TrimLeftFunc(detail, unicode.IsSpace)
-		detail = ""
-		if i := strings.IndexFunc(tok, unicode.IsSpace); i >= 0 {
-			tok, detail = tok[:i], tok[i:]
-		}
-		if v, ok := strings.CutPrefix(tok, key); ok && strings.HasPrefix(v, "=") {
-			return v[1:]
-		}
-	}
-	return ""
-}
-
-// field reads one key=value field of d as Field reads its rendered
-// text: Op and FloodStamp from their slots (a stamp is the one value
-// rendered), a Text detail in place, any other layout rendered first.
-func (d *Detail) field(key string) string {
-	switch {
-	case key == "user" && (d.layout == layoutOp || d.layout == layoutFloodStamp):
-		return d.text
-	case key == "op" && d.layout == layoutOp:
-		return d.s1
-	case key == "stamp" && d.layout == layoutFloodStamp:
-		var buf [48]byte
-		return string(d.appendStamp(buf[:0]))
-	}
-	return Field(d.String(), key)
-}
-
-// circuit reads a circuit.transition: from the slots of its layout, or
-// through Field from a Text detail.
-func (d *Detail) circuit() (user, peer, chanKey string, from, to CircuitState) {
-	if d.layout == layoutCircuit {
-		return d.text, d.s1, d.s2, CircuitState(d.n1 >> 8), CircuitState(d.n1)
-	}
-	s := d.String()
-	state := func(key string) CircuitState { // an unknown name's -1 wraps to an invalid state
-		return CircuitState(slices.Index(circuitStateNames[:], Field(s, key)))
-	}
-	return Field(s, "user"), Field(s, "peer"), Field(s, "chan"), state("from"), state("to")
 }
 
 // DefaultCapacity bounds the number of retained records. The ring keeps
@@ -663,7 +640,10 @@ func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uin
 		return
 	}
 	if kind-1 >= numKinds-1 { // one compare: kind 0 wraps to 255
-		badKind(kind)
+		badKind(kind, "unregistered record kind")
+	}
+	if d.layout == layoutText && kindTable[kind].format != "" {
+		badKind(kind, "text detail under a formatted kind")
 	}
 	d.kind = kind
 	j.seq++
@@ -678,7 +658,7 @@ func (j *Journal) seqAt(i int) uint64 { return j.seq - uint64(j.ring.Len()-i) + 
 func (j *Journal) record(i int, e *entry) Record {
 	return Record{
 		Seq: j.seqAt(i), At: e.at, Kind: e.d.kind, Host: e.host,
-		Trace: e.trace, Span: e.span, Detail: e.d.String(),
+		Trace: e.trace, Span: e.span, Detail: e.d.text(),
 	}
 }
 

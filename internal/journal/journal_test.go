@@ -72,8 +72,8 @@ func TestNilJournalNoOps(t *testing.T) {
 // span source.
 func TestAppendStampsItsContext(t *testing.T) {
 	j, _ := testJournal(8)
-	j.Append(KernelSpawn, "a", "pid=1")
-	j.AppendDetail(WireEncode, "a", Text("Hello 10B"), 3, 4)
+	j.Append(LPMAdopt, "a", "pid=1")
+	j.AppendDetail(WireEncode, "a", WireFrame("Hello", 10), 3, 4)
 	recs := j.Records()
 	if recs[0].Trace != 0 || recs[0].Span != 0 {
 		t.Fatalf("Append stamped %d/%d, want 0/0", recs[0].Trace, recs[0].Span)
@@ -90,10 +90,10 @@ func TestFilter(t *testing.T) {
 	j, now := testJournal(32)
 	*now = 1 * time.Second
 	j.Append(NetSend, "a", "")
-	j.Append(LPMSiblingOpen, "a", "")
+	j.AppendDetail(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false), 0, 0)
 	*now = 2 * time.Second
-	j.Append(LPMSiblingClose, "b", "")
-	j.Append(SnapshotTaken, "b", "")
+	j.AppendDetail(LPMSiblingClose, "b", SiblingClose("u", "a", "c1"), 0, 0)
+	j.AppendDetail(SnapshotTaken, "b", Snapshot("u", "", ""), 0, 0)
 	family, err := ParseKinds("lpm.sibling")
 	if err != nil {
 		t.Fatal(err)
@@ -120,67 +120,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestField(t *testing.T) {
-	d := "user=alice chan=a:10->b:111 from=a note"
-	if got := Field(d, "user"); got != "alice" {
-		t.Fatalf("user = %q", got)
-	}
-	if got := Field(d, "chan"); got != "a:10->b:111" {
-		t.Fatalf("chan = %q", got)
-	}
-	if got := Field(d, "missing"); got != "" {
-		t.Fatalf("missing = %q", got)
-	}
-	// A key must not match as a substring of another key.
-	if got := Field("xuser=bob user=eve", "user"); got != "eve" {
-		t.Fatalf("user = %q, want eve", got)
-	}
-}
-
-// fieldReference is Field as it was written before it scanned in place:
-// the semantics the scanner keeps, over every detail and key.
-func fieldReference(detail, key string) string {
-	for _, tok := range strings.Fields(detail) {
-		if v, ok := strings.CutPrefix(tok, key+"="); ok {
-			return v
-		}
-	}
-	return ""
-}
-
-func FuzzField(f *testing.F) {
-	for _, seed := range [][2]string{
-		{"user=alice chan=a:10->b:111 from=a note", "chan"},
-		{"xuser=bob user=eve", "user"},
-		{"\tpid=7\n  code=0 ", "code"},
-		{"a=1\u00a0b=2\u2003c=3\u0085d=4", "b"},
-		{"k==v =x", ""},
-		{"k=v", "k="},
-		{"bad\xffutf8=1 \xff=2", "\xff"},
-		{"user=u procs=<a,2>|<a,1>|exited partial=", "partial"},
-	} {
-		f.Add(seed[0], seed[1])
-	}
-	f.Fuzz(func(t *testing.T, detail, key string) {
-		if got, want := Field(detail, key), fieldReference(detail, key); got != want {
-			t.Fatalf("Field(%q, %q) = %q, the strings.Fields reference gives %q", detail, key, got, want)
-		}
-	})
-}
-
-// TestFieldZeroAllocs: a lookup scans the detail in place and hands back
-// a substring of it, found or not.
-func TestFieldZeroAllocs(t *testing.T) {
-	d := "user=alice peer=vax2 chan=vax1:701->vax2:700 from=established to=suspect reason=suspicion-2"
-	var got string
-	if allocs := testing.AllocsPerRun(100, func() {
-		got = Field(d, "reason")
-		_ = Field(d, "missing")
-	}); allocs != 0 || got != "suspicion-2" {
-		t.Fatalf("Field found %q in %v allocs, want suspicion-2 in 0", got, allocs)
-	}
-}
-
 // TestAuditRendersNothingUnaudited: a record no check reads costs the
 // audit nothing — over 10,000 net.send and wire.encode records it
 // allocates exactly what it allocates over an empty journal.
@@ -194,6 +133,132 @@ func TestAuditRendersNothingUnaudited(t *testing.T) {
 	base := testing.AllocsPerRun(20, func() { Audit(empty) })
 	if got := testing.AllocsPerRun(20, func() { Audit(full) }); got != base {
 		t.Fatalf("auditing 10,000 unaudited records allocated %v times, an empty journal %v", got, base)
+	}
+}
+
+// slotLayout is the layout the constructors of kind k write.
+func slotLayout(k Kind) layout {
+	switch {
+	case k == CircuitTransition:
+		return layoutCircuit
+	case kindTable[k].format != "":
+		return layoutFormat
+	}
+	return layoutText
+}
+
+// FuzzFormats renders arbitrary slots under every kind with a format and
+// holds the text to fmt.Sprintf of that format over the same values: a
+// flood's mint time rejoined from its two slots, a circuit step's states
+// and reason by name.
+func FuzzFormats(f *testing.F) {
+	f.Add("alice", "vax2", "vax1:701->vax2:700", int32(6), int32(-1), int32(1<<31-1), true)
+	f.Add("", "", "", int32(0), int32(0), int32(0), false)
+	f.Add("%d|", "a,b partial=c", "<h\xff,1>", int32(-1<<31), int32(1<<8|3), int32(12), false)
+	f.Fuzz(func(t *testing.T, s0, s1, s2 string, n0, n1, n2 int32, flag bool) {
+		for _, k := range Kinds() {
+			format := kindTable[k].format
+			if format == "" {
+				continue
+			}
+			d := Detail{layout: slotLayout(k), s: [3]string{s0, s1, s2}, n: [3]int32{n0, n1, n2}, flag: flag, kind: k}
+			var args []any
+			switch d.layout {
+			case layoutCircuit:
+				d.n[1] = int32(uint32(n1) % uint32(len(circuitReasons)))
+				reason := circuitReasons[d.n[1]]
+				if n2 != 0 {
+					reason += fmt.Sprintf("-%d", n2)
+				}
+				args = []any{s0, s1, s2, CircuitState(n0 >> 8), CircuitState(n0), reason}
+			default:
+				if unset, set, ok := strings.Cut(format, "|"); ok {
+					format = unset
+					if flag {
+						format = set
+					}
+				}
+				strs, ints := d.s[:], d.n[:]
+				for _, verb := range verbs(format) {
+					switch verb {
+					case 's':
+						args, strs = append(args, strs[0]), strs[1:]
+					case 'd':
+						args, ints = append(args, ints[0]), ints[1:]
+					case 'v':
+						args, ints = append(args, time.Duration(int64(ints[0])<<32|int64(uint32(ints[1])))), ints[2:]
+					case 't':
+						args = append(args, flag)
+					}
+				}
+			}
+			if got, want := d.text(), fmt.Sprintf(format, args...); got != want {
+				t.Fatalf("%v rendered %q, fmt.Sprintf of %q gives %q", k, got, format, want)
+			}
+		}
+	})
+}
+
+// verbs lists a format's verbs, in order.
+func verbs(format string) []byte {
+	var out []byte
+	for i := 0; i+1 < len(format); i++ {
+		if format[i] == '%' {
+			i++
+			out = append(out, format[i])
+		}
+	}
+	return out
+}
+
+// Each format appendFormat renders fits the slots: only %s, %d, %v and
+// %t, at most three strings and three int32s (%v takes two) in each
+// alternative, and a "*" row's format leads with the string its counter
+// is named by.
+func TestFormatsFitTheSlots(t *testing.T) {
+	for _, k := range Kinds() {
+		row := kindTable[k]
+		if k == CircuitTransition {
+			continue // rendered from its indices by layoutCircuit
+		}
+		for _, format := range strings.Split(row.format, "|") {
+			vs := string(verbs(format))
+			if n := strings.Count(vs, "s"); n > 3 {
+				t.Errorf("%v: %q takes %d strings", k, format, n)
+			}
+			if n := strings.Count(vs, "d") + 2*strings.Count(vs, "v"); n > 3 {
+				t.Errorf("%v: %q takes %d int32s", k, format, n)
+			}
+			if strings.Trim(vs, "sdvt") != "" {
+				t.Errorf("%v: %q has a verb outside %%s, %%d, %%v and %%t", k, format)
+			}
+		}
+		if strings.Contains(row.counter, "*") && row.format != "" && !strings.HasPrefix(row.format, "%s ") {
+			t.Errorf("%v is counted per first token, but its format %q does not lead with a string", k, row.format)
+		}
+	}
+}
+
+// TestAuditedKindsAreWrittenInSlots: every kind whose detail the audit
+// reads declares a format, so the audit reads slots only — no site can
+// write one as text: AppendDetail refuses a Text detail under it, as
+// Notef does (TestNotefRefusesAFormattedKind).
+func TestAuditedKindsAreWrittenInSlots(t *testing.T) {
+	for _, k := range []Kind{KernelSpawn, KernelFork, KernelSetParent, KernelExit, SnapshotTaken,
+		CircuitTransition, LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMFloodOrigin,
+		LPMFloodApply, LPMFloodDup, LPMFloodDone, LPMOpExec, LPMOpReplay, StatusRequest, StatusReport} {
+		if kindTable[k].format == "" {
+			t.Errorf("the audit reads %v, which declares no format", k)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "text detail under a formatted kind") {
+					t.Errorf("appending %v as text recovered %q, want the formatted-kind panic", k, msg)
+				}
+			}()
+			j, _ := testJournal(8)
+			j.AppendDetail(k, "a", Text("pid=1"), 0, 0)
+		}()
 	}
 }
 
@@ -273,8 +338,8 @@ func TestDiffIdenticalAndDivergent(t *testing.T) {
 		t.Fatalf("identical journals diverged: %s", d.Format())
 	}
 	*anow, *bnow = time.Second, time.Second
-	a.Append(KernelExit, "h", "pid=3 code=0")
-	b.Append(KernelExit, "h", "pid=4 code=0")
+	a.AppendDetail(KernelExit, "h", Exit(3, 0, ""), 0, 0)
+	b.AppendDetail(KernelExit, "h", Exit(4, 0, ""), 0, 0)
 	d := Diff(a, b)
 	if d == nil {
 		t.Fatal("divergent journals reported identical")
@@ -312,11 +377,17 @@ func TestDiffLengthMismatch(t *testing.T) {
 
 // --- audit ---
 
-func rec(kind Kind, host, detail string) Record {
-	return Record{Kind: kind, Host: host, Detail: detail}
+func rec(kind Kind, host string, d Detail) testRecord {
+	return testRecord{Kind: kind, Host: host, Detail: d}
 }
 
-func seqed(rs []Record) []Record {
+// st is a flood whose stamp is whole in its slot, as one past the
+// sequence slot is (FloodStamp), so that messages name it shortly.
+func st(stamp string) Detail {
+	return Detail{layout: layoutFormat, s: [3]string{"u", stamp}, flag: true}
+}
+
+func seqed(rs []testRecord) []testRecord {
 	for i := range rs {
 		rs[i].Seq = uint64(i + 1)
 	}
@@ -324,21 +395,21 @@ func seqed(rs []Record) []Record {
 }
 
 func TestAuditCleanRun(t *testing.T) {
-	stream := seqed([]Record{
-		rec(KernelSpawn, "a", "pid=1 name=lpm user=u"),
-		rec(KernelFork, "a", "parent=1 child=2 name=worker"),
-		rec(KernelSetParent, "a", "pid=2 parent=<a,1>"),
-		rec(LPMSiblingAuth, "b", "user=u chan=a:10->b:111 from=a"),
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=a:10->b:111 role=server"),
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=a:10->b:111 role=client"),
-		rec(LPMFloodOrigin, "a", "user=u stamp=a@1s#1 inner=SnapshotReq"),
-		rec(LPMFloodApply, "a", "user=u stamp=a@1s#1"),
-		rec(LPMFloodApply, "b", "user=u stamp=a@1s#1"),
-		rec(LPMFloodDone, "a", "user=u stamp=a@1s#1 hosts=a,b partial="),
-		rec(KernelExit, "a", "pid=2 code=0"),
-		rec(SnapshotTaken, "a", "user=u procs=<a,2>|<a,1>|exited partial="),
-		rec(LPMSiblingClose, "a", "user=u peer=b chan=a:10->b:111"),
-		rec(LPMSiblingClose, "b", "user=u peer=a chan=a:10->b:111"),
+	stream := seqed([]testRecord{
+		rec(KernelSpawn, "a", Spawn(1, "lpm", "u")),
+		rec(KernelFork, "a", Fork(1, 2, "worker")),
+		rec(KernelSetParent, "a", SetParent(2, "a", 1)),
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "a:10->b:111", "a")),
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "a:10->b:111", true)),
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "a:10->b:111", false)),
+		rec(LPMFloodOrigin, "a", FloodOrigin(FloodStamp("u", "a", time.Second, 1), "SnapshotReq")),
+		rec(LPMFloodApply, "a", FloodStamp("u", "a", time.Second, 1)),
+		rec(LPMFloodApply, "b", FloodStamp("u", "a", time.Second, 1)),
+		rec(LPMFloodDone, "a", FloodDone(FloodStamp("u", "a", time.Second, 1), "a,b", "")),
+		rec(KernelExit, "a", Exit(2, 0, "")),
+		rec(SnapshotTaken, "a", Snapshot("u", "<a,2>|<a,1>|exited", "")),
+		rec(LPMSiblingClose, "a", SiblingClose("u", "b", "a:10->b:111")),
+		rec(LPMSiblingClose, "b", SiblingClose("u", "a", "a:10->b:111")),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("clean run flagged:\n%s", AuditReport(vs))
@@ -346,9 +417,9 @@ func TestAuditCleanRun(t *testing.T) {
 }
 
 func TestAuditDoubleAuth(t *testing.T) {
-	stream := seqed([]Record{
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
+	stream := seqed([]testRecord{
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || vs[0].Check != "circuit" ||
@@ -358,23 +429,23 @@ func TestAuditDoubleAuth(t *testing.T) {
 }
 
 func TestAuditOpenBeforeAuth(t *testing.T) {
-	stream := seqed([]Record{
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
+	stream := seqed([]testRecord{
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "before authentication") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// A client-side open carries no auth (the server authenticates).
-	stream = seqed([]Record{
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
+	stream = seqed([]testRecord{
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("client open flagged: %s", AuditReport(vs))
 	}
 	// Incomplete streams skip the check: the auth may be evicted.
-	stream = seqed([]Record{
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
+	stream = seqed([]testRecord{
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
 	})
 	if vs := AuditRecords(stream, false); len(vs) != 0 {
 		t.Fatalf("incomplete stream flagged: %s", AuditReport(vs))
@@ -382,10 +453,10 @@ func TestAuditOpenBeforeAuth(t *testing.T) {
 }
 
 func TestAuditDoubleApply(t *testing.T) {
-	stream := seqed([]Record{
-		rec(LPMFloodOrigin, "a", "user=u stamp=s1"),
-		rec(LPMFloodApply, "b", "user=u stamp=s1"),
-		rec(LPMFloodApply, "b", "user=u stamp=s1"),
+	stream := seqed([]testRecord{
+		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
+		rec(LPMFloodApply, "b", st("s1")),
+		rec(LPMFloodApply, "b", st("s1")),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "dedup failed") {
@@ -399,41 +470,41 @@ func TestAuditDoubleApply(t *testing.T) {
 
 func TestAuditFloodCoverage(t *testing.T) {
 	// a—b circuit fully open, but the flood from a never reaches b.
-	stream := seqed([]Record{
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
-		rec(LPMFloodOrigin, "a", "user=u stamp=s1"),
-		rec(LPMFloodApply, "a", "user=u stamp=s1"),
-		rec(LPMFloodDone, "a", "user=u stamp=s1 hosts=a partial="),
+	stream := seqed([]testRecord{
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
+		rec(LPMFloodApply, "a", st("s1")),
+		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "never reached live sibling b") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// A dedup hit on b counts as reached.
-	stream = seqed([]Record{
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
-		rec(LPMFloodOrigin, "a", "user=u stamp=s1"),
-		rec(LPMFloodApply, "a", "user=u stamp=s1"),
-		rec(LPMFloodDup, "b", "user=u stamp=s1"),
-		rec(LPMFloodDone, "a", "user=u stamp=s1 hosts=a partial="),
+	stream = seqed([]testRecord{
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
+		rec(LPMFloodApply, "a", st("s1")),
+		rec(LPMFloodDup, "b", st("s1")),
+		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("dup-covered flood flagged: %s", AuditReport(vs))
 	}
 	// A crash between origin and done changes the epoch: coverage is
 	// then unprovable from the journal and the check stands down.
-	stream = seqed([]Record{
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
-		rec(LPMFloodOrigin, "a", "user=u stamp=s1"),
-		rec(LPMFloodApply, "a", "user=u stamp=s1"),
-		rec(NetHostCrash, "b", ""),
-		rec(LPMFloodDone, "a", "user=u stamp=s1 hosts=a partial="),
+	stream = seqed([]testRecord{
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
+		rec(LPMFloodApply, "a", st("s1")),
+		rec(NetHostCrash, "b", Detail{}),
+		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("quiescence-violated flood flagged: %s", AuditReport(vs))
@@ -441,45 +512,45 @@ func TestAuditFloodCoverage(t *testing.T) {
 }
 
 func TestAuditSnapshotGenealogy(t *testing.T) {
-	base := []Record{
-		rec(KernelSpawn, "a", "pid=1 name=lpm user=u"),
-		rec(KernelFork, "a", "parent=1 child=2 name=w"),
+	base := []testRecord{
+		rec(KernelSpawn, "a", Spawn(1, "lpm", "u")),
+		rec(KernelFork, "a", Fork(1, 2, "w")),
 	}
 	// Unknown process.
-	stream := seqed(append(append([]Record(nil), base...),
-		rec(SnapshotTaken, "a", "user=u procs=<a,9>|<a,1>|running partial=")))
+	stream := seqed(append(append([]testRecord(nil), base...),
+		rec(SnapshotTaken, "a", Snapshot("u", "<a,9>|<a,1>|running", ""))))
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "never created") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// Wrong parent.
-	stream = seqed(append(append([]Record(nil), base...),
-		rec(SnapshotTaken, "a", "user=u procs=<a,2>|<a,7>|running partial=")))
+	stream = seqed(append(append([]testRecord(nil), base...),
+		rec(SnapshotTaken, "a", Snapshot("u", "<a,2>|<a,7>|running", ""))))
 	vs = AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "journal says <a,1>") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// Exited without an exit record.
-	stream = seqed(append(append([]Record(nil), base...),
-		rec(SnapshotTaken, "a", "user=u procs=<a,2>|<a,1>|exited partial=")))
+	stream = seqed(append(append([]testRecord(nil), base...),
+		rec(SnapshotTaken, "a", Snapshot("u", "<a,2>|<a,1>|exited", ""))))
 	vs = AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "no exit record") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// SetParent overrides the fork parent.
-	stream = seqed(append(append([]Record(nil), base...),
-		rec(KernelSetParent, "a", "pid=2 parent=<b,5>"),
-		rec(SnapshotTaken, "a", "user=u procs=<a,2>|<b,5>|running partial=")))
+	stream = seqed(append(append([]testRecord(nil), base...),
+		rec(KernelSetParent, "a", SetParent(2, "b", 5)),
+		rec(SnapshotTaken, "a", Snapshot("u", "<a,2>|<b,5>|running", ""))))
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("setparent snapshot flagged: %s", AuditReport(vs))
 	}
 }
 
 func TestAuditTruncation(t *testing.T) {
-	var stream []Record
+	var stream []testRecord
 	for i := 0; i < maxViolations+10; i++ {
-		stream = append(stream, rec(LPMFloodApply, "b", "user=u stamp=s1"),
-			rec(LPMFloodApply, "b", "user=u stamp=s1"))
+		stream = append(stream, rec(LPMFloodApply, "b", st("s1")),
+			rec(LPMFloodApply, "b", st("s1")))
 	}
 	vs := AuditRecords(seqed(stream), false)
 	if len(vs) != maxViolations+1 {
@@ -497,7 +568,7 @@ func TestRenderByteIdentity(t *testing.T) {
 		*now = 5 * time.Millisecond
 		j.AppendDetail(NetSend, "a", Text("datagram a:1->b:2 10B"), 1, 2)
 		*now = 6 * time.Millisecond
-		j.Append(WireDecode, "b", "Hello 10B")
+		j.AppendDetail(WireDecode, "b", WireFrame("Hello", 10), 0, 0)
 		return j
 	}
 	a, b := build().Render(), build().Render()
@@ -510,11 +581,11 @@ func TestRenderByteIdentity(t *testing.T) {
 }
 
 func TestAuditStatusSweepClean(t *testing.T) {
-	stream := seqed([]Record{
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,b,c"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=b ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=c ok=false"),
+	stream := seqed([]testRecord{
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,b,c")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "b", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "c", false)),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("clean sweep flagged:\n%s", AuditReport(vs))
@@ -522,11 +593,11 @@ func TestAuditStatusSweepClean(t *testing.T) {
 }
 
 func TestAuditStatusSweepDuplicateReport(t *testing.T) {
-	stream := seqed([]Record{
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,b"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=b ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=b ok=true"),
+	stream := seqed([]testRecord{
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,b")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "b", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "b", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || vs[0].Check != "status" ||
@@ -536,11 +607,11 @@ func TestAuditStatusSweepDuplicateReport(t *testing.T) {
 }
 
 func TestAuditStatusSweepUntargetedHost(t *testing.T) {
-	stream := seqed([]Record{
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,b"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=b ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=d ok=true"),
+	stream := seqed([]testRecord{
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,b")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "b", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "d", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "never targeted") {
@@ -549,10 +620,10 @@ func TestAuditStatusSweepUntargetedHost(t *testing.T) {
 }
 
 func TestAuditStatusSweepMissingReport(t *testing.T) {
-	stream := seqed([]Record{
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,b,c"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=b ok=true"),
+	stream := seqed([]testRecord{
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,b,c")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "b", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || vs[0].Check != "status" ||
@@ -567,8 +638,8 @@ func TestAuditStatusSweepMissingReport(t *testing.T) {
 }
 
 func TestAuditStatusSweepNoRequest(t *testing.T) {
-	stream := seqed([]Record{
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
+	stream := seqed([]testRecord{
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "no request record") {
@@ -583,23 +654,23 @@ func TestAuditStatusSweepNoRequest(t *testing.T) {
 func TestAuditStatusSweepCrashedHostReachable(t *testing.T) {
 	// c crashed before the sweep started and never restarted: an ok=true
 	// report for it cannot exist.
-	stream := seqed([]Record{
-		rec(NetHostCrash, "c", ""),
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,c"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=c ok=true"),
+	stream := seqed([]testRecord{
+		rec(NetHostCrash, "c", Detail{}),
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,c")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "c", true)),
 	})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "reports crashed host c reachable") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// A restart mid-sweep legitimizes the report: a fresh LPM answered.
-	stream = seqed([]Record{
-		rec(NetHostCrash, "c", ""),
-		rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a,c"),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-		rec(NetHostRestart, "c", ""),
-		rec(StatusReport, "a", "user=u sweep=a#1 host=c ok=true"),
+	stream = seqed([]testRecord{
+		rec(NetHostCrash, "c", Detail{}),
+		rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a,c")),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+		rec(NetHostRestart, "c", Detail{}),
+		rec(StatusReport, "a", SweepReport("u", "a", 1, "c", true)),
 	})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("restart-covered sweep flagged: %s", AuditReport(vs))
@@ -611,49 +682,57 @@ func TestAuditStatusSweepCrashedHostReachable(t *testing.T) {
 // on the offending record — and the same stream without that record
 // must audit clean, so nothing else in the row is what fails.
 func TestAuditRedCases(t *testing.T) {
-	flood := []Record{ // a clean flood to stand beside the broken one
-		rec(LPMFloodOrigin, "a", "user=u stamp=s0"),
-		rec(LPMFloodApply, "a", "user=u stamp=s0"),
-		rec(LPMFloodDone, "a", "user=u stamp=s0 hosts=a partial="),
+	flood := []testRecord{ // a clean flood to stand beside the broken one
+		rec(LPMFloodOrigin, "a", FloodOrigin(st("s0"), "")),
+		rec(LPMFloodApply, "a", st("s0")),
+		rec(LPMFloodDone, "a", FloodDone(st("s0"), "a", "")),
 	}
-	channel := []Record{ // a channel authenticated and opened at both ends
-		rec(LPMSiblingAuth, "b", "user=u chan=c1 from=a"),
-		rec(LPMSiblingOpen, "b", "user=u peer=a chan=c1 role=server"),
-		rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client"),
+	channel := []testRecord{ // a channel authenticated and opened at both ends
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
+		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
+		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
 	}
-	exec := rec(LPMOpExec, "a", "user=u op=a#1#1 type=Control")
+	exec := rec(LPMOpExec, "a", Op("u", "a#1#1", "Control"))
+	big := FloodStamp("u", "a", time.Second, 1<<31) // past the sequence slot: whole in the origin's
+	bigFlood := []testRecord{
+		rec(LPMFloodOrigin, "a", FloodOrigin(big, "SnapshotReq")),
+		rec(LPMFloodApply, "a", big),
+		rec(LPMFloodDone, "a", FloodDone(big, "a", "")),
+	}
 	cases := []struct {
 		name, check, msg string
-		stream           []Record
+		stream           []testRecord
 		bad              int // index of the offending record
 	}{
 		{"exit without creation", "genealogy", "exit of <a,2> which was never created",
-			[]Record{rec(KernelSpawn, "a", "pid=1 name=lpm user=u"), rec(KernelExit, "a", "pid=2 code=0")}, 1},
+			[]testRecord{rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), rec(KernelExit, "a", Exit(2, 0, ""))}, 1},
 		{"apply without origin", "flood", "apply of flood s1 with no origin record",
-			append(slices.Clone(flood), rec(LPMFloodApply, "b", "user=u stamp=s1")), 3},
+			append(slices.Clone(flood), rec(LPMFloodApply, "b", st("s1"))), 3},
 		{"double execution", "dedup", "op u/a#1#1 executed twice (first on a, again on b)",
-			[]Record{exec, rec(LPMOpExec, "b", "user=u op=a#1#1 type=Control")}, 1},
+			[]testRecord{exec, rec(LPMOpExec, "b", Op("u", "a#1#1", "Control"))}, 1},
 		{"replay without execution", "dedup", "replay of op u/a#1#2 which was never executed",
-			[]Record{exec, rec(LPMOpReplay, "a", "user=u op=a#1#2 type=Control")}, 1},
+			[]testRecord{exec, rec(LPMOpReplay, "a", Op("u", "a#1#2", "Control"))}, 1},
 		{"sweep requested twice", "status", "sweep u/a#1 requested twice",
-			[]Record{
-				rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a"),
-				rec(StatusReport, "a", "user=u sweep=a#1 host=a ok=true"),
-				rec(StatusRequest, "a", "user=u sweep=a#1 hosts=a"),
+			[]testRecord{
+				rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a")),
+				rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
+				rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a")),
 			}, 2},
 		{"channel opened twice", "circuit", "channel c1 opened twice by a",
-			append(slices.Clone(channel), rec(LPMSiblingOpen, "a", "user=u peer=b chan=c1 role=client")), 3},
+			append(slices.Clone(channel), rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false))), 3},
 		{"close without open", "circuit", "channel c1 closed by a without an open record",
-			append(slices.Clone(channel[:2]), rec(LPMSiblingClose, "a", "user=u peer=b chan=c1")), 2},
+			append(slices.Clone(channel[:2]), rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1"))), 2},
 		{"closed twice", "circuit", "channel c1 closed twice by a",
-			append(slices.Clone(channel), rec(LPMSiblingClose, "a", "user=u peer=b chan=c1"),
-				rec(LPMSiblingClose, "a", "user=u peer=b chan=c1")), 4},
+			append(slices.Clone(channel), rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1")),
+				rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1"))), 4},
 		{"flood originated twice", "flood", "flood s0 originated twice",
-			slices.Insert(slices.Clone(flood), 1, rec(LPMFloodOrigin, "a", "user=u stamp=s0")), 1},
+			slices.Insert(slices.Clone(flood), 1, rec(LPMFloodOrigin, "a", FloodOrigin(st("s0"), ""))), 1},
 		{"done without origin", "flood", "flood s1 completed with no origin record",
-			append(slices.Clone(flood), rec(LPMFloodDone, "a", "user=u stamp=s1 hosts= partial=")), 3},
+			append(slices.Clone(flood), rec(LPMFloodDone, "a", FloodDone(st("s1"), "", ""))), 3},
+		{"whole stamp applied twice", "flood", "flood a@1s#2147483648 applied 2 times on a (dedup failed)",
+			slices.Insert(slices.Clone(bigFlood), 2, rec(LPMFloodApply, "a", big)), 2},
 		{"covered host without apply", "flood", "flood s0 reports host b but no apply record",
-			append(slices.Clone(flood[:2]), rec(LPMFloodDone, "a", "user=u stamp=s0 hosts=a,b partial=")), 2},
+			append(slices.Clone(flood[:2]), rec(LPMFloodDone, "a", FloodDone(st("s0"), "a,b", ""))), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -694,7 +773,8 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 	*now = time.Second
 	if allocs := testing.AllocsPerRun(200, func() {
 		j.Append(NetDeliver, "a", "steady")
-		j.AppendDetail(WireEncode, "a", Text("steady"), 7, 9)
+		j.AppendDetail(NetHeal, "a", Text("steady"), 7, 9)
+		j.AppendDetail(WireEncode, "a", WireFrame("Control", 37), 7, 9)
 		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v times per run, want 0", allocs)
@@ -723,7 +803,7 @@ func TestLineMatchesTheFmtReference(t *testing.T) {
 	details := []string{"", "x", "user=u peer=vax2  ", "trailing spaces in the middle  kept"}
 	j, now := testJournal(1 << 12)
 	var want []string
-	for _, kind := range []Kind{SnapshotTaken, NetSend, LPMSiblingReject} {
+	for _, kind := range []Kind{NetHeal, NetSend, LPMSiblingReject} {
 		for i, at := range ats {
 			for _, host := range hosts {
 				for k, detail := range details {

@@ -90,8 +90,11 @@ func (r *Recorder) Record(kind Kind, host string, ctx trace.Context, d Detail) {
 // Notef is Record for the cold sites whose detail is free text: the
 // counter is bumped regardless, the text only formatted when a journal
 // is wired to keep it. Not for the "*" rows, whose counter the text
-// would name.
+// would name, and not for a kind with a format: it panics on one.
 func (r *Recorder) Notef(kind Kind, host string, ctx trace.Context, format string, args ...any) {
+	if kind < numKinds && kindTable[kind].format != "" {
+		badKind(kind, "text detail under a formatted kind")
+	}
 	if r == nil {
 		return
 	}
@@ -127,16 +130,16 @@ func (r *Recorder) counter(kind Kind, d *Detail) *metrics.Counter {
 }
 
 // firstToken returns the first space-separated token of the rendered
-// detail — for the layouts the "*" rows are stated in, and for text,
-// without rendering it.
+// detail without rendering it: a "*" row's format leads with its first
+// string slot.
 func (d *Detail) firstToken() string {
 	switch d.layout {
 	case layoutNetMessage:
 		return transport(d.flag)
-	case layoutEventMessage:
-		return d.s1
+	case layoutFormat:
+		return d.s[0]
 	}
-	token, _, _ := strings.Cut(d.String(), " ")
+	token, _, _ := strings.Cut(d.s[0], " ")
 	return token
 }
 

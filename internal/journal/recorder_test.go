@@ -75,21 +75,46 @@ func TestNotefFormatsOnlyForAJournal(t *testing.T) {
 	arg := stringer(func() string { formatted++; return "x" })
 	var none *Recorder
 	if allocs := testing.AllocsPerRun(100, func() {
-		rec.Notef(KernelExit, "a", trace.Context{}, "pid=%v", arg)
-		none.Notef(KernelExit, "a", trace.Context{}, "pid=%v", arg)
+		rec.Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
+		none.Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
 	}); allocs != 0 {
 		t.Errorf("Notef without a journal: %v allocs per run, want 0", allocs)
 	}
 	if formatted != 0 {
 		t.Errorf("Notef formatted its detail %d times with no journal to keep it", formatted)
 	}
-	if got := reg.Snapshot().Counter("kernel.exits"); got != 101 {
-		t.Errorf("kernel.exits = %d over 101 exits", got)
+	if got := reg.Snapshot().Counter("lpm.adoptions"); got != 101 {
+		t.Errorf("lpm.adoptions = %d over 101 adoptions", got)
 	}
 	j, _ := testJournal(4)
-	NewRecorder(nil, nil, j).Notef(KernelExit, "a", trace.Context{}, "pid=%v", arg)
+	NewRecorder(nil, nil, j).Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
 	if formatted != 1 || j.Records()[0].Detail != "pid=x" {
 		t.Errorf("Notef with a journal: formatted %d times, recorded %q", formatted, j.Records()[0].Detail)
+	}
+}
+
+// TestNotefRefusesAFormattedKind: a kind whose row declares a format is
+// written in slots, so Notef panics on it — with or without a journal to
+// keep the text, as AppendDetail panics on an unregistered kind.
+func TestNotefRefusesAFormattedKind(t *testing.T) {
+	j, _ := testJournal(4)
+	for _, rec := range []*Recorder{nil, NewRecorder(nil, nil, nil), NewRecorder(nil, nil, j)} {
+		for _, k := range Kinds() {
+			if kindTable[k].format == "" {
+				continue
+			}
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "text detail under a formatted kind") {
+						t.Errorf("Notef(%v) recovered %q, want the formatted-kind panic", k, msg)
+					}
+				}()
+				rec.Notef(k, "a", trace.Context{}, "pid=%d", 7)
+			}()
+		}
+	}
+	if j.Len() != 0 {
+		t.Errorf("refused facts left %d records", j.Len())
 	}
 }
 
@@ -105,11 +130,11 @@ func TestRecordFiresThePairedCounter(t *testing.T) {
 	tokens := map[Kind][2]Detail{
 		NetSend:     {NetMessage(false, "a", 1, "b", 2, 3, ""), NetMessage(true, "a", 1, "b", 2, 3, "")},
 		NetDrop:     {NetMessage(false, "a", 1, "b", 2, 3, "lost"), NetMessage(true, "a", 1, "b", 2, 3, "severed")},
-		KernelEvent: {EventMessage("stop", "a", 6), Text("Event(99) proc=<a,6>")},
+		KernelEvent: {EventMessage("stop", "a", 6), EventMessage("Event(99)", "a", 6)},
 	}
 	stars := 0
 	for _, k := range Kinds() {
-		details := []Detail{Text("user=alice peer=b")}
+		details := []Detail{{layout: slotLayout(k), s: [3]string{"user=alice peer=b"}}}
 		if strings.Contains(kindTable[k].counter, "*") {
 			stars++
 			pair, ok := tokens[k]
@@ -149,7 +174,9 @@ func TestRecordFiresThePairedCounter(t *testing.T) {
 			t.Fatalf("%v: %d records for %d facts", k, len(recs), 2*len(details))
 		}
 		for i, r := range recs {
-			if r.Kind != k || r.Host != "a" || r.Trace != 1 || r.Span != 2 || r.Detail != details[i/2].String() {
+			d := details[i/2]
+			d.kind = k
+			if r.Kind != k || r.Host != "a" || r.Trace != 1 || r.Span != 2 || r.Detail != d.text() {
 				t.Errorf("%v: record %v", k, r)
 			}
 		}

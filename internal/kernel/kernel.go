@@ -293,7 +293,7 @@ func (h *Host) Spawn(name, user string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[p.PID] = p
-	h.rec.Notef(journal.KernelSpawn, h.name, h.rec.Tracer().Active(), "pid=%d name=%s user=%s", p.PID, name, user)
+	h.rec.Record(journal.KernelSpawn, h.name, h.rec.Tracer().Active(), journal.Spawn(int32(p.PID), name, user))
 	return p, nil
 }
 
@@ -331,7 +331,7 @@ func (h *Host) Fork(parentPID proc.PID, name string) (*Process, error) {
 	}
 	h.nextPID++
 	h.procs[child.PID] = child
-	h.rec.Notef(journal.KernelFork, h.name, h.rec.Tracer().Active(), "parent=%d child=%d name=%s", parent.PID, child.PID, name)
+	h.rec.Record(journal.KernelFork, h.name, h.rec.Tracer().Active(), journal.Fork(int32(parent.PID), int32(child.PID), name))
 	parent.Rusage.Syscalls++
 	h.emit(parent, proc.Event{
 		Kind:  proc.EvFork,
@@ -348,14 +348,9 @@ func (h *Host) SetLogicalParent(pid proc.PID, parent proc.GPID) error {
 	if err != nil {
 		return err
 	}
-	p.Parent = parent
-	// A zero parent detaches the process into a root; record it the way
-	// snapshots render root parents so the audit can compare directly.
-	ps := "-"
-	if !parent.IsZero() {
-		ps = parent.String()
-	}
-	h.rec.Notef(journal.KernelSetParent, h.name, h.rec.Tracer().Active(), "pid=%d parent=%s", pid, ps)
+	p.Parent = parent // a zero parent detaches the process into a root
+	h.rec.Record(journal.KernelSetParent, h.name, h.rec.Tracer().Active(),
+		journal.SetParent(int32(pid), parent.Host, int32(parent.PID)))
 	return nil
 }
 
@@ -393,7 +388,7 @@ func (h *Host) Exit(pid proc.PID, code int) error {
 	p.State = proc.Exited
 	p.ExitCode = code
 	p.ExitedAt = h.sched.Now()
-	h.rec.Notef(journal.KernelExit, h.name, h.rec.Tracer().Active(), "pid=%d code=%d", pid, code)
+	h.rec.Record(journal.KernelExit, h.name, h.rec.Tracer().Active(), journal.Exit(int32(pid), int32(code), ""))
 	h.setRunnable(p, false)
 	h.emit(p, proc.Event{
 		Kind:   proc.EvExit,
@@ -434,7 +429,7 @@ func (h *Host) Signal(pid proc.PID, sig proc.Signal) error {
 		p.State = proc.Exited
 		p.ExitCode = 128 + int(sig)
 		p.ExitedAt = h.sched.Now()
-		h.rec.Notef(journal.KernelExit, h.name, h.rec.Tracer().Active(), "pid=%d code=%d sig=%v", pid, p.ExitCode, sig)
+		h.rec.Record(journal.KernelExit, h.name, h.rec.Tracer().Active(), journal.Exit(int32(pid), int32(p.ExitCode), sig.String()))
 		h.setRunnable(p, false)
 		h.emit(p, proc.Event{
 			Kind: proc.EvExit, Proc: proc.GPID{Host: h.name, PID: pid},

@@ -45,13 +45,15 @@ func auditClean(t *testing.T, j *journal.Journal) {
 	}
 }
 
-// transitions extracts (host, to, reason) tuples of circuit.transition
-// records for one observer host.
+// transitions extracts the "to/reason" of each circuit.transition
+// record for one observer host, from its rendered detail's tail
+// ("... to=suspect reason=suspicion-2").
 func transitions(j *journal.Journal, host string) []string {
 	var out []string
 	for _, r := range j.Records() {
 		if r.Kind == journal.CircuitTransition && r.Host == host {
-			out = append(out, journal.Field(r.Detail, "to")+"/"+journal.Field(r.Detail, "reason"))
+			_, step, _ := strings.Cut(r.Detail, " to=")
+			out = append(out, strings.Replace(step, " reason=", "/", 1))
 		}
 	}
 	return out
@@ -97,9 +99,10 @@ func TestCrossDialTieBreakSingleCircuit(t *testing.T) {
 	// Exactly one distinct channel ever reached Established.
 	est := map[string]bool{}
 	for _, r := range j.Records() {
-		if r.Kind == journal.CircuitTransition &&
-			journal.Field(r.Detail, "to") == "established" {
-			est[journal.Field(r.Detail, "chan")] = true
+		if _, rest, _ := strings.Cut(r.Detail, " chan="); r.Kind == journal.CircuitTransition &&
+			strings.Contains(rest, " to=established ") {
+			chanKey, _, _ := strings.Cut(rest, " ")
+			est[chanKey] = true
 		}
 	}
 	if len(est) != 1 {

@@ -117,7 +117,7 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(flooded
 	// The signature is the signer's buffer until runFlood has encoded it.
 	stamp := l.user.Stamps.Mint(l.Host(), l.sched.Now().Duration(), l.floodSeq)
 	l.markSeen(stamp)
-	l.obs.Notef(journal.LPMFloodOrigin, l.Host(), ctx, "%v inner=%v", l.stampDetail(stamp), inner.Type)
+	l.obs.Record(journal.LPMFloodOrigin, l.Host(), ctx, journal.FloodOrigin(l.stampDetail(stamp), inner.Type.String()))
 	bc := wire.Broadcast{
 		Stamp: stamp,
 		Seq:   l.floodSeq,
@@ -134,8 +134,7 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(flooded
 			f.reports = append(f.reports, b)
 		}
 		l.learnRoutes(res.Routes)
-		l.obs.Notef(journal.LPMFloodDone, l.Host(), ctx, "%v hosts=%s partial=%s",
-			l.stampDetail(stamp), sortedList(f.hosts), sortedList(f.partial))
+		l.obs.Record(journal.LPMFloodDone, l.Host(), ctx, journal.FloodDone(l.stampDetail(stamp), l.sortedList(f.hosts), l.sortedList(f.partial)))
 		cb(f)
 	}}
 	l.runFlood(ctx, st, bc, inner, "")
@@ -309,8 +308,7 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 			done(func() {
 				snap := proc.Merge(l.sched.Now().Duration(), f.procs)
 				snap.Partial = l.uncovered(f)
-				l.obs.Notef(journal.SnapshotTaken, l.Host(), ctx, "user=%s procs=%s partial=%s",
-					l.user.Name, procList(snap.Procs), strings.Join(snap.Partial, ","))
+				l.obs.Record(journal.SnapshotTaken, l.Host(), ctx, journal.Snapshot(l.user.Name, l.procList(snap.Procs), l.sortedList(snap.Partial)))
 				cb(snap, nil)
 			})
 		})
@@ -319,11 +317,12 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 
 // procList renders a merged snapshot's process table for the journal
 // in the audit's "gpid|parent|state" form, ";"-joined (GPID strings
-// contain commas, so the entry separators avoid them). It is a
-// fmt.Stringer so the rendering only happens when a journal is wired.
-type procList []proc.Info
-
-func (ps procList) String() string {
+// contain commas, so the entry separators avoid them) — and only when a
+// journal is wired to keep it, as sortedList.
+func (l *LPM) procList(ps []proc.Info) string {
+	if l.obs.Journal() == nil {
+		return ""
+	}
 	var sb strings.Builder
 	for i, p := range ps {
 		if i > 0 {
@@ -338,11 +337,12 @@ func (ps procList) String() string {
 	return sb.String()
 }
 
-// sortedList renders host names sorted and comma-joined, likewise only
-// when formatted.
-type sortedList []string
-
-func (hs sortedList) String() string {
+// sortedList renders host names sorted and comma-joined for a journal
+// record: "" when no journal is wired to keep them.
+func (l *LPM) sortedList(hs []string) string {
+	if l.obs.Journal() == nil {
+		return ""
+	}
 	sorted := append([]string(nil), hs...)
 	detord.Sort(sorted)
 	return strings.Join(sorted, ",")

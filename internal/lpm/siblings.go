@@ -113,7 +113,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	}
 	// Authentication happens exactly once, here, at channel creation;
 	// the audit invariant holds the journal to that.
-	l.obs.Notef(journal.LPMSiblingAuth, l.Host(), ctx, "user=%s chan=%s from=%s", hello.User, l.chanKey(conn), hello.FromHost)
+	l.obs.Record(journal.LPMSiblingAuth, l.Host(), ctx, journal.SiblingAuth(hello.User, l.chanKey(conn), hello.FromHost))
 	body := wire.Encode(&wire.HelloResp{OK: true, Inc: l.incarnation()})
 	respEnv := wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}
 	if hello.FromHost == l.Host() {
@@ -167,13 +167,12 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	l.siblings[host] = sb
 	l.knownHosts[host] = true
 	l.obs.Metrics().Gauge("lpm.siblings.open").Add(1)
-	role, reason := "client", "auth-client"
-	if conn.LocalAddr() == l.accept {
-		role, reason = "server", "auth-server"
+	server, reason := conn.LocalAddr() == l.accept, "auth-client"
+	if server {
+		reason = "auth-server"
 	}
 	l.circuitTransition(host, key, journal.CircuitEstablished, reason, 0)
-	l.obs.Notef(journal.LPMSiblingOpen, l.Host(), l.obs.Tracer().Active(),
-		"user=%s peer=%s chan=%s role=%s", l.user.Name, host, key, role)
+	l.obs.Record(journal.LPMSiblingOpen, l.Host(), l.obs.Tracer().Active(), journal.SiblingOpen(l.user.Name, host, key, server))
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
 	if l.cfg.Linktest > 0 {
@@ -197,8 +196,7 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 		}
 		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitClosed, reason, 0)
 		l.obs.Metrics().Gauge("lpm.siblings.open").Add(-1)
-		l.obs.Notef(journal.LPMSiblingClose, l.Host(), l.obs.Tracer().Active(),
-			"user=%s peer=%s chan=%s", l.user.Name, sb.host, sb.chanKey)
+		l.obs.Record(journal.LPMSiblingClose, l.Host(), l.obs.Tracer().Active(), journal.SiblingClose(l.user.Name, sb.host, sb.chanKey))
 	}
 	// Fail outstanding requests to that host, oldest first (map order
 	// would let error callbacks race each other across identical runs).

@@ -2,8 +2,6 @@ package lpm
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"ppm/internal/detord"
@@ -131,7 +129,7 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 		return
 	}
 	l.statusSeq++
-	sweepID := fmt.Sprintf("%s#%d", l.Host(), l.statusSeq)
+	sweepID, seq := fmt.Sprintf("%s#%d", l.Host(), l.statusSeq), int32(l.statusSeq)
 	named := make(map[string]bool, len(hosts))
 	for _, h := range hosts {
 		named[h] = true
@@ -139,16 +137,14 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 	delete(named, "")
 	targets := detord.Keys(named)
 	l.toolCall("status", func(ctx trace.Context, done func(func())) {
-		l.obs.Notef(journal.StatusRequest, l.Host(), ctx, "user=%s sweep=%s hosts=%s",
-			l.user.Name, sweepID, strings.Join(targets, ","))
+		l.obs.Record(journal.StatusRequest, l.Host(), ctx, journal.SweepRequest(l.user.Name, l.Host(), seq, l.sortedList(targets)))
 		sw := &status.Sweep{Origin: l.Host(), User: l.user.Name, Reports: make([]status.Report, 0, len(targets))}
-		detail := "user=" + l.user.Name + " sweep=" + sweepID + " host="
 		record := func(host string, ok bool) {
 			if !ok {
 				l.obs.Metrics().Counter("lpm.status.unreachable").Inc()
 				sw.Unreachable = append(sw.Unreachable, host)
 			}
-			l.obs.Record(journal.StatusReport, l.Host(), ctx, journal.Text(detail+host+" ok="+strconv.FormatBool(ok)))
+			l.obs.Record(journal.StatusReport, l.Host(), ctx, journal.SweepReport(l.user.Name, l.Host(), seq, host, ok))
 		}
 		// The flood's stamp names it on the wire: the sweep id is for the
 		// origin's journal, and every hop would intern a new one.

@@ -37,7 +37,7 @@ type Store struct {
 	last  uint32
 
 	// wide holds what each retained wide slot leaves out, oldest first.
-	wide fifo
+	wide ring.Queue[wideFields]
 
 	// summaries of exited processes, preserved beyond event eviction.
 	exited map[proc.GPID]proc.Info
@@ -68,32 +68,6 @@ type wideFields struct {
 	rusage proc.Rusage
 }
 
-// fifo is a circular queue of wideFields, grown by doubling: a store
-// whose mix of events is steady stops allocating once the queue holds
-// the most wide slots the ring retains at once.
-type fifo struct {
-	buf     []wideFields
-	head, n int
-}
-
-func (q *fifo) push(w wideFields) {
-	if q.n == len(q.buf) {
-		buf := make([]wideFields, max(8, 2*q.n))
-		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
-		q.buf, q.head = buf, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = w
-	q.n++
-}
-
-func (q *fifo) pop() {
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-}
-
-// at returns the i-th queued entry, oldest first.
-func (q *fifo) at(i int) wideFields { return q.buf[(q.head+i)%len(q.buf)] }
-
 // DefaultCapacity bounds the number of retained events.
 const DefaultCapacity = 4096
 
@@ -118,12 +92,14 @@ func NewStore(capacity int) *Store {
 //
 //ppmlint:hotpath pin=TestHistoryAppendZeroAllocs
 func (s *Store) Append(ev proc.Event) {
-	if s.ring.Len() == s.capacity && s.ring.At(0).wide {
-		s.wide.pop()
-	}
-	if s.ring.Push(s.pack(ev)) {
+	p, evicted := s.ring.Next()
+	if evicted {
 		s.dropped++
+		if p.wide {
+			s.wide.Pop()
+		}
 	}
+	*p = s.pack(ev)
 	for _, w := range s.watches {
 		if w.matches(ev) {
 			w.hits++
@@ -144,7 +120,7 @@ func (s *Store) pack(ev proc.Event) slot {
 	}
 	if proc.EventKind(sl.kind) != ev.Kind || proc.Signal(sl.signal) != ev.Signal || ev.Rusage != (proc.Rusage{}) {
 		sl.wide = true
-		s.wide.push(wideFields{kind: ev.Kind, signal: ev.Signal, rusage: ev.Rusage})
+		s.wide.Push(wideFields{kind: ev.Kind, signal: ev.Signal, rusage: ev.Rusage})
 	}
 	return sl
 }
@@ -179,7 +155,7 @@ func (s *Store) each(f func(proc.Event) bool) {
 			Child: proc.GPID{Host: s.hosts[sl.chost], PID: sl.child},
 		}
 		if sl.wide {
-			x := s.wide.at(w)
+			x := s.wide.At(w)
 			w++
 			ev.Kind, ev.Signal, ev.Rusage = x.kind, x.signal, x.rusage
 		}

@@ -343,7 +343,8 @@ type refStore struct {
 }
 
 func (r *refStore) append(ev proc.Event) {
-	if r.ring.Push(ev) {
+	p, evicted := r.ring.Next()
+	if *p = ev; evicted {
 		r.dropped++
 	}
 }

@@ -141,6 +141,10 @@ type (
 		user, origin string
 		seq          int32
 	}
+	opKey struct { // an at-most-once operation within its user: an Op's slots, inc -1 for a whole key
+		origin   string
+		inc, seq int32
+	}
 )
 
 func stampOf(d *Detail) stamp { return stamp{s: [3]string{d.s[1]}, n: d.n, flag: d.flag} }
@@ -148,6 +152,16 @@ func stampOf(d *Detail) stamp { return stamp{s: [3]string{d.s[1]}, n: d.n, flag:
 func (s stamp) String() string { return string((*Detail)(&s).appendFormat(nil, "%s@%v#%d|%s")) }
 
 func (k sweepKey) String() string { return k.user + "/" + k.origin + "#" + strconv.Itoa(int(k.seq)) }
+
+func opOf(d *Detail) opKey {
+	if d.flag {
+		return opKey{d.s[1], -1, 0}
+	}
+	return opKey{d.s[1], d.n[0], d.n[1]}
+}
+
+// opName renders an Op's operation, "u/vax1#30#7".
+func opName(d *Detail) string { return string(d.appendFormat(nil, "%s/%s#%d#%d|%s/%s")) }
 
 // parseGPID reads a snapshot's GPID back from its String form, "-" as
 // a root's zero parent.
@@ -165,7 +179,7 @@ type auditor struct {
 	estab    map[userPair]map[string]bool     // established chan keys per unordered pair
 	edges    map[string]map[string]*auditEdge // user -> chan -> edge
 	floods   map[stamp]*auditFlood
-	execs    map[string]map[string]string // user -> op -> executing host
+	execs    map[string]map[opKey]string // user -> op -> executing host
 	sweeps   map[sweepKey]*auditSweep
 	down     map[string]bool // hosts crashed and not restarted
 	epoch    int             // bumped by any event that changes reachability
@@ -186,24 +200,24 @@ func newAuditor(complete bool) *auditor {
 		estab:    make(map[userPair]map[string]bool),
 		edges:    make(map[string]map[string]*auditEdge),
 		floods:   make(map[stamp]*auditFlood),
-		execs:    make(map[string]map[string]string),
+		execs:    make(map[string]map[opKey]string),
 		sweeps:   make(map[sweepKey]*auditSweep),
 		down:     make(map[string]bool),
 	}
 }
 
-// pass feeds the retained entries of j to the step, oldest first,
-// straight from the ring, then runs the end-of-stream checks.
+// pass feeds the retained entries of j to the step, oldest first, as
+// they unpack from the ring, then runs the end-of-stream checks.
 func (a *auditor) pass(j *Journal) []Violation {
-	for i := 0; i < j.Len(); i++ {
-		e, seq := j.ring.At(i), j.seqAt(i)
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
 		if len(a.out) >= maxViolations {
-			a.out = append(a.out, Violation{Seq: seq, Check: "audit",
+			a.out = append(a.out, Violation{Seq: c.seq, Check: "audit",
 				Msg: "too many violations; audit truncated"})
 			return a.out
 		}
-		a.crossLink(seq, e.trace, e.span)
-		a.step(seq, &e)
+		a.crossLink(c.seq, e.trace, e.span)
+		a.step(c.seq, &e)
 	}
 	if a.complete && len(a.out) < maxViolations {
 		a.finishSweeps()
@@ -282,17 +296,18 @@ func (a *auditor) step(seq uint64, e *entry) {
 	case LPMFloodDone:
 		a.floodDone(seq, e)
 	case LPMOpExec:
-		user, op := d.s[0], d.s[1]
-		if a.execs[user] == nil {
-			a.execs[user] = make(map[string]string)
+		ops := a.execs[d.s[0]]
+		if ops == nil {
+			ops = make(map[opKey]string)
+			a.execs[d.s[0]] = ops
 		}
-		if prev, ok := a.execs[user][op]; ok {
-			a.fail(seq, "dedup", "op %s/%s executed twice (first on %s, again on %s)", user, op, prev, e.host)
+		if prev, ok := ops[opOf(d)]; ok {
+			a.fail(seq, "dedup", "op %s executed twice (first on %s, again on %s)", opName(d), prev, e.host)
 		}
-		a.execs[user][op] = e.host
+		ops[opOf(d)] = e.host
 	case LPMOpReplay:
-		if _, ok := a.execs[d.s[0]][d.s[1]]; !ok && a.complete {
-			a.fail(seq, "dedup", "replay of op %s/%s which was never executed", d.s[0], d.s[1])
+		if _, ok := a.execs[d.s[0]][opOf(d)]; !ok && a.complete {
+			a.fail(seq, "dedup", "replay of op %s which was never executed", opName(d))
 		}
 	case StatusRequest:
 		a.statusRequest(seq, e)

@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -137,61 +138,79 @@ const (
 
 // kindTable is the vocabulary, indexed by kind: the dotted name a record
 // renders under (grouped by the layer that appends it), the metrics
-// counter that counts the same fact, and the format of a detail of fixed
+// counter that counts the same fact, the format of a detail of fixed
 // fields, which is written in slots, never as text, and which the audit
-// reads. Recorder.Record bumps that counter at the moment it appends the
-// record, so the two can never disagree (TestJournalMetricsCrossCheck).
-// A "*" stands for the record's first detail token — the transport of a
-// net.send, the event kind of a kernel.event. Kinds without a counter
-// are journaled only; wire.encode's per-type counters derive from the
-// wire manifest instead.
-var kindTable = [numKinds]struct{ name, counter, format string }{
-	NetSend:           {"net.send", "simnet.*.sent", ""},
-	NetDeliver:        {"net.deliver", "", ""},
-	NetDrop:           {"net.drop", "simnet.*.dropped", ""},
-	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened", ""},
-	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed", ""},
-	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken", ""},
-	NetHostCrash:      {"net.host.crash", "simnet.host.crashes", ""},
-	NetHostRestart:    {"net.host.restart", "simnet.host.restarts", ""},
-	NetPartition:      {"net.partition", "simnet.partition.events", ""},
-	NetHeal:           {"net.heal", "simnet.partition.heals", ""},
-	NetFlapDown:       {"net.flap.down", "simnet.flap.downs", ""},
-	NetFlapUp:         {"net.flap.up", "simnet.flap.ups", ""},
-	WireEncode:        {"wire.encode", "", "%s %dB"},
-	WireDecode:        {"wire.decode", "", "%s %dB"},
-	KernelSpawn:       {"kernel.spawn", "kernel.spawns", "pid=%d name=%s user=%s"},
-	KernelFork:        {"kernel.fork", "kernel.forks", "parent=%d child=%d name=%s"},
-	KernelExit:        {"kernel.exit", "kernel.exits", "pid=%d code=%d|pid=%d code=%d sig=%s"},
-	KernelSetParent:   {"kernel.setparent", "", "pid=%d parent=-|pid=%d parent=<%s,%d>"},
-	KernelEvent:       {"kernel.event", "kernel.events.*", "%s proc=<%s,%d>"},
-	DaemonQuery:       {"daemon.query", "daemon.queries", ""},
-	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures", ""},
-	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found", ""},
-	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created", ""},
-	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", ""},
-	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t"},
-	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s"},
-	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client|user=%s peer=%s chan=%s role=server"},
-	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s"},
-	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", ""},
-	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s|user=%s stamp=%s inner=%s"},
-	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d|user=%s stamp=%s"},
-	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits", "user=%s stamp=%s@%v#%d|user=%s stamp=%s"},
-	LPMFloodDone:      {"lpm.flood.done", "", "user=%s stamp=%s@%v#%d hosts=%s|user=%s stamp=%s hosts=%s"},
-	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated", ""},
-	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded", ""},
-	LPMRetry:          {"lpm.request.retry", "lpm.request.retries", ""},
-	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts", ""},
-	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials", ""},
-	LPMOpExec:         {"lpm.op.exec", "", "user=%s op=%s type=%s"},
-	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays", "user=%s op=%s type=%s"},
-	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions", "user=%s peer=%s chan=%s from=%s to=%s reason=%s"},
-	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards", ""},
-	SnapshotTaken:     {"snapshot", "", "user=%s procs=%s partial=%s"},
-	StatusRequest:     {"status.request", "lpm.status.sweeps", "user=%s sweep=%s#%d hosts=%s"},
-	StatusReport:      {"status.report", "", "user=%s sweep=%s#%d host=%s ok=%t"},
+// reads, and the string slots of the detail that hold text. Recorder.Record
+// bumps that counter at the moment it appends the record, so the two can
+// never disagree (TestJournalMetricsCrossCheck). A "*" stands for the
+// record's first detail token — the transport of a net.send, the event
+// kind of a kernel.event. Kinds without a counter are journaled only;
+// wire.encode's per-type counters derive from the wire manifest instead.
+//
+// A text is a list, a channel key, a process name or a key too wide for
+// its slots; every other string is a name: a host, a user, a message type
+// or a vocabulary word. The ring keeps a name as an index into its table
+// of names and a text out of line, so texts never grow that table. A Text
+// detail's one slot is text whatever the row; alt(…) marks a slot under
+// the format's "|" alternative only.
+var kindTable = [numKinds]struct {
+	name, counter, format string
+	text                  uint8
+}{
+	NetSend:           {"net.send", "simnet.*.sent", "", 0},
+	NetDeliver:        {"net.deliver", "", "", 0},
+	NetDrop:           {"net.drop", "simnet.*.dropped", "", 0},
+	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened", "", 0},
+	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed", "", 0},
+	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken", "", 0},
+	NetHostCrash:      {"net.host.crash", "simnet.host.crashes", "", 0},
+	NetHostRestart:    {"net.host.restart", "simnet.host.restarts", "", 0},
+	NetPartition:      {"net.partition", "simnet.partition.events", "", 0},
+	NetHeal:           {"net.heal", "simnet.partition.heals", "", 0},
+	NetFlapDown:       {"net.flap.down", "simnet.flap.downs", "", 0},
+	NetFlapUp:         {"net.flap.up", "simnet.flap.ups", "", 0},
+	WireEncode:        {"wire.encode", "", "%s %dB", 0},
+	WireDecode:        {"wire.decode", "", "%s %dB", 0},
+	KernelSpawn:       {"kernel.spawn", "kernel.spawns", "pid=%d name=%s user=%s", text0},
+	KernelFork:        {"kernel.fork", "kernel.forks", "parent=%d child=%d name=%s", text0},
+	KernelExit:        {"kernel.exit", "kernel.exits", "pid=%d code=%d|pid=%d code=%d sig=%s", 0},
+	KernelSetParent:   {"kernel.setparent", "", "pid=%d parent=-|pid=%d parent=<%s,%d>", 0},
+	KernelEvent:       {"kernel.event", "kernel.events.*", "%s proc=<%s,%d>", 0},
+	DaemonQuery:       {"daemon.query", "daemon.queries", "", 0},
+	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures", "", 0},
+	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found", "", 0},
+	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created", "", 0},
+	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", "", 0},
+	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t", 0},
+	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s", text1},
+	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client|user=%s peer=%s chan=%s role=server", text2},
+	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s", text2},
+	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", "", 0},
+	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s|user=%s stamp=%s inner=%s", alt(text1)},
+	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d|user=%s stamp=%s", alt(text1)},
+	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits", "user=%s stamp=%s@%v#%d|user=%s stamp=%s", alt(text1)},
+	LPMFloodDone:      {"lpm.flood.done", "", "user=%s stamp=%s@%v#%d hosts=%s|user=%s stamp=%s hosts=%s", text2 | alt(text1)},
+	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated", "", 0},
+	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded", "", 0},
+	LPMRetry:          {"lpm.request.retry", "lpm.request.retries", "", 0},
+	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts", "", 0},
+	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials", "", 0},
+	LPMOpExec:         {"lpm.op.exec", "", "user=%s op=%s#%d#%d type=%s|user=%s op=%s type=%s", alt(text1)},
+	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays", "user=%s op=%s#%d#%d type=%s|user=%s op=%s type=%s", alt(text1)},
+	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions", "user=%s peer=%s chan=%s from=%s to=%s reason=%s", text2},
+	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards", "", 0},
+	SnapshotTaken:     {"snapshot", "", "user=%s procs=%s partial=%s", text1 | text2},
+	StatusRequest:     {"status.request", "lpm.status.sweeps", "user=%s sweep=%s#%d hosts=%s", text2},
+	StatusReport:      {"status.report", "", "user=%s sweep=%s#%d host=%s ok=%t", 0},
 }
+
+const (
+	text0 = 1 << iota
+	text1
+	text2
+)
+
+func alt(text uint8) uint8 { return text << 4 }
 
 // CounterName returns the name of the metrics counter paired with
 // records of kind k whose detail leads with token, or "" when the kind
@@ -216,7 +235,7 @@ type Detail struct {
 	n      [3]int32 // ports, pids, frame sizes and sequences all fit
 	layout layout
 	flag   bool
-	kind   Kind // set by AppendDetail, not by constructors: it rides in the padding so a ring entry stays 104 bytes
+	kind   Kind // set by AppendDetail, not by constructors: it rides in the padding
 }
 
 // layout selects how appendTo renders a Detail's slots.
@@ -340,16 +359,14 @@ func (j *Journal) Flows(after uint64) (flows []Flow, evicted uint64) {
 	if j == nil {
 		return nil, 0
 	}
-	first := 0
 	if oldest := j.Dropped(); after < oldest {
 		evicted = oldest - after
-	} else {
-		first = int(after - oldest)
 	}
 	index := map[[2]string]int{}
-	for i := first; i < j.ring.Len(); i++ {
-		d := j.ring.At(i).d
-		if d.layout != layoutNetMessage || (d.kind != NetSend && d.kind != NetDrop) {
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
+		d := &e.d
+		if c.seq <= after || d.layout != layoutNetMessage || (d.kind != NetSend && d.kind != NetDrop) {
 			continue
 		}
 		pair := [2]string{d.s[1], d.s[2]}
@@ -388,7 +405,6 @@ func Spawn(pid int32, name, user string) Detail      { return fixed(name, user, 
 func Fork(parent, child int32, name string) Detail   { return fixed(name, "", "", parent, child, false) }
 func Exit(pid, code int32, sig string) Detail        { return fixed(sig, "", "", pid, code, sig != "") }
 func Control(op string, pid int32, ok bool) Detail   { return fixed(op, "", "", pid, 0, ok) }
-func Op(user, key, msgType string) Detail            { return fixed(user, key, msgType, 0, 0, false) }
 func SiblingAuth(user, chanKey, from string) Detail  { return fixed(user, chanKey, from, 0, 0, false) }
 func SiblingClose(user, peer, chanKey string) Detail { return fixed(user, peer, chanKey, 0, 0, false) }
 func Snapshot(user, procs, partial string) Detail    { return fixed(user, procs, partial, 0, 0, false) }
@@ -407,6 +423,18 @@ func SweepRequest(user, origin string, seq int32, hosts string) Detail {
 
 func SweepReport(user, origin string, seq int32, host string, ok bool) Detail {
 	return fixed(user, origin, host, seq, 0, ok)
+}
+
+// Op details one at-most-once operation by the parts of its key
+// (wire.OpKey): the origin host, its incarnation and its sequence there.
+// A key whose numbers do not fit the int32 slots renders here, whole,
+// into the origin's slot, and the flag says so.
+func Op(user, origin string, inc, seq uint64, msgType string) Detail {
+	if inc > math.MaxInt32 || seq > math.MaxInt32 {
+		key := origin + "#" + strconv.FormatUint(inc, 10) + "#" + strconv.FormatUint(seq, 10)
+		return fixed(user, key, msgType, 0, 0, true)
+	}
+	return fixed(user, origin, msgType, int32(inc), int32(seq), false)
 }
 
 // FloodStamp details a flood by its stamp, as lpm.flood.apply and .dup
@@ -594,13 +622,46 @@ const DefaultCapacity = 1 << 16
 // branches on whether the flight recorder is wired.
 type Journal struct {
 	now  func() time.Duration
-	ring *ring.Buffer[entry]
+	ring *ring.Buffer[slot]
 	seq  uint64 // records ever appended; Seq of the newest record
+
+	// names is the table a slot's host and names index: names[0] is "",
+	// then every name an append has held, in order of first sight. index
+	// inverts it; cache remembers, per hash of a name, the index last
+	// matched, so an append seldom reaches the map.
+	names []string
+	index map[string]uint32
+	cache [256]uint32
+
+	// texts holds the strings the retained slots keep out of line, and
+	// ids the trace contexts of their wide slots, oldest first.
+	texts ring.Queue[string]
+	ids   ring.Queue[[2]uint64]
 }
 
-// entry is a record as the ring holds it: no Seq (the ring position
-// gives it), the kind inside d, the detail unrendered. Its size is the
-// journal's retained heap per record (TestEntrySize).
+// slot is a record as the ring holds it, 48 bytes where the entry it
+// unpacks to is 104: no Seq (the ring position gives it), each name as
+// its index in Journal.names, each text out of line, and the trace
+// context in 32 bits unless the slot is wide. Its size is the journal's
+// retained heap per record (TestEntrySize).
+type slot struct {
+	at          time.Duration
+	n           [3]int32
+	host        uint32
+	s           [3]uint32
+	trace, span uint32
+	kind        Kind
+	bits        uint8 // the layout, then the bit* flags
+}
+
+const (
+	bitFlag = 1 << 2 // the detail's flag
+	bitWide = 1 << 3 // trace and span are the next entry of Journal.ids
+	bitText = 1 << 4 // string slot i is the next entry of Journal.texts: bitText << i
+)
+
+// entry is a record as the readers see it, unpacked from its slot: no
+// Seq, the kind inside d, the detail unrendered.
 type entry struct {
 	at          time.Duration
 	trace, span uint64
@@ -610,7 +671,8 @@ type entry struct {
 
 // New creates a journal reading virtual time from now.
 func New(now func() time.Duration) *Journal {
-	return &Journal{now: now, ring: ring.NewBuffer[entry](DefaultCapacity)}
+	return &Journal{now: now, ring: ring.NewBuffer[slot](DefaultCapacity),
+		names: []string{""}, index: make(map[string]uint32)}
 }
 
 // SetCapacity resizes the ring bound (only before the first append; 0
@@ -619,7 +681,7 @@ func (j *Journal) SetCapacity(n int) {
 	if j == nil || n <= 0 || j.seq != 0 {
 		return
 	}
-	j.ring = ring.NewBuffer[entry](n)
+	j.ring = ring.NewBuffer[slot](n)
 }
 
 // Append records a causally unattributed event whose detail is text.
@@ -647,17 +709,136 @@ func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uin
 	}
 	d.kind = kind
 	j.seq++
-	j.ring.Push(entry{at: j.now(), trace: trace, span: span, host: host, d: d})
+	// The evicted slot is read only while something waits aside: it is
+	// the ring's coldest line.
+	sl, evicted := j.ring.Next()
+	if evicted && j.texts.Len()+j.ids.Len() > 0 {
+		for n := bits.OnesCount8(sl.bits / bitText); n > 0; n-- {
+			j.texts.Pop()
+		}
+		if sl.bits&bitWide != 0 {
+			j.ids.Pop()
+		}
+	}
+	j.pack(sl, host, &d, trace, span)
 }
 
-// seqAt returns the Seq of the i-th retained entry, oldest first: the
-// newest is seq and the ring holds no gaps.
-func (j *Journal) seqAt(i int) uint64 { return j.seq - uint64(j.ring.Len()-i) + 1 }
+// pack fills sl with d, queueing what it keeps out of line. It stores
+// field by field: a slot built aside and copied in is read back wide
+// right after its narrow stores, which stalls.
+func (j *Journal) pack(sl *slot, host string, d *Detail, trace, span uint64) {
+	sl.at, sl.n, sl.kind, sl.bits = j.now(), d.n, d.kind, uint8(d.layout)
+	var ok bool
+	if sl.host, ok = j.cached(host); !ok {
+		sl.host = j.intern(host)
+	}
+	if d.flag {
+		sl.bits |= bitFlag
+	}
+	text := kindTable[d.kind].text // the slots of d that hold text
+	if d.flag {
+		text |= text >> 4
+	}
+	if d.layout == layoutText {
+		text = text0
+	}
+	for i, s := range &d.s {
+		sl.s[i] = 0
+		switch {
+		case s == "":
+		case text&(1<<i) != 0:
+			sl.bits |= bitText << i
+			j.texts.Push(s)
+		default:
+			if sl.s[i], ok = j.cached(s); !ok {
+				sl.s[i] = j.intern(s)
+			}
+		}
+	}
+	sl.trace, sl.span = uint32(trace), uint32(span)
+	if trace > math.MaxUint32 || span > math.MaxUint32 {
+		sl.bits |= bitWide
+		j.ids.Push([2]uint64{trace, span})
+	}
+}
 
-// record renders e, the i-th retained entry, oldest first.
-func (j *Journal) record(i int, e *entry) Record {
+// cached returns the index of name s if the cache holds it. It inlines,
+// so a name the cache holds costs its caller no call; intern is the way
+// in for the rest.
+func (j *Journal) cached(s string) (uint32, bool) {
+	if s == "" {
+		return 0, true
+	}
+	i := j.cache[nameHash(s)]
+	return i, j.names[i] == s
+}
+
+// intern returns s's index in the table of names, adding it on first
+// sight, and caches it.
+func (j *Journal) intern(s string) uint32 {
+	i, ok := j.index[s]
+	if !ok {
+		i = uint32(len(j.names))
+		j.names = append(j.names, s)
+		j.index[s] = i
+	}
+	j.cache[nameHash(s)] = i
+	return i
+}
+
+// nameHash files a name in the cache by its length and its first,
+// middle and last bytes: cheap, and apart for the dozen names of an
+// installation.
+func nameHash(s string) uint8 {
+	n := len(s)
+	return uint8((uint32(n) | uint32(s[0])<<8 | uint32(s[n/2])<<16 | uint32(s[n-1])<<24) * 0x9E3779B1 >> 24)
+}
+
+// cursor unpacks the retained slots oldest first: i is the next slot's
+// position, texts and ids its first entries in the queues beside the
+// ring, seq the Seq of the record last unpacked. It is the one way out
+// of the ring.
+type cursor struct {
+	j             *Journal
+	i, texts, ids int
+	seq           uint64
+}
+
+// next unpacks the next slot into e, or reports false past the newest.
+// It allocates nothing: every string it hands back is held by the table
+// of names or the queue of texts.
+func (c *cursor) next(e *entry) bool {
+	j := c.j
+	if c.i >= j.Len() {
+		return false
+	}
+	sl := j.ring.At(c.i)
+	c.seq = j.seq - uint64(j.ring.Len()-c.i) + 1 // the newest is j.seq, and the ring holds no gaps
+	c.i++
+	// Field by field: an entry literal would be built aside and copied.
+	names := j.names
+	e.at, e.trace, e.span, e.host = sl.at, uint64(sl.trace), uint64(sl.span), names[sl.host]
+	e.d.n, e.d.layout, e.d.flag, e.d.kind = sl.n, layout(sl.bits&3), sl.bits&bitFlag != 0, sl.kind
+	for i, x := range sl.s {
+		if sl.bits&(bitText<<i) != 0 {
+			e.d.s[i] = j.texts.At(c.texts)
+			c.texts++
+		} else {
+			e.d.s[i] = names[x]
+		}
+	}
+	if sl.bits&bitWide != 0 {
+		id := j.ids.At(c.ids)
+		c.ids++
+		e.trace, e.span = id[0], id[1]
+	}
+	return true
+}
+
+// record renders e, the record numbered seq.
+func record(seq uint64, e *entry) Record {
 	return Record{
-		Seq: j.seqAt(i), At: e.at, Kind: e.d.kind, Host: e.host,
+		Seq: seq, At: e.at, Kind: e.d.kind, Host: e.host,
 		Trace: e.trace, Span: e.span, Detail: e.d.text(),
 	}
 }
@@ -692,10 +873,10 @@ func (j *Journal) Records() []Record {
 	if j == nil {
 		return nil
 	}
-	out := make([]Record, j.ring.Len())
-	for i := range out {
-		e := j.ring.At(i)
-		out[i] = j.record(i, &e)
+	out := make([]Record, 0, j.ring.Len())
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
+		out = append(out, record(c.seq, &e))
 	}
 	return out
 }
@@ -707,6 +888,8 @@ func (j *Journal) Reset() {
 		return
 	}
 	j.ring.Reset()
+	j.texts.Reset()
+	j.ids.Reset()
 }
 
 // Filter selects records for Select and Report. Zero-valued fields
@@ -720,8 +903,8 @@ type Filter struct {
 	Until time.Duration // records at or before this instant (0 = unbounded)
 }
 
-// match runs on the ring entry, so a record the filter rejects is never
-// rendered.
+// match runs on the unpacked entry, so a record the filter rejects is
+// never rendered.
 func (f Filter) match(e *entry) bool {
 	if len(f.Kinds) > 0 {
 		if !slices.Contains(f.Kinds, e.d.kind) {
@@ -747,9 +930,10 @@ func (j *Journal) Select(f Filter) []Record {
 		return nil
 	}
 	var out []Record
-	for i := 0; i < j.ring.Len(); i++ {
-		if e := j.ring.At(i); f.match(&e) {
-			out = append(out, j.record(i, &e))
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
+		if f.match(&e) {
+			out = append(out, record(c.seq, &e))
 		}
 	}
 	return out
@@ -763,11 +947,12 @@ func (j *Journal) Render() string {
 }
 
 // lines renders the retained records matching f, one line each,
-// straight from the ring entries, and counts them.
+// straight from the unpacked slots, and counts them.
 func (j *Journal) lines(f Filter) (b []byte, n int) {
-	for i := 0; i < j.Len(); i++ {
-		if e := j.ring.At(i); f.match(&e) {
-			b = appendLine(b, j.seqAt(i), e.at, e.d.kind, e.host, e.trace, e.span, &e.d)
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
+		if f.match(&e) {
+			b = appendLine(b, c.seq, e.at, e.d.kind, e.host, e.trace, e.span, &e.d)
 			b = append(b, '\n')
 			n++
 		}

@@ -692,8 +692,9 @@ func TestAuditRedCases(t *testing.T) {
 		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
 		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
 	}
-	exec := rec(LPMOpExec, "a", Op("u", "a#1#1", "Control"))
-	big := FloodStamp("u", "a", time.Second, 1<<31) // past the sequence slot: whole in the origin's
+	exec := rec(LPMOpExec, "a", Op("u", "a", 1, 1, "Control"))
+	bigExec := rec(LPMOpExec, "a", Op("u", "a", 1, 1<<31, "Control")) // past the sequence slot: whole in the origin's
+	big := FloodStamp("u", "a", time.Second, 1<<31)                   // past the sequence slot: whole in the origin's
 	bigFlood := []testRecord{
 		rec(LPMFloodOrigin, "a", FloodOrigin(big, "SnapshotReq")),
 		rec(LPMFloodApply, "a", big),
@@ -709,9 +710,11 @@ func TestAuditRedCases(t *testing.T) {
 		{"apply without origin", "flood", "apply of flood s1 with no origin record",
 			append(slices.Clone(flood), rec(LPMFloodApply, "b", st("s1"))), 3},
 		{"double execution", "dedup", "op u/a#1#1 executed twice (first on a, again on b)",
-			[]testRecord{exec, rec(LPMOpExec, "b", Op("u", "a#1#1", "Control"))}, 1},
+			[]testRecord{exec, rec(LPMOpExec, "b", Op("u", "a", 1, 1, "Control"))}, 1},
+		{"whole op executed twice", "dedup", "op u/a#1#2147483648 executed twice (first on a, again on b)",
+			[]testRecord{bigExec, rec(LPMOpExec, "b", Op("u", "a", 1, 1<<31, "Control"))}, 1},
 		{"replay without execution", "dedup", "replay of op u/a#1#2 which was never executed",
-			[]testRecord{exec, rec(LPMOpReplay, "a", Op("u", "a#1#2", "Control"))}, 1},
+			[]testRecord{exec, rec(LPMOpReplay, "a", Op("u", "a", 1, 2, "Control"))}, 1},
 		{"sweep requested twice", "status", "sweep u/a#1 requested twice",
 			[]testRecord{
 				rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a")),
@@ -748,20 +751,21 @@ func TestAuditRedCases(t *testing.T) {
 	}
 }
 
-// A retained record costs the ring entry and nothing else, so the
-// entry's size is the journal's share of heap_live_mb: 65,536 of them
-// at 104 bytes are 6.5 MiB. Growing it is a memory regression on every
-// workload (PERFORMANCE.md).
+// A retained record costs its ring slot and, rarely, a text or a wide
+// trace context queued beside it, so the slot's size is the journal's
+// share of heap_live_mb: 65,536 of them at 48 bytes are 3 MiB. Growing
+// it is a memory regression on every workload (PERFORMANCE.md).
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 104 {
-		t.Fatalf("ring entry is %d bytes, budget 104", got)
+	if got := unsafe.Sizeof(slot{}); got > 48 {
+		t.Fatalf("ring slot is %d bytes, budget 48", got)
 	}
 }
 
 // TestJournalAppendZeroAllocs: once the ring is full, appending evicts
 // in place — the flight recorder's steady state (the //ppmlint:hotpath
 // pin for Append/AppendDetail) must stay off the allocator,
-// whichever form the detail arrives in.
+// whichever form the detail arrives in: names, text and a trace
+// context past 32 bits kept out of line, an op split into its parts.
 func TestJournalAppendZeroAllocs(t *testing.T) {
 	j, now := testJournal(64)
 	for i := 0; i < 64; i++ {
@@ -776,6 +780,8 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 		j.AppendDetail(NetHeal, "a", Text("steady"), 7, 9)
 		j.AppendDetail(WireEncode, "a", WireFrame("Control", 37), 7, 9)
 		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
+		j.AppendDetail(LPMSiblingOpen, "a", SiblingOpen("u", "b", "a:7->b:512", false), 1<<40, 9)
+		j.AppendDetail(LPMOpExec, "b", Op("u", "a", 30, 7, "Control"), 7, 9)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v times per run, want 0", allocs)
 	}

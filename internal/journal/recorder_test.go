@@ -18,7 +18,7 @@ func stateFacts(r *Recorder) {
 	r.Record(NetSend, "a", ctx, NetMessage(true, "a", 7, "b", 512, 14, ""))
 	r.Record(NetDeliver, "b", ctx, NetMessage(true, "a", 7, "b", 512, 14, ""))
 	r.Record(KernelEvent, "a", ctx, EventMessage(proc.EvStop.String(), "a", 6))
-	r.Record(LPMOpReplay, "a", ctx, Op("alice", "a#30#7", "Control"))
+	r.Record(LPMOpReplay, "a", ctx, Op("alice", "a", 30, 7, "Control"))
 	r.Record(NetHeal, "", trace.Context{}, Text(""))
 	r.Handle(3, "wire.msgs.Control").Inc()
 }

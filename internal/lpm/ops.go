@@ -425,7 +425,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		if r, ok := l.replies.Get(key); ok {
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
-			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, key, r.Type.String()))
+			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, r.Type.String()))
 			reply.send(r.Type, r.Body)
 			return
 		}
@@ -434,7 +434,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 			return
 		}
 		l.inflightOps.Put(key, struct{}{}, now)
-		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, key, env.Type.String()))
+		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, env.Type.String()))
 		reply.key = key
 	}
 

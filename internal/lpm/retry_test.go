@@ -389,12 +389,11 @@ func TestRecordZeroAllocs(t *testing.T) {
 	j.SetCapacity(64)
 	l := w.attach("vax1", w.user("felipe", "vax1"))
 	ctx := trace.Context{Trace: 7, Span: 9}
-	key := wire.OpKey("vax2", 30, 7)
 	stamp := wire.Stamp{Origin: "vax2", At: 1500 * time.Millisecond, Seq: 7}
 	fire := func() {
 		l.obs.Record(journal.LPMControl, l.Host(), ctx, journal.Control(wire.OpStop.String(), 12345, true))
-		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, key, wire.MsgControl.String()))
-		l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, key, wire.MsgControlResp.String()))
+		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, "vax2", 30, 7, wire.MsgControl.String()))
+		l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, "vax2", 30, 7, wire.MsgControlResp.String()))
 		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, l.stampDetail(stamp))
 	}
 	for i := 0; i < 64; i++ {

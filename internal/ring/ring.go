@@ -1,9 +1,10 @@
-// Package ring holds the two bounded containers the PPM's record
-// keepers share: Buffer, a ring that overwrites its oldest element (the
-// LPM's history store, the flight recorder), and Window, a map whose
-// entries expire a fixed span of virtual time after insertion (cached
-// replies, in-flight operation markers, broadcast-stamp dedup). Both
-// are single-goroutine, like the simulation they serve.
+// Package ring holds the bounded containers the PPM's record keepers
+// share: Buffer, a ring that overwrites its oldest element (the LPM's
+// history store, the flight recorder), with a Queue beside it for what
+// its elements keep out of line, and Window, a map whose entries expire
+// a fixed span of virtual time after insertion (cached replies,
+// in-flight operation markers, broadcast-stamp dedup). All are
+// single-goroutine, like the simulation they serve.
 package ring
 
 import (
@@ -29,8 +30,8 @@ type Buffer[T any] struct {
 	count int
 }
 
-// chunkLen is the number of slots in a block: 1.5 KiB of history slots,
-// 3.3 KiB of journal entries.
+// chunkLen is the number of slots in a block: 1.5 KiB of history or
+// journal slots.
 const chunkLen = 32
 
 // NewBuffer creates a buffer retaining at most capacity elements
@@ -46,27 +47,30 @@ func (b *Buffer[T]) slot(i int) *T {
 	return &b.chunks[i/chunkLen][i%chunkLen]
 }
 
-// Push appends v and reports whether the oldest element was
-// overwritten to make room.
+// Next makes room for one more element, the newest, and returns its
+// slot for the caller to fill in place. When the buffer was full the
+// slot is the oldest element's, which it still holds, and evicted is
+// true; otherwise the slot may hold what a Reset discarded.
 //
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
-func (b *Buffer[T]) Push(v T) (evicted bool) {
+func (b *Buffer[T]) Next() (p *T, evicted bool) {
 	if b.count == b.capacity {
-		*b.slot(b.start) = v
-		b.start = (b.start + 1) % b.capacity
-		return true
+		p = b.slot(b.start)
+		if b.start++; b.start == b.capacity {
+			b.start = 0
+		}
+		return p, true
 	}
 	// Below capacity start is 0 (only eviction moves it, Reset zeroes
 	// it) and the elements occupy slots [0, count).
 	if b.flat == nil && b.count == len(b.chunks)*chunkLen {
 		b.grow()
 	}
-	*b.slot(b.count) = v
 	b.count++
 	if b.count == b.capacity && b.flat == nil {
 		b.flatten()
 	}
-	return false
+	return b.slot(b.count - 1), false
 }
 
 // grow adds the next block, never past the bound: a full buffer holds
@@ -96,10 +100,57 @@ func (b *Buffer[T]) Slots() int {
 }
 
 // At returns the i-th retained element, oldest first.
-func (b *Buffer[T]) At(i int) T { return *b.slot((b.start + i) % b.capacity) }
+func (b *Buffer[T]) At(i int) T {
+	if i += b.start; i >= b.capacity { // i < count <= capacity: no division
+		i -= b.capacity
+	}
+	return *b.slot(i)
+}
 
 // Reset discards every retained element, keeping the slots.
 func (b *Buffer[T]) Reset() { b.start, b.count = 0, 0 }
+
+// Queue is an unbounded FIFO kept beside a Buffer for what some of its
+// elements hold out of line: pushed as such an element is appended,
+// popped as it is evicted, so the two stay in step. It grows by
+// doubling, so a steady mix stops allocating once the queue holds the
+// most that the buffer retains at once.
+type Queue[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// Push appends v.
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		buf := make([]T, max(8, 2*q.n))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+// Pop drops the oldest element, zeroing its slot so that nothing it
+// referenced is kept alive.
+func (q *Queue[T]) Pop() {
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+}
+
+// At returns the i-th queued element, oldest first.
+func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
+
+// Len returns the number of queued elements.
+func (q *Queue[T]) Len() int { return q.n }
+
+// Reset drops every element, keeping the slots.
+func (q *Queue[T]) Reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}
 
 // Window is a map whose entries are dropped once they have outlived a
 // fixed span of virtual time. Insertion order is virtual-time order

@@ -32,7 +32,16 @@ func TestBuffer(t *testing.T) {
 			b := NewBuffer[int](tc.capacity)
 			evicted := 0
 			for v := 1; v <= tc.pushes; v++ {
-				if b.Push(v) {
+				full, oldest := b.Len() == tc.capacity, 0
+				if full {
+					oldest = b.At(0)
+				}
+				p, ev := b.Next()
+				if ev != full || ev && *p != oldest {
+					t.Fatalf("Next() before %d = %d, %v; want the oldest's slot, %d, evicted iff full (%v)", v, *p, ev, oldest, full)
+				}
+				*p = v
+				if ev {
 					evicted++
 				}
 				if v == tc.resetAt {
@@ -67,13 +76,13 @@ func TestBuffer(t *testing.T) {
 func TestBufferGrowsOnDemand(t *testing.T) {
 	b := NewBuffer[int](1 << 16)
 	for v := 0; v < 10; v++ {
-		b.Push(v)
+		*slotOf(b.Next()) = v
 	}
 	if n := b.Slots(); n > chunkLen {
 		t.Fatalf("10 elements under a 64Ki bound hold %d slots", n)
 	}
 	for v := 10; v < 3*chunkLen+1; v++ {
-		b.Push(v)
+		*slotOf(b.Next()) = v
 	}
 	if n := b.Slots(); n != 4*chunkLen {
 		t.Fatalf("%d elements hold %d slots, want %d", 3*chunkLen+1, n, 4*chunkLen)
@@ -82,7 +91,7 @@ func TestBufferGrowsOnDemand(t *testing.T) {
 	const bound = 2*chunkLen + 5
 	b = NewBuffer[int](bound)
 	for v := 0; v < 3*bound; v++ {
-		b.Push(v)
+		*slotOf(b.Next()) = v
 	}
 	if n := b.Slots(); n != bound || b.chunks != nil {
 		t.Fatalf("a full buffer bounded at %d holds %d slots, %d of them in blocks", bound, n, n-cap(b.flat))
@@ -91,6 +100,43 @@ func TestBufferGrowsOnDemand(t *testing.T) {
 		if got := b.At(i); got != want {
 			t.Fatalf("At(%d) = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// slotOf is the slot Next made room for, whether or not it evicted.
+func slotOf[T any](p *T, _ bool) *T { return p }
+
+// TestQueue drives a queue through growth, wrap-around and reset:
+// elements come out in the order they went in, and a popped slot no
+// longer holds its element.
+func TestQueue(t *testing.T) {
+	var q Queue[string]
+	next, first := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%7+1; i++ {
+			q.Push(strconv.Itoa(next))
+			next++
+		}
+		for i := 0; i < round%5 && q.n > 0; i++ {
+			head := q.head
+			q.Pop()
+			if q.buf[head] != "" {
+				t.Fatalf("popped slot still holds %q", q.buf[head])
+			}
+			first++
+		}
+		if q.n != next-first {
+			t.Fatalf("round %d: Len = %d, want %d", round, q.n, next-first)
+		}
+		for i := 0; i < q.n; i++ {
+			if got, want := q.At(i), strconv.Itoa(first+i); got != want {
+				t.Fatalf("round %d: At(%d) = %q, want %q", round, i, got, want)
+			}
+		}
+	}
+	q.Reset()
+	if q.n != 0 || q.buf[0] != "" {
+		t.Fatalf("after Reset: Len = %d, slot 0 = %q", q.n, q.buf[0])
 	}
 }
 

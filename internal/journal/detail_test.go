@@ -54,7 +54,7 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 		for _, kind = range []journal.Kind{journal.LPMOpExec, journal.LPMOpReplay} {
 			for _, op := range [][2]uint64{{30, 7}, {1<<31 - 1, 1<<31 - 1}, {1 << 31, 7}, {30, 1 << 31}, {1<<64 - 1, 1<<64 - 1}} {
 				check(journal.Op("felipe", "vax1", op[0], op[1], mt.String()),
-					"user=%s op=%s type=%v", "felipe", wire.OpKey("vax1", op[0], op[1]), mt)
+					"user=%s op=%s type=%v", "felipe", wire.OpKey{Origin: "vax1", Inc: op[0], Seq: op[1]}, mt)
 			}
 		}
 	}

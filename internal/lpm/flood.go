@@ -21,14 +21,50 @@ import (
 // retained for the configurable DedupWindow), and echoes an aggregate
 // back along the recorded route once all of its children have answered.
 
-// floodState tracks one in-progress flood at one node. The aggregate's
-// lists stay in wire form: a child's echo is spliced in as it arrived.
-type floodState struct {
-	awaiting  int
-	result    wire.FloodResult
-	finished  bool
-	localDone bool
-	finish    func(wire.FloodResult)
+// floodHop is one flood in progress at one node, from its request (at
+// the origin, its call) to its echo (the origin's delivery), as one
+// record of floodFree (DESIGN.md §10 "A message's hops are recycled
+// records"). Its callbacks are method values bound when the record is
+// first used; its buffers — the legs, the forwarded route and body, the
+// result lists' own runs — serve the next flood. The aggregate's lists
+// stay in wire form: a child's echo is spliced in as it arrived.
+type floodHop struct {
+	l       *LPM
+	ctx     trace.Context
+	reply   replyTo       // an interior hop's: where the echo goes
+	deliver func(flooded) // the origin's: takes the aggregate
+	seq     uint64        // the broadcast's, echoed back
+	stamp   journal.Detail
+	// route is the request's route plus this host: forwarded, echoed,
+	// and this host's entry in the result's Routes.
+	route    wire.List[string]
+	body     []byte      // the forwarded Broadcast, the same bytes to every child
+	legs     []*floodLeg // the first n are this flood's children, in host order
+	awaiting int
+	// This host's fragment, held until its CPU is paid.
+	count   int32
+	procs   wire.List[proc.Info]
+	reports wire.List[string]
+	result  wire.FloodResult
+	applied bool
+	apply   func() // applyLocal
+}
+
+// floodLeg is one child's leg of a flood: its callback, bound once,
+// settles the leg on the hop it belongs to.
+type floodLeg struct {
+	h       *floodHop
+	host    string
+	settled func(wire.Envelope, error) // settle
+}
+
+func (l *LPM) newFloodHop(ctx trace.Context) *floodHop {
+	h := floodFree.Get().(*floodHop)
+	if h.apply == nil {
+		h.apply = h.applyLocal
+	}
+	h.l, h.ctx = l, ctx
+	return h
 }
 
 // flooded is a finished broadcast as its origin reads it: the
@@ -114,30 +150,14 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 // aggregated result.
 func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(flooded)) {
 	l.floodSeq++
-	// The signature is the signer's buffer until runFlood has encoded it.
+	// The signature is the signer's buffer until run has encoded it.
 	stamp := l.user.Stamps.Mint(l.Host(), l.sched.Now().Duration(), l.floodSeq)
 	l.markSeen(stamp)
 	l.obs.Record(journal.LPMFloodOrigin, l.Host(), ctx, journal.FloodOrigin(l.stampDetail(stamp), inner.Type.String()))
-	bc := wire.Broadcast{
-		Stamp: stamp,
-		Seq:   l.floodSeq,
-		Route: wire.ListOf(l.Host()),
-		Inner: inner.Encode(),
-	}
-	st := &floodState{finish: func(res wire.FloodResult) {
-		f := flooded{count: res.Count, procs: res.Procs.Values(), partial: res.Partial.Values(), hosts: res.Hosts.Values()}
-		for r := wire.StringsOf(res.Reports); ; {
-			b, ok := r.Next()
-			if !ok {
-				break
-			}
-			f.reports = append(f.reports, b)
-		}
-		l.learnRoutes(res.Routes)
-		l.obs.Record(journal.LPMFloodDone, l.Host(), ctx, journal.FloodDone(l.stampDetail(stamp), l.sortedList(f.hosts), l.sortedList(f.partial)))
-		cb(f)
-	}}
-	l.runFlood(ctx, st, bc, inner, "")
+	h := l.newFloodHop(ctx)
+	h.deliver = cb
+	h.route.Add(l.Host())
+	h.run(wire.Broadcast{Stamp: stamp, Seq: l.floodSeq, Route: h.route, Inner: inner.Encode()}, inner, "")
 }
 
 // handleFlood serves a broadcast arriving over a sibling circuit,
@@ -168,14 +188,11 @@ func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
 		l.echo(reply, wire.BroadcastResp{}, wire.FloodResult{OK: false})
 		return
 	}
-	// The route forwarded and echoed: the request's, plus this host.
-	route, seq := bc.Route.With(l.Host()), bc.Seq // copies: capturing bc would move it to the heap
-	fwd := bc
-	fwd.Route = route
-	st := &floodState{finish: func(res wire.FloodResult) {
-		l.echo(reply, wire.BroadcastResp{Seq: seq, From: l.Host(), Route: route}, res)
-	}}
-	l.runFlood(reply.ctx, st, fwd, inner, reply.sb.host)
+	h := l.newFloodHop(reply.ctx)
+	h.reply, h.seq = reply, bc.Seq
+	h.route.Splice(bc.Route)
+	h.route.Add(l.Host())
+	h.run(bc, inner, reply.sb.host)
 }
 
 // skipStatusDedup, set only by tests, makes a hop serve a status flood
@@ -197,29 +214,37 @@ func (l *LPM) echo(reply replyTo, m wire.BroadcastResp, res wire.FloodResult) {
 	reply.send(wire.MsgBroadcastResp, wire.EncodeEcho(m, &res))
 }
 
-// runFlood performs the local work and forwards to all siblings except
-// the parent, completing st when every child answered (or failed).
-func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inner wire.Envelope, parentHost string) {
-	children := make([]*sibling, 0, len(l.siblings))
-	for h, sb := range l.siblings {
+// run performs the local work and forwards bc, the request, to all
+// siblings except the parent and those on its route, finishing the hop
+// when every child answered (or failed).
+func (h *floodHop) run(bc wire.Broadcast, inner wire.Envelope, parentHost string) {
+	l, legs, n := h.l, h.legs, 0
+	for host, sb := range l.siblings {
 		// Do not send the request back to hosts already on the route.
-		if h != parentHost && sb.conn.Open() && !onRoute(bc.Route, h) {
-			children = append(children, sb)
+		if host != parentHost && sb.conn.Open() && !onRoute(bc.Route, host) {
+			if n == len(legs) {
+				g := &floodLeg{h: h}
+				g.settled = g.settle
+				legs = append(legs, g)
+			}
+			legs[n].host = sb.host
+			n++
 		}
 	}
 	// Fan out in host order: l.siblings is a map, and the order the
 	// requests hit the circuits decides queueing delays downstream.
-	detord.SortBy(children, func(sb *sibling) string { return sb.host })
-	st.awaiting = len(children)
-	var body []byte // encoded once, the same bytes go to every child
-	if out := bc; len(children) > 0 {
-		body = wire.Encode(&out) // of a copy: taking bc's address would move it, captured below, to the heap
+	h.legs, legs = legs, legs[:n]
+	detord.SortBy(legs, func(g *floodLeg) string { return g.host })
+	h.awaiting = n
+	if n > 0 {
+		bc.Route = h.route
+		h.body = wire.EncodeTo(h.body, &bc)
 	}
 	var local wire.FloodResult
 	var cost time.Duration
-	l.withTraceCtx(ctx, func() { local, cost = l.localFloodWork(inner) })
-	count, procs, reports := local.Count, local.Procs, local.Reports // copies: local, assigned in a closure, would move to the heap
-	stamp, path := l.stampDetail(bc.Stamp), bc.Route                 // and bc, too big to capture by value
+	l.withTraceCtx(h.ctx, func() { local, cost = l.localFloodWork(inner) })
+	h.count, h.procs, h.reports = local.Count, local.Procs, local.Reports
+	h.stamp = l.stampDetail(bc.Stamp)
 	// Each per-hop echo is its own at-most-once operation through the
 	// retry engine: a lost request or echo is retransmitted under a
 	// stable op id, and the child replays its full cached echo rather
@@ -228,33 +253,43 @@ func (l *LPM) runFlood(ctx trace.Context, st *floodState, bc wire.Broadcast, inn
 	// read-only, and a subtree a retransmission finds answered Dup is
 	// left to the sweep's direct asks. The echo's body is the hop's
 	// own, so the aggregate takes its lists as they are.
-	for _, child := range children {
-		from := child.host
+	for _, g := range legs {
 		op := uint64(0)
 		if inner.Type != wire.MsgStatusReq {
 			l.opSeq++
 			op = l.opSeq
 		}
-		l.callWithRetry(ctx, from, wire.MsgBroadcast, body, op, func(env wire.Envelope, err error) {
-			if err != nil || st.result.Splice(env.Body, l.user.Names) != nil {
-				st.result.Partial.Add(from)
-			}
-			st.awaiting--
-			l.maybeFinishFlood(st)
-		})
+		l.callWithRetry(h.ctx, g.host, wire.MsgBroadcast, h.body, op, g.settled)
 	}
-	l.execSpan(ctx, "exec.flood_work", cost, func() {
-		l.obs.Record(journal.LPMFloodApply, l.Host(), ctx, stamp)
-		st.result.OK = true
-		st.result.Count += count
-		st.result.Procs.Splice(procs)
-		st.result.Reports.Splice(reports)
-		st.result.Hosts.Add(l.Host())
-		var route [64]byte
-		st.result.Routes.Add(string(appendRoute(route[:0], path)))
-		st.localDone = true
-		l.maybeFinishFlood(st)
-	})
+	l.execSpan(h.ctx, "exec.flood_work", cost, h.apply)
+}
+
+// settle adds the child's echo to the aggregate, or the child to its
+// Partial list when the leg failed.
+func (g *floodLeg) settle(env wire.Envelope, err error) {
+	h := g.h
+	if err != nil || h.result.Splice(env.Body, h.l.user.Names) != nil {
+		h.result.Partial.Add(g.host)
+	}
+	h.awaiting--
+	h.maybeFinish()
+}
+
+// applyLocal adds this host's fragment to the aggregate once its CPU is
+// paid. Work queued on a boot that crashes never runs: its hop never
+// finishes, and its record is dropped, not returned.
+func (h *floodHop) applyLocal() {
+	l := h.l
+	l.obs.Record(journal.LPMFloodApply, l.Host(), h.ctx, h.stamp)
+	h.result.OK = true
+	h.result.Count += h.count
+	h.result.Procs.Splice(h.procs)
+	h.result.Reports.Splice(h.reports)
+	h.result.Hosts.Add(l.Host())
+	var route [64]byte
+	h.result.Routes.Add(string(appendRoute(route[:0], h.route)))
+	h.applied = true
+	h.maybeFinish()
 }
 
 // onRoute reports whether host is on route.
@@ -282,12 +317,40 @@ func appendRoute(dst []byte, route wire.List[string]) []byte {
 	}
 }
 
-func (l *LPM) maybeFinishFlood(st *floodState) {
-	if st.finished || !st.localDone || st.awaiting > 0 {
+// maybeFinish ends the hop once its local work has run and its last leg
+// has settled: an interior hop echoes the aggregate, the origin delivers
+// it. Then nothing refers to the record, and it goes back to the pool
+// (DESIGN.md §10).
+func (h *floodHop) maybeFinish() {
+	if !h.applied || h.awaiting > 0 {
 		return
 	}
-	st.finished = true
-	st.finish(st.result)
+	l := h.l
+	if h.deliver == nil {
+		l.echo(h.reply, wire.BroadcastResp{Seq: h.seq, From: l.Host(), Route: h.route}, h.result)
+	} else {
+		res := &h.result
+		f := flooded{count: res.Count, procs: res.Procs.Values(), partial: res.Partial.Values(), hosts: res.Hosts.Values()}
+		for r := wire.StringsOf(res.Reports); ; {
+			b, ok := r.Next()
+			if !ok {
+				break
+			}
+			f.reports = append(f.reports, b)
+		}
+		l.learnRoutes(res.Routes)
+		l.obs.Record(journal.LPMFloodDone, l.Host(), h.ctx, journal.FloodDone(h.stamp, l.sortedList(f.hosts), l.sortedList(f.partial)))
+		h.deliver(f)
+		// f's reports alias the runs, and the callback's closures may
+		// keep f: the record keeps none of the reports' buffers.
+		res.Reports = wire.List[string]{}
+	}
+	// The lists keep the buffers they wrote themselves, and drop every
+	// run they spliced: a pooled record pins no echo.
+	h.result.Reset()
+	h.route.Reset()
+	*h = floodHop{apply: h.apply, route: h.route, body: h.body, legs: h.legs, result: h.result}
+	floodFree.Put(h)
 }
 
 // --- flood-based public operations ---

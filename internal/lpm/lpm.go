@@ -279,9 +279,14 @@ type pendingReq struct {
 	expire    func()
 }
 
-// The records a sibling exchange rides (DESIGN.md §10), pooled per
-// process: an LPM reaches no installation-wide object of its package.
-var reqFree, hopFree = sync.Pool{New: func() any { return new(pendingReq) }}, sync.Pool{New: func() any { return new(hop) }}
+// The records a sibling exchange and a flood hop ride (DESIGN.md §10),
+// pooled per process: an LPM reaches no installation-wide object of its
+// package.
+var (
+	reqFree   = sync.Pool{New: func() any { return new(pendingReq) }}
+	hopFree   = sync.Pool{New: func() any { return new(hop) }}
+	floodFree = sync.Pool{New: func() any { return new(floodHop) }}
+)
 
 // LPM is one Local Process Manager.
 type LPM struct {
@@ -323,20 +328,15 @@ type LPM struct {
 	// this LPM incarnation only; the incarnation id in the op key keeps
 	// instances apart.
 	opSeq uint64
-	// replies caches the encoded reply of every executed at-most-once
-	// operation, keyed by wire.OpKey(origin, inc, op), so a retransmit
-	// is answered from the cache instead of re-executing. Entries are
-	// retained for opWindow of virtual time.
+	// replies is the at-most-once table: the encoded reply of every
+	// executed at-most-once operation, keyed by its wire.OpKey, so a
+	// retransmit is answered from the cache instead of re-executing, and
+	// a marker for each one still executing, so a retransmit arriving
+	// before the first execution finishes is dropped. Entries are
+	// retained for opWindow of virtual time, when the origin's retry
+	// loop has certainly given up: a marker dropped sooner would let a
+	// duplicate of an execution still in progress through.
 	replies *wire.ReplyCache
-	// inflightOps marks at-most-once operations currently executing, so
-	// a retransmit arriving before the first execution finishes is
-	// dropped (the sender's next retry finds the cached reply). A
-	// marker whose execution never replies is dropped after opWindow,
-	// when the origin's retry loop has certainly given up: kept
-	// forever it would swallow every retransmission of that operation,
-	// dropped sooner it would let a duplicate of an execution still in
-	// progress through.
-	inflightOps *ring.Window[string, struct{}]
 	// peerIncs remembers the last incarnation seen from each peer host,
 	// so a Hello from a new incarnation (the peer LPM restarted) purges
 	// the dead incarnation's dedup state.
@@ -386,28 +386,27 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 	user *auth.User, acceptPort uint16, cfg Config, sites recovery.Sites) (*LPM, error) {
 	cfg = cfg.withDefaults()
 	l := &LPM{
-		user:        user,
-		kern:        kern,
-		net:         net,
-		sched:       net.Scheduler(),
-		dir:         dir,
-		dmns:        dmns,
-		cfg:         cfg,
-		accept:      simnet.Addr{Host: kern.Name(), Port: acceptPort},
-		myPids:      make(map[proc.PID]bool),
-		siblings:    make(map[string]*sibling),
-		dialing:     make(map[string]*dialState),
-		circuits:    make(map[string]journal.CircuitState),
-		knownHosts:  make(map[string]bool),
-		routes:      make(map[string][]string),
-		pending:     make(map[uint64]*pendingReq),
-		replies:     wire.NewReplyCache(cfg.opWindow()),
-		inflightOps: ring.NewWindow[string, struct{}](cfg.opWindow()),
-		peerIncs:    make(map[string]uint64),
-		records:     make(map[proc.PID]proc.Info),
-		store:       history.NewStore(cfg.HistoryCapacity),
-		seen:        ring.NewWindow[stampID, struct{}](cfg.DedupWindow),
-		obs:         net.Recorder(),
+		user:       user,
+		kern:       kern,
+		net:        net,
+		sched:      net.Scheduler(),
+		dir:        dir,
+		dmns:       dmns,
+		cfg:        cfg,
+		accept:     simnet.Addr{Host: kern.Name(), Port: acceptPort},
+		myPids:     make(map[proc.PID]bool),
+		siblings:   make(map[string]*sibling),
+		dialing:    make(map[string]*dialState),
+		circuits:   make(map[string]journal.CircuitState),
+		knownHosts: make(map[string]bool),
+		routes:     make(map[string][]string),
+		pending:    make(map[uint64]*pendingReq),
+		replies:    wire.NewReplyCache(cfg.opWindow()),
+		peerIncs:   make(map[string]uint64),
+		records:    make(map[proc.PID]proc.Info),
+		store:      history.NewStore(cfg.HistoryCapacity),
+		seen:       ring.NewWindow[stampID, struct{}](cfg.DedupWindow),
+		obs:        net.Recorder(),
 	}
 	p, err := kern.Spawn("lpm", user.Name)
 	if err != nil {
@@ -495,7 +494,7 @@ func (l *LPM) chanKey(conn *simnet.Conn) string {
 func (l *LPM) withTraceCtx(ctx trace.Context, fn func()) {
 	// ctx is reused to hold the displaced context: with a variable more
 	// the function is past the inlining budget, and a caller whose fn
-	// assigns a captured result (runFlood's) pays a heap move for it.
+	// assigns a captured result (floodHop.run's) pays a heap move for it.
 	tracer := l.obs.Tracer()
 	ctx = tracer.Exchange(ctx)
 	fn()

@@ -417,25 +417,24 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 	reply := replyTo{l: l, sb: sb, reqID: env.ReqID, ctx: ctx}
 	if env.OpID != 0 && env.Type.AtMostOnce() {
 		now := l.sched.Now().Duration()
-		l.inflightOps.Expire(now)
 		// The peer's incarnation scopes its op ids: a restarted origin
 		// renumbers from zero under a fresh incarnation, so its fresh
 		// operations can never hit a predecessor's cache entries.
-		key := wire.OpKey(sb.host, sb.inc, env.OpID)
-		if r, ok := l.replies.Get(key); ok {
+		key := wire.OpKey{Origin: sb.host, Inc: sb.inc, Seq: env.OpID}
+		switch r, replied, running := l.replies.Lookup(key, now); {
+		case replied:
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID.
 			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, r.Type.String()))
 			reply.send(r.Type, r.Body)
 			return
-		}
-		if _, ok := l.inflightOps.Get(key); ok {
+		case running:
 			l.obs.Metrics().Counter("lpm.dedup.inflight_drops").Inc()
 			return
 		}
-		l.inflightOps.Put(key, struct{}{}, now)
+		l.replies.Start(key, now)
 		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, env.Type.String()))
-		reply.key = key
+		reply.op = env.OpID
 	}
 
 	switch env.Type {
@@ -451,14 +450,15 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 }
 
 // replyTo is where a served request's answer goes, as a value: its
-// circuit, id and trace context, and the reply-cache key of an
-// at-most-once operation. fn, when set, takes the answer instead.
+// circuit, id and trace context, and the op id of an at-most-once
+// operation, which with the circuit's peer and incarnation keys the
+// reply cache. fn, when set, takes the answer instead.
 type replyTo struct {
 	l     *LPM
 	sb    *sibling
 	reqID uint64
 	ctx   trace.Context
-	key   string
+	op    uint64 // 0: not an at-most-once operation
 	fn    func(wire.MsgType, []byte)
 }
 
@@ -468,9 +468,8 @@ func (r replyTo) send(t wire.MsgType, body []byte) {
 		r.fn(t, body)
 		return
 	}
-	if r.key != "" {
-		r.l.inflightOps.Delete(r.key)
-		r.l.replies.Put(r.key, t, body, r.l.sched.Now().Duration())
+	if r.op != 0 {
+		r.l.replies.Put(wire.OpKey{Origin: r.sb.host, Inc: r.sb.inc, Seq: r.op}, t, body, r.l.sched.Now().Duration())
 	}
 	r.l.sendOut(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span})
 }

@@ -82,7 +82,7 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 	pr.attempt++
 	delay := l.cfg.Retry.backoff(pr.attempt)
 	l.obs.Notef(journal.LPMRetry, l.Host(), pr.ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
-		l.user.Name, wire.OpKey(l.Host(), l.incarnation(), pr.op), pr.t, pr.attempt, delay)
+		l.user.Name, wire.OpKey{Origin: l.Host(), Inc: l.incarnation(), Seq: pr.op}, pr.t, pr.attempt, delay)
 	var bsp *trace.Span
 	if pr.ctx.Valid() { // the name is built only for a span that will exist
 		bsp = l.obs.Tracer().StartSpan(l.Host(), "lpm.retry."+pr.host, pr.ctx)

@@ -140,7 +140,7 @@ func TestDuplicateDeliveryRepliesFromCache(t *testing.T) {
 	// The warm create executed under its own op id; count only this
 	// operation's records. The receiver scopes the key to the sender's
 	// incarnation (its dispatcher pid).
-	opKey := fmt.Sprintf("op=%s", wire.OpKey("vax1", l.incarnation(), 777))
+	opKey := fmt.Sprintf("op=%s", wire.OpKey{Origin: "vax1", Inc: l.incarnation(), Seq: 777})
 	countOp := func(k journal.Kind) int {
 		n := 0
 		for _, r := range j.Select(journal.Filter{Kinds: []journal.Kind{k}}) {
@@ -343,16 +343,15 @@ func TestInflightMarkersExpireWithWindow(t *testing.T) {
 	w.run(time.Second)
 
 	now := w.sched.Now().Duration()
-	key := wire.OpKey("vax9", 1, 1)
-	l.inflightOps.Put(key, struct{}{}, now)
+	key := wire.OpKey{Origin: "vax9", Inc: 1, Seq: 1}
+	l.replies.Start(key, now)
 
 	window := l.cfg.opWindow()
-	l.inflightOps.Expire(now + window) // at the window edge a retransmit can still arrive
-	if _, ok := l.inflightOps.Get(key); !ok {
+	// At the window edge a retransmit can still arrive.
+	if _, _, running := l.replies.Lookup(key, now+window); !running {
 		t.Fatal("marker evicted while a retransmit could still arrive")
 	}
-	l.inflightOps.Expire(now + window + 1)
-	if _, ok := l.inflightOps.Get(key); ok {
+	if _, _, running := l.replies.Lookup(key, now+window+1); running {
 		t.Fatal("orphaned in-flight marker survived its retransmit window")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"ppm/internal/journal"
 	"ppm/internal/proc"
 	"ppm/internal/recovery"
-	"ppm/internal/ring"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
@@ -141,9 +140,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 // cause a fresh operation to be wrongly answered from a stale cache.
 func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	if old, ok := l.peerIncs[host]; ok && old != inc {
-		prefix := wire.OpPrefix(host, old)
-		l.replies.PurgePrefix(prefix)
-		ring.PurgePrefix(l.inflightOps, prefix)
+		l.replies.Purge(host, old)
 	}
 	l.peerIncs[host] = inc
 	if old, ok := l.siblings[host]; ok && old.conn != conn && old.conn.Open() {

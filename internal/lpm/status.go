@@ -85,7 +85,7 @@ func (l *LPM) BuildStatus(r *status.Report) {
 	r.PendingReqs = len(l.pending)
 	r.RetryBackoffs = l.retryBackoffs
 	r.ReplyCache = l.replies.Len()
-	r.InflightOps = l.inflightOps.Len()
+	r.InflightOps = l.replies.Running()
 	r.JournalLen = l.obs.Journal().Len()
 	r.JournalDropped = l.obs.Journal().Dropped()
 	ops := r.OpLatencies

@@ -8,7 +8,6 @@
 package ring
 
 import (
-	"strings"
 	"time"
 )
 
@@ -223,8 +222,16 @@ func (w *Window[K, V]) rebuild() {
 	w.live, w.puts = live, 0
 }
 
-// Delete drops key ahead of its expiry.
-func (w *Window[K, V]) Delete(key K) { delete(w.live, key) }
+// Delete drops key ahead of its expiry. Its slot stays queued until it
+// expires, unless such slots are most of the queue: then the queue is
+// cut to the held entries' slots, so a window whose entries mostly leave
+// by Delete (in-flight markers) queues about as many slots as it holds.
+func (w *Window[K, V]) Delete(key K) {
+	delete(w.live, key)
+	if q := len(w.order) - w.head; q >= 64 && q > 4*len(w.live) {
+		w.filter(nil)
+	}
+}
 
 // Expire drops every entry older than the span at virtual time now. An
 // entry exactly span old is still held.
@@ -254,22 +261,28 @@ func (w *Window[K, V]) Expire(now time.Duration) {
 	}
 }
 
-// PurgePrefix drops every entry of a string-keyed window whose key
-// begins with prefix and reports how many were dropped. The survivors
-// keep their order.
-func PurgePrefix[V any](w *Window[string, V], prefix string) int {
-	kept := make([]slot[string], 0, len(w.order)-w.head)
-	n := 0
+// Purge drops every entry whose key drop reports and reports how many
+// were dropped. The survivors keep their order.
+func (w *Window[K, V]) Purge(drop func(K) bool) int { return w.filter(drop) }
+
+// filter cuts the queue, in place, to the slots of held entries, less
+// those drop (if set) reports, which it drops and counts.
+func (w *Window[K, V]) filter(drop func(K) bool) int {
+	n, dropped := 0, 0
 	for _, s := range w.order[w.head:] {
-		if !strings.HasPrefix(s.key, prefix) {
-			kept = append(kept, s)
-		} else if e, ok := w.live[s.key]; ok && e.at == s.at {
+		switch e, ok := w.live[s.key]; {
+		case !ok || e.at != s.at: // deleted, or stored afresh later in the queue
+		case drop != nil && drop(s.key):
 			delete(w.live, s.key)
+			dropped++
+		default:
+			w.order[n] = s
 			n++
 		}
 	}
-	w.order, w.head = kept, 0
-	return n
+	clear(w.order[n:])
+	w.order, w.head = w.order[:n], 0
+	return dropped
 }
 
 // Len returns the number of held entries.

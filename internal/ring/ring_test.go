@@ -2,6 +2,7 @@ package ring
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -201,8 +202,8 @@ func TestWindow(t *testing.T) {
 				case "expire":
 					w.Expire(o.at)
 				case "purge":
-					if n := PurgePrefix(w, o.key); n != o.val {
-						t.Fatalf("PurgePrefix(%q) dropped %d, want %d", o.key, n, o.val)
+					if n := w.Purge(func(k string) bool { return strings.HasPrefix(k, o.key) }); n != o.val {
+						t.Fatalf("purge of prefix %q dropped %d, want %d", o.key, n, o.val)
 					}
 				}
 			}
@@ -220,7 +221,8 @@ func TestWindow(t *testing.T) {
 
 // TestWindowQueueStaysProportional: steady churn through the window
 // must not let the expiry queue outgrow the live entries (the drained
-// prefix is reclaimed), and a fully drained window holds no queue.
+// prefix is reclaimed), a fully drained window holds no queue, and
+// deletions do not leave the queue mostly stale slots.
 func TestWindowQueueStaysProportional(t *testing.T) {
 	w := NewWindow[string, struct{}](10 * time.Second)
 	for i := 0; i < 1000; i++ {
@@ -235,6 +237,21 @@ func TestWindowQueueStaysProportional(t *testing.T) {
 	w.Expire(time.Hour)
 	if w.Len() != 0 || w.head != 0 || len(w.order) != 0 {
 		t.Fatalf("drained window: len=%d head=%d queue=%d", w.Len(), w.head, len(w.order))
+	}
+	// Entries that leave by Delete long before they expire (in-flight
+	// markers) leave their slots behind; the queue keeps few of them.
+	for i := 0; i < 1000; i++ {
+		k := strconv.Itoa(i)
+		w.Put(k, struct{}{}, time.Hour+time.Duration(i)*time.Millisecond)
+		if i%10 != 0 {
+			w.Delete(k)
+		}
+		if q := len(w.order) - w.head; q > 4*w.Len()+64 {
+			t.Fatalf("step %d: %d slots queued for %d held entries", i, q, w.Len())
+		}
+	}
+	if w.Len() != 100 {
+		t.Fatalf("held %d entries, want the 100 never deleted", w.Len())
 	}
 }
 

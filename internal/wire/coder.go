@@ -32,6 +32,14 @@ func Encode(m Message) []byte {
 	return c.e.buf
 }
 
+// EncodeTo is Encode into buf's storage, from its start: the buffer is
+// grown only when m does not fit, and the caller reuses what it returns.
+func EncodeTo(buf []byte, m Message) []byte {
+	c := Coder{e: Encoder{buf: buf[:0]}}
+	m.Fields(&c)
+	return c.e.buf
+}
+
 // Decode fills m from its wire form b, overwriting every field. Zero
 // padding or unknown trailing bytes after the last field are permitted.
 // On error m holds the fields read before the buffer ran out.

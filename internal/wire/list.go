@@ -138,12 +138,13 @@ const bigRun = 64
 // adopt appends a run of whole elements. A run taken as it is is capped,
 // so that no append of l's can write into it. A short one is copied onto
 // the last run, or, rather than copy a long last run along with it, into
-// a new run with room for the next short ones.
+// a new run with room for the next short ones. The first run is taken as
+// it is unless l's own buffer (Reset) has room for it.
 func (l *List[T]) adopt(run []byte) {
 	last := l.last()
 	switch {
 	case len(run) == 0:
-	case len(l.b) == 0:
+	case len(l.b) == 0 && cap(l.b) < len(run):
 		l.b = run[:len(run):len(run)]
 	case cap(*last)-len(*last) >= len(run) || len(run) < bigRun && len(*last) < bigRun:
 		*last = append(*last, run...)
@@ -182,12 +183,18 @@ func ElementOf(m Message) List[string] {
 	return List[string]{n: 1, b: b}
 }
 
-// With returns l with v after it, in a buffer of its own.
-func (l List[T]) With(v T) List[T] {
-	var w List[T]
-	w.Splice(l)
-	w.Add(v)
-	return w
+// Reset empties l to be filled again, keeping its first run's buffer
+// when l wrote it, and the slice of further runs, cleared. A run l took
+// as it was is capped (adopt), so a first run with no room left may be
+// another list's: it is dropped, like every further run, and a reset
+// list pins nothing it spliced.
+func (l *List[T]) Reset() {
+	b := l.b[:0]
+	if cap(l.b) == len(l.b) {
+		b = nil
+	}
+	clear(l.runs)
+	*l = List[T]{b: b, runs: l.runs[:0]}
 }
 
 // Values decodes the elements.

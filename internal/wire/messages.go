@@ -903,6 +903,17 @@ func (m *FloodResult) Fields(c *Coder) {
 	}
 }
 
+// Reset empties m to aggregate again, keeping the buffers its lists
+// wrote themselves (List.Reset) and dropping every run it spliced.
+func (m *FloodResult) Reset() {
+	m.Procs.Reset()
+	m.Partial.Reset()
+	m.Hosts.Reset()
+	m.Routes.Reset()
+	m.Reports.Reset()
+	m.OK, m.Dup, m.Count = false, false, 0
+}
+
 // Splice adds a child's echo to the aggregate m: its count, and its
 // five lists appended byte for byte. echo is a BroadcastResp body, read
 // in place (see DecodeHop); a duplicate's echo adds nothing. An echo

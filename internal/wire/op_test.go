@@ -63,24 +63,34 @@ func TestEnvelopeZeroPaddingIsNotAnOp(t *testing.T) {
 	}
 }
 
-// TestReplyCachePutGet: cached replies come back under their op key;
-// unknown keys miss, and both the origin and the incarnation
-// distinguish keys.
+// get is Lookup for a key's cached reply alone.
+func get(c *ReplyCache, key OpKey) (CachedReply, bool) {
+	r, replied, _ := c.Lookup(key, 0)
+	return r, replied
+}
+
+// TestReplyCachePutGet: a started operation is running until its reply
+// is put, then its reply comes back under its op key; unknown keys miss,
+// and both the origin and the incarnation distinguish keys.
 func TestReplyCachePutGet(t *testing.T) {
 	c := NewReplyCache(time.Minute)
-	key := OpKey("vax1", 30, 7)
-	if _, ok := c.Get(key); ok {
+	key := OpKey{Origin: "vax1", Inc: 30, Seq: 7}
+	if _, ok := get(c, key); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put(key, MsgControlResp, []byte("resp"), 0)
-	r, ok := c.Get(key)
-	if !ok || r.Type != MsgControlResp || string(r.Body) != "resp" {
-		t.Fatalf("get = %+v ok=%v", r, ok)
+	c.Start(key, 0)
+	if _, replied, running := c.Lookup(key, 0); replied || !running {
+		t.Fatalf("started op: replied %v, running %v; want running", replied, running)
 	}
-	if _, ok := c.Get(OpKey("vax2", 30, 7)); ok {
+	c.Put(key, MsgControlResp, []byte("resp"), 0)
+	r, ok, running := c.Lookup(key, 0)
+	if !ok || running || r.Type != MsgControlResp || string(r.Body) != "resp" {
+		t.Fatalf("lookup = %+v replied=%v running=%v", r, ok, running)
+	}
+	if _, ok := get(c, OpKey{Origin: "vax2", Inc: 30, Seq: 7}); ok {
 		t.Fatal("same op from another origin must be a distinct key")
 	}
-	if _, ok := c.Get(OpKey("vax1", 31, 7)); ok {
+	if _, ok := get(c, OpKey{Origin: "vax1", Inc: 31, Seq: 7}); ok {
 		t.Fatal("same op from another incarnation must be a distinct key")
 	}
 }
@@ -91,22 +101,28 @@ func TestReplyCachePutGet(t *testing.T) {
 // Re-putting an existing key overwrites in place.
 func TestReplyCacheEvictsByAge(t *testing.T) {
 	c := NewReplyCache(time.Minute)
-	c.Put(OpKey("h", 1, 1), MsgPong, []byte("1"), 0)
-	c.Put(OpKey("h", 1, 2), MsgPong, []byte("2"), 30*time.Second)
-	c.Put(OpKey("h", 1, 1), MsgPong, []byte("1b"), 40*time.Second) // overwrite, no growth
+	c.Put(OpKey{Origin: "h", Inc: 1, Seq: 1}, MsgPong, []byte("1"), 0)
+	c.Put(OpKey{Origin: "h", Inc: 1, Seq: 2}, MsgPong, []byte("2"), 30*time.Second)
+	c.Put(OpKey{Origin: "h", Inc: 1, Seq: 1}, MsgPong, []byte("1b"), 40*time.Second) // overwrite, no growth
 	if c.Len() != 2 {
 		t.Fatalf("len = %d after overwrite", c.Len())
 	}
 	// At t=70s op 1 (inserted at t=0) has outlived the window; op 2 has
 	// not.
-	c.Put(OpKey("h", 1, 3), MsgPong, []byte("3"), 70*time.Second)
-	if _, ok := c.Get(OpKey("h", 1, 1)); ok {
+	c.Put(OpKey{Origin: "h", Inc: 1, Seq: 3}, MsgPong, []byte("3"), 70*time.Second)
+	if _, ok := get(c, OpKey{Origin: "h", Inc: 1, Seq: 1}); ok {
 		t.Fatal("expired entry survived eviction")
 	}
 	for _, op := range []uint64{2, 3} {
-		if _, ok := c.Get(OpKey("h", 1, op)); !ok {
+		if _, ok := get(c, OpKey{Origin: "h", Inc: 1, Seq: op}); !ok {
 			t.Fatalf("op %d evicted while still in the window", op)
 		}
+	}
+	// Another origin's entry ages out the same way: at t=140s ops 2
+	// and 3 (t=30s, 70s) have outlived the window too.
+	c.Put(OpKey{Origin: "g", Inc: 5, Seq: 1}, MsgPong, []byte("g"), 140*time.Second)
+	if _, ok := get(c, OpKey{Origin: "h", Inc: 1, Seq: 3}); ok || c.Len() != 1 {
+		t.Fatalf("another origin's put left %d entries, want only its own", c.Len())
 	}
 }
 
@@ -116,7 +132,7 @@ func TestReplyCacheWindowBoundsChurn(t *testing.T) {
 	c := NewReplyCache(0)
 	step := time.Second
 	for op := uint64(1); op <= 1000; op++ {
-		c.Put(OpKey("h", 1, op), MsgPong, nil, time.Duration(op)*step)
+		c.Put(OpKey{Origin: "h", Inc: 1, Seq: op}, MsgPong, nil, time.Duration(op)*step)
 	}
 	want := int(defaultReplyCacheWindow/step) + 1 // entries within the window
 	if c.Len() != want {
@@ -124,26 +140,42 @@ func TestReplyCacheWindowBoundsChurn(t *testing.T) {
 	}
 }
 
-// TestReplyCachePurgePrefix: purging one incarnation's prefix removes
-// exactly its entries and leaves other incarnations and origins alone.
-func TestReplyCachePurgePrefix(t *testing.T) {
+// TestReplyCachePurgeIncarnation: purging one incarnation removes
+// exactly its replies and running marks and leaves other incarnations
+// and origins alone.
+func TestReplyCachePurgeIncarnation(t *testing.T) {
 	c := NewReplyCache(time.Minute)
-	c.Put(OpKey("a", 1, 1), MsgPong, nil, 0)
-	c.Put(OpKey("a", 1, 2), MsgPong, nil, 0)
-	c.Put(OpKey("a", 2, 1), MsgPong, nil, 0)
-	c.Put(OpKey("b", 1, 1), MsgPong, nil, 0)
-	if n := c.PurgePrefix(OpPrefix("a", 1)); n != 2 {
+	c.Put(OpKey{Origin: "a", Inc: 1, Seq: 1}, MsgPong, nil, 0)
+	c.Put(OpKey{Origin: "a", Inc: 1, Seq: 2}, MsgPong, nil, 0)
+	c.Put(OpKey{Origin: "a", Inc: 2, Seq: 1}, MsgPong, nil, 0)
+	c.Put(OpKey{Origin: "b", Inc: 1, Seq: 1}, MsgPong, nil, 0)
+	c.Start(OpKey{Origin: "a", Inc: 1, Seq: 3}, 0)
+	c.Start(OpKey{Origin: "b", Inc: 1, Seq: 2}, 0)
+	if n := c.Purge("a", 1); n != 2 {
 		t.Fatalf("purged %d entries, want 2", n)
 	}
-	if _, ok := c.Get(OpKey("a", 1, 1)); ok {
+	if _, _, running := c.Lookup(OpKey{Origin: "a", Inc: 1, Seq: 3}, 0); running || c.Running() != 1 {
+		t.Fatalf("%d operations still marked running after the purge, want b's one", c.Running())
+	}
+	if _, ok := get(c, OpKey{Origin: "a", Inc: 1, Seq: 1}); ok {
 		t.Fatal("purged entry still present")
 	}
-	for _, key := range []string{OpKey("a", 2, 1), OpKey("b", 1, 1)} {
-		if _, ok := c.Get(key); !ok {
+	for _, key := range []OpKey{{Origin: "a", Inc: 2, Seq: 1}, {Origin: "b", Inc: 1, Seq: 1}} {
+		if _, ok := get(c, key); !ok {
 			t.Fatalf("unrelated entry %s purged", key)
 		}
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d after purge, want 2", c.Len())
+	}
+	// A new incarnation takes the purged one's place in the table.
+	c.Put(OpKey{Origin: "a", Inc: 3, Seq: 1}, MsgPong, nil, 0)
+	for _, key := range []OpKey{{Origin: "a", Inc: 2, Seq: 1}, {Origin: "b", Inc: 1, Seq: 1}, {Origin: "a", Inc: 3, Seq: 1}} {
+		if _, ok := get(c, key); !ok {
+			t.Fatalf("entry %s missing after a new incarnation arrived", key)
+		}
+	}
+	if _, ok := get(c, OpKey{Origin: "a", Inc: 1, Seq: 2}); ok || len(c.incs) != 3 {
+		t.Fatalf("purged incarnation answers, or the table grew to %d places", len(c.incs))
 	}
 }

@@ -284,3 +284,37 @@ func TestSplicedListsReadAsOne(t *testing.T) {
 		}
 	}
 }
+
+// TestListResetDropsWhatItSpliced: a reset list writes its next elements
+// into the buffer it wrote itself, allocating nothing, and never into a
+// run it took as it was from another list, which reads as before; the
+// runs spliced after its first are dropped too.
+func TestListResetDropsWhatItSpliced(t *testing.T) {
+	reports := []string{strings.Repeat("r", 80), strings.Repeat("s", 80)}
+	other := ListOf(reports...)
+	var l List[string]
+	l.Splice(other) // long enough to be taken as it is, as the first run
+	l.Splice(ListOf(reports...))
+	l.Reset()
+	l.Add("vax1")
+	if got := other.Values(); !reflect.DeepEqual(got, reports) {
+		t.Fatalf("a reset list wrote into a run it had spliced: %q", got)
+	}
+	if len(l.runs) != 0 || !reflect.DeepEqual(l.Values(), []string{"vax1"}) {
+		t.Fatalf("reset list keeps %d spliced runs and reads %q", len(l.runs), l.Values())
+	}
+
+	var own List[string]
+	refill := func() {
+		own.Reset()
+		own.Add("vax1")
+		own.Add("vax2")
+	}
+	refill()
+	if n := testing.AllocsPerRun(100, refill); n != 0 {
+		t.Errorf("refilling a reset list: %.1f allocs, want its own buffer reused", n)
+	}
+	if got := own.Values(); !reflect.DeepEqual(got, []string{"vax1", "vax2"}) {
+		t.Fatalf("refilled list reads %q", got)
+	}
+}

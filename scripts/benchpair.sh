@@ -2,8 +2,10 @@
 # Pair runner for the benchmark: runs cmd/ppmload from two checkouts,
 # a parent and a change, N rounds, flipping which side goes first each
 # round, and prints one row per end-to-end metric: the parent's median
-# and quartiles, the change's median, and in how many of the N pairs the
-# change was better (BENCHMARK.json's "better"; a tie is no win). The
+# and quartiles, the change's median, in how many of the N pairs the
+# change was better (BENCHMARK.json's "better"; a tie is no win), the
+# median of the paired differences (change - parent) and the two-sided
+# sign-test p-value of those differences (ties dropped). The
 # cpu_s row is the user+sys CPU seconds of each run's process, read from
 # bash's `times` around it, so it is not blurred by time spent waiting
 # for a shared CPU the way ops_per_s and setup_s are.
@@ -84,17 +86,23 @@ awk -v rounds="$rounds" '
 	FILENAME ~ /better$/ { better[$1] = $2; next }
 	FILENAME ~ /parent$/ { np[$1]++; p[$1, np[$1]] = $2; if (!($1 in seen)) { seen[$1]; order[++m] = $1 } ; next }
 	{ nc[$1]++; c[$1, nc[$1]] = $2 }
+	function signp(pos, neg,   n, k, i, c, sum) { # two-sided, ties dropped
+		n = pos + neg; k = pos < neg ? pos : neg; c = 1; sum = 0
+		for (i = 0; i <= k; i++) { sum += c; c = c * (n - i) / (i + 1) }
+		return n == 0 || 2 * sum >= 2 ^ n ? 1 : 2 * sum / 2 ^ n
+	}
 	END {
-		printf "%-14s %14s %14s %14s %14s %7s\n", "metric", "parent q1", "parent median", "parent q3", "change median", "won"
+		printf "%-14s %14s %14s %14s %14s %7s %14s %8s\n", "metric", "parent q1", "parent median", "parent q3", "change median", "won", "median diff", "sign p"
 		for (k = 1; k <= m; k++) {
 			name = order[k]; n = np[name]
 			if (!(name in better)) continue
-			won = 0
+			won = pos = neg = 0
 			for (i = 1; i <= n; i++) {
-				pv[i] = p[name, i]; cv[i] = c[name, i]
+				pv[i] = p[name, i]; cv[i] = c[name, i]; dv[i] = cv[i] - pv[i]
 				if (better[name] == "lower" ? cv[i] < pv[i] : cv[i] > pv[i]) won++
+				if (dv[i] > 0) pos++; else if (dv[i] < 0) neg++
 			}
-			sort(pv, n); sort(cv, n)
-			printf "%-14s %14.8g %14.8g %14.8g %14.8g %4d/%d\n", name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, rounds
+			sort(pv, n); sort(cv, n); sort(dv, n)
+			printf "%-14s %14.8g %14.8g %14.8g %14.8g %4d/%d %14.6g %8.4g\n", name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, rounds, q(dv, n, .5), signp(pos, neg)
 		}
 	}' "$out/better" "$out/parent" "$out/change"

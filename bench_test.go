@@ -253,14 +253,14 @@ func TestWarmOperationAllocs(t *testing.T) {
 		budget float64
 		op     func(sess *ppm.Session, workers []ppm.GPID) error
 	}{
-		{"remote Session.Stop", []string{"a", "b"}, 14, func(sess *ppm.Session, workers []ppm.GPID) error {
+		{"remote Session.Stop", []string{"a", "b"}, 12, func(sess *ppm.Session, workers []ppm.GPID) error {
 			return sess.Stop(workers[0])
 		}},
-		{"Session.Snapshot", h8, 94, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Snapshot", h8, 80, func(sess *ppm.Session, _ []ppm.GPID) error {
 			_, err := sess.Snapshot()
 			return err
 		}},
-		{"Session.Status", h8, 120, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Status", h8, 106, func(sess *ppm.Session, _ []ppm.GPID) error {
 			sw, err := sess.Status()
 			if err == nil && (len(sw.Reports) != 8 || len(sw.Unreachable) != 0) {
 				err = fmt.Errorf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)

@@ -1,0 +1,173 @@
+package lpm
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ppm/internal/history"
+	"ppm/internal/journal"
+	"ppm/internal/proc"
+	"ppm/internal/status"
+	"ppm/internal/wire"
+)
+
+// An arrival's body is borrowed until its dispatch returns (DESIGN.md
+// §10 "Frames cross one way"): the hop reads it from its LPM's arrival
+// buffer, and the buffer is emptied once the newest arrival dispatches.
+
+// outcomes is what a scenario's operations reported, in order.
+type outcomes struct {
+	w     *world
+	lines []string
+}
+
+// await starts op and runs the world until op has reported.
+func (o *outcomes) await(op func(report func(...any))) {
+	o.w.t.Helper()
+	done := false
+	op(func(v ...any) {
+		o.lines = append(o.lines, fmt.Sprint(v...))
+		done = true
+	})
+	o.w.until(func() bool { return done })
+}
+
+// borrowScenarios are the exchanges whose bodies outlive a dispatch
+// unless they are decoded, copied or cloned in time: floods with
+// interior hops, the tool leg after a remote reply, relayed calls, a
+// tool socket's forwarded call, and retries across a flapping link.
+var borrowScenarios = []struct {
+	name  string
+	hosts []string
+	cfg   Config
+	run   func(o *outcomes, hosts []string)
+}{
+	{"floods over a tree with a cross edge", []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}, Config{}, func(o *outcomes, hosts []string) {
+		w := o.w
+		u := w.user("felipe", hosts...)
+		procs := make([]proc.GPID, len(hosts))
+		for pos, h := range hosts {
+			at, under := hosts[0], proc.GPID{}
+			if pos > 0 {
+				at, under = hosts[(pos-1)/3], procs[(pos-1)/3]
+			}
+			procs[pos] = w.create(w.attach(at, u), h, fmt.Sprintf("node%02d", pos), under)
+		}
+		o.await(func(r func(...any)) {
+			w.lpms["h3/felipe"].StatsOf(procs[5], func(i proc.Info, err error) { r(i, err) })
+		})
+		l := w.lpms["h0/felipe"]
+		o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+		o.await(func(r func(...any)) { l.StatusSweep(hosts, func(s status.Sweep, err error) { r(s, err) }) })
+		o.await(func(r func(...any)) { l.ControlAll(wire.OpStop, 0, func(n int, err error) { r(n, err) }) })
+		o.await(func(r func(...any)) { l.ControlAll(wire.OpForeground, 0, func(n int, err error) { r(n, err) }) })
+		o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+	}},
+	{"remote operations through the tool leg", []string{"vax1", "vax2"}, Config{}, func(o *outcomes, hosts []string) {
+		w := o.w
+		u := w.user("felipe", hosts...)
+		l := w.attach("vax1", u)
+		var p proc.GPID
+		o.await(func(r func(...any)) {
+			l.Create("vax2", "worker", proc.GPID{}, func(g proc.GPID, err error) { p = g; r(g, err) })
+		})
+		sentinel := w.create(l, "vax2", "sentinel", proc.GPID{})
+		local := w.create(l, "vax1", "local", proc.GPID{})
+		w.run(time.Second)
+		o.await(func(r func(...any)) { l.Control(p, wire.OpStop, 0, func(c wire.ControlResp, err error) { r(c, err) }) })
+		o.await(func(r func(...any)) { l.StatsOf(p, func(i proc.Info, err error) { r(i, err) }) })
+		o.await(func(r func(...any)) { l.FDs(p, func(fds []string, err error) { r(fds, err) }) })
+		o.await(func(r func(...any)) { l.Ping("vax2", func(pong wire.Pong, err error) { r(pong, err) }) })
+		o.await(func(r func(...any)) {
+			l.HistoryOf("vax2", history.Query{}, func(evs []proc.Event, err error) { r(evs, err) })
+		})
+		o.await(func(r func(...any)) {
+			l.WatchOn("vax2", &history.Watch{Kind: proc.EvExit, Proc: sentinel}, wire.OpStop, 0, local,
+				func(rm func(), err error) { r(rm != nil, err) })
+		})
+		_ = w.kerns["vax2"].Exit(sentinel.PID, 0)
+		w.run(2 * time.Second)
+		info, err := w.kerns["vax1"].Info(local.PID)
+		o.lines = append(o.lines, fmt.Sprint("watched action: ", info.State, err))
+	}},
+	{"relayed calls", []string{"a", "b", "c"}, Config{UseRelay: true}, func(o *outcomes, hosts []string) {
+		w := o.w
+		u := w.user("felipe", hosts...)
+		la := w.attach("a", u)
+		w.create(la, "b", "pb", proc.GPID{})
+		target := w.create(w.lpms["b/felipe"], "c", "pc", proc.GPID{})
+		w.run(500 * time.Millisecond)
+		o.await(func(r func(...any)) { la.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+		o.await(func(r func(...any)) { la.StatsOf(target, func(i proc.Info, err error) { r(i, err) }) })
+		o.await(func(r func(...any)) { la.FDs(target, func(fds []string, err error) { r(fds, err) }) })
+		o.await(func(r func(...any)) {
+			la.Control(target, wire.OpKill, 0, func(c wire.ControlResp, err error) { r(c, err) })
+		})
+		o.lines = append(o.lines, fmt.Sprint("a's circuits: ", la.SiblingHosts()))
+	}},
+	{"a tool socket's remote call", []string{"vax1", "vax2"}, Config{}, func(o *outcomes, hosts []string) {
+		w := o.w
+		u := w.user("felipe", hosts...)
+		l := w.attach("vax1", u)
+		p := w.create(l, "vax2", "worker", proc.GPID{})
+		w.run(time.Second)
+		tc := w.tool(u, "vax1")
+		o.await(func(r func(...any)) { tc.Stats(p, func(i proc.Info, err error) { r(i, err) }) })
+		o.await(func(r func(...any)) {
+			tc.Control(p, wire.OpStop, 0, func(c wire.ControlResp, err error) { r(c, err) })
+		})
+		o.await(func(r func(...any)) { tc.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+	}},
+	{"a kill across a flapping link", []string{"a", "b", "c"}, Config{
+		Linktest:       250 * time.Millisecond,
+		RequestTimeout: 500 * time.Millisecond,
+		Retry:          RetryPolicy{MaxAttempts: 6, BaseBackoff: 500 * time.Millisecond},
+	}, func(o *outcomes, hosts []string) {
+		w := o.w
+		u := w.user("felipe", hosts...)
+		l := w.attach("a", u)
+		root := w.create(l, "a", "root", proc.GPID{})
+		wb := w.create(l, "b", "wb", root)
+		wc := w.create(l, "c", "wc", root)
+		w.net.FlapLink("a", "b", 2*time.Second, 1500*time.Millisecond, 3)
+		o.await(func(r func(...any)) { l.Control(wb, wire.OpStop, 0, func(c wire.ControlResp, err error) { r(c, err) }) })
+		w.run(2200 * time.Millisecond)
+		o.await(func(r func(...any)) { l.Control(wb, wire.OpKill, 0, func(c wire.ControlResp, err error) { r(c, err) }) })
+		o.await(func(r func(...any)) { l.Control(wc, wire.OpKill, 0, func(c wire.ControlResp, err error) { r(c, err) }) })
+		o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+		w.run(30 * time.Second)
+	}},
+}
+
+// TestArrivalsBorrowedForTheirDispatch runs each scenario twice, the
+// second time with every arrival's body overwritten once its dispatch
+// returns (scribbleArrivals). Whatever kept a body past its dispatch —
+// a list pointing into an echo, a reply decoded after the tool leg, a
+// relayed reply cached and queued as it arrived — reads garbage then;
+// each scenario must report the same outcomes and write a
+// byte-identical journal both times.
+func TestArrivalsBorrowedForTheirDispatch(t *testing.T) {
+	for _, sc := range borrowScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(scribble bool) (string, *journal.Journal) {
+				scribbleArrivals = scribble
+				defer func() { scribbleArrivals = false }()
+				w := newWorld(t, sc.cfg, sc.hosts)
+				j := installJournal(w)
+				o := &outcomes{w: w}
+				sc.run(o, sc.hosts)
+				return strings.Join(o.lines, "\n"), j
+			}
+			kept, kj := run(false)
+			scribbled, sj := run(true)
+			if kept != scribbled {
+				t.Fatalf("the scenario reported\n%s\nwith bodies kept, and\n%s\nwith them overwritten after dispatch", kept, scribbled)
+			}
+			if d := journal.Diff(kj, sj); d != nil {
+				t.Fatalf("overwriting bodies after dispatch changed the journal:\n%s", d.Format())
+			}
+		})
+	}
+}

@@ -26,8 +26,9 @@ import (
 // record of floodFree (DESIGN.md §10 "A message's hops are recycled
 // records"). Its callbacks are method values bound when the record is
 // first used; its buffers — the legs, the forwarded route and body, the
-// result lists' own runs — serve the next flood. The aggregate's lists
-// stay in wire form: a child's echo is spliced in as it arrived.
+// result's lists — serve the next flood. The aggregate's lists stay in
+// wire form: a child's echo is copied in byte for byte while its body
+// is borrowed.
 type floodHop struct {
 	l       *LPM
 	ctx     trace.Context
@@ -69,7 +70,7 @@ func (l *LPM) newFloodHop(ctx trace.Context) *floodHop {
 
 // flooded is a finished broadcast as its origin reads it: the
 // aggregate's lists, decoded once, its status reports each still
-// encoded, aliasing the echoes.
+// encoded, aliasing the Reports buffer the origin's record gives up.
 type flooded struct {
 	count          int32
 	procs          []proc.Info
@@ -164,8 +165,9 @@ func (l *LPM) startFlood(ctx trace.Context, inner wire.Envelope, cb func(flooded
 // answering through reply. The at-most-once filter upstream makes the
 // per-hop echo retryable: a retransmitted leg replays this node's full
 // cached echo instead of being answered Dup (which would lose the
-// subtree's data). The request is read in place, over the hop's own
-// body: nothing in it is copied but the route it is forwarded with.
+// subtree's data). The request is read in place, over the body its
+// dispatch borrows: nothing in it is copied but the route it is
+// forwarded with.
 //
 //ppmlint:hotpath pin=TestFloodHopAllocs
 func (l *LPM) handleFlood(env wire.Envelope, reply replyTo) {
@@ -251,8 +253,7 @@ func (h *floodHop) run(bc wire.Broadcast, inner wire.Envelope, parentHost string
 	// than answering Dup for an already-seen stamp. A status flood's
 	// legs carry no op id, so no hop holds its echo: a report is
 	// read-only, and a subtree a retransmission finds answered Dup is
-	// left to the sweep's direct asks. The echo's body is the hop's
-	// own, so the aggregate takes its lists as they are.
+	// left to the sweep's direct asks.
 	for _, g := range legs {
 		op := uint64(0)
 		if inner.Type != wire.MsgStatusReq {
@@ -341,12 +342,10 @@ func (h *floodHop) maybeFinish() {
 		l.learnRoutes(res.Routes)
 		l.obs.Record(journal.LPMFloodDone, l.Host(), h.ctx, journal.FloodDone(h.stamp, l.sortedList(f.hosts), l.sortedList(f.partial)))
 		h.deliver(f)
-		// f's reports alias the runs, and the callback's closures may
-		// keep f: the record keeps none of the reports' buffers.
+		// f's reports alias the list's buffer, and the callback's
+		// closures may keep f: the record gives the buffer up.
 		res.Reports = wire.List[string]{}
 	}
-	// The lists keep the buffers they wrote themselves, and drop every
-	// run they spliced: a pooled record pins no echo.
 	h.result.Reset()
 	h.route.Reset()
 	*h = floodHop{apply: h.apply, route: h.route, body: h.body, legs: h.legs, result: h.result}
@@ -448,11 +447,10 @@ func (l *LPM) Ping(host string, cb func(wire.Pong, error)) {
 	l.toolCall("ping", func(ctx trace.Context, done func(func())) {
 		l.opSeq++
 		l.callWithRetry(ctx, host, wire.MsgPing, body, l.opSeq, func(env wire.Envelope, err error) {
-			done(func() {
-				var pong wire.Pong
-				err := firstErr(err, wire.Decode(env.Body, &pong))
-				cb(pong, err)
-			})
+			var pong wire.Pong
+			err = firstErr(err, wire.Decode(env.Body, &pong))
+			p := pong // the body is borrowed: decoded now, and copied out of the decoded-into pong
+			done(func() { cb(p, err) })
 		})
 	})
 }

@@ -73,8 +73,10 @@ func (w *world) tool(u *auth.User, host string) *ToolClient {
 // frame the test owns, and the frame is zeroed the moment the handler
 // returns, as simnet reuses a delivery buffer. The exchange must then
 // end exactly as it does with the frame left intact — the same outcome
-// and a byte-identical journal. onSiblingMsg (its queued hop) and
-// onToolMsg (its ExecCPU closures) pass only because they copy the body.
+// and a byte-identical journal. onSiblingMsg passes only because it
+// copies the body into the arrival buffer its queued hop borrows it from
+// (TestArrivalsBorrowedForTheirDispatch holds that borrow), and
+// onToolMsg because it copies the body for its ExecCPU closures.
 func TestHandlersKeepNoDeliveryBuffer(t *testing.T) {
 	rows := []struct {
 		name string

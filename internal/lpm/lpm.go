@@ -318,6 +318,9 @@ type LPM struct {
 
 	reqSeq  uint64
 	pending map[uint64]*pendingReq
+	// arrivals holds the bodies of the sibling messages waiting for
+	// their dispatch, oldest first (onSiblingMsg, hop.fire).
+	arrivals []byte
 	// retryBackoffs counts retry timers currently waiting out their
 	// backoff delay (status-report occupancy).
 	retryBackoffs int

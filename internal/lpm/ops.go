@@ -1,6 +1,7 @@
 package lpm
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -204,7 +205,9 @@ func (l *LPM) Create(host, name string, parent proc.GPID, cb func(proc.GPID, err
 			})
 			return
 		}
-		l.via(ctx, host, done).create(l.user.Name, name, parent, cb)
+		l.via(ctx, host).create(l.user.Name, name, parent, func(id proc.GPID, err error) {
+			done(func() { cb(id, err) })
+		})
 	})
 }
 
@@ -263,11 +266,10 @@ func (l *LPM) Control(target proc.GPID, op wire.ControlOp, sig proc.Signal, cb f
 		}
 		req := wire.Control{User: l.user.Name, Target: target, Op: op, Signal: sig}
 		l.remoteCall(ctx, target.Host, wire.MsgControl, wire.Encode(&req), func(env wire.Envelope, err error) {
-			done(func() {
-				var resp wire.ControlResp
-				err := firstErr(err, wire.Decode(env.Body, &resp))
-				cb(resp, err)
-			})
+			var resp wire.ControlResp
+			err = firstErr(err, wire.Decode(env.Body, &resp))
+			r := resp // the body is borrowed: decoded now, and copied out of the decoded-into resp
+			done(func() { cb(r, err) })
 		})
 	})
 }
@@ -323,7 +325,9 @@ func (l *LPM) StatsOf(target proc.GPID, cb func(proc.Info, error)) {
 			done(func() { cb(info, err) })
 			return
 		}
-		l.via(ctx, target.Host, done).stats(l.user.Name, target, cb)
+		l.via(ctx, target.Host).stats(l.user.Name, target, func(info proc.Info, err error) {
+			done(func() { cb(info, err) })
+		})
 	})
 }
 
@@ -355,11 +359,10 @@ func (l *LPM) FDs(target proc.GPID, cb func([]string, error)) {
 		}
 		req := wire.FDReq{User: l.user.Name, Target: target}
 		l.remoteCall(ctx, target.Host, wire.MsgFDReq, wire.Encode(&req), func(env wire.Envelope, err error) {
-			done(func() {
-				var resp wire.FDResp
-				err := answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
-				cb(resp.Open, err)
-			})
+			var resp wire.FDResp
+			err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
+			open := resp.Open
+			done(func() { cb(open, err) })
 		})
 	})
 }
@@ -388,7 +391,9 @@ func (l *LPM) HistoryOf(host string, q history.Query, cb func([]proc.Event, erro
 			done(func() { cb(evs, nil) })
 			return
 		}
-		l.via(ctx, host, done).history(l.user.Name, q, cb)
+		l.via(ctx, host).history(l.user.Name, q, func(evs []proc.Event, err error) {
+			done(func() { cb(evs, err) })
+		})
 	})
 }
 
@@ -676,7 +681,7 @@ func (l *LPM) handleRelay(env wire.Envelope, reply replyTo) {
 			fail(fmt.Sprintf("relay via %s: %v", next, err))
 			return
 		}
-		reply.send(wire.MsgRelayResp, resp.Body)
+		reply.send(wire.MsgRelayResp, bytes.Clone(resp.Body)) // cached and queued: past the borrow
 	})
 }
 
@@ -718,13 +723,14 @@ func (l *LPM) WatchOn(host string, w *history.Watch, op wire.ControlOp,
 			Target:    target,
 		}
 		l.remoteCall(ctx, host, wire.MsgWatch, wire.Encode(&req), func(env wire.Envelope, err error) {
+			var resp wire.WatchResp
+			err = answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason)
+			id := resp.ID
 			done(func() {
-				var resp wire.WatchResp
-				if err := answer(err, wire.Decode(env.Body, &resp), &resp.OK, &resp.Reason); err != nil {
+				if err != nil {
 					cb(nil, err)
 					return
 				}
-				id := resp.ID
 				cb(func() {
 					rm := wire.WatchReq{User: l.user.Name, Remove: true, ID: id}
 					l.remoteCall(trace.Context{}, host, wire.MsgWatch, wire.Encode(&rm), func(wire.Envelope, error) {})

@@ -390,6 +390,9 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 // --- message plumbing ---
 
 // onSiblingMsg routes a message arriving on an authenticated circuit.
+// Its body moves from the delivery buffer, which simnet reuses once
+// this returns, to the end of l.arrivals, which its hop borrows until
+// the dispatch returns (DESIGN.md §10 "Frames cross one way").
 func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	if l.exited {
 		return
@@ -398,7 +401,10 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 	if err != nil {
 		return
 	}
-	env.Body = append([]byte(nil), env.Body...) // the queued hop outlives the delivery buffer
+	start := len(l.arrivals)
+	l.arrivals = append(l.arrivals, env.Body...)
+	end := len(l.arrivals)
+	env.Body = l.arrivals[start:end:end]
 	l.touch()
 	l.observeArrival(sb)
 	cost := env.Type.EndpointCost()
@@ -407,7 +413,9 @@ func (l *LPM) onSiblingMsg(sb *sibling, b []byte) {
 		// of once per channel.
 		cost += calib.AuthCheck
 	}
-	l.kern.ExecCPU(cost, l.newHop(sb, env, false).run)
+	h := l.newHop(sb, env, false)
+	h.end = end
+	l.kern.ExecCPU(cost, h.run)
 }
 
 // sendOut queues env for sb's circuit behind its endpoint cost: a reply
@@ -425,6 +433,7 @@ type hop struct {
 	sb  *sibling
 	env wire.Envelope
 	out bool
+	end int // an arrival's: where its body ends in l.arrivals
 	esp *trace.Span
 	run func() // fire, bound when the record is first used
 }
@@ -440,11 +449,15 @@ func (l *LPM) newHop(sb *sibling, env wire.Envelope, out bool) *hop {
 }
 
 // fire does the hop's work once its endpoint cost is paid, the record
-// back in the pool first (that work may take another).
+// back in the pool first (that work may take another). An arrival's
+// body is dead once its dispatch returns; when it was the newest, no
+// arrival is queued behind it, and l.arrivals is emptied for reuse.
+// Hops fire in arrival order (one CPU FIFO per boot), and a crashed
+// boot's never fire: their bytes stay only until the next newest fires.
 //
 //ppmlint:hotpath pin=TestSiblingExchangeAllocs
 func (h *hop) fire() {
-	l, sb, env, out := h.l, h.sb, h.env, h.out
+	l, sb, env, out, end := h.l, h.sb, h.env, h.out, h.end
 	h.esp.End()
 	*h = hop{run: h.run}
 	hopFree.Put(h)
@@ -468,7 +481,22 @@ func (h *hop) fire() {
 	default:
 		l.handleRequest(sb, env)
 	}
+	if out {
+		return
+	}
+	if scribbleArrivals {
+		for i := range env.Body {
+			env.Body[i] = 0xa5
+		}
+	}
+	if end == len(l.arrivals) {
+		l.arrivals = l.arrivals[:0]
+	}
 }
+
+// scribbleArrivals, set only by tests, overwrites each arrival's body
+// once its dispatch returns: whatever kept it past then reads garbage.
+var scribbleArrivals bool
 
 // handleResponse completes a pending request.
 func (l *LPM) handleResponse(env wire.Envelope) {

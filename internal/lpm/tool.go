@@ -1,6 +1,7 @@
 package lpm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -158,12 +159,11 @@ func (t *ToolClient) Control(target proc.GPID, op wire.ControlOp, sig proc.Signa
 type caller func(t wire.MsgType, body []byte, cb func(wire.Envelope, error))
 
 // via is the caller that reaches the user's LPM on host from inside a
-// toolCall: the reply pays the tool leg (done) before the stub reads it.
-func (l *LPM) via(ctx trace.Context, host string, done func(func())) caller {
+// toolCall. The stub reads the reply while its body is borrowed, so the
+// caller pays the reply's tool leg in the stub's callback.
+func (l *LPM) via(ctx trace.Context, host string) caller {
 	return func(t wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
-		l.remoteCall(ctx, host, t, body, func(env wire.Envelope, err error) {
-			done(func() { cb(env, err) })
-		})
+		l.remoteCall(ctx, host, t, body, cb)
 	}
 }
 
@@ -275,7 +275,7 @@ func (l *LPM) onToolMsg(conn *simnet.Conn, b []byte) {
 					reply(refusal(env.Type, rerr.Error()))
 					return
 				}
-				reply(renv.Type, renv.Body)
+				reply(renv.Type, bytes.Clone(renv.Body)) // the reply's tool leg is past the borrow
 			})
 		default:
 			l.serveRequest(env, replyTo{l: l, ctx: ctx, fn: reply})

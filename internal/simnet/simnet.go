@@ -602,7 +602,9 @@ func (n *Network) observeTransit(delay time.Duration) {
 // buffer is returned to the pool by putBuf once the receiving handler
 // has run. Ownership rule (DESIGN.md "Hot paths & allocation
 // discipline"): a delivery payload is valid only for the duration of
-// the handler call — a handler that keeps any of it must copy it first.
+// the handler call — a handler that keeps any of it must copy it first,
+// as an LPM copies a sibling message's body into the arrival buffer its
+// dispatch borrows it from.
 func (n *Network) copyBuf(payload []byte) []byte {
 	var b []byte
 	if ln := len(n.bufFree); ln > 0 {

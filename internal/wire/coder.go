@@ -49,10 +49,11 @@ func Decode(b []byte, m Message) error {
 	return c.d.err
 }
 
-// DecodeHop is Decode over a hop-owned body — one that nothing else
-// writes and that stays alive as long as m is in use — without copying
-// it: byte fields and wire-form lists alias b, and each string is read
-// through names, so a host name seen before costs no allocation.
+// DecodeHop is Decode over a borrowed body — one that nothing else
+// writes while m is in use, such as an arrival's for its dispatch —
+// without copying it: byte fields and wire-form lists alias b, and each
+// string is read through names, so a host name seen before costs no
+// allocation.
 func DecodeHop(b []byte, m Message, names Names) error {
 	c := Coder{d: decoder{buf: b}, decoding: true, names: names}
 	m.Fields(&c)

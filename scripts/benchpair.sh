@@ -12,6 +12,8 @@
 #
 #   scripts/benchpair.sh PARENT CHANGE WORKLOAD N
 #
+# WORKLOAD "all" runs every workload of CHANGE's BENCHMARK.json in its
+# order, N pairs each, and prints one table per workload.
 # PARENT and CHANGE are checkout roots. Each one's ppmload is built
 # once, through its own cmd/ppmload/run.sh, into its .bench_build/.
 # SEED (default 1), RUN_SECONDS (10) and TRACE (0) set every run's
@@ -24,9 +26,12 @@ if [ $# -ne 4 ] || ! [ "$4" -ge 1 ] 2>/dev/null; then
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-workload=$3
 rounds=$4
-args=(-workload "$workload" -seed "${SEED:-1}" -seconds "${RUN_SECONDS:-10}" -trace "${TRACE:-0}")
+if [ "$3" = all ]; then
+	workloads=$(jq -r '.workloads[].name' "$change/BENCHMARK.json")
+else
+	workloads=$3
+fi
 
 for root in "$parent" "$change"; do
 	(cd "$root" && bash cmd/ppmload/run.sh -h >/dev/null)
@@ -58,51 +63,55 @@ one() {
 		"cpu_s \($after - $before)"' >>"$out/$side"
 }
 
-for ((r = 1; r <= rounds; r++)); do
-	if ((r % 2)); then
-		one parent "$parent"
-		one change "$change"
-	else
-		one change "$change"
-		one parent "$parent"
-	fi
-done
-
 # Which way is better, per metric: BENCHMARK.json's, lower for cpu_s
 # and failed, higher for attempted.
 jq -r '.end_to_end[] | "\(.name) \(.better)"' "$change/BENCHMARK.json" >"$out/better"
 printf 'cpu_s lower\nfailed lower\nattempted higher\n' >>"$out/better"
 
-echo "$workload: ${args[*]}, $rounds pairs, first side alternating"
-awk -v rounds="$rounds" '
-	function sort(a, n,   i, j, t) {
-		for (i = 2; i <= n; i++)
-			for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
-	}
-	function q(a, n, p,   x, i) { # linear interpolation between closest ranks
-		x = 1 + p * (n - 1); i = int(x)
-		return i >= n ? a[n] : a[i] + (x - i) * (a[i+1] - a[i])
-	}
-	FILENAME ~ /better$/ { better[$1] = $2; next }
-	FILENAME ~ /parent$/ { np[$1]++; p[$1, np[$1]] = $2; if (!($1 in seen)) { seen[$1]; order[++m] = $1 } ; next }
-	{ nc[$1]++; c[$1, nc[$1]] = $2 }
-	function signp(pos, neg,   n, k, i, c, sum) { # two-sided, ties dropped
-		n = pos + neg; k = pos < neg ? pos : neg; c = 1; sum = 0
-		for (i = 0; i <= k; i++) { sum += c; c = c * (n - i) / (i + 1) }
-		return n == 0 || 2 * sum >= 2 ^ n ? 1 : 2 * sum / 2 ^ n
-	}
-	END {
-		printf "%-14s %14s %14s %14s %14s %7s %14s %8s\n", "metric", "parent q1", "parent median", "parent q3", "change median", "won", "median diff", "sign p"
-		for (k = 1; k <= m; k++) {
-			name = order[k]; n = np[name]
-			if (!(name in better)) continue
-			won = pos = neg = 0
-			for (i = 1; i <= n; i++) {
-				pv[i] = p[name, i]; cv[i] = c[name, i]; dv[i] = cv[i] - pv[i]
-				if (better[name] == "lower" ? cv[i] < pv[i] : cv[i] > pv[i]) won++
-				if (dv[i] > 0) pos++; else if (dv[i] < 0) neg++
-			}
-			sort(pv, n); sort(cv, n); sort(dv, n)
-			printf "%-14s %14.8g %14.8g %14.8g %14.8g %4d/%d %14.6g %8.4g\n", name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, rounds, q(dv, n, .5), signp(pos, neg)
+for workload in $workloads; do
+	args=(-workload "$workload" -seed "${SEED:-1}" -seconds "${RUN_SECONDS:-10}" -trace "${TRACE:-0}")
+	rm -f "$out/parent" "$out/change"
+	for ((r = 1; r <= rounds; r++)); do
+		if ((r % 2)); then
+			one parent "$parent"
+			one change "$change"
+		else
+			one change "$change"
+			one parent "$parent"
+		fi
+	done
+
+	echo "$workload: ${args[*]}, $rounds pairs, first side alternating"
+	awk -v rounds="$rounds" '
+		function sort(a, n,   i, j, t) {
+			for (i = 2; i <= n; i++)
+				for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
 		}
-	}' "$out/better" "$out/parent" "$out/change"
+		function q(a, n, p,   x, i) { # linear interpolation between closest ranks
+			x = 1 + p * (n - 1); i = int(x)
+			return i >= n ? a[n] : a[i] + (x - i) * (a[i+1] - a[i])
+		}
+		FILENAME ~ /better$/ { better[$1] = $2; next }
+		FILENAME ~ /parent$/ { np[$1]++; p[$1, np[$1]] = $2; if (!($1 in seen)) { seen[$1]; order[++m] = $1 } ; next }
+		{ nc[$1]++; c[$1, nc[$1]] = $2 }
+		function signp(pos, neg,   n, k, i, c, sum) { # two-sided, ties dropped
+			n = pos + neg; k = pos < neg ? pos : neg; c = 1; sum = 0
+			for (i = 0; i <= k; i++) { sum += c; c = c * (n - i) / (i + 1) }
+			return n == 0 || 2 * sum >= 2 ^ n ? 1 : 2 * sum / 2 ^ n
+		}
+		END {
+			printf "%-14s %14s %14s %14s %14s %7s %14s %8s\n", "metric", "parent q1", "parent median", "parent q3", "change median", "won", "median diff", "sign p"
+			for (k = 1; k <= m; k++) {
+				name = order[k]; n = np[name]
+				if (!(name in better)) continue
+				won = pos = neg = 0
+				for (i = 1; i <= n; i++) {
+					pv[i] = p[name, i]; cv[i] = c[name, i]; dv[i] = cv[i] - pv[i]
+					if (better[name] == "lower" ? cv[i] < pv[i] : cv[i] > pv[i]) won++
+					if (dv[i] > 0) pos++; else if (dv[i] < 0) neg++
+				}
+				sort(pv, n); sort(cv, n); sort(dv, n)
+				printf "%-14s %14.8g %14.8g %14.8g %14.8g %4d/%d %14.6g %8.4g\n", name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, rounds, q(dv, n, .5), signp(pos, neg)
+			}
+		}' "$out/better" "$out/parent" "$out/change"
+done

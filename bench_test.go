@@ -256,11 +256,11 @@ func TestWarmOperationAllocs(t *testing.T) {
 		{"remote Session.Stop", []string{"a", "b"}, 12, func(sess *ppm.Session, workers []ppm.GPID) error {
 			return sess.Stop(workers[0])
 		}},
-		{"Session.Snapshot", h8, 80, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Snapshot", h8, 40, func(sess *ppm.Session, _ []ppm.GPID) error {
 			_, err := sess.Snapshot()
 			return err
 		}},
-		{"Session.Status", h8, 106, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Status", h8, 79, func(sess *ppm.Session, _ []ppm.GPID) error {
 			sw, err := sess.Status()
 			if err == nil && (len(sw.Reports) != 8 || len(sw.Unreachable) != 0) {
 				err = fmt.Errorf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)

@@ -452,6 +452,7 @@ func (c *Cluster) Crash(host string) error {
 	}
 	for key := range c.lpms {
 		if len(key) > len(host) && key[:len(host)] == host && key[len(host)] == '/' {
+			c.lpms[key].Halt()
 			delete(c.lpms, key)
 		}
 	}

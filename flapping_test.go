@@ -7,6 +7,7 @@ import (
 	"ppm"
 	"ppm/internal/journal"
 	"ppm/internal/status"
+	"ppm/internal/wire"
 )
 
 // flapRun drives a three-host computation while the home host's link
@@ -136,6 +137,19 @@ func TestFlappingLinkDeterministic(t *testing.T) {
 	}
 	if a.Journal().Len() == 0 {
 		t.Fatal("flapping scenario produced an empty journal")
+	}
+}
+
+// TestFlappingLinkEvictedRepliesOwned: a flapping run writes the same
+// journal when every body a reply cache evicts is overwritten first
+// (wire.ScribbleEvicted): nothing reads a cached reply once the cache has
+// given its body back for reuse.
+func TestFlappingLinkEvictedRepliesOwned(t *testing.T) {
+	a := flapRun(t, 21)
+	wire.ScribbleEvicted = true
+	defer func() { wire.ScribbleEvicted = false }()
+	if d := journal.Diff(a.Journal(), flapRun(t, 21).Journal()); d != nil {
+		t.Fatalf("overwriting evicted reply bodies changed the flapping run:\n%s", d.Format())
 	}
 }
 

@@ -177,6 +177,11 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 	// LPM creation is "somewhat expensive in terms of message exchanges
 	// and in local processing".
 	d.kern.ExecCPU(calib.Fork, func() {
+		if addr, ok := d.lpms[q.User]; ok { // a query inside the fork window created it
+			d.rec.Notef(journal.DaemonLPMFound, d.hostName, ctx, "user=%s", q.User)
+			d.reply(conn, reqID, wire.LPMQueryResp{OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port}, ctx, sp)
+			return
+		}
 		addr, err := d.factory(q.User)
 		if err != nil {
 			d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: fmt.Sprintf("pmd: create LPM: %v", err)}, ctx, sp)

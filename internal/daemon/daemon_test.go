@@ -3,9 +3,11 @@ package daemon
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ppm/internal/auth"
 	"ppm/internal/calib"
+	"ppm/internal/journal"
 	"ppm/internal/kernel"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
@@ -431,3 +433,38 @@ func addrOf(host string) simnet.Addr { return simnet.Addr{Host: host, Port: Port
 
 // connAlias keeps the test import list tidy.
 type connAlias = simnet.Conn
+
+// TestQueriesInsideForkWindowShareOneLPM: queries for one user from two
+// hosts reach the pmd together, the second while it still pays the fork
+// for the first. The second is answered with the LPM the first created:
+// the pmd is its host's one trusted name server (Figure 2), and a second
+// LPM for the user would apply a flood twice.
+func TestQueriesInsideForkWindowShareOneLPM(t *testing.T) {
+	e := newEnv(t, Options{}, "vax1", "vax2", "vax3")
+	u := e.dir.AddUser("felipe")
+	for _, h := range []string{"vax1", "vax2"} {
+		if err := e.dir.AllowRHost("felipe", h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := journal.New(func() time.Duration { return e.sched.Now().Duration() })
+	e.dmns["vax3"].rec = journal.NewRecorder(nil, nil, j)
+	var resps []wire.LPMQueryResp
+	for _, from := range []string{"vax1", "vax2"} {
+		QueryLPM(e.net, from, "vax3", u, func(r wire.LPMQueryResp, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			resps = append(resps, r)
+		})
+	}
+	if _, err := e.sched.RunUntilDone(func() bool { return len(resps) == 2 }, 100000); err != nil || len(resps) != 2 {
+		t.Fatalf("%d of 2 queries answered (%v)", len(resps), err)
+	}
+	if vs := journal.Audit(j); len(vs) != 0 || len(e.made) != 1 {
+		t.Fatalf("the pmd created %d LPMs for one user, %v; the audit reads:\n%s", len(e.made), e.made, journal.AuditReport(vs))
+	}
+	if !resps[0].OK || !resps[1].OK || resps[0].AcceptPort != resps[1].AcceptPort || resps[0].Created == resps[1].Created {
+		t.Fatalf("answers %+v and %+v: want one creation, both naming its address", resps[0], resps[1])
+	}
+}

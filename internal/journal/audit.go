@@ -81,6 +81,7 @@ func AuditReport(vs []Violation) string {
 type auditProc struct {
 	parent proc.GPID // the logical parent, zero for roots
 	exited bool
+	lpmOf  string // an LPM's: its user
 }
 
 type auditChan struct {
@@ -181,8 +182,9 @@ type auditor struct {
 	floods   map[stamp]*auditFlood
 	execs    map[string]map[opKey]string // user -> op -> executing host
 	sweeps   map[sweepKey]*auditSweep
-	down     map[string]bool // hosts crashed and not restarted
-	epoch    int             // bumped by any event that changes reachability
+	down     map[string]bool   // hosts crashed and not restarted
+	lpms     map[userPair]bool // (user, host): its pmd created an LPM this boot, not exited
+	epoch    int               // bumped by any event that changes reachability
 	out      []Violation
 
 	// The trace audit: the span table when both streams are complete
@@ -203,6 +205,7 @@ func newAuditor(complete bool) *auditor {
 		execs:    make(map[string]map[opKey]string),
 		sweeps:   make(map[sweepKey]*auditSweep),
 		down:     make(map[string]bool),
+		lpms:     make(map[userPair]bool),
 	}
 }
 
@@ -238,7 +241,11 @@ func (a *auditor) step(seq uint64, e *entry) {
 	case KernelSpawn:
 		// PIDs are never reused per host (the counter survives crashes),
 		// so a spawn always introduces a new identity.
-		a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}] = &auditProc{}
+		p := &auditProc{}
+		if d.s[0] == "lpm" {
+			p.lpmOf = d.s[1]
+		}
+		a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}] = p
 	case KernelFork:
 		a.procs[proc.GPID{Host: e.host, PID: proc.PID(d.n[1])}] =
 			&auditProc{parent: proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}}
@@ -250,9 +257,16 @@ func (a *auditor) step(seq uint64, e *entry) {
 		key := proc.GPID{Host: e.host, PID: proc.PID(d.n[0])}
 		if p, ok := a.procs[key]; ok {
 			p.exited = true
+			delete(a.lpms, userPair{p.lpmOf, e.host, ""})
 		} else if a.complete {
 			a.fail(seq, "genealogy", "exit of %s which was never created", key)
 		}
+	case DaemonLPMCreated: // the pmd is its host's one name server (Figure 2)
+		key := userPair{strings.TrimPrefix(d.s[0], "user="), e.host, ""}
+		if a.lpms[key] {
+			a.fail(seq, "daemon", "pmd on %s created a second LPM for %s", e.host, key.user)
+		}
+		a.lpms[key] = true
 	case NetHostCrash:
 		a.hostDown(e.host)
 	case NetHostRestart:
@@ -496,6 +510,11 @@ func (a *auditor) finishCircuits() {
 func (a *auditor) hostDown(host string) {
 	a.epoch++
 	a.down[host] = true
+	for key := range a.lpms {
+		if key.a == host {
+			delete(a.lpms, key)
+		}
+	}
 	for key, c := range a.circuits {
 		if key.a == host {
 			// Crash leaves the host's machines in an unknown state: its

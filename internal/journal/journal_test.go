@@ -736,6 +736,11 @@ func TestAuditRedCases(t *testing.T) {
 			slices.Insert(slices.Clone(bigFlood), 2, rec(LPMFloodApply, "a", big)), 2},
 		{"covered host without apply", "flood", "flood s0 reports host b but no apply record",
 			append(slices.Clone(flood[:2]), rec(LPMFloodDone, "a", FloodDone(st("s0"), "a,b", ""))), 2},
+		{"second LPM in one boot", "daemon", "pmd on a created a second LPM for u",
+			[]testRecord{
+				rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), rec(DaemonLPMCreated, "a", Text("user=u")),
+				rec(KernelSpawn, "a", Spawn(2, "lpm", "u")), rec(DaemonLPMCreated, "a", Text("user=u")),
+			}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -748,6 +753,22 @@ func TestAuditRedCases(t *testing.T) {
 				t.Fatalf("the stream without its offending record is flagged:\n%s", AuditReport(vs))
 			}
 		})
+	}
+}
+
+// TestAuditLPMCreatedAgainAfterExitOrCrash: a pmd may create a user's
+// LPM again once the first has exited, or once its host has crashed.
+func TestAuditLPMCreatedAgainAfterExitOrCrash(t *testing.T) {
+	created := rec(DaemonLPMCreated, "a", Text("user=u"))
+	stream := []testRecord{
+		rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), created, rec(KernelExit, "a", Exit(1, 0, "")),
+		rec(KernelSpawn, "a", Spawn(2, "lpm", "u")), created,
+		rec(NetHostCrash, "a", Detail{}), rec(NetHostRestart, "a", Detail{}),
+		rec(KernelSpawn, "a", Spawn(3, "lpm", "u")), created,
+		rec(DaemonLPMCreated, "a", Text("user=v")), rec(DaemonLPMCreated, "b", Text("user=u")),
+	}
+	if vs := AuditRecords(seqed(stream), true); len(vs) != 0 {
+		t.Fatalf("re-creations after an exit or a crash are flagged:\n%s", AuditReport(vs))
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"ppm/internal/calib"
@@ -679,12 +680,34 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 		h.rec.Tracer().AddSpan(h.name, "kernel.event."+ev.Kind.String(), ctx,
 			ev.At, ev.At+delay)
 	}
-	boot := h.boots // a delivery queued by one boot never completes on the next
-	h.sched.After(delay, func() {
-		if h.up && h.boots == boot {
-			sink(ev)
-		}
-	})
+	d := deliveries.Get().(*delivery)
+	if d.run == nil {
+		d.run = d.deliver
+	}
+	d.h, d.sink, d.ev, d.boot = h, sink, ev, h.boots
+	h.sched.After(delay, d.run)
+}
+
+// delivery is one kernel event on its way to an LPM; run is deliver.
+type delivery struct {
+	h    *Host
+	sink func(proc.Event)
+	ev   proc.Event
+	boot uint64 // a delivery queued by one boot never completes on the next
+	run  func()
+}
+
+var deliveries = sync.Pool{New: func() any { return new(delivery) }}
+
+// deliver hands the event to its sink, then frees the record.
+//
+//ppmlint:hotpath pin=TestEventDeliveryAllocs
+func (d *delivery) deliver() {
+	if d.h.up && d.h.boots == d.boot {
+		d.sink(d.ev)
+	}
+	*d = delivery{run: d.run}
+	deliveries.Put(d)
 }
 
 // --- queries ---

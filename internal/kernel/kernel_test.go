@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -678,6 +679,41 @@ func TestEventDoesNotSurviveCrash(t *testing.T) {
 	}
 	if len(*evs) != 0 {
 		t.Fatalf("events queued before the crash were delivered after the restart: %+v", *evs)
+	}
+}
+
+// TestEventDeliveryAllocs pins a warm kernel event delivery — emitted
+// for a traced process, queued for its Table 1 latency, handed to the
+// LPM's sink — at zero allocations: each delivery is a recycled record
+// with its callback bound once, not a closure.
+func TestEventDeliveryAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector drops pooled records at random")
+			}
+		}
+	}
+	s, h := newHost(t)
+	n := 0
+	h.SetEventSink("felipe", func(proc.Event) { n++ })
+	p, _ := h.Spawn("job", "felipe")
+	_ = h.Adopt(p.PID, "felipe")
+	ev := proc.Event{Kind: proc.EvStop, Proc: proc.GPID{Host: "vax1", PID: p.PID}}
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			h.emit(p, ev, TraceSignals)
+		}
+		if err := s.RunUntilIdle(1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("delivering 4 events allocates %v times, want 0", allocs)
+	}
+	if n != 4*102 {
+		t.Fatalf("%d of %d events delivered", n, 4*102)
 	}
 }
 

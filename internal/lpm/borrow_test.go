@@ -171,3 +171,47 @@ func TestArrivalsBorrowedForTheirDispatch(t *testing.T) {
 		})
 	}
 }
+
+// TestEvictedRepliesOwnedByTheCache runs each scenario twice, then idles
+// past every reply cache's window and takes two snapshots, so the replies
+// the scenario cached are evicted and their bodies reused for echoes. The
+// second time every body the cache evicts is overwritten first
+// (wire.ScribbleEvicted): whatever still read a cached body after its
+// eviction — a replay sent from the cache itself, an out-hop queued
+// behind the endpoint cost — reads garbage then. Each scenario must
+// report the same outcomes and write a byte-identical journal both times.
+func TestEvictedRepliesOwnedByTheCache(t *testing.T) {
+	for _, sc := range borrowScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(scribble bool) (string, *journal.Journal, int) {
+				wire.ScribbleEvicted = scribble
+				defer func() { wire.ScribbleEvicted = false }()
+				w := newWorld(t, sc.cfg, sc.hosts)
+				j := installJournal(w)
+				o := &outcomes{w: w}
+				sc.run(o, sc.hosts)
+				cached := 0
+				for _, l := range w.lpms {
+					cached += l.replies.Len()
+				}
+				w.run(10 * time.Minute)
+				l := w.lpms[sc.hosts[0]+"/felipe"]
+				for i := 0; i < 2; i++ {
+					o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s.Render(), err) }) })
+				}
+				return strings.Join(o.lines, "\n"), j, cached
+			}
+			kept, kj, cached := run(false)
+			scribbled, sj, _ := run(true)
+			if cached == 0 {
+				t.Fatal("the scenario cached no reply to evict")
+			}
+			if kept != scribbled {
+				t.Fatalf("the scenario reported\n%s\nwith evicted bodies kept, and\n%s\nwith them overwritten", kept, scribbled)
+			}
+			if d := journal.Diff(kj, sj); d != nil {
+				t.Fatalf("overwriting evicted bodies changed the journal:\n%s", d.Format())
+			}
+		})
+	}
+}

@@ -244,3 +244,28 @@ func TestCircuitTransitionZeroAllocs(t *testing.T) {
 		t.Fatalf("the steps read back as %v", got)
 	}
 }
+
+// TestCrossDialLoserJournalsNoSecondHello: vax1's Hello lands at vax2
+// while vax2's own dial to vax1 still waits for the pmd's answer, so the
+// inbound circuit settles vax2's dial. The dial's pmd and connect
+// callbacks, when they come, must leave the settled circuit alone: no
+// Hello goes out over a second circuit, and vax2 journals no
+// established -> authenticating step.
+func TestCrossDialLoserJournalsNoSecondHello(t *testing.T) {
+	w, j := circuitWorld(t, Config{}, 0)
+	u := w.user("felipe", "vax1", "vax2")
+	l1 := w.attach("vax1", u)
+	l2 := w.attach("vax2", u)
+	d1, d2 := false, false
+	l1.ensureSibling(trace.Context{}, "vax2", func(_ *sibling, err error) { d1 = err == nil })
+	w.stepUntil(func() bool { return l1.circuitStateOf("vax2") == journal.CircuitAuthenticating })
+	sends := recordsAt(j, journal.NetSend, "vax1")
+	w.stepUntil(func() bool { return recordsAt(j, journal.NetSend, "vax1") > sends }) // the Hello
+	l2.ensureSibling(trace.Context{}, "vax1", func(_ *sibling, err error) { d2 = err == nil })
+	w.until(func() bool { return d1 && d2 })
+	w.run(30 * time.Second)
+	if got := strings.Join(transitions(j, "vax2"), " "); got != "dialing/dial authenticating/hello-in established/auth-server" {
+		t.Fatalf("vax2's circuit to vax1 stepped %s; want its dial settled by the inbound circuit", got)
+	}
+	auditClean(t, j)
+}

@@ -26,7 +26,7 @@ import (
 // record of floodFree (DESIGN.md §10 "A message's hops are recycled
 // records"). Its callbacks are method values bound when the record is
 // first used; its buffers — the legs, the forwarded route and body, the
-// result's lists — serve the next flood. The aggregate's lists stay in
+// local fragment, the result's lists — serve the next flood. Lists stay in
 // wire form: a child's echo is copied in byte for byte while its body
 // is borrowed.
 type floodHop struct {
@@ -45,7 +45,7 @@ type floodHop struct {
 	// This host's fragment, held until its CPU is paid.
 	count   int32
 	procs   wire.List[proc.Info]
-	reports wire.List[string]
+	report  []byte // a status flood's: this host's encoded report
 	result  wire.FloodResult
 	applied bool
 	apply   func() // applyLocal
@@ -104,23 +104,27 @@ func (l *LPM) markSeen(s wire.Stamp) bool {
 	return false
 }
 
-// localFloodWork performs the inner operation locally and returns the
-// fragment plus the CPU demand it costs. inner's body is the hop's.
-func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Duration) {
+// localWork performs the inner operation here into the record's
+// fragment, built in its own buffers, and returns the CPU demand it
+// costs. inner's body is the hop's.
+func (h *floodHop) localWork(inner wire.Envelope) time.Duration {
+	l := h.l
 	var here [8]proc.Info // the processes here: on the stack, unless there are more
 	switch inner.Type {
 	case wire.MsgSnapshotReq:
 		infos := l.localInfos(here[:0])
-		return wire.FloodResult{OK: true, Procs: wire.ListOf(infos...)}, gatherCost(len(infos))
+		for i := range infos {
+			h.procs.Add(infos[i])
+		}
+		return gatherCost(len(infos))
 	case wire.MsgControl:
 		var req wire.Control
 		if wire.DecodeHop(inner.Body, &req, l.user.Names) != nil || req.User != l.user.Name {
-			return wire.FloodResult{OK: false}, 0
+			return 0
 		}
 		// A zero-target control applies to every live user process on
 		// this host (broadcasting, say, a software interrupt to stop
 		// execution).
-		count := int32(0)
 		for _, info := range l.kern.AppendProcessesOf(here[:0], l.user.Name) {
 			if l.myPids[info.ID.PID] {
 				continue
@@ -129,21 +133,20 @@ func (l *LPM) localFloodWork(inner wire.Envelope) (wire.FloodResult, time.Durati
 				continue
 			}
 			if resp := l.applyControl(info.ID.PID, req.Op, req.Signal); resp.OK {
-				count++
+				h.count++
 			}
 		}
-		return wire.FloodResult{OK: true, Count: count},
-			time.Duration(count) * 2 * time.Millisecond
+		return time.Duration(h.count) * 2 * time.Millisecond
 	case wire.MsgStatusReq:
 		var req wire.StatusReq
 		if wire.DecodeHop(inner.Body, &req, l.user.Names) != nil || req.User != l.user.Name {
-			return wire.FloodResult{OK: false}, 0
+			return 0
 		}
 		l.BuildStatus(&l.statusScratch)
-		return wire.FloodResult{OK: true, Reports: wire.ElementOf(&l.statusScratch)},
-			gatherCost(l.statusScratch.ProcsTotal)
+		h.report = wire.EncodeTo(h.report, &l.statusScratch)
+		return gatherCost(l.statusScratch.ProcsTotal)
 	default:
-		return wire.FloodResult{OK: false}, 0
+		return 0
 	}
 }
 
@@ -213,7 +216,7 @@ func innerType(inner []byte) wire.MsgType {
 
 // echo answers a flood request: the reply head m, res inside it.
 func (l *LPM) echo(reply replyTo, m wire.BroadcastResp, res wire.FloodResult) {
-	reply.send(wire.MsgBroadcastResp, wire.EncodeEcho(m, &res))
+	reply.send(wire.MsgBroadcastResp, wire.EncodeEcho(m, &res, l.replies))
 }
 
 // run performs the local work and forwards bc, the request, to all
@@ -242,10 +245,8 @@ func (h *floodHop) run(bc wire.Broadcast, inner wire.Envelope, parentHost string
 		bc.Route = h.route
 		h.body = wire.EncodeTo(h.body, &bc)
 	}
-	var local wire.FloodResult
 	var cost time.Duration
-	l.withTraceCtx(h.ctx, func() { local, cost = l.localFloodWork(inner) })
-	h.count, h.procs, h.reports = local.Count, local.Procs, local.Reports
+	l.withTraceCtx(h.ctx, func() { cost = h.localWork(inner) })
 	h.stamp = l.stampDetail(bc.Stamp)
 	// Each per-hop echo is its own at-most-once operation through the
 	// retry engine: a lost request or echo is retransmitted under a
@@ -285,7 +286,7 @@ func (h *floodHop) applyLocal() {
 	h.result.OK = true
 	h.result.Count += h.count
 	h.result.Procs.Splice(h.procs)
-	h.result.Reports.Splice(h.reports)
+	wire.AddBytes(&h.result.Reports, h.report)
 	h.result.Hosts.Add(l.Host())
 	var route [64]byte
 	h.result.Routes.Add(string(appendRoute(route[:0], h.route)))
@@ -331,7 +332,8 @@ func (h *floodHop) maybeFinish() {
 		l.echo(h.reply, wire.BroadcastResp{Seq: h.seq, From: l.Host(), Route: h.route}, h.result)
 	} else {
 		res := &h.result
-		f := flooded{count: res.Count, procs: res.Procs.Values(), partial: res.Partial.Values(), hosts: res.Hosts.Values()}
+		names := l.user.Names // the strings interned, not copied (DESIGN.md §10)
+		f := flooded{count: res.Count, procs: res.Procs.Values(names), partial: res.Partial.Values(names), hosts: res.Hosts.Values(names)}
 		for r := wire.StringsOf(res.Reports); ; {
 			b, ok := r.Next()
 			if !ok {
@@ -348,7 +350,8 @@ func (h *floodHop) maybeFinish() {
 	}
 	h.result.Reset()
 	h.route.Reset()
-	*h = floodHop{apply: h.apply, route: h.route, body: h.body, legs: h.legs, result: h.result}
+	h.procs.Reset()
+	*h = floodHop{apply: h.apply, route: h.route, body: h.body, legs: h.legs, procs: h.procs, report: h.report[:0], result: h.result}
 	floodFree.Put(h)
 }
 

@@ -19,11 +19,12 @@ import (
 // Broadcast from vax0 comes in to vax1's LPM, which forwards it to its
 // child vax2, splices vax2's echo into its own and answers. The request
 // and the echo are read in place, the aggregate stays in wire form, and
-// each hop's state — legs, route, forwarded body, lists — is a recycled
-// record, and each arrival's body is borrowed from its LPM's arrival
-// buffer, so what is left, over both LPMs and the test's own frames, is
-// each echo (the reply cache keeps it), the local fragments' process
-// lists and their sort, and the test's request and reply.
+// each hop's state — legs, route, forwarded body, lists, local fragment —
+// is a recycled record, each arrival's body is borrowed from its LPM's
+// arrival buffer, and each echo is encoded into a body the reply cache
+// evicted, so what is left, over both LPMs and the test's own frames, is
+// an echo the cache had none for, the sort of the records an LPM kept,
+// and the test's request and reply.
 func TestFloodHopAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -44,7 +45,7 @@ func TestFloodHopAllocs(t *testing.T) {
 
 	inner := wire.Envelope{Type: wire.MsgSnapshotReq,
 		Body: wire.Encode(&wire.SnapshotReq{User: u.Name, Forward: true})}.Encode()
-	route := wire.ListOf("vax0")
+	route := routeOf("vax0")
 	var seq uint64
 	hop := func() {
 		seq++
@@ -62,13 +63,20 @@ func TestFloodHopAllocs(t *testing.T) {
 	if err := wire.Decode((*replies)[0].Body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Decode(resp.Inner, &res); err != nil || len(res.Hosts.Values()) != 2 || len(res.Procs.Values()) != 2 {
-		t.Fatalf("echo covers hosts %v, procs %v (%v); want vax1's and vax2's", res.Hosts.Values(), res.Procs.Values(), err)
+	if err := wire.Decode(resp.Inner, &res); err != nil || len(res.Hosts.Values(nil)) != 2 || len(res.Procs.Values(nil)) != 2 {
+		t.Fatalf("echo covers hosts %v, procs %v (%v); want vax1's and vax2's", res.Hosts.Values(nil), res.Procs.Values(nil), err)
 	}
-	const budget = 9
+	const budget = 5
 	if got := testing.AllocsPerRun(200, hop); got > budget {
 		t.Errorf("warm flood hop: %.1f allocs, budget %d", got, budget)
 	}
+}
+
+// routeOf is a flood route that names one host.
+func routeOf(host string) wire.List[string] {
+	var route wire.List[string]
+	route.Add(host)
+	return route
 }
 
 // recordsAt counts the journal's records of kind k at host.
@@ -93,8 +101,19 @@ func (w *world) stepUntil(cond func() bool) {
 // second snapshot starts and finishes while that last leg is
 // outstanding, taking records from the same pools. The first flood's
 // record must stay its own until the last leg settles: both snapshots
-// and the whole journal are those in testdata/flood_lost_leg.golden.
+// and the whole journal are those in testdata/flood_lost_leg.golden, also
+// with every body the reply caches evict overwritten (wire.ScribbleEvicted).
 func TestFloodLegRetransmittedAfterSiblingsEchoed(t *testing.T) {
+	for _, scribble := range []bool{false, true} {
+		func() {
+			wire.ScribbleEvicted = scribble
+			defer func() { wire.ScribbleEvicted = false }()
+			floodLostLeg(t)
+		}()
+	}
+}
+
+func floodLostLeg(t *testing.T) {
 	hosts := []string{"vax1", "vax2", "vax3", "vax4"}
 	w := newWorld(t, Config{}, hosts)
 	j := installJournal(w)
@@ -162,7 +181,7 @@ func TestFloodEchoReplayIsFirstEcho(t *testing.T) {
 	inner := wire.Envelope{Type: wire.MsgSnapshotReq,
 		Body: wire.Encode(&wire.SnapshotReq{User: u.Name, Forward: true})}.Encode()
 	flood := func(req, op uint64) []byte {
-		bc := wire.Broadcast{Stamp: u.Stamps.Mint("vax0", w.sched.Now().Duration(), op), Seq: op, Route: wire.ListOf("vax0"), Inner: inner}
+		bc := wire.Broadcast{Stamp: u.Stamps.Mint("vax0", w.sched.Now().Duration(), op), Seq: op, Route: routeOf("vax0"), Inner: inner}
 		*replies = (*replies)[:0]
 		_ = conn.Send(wire.Envelope{Type: wire.MsgBroadcast, ReqID: req, OpID: op, Body: wire.Encode(&bc)}.Encode())
 		w.until(func() bool { return len(*replies) > 0 })

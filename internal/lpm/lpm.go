@@ -369,6 +369,7 @@ type LPM struct {
 	lastActivity sim.Time
 	ttlTimer     sim.Timer
 	exited       bool
+	halted       bool // its host crashed: no timer of this LPM acts again
 
 	// obs is the installation's recorder, taken from the network at
 	// construction (nil when the network carries none: every fact
@@ -530,7 +531,7 @@ func (l *LPM) userLiveProcs() int {
 }
 
 func (l *LPM) checkTTL() {
-	if l.exited {
+	if l.exited || l.halted {
 		return
 	}
 	// The CCS does not decrement its time-to-live while any sibling
@@ -545,6 +546,14 @@ func (l *LPM) checkTTL() {
 		return
 	}
 	l.Exit()
+}
+
+// Halt stops the LPM of a crashed host: its timers return when they
+// fire, so it never acts beside the LPM the restarted host creates.
+func (l *LPM) Halt() {
+	l.halted = true
+	l.ttlTimer.Cancel()
+	l.rec.Stop()
 }
 
 // Exit shuts the LPM down: deregisters from the pmd, closes circuits,

@@ -429,9 +429,10 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		switch r, replied, running := l.replies.Lookup(key, now); {
 		case replied:
 			// Replay: the operation already executed; answer the
-			// retransmit from the cache under the new ReqID.
+			// retransmit from the cache under the new ReqID, with a copy
+			// (the cache may evict and reuse its own, DESIGN.md §10).
 			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, r.Type.String()))
-			reply.send(r.Type, r.Body)
+			reply.send(r.Type, bytes.Clone(r.Body))
 			return
 		case running:
 			l.obs.Metrics().Counter("lpm.dedup.inflight_drops").Inc()

@@ -193,7 +193,7 @@ func TestProtocolForgedBroadcastStampRejected(t *testing.T) {
 	bc := wire.Broadcast{
 		Stamp: wire.NewSigner([]byte("not-the-user-key")).Mint("vax2", 0, 1),
 		Seq:   1,
-		Route: wire.ListOf("vax2"),
+		Route: routeOf("vax2"),
 		Inner: inner.Encode(),
 	}
 	_ = conn.Send(wire.Envelope{Type: wire.MsgBroadcast, ReqID: 5, Body: wire.Encode(&bc)}.Encode())

@@ -96,6 +96,9 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 		l.retryBackoffs--
 		l.backoffPending.Add(-1)
 		bsp.End()
+		if l.halted {
+			return
+		}
 		if l.exited {
 			l.settle(pr, wire.Envelope{}, ErrExited)
 			return

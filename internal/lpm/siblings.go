@@ -242,6 +242,9 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 	}
 	finish := func(sb *sibling, err error) { l.settleDial(host, ds, sb, err) }
 	daemon.QueryLPMCtx(l.net, l.Host(), host, l.user, cctx, func(resp wire.LPMQueryResp, err error) {
+		if ds.done { // an inbound circuit settled the dial meanwhile
+			return
+		}
 		if l.exited {
 			finish(nil, ErrExited)
 			return
@@ -256,6 +259,10 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 		}
 		to := simnet.Addr{Host: resp.AcceptHost, Port: resp.AcceptPort}
 		l.net.DialCtx(l.Host(), to, cctx, func(conn *simnet.Conn, err error) {
+			if err == nil && ds.done {
+				conn.Close()
+				return
+			}
 			if err != nil {
 				finish(nil, fmt.Errorf("%w: dial %s: %v", ErrNoSibling, host, err))
 				return
@@ -337,7 +344,9 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				// mid-handshake.
 				l.obs.Metrics().Counter("lpm.crossdial.yields").Inc()
 				l.sched.After(l.cfg.RequestTimeout, func() {
-					finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
+					if !l.halted {
+						finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
+					}
 				})
 				return
 			}
@@ -371,7 +380,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	// handler never fires). Timing out surfaces ErrNoSibling, which the
 	// retry engine treats as retryable.
 	helloTmr = l.sched.After(l.cfg.RequestTimeout, func() {
-		if answered {
+		if answered || l.halted {
 			return
 		}
 		answered = true
@@ -568,6 +577,9 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 }
 
 func (pr *pendingReq) onTimeout() {
+	if pr.l.halted {
+		return
+	}
 	pr.l.obs.Notef(journal.LPMTimeout, pr.l.Host(), pr.rctx, "user=%s peer=%s type=%v op=%d", pr.l.user.Name, pr.sb.host, pr.t, pr.op)
 	pr.l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, pr.t, pr.sb.host))
 }

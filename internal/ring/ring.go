@@ -166,6 +166,8 @@ type Window[K comparable, V any] struct {
 	// outnumber its entries several times over (a map of a few dozen
 	// entries has too few to grow that way).
 	puts int
+	// Evicted, if set, takes each value expiry or Purge drops, for reuse.
+	Evicted func(V)
 }
 
 type aged[V any] struct {
@@ -246,6 +248,9 @@ func (w *Window[K, V]) Expire(now time.Duration) {
 		// drop the insertion this slot describes.
 		if e, ok := w.live[s.key]; ok && e.at == s.at {
 			delete(w.live, s.key)
+			if w.Evicted != nil {
+				w.Evicted(e.v)
+			}
 		}
 	}
 	// Reclaim the drained prefix in place once it is a quarter of the
@@ -274,6 +279,9 @@ func (w *Window[K, V]) filter(drop func(K) bool) int {
 		case !ok || e.at != s.at: // deleted, or stored afresh later in the queue
 		case drop != nil && drop(s.key):
 			delete(w.live, s.key)
+			if w.Evicted != nil {
+				w.Evicted(e.v)
+			}
 			dropped++
 		default:
 			w.order[n] = s

@@ -306,7 +306,7 @@ func TestBodyAllocs(t *testing.T) {
 		{"encode SnapshotResp x8", 1, func() {
 			wire.Encode(&wire.SnapshotResp{OK: true, Procs: procs})
 		}},
-		{"decode SnapshotResp x8", 36, func() { // 4 strings a process, 4 growths of the list
+		{"decode SnapshotResp x8", 33, func() { // 4 strings a process, the list sized once
 			var resp wire.SnapshotResp
 			if err := wire.Decode(snapshot, &resp); err != nil || len(resp.Procs) != 8 {
 				t.Fatal("bad decode")
@@ -316,6 +316,20 @@ func TestBodyAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
 			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestHostileCountPresizesToBytesLeft: a process list claiming 65,535
+// records over a short body is sized once, for no more elements than
+// bytes follow its count (each takes one at least), not for the count.
+func TestHostileCountPresizesToBytesLeft(t *testing.T) {
+	body := append([]byte{1, 0, 0, 0xff, 0xff}, make([]byte, 40)...)
+	var resp wire.SnapshotResp
+	if err := wire.Decode(body, &resp); err == nil {
+		t.Fatal("a short body decoded")
+	}
+	if left := len(body) - 5; cap(resp.Procs) > left {
+		t.Fatalf("%d process slots for %d bytes left", cap(resp.Procs), left)
 	}
 }
 
@@ -353,6 +367,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(uint8(i), wire.Encode(zeroOf(b.full)))
 	}
 	f.Add(uint8(wire.MsgSnapshotResp-1), []byte{1, 0, 0, 0xff, 0xff})
+	f.Add(uint8(wire.MsgSnapshotResp-1), append([]byte{1, 0, 0, 0xff, 0xff}, make([]byte, 40)...))
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
 		row := bodies[int(op)%len(bodies)]
 		got := zeroOf(row.full)

@@ -80,17 +80,6 @@ func (e *Encoder) Bytes32(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// StringSlice appends a u16-counted slice of strings.
-func (e *Encoder) StringSlice(ss []string) {
-	if len(ss) > math.MaxUint16 {
-		ss = ss[:math.MaxUint16]
-	}
-	e.U16(uint16(len(ss)))
-	for _, s := range ss {
-		e.String(s)
-	}
-}
-
 // decoder reads a binary message produced by Encoder. Errors are
 // sticky: after the first failure all reads return zero values and err
 // holds the failure.
@@ -181,24 +170,4 @@ func (d *decoder) Bytes32Borrow() []byte {
 		return nil
 	}
 	return d.take(n)
-}
-
-// StringSlice reads a u16-counted slice of strings.
-func (d *decoder) StringSlice() []string {
-	n := int(d.U16())
-	if n == 0 {
-		return nil
-	}
-	if n > d.remaining() { // each string needs at least its 2-byte length
-		d.err = errShortBuffer
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.String())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
 }

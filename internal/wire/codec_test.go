@@ -14,9 +14,10 @@ func TestRoundTripScalars(t *testing.T) {
 	e.U64(1 << 40)
 	e.String("hello")
 	e.Bytes32([]byte{1, 2, 3})
-	e.StringSlice([]string{"a", "bb"})
+	c := Coder{e: *e}
+	c.Strs(&[]string{"a", "bb"})
 
-	d := &decoder{buf: e.Bytes()}
+	d := &decoder{buf: c.e.Bytes()}
 	if d.U8() != 7 || d.U16() != 300 || d.U32() != 70000 || d.U64() != 1<<40 {
 		t.Fatal("unsigned round trip failed")
 	}
@@ -26,15 +27,17 @@ func TestRoundTripScalars(t *testing.T) {
 	if !bytes.Equal(d.Bytes32(), []byte{1, 2, 3}) {
 		t.Fatal("bytes round trip failed")
 	}
-	ss := d.StringSlice()
+	var ss []string
+	c = Coder{d: *d, decoding: true}
+	c.Strs(&ss)
 	if len(ss) != 2 || ss[0] != "a" || ss[1] != "bb" {
 		t.Fatal("string slice round trip failed")
 	}
-	if d.err != nil {
-		t.Fatal(d.err)
+	if c.d.err != nil {
+		t.Fatal(c.d.err)
 	}
-	if d.remaining() != 0 {
-		t.Fatalf("remaining = %d", d.remaining())
+	if c.d.remaining() != 0 {
+		t.Fatalf("remaining = %d", c.d.remaining())
 	}
 }
 
@@ -71,12 +74,16 @@ func TestDecoderBytes32HugeLengthRejected(t *testing.T) {
 	}
 }
 
+// TestDecoderStringSliceHugeCountRejected: a string list claiming 65535
+// elements over an empty buffer fails, holding at most the one element
+// its walk began (Decode leaves what it read before the short read).
 func TestDecoderStringSliceHugeCountRejected(t *testing.T) {
 	e := NewEncoder(0)
 	e.U16(65535)
-	d := &decoder{buf: e.Bytes()}
-	if d.StringSlice() != nil || d.err == nil {
-		t.Fatal("huge claimed count must fail cleanly")
+	c := Coder{d: decoder{buf: e.Bytes()}, decoding: true}
+	var ss []string
+	if c.Strs(&ss); cap(ss) > 1 || c.d.err == nil {
+		t.Fatalf("huge claimed count must fail cleanly: %d slots, err %v", cap(ss), c.d.err)
 	}
 }
 
@@ -167,8 +174,10 @@ func TestPropertyDecoderRobustToGarbage(t *testing.T) {
 		_ = d.String()
 		_ = d.U64()
 		_ = d.Bytes32()
-		_ = d.StringSlice()
-		_ = d.U32()
+		c := Coder{d: *d, decoding: true}
+		var ss []string
+		c.Strs(&ss)
+		_ = c.d.U32()
 		return true // reaching here (no panic) is the property
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

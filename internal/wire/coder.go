@@ -73,8 +73,8 @@ type Coder struct {
 	names    Names // DecodeHop's walk
 }
 
-// Names interns the host names hops read off the wire. It keeps at most
-// 1,024, which bounds what a peer naming ever-new hosts can pin.
+// Names interns the names read off the wire (DESIGN.md §10). It keeps
+// at most 1,024, which bounds what a peer naming ever-new ones can pin.
 type Names map[string]string
 
 func (n Names) intern(b []byte) string {
@@ -203,22 +203,24 @@ func (c *Coder) Bytes(p *[]byte) {
 
 // Strs walks a u16-counted list of strings.
 func (c *Coder) Strs(p *[]string) {
-	if c.decoding {
-		*p = c.d.StringSlice()
-	} else {
-		c.e.StringSlice(*p)
+	for i, n := 0, Len(c, p); c.More(i, n); i++ {
+		c.Str(Elem(c, p, i))
 	}
 }
 
 // Len walks the u16 element count that starts a counted list and
-// returns how many elements follow. Decoding empties *p first, so a
-// reused message does not keep stale elements. Encoding cuts a longer
-// list to the first math.MaxUint16, the most the count can say, as
-// Encoder.StringSlice does.
+// returns how many elements follow. Decoding empties *p and sizes it
+// for the count, but for no more elements than bytes left: a hostile
+// count gets what the input can hold. Encoding cuts a longer list to
+// the first math.MaxUint16, the most the count can say.
 func Len[T any](c *Coder, p *[]T) int {
 	if c.decoding {
+		n := int(c.d.U16())
+		if k := min(n, c.d.remaining()); cap(*p) < k {
+			*p = make([]T, 0, k)
+		}
 		*p = (*p)[:0]
-		return int(c.d.U16())
+		return n
 	}
 	n := min(len(*p), math.MaxUint16)
 	c.e.U16(uint16(n))
@@ -227,10 +229,9 @@ func Len[T any](c *Coder, p *[]T) int {
 
 // Elem returns element i of a counted list for the walk to visit,
 // appending a zero element first when decoding. Together with More it
-// grows a decoded list one element per element actually present, so a
-// hostile count on a short buffer allocates nothing. (A list helper
-// taking the per-element walk as a func would call it indirectly and
-// push the coder and every element to the heap.)
+// fills a decoded list with the elements actually present. (A list
+// helper taking the per-element walk as a func would call it
+// indirectly and push the coder and every element to the heap.)
 func Elem[T any](c *Coder, p *[]T, i int) *T {
 	if c.decoding {
 		var zero T

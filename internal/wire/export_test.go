@@ -52,3 +52,16 @@ func (e *Encoder) pad(size int) {
 		e.buf = append(e.buf, 0)
 	}
 }
+
+// ListOf returns vs in wire form. Only tests build a list from values:
+// a flood adds its elements one at a time, into recycled buffers.
+func ListOf[T proc.Info | string](vs ...T) List[T] {
+	var l List[T]
+	if len(vs) > 0 {
+		l.b = make([]byte, 0, 96*len(vs)) // about a process record's size
+	}
+	for i := range vs {
+		l.Add(vs[i])
+	}
+	return l
+}

@@ -20,22 +20,10 @@ type List[T proc.Info | string] struct {
 	b []byte // the elements, without the count
 }
 
-// ListOf returns vs in wire form.
-func ListOf[T proc.Info | string](vs ...T) List[T] {
-	var l List[T]
-	if len(vs) > 0 {
-		l.b = make([]byte, 0, 96*len(vs)) // about a process record's size
-	}
-	for i := range vs {
-		l.Add(vs[i])
-	}
-	return l
-}
-
 // Listed walks a counted list held in wire form. Decoding finds the
 // list's end by walking its elements in the skip direction — the reads,
-// and so the short-buffer checks, of decoding them, plus StringSlice's
-// check that the count is not beyond the bytes left — and keeps their
+// and so the short-buffer checks, of decoding them, plus a check that
+// the count is not beyond the bytes left — and keeps their
 // bytes: a copy under Decode, the input itself under DecodeHop.
 func Listed[T proc.Info | string](c *Coder, p *List[T]) {
 	if !c.decoding {
@@ -106,19 +94,15 @@ func (l *List[T]) Splice(o List[T]) {
 	l.n += k
 }
 
-// ElementOf returns a string list whose one element is m's wire form,
-// in one buffer: m is walked in, then moved up behind its length. The
-// list is empty when the form is longer than a string's length can say.
-func ElementOf(m Message) List[string] {
-	b := Encode(m)
-	n := len(b)
-	if n > math.MaxUint16 {
-		return List[string]{}
+// AddBytes appends to a string list the element whose bytes are b, a
+// message's wire form; nothing when b is empty or longer than a
+// string's length can say.
+func AddBytes(l *List[string], b []byte) {
+	if l.n == math.MaxUint16 || len(b) == 0 || len(b) > math.MaxUint16 {
+		return
 	}
-	b = append(b, 0, 0) // Fields' size hint usually leaves the room
-	copy(b[2:], b[:n])
-	binary.BigEndian.PutUint16(b, uint16(n))
-	return List[string]{n: 1, b: b}
+	l.b = append(binary.BigEndian.AppendUint16(l.b, uint16(len(b))), b...)
+	l.n++
 }
 
 // Reset empties l to be filled again in the buffer it wrote. A list
@@ -126,12 +110,13 @@ func ElementOf(m Message) List[string] {
 // copy it out before writing, so only a list they built is Reset.
 func (l *List[T]) Reset() { *l = List[T]{b: l.b[:0]} }
 
-// Values decodes the elements.
-func (l List[T]) Values() []T {
+// Values decodes the elements, each string read through names as
+// DecodeHop reads it (nil: copied).
+func (l List[T]) Values(names Names) []T {
 	if l.n == 0 {
 		return nil
 	}
-	c := Coder{d: decoder{buf: l.b}, decoding: true}
+	c := Coder{d: decoder{buf: l.b}, decoding: true, names: names}
 	out := make([]T, l.n)
 	for i := range out {
 		elem(&c, &out[i])

@@ -746,10 +746,10 @@ func (m *BroadcastResp) Fields(c *Coder) {
 // EncodeEcho returns the wire form of m with res as its Inner (m's own
 // is ignored), in one buffer: res is walked straight in behind Inner's
 // length, which is back-patched, where Encode would need res encoded on
-// its own first. The buffer is sized to fit: a hop's reply cache keeps it.
-func EncodeEcho(m BroadcastResp, res *FloodResult) []byte {
-	var c Coder
-	c.Size(16 + len(m.From) + m.Route.size() + res.size())
+// its own first. The buffer fits the size, for a hop's reply cache
+// keeps it: one that free's evicted replies gave back, else a fresh one.
+func EncodeEcho(m BroadcastResp, res *FloodResult, free *ReplyCache) []byte {
+	c := Coder{e: Encoder{buf: free.buffer(16 + len(m.From) + m.Route.size() + res.size())}}
 	m.Inner = nil
 	m.Fields(&c)
 	at := len(c.e.buf) // Inner is the last field: its empty length ends the buffer
@@ -874,7 +874,7 @@ type FloodResult struct {
 	// topologically distant hosts from these.
 	Routes List[string]
 	// Reports holds a status flood's host reports, each one encoded
-	// status report (ElementOf). It is the last field and is written
+	// status report (AddBytes). It is the last field and is written
 	// only when it has elements, so a snapshot's or a control's echo is
 	// the same bytes it was before status floods existed.
 	Reports List[string]

@@ -42,7 +42,13 @@ type ReplyCache struct {
 	// position, not by host name, and a position is held until its
 	// incarnation is purged.
 	incs []incarnation
+	// free holds the newest bodies (at most 16) evicted replies gave
+	// back, for echoes to be encoded into (EncodeEcho).
+	free [][]byte
 }
+
+// ScribbleEvicted, set only by tests, overwrites each body the cache evicts.
+var ScribbleEvicted bool
 
 // incarnation is an OpKey less its sequence.
 type incarnation struct {
@@ -63,7 +69,32 @@ func NewReplyCache(window time.Duration) *ReplyCache {
 	if window <= 0 {
 		window = defaultReplyCacheWindow
 	}
-	return &ReplyCache{replies: ring.NewWindow[opRef, CachedReply](window), running: ring.NewWindow[opRef, struct{}](window)}
+	c := &ReplyCache{replies: ring.NewWindow[opRef, CachedReply](window), running: ring.NewWindow[opRef, struct{}](window)}
+	c.replies.Evicted = c.recycle
+	return c
+}
+
+// recycle keeps an evicted reply's body for an echo (DESIGN.md §10).
+func (c *ReplyCache) recycle(r CachedReply) {
+	for i := 0; ScribbleEvicted && i < len(r.Body); i++ {
+		r.Body[i] = 0xa5
+	}
+	if len(c.free) == 16 {
+		c.free = append(c.free[:0], c.free[1:]...)
+	}
+	c.free = append(c.free, r.Body[:0])
+}
+
+// buffer returns an empty buffer for n bytes: the newest free one of
+// capacity n to 1.5n (not more: the reply keeps it), else a fresh one.
+func (c *ReplyCache) buffer(n int) []byte {
+	for i := len(c.free) - 1; i >= 0; i-- {
+		if b := c.free[i]; cap(b) >= n && 2*cap(b) <= 3*n {
+			c.free = append(c.free[:i], c.free[i+1:]...)
+			return b
+		}
+	}
+	return make([]byte, 0, n)
 }
 
 // OpKey names one operation for caching and journaling: the origin

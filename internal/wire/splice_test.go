@@ -171,7 +171,7 @@ func spliced(t *testing.T, echoes [][]byte) (got, want []byte) {
 		}
 	}
 	head := BroadcastResp{Seq: 9, From: "hop", Route: ListOf("o", "hop")}
-	return EncodeEcho(head, &agg), Encode(&echoRef{Seq: 9, From: "hop", Route: []string{"o", "hop"}, Inner: Encode(&ref)})
+	return EncodeEcho(head, &agg, NewReplyCache(0)), Encode(&echoRef{Seq: 9, From: "hop", Route: []string{"o", "hop"}, Inner: Encode(&ref)})
 }
 
 // TestFloodSpliceMatchesDecode: over seeded random child echoes —
@@ -282,7 +282,7 @@ func TestSplicedListsReadAsOne(t *testing.T) {
 			}
 			walked = append(walked, string(b))
 		}
-		values := got.Values()
+		values := got.Values(nil)
 		if len(values) != len(want) || len(walked) != len(want) || len(want) > 0 && (!reflect.DeepEqual(values, want) || !reflect.DeepEqual(walked, want)) {
 			t.Fatalf("round %d: spliced list reads %d values and walks %d, want %d", round, len(values), len(walked), len(want))
 		}
@@ -304,11 +304,11 @@ func TestListResetDropsWhatItSpliced(t *testing.T) {
 	l.Splice(ListOf(reports...))
 	l.Reset()
 	l.Add("vax1")
-	if got := other.Values(); !reflect.DeepEqual(got, reports) {
+	if got := other.Values(nil); !reflect.DeepEqual(got, reports) {
 		t.Fatalf("a reset list wrote into a list it had spliced: %q", got)
 	}
-	if !reflect.DeepEqual(l.Values(), []string{"vax1"}) {
-		t.Fatalf("reset list reads %q", l.Values())
+	if !reflect.DeepEqual(l.Values(nil), []string{"vax1"}) {
+		t.Fatalf("reset list reads %q", l.Values(nil))
 	}
 
 	var own List[string]
@@ -321,7 +321,7 @@ func TestListResetDropsWhatItSpliced(t *testing.T) {
 	if n := testing.AllocsPerRun(100, refill); n != 0 {
 		t.Errorf("refilling a reset list: %.1f allocs, want its own buffer reused", n)
 	}
-	if got := own.Values(); !reflect.DeepEqual(got, []string{"vax1", "vax2"}) {
+	if got := own.Values(nil); !reflect.DeepEqual(got, []string{"vax1", "vax2"}) {
 		t.Fatalf("refilled list reads %q", got)
 	}
 }

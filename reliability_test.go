@@ -1,6 +1,7 @@
 package ppm_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -214,4 +215,55 @@ func TestFaultyJournalDeterministicReplay(t *testing.T) {
 	if a.Journal().Len() == 0 {
 		t.Fatal("faulty scenario produced an empty journal")
 	}
+}
+
+// TestCrashedHostsLPMStopsRedialling: b's LPM is redialling c, which
+// crashed, when b crashes too. While b is down and after it restarts,
+// across several RetryEvery, the LPM of b's first boot must journal
+// nothing: c comes back, b's new LPM dials it, and every
+// circuit.transition at b for c from b's crash on is the new LPM's —
+// none while b is down, and the journal audits clean.
+func TestCrashedHostsLPMStopsRedialling(t *testing.T) {
+	c, err := ppm.NewCluster(ppm.ClusterConfig{
+		Seed:  7,
+		Hosts: []ppm.HostSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddUser("u")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	home, err := c.Attach("u", "a")
+	must(err)
+	_, err = home.Run("b", "wb")
+	must(err)
+	atB, err := c.Attach("u", "b")
+	must(err)
+	_, err = atB.Run("c", "wc")
+	must(err)
+	must(c.Crash("c"))
+	must(c.Advance(15 * time.Second)) // b's LPM has lost c and redials it every 10 s
+	must(c.Crash("b"))
+	crashed := c.Now().Duration()
+	must(c.Advance(time.Minute))
+	must(c.Restart("b"))
+	restarted := c.Now().Duration()
+	must(c.Restart("c"))
+	must(c.Advance(time.Minute))
+	atB, err = c.Attach("u", "b")
+	must(err)
+	_, err = atB.Run("c", "wc2")
+	must(err)
+	must(c.Advance(2 * time.Minute))
+	for _, r := range c.Journal().Select(ppm.JournalFilter{Kinds: []journal.Kind{journal.CircuitTransition}, Host: "b", Since: crashed}) {
+		if strings.Contains(r.Detail, " peer=c ") && r.At <= restarted {
+			t.Errorf("b's crashed LPM journaled while b was down: %s", r)
+		}
+	}
+	auditClean(t, c)
 }

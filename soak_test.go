@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/detord"
 	"ppm/internal/journal"
 	"ppm/internal/lpm"
 	"ppm/internal/recovery"
@@ -78,8 +79,8 @@ func soakRun(t *testing.T) *ppm.Cluster {
 				}
 				down[h] = true
 			}
-		case 1: // restart a crashed host
-			for h := range down {
+		case 1: // restart a crashed host, the first by name
+			for _, h := range detord.Keys(down) {
 				if err := c.Restart(h); err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +151,7 @@ func soakRun(t *testing.T) *ppm.Cluster {
 
 	// Heal the world, restart everything, and verify consistency.
 	c.Heal()
-	for h := range down {
+	for _, h := range detord.Keys(down) {
 		if err := c.Restart(h); err != nil {
 			t.Fatal(err)
 		}

@@ -204,7 +204,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// startDaemons boots inetd+pmd on a host with the LPM factory wired in.
+// startDaemons starts inetd+pmd on a host with the LPM factory wired in.
 func (c *Cluster) startDaemons(host string) error {
 	factory := func(user string) (simnet.Addr, error) {
 		u, err := c.dir.Lookup(user)
@@ -435,8 +435,8 @@ func waitErr(c *Cluster, start func(deliver func(error))) error {
 
 // --- failure injection ---
 
-// Crash takes a host down: kernel, daemons, LPMs, processes and network
-// presence all vanish.
+// Crash takes a host down: kernel, daemons, LPMs, processes, network
+// presence and all the work the kernel's boot scheduled vanish.
 func (c *Cluster) Crash(host string) error {
 	k, err := c.Kernel(host)
 	if err != nil {
@@ -446,20 +446,16 @@ func (c *Cluster) Crash(host string) error {
 		return err
 	}
 	k.Crash()
-	if d, ok := c.dmns[host]; ok {
-		d.Stop()
-		delete(c.dmns, host)
-	}
+	delete(c.dmns, host)
 	for key := range c.lpms {
 		if len(key) > len(host) && key[:len(host)] == host && key[len(host)] == '/' {
-			c.lpms[key].Halt()
 			delete(c.lpms, key)
 		}
 	}
 	return nil
 }
 
-// Restart boots a crashed host: fresh kernel state, daemons restarted.
+// Restart brings a crashed host back up: fresh kernel state, daemons restarted.
 func (c *Cluster) Restart(host string) error {
 	k, err := c.Kernel(host)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/scenario"
 )
 
 const demoPlan = `
@@ -56,16 +57,14 @@ func run(file, hostList string, supervise bool, runFor time.Duration, chaos bool
 		return err
 	}
 
-	var specs []ppm.HostSpec
 	names := strings.Split(hostList, ",")
-	for _, h := range names {
-		specs = append(specs, ppm.HostSpec{Name: strings.TrimSpace(h)})
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	cluster, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: specs})
+	cluster, err := scenario.New(ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}, "user")
 	if err != nil {
 		return err
 	}
-	cluster.AddUser("user")
 	if len(plan.Recovery) > 0 {
 		cluster.SetRecoveryList("user", plan.Recovery...)
 	}

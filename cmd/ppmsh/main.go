@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"ppm"
+	"ppm/internal/scenario"
 	"ppm/internal/tools"
 )
 
@@ -65,11 +66,10 @@ func run(in io.Reader, out io.Writer) error {
 		{Name: "vax2", Type: ppm.VAX750},
 		{Name: "sun1", Type: ppm.SunII},
 	}
-	cluster, err := ppm.NewCluster(ppm.ClusterConfig{Hosts: hosts})
+	cluster, err := scenario.New(ppm.ClusterConfig{Hosts: hosts}, "user")
 	if err != nil {
 		return err
 	}
-	cluster.AddUser("user")
 	cluster.SetRecoveryList("user", "vax1", "vax2", "sun1")
 	sess, err := cluster.Attach("user", "vax1")
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/journal"
 	"ppm/internal/kernel"
-	"ppm/internal/proc"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
 	"ppm/internal/wire"
@@ -65,15 +64,13 @@ type Daemons struct {
 	factory  LPMFactory
 	opts     Options
 
-	running  bool
-	inetdPID proc.PID
-	pmdPID   proc.PID
+	running bool
 
 	lpms   map[string]simnet.Addr
 	stable map[string]simnet.Addr
 }
 
-// Start boots inetd and pmd on the host and begins accepting LPM
+// Start runs inetd and pmd on the host and begins accepting LPM
 // queries on the well-known port.
 func Start(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 	trust *auth.Trust, factory LPMFactory, opts Options) (*Daemons, error) {
@@ -96,15 +93,12 @@ func Start(kern *kernel.Host, net *simnet.Network, dir *auth.Directory,
 }
 
 func (d *Daemons) boot() error {
-	inetd, err := d.kern.Spawn("inetd", "root")
-	if err != nil {
+	if _, err := d.kern.Spawn("inetd", "root"); err != nil {
 		return fmt.Errorf("spawn inetd: %w", err)
 	}
-	pmd, err := d.kern.Spawn("pmd", "root")
-	if err != nil {
+	if _, err := d.kern.Spawn("pmd", "root"); err != nil {
 		return fmt.Errorf("spawn pmd: %w", err)
 	}
-	d.inetdPID, d.pmdPID = inetd.PID, pmd.PID
 	if err := d.net.Listen(d.hostName, PortInetd, d.accept); err != nil {
 		return fmt.Errorf("inetd listen: %w", err)
 	}
@@ -155,10 +149,6 @@ func (d *Daemons) onQuery(conn *simnet.Conn, b []byte) {
 // handleQuery is the pmd: the trusted name server of Figure 2 steps 3-4.
 func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 	q wire.LPMQuery, ctx trace.Context, sp *trace.Span) {
-	if !d.running {
-		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: "pmd: not running"}, ctx, sp)
-		return
-	}
 	d.rec.Notef(journal.DaemonQuery, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
 	if err := d.authenticate(fromHost, q); err != nil {
 		d.rec.Notef(journal.DaemonAuthFail, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
@@ -245,23 +235,6 @@ func (d *Daemons) KnownLPM(user string) (simnet.Addr, bool) {
 // running and how many LPM registrations the table holds.
 func (d *Daemons) Status() (running bool, lpms int) {
 	return d.running, len(d.lpms)
-}
-
-// Stop halts the daemons (host shutdown path).
-func (d *Daemons) Stop() {
-	if !d.running {
-		return
-	}
-	d.running = false
-	d.net.CloseListen(d.hostName, PortInetd)
-	if p, err := d.kern.Lookup(d.inetdPID); err == nil && p.State == proc.Running {
-		//ppmlint:allow errdrop teardown: the process was verified running on the line above
-		_ = d.kern.Exit(d.inetdPID, 0)
-	}
-	if p, err := d.kern.Lookup(d.pmdPID); err == nil && p.State == proc.Running {
-		//ppmlint:allow errdrop teardown: the process was verified running on the line above
-		_ = d.kern.Exit(d.pmdPID, 0)
-	}
 }
 
 // QueryLPM is the client side of the Figure 2 exchange: dial the

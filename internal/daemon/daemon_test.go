@@ -296,19 +296,6 @@ func TestUnregisterAllowsRecreate(t *testing.T) {
 	}
 }
 
-func TestStopRefusesService(t *testing.T) {
-	e := newEnv(t, Options{}, "vax1")
-	u := e.dir.AddUser("felipe")
-	e.dmns["vax1"].Stop()
-	if e.dmns["vax1"].Running() {
-		t.Fatal("still running")
-	}
-	_, err := e.query(t, "vax1", "vax1", u)
-	if err == nil {
-		t.Fatal("query to stopped daemons should fail (connection refused)")
-	}
-}
-
 func TestQueryToCrashedHostFails(t *testing.T) {
 	e := newEnv(t, Options{}, "vax1", "vax2")
 	u := e.dir.AddUser("felipe")

@@ -52,7 +52,7 @@ var table1Paper = map[ppm.HostType][4]float64{
 var table1Buckets = [4]string{"0<la<=1", "1<la<=2", "2<la<=3", "3<la<=4"}
 
 // RunTable1 regenerates Table 1: for each host type and load bucket it
-// boots a single host, drives background load until the load average
+// builds a single host, drives background load until the load average
 // sits mid-bucket, then measures the delivery latency of real kernel
 // event messages to the LPM.
 func RunTable1() ([]Table1Row, error) {

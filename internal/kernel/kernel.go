@@ -108,16 +108,15 @@ func (p *Process) OpenFDs() []string {
 type Host struct {
 	name  string
 	model calib.CPUModel
-	sched *sim.Scheduler
+	sched *sim.Group // the current boot's: Crash ends it, Restart starts the next
 
 	up      bool
-	boots   uint64 // bumped by Crash: work queued by one boot never completes on the next
 	procs   map[proc.PID]*Process
 	nextPID proc.PID
 
 	// CPU executor: serializes modelled CPU demands.
 	busyUntil sim.Time
-	cpu       *cpuQueue // this boot's, built at its first demand
+	cpu       cpuQueue
 
 	// Load average machinery: the estimator decays exponentially toward
 	// the instantaneous run-queue length. Instead of periodic sampling
@@ -151,12 +150,13 @@ func NewHost(sched *sim.Scheduler, name string, model calib.CPUModel) *Host {
 	h := &Host{
 		name:    name,
 		model:   model,
-		sched:   sched,
+		sched:   sched.NewGroup(),
 		up:      true,
 		procs:   make(map[proc.PID]*Process),
 		nextPID: 1,
 		sinks:   make(map[string]func(proc.Event)),
 	}
+	h.cpu.complete = h.cpu.pop
 	h.laFrom = sched.Now()
 	return h
 }
@@ -183,6 +183,10 @@ func (h *Host) Model() calib.CPUModel { return h.model }
 
 // Up reports whether the host is running.
 func (h *Host) Up() bool { return h.up }
+
+// Boot returns the group of the host's current boot. Whatever is
+// scheduled on it dies with the boot: a Crash cancels it all.
+func (h *Host) Boot() *sim.Group { return h.sched }
 
 // --- load average ---
 
@@ -232,12 +236,7 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 		start = h.busyUntil
 	}
 	h.busyUntil = start.Add(scaled)
-	q := h.cpu
-	if q == nil {
-		q = &cpuQueue{host: h}
-		q.complete = q.pop
-		h.cpu = q
-	}
+	q := &h.cpu
 	if len(q.fns) == cap(q.fns) && q.head >= len(q.fns)-q.head { // as many done as waiting: slide down, do not grow
 		q.fns, q.head = slices.Delete(q.fns, 0, q.head), 0
 	}
@@ -245,13 +244,11 @@ func (h *Host) ExecCPU(cost time.Duration, fn func()) {
 	h.sched.At(h.busyUntil, q.complete)
 }
 
-// cpuQueue is the work one boot has charged to the CPU, oldest first.
+// cpuQueue is the work the boot has charged to the CPU, oldest first.
 // Within a boot busyUntil never moves back and the scheduler is FIFO
 // within an instant, so each completion event runs the oldest entry. A
-// Crash leaves the queue to the dead boot's events, which pop and drop
-// only its entries; the next boot, busyUntil starting over, builds its own.
+// Crash ends the boot's completion events and empties the queue.
 type cpuQueue struct {
-	host     *Host
 	fns      []func()
 	head     int    // fns[head:] is still to complete
 	complete func() // pop as a method value, made once: scheduling it allocates nothing
@@ -261,9 +258,7 @@ func (q *cpuQueue) pop() {
 	fn := q.fns[q.head]
 	q.fns[q.head] = nil
 	q.head++
-	if q.host.cpu == q && fn != nil {
-		fn()
-	}
+	fn()
 }
 
 // --- process lifecycle ---
@@ -615,9 +610,6 @@ func (h *Host) SpawnWorkload(name, user string, dutyNum, dutyDen int) (*Process,
 const workloadPeriod = 80 * time.Millisecond
 
 func (h *Host) workloadTick(pid proc.PID) {
-	if !h.up {
-		return
-	}
 	p, ok := h.procs[pid]
 	if !ok || p.State == proc.Exited || p.State == proc.Dead {
 		return
@@ -684,16 +676,15 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 	if d.run == nil {
 		d.run = d.deliver
 	}
-	d.h, d.sink, d.ev, d.boot = h, sink, ev, h.boots
+	d.sink, d.ev = sink, ev
 	h.sched.After(delay, d.run)
 }
 
 // delivery is one kernel event on its way to an LPM; run is deliver.
+// It is scheduled on the boot, so a crash drops it undelivered.
 type delivery struct {
-	h    *Host
 	sink func(proc.Event)
 	ev   proc.Event
-	boot uint64 // a delivery queued by one boot never completes on the next
 	run  func()
 }
 
@@ -703,9 +694,7 @@ var deliveries = sync.Pool{New: func() any { return new(delivery) }}
 //
 //ppmlint:hotpath pin=TestEventDeliveryAllocs
 func (d *delivery) deliver() {
-	if d.h.up && d.h.boots == d.boot {
-		d.sink(d.ev)
-	}
+	d.sink(d.ev)
 	*d = delivery{run: d.run}
 	deliveries.Put(d)
 }
@@ -793,28 +782,31 @@ func (h *Host) KillAll(user string) int {
 // --- host failure ---
 
 // Crash kills the host: all processes vanish without events, the event
-// sinks are gone, the load sampler stops.
+// sinks are gone, and everything the boot scheduled (CPU work, event
+// deliveries, workload ticks, its LPMs' timers) is cancelled.
 func (h *Host) Crash() {
 	if !h.up {
 		return
 	}
 	h.up = false
-	h.boots++
+	h.sched.End()
 	h.procs = make(map[proc.PID]*Process)
 	h.sinks = make(map[string]func(proc.Event))
 	h.runq = 0
 	h.laBase = 0
 	h.laFrom = h.sched.Now()
 	h.busyUntil = 0
-	h.cpu = nil
+	clear(h.cpu.fns)
+	h.cpu.fns, h.cpu.head = h.cpu.fns[:0], 0
 }
 
-// Restart boots the host with an empty process table.
+// Restart starts the host's next boot, with an empty process table.
 func (h *Host) Restart() {
 	if h.up {
 		return
 	}
 	h.up = true
+	h.sched = h.sched.NewGroup()
 	h.runq = 0
 	h.laBase = 0
 	h.laFrom = h.sched.Now()

@@ -603,9 +603,9 @@ func TestExecCPUDoesNotSurviveCrash(t *testing.T) {
 	}
 
 	// The interleaving a queue shared across boots gets wrong: the dead
-	// boot's work completes late, the new boot's — its busyUntil starts
-	// over — completes earlier. The dead boot's events must drop their
-	// own entries, not run, drop or delay the new boot's.
+	// boot's work would complete late, the new boot's — its busyUntil
+	// starts over — earlier. The dead boot's work must not run, nor
+	// drop or delay the new boot's.
 	s, h = newHost(t)
 	var order []string
 	queue := func(name string, cost time.Duration) {

@@ -39,7 +39,7 @@ func (l *LPM) linktestTick(sb *sibling) {
 	// Suspect, and at which it is closed as presumed-dead.
 	const suspectAfter, closeAfter = 2, 6
 
-	if l.exited || l.halted {
+	if l.exited {
 		return
 	}
 	if cur, ok := l.siblings[sb.host]; !ok || cur != sb || !sb.conn.Open() {

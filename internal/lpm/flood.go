@@ -278,8 +278,8 @@ func (g *floodLeg) settle(env wire.Envelope, err error) {
 }
 
 // applyLocal adds this host's fragment to the aggregate once its CPU is
-// paid. Work queued on a boot that crashes never runs: its hop never
-// finishes, and its record is dropped, not returned.
+// paid. That CPU slot is the boot's: a crash first ends it, the hop
+// never finishes, and its record is dropped, not returned.
 func (h *floodHop) applyLocal() {
 	l := h.l
 	l.obs.Record(journal.LPMFloodApply, l.Host(), h.ctx, h.stamp)

@@ -293,7 +293,7 @@ type LPM struct {
 	user  *auth.User
 	kern  *kernel.Host
 	net   *simnet.Network
-	sched *sim.Scheduler
+	sched *sim.Group // the host's boot at creation: every timer dies with it
 	dir   *auth.Directory
 	dmns  *daemon.Daemons
 	cfg   Config
@@ -369,7 +369,6 @@ type LPM struct {
 	lastActivity sim.Time
 	ttlTimer     sim.Timer
 	exited       bool
-	halted       bool // its host crashed: no timer of this LPM acts again
 
 	// obs is the installation's recorder, taken from the network at
 	// construction (nil when the network carries none: every fact
@@ -377,9 +376,8 @@ type LPM struct {
 	// Sites that journal under the ambient operation pass
 	// l.obs.Tracer().Active() as their context.
 	obs *journal.Recorder
-	// The LPM's own per-request and per-hop counters (gauge, histogram), resolved on first fire.
+	// The LPM's own per-request and per-hop counters and histogram, resolved on first fire.
 	floodForwarded, requestsServed, handlerReuses, kernelEvents *metrics.Counter
-	backoffPending                                              *metrics.Gauge
 	requestRTT                                                  *metrics.Histogram
 }
 
@@ -393,7 +391,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		user:       user,
 		kern:       kern,
 		net:        net,
-		sched:      net.Scheduler(),
+		sched:      kern.Boot(),
 		dir:        dir,
 		dmns:       dmns,
 		cfg:        cfg,
@@ -531,7 +529,7 @@ func (l *LPM) userLiveProcs() int {
 }
 
 func (l *LPM) checkTTL() {
-	if l.exited || l.halted {
+	if l.exited {
 		return
 	}
 	// The CCS does not decrement its time-to-live while any sibling
@@ -546,14 +544,6 @@ func (l *LPM) checkTTL() {
 		return
 	}
 	l.Exit()
-}
-
-// Halt stops the LPM of a crashed host: its timers return when they
-// fire, so it never acts beside the LPM the restarted host creates.
-func (l *LPM) Halt() {
-	l.halted = true
-	l.ttlTimer.Cancel()
-	l.rec.Stop()
 }
 
 // Exit shuts the LPM down: deregisters from the pmd, closes circuits,

@@ -87,18 +87,10 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 	if pr.ctx.Valid() { // the name is built only for a span that will exist
 		bsp = l.obs.Tracer().StartSpan(l.Host(), "lpm.retry."+pr.host, pr.ctx)
 	}
-	if l.backoffPending == nil {
-		l.backoffPending = l.obs.Metrics().Gauge("lpm.retry.backoff_pending")
-	}
 	l.retryBackoffs++
-	l.backoffPending.Add(1)
 	l.sched.After(delay, func() {
 		l.retryBackoffs--
-		l.backoffPending.Add(-1)
 		bsp.End()
-		if l.halted {
-			return
-		}
 		if l.exited {
 			l.settle(pr, wire.Envelope{}, ErrExited)
 			return

@@ -344,9 +344,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				// mid-handshake.
 				l.obs.Metrics().Counter("lpm.crossdial.yields").Inc()
 				l.sched.After(l.cfg.RequestTimeout, func() {
-					if !l.halted {
-						finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
-					}
+					finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
 				})
 				return
 			}
@@ -380,7 +378,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	// handler never fires). Timing out surfaces ErrNoSibling, which the
 	// retry engine treats as retryable.
 	helloTmr = l.sched.After(l.cfg.RequestTimeout, func() {
-		if answered || l.halted {
+		if answered {
 			return
 		}
 		answered = true
@@ -436,7 +434,8 @@ func (l *LPM) sendOut(sb *sibling, env wire.Envelope) {
 // hop is one sibling message waiting for its endpoint CPU slot under a
 // "dispatch.endpoint" span: an arrival, or (out) a message to send. A
 // request's hop holds only its id, so the request's record may be
-// reused while the hop queues; a hop queued on a crashed boot is dropped.
+// reused while the hop queues. Its CPU slot is the boot's: a crash
+// drops it.
 type hop struct {
 	l   *LPM
 	sb  *sibling
@@ -461,8 +460,8 @@ func (l *LPM) newHop(sb *sibling, env wire.Envelope, out bool) *hop {
 // back in the pool first (that work may take another). An arrival's
 // body is dead once its dispatch returns; when it was the newest, no
 // arrival is queued behind it, and l.arrivals is emptied for reuse.
-// Hops fire in arrival order (one CPU FIFO per boot), and a crashed
-// boot's never fire: their bytes stay only until the next newest fires.
+// Hops fire in arrival order (the boot's CPU FIFO), and those a crash
+// ended never fire: their bytes stay only until the next newest fires.
 //
 //ppmlint:hotpath pin=TestSiblingExchangeAllocs
 func (h *hop) fire() {
@@ -577,9 +576,6 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 }
 
 func (pr *pendingReq) onTimeout() {
-	if pr.l.halted {
-		return
-	}
 	pr.l.obs.Notef(journal.LPMTimeout, pr.l.Host(), pr.rctx, "user=%s peer=%s type=%v op=%d", pr.l.user.Name, pr.sb.host, pr.t, pr.op)
 	pr.l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, pr.t, pr.sb.host))
 }

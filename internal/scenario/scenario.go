@@ -3,9 +3,9 @@
 // with its user and session, the coordinator-and-workers star the CLIs
 // and experiments script, and the measurement every experiment takes —
 // virtual time plus the wire traffic an operation caused. The
-// experiments, ppmtop, ppmprof and ppmtrace all build through it;
-// cmd/ppmrun, cmd/ppmsh and the examples call the public API directly,
-// because each builds one bespoke installation.
+// experiments, ppmtop, ppmprof, ppmtrace, ppmrun and ppmsh all build
+// through it; ppmload builds its workloads' installations itself, and
+// the examples call the public API directly, as a library user would.
 package scenario
 
 import (

@@ -79,6 +79,7 @@ type event struct {
 
 	gen   uint64 // bumped on recycle; stale Timer handles check it
 	index int    // heap index, maintained by eventHeap; -1 = not queued
+	grp   *Group // the group that scheduled it, nil for the scheduler's own
 }
 
 // eventHeap orders events by (at, seq).
@@ -182,6 +183,7 @@ func (s *Scheduler) Steps() uint64 { return s.steps }
 func (s *Scheduler) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.grp = nil
 	ev.index = -1
 	s.free = append(s.free, ev)
 }
@@ -191,7 +193,9 @@ func (s *Scheduler) recycle(ev *event) {
 // after all previously scheduled events for that time.
 //
 //ppmlint:hotpath pin=TestSchedulingSteadyStateZeroAllocs
-func (s *Scheduler) At(at Time, fn func()) Timer {
+func (s *Scheduler) At(at Time, fn func()) Timer { return s.at(at, fn, nil) }
+
+func (s *Scheduler) at(at Time, fn func(), grp *Group) Timer {
 	if fn == nil {
 		return Timer{}
 	}
@@ -204,9 +208,9 @@ func (s *Scheduler) At(at Time, fn func()) Timer {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.seq, ev.fn = at, s.seq, fn
+		ev.at, ev.seq, ev.fn, ev.grp = at, s.seq, fn, grp
 	} else {
-		ev = &event{at: at, seq: s.seq, fn: fn}
+		ev = &event{at: at, seq: s.seq, fn: fn, grp: grp}
 	}
 	heap.Push(&s.events, ev)
 	return Timer{s: s, ev: ev, gen: ev.gen}
@@ -327,3 +331,58 @@ func (s *Scheduler) RunUntilDone(done func() bool, maxSteps uint64) (bool, error
 
 // Pending returns the number of pending (non-cancelled) events.
 func (s *Scheduler) Pending() int { return len(s.events) }
+
+// Group is a set of events that end together: what one host boot
+// schedules, which its crash cancels at once. It embeds the scheduler,
+// so Now, Pending and Rand read the shared clock and queue; At, After
+// and Defer tag each event with the group.
+type Group struct {
+	*Scheduler
+	ended bool
+}
+
+// NewGroup returns an open group of events on s.
+func (s *Scheduler) NewGroup() *Group { return &Group{Scheduler: s} }
+
+// At is Scheduler.At for an event of the group. On an ended group it
+// schedules nothing and returns the zero Timer.
+//
+//ppmlint:hotpath pin=TestSchedulingSteadyStateZeroAllocs
+func (g *Group) At(at Time, fn func()) Timer {
+	if g.ended {
+		return Timer{}
+	}
+	return g.Scheduler.at(at, fn, g)
+}
+
+// After is Scheduler.After for an event of the group.
+//
+//ppmlint:hotpath pin=TestSchedulingSteadyStateZeroAllocs
+func (g *Group) After(d time.Duration, fn func()) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return g.At(g.now.Add(d), fn)
+}
+
+// Defer is Scheduler.Defer for an event of the group.
+func (g *Group) Defer(fn func()) Timer { return g.At(g.now, fn) }
+
+// End cancels every pending event of the group and closes it to new
+// ones. The other events keep their (at, seq) order.
+func (g *Group) End() {
+	g.ended = true
+	s := g.Scheduler
+	kept := s.events[:0]
+	for _, ev := range s.events {
+		if ev.grp == g {
+			s.recycle(ev)
+		} else {
+			ev.index = len(kept)
+			kept = append(kept, ev)
+		}
+	}
+	clear(s.events[len(kept):])
+	s.events = kept
+	heap.Init(&s.events)
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -475,5 +477,141 @@ func TestSchedulingSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+fire steady state: %.1f allocs/op, want 0", allocs)
+	}
+	g := s.NewGroup()
+	if allocs := testing.AllocsPerRun(200, func() {
+		g.After(time.Microsecond, fn)
+		s.Step()
+	}); allocs != 0 {
+		t.Fatalf("group schedule+fire steady state: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// groupRun schedules a fixed mix of events and runs it to idle,
+// returning what fired, in order. With withGroup every third event is
+// a group's, and the group ends at 5ms; without, those events are never
+// scheduled.
+func groupRun(t *testing.T, withGroup bool) []string {
+	t.Helper()
+	s := NewScheduler(1)
+	var g *Group
+	if withGroup {
+		g = s.NewGroup()
+	}
+	var got []string
+	for i := 0; i < 30; i++ {
+		name := fmt.Sprintf("e%d", i)
+		at := Time(i%7) * 3 * Millisecond // shared instants exercise the seq tiebreak
+		switch {
+		case i%3 != 0:
+			s.At(at, func() { got = append(got, name+"@"+s.Now().String()) })
+		case g != nil:
+			g.At(at, func() { got = append(got, "group "+name) })
+		}
+	}
+	if g != nil {
+		s.At(5*Millisecond-1, g.End)
+	}
+	if err := s.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestGroupEndRemovesOnlyItsEvents: End drops the group's events still
+// pending, and only those; the rest fire in the (at, seq) order of a run
+// that never scheduled the group's.
+func TestGroupEndRemovesOnlyItsEvents(t *testing.T) {
+	with, without := groupRun(t, true), groupRun(t, false)
+	var early, survivors []string
+	for _, e := range with {
+		if strings.HasPrefix(e, "group ") {
+			early = append(early, e)
+		} else {
+			survivors = append(survivors, e)
+		}
+	}
+	// The group's events at 0 and 3ms ran before End at 5ms.
+	if got, want := strings.Join(early, " "), "group e0 group e21 group e15"; got != want {
+		t.Fatalf("group events before End: %q, want %q", got, want)
+	}
+	if strings.Join(survivors, " ") != strings.Join(without, " ") {
+		t.Fatalf("survivors fired as\n%v\nwant\n%v", survivors, without)
+	}
+}
+
+// TestGroupEndFromCallback: a group's own event may end it; its pending
+// siblings never run, the scheduler's events do, and the count drops by
+// exactly the group's events.
+func TestGroupEndFromCallback(t *testing.T) {
+	s := NewScheduler(1)
+	g := s.NewGroup()
+	var got []string
+	s.After(3*time.Millisecond, func() { got = append(got, "s3") })
+	g.After(2*time.Millisecond, func() { got = append(got, "g2") })
+	g.After(time.Millisecond, func() {
+		got = append(got, "g1")
+		before := s.Pending()
+		g.End()
+		if after := s.Pending(); after != before-1 {
+			t.Errorf("End from a callback: %d pending, want %d", after, before-1)
+		}
+		g.After(0, func() { got = append(got, "late") })
+	})
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(got, " "), "g1 s3"; got != want {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+}
+
+// TestEndedGroupSchedulesNothing: At, After and Defer on an ended group
+// return a Timer that reads fired and never runs.
+func TestEndedGroupSchedulesNothing(t *testing.T) {
+	s := NewScheduler(1)
+	g := s.NewGroup()
+	g.End()
+	ran := false
+	fn := func() { ran = true }
+	for _, tm := range []Timer{g.At(s.Now()+Millisecond, fn), g.After(time.Millisecond, fn), g.Defer(fn)} {
+		if !tm.Fired() || tm.Cancel() {
+			t.Fatal("an ended group's timer reads pending")
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events pending on an ended group", s.Pending())
+	}
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Fatal("an ended group's event ran")
+	}
+}
+
+// TestStaleGroupHandleAfterEnd: a handle to an event End removed is a
+// no-op, and does not cancel the next owner of the recycled event.
+func TestStaleGroupHandleAfterEnd(t *testing.T) {
+	s := NewScheduler(1)
+	g := s.NewGroup()
+	stale := g.After(time.Millisecond, func() { t.Error("an ended group's event ran") })
+	g.End()
+	if !stale.Fired() {
+		t.Fatal("a removed event's handle reads pending")
+	}
+	fired := false
+	fresh := s.After(time.Millisecond, func() { fired = true }) // reuses the recycled event
+	if fresh.ev != stale.ev {
+		t.Fatal("the removed event was not recycled")
+	}
+	if stale.Cancel() {
+		t.Fatal("a stale handle cancelled the recycled event")
+	}
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("the recycled event's new owner never ran")
 	}
 }

@@ -76,9 +76,6 @@ type ClusterConfig struct {
 	// .recovery files): LPMs register CCS changes with it and consult
 	// it when seeking a coordinator.
 	CCSNameServer bool
-	// BreakDetect is how long circuit endpoints take to notice a lost
-	// peer (default 1s of virtual time).
-	BreakDetect time.Duration
 	// MaxSteps bounds each synchronous operation's event budget
 	// (default 10 million).
 	MaxSteps uint64
@@ -153,7 +150,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		rlist: make(map[string][]string),
 		port:  2000,
 	}
-	c.net = simnet.New(c.sched, simnet.Options{BreakDetect: cfg.BreakDetect})
+	c.net = simnet.New(c.sched, simnet.Options{})
 	// One registry, one causal tracer and one flight recorder per
 	// cluster, all on this cluster's virtual clock: identical seeds
 	// produce identical snapshots and byte-identical journals (append

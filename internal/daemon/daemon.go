@@ -149,15 +149,15 @@ func (d *Daemons) onQuery(conn *simnet.Conn, b []byte) {
 // handleQuery is the pmd: the trusted name server of Figure 2 steps 3-4.
 func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 	q wire.LPMQuery, ctx trace.Context, sp *trace.Span) {
-	d.rec.Notef(journal.DaemonQuery, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
+	d.rec.Record(journal.DaemonQuery, d.hostName, ctx, journal.Query(q.User, fromHost))
 	if err := d.authenticate(fromHost, q); err != nil {
-		d.rec.Notef(journal.DaemonAuthFail, d.hostName, ctx, "user=%s from=%s", q.User, fromHost)
+		d.rec.Record(journal.DaemonAuthFail, d.hostName, ctx, journal.Query(q.User, fromHost))
 		d.reply(conn, reqID, wire.LPMQueryResp{OK: false, Reason: err.Error()}, ctx, sp)
 		return
 	}
 	// An existing LPM's address is returned directly.
 	if addr, ok := d.lpms[q.User]; ok {
-		d.rec.Notef(journal.DaemonLPMFound, d.hostName, ctx, "user=%s", q.User)
+		d.rec.Record(journal.DaemonLPMFound, d.hostName, ctx, journal.UserLPM(q.User))
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port,
 		}, ctx, sp)
@@ -168,7 +168,7 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 	// and in local processing".
 	d.kern.ExecCPU(calib.Fork, func() {
 		if addr, ok := d.lpms[q.User]; ok { // a query inside the fork window created it
-			d.rec.Notef(journal.DaemonLPMFound, d.hostName, ctx, "user=%s", q.User)
+			d.rec.Record(journal.DaemonLPMFound, d.hostName, ctx, journal.UserLPM(q.User))
 			d.reply(conn, reqID, wire.LPMQueryResp{OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port}, ctx, sp)
 			return
 		}
@@ -178,7 +178,7 @@ func (d *Daemons) handleQuery(conn *simnet.Conn, reqID uint64, fromHost string,
 			return
 		}
 		d.register(q.User, addr)
-		d.rec.Notef(journal.DaemonLPMCreated, d.hostName, ctx, "user=%s", q.User)
+		d.rec.Record(journal.DaemonLPMCreated, d.hostName, ctx, journal.UserLPM(q.User))
 		// Step 4: the accept address is returned.
 		d.reply(conn, reqID, wire.LPMQueryResp{
 			OK: true, AcceptHost: addr.Host, AcceptPort: addr.Port, Created: true,

@@ -150,7 +150,7 @@ type (
 
 func stampOf(d *Detail) stamp { return stamp{s: [3]string{d.s[1]}, n: d.n, flag: d.flag} }
 
-func (s stamp) String() string { return string((*Detail)(&s).appendFormat(nil, "%s@%v#%d|%s")) }
+func (s stamp) String() string { return string((*Detail)(&s).appendFormat(nil, "%s@%v#%d", "%s")) }
 
 func (k sweepKey) String() string { return k.user + "/" + k.origin + "#" + strconv.Itoa(int(k.seq)) }
 
@@ -162,7 +162,7 @@ func opOf(d *Detail) opKey {
 }
 
 // opName renders an Op's operation, "u/vax1#30#7".
-func opName(d *Detail) string { return string(d.appendFormat(nil, "%s/%s#%d#%d|%s/%s")) }
+func opName(d *Detail) string { return string(d.appendFormat(nil, "%s/%s#%d#%d", "%s/%s")) }
 
 // parseGPID reads a snapshot's GPID back from its String form, "-" as
 // a root's zero parent.
@@ -262,7 +262,7 @@ func (a *auditor) step(seq uint64, e *entry) {
 			a.fail(seq, "genealogy", "exit of %s which was never created", key)
 		}
 	case DaemonLPMCreated: // the pmd is its host's one name server (Figure 2)
-		key := userPair{strings.TrimPrefix(d.s[0], "user="), e.host, ""}
+		key := userPair{d.s[0], e.host, ""}
 		if a.lpms[key] {
 			a.fail(seq, "daemon", "pmd on %s created a second LPM for %s", e.host, key.user)
 		}

@@ -3,6 +3,7 @@ package journal_test
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,9 +30,6 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 			t.Errorf("%v rendered %q, the format gave %q", kind, got, want)
 		}
 	}
-	check(journal.Text("groups=a,b|c"), "%s", "groups=a,b|c")
-	check(journal.Text(""), "")
-
 	transports := map[bool]string{false: "datagram", true: "circuit"}
 	for _, circuit := range []bool{false, true} {
 		for _, ports := range [][2]uint16{{1, 65535}, {7, 512}, {65535, 1}, {0, 10000}} {
@@ -152,6 +150,58 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 		format, "felipe", "h23", "h01:10003->h23:2002", "established", "suspect", "suspicion-3")
 	check(journal.CircuitStep("felipe", "h23", "-", journal.CircuitIdle, journal.CircuitDialing, "dial", 0),
 		format, "felipe", "h23", "-", "idle", "dialing", "dial")
+
+	// The network's topology faults, what simnet's sites concatenated.
+	kind = journal.NetPartition
+	for _, groups := range [][]string{nil, {"a,b"}, {"a,b", "c"}, {"h01,h02,h03", "h04", "h05,h06"}} {
+		check(journal.Partition(strings.Join(groups, "|")), "%s", "groups="+strings.Join(groups, "|"))
+	}
+	for _, kind = range []journal.Kind{journal.NetFlapDown, journal.NetFlapUp} {
+		check(journal.Link("vax1", "vax2"), "link=%s|%s", "vax1", "vax2")
+	}
+
+	// The pmd's lookups, what daemon's sites formatted.
+	for _, kind = range []journal.Kind{journal.DaemonQuery, journal.DaemonAuthFail} {
+		check(journal.Query("felipe", "vax2"), "user=%s from=%s", "felipe", "vax2")
+	}
+	for _, kind = range []journal.Kind{journal.DaemonLPMFound, journal.DaemonLPMCreated} {
+		check(journal.UserLPM("felipe"), "user=%s", "felipe")
+	}
+
+	// lpm's cold facts, what its sites formatted.
+	for _, pid := range []proc.PID{1, 6, 1<<31 - 1} {
+		kind = journal.LPMAdopt
+		check(journal.Adopt("felipe", int32(pid)), "user=%s pid=%d", "felipe", pid)
+		kind = journal.LPMExitForward
+		id := proc.GPID{Host: "vax2", PID: pid}
+		check(journal.ExitForward("felipe", id.Host, int32(id.PID), "vax1"), "user=%s proc=%s/%d to=%s", "felipe", id.Host, id.PID, "vax1")
+	}
+	kind = journal.LPMSiblingReject
+	for _, reason := range []string{"lpm exited", "user mismatch", "token: auth: bad token", "cross-dial"} {
+		check(journal.SiblingReject("vax2", reason), "from=%s reason=%s", "vax2", reason)
+	}
+	kind = journal.LPMRelayOrigin
+	check(journal.Relay("felipe", "h05", "h02"), "user=%s dest=%s via=%s", "felipe", "h05", "h02")
+	kind = journal.LPMRelayForward
+	check(journal.Relay("felipe", "h05", "h03"), "user=%s dest=%s next=%s", "felipe", "h05", "h03")
+	kind = journal.LPMRedial
+	for _, reason := range []string{"recovery", "retry"} {
+		check(journal.Redial("felipe", "vax2", reason), "user=%s peer=%s reason=%s", "felipe", "vax2", reason)
+	}
+	for _, mt := range []wire.MsgType{wire.MsgControl, wire.MsgBroadcast, 47} {
+		kind = journal.LPMRetry
+		for _, op := range [][2]uint64{{1, 7}, {1 << 31, 1<<32 + 5}, {1<<64 - 1, 1<<64 - 1}} {
+			for attempt, backoff := range []time.Duration{200 * time.Millisecond, 1600 * time.Millisecond, 5 * time.Second} {
+				key := wire.OpKey{Origin: "vax1", Inc: op[0], Seq: op[1]}
+				check(journal.Retry("felipe", key.Origin, key.Inc, key.Seq, mt.String(), attempt+2, backoff),
+					"user=%s op=%s type=%v attempt=%d backoff=%v", "felipe", key, mt, attempt+2, backoff)
+			}
+		}
+		kind = journal.LPMTimeout
+		for _, op := range []uint64{0, 7, 1<<31 - 1, 1 << 31, 1<<32 + 5, 1<<64 - 1} {
+			check(journal.Timeout("felipe", "vax2", mt.String(), op), "user=%s peer=%s type=%v op=%d", "felipe", "vax2", mt, op)
+		}
+	}
 
 	kind = journal.LPMControl
 	for op := wire.ControlOp(0); op <= wire.OpSignal+1; op++ {

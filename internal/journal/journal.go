@@ -139,69 +139,72 @@ const (
 // kindTable is the vocabulary, indexed by kind: the dotted name a record
 // renders under (grouped by the layer that appends it), the metrics
 // counter that counts the same fact, the format of a detail of fixed
-// fields, which is written in slots, never as text, and which the audit
-// reads, and the string slots of the detail that hold text. Recorder.Record
+// fields and the alternative format its flag selects, and the string
+// slots of the detail that hold text. Such a detail is written in slots,
+// never as text, and the audit reads the slots; every kind but the six
+// NetMessage kinds and the three with no detail has a format
+// (TestEveryKindHasAFormat). Recorder.Record
 // bumps that counter at the moment it appends the record, so the two can
 // never disagree (TestJournalMetricsCrossCheck). A "*" stands for the
 // record's first detail token — the transport of a net.send, the event
 // kind of a kernel.event. Kinds without a counter are journaled only;
 // wire.encode's per-type counters derive from the wire manifest instead.
 //
-// A text is a list, a channel key, a process name or a key too wide for
-// its slots; every other string is a name: a host, a user, a message type
-// or a vocabulary word. The ring keeps a name as an index into its table
-// of names and a text out of line, so texts never grow that table. A Text
-// detail's one slot is text whatever the row; alt(…) marks a slot under
-// the format's "|" alternative only.
+// A text is a list, a channel key, a process name, a reason or a key
+// without slots of its own; every other string is a name: a host, a user,
+// a message type or a vocabulary word. The ring keeps a name as an index
+// into its table of names and a text out of line, so texts never grow
+// that table. A text detail's one slot is text whatever the row; alt(…)
+// marks a slot under the alternative format only.
 var kindTable = [numKinds]struct {
-	name, counter, format string
-	text                  uint8
+	name, counter, format, alt string
+	text                       uint8
 }{
-	NetSend:           {"net.send", "simnet.*.sent", "", 0},
-	NetDeliver:        {"net.deliver", "", "", 0},
-	NetDrop:           {"net.drop", "simnet.*.dropped", "", 0},
-	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened", "", 0},
-	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed", "", 0},
-	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken", "", 0},
-	NetHostCrash:      {"net.host.crash", "simnet.host.crashes", "", 0},
-	NetHostRestart:    {"net.host.restart", "simnet.host.restarts", "", 0},
-	NetPartition:      {"net.partition", "simnet.partition.events", "", 0},
-	NetHeal:           {"net.heal", "simnet.partition.heals", "", 0},
-	NetFlapDown:       {"net.flap.down", "simnet.flap.downs", "", 0},
-	NetFlapUp:         {"net.flap.up", "simnet.flap.ups", "", 0},
-	WireEncode:        {"wire.encode", "", "%s %dB", 0},
-	WireDecode:        {"wire.decode", "", "%s %dB", 0},
-	KernelSpawn:       {"kernel.spawn", "kernel.spawns", "pid=%d name=%s user=%s", text0},
-	KernelFork:        {"kernel.fork", "kernel.forks", "parent=%d child=%d name=%s", text0},
-	KernelExit:        {"kernel.exit", "kernel.exits", "pid=%d code=%d|pid=%d code=%d sig=%s", 0},
-	KernelSetParent:   {"kernel.setparent", "", "pid=%d parent=-|pid=%d parent=<%s,%d>", 0},
-	KernelEvent:       {"kernel.event", "kernel.events.*", "%s proc=<%s,%d>", 0},
-	DaemonQuery:       {"daemon.query", "daemon.queries", "", 0},
-	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures", "", 0},
-	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found", "", 0},
-	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created", "", 0},
-	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", "", 0},
-	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t", 0},
-	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s", text1},
-	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client|user=%s peer=%s chan=%s role=server", text2},
-	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s", text2},
-	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", "", 0},
-	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s|user=%s stamp=%s inner=%s", alt(text1)},
-	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d|user=%s stamp=%s", alt(text1)},
-	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits", "user=%s stamp=%s@%v#%d|user=%s stamp=%s", alt(text1)},
-	LPMFloodDone:      {"lpm.flood.done", "", "user=%s stamp=%s@%v#%d hosts=%s|user=%s stamp=%s hosts=%s", text2 | alt(text1)},
-	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated", "", 0},
-	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded", "", 0},
-	LPMRetry:          {"lpm.request.retry", "lpm.request.retries", "", 0},
-	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts", "", 0},
-	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials", "", 0},
-	LPMOpExec:         {"lpm.op.exec", "", "user=%s op=%s#%d#%d type=%s|user=%s op=%s type=%s", alt(text1)},
-	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays", "user=%s op=%s#%d#%d type=%s|user=%s op=%s type=%s", alt(text1)},
-	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions", "user=%s peer=%s chan=%s from=%s to=%s reason=%s", text2},
-	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards", "", 0},
-	SnapshotTaken:     {"snapshot", "", "user=%s procs=%s partial=%s", text1 | text2},
-	StatusRequest:     {"status.request", "lpm.status.sweeps", "user=%s sweep=%s#%d hosts=%s", text2},
-	StatusReport:      {"status.report", "", "user=%s sweep=%s#%d host=%s ok=%t", 0},
+	NetSend:           {"net.send", "simnet.*.sent", "", "", 0},
+	NetDeliver:        {"net.deliver", "", "", "", 0},
+	NetDrop:           {"net.drop", "simnet.*.dropped", "", "", 0},
+	NetCircuitOpen:    {"net.circuit.open", "simnet.circuit.opened", "", "", 0},
+	NetCircuitClose:   {"net.circuit.close", "simnet.circuit.closed", "", "", 0},
+	NetCircuitBreak:   {"net.circuit.break", "simnet.circuit.broken", "", "", 0},
+	NetHostCrash:      {"net.host.crash", "simnet.host.crashes", "", "", 0},
+	NetHostRestart:    {"net.host.restart", "simnet.host.restarts", "", "", 0},
+	NetPartition:      {"net.partition", "simnet.partition.events", "groups=%s", "", text0},
+	NetHeal:           {"net.heal", "simnet.partition.heals", "", "", 0},
+	NetFlapDown:       {"net.flap.down", "simnet.flap.downs", "link=%s|%s", "", 0},
+	NetFlapUp:         {"net.flap.up", "simnet.flap.ups", "link=%s|%s", "", 0},
+	WireEncode:        {"wire.encode", "", "%s %dB", "", 0},
+	WireDecode:        {"wire.decode", "", "%s %dB", "", 0},
+	KernelSpawn:       {"kernel.spawn", "kernel.spawns", "pid=%d name=%s user=%s", "", text0},
+	KernelFork:        {"kernel.fork", "kernel.forks", "parent=%d child=%d name=%s", "", text0},
+	KernelExit:        {"kernel.exit", "kernel.exits", "pid=%d code=%d", "pid=%d code=%d sig=%s", 0},
+	KernelSetParent:   {"kernel.setparent", "", "pid=%d parent=-", "pid=%d parent=<%s,%d>", 0},
+	KernelEvent:       {"kernel.event", "kernel.events.*", "%s proc=<%s,%d>", "", 0},
+	DaemonQuery:       {"daemon.query", "daemon.queries", "user=%s from=%s", "", 0},
+	DaemonAuthFail:    {"daemon.auth.fail", "daemon.auth_failures", "user=%s from=%s", "", 0},
+	DaemonLPMFound:    {"daemon.lpm.found", "daemon.lpm.found", "user=%s", "", 0},
+	DaemonLPMCreated:  {"daemon.lpm.created", "daemon.lpm.created", "user=%s", "", 0},
+	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", "user=%s pid=%d", "", 0},
+	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t", "", 0},
+	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s", "", text1},
+	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client", "user=%s peer=%s chan=%s role=server", text2},
+	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s", "", text2},
+	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", "from=%s reason=%s", "", text1},
+	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s", "user=%s stamp=%s inner=%s", alt(text1)},
+	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d", "user=%s stamp=%s", alt(text1)},
+	LPMFloodDup:       {"lpm.flood.dup", "lpm.flood.dedup_hits", "user=%s stamp=%s@%v#%d", "user=%s stamp=%s", alt(text1)},
+	LPMFloodDone:      {"lpm.flood.done", "", "user=%s stamp=%s@%v#%d hosts=%s", "user=%s stamp=%s hosts=%s", text2 | alt(text1)},
+	LPMRelayOrigin:    {"lpm.relay.origin", "lpm.relay.originated", "user=%s dest=%s via=%s", "", 0},
+	LPMRelayForward:   {"lpm.relay.forward", "lpm.relay.forwarded", "user=%s dest=%s next=%s", "", 0},
+	LPMRetry:          {"lpm.request.retry", "lpm.request.retries", "user=%s op=%s type=%s attempt=%d backoff=%v", "", text1},
+	LPMTimeout:        {"lpm.request.timeout", "lpm.request.timeouts", "user=%s peer=%s type=%s op=%d", "user=%s peer=%s type=%s", alt(text2)},
+	LPMRedial:         {"lpm.sibling.redial", "lpm.request.redials", "user=%s peer=%s reason=%s", "", 0},
+	LPMOpExec:         {"lpm.op.exec", "", "user=%s op=%s#%d#%d type=%s", "user=%s op=%s type=%s", alt(text1)},
+	LPMOpReplay:       {"lpm.op.replay", "lpm.dedup.replays", "user=%s op=%s#%d#%d type=%s", "user=%s op=%s type=%s", alt(text1)},
+	CircuitTransition: {"circuit.transition", "lpm.circuit.transitions", "user=%s peer=%s chan=%s from=%s to=%s reason=%s", "", text2},
+	LPMExitForward:    {"lpm.exit.forward", "lpm.exit.forwards", "user=%s proc=%s/%d to=%s", "", 0},
+	SnapshotTaken:     {"snapshot", "", "user=%s procs=%s partial=%s", "", text1 | text2},
+	StatusRequest:     {"status.request", "lpm.status.sweeps", "user=%s sweep=%s#%d hosts=%s", "", text2},
+	StatusReport:      {"status.report", "", "user=%s sweep=%s#%d host=%s ok=%t", "", 0},
 }
 
 const (
@@ -267,7 +270,7 @@ func transport(circuit bool) string {
 func (d *Detail) appendTo(b []byte) []byte {
 	switch d.layout {
 	case layoutFormat:
-		return d.appendFormat(b, kindTable[d.kind].format)
+		return d.appendFormat(b, kindTable[d.kind].format, kindTable[d.kind].alt)
 	case layoutNetMessage:
 		// "%s %s:%d->%s:%d %dB" transport, from, to, size; " "+note if any.
 		b = append(append(b, transport(d.flag)...), ' ')
@@ -291,19 +294,17 @@ func (d *Detail) appendTo(b []byte) []byte {
 		}
 		return b
 	default:
-		// layoutText: the cold sites' ready string, verbatim.
+		// layoutText: Journal.Append's ready string, verbatim.
 		return append(b, d.s[0]...)
 	}
 }
 
 // appendFormat renders f, a kindTable format, over d's slots: %s takes
 // the next string slot, %d the next int32 slot, %v the next two as a
-// time.Duration, %t the flag. Of a format "a|b" the flag picks b, its
-// absence a.
-func (d *Detail) appendFormat(b []byte, f string) []byte {
-	f, set, alt := strings.Cut(f, "|")
-	if alt && d.flag {
-		f = set
+// time.Duration, %t the flag. The flag picks alt instead, if there is one.
+func (d *Detail) appendFormat(b []byte, f, alt string) []byte {
+	if alt != "" && d.flag {
+		f = alt
 	}
 	si, ni := 0, 0
 	for {
@@ -329,9 +330,8 @@ func (d *Detail) appendFormat(b []byte, f string) []byte {
 	}
 }
 
-// Text is a detail already rendered by its site, for a kind without a
-// format.
-func Text(s string) Detail { return Detail{s: [3]string{s}} }
+// text is a detail already rendered, for a kind without a format.
+func text(s string) Detail { return Detail{s: [3]string{s}} }
 
 // NetMessage details one message or circuit event between two
 // endpoints: "circuit vax1:7->vax2:512 14B", then the drop reason if
@@ -408,6 +408,17 @@ func Control(op string, pid int32, ok bool) Detail   { return fixed(op, "", "", 
 func SiblingAuth(user, chanKey, from string) Detail  { return fixed(user, chanKey, from, 0, 0, false) }
 func SiblingClose(user, peer, chanKey string) Detail { return fixed(user, peer, chanKey, 0, 0, false) }
 func Snapshot(user, procs, partial string) Detail    { return fixed(user, procs, partial, 0, 0, false) }
+func Query(user, from string) Detail                 { return fixed(user, from, "", 0, 0, false) }
+func UserLPM(user string) Detail                     { return fixed(user, "", "", 0, 0, false) }
+func Adopt(user string, pid int32) Detail            { return fixed(user, "", "", pid, 0, false) }
+func SiblingReject(from, reason string) Detail       { return fixed(from, reason, "", 0, 0, false) }
+func Relay(user, dest, hop string) Detail            { return fixed(user, dest, hop, 0, 0, false) }
+func Redial(user, peer, reason string) Detail        { return fixed(user, peer, reason, 0, 0, false) }
+func Link(a, b string) Detail                        { return fixed(a, b, "", 0, 0, false) }
+func Partition(groups string) Detail                 { return fixed(groups, "", "", 0, 0, false) }
+func ExitForward(user, host string, pid int32, to string) Detail {
+	return fixed(user, host, to, pid, 0, false)
+}
 
 func SetParent(pid int32, parentHost string, parentPID int32) Detail {
 	return fixed(parentHost, "", "", pid, parentPID, parentHost != "" || parentPID != 0)
@@ -431,10 +442,32 @@ func SweepReport(user, origin string, seq int32, host string, ok bool) Detail {
 // into the origin's slot, and the flag says so.
 func Op(user, origin string, inc, seq uint64, msgType string) Detail {
 	if inc > math.MaxInt32 || seq > math.MaxInt32 {
-		key := origin + "#" + strconv.FormatUint(inc, 10) + "#" + strconv.FormatUint(seq, 10)
-		return fixed(user, key, msgType, 0, 0, true)
+		return fixed(user, opText(origin, inc, seq), msgType, 0, 0, true)
 	}
 	return fixed(user, origin, msgType, int32(inc), int32(seq), false)
+}
+
+// opText renders an operation's key as wire.OpKey does: "origin#inc#seq".
+func opText(origin string, inc, seq uint64) string {
+	return origin + "#" + strconv.FormatUint(inc, 10) + "#" + strconv.FormatUint(seq, 10)
+}
+
+// Retry details one retransmission of an operation by its key, message
+// type, attempt and backoff. The attempt and the backoff fill the int32
+// slots, so the key renders here, whole, into a text slot.
+func Retry(user, origin string, inc, seq uint64, msgType string, attempt int, backoff time.Duration) Detail {
+	return Detail{layout: layoutFormat, s: [3]string{user, opText(origin, inc, seq), msgType},
+		n: [3]int32{int32(attempt), int32(backoff >> 32), int32(backoff)}}
+}
+
+// Timeout details a request whose reply never came. An op id past the
+// int32 slot renders here, whole, into the type's slot, and the flag
+// says so.
+func Timeout(user, peer, msgType string, op uint64) Detail {
+	if op > math.MaxInt32 {
+		return fixed(user, peer, msgType+" op="+strconv.FormatUint(op, 10), 0, 0, true)
+	}
+	return fixed(user, peer, msgType, int32(op), 0, false)
 }
 
 // FloodStamp details a flood by its stamp, as lpm.flood.apply and .dup
@@ -548,9 +581,9 @@ func ParseKinds(list string) ([]Kind, error) {
 	return out, nil
 }
 
-// badKind is the cold path of AppendDetail and Recorder.Notef: a kind the
-// vocabulary does not hold, or free text under a kind that declares a
-// format, is a bug. Out of line so the hot path builds no message.
+// badKind is the cold path of AppendDetail: a kind the vocabulary does
+// not hold, or free text under a kind that declares a format, is a bug.
+// Out of line so the hot path builds no message.
 func badKind(k Kind, why string) {
 	panic("journal: " + why + " " + k.String())
 }
@@ -570,7 +603,7 @@ type Record struct {
 // byte-identical iff their rendered lines are.
 func (r Record) String() string {
 	var buf [128]byte
-	d := Text(r.Detail)
+	d := text(r.Detail)
 	return string(appendLine(buf[:0], r.Seq, r.At, r.Kind, r.Host, r.Trace, r.Span, &d))
 }
 
@@ -688,7 +721,7 @@ func (j *Journal) SetCapacity(n int) {
 //
 //ppmlint:hotpath pin=TestJournalAppendZeroAllocs
 func (j *Journal) Append(kind Kind, host, detail string) {
-	j.AppendDetail(kind, host, Text(detail), 0, 0)
+	j.AppendDetail(kind, host, text(detail), 0, 0)
 }
 
 // AppendDetail is the one way into the ring: it records an event whose

@@ -50,7 +50,7 @@ func TestRingEviction(t *testing.T) {
 func TestNilJournalNoOps(t *testing.T) {
 	var j *Journal
 	j.Append(NetSend, "a", "x")
-	j.AppendDetail(NetSend, "a", Text("x"), 1, 2)
+	j.AppendDetail(NetSend, "a", text("x"), 1, 2)
 	j.SetCapacity(10)
 	j.Reset()
 	if j.Len() != 0 || j.Dropped() != 0 || j.Records() != nil || j.Select(Filter{}) != nil {
@@ -72,7 +72,7 @@ func TestNilJournalNoOps(t *testing.T) {
 // span source.
 func TestAppendStampsItsContext(t *testing.T) {
 	j, _ := testJournal(8)
-	j.Append(LPMAdopt, "a", "pid=1")
+	j.Append(NetDeliver, "a", "x")
 	j.AppendDetail(WireEncode, "a", WireFrame("Hello", 10), 3, 4)
 	recs := j.Records()
 	if recs[0].Trace != 0 || recs[0].Span != 0 {
@@ -155,6 +155,11 @@ func FuzzFormats(f *testing.F) {
 	f.Add("alice", "vax2", "vax1:701->vax2:700", int32(6), int32(-1), int32(1<<31-1), true)
 	f.Add("", "", "", int32(0), int32(0), int32(0), false)
 	f.Add("%d|", "a,b partial=c", "<h\xff,1>", int32(-1<<31), int32(1<<8|3), int32(12), false)
+	// A retry's backoffs of 200 ms, 1.6 s and 5 s; a timeout's op id past int32.
+	f.Add("felipe", "vax1#2147483648#4294967301", "Control", int32(2), int32(0), int32(200*time.Millisecond), false)
+	f.Add("felipe", "vax1#1#7", "Broadcast", int32(5), int32(0), int32(1600*time.Millisecond), false)
+	f.Add("felipe", "vax1#1#7", "Broadcast", int32(9), int32(5*time.Second>>32), int32(5*time.Second&(1<<32-1)), false)
+	f.Add("felipe", "vax2", "Control op=4294967301", int32(0), int32(0), int32(0), true)
 	f.Fuzz(func(t *testing.T, s0, s1, s2 string, n0, n1, n2 int32, flag bool) {
 		for _, k := range Kinds() {
 			format := kindTable[k].format
@@ -172,11 +177,8 @@ func FuzzFormats(f *testing.F) {
 				}
 				args = []any{s0, s1, s2, CircuitState(n0 >> 8), CircuitState(n0), reason}
 			default:
-				if unset, set, ok := strings.Cut(format, "|"); ok {
-					format = unset
-					if flag {
-						format = set
-					}
+				if alt := kindTable[k].alt; alt != "" && flag {
+					format = alt
 				}
 				strs, ints := d.s[:], d.n[:]
 				for _, verb := range verbs(format) {
@@ -221,7 +223,7 @@ func TestFormatsFitTheSlots(t *testing.T) {
 		if k == CircuitTransition {
 			continue // rendered from its indices by layoutCircuit
 		}
-		for _, format := range strings.Split(row.format, "|") {
+		for _, format := range []string{row.format, row.alt} {
 			vs := string(verbs(format))
 			if n := strings.Count(vs, "s"); n > 3 {
 				t.Errorf("%v: %q takes %d strings", k, format, n)
@@ -241,12 +243,12 @@ func TestFormatsFitTheSlots(t *testing.T) {
 
 // TestAuditedKindsAreWrittenInSlots: every kind whose detail the audit
 // reads declares a format, so the audit reads slots only — no site can
-// write one as text: AppendDetail refuses a Text detail under it, as
-// Notef does (TestNotefRefusesAFormattedKind).
+// write one as text: AppendDetail refuses a text detail under it.
 func TestAuditedKindsAreWrittenInSlots(t *testing.T) {
 	for _, k := range []Kind{KernelSpawn, KernelFork, KernelSetParent, KernelExit, SnapshotTaken,
 		CircuitTransition, LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMFloodOrigin,
-		LPMFloodApply, LPMFloodDup, LPMFloodDone, LPMOpExec, LPMOpReplay, StatusRequest, StatusReport} {
+		LPMFloodApply, LPMFloodDup, LPMFloodDone, LPMOpExec, LPMOpReplay, StatusRequest, StatusReport,
+		DaemonLPMCreated} {
 		if kindTable[k].format == "" {
 			t.Errorf("the audit reads %v, which declares no format", k)
 		}
@@ -257,8 +259,21 @@ func TestAuditedKindsAreWrittenInSlots(t *testing.T) {
 				}
 			}()
 			j, _ := testJournal(8)
-			j.AppendDetail(k, "a", Text("pid=1"), 0, 0)
+			j.AppendDetail(k, "a", text("pid=1"), 0, 0)
 		}()
+	}
+}
+
+// TestEveryKindHasAFormat: a fact is written in slots, so every kind
+// declares a format but the six a NetMessage details and the three that
+// carry no detail; Journal.Append's text is for those alone.
+func TestEveryKindHasAFormat(t *testing.T) {
+	unformatted := []Kind{NetSend, NetDeliver, NetDrop, NetCircuitOpen, NetCircuitClose, NetCircuitBreak,
+		NetHostCrash, NetHostRestart, NetHeal}
+	for _, k := range Kinds() {
+		if has, want := kindTable[k].format != "", !slices.Contains(unformatted, k); has != want {
+			t.Errorf("%v declares format %q, want one: %t", k, kindTable[k].format, want)
+		}
 	}
 }
 
@@ -566,7 +581,7 @@ func TestRenderByteIdentity(t *testing.T) {
 	build := func() *Journal {
 		j, now := testJournal(8)
 		*now = 5 * time.Millisecond
-		j.AppendDetail(NetSend, "a", Text("datagram a:1->b:2 10B"), 1, 2)
+		j.AppendDetail(NetSend, "a", text("datagram a:1->b:2 10B"), 1, 2)
 		*now = 6 * time.Millisecond
 		j.AppendDetail(WireDecode, "b", WireFrame("Hello", 10), 0, 0)
 		return j
@@ -738,8 +753,8 @@ func TestAuditRedCases(t *testing.T) {
 			append(slices.Clone(flood[:2]), rec(LPMFloodDone, "a", FloodDone(st("s0"), "a,b", ""))), 2},
 		{"second LPM in one boot", "daemon", "pmd on a created a second LPM for u",
 			[]testRecord{
-				rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), rec(DaemonLPMCreated, "a", Text("user=u")),
-				rec(KernelSpawn, "a", Spawn(2, "lpm", "u")), rec(DaemonLPMCreated, "a", Text("user=u")),
+				rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), rec(DaemonLPMCreated, "a", UserLPM("u")),
+				rec(KernelSpawn, "a", Spawn(2, "lpm", "u")), rec(DaemonLPMCreated, "a", UserLPM("u")),
 			}, 3},
 	}
 	for _, tc := range cases {
@@ -759,13 +774,13 @@ func TestAuditRedCases(t *testing.T) {
 // TestAuditLPMCreatedAgainAfterExitOrCrash: a pmd may create a user's
 // LPM again once the first has exited, or once its host has crashed.
 func TestAuditLPMCreatedAgainAfterExitOrCrash(t *testing.T) {
-	created := rec(DaemonLPMCreated, "a", Text("user=u"))
+	created := rec(DaemonLPMCreated, "a", UserLPM("u"))
 	stream := []testRecord{
 		rec(KernelSpawn, "a", Spawn(1, "lpm", "u")), created, rec(KernelExit, "a", Exit(1, 0, "")),
 		rec(KernelSpawn, "a", Spawn(2, "lpm", "u")), created,
 		rec(NetHostCrash, "a", Detail{}), rec(NetHostRestart, "a", Detail{}),
 		rec(KernelSpawn, "a", Spawn(3, "lpm", "u")), created,
-		rec(DaemonLPMCreated, "a", Text("user=v")), rec(DaemonLPMCreated, "b", Text("user=u")),
+		rec(DaemonLPMCreated, "a", UserLPM("v")), rec(DaemonLPMCreated, "b", UserLPM("u")),
 	}
 	if vs := AuditRecords(seqed(stream), true); len(vs) != 0 {
 		t.Fatalf("re-creations after an exit or a crash are flagged:\n%s", AuditReport(vs))
@@ -798,7 +813,7 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 	*now = time.Second
 	if allocs := testing.AllocsPerRun(200, func() {
 		j.Append(NetDeliver, "a", "steady")
-		j.AppendDetail(NetHeal, "a", Text("steady"), 7, 9)
+		j.AppendDetail(NetHeal, "a", text("steady"), 7, 9)
 		j.AppendDetail(WireEncode, "a", WireFrame("Control", 37), 7, 9)
 		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
 		j.AppendDetail(LPMSiblingOpen, "a", SiblingOpen("u", "b", "a:7->b:512", false), 1<<40, 9)
@@ -834,6 +849,10 @@ func TestLineMatchesTheFmtReference(t *testing.T) {
 		for i, at := range ats {
 			for _, host := range hosts {
 				for k, detail := range details {
+					d := text(detail)
+					if kind == LPMSiblingReject { // a name that fills its column, and a format
+						d, detail = SiblingReject("vax2", detail), "from=vax2 reason="+detail
+					}
 					r := Record{Seq: seqs[(i+k)%len(seqs)], At: at, Kind: kind, Host: host, Detail: detail}
 					if k%2 == 1 {
 						r.Trace, r.Span = uint64(i)+1, seqs[k]
@@ -842,7 +861,7 @@ func TestLineMatchesTheFmtReference(t *testing.T) {
 						t.Fatalf("String() = %q, the fmt form gives %q", got, want)
 					}
 					*now = at
-					j.AppendDetail(kind, host, Text(detail), r.Trace, r.Span)
+					j.AppendDetail(kind, host, d, r.Trace, r.Span)
 					r.Seq = uint64(len(want) + 1)
 					want = append(want, referenceLine(r)+"\n")
 				}

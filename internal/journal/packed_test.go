@@ -191,15 +191,38 @@ func packedStream(seed int64, total int) (stream []testRecord, fresh int) {
 			d = SweepRequest(pick(streamUsers), pick(streamHosts), n32(), text())
 		case StatusReport:
 			d = SweepReport(pick(streamUsers), pick(streamHosts), n32(), pick(streamHosts), rng.Intn(2) == 0)
+		case NetPartition:
+			d = Partition(text())
+		case NetFlapDown, NetFlapUp:
+			d = Link(pick(streamHosts), pick(streamHosts))
+		case DaemonQuery, DaemonAuthFail:
+			d = Query(pick(streamUsers), pick(streamHosts))
+		case DaemonLPMFound, DaemonLPMCreated:
+			d = UserLPM(pick(streamUsers))
+		case LPMAdopt:
+			d = Adopt(pick(streamUsers), n32())
+		case LPMSiblingReject:
+			d = SiblingReject(pick(streamHosts), text())
+		case LPMRelayOrigin, LPMRelayForward:
+			d = Relay(pick(streamUsers), pick(streamHosts), pick(streamHosts))
+		case LPMRetry:
+			d = Retry(pick(streamUsers), text(), seqs[rng.Intn(len(seqs))], seqs[rng.Intn(len(seqs))], pick(streamTypes),
+				int(n32()), time.Duration(rng.Int63())-time.Duration(rng.Int63()))
+		case LPMTimeout:
+			d = Timeout(pick(streamUsers), pick(streamHosts), pick(streamTypes), seqs[rng.Intn(len(seqs))])
+		case LPMRedial:
+			d = Redial(pick(streamUsers), pick(streamHosts), pick(streamWords))
+		case LPMExitForward:
+			d = ExitForward(pick(streamUsers), pick(streamHosts), n32(), pick(streamHosts))
 		default: // a kind without a format: a message between hosts, or text
 			switch rng.Intn(6) {
 			case 0:
 				d = NetMessage(rng.Intn(2) == 0, pick(streamHosts), uint16(rng.Intn(1<<16)), pick(streamHosts),
 					uint16(rng.Intn(1<<16)), rng.Intn(1<<20), pick(streamWords))
 			case 1:
-				d = Text("")
+				d = Detail{}
 			default:
-				d = Text(text())
+				d = Detail{s: [3]string{text()}} // as the package's text does
 			}
 		}
 		out[i] = testRecord{Kind: k, Host: pick(streamHosts), Detail: d,
@@ -302,7 +325,7 @@ func TestPackedJournalMatchesEntryRing(t *testing.T) {
 // nothing of its 70,000 channel keys and free texts, which go out of
 // line and leave with their records.
 func TestJournalNamesStayBounded(t *testing.T) {
-	stream, fresh := packedStream(2, 125000)
+	stream, fresh := packedStream(2, 180000)
 	if fresh < 70000 {
 		t.Fatalf("the stream holds %d channel keys and free texts, want 70,000", fresh)
 	}

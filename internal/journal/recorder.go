@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"fmt"
 	"strings"
 
 	"ppm/internal/metrics"
@@ -87,24 +86,6 @@ func (r *Recorder) Record(kind Kind, host string, ctx trace.Context, d Detail) {
 	r.journal.AppendDetail(kind, host, d, ctx.Trace, ctx.Span)
 }
 
-// Notef is Record for the cold sites whose detail is free text: the
-// counter is bumped regardless, the text only formatted when a journal
-// is wired to keep it. Not for the "*" rows, whose counter the text
-// would name, and not for a kind with a format: it panics on one.
-func (r *Recorder) Notef(kind Kind, host string, ctx trace.Context, format string, args ...any) {
-	if kind < numKinds && kindTable[kind].format != "" {
-		badKind(kind, "text detail under a formatted kind")
-	}
-	if r == nil {
-		return
-	}
-	var d Detail
-	if r.journal != nil {
-		d = Text(fmt.Sprintf(format, args...))
-	}
-	r.Record(kind, host, ctx, d)
-}
-
 // counter returns the handle on kind's paired counter, nil for a kind
 // without one.
 //
@@ -133,14 +114,10 @@ func (r *Recorder) counter(kind Kind, d *Detail) *metrics.Counter {
 // detail without rendering it: a "*" row's format leads with its first
 // string slot.
 func (d *Detail) firstToken() string {
-	switch d.layout {
-	case layoutNetMessage:
+	if d.layout == layoutNetMessage {
 		return transport(d.flag)
-	case layoutFormat:
-		return d.s[0]
 	}
-	token, _, _ := strings.Cut(d.s[0], " ")
-	return token
+	return d.s[0]
 }
 
 // Handle returns the counter registered under name through slot i of a

@@ -12,14 +12,14 @@ import (
 
 // stateFacts states one fact of each shape a site hands Record — a
 // message on a "*" row, one on a row without a counter, a kernel event,
-// a typed lpm fact, text — and bumps one of the callers' own handles.
+// a typed lpm fact, a fact with no detail — and bumps one of the callers' own handles.
 func stateFacts(r *Recorder) {
 	ctx := trace.Context{Trace: 7, Span: 9}
 	r.Record(NetSend, "a", ctx, NetMessage(true, "a", 7, "b", 512, 14, ""))
 	r.Record(NetDeliver, "b", ctx, NetMessage(true, "a", 7, "b", 512, 14, ""))
 	r.Record(KernelEvent, "a", ctx, EventMessage(proc.EvStop.String(), "a", 6))
 	r.Record(LPMOpReplay, "a", ctx, Op("alice", "a", 30, 7, "Control"))
-	r.Record(NetHeal, "", trace.Context{}, Text(""))
+	r.Record(NetHeal, "", trace.Context{}, Detail{})
 	r.Handle(3, "wire.msgs.Control").Inc()
 }
 
@@ -65,62 +65,6 @@ func TestRecordZeroAllocs(t *testing.T) {
 		t.Errorf("registry and journal: %v allocs per run, want 0", allocs)
 	}
 }
-
-// TestNotefFormatsOnlyForAJournal: without a journal the text would be
-// dropped, so it is never built — the counter still moves.
-func TestNotefFormatsOnlyForAJournal(t *testing.T) {
-	reg := metrics.New(nil)
-	rec := NewRecorder(reg, nil, nil)
-	formatted := 0
-	arg := stringer(func() string { formatted++; return "x" })
-	var none *Recorder
-	if allocs := testing.AllocsPerRun(100, func() {
-		rec.Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
-		none.Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
-	}); allocs != 0 {
-		t.Errorf("Notef without a journal: %v allocs per run, want 0", allocs)
-	}
-	if formatted != 0 {
-		t.Errorf("Notef formatted its detail %d times with no journal to keep it", formatted)
-	}
-	if got := reg.Snapshot().Counter("lpm.adoptions"); got != 101 {
-		t.Errorf("lpm.adoptions = %d over 101 adoptions", got)
-	}
-	j, _ := testJournal(4)
-	NewRecorder(nil, nil, j).Notef(LPMAdopt, "a", trace.Context{}, "pid=%v", arg)
-	if formatted != 1 || j.Records()[0].Detail != "pid=x" {
-		t.Errorf("Notef with a journal: formatted %d times, recorded %q", formatted, j.Records()[0].Detail)
-	}
-}
-
-// TestNotefRefusesAFormattedKind: a kind whose row declares a format is
-// written in slots, so Notef panics on it — with or without a journal to
-// keep the text, as AppendDetail panics on an unregistered kind.
-func TestNotefRefusesAFormattedKind(t *testing.T) {
-	j, _ := testJournal(4)
-	for _, rec := range []*Recorder{nil, NewRecorder(nil, nil, nil), NewRecorder(nil, nil, j)} {
-		for _, k := range Kinds() {
-			if kindTable[k].format == "" {
-				continue
-			}
-			func() {
-				defer func() {
-					if msg, _ := recover().(string); !strings.Contains(msg, "text detail under a formatted kind") {
-						t.Errorf("Notef(%v) recovered %q, want the formatted-kind panic", k, msg)
-					}
-				}()
-				rec.Notef(k, "a", trace.Context{}, "pid=%d", 7)
-			}()
-		}
-	}
-	if j.Len() != 0 {
-		t.Errorf("refused facts left %d records", j.Len())
-	}
-}
-
-type stringer func() string
-
-func (s stringer) String() string { return s() }
 
 // TestRecordFiresThePairedCounter walks kindTable: stating a fact of a
 // kind moves exactly the counter its row names — per first detail token

@@ -28,7 +28,7 @@ func TestTraceAuditCleanRun(t *testing.T) {
 		tspan(2, 1, 1, "lpm.request.b", 10, 90, 1),
 		tspan(3, 1, 2, "kernel.event.stop", 80, 120, 1), // async overrun: fine
 	}
-	recs := []testRecord{{Seq: 1, Kind: LPMRetry, Trace: 1, Span: 2}}
+	recs := []testRecord{{Seq: 1, Kind: LPMRetry, Detail: retry, Trace: 1, Span: 2}}
 	if vs := AuditTraceRecords(recs, spans, true); len(vs) != 0 {
 		t.Errorf("clean run flagged:\n%s", violationMsgs(vs))
 	}
@@ -68,7 +68,7 @@ func TestTraceAuditNesting(t *testing.T) {
 
 func TestTraceAuditCrossLinks(t *testing.T) {
 	spans := []trace.SpanData{tspan(1, 1, 0, "op.stop", 0, 100, 1)}
-	recs := []testRecord{{Seq: 7, Kind: LPMRetry, Trace: 1, Span: 99}}
+	recs := []testRecord{{Seq: 7, Kind: LPMRetry, Detail: retry, Trace: 1, Span: 99}}
 	vs := AuditTraceRecords(recs, spans, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "never recorded") {
 		t.Errorf("dangling cross-link not flagged: %v", vs)
@@ -81,3 +81,6 @@ func TestTraceAuditCrossLinks(t *testing.T) {
 		t.Errorf("incomplete stream flagged existence:\n%s", violationMsgs(vs))
 	}
 }
+
+// retry is a typed lpm.request.retry detail for the cross-link records.
+var retry = Retry("u", "a", 1, 7, "Control", 2, 200*time.Millisecond)

@@ -644,8 +644,8 @@ func (l *LPM) forwardExit(ev proc.Event, info proc.Info) {
 	if home == "" || home == l.Host() {
 		return
 	}
-	l.obs.Notef(journal.LPMExitForward, l.Host(), l.obs.Tracer().Active(),
-		"user=%s proc=%s/%d to=%s", l.user.Name, info.ID.Host, info.ID.PID, home)
+	l.obs.Record(journal.LPMExitForward, l.Host(), l.obs.Tracer().Active(),
+		journal.ExitForward(l.user.Name, info.ID.Host, int32(info.ID.PID), home))
 	body := wire.Encode(&wire.ProcExit{User: l.user.Name, Event: ev, Info: info})
 	l.remoteCall(trace.Context{}, home, wire.MsgProcExit, body, func(wire.Envelope, error) {})
 }
@@ -749,7 +749,7 @@ func (r *recEnv) RedialSibling(host string, cb func(bool)) {
 		cb(true)
 		return
 	}
-	l.obs.Notef(journal.LPMRedial, l.Host(), l.obs.Tracer().Active(), "user=%s peer=%s reason=recovery", l.user.Name, host)
+	l.obs.Record(journal.LPMRedial, l.Host(), l.obs.Tracer().Active(), journal.Redial(l.user.Name, host, "recovery"))
 	l.ensureSibling(trace.Context{}, host, func(sb *sibling, err error) {
 		cb(err == nil && sb != nil)
 	})

@@ -73,7 +73,7 @@ func (l *LPM) Adopt(pid proc.PID, cb func(error)) {
 			var err error
 			l.withTraceCtx(ctx, func() { err = l.kern.Adopt(pid, l.user.Name) })
 			if err == nil {
-				l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, pid)
+				l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(pid)))
 				if info, ierr := l.kern.Info(pid); ierr == nil {
 					l.records[pid] = info
 				}
@@ -134,7 +134,7 @@ func (l *LPM) createLocal(ctx trace.Context, req wire.CreateProc, cb func(wire.C
 						cb(wire.CreateAck{OK: false, Reason: err.Error()})
 						return
 					}
-					l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, p.PID)
+					l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(p.PID)))
 					if info, ierr := l.kern.Info(p.PID); ierr == nil {
 						l.records[p.PID] = info
 					}
@@ -169,7 +169,7 @@ func (l *LPM) createForRemote(ctx trace.Context, req wire.CreateProc, ack func(w
 				ack(wire.CreateAck{OK: false, Reason: err.Error()})
 				return
 			}
-			l.obs.Notef(journal.LPMAdopt, l.Host(), ctx, "user=%s pid=%d", l.user.Name, p.PID)
+			l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(p.PID)))
 			if info, ierr := l.kern.Info(p.PID); ierr == nil {
 				l.records[p.PID] = info
 			}
@@ -675,7 +675,7 @@ func (l *LPM) handleRelay(env wire.Envelope, reply replyTo) {
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}
-	l.obs.Notef(journal.LPMRelayForward, l.Host(), reply.ctx, "user=%s dest=%s next=%s", rel.User, rel.Dest, next)
+	l.obs.Record(journal.LPMRelayForward, l.Host(), reply.ctx, journal.Relay(rel.User, rel.Dest, next))
 	fwd := wire.Relay{User: rel.User, Dest: rel.Dest, Path: rel.Path[1:], Inner: rel.Inner}
 	l.sendRequest(reply.ctx, nsb, wire.MsgRelay, wire.Encode(&fwd), 0, func(resp wire.Envelope, err error) {
 		if err != nil {

@@ -81,8 +81,8 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 	}
 	pr.attempt++
 	delay := l.cfg.Retry.backoff(pr.attempt)
-	l.obs.Notef(journal.LPMRetry, l.Host(), pr.ctx, "user=%s op=%s type=%v attempt=%d backoff=%v",
-		l.user.Name, wire.OpKey{Origin: l.Host(), Inc: l.incarnation(), Seq: pr.op}, pr.t, pr.attempt, delay)
+	l.obs.Record(journal.LPMRetry, l.Host(), pr.ctx,
+		journal.Retry(l.user.Name, l.Host(), l.incarnation(), pr.op, pr.t.String(), pr.attempt, delay))
 	var bsp *trace.Span
 	if pr.ctx.Valid() { // the name is built only for a span that will exist
 		bsp = l.obs.Tracer().StartSpan(l.Host(), "lpm.retry."+pr.host, pr.ctx)
@@ -96,7 +96,7 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 			return
 		}
 		if sb, ok := l.siblings[pr.host]; !ok || !sb.conn.Open() {
-			l.obs.Notef(journal.LPMRedial, l.Host(), pr.ctx, "user=%s peer=%s reason=retry", l.user.Name, pr.host)
+			l.obs.Record(journal.LPMRedial, l.Host(), pr.ctx, journal.Redial(l.user.Name, pr.host, "retry"))
 		}
 		l.directCall(pr)
 	})
@@ -123,7 +123,7 @@ func (l *LPM) directCall(pr *pendingReq) {
 func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
 	path []string, cb func(wire.Envelope, error)) {
 	fsb := l.siblings[path[0]]
-	l.obs.Notef(journal.LPMRelayOrigin, l.Host(), ctx, "user=%s dest=%s via=%s", l.user.Name, host, path[0])
+	l.obs.Record(journal.LPMRelayOrigin, l.Host(), ctx, journal.Relay(l.user.Name, host, path[0]))
 	inner := wire.Envelope{Type: t, Body: body}
 	inner.SetTrace(ctx.Trace, ctx.Span)
 	rel := wire.Relay{User: l.user.Name, Dest: host, Path: path[1:], Inner: inner.Encode()}

@@ -55,7 +55,7 @@ func (l *LPM) onFirstMsg(conn *simnet.Conn, b []byte) {
 
 func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx trace.Context) {
 	reject := func(reason string) {
-		l.obs.Notef(journal.LPMSiblingReject, l.Host(), ctx, "from=%s reason=%s", hello.FromHost, reason)
+		l.obs.Record(journal.LPMSiblingReject, l.Host(), ctx, journal.SiblingReject(hello.FromHost, reason))
 		body := wire.Encode(&wire.HelloResp{OK: false, Reason: reason})
 		//ppmlint:allow errdrop rejection notice is best-effort; the circuit closes right after either way
 		_ = wire.Send(conn, wire.Envelope{Type: wire.MsgHelloResp, ReqID: reqID, Body: body, TraceID: ctx.Trace, SpanID: ctx.Span}, l.obs, l.Host())
@@ -576,6 +576,6 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 }
 
 func (pr *pendingReq) onTimeout() {
-	pr.l.obs.Notef(journal.LPMTimeout, pr.l.Host(), pr.rctx, "user=%s peer=%s type=%v op=%d", pr.l.user.Name, pr.sb.host, pr.t, pr.op)
+	pr.l.obs.Record(journal.LPMTimeout, pr.l.Host(), pr.rctx, journal.Timeout(pr.l.user.Name, pr.sb.host, pr.t.String(), pr.op))
 	pr.l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, pr.t, pr.sb.host))
 }

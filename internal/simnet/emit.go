@@ -14,7 +14,7 @@ type event struct {
 	from, to Addr
 	size     int
 	circuit  bool
-	note     string        // why a message was dropped; the detail of a topology fault
+	note     string        // why a message was dropped
 	ctx      trace.Context // the causal trace the message travels under, if any
 }
 
@@ -34,13 +34,14 @@ type counterHandles struct {
 	transit                *metrics.Histogram
 }
 
-// emit is where the network observes: every fact it records is one
-// event of a net.* kind handed here once. The recorder is stated the
-// fact (the paired counter and the journal record on the observing
-// host), and the journal is the network's one event stream — §7's flow
-// table is read back from it (journal.Flows). What stays here is the
-// network's own: a send's byte and per-hop load counters and the
-// injected-loss count.
+// emit is where the network observes: every fact it records, but a
+// partition or a flap (recorded where it happens), is one event of a
+// net.* kind handed here once. The recorder is stated the fact (the
+// paired counter and the journal record on the observing host), and
+// the journal is the network's one event stream — §7's flow table is
+// read back from it (journal.Flows). What stays here is the network's
+// own: a send's byte and per-hop load counters and the injected-loss
+// count.
 //
 //ppmlint:hotpath pin=TestEmitZeroAllocs
 func (n *Network) emit(kind journal.Kind, ev event) {
@@ -63,9 +64,9 @@ func (n *Network) emit(kind journal.Kind, ev event) {
 			reg.Counter("simnet.injected.losses").Inc()
 		}
 	}
-	// An event with endpoints describes a message or a circuit; a
-	// topology fault carries its whole detail in note.
-	detail := journal.Text(ev.note)
+	// An event with endpoints describes a message or a circuit; a host's
+	// crash or restart, or a heal, has no detail.
+	var detail journal.Detail
 	if ev.from.Host != "" {
 		detail = journal.NetMessage(ev.circuit, ev.from.Host, ev.from.Port, ev.to.Host, ev.to.Port, ev.size, ev.note)
 	}

@@ -428,7 +428,7 @@ func (n *Network) flapDown(key [2]string) {
 		return
 	}
 	n.downPairs[key] = true
-	n.emit(journal.NetFlapDown, event{note: "link=" + key[0] + "|" + key[1]})
+	n.rec.Record(journal.NetFlapDown, "", trace.Context{}, journal.Link(key[0], key[1]))
 	n.breakSeveredConns()
 }
 
@@ -437,7 +437,7 @@ func (n *Network) flapUp(key [2]string) {
 		return
 	}
 	delete(n.downPairs, key)
-	n.emit(journal.NetFlapUp, event{note: "link=" + key[0] + "|" + key[1]})
+	n.rec.Record(journal.NetFlapUp, "", trace.Context{}, journal.Link(key[0], key[1]))
 }
 
 // --- host lifecycle and failures ---
@@ -535,7 +535,7 @@ func (n *Network) Partition(groups ...[]string) error {
 	for i, g := range groups {
 		parts[i] = strings.Join(g, ",")
 	}
-	n.emit(journal.NetPartition, event{note: "groups=" + strings.Join(parts, "|")})
+	n.rec.Record(journal.NetPartition, "", trace.Context{}, journal.Partition(strings.Join(parts, "|")))
 	n.updatePartitionGauge()
 	n.breakSeveredConns()
 	return nil

@@ -1,8 +1,13 @@
-// Command ppmtrace demonstrates the PPM's historical information
-// facilities: it runs a multi-host computation under full event
+// Command ppmtrace is the PPM's observation tool: the data gathering,
+// reduction and display tools of the paper's Section 7 behind one
+// front end. Its first argument picks the mode: "top" is the cluster
+// live-status dashboard (top.go), "prof" the virtual-time profiler
+// (prof.go), and no mode is the tracing demo. Each runs its own
+// deterministic scenario: same flags, byte-identical output.
+//
+// The tracing demo runs a multi-host computation under full event
 // tracing, then prints the recorded timeline, the per-kind reduction,
-// the IPC activity analysis and an event-rate histogram — the data
-// gathering, reduction and display tools of the paper's Section 7.
+// the IPC activity analysis and an event-rate histogram.
 //
 // With --spans the stop of the remote worker runs under causal
 // tracing and the assembled cross-host span waterfall is printed.
@@ -11,7 +16,7 @@
 // and LPMs counted while the scenario ran. With --status it prints the
 // cluster live-status dashboard: one row per host with process table,
 // load, circuit table, reliability-layer occupancies and per-op latency
-// percentiles (see also cmd/ppmtop). With --journal it instead
+// percentiles (see also the top mode). With --journal it instead
 // prints the flight-recorder journal: the ordered stream of structured
 // events every layer appended while the scenario ran, filterable by
 // kind, host and virtual-time window. -hosts N (2..5) widens the
@@ -41,14 +46,82 @@ import (
 	"ppm/internal/tools"
 )
 
-func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: ppmtrace [-hosts N] [-drops N] [-flap N] [-spans] [-metrics] [-status] [-journal"+
-		" [-journal-kinds K,...] [-journal-host H] [-journal-since D] [-journal-until D]]\n")
+// A mode is one of the command's three: the name that selects it as
+// the first argument ("" for the trace demo), its flags' synopsis, and
+// its command line parsed into a run.
+type mode struct {
+	name, synopsis string
+	parse          func(args []string) (func(w io.Writer) error, error)
+}
+
+var modes = []mode{
+	{"", "[-hosts N] [-drops N] [-flap N] [-spans] [-metrics] [-status] [-journal" +
+		" [-journal-kinds K,...] [-journal-host H] [-journal-since D] [-journal-until D]]", bind(parseTrace, runTrace)},
+	{"top", "[-hosts N] [-seed S] [-watch N [-sweeps K]] [-partition]", bind(parseTop, runTop)},
+	{"prof", "[-hosts N] [-op NAME] [-host H] [-top N] [-folded | -critical]", bind(parseProf, runProf)},
+}
+
+// bind makes a mode's parse out of its parse and run halves.
+func bind[O any](parse func([]string) (O, error), run func(O, io.Writer) error) func([]string) (func(io.Writer) error, error) {
+	return func(args []string) (func(io.Writer) error, error) {
+		o, err := parse(args)
+		return func(w io.Writer) error { return run(o, w) }, err
+	}
+}
+
+// command is the mode's command line up to its flags.
+func (m mode) command() string { return strings.TrimSpace("ppmtrace " + m.name) }
+
+// usage prints m's synopsis. The trace demo's is the command's own, so
+// it lists every mode, and the journal's record kinds.
+func usage(w io.Writer, m mode) {
+	if m.name != "" {
+		fmt.Fprintf(w, "usage: %s %s\n", m.command(), m.synopsis)
+		return
+	}
+	for i, m := range modes {
+		lead := "usage:"
+		if i > 0 {
+			lead = "      "
+		}
+		fmt.Fprintf(w, "%s %s %s\n", lead, m.command(), m.synopsis)
+	}
 	fmt.Fprintf(w, "journal record kinds: %s\n", strings.Trim(fmt.Sprint(journal.Kinds()), "[]"))
 }
 
-// options is the validated command line.
-type options struct {
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs one command line and returns its exit status: 0 on success
+// or -h, 2 on a command line its mode rejects, 1 when the run fails. A
+// first argument that names no mode is the trace demo's, which rejects
+// it unless it is a flag.
+func cli(args []string, stdout, stderr io.Writer) int {
+	m := modes[0]
+	for _, sub := range modes[1:] {
+		if len(args) > 0 && args[0] == sub.name {
+			m, args = sub, args[1:]
+			break
+		}
+	}
+	run, err := m.parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		usage(stdout, m)
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, m.command()+":", err)
+		usage(stderr, m)
+		return 2
+	}
+	if err := run(stdout); err != nil {
+		fmt.Fprintln(stderr, m.command()+":", err)
+		return 1
+	}
+	return 0
+}
+
+// traceOptions is the trace demo's validated command line.
+type traceOptions struct {
 	hosts       int
 	drops       int
 	flap        int
@@ -59,14 +132,14 @@ type options struct {
 	filter      ppm.JournalFilter // what -journal shows
 }
 
-// parseArgs parses and strictly validates the command line: positional
+// parseTrace parses and strictly validates the command line: positional
 // arguments are rejected, -journal excludes the other report flags, the
 // journal filter flags require -journal, every requested kind must name
 // a known record kind (or a dotted prefix of one, e.g. "net"),
 // -journal-host a host the scenario builds, and the time window must not
 // be inverted.
-func parseArgs(args []string) (options, error) {
-	var o options
+func parseTrace(args []string) (traceOptions, error) {
+	var o traceOptions
 	fs := flag.NewFlagSet("ppmtrace", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	fs.IntVar(&o.hosts, "hosts", 2, "number of hosts in the scenario (2..5)")
@@ -130,24 +203,7 @@ func parseArgs(args []string) (options, error) {
 // hostNames are the scenario's hosts: vax1, vax2, ...
 func hostNames(n int) []string { return scenario.Numbered("vax%d", 1, n) }
 
-func main() {
-	o, err := parseArgs(os.Args[1:])
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			usage(os.Stdout)
-			return
-		}
-		fmt.Fprintln(os.Stderr, "ppmtrace:", err)
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	if err := run(o); err != nil {
-		fmt.Fprintln(os.Stderr, "ppmtrace:", err)
-		os.Exit(1)
-	}
-}
-
-func run(o options) error {
+func runTrace(o traceOptions, w io.Writer) error {
 	names := hostNames(o.hosts)
 	cc := ppm.ClusterConfig{Hosts: scenario.Hosts(names...)}
 	if o.drops > 0 {
@@ -252,45 +308,45 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== event timeline ===")
-	fmt.Print(tools.FormatTimeline(evs))
+	fmt.Fprintln(w, "=== event timeline ===")
+	fmt.Fprint(w, tools.FormatTimeline(evs))
 
-	fmt.Println("\n=== reduction ===")
-	fmt.Print(sess.Manager().History().Reduce().Format())
+	fmt.Fprintln(w, "\n=== reduction ===")
+	fmt.Fprint(w, sess.Manager().History().Reduce().Format())
 
-	fmt.Println("\n=== IPC activity ===")
-	fmt.Print(tools.FormatIPC(tools.AnalyzeIPC(evs)))
+	fmt.Fprintln(w, "\n=== IPC activity ===")
+	fmt.Fprint(w, tools.FormatIPC(tools.AnalyzeIPC(evs)))
 
-	fmt.Println("\n=== event rate (500ms buckets) ===")
-	fmt.Print(tools.HistogramOf(evs, 500*time.Millisecond).Format())
+	fmt.Fprintln(w, "\n=== event rate (500ms buckets) ===")
+	fmt.Fprint(w, tools.HistogramOf(evs, 500*time.Millisecond).Format())
 
 	// The preserved record of the killed worker.
 	info, err := sess.Stats(worker)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n=== exited worker record ===")
-	fmt.Print(tools.FormatStats(info))
+	fmt.Fprintln(w, "\n=== exited worker record ===")
+	fmt.Fprint(w, tools.FormatStats(info))
 
 	if o.showSpans {
-		fmt.Println()
-		fmt.Print(cluster.TraceReport(stopTrace))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, cluster.TraceReport(stopTrace))
 	}
 	if o.showMetrics {
-		fmt.Println()
-		fmt.Print(cluster.MetricsReport())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, cluster.MetricsReport())
 	}
 	if o.showStatus {
 		status, err := cluster.StatusReport("user", "vax1")
 		if err != nil {
 			return err
 		}
-		fmt.Println()
-		fmt.Print(status)
+		fmt.Fprintln(w)
+		fmt.Fprint(w, status)
 	}
 	if o.showJournal {
-		fmt.Println()
-		fmt.Print(cluster.JournalReport(o.filter))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, cluster.JournalReport(o.filter))
 	}
 	return nil
 }

@@ -183,15 +183,15 @@ func TestKnownFlagsStayRegistered(t *testing.T) {
 		{"flap", "ppmtrace"},
 		{"status", "ppmtrace"},
 		{"journal", "ppmtrace"},
-		{"watch", "ppmtop"},
-		{"partition", "ppmtop"},
+		{"watch", "ppmtrace"},
+		{"partition", "ppmtrace"},
 		{"journal-kinds", "ppmtrace"},
 		{"journal-host", "ppmtrace"},
 		{"supervise", "ppmrun"},
 		{"chaos", "ppmrun"},
-		{"folded", "ppmprof"},
-		{"critical", "ppmprof"},
-		{"top", "ppmprof"},
+		{"folded", "ppmtrace"},
+		{"critical", "ppmtrace"},
+		{"top", "ppmtrace"},
 		{"attribution", "experiments"},
 	} {
 		cmds, ok := registered[want.flag]

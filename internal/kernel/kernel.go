@@ -21,6 +21,7 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/detord"
 	"ppm/internal/journal"
+	"ppm/internal/metrics"
 	"ppm/internal/proc"
 	"ppm/internal/sim"
 )
@@ -135,8 +136,10 @@ type Host struct {
 
 	// The installation's recorder (nil unless SetRecorder ran): process
 	// lifecycle and delivered trace events are stated to it, each under
-	// the tracer's active span.
-	rec *journal.Recorder
+	// the tracer's active span. delivery is its kernel.delivery
+	// histogram, resolved on the first event delivered.
+	rec      *journal.Recorder
+	delivery *metrics.Histogram
 }
 
 // loadTau is the smoothing constant of the load-average estimator (the
@@ -166,7 +169,7 @@ func (h *Host) Name() string { return h.name }
 
 // SetRecorder installs the installation's recorder. A nil recorder (the
 // default) records nothing.
-func (h *Host) SetRecorder(rec *journal.Recorder) { h.rec = rec }
+func (h *Host) SetRecorder(rec *journal.Recorder) { h.rec, h.delivery = rec, nil }
 
 // observeEvent states one kernel-to-LPM event message, the kind of fact
 // that fires per process event, under the tracer's active span: its
@@ -664,7 +667,10 @@ func (h *Host) emit(p *Process, ev proc.Event, class TraceMask) {
 	ev.At = h.sched.Now().Duration()
 	h.observeEvent(ev)
 	delay := h.model.KernelMsgDelivery(h.LoadAvg())
-	h.rec.Metrics().Histogram("kernel.delivery").Observe(delay)
+	if h.delivery == nil {
+		h.delivery = h.rec.Metrics().Histogram("kernel.delivery")
+	}
+	h.delivery.Observe(delay)
 	// Attribute the 112-byte message's delivery window to the operation
 	// whose kernel action produced it (the caller wraps that region in
 	// Tracer.Exchange).

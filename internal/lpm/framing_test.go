@@ -186,7 +186,7 @@ func TestHandlersKeepNoDeliveryBuffer(t *testing.T) {
 // TestReplyTransitFollowsType: wire.Send traces a frame's transit in
 // the reply direction exactly when its type is a response, so a
 // rejected Hello's HelloResp and the pmd's LPMQueryResp cross as
-// "net.reply.*" like every other reply (ppmprof's reply phase, not its
+// "net.reply.*" like every other reply (the profiler's reply phase, not its
 // network phase).
 func TestReplyTransitFollowsType(t *testing.T) {
 	for _, tc := range []struct {

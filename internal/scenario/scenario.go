@@ -3,7 +3,7 @@
 // with its user and session, the coordinator-and-workers star the CLIs
 // and experiments script, and the measurement every experiment takes —
 // virtual time plus the wire traffic an operation caused. The
-// experiments, ppmtop, ppmprof, ppmtrace, ppmrun and ppmsh all build
+// experiments, ppmtrace (all three modes), ppmrun and ppmsh all build
 // through it; ppmload builds its workloads' installations itself, and
 // the examples call the public API directly, as a library user would.
 package scenario
@@ -86,8 +86,8 @@ func Named(name string) func(host string) string {
 }
 
 // Star runs a coordinator on the session's home host and Workers under
-// it: the computation ppmtop, ppmprof and the 8-host allocation budgets
-// script.
+// it: the computation ppmtrace's top and prof modes and the 8-host
+// allocation budgets script.
 func Star(sess *ppm.Session, hosts []string, coordinator string, name func(host string) string) ([]ppm.GPID, error) {
 	root, err := sess.Run(sess.Home(), coordinator)
 	if err != nil {

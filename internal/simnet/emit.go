@@ -29,9 +29,10 @@ var byteCounters = [2]string{"simnet.datagram.bytes", "simnet.circuit.bytes"}
 // counterHandles are the network's own counters (and histogram), each
 // resolved on first fire.
 type counterHandles struct {
-	bytes                  [2]*metrics.Counter
-	hopCrossings, hopBytes *metrics.Counter
-	transit                *metrics.Histogram
+	bytes                        [2]*metrics.Counter
+	hopCrossings, hopBytes       *metrics.Counter
+	dialAttempts, injectedLosses *metrics.Counter
+	transit                      *metrics.Histogram
 }
 
 // emit is where the network observes: every fact it records, but a
@@ -61,7 +62,7 @@ func (n *Network) emit(kind journal.Kind, ev event) {
 				reg.Handle(&n.counters.hopBytes, "simnet.hop.bytes").Add(uint64(hops * ev.size))
 			}
 		case kind == journal.NetDrop && ev.note == "injected":
-			reg.Counter("simnet.injected.losses").Inc()
+			reg.Handle(&n.counters.injectedLosses, "simnet.injected.losses").Inc()
 		}
 	}
 	// An event with endpoints describes a message or a circuit; a host's

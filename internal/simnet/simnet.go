@@ -912,7 +912,7 @@ func (n *Network) Dial(fromHost string, to Addr, cb func(*Conn, error)) {
 // DialCtx is Dial under a trace context; when ctx is valid the SYN and
 // SYN-ACK legs of the handshake are recorded as per-hop spans.
 func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*Conn, error)) {
-	n.rec.Metrics().Counter("simnet.dial.attempts").Inc()
+	n.rec.Metrics().Handle(&n.counters.dialAttempts, "simnet.dial.attempts").Inc()
 	src, ok := n.hosts[fromHost]
 	if !ok {
 		n.sched.Defer(func() { cb(nil, fmt.Errorf("%w: %s", ErrUnknownHost, fromHost)) })

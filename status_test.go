@@ -13,7 +13,7 @@ import (
 // statusCluster builds a small installation with a coordinator on the
 // first host and a worker on every other host, plus enough control
 // traffic to populate the per-op latency histograms — the same shape
-// cmd/ppmtop scripts.
+// ppmtrace top scripts.
 func statusCluster(t *testing.T, seed int64, hosts ...string) (*ppm.Cluster, *ppm.Session) {
 	t.Helper()
 	specs := make([]ppm.HostSpec, len(hosts))

@@ -311,9 +311,9 @@ func (c *Cluster) JournalReport(f JournalFilter) string { return c.jr.Report(f) 
 // and coverage) plus the trace-consistency invariants (every span
 // closed exactly once, children nested within parents, every journal
 // cross-link naming a recorded span); it returns nil when the run is
-// clean or recording was disabled.
+// clean or recording was disabled. It reads the span table in place.
 func (c *Cluster) JournalAudit() []journal.Violation {
-	return journal.AuditWithSpans(c.jr, c.tr.Spans(), c.tr.Dropped() == 0)
+	return journal.AuditWithSpans(c.jr, c.tr.Table(), c.tr.Dropped() == 0)
 }
 
 // HostStatus re-exports one host's live status report (status.Report).

@@ -187,9 +187,10 @@ type auditor struct {
 	epoch    int               // bumped by any event that changes reachability
 	out      []Violation
 
-	// The trace audit: the span table when both streams are complete
-	// (nil: no cross-links), and its violations, the table's own first.
-	spans map[uint64]trace.SpanData
+	// The trace audit: the span table and its span IDs' positions when both
+	// streams are complete (else nil), and its violations, the table's first.
+	table []trace.SpanData
+	spans map[uint64]int32
 	links []Violation
 }
 

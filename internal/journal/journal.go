@@ -939,21 +939,8 @@ type Filter struct {
 // match runs on the unpacked entry, so a record the filter rejects is
 // never rendered.
 func (f Filter) match(e *entry) bool {
-	if len(f.Kinds) > 0 {
-		if !slices.Contains(f.Kinds, e.d.kind) {
-			return false
-		}
-	}
-	if f.Host != "" && e.host != f.Host {
-		return false
-	}
-	if e.at < f.Since {
-		return false
-	}
-	if f.Until != 0 && e.at > f.Until {
-		return false
-	}
-	return true
+	return (len(f.Kinds) == 0 || slices.Contains(f.Kinds, e.d.kind)) && (f.Host == "" || e.host == f.Host) &&
+		e.at >= f.Since && (f.Until == 0 || e.at <= f.Until)
 }
 
 // Select returns the retained records matching the filter, oldest
@@ -974,32 +961,38 @@ func (j *Journal) Select(f Filter) []Record {
 
 // Render returns the canonical full-journal text: one line per retained
 // record. Byte-identical across same-seed runs.
-func (j *Journal) Render() string {
-	lines, _ := j.lines(Filter{})
-	return string(lines)
-}
-
-// lines renders the retained records matching f, one line each,
-// straight from the unpacked slots, and counts them.
-func (j *Journal) lines(f Filter) (b []byte, n int) {
-	var e entry
-	for c := (cursor{j: j}); c.next(&e); {
-		if f.match(&e) {
-			b = appendLine(b, c.seq, e.at, e.d.kind, e.host, e.trace, e.span, &e.d)
-			b = append(b, '\n')
-			n++
-		}
-	}
-	return b, n
-}
+func (j *Journal) Render() string { return j.text(Filter{}, false) }
 
 // Report renders the records matching the filter under a summary
 // header.
-func (j *Journal) Report(f Filter) string {
-	if j == nil {
+func (j *Journal) Report(f Filter) string { return j.text(f, true) }
+
+// text renders the records matching f, one line each, under the summary
+// header if head is set: counted and measured first, then exactly sized.
+func (j *Journal) text(f Filter, head bool) string {
+	if head && j == nil {
 		return "=== journal === (disabled)\n"
 	}
-	lines, shown := j.lines(f)
-	return fmt.Sprintf("=== journal === (%d shown / %d retained, %d dropped)\n%s",
-		shown, j.Len(), j.Dropped(), lines)
+	var scratch [256]byte
+	line, shown, size := scratch[:0], 0, 0
+	var e entry
+	for c := (cursor{j: j}); c.next(&e); {
+		if f.match(&e) {
+			line = append(appendLine(line[:0], c.seq, e.at, e.d.kind, e.host, e.trace, e.span, &e.d), '\n')
+			shown, size = shown+1, size+len(line)
+		}
+	}
+	if line = line[:0]; head {
+		line = fmt.Appendf(line, "=== journal === (%d shown / %d retained, %d dropped)\n", shown, j.Len(), j.Dropped())
+	}
+	var b strings.Builder
+	b.Grow(len(line) + size)
+	b.Write(line)
+	for c := (cursor{j: j}); c.next(&e); {
+		if f.match(&e) {
+			line = append(appendLine(line[:0], c.seq, e.at, e.d.kind, e.host, e.trace, e.span, &e.d), '\n')
+			b.Write(line)
+		}
+	}
+	return b.String()
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -874,5 +875,54 @@ func TestLineMatchesTheFmtReference(t *testing.T) {
 	head := fmt.Sprintf("=== journal === (%d shown / %d retained, 0 dropped)\n", len(want), len(want))
 	if got := j.Report(Filter{}); got != head+strings.Join(want, "") {
 		t.Fatalf("Report() departs from the fmt form:\n%s", got)
+	}
+}
+
+// allocBytes returns the fewest bytes f allocated over five calls, by
+// runtime.MemStats.TotalAlloc; the minimum drops what another goroutine
+// allocated meanwhile.
+func allocBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// pageSlack is what rounding can add to an allocation of the sizes
+// these pins read: an object past 32 KiB takes whole 8 KiB pages.
+const pageSlack = 8 << 10
+
+// TestReportAllocatesItsTextOnce: Report and Render allocate their text
+// once, at its length — no buffer grown by doubling, no copy through
+// fmt — whatever the filter keeps.
+func TestReportAllocatesItsTextOnce(t *testing.T) {
+	j, now := testJournal(4096)
+	hosts := []string{"a", "vax2", "gateway"}
+	for i := 0; i < 4000; i++ {
+		*now = time.Duration(i) * time.Millisecond
+		host := hosts[i%len(hosts)]
+		j.AppendDetail(NetSend, host, text("datagram a:1->b:2 10B"), 0, 0)
+		j.AppendDetail(WireDecode, host, WireFrame("Control", 37+i), uint64(i), uint64(i+1))
+	}
+	var out string
+	for _, c := range []struct {
+		name string
+		read func() string
+	}{
+		{"Render()", j.Render},
+		{"Report(all)", func() string { return j.Report(Filter{}) }},
+		{"Report(host vax2)", func() string { return j.Report(Filter{Host: "vax2"}) }},
+		{"Report(wire)", func() string { return j.Report(Filter{Kinds: []Kind{WireDecode}}) }},
+	} {
+		got := allocBytes(func() { out = c.read() })
+		t.Logf("%s allocates %d bytes for %d of text", c.name, got, len(out))
+		if limit := uint64(len(out)) + pageSlack; got > limit || len(out) < 8*pageSlack {
+			t.Errorf("%s allocates %d bytes for %d of text, want at most %d (and a text of 64 KiB or more)", c.name, got, len(out), limit)
+		}
 	}
 }

@@ -37,17 +37,17 @@ func asyncOverrun(name string) bool {
 
 // auditSpans checks the span table alone — lifecycle and nesting — into
 // the trace violations, which carry Seq 0: they have no offending
-// journal record. When both streams are complete it keeps the table,
-// indexed by span ID, for crossLink.
+// journal record. It reads the table in place, indexed by span ID's
+// position, and keeps both for crossLink when both streams are complete.
 func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 	fail := func(format string, args ...any) {
 		a.links = append(a.links, Violation{Check: "trace", Msg: fmt.Sprintf(format, args...)})
 	}
-	byID := make(map[uint64]trace.SpanData, len(spans))
+	byID := make(map[uint64]int32, len(spans))
 	if complete {
-		a.spans = byID
+		a.table, a.spans = spans, byID
 	}
-	for _, s := range spans {
+	for i, s := range spans {
 		if len(a.links) >= maxViolations {
 			return
 		}
@@ -55,7 +55,7 @@ func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 			fail("span %d (%s on %s) recorded twice", s.ID, s.Name, s.Host)
 			continue
 		}
-		byID[s.ID] = s
+		byID[s.ID] = int32(i)
 		switch {
 		case s.Ends == 0:
 			fail("span %d (%s on %s) opened at %v but never closed",
@@ -75,7 +75,7 @@ func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 		if s.Parent == 0 {
 			continue
 		}
-		p, ok := byID[s.Parent]
+		at, ok := byID[s.Parent]
 		if !ok {
 			if complete {
 				fail("span %d (%s on %s) names missing parent span %d",
@@ -83,6 +83,7 @@ func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 			}
 			continue
 		}
+		p := spans[at]
 		if s.Trace != p.Trace {
 			fail("span %d (%s) belongs to trace %d but its parent %d belongs to trace %d",
 				s.ID, s.Name, s.Trace, p.ID, p.Trace)
@@ -110,9 +111,9 @@ func (a *auditor) crossLink(seq, traceID, spanID uint64) {
 		return
 	}
 	msg := ""
-	if s, ok := a.spans[spanID]; !ok {
+	if at, ok := a.spans[spanID]; !ok {
 		msg = fmt.Sprintf("record references span %d which was never recorded", spanID)
-	} else if s.Trace != traceID {
+	} else if s := a.table[at]; s.Trace != traceID {
 		msg = fmt.Sprintf("record references span %d under trace %d, but the span belongs to trace %d", spanID, traceID, s.Trace)
 	}
 	if msg != "" {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ppm/internal/trace"
 )
@@ -79,6 +80,30 @@ func TestTraceAuditCrossLinks(t *testing.T) {
 	// An incomplete stream cannot prove the span missing.
 	if vs := AuditTraceRecords(recs, spans, false); len(vs) != 0 {
 		t.Errorf("incomplete stream flagged existence:\n%s", violationMsgs(vs))
+	}
+}
+
+// TestAuditReadsTheSpanTableInPlace: over a clean 5,000-span table the
+// trace audit allocates less than one copy of the table takes, so it
+// copies no SpanData per span: it indexes the spans by position.
+func TestAuditReadsTheSpanTableInPlace(t *testing.T) {
+	var spans []trace.SpanData
+	for id := uint64(1); id <= 5000; id++ {
+		if root := id - (id-1)%10; id == root { // traces of 10 spans
+			spans = append(spans, tspan(id, root, 0, "op.stop", 0, 100, 1))
+		} else {
+			spans = append(spans, tspan(id, root, root, "lpm.request.b", 10, 90, 1))
+		}
+	}
+	recs := []testRecord{{Seq: 1, Kind: LPMRetry, Detail: retry, Trace: 1, Span: 2}}
+	j := recordJournal(recs)
+	var vs []Violation
+	got := allocBytes(func() { vs = AuditWithSpans(j, spans, true) })
+	if len(vs) != 0 {
+		t.Fatalf("clean table flagged:\n%s", violationMsgs(vs))
+	}
+	if table := uint64(len(spans)) * uint64(unsafe.Sizeof(spans[0])); got >= table {
+		t.Fatalf("the audit of %d spans allocates %d bytes, want under the %d of one copy of the table", len(spans), got, table)
 	}
 }
 

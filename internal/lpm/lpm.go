@@ -357,7 +357,7 @@ type LPM struct {
 	statusSeq uint64
 	// rtts accumulates request round-trip latencies per op type for the
 	// status report's SLO percentiles.
-	rtts [wire.NumOps]*metrics.Histogram
+	rtts [wire.NumOps]*opRTT
 	// statusScratch is the reusable report the LPM fills when serving a
 	// status request (local rebuilds allocate nothing at steady state).
 	statusScratch status.Report

@@ -35,6 +35,13 @@ var rttOps, rttRegNames = func() (ops []wire.MsgType, names [wire.NumOps]string)
 	return ops, names
 }()
 
+// opRTT is one op type's round trips at an LPM: its own histogram and the
+// registry's, looked up once, in the allocation the first took alone.
+type opRTT struct {
+	metrics.Histogram
+	reg *metrics.Histogram
+}
+
 // observeOpRTT records one request round trip under its op type: in the
 // installation-wide registry (per-op SLO percentiles in MetricsReport)
 // and in this LPM's own histogram (per-op percentiles in its status
@@ -43,13 +50,11 @@ func (l *LPM) observeOpRTT(t wire.MsgType, rtt time.Duration) {
 	if !t.RTTTracked() {
 		return
 	}
-	l.obs.Metrics().Histogram(rttRegNames[t]).Observe(rtt)
-	h := l.rtts[t]
-	if h == nil {
-		h = metrics.NewHistogram()
-		l.rtts[t] = h
+	if l.rtts[t] == nil {
+		l.rtts[t] = &opRTT{*metrics.NewHistogram(), l.obs.Metrics().Histogram(rttRegNames[t])}
 	}
-	h.Observe(rtt)
+	l.rtts[t].Observe(rtt)
+	l.rtts[t].reg.Observe(rtt)
 }
 
 // BuildStatus fills r with this host's live status. The report's slices

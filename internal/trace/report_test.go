@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -197,29 +198,94 @@ func FuzzReportAll(f *testing.F) {
 	})
 }
 
-// TestReportAllAllocs: ReportAll allocates a fixed number of times —
-// the index's slices and one buffer — not a number that grows with the
-// traces or spans it renders.
-func TestReportAllAllocs(t *testing.T) {
-	allocs := func(traces int) float64 {
-		clk := &fakeClock{}
-		tr := New(clk.now)
-		tr.Enable()
-		tr.SetMaxSpans(traces * 10)
-		for i := 0; i < traces; i++ {
-			root := tr.StartTrace(testHosts[i%len(testHosts)], "op.stop")
-			for j := 1; j < 10; j++ {
-				clk.at += time.Millisecond
-				tr.AddSpan(testHosts[j%len(testHosts)], testNames[j%len(testNames)], root.Context(), clk.at, clk.at+time.Millisecond)
-			}
-			root.End()
+// tracedTable returns a tracer holding traces traces of 10 spans, each
+// child opening reach before its instant and closing reach after it.
+func tracedTable(traces int, reach time.Duration) *Tracer {
+	clk := &fakeClock{}
+	tr := New(clk.now)
+	tr.Enable()
+	tr.SetMaxSpans(traces * 10)
+	for i := 0; i < traces; i++ {
+		root := tr.StartTrace(testHosts[i%len(testHosts)], "op.stop")
+		for j := 1; j < 10; j++ {
+			clk.at += time.Millisecond
+			tr.AddSpan(testHosts[j%len(testHosts)], testNames[j%len(testNames)], root.Context(), clk.at-reach, clk.at+reach+time.Millisecond)
 		}
-		return testing.AllocsPerRun(50, func() { tr.ReportAll() })
+		root.End()
 	}
-	small, large := allocs(50), allocs(500)
-	t.Logf("%v allocs per ReportAll", large)
+	return tr
+}
+
+// TestReportAllAllocs: ReportAll and Report allocate a fixed number of
+// times — the index's slices and one text — not a number that grows
+// with the traces or spans there are.
+func TestReportAllAllocs(t *testing.T) {
+	allocs := func(traces int) (all, one float64) {
+		tr := tracedTable(traces, 0)
+		return testing.AllocsPerRun(50, func() { tr.ReportAll() }),
+			testing.AllocsPerRun(50, func() { tr.Report(uint64(traces / 2)) })
+	}
+	small, smallOne := allocs(50)
+	large, largeOne := allocs(500)
+	t.Logf("%v allocs per ReportAll, %v per Report", large, largeOne)
 	if large != small || large > 20 {
 		t.Fatalf("ReportAll allocates %v times over 500 traces of 10 spans and %v over 50; want the same few", large, small)
+	}
+	if largeOne != smallOne || largeOne > 24 {
+		t.Fatalf("Report allocates %v times among 500 traces of 10 spans and %v among 50; want the same few", largeOne, smallOne)
+	}
+}
+
+// allocBytes returns the fewest bytes f allocated over five calls, by
+// runtime.MemStats.TotalAlloc; the minimum drops what another goroutine
+// allocated meanwhile.
+func allocBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestReportAllBytes: beside its index's slices, ReportAll allocates
+// its text once, at about its length — no buffer sized far past it and
+// no copy of it. The slack is 8 KiB for the rounding of an object past
+// 32 KiB to whole pages, and 4 KiB for the sorted hosts of a trace and
+// the header bound's byte a trace. Instants past 10 columns add what the
+// bound pays for them, 16 bytes a span, and spans dropped at the cap 51
+// bytes a trace; a bound short of either grows the builder past the limit.
+func TestReportAllBytes(t *testing.T) {
+	for _, c := range []struct {
+		reach time.Duration
+		drops int
+		has   string
+	}{
+		{0, 0, "0.000      9.000  h12      op.stop"},
+		{100000 * time.Second, 0, "-99999999.000 100000002.000  h12        net.hop.b"},
+		{0, 1000, "(1000 spans dropped at buffer cap)"},
+	} {
+		tr, slack := tracedTable(500, c.reach), uint64(12<<10)
+		for range c.drops {
+			tr.StartTrace("a", "dropped")
+		}
+		if c.reach > 0 {
+			slack += 16 * uint64(len(tr.spans))
+		}
+		if c.drops > 0 {
+			slack += 51 * 500
+		}
+		var out string
+		index := allocBytes(func() { NewIndex(tr.spans) })
+		got := allocBytes(func() { out = tr.ReportAll() })
+		t.Logf("reach %v, %d dropped: ReportAll allocates %d bytes for %d of text and %d of index", c.reach, c.drops, got, len(out), index)
+		if limit := uint64(len(out)) + index + slack; got > limit || len(out) < 64<<10 || !strings.Contains(out, c.has) {
+			t.Fatalf("reach %v, %d dropped: ReportAll allocates %d bytes for %d of text and %d of index, want at most %d (and a text of 64 KiB or more holding %q)",
+				c.reach, c.drops, got, len(out), index, limit, c.has)
+		}
 	}
 }
 

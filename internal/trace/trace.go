@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
 )
@@ -79,6 +80,7 @@ type Tracer struct {
 	maxSpans  int
 	dropped   uint64
 	handles   []Span // the slab chunk record carves span handles from
+	refill    int    // the length the last Reset dropped: the next table's size
 }
 
 // New returns a Tracer that reads virtual time from now. The tracer
@@ -187,6 +189,9 @@ func (t *Tracer) record(traceID, parent uint64, host, name string, start time.Du
 		t.dropped++
 		return nil
 	}
+	if t.spans == nil && t.refill > 0 {
+		t.spans = make([]SpanData, 0, min(t.refill, t.maxSpans))
+	}
 	t.nextSpan++
 	id := t.nextSpan
 	t.spans = append(t.spans, SpanData{
@@ -224,8 +229,7 @@ func (t *Tracer) Active() Context {
 	return t.active
 }
 
-// LastTrace returns the ID of the most recently started trace (0 if
-// none).
+// LastTrace returns the ID of the most recently started trace (0 if none).
 func (t *Tracer) LastTrace() uint64 {
 	if t == nil {
 		return 0
@@ -242,22 +246,21 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Spans returns a copy of the buffer in creation order.
-func (t *Tracer) Spans() []SpanData {
+func (t *Tracer) Spans() []SpanData { return slices.Clone(t.Table()) }
+
+// Table returns the tracer's own buffer, not a copy: read-only, and
+// valid only until the tracer next records, ends a span or resets.
+func (t *Tracer) Table() []SpanData {
 	if t == nil {
 		return nil
 	}
-	out := make([]SpanData, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return t.spans
 }
 
 // SpansOf returns the spans of one trace in creation order.
 func (t *Tracer) SpansOf(traceID uint64) []SpanData {
-	if t == nil {
-		return nil
-	}
 	var out []SpanData
-	for _, s := range t.spans {
+	for _, s := range t.Table() {
 		if s.Trace == traceID {
 			out = append(out, s)
 		}
@@ -267,12 +270,12 @@ func (t *Tracer) SpansOf(traceID uint64) []SpanData {
 
 // Reset discards all recorded spans and the drop counter. ID counters
 // keep counting so contexts from before a Reset can never collide with
-// new spans.
+// new spans. The next table is made at the length this one dropped.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.spans = nil
+	t.spans, t.refill = nil, len(t.spans)
 	t.dropped = 0
 	t.active = Context{}
 }
@@ -292,7 +295,7 @@ func (t *Tracer) Report(traceID uint64) string {
 	if len(x.Traces()) == 0 {
 		return fmt.Sprintf("trace %d: no spans\n", traceID)
 	}
-	return string(t.render(x))
+	return t.render(x)
 }
 
 // ReportAll renders every recorded trace in ID order.
@@ -300,17 +303,28 @@ func (t *Tracer) ReportAll() string {
 	if t == nil || len(t.spans) == 0 {
 		return "no traces recorded\n"
 	}
-	return string(t.render(NewIndex(t.spans)))
+	return t.render(NewIndex(t.spans))
 }
 
-// render renders every trace of x into one buffer, sized from an upper
-// bound on each line (a formatted instant is at most 18 bytes).
-func (t *Tracer) render(x *Index) []byte {
-	size := 192 * len(x.Traces())
-	for i, s := range x.Spans {
-		size += 57 + len(s.Host) + 2*len(s.Name) + 2*x.Depth(int32(i))
+// render renders every trace of x through one scratch line into a
+// builder grown once to a bound on the text: a host count fits in the span
+// count's digits, a dropped line in 51 bytes, a wide instant's line in 16 more.
+func (t *Tracer) render(x *Index) string {
+	var scratch [256]byte
+	line, size := scratch[:0], 51*len(x.Traces())*int(min(t.dropped, 1))
+	for k, id := range x.Traces() {
+		root, n := &x.Spans[x.Roots(k)[0]], int64(len(x.SpansOf(k)))
+		size += 71 + len(root.Name) + len(strconv.AppendUint(line, id, 10)) + 2*len(strconv.AppendInt(line, n, 10))
+		for _, p := range x.SpansOf(k) {
+			s := &x.Spans[p]
+			size += 33 + len(s.Host) - min(8, utf8.RuneCountInString(s.Host)) + 2*x.Depth(p) + len(s.Name)
+			if a, b := s.Start-root.Start, s.End-root.Start; min(a, b) <= -99999*time.Millisecond || max(a, b) >= 999999*time.Millisecond {
+				size += 16
+			}
+		}
 	}
-	b := make([]byte, 0, size)
+	var b strings.Builder
+	b.Grow(size)
 	var hosts []string
 	for k, id := range x.Traces() {
 		hosts = hosts[:0]
@@ -320,36 +334,37 @@ func (t *Tracer) render(x *Index) []byte {
 		slices.Sort(hosts)
 		roots := x.Roots(k)
 		root := &x.Spans[roots[0]]
-		b = strconv.AppendUint(append(b, "=== trace "...), id, 10)
-		b = append(append(append(b, ": "...), root.Name...), " ("...)
-		b = strconv.AppendInt(b, int64(len(x.SpansOf(k))), 10)
-		b = strconv.AppendInt(append(b, " spans, "...), int64(len(slices.Compact(hosts))), 10)
-		b = append(b, " hosts) ===\n  start ms     end ms  host     span\n"...)
+		line = strconv.AppendUint(append(line[:0], "=== trace "...), id, 10)
+		line = append(append(append(line, ": "...), root.Name...), " ("...)
+		line = strconv.AppendInt(line, int64(len(x.SpansOf(k))), 10)
+		line = strconv.AppendInt(append(line, " spans, "...), int64(len(slices.Compact(hosts))), 10)
+		b.Write(append(line, " hosts) ===\n  start ms     end ms  host     span\n"...))
 		for _, r := range roots {
-			b = appendSpan(b, x, r, root.Start)
+			line = writeSpan(&b, line, x, r, root.Start)
 		}
 		if t.dropped > 0 {
-			b = append(strconv.AppendUint(append(b, '('), t.dropped, 10), " spans dropped at buffer cap)\n"...)
+			b.Write(append(strconv.AppendUint(append(line[:0], '('), t.dropped, 10), " spans dropped at buffer cap)\n"...))
 		}
 	}
-	return b
+	return b.String()
 }
 
-// appendSpan appends span p's line, then its subtree's: what fmt's
-// "%10.3f %10.3f  %-8s %s%s\n" made of its window relative to base, its
-// host (padded by runes, as %-8s pads), its indent and its name.
-func appendSpan(b []byte, x *Index, p int32, base time.Duration) []byte {
+// writeSpan writes span p's line, rendered into line, then its
+// subtree's: what fmt's "%10.3f %10.3f  %-8s %s%s\n" made of its window
+// relative to base, its host (padded by runes, as %-8s pads), indent and name.
+func writeSpan(b *strings.Builder, line []byte, x *Index, p int32, base time.Duration) []byte {
 	s := &x.Spans[p]
-	b = append(appendMs(append(appendMs(b, s.Start-base), ' '), s.End-base), "  "...)
-	b = append(append(b, s.Host...), "         "[min(8, utf8.RuneCountInString(s.Host)):]...)
+	line = append(appendMs(append(appendMs(line[:0], s.Start-base), ' '), s.End-base), "  "...)
+	line = append(append(line, s.Host...), "         "[min(8, utf8.RuneCountInString(s.Host)):]...)
 	for d := x.Depth(p); d > 0; d-- {
-		b = append(b, "  "...)
+		line = append(line, "  "...)
 	}
-	b = append(append(b, s.Name...), '\n')
+	line = append(append(line, s.Name...), '\n')
+	b.Write(line)
 	for _, c := range x.Children(p) {
-		b = appendSpan(b, x, c, base)
+		line = writeSpan(b, line, x, c, base)
 	}
-	return b
+	return line
 }
 
 // appendMs appends d in milliseconds as fmt's %10.3f does.

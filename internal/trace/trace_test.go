@@ -174,6 +174,85 @@ func TestSpanEndAfterResetIsInert(t *testing.T) {
 	}
 }
 
+// fill records n spans on tr as one trace: a root and its children.
+func fill(tr *Tracer, n int) {
+	root := tr.StartTrace("a", "op")
+	for i := 1; i < n; i++ {
+		tr.StartSpan("a", "x", root.Context()).End()
+	}
+	root.End()
+}
+
+// TestRefillAllocatesTheTableOnce: an interval that records as many
+// spans as the last one dropped at Reset fills one table, made at that
+// length by its first span.
+func TestRefillAllocatesTheTableOnce(t *testing.T) {
+	tr := New(func() time.Duration { return 0 })
+	tr.Enable()
+	fill(tr, 1000)
+	tr.Reset()
+	root := tr.StartTrace("a", "op")
+	first := &tr.spans[0]
+	for i := 1; i < 1000; i++ {
+		tr.StartSpan("a", "x", root.Context()).End()
+	}
+	if len(tr.spans) != 1000 || cap(tr.spans) != 1000 || &tr.spans[0] != first {
+		t.Fatalf("refilled to %d spans in a table of %d, moved: %v; want one table of 1000",
+			len(tr.spans), cap(tr.spans), &tr.spans[0] != first)
+	}
+}
+
+// TestStaleHandleInertInTheRemadeTable: a handle opened before Reset
+// stays inert once the next table is made at the old length, with a new
+// span at its index, and ending it changes no new span.
+func TestStaleHandleInertInTheRemadeTable(t *testing.T) {
+	tr := New(func() time.Duration { return time.Millisecond })
+	tr.Enable()
+	old := []*Span{tr.StartTrace("a", "old")}
+	for i := 1; i < 300; i++ { // past one slab chunk of handles
+		old = append(old, tr.StartSpan("a", "x", old[0].Context()))
+	}
+	tr.Reset()
+	root := tr.StartTrace("a", "new")
+	for i := 1; i < 300; i++ {
+		tr.StartSpan("a", "y", root.Context())
+	}
+	for _, h := range old {
+		h.End()
+	}
+	for _, s := range tr.Spans() {
+		if s.Ends != 0 {
+			t.Fatalf("a handle from before Reset ended %s: %+v", s.Name, s)
+		}
+	}
+	if root.End(); tr.Spans()[0].Ends != 1 {
+		t.Fatal("a new handle no longer ends its span")
+	}
+}
+
+// TestResetSizesByTheLastInterval: the table after a Reset is made at
+// the length that Reset dropped, capped at the buffer cap, not at the
+// most any interval held: a 1 M-span epilogue presizes no later small
+// interval past what the interval before it held.
+func TestResetSizesByTheLastInterval(t *testing.T) {
+	tr := New(func() time.Duration { return 0 })
+	tr.Enable()
+	tr.SetMaxSpans(1 << 20)
+	fill(tr, 1<<20)
+	tr.Reset()
+	tr.SetMaxSpans(64)
+	fill(tr, 10)
+	if cap(tr.spans) != 64 {
+		t.Fatalf("after 1 M spans, a table capped at 64 spans was made at %d", cap(tr.spans))
+	}
+	tr.Reset()
+	tr.SetMaxSpans(1 << 20)
+	fill(tr, 1)
+	if cap(tr.spans) != 10 {
+		t.Fatalf("after an interval of 10 spans the table was made at %d, want 10", cap(tr.spans))
+	}
+}
+
 func TestExchangeActiveContext(t *testing.T) {
 	tr := New(func() time.Duration { return 0 })
 	tr.Enable()

@@ -260,7 +260,7 @@ func TestWarmOperationAllocs(t *testing.T) {
 			_, err := sess.Snapshot()
 			return err
 		}},
-		{"Session.Status", h8, 79, func(sess *ppm.Session, _ []ppm.GPID) error {
+		{"Session.Status", h8, 45, func(sess *ppm.Session, _ []ppm.GPID) error {
 			sw, err := sess.Status()
 			if err == nil && (len(sw.Reports) != 8 || len(sw.Unreachable) != 0) {
 				err = fmt.Errorf("sweep covered %d/8 hosts, unreachable %v", len(sw.Reports), sw.Unreachable)

@@ -2,6 +2,8 @@ package lpm
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,17 +46,9 @@ var borrowScenarios = []struct {
 	cfg   Config
 	run   func(o *outcomes, hosts []string)
 }{
-	{"floods over a tree with a cross edge", []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}, Config{}, func(o *outcomes, hosts []string) {
+	{"floods over a tree with a cross edge", h8, Config{}, func(o *outcomes, hosts []string) {
 		w := o.w
-		u := w.user("felipe", hosts...)
-		procs := make([]proc.GPID, len(hosts))
-		for pos, h := range hosts {
-			at, under := hosts[0], proc.GPID{}
-			if pos > 0 {
-				at, under = hosts[(pos-1)/3], procs[(pos-1)/3]
-			}
-			procs[pos] = w.create(w.attach(at, u), h, fmt.Sprintf("node%02d", pos), under)
-		}
+		procs := growTree(o, hosts)
 		o.await(func(r func(...any)) {
 			w.lpms["h3/felipe"].StatsOf(procs[5], func(i proc.Info, err error) { r(i, err) })
 		})
@@ -64,6 +58,27 @@ var borrowScenarios = []struct {
 		o.await(func(r func(...any)) { l.ControlAll(wire.OpStop, 0, func(n int, err error) { r(n, err) }) })
 		o.await(func(r func(...any)) { l.ControlAll(wire.OpForeground, 0, func(n int, err error) { r(n, err) }) })
 		o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
+	}},
+	{"status sweeps between snapshots", h8, Config{}, func(o *outcomes, hosts []string) {
+		w := o.w
+		growTree(o, hosts)
+		l := w.lpms["h0/felipe"]
+		sweep := func() {
+			o.await(func(r func(...any)) { l.StatusSweep(hosts, func(s status.Sweep, err error) { r(s.Render(), err) }) })
+		}
+		snapshot := func() {
+			o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s.Render(), err) }) })
+		}
+		sweep()
+		snapshot()
+		sweep()
+		sweep()
+		// Past the window: the snapshots' cached echoes are evicted, and
+		// the sweeps' echoes are encoded into their bodies.
+		w.run(3 * time.Minute)
+		sweep()
+		snapshot()
+		sweep()
 	}},
 	{"remote operations through the tool leg", []string{"vax1", "vax2"}, Config{}, func(o *outcomes, hosts []string) {
 		w := o.w
@@ -139,6 +154,74 @@ var borrowScenarios = []struct {
 		o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(s, err) }) })
 		w.run(30 * time.Second)
 	}},
+}
+
+var h8 = []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
+
+// growTree has felipe's LPM on hosts[0] root a 3-ary tree of processes,
+// one per host, each created by its parent's LPM, so the circuits are
+// the tree's edges; it returns the processes in host order.
+func growTree(o *outcomes, hosts []string) []proc.GPID {
+	w := o.w
+	u := w.user("felipe", hosts...)
+	procs := make([]proc.GPID, len(hosts))
+	for pos, h := range hosts {
+		at, under := hosts[0], proc.GPID{}
+		if pos > 0 {
+			at, under = hosts[(pos-1)/3], procs[(pos-1)/3]
+		}
+		procs[pos] = w.create(w.attach(at, u), h, fmt.Sprintf("node%02d", pos), under)
+	}
+	return procs
+}
+
+// TestSweepOwnsItsReports holds a sweep to owning what it returns: the
+// flood's report buffer and the LPM's scratch report serve the next
+// sweep, and the reports' lists share two arrays, so a report that still
+// pointed into any of them would change under a later sweep, and one
+// whose list had room beyond its end would take another's elements on
+// an append.
+func TestSweepOwnsItsReports(t *testing.T) {
+	w := newWorld(t, Config{}, h8)
+	o := &outcomes{w: w}
+	procs := growTree(o, h8)
+	o.await(func(r func(...any)) {
+		w.lpms["h3/felipe"].StatsOf(procs[5], func(i proc.Info, err error) { r(i, err) })
+	})
+	l := w.lpms["h0/felipe"]
+	sweep := func() (sw status.Sweep) {
+		o.await(func(r func(...any)) {
+			l.StatusSweep(h8, func(s status.Sweep, err error) { sw = s; r(err) })
+		})
+		return sw
+	}
+	first := sweep()
+	want := first
+	want.Reports = slices.Clone(first.Reports)
+	withCircuits := 0
+	for i := range want.Reports {
+		want.Reports[i].Circuits = slices.Clone(want.Reports[i].Circuits)
+		want.Reports[i].OpLatencies = slices.Clone(want.Reports[i].OpLatencies)
+		if len(want.Reports[i].Circuits) > 0 {
+			withCircuits++
+		}
+	}
+	if len(first.Reports) != len(h8) || withCircuits < 2 {
+		t.Fatalf("the sweep returned %d reports, %d with circuits: %s", len(first.Reports), withCircuits, first.Render())
+	}
+	sweep()
+	o.await(func(r func(...any)) { l.Snapshot(func(s proc.Snapshot, err error) { r(err) }) })
+	sweep()
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("later sweeps changed the first one's reports: now\n%s\nwas\n%s", first.Render(), want.Render())
+	}
+	for _, rep := range first.Reports {
+		_ = append(rep.Circuits, status.CircuitStatus{Peer: "intruder"})
+		_ = append(rep.OpLatencies, status.OpLatency{Op: "intruder"})
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("appending to one report's lists wrote into another's: now\n%s\nwas\n%s", first.Render(), want.Render())
+	}
 }
 
 // TestArrivalsBorrowedForTheirDispatch runs each scenario twice, the

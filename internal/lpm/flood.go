@@ -69,13 +69,13 @@ func (l *LPM) newFloodHop(ctx trace.Context) *floodHop {
 }
 
 // flooded is a finished broadcast as its origin reads it: the
-// aggregate's lists, decoded once, its status reports each still
-// encoded, aliasing the Reports buffer the origin's record gives up.
+// aggregate's lists, decoded once, and its status reports still in wire
+// form, the origin record's own list: valid only while deliver runs.
 type flooded struct {
 	count          int32
 	procs          []proc.Info
 	partial, hosts []string
-	reports        [][]byte
+	reports        wire.List[string]
 }
 
 // stampID is a broadcast's dedup identity: its stamp less the
@@ -333,20 +333,10 @@ func (h *floodHop) maybeFinish() {
 	} else {
 		res := &h.result
 		names := l.user.Names // the strings interned, not copied (DESIGN.md §10)
-		f := flooded{count: res.Count, procs: res.Procs.Values(names), partial: res.Partial.Values(names), hosts: res.Hosts.Values(names)}
-		for r := wire.StringsOf(res.Reports); ; {
-			b, ok := r.Next()
-			if !ok {
-				break
-			}
-			f.reports = append(f.reports, b)
-		}
+		f := flooded{count: res.Count, procs: res.Procs.Values(names), partial: res.Partial.Values(names), hosts: res.Hosts.Values(names), reports: res.Reports}
 		l.learnRoutes(res.Routes)
 		l.obs.Record(journal.LPMFloodDone, l.Host(), h.ctx, journal.FloodDone(h.stamp, l.sortedList(f.hosts), l.sortedList(f.partial)))
 		h.deliver(f)
-		// f's reports alias the list's buffer, and the callback's
-		// closures may keep f: the record gives the buffer up.
-		res.Reports = wire.List[string]{}
 	}
 	h.result.Reset()
 	h.route.Reset()

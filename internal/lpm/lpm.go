@@ -359,7 +359,8 @@ type LPM struct {
 	// status report's SLO percentiles.
 	rtts [wire.NumOps]*opRTT
 	// statusScratch is the reusable report the LPM fills when serving a
-	// status request (local rebuilds allocate nothing at steady state).
+	// status request (local rebuilds allocate nothing at steady state),
+	// and decodes each of its sweeps' flooded reports into.
 	statusScratch status.Report
 
 	floodSeq uint64

@@ -477,7 +477,9 @@ func (r replyTo) send(t wire.MsgType, body []byte) {
 	if r.op != 0 {
 		r.l.replies.Put(wire.OpKey{Origin: r.sb.host, Inc: r.sb.inc, Seq: r.op}, t, body, r.l.sched.Now().Duration())
 	}
-	r.l.sendOut(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span})
+	h := r.l.newHop(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span}, true)
+	h.reuse = r.op == 0 && t == wire.MsgBroadcastResp // an echo no entry keeps: garbage once sent
+	r.l.kern.ExecCPU(t.EndpointCost(), h.run)
 }
 
 // serveRequest executes one point-to-point request and answers it

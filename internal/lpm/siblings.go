@@ -437,13 +437,14 @@ func (l *LPM) sendOut(sb *sibling, env wire.Envelope) {
 // reused while the hop queues. Its CPU slot is the boot's: a crash
 // drops it.
 type hop struct {
-	l   *LPM
-	sb  *sibling
-	env wire.Envelope
-	out bool
-	end int // an arrival's: where its body ends in l.arrivals
-	esp *trace.Span
-	run func() // fire, bound when the record is first used
+	l     *LPM
+	sb    *sibling
+	env   wire.Envelope
+	out   bool
+	end   int  // an arrival's: where its body ends in l.arrivals
+	reuse bool // an out-hop's: its body goes back to the reply cache once sent
+	esp   *trace.Span
+	run   func() // fire, bound when the record is first used
 }
 
 func (l *LPM) newHop(sb *sibling, env wire.Envelope, out bool) *hop {
@@ -465,7 +466,7 @@ func (l *LPM) newHop(sb *sibling, env wire.Envelope, out bool) *hop {
 //
 //ppmlint:hotpath pin=TestSiblingExchangeAllocs
 func (h *hop) fire() {
-	l, sb, env, out, end := h.l, h.sb, h.env, h.out, h.end
+	l, sb, env, out, end, reuse := h.l, h.sb, h.env, h.out, h.end, h.reuse
 	h.esp.End()
 	*h = hop{run: h.run}
 	hopFree.Put(h)
@@ -490,6 +491,9 @@ func (h *hop) fire() {
 		l.handleRequest(sb, env)
 	}
 	if out {
+		if reuse {
+			l.replies.Reuse(env.Body)
+		}
 		return
 	}
 	if scribbleArrivals {

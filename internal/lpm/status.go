@@ -156,16 +156,18 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 		inner := wire.Envelope{Type: wire.MsgStatusReq, Body: wire.Encode(&wire.StatusReq{User: l.user.Name})}
 		l.startFlood(ctx, inner, func(f flooded) {
 			resolved := make(map[string]bool, len(targets))
-			for _, b := range f.reports {
-				sw.Reports = append(sw.Reports, status.Report{})
-				rep := &sw.Reports[len(sw.Reports)-1]
-				if wire.DecodeHop(b, rep, l.user.Names) != nil || !named[rep.Host] {
-					sw.Reports = sw.Reports[:len(sw.Reports)-1]
-					continue
-				}
+			nc, no := 0, 0 // the reports' lists share two arrays, made once at the length counted first
+			l.eachReport(f.reports, named, func(rep *status.Report) {
+				nc, no = nc+len(rep.Circuits), no+len(rep.OpLatencies)
+			})
+			circs, ops := make([]status.CircuitStatus, 0, nc), make([]status.OpLatency, 0, no)
+			l.eachReport(f.reports, named, func(rep *status.Report) {
+				kept := *rep
+				kept.Circuits, kept.OpLatencies = carve(&circs, rep.Circuits), carve(&ops, rep.OpLatencies)
+				sw.Reports = append(sw.Reports, kept)
 				resolved[rep.Host] = true
 				record(rep.Host, true)
-			}
+			})
 			for _, host := range f.partial {
 				if named[host] && !resolved[host] {
 					resolved[host] = true
@@ -203,4 +205,30 @@ func (l *LPM) StatusSweep(hosts []string, cb func(status.Sweep, error)) {
 			finish()
 		})
 	})
+}
+
+// eachReport decodes each of a status flood's reports from a named host
+// into the LPM's scratch report and hands it to fn to copy what it keeps.
+func (l *LPM) eachReport(reports wire.List[string], named map[string]bool, fn func(*status.Report)) {
+	rep := &l.statusScratch
+	for r := wire.StringsOf(reports); ; {
+		b, ok := r.Next()
+		if !ok {
+			return
+		}
+		if wire.DecodeHop(b, rep, l.user.Names) == nil && named[rep.Host] {
+			fn(rep)
+		}
+	}
+}
+
+// carve appends s to *all, long enough already, and returns that run
+// capped at its end (nil if empty): an append to it copies it out.
+func carve[T any](all *[]T, s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	i := len(*all)
+	*all = append(*all, s...)
+	return (*all)[i:len(*all):len(*all)]
 }

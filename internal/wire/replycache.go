@@ -42,8 +42,8 @@ type ReplyCache struct {
 	// position, not by host name, and a position is held until its
 	// incarnation is purged.
 	incs []incarnation
-	// free holds the newest bodies (at most 16) evicted replies gave
-	// back, for echoes to be encoded into (EncodeEcho).
+	// free holds the newest bodies (at most 16) evicted replies and sent
+	// uncached echoes gave back, for echoes to be encoded into (EncodeEcho).
 	free [][]byte
 }
 
@@ -84,6 +84,10 @@ func (c *ReplyCache) recycle(r CachedReply) {
 	}
 	c.free = append(c.free, r.Body[:0])
 }
+
+// Reuse takes back an echo no entry keeps once it has been sent, for the
+// next echo, as if the cache had evicted it.
+func (c *ReplyCache) Reuse(body []byte) { c.recycle(CachedReply{Body: body}) }
 
 // buffer returns an empty buffer for n bytes: the newest free one of
 // capacity n to 1.5n (not more: the reply keeps it), else a fresh one.

@@ -65,7 +65,7 @@ const maxViolations = 64
 // It is one pass over the ring that renders nothing: the step switches
 // on the entry's kind and reads details from their slots.
 func Audit(j *Journal) []Violation {
-	return newAuditor(j.Dropped() == 0).pass(j)
+	return newAuditor(j.Dropped() == 0, j).pass(j)
 }
 
 // AuditReport renders violations one per line ("" when clean).
@@ -142,9 +142,9 @@ type (
 		user, origin string
 		seq          int32
 	}
-	opKey struct { // an at-most-once operation within its user: an Op's slots, inc -1 for a whole key
-		origin   string
-		inc, seq int32
+	opKey struct { // an at-most-once operation: an Op's slots, inc -1 for a whole key
+		user, origin string
+		inc, seq     int32
 	}
 )
 
@@ -156,9 +156,9 @@ func (k sweepKey) String() string { return k.user + "/" + k.origin + "#" + strco
 
 func opOf(d *Detail) opKey {
 	if d.flag {
-		return opKey{d.s[1], -1, 0}
+		return opKey{d.s[0], d.s[1], -1, 0}
 	}
-	return opKey{d.s[1], d.n[0], d.n[1]}
+	return opKey{d.s[0], d.s[1], d.n[0], d.n[1]}
 }
 
 // opName renders an Op's operation, "u/vax1#30#7".
@@ -180,7 +180,7 @@ type auditor struct {
 	estab    map[userPair]map[string]bool     // established chan keys per unordered pair
 	edges    map[string]map[string]*auditEdge // user -> chan -> edge
 	floods   map[stamp]*auditFlood
-	execs    map[string]map[opKey]string // user -> op -> executing host
+	execs    map[opKey]string // op -> executing host
 	sweeps   map[sweepKey]*auditSweep
 	down     map[string]bool   // hosts crashed and not restarted
 	lpms     map[userPair]bool // (user, host): its pmd created an LPM this boot, not exited
@@ -194,7 +194,15 @@ type auditor struct {
 	links []Violation
 }
 
-func newAuditor(complete bool) *auditor {
+// newAuditor makes an auditor whose map of executed ops is sized for the
+// LPMOpExec records j retains (j may be nil).
+func newAuditor(complete bool, j *Journal) *auditor {
+	execs := 0
+	for i := range j.Len() {
+		if j.ring.At(i).kind == LPMOpExec {
+			execs++
+		}
+	}
 	return &auditor{
 		complete: complete,
 		procs:    make(map[proc.GPID]*auditProc),
@@ -203,7 +211,7 @@ func newAuditor(complete bool) *auditor {
 		estab:    make(map[userPair]map[string]bool),
 		edges:    make(map[string]map[string]*auditEdge),
 		floods:   make(map[stamp]*auditFlood),
-		execs:    make(map[string]map[opKey]string),
+		execs:    make(map[opKey]string, execs),
 		sweeps:   make(map[sweepKey]*auditSweep),
 		down:     make(map[string]bool),
 		lpms:     make(map[userPair]bool),
@@ -311,17 +319,12 @@ func (a *auditor) step(seq uint64, e *entry) {
 	case LPMFloodDone:
 		a.floodDone(seq, e)
 	case LPMOpExec:
-		ops := a.execs[d.s[0]]
-		if ops == nil {
-			ops = make(map[opKey]string)
-			a.execs[d.s[0]] = ops
-		}
-		if prev, ok := ops[opOf(d)]; ok {
+		if prev, ok := a.execs[opOf(d)]; ok {
 			a.fail(seq, "dedup", "op %s executed twice (first on %s, again on %s)", opName(d), prev, e.host)
 		}
-		ops[opOf(d)] = e.host
+		a.execs[opOf(d)] = e.host
 	case LPMOpReplay:
-		if _, ok := a.execs[d.s[0]][opOf(d)]; !ok && a.complete {
+		if _, ok := a.execs[opOf(d)]; !ok && a.complete {
 			a.fail(seq, "dedup", "replay of op %s which was never executed", opName(d))
 		}
 	case StatusRequest:

@@ -34,13 +34,13 @@ func recordJournal(records []testRecord) *Journal {
 // AuditRecords is Audit over a record stream; complete says the slice
 // is the full stream (no ring eviction).
 func AuditRecords(records []testRecord, complete bool) []Violation {
-	return newAuditor(complete).pass(recordJournal(records))
+	return newAuditor(complete, nil).pass(recordJournal(records))
 }
 
 // AuditTraceRecords checks the trace-consistency invariants over a
 // record stream and span table; complete says both streams are full.
 func AuditTraceRecords(records []testRecord, spans []trace.SpanData, complete bool) []Violation {
-	a := newAuditor(complete)
+	a := newAuditor(complete, nil)
 	a.auditSpans(spans, complete)
 	a.pass(recordJournal(records))
 	return a.links

@@ -84,7 +84,7 @@ func (r *refJournal) flows(after uint64) ([]Flow, uint64) {
 
 // audit is AuditWithSpans (Audit when spans is nil) over the entries.
 func (r *refJournal) audit(spans []trace.SpanData) []Violation {
-	a := newAuditor(r.dropped() == 0)
+	a := newAuditor(r.dropped() == 0, nil)
 	if spans != nil {
 		a.auditSpans(spans, a.complete)
 	}

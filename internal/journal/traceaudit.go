@@ -127,7 +127,7 @@ func (a *auditor) crossLink(seq, traceID, spanID uint64) {
 // completeness is read from its ring as in Audit. The cross-links are
 // checked in Audit's one pass, reading each entry's trace context only.
 func AuditWithSpans(j *Journal, spans []trace.SpanData, spansComplete bool) []Violation {
-	a := newAuditor(j.Dropped() == 0)
+	a := newAuditor(j.Dropped() == 0, j)
 	a.auditSpans(spans, a.complete && spansComplete)
 	out := a.pass(j)
 	room := max(maxViolations-len(out), 0)

@@ -361,7 +361,7 @@ func (l *LPM) Snapshot(cb func(proc.Snapshot, error)) {
 	l.toolCall("snapshot", func(ctx trace.Context, done func(func())) {
 		l.startFlood(ctx, inner, func(f flooded) {
 			done(func() {
-				snap := proc.Merge(l.sched.Now().Duration(), f.procs)
+				snap := proc.Adopt(l.sched.Now().Duration(), f.procs)
 				snap.Partial = l.uncovered(f)
 				l.obs.Record(journal.SnapshotTaken, l.Host(), ctx, journal.Snapshot(l.user.Name, l.procList(snap.Procs), l.sortedList(snap.Partial)))
 				cb(snap, nil)

@@ -6,6 +6,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -213,12 +214,13 @@ func sortInfos(infos []Info) {
 
 // Merge combines per-host snapshot fragments into one snapshot.
 func Merge(takenAt time.Duration, fragments ...[]Info) Snapshot {
-	var all []Info
-	for _, f := range fragments {
-		all = append(all, f...)
-	}
-	sortInfos(all)
-	return Snapshot{TakenAt: takenAt, Procs: all}
+	return Adopt(takenAt, slices.Concat(fragments...))
+}
+
+// Adopt is Merge of one fragment the caller gives up: sorted in place, kept.
+func Adopt(takenAt time.Duration, infos []Info) Snapshot {
+	sortInfos(infos)
+	return Snapshot{TakenAt: takenAt, Procs: infos}
 }
 
 // Find returns the Info for id, if present.

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,14 @@ func TestMergeSortsDeterministically(t *testing.T) {
 		if s.Procs[i].ID != w {
 			t.Fatalf("order[%d] = %v, want %v", i, s.Procs[i].ID, w)
 		}
+	}
+	if a[0].ID != (GPID{"b", 2}) || b[0].ID != (GPID{"a", 1}) {
+		t.Fatalf("Merge reordered its fragments: %v, %v", a, b)
+	}
+	// Adopt sorts the one fragment it is given in place and keeps it.
+	own := append(append([]Info(nil), a...), b...)
+	if got := Adopt(0, own); &got.Procs[0] != &own[0] || !reflect.DeepEqual(got.Procs, s.Procs) {
+		t.Fatalf("Adopt = %v, want Merge's %v in the given slice", got.Procs, s.Procs)
 	}
 }
 

@@ -156,43 +156,45 @@ func (q *Queue[T]) Reset() {
 // under the single-threaded simulation, so expiry inspects exactly the
 // expired entries plus one.
 type Window[K comparable, V any] struct {
-	span  time.Duration
-	live  map[K]aged[V]
-	order []slot[K] // insertion order; order[head:] are not yet expired
-	head  int
-	// puts counts insertions since live was built. A Go map that takes
-	// an insertion for every deletion keeps growing although what it
-	// holds does not, so live is rebuilt to size once the insertions
-	// outnumber its entries several times over (a map of a few dozen
-	// entries has too few to grow that way).
-	puts int
+	span time.Duration
+	// queue holds each entry once, in insertion order; queue[head:] are
+	// not yet expired. queue[i] is at position base+i, which dropping the
+	// drained prefix (advancing base) leaves valid.
+	queue      []item[K, V]
+	head, base int
+	// index maps each held key to its entry's position. A Go map taking an
+	// insertion per deletion grows though its contents do not, so once puts,
+	// its insertions since it was filled, outnumber its entries it is cleared
+	// (keeping its table) and refilled; peak is its most entries since made.
+	index      map[K]int
+	puts, peak int
 	// Evicted, if set, takes each value expiry or Purge drops, for reuse.
 	Evicted func(V)
 }
 
-type aged[V any] struct {
-	v  V
-	at time.Duration
-}
-
-// slot is one entry of the expiry queue, naming the insertion it
-// describes.
-type slot[K comparable] struct {
-	key K
-	at  time.Duration
+// item is one entry of the queue; a deleted one stays queued, dead,
+// until it expires or the queue is compacted.
+type item[K comparable, V any] struct {
+	key  K
+	v    V
+	at   time.Duration
+	dead bool
 }
 
 // NewWindow creates a window retaining each entry for span of virtual
 // time after its insertion.
 func NewWindow[K comparable, V any](span time.Duration) *Window[K, V] {
-	return &Window[K, V]{span: span, live: make(map[K]aged[V])}
+	return &Window[K, V]{span: span, index: make(map[K]int)}
 }
 
 // Get returns the value held under key. It expires nothing: callers
 // that need a fresh view Expire first.
-func (w *Window[K, V]) Get(key K) (V, bool) {
-	e, ok := w.live[key]
-	return e.v, ok
+func (w *Window[K, V]) Get(key K) (v V, ok bool) {
+	i, ok := w.index[key]
+	if ok {
+		v = w.queue[i-w.base].v
+	}
+	return v, ok
 }
 
 // Put stores v under key at virtual time now, after expiring what now
@@ -200,98 +202,91 @@ func (w *Window[K, V]) Get(key K) (V, bool) {
 // entry keeps its original age.
 func (w *Window[K, V]) Put(key K, v V, now time.Duration) {
 	w.Expire(now)
-	if e, ok := w.live[key]; ok {
-		e.v = v
-		w.live[key] = e
+	if i, ok := w.index[key]; ok {
+		w.queue[i-w.base].v = v
 		return
 	}
-	w.live[key] = aged[V]{v: v, at: now}
-	w.order = append(w.order, slot[K]{key: key, at: now})
-	if w.puts++; len(w.live) >= 64 && w.puts > 4*len(w.live) {
-		w.rebuild()
+	w.index[key] = w.base + len(w.queue)
+	w.queue = append(w.queue, item[K, V]{key: key, v: v, at: now})
+	w.peak = max(w.peak, len(w.index))
+	if w.puts++; w.puts > max(len(w.index), 64) {
+		w.Purge(nil)
 	}
 }
 
-// rebuild moves the held entries into a map sized for them, in
-// insertion order.
-func (w *Window[K, V]) rebuild() {
-	live := make(map[K]aged[V], len(w.live))
-	for _, s := range w.order[w.head:] {
-		if e, ok := w.live[s.key]; ok && e.at == s.at {
-			live[s.key] = e
-		}
-	}
-	w.live, w.puts = live, 0
-}
-
-// Delete drops key ahead of its expiry. Its slot stays queued until it
-// expires, unless such slots are most of the queue: then the queue is
-// cut to the held entries' slots, so a window whose entries mostly leave
-// by Delete (in-flight markers) queues about as many slots as it holds.
+// Delete drops key ahead of its expiry. Its entry stays queued, dead,
+// until it expires, unless such entries are most of the queue: then the
+// queue is compacted, so a window whose entries mostly leave by Delete
+// (in-flight markers) queues about as many entries as it holds.
 func (w *Window[K, V]) Delete(key K) {
-	delete(w.live, key)
-	if q := len(w.order) - w.head; q >= 64 && q > 4*len(w.live) {
-		w.filter(nil)
+	if i, ok := w.index[key]; ok {
+		delete(w.index, key)
+		w.queue[i-w.base] = item[K, V]{at: w.queue[i-w.base].at, dead: true}
+	}
+	if q := len(w.queue) - w.head; q >= 64 && q > 4*len(w.index) {
+		w.Purge(nil)
 	}
 }
 
 // Expire drops every entry older than the span at virtual time now. An
 // entry exactly span old is still held.
 func (w *Window[K, V]) Expire(now time.Duration) {
-	for w.head < len(w.order) {
-		s := w.order[w.head]
-		if now-s.at <= w.span {
+	for w.head < len(w.queue) {
+		e := &w.queue[w.head]
+		if now-e.at <= w.span {
 			break
 		}
 		w.head++
-		// The key may have been deleted and stored afresh since; only
-		// drop the insertion this slot describes.
-		if e, ok := w.live[s.key]; ok && e.at == s.at {
-			delete(w.live, s.key)
+		if !e.dead {
+			delete(w.index, e.key)
 			if w.Evicted != nil {
 				w.Evicted(e.v)
 			}
 		}
+		*e = item[K, V]{}
 	}
 	// Reclaim the drained prefix in place once it is a quarter of the
 	// queue: the footprint stays close to the live entries, and a steady
-	// stream of entries allocates nothing for the queue.
-	if w.head > len(w.order)/4 {
-		n := copy(w.order, w.order[w.head:])
-		clear(w.order[n:])
-		w.order, w.head = w.order[:n], 0
-		if cap(w.order) > 4*n+16 { // drained after a burst: give the peak back
-			w.order = append([]slot[K](nil), w.order...)
+	// stream of entries, or of bursts up to 64, allocates nothing for it.
+	if w.head > len(w.queue)/4 {
+		n := copy(w.queue, w.queue[w.head:])
+		clear(w.queue[n:])
+		w.queue, w.base, w.head = w.queue[:n], w.base+w.head, 0
+		if cap(w.queue) > 4*n+64 { // drained after a burst: give the peak back
+			w.queue = append([]item[K, V](nil), w.queue...)
 		}
 	}
 }
 
-// Purge drops every entry whose key drop reports and reports how many
-// were dropped. The survivors keep their order.
-func (w *Window[K, V]) Purge(drop func(K) bool) int { return w.filter(drop) }
-
-// filter cuts the queue, in place, to the slots of held entries, less
-// those drop (if set) reports, which it drops and counts.
-func (w *Window[K, V]) filter(drop func(K) bool) int {
+// Purge drops every entry whose key drop (if set) reports and reports how
+// many were dropped. The survivors keep their order: the queue is cut to
+// them in place, and they are indexed afresh, in a new map if the old
+// one was sized for far more of them.
+func (w *Window[K, V]) Purge(drop func(K) bool) int {
+	if n := len(w.index); w.peak > 4*n+64 {
+		w.index, w.peak = make(map[K]int, n), n
+	} else {
+		clear(w.index)
+	}
 	n, dropped := 0, 0
-	for _, s := range w.order[w.head:] {
-		switch e, ok := w.live[s.key]; {
-		case !ok || e.at != s.at: // deleted, or stored afresh later in the queue
-		case drop != nil && drop(s.key):
-			delete(w.live, s.key)
+	for _, e := range w.queue[w.head:] {
+		switch {
+		case e.dead:
+		case drop != nil && drop(e.key):
 			if w.Evicted != nil {
 				w.Evicted(e.v)
 			}
 			dropped++
 		default:
-			w.order[n] = s
+			w.index[e.key] = n
+			w.queue[n] = e
 			n++
 		}
 	}
-	clear(w.order[n:])
-	w.order, w.head = w.order[:n], 0
+	clear(w.queue[n:])
+	w.queue, w.base, w.head, w.puts = w.queue[:n], 0, 0, 0
 	return dropped
 }
 
 // Len returns the number of held entries.
-func (w *Window[K, V]) Len() int { return len(w.live) }
+func (w *Window[K, V]) Len() int { return len(w.index) }

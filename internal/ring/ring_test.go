@@ -1,6 +1,9 @@
 package ring
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,7 +211,7 @@ func TestWindow(t *testing.T) {
 				}
 			}
 			if w.Len() != len(tc.want) {
-				t.Fatalf("Len = %d, want %d (%v)", w.Len(), len(tc.want), w.live)
+				t.Fatalf("Len = %d, want %d (%v)", w.Len(), len(tc.want), w.index)
 			}
 			for k, v := range tc.want {
 				if got, ok := w.Get(k); !ok || got != v {
@@ -227,16 +230,16 @@ func TestWindowQueueStaysProportional(t *testing.T) {
 	w := NewWindow[string, struct{}](10 * time.Second)
 	for i := 0; i < 1000; i++ {
 		w.Put(string(rune('a'+i%26))+time.Duration(i).String(), struct{}{}, time.Duration(i)*time.Second)
-		if live := len(w.order) - w.head; live != w.Len() {
+		if live := len(w.queue) - w.head; live != w.Len() {
 			t.Fatalf("step %d: %d queued, %d live", i, live, w.Len())
 		}
-		if len(w.order) > 2*w.Len()+1 {
-			t.Fatalf("step %d: queue of %d slots for %d live entries", i, len(w.order), w.Len())
+		if len(w.queue) > 2*w.Len()+1 {
+			t.Fatalf("step %d: queue of %d slots for %d live entries", i, len(w.queue), w.Len())
 		}
 	}
 	w.Expire(time.Hour)
-	if w.Len() != 0 || w.head != 0 || len(w.order) != 0 {
-		t.Fatalf("drained window: len=%d head=%d queue=%d", w.Len(), w.head, len(w.order))
+	if w.Len() != 0 || w.head != 0 || len(w.queue) != 0 {
+		t.Fatalf("drained window: len=%d head=%d queue=%d", w.Len(), w.head, len(w.queue))
 	}
 	// Entries that leave by Delete long before they expire (in-flight
 	// markers) leave their slots behind; the queue keeps few of them.
@@ -246,7 +249,7 @@ func TestWindowQueueStaysProportional(t *testing.T) {
 		if i%10 != 0 {
 			w.Delete(k)
 		}
-		if q := len(w.order) - w.head; q > 4*w.Len()+64 {
+		if q := len(w.queue) - w.head; q > 4*w.Len()+64 {
 			t.Fatalf("step %d: %d slots queued for %d held entries", i, q, w.Len())
 		}
 	}
@@ -255,41 +258,201 @@ func TestWindowQueueStaysProportional(t *testing.T) {
 	}
 }
 
-// TestWindowChurnAllocatesLittle: a window that takes one entry for each
-// one it expires compacts its queue in place and, every few windows'
-// worth of entries, moves its entries to a map sized for them — a Go map
-// taking an insertion per deletion grows although its contents do not.
-// Warm, that is a few hundredths of an allocation per entry, and the
-// rebuilt map still holds exactly the live entries.
+// TestWindowChurnAllocatesLittle: a warm window allocates nothing per
+// entry, whether its entries leave by expiry (cached replies, stamps),
+// mostly by Delete (in-flight markers), or a burst at a time with none
+// outliving the next burst (a flood's): its queue is compacted in place
+// and keeps the room a burst needs, and its index is cleared and filled
+// again, keeping its table, before insertions that each follow a
+// deletion can grow it. It still holds exactly the live entries.
 func TestWindowChurnAllocatesLittle(t *testing.T) {
 	const live = 200
 	keys := make([]string, 4096)
 	for i := range keys {
 		keys[i] = "k" + strconv.Itoa(i)
 	}
-	w := NewWindow[string, int](live - 1)
-	i := 0
-	put := func() {
-		w.Put(keys[i%len(keys)], i, time.Duration(i))
-		i++
+	for _, tc := range []struct {
+		name  string
+		span  time.Duration
+		kept  int // every kept-th entry stays to expire; the rest are deleted at once
+		burst int // entries put at one instant
+	}{
+		{"expiry", live - 1, 1, 1},
+		{"in-flight markers", 10*live - 1, 10, 1},
+		{"bursts", 23, 1, 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWindow[string, int](tc.span)
+			at := func(j int) time.Duration { return time.Duration(j / tc.burst * tc.burst) }
+			i := 0
+			put := func() {
+				k := keys[i%len(keys)]
+				w.Put(k, i, at(i))
+				if i%tc.kept != 0 {
+					w.Delete(k)
+				}
+				i++
+			}
+			for j := 0; j < 20*live*tc.kept; j++ {
+				put()
+			}
+			queue := &w.queue[:1][0]
+			if allocs := testing.AllocsPerRun(16*live, put); allocs != 0 {
+				t.Errorf("a warm window allocates %.3f times per entry, want 0", allocs)
+			}
+			if b := allocBytes(func() {
+				for j := 0; j < 16*live; j++ {
+					put()
+				}
+			}); b != 0 {
+				t.Errorf("a warm window allocates %d bytes over %d entries, want 0", b, 16*live)
+			}
+			if &w.queue[:1][0] != queue {
+				t.Error("steady churn reallocated the expiry queue; it should be compacted in place")
+			}
+			held := 0
+			for j := i - len(keys) + 1; j < i; j++ {
+				v, ok := w.Get(keys[j%len(keys)])
+				want := j%tc.kept == 0 && at(i-1)-at(j) <= tc.span
+				if ok != want || ok && v != j {
+					t.Fatalf("entry %d: %d, %v; held %v", j, v, ok, want)
+				}
+				if want {
+					held++
+				}
+			}
+			if w.Len() != held {
+				t.Fatalf("%d entries held, want the last %d kept", w.Len(), held)
+			}
+		})
 	}
-	for j := 0; j < 20*live; j++ {
-		put()
+}
+
+// allocBytes returns the fewest bytes f allocated over five calls, by
+// runtime.MemStats.TotalAlloc; the minimum drops what another goroutine
+// allocated meanwhile.
+func allocBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	queue := &w.order[:1][0]
-	if allocs := testing.AllocsPerRun(16*live, put); allocs > 0.05 {
-		t.Errorf("a warm window allocates %.3f times per entry, want at most 0.05", allocs)
+	return least
+}
+
+// TestWindowMatchesModel drives a window and a plain reference — a slice
+// of entries in insertion order — through the same seeded random
+// operations at non-decreasing virtual times, and after each compares
+// every key, the held count and the values given to Evicted. The phases
+// vary the mix so the window compacts its queue past its base, clears
+// and fills its index, and compacts after deletions; keys are re-put
+// while held, deleted and put again, and expiry lands exactly span after
+// an insertion.
+func TestWindowMatchesModel(t *testing.T) {
+	const span, keys = 50, 300
+	type ref struct {
+		key, v int
+		at     time.Duration
 	}
-	if &w.order[:1][0] != queue {
-		t.Error("steady churn reallocated the expiry queue; it should be compacted in place")
-	}
-	if w.Len() != live {
-		t.Fatalf("%d entries held, want the last %d", w.Len(), live)
-	}
-	for j := i - 2*live; j < i; j++ {
-		v, ok := w.Get(keys[j%len(keys)])
-		if want := j >= i-live; ok != want || ok && v != j {
-			t.Fatalf("entry %d: %d, %v; held %v", j, v, ok, want)
+	var model []ref
+	find := func(k int) int {
+		for i, e := range model {
+			if e.key == k {
+				return i
+			}
 		}
+		return -1
+	}
+	var gotEvicted, wantEvicted []int
+	dropWhere := func(drop func(ref) bool, evict bool) (n int) {
+		kept := model[:0]
+		for _, e := range model {
+			if !drop(e) {
+				kept = append(kept, e)
+				continue
+			}
+			if evict {
+				wantEvicted = append(wantEvicted, e.v)
+			}
+			n++
+		}
+		model = kept
+		return n
+	}
+	expire := func(now time.Duration) { dropWhere(func(e ref) bool { return now-e.at > span }, true) }
+
+	w := NewWindow[int, int](span)
+	w.Evicted = func(v int) { gotEvicted = append(gotEvicted, v) }
+	rng := rand.New(rand.NewSource(1))
+	var now time.Duration
+	next := 0 // values are unique, so an eviction names its entry
+	for step := 0; step < 40000; step++ {
+		phase := step / 2000 % 4 // 0 steady, 1 burst, 2 delete-heavy, 3 sparse
+		k := rng.Intn(keys)
+		touched := k
+		switch r := rng.Intn(100); {
+		case r < 3 && len(model) > 0 && rng.Intn(2) == 0:
+			// Exactly span after a held entry's insertion: still held.
+			now = max(now, model[rng.Intn(len(model))].at+span)
+			w.Expire(now)
+			expire(now)
+		case r < 3:
+			p := rng.Intn(7)
+			drop := func(k int) bool { return k%7 == p }
+			if got, want := w.Purge(drop), dropWhere(func(e ref) bool { return drop(e.key) }, true); got != want {
+				t.Fatalf("step %d: Purge dropped %d, want %d", step, got, want)
+			}
+		case r < 10 || phase == 2 && r < 50:
+			if i := find(k); i >= 0 || rng.Intn(4) == 0 {
+				w.Delete(k)
+				dropWhere(func(e ref) bool { return e.key == k }, false)
+			} else if len(model) > 0 {
+				k = model[rng.Intn(len(model))].key
+				touched = k
+				w.Delete(k)
+				dropWhere(func(e ref) bool { return e.key == k }, false)
+			}
+		case r < 15:
+			now += time.Duration(rng.Intn(span / 2))
+			w.Expire(now)
+			expire(now)
+		default:
+			switch phase {
+			case 0:
+				now += time.Duration(rng.Intn(2))
+			case 3:
+				now += time.Duration(rng.Intn(span))
+			}
+			next++
+			w.Put(k, next, now)
+			expire(now)
+			if i := find(k); i >= 0 {
+				model[i].v = next
+			} else {
+				model = append(model, ref{k, next, now})
+			}
+		}
+		if w.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, w.Len(), len(model))
+		}
+		for k := range keys {
+			if step%50 != 0 && k != touched {
+				continue
+			}
+			v, ok := w.Get(k)
+			i := find(k)
+			if ok != (i >= 0) || ok && v != model[i].v {
+				t.Fatalf("step %d: Get(%d) = %d, %v; want held %v", step, k, v, ok, i >= 0)
+			}
+		}
+		if !slices.Equal(gotEvicted, wantEvicted) {
+			t.Fatalf("step %d: Evicted took %v, want %v", step, gotEvicted, wantEvicted)
+		}
+	}
+	if w.base == 0 {
+		t.Error("the queue was never compacted past its base")
 	}
 }

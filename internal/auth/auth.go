@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"ppm/internal/detord"
+	"ppm/internal/ring"
 	"ppm/internal/wire"
 )
 
@@ -35,9 +36,9 @@ type User struct {
 	// Stamps signs and checks the user's stamps under key: one keyed MAC
 	// per user, which every LPM and tool of theirs shares as they do the key.
 	Stamps *wire.Signer
-	// Names interns the host names the user's LPMs read off the wire
-	// (wire.DecodeHop): one table per user, shared as Stamps is.
-	Names wire.Names
+	// Names is the user's table of names, shared as Stamps is: their
+	// LPMs decode off the wire through it and their history stores index it.
+	Names *ring.Names
 	// rhosts lists hosts from which remote access is permitted without
 	// further proof, mirroring ~/.rhosts.
 	rhosts map[string]bool
@@ -67,7 +68,7 @@ func (d *Directory) AddUser(name string) *User {
 	mac := hmac.New(sha256.New, []byte("ppm-domain-salt"))
 	mac.Write([]byte(name))
 	key := mac.Sum(nil)
-	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), Names: make(wire.Names),
+	u := &User{Name: name, key: key, Stamps: wire.NewSigner(key), Names: ring.NewNames(),
 		rhosts: make(map[string]bool), tokens: make(map[string][]byte)}
 	d.users[name] = u
 	return u

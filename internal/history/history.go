@@ -23,18 +23,9 @@ import (
 // requested: when full, the oldest events are dropped (coarse summaries
 // are kept separately and never dropped).
 type Store struct {
-	ring     *ring.Buffer[slot]
-	capacity int
-	dropped  int64
-
-	// hosts names every host an appended event has mentioned: hosts[0]
-	// is the zero GPID's empty host, then the store's own host and the
-	// home hosts of forwarded exits, in order of first sight. index
-	// inverts it; last is the index matched most recently, the store's
-	// own host almost always.
-	hosts []string
-	index map[string]uint32
-	last  uint32
+	ring    *ring.Buffer[slot]
+	dropped int64
+	names   *ring.Names // what a slot's hosts index: the user's, shared by their stores
 
 	// wide holds what each retained wide slot leaves out, oldest first.
 	wide ring.Queue[wideFields]
@@ -48,7 +39,7 @@ type Store struct {
 }
 
 // slot is one retained event, 48 bytes where a proc.Event is 128: the
-// two hosts are indices into the store's table, and the kind and signal
+// two hosts are indices into its table of names, and the kind and signal
 // are 16-bit. An event whose kind or signal does not fit, or whose
 // Rusage is not zero (an exit), is wide: its kind, signal and Rusage
 // are the next entry of Store.wide.
@@ -72,18 +63,16 @@ type wideFields struct {
 const DefaultCapacity = 4096
 
 // NewStore creates a store with the given event capacity (0 means
-// DefaultCapacity).
-func NewStore(capacity int) *Store {
+// DefaultCapacity) whose hosts are indices into names.
+func NewStore(capacity int, names *ring.Names) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Store{
-		ring:     ring.NewBuffer[slot](capacity),
-		capacity: capacity,
-		hosts:    []string{""},
-		index:    make(map[string]uint32),
-		exited:   make(map[proc.GPID]proc.Info),
-		watches:  make(map[int]*Watch),
+		ring:    ring.NewBuffer[slot](capacity),
+		names:   names,
+		exited:  make(map[proc.GPID]proc.Info),
+		watches: make(map[int]*Watch),
 	}
 }
 
@@ -115,7 +104,7 @@ func (s *Store) pack(ev proc.Event) slot {
 	sl := slot{
 		at: ev.At, detail: ev.Detail,
 		pid: ev.Proc.PID, child: ev.Child.PID,
-		host: s.hostIndex(ev.Proc.Host), chost: s.hostIndex(ev.Child.Host),
+		host: s.names.Index(ev.Proc.Host), chost: s.names.Index(ev.Child.Host),
 		kind: int16(ev.Kind), signal: int16(ev.Signal),
 	}
 	if proc.EventKind(sl.kind) != ev.Kind || proc.Signal(sl.signal) != ev.Signal || ev.Rusage != (proc.Rusage{}) {
@@ -125,25 +114,6 @@ func (s *Store) pack(ev proc.Event) slot {
 	return sl
 }
 
-// hostIndex returns h's index in the host table, adding it on first
-// sight.
-func (s *Store) hostIndex(h string) uint32 {
-	if h == "" {
-		return 0
-	}
-	if s.hosts[s.last] == h {
-		return s.last
-	}
-	i, ok := s.index[h]
-	if !ok {
-		i = uint32(len(s.hosts))
-		s.hosts = append(s.hosts, h)
-		s.index[h] = i
-	}
-	s.last = i
-	return i
-}
-
 // each unpacks the retained events oldest first, pairing each wide
 // slot with its entry of Store.wide, until f returns false.
 func (s *Store) each(f func(proc.Event) bool) {
@@ -151,8 +121,8 @@ func (s *Store) each(f func(proc.Event) bool) {
 		sl := s.ring.At(i)
 		ev := proc.Event{
 			At: sl.at, Kind: proc.EventKind(sl.kind), Signal: proc.Signal(sl.signal), Detail: sl.detail,
-			Proc:  proc.GPID{Host: s.hosts[sl.host], PID: sl.pid},
-			Child: proc.GPID{Host: s.hosts[sl.chost], PID: sl.child},
+			Proc:  proc.GPID{Host: s.names.Name(sl.host), PID: sl.pid},
+			Child: proc.GPID{Host: s.names.Name(sl.chost), PID: sl.child},
 		}
 		if sl.wide {
 			x := s.wide.At(w)

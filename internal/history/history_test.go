@@ -20,7 +20,7 @@ func ev(at time.Duration, kind proc.EventKind, pid proc.PID) proc.Event {
 }
 
 func TestAppendAndSelectAll(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	for i := 0; i < 5; i++ {
 		s.Append(ev(time.Duration(i)*time.Second, proc.EvFork, proc.PID(i)))
 	}
@@ -36,7 +36,7 @@ func TestAppendAndSelectAll(t *testing.T) {
 }
 
 func TestSelectFilters(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	s.Append(ev(1*time.Second, proc.EvFork, 1))
 	s.Append(ev(2*time.Second, proc.EvExit, 1))
 	s.Append(ev(3*time.Second, proc.EvFork, 2))
@@ -65,7 +65,7 @@ func TestSelectFilters(t *testing.T) {
 }
 
 func TestSelectMatchesChildField(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	s.Append(proc.Event{
 		At: time.Second, Kind: proc.EvFork,
 		Proc:  proc.GPID{Host: "h", PID: 1},
@@ -78,7 +78,7 @@ func TestSelectMatchesChildField(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	s := NewStore(3)
+	s := NewStore(3, ring.NewNames())
 	for i := 0; i < 5; i++ {
 		s.Append(ev(time.Duration(i)*time.Second, proc.EvSyscall, 1))
 	}
@@ -95,7 +95,7 @@ func TestCapacityEviction(t *testing.T) {
 }
 
 func TestExitRecordsSurviveEviction(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore(2, ring.NewNames())
 	id := proc.GPID{Host: "h", PID: 9}
 	s.RecordExit(proc.Info{ID: id, Name: "job", State: proc.Exited,
 		Rusage: proc.Rusage{CPUTime: time.Minute}})
@@ -112,7 +112,7 @@ func TestExitRecordsSurviveEviction(t *testing.T) {
 }
 
 func TestWatchFiresOnMatch(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	var fired []proc.Event
 	w := &Watch{
 		Proc:   proc.GPID{Host: "h", PID: 7},
@@ -134,7 +134,7 @@ func TestWatchFiresOnMatch(t *testing.T) {
 }
 
 func TestWatchSignalFilter(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	n := 0
 	s.AddWatch(&Watch{Kind: proc.EvSignal, Signal: proc.SIGUSR1, Action: func(proc.Event) { n++ }})
 	e := ev(1, proc.EvSignal, 1)
@@ -148,7 +148,7 @@ func TestWatchSignalFilter(t *testing.T) {
 }
 
 func TestWatchAnyProcess(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	n := 0
 	s.AddWatch(&Watch{Kind: proc.EvStop, Action: func(proc.Event) { n++ }})
 	s.Append(ev(1, proc.EvStop, 1))
@@ -159,7 +159,7 @@ func TestWatchAnyProcess(t *testing.T) {
 }
 
 func TestReduce(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	s.Append(ev(1*time.Second, proc.EvFork, 1))
 	s.Append(ev(2*time.Second, proc.EvFork, 2))
 	s.Append(ev(5*time.Second, proc.EvExit, 1))
@@ -183,7 +183,7 @@ func TestReduce(t *testing.T) {
 }
 
 func TestReduceEmpty(t *testing.T) {
-	r := NewStore(0).Reduce()
+	r := NewStore(0, ring.NewNames()).Reduce()
 	if r.Total != 0 {
 		t.Fatal("empty store should reduce to zero")
 	}
@@ -193,7 +193,7 @@ func TestReduceEmpty(t *testing.T) {
 }
 
 func TestEventsOldestFirstAfterWraparound(t *testing.T) {
-	s := NewStore(4)
+	s := NewStore(4, ring.NewNames())
 	// 4+3 appends wrap the ring so the oldest slot is in the middle of
 	// the backing array; Events must still come back oldest first.
 	for i := 0; i < 7; i++ {
@@ -214,7 +214,7 @@ func TestEventsOldestFirstAfterWraparound(t *testing.T) {
 }
 
 func TestEventsReturnsCopy(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore(2, ring.NewNames())
 	s.Append(ev(1*time.Second, proc.EvFork, 1))
 	got := s.Events()
 	got[0].At = 99 * time.Second
@@ -224,7 +224,7 @@ func TestEventsReturnsCopy(t *testing.T) {
 }
 
 func TestEventsEmpty(t *testing.T) {
-	if got := NewStore(0).Events(); len(got) != 0 {
+	if got := NewStore(0, ring.NewNames()).Events(); len(got) != 0 {
 		t.Fatalf("empty store Events() = %d events", len(got))
 	}
 }
@@ -234,7 +234,7 @@ func TestEventsEmpty(t *testing.T) {
 func TestPropertyEvictionKeepsNewest(t *testing.T) {
 	f := func(n uint8, c uint8) bool {
 		capacity := int(c%32) + 1
-		s := NewStore(capacity)
+		s := NewStore(capacity, ring.NewNames())
 		total := int(n)
 		for i := 0; i < total; i++ {
 			s.Append(ev(time.Duration(i)*time.Millisecond, proc.EvSyscall, 1))
@@ -267,7 +267,7 @@ func TestPropertyEvictionKeepsNewest(t *testing.T) {
 // slides exactly as before. The bytes are counted on the store, not as the process's
 // allocation total, which other tests' goroutines move.
 func TestStoreGrowsOnDemand(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, ring.NewNames())
 	for i := 0; i < 10; i++ {
 		s.Append(ev(time.Duration(i)*time.Second, proc.EvSyscall, 1))
 	}
@@ -308,7 +308,7 @@ func TestHistorySlotSize(t *testing.T) {
 // for Append), whether the event is local, about a foreign process, a
 // fork or an exit whose Rusage is kept out of line.
 func TestHistoryAppendZeroAllocs(t *testing.T) {
-	s := NewStore(64)
+	s := NewStore(64, ring.NewNames())
 	hits := 0
 	s.AddWatch(&Watch{Kind: proc.EvExit, Action: func(proc.Event) { hits++ }})
 	at := time.Duration(0)
@@ -425,7 +425,8 @@ func TestPackedStoreMatchesEventRing(t *testing.T) {
 			}
 			return "h" + strconv.Itoa(rng.Intn(tc.hosts))
 		}
-		s := NewStore(tc.capacity)
+		names := ring.NewNames()
+		s := NewStore(tc.capacity, names)
 		ref := &refStore{ring: ring.NewBuffer[proc.Event](tc.capacity)}
 
 		watches := []Watch{{}, {Kind: proc.EvExit}, {Kind: math.MinInt}, {Proc: proc.GPID{Host: "home", PID: 1}},
@@ -509,8 +510,8 @@ func TestPackedStoreMatchesEventRing(t *testing.T) {
 				check(n)
 			}
 		}
-		if tc.hosts == tc.total && len(s.hosts) <= math.MaxUint16+1 {
-			t.Fatalf("the host table holds %d names, want more than 16 bits index", len(s.hosts))
+		if tc.hosts == tc.total && names.Len() <= math.MaxUint16+1 {
+			t.Fatalf("the host table holds %d names, want more than 16 bits index", names.Len())
 		}
 	}
 }

@@ -658,13 +658,9 @@ type Journal struct {
 	ring *ring.Buffer[slot]
 	seq  uint64 // records ever appended; Seq of the newest record
 
-	// names is the table a slot's host and names index: names[0] is "",
-	// then every name an append has held, in order of first sight. index
-	// inverts it; cache remembers, per hash of a name, the index last
-	// matched, so an append seldom reaches the map.
-	names []string
-	index map[string]uint32
-	cache [256]uint32
+	// names is the table a slot's host and names index. It is the
+	// journal's own: it spans users and never refuses a name.
+	names *ring.Names
 
 	// texts holds the strings the retained slots keep out of line, and
 	// ids the trace contexts of their wide slots, oldest first.
@@ -705,7 +701,7 @@ type entry struct {
 // New creates a journal reading virtual time from now.
 func New(now func() time.Duration) *Journal {
 	return &Journal{now: now, ring: ring.NewBuffer[slot](DefaultCapacity),
-		names: []string{""}, index: make(map[string]uint32)}
+		names: ring.NewNames()}
 }
 
 // SetCapacity resizes the ring bound (only before the first append; 0
@@ -762,8 +758,8 @@ func (j *Journal) AppendDetail(kind Kind, host string, d Detail, trace, span uin
 func (j *Journal) pack(sl *slot, host string, d *Detail, trace, span uint64) {
 	sl.at, sl.n, sl.kind, sl.bits = j.now(), d.n, d.kind, uint8(d.layout)
 	var ok bool
-	if sl.host, ok = j.cached(host); !ok {
-		sl.host = j.intern(host)
+	if sl.host, ok = j.names.Cached(host); !ok {
+		sl.host = j.names.Index(host)
 	}
 	if d.flag {
 		sl.bits |= bitFlag
@@ -783,8 +779,8 @@ func (j *Journal) pack(sl *slot, host string, d *Detail, trace, span uint64) {
 			sl.bits |= bitText << i
 			j.texts.Push(s)
 		default:
-			if sl.s[i], ok = j.cached(s); !ok {
-				sl.s[i] = j.intern(s)
+			if sl.s[i], ok = j.names.Cached(s); !ok {
+				sl.s[i] = j.names.Index(s)
 			}
 		}
 	}
@@ -793,38 +789,6 @@ func (j *Journal) pack(sl *slot, host string, d *Detail, trace, span uint64) {
 		sl.bits |= bitWide
 		j.ids.Push([2]uint64{trace, span})
 	}
-}
-
-// cached returns the index of name s if the cache holds it. It inlines,
-// so a name the cache holds costs its caller no call; intern is the way
-// in for the rest.
-func (j *Journal) cached(s string) (uint32, bool) {
-	if s == "" {
-		return 0, true
-	}
-	i := j.cache[nameHash(s)]
-	return i, j.names[i] == s
-}
-
-// intern returns s's index in the table of names, adding it on first
-// sight, and caches it.
-func (j *Journal) intern(s string) uint32 {
-	i, ok := j.index[s]
-	if !ok {
-		i = uint32(len(j.names))
-		j.names = append(j.names, s)
-		j.index[s] = i
-	}
-	j.cache[nameHash(s)] = i
-	return i
-}
-
-// nameHash files a name in the cache by its length and its first,
-// middle and last bytes: cheap, and apart for the dozen names of an
-// installation.
-func nameHash(s string) uint8 {
-	n := len(s)
-	return uint8((uint32(n) | uint32(s[0])<<8 | uint32(s[n/2])<<16 | uint32(s[n-1])<<24) * 0x9E3779B1 >> 24)
 }
 
 // cursor unpacks the retained slots oldest first: i is the next slot's
@@ -850,14 +814,14 @@ func (c *cursor) next(e *entry) bool {
 	c.i++
 	// Field by field: an entry literal would be built aside and copied.
 	names := j.names
-	e.at, e.trace, e.span, e.host = sl.at, uint64(sl.trace), uint64(sl.span), names[sl.host]
+	e.at, e.trace, e.span, e.host = sl.at, uint64(sl.trace), uint64(sl.span), names.Name(sl.host)
 	e.d.n, e.d.layout, e.d.flag, e.d.kind = sl.n, layout(sl.bits&3), sl.bits&bitFlag != 0, sl.kind
 	for i, x := range sl.s {
 		if sl.bits&(bitText<<i) != 0 {
 			e.d.s[i] = j.texts.At(c.texts)
 			c.texts++
 		} else {
-			e.d.s[i] = names[x]
+			e.d.s[i] = names.Name(x)
 		}
 	}
 	if sl.bits&bitWide != 0 {

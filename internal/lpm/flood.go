@@ -3,6 +3,7 @@ package lpm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -478,20 +479,20 @@ func (l *LPM) learnRoutes(routes wire.List[string]) {
 
 // uncovered merges the flood's explicit failures with known hosts that
 // contributed nothing — hosts whose LPM (or whole machine) is gone, the
-// situation in which the genealogy snapshot becomes a forest.
+// situation in which the genealogy snapshot becomes a forest. It is nil
+// when the flood covered them all.
 func (l *LPM) uncovered(f flooded) []string {
-	missing := make(map[string]bool)
+	var missing []string
 	for _, h := range f.partial {
-		missing[h] = true
+		if !slices.Contains(f.hosts, h) {
+			missing = append(missing, h)
+		}
 	}
 	for h := range l.knownHosts {
-		missing[h] = true
+		if !slices.Contains(f.hosts, h) {
+			missing = append(missing, h)
+		}
 	}
-	for _, h := range f.hosts {
-		delete(missing, h)
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	return detord.Keys(missing)
+	detord.Sort(missing)
+	return slices.Compact(missing)
 }

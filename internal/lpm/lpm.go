@@ -407,7 +407,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		replies:    wire.NewReplyCache(cfg.opWindow()),
 		peerIncs:   make(map[string]uint64),
 		records:    make(map[proc.PID]proc.Info),
-		store:      history.NewStore(cfg.HistoryCapacity),
+		store:      history.NewStore(cfg.HistoryCapacity, user.Names),
 		seen:       ring.NewWindow[stampID, struct{}](cfg.DedupWindow),
 		obs:        net.Recorder(),
 	}

@@ -1,9 +1,10 @@
 // Package ring holds the bounded containers the PPM's record keepers
 // share: Buffer, a ring that overwrites its oldest element (the LPM's
 // history store, the flight recorder), with a Queue beside it for what
-// its elements keep out of line, and Window, a map whose entries expire
-// a fixed span of virtual time after insertion (cached replies,
-// in-flight operation markers, broadcast-stamp dedup). All are
+// its elements keep out of line; Window, a map whose entries expire a
+// fixed span of virtual time after insertion (cached replies, in-flight
+// operation markers, broadcast-stamp dedup); and Names, the table of
+// names their records index and the wire decodes through. All are
 // single-goroutine, like the simulation they serve.
 package ring
 
@@ -290,3 +291,83 @@ func (w *Window[K, V]) Purge(drop func(K) bool) int {
 
 // Len returns the number of held entries.
 func (w *Window[K, V]) Len() int { return len(w.index) }
+
+// Names is a table of names, index ↔ string: index 0 is "", then each
+// name in order of first sight. cache remembers, per hash of a name, the
+// index last matched, so a held name seldom reaches the map.
+type Names struct {
+	names []string
+	index map[string]uint32
+	cache [256]uint32
+}
+
+// NewNames returns a table holding only "".
+func NewNames() *Names { return &Names{names: []string{""}, index: make(map[string]uint32)} }
+
+// Cached returns s's index if the cache holds it. It inlines, so a held
+// name costs its caller no call; Index is the way in for the rest.
+//
+//ppmlint:hotpath pin=TestNamesZeroAllocs
+func (n *Names) Cached(s string) (uint32, bool) {
+	if s == "" {
+		return 0, true
+	}
+	i := n.cache[nameHash(s)]
+	return i, n.names[i] == s
+}
+
+// Index returns s's index, adding s on first sight: it never refuses
+// the owner's own names.
+//
+//ppmlint:hotpath pin=TestNamesZeroAllocs
+func (n *Names) Index(s string) uint32 {
+	if i, ok := n.Cached(s); ok {
+		return i
+	}
+	i, ok := n.index[s]
+	if !ok {
+		i = uint32(len(n.names))
+		n.names = append(n.names, s)
+		n.index[s] = i
+	}
+	n.cache[nameHash(s)] = i
+	return i
+}
+
+// Intern returns the string b spells, the table's own if it holds one,
+// so a name read off the wire before costs no allocation. It adds b only
+// while the table holds fewer than 1,024 names: what peers naming
+// ever-new ones can pin.
+//
+//ppmlint:hotpath pin=TestNamesZeroAllocs
+func (n *Names) Intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	h := nameHash(b)
+	if s := n.names[n.cache[h]]; s == string(b) {
+		return s
+	}
+	if i, ok := n.index[string(b)]; ok {
+		n.cache[h] = i
+		return n.names[i]
+	}
+	if len(n.names) >= 1024 {
+		return string(b)
+	}
+	return n.names[n.Index(string(b))]
+}
+
+// Name returns the name at index i.
+func (n *Names) Name(i uint32) string { return n.names[i] }
+
+// Len returns the number of indices in use, "" included.
+func (n *Names) Len() int { return len(n.names) }
+
+// nameHash files a name in the cache by its length and its first,
+// middle and last bytes: cheap, and apart for the dozen names of an
+// installation.
+func nameHash[T string | []byte](s T) uint8 {
+	n := len(s)
+	return uint8((uint32(n) | uint32(s[0])<<8 | uint32(s[n/2])<<16 | uint32(s[n-1])<<24) * 0x9E3779B1 >> 24)
+}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestBuffer drives one buffer through a script of pushes and resets
@@ -454,5 +455,104 @@ func TestWindowMatchesModel(t *testing.T) {
 	}
 	if w.base == 0 {
 		t.Error("the queue was never compacted past its base")
+	}
+}
+
+// TestNamesMatchesModel drives a table and a plain reference — a slice
+// of names and a map inverting it — through the same seeded mix of
+// Index, Intern and Name. The pool holds more names than Intern may add,
+// and groups whose cache hash collides (same length and first, middle
+// and last bytes, as "aXbYc" and "aZbYc"), so the cache is overwritten
+// between hits and a held name is found through the map.
+func TestNamesMatchesModel(t *testing.T) {
+	if nameHash("aXbYc") != nameHash("aZbYc") || nameHash("aXbYc") != nameHash([]byte("aZbYc")) {
+		t.Fatal("names alike in length and first, middle and last bytes hash apart")
+	}
+	var pool []string
+	for g := range 40 {
+		for v := range 8 { // a group of 8 names sharing one hash
+			b := []byte("a" + strconv.Itoa(g) + "-xx-b-yy-" + strconv.Itoa(g) + "c")
+			b[len(b)/2-2], b[len(b)/2+2] = byte('A'+v), byte('z'-v)
+			if pool = append(pool, string(b)); nameHash(b) != nameHash(pool[8*g]) {
+				t.Fatalf("%q and %q hash apart", b, pool[8*g])
+			}
+		}
+	}
+	for i := range 1200 {
+		pool = append(pool, "h"+strconv.Itoa(i))
+	}
+	n := NewNames()
+	model, index := []string{""}, map[string]uint32{"": 0}
+	rng := rand.New(rand.NewSource(1))
+	for step := range 60000 {
+		s := ""
+		if rng.Intn(20) != 0 {
+			s = pool[rng.Intn(len(pool))]
+		}
+		want, held := index[s]
+		op := rng.Intn(3)
+		switch op {
+		case 0:
+			if !held {
+				want = uint32(len(model))
+				model, index[s] = append(model, s), want
+			}
+			if got := n.Index(s); got != want {
+				t.Fatalf("step %d: Index(%q) = %d, want %d", step, s, got, want)
+			}
+		case 1:
+			got := n.Intern([]byte(s))
+			if !held && len(model) < 1024 {
+				model, index[s], held = append(model, s), uint32(len(model)), true
+			}
+			if got != s || held && s != "" && unsafe.StringData(got) != unsafe.StringData(n.Name(index[s])) {
+				t.Fatalf("step %d: Intern(%q) = %q, not the table's own (held %v)", step, s, got, held)
+			}
+		case 2:
+			i := uint32(rng.Intn(len(model)))
+			if got := n.Name(i); got != model[i] {
+				t.Fatalf("step %d: Name(%d) = %q, want %q", step, i, got, model[i])
+			}
+		}
+		if n.Len() != len(model) {
+			t.Fatalf("step %d: %d names, want %d", step, n.Len(), len(model))
+		}
+		if i, ok := n.Cached(s); op < 2 && held && (!ok || i != index[s]) {
+			t.Fatalf("step %d: %q is not cached right after its lookup", step, s)
+		}
+	}
+	if len(model) <= 1024 || len(n.index) != len(model)-1 {
+		t.Fatalf("the table holds %d names (index %d): Index never went past Intern's bound", len(model), len(n.index))
+	}
+	for s, i := range index {
+		if got, ok := n.Cached(s); ok && got != i {
+			t.Errorf("Cached(%q) = %d, want %d", s, got, i)
+		}
+	}
+}
+
+// TestNamesZeroAllocs pins the hit paths: a held name costs no
+// allocation through Cached, Index or Intern, whether the cache holds it
+// or, displaced by a name of the same hash, the map does.
+func TestNamesZeroAllocs(t *testing.T) {
+	n := NewNames()
+	held := []string{"vax1", "vax2", "felipe", "aXbYc", "aZbYc"}
+	bytes := make([][]byte, len(held))
+	for i, s := range held {
+		n.Index(s)
+		bytes[i] = []byte(s)
+	}
+	i := 0
+	for name, f := range map[string]func(){
+		"Cached": func() { n.Cached(held[i%len(held)]) },
+		"Index":  func() { n.Index(held[i%len(held)]) },
+		"Intern": func() { n.Intern(bytes[i%len(bytes)]) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, func() { f(); i++ }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs a held name, want 0", name, allocs)
+		}
+	}
+	if n.Len() != len(held)+1 {
+		t.Errorf("the table holds %d names, want %d", n.Len(), len(held)+1)
 	}
 }

@@ -645,13 +645,7 @@ func (n *Network) HandleDatagram(host string, port uint16, fn func(from Addr, pa
 // dropped if the destination is unreachable or has no handler, like
 // UDP.
 func (n *Network) SendDatagram(from, to Addr, payload []byte) {
-	n.SendDatagramCtx(from, to, payload, trace.Context{})
-}
-
-// SendDatagramCtx is SendDatagram under a trace context; when ctx is
-// valid the datagram's per-hop transit is recorded as spans.
-func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Context) {
-	ev := event{from: from, to: to, size: len(payload), ctx: ctx}
+	ev := event{from: from, to: to, size: len(payload)}
 	n.emit(journal.NetSend, ev.as(from.Host, ""))
 	if !n.Reachable(from.Host, to.Host) {
 		n.emit(journal.NetDrop, ev.as(from.Host, "unreachable"))
@@ -661,13 +655,12 @@ func (n *Network) SendDatagramCtx(from, to Addr, payload []byte, ctx trace.Conte
 		n.emit(journal.NetDrop, ev.as(from.Host, "injected"))
 		return
 	}
-	n.traceTransit(ctx, from.Host, to.Host, len(payload), false)
 	delay := n.transit(from.Host, to.Host, len(payload))
 	n.observeTransit(delay)
 	body := n.copyBuf(payload)
 	n.sched.After(delay, func() {
 		defer n.putBuf(body)
-		ev := event{from: from, to: to, size: len(body), ctx: ctx}
+		ev := event{from: from, to: to, size: len(body)}
 		nd, ok := n.hosts[to.Host]
 		if !ok || !nd.up || !n.Reachable(from.Host, to.Host) {
 			n.emit(journal.NetDrop, ev.as(to.Host, "lost"))

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"ppm/internal/auth"
 	"ppm/internal/calib"
 	"ppm/internal/proc"
 	"ppm/internal/status"
@@ -316,6 +318,40 @@ func TestBodyAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
 			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestDecodeHopNamesStayBounded: bodies naming 5,000 distinct hosts,
+// decoded through DecodeHop into one user's table, fill it only to its
+// bound of 1,024 names, so peers naming ever-new hosts pin no more; each
+// string still reads as its bytes, and a name held before decodes with
+// no allocation.
+func TestDecodeHopNamesStayBounded(t *testing.T) {
+	names := auth.NewDirectory().AddUser("felipe").Names
+	decode := func(host string) {
+		body := wire.Encode(&wire.Control{User: "felipe", Target: proc.GPID{Host: host, PID: 31}, Op: wire.OpStop})
+		var req wire.Control
+		if err := wire.DecodeHop(body, &req, names); err != nil || req.User != "felipe" || req.Target.Host != host {
+			t.Fatalf("%q decoded as %q on %q (%v)", host, req.User, req.Target.Host, err)
+		}
+	}
+	for i := range 5000 {
+		decode(fmt.Sprintf("host%04d", i))
+	}
+	if names.Len() != 1024 {
+		t.Fatalf("the table holds %d names after 5,000 hosts, want its bound of 1,024", names.Len())
+	}
+	if last := names.Name(uint32(names.Len() - 1)); last != "host1021" {
+		t.Errorf("the last name held is %q, want host1021", last)
+	}
+	held := wire.Encode(&wire.Control{User: "felipe", Target: proc.GPID{Host: "host0007", PID: 31}, Op: wire.OpStop})
+	if allocs := testing.AllocsPerRun(100, func() {
+		var req wire.Control
+		if wire.DecodeHop(held, &req, names) != nil {
+			t.Fatal("bad decode")
+		}
+	}); allocs != 0 {
+		t.Errorf("a held name decodes with %.0f allocs, want 0", allocs)
 	}
 }
 

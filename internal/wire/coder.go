@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ppm/internal/proc"
+	"ppm/internal/ring"
 )
 
 // Message is a body that crosses the wire. Fields visits every field
@@ -54,7 +55,7 @@ func Decode(b []byte, m Message) error {
 // without copying it: byte fields and wire-form lists alias b, and each
 // string is read through names, so a host name seen before costs no
 // allocation.
-func DecodeHop(b []byte, m Message, names Names) error {
+func DecodeHop(b []byte, m Message, names *ring.Names) error {
 	c := Coder{d: decoder{buf: b}, decoding: true, names: names}
 	m.Fields(&c)
 	return c.d.err
@@ -70,21 +71,7 @@ type Coder struct {
 	// skipping reads past strings without materializing them: the walk
 	// a List runs over its elements to find where they end.
 	skipping bool
-	names    Names // DecodeHop's walk
-}
-
-// Names interns the names read off the wire (DESIGN.md §10). It keeps
-// at most 1,024, which bounds what a peer naming ever-new ones can pin.
-type Names map[string]string
-
-func (n Names) intern(b []byte) string {
-	s, ok := n[string(b)]
-	if !ok {
-		if s = string(b); len(n) < 1024 {
-			n[s] = s
-		}
-	}
-	return s
+	names    *ring.Names // DecodeHop's walk
 }
 
 // Size preallocates the encode buffer for a body of about n bytes; the
@@ -182,7 +169,7 @@ func (c *Coder) Str(p *string) {
 	case c.skipping:
 		c.d.raw()
 	case c.names != nil:
-		*p = c.names.intern(c.d.raw())
+		*p = c.names.Intern(c.d.raw())
 	default:
 		*p = c.d.String()
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ppm/internal/proc"
+	"ppm/internal/ring"
 )
 
 // List is a counted list held in its wire form: the element count and
@@ -112,7 +113,7 @@ func (l *List[T]) Reset() { *l = List[T]{b: l.b[:0]} }
 
 // Values decodes the elements, each string read through names as
 // DecodeHop reads it (nil: copied).
-func (l List[T]) Values(names Names) []T {
+func (l List[T]) Values(names *ring.Names) []T {
 	if l.n == 0 {
 		return nil
 	}

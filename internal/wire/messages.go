@@ -8,6 +8,7 @@ import (
 	"ppm/internal/calib"
 	"ppm/internal/journal"
 	"ppm/internal/proc"
+	"ppm/internal/ring"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
 )
@@ -918,7 +919,7 @@ func (m *FloodResult) Reset() {
 // five lists appended byte for byte. echo is a BroadcastResp body, read
 // in place (see DecodeHop); a duplicate's echo adds nothing. An echo
 // Decode would reject is rejected, and m left as it was.
-func (m *FloodResult) Splice(echo []byte, names Names) error {
+func (m *FloodResult) Splice(echo []byte, names *ring.Names) error {
 	var resp BroadcastResp
 	var res FloodResult
 	err := DecodeHop(echo, &resp, names)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ppm/internal/proc"
+	"ppm/internal/ring"
 )
 
 // floodRef is FloodResult as it crossed the wire before its lists
@@ -147,7 +148,7 @@ func randEcho(rng *rand.Rand) []byte {
 // arrival buffer is once its dispatch returns: the aggregate must keep
 // none of it.
 func spliced(t *testing.T, echoes [][]byte) (got, want []byte) {
-	names := Names{}
+	names := ring.NewNames()
 	local := floodRef{OK: true, Count: 3, Procs: []proc.Info{{ID: proc.GPID{Host: "hop", PID: 7}, Name: "w"}}}
 	agg := FloodResult{OK: true, Count: local.Count, Procs: ListOf(local.Procs...)}
 	agg.Hosts.Add("hop")

@@ -145,41 +145,40 @@ func (d *Directory) VerifyToken(user, purpose string, token []byte) error {
 // which hosts share administrative authority. The PPM only spans hosts
 // that trust each other.
 type Trust struct {
-	trusted map[string]map[string]bool
+	domains []map[string]bool  // each AllowAll call's hosts
+	pairs   map[[2]string]bool // Allow's pairs: [a, b] when a trusts b
 }
 
 // NewTrust returns an empty trust relation.
 func NewTrust() *Trust {
-	return &Trust{trusted: make(map[string]map[string]bool)}
+	return &Trust{pairs: make(map[[2]string]bool)}
 }
 
 // AllowAll establishes mutual trust among all the named hosts (the
-// common case: one administrative domain).
+// common case: one administrative domain). The set is kept once, not
+// as a pair per two hosts.
 func (t *Trust) AllowAll(hosts ...string) {
-	for _, a := range hosts {
-		for _, b := range hosts {
-			t.Allow(a, b)
-		}
+	dom := make(map[string]bool, len(hosts))
+	for _, h := range hosts {
+		dom[h] = true
 	}
+	t.domains = append(t.domains, dom)
 }
 
 // Allow records that host a trusts host b.
 func (t *Trust) Allow(a, b string) {
-	m, ok := t.trusted[a]
-	if !ok {
-		m = make(map[string]bool)
-		t.trusted[a] = m
-	}
-	m[b] = true
+	t.pairs[[2]string{a, b}] = true
 }
 
 // Check returns an error unless host a trusts host b.
 func (t *Trust) Check(a, b string) error {
-	if a == b {
+	if a == b || t.pairs[[2]string{a, b}] {
 		return nil
 	}
-	if m, ok := t.trusted[a]; ok && m[b] {
-		return nil
+	for _, dom := range t.domains {
+		if dom[a] && dom[b] {
+			return nil
+		}
 	}
 	return fmt.Errorf("%w: %s does not trust %s", ErrNotTrusted, a, b)
 }

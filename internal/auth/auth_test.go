@@ -151,6 +151,37 @@ func TestTrustAllowAll(t *testing.T) {
 	if err := tr.Check("a", "outsider"); err == nil {
 		t.Fatal("outsider trusted")
 	}
+
+	// Two domains, disjoint but for "c": each trusts within itself
+	// only, and "c", in both, trusts and is trusted by all.
+	tr.AllowAll("c", "d", "e")
+	for _, tc := range []struct {
+		a, b  string
+		trust bool
+	}{
+		{"d", "e", true}, {"c", "e", true}, {"e", "a", false}, {"a", "e", false},
+		{"b", "d", false}, {"c", "a", true}, {"d", "c", true}, {"a", "c", true},
+	} {
+		if err := tr.Check(tc.a, tc.b); (err == nil) != tc.trust || (err != nil && !errors.Is(err, ErrNotTrusted)) {
+			t.Errorf("two domains: Check(%s,%s) = %v, want trusted %v", tc.a, tc.b, err, tc.trust)
+		}
+	}
+
+	// Allow adds one directed pair across the domains, and nothing more.
+	tr.Allow("a", "e")
+	for _, tc := range []struct {
+		a, b  string
+		trust bool
+	}{
+		{"a", "e", true}, {"e", "a", false}, {"a", "d", false}, {"b", "e", false}, {"a", "b", true},
+	} {
+		if err := tr.Check(tc.a, tc.b); (err == nil) != tc.trust {
+			t.Errorf("with Allow(a,e): Check(%s,%s) = %v, want trusted %v", tc.a, tc.b, err, tc.trust)
+		}
+	}
+	if err := tr.Check("e", "a"); err == nil || err.Error() != "auth: host not trusted: e does not trust a" {
+		t.Errorf("refusal reads %v", err)
+	}
 }
 
 // Property: a token only verifies for the exact (user, purpose) pair it

@@ -251,43 +251,80 @@ func QueryLPM(net *simnet.Network, fromHost string, targetHost string,
 // "pmd.query" child of ctx.
 func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
 	user *auth.User, ctx trace.Context, cb func(wire.LPMQueryResp, error)) {
-	rec := net.Recorder()
-	sp := rec.Tracer().StartSpan(fromHost, "pmd.query."+targetHost, ctx)
-	qctx := sp.Context()
-	if !qctx.Valid() {
-		qctx = ctx
+	new(Query).Start(net, fromHost, targetHost, user, ctx, answerFunc(cb))
+}
+
+// An Answerer is told a pmd query's answer.
+type Answerer interface {
+	Answered(wire.LPMQueryResp, error)
+}
+
+type answerFunc func(wire.LPMQueryResp, error)
+
+func (f answerFunc) Answered(resp wire.LPMQueryResp, err error) { f(resp, err) }
+
+// A Query is one pmd query in flight and its only record: its span,
+// its circuit and where its answer goes. QueryLPMCtx allocates one; a
+// caller that keeps a record per query embeds one and calls Start.
+type Query struct {
+	rec  *journal.Recorder
+	from string
+	user *auth.User
+	ctx  trace.Context // the query's span's, or the caller's
+	sp   *trace.Span
+	conn *simnet.Conn
+	to   Answerer
+}
+
+// Start is QueryLPMCtx into q, answering to.
+func (q *Query) Start(net *simnet.Network, fromHost, targetHost string,
+	user *auth.User, ctx trace.Context, to Answerer) {
+	*q = Query{rec: net.Recorder(), from: fromHost, user: user, to: to}
+	if ctx.Valid() { // the name is built only for a span that will exist
+		q.sp = q.rec.Tracer().StartSpan(fromHost, "pmd.query."+targetHost, ctx)
 	}
-	done := func(resp wire.LPMQueryResp, err error) {
-		sp.End()
-		cb(resp, err)
+	if q.ctx = q.sp.Context(); !q.ctx.Valid() {
+		q.ctx = ctx
 	}
-	to := simnet.Addr{Host: targetHost, Port: PortInetd}
-	net.DialCtx(fromHost, to, qctx, func(conn *simnet.Conn, err error) {
-		if err != nil {
-			done(wire.LPMQueryResp{}, err)
-			return
-		}
-		conn.SetHandler(func(b []byte) {
-			env, derr := wire.DecodeEnvelopeLogged(b, rec, fromHost)
-			if derr != nil {
-				done(wire.LPMQueryResp{}, derr)
-				conn.Close()
-				return
-			}
-			var resp wire.LPMQueryResp
-			derr = wire.Decode(env.Body, &resp)
-			conn.Close()
-			done(resp, derr)
-		})
-		conn.SetCloseHandler(func(cerr error) {
-			if cerr != nil {
-				done(wire.LPMQueryResp{}, cerr)
-			}
-		})
-		q := wire.LPMQuery{User: user.Name, Token: auth.MintToken(user, "pmd")}
-		env := wire.Envelope{Type: wire.MsgLPMQuery, ReqID: 1, Body: wire.Encode(&q)}
-		env.SetTrace(qctx.Trace, qctx.Span)
-		//ppmlint:allow errdrop query send is fire-and-forget; a lost frame surfaces as the caller's timeout
-		_ = wire.Send(conn, env, rec, fromHost)
-	})
+	net.DialTo(fromHost, simnet.Addr{Host: targetHost, Port: PortInetd}, q.ctx, q)
+}
+
+func (q *Query) done(resp wire.LPMQueryResp, err error) {
+	q.sp.End()
+	q.to.Answered(resp, err)
+}
+
+// Dialed sends the query on its circuit to inetd.
+func (q *Query) Dialed(conn *simnet.Conn, err error) {
+	if err != nil {
+		q.done(wire.LPMQueryResp{}, err)
+		return
+	}
+	q.conn = conn
+	conn.SetHandler(q.onReply)
+	conn.SetCloseHandler(q.onClose)
+	msg := wire.LPMQuery{User: q.user.Name, Token: auth.MintToken(q.user, "pmd")}
+	env := wire.Envelope{Type: wire.MsgLPMQuery, ReqID: 1, Body: wire.Encode(&msg)}
+	env.SetTrace(q.ctx.Trace, q.ctx.Span)
+	//ppmlint:allow errdrop query send is fire-and-forget; a lost frame surfaces as the caller's timeout
+	_ = wire.Send(conn, env, q.rec, q.from)
+}
+
+func (q *Query) onReply(b []byte) {
+	env, err := wire.DecodeEnvelopeLogged(b, q.rec, q.from)
+	if err != nil {
+		q.done(wire.LPMQueryResp{}, err)
+		q.conn.Close()
+		return
+	}
+	var resp wire.LPMQueryResp
+	err = wire.Decode(env.Body, &resp)
+	q.conn.Close()
+	q.done(resp, err)
+}
+
+func (q *Query) onClose(err error) {
+	if err != nil {
+		q.done(wire.LPMQueryResp{}, err)
+	}
 }

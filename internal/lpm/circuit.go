@@ -22,11 +22,11 @@ func (l *LPM) circuitTransition(peer, chanKey string, to journal.CircuitState, r
 
 // --- adaptive failure detection (linktest heartbeats) ---
 
-// scheduleLinktest arms the next detector tick for a circuit. The
-// period doubles as both the heartbeat interval and the suspicion
-// evaluation cadence.
+// scheduleLinktest arms the next detector tick for a circuit with its
+// tick, bound once at registration. The period doubles as both the
+// heartbeat interval and the suspicion evaluation cadence.
 func (l *LPM) scheduleLinktest(sb *sibling) {
-	sb.ltTimer = l.sched.After(l.cfg.Linktest, func() { l.linktestTick(sb) })
+	sb.ltTimer = l.sched.After(l.cfg.Linktest, sb.tick)
 }
 
 // linktestTick is one detector step for one circuit: evaluate the

@@ -50,6 +50,25 @@ var (
 	ErrBadRequest = errors.New("lpm: bad request")
 )
 
+// fault is a failed reach of a peer's LPM — a dial, a Hello, a request
+// — as data: Error builds the text only when read, and Unwrap gives the
+// sentinel alone. format's operands are host, then detail if set.
+type fault struct {
+	is           error // ErrNoSibling or ErrTimeout
+	format, host string
+	detail       any // a cause, a reason, a message type
+}
+
+func (f *fault) Error() string {
+	args := []any{f.host, f.detail}
+	if f.detail == nil {
+		args = args[:1]
+	}
+	return f.is.Error() + ": " + fmt.Sprintf(f.format, args...)
+}
+
+func (f *fault) Unwrap() error { return f.is }
+
 // firstErr is how a reply ladder chains on one error: the call's own
 // failure wins, else the reply's decode error (decoding the empty body
 // of a failed call is harmless, and its error is dropped here).
@@ -243,20 +262,26 @@ type sibling struct {
 	det            detect.Detector
 	suspicion      int
 	suspicionGauge *metrics.Gauge // resolved by name on the first tick
-	// ltTimer drives the periodic linktest tick; ltSeq numbers the
-	// heartbeat frames.
+	// ltTimer arms tick, the linktest step bound once at registration;
+	// ltSeq numbers the heartbeat frames.
 	ltTimer sim.Timer
+	tick    func()
 	ltSeq   uint64
 }
 
-// dialState tracks one in-flight circuit establishment: the queued
-// callbacks, the establish span (ended exactly once), and whether the
-// dial has settled — through its own error paths or through an
-// inbound circuit completing it first (cross-dial).
-type dialState struct {
-	cbs  []func(*sibling, error)
-	done bool
-	span *trace.Span
+// dial is one circuit establishment in flight (Figure 2: pmd query,
+// dial, Hello) and its only record: the query is embedded, each step is
+// a method, the first callback sits in cb. Not pooled: a late query or
+// dial callback reads done after the dial has settled.
+type dial struct {
+	l     *LPM
+	host  string
+	ctx   trace.Context // the establish span's, or the caller's
+	span  *trace.Span
+	query daemon.Query
+	cb    func(*sibling, error)
+	more  []func(*sibling, error)
+	done  bool
 }
 
 // pendingReq is one sibling call and its only record across retries;
@@ -303,7 +328,7 @@ type LPM struct {
 	myPids map[proc.PID]bool
 
 	siblings map[string]*sibling
-	dialing  map[string]*dialState
+	dialing  map[string]*dial
 	// circuits is the explicit per-peer circuit lifecycle machine;
 	// every step is journaled under journal.CircuitTransition.
 	circuits map[string]journal.CircuitState
@@ -399,7 +424,7 @@ func New(kern *kernel.Host, net *simnet.Network, dir *auth.Directory, dmns *daem
 		accept:     simnet.Addr{Host: kern.Name(), Port: acceptPort},
 		myPids:     make(map[proc.PID]bool),
 		siblings:   make(map[string]*sibling),
-		dialing:    make(map[string]*dialState),
+		dialing:    make(map[string]*dial),
 		circuits:   make(map[string]journal.CircuitState),
 		knownHosts: make(map[string]bool),
 		routes:     make(map[string][]string),

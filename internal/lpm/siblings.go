@@ -5,7 +5,6 @@ import (
 
 	"ppm/internal/auth"
 	"ppm/internal/calib"
-	"ppm/internal/daemon"
 	"ppm/internal/detect"
 	"ppm/internal/detord"
 	"ppm/internal/journal"
@@ -105,7 +104,7 @@ func (l *LPM) handleHello(conn *simnet.Conn, reqID uint64, hello wire.Hello, ctx
 	// the inbound Hello while its own dial is still in flight; the
 	// higher host sees the "cross-dial" reason, abandons its outbound
 	// attempt, and waits for the winner's Hello to land.
-	if ds, ok := l.dialing[hello.FromHost]; ok && !ds.done && l.Host() < hello.FromHost {
+	if d, ok := l.dialing[hello.FromHost]; ok && !d.done && l.Host() < hello.FromHost {
 		l.obs.Metrics().Counter("lpm.crossdial.rejects").Inc()
 		reject("cross-dial")
 		return
@@ -173,12 +172,15 @@ func (l *LPM) registerSibling(host string, conn *simnet.Conn, inc uint64) {
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
 	if l.cfg.Linktest > 0 {
+		sb.tick = func() { l.linktestTick(sb) }
 		l.scheduleLinktest(sb)
 	}
 	// An inbound establishment serves any dial in flight to the same
 	// host: the queued callbacks get this circuit instead of waiting
 	// for (or cross-dialing against) the outbound attempt.
-	l.completeDial(host, sb)
+	if d, ok := l.dialing[host]; ok {
+		d.settle(sb, nil)
+	}
 	l.rec.OnSiblingUp(host)
 	l.touch()
 }
@@ -199,7 +201,7 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 	// would let error callbacks race each other across identical runs).
 	for _, id := range detord.Keys(l.pending) {
 		if pr := l.pending[id]; pr != nil && pr.host == sb.host {
-			l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %s", ErrNoSibling, sb.host))
+			l.complete(pr, wire.Envelope{}, &fault{ErrNoSibling, "%s", sb.host, nil})
 		}
 	}
 	if err != nil && !l.exited {
@@ -215,6 +217,8 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 // demand. Concurrent requests for the same host coalesce. The pmd
 // query, the dial handshake and the Hello exchange all record spans
 // under a "circuit.establish" child of ctx.
+//
+//ppmlint:hotpath pin=TestUnreachableDialAllocs
 func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, error)) {
 	if l.exited {
 		cb(nil, ErrExited)
@@ -228,76 +232,66 @@ func (l *LPM) ensureSibling(ctx trace.Context, host string, cb func(*sibling, er
 		l.sched.Defer(func() { cb(sb, nil) })
 		return
 	}
-	if ds, ok := l.dialing[host]; ok {
-		ds.cbs = append(ds.cbs, cb)
+	if d, ok := l.dialing[host]; ok {
+		d.more = append(d.more, cb)
 		return
 	}
-	csp := l.obs.Tracer().StartSpan(l.Host(), "circuit.establish."+host, ctx)
-	ds := &dialState{cbs: []func(*sibling, error){cb}, span: csp}
-	l.dialing[host] = ds
+	d := &dial{l: l, host: host, cb: cb}
+	if ctx.Valid() { // the name is built only for a span that will exist
+		d.span = l.obs.Tracer().StartSpan(l.Host(), "circuit.establish."+host, ctx)
+	}
+	if d.ctx = d.span.Context(); !d.ctx.Valid() {
+		d.ctx = ctx
+	}
+	l.dialing[host] = d
 	l.circuitTransition(host, "-", journal.CircuitDialing, "dial", 0)
-	cctx := csp.Context()
-	if !cctx.Valid() {
-		cctx = ctx
-	}
-	finish := func(sb *sibling, err error) { l.settleDial(host, ds, sb, err) }
-	daemon.QueryLPMCtx(l.net, l.Host(), host, l.user, cctx, func(resp wire.LPMQueryResp, err error) {
-		if ds.done { // an inbound circuit settled the dial meanwhile
-			return
-		}
-		if l.exited {
-			finish(nil, ErrExited)
-			return
-		}
-		if err != nil {
-			finish(nil, fmt.Errorf("%w: query %s: %v", ErrNoSibling, host, err))
-			return
-		}
-		if !resp.OK {
-			finish(nil, fmt.Errorf("%w: pmd on %s: %s", ErrNoSibling, host, resp.Reason))
-			return
-		}
-		to := simnet.Addr{Host: resp.AcceptHost, Port: resp.AcceptPort}
-		l.net.DialCtx(l.Host(), to, cctx, func(conn *simnet.Conn, err error) {
-			if err == nil && ds.done {
-				conn.Close()
-				return
-			}
-			if err != nil {
-				finish(nil, fmt.Errorf("%w: dial %s: %v", ErrNoSibling, host, err))
-				return
-			}
-			l.helloTo(cctx, host, conn, finish)
-		})
-	})
+	d.query.Start(l.net, l.Host(), host, l.user, d.ctx, d)
 }
 
-// settleDial settles one dial to host exactly once — through
-// ensureSibling's error paths, the dialed circuit's own Hello, or an
-// inbound circuit landing first (completeDial). Whichever runs first
-// ends the establish span and drains the callback queue; later calls
-// no-op.
-func (l *LPM) settleDial(host string, ds *dialState, sb *sibling, err error) {
-	if ds.done {
+// Answered dials the accept address the pmd answered with.
+func (d *dial) Answered(resp wire.LPMQueryResp, err error) {
+	switch l := d.l; {
+	case d.done: // an inbound circuit settled the dial meanwhile
+	case l.exited:
+		d.settle(nil, ErrExited)
+	case err != nil:
+		d.settle(nil, &fault{ErrNoSibling, "query %s: %v", d.host, err})
+	case !resp.OK:
+		d.settle(nil, &fault{ErrNoSibling, "pmd on %s: %s", d.host, resp.Reason})
+	default:
+		l.net.DialTo(l.Host(), simnet.Addr{Host: resp.AcceptHost, Port: resp.AcceptPort}, d.ctx, d)
+	}
+}
+
+// Dialed says Hello on the circuit to the accept address.
+func (d *dial) Dialed(conn *simnet.Conn, err error) {
+	switch {
+	case err != nil:
+		d.settle(nil, &fault{ErrNoSibling, "dial %s: %v", d.host, err})
+	case d.done:
+		conn.Close()
+	default:
+		d.l.helloTo(d.ctx, d.host, conn, d.settle)
+	}
+}
+
+// settle settles the dial exactly once — through its own error paths,
+// the dialed circuit's Hello, or an inbound circuit landing first
+// (registerSibling). Whichever runs first ends the establish span and
+// drains the callbacks; later calls no-op.
+func (d *dial) settle(sb *sibling, err error) {
+	if d.done {
 		return
 	}
-	ds.done = true
-	ds.span.End()
-	delete(l.dialing, host)
+	d.done = true
+	d.span.End()
+	delete(d.l.dialing, d.host)
 	if err != nil {
-		l.circuitTransition(host, "-", journal.CircuitClosed, "dial-failed", 0)
+		d.l.circuitTransition(d.host, "-", journal.CircuitClosed, "dial-failed", 0)
 	}
-	for _, f := range ds.cbs {
+	d.cb(sb, err)
+	for _, f := range d.more {
 		f(sb, err)
-	}
-}
-
-// completeDial settles an in-flight dial to host with an already
-// registered circuit (the inbound leg of a cross-dial, or a redial
-// racing an inbound Hello): every queued callback receives sb.
-func (l *LPM) completeDial(host string, sb *sibling) {
-	if ds, ok := l.dialing[host]; ok {
-		l.settleDial(host, ds, sb, nil)
 	}
 }
 
@@ -328,7 +322,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 		env, err := wire.DecodeEnvelopeLogged(b, l.obs, l.Host())
 		if err != nil || env.Type != wire.MsgHelloResp {
 			conn.Close()
-			finish(nil, fmt.Errorf("%w: bad hello reply from %s", ErrNoSibling, host))
+			finish(nil, &fault{ErrNoSibling, "bad hello reply from %s", host, nil})
 			return
 		}
 		var resp wire.HelloResp
@@ -339,16 +333,16 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				// right now (it only rejects with this reason while
 				// its own dial to us is in flight): its Hello is
 				// already on the wire and will settle this dial via
-				// completeDial. Keep the dial open for it, bounded by
+				// registerSibling. Keep the dial open for it, bounded by
 				// a safety timeout in case the winning circuit dies
 				// mid-handshake.
 				l.obs.Metrics().Counter("lpm.crossdial.yields").Inc()
 				l.sched.After(l.cfg.RequestTimeout, func() {
-					finish(nil, fmt.Errorf("%w: cross-dial yield to %s never completed", ErrNoSibling, host))
+					finish(nil, &fault{ErrNoSibling, "cross-dial yield to %s never completed", host, nil})
 				})
 				return
 			}
-			finish(nil, fmt.Errorf("%w: %s rejected hello: %s", ErrNoSibling, host, resp.Reason))
+			finish(nil, &fault{ErrNoSibling, "%s rejected hello: %s", host, resp.Reason})
 			return
 		}
 		inc := resp.Inc // copied out: capturing the decoded-into resp would move it to the heap
@@ -360,7 +354,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 				// (the close handler already no-opped: answered is set).
 				// Registering it would park a dead conn in Established.
 				l.obs.Metrics().Counter("lpm.hello.dead_conn").Inc()
-				finish(nil, fmt.Errorf("%w: circuit to %s closed during hello", ErrNoSibling, host))
+				finish(nil, &fault{ErrNoSibling, "circuit to %s closed during hello", host, nil})
 				return
 			}
 			l.registerSibling(host, conn, inc)
@@ -370,7 +364,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 	conn.SetCloseHandler(func(err error) {
 		if !answered {
 			settle()
-			finish(nil, fmt.Errorf("%w: circuit to %s broke during hello", ErrNoSibling, host))
+			finish(nil, &fault{ErrNoSibling, "circuit to %s broke during hello", host, nil})
 		}
 	})
 	// Bound the handshake: a hello whose reply is lost would otherwise
@@ -384,7 +378,7 @@ func (l *LPM) helloTo(ctx trace.Context, host string, conn *simnet.Conn, finish 
 		answered = true
 		l.obs.Metrics().Counter("lpm.hello.timeouts").Inc()
 		conn.Close()
-		finish(nil, fmt.Errorf("%w: hello to %s timed out", ErrNoSibling, host))
+		finish(nil, &fault{ErrNoSibling, "hello to %s timed out", host, nil})
 	})
 	esp := l.obs.Tracer().StartSpan(l.Host(), "dispatch.endpoint", ctx)
 	l.kern.ExecCPU(calib.SiblingEndpoint, func() {
@@ -477,7 +471,7 @@ func (h *hop) fire() {
 	case request && !sb.conn.Open():
 		// The circuit closed before it went out (maybe before it was registered): fail it now.
 		l.obs.Metrics().Counter("lpm.request.dead_circuit").Inc()
-		l.complete(l.pending[env.ReqID], wire.Envelope{}, fmt.Errorf("%w: %s circuit closed", ErrNoSibling, sb.host))
+		l.complete(l.pending[env.ReqID], wire.Envelope{}, &fault{ErrNoSibling, "%s circuit closed", sb.host, nil})
 	case out && sb.conn.Open():
 		//ppmlint:allow errdrop a lost request is the retry engine's, a lost reply the requester's timeout, a lost one-way tolerated
 		_ = wire.Send(sb.conn, env, l.obs, l.Host())
@@ -581,5 +575,5 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 
 func (pr *pendingReq) onTimeout() {
 	pr.l.obs.Record(journal.LPMTimeout, pr.l.Host(), pr.rctx, journal.Timeout(pr.l.user.Name, pr.sb.host, pr.t.String(), pr.op))
-	pr.l.complete(pr, wire.Envelope{}, fmt.Errorf("%w: %v to %s", ErrTimeout, pr.t, pr.sb.host))
+	pr.l.complete(pr, wire.Envelope{}, &fault{ErrTimeout, "%[2]v to %[1]s", pr.sb.host, pr.t})
 }

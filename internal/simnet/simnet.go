@@ -899,28 +899,45 @@ func (n *Network) CloseListen(host string, port uint16) {
 // runs after the simulated handshake with either an open Conn or an
 // error (refused, unreachable, host down).
 func (n *Network) Dial(fromHost string, to Addr, cb func(*Conn, error)) {
-	n.DialCtx(fromHost, to, trace.Context{}, cb)
+	n.DialTo(fromHost, to, trace.Context{}, dialFunc(cb))
 }
 
 // DialCtx is Dial under a trace context; when ctx is valid the SYN and
 // SYN-ACK legs of the handshake are recorded as per-hop spans.
 func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*Conn, error)) {
+	n.DialTo(fromHost, to, ctx, dialFunc(cb))
+}
+
+// A Dialer is told how a dial ended: with an open Conn or an error.
+type Dialer interface{ Dialed(*Conn, error) }
+
+type dialFunc func(*Conn, error)
+
+func (f dialFunc) Dialed(c *Conn, err error) { f(c, err) }
+
+// unreachable is ErrUnreachable as data: its text is built when read.
+type unreachable struct{ from, to string }
+
+func (e *unreachable) Error() string { return ErrUnreachable.Error() + ": " + e.from + " -> " + e.to }
+func (e *unreachable) Unwrap() error { return ErrUnreachable }
+
+// DialTo is DialCtx reporting to a Dialer: a caller that keeps one
+// record per dial passes the record and allocates no callback.
+func (n *Network) DialTo(fromHost string, to Addr, ctx trace.Context, cb Dialer) {
 	n.rec.Metrics().Handle(&n.counters.dialAttempts, "simnet.dial.attempts").Inc()
 	src, ok := n.hosts[fromHost]
 	if !ok {
-		n.sched.Defer(func() { cb(nil, fmt.Errorf("%w: %s", ErrUnknownHost, fromHost)) })
+		n.sched.Defer(func() { cb.Dialed(nil, fmt.Errorf("%w: %s", ErrUnknownHost, fromHost)) })
 		return
 	}
 	if !src.up {
-		n.sched.Defer(func() { cb(nil, fmt.Errorf("%w: %s", ErrHostDown, fromHost)) })
+		n.sched.Defer(func() { cb.Dialed(nil, fmt.Errorf("%w: %s", ErrHostDown, fromHost)) })
 		return
 	}
 	if !n.Reachable(fromHost, to.Host) {
 		// A connect() to an unreachable host times out; model with the
 		// break-detect delay.
-		n.sched.After(n.opts.BreakDetect, func() {
-			cb(nil, fmt.Errorf("%w: %s -> %s", ErrUnreachable, fromHost, to.Host))
-		})
+		n.sched.After(n.opts.BreakDetect, func() { cb.Dialed(nil, &unreachable{fromHost, to.Host}) })
 		return
 	}
 	src.nextPort++
@@ -930,14 +947,12 @@ func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*
 	n.sched.After(d, func() {
 		dst, ok := n.hosts[to.Host]
 		if !ok || !dst.up || !n.Reachable(fromHost, to.Host) {
-			n.sched.After(n.opts.BreakDetect, func() {
-				cb(nil, fmt.Errorf("%w: %s -> %s", ErrUnreachable, fromHost, to.Host))
-			})
+			n.sched.After(n.opts.BreakDetect, func() { cb.Dialed(nil, &unreachable{fromHost, to.Host}) })
 			return
 		}
 		acceptFn, ok := dst.listeners[to.Port]
 		if !ok {
-			n.sched.After(d, func() { cb(nil, fmt.Errorf("%w: %s", ErrNoListener, to)) })
+			n.sched.After(d, func() { cb.Dialed(nil, fmt.Errorf("%w: %s", ErrNoListener, to)) })
 			return
 		}
 		n.connSeq += 2
@@ -952,10 +967,10 @@ func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*
 		n.traceTransit(ctx, to.Host, fromHost, 64, true) // SYN-ACK
 		n.sched.After(d, func() {                        // SYN-ACK back to the dialer
 			if !client.open {
-				cb(nil, ErrConnClosed)
+				cb.Dialed(nil, ErrConnClosed)
 				return
 			}
-			cb(client, nil)
+			cb.Dialed(client, nil)
 		})
 	})
 }

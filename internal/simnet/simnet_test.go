@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +232,38 @@ func TestDialUnreachableTimesOut(t *testing.T) {
 	// Timeout should take the break-detect delay, not be instant.
 	if s.Now() < sim.Time(time.Second) {
 		t.Fatalf("timed out too fast: %v", s.Now())
+	}
+}
+
+// TestUnreachableReadsAsItsOldWrap: both legs' unreachable error — the
+// peer cut off when the dial starts, and while its SYN is in flight —
+// reads byte for byte as the fmt.Errorf it replaced, and errors.Is
+// answers as that wrap did.
+func TestUnreachableReadsAsItsOldWrap(t *testing.T) {
+	old := fmt.Errorf("%w: %s -> %s", ErrUnreachable, "a", "c")
+	for _, leg := range []string{"at dial", "in flight"} {
+		s, n := threeHostChain(t)
+		if leg == "at dial" {
+			if err := n.Partition([]string{"a", "b"}, []string{"c"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got error
+		n.Dial("a", Addr{"c", 1}, func(_ *Conn, err error) { got = err })
+		if leg == "in flight" {
+			_ = n.Crash("c")
+		}
+		if err := s.RunUntilIdle(100); err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.Error() != old.Error() {
+			t.Fatalf("%s: dial failed with %v, want %q", leg, got, old)
+		}
+		for _, target := range []error{ErrUnreachable, ErrHostDown, ErrConnClosed, ErrNoListener} {
+			if errors.Is(got, target) != errors.Is(old, target) {
+				t.Errorf("%s: errors.Is(%v, %v) = %v, its old wrap %v", leg, got, target, !errors.Is(old, target), errors.Is(old, target))
+			}
+		}
 	}
 }
 

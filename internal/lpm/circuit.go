@@ -10,14 +10,14 @@ import (
 // is a no-op, so call sites can drive the machine from every signal
 // (detector ticks, close handlers, supersede paths) without guarding
 // against repeats. level is the detector's, for reason "suspicion".
-func (l *LPM) circuitTransition(peer, chanKey string, to journal.CircuitState, reason string, level int) {
-	from := l.circuits[peer]
+func (l *LPM) circuitTransition(p *peer, chanKey string, to journal.CircuitState, reason string, level int) {
+	from := p.state
 	if from == to {
 		return
 	}
-	l.circuits[peer] = to
+	p.state = to
 	l.obs.Record(journal.CircuitTransition, l.Host(), l.obs.Tracer().Active(),
-		journal.CircuitStep(l.user.Name, peer, chanKey, from, to, reason, level))
+		journal.CircuitStep(l.user.Name, p.host, chanKey, from, to, reason, level))
 }
 
 // --- adaptive failure detection (linktest heartbeats) ---
@@ -42,15 +42,16 @@ func (l *LPM) linktestTick(sb *sibling) {
 	if l.exited {
 		return
 	}
-	if cur, ok := l.siblings[sb.host]; !ok || cur != sb || !sb.conn.Open() {
+	p := sb.peer
+	if p.sb != sb || !sb.conn.Open() {
 		return
 	}
 	now := l.sched.Now().Duration()
 	sb.suspicion = sb.det.Suspicion(now)
-	if sb.suspicionGauge == nil {
-		sb.suspicionGauge = l.obs.Metrics().Gauge("lpm.detector.suspicion." + sb.host)
+	if p.suspicion == nil {
+		p.suspicion = l.obs.Metrics().Gauge("lpm.detector.suspicion." + p.host)
 	}
-	sb.suspicionGauge.Set(int64(sb.suspicion))
+	p.suspicion.Set(int64(sb.suspicion))
 	if sb.suspicion >= closeAfter {
 		// The silence has outrun the estimate far enough that the peer
 		// is presumed gone: close the circuit. The close handler runs
@@ -58,13 +59,13 @@ func (l *LPM) linktestTick(sb *sibling) {
 		// notification); the transition is journaled first so the
 		// audit sees detector-initiated closes as such.
 		l.obs.Metrics().Counter("lpm.detector.closes").Inc()
-		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitClosed, "detector", 0)
+		l.circuitTransition(p, sb.chanKey, journal.CircuitClosed, "detector", 0)
 		sb.conn.Close()
 		return
 	}
-	if sb.suspicion >= suspectAfter && l.circuits[sb.host] == journal.CircuitEstablished {
+	if sb.suspicion >= suspectAfter && p.state == journal.CircuitEstablished {
 		l.obs.Metrics().Counter("lpm.detector.suspects").Inc()
-		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitSuspect, "suspicion", sb.suspicion)
+		l.circuitTransition(p, sb.chanKey, journal.CircuitSuspect, "suspicion", sb.suspicion)
 	}
 	sb.ltSeq++
 	body := wire.Encode(&wire.LinkTest{FromHost: l.Host(), Seq: sb.ltSeq})
@@ -79,9 +80,9 @@ func (l *LPM) observeArrival(sb *sibling) {
 	sb.det.Observe(l.sched.Now().Duration())
 	if sb.suspicion != 0 {
 		sb.suspicion = 0
-		sb.suspicionGauge.Set(0) // resolved: only a tick sets a level
+		sb.peer.suspicion.Set(0) // resolved: only a tick sets a level
 	}
-	if l.circuits[sb.host] == journal.CircuitSuspect {
-		l.circuitTransition(sb.host, sb.chanKey, journal.CircuitEstablished, "traffic", 0)
+	if sb.peer.state == journal.CircuitSuspect {
+		l.circuitTransition(sb.peer, sb.chanKey, journal.CircuitEstablished, "traffic", 0)
 	}
 }

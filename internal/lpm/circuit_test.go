@@ -230,12 +230,13 @@ func TestCircuitTransitionZeroAllocs(t *testing.T) {
 	j.SetCapacity(64)
 	w.net.SetRecorder(journal.NewRecorder(metrics.New(nil), nil, j))
 	l := w.attach("vax1", w.user("felipe", "vax1", "vax2"))
+	p := l.peer("vax2")
 	step := func() {
-		l.circuitTransition("vax2", "vax1:701->vax2:700", journal.CircuitSuspect, "suspicion", 3)
-		l.circuitTransition("vax2", "vax1:701->vax2:700", journal.CircuitEstablished, "traffic", 0)
+		l.circuitTransition(p, "vax1:701->vax2:700", journal.CircuitSuspect, "suspicion", 3)
+		l.circuitTransition(p, "vax1:701->vax2:700", journal.CircuitEstablished, "traffic", 0)
 	}
 	for i := 0; i < 64; i++ {
-		step() // until the map holds the peer and the ring has wrapped
+		step() // until the ring has wrapped
 	}
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("two circuit steps allocated %v times, want 0", allocs)

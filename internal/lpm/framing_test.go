@@ -103,9 +103,9 @@ func TestHandlersKeepNoDeliveryBuffer(t *testing.T) {
 		{"helloTo", func(w *world, u *auth.User, l *LPM) (func([]byte), []byte, func() string) {
 			c, peer := listen(w, "vax1", "vax2", 9)
 			var settled string
-			l.helloTo(trace.Context{}, "vax2", c, func(sb *sibling, err error) { settled = fmt.Sprint(sb != nil, err) })
+			l.helloTo(trace.Context{}, l.peer("vax2"), c, func(sb *sibling, err error) { settled = fmt.Sprint(sb != nil, err) })
 			return peer.DeliverNow, frameOf(wire.MsgHelloResp, 0, &wire.HelloResp{OK: true, Inc: 77}),
-				func() string { return fmt.Sprint(settled, l.peerIncs["vax2"]) }
+				func() string { return fmt.Sprint(settled, l.peers["vax2"].inc) }
 		}},
 		{"ToolClient.onMsg", func(w *world, u *auth.User, l *LPM) (func([]byte), []byte, func() string) {
 			tc := w.tool(u, "vax1")

@@ -532,18 +532,30 @@ func TestFloodDedupOnCycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotPartialOnCrashedHost: a host the computation reached and
+// lost is partial; a host it never reached (c, down before a create
+// there dialed it) is not, though the failed dial left its record.
 func TestSnapshotPartialOnCrashedHost(t *testing.T) {
-	w := newWorld(t, Config{}, []string{"a", "b"})
-	u := w.user("felipe", "a", "b")
+	w := newWorld(t, Config{}, []string{"a", "b", "c"})
+	u := w.user("felipe", "a", "b", "c")
 	la := w.attach("a", u)
+	_ = w.net.Crash("c")
+	w.kerns["c"].Crash()
+	var cerr error
+	done := false
+	la.Create("c", "unborn", proc.GPID{}, func(_ proc.GPID, err error) { cerr, done = err, true })
+	w.until(func() bool { return done })
+	if cerr == nil {
+		t.Fatal("create on the unreachable c succeeded")
+	}
 	w.create(la, "b", "doomed", proc.GPID{})
 	w.run(300 * time.Millisecond)
 	_ = w.net.Crash("b")
 	w.kerns["b"].Crash()
 	w.run(5 * time.Second) // let the circuit break
 	snap := w.snapshot(la)
-	if len(snap.Partial) == 0 {
-		t.Fatalf("crash of b should yield a partial snapshot: %+v", snap)
+	if strings.Join(snap.Partial, ",") != "b" {
+		t.Fatalf("partial = %v, want [b]: %+v", snap.Partial, snap)
 	}
 }
 

@@ -42,12 +42,12 @@ func (l *LPM) toolCall(name string, op func(ctx trace.Context, done func(func())
 	})
 }
 
-// execSpan charges cost on this host's CPU under an "exec.*" span, so
-// post-hoc attribution sees the kernel work as the profiler's kernel
-// phase instead of an unattributed gap. With an invalid ctx the span
-// no-ops and only the CPU charge remains. The untraced fast path skips
-// the wrapping closure entirely: instrumentation must not tax hot
-// paths it is not observing.
+// execSpan charges cost on this host's CPU under a span named name — an
+// "exec.*" one for kernel work, so post-hoc attribution sees it as the
+// profiler's kernel phase instead of an unattributed gap. With an
+// invalid ctx the span no-ops and only the CPU charge remains. The
+// untraced fast path skips the wrapping closure entirely:
+// instrumentation must not tax hot paths it is not observing.
 func (l *LPM) execSpan(ctx trace.Context, name string, cost time.Duration, fn func()) {
 	if !l.obs.Tracer().Enabled() {
 		l.kern.ExecCPU(cost, fn)
@@ -70,17 +70,23 @@ func (l *LPM) Adopt(pid proc.PID, cb func(error)) {
 	}
 	l.toolCall("adopt", func(ctx trace.Context, done func(func())) {
 		l.execSpan(ctx, "exec.adopt", calib.Adopt, func() {
-			var err error
-			l.withTraceCtx(ctx, func() { err = l.kern.Adopt(pid, l.user.Name) })
-			if err == nil {
-				l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(pid)))
-				if info, ierr := l.kern.Info(pid); ierr == nil {
-					l.records[pid] = info
-				}
-			}
+			err := l.adopt(ctx, pid)
 			done(func() { cb(err) })
 		})
 	})
+}
+
+// adopt adopts a local process for the user under ctx, journaling it
+// and keeping its record.
+func (l *LPM) adopt(ctx trace.Context, pid proc.PID) (err error) {
+	l.withTraceCtx(ctx, func() { err = l.kern.Adopt(pid, l.user.Name) })
+	if err == nil {
+		l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(pid)))
+		if info, ierr := l.kern.Info(pid); ierr == nil {
+			l.records[pid] = info
+		}
+	}
+	return err
 }
 
 // SetTraceMask adjusts event granularity for an adopted process.
@@ -129,14 +135,9 @@ func (l *LPM) createLocal(ctx trace.Context, req wire.CreateProc, cb func(wire.C
 				//ppmlint:allow errdrop exec outcome reaches the user through kernel events, not this return
 				l.withTraceCtx(ctx, func() { _ = l.kern.Exec(p.PID, req.Name) })
 				l.execSpan(ctx, "exec.adopt", calib.Adopt, func() {
-					l.withTraceCtx(ctx, func() { err = l.kern.Adopt(p.PID, l.user.Name) })
-					if err != nil {
+					if err := l.adopt(ctx, p.PID); err != nil {
 						cb(wire.CreateAck{OK: false, Reason: err.Error()})
 						return
-					}
-					l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(p.PID)))
-					if info, ierr := l.kern.Info(p.PID); ierr == nil {
-						l.records[p.PID] = info
 					}
 					cb(wire.CreateAck{OK: true, ID: proc.GPID{Host: l.Host(), PID: p.PID}})
 				})
@@ -164,14 +165,9 @@ func (l *LPM) createForRemote(ctx trace.Context, req wire.CreateProc, ack func(w
 		//ppmlint:allow errdrop genealogy bookkeeping on a process forked just above; only fails if it vanished
 		_ = l.kern.SetForeground(p.PID, req.Foreground)
 		l.execSpan(ctx, "exec.adopt", calib.Adopt, func() {
-			l.withTraceCtx(ctx, func() { err = l.kern.Adopt(p.PID, l.user.Name) })
-			if err != nil {
+			if err := l.adopt(ctx, p.PID); err != nil {
 				ack(wire.CreateAck{OK: false, Reason: err.Error()})
 				return
-			}
-			l.obs.Record(journal.LPMAdopt, l.Host(), ctx, journal.Adopt(l.user.Name, int32(p.PID)))
-			if info, ierr := l.kern.Info(p.PID); ierr == nil {
-				l.records[p.PID] = info
 			}
 			ack(wire.CreateAck{OK: true, ID: proc.GPID{Host: l.Host(), PID: p.PID}})
 			// exec continues after the ack (the span is async relative
@@ -425,13 +421,13 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 		// The peer's incarnation scopes its op ids: a restarted origin
 		// renumbers from zero under a fresh incarnation, so its fresh
 		// operations can never hit a predecessor's cache entries.
-		key := wire.OpKey{Origin: sb.host, Inc: sb.inc, Seq: env.OpID}
+		key := wire.OpKey{Origin: sb.peer.host, Inc: sb.inc, Seq: env.OpID}
 		switch r, replied, running := l.replies.Lookup(key, now); {
 		case replied:
 			// Replay: the operation already executed; answer the
 			// retransmit from the cache under the new ReqID, with a copy
 			// (the cache may evict and reuse its own, DESIGN.md §10).
-			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, r.Type.String()))
+			l.obs.Record(journal.LPMOpReplay, l.Host(), ctx, journal.Op(l.user.Name, sb.peer.host, sb.inc, env.OpID, r.Type.String()))
 			reply.send(r.Type, bytes.Clone(r.Body))
 			return
 		case running:
@@ -439,7 +435,7 @@ func (l *LPM) handleRequest(sb *sibling, env wire.Envelope) {
 			return
 		}
 		l.replies.Start(key, now)
-		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, sb.host, sb.inc, env.OpID, env.Type.String()))
+		l.obs.Record(journal.LPMOpExec, l.Host(), ctx, journal.Op(l.user.Name, sb.peer.host, sb.inc, env.OpID, env.Type.String()))
 		reply.op = env.OpID
 	}
 
@@ -475,7 +471,7 @@ func (r replyTo) send(t wire.MsgType, body []byte) {
 		return
 	}
 	if r.op != 0 {
-		r.l.replies.Put(wire.OpKey{Origin: r.sb.host, Inc: r.sb.inc, Seq: r.op}, t, body, r.l.sched.Now().Duration())
+		r.l.replies.Put(wire.OpKey{Origin: r.sb.peer.host, Inc: r.sb.inc, Seq: r.op}, t, body, r.l.sched.Now().Duration())
 	}
 	h := r.l.newHop(r.sb, wire.Envelope{Type: t, ReqID: r.reqID, Body: body, TraceID: r.ctx.Trace, SpanID: r.ctx.Span}, true)
 	h.reuse = r.op == 0 && t == wire.MsgBroadcastResp // an echo no entry keeps: garbage once sent
@@ -672,8 +668,8 @@ func (l *LPM) handleRelay(env wire.Envelope, reply replyTo) {
 		return
 	}
 	next := rel.Path[0]
-	nsb, ok := l.siblings[next]
-	if !ok || !nsb.conn.Open() {
+	nsb := l.peers[next].open()
+	if nsb == nil {
 		fail(fmt.Sprintf("relay: no circuit to next hop %s", next))
 		return
 	}

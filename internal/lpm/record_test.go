@@ -56,13 +56,13 @@ func TestRequestRecordNotReusedWhileQueued(t *testing.T) {
 			if retire == "timeout" {
 				l.cfg.RequestTimeout = 50 * time.Millisecond
 			}
-			l.sendRequest(trace.Context{}, l.siblings["vax2"], wire.MsgPing, body, 0,
+			l.sendRequest(trace.Context{}, l.peers["vax2"].sb, wire.MsgPing, body, 0,
 				func(_ wire.Envelope, err error) { firstErrs = append(firstErrs, err) })
 			if retire == "timeout" {
 				w.run(100 * time.Millisecond)
 				l.cfg.RequestTimeout = 10 * time.Second
 			} else {
-				l.siblings["vax2"].conn.Close()
+				l.peers["vax2"].sb.conn.Close()
 			}
 			if len(firstErrs) != 1 {
 				t.Fatalf("first request not retired before its transmit ran: %d outcomes", len(firstErrs))
@@ -72,7 +72,7 @@ func TestRequestRecordNotReusedWhileQueued(t *testing.T) {
 			var second wire.Envelope
 			var secondErr error
 			answered := false
-			l.sendRequest(trace.Context{}, l.siblings["vax3"], wire.MsgPing, body, 0,
+			l.sendRequest(trace.Context{}, l.peers["vax3"].sb, wire.MsgPing, body, 0,
 				func(env wire.Envelope, err error) { second, secondErr, answered = env, err, true })
 			id := l.reqSeq
 			w.until(func() bool { return answered })
@@ -106,7 +106,7 @@ func TestInboundRecordDroppedWithCrashedBoot(t *testing.T) {
 	served := func() uint64 { return w.counter("lpm.requests_served") }
 	var errs []error
 	ping := func() {
-		l.sendRequest(trace.Context{}, l.siblings["vax2"], wire.MsgPing, body, 0,
+		l.sendRequest(trace.Context{}, l.peers["vax2"].sb, wire.MsgPing, body, 0,
 			func(_ wire.Envelope, err error) { errs = append(errs, err) })
 	}
 
@@ -148,7 +148,7 @@ func TestArrivalBufferBoundedAcrossCrashedBoot(t *testing.T) {
 	body := wire.Encode(&wire.Ping{FromHost: "vax1", User: "felipe"})
 	var errs []error
 	ping := func() {
-		l.sendRequest(trace.Context{}, l.siblings["vax2"], wire.MsgPing, body, 0,
+		l.sendRequest(trace.Context{}, l.peers["vax2"].sb, wire.MsgPing, body, 0,
 			func(_ wire.Envelope, err error) { errs = append(errs, err) })
 	}
 
@@ -199,7 +199,7 @@ func TestSiblingExchangeAllocs(t *testing.T) {
 		}
 	}
 	w, l := recordWorld(t)
-	sb := l.siblings["vax2"]
+	sb := l.peers["vax2"].sb
 	body := wire.Encode(&wire.Ping{FromHost: "vax1", User: "felipe"})
 	answered := 0
 	cb := func(_ wire.Envelope, err error) {

@@ -36,12 +36,10 @@ func retryable(err error) bool {
 // relayed execution did not happen, so it surfaces the error instead
 // of risking a duplicate.
 func (l *LPM) remoteCall(ctx trace.Context, host string, t wire.MsgType, body []byte, cb func(wire.Envelope, error)) {
-	if _, ok := l.siblings[host]; !ok && l.cfg.UseRelay {
-		if path, ok := l.routes[host]; ok && len(path) > 1 {
-			if fsb, ok := l.siblings[path[0]]; ok && fsb.conn.Open() {
-				l.relayCall(ctx, host, t, body, path, cb)
-				return
-			}
+	if p := l.peers[host]; l.cfg.UseRelay && p != nil && p.sb == nil && len(p.route) > 1 {
+		if fsb := l.peers[p.route[0]].open(); fsb != nil {
+			l.relayCall(ctx, fsb, host, t, body, p.route, cb)
+			return
 		}
 	}
 	l.opSeq++
@@ -75,7 +73,7 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 	// Repeated timeouts of the same operation do implicate the
 	// circuit; then it is closed so the next attempt redials.
 	if errors.Is(err, ErrTimeout) && pr.attempt >= 2 {
-		if sb, ok := l.siblings[pr.host]; ok && sb.conn.Open() {
+		if sb := l.peers[pr.host].open(); sb != nil {
 			sb.conn.Close()
 		}
 	}
@@ -95,7 +93,7 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 			l.settle(pr, wire.Envelope{}, ErrExited)
 			return
 		}
-		if sb, ok := l.siblings[pr.host]; !ok || !sb.conn.Open() {
+		if l.peers[pr.host].open() == nil {
 			l.obs.Record(journal.LPMRedial, l.Host(), pr.ctx, journal.Redial(l.user.Name, pr.host, "retry"))
 		}
 		l.directCall(pr)
@@ -105,7 +103,7 @@ func (l *LPM) settle(pr *pendingReq, env wire.Envelope, err error) {
 // directCall performs one attempt over a direct circuit, dialing one
 // on demand.
 func (l *LPM) directCall(pr *pendingReq) {
-	if sb, ok := l.siblings[pr.host]; ok && sb.conn.Open() {
+	if sb := l.peers[pr.host].open(); sb != nil {
 		l.withHandler(pr, sb)
 		return
 	}
@@ -119,10 +117,10 @@ func (l *LPM) directCall(pr *pendingReq) {
 }
 
 // relayCall sends one request along a learned relay route (paper §4
-// quick routing), unwrapping the relayed response.
-func (l *LPM) relayCall(ctx trace.Context, host string, t wire.MsgType, body []byte,
+// quick routing) through fsb, the circuit to its first hop, unwrapping
+// the relayed response.
+func (l *LPM) relayCall(ctx trace.Context, fsb *sibling, host string, t wire.MsgType, body []byte,
 	path []string, cb func(wire.Envelope, error)) {
-	fsb := l.siblings[path[0]]
 	l.obs.Record(journal.LPMRelayOrigin, l.Host(), ctx, journal.Relay(l.user.Name, host, path[0]))
 	inner := wire.Envelope{Type: t, Body: body}
 	inner.SetTrace(ctx.Trace, ctx.Span)

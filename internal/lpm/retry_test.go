@@ -57,7 +57,7 @@ func TestDeadCircuitFailsFast(t *testing.T) {
 	w.create(l, "vax2", "warm", proc.GPID{})
 	w.run(time.Second)
 
-	sb := l.siblings["vax2"]
+	sb := l.peers["vax2"].sb
 	if sb == nil {
 		t.Fatal("no warm circuit")
 	}
@@ -96,7 +96,7 @@ func TestDuplicateDeliveryRepliesFromCache(t *testing.T) {
 	w.create(l, "vax2", "warm", proc.GPID{})
 	w.run(time.Second)
 
-	sb := l.siblings["vax2"]
+	sb := l.peers["vax2"].sb
 	body := wire.Encode(&wire.CreateProc{User: "felipe", Name: "dup-job"})
 	var acks []wire.CreateAck
 	sendOnce := func() {
@@ -302,7 +302,7 @@ func TestFirstTimeoutKeepsSharedCircuit(t *testing.T) {
 	id := w.create(la, "b", "job", proc.GPID{})
 	w.run(time.Second)
 
-	sb := la.siblings["b"]
+	sb := la.peers["b"].sb
 	if sb == nil || !sb.conn.Open() {
 		t.Fatal("no warm circuit")
 	}

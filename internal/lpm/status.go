@@ -72,20 +72,22 @@ func (l *LPM) BuildStatus(r *status.Report) {
 	}
 	r.NetUp, r.NetConns = l.net.Status(l.Host())
 	circ := r.Circuits
-	for _, sb := range l.siblings {
+	for _, p := range l.ordered { // in host order
+		if p.sb == nil {
+			continue
+		}
 		// The circuit machine is the authoritative state; "breaking"
 		// overlays it for the window between a severed link and its
 		// detection, which the machine itself cannot see yet.
-		st := l.circuits[sb.host].String()
-		if sb.conn.Breaking() {
+		st := p.state.String()
+		if p.sb.conn.Breaking() {
 			st = "breaking"
 		}
 		circ = append(circ, status.CircuitStatus{
-			Peer: sb.host, State: st, Age: now.Sub(sb.openedAt),
-			Suspicion: sb.suspicion,
+			Peer: p.host, State: st, Age: now.Sub(p.sb.openedAt),
+			Suspicion: p.sb.suspicion,
 		})
 	}
-	detord.SortBy(circ, func(c status.CircuitStatus) string { return c.Peer })
 	r.Circuits = circ
 	r.PendingReqs = len(l.pending)
 	r.RetryBackoffs = l.retryBackoffs

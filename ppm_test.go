@@ -9,6 +9,7 @@ import (
 	"ppm"
 	"ppm/internal/journal"
 	"ppm/internal/proc"
+	"ppm/internal/status"
 )
 
 func twoHostCluster(t *testing.T) *ppm.Cluster {
@@ -438,8 +439,10 @@ func TestAttachAtFormsChains(t *testing.T) {
 	_, _ = sb.Run("c", "on-c")
 	_ = c.Advance(time.Second)
 	// a has no direct circuit to c, yet the snapshot covers c.
-	for _, h := range sa.Manager().SiblingHosts() {
-		if h == "c" {
+	var st status.Report
+	sa.Manager().BuildStatus(&st)
+	for _, circ := range st.Circuits {
+		if circ.Peer == "c" {
 			t.Fatal("setup: a should not know c directly")
 		}
 	}

@@ -10,18 +10,24 @@
 # bash's `times` around it, so it is not blurred by time spent waiting
 # for a shared CPU the way ops_per_s and setup_s are.
 #
-#   scripts/benchpair.sh PARENT CHANGE WORKLOAD N
+#   scripts/benchpair.sh PARENT CHANGE WORKLOAD N [OUT]
 #
 # WORKLOAD "all" runs every workload of CHANGE's BENCHMARK.json in its
-# order, N pairs each, and prints one table per workload.
+# order, N pairs each, and prints one table per workload. With OUT, the
+# tables are also written there as JSON (the BENCH_<n>.json form): the
+# seed, run length, pair count, nproc and Go version the runs report,
+# and per workload and metric the parent's quartiles, the change's
+# median, pairs won, the median paired difference and the sign p. It
+# keeps only the names BENCHMARK.json defines: failed and attempted as
+# ops.failed and ops.attempted, and no cpu_s.
 # PARENT and CHANGE are checkout roots. Each one's ppmload is built
 # once, through its own cmd/ppmload/run.sh, into its .bench_build/.
 # SEED (default 1), RUN_SECONDS (10) and TRACE (0) set every run's
 # -seed, -seconds and -trace. Needs jq.
 set -euo pipefail
 
-if [ $# -ne 4 ] || ! [ "$4" -ge 1 ] 2>/dev/null; then
-	echo "usage: scripts/benchpair.sh PARENT CHANGE WORKLOAD N" >&2
+if [ $# -lt 4 ] || [ $# -gt 5 ] || ! [ "$4" -ge 1 ] 2>/dev/null; then
+	echo "usage: scripts/benchpair.sh PARENT CHANGE WORKLOAD N [OUT]" >&2
 	exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -57,6 +63,7 @@ one() {
 	cpu >"$out/before"
 	(cd "$root" && exec .bench_build/ppmload "${args[@]}") >"$out/run.txt"
 	cpu >"$out/after"
+	head -n 1 "$out/run.txt" >"$out/header"
 	before=$(cat "$out/before") after=$(cat "$out/after")
 	tail -n 1 "$out/run.txt" | jq -r --argjson before "$before" --argjson after "$after" \
 		'(.metrics | to_entries[] | "\(.key) \(.value.value)"), "attempted \(.attempted)", "failed \(.failed)",
@@ -82,7 +89,7 @@ for workload in $workloads; do
 	done
 
 	echo "$workload: ${args[*]}, $rounds pairs, first side alternating"
-	awk -v rounds="$rounds" '
+	awk -v rounds="$rounds" -v workload="$workload" -v rows="$out/rows" '
 		function sort(a, n,   i, j, t) {
 			for (i = 2; i <= n; i++)
 				for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
@@ -112,6 +119,21 @@ for workload in $workloads; do
 				}
 				sort(pv, n); sort(cv, n); sort(dv, n)
 				printf "%-14s %14.8g %14.8g %14.8g %14.8g %4d/%d %14.6g %8.4g\n", name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, rounds, q(dv, n, .5), signp(pos, neg)
+				if (name == "cpu_s") continue
+				if (name == "failed" || name == "attempted") name = "ops." name
+				printf "%s\t%s\t%.8g\t%.8g\t%.8g\t%.8g\t%d\t%.6g\t%.4g\n", workload, name, q(pv, n, .25), q(pv, n, .5), q(pv, n, .75), q(cv, n, .5), won, q(dv, n, .5), signp(pos, neg) >>rows
 			}
 		}' "$out/better" "$out/parent" "$out/change"
 done
+
+if [ $# -eq 5 ]; then
+	# The runs' header line names the host's nproc and the Go version.
+	header=$(cat "$out/header")
+	nproc=$(sed -n 's/.* nproc=\([0-9]*\).*/\1/p' <<<"$header")
+	jq -Rn --argjson seed "${SEED:-1}" --argjson seconds "${RUN_SECONDS:-10}" --argjson pairs "$rounds" \
+		--argjson nproc "${nproc:-0}" --arg go "${header##* }" '
+		reduce (inputs | split("\t")) as $r ({seed: $seed, run_seconds: $seconds, pairs: $pairs, nproc: $nproc, go: $go, workloads: {}};
+			.workloads[$r[0]][$r[1]] = {parent_q1: ($r[2] | tonumber), parent_median: ($r[3] | tonumber),
+				parent_q3: ($r[4] | tonumber), change_median: ($r[5] | tonumber), won: ($r[6] | tonumber),
+				median_diff: ($r[7] | tonumber), sign_p: ($r[8] | tonumber)})' "$out/rows" >"$5"
+fi

@@ -546,7 +546,7 @@ func (c *Cluster) Attach(user, host string) (*Session, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, host)
 	}
 	resp, err := wait(c, func(cb func(wire.LPMQueryResp, error)) {
-		daemon.QueryLPM(c.net, host, host, u, func(r wire.LPMQueryResp, err error) {
+		daemon.QueryLPM(c.net, host, host, u, trace.Context{}, func(r wire.LPMQueryResp, err error) {
 			if err != nil {
 				err = fmt.Errorf("%w: %v", ErrAttach, err)
 			}

@@ -240,16 +240,10 @@ func (d *Daemons) Status() (running bool, lpms int) {
 // QueryLPM is the client side of the Figure 2 exchange: dial the
 // well-known port on a host, send an authenticated query, and deliver
 // the accept address to cb. Used both by tools attaching locally and by
-// LPMs creating remote siblings.
-func QueryLPM(net *simnet.Network, fromHost string, targetHost string,
-	user *auth.User, cb func(wire.LPMQueryResp, error)) {
-	QueryLPMCtx(net, fromHost, targetHost, user, trace.Context{}, cb)
-}
-
-// QueryLPMCtx is QueryLPM under a trace context: the dial handshake,
+// LPMs creating remote siblings. Under a valid ctx the dial handshake,
 // the query's transit and the pmd's handling all record spans under a
 // "pmd.query" child of ctx.
-func QueryLPMCtx(net *simnet.Network, fromHost string, targetHost string,
+func QueryLPM(net *simnet.Network, fromHost string, targetHost string,
 	user *auth.User, ctx trace.Context, cb func(wire.LPMQueryResp, error)) {
 	new(Query).Start(net, fromHost, targetHost, user, ctx, answerFunc(cb))
 }
@@ -264,7 +258,7 @@ type answerFunc func(wire.LPMQueryResp, error)
 func (f answerFunc) Answered(resp wire.LPMQueryResp, err error) { f(resp, err) }
 
 // A Query is one pmd query in flight and its only record: its span,
-// its circuit and where its answer goes. QueryLPMCtx allocates one; a
+// its circuit and where its answer goes. QueryLPM allocates one; a
 // caller that keeps a record per query embeds one and calls Start.
 type Query struct {
 	rec  *journal.Recorder
@@ -276,7 +270,7 @@ type Query struct {
 	to   Answerer
 }
 
-// Start is QueryLPMCtx into q, answering to.
+// Start is QueryLPM into q, answering to.
 func (q *Query) Start(net *simnet.Network, fromHost, targetHost string,
 	user *auth.User, ctx trace.Context, to Answerer) {
 	*q = Query{rec: net.Recorder(), from: fromHost, user: user, to: to}

@@ -11,6 +11,7 @@ import (
 	"ppm/internal/kernel"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
+	"ppm/internal/trace"
 	"ppm/internal/wire"
 )
 
@@ -66,7 +67,7 @@ func (e *env) query(t *testing.T, from, target string, u *auth.User) (wire.LPMQu
 	var resp wire.LPMQueryResp
 	var qerr error
 	done := false
-	QueryLPM(e.net, from, target, u, func(r wire.LPMQueryResp, err error) {
+	QueryLPM(e.net, from, target, u, trace.Context{}, func(r wire.LPMQueryResp, err error) {
 		resp, qerr, done = r, err, true
 	})
 	if _, err := e.sched.RunUntilDone(func() bool { return done }, 100000); err != nil {
@@ -224,7 +225,7 @@ func TestUntrustedHostRejected(t *testing.T) {
 	_ = e2.dir.AllowRHost("felipe", "vax1")
 	var resp wire.LPMQueryResp
 	done := false
-	QueryLPM(e2.net, "vax1", "vax2", u, func(r wire.LPMQueryResp, err error) {
+	QueryLPM(e2.net, "vax1", "vax2", u, trace.Context{}, func(r wire.LPMQueryResp, err error) {
 		resp, done = r, true
 	})
 	if _, err := e2.sched.RunUntilDone(func() bool { return done }, 100000); err != nil {
@@ -438,7 +439,7 @@ func TestQueriesInsideForkWindowShareOneLPM(t *testing.T) {
 	e.dmns["vax3"].rec = journal.NewRecorder(nil, nil, j)
 	var resps []wire.LPMQueryResp
 	for _, from := range []string{"vax1", "vax2"} {
-		QueryLPM(e.net, from, "vax3", u, func(r wire.LPMQueryResp, err error) {
+		QueryLPM(e.net, from, "vax3", u, trace.Context{}, func(r wire.LPMQueryResp, err error) {
 			if err != nil {
 				t.Error(err)
 			}

@@ -127,7 +127,7 @@ func TestHandlersKeepNoDeliveryBuffer(t *testing.T) {
 			return c.DeliverNow, frameOf(wire.MsgLPMQuery, 1, &wire.LPMQuery{User: u.Name, Token: auth.MintToken(u, "pmd")}),
 				func() string { return reply }
 		}},
-		{"QueryLPMCtx", func(w *world, u *auth.User, l *LPM) (func([]byte), []byte, func() string) {
+		{"QueryLPM", func(w *world, u *auth.User, l *LPM) (func([]byte), []byte, func() string) {
 			// vax2's inetd is the test's: it takes the query, the test answers.
 			w.net.CloseListen("vax2", daemon.PortInetd)
 			var pmd *simnet.Conn
@@ -139,7 +139,7 @@ func TestHandlersKeepNoDeliveryBuffer(t *testing.T) {
 				w.t.Fatal(err)
 			}
 			var got string
-			daemon.QueryLPMCtx(w.net, "vax1", "vax2", u, trace.Context{}, func(r wire.LPMQueryResp, err error) { got = fmt.Sprintf("%+v %v", r, err) })
+			daemon.QueryLPM(w.net, "vax1", "vax2", u, trace.Context{}, func(r wire.LPMQueryResp, err error) { got = fmt.Sprintf("%+v %v", r, err) })
 			w.until(func() bool { return queried })
 			return pmd.DeliverNow, frameOf(wire.MsgLPMQueryResp, 1, &wire.LPMQueryResp{OK: true, AcceptHost: "vax2", AcceptPort: 4242}),
 				func() string { return got }
@@ -205,7 +205,7 @@ func TestReplyTransitFollowsType(t *testing.T) {
 			})
 		}},
 		{"pmd query", "vax2", func(w *world, u *auth.User, l *LPM, ctx trace.Context) {
-			daemon.QueryLPMCtx(w.net, "vax1", "vax2", u, ctx, func(wire.LPMQueryResp, error) {})
+			daemon.QueryLPM(w.net, "vax1", "vax2", u, ctx, func(wire.LPMQueryResp, error) {})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -742,7 +742,7 @@ func (r *recEnv) ProbeHost(host string, cb func(bool)) {
 		return
 	}
 	l.obs.Metrics().Counter("lpm.recovery.probes").Inc()
-	daemon.QueryLPM(l.net, l.Host(), host, l.user, func(resp wire.LPMQueryResp, err error) {
+	daemon.QueryLPM(l.net, l.Host(), host, l.user, trace.Context{}, func(resp wire.LPMQueryResp, err error) {
 		cb(err == nil && resp.OK)
 	})
 }

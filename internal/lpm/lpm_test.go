@@ -15,6 +15,7 @@ import (
 	"ppm/internal/recovery"
 	"ppm/internal/sim"
 	"ppm/internal/simnet"
+	"ppm/internal/trace"
 	"ppm/internal/wire"
 )
 
@@ -115,7 +116,7 @@ func (w *world) attach(host string, u *auth.User) *LPM {
 	w.t.Helper()
 	done := false
 	var resp wire.LPMQueryResp
-	daemon.QueryLPM(w.net, host, host, u, func(r wire.LPMQueryResp, err error) {
+	daemon.QueryLPM(w.net, host, host, u, trace.Context{}, func(r wire.LPMQueryResp, err error) {
 		if err != nil {
 			w.t.Fatal(err)
 		}

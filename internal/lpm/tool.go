@@ -49,7 +49,7 @@ type ToolClient struct {
 // a sibling circuit.
 func ConnectTool(net *simnet.Network, user *auth.User, host string,
 	cb func(*ToolClient, error)) {
-	daemon.QueryLPM(net, host, host, user, func(resp wire.LPMQueryResp, err error) {
+	daemon.QueryLPM(net, host, host, user, trace.Context{}, func(resp wire.LPMQueryResp, err error) {
 		if err = answer(err, nil, &resp.OK, &resp.Reason); err != nil {
 			cb(nil, fmt.Errorf("lpm: tool connect: %w", err))
 			return

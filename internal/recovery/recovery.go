@@ -131,7 +131,6 @@ type Manager struct {
 
 	state    State
 	ccs      string // current CCS host ("" = none known)
-	seekPos  int
 	dieTimer sim.Timer
 	probeTmr sim.Timer
 	retryTmr sim.Timer
@@ -141,11 +140,6 @@ type Manager struct {
 	// back; the redial loop walks them until each circuit is up again.
 	lost      map[string]bool
 	redialTmr sim.Timer
-
-	// Terminated reports whether time-to-die fired.
-	Terminated bool
-	// Transitions counts state changes, for tests.
-	Transitions int
 }
 
 // New creates user's recovery manager in the Normal state with no known
@@ -177,13 +171,6 @@ func (m *Manager) cancelTimers() {
 	m.redialTmr.Cancel()
 }
 
-func (m *Manager) setState(s State) {
-	if m.state != s {
-		m.state = s
-		m.Transitions++
-	}
-}
-
 // SetCCS installs a CCS (initial default assignment, a propagated
 // address from a sibling Hello, or a CCSUpdate). It returns to Normal
 // operation and cancels any countdown.
@@ -194,7 +181,7 @@ func (m *Manager) SetCCS(host string) {
 	m.ccs = host
 	m.dieTimer.Cancel()
 	m.retryTmr.Cancel()
-	m.setState(Normal)
+	m.state = Normal
 	if m.sites.Locator != nil && m.IsCCS() {
 		m.sites.Locator.RegisterCCS(m.user, host)
 	}
@@ -237,12 +224,10 @@ func (m *Manager) OnSiblingLost(host string) {
 		m.startSeek()
 		return
 	}
-	// CCS believed alive: confirm the circuit to it.
+	// CCS believed alive: confirm the circuit to it. A seek already
+	// started by another loss is not started again.
 	m.env.ConnectCCS(m.ccs, func(ok bool) {
-		if m.stopped {
-			return
-		}
-		if !ok {
+		if !ok && !m.stopped && m.state == Normal {
 			m.startSeek()
 		}
 	})
@@ -315,99 +300,98 @@ func (m *Manager) redialWalk(hosts []string, i int) {
 	})
 }
 
+// A dir is which way a walk of the .recovery list goes: a seek looks
+// for a CCS from the top of the list down; a climb is a CCS that is not
+// at the top probing the hosts above it to rejoin them.
+type dir bool
+
+const (
+	seek  dir = false
+	climb dir = true
+)
+
+// current reports whether a walk still applies: the machine is running,
+// and a seek is still seeking or a climb's LPM is still the CCS. It is
+// the one guard of every step of a walk.
+func (m *Manager) current(s dir) bool {
+	return !m.stopped && (s == seek && m.state == Seeking || s == climb && m.IsCCS())
+}
+
 // startSeek consults the name server (when configured), then walks the
 // .recovery list in decreasing priority order.
 func (m *Manager) startSeek() {
-	m.setState(Seeking)
-	m.seekPos = 0
+	m.state = Seeking
 	if m.sites.Locator == nil {
-		m.seekNext()
+		m.walk(seek, 0)
 		return
 	}
 	m.sites.Locator.LocateCCS(m.user, func(host string, ok bool) {
-		if m.stopped || m.state != Seeking {
+		if ok && host != "" && m.current(seek) {
+			m.try(seek, -1, host)
+		} else {
+			m.walk(seek, 0)
+		}
+	})
+}
+
+// walk tries the list from position i, unless the walk is no longer
+// current. A seek that runs off the end isolates; a climb stops at this
+// host (or the end) and probes again later.
+func (m *Manager) walk(s dir, i int) {
+	if !m.current(s) {
+		return
+	}
+	if i >= len(m.sites.List) || s == climb && m.sites.List[i] == m.env.HostName() {
+		if s == seek {
+			m.becomeIsolated()
+		} else {
+			m.scheduleProbe()
+		}
+		return
+	}
+	m.try(s, i, m.sites.List[i])
+}
+
+// try probes candidate, connects to it and takes it as the CCS; on
+// either failure, or once the walk is no longer current, it hands on to
+// walk from position i+1, which ends a stale walk. A candidate that is
+// this host is taken at once: the list says the CCS should reside here.
+func (m *Manager) try(s dir, i int, candidate string) {
+	if candidate == m.env.HostName() {
+		m.take(candidate)
+		return
+	}
+	m.env.ProbeHost(candidate, func(ok bool) {
+		if !ok || !m.current(s) {
+			m.walk(s, i+1)
 			return
 		}
-		if !ok || host == "" {
-			m.seekNext()
-			return
-		}
-		if host == m.env.HostName() {
-			m.SetCCS(host)
-			m.env.AnnounceCCS(host)
-			return
-		}
-		m.env.ProbeHost(host, func(ok bool) {
-			if m.stopped || m.state != Seeking {
-				return
+		m.env.ConnectCCS(candidate, func(ok bool) {
+			if ok && m.current(s) {
+				m.take(candidate)
+			} else {
+				m.walk(s, i+1)
 			}
-			if !ok {
-				m.seekNext()
-				return
-			}
-			m.env.ConnectCCS(host, func(ok bool) {
-				if m.stopped || m.state != Seeking {
-					return
-				}
-				if !ok {
-					m.seekNext()
-					return
-				}
-				m.SetCCS(host)
-				m.env.AnnounceCCS(host)
-			})
 		})
 	})
 }
 
-func (m *Manager) seekNext() {
-	if m.stopped || m.state != Seeking {
-		return
-	}
-	if m.seekPos >= len(m.sites.List) {
-		m.becomeIsolated()
-		return
-	}
-	candidate := m.sites.List[m.seekPos]
-	m.seekPos++
-	if candidate == m.env.HostName() {
-		// The list says the CCS should reside here: take over.
-		m.SetCCS(candidate)
-		m.env.AnnounceCCS(candidate)
-		return
-	}
-	m.env.ProbeHost(candidate, func(ok bool) {
-		if m.stopped || m.state != Seeking {
-			return
-		}
-		if !ok {
-			m.seekNext()
-			return
-		}
-		m.env.ConnectCCS(candidate, func(ok bool) {
-			if m.stopped || m.state != Seeking {
-				return
-			}
-			if !ok {
-				m.seekNext()
-				return
-			}
-			m.SetCCS(candidate)
-			m.env.AnnounceCCS(candidate)
-		})
-	})
+// take makes host the CCS and tells the connected siblings: the one
+// place a walk changes the CCS.
+func (m *Manager) take(host string) {
+	m.SetCCS(host)
+	m.env.AnnounceCCS(host)
 }
 
 // becomeIsolated starts the time-to-die countdown and periodic
 // re-seeking.
 func (m *Manager) becomeIsolated() {
-	m.setState(Isolated)
+	m.state = Isolated
 	if m.dieTimer.Fired() {
 		m.dieTimer = m.env.After(m.cfg.TimeToDie, func() {
 			if m.stopped || m.state != Isolated {
 				return
 			}
-			m.Terminated = true
 			m.env.TerminateAll()
 		})
 	}
@@ -419,50 +403,10 @@ func (m *Manager) becomeIsolated() {
 	})
 }
 
-// scheduleProbe sets up the low-frequency probing of higher-priority
-// hosts by a CCS that is not at the top of the list.
+// scheduleProbe sets up the low-frequency climb of a CCS that is not
+// at the top of the list: "Whenever such host comes up, they connect
+// to it", demoting this LPM.
 func (m *Manager) scheduleProbe() {
 	m.probeTmr.Cancel()
-	m.probeTmr = m.env.After(m.cfg.ProbeEvery, func() { m.probeHigher(0) })
-}
-
-func (m *Manager) probeHigher(i int) {
-	if m.stopped || !m.IsCCS() {
-		return
-	}
-	// Hosts strictly above us in the list.
-	var higher []string
-	for _, h := range m.sites.List {
-		if h == m.env.HostName() {
-			break
-		}
-		higher = append(higher, h)
-	}
-	if i >= len(higher) {
-		m.scheduleProbe() // none answered; probe again later
-		return
-	}
-	candidate := higher[i]
-	m.env.ProbeHost(candidate, func(ok bool) {
-		if m.stopped || !m.IsCCS() {
-			return
-		}
-		if !ok {
-			m.probeHigher(i + 1)
-			return
-		}
-		// "Whenever such host comes up, they connect to it": demote
-		// ourselves and adopt the higher-priority CCS.
-		m.env.ConnectCCS(candidate, func(ok bool) {
-			if m.stopped {
-				return
-			}
-			if !ok {
-				m.probeHigher(i + 1)
-				return
-			}
-			m.SetCCS(candidate)
-			m.env.AnnounceCCS(candidate)
-		})
-	})
+	m.probeTmr = m.env.After(m.cfg.ProbeEvery, func() { m.walk(climb, 0) })
 }

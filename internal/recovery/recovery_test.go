@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -151,7 +152,7 @@ func TestIsolationTimeToDie(t *testing.T) {
 		t.Fatalf("state = %v, want isolated", m.State())
 	}
 	run(t, f, 2*time.Minute)
-	if !f.terminated || !m.Terminated {
+	if !f.terminated {
 		t.Fatal("time-to-die never fired")
 	}
 }
@@ -442,7 +443,7 @@ func TestIsolatedReseekWhileStillIsolatedReschedules(t *testing.T) {
 	}
 }
 
-func TestProbeHigherSkipsUnreachableThenRetries(t *testing.T) {
+func TestClimbSkipsUnreachableThenRetries(t *testing.T) {
 	f := newFake("vax3")
 	m := New(f, Config{ProbeEvery: 10 * time.Second}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
 	m.SetCCS("vax3") // acting CCS, two higher-priority hosts both down
@@ -465,6 +466,65 @@ func TestProbeHigherSkipsUnreachableThenRetries(t *testing.T) {
 	run(t, f, 30*time.Second)
 	if m.CCS() != "vax2" {
 		t.Fatalf("ccs = %q, want vax2", m.CCS())
+	}
+}
+
+func TestTwoSiblingLossesStartOneSeek(t *testing.T) {
+	// Two non-CCS siblings are lost at once and both confirms of the
+	// dead CCS fail: the second failure must not start a second seek
+	// beside the first, which would skip vax2 and take over here.
+	f := newFake("vax3", "vax2")
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
+	m.SetCCS("vax1")
+	m.OnSiblingLost("vax4")
+	m.OnSiblingLost("vax5")
+	run(t, f, time.Second)
+	if got := strings.Join(f.probes, " "); got != "vax1 vax2" {
+		t.Fatalf("probes = [%s], want [vax1 vax2]", got)
+	}
+	if m.CCS() != "vax2" || m.State() != Normal {
+		t.Fatalf("ccs=%q state=%v, want vax2 normal", m.CCS(), m.State())
+	}
+}
+
+func TestClimbProbesOnlyHostsAbove(t *testing.T) {
+	for _, tc := range []struct {
+		name, host string
+		list       []string
+		demote     bool // SetCCS to another host while the climb's connect is in flight
+		probes     string
+		ccs        string
+	}{
+		// A CCS absent from its own list climbs the whole list, then
+		// reschedules: two rounds of every host.
+		{name: "absent from list", host: "vax9", list: []string{"vax1", "vax2", "vax3"},
+			probes: "vax1 vax2 vax3 vax1 vax2 vax3", ccs: "vax9"},
+		// A CCS in the middle probes only the hosts above it.
+		{name: "middle of list", host: "vax2", list: []string{"vax1", "vax2", "vax3"},
+			probes: "vax1 vax1", ccs: "vax2"},
+		// A climb whose connect answers after this LPM stopped being
+		// the CCS takes nothing.
+		{name: "demoted mid-climb", host: "vax2", list: []string{"vax1", "vax2"},
+			demote: true, probes: "vax1", ccs: "vax7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFake(tc.host)
+			m := New(f, Config{ProbeEvery: 10 * time.Second}, "", Sites{List: tc.list})
+			m.SetCCS(tc.host)
+			if tc.demote {
+				f.reachable["vax1"] = true
+				// The probe answers at 10.01 s and the connect at
+				// 10.02 s; the CCS moves in between.
+				f.sched.After(10*time.Second+15*time.Millisecond, func() { m.SetCCS("vax7") })
+			}
+			run(t, f, 25*time.Second)
+			if got := strings.Join(f.probes, " "); got != tc.probes {
+				t.Errorf("probes = [%s], want [%s]", got, tc.probes)
+			}
+			if m.CCS() != tc.ccs || len(f.announced) != 0 {
+				t.Errorf("ccs=%q announced=%v, want %s and no announcement", m.CCS(), f.announced, tc.ccs)
+			}
+		})
 	}
 }
 

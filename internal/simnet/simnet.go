@@ -902,12 +902,6 @@ func (n *Network) Dial(fromHost string, to Addr, cb func(*Conn, error)) {
 	n.DialTo(fromHost, to, trace.Context{}, dialFunc(cb))
 }
 
-// DialCtx is Dial under a trace context; when ctx is valid the SYN and
-// SYN-ACK legs of the handshake are recorded as per-hop spans.
-func (n *Network) DialCtx(fromHost string, to Addr, ctx trace.Context, cb func(*Conn, error)) {
-	n.DialTo(fromHost, to, ctx, dialFunc(cb))
-}
-
 // A Dialer is told how a dial ended: with an open Conn or an error.
 type Dialer interface{ Dialed(*Conn, error) }
 
@@ -921,8 +915,10 @@ type unreachable struct{ from, to string }
 func (e *unreachable) Error() string { return ErrUnreachable.Error() + ": " + e.from + " -> " + e.to }
 func (e *unreachable) Unwrap() error { return ErrUnreachable }
 
-// DialTo is DialCtx reporting to a Dialer: a caller that keeps one
-// record per dial passes the record and allocates no callback.
+// DialTo is Dial under a trace context, reporting to a Dialer: when
+// ctx is valid the SYN and SYN-ACK legs of the handshake are recorded
+// as per-hop spans, and a caller that keeps one record per dial passes
+// the record and allocates no callback.
 func (n *Network) DialTo(fromHost string, to Addr, ctx trace.Context, cb Dialer) {
 	n.rec.Metrics().Handle(&n.counters.dialAttempts, "simnet.dial.attempts").Inc()
 	src, ok := n.hosts[fromHost]

@@ -10,6 +10,7 @@ import (
 	"ppm/internal/journal"
 	"ppm/internal/lpm"
 	"ppm/internal/proc"
+	"ppm/internal/trace"
 	"ppm/internal/wire"
 )
 
@@ -83,7 +84,7 @@ func errandsRun(t *testing.T) *ppm.Cluster {
 	// name the installation never registered, a query its pmd refuses.
 	outside := auth.NewDirectory()
 	refused, snapped := false, false
-	daemon.QueryLPM(c.Network(), "a", "b", outside.AddUser("mallory"), func(r wire.LPMQueryResp, err error) {
+	daemon.QueryLPM(c.Network(), "a", "b", outside.AddUser("mallory"), trace.Context{}, func(r wire.LPMQueryResp, err error) {
 		refused = err != nil || !r.OK
 	})
 	lpm.ConnectTool(c.Network(), outside.AddUser("u"), "a", func(tc *lpm.ToolClient, err error) {

@@ -12,21 +12,29 @@ import (
 
 // TestNoTimerOutlivesItsBoot: an LPM schedules on its host's boot, so a
 // crash ends every timer it armed — time-to-live, linktest, a pending
-// request, a retry backoff, a hello in flight, a recovery timer — in
-// one stroke: the scheduler's queue drops by exactly those, and nothing
-// is journaled for the host again until it restarts.
+// request, a retry backoff, a hello in flight, a recovery timer, the
+// redial loop's — in one stroke: the scheduler's queue drops by exactly
+// those, and nothing is journaled for the host again until it restarts.
 func TestNoTimerOutlivesItsBoot(t *testing.T) {
 	cfg := Config{
 		Linktest:       20 * time.Second,
 		RequestTimeout: time.Minute,
 		Retry:          RetryPolicy{BaseBackoff: time.Minute},
 	}
-	w := newWorld(t, cfg, []string{"vax1", "vax2", "vax3", "vax4"})
+	w := newWorld(t, cfg, []string{"vax1", "vax2", "vax3", "vax4", "vax5"})
 	j := installJournal(w)
-	u := w.user("felipe", "vax1", "vax2", "vax3", "vax4")
+	u := w.user("felipe", "vax1", "vax2", "vax3", "vax4", "vax5")
 	l := w.attach("vax1", u)
+	l.Recovery().SetCCS("vax1")              // a sibling loss starts no seek
 	w.create(l, "vax2", "warm", proc.GPID{}) // an established circuit: its linktest ticks
 	w.attach("vax3", u)
+	// A circuit that breaks: its peer enters the redial loop.
+	w.ensure(l, "vax5")
+	if err := w.net.Crash("vax5"); err != nil {
+		t.Fatal(err)
+	}
+	w.kerns["vax5"].Crash()
+	w.until(func() bool { return l.peers["vax5"].lost })
 	if err := w.net.Crash("vax4"); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +71,7 @@ func TestNoTimerOutlivesItsBoot(t *testing.T) {
 		{"hello", dialing},
 		{"backoff", l.retryBackoffs},
 		{"recovery", pendingCount(!recTmr.Fired())},
+		{"redial", pendingCount(!l.redialTmr.Fired())},
 	}
 	boot := 0
 	for _, tm := range timers {

@@ -264,6 +264,9 @@ type peer struct {
 	// so a Hello from a new one purges the dead one's dedup state.
 	inc       uint64
 	suspicion *metrics.Gauge // the detector's, resolved on a circuit's first tick
+	// lost is set when the circuit broke with an error and has not come
+	// back; the redial loop (redialTick) dials it until it does.
+	lost bool
 }
 
 // peer returns host's record, making it on first write.
@@ -418,6 +421,7 @@ type LPM struct {
 
 	lastActivity sim.Time
 	ttlTimer     sim.Timer
+	redialTmr    sim.Timer // the next redial pass, armed while a peer is lost
 	exited       bool
 
 	// obs is the installation's recorder, taken from the network at
@@ -589,6 +593,7 @@ func (l *LPM) Exit() {
 	l.obs.Metrics().Counter("lpm.exits").Inc()
 	l.ttlTimer.Cancel()
 	l.rec.Stop()
+	l.redialTmr.Cancel()
 	l.kern.SetEventSink(l.user.Name, nil)
 	l.net.CloseListen(l.accept.Host, l.accept.Port)
 	if l.dmns != nil {
@@ -767,22 +772,6 @@ func (r *recEnv) AnnounceCCS(host string) {
 			l.sendOut(sb, wire.Envelope{Type: wire.MsgCCSUpdate, Body: body})
 		}
 	}
-}
-
-func (r *recEnv) RedialSibling(host string, cb func(bool)) {
-	l := r.lpm()
-	if l.exited {
-		cb(false)
-		return
-	}
-	if l.peers[host].open() != nil {
-		cb(true)
-		return
-	}
-	l.obs.Record(journal.LPMRedial, l.Host(), l.obs.Tracer().Active(), journal.Redial(l.user.Name, host, "recovery"))
-	l.ensureSibling(trace.Context{}, host, func(sb *sibling, err error) {
-		cb(err == nil && sb != nil)
-	})
 }
 
 func (r *recEnv) TerminateAll() {

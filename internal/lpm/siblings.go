@@ -2,6 +2,8 @@ package lpm
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"ppm/internal/auth"
 	"ppm/internal/calib"
@@ -178,7 +180,7 @@ func (l *LPM) registerSibling(p *peer, conn *simnet.Conn, inc uint64) *sibling {
 	if p.dial != nil {
 		p.dial.settle(sb, nil)
 	}
-	l.rec.OnSiblingUp(p.host)
+	p.lost = false
 	l.touch()
 	return sb
 }
@@ -205,7 +207,76 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 	}
 	if err != nil && !l.exited {
 		l.obs.Metrics().Counter("lpm.recovery.siblings_lost").Inc()
+		p.lost = true
+		l.scheduleRedial()
 		l.rec.OnSiblingLost(p.host)
+	}
+}
+
+// --- the redial loop ---
+
+// redialEvery is how often lost sibling circuits are redialed, so a
+// healed partition re-knits the circuit graph instead of only reseeking
+// the CCS.
+const redialEvery = 10 * time.Second
+
+// scheduleRedial arms the redial timer if it is not already running.
+func (l *LPM) scheduleRedial() {
+	if l.redialTmr.Fired() {
+		l.redialTmr = l.sched.After(redialEvery, l.redialTick)
+	}
+}
+
+// A redialPass dials the peers lost when its tick fired, one at a time
+// in host order. Passes can overlap (a loss during one arms the next),
+// so each keeps its own list.
+type redialPass struct {
+	l    *LPM
+	lost []*peer               // from the one being dialed on
+	step func(*sibling, error) // bound once per pass
+}
+
+// redialTick starts a pass over the peers lost now.
+func (l *LPM) redialTick() {
+	var lost []*peer
+	for _, p := range l.ordered {
+		if p.lost {
+			lost = append(lost, p)
+		}
+	}
+	if len(lost) > 0 {
+		r := &redialPass{l: l, lost: lost}
+		r.step = func(sb *sibling, err error) {
+			if err == nil && sb != nil {
+				sb.peer.lost = false
+			}
+			r.lost = r.lost[1:]
+			r.next()
+		}
+		r.next()
+	}
+}
+
+// next dials the first peer of the list that is still lost. One whose
+// circuit is open (the break was reported for a circuit no longer the
+// peer's) leaves the loop undialed. Peers still lost after the pass get
+// another a redialEvery later.
+func (r *redialPass) next() {
+	l := r.l
+	if l.exited {
+		return
+	}
+	for ; len(r.lost) > 0; r.lost = r.lost[1:] {
+		p := r.lost[0]
+		if p.lost && p.open() == nil {
+			l.obs.Record(journal.LPMRedial, l.Host(), l.obs.Tracer().Active(), journal.Redial(l.user.Name, p.host, "recovery"))
+			l.ensureSibling(trace.Context{}, p.host, r.step)
+			return
+		}
+		p.lost = false
+	}
+	if slices.ContainsFunc(l.ordered, func(p *peer) bool { return p.lost }) {
+		l.scheduleRedial()
 	}
 }
 

@@ -13,7 +13,6 @@ package recovery
 import (
 	"time"
 
-	"ppm/internal/detord"
 	"ppm/internal/sim"
 )
 
@@ -61,10 +60,6 @@ type Env interface {
 	// TerminateAll is the time-to-die action: kill all the user's local
 	// processes and exit the LPM.
 	TerminateAll()
-	// RedialSibling re-establishes the sibling circuit to a previously
-	// lost host (after a partition heals), reporting whether a circuit
-	// is up afterwards.
-	RedialSibling(host string, cb func(ok bool))
 }
 
 // Locator asks a network name server for the user's current CCS — the
@@ -104,11 +99,6 @@ type Config struct {
 	RetryEvery time.Duration
 }
 
-// redialEvery is how often lost sibling circuits are redialed, so a
-// healed partition re-knits the circuit graph instead of only reseeking
-// the CCS.
-const redialEvery = 10 * time.Second
-
 func (c Config) withDefaults() Config {
 	if c.TimeToDie == 0 {
 		c.TimeToDie = 5 * time.Minute
@@ -135,11 +125,7 @@ type Manager struct {
 	probeTmr sim.Timer
 	retryTmr sim.Timer
 	stopped  bool
-
-	// lost tracks hosts whose sibling circuit broke and has not come
-	// back; the redial loop walks them until each circuit is up again.
-	lost      map[string]bool
-	redialTmr sim.Timer
+	seek     walkID // the number of the latest seek (startSeek)
 }
 
 // New creates user's recovery manager in the Normal state with no known
@@ -168,7 +154,6 @@ func (m *Manager) cancelTimers() {
 	m.dieTimer.Cancel()
 	m.probeTmr.Cancel()
 	m.retryTmr.Cancel()
-	m.redialTmr.Cancel()
 }
 
 // SetCCS installs a CCS (initial default assignment, a propagated
@@ -200,19 +185,10 @@ func (m *Manager) topOfList() bool {
 
 // OnSiblingLost is called when a sibling circuit breaks. Per the paper,
 // the LPM then tries to establish a connection with the known CCS; if
-// that fails it walks the recovery list. Independently of the CCS
-// logic, the lost host enters the redial loop so the circuit comes
-// back once the failure (a crash, a partition) heals.
+// that fails it walks the recovery list. (Re-knitting the circuit
+// itself is the LPM's.)
 func (m *Manager) OnSiblingLost(host string) {
-	if m.stopped {
-		return
-	}
-	if m.lost == nil {
-		m.lost = make(map[string]bool)
-	}
-	m.lost[host] = true
-	m.scheduleRedial()
-	if m.state != Normal {
+	if m.stopped || m.state != Normal {
 		return
 	}
 	if m.IsCCS() {
@@ -251,76 +227,28 @@ func (m *Manager) OnContact(theirCCS string) {
 	}
 }
 
-// OnSiblingUp clears the redial bookkeeping for a host whose circuit
-// is live again — redialed by us, or dialed afresh by the peer.
-func (m *Manager) OnSiblingUp(host string) {
-	delete(m.lost, host)
-}
+// A walkID names one walk of the .recovery list: a seek, numbered by
+// startSeek, looks for a CCS from the top of the list down; the climb is
+// a CCS that is not at the top probing the hosts above it to rejoin
+// them.
+type walkID uint64
 
-// scheduleRedial arms the redial timer if it is not already running.
-func (m *Manager) scheduleRedial() {
-	if !m.redialTmr.Fired() {
-		return
-	}
-	m.redialTmr = m.env.After(redialEvery, m.redialTick)
-}
-
-func (m *Manager) redialTick() {
-	if m.stopped || len(m.lost) == 0 {
-		return
-	}
-	m.redialWalk(detord.Keys(m.lost), 0)
-}
-
-// redialWalk tries each lost host in order, one at a time; hosts still
-// lost afterwards get another pass a redialEvery later.
-func (m *Manager) redialWalk(hosts []string, i int) {
-	if m.stopped {
-		return
-	}
-	if i >= len(hosts) {
-		if len(m.lost) > 0 {
-			m.scheduleRedial()
-		}
-		return
-	}
-	h := hosts[i]
-	if !m.lost[h] {
-		m.redialWalk(hosts, i+1)
-		return
-	}
-	m.env.RedialSibling(h, func(ok bool) {
-		if m.stopped {
-			return
-		}
-		if ok {
-			delete(m.lost, h)
-		}
-		m.redialWalk(hosts, i+1)
-	})
-}
-
-// A dir is which way a walk of the .recovery list goes: a seek looks
-// for a CCS from the top of the list down; a climb is a CCS that is not
-// at the top probing the hosts above it to rejoin them.
-type dir bool
-
-const (
-	seek  dir = false
-	climb dir = true
-)
+const climb walkID = 0
 
 // current reports whether a walk still applies: the machine is running,
-// and a seek is still seeking or a climb's LPM is still the CCS. It is
-// the one guard of every step of a walk.
-func (m *Manager) current(s dir) bool {
-	return !m.stopped && (s == seek && m.state == Seeking || s == climb && m.IsCCS())
+// and a seek is the latest one and still seeking, or a climb's LPM is
+// still the CCS. It is the one guard of every step of a walk.
+func (m *Manager) current(s walkID) bool {
+	return !m.stopped && (s == climb && m.IsCCS() || s == m.seek && m.state == Seeking)
 }
 
 // startSeek consults the name server (when configured), then walks the
-// .recovery list in decreasing priority order.
+// .recovery list in decreasing priority order. It numbers the seek, so
+// one it replaces (rescued by OnContact, then lost again) ends.
 func (m *Manager) startSeek() {
 	m.state = Seeking
+	m.seek++
+	seek := m.seek
 	if m.sites.Locator == nil {
 		m.walk(seek, 0)
 		return
@@ -337,15 +265,15 @@ func (m *Manager) startSeek() {
 // walk tries the list from position i, unless the walk is no longer
 // current. A seek that runs off the end isolates; a climb stops at this
 // host (or the end) and probes again later.
-func (m *Manager) walk(s dir, i int) {
+func (m *Manager) walk(s walkID, i int) {
 	if !m.current(s) {
 		return
 	}
 	if i >= len(m.sites.List) || s == climb && m.sites.List[i] == m.env.HostName() {
-		if s == seek {
-			m.becomeIsolated()
-		} else {
+		if s == climb {
 			m.scheduleProbe()
+		} else {
+			m.becomeIsolated()
 		}
 		return
 	}
@@ -356,7 +284,7 @@ func (m *Manager) walk(s dir, i int) {
 // either failure, or once the walk is no longer current, it hands on to
 // walk from position i+1, which ends a stale walk. A candidate that is
 // this host is taken at once: the list says the CCS should reside here.
-func (m *Manager) try(s dir, i int, candidate string) {
+func (m *Manager) try(s walkID, i int, candidate string) {
 	if candidate == m.env.HostName() {
 		m.take(candidate)
 		return

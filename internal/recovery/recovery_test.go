@@ -18,7 +18,6 @@ type fakeEnv struct {
 	probes     []string
 	connects   []string
 	announced  []string
-	redials    []string
 	terminated bool
 }
 
@@ -42,12 +41,6 @@ func (f *fakeEnv) ConnectCCS(host string, cb func(bool)) {
 
 func (f *fakeEnv) AnnounceCCS(host string) { f.announced = append(f.announced, host) }
 func (f *fakeEnv) TerminateAll()           { f.terminated = true }
-
-func (f *fakeEnv) RedialSibling(host string, cb func(bool)) {
-	f.redials = append(f.redials, host)
-	ok := f.reachable[host]
-	f.sched.After(10*time.Millisecond, func() { cb(ok) })
-}
 
 func newFake(host string, reachable ...string) *fakeEnv {
 	f := &fakeEnv{
@@ -528,93 +521,18 @@ func TestClimbProbesOnlyHostsAbove(t *testing.T) {
 	}
 }
 
-func TestRedialLoopReknitsLostSibling(t *testing.T) {
-	f := newFake("vax1")
-	m := New(f, Config{}, "", Sites{})
-	m.SetCCS("vax1") // self is CCS: the loss triggers no seek, only redial
-	m.OnSiblingLost("vax2")
-	if got := m.LostSiblings(); len(got) != 1 || got[0] != "vax2" {
-		t.Fatalf("lost = %v", got)
-	}
-	// First pass: still unreachable; the host stays in the loop.
-	run(t, f, 15*time.Second)
-	if len(f.redials) == 0 {
-		t.Fatal("redial loop never fired")
-	}
-	if len(m.LostSiblings()) != 1 {
-		t.Fatal("unreachable host dropped from the loop")
-	}
-	// Heal: the next pass brings the circuit back and the loop drains.
-	f.reachable["vax2"] = true
-	run(t, f, 30*time.Second)
-	if got := m.LostSiblings(); len(got) != 0 {
-		t.Fatalf("lost = %v after heal", got)
-	}
-	n := len(f.redials)
-	run(t, f, time.Minute)
-	if len(f.redials) != n {
-		t.Fatalf("redial loop still firing with nothing lost: %v", f.redials)
-	}
-}
-
-func TestRedialWalksAllLostHostsInOrder(t *testing.T) {
-	f := newFake("vax1", "vax3", "vax4")
-	m := New(f, Config{}, "", Sites{})
-	m.SetCCS("vax1")
-	m.OnSiblingLost("vax4")
-	m.OnSiblingLost("vax3")
-	run(t, f, 15*time.Second)
-	// One pass, deterministic (sorted) order regardless of loss order.
-	if len(f.redials) < 2 || f.redials[0] != "vax3" || f.redials[1] != "vax4" {
-		t.Fatalf("redials = %v", f.redials)
-	}
-	if len(m.LostSiblings()) != 0 {
-		t.Fatalf("lost = %v, both hosts were reachable", m.LostSiblings())
-	}
-}
-
-func TestRedialSkipsHostThatDialedBack(t *testing.T) {
-	f := newFake("vax1")
-	m := New(f, Config{}, "", Sites{})
-	m.SetCCS("vax1")
-	m.OnSiblingLost("vax2")
-	m.OnSiblingUp("vax2") // the peer re-dialed us before the timer fired
-	run(t, f, time.Minute)
-	if len(f.redials) != 0 {
-		t.Fatalf("redialed a host whose circuit is already up: %v", f.redials)
-	}
-}
-
-func TestRedialRunsWhileSeeking(t *testing.T) {
-	// Losing the CCS starts a seek; the lost host must still enter the
-	// redial loop so the circuit re-knits after the heal, not only the
-	// CCS role.
-	f := newFake("vax2")
-	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2"}})
+func TestRescuedSeekEndsWhenANewOneStarts(t *testing.T) {
+	// A seek rescued by a contact (back to Normal) and then restarted by
+	// the loss of the new CCS: the first seek's probe still answers, and
+	// must not step beside the second one.
+	f := newFake("vax3")
+	m := New(f, Config{}, "", Sites{List: []string{"vax1", "vax2", "vax3"}})
 	m.SetCCS("vax1")
 	m.OnSiblingLost("vax1")
+	f.sched.After(5*time.Millisecond, func() { m.OnContact("vax9") })
+	f.sched.After(6*time.Millisecond, func() { m.OnSiblingLost("vax9") })
 	run(t, f, time.Second)
-	if !m.IsCCS() {
-		t.Fatal("setup: vax2 should be acting CCS")
-	}
-	if got := m.LostSiblings(); len(got) != 1 || got[0] != "vax1" {
-		t.Fatalf("lost = %v", got)
-	}
-	f.reachable["vax1"] = true
-	run(t, f, 30*time.Second)
-	if len(m.LostSiblings()) != 0 {
-		t.Fatalf("lost = %v after heal", m.LostSiblings())
-	}
-}
-
-func TestStopCancelsRedial(t *testing.T) {
-	f := newFake("vax1")
-	m := New(f, Config{}, "", Sites{})
-	m.SetCCS("vax1")
-	m.OnSiblingLost("vax2")
-	m.Stop()
-	run(t, f, time.Minute)
-	if len(f.redials) != 0 {
-		t.Fatalf("redial fired after Stop: %v", f.redials)
+	if got := strings.Join(f.probes, " "); got != "vax1 vax1 vax2" {
+		t.Fatalf("probes = [%s], want [vax1 vax1 vax2]", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,9 +24,9 @@ const chaosEpisodes = 1049
 // crash, restart, partition, heal, create, control, snapshot and
 // broadcast with idle virtual time between them, then a heal, every
 // host restarted, three idle minutes and a fresh session's check. It
-// returns why the episode ended dirty: the settled check that failed,
-// or the journal audit's report; "" when it ended clean.
-func chaosEpisode(t *testing.T, seed int64) string {
+// returns the cluster and why the episode ended dirty: the settled check
+// that failed, or the journal audit's report; "" when it ended clean.
+func chaosEpisode(t *testing.T, seed int64) (*ppm.Cluster, string) {
 	names := []string{"h00", "h01", "h02", "h03", "h04", "h05"}
 	hosts := make([]ppm.HostSpec, len(names))
 	for i, n := range names {
@@ -125,18 +126,18 @@ func chaosEpisode(t *testing.T, seed int64) string {
 	fault(c.Advance(3 * time.Minute))
 	fresh, err := c.Attach("u", names[0])
 	if err != nil {
-		return "fresh attach: " + err.Error()
+		return c, "fresh attach: " + err.Error()
 	}
 	id, err := fresh.Run(names[1], "post-chaos")
 	if err != nil {
-		return "create after chaos: " + err.Error()
+		return c, "create after chaos: " + err.Error()
 	}
 	snap, err := fresh.Snapshot()
 	if err != nil {
-		return "snapshot after chaos: " + err.Error()
+		return c, "snapshot after chaos: " + err.Error()
 	}
 	if _, ok := snap.Find(id); !ok {
-		return "post-chaos process missing from the snapshot"
+		return c, "post-chaos process missing from the snapshot"
 	}
 	for _, p := range snap.Procs {
 		k, err := c.Kernel(p.ID.Host)
@@ -144,13 +145,13 @@ func chaosEpisode(t *testing.T, seed int64) string {
 			t.Fatal(err)
 		}
 		if kp, err := k.Lookup(p.ID.PID); err == nil && kp.State != p.State {
-			return fmt.Sprintf("%v: snapshot says %v, kernel says %v", p.ID, p.State, kp.State)
+			return c, fmt.Sprintf("%v: snapshot says %v, kernel says %v", p.ID, p.State, kp.State)
 		}
 	}
 	if vs := c.JournalAudit(); len(vs) != 0 {
-		return journal.AuditReport(vs)
+		return c, journal.AuditReport(vs)
 	}
-	return ""
+	return c, ""
 }
 
 // TestChaosEpisodesEndClean replays the load generator's chaos episodes
@@ -166,7 +167,7 @@ func TestChaosEpisodesEndClean(t *testing.T) {
 	dirty := 0
 	for i := 0; i < n; i++ {
 		seed := int64(1_000_000 + i + 1)
-		if why := chaosEpisode(t, seed); why != "" {
+		if _, why := chaosEpisode(t, seed); why != "" {
 			if dirty++; dirty <= 3 {
 				t.Errorf("chaos cluster seed %d ends dirty: %s", seed, why)
 			}
@@ -174,5 +175,68 @@ func TestChaosEpisodesEndClean(t *testing.T) {
 	}
 	if dirty > 0 {
 		t.Fatalf("%d of %d chaos episodes end dirty", dirty, n)
+	}
+}
+
+// stepCounts counts a cluster's circuit.transition records by what each
+// step is, under the name of the count it makes: an open, a close, a
+// step to Suspect, a detector's close, or ("cleared") a suspicion that
+// traffic resolved.
+func stepCounts(c *ppm.Cluster) map[string]uint64 {
+	n := map[string]uint64{}
+	for _, r := range c.Journal().Records() {
+		if r.Kind != journal.CircuitTransition {
+			continue
+		}
+		step := map[string]string{}
+		for _, f := range strings.Fields(r.Detail) {
+			k, v, _ := strings.Cut(f, "=")
+			step[k] = v
+		}
+		switch from, to := step["from"], step["to"]; {
+		case to == "suspect":
+			n["lpm.detector.suspects"]++
+		case to == "established" && from == "suspect":
+			n["cleared"]++
+		case to == "established":
+			n["lpm.siblings.opened"]++
+		case to == "closed" && (from == "established" || from == "suspect"):
+			n["lpm.siblings.closed"]++
+			if step["reason"] == "detector" {
+				n["lpm.detector.closes"]++
+			}
+		}
+	}
+	return n
+}
+
+// TestCircuitCountsDeriveFromTransitions: the circuit.transition record
+// is the one record of a sibling circuit opening or closing, and the
+// LPM derives every circuit count at that step. Over a chaos episode
+// with the detector on (an odd seed) — one where it suspects, closes,
+// and sees traffic clear a suspicion — and a flapping link, where it
+// closes suspect circuits, each count equals the steps that make it,
+// and the open-circuit gauge is the opens less the closes.
+func TestCircuitCountsDeriveFromTransitions(t *testing.T) {
+	chaos, why := chaosEpisode(t, 1_000_025)
+	if why != "" {
+		t.Fatalf("the episode ended dirty: %s", why)
+	}
+	for _, c := range []*ppm.Cluster{chaos, flapRun(t, 21)} {
+		want, snap := stepCounts(c), c.MetricsSnapshot()
+		if want["lpm.detector.suspects"] == 0 || want["lpm.siblings.closed"] == 0 {
+			t.Fatalf("the run suspects no circuit or closes none: it no longer exercises the detector")
+		}
+		for _, name := range []string{"lpm.siblings.opened", "lpm.siblings.closed", "lpm.detector.suspects", "lpm.detector.closes"} {
+			if got := snap.Counter(name); got != want[name] {
+				t.Errorf("%s = %d, the journal's steps say %d", name, got, want[name])
+			}
+		}
+		if got, open := snap.Gauge("lpm.siblings.open"), int64(want["lpm.siblings.opened"]-want["lpm.siblings.closed"]); got != open {
+			t.Errorf("lpm.siblings.open = %d, the journal's steps say %d", got, open)
+		}
+	}
+	if n := stepCounts(chaos); n["cleared"] == 0 || n["lpm.detector.closes"] == 0 {
+		t.Fatalf("the episode clears %d suspicions and makes %d detector closes, want some of each", n["cleared"], n["lpm.detector.closes"])
 	}
 }

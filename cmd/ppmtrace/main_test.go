@@ -33,7 +33,7 @@ func TestTraceDemoWithSpansAndMoreHosts(t *testing.T) {
 
 func TestTraceDemoWithJournal(t *testing.T) {
 	err := runTrace(traceOptions{hosts: 2, showJournal: true, filter: journal.Filter{
-		Kinds: []journal.Kind{journal.LPMSiblingOpen, journal.LPMSiblingClose, journal.NetCircuitOpen},
+		Kinds: []journal.Kind{journal.CircuitTransition, journal.LPMSiblingAuth, journal.NetCircuitOpen},
 		Host:  "vax1"}}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,8 @@ const maxViolations = 64
 //   - circuit lifecycle: sibling channels go open → authenticated →
 //     close, with the Hello authentication happening exactly once per
 //     channel (the paper: authentication "need happen only once, at
-//     the time the circuit is created");
+//     the time the circuit is created"); a channel's opens and closes
+//     are its circuit.transition steps to and from Established;
 //   - circuit state machine: every circuit.transition record steps the
 //     per-(host,peer) machine along a legal edge of the lifecycle
 //     (idle → dialing/authenticating → established ⇄ suspect → closed),
@@ -84,17 +85,15 @@ type auditProc struct {
 	lpmOf  string // an LPM's: its user
 }
 
+// auditChan is one sibling channel: its authentications, the hosts
+// whose circuit steps opened and closed it, and its edge in its user's
+// circuit graph (the first opener a and its peer b), which carries
+// traffic once both ends have opened (live == 2).
 type auditChan struct {
-	auths  int
-	opened map[string]bool // hosts that recorded an open on this channel
-	closed map[string]bool // hosts that recorded a close
-}
-
-// auditEdge is one sibling channel in the per-user circuit graph; it
-// carries traffic once both endpoints have registered (live == 2).
-type auditEdge struct {
-	a, b string
-	live int
+	auths          int
+	opened, closed map[string]bool
+	user, a, b     string
+	live           int
 }
 
 type auditFlood struct {
@@ -176,9 +175,9 @@ type auditor struct {
 	complete bool
 	procs    map[proc.GPID]*auditProc
 	chans    map[string]*auditChan
-	circuits map[userPair]*auditCircuit       // machine state per (host, peer)
-	estab    map[userPair]map[string]bool     // established chan keys per unordered pair
-	edges    map[string]map[string]*auditEdge // user -> chan -> edge
+	circuits map[userPair]*auditCircuit   // machine state per (host, peer)
+	estab    map[userPair]map[string]bool // established chan keys per unordered pair
+	edges    map[string]*auditChan        // the channels with an open end
 	floods   map[stamp]*auditFlood
 	execs    map[opKey]string // op -> executing host
 	sweeps   map[sweepKey]*auditSweep
@@ -209,7 +208,7 @@ func newAuditor(complete bool, j *Journal) *auditor {
 		chans:    make(map[string]*auditChan),
 		circuits: make(map[userPair]*auditCircuit),
 		estab:    make(map[userPair]map[string]bool),
-		edges:    make(map[string]map[string]*auditEdge),
+		edges:    make(map[string]*auditChan),
 		floods:   make(map[stamp]*auditFlood),
 		execs:    make(map[opKey]string, execs),
 		sweeps:   make(map[sweepKey]*auditSweep),
@@ -297,10 +296,6 @@ func (a *auditor) step(seq uint64, e *entry) {
 		if ch.auths > 1 {
 			a.fail(seq, "circuit", "channel %s authenticated %d times (want exactly once)", key, ch.auths)
 		}
-	case LPMSiblingOpen:
-		a.siblingOpen(seq, e)
-	case LPMSiblingClose:
-		a.siblingClose(seq, e)
 	case LPMFloodOrigin:
 		a.floodOrigin(seq, e)
 	case LPMFloodApply:
@@ -440,7 +435,9 @@ var legalCircuitSteps = [numCircuitStates]uint8{
 // (continuity — only checkable on a complete stream), and stepping a
 // pair's circuit to Established while another established channel
 // between the same pair is still up is the cross-dial double-circuit
-// bug the tie-break exists to prevent.
+// bug the tie-break exists to prevent. A step from Authenticating to
+// Established opens its channel at the host, and one from Established
+// or Suspect to Closed closes it (chanOpen, chanClose).
 func (a *auditor) circuitStep(seq uint64, e *entry) {
 	user, peer, ck := e.d.s[0], e.d.s[1], e.d.s[2]
 	from, to := CircuitState(e.d.n[0]>>8), CircuitState(e.d.n[0])
@@ -484,9 +481,15 @@ func (a *auditor) circuitStep(seq uint64, e *entry) {
 			a.fail(seq, "lifecycle", "pair %s holds %d established circuits at once: %s",
 				pk, len(set), strings.Join(detord.Keys(set), ","))
 		}
+		if from != CircuitSuspect {
+			a.chanOpen(seq, e, circuitReasons[e.d.n[1]] == "auth-server")
+		}
 	case CircuitClosed:
 		if ck != "-" {
 			delete(a.estab[pk], ck)
+		}
+		if from == CircuitEstablished || from == CircuitSuspect {
+			a.chanClose(seq, e)
 		}
 	}
 }
@@ -510,7 +513,7 @@ func (a *auditor) finishCircuits() {
 }
 
 // hostDown removes a crashed host from the circuit graph: its channel
-// endpoints die silently (no close records will arrive from it).
+// endpoints die silently (no closing step will arrive from it).
 func (a *auditor) hostDown(host string) {
 	a.epoch++
 	a.down[host] = true
@@ -533,11 +536,9 @@ func (a *auditor) hostDown(host string) {
 			delete(a.estab, pk)
 		}
 	}
-	for _, edges := range a.edges {
-		for ck, e := range edges {
-			if e.a == host || e.b == host {
-				delete(edges, ck)
-			}
+	for ck, e := range a.edges {
+		if e.a == host || e.b == host {
+			delete(a.edges, ck)
 		}
 	}
 	for _, ch := range a.chans {
@@ -547,7 +548,8 @@ func (a *auditor) hostDown(host string) {
 	}
 }
 
-func (a *auditor) siblingOpen(seq uint64, e *entry) {
+// chanOpen opens a channel at a step's host, the authenticated end if server.
+func (a *auditor) chanOpen(seq uint64, e *entry, server bool) {
 	a.epoch++
 	user, peer, key := e.d.s[0], e.d.s[1], e.d.s[2]
 	ch := a.chanState(key)
@@ -555,23 +557,19 @@ func (a *auditor) siblingOpen(seq uint64, e *entry) {
 		a.fail(seq, "circuit", "channel %s opened twice by %s", key, e.host)
 	}
 	ch.opened[e.host] = true
-	if a.complete && e.d.flag && ch.auths == 0 { // the server end
+	if a.complete && server && ch.auths == 0 {
 		a.fail(seq, "circuit", "channel %s opened by %s before authentication", key, e.host)
 	}
-	if a.edges[user] == nil {
-		a.edges[user] = make(map[string]*auditEdge)
+	if a.edges[key] == nil {
+		ch.user, ch.a, ch.b, ch.live = user, e.host, peer, 0
+		a.edges[key] = ch
 	}
-	edge, ok := a.edges[user][key]
-	if !ok {
-		edge = &auditEdge{a: e.host, b: peer}
-		a.edges[user][key] = edge
-	}
-	edge.live++
+	ch.live++
 }
 
-func (a *auditor) siblingClose(seq uint64, e *entry) {
+func (a *auditor) chanClose(seq uint64, e *entry) {
 	a.epoch++
-	user, key := e.d.s[0], e.d.s[2]
+	key := e.d.s[2]
 	ch := a.chanState(key)
 	if a.complete && !ch.opened[e.host] {
 		a.fail(seq, "circuit", "channel %s closed by %s without an open record", key, e.host)
@@ -580,10 +578,9 @@ func (a *auditor) siblingClose(seq uint64, e *entry) {
 		a.fail(seq, "circuit", "channel %s closed twice by %s", key, e.host)
 	}
 	ch.closed[e.host] = true
-	if edge, ok := a.edges[user][key]; ok {
-		edge.live--
-		if edge.live <= 0 {
-			delete(a.edges[user], key)
+	if a.edges[key] != nil {
+		if ch.live--; ch.live <= 0 {
+			delete(a.edges, key)
 		}
 	}
 }
@@ -606,9 +603,9 @@ func (a *auditor) reachable(user, origin string) []string {
 	seen := map[string]bool{origin: true}
 	for changed := true; changed; {
 		changed = false
-		for _, ck := range detord.Keys(a.edges[user]) {
-			e := a.edges[user][ck]
-			if e.live == 2 && seen[e.a] != seen[e.b] {
+		for _, ck := range detord.Keys(a.edges) {
+			e := a.edges[ck]
+			if e.user == user && e.live == 2 && seen[e.a] != seen[e.b] {
 				seen[e.a], seen[e.b] = true, true
 				changed = true
 			}

@@ -86,13 +86,6 @@ func TestLayoutsRenderTheReplacedFormats(t *testing.T) {
 	const chanKey = "vax2:10003->vax1:2002"
 	kind = journal.LPMSiblingAuth
 	check(journal.SiblingAuth("felipe", chanKey, "vax2"), "user=%s chan=%s from=%s", "felipe", chanKey, "vax2")
-	kind = journal.LPMSiblingOpen
-	for _, role := range []string{"client", "server"} {
-		check(journal.SiblingOpen("felipe", "vax2", chanKey, role == "server"),
-			"user=%s peer=%s chan=%s role=%s", "felipe", "vax2", chanKey, role)
-	}
-	kind = journal.LPMSiblingClose
-	check(journal.SiblingClose("felipe", "vax2", chanKey), "user=%s peer=%s chan=%s", "felipe", "vax2", chanKey)
 	kind = journal.SnapshotTaken
 	for _, partial := range []string{"", "vax3,vax4"} {
 		const procs = "<vax1,7>|<vax1,6>|running;<vax1,6>|-|exited"

@@ -76,8 +76,6 @@ const (
 	LPMAdopt
 	LPMControl
 	LPMSiblingAuth
-	LPMSiblingOpen
-	LPMSiblingClose
 	LPMSiblingReject
 	LPMFloodOrigin
 	LPMFloodApply
@@ -106,9 +104,11 @@ const (
 	// circuit lifecycle: every transition of a sibling circuit's
 	// explicit state machine (idle → dialing → authenticating →
 	// established → suspect → closed), journaled at the host whose
-	// machine stepped. The audit replays these against the legal
-	// transition table and holds each host pair to at most one
-	// Established circuit.
+	// machine stepped. A step from Authenticating to Established opens
+	// a channel and one from Established or Suspect to Closed closes
+	// it: the transition is the only record of either. The audit
+	// replays these against the legal transition table and holds each
+	// host pair to at most one Established circuit.
 	CircuitTransition
 
 	// lpm exit forwarding: a remote kernel's LPM forwarding a process
@@ -186,8 +186,6 @@ var kindTable = [numKinds]struct {
 	LPMAdopt:          {"lpm.adopt", "lpm.adoptions", "user=%s pid=%d", "", 0},
 	LPMControl:        {"lpm.control", "", "op=%s pid=%d ok=%t", "", 0},
 	LPMSiblingAuth:    {"lpm.sibling.auth", "", "user=%s chan=%s from=%s", "", text1},
-	LPMSiblingOpen:    {"lpm.sibling.open", "lpm.siblings.opened", "user=%s peer=%s chan=%s role=client", "user=%s peer=%s chan=%s role=server", text2},
-	LPMSiblingClose:   {"lpm.sibling.close", "lpm.siblings.closed", "user=%s peer=%s chan=%s", "", text2},
 	LPMSiblingReject:  {"lpm.sibling.reject", "lpm.siblings.rejected", "from=%s reason=%s", "", text1},
 	LPMFloodOrigin:    {"lpm.flood.origin", "lpm.flood.originated", "user=%s stamp=%s@%v#%d inner=%s", "user=%s stamp=%s inner=%s", alt(text1)},
 	LPMFloodApply:     {"lpm.flood.apply", "", "user=%s stamp=%s@%v#%d", "user=%s stamp=%s", alt(text1)},
@@ -391,8 +389,7 @@ func (j *Journal) Flows(after uint64) (flows []Flow, evicted uint64) {
 
 // The constructors of the kinds with a format fill the slots in the
 // order the kind's format reads them (kindTable). A zero parent is a
-// root's ("-"); server says which end of a circuit the record's host
-// holds; a sweep is named by its origin and its number there.
+// root's ("-"); a sweep is named by its origin and its number there.
 func fixed(s0, s1, s2 string, n0, n1 int32, flag bool) Detail {
 	return Detail{layout: layoutFormat, s: [3]string{s0, s1, s2}, n: [3]int32{n0, n1}, flag: flag}
 }
@@ -401,31 +398,26 @@ func WireFrame(msgType string, size int) Detail { return fixed(msgType, "", "", 
 func EventMessage(event, procHost string, pid int32) Detail {
 	return fixed(event, procHost, "", pid, 0, false)
 }
-func Spawn(pid int32, name, user string) Detail      { return fixed(name, user, "", pid, 0, false) }
-func Fork(parent, child int32, name string) Detail   { return fixed(name, "", "", parent, child, false) }
-func Exit(pid, code int32, sig string) Detail        { return fixed(sig, "", "", pid, code, sig != "") }
-func Control(op string, pid int32, ok bool) Detail   { return fixed(op, "", "", pid, 0, ok) }
-func SiblingAuth(user, chanKey, from string) Detail  { return fixed(user, chanKey, from, 0, 0, false) }
-func SiblingClose(user, peer, chanKey string) Detail { return fixed(user, peer, chanKey, 0, 0, false) }
-func Snapshot(user, procs, partial string) Detail    { return fixed(user, procs, partial, 0, 0, false) }
-func Query(user, from string) Detail                 { return fixed(user, from, "", 0, 0, false) }
-func UserLPM(user string) Detail                     { return fixed(user, "", "", 0, 0, false) }
-func Adopt(user string, pid int32) Detail            { return fixed(user, "", "", pid, 0, false) }
-func SiblingReject(from, reason string) Detail       { return fixed(from, reason, "", 0, 0, false) }
-func Relay(user, dest, hop string) Detail            { return fixed(user, dest, hop, 0, 0, false) }
-func Redial(user, peer, reason string) Detail        { return fixed(user, peer, reason, 0, 0, false) }
-func Link(a, b string) Detail                        { return fixed(a, b, "", 0, 0, false) }
-func Partition(groups string) Detail                 { return fixed(groups, "", "", 0, 0, false) }
+func Spawn(pid int32, name, user string) Detail     { return fixed(name, user, "", pid, 0, false) }
+func Fork(parent, child int32, name string) Detail  { return fixed(name, "", "", parent, child, false) }
+func Exit(pid, code int32, sig string) Detail       { return fixed(sig, "", "", pid, code, sig != "") }
+func Control(op string, pid int32, ok bool) Detail  { return fixed(op, "", "", pid, 0, ok) }
+func SiblingAuth(user, chanKey, from string) Detail { return fixed(user, chanKey, from, 0, 0, false) }
+func Snapshot(user, procs, partial string) Detail   { return fixed(user, procs, partial, 0, 0, false) }
+func Query(user, from string) Detail                { return fixed(user, from, "", 0, 0, false) }
+func UserLPM(user string) Detail                    { return fixed(user, "", "", 0, 0, false) }
+func Adopt(user string, pid int32) Detail           { return fixed(user, "", "", pid, 0, false) }
+func SiblingReject(from, reason string) Detail      { return fixed(from, reason, "", 0, 0, false) }
+func Relay(user, dest, hop string) Detail           { return fixed(user, dest, hop, 0, 0, false) }
+func Redial(user, peer, reason string) Detail       { return fixed(user, peer, reason, 0, 0, false) }
+func Link(a, b string) Detail                       { return fixed(a, b, "", 0, 0, false) }
+func Partition(groups string) Detail                { return fixed(groups, "", "", 0, 0, false) }
 func ExitForward(user, host string, pid int32, to string) Detail {
 	return fixed(user, host, to, pid, 0, false)
 }
 
 func SetParent(pid int32, parentHost string, parentPID int32) Detail {
 	return fixed(parentHost, "", "", pid, parentPID, parentHost != "" || parentPID != 0)
-}
-
-func SiblingOpen(user, peer, chanKey string, server bool) Detail {
-	return fixed(user, peer, chanKey, 0, 0, server)
 }
 
 func SweepRequest(user, origin string, seq int32, hosts string) Detail {

@@ -91,9 +91,9 @@ func TestFilter(t *testing.T) {
 	j, now := testJournal(32)
 	*now = 1 * time.Second
 	j.Append(NetSend, "a", "")
-	j.AppendDetail(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false), 0, 0)
+	j.AppendDetail(LPMSiblingAuth, "a", SiblingAuth("u", "c1", "b"), 0, 0)
 	*now = 2 * time.Second
-	j.AppendDetail(LPMSiblingClose, "b", SiblingClose("u", "a", "c1"), 0, 0)
+	j.AppendDetail(LPMSiblingReject, "b", SiblingReject("a", "cross-dial"), 0, 0)
 	j.AppendDetail(SnapshotTaken, "b", Snapshot("u", "", ""), 0, 0)
 	family, err := ParseKinds("lpm.sibling")
 	if err != nil {
@@ -102,7 +102,7 @@ func TestFilter(t *testing.T) {
 	if got := len(j.Select(Filter{Kinds: family})); got != 2 {
 		t.Fatalf("prefix kind matched %d, want 2", got)
 	}
-	if got := len(j.Select(Filter{Kinds: []Kind{LPMSiblingOpen}})); got != 1 {
+	if got := len(j.Select(Filter{Kinds: []Kind{LPMSiblingAuth}})); got != 1 {
 		t.Fatalf("exact kind matched %d, want 1", got)
 	}
 	if got := len(j.Select(Filter{Host: "b"})); got != 2 {
@@ -247,7 +247,7 @@ func TestFormatsFitTheSlots(t *testing.T) {
 // write one as text: AppendDetail refuses a text detail under it.
 func TestAuditedKindsAreWrittenInSlots(t *testing.T) {
 	for _, k := range []Kind{KernelSpawn, KernelFork, KernelSetParent, KernelExit, SnapshotTaken,
-		CircuitTransition, LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMFloodOrigin,
+		CircuitTransition, LPMSiblingAuth, LPMFloodOrigin,
 		LPMFloodApply, LPMFloodDup, LPMFloodDone, LPMOpExec, LPMOpReplay, StatusRequest, StatusReport,
 		DaemonLPMCreated} {
 		if kindTable[k].format == "" {
@@ -311,7 +311,7 @@ func TestKindTableTotal(t *testing.T) {
 	}
 
 	got, err := ParseKinds(" lpm.sibling ,snapshot,net.flap")
-	want := []Kind{LPMSiblingAuth, LPMSiblingOpen, LPMSiblingClose, LPMSiblingReject, LPMRedial, SnapshotTaken, NetFlapDown, NetFlapUp}
+	want := []Kind{LPMSiblingAuth, LPMSiblingReject, LPMRedial, SnapshotTaken, NetFlapDown, NetFlapUp}
 	if err != nil || !slices.Equal(got, want) {
 		t.Errorf("ParseKinds(families) = %v, %v; want %v", got, err, want)
 	}
@@ -403,6 +403,33 @@ func st(stamp string) Detail {
 	return Detail{layout: layoutFormat, s: [3]string{"u", stamp}, flag: true}
 }
 
+// sibStep is one step of user u's circuit from host to peer on channel
+// ch, as the LPM journals it: a "hello" from Idle into Authenticating,
+// the "client" or "server" end's open into Established (by auth-client
+// or auth-server), and a "close" from Established. The open and the
+// close are the channel's only records of either.
+func sibStep(host, peer, ch, event string) testRecord {
+	walk := map[string][3]string{
+		"hello":  {"idle", "authenticating", "hello"},
+		"client": {"authenticating", "established", "auth-client"},
+		"server": {"authenticating", "established", "auth-server"},
+		"close":  {"established", "closed", "close"},
+	}[event]
+	return ctRec(0, host, peer, ch, walk[0], walk[1], walk[2])
+}
+
+// channel is channel ch between a and b opened at both ends: b, the
+// server, authenticates it before its open.
+func channel(ch string) []testRecord {
+	return []testRecord{
+		sibStep("b", "a", ch, "hello"),
+		rec(LPMSiblingAuth, "b", SiblingAuth("u", ch, "a")),
+		sibStep("b", "a", ch, "server"),
+		sibStep("a", "b", ch, "hello"),
+		sibStep("a", "b", ch, "client"),
+	}
+}
+
 func seqed(rs []testRecord) []testRecord {
 	for i := range rs {
 		rs[i].Seq = uint64(i + 1)
@@ -411,22 +438,20 @@ func seqed(rs []testRecord) []testRecord {
 }
 
 func TestAuditCleanRun(t *testing.T) {
-	stream := seqed([]testRecord{
+	stream := seqed(slices.Concat([]testRecord{
 		rec(KernelSpawn, "a", Spawn(1, "lpm", "u")),
 		rec(KernelFork, "a", Fork(1, 2, "worker")),
 		rec(KernelSetParent, "a", SetParent(2, "a", 1)),
-		rec(LPMSiblingAuth, "b", SiblingAuth("u", "a:10->b:111", "a")),
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "a:10->b:111", true)),
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "a:10->b:111", false)),
+	}, channel("a:10->b:111"), []testRecord{
 		rec(LPMFloodOrigin, "a", FloodOrigin(FloodStamp("u", "a", time.Second, 1), "SnapshotReq")),
 		rec(LPMFloodApply, "a", FloodStamp("u", "a", time.Second, 1)),
 		rec(LPMFloodApply, "b", FloodStamp("u", "a", time.Second, 1)),
 		rec(LPMFloodDone, "a", FloodDone(FloodStamp("u", "a", time.Second, 1), "a,b", "")),
 		rec(KernelExit, "a", Exit(2, 0, "")),
 		rec(SnapshotTaken, "a", Snapshot("u", "<a,2>|<a,1>|exited", "")),
-		rec(LPMSiblingClose, "a", SiblingClose("u", "b", "a:10->b:111")),
-		rec(LPMSiblingClose, "b", SiblingClose("u", "a", "a:10->b:111")),
-	})
+		sibStep("a", "b", "a:10->b:111", "close"),
+		sibStep("b", "a", "a:10->b:111", "close"),
+	}))
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("clean run flagged:\n%s", AuditReport(vs))
 	}
@@ -445,24 +470,18 @@ func TestAuditDoubleAuth(t *testing.T) {
 }
 
 func TestAuditOpenBeforeAuth(t *testing.T) {
-	stream := seqed([]testRecord{
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-	})
+	stream := seqed([]testRecord{sibStep("b", "a", "c1", "hello"), sibStep("b", "a", "c1", "server")})
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "before authentication") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// A client-side open carries no auth (the server authenticates).
-	stream = seqed([]testRecord{
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
-	})
+	stream = seqed([]testRecord{sibStep("a", "b", "c1", "hello"), sibStep("a", "b", "c1", "client")})
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("client open flagged: %s", AuditReport(vs))
 	}
 	// Incomplete streams skip the check: the auth may be evicted.
-	stream = seqed([]testRecord{
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-	})
+	stream = seqed([]testRecord{sibStep("b", "a", "c1", "server")})
 	if vs := AuditRecords(stream, false); len(vs) != 0 {
 		t.Fatalf("incomplete stream flagged: %s", AuditReport(vs))
 	}
@@ -486,42 +505,33 @@ func TestAuditDoubleApply(t *testing.T) {
 
 func TestAuditFloodCoverage(t *testing.T) {
 	// a—b circuit fully open, but the flood from a never reaches b.
-	stream := seqed([]testRecord{
-		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+	stream := seqed(append(channel("c1"),
 		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
 		rec(LPMFloodApply, "a", st("s1")),
 		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
-	})
+	))
 	vs := AuditRecords(stream, true)
 	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "never reached live sibling b") {
 		t.Fatalf("violations: %s", AuditReport(vs))
 	}
 	// A dedup hit on b counts as reached.
-	stream = seqed([]testRecord{
-		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+	stream = seqed(append(channel("c1"),
 		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
 		rec(LPMFloodApply, "a", st("s1")),
 		rec(LPMFloodDup, "b", st("s1")),
 		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
-	})
+	))
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("dup-covered flood flagged: %s", AuditReport(vs))
 	}
 	// A crash between origin and done changes the epoch: coverage is
 	// then unprovable from the journal and the check stands down.
-	stream = seqed([]testRecord{
-		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+	stream = seqed(append(channel("c1"),
 		rec(LPMFloodOrigin, "a", FloodOrigin(st("s1"), "")),
 		rec(LPMFloodApply, "a", st("s1")),
 		rec(NetHostCrash, "b", Detail{}),
 		rec(LPMFloodDone, "a", FloodDone(st("s1"), "a", "")),
-	})
+	))
 	if vs := AuditRecords(stream, true); len(vs) != 0 {
 		t.Fatalf("quiescence-violated flood flagged: %s", AuditReport(vs))
 	}
@@ -703,10 +713,10 @@ func TestAuditRedCases(t *testing.T) {
 		rec(LPMFloodApply, "a", st("s0")),
 		rec(LPMFloodDone, "a", FloodDone(st("s0"), "a", "")),
 	}
-	channel := []testRecord{ // a channel authenticated and opened at both ends
-		rec(LPMSiblingAuth, "b", SiblingAuth("u", "c1", "a")),
-		rec(LPMSiblingOpen, "b", SiblingOpen("u", "a", "c1", true)),
-		rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false)),
+	c1 := channel("c1")
+	reopen := func(ch string) []testRecord { // a closes c1 and opens ch
+		return append(slices.Clone(c1), sibStep("a", "b", "c1", "close"),
+			sibStep("a", "b", ch, "hello"), sibStep("a", "b", ch, "client"))
 	}
 	exec := rec(LPMOpExec, "a", Op("u", "a", 1, 1, "Control"))
 	bigExec := rec(LPMOpExec, "a", Op("u", "a", 1, 1<<31, "Control")) // past the sequence slot: whole in the origin's
@@ -737,13 +747,11 @@ func TestAuditRedCases(t *testing.T) {
 				rec(StatusReport, "a", SweepReport("u", "a", 1, "a", true)),
 				rec(StatusRequest, "a", SweepRequest("u", "a", 1, "a")),
 			}, 2},
-		{"channel opened twice", "circuit", "channel c1 opened twice by a",
-			append(slices.Clone(channel), rec(LPMSiblingOpen, "a", SiblingOpen("u", "b", "c1", false))), 3},
+		{"channel opened twice", "circuit", "channel c1 opened twice by a", reopen("c1"), 7},
 		{"close without open", "circuit", "channel c1 closed by a without an open record",
-			append(slices.Clone(channel[:2]), rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1"))), 2},
+			[]testRecord{sibStep("a", "b", "c0", "hello"), sibStep("a", "b", "c0", "client"), sibStep("a", "b", "c1", "close")}, 2},
 		{"closed twice", "circuit", "channel c1 closed twice by a",
-			append(slices.Clone(channel), rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1")),
-				rec(LPMSiblingClose, "a", SiblingClose("u", "b", "c1"))), 4},
+			append(reopen("c2"), sibStep("a", "b", "c1", "close")), 8},
 		{"flood originated twice", "flood", "flood s0 originated twice",
 			slices.Insert(slices.Clone(flood), 1, rec(LPMFloodOrigin, "a", FloodOrigin(st("s0"), ""))), 1},
 		{"done without origin", "flood", "flood s1 completed with no origin record",
@@ -817,7 +825,7 @@ func TestJournalAppendZeroAllocs(t *testing.T) {
 		j.AppendDetail(NetHeal, "a", text("steady"), 7, 9)
 		j.AppendDetail(WireEncode, "a", WireFrame("Control", 37), 7, 9)
 		j.AppendDetail(NetSend, "a", NetMessage(true, "a", 7, "b", 512, 14, ""), 7, 9)
-		j.AppendDetail(LPMSiblingOpen, "a", SiblingOpen("u", "b", "a:7->b:512", false), 1<<40, 9)
+		j.AppendDetail(CircuitTransition, "a", CircuitStep("u", "b", "a:7->b:512", CircuitAuthenticating, CircuitEstablished, "auth-client", 0), 1<<40, 9)
 		j.AppendDetail(LPMOpExec, "b", Op("u", "a", 30, 7, "Control"), 7, 9)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v times per run, want 0", allocs)

@@ -170,10 +170,6 @@ func packedStream(seed int64, total int) (stream []testRecord, fresh int) {
 			d = Control(pick(streamWords), n32(), rng.Intn(2) == 0)
 		case LPMSiblingAuth:
 			d = SiblingAuth(pick(streamUsers), chanKey(), pick(streamHosts))
-		case LPMSiblingOpen:
-			d = SiblingOpen(pick(streamUsers), pick(streamHosts), chanKey(), rng.Intn(2) == 0)
-		case LPMSiblingClose:
-			d = SiblingClose(pick(streamUsers), pick(streamHosts), chanKey())
 		case LPMFloodOrigin:
 			d = FloodOrigin(stamp(), pick(streamTypes))
 		case LPMFloodApply, LPMFloodDup:

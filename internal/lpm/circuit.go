@@ -10,6 +10,10 @@ import (
 // is a no-op, so call sites can drive the machine from every signal
 // (detector ticks, close handlers, supersede paths) without guarding
 // against repeats. level is the detector's, for reason "suspicion".
+//
+// The step is the one record of a circuit opening (Authenticating to
+// Established) or closing (Established or Suspect to Closed), so every
+// circuit count derives from it here, the detector's included.
 func (l *LPM) circuitTransition(p *peer, chanKey string, to journal.CircuitState, reason string, level int) {
 	from := p.state
 	if from == to {
@@ -18,6 +22,23 @@ func (l *LPM) circuitTransition(p *peer, chanKey string, to journal.CircuitState
 	p.state = to
 	l.obs.Record(journal.CircuitTransition, l.Host(), l.obs.Tracer().Active(),
 		journal.CircuitStep(l.user.Name, p.host, chanKey, from, to, reason, level))
+	m, c := l.obs.Metrics(), &l.circuits
+	switch {
+	case to == journal.CircuitSuspect:
+		m.Handle(&c.suspects, "lpm.detector.suspects").Inc()
+	case to == journal.CircuitEstablished && from != journal.CircuitSuspect:
+		if c.open == nil { // resolved at the first open, which every close follows
+			c.open = m.Gauge("lpm.siblings.open")
+		}
+		m.Handle(&c.opened, "lpm.siblings.opened").Inc()
+		c.open.Add(1)
+	case to == journal.CircuitClosed && (from == journal.CircuitEstablished || from == journal.CircuitSuspect):
+		m.Handle(&c.closed, "lpm.siblings.closed").Inc()
+		c.open.Add(-1)
+		if reason == "detector" {
+			m.Handle(&c.detectorCloses, "lpm.detector.closes").Inc()
+		}
+	}
 }
 
 // --- adaptive failure detection (linktest heartbeats) ---
@@ -58,13 +79,11 @@ func (l *LPM) linktestTick(sb *sibling) {
 		// the usual teardown (pending-request failure, recovery
 		// notification); the transition is journaled first so the
 		// audit sees detector-initiated closes as such.
-		l.obs.Metrics().Counter("lpm.detector.closes").Inc()
 		l.circuitTransition(p, sb.chanKey, journal.CircuitClosed, "detector", 0)
 		sb.conn.Close()
 		return
 	}
 	if sb.suspicion >= suspectAfter && p.state == journal.CircuitEstablished {
-		l.obs.Metrics().Counter("lpm.detector.suspects").Inc()
 		l.circuitTransition(p, sb.chanKey, journal.CircuitSuspect, "suspicion", sb.suspicion)
 	}
 	sb.ltSeq++

@@ -387,14 +387,15 @@ func (l *LPM) procList(ps []proc.Info) string {
 }
 
 // sortedList renders host names sorted and comma-joined for a journal
-// record: "" when no journal is wired to keep them.
+// record: "" when no journal is wired to keep them. It sorts a copy in
+// the LPM's scratch slice, since callers walk hs in its own order.
 func (l *LPM) sortedList(hs []string) string {
 	if l.obs.Journal() == nil {
 		return ""
 	}
-	sorted := append([]string(nil), hs...)
-	detord.Sort(sorted)
-	return strings.Join(sorted, ",")
+	l.sorted = append(l.sorted[:0], hs...)
+	detord.Sort(l.sorted)
+	return strings.Join(l.sorted, ",")
 }
 
 // ControlAll applies a control operation (typically a software

@@ -414,6 +414,7 @@ type LPM struct {
 	// status request (local rebuilds allocate nothing at steady state),
 	// and decodes each of its sweeps' flooded reports into.
 	statusScratch status.Report
+	sorted        []string // sortedList's scratch copy of the hosts it sorts
 
 	floodSeq uint64
 	// seen holds the broadcast stamps of the last DedupWindow.
@@ -433,6 +434,10 @@ type LPM struct {
 	// The LPM's own per-request and per-hop counters and histogram, resolved on first fire.
 	floodForwarded, requestsServed, handlerReuses, kernelEvents *metrics.Counter
 	requestRTT                                                  *metrics.Histogram
+	circuits                                                    struct { // the counts circuitTransition derives from its steps
+		opened, closed, suspects, detectorCloses *metrics.Counter
+		open                                     *metrics.Gauge
+	}
 }
 
 // New creates and starts an LPM for user on the host, listening on

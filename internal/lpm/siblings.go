@@ -161,13 +161,11 @@ func (l *LPM) registerSibling(p *peer, conn *simnet.Conn, inc uint64) *sibling {
 	sb := &sibling{peer: p, conn: conn, chanKey: key, inc: inc, openedAt: l.sched.Now()}
 	sb.det = detect.New(detect.Config{}, l.sched.Now().Duration())
 	p.sb, p.known = sb, true
-	l.obs.Metrics().Gauge("lpm.siblings.open").Add(1)
-	server, reason := conn.LocalAddr() == l.accept, "auth-client"
-	if server {
+	reason := "auth-client"
+	if conn.LocalAddr() == l.accept {
 		reason = "auth-server"
 	}
 	l.circuitTransition(p, key, journal.CircuitEstablished, reason, 0)
-	l.obs.Record(journal.LPMSiblingOpen, l.Host(), l.obs.Tracer().Active(), journal.SiblingOpen(l.user.Name, p.host, key, server))
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
 	if l.cfg.Linktest > 0 {
@@ -195,8 +193,6 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 			reason = "peer-lost"
 		}
 		l.circuitTransition(p, sb.chanKey, journal.CircuitClosed, reason, 0)
-		l.obs.Metrics().Gauge("lpm.siblings.open").Add(-1)
-		l.obs.Record(journal.LPMSiblingClose, l.Host(), l.obs.Tracer().Active(), journal.SiblingClose(l.user.Name, p.host, sb.chanKey))
 	}
 	// Fail outstanding requests to that host, oldest first (map order
 	// would let error callbacks race each other across identical runs).

@@ -164,7 +164,7 @@ func TestPropertyReachabilityRespectsPartitionGroups(t *testing.T) {
 }
 
 // referencePath is the per-call BFS Path ran before it walked the
-// predecessors computeRoutes records, kept as the reference the shared
+// parents routesFrom records, kept as the reference the shared
 // BFS must reproduce path for path.
 func referencePath(n *Network, a, b string) ([]string, bool) {
 	if _, ok := n.hosts[a]; !ok {

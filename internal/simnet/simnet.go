@@ -84,9 +84,9 @@ type Network struct {
 	sched    *sim.Scheduler
 	opts     Options
 	hosts    map[string]*node
-	segments map[string][]string // segment -> member hosts
-	routes   map[string]map[string]route
-	dirty    bool // routes need recompute
+	segments map[string][]string         // segment -> member hosts
+	routes   map[string]map[string]route // per source (routesFrom)
+	queue    []string                    // routesFrom's BFS queue, reused
 	connSeq  uint64
 	rec      *journal.Recorder
 	counters counterHandles
@@ -108,7 +108,7 @@ func New(sched *sim.Scheduler, opts Options) *Network {
 		opts:     opts.withDefaults(),
 		hosts:    make(map[string]*node),
 		segments: make(map[string][]string),
-		dirty:    true,
+		routes:   make(map[string]map[string]route),
 	}
 }
 
@@ -141,7 +141,8 @@ func (n *Network) AddHost(name string) error {
 		nextPort:  10000,
 		conns:     make(map[*Conn]bool),
 	}
-	n.dirty, n.transitHops = true, nil
+	clear(n.routes)
+	n.transitHops = nil
 	return nil
 }
 
@@ -164,7 +165,8 @@ func (n *Network) AddSegment(segment string, hostNames ...string) error {
 			n.segments[segment] = append(n.segments[segment], h)
 		}
 	}
-	n.dirty, n.transitHops = true, nil
+	clear(n.routes)
+	n.transitHops = nil
 	return nil
 }
 
@@ -174,50 +176,43 @@ func (n *Network) Hosts() []string {
 }
 
 // route is how a BFS from one source reached a host: the hop count
-// (segments traversed) and the order it was reached in (see Path).
-type route struct{ hops, seq int32 }
+// (segments traversed) and the host it was reached from (see Path).
+type route struct {
+	hops   int32
+	parent string
+}
 
-// computeRoutes runs BFS over the host/segment bipartite graph from
-// every host, expanding hosts and segment members in registration order
-// (so paths are the same on every run). Partition groups are not
-// considered here; they gate delivery dynamically.
-func (n *Network) computeRoutes() {
-	n.routes = make(map[string]map[string]route, len(n.hosts))
-	for src := range n.hosts {
-		rt := map[string]route{src: {}}
-		frontier := []string{src}
-		for len(frontier) > 0 {
-			var next []string
-			for _, h := range frontier {
-				for _, seg := range n.hosts[h].segments {
-					for _, peer := range n.segments[seg] {
-						if _, seen := rt[peer]; !seen {
-							rt[peer] = route{hops: rt[h].hops + 1, seq: int32(len(rt))}
-							next = append(next, peer)
-						}
-					}
+// routesFrom returns the BFS table from src over the host/segment
+// bipartite graph, built on the first query since the last topology
+// change (AddHost, AddSegment clear them all). The walk expands hosts
+// and segment members in registration order, so paths are the same on
+// every run. Partition groups are not considered here; they gate
+// delivery dynamically.
+func (n *Network) routesFrom(src string) map[string]route {
+	if rt, ok := n.routes[src]; ok || n.hosts[src] == nil {
+		return rt
+	}
+	rt := map[string]route{src: {}}
+	queue := append(n.queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		h := queue[head]
+		for _, seg := range n.hosts[h].segments {
+			for _, peer := range n.segments[seg] {
+				if _, seen := rt[peer]; !seen {
+					rt[peer] = route{hops: rt[h].hops + 1, parent: h}
+					queue = append(queue, peer)
 				}
 			}
-			frontier = next
 		}
-		n.routes[src] = rt
 	}
-	n.dirty = false
+	n.routes[src], n.queue = rt, queue
+	return rt
 }
 
 // Hops returns the physical hop count between two hosts and whether a
 // path exists at all (ignoring partitions and host state).
 func (n *Network) Hops(a, b string) (int, bool) {
-	if n.dirty {
-		n.computeRoutes()
-	}
-	if a == b {
-		if _, ok := n.hosts[a]; ok {
-			return 0, true
-		}
-		return 0, false
-	}
-	r, ok := n.routes[a][b]
+	r, ok := n.routesFrom(a)[b]
 	return int(r.hops), ok
 }
 
@@ -266,9 +261,9 @@ func (n *Network) transit(a, b string, size int) time.Duration {
 }
 
 // Path returns the shortest host path from a to b (both endpoints
-// included), ignoring partitions and host state: computeRoutes's BFS
-// from a walked back from b, each host's predecessor being the first
-// reached of its neighbours one hop nearer a, as the BFS chose it.
+// included), ignoring partitions and host state: the BFS from a
+// (routesFrom) walked back from b, each host's parent being the first
+// reached of its neighbours one hop nearer a.
 func (n *Network) Path(a, b string) ([]string, bool) {
 	hops, ok := n.Hops(a, b)
 	if !ok {
@@ -277,14 +272,7 @@ func (n *Network) Path(a, b string) ([]string, bool) {
 	rt, path := n.routes[a], make([]string, hops+1)
 	path[hops] = b
 	for i := hops; i > 0; i-- {
-		var first route
-		for _, seg := range n.hosts[path[i]].segments {
-			for _, h := range n.segments[seg] {
-				if r := rt[h]; r.hops == int32(i-1) && (path[i-1] == "" || r.seq < first.seq) {
-					path[i-1], first = h, r
-				}
-			}
-		}
+		path[i-1] = rt[path[i]].parent
 	}
 	return path, true
 }

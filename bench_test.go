@@ -324,7 +324,13 @@ func TestAuditAllocs(t *testing.T) {
 	}
 	const budget = 213 // 201 measured on go1.24 since the audit reads typed slots keyed by structs (328 while it parsed key=value text, 1,678 while it rendered every record); the rest is headroom for map growth
 	records := c.Journal().Len()
-	if got := testing.AllocsPerRun(20, func() { c.JournalAudit() }); got > budget {
+	got := testing.AllocsPerRun(20, func() { c.JournalAudit() })
+	if got > budget {
 		t.Errorf("auditing %d records: %.0f allocs, budget %d", records, got, budget)
+	}
+	// The tracer is off, so its table is empty and the trace half of the
+	// audit allocates nothing (one map while it keyed span IDs in one).
+	if journalOnly := testing.AllocsPerRun(20, func() { journal.Audit(c.Journal()) }); got != journalOnly {
+		t.Errorf("with the tracer off the audit allocates %.0f times, the journal's alone %.0f", got, journalOnly)
 	}
 }

@@ -313,7 +313,7 @@ func (c *Cluster) JournalReport(f JournalFilter) string { return c.jr.Report(f) 
 // cross-link naming a recorded span); it returns nil when the run is
 // clean or recording was disabled. It reads the span table in place.
 func (c *Cluster) JournalAudit() []journal.Violation {
-	return journal.AuditWithSpans(c.jr, c.tr.Table(), c.tr.Dropped() == 0)
+	return journal.AuditWithSpans(c.jr, c.tr.Index(), c.tr.Dropped() == 0)
 }
 
 // HostStatus re-exports one host's live status report (status.Report).
@@ -379,7 +379,7 @@ func (c *Cluster) Trace(op func() error) (uint64, error) {
 // Trace the traffic you care about (Trace, or Tracer().Enable) before
 // profiling; an untraced run profiles to zero requests.
 func (c *Cluster) Profile() *profile.Profile {
-	return profile.Build(c.tr.Spans(), c.jr.Select(journal.Filter{Kinds: []journal.Kind{journal.LPMRetry, journal.LPMTimeout}}))
+	return profile.Build(c.tr.Index(), c.jr.Select(journal.Filter{Kinds: []journal.Kind{journal.LPMRetry, journal.LPMTimeout}}))
 }
 
 // TraceReport renders one assembled trace tree as a virtual-time

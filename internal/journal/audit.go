@@ -186,10 +186,9 @@ type auditor struct {
 	epoch    int               // bumped by any event that changes reachability
 	out      []Violation
 
-	// The trace audit: the span table and its span IDs' positions when both
-	// streams are complete (else nil), and its violations, the table's first.
-	table []trace.SpanData
-	spans map[uint64]int32
+	// The trace audit: the span table's index when both streams are
+	// complete (else nil), and its violations, the table's first.
+	spans *trace.Index
 	links []Violation
 }
 

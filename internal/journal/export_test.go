@@ -41,7 +41,7 @@ func AuditRecords(records []testRecord, complete bool) []Violation {
 // record stream and span table; complete says both streams are full.
 func AuditTraceRecords(records []testRecord, spans []trace.SpanData, complete bool) []Violation {
 	a := newAuditor(complete, nil)
-	a.auditSpans(spans, complete)
+	a.auditSpans(trace.NewIndex(spans), complete)
 	a.pass(recordJournal(records))
 	return a.links
 }

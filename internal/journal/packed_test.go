@@ -86,7 +86,7 @@ func (r *refJournal) flows(after uint64) ([]Flow, uint64) {
 func (r *refJournal) audit(spans []trace.SpanData) []Violation {
 	a := newAuditor(r.dropped() == 0, nil)
 	if spans != nil {
-		a.auditSpans(spans, a.complete)
+		a.auditSpans(trace.NewIndex(spans), a.complete)
 	}
 	for i := 0; i < r.ring.Len(); i++ {
 		e, seq := r.ring.At(i), r.dropped()+uint64(i)+1
@@ -283,7 +283,7 @@ func TestPackedJournalMatchesEntryRing(t *testing.T) {
 			if got, want := Audit(j), ref.audit(nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Audit departs from the ring's:\n%s---\n%s", where, AuditReport(got), AuditReport(want))
 			}
-			if got, want := AuditWithSpans(j, spans, true), ref.audit(spans); !reflect.DeepEqual(got, want) {
+			if got, want := AuditWithSpans(j, trace.NewIndex(spans), true), ref.audit(spans); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: AuditWithSpans departs from the ring's:\n%s---\n%s", where, AuditReport(got), AuditReport(want))
 			}
 		}

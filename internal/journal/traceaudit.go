@@ -37,25 +37,23 @@ func asyncOverrun(name string) bool {
 
 // auditSpans checks the span table alone — lifecycle and nesting — into
 // the trace violations, which carry Seq 0: they have no offending
-// journal record. It reads the table in place, indexed by span ID's
-// position, and keeps both for crossLink when both streams are complete.
-func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
+// journal record. It reads the table in place through its index, and
+// keeps the index for crossLink when both streams are complete.
+func (a *auditor) auditSpans(x *trace.Index, complete bool) {
 	fail := func(format string, args ...any) {
 		a.links = append(a.links, Violation{Check: "trace", Msg: fmt.Sprintf(format, args...)})
 	}
-	byID := make(map[uint64]int32, len(spans))
 	if complete {
-		a.table, a.spans = spans, byID
+		a.spans = x
 	}
-	for i, s := range spans {
+	for i, s := range x.Spans {
 		if len(a.links) >= maxViolations {
 			return
 		}
-		if _, dup := byID[s.ID]; dup {
+		if first, _ := x.ByID(s.ID); first != int32(i) {
 			fail("span %d (%s on %s) recorded twice", s.ID, s.Name, s.Host)
 			continue
 		}
-		byID[s.ID] = int32(i)
 		switch {
 		case s.Ends == 0:
 			fail("span %d (%s on %s) opened at %v but never closed",
@@ -68,14 +66,14 @@ func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 				s.ID, s.Name, s.Host, s.End, s.Start)
 		}
 	}
-	for _, s := range spans {
+	for _, s := range x.Spans {
 		if len(a.links) >= maxViolations {
 			return
 		}
 		if s.Parent == 0 {
 			continue
 		}
-		at, ok := byID[s.Parent]
+		at, ok := x.ByID(s.Parent)
 		if !ok {
 			if complete {
 				fail("span %d (%s on %s) names missing parent span %d",
@@ -83,7 +81,7 @@ func (a *auditor) auditSpans(spans []trace.SpanData, complete bool) {
 			}
 			continue
 		}
-		p := spans[at]
+		p := x.Spans[at]
 		if s.Trace != p.Trace {
 			fail("span %d (%s) belongs to trace %d but its parent %d belongs to trace %d",
 				s.ID, s.Name, s.Trace, p.ID, p.Trace)
@@ -111,9 +109,9 @@ func (a *auditor) crossLink(seq, traceID, spanID uint64) {
 		return
 	}
 	msg := ""
-	if at, ok := a.spans[spanID]; !ok {
+	if at, ok := a.spans.ByID(spanID); !ok {
 		msg = fmt.Sprintf("record references span %d which was never recorded", spanID)
-	} else if s := a.table[at]; s.Trace != traceID {
+	} else if s := &a.spans.Spans[at]; s.Trace != traceID {
 		msg = fmt.Sprintf("record references span %d under trace %d, but the span belongs to trace %d", spanID, traceID, s.Trace)
 	}
 	if msg != "" {
@@ -122,13 +120,14 @@ func (a *auditor) crossLink(seq, traceID, spanID uint64) {
 }
 
 // AuditWithSpans is Audit extended with the trace-consistency
-// invariants, for runs that recorded both streams. spansComplete says
-// the span table is full (Tracer.Dropped() == 0); the journal's own
-// completeness is read from its ring as in Audit. The cross-links are
-// checked in Audit's one pass, reading each entry's trace context only.
-func AuditWithSpans(j *Journal, spans []trace.SpanData, spansComplete bool) []Violation {
+// invariants over the span table's index, for runs that recorded both
+// streams. spansComplete says the table is full (Tracer.Dropped() == 0);
+// the journal's own completeness is read from its ring as in Audit. The
+// cross-links are checked in Audit's one pass, reading each entry's
+// trace context only.
+func AuditWithSpans(j *Journal, x *trace.Index, spansComplete bool) []Violation {
 	a := newAuditor(j.Dropped() == 0, j)
-	a.auditSpans(spans, a.complete && spansComplete)
+	a.auditSpans(x, a.complete && spansComplete)
 	out := a.pass(j)
 	room := max(maxViolations-len(out), 0)
 	return append(out, a.links[:min(room, len(a.links))]...)

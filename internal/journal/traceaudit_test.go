@@ -83,9 +83,9 @@ func TestTraceAuditCrossLinks(t *testing.T) {
 	}
 }
 
-// TestAuditReadsTheSpanTableInPlace: over a clean 5,000-span table the
-// trace audit allocates less than one copy of the table takes, so it
-// copies no SpanData per span: it indexes the spans by position.
+// TestAuditReadsTheSpanTableInPlace: over a clean 5,000-span table and
+// its index the trace audit allocates less than one int32 per span: it
+// copies no SpanData and keys no map, it finds spans through the index.
 func TestAuditReadsTheSpanTableInPlace(t *testing.T) {
 	var spans []trace.SpanData
 	for id := uint64(1); id <= 5000; id++ {
@@ -96,14 +96,14 @@ func TestAuditReadsTheSpanTableInPlace(t *testing.T) {
 		}
 	}
 	recs := []testRecord{{Seq: 1, Kind: LPMRetry, Detail: retry, Trace: 1, Span: 2}}
-	j := recordJournal(recs)
+	j, x := recordJournal(recs), trace.NewIndex(spans)
 	var vs []Violation
-	got := allocBytes(func() { vs = AuditWithSpans(j, spans, true) })
+	got := allocBytes(func() { vs = AuditWithSpans(j, x, true) })
 	if len(vs) != 0 {
 		t.Fatalf("clean table flagged:\n%s", violationMsgs(vs))
 	}
-	if table := uint64(len(spans)) * uint64(unsafe.Sizeof(spans[0])); got >= table {
-		t.Fatalf("the audit of %d spans allocates %d bytes, want under the %d of one copy of the table", len(spans), got, table)
+	if perSpan := uint64(len(spans)) * uint64(unsafe.Sizeof(int32(0))); got >= perSpan {
+		t.Fatalf("the audit of %d spans allocates %d bytes, want under the %d of one int32 a span", len(spans), got, perSpan)
 	}
 }
 

@@ -219,7 +219,7 @@ func TestReplyTransitFollowsType(t *testing.T) {
 			tc.start(w, u, l, root.Context())
 			w.run(2 * time.Second)
 			var sent []string
-			for _, s := range tr.SpansOf(root.Context().Trace) {
+			for _, s := range tr.Spans() {
 				if s.Host == tc.responder && strings.HasPrefix(s.Name, "net.") {
 					sent = append(sent, s.Name)
 				}

@@ -136,11 +136,10 @@ type Profile struct {
 	x *trace.Index // the span table's trees, shared with the tracer's renderer
 }
 
-// Build analyzes a run. Both inputs are optional views of the same
-// run: spans drive the attribution, records contribute the
-// retry/timeout cross-links (a nil records slice just zeroes those).
-func Build(spans []trace.SpanData, records []journal.Record) *Profile {
-	x := trace.NewIndex(spans)
+// Build analyzes a run. Both inputs are optional views of the same run:
+// the span table's index, read in place, drives the attribution, records
+// the retry/timeout cross-links (a nil records slice just zeroes those).
+func Build(x *trace.Index, records []journal.Record) *Profile {
 	p := &Profile{x: x}
 	links := make([]struct{ retries, timeouts int }, len(x.Traces())) // by trace k
 	for _, r := range records {
@@ -155,7 +154,7 @@ func Build(spans []trace.SpanData, records []journal.Record) *Profile {
 	}
 	p.Requests = make([]Request, 0, len(x.Traces())) // one op root per trace
 	var sw sweeper
-	for i, s := range spans {
+	for i, s := range x.Spans {
 		if s.Parent != 0 || !strings.HasPrefix(s.Name, "op.") {
 			continue
 		}

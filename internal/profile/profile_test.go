@@ -1,9 +1,11 @@
 package profile
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ppm/internal/journal"
 	"ppm/internal/trace"
@@ -43,7 +45,7 @@ func TestAttributionConservation(t *testing.T) {
 		span(7, 7, 2, "b", "net.reply.a", 60*msec, 70*msec),
 		span(8, 7, 1, "a", "lpm.retry.b", 70*msec, 90*msec),
 	}
-	p := Build(spans, nil)
+	p := Build(trace.NewIndex(spans), nil)
 	if len(p.Requests) != 1 {
 		t.Fatalf("got %d requests, want 1", len(p.Requests))
 	}
@@ -85,7 +87,7 @@ func TestCriticalPathHandChecked(t *testing.T) {
 		span(5, 3, 3, "c", "dispatch.endpoint", 10*msec, 40*msec),
 		span(6, 3, 3, "c", "exec.gather", 20*msec, 85*msec),
 	}
-	p := Build(spans, nil)
+	p := Build(trace.NewIndex(spans), nil)
 	path := p.CriticalPath(3)
 	wantNames := []string{"op.snapshot", "lpm.request.c", "exec.gather"}
 	if len(path) != len(wantNames) {
@@ -116,7 +118,7 @@ func TestJournalCrossLinks(t *testing.T) {
 		{Seq: 3, Kind: journal.LPMTimeout, Host: "a", Trace: 9, Span: 1},
 		{Seq: 4, Kind: journal.LPMRetry, Host: "a", Trace: 8, Span: 0}, // other trace
 	}
-	p := Build(spans, recs)
+	p := Build(trace.NewIndex(spans), recs)
 	r := p.Requests[0]
 	if r.Retries != 2 || r.Timeouts != 1 {
 		t.Errorf("cross-links = %d retries / %d timeouts, want 2/1", r.Retries, r.Timeouts)
@@ -134,7 +136,7 @@ func TestReportDeterminism(t *testing.T) {
 		span(5, 2, 4, "b", "lpm.request.a", 25*msec, 80*msec),
 		span(6, 2, 5, "a", "exec.gather", 30*msec, 70*msec),
 	}
-	a, b := Build(spans, nil), Build(spans, nil)
+	a, b := Build(trace.NewIndex(spans), nil), Build(trace.NewIndex(spans), nil)
 	var o Options
 	if a.Report(o) != b.Report(o) {
 		t.Error("Report not deterministic")
@@ -157,7 +159,7 @@ func TestFoldedStacksSelfTime(t *testing.T) {
 		span(1, 1, 0, "a", "op.stop", 0, 50*msec),
 		span(2, 1, 1, "a", "net.hop.b", 10*msec, 30*msec),
 	}
-	p := Build(spans, nil)
+	p := Build(trace.NewIndex(spans), nil)
 	got := p.FoldedStacks(Options{})
 	want := "op.stop 30000\nop.stop;net.hop.b 20000\n"
 	if got != want {
@@ -172,7 +174,7 @@ func TestOptionsFilter(t *testing.T) {
 		span(1, 1, 0, "a", "op.stop", 0, 50*msec),
 		span(2, 2, 0, "b", "op.snapshot", 0, 70*msec),
 	}
-	p := Build(spans, nil)
+	p := Build(trace.NewIndex(spans), nil)
 	if got := p.Report(Options{Op: "snapshot"}); strings.Contains(got, "op.stop") {
 		t.Errorf("op filter leaked op.stop:\n%s", got)
 	}
@@ -202,11 +204,91 @@ func TestBuildAllocsPerSpan(t *testing.T) {
 			)
 		}
 		recs := []journal.Record{{Kind: journal.LPMRetry, Trace: 1}, {Kind: journal.LPMTimeout, Trace: uint64(n)}}
-		return testing.AllocsPerRun(10, func() { Build(spans, recs) })
+		return testing.AllocsPerRun(10, func() { Build(trace.NewIndex(spans), recs) })
 	}
 	small, large := allocs(64), allocs(640)
 	t.Logf("%v allocs per Build", large)
 	if large != small || large > 24 {
 		t.Errorf("Build allocates %v times over 640 requests and %v over 64; want the same few (pin 24)", large, small)
 	}
+}
+
+// TestProfileIsASnapshot: a profile reads the tracer's table in place,
+// yet one taken while a span is open keeps that span's instants after
+// the span ends, while the tracer's own table shows the end.
+func TestProfileIsASnapshot(t *testing.T) {
+	var now time.Duration
+	tr := trace.New(func() time.Duration { return now })
+	tr.Enable()
+	root := tr.StartTrace("a", "op.stop")
+	hop := tr.StartSpan("a", "net.hop.b", root.Context())
+	now = 10 * msec
+	hop.End()
+	p := Build(tr.Index(), nil)
+	before := p.CriticalReport(Options{})
+	now = 30 * msec
+	root.End()
+	if path := p.CriticalPath(1); len(path) == 0 || path[0].End != 0 || p.CriticalReport(Options{}) != before {
+		t.Fatalf("the profile taken with the root open now reads its end: %+v", path)
+	}
+	if s := tr.Spans()[0]; s.End != 30*msec || s.Ends != 1 {
+		t.Fatalf("the tracer's table does not show the root's end: %+v", s)
+	}
+}
+
+// TestReadBackBuildsOneIndex: the profile, the trace audit and the
+// waterfall read one table through one index: read together over a
+// table no reader has indexed, they allocate one index more than over a
+// built one, and over a built one each allocates what it returns, not a
+// copy of the table.
+func TestReadBackBuildsOneIndex(t *testing.T) {
+	var now time.Duration
+	tr := trace.New(func() time.Duration { return now })
+	tr.Enable()
+	tr.SetMaxSpans(1 << 16)
+	for i := 0; i < 500; i++ {
+		root := tr.StartTrace("a", "op.stop")
+		for j := 1; j < 10; j++ {
+			now += msec
+			tr.AddSpan("b", "net.hop.b", root.Context(), now-msec, now)
+		}
+		root.End()
+	}
+	j := journal.New(func() time.Duration { return now })
+	var text string
+	build := func() { Build(tr.Index(), nil) }
+	audit := func() {
+		if vs := journal.AuditWithSpans(j, tr.Index(), true); len(vs) != 0 {
+			t.Fatalf("the table audits dirty:\n%s", journal.AuditReport(vs))
+		}
+	}
+	report := func() { text = tr.ReportAll() }
+	x := tr.Index()
+	table := uint64(len(x.Spans)) * uint64(unsafe.Sizeof(x.Spans[0]))
+	nop, all := func() {}, func() { build(); audit(); report() }
+	index := bytesOf(nop, func() { trace.NewIndex(x.Spans) })
+	built := bytesOf(nop, all)
+	fresh := bytesOf(func() { tr.StartTrace("a", "op.stop").End() }, all) // a new state of the table, not yet indexed
+	b, a, r := bytesOf(nop, build), bytesOf(nop, audit), bytesOf(nop, report)
+	t.Logf("%d spans (%d B of table): %d B read together over a new table, %d over a built index (profile %d, audit %d, report %d for %d of text); an index is %d",
+		len(x.Spans), table, fresh, built, b, a, r, len(text), index)
+	if slack := uint64(8 << 10); fresh > built+index+slack || b > table/4 || a > 4<<10 || r > uint64(len(text))+slack {
+		t.Fatalf("reading %d spans (%d B of table) allocates %d B together over a new table, %d over a built index (profile %d, audit %d, report %d for %d of text); want one %d B index more and no copy",
+			len(x.Spans), table, fresh, built, b, a, r, len(text), index)
+	}
+}
+
+// bytesOf returns the fewest bytes f allocated over five calls, each
+// after a call of setup, by runtime.MemStats.TotalAlloc.
+func bytesOf(setup, f func()) uint64 {
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		setup()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

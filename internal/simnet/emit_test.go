@@ -327,14 +327,14 @@ func TestTracedTransitZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5000, send); allocs != 0 {
 		t.Fatalf("a traced two-hop send allocates %v times, want 0", allocs)
 	}
-	spans := tr.SpansOf(ctx.Trace)
+	spans := tr.Spans()
 	if hops := spans[len(spans)-2:]; hops[0].Host != "a" || hops[0].Name != "net.hop.b" ||
 		hops[1].Host != "b" || hops[1].Name != "net.hop.c" || hops[1].Start != hops[0].End {
 		t.Fatalf("hop spans %+v", hops)
 	}
 	n.traceTransit(ctx, "c", "a", 100, true)
 	n.traceTransit(ctx, "b", "b", 100, true)
-	spans = tr.SpansOf(ctx.Trace)
+	spans = tr.Spans()
 	for i, want := range []string{"c net.reply.b", "b net.reply.a", "b net.loopback.reply"} {
 		if s := spans[len(spans)-3+i]; s.Host+" "+s.Name != want {
 			t.Errorf("span %d is %s %s, want %s", i, s.Host, s.Name, want)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -145,7 +146,7 @@ func TestReportMatchesReference(t *testing.T) {
 			t.Fatalf("table %d: ReportAll\n%s\nreference\n%s", i, got, want)
 		}
 		for _, id := range []uint64{spans[0].Trace, spans[len(spans)-1].Trace, 1001} {
-			if got, want := tr.Report(id), referenceReport(id, tr.SpansOf(id), dropped); got != want {
+			if got, want := tr.Report(id), referenceReport(id, slices.DeleteFunc(slices.Clone(spans), func(s SpanData) bool { return s.Trace != id }), dropped); got != want {
 				t.Fatalf("table %d: Report(%d)\n%s\nreference\n%s", i, id, got, want)
 			}
 		}
@@ -218,12 +219,12 @@ func tracedTable(traces int, reach time.Duration) *Tracer {
 
 // TestReportAllAllocs: ReportAll and Report allocate a fixed number of
 // times — the index's slices and one text — not a number that grows
-// with the traces or spans there are.
+// with the traces or spans there are. Each run indexes the table anew.
 func TestReportAllAllocs(t *testing.T) {
 	allocs := func(traces int) (all, one float64) {
 		tr := tracedTable(traces, 0)
-		return testing.AllocsPerRun(50, func() { tr.ReportAll() }),
-			testing.AllocsPerRun(50, func() { tr.Report(uint64(traces / 2)) })
+		return testing.AllocsPerRun(50, func() { tr.index = nil; tr.ReportAll() }),
+			testing.AllocsPerRun(50, func() { tr.index = nil; tr.Report(uint64(traces / 2)) })
 	}
 	small, smallOne := allocs(50)
 	large, largeOne := allocs(500)
@@ -280,12 +281,102 @@ func TestReportAllBytes(t *testing.T) {
 		}
 		var out string
 		index := allocBytes(func() { NewIndex(tr.spans) })
-		got := allocBytes(func() { out = tr.ReportAll() })
+		got := allocBytes(func() { tr.index = nil; out = tr.ReportAll() })
 		t.Logf("reach %v, %d dropped: ReportAll allocates %d bytes for %d of text and %d of index", c.reach, c.drops, got, len(out), index)
 		if limit := uint64(len(out)) + index + slack; got > limit || len(out) < 64<<10 || !strings.Contains(out, c.has) {
 			t.Fatalf("reach %v, %d dropped: ReportAll allocates %d bytes for %d of text and %d of index, want at most %d (and a text of 64 KiB or more holding %q)",
 				c.reach, c.drops, got, len(out), index, limit, c.has)
 		}
+		// Over the index the first read built, ReportAll and Report
+		// allocate their text alone: no second index, no copy of a trace.
+		again := allocBytes(func() { out = tr.ReportAll() })
+		one := allocBytes(func() { tr.Report(250) })
+		if again > uint64(len(out))+slack || one > 4<<10 {
+			t.Fatalf("reach %v, %d dropped: over a built index ReportAll allocates %d bytes for %d of text and Report %d",
+				c.reach, c.drops, again, len(out), one)
+		}
+	}
+}
+
+// TestIndexIsSharedPerTable: the tracer builds one index per state of
+// its table and hands it to every reader; a span recorded later lands
+// past the index's length, and a span ended later ends in a copy, so an
+// index handed out stays what it was. Reset keeps no table and no index.
+func TestIndexIsSharedPerTable(t *testing.T) {
+	clk := &fakeClock{}
+	tr := New(clk.now)
+	tr.Enable()
+	fill(tr, 64)
+	tr.Reset() // the next table has room: records land in the indexed array
+	root := tr.StartTrace("a", "op.stop")
+	child := tr.StartSpan("b", "net.hop.b", root.Context())
+	x := tr.Index()
+	if tr.Index() != x {
+		t.Fatal("a second reader of an unchanged table got another index")
+	}
+	clk.at = time.Millisecond
+	late := tr.StartSpan("a", "dispatch.endpoint", root.Context())
+	if y := tr.Index(); y == x || len(y.Spans) != 3 || len(x.Spans) != 2 {
+		t.Fatalf("after a record the index holds %d spans and the old one %d; want a new index of 3 and the old of 2", len(y.Spans), len(x.Spans))
+	}
+	child.End()
+	late.End()
+	root.End()
+	for i, s := range x.Spans {
+		if s.Ends != 0 || s.End != s.Start {
+			t.Fatalf("span %d ended in the index handed out before it ended: %+v", i, s)
+		}
+	}
+	for i, s := range tr.Spans() {
+		if s.Ends != 1 || (i > 0 && s.End != time.Millisecond) {
+			t.Fatalf("span %d did not end in the tracer's table: %+v", i, s)
+		}
+	}
+	if !strings.Contains(tr.ReportAll(), "=== trace 2: op.stop (3 spans, 2 hosts)") || !strings.Contains(tr.ReportAll(), "0.000      1.000  b          net.hop.b") {
+		t.Fatalf("the report renders the table before its spans ended:\n%s", tr.ReportAll())
+	}
+	tr.Reset()
+	if tr.spans != nil || tr.index != nil {
+		t.Fatalf("Reset kept %d spans and index %p", len(tr.spans), tr.index)
+	}
+}
+
+// TestEndPastTheIndexCopiesNothing: a span recorded after the index was
+// handed out lies past its length, so ending it leaves the shared table
+// in place; ending a span inside the index copies the table first.
+func TestEndPastTheIndexCopiesNothing(t *testing.T) {
+	clk := &fakeClock{}
+	tr := New(clk.now)
+	tr.Enable()
+	fill(tr, 64)
+	tr.Reset() // the next table has room: records land in the indexed array
+	root := tr.StartTrace("a", "op.stop")
+	x := tr.Index()
+	clk.at = time.Millisecond
+	tr.StartSpan("b", "net.hop.b", root.Context()).End()
+	if &tr.spans[0] != &x.Spans[0] || tr.spans[1].Ends != 1 {
+		t.Fatal("ending a span past the index's length copied the table")
+	}
+	root.End()
+	if &tr.spans[0] == &x.Spans[0] || x.Spans[0].Ends != 0 || tr.spans[0].Ends != 1 {
+		t.Fatal("ending a span inside the index wrote to the table the index reads")
+	}
+}
+
+// TestEmptyIndexAllocatesNothing: handing out the index of an empty
+// table and reporting it allocate nothing, so readers of a tracer
+// left off pay nothing for the trace half.
+func TestEmptyIndexAllocatesNothing(t *testing.T) {
+	tr, off := New(func() time.Duration { return 0 }), (*Tracer)(nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.Index()
+		off.Index()
+		tr.ReportAll()
+	}); allocs != 0 {
+		t.Fatalf("an empty table's index and report allocate %v times, want 0", allocs)
+	}
+	if x := tr.Index(); len(x.Traces()) != 0 || len(x.Spans) != 0 {
+		t.Fatalf("an empty table's index holds %d traces", len(x.Traces()))
 	}
 }
 
@@ -301,5 +392,27 @@ func TestStartSpanZeroAllocs(t *testing.T) {
 	}
 	if spans := tr.Spans(); len(spans) != 10002 || !spans[10001].Closed() {
 		t.Fatalf("recorded %d spans, want 10002, all closed", len(spans))
+	}
+}
+
+// TestByIDFindsTheFirstSpan: over seeded random tables, with gaps in
+// their IDs or without (a tracer's), ByID finds the first span recorded
+// with an ID, or none.
+func TestByIDFindsTheFirstSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		spans := randomTable(rng)
+		if i%2 == 0 { // a tracer's table: IDs count up from the first's, no gap
+			for j := range spans {
+				spans[j].ID = spans[0].ID + uint64(j)
+			}
+		}
+		x := NewIndex(spans)
+		for id := uint64(0); id <= spans[len(spans)-1].ID+1; id++ {
+			want := slices.IndexFunc(spans, func(s SpanData) bool { return s.ID == id })
+			if got, ok := x.ByID(id); int(got) != want || ok != (want >= 0) {
+				t.Fatalf("table %d: ByID(%d) = %d, %v; want %d", i, id, got, ok, want)
+			}
+		}
 	}
 }

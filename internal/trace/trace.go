@@ -76,11 +76,12 @@ type Tracer struct {
 	nextTrace uint64
 	nextSpan  uint64
 	spans     []SpanData
+	index     *Index // the last index handed out; it reads spans, so EndAt copies them first
 	active    Context
 	maxSpans  int
 	dropped   uint64
 	handles   []Span // the slab chunk record carves span handles from
-	refill    int    // the length the last Reset dropped: the next table's size
+	refill    int    // the length the last Reset dropped: with a sixteenth more, the next table's size
 }
 
 // New returns a Tracer that reads virtual time from now. The tracer
@@ -148,6 +149,9 @@ func (s *Span) EndAt(at time.Duration) {
 	if s == nil || s.idx >= len(s.t.spans) || s.t.spans[s.idx].ID != s.ctx.Span {
 		return // the span went with a Reset; its slot is empty or another span's
 	}
+	if t := s.t; t.index != nil && s.idx < len(t.index.Spans) {
+		t.spans, t.index = append(make([]SpanData, 0, cap(t.spans)), t.spans...), nil
+	}
 	s.t.spans[s.idx].End = at
 	s.t.spans[s.idx].Ends++
 }
@@ -190,7 +194,7 @@ func (t *Tracer) record(traceID, parent uint64, host, name string, start time.Du
 		return nil
 	}
 	if t.spans == nil && t.refill > 0 {
-		t.spans = make([]SpanData, 0, min(t.refill, t.maxSpans))
+		t.spans = make([]SpanData, 0, min(t.refill+t.refill/16, t.maxSpans))
 	}
 	t.nextSpan++
 	id := t.nextSpan
@@ -246,36 +250,36 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Spans returns a copy of the buffer in creation order.
-func (t *Tracer) Spans() []SpanData { return slices.Clone(t.Table()) }
-
-// Table returns the tracer's own buffer, not a copy: read-only, and
-// valid only until the tracer next records, ends a span or resets.
-func (t *Tracer) Table() []SpanData {
+func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
-	return t.spans
+	return slices.Clone(t.spans)
 }
 
-// SpansOf returns the spans of one trace in creation order.
-func (t *Tracer) SpansOf(traceID uint64) []SpanData {
-	var out []SpanData
-	for _, s := range t.Table() {
-		if s.Trace == traceID {
-			out = append(out, s)
-		}
+var empty Index
+
+// Index returns the buffer's index, built once per state of the buffer
+// and shared by its readers. Spans recorded later land past its length,
+// and a span ended later ends in a copy, so the index stays a snapshot.
+func (t *Tracer) Index() *Index {
+	switch {
+	case t == nil || len(t.spans) == 0:
+		return &empty // so an empty table's readers allocate nothing
+	case t.index == nil || len(t.index.Spans) != len(t.spans):
+		t.index = NewIndex(t.spans)
 	}
-	return out
+	return t.index
 }
 
 // Reset discards all recorded spans and the drop counter. ID counters
 // keep counting so contexts from before a Reset can never collide with
-// new spans. The next table is made at the length this one dropped.
+// new spans. The next table is made at this one's length plus a sixteenth.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.spans, t.refill = nil, len(t.spans)
+	t.spans, t.refill, t.index = nil, len(t.spans), nil
 	t.dropped = 0
 	t.active = Context{}
 }
@@ -291,30 +295,30 @@ func (t *Tracer) Reset() {
 // of its trace (dropped at the cap, or named by a decoded context but not
 // yet issued) renders as an extra root rather than disappearing.
 func (t *Tracer) Report(traceID uint64) string {
-	x := NewIndex(t.SpansOf(traceID))
-	if len(x.Traces()) == 0 {
-		return fmt.Sprintf("trace %d: no spans\n", traceID)
+	if k, ok := t.Index().Find(traceID); ok {
+		return t.render(k, k+1)
 	}
-	return t.render(x)
+	return fmt.Sprintf("trace %d: no spans\n", traceID)
 }
 
 // ReportAll renders every recorded trace in ID order.
 func (t *Tracer) ReportAll() string {
-	if t == nil || len(t.spans) == 0 {
-		return "no traces recorded\n"
+	if n := len(t.Index().Traces()); n > 0 {
+		return t.render(0, n)
 	}
-	return t.render(NewIndex(t.spans))
+	return "no traces recorded\n"
 }
 
-// render renders every trace of x through one scratch line into a
-// builder grown once to a bound on the text: a host count fits in the span
+// render renders the index's traces lo to hi through one scratch line into
+// a builder grown once to a bound on the text: a host count fits in the span
 // count's digits, a dropped line in 51 bytes, a wide instant's line in 16 more.
-func (t *Tracer) render(x *Index) string {
+func (t *Tracer) render(lo, hi int) string {
+	x := t.Index()
 	var scratch [256]byte
-	line, size := scratch[:0], 51*len(x.Traces())*int(min(t.dropped, 1))
-	for k, id := range x.Traces() {
+	line, size := scratch[:0], 51*(hi-lo)*int(min(t.dropped, 1))
+	for k := lo; k < hi; k++ {
 		root, n := &x.Spans[x.Roots(k)[0]], int64(len(x.SpansOf(k)))
-		size += 71 + len(root.Name) + len(strconv.AppendUint(line, id, 10)) + 2*len(strconv.AppendInt(line, n, 10))
+		size += 71 + len(root.Name) + len(strconv.AppendUint(line, x.Traces()[k], 10)) + 2*len(strconv.AppendInt(line, n, 10))
 		for _, p := range x.SpansOf(k) {
 			s := &x.Spans[p]
 			size += 33 + len(s.Host) - min(8, utf8.RuneCountInString(s.Host)) + 2*x.Depth(p) + len(s.Name)
@@ -326,7 +330,7 @@ func (t *Tracer) render(x *Index) string {
 	var b strings.Builder
 	b.Grow(size)
 	var hosts []string
-	for k, id := range x.Traces() {
+	for k := lo; k < hi; k++ {
 		hosts = hosts[:0]
 		for _, p := range x.SpansOf(k) {
 			hosts = append(hosts, x.Spans[p].Host)
@@ -334,7 +338,7 @@ func (t *Tracer) render(x *Index) string {
 		slices.Sort(hosts)
 		roots := x.Roots(k)
 		root := &x.Spans[roots[0]]
-		line = strconv.AppendUint(append(line[:0], "=== trace "...), id, 10)
+		line = strconv.AppendUint(append(line[:0], "=== trace "...), x.Traces()[k], 10)
 		line = append(append(append(line, ": "...), root.Name...), " ("...)
 		line = strconv.AppendInt(line, int64(len(x.SpansOf(k))), 10)
 		line = strconv.AppendInt(append(line, " spans, "...), int64(len(slices.Compact(hosts))), 10)

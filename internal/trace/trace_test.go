@@ -31,7 +31,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Active().Valid() {
 		t.Fatal("nil tracer has an active context")
 	}
-	if tr.Spans() != nil || tr.SpansOf(1) != nil {
+	if tr.Spans() != nil || tr.Index().Traces() != nil {
 		t.Fatal("nil tracer returned spans")
 	}
 	tr.Reset()
@@ -78,7 +78,7 @@ func TestTreeAssemblyAndIDs(t *testing.T) {
 	clk.at = 10 * time.Millisecond
 	root.End()
 
-	spans := tr.SpansOf(1)
+	spans := tr.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}
@@ -183,9 +183,9 @@ func fill(tr *Tracer, n int) {
 	root.End()
 }
 
-// TestRefillAllocatesTheTableOnce: an interval that records as many
-// spans as the last one dropped at Reset fills one table, made at that
-// length by its first span.
+// TestRefillAllocatesTheTableOnce: an interval that records up to a
+// sixteenth more spans than the last one dropped at Reset fills one
+// table, made at that length by its first span.
 func TestRefillAllocatesTheTableOnce(t *testing.T) {
 	tr := New(func() time.Duration { return 0 })
 	tr.Enable()
@@ -193,11 +193,11 @@ func TestRefillAllocatesTheTableOnce(t *testing.T) {
 	tr.Reset()
 	root := tr.StartTrace("a", "op")
 	first := &tr.spans[0]
-	for i := 1; i < 1000; i++ {
+	for i := 1; i < 1062; i++ {
 		tr.StartSpan("a", "x", root.Context()).End()
 	}
-	if len(tr.spans) != 1000 || cap(tr.spans) != 1000 || &tr.spans[0] != first {
-		t.Fatalf("refilled to %d spans in a table of %d, moved: %v; want one table of 1000",
+	if len(tr.spans) != 1062 || cap(tr.spans) != 1062 || &tr.spans[0] != first {
+		t.Fatalf("refilled to %d spans in a table of %d, moved: %v; want one table of 1062",
 			len(tr.spans), cap(tr.spans), &tr.spans[0] != first)
 	}
 }
@@ -231,9 +231,9 @@ func TestStaleHandleInertInTheRemadeTable(t *testing.T) {
 }
 
 // TestResetSizesByTheLastInterval: the table after a Reset is made at
-// the length that Reset dropped, capped at the buffer cap, not at the
-// most any interval held: a 1 M-span epilogue presizes no later small
-// interval past what the interval before it held.
+// the length that Reset dropped plus a sixteenth, capped at the buffer
+// cap, not at the most any interval held: a 1 M-span epilogue presizes
+// no later small interval past what the interval before it held.
 func TestResetSizesByTheLastInterval(t *testing.T) {
 	tr := New(func() time.Duration { return 0 })
 	tr.Enable()
@@ -250,6 +250,12 @@ func TestResetSizesByTheLastInterval(t *testing.T) {
 	fill(tr, 1)
 	if cap(tr.spans) != 10 {
 		t.Fatalf("after an interval of 10 spans the table was made at %d, want 10", cap(tr.spans))
+	}
+	fill(tr, 159)
+	tr.Reset()
+	fill(tr, 1)
+	if cap(tr.spans) != 170 {
+		t.Fatalf("after an interval of 160 spans the table was made at %d, want 170", cap(tr.spans))
 	}
 }
 
@@ -281,7 +287,7 @@ func TestAddSpanExplicitWindow(t *testing.T) {
 	tr.Enable()
 	root := tr.StartTrace("a", "op")
 	tr.AddSpan("gw", "net.hop", root.Context(), 5*time.Millisecond, 8*time.Millisecond)
-	spans := tr.SpansOf(1)
+	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}

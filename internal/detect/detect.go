@@ -13,32 +13,30 @@
 //
 //	suspicion = elapsed_silence / (srtt + 4*rttvar)
 //
-// capped and floored, so a link whose traffic is merely slow (large
+// capped, and floored at the heartbeat period: the silence between two
+// heartbeats is expected, however short the gaps that other traffic
+// left in the estimate. So a link whose traffic is merely slow (large
 // but steady inter-arrivals) never looks suspect, while a link whose
-// traffic stops cold accrues suspicion within a few expected
-// inter-arrival periods — far faster than a fixed worst-case timeout
-// when the link is normally chatty.
+// traffic stops cold accrues suspicion within a few heartbeat periods —
+// far faster than a fixed worst-case timeout.
 package detect
 
 import "time"
 
 // Config bounds the detector's estimate.
 type Config struct {
-	// Bootstrap is the threshold used before the first inter-arrival
-	// sample exists. Zero means 2s.
-	Bootstrap time.Duration
+	// Period is the heartbeat period. It is the threshold before the
+	// first inter-arrival sample exists, and the threshold's floor
+	// after. Zero means 2s.
+	Period time.Duration
 	// Cap is the maximum suspicion level Suspicion reports. Zero
 	// means 16.
 	Cap int
 }
 
-// floor is the minimum detection threshold: silence shorter than it
-// never registers suspicion, however short the estimated inter-arrival.
-const floor = 100 * time.Millisecond
-
 func (c Config) withDefaults() Config {
-	if c.Bootstrap == 0 {
-		c.Bootstrap = 2 * time.Second
+	if c.Period == 0 {
+		c.Period = 2 * time.Second
 	}
 	if c.Cap == 0 {
 		c.Cap = 16
@@ -103,17 +101,13 @@ func (d *Detector) Observe(now time.Duration) {
 }
 
 // Threshold returns the current detection threshold: the silence
-// duration corresponding to one unit of suspicion. Before any sample
-// exists it is the bootstrap value; it is never below the floor.
+// duration corresponding to one unit of suspicion. It is the period
+// before any sample exists, and whenever the estimate is shorter.
 func (d *Detector) Threshold() time.Duration {
-	if d.samples == 0 {
-		return d.cfg.Bootstrap
+	if t := d.srtt + 4*d.rttvar; d.samples > 0 && t > d.cfg.Period {
+		return t
 	}
-	t := d.srtt + 4*d.rttvar
-	if t < floor {
-		t = floor
-	}
-	return t
+	return d.cfg.Period
 }
 
 // Suspicion returns the integer suspicion level at virtual-clock
@@ -126,11 +120,7 @@ func (d *Detector) Suspicion(now time.Duration) int {
 	if elapsed <= 0 {
 		return 0
 	}
-	t := d.Threshold()
-	if t <= 0 {
-		return d.cfg.Cap
-	}
-	level := int(elapsed / t)
+	level := int(elapsed / d.Threshold())
 	if level > d.cfg.Cap {
 		level = d.cfg.Cap
 	}

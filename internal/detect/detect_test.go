@@ -23,7 +23,7 @@ func TestDetectorStepZeroAllocs(t *testing.T) {
 }
 
 func TestDetectorAdaptsEstimate(t *testing.T) {
-	d := New(Config{}, 0)
+	d := New(Config{Period: 200 * time.Millisecond}, 0)
 	now := time.Duration(0)
 	for i := 0; i < 64; i++ {
 		now += 200 * time.Millisecond
@@ -49,7 +49,7 @@ func TestDetectorAdaptsEstimate(t *testing.T) {
 // fixed 10s request timeout the retry layer falls back on.
 func TestDetectorBeatsFixedTimeout(t *testing.T) {
 	const fixedTimeout = 10 * time.Second // lpm.Config.RequestTimeout default
-	d := New(Config{}, 0)
+	d := New(Config{Period: 100 * time.Millisecond}, 0)
 	// Deterministic jitter: inter-arrivals cycle 80/100/120/140ms.
 	gaps := []time.Duration{80, 100, 120, 140}
 	now := time.Duration(0)
@@ -79,7 +79,7 @@ func TestDetectorBeatsFixedTimeout(t *testing.T) {
 // steady 900ms inter-arrivals — must never cross the suspect level at
 // any instant before the next arrival.
 func TestDetectorNoFalseSuspicionOnSlowLink(t *testing.T) {
-	d := New(Config{}, 0)
+	d := New(Config{Period: 900 * time.Millisecond}, 0)
 	now := time.Duration(0)
 	const gap = 900 * time.Millisecond
 	for i := 0; i < 50; i++ {
@@ -97,7 +97,7 @@ func TestDetectorNoFalseSuspicionOnSlowLink(t *testing.T) {
 }
 
 func TestDetectorBootstrapAndReset(t *testing.T) {
-	d := New(Config{Bootstrap: 2 * time.Second}, 0)
+	d := New(Config{Period: 2 * time.Second}, 0)
 	if got := d.Threshold(); got != 2*time.Second {
 		t.Fatalf("bootstrap threshold = %v, want 2s", got)
 	}
@@ -114,6 +114,21 @@ func TestDetectorBootstrapAndReset(t *testing.T) {
 	}
 	if got := d.Threshold(); got != 2*time.Second {
 		t.Fatalf("post-Reset threshold = %v, want bootstrap 2s", got)
+	}
+}
+
+// TestDetectorFloorIsThePeriod: a first sample shorter than the
+// heartbeat period (a reply landing just after the window opened) must
+// not pull the threshold below the period, or the next heartbeat's
+// ordinary silence would read as deep suspicion.
+func TestDetectorFloorIsThePeriod(t *testing.T) {
+	d := New(Config{Period: 2 * time.Second}, 0)
+	d.Observe(10 * time.Millisecond)
+	if got := d.Threshold(); got != 2*time.Second {
+		t.Fatalf("threshold after a 10ms gap = %v, want the 2s period", got)
+	}
+	if s := d.Suspicion(2*time.Second + 10*time.Millisecond); s != 1 {
+		t.Fatalf("suspicion one period after the last arrival = %d, want 1", s)
 	}
 }
 

@@ -43,6 +43,10 @@ func (l *LPM) circuitTransition(p *peer, chanKey string, to journal.CircuitState
 
 // --- adaptive failure detection (linktest heartbeats) ---
 
+// The suspicion levels at which an Established circuit steps to
+// Suspect, and at which it is closed as presumed-dead.
+const suspectAfter, closeAfter = 2, 6
+
 // scheduleLinktest arms the next detector tick for a circuit with its
 // tick, bound once at registration. The period doubles as both the
 // heartbeat interval and the suspicion evaluation cadence.
@@ -54,17 +58,14 @@ func (l *LPM) scheduleLinktest(sb *sibling) {
 // accrual suspicion level against the configured thresholds, step the
 // circuit machine (Established → Suspect → Closed), and send the next
 // heartbeat frame. Runs only while this sibling is still the
-// registered circuit for its host.
+// registered circuit for its host, and while a request waits on it or it
+// is Suspect (a suspicion ends in traffic or a close): a request re-arms it.
 func (l *LPM) linktestTick(sb *sibling) {
-	// The suspicion levels at which an Established circuit steps to
-	// Suspect, and at which it is closed as presumed-dead.
-	const suspectAfter, closeAfter = 2, 6
-
 	if l.exited {
 		return
 	}
 	p := sb.peer
-	if p.sb != sb || !sb.conn.Open() {
+	if p.sb != sb || !sb.conn.Open() || p.waiting == 0 && p.state != journal.CircuitSuspect {
 		return
 	}
 	now := l.sched.Now().Duration()
@@ -76,9 +77,10 @@ func (l *LPM) linktestTick(sb *sibling) {
 	if sb.suspicion >= closeAfter {
 		// The silence has outrun the estimate far enough that the peer
 		// is presumed gone: close the circuit. The close handler runs
-		// the usual teardown (pending-request failure, recovery
-		// notification); the transition is journaled first so the
-		// audit sees detector-initiated closes as such.
+		// the usual teardown (pending-request failure) and, reading the
+		// level, reports the peer lost: the redial loop dials it and
+		// recovery confirms the CCS. The transition is journaled first
+		// so the audit sees detector-initiated closes as such.
 		l.circuitTransition(p, sb.chanKey, journal.CircuitClosed, "detector", 0)
 		sb.conn.Close()
 		return

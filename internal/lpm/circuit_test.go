@@ -1,6 +1,8 @@
 package lpm
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"ppm/internal/proc"
 	"ppm/internal/simnet"
 	"ppm/internal/trace"
+	"ppm/internal/wire"
 )
 
 // circuitWorld builds a journaled two-host world; opts stretch
@@ -119,50 +122,64 @@ func TestCrossDialTieBreakSingleCircuit(t *testing.T) {
 	auditClean(t, j)
 }
 
-// Silence with the circuit still nominally open (severed replies, huge
-// BreakDetect) must drive the detector Established -> Suspect ->
-// Closed long before the transport's fixed timeout would act.
+// hold leaves a ping from l to host waiting on their circuit, so the
+// detector watches the circuit (it probes none that is idle); the
+// returned func reports the ping's outcome once it has settled.
+func hold(l *LPM, host string) func() (bool, error) {
+	done, res := false, error(nil)
+	body := wire.Encode(&wire.Ping{FromHost: l.Host(), User: l.user.Name})
+	l.sendRequest(trace.Context{}, l.peers[host].sb, wire.MsgPing, body, 0, func(_ wire.Envelope, err error) {
+		done, res = true, err
+	})
+	return func() (bool, error) { return done, res }
+}
+
+// Silence with the circuit still nominally open (severed network, huge
+// BreakDetect) while a request waits must drive the detector
+// Established -> Suspect -> Closed long before the transport's fixed
+// timeout would act, fail the request before its own timeout, and
+// report the peer lost: the redial loop dials it afterwards.
 func TestDetectorSuspectsThenClosesOnSilence(t *testing.T) {
 	w, j := circuitWorld(t, Config{Linktest: 200 * time.Millisecond}, 10*time.Minute)
 	u := w.user("felipe", "vax1", "vax2")
 	l1 := w.attach("vax1", u)
 	w.ensure(l1, "vax2")
-	// Warm the estimator: steady heartbeat echoes for a while.
+	// An idle circuit is not probed: nothing it sends can suspect it.
 	w.run(3 * time.Second)
-	if l1.circuitStateOf("vax2") != journal.CircuitEstablished {
-		t.Fatalf("warmup state = %v", l1.circuitStateOf("vax2"))
+	if armed := !l1.peers["vax2"].sb.ltTimer.Fired(); l1.circuitStateOf("vax2") != journal.CircuitEstablished || armed {
+		t.Fatalf("idle circuit: state %v, linktest armed %v", l1.circuitStateOf("vax2"), armed)
 	}
-	// Sever the network. The conns survive (BreakDetect = 10 min), so
-	// only the accrual detector can notice within the test horizon.
+	// Sever the network, then ask vax2 something. The conns survive
+	// (BreakDetect = 10 min), so only the accrual detector can notice
+	// within the test horizon.
 	if err := w.net.Partition([]string{"vax1"}, []string{"vax2"}); err != nil {
 		t.Fatal(err)
 	}
-	w.run(10 * time.Second)
+	settled := hold(l1, "vax2")
+	w.run(2 * time.Second)
 	if got := l1.circuitStateOf("vax2"); got != journal.CircuitClosed {
-		t.Fatalf("state after 10s of silence = %v, want closed", got)
+		t.Fatalf("state after 2s of silence = %v, want closed", got)
 	}
-	// Both detectors race; whichever fires first closes with reason
-	// "detector" and its clean close resolves the other end. Either
-	// way a suspect step and a detector-reasoned close must exist.
-	trs := append(transitions(j, "vax1"), transitions(j, "vax2")...)
-	sawSuspect, sawDetectorClose := false, false
-	for _, tr := range trs {
-		if strings.HasPrefix(tr, "suspect/") {
-			sawSuspect = true
-		}
-		if tr == "closed/detector" {
-			sawDetectorClose = true
-		}
+	if done, err := settled(); !done || !errors.Is(err, ErrNoSibling) {
+		t.Fatalf("the waiting ping settled %v with %v; want ErrNoSibling before its 10s timeout", done, err)
 	}
-	if !sawSuspect || !sawDetectorClose {
+	trs := transitions(j, "vax1")
+	if !slices.ContainsFunc(trs, func(tr string) bool { return strings.HasPrefix(tr, "suspect/") }) ||
+		!slices.Contains(trs, "closed/detector") {
 		t.Fatalf("transitions %v: want a suspect step and a detector-reasoned close", trs)
+	}
+	// The detector presumed vax2 dead: the close is a loss, so the
+	// redial loop dials vax2 on its next pass.
+	w.run(redialEvery)
+	if got := redialsBy(j, "vax1"); !slices.Contains(got, "vax2") {
+		t.Fatalf("vax1 redialed %v after the detector close, want vax2", got)
 	}
 	auditClean(t, j)
 }
 
-// A transient one-way outage (replies lost, requests delivered) must
-// raise Suspect, and resumed traffic must resolve it back to
-// Established — no close, no flap of the circuit itself.
+// A transient one-way outage (replies lost, requests delivered) under
+// a waiting request must raise Suspect, and resumed traffic must
+// resolve it back to Established — no close, no flap of the circuit.
 func TestDetectorSuspectRecoversOnTraffic(t *testing.T) {
 	w, j := circuitWorld(t, Config{Linktest: 200 * time.Millisecond}, 10*time.Minute)
 	u := w.user("felipe", "vax1", "vax2")
@@ -170,8 +187,10 @@ func TestDetectorSuspectRecoversOnTraffic(t *testing.T) {
 	w.ensure(l1, "vax2")
 	w.run(3 * time.Second)
 
-	// Half-broken gateway: everything vax2 -> vax1 vanishes.
+	// Half-broken gateway: everything vax2 -> vax1 vanishes, the
+	// ping's reply included, so the ping waits across the outage.
 	w.net.InjectLossDir("vax2", "vax1", 1)
+	hold(l1, "vax2")
 	w.run(700 * time.Millisecond)
 	if got := l1.circuitStateOf("vax2"); got != journal.CircuitSuspect {
 		t.Fatalf("state under one-way loss = %v, want suspect", got)
@@ -198,6 +217,28 @@ func TestDetectorSuspectRecoversOnTraffic(t *testing.T) {
 	auditClean(t, j)
 }
 
+// A request that times out while its circuit is Suspect leaves the
+// suspicion to the detector, which keeps probing until traffic clears
+// it: the circuit is not parked in Suspect once nothing waits.
+func TestDetectorResolvesSuspicionAfterTheRequestEnds(t *testing.T) {
+	w, j := circuitWorld(t, Config{Linktest: 200 * time.Millisecond, RequestTimeout: 500 * time.Millisecond}, 10*time.Minute)
+	u := w.user("felipe", "vax1", "vax2")
+	l1 := w.attach("vax1", u)
+	w.ensure(l1, "vax2")
+	w.net.InjectLossDir("vax2", "vax1", 1)
+	settled := hold(l1, "vax2")
+	w.run(600 * time.Millisecond)
+	if done, err := settled(); !done || !errors.Is(err, ErrTimeout) || l1.circuitStateOf("vax2") != journal.CircuitSuspect {
+		t.Fatalf("setup: ping settled %v with %v, state %v; want a timeout on a suspect circuit", done, err, l1.circuitStateOf("vax2"))
+	}
+	w.net.InjectLossDir("vax2", "vax1", 0)
+	w.run(time.Second)
+	if got := l1.circuitStateOf("vax2"); got != journal.CircuitEstablished {
+		t.Fatalf("state once the ping timed out and the loss lifted = %v, want established", got)
+	}
+	auditClean(t, j)
+}
+
 // After a detector-initiated close the next use re-dials on demand:
 // Closed -> Dialing -> ... -> Established, all legal, audit clean.
 func TestDetectorCloseThenRedialOnDemand(t *testing.T) {
@@ -209,7 +250,8 @@ func TestDetectorCloseThenRedialOnDemand(t *testing.T) {
 	if err := w.net.Partition([]string{"vax1"}, []string{"vax2"}); err != nil {
 		t.Fatal(err)
 	}
-	w.run(10 * time.Second)
+	hold(l1, "vax2")
+	w.run(2 * time.Second)
 	if l1.circuitStateOf("vax2") != journal.CircuitClosed {
 		t.Fatalf("setup: state = %v, want closed", l1.circuitStateOf("vax2"))
 	}

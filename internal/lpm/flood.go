@@ -110,7 +110,7 @@ func (l *LPM) markSeen(s wire.Stamp) bool {
 // costs. inner's body is the hop's.
 func (h *floodHop) localWork(inner wire.Envelope) time.Duration {
 	l := h.l
-	var here [8]proc.Info // the processes here: on the stack, unless there are more
+	var here [64]proc.Info // the processes here: on the stack, unless there are more
 	switch inner.Type {
 	case wire.MsgSnapshotReq:
 		infos := l.localInfos(here[:0])

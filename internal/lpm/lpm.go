@@ -154,11 +154,13 @@ type Config struct {
 	// HistoryCapacity bounds the event store (0 = default).
 	HistoryCapacity int
 
-	// Linktest enables the adaptive failure detector: every circuit
-	// exchanges a heartbeat frame and evaluates its accrual suspicion
-	// level at this period. Zero disables the detector (circuit
-	// health is then inferred from request timeouts only, the
-	// pre-detector behavior).
+	// Linktest enables the adaptive failure detector: while a request
+	// waits on a circuit, the circuit exchanges a heartbeat frame and
+	// evaluates its accrual suspicion level at this period, which is
+	// also the detector's least threshold. An idle circuit sends none
+	// and relies on the transport's break report, as a TCP circuit
+	// does. Zero disables the detector (circuit health is then
+	// inferred from request timeouts only, the pre-detector behavior).
 	Linktest time.Duration
 }
 
@@ -267,6 +269,9 @@ type peer struct {
 	// lost is set when the circuit broke with an error and has not come
 	// back; the redial loop (redialTick) dials it until it does.
 	lost bool
+	// waiting counts the requests sent to the peer and not yet
+	// complete: the detector watches its circuit only while some wait.
+	waiting int
 }
 
 // peer returns host's record, making it on first write.
@@ -305,8 +310,8 @@ type sibling struct {
 	// level computed at the last linktest tick (cleared by traffic).
 	det       detect.Detector
 	suspicion int
-	// ltTimer arms tick, the linktest step bound once at registration;
-	// ltSeq numbers the heartbeat frames.
+	// ltTimer arms tick, the linktest step bound at registration and
+	// armed while a request waits; ltSeq numbers the heartbeats.
 	ltTimer sim.Timer
 	tick    func()
 	ltSeq   uint64

@@ -159,7 +159,7 @@ func (l *LPM) registerSibling(p *peer, conn *simnet.Conn, inc uint64) *sibling {
 		l.circuitTransition(p, key, journal.CircuitAuthenticating, "hello-in", 0)
 	}
 	sb := &sibling{peer: p, conn: conn, chanKey: key, inc: inc, openedAt: l.sched.Now()}
-	sb.det = detect.New(detect.Config{}, l.sched.Now().Duration())
+	sb.det = detect.New(detect.Config{Period: l.cfg.Linktest}, l.sched.Now().Duration())
 	p.sb, p.known = sb, true
 	reason := "auth-client"
 	if conn.LocalAddr() == l.accept {
@@ -168,9 +168,8 @@ func (l *LPM) registerSibling(p *peer, conn *simnet.Conn, inc uint64) *sibling {
 	l.circuitTransition(p, key, journal.CircuitEstablished, reason, 0)
 	conn.SetHandler(func(b []byte) { l.onSiblingMsg(sb, b) })
 	conn.SetCloseHandler(func(err error) { l.onSiblingClosed(sb, err) })
-	if l.cfg.Linktest > 0 {
+	if l.cfg.Linktest > 0 { // armed once a request waits on it
 		sb.tick = func() { l.linktestTick(sb) }
-		l.scheduleLinktest(sb)
 	}
 	// An inbound establishment serves any dial in flight to the same
 	// host: the queued callbacks get this circuit instead of waiting
@@ -201,7 +200,9 @@ func (l *LPM) onSiblingClosed(sb *sibling, err error) {
 			l.complete(pr, wire.Envelope{}, &fault{ErrNoSibling, "%s", p.host, nil})
 		}
 	}
-	if err != nil && !l.exited {
+	// A break, or a detector close (its silence presumed the peer dead),
+	// is a loss: "on failure detection, LPMs connect to the known CCS".
+	if (err != nil || sb.suspicion >= closeAfter) && !l.exited {
 		l.obs.Metrics().Counter("lpm.recovery.siblings_lost").Inc()
 		p.lost = true
 		l.scheduleRedial()
@@ -584,6 +585,7 @@ func (l *LPM) handleResponse(env wire.Envelope) {
 // timer, handler, span — and settles the call on its outcome.
 func (l *LPM) complete(pr *pendingReq, env wire.Envelope, err error) {
 	delete(l.pending, pr.id)
+	pr.sb.peer.waiting--
 	pr.timer.Cancel()
 	l.releaseHandler(pr.handler)
 	pr.span.End()
@@ -631,7 +633,14 @@ func (l *LPM) issue(pr *pendingReq, h proc.PID) {
 	}
 	pr.timer = l.sched.After(timeout, pr.expire)
 	l.pending[pr.id] = pr
-	l.sendOut(pr.sb, wire.Envelope{Type: pr.t, ReqID: pr.id, Body: pr.body, OpID: pr.op, TraceID: pr.rctx.Trace, SpanID: pr.rctx.Span})
+	sb := pr.sb
+	sb.peer.waiting++
+	if sb.tick != nil && sb.ltTimer.Fired() {
+		// A request now waits on an unwatched circuit: watch it from here.
+		sb.det.Reset(l.sched.Now().Duration())
+		l.scheduleLinktest(sb)
+	}
+	l.sendOut(sb, wire.Envelope{Type: pr.t, ReqID: pr.id, Body: pr.body, OpID: pr.op, TraceID: pr.rctx.Trace, SpanID: pr.rctx.Span})
 }
 
 func (pr *pendingReq) onTimeout() {
